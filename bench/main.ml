@@ -390,14 +390,14 @@ let bench_core_percpu () =
 let bench_core_centralized () =
   let engine, machine, kmod = core_small_machine () in
   let rt =
-    Skyloft.Centralized.create machine kmod ~dispatcher_core:0
-      ~worker_cores:[ 1; 2; 3; 4 ] ~quantum:(Time'.us 30)
+    Skyloft.Hybrid.create machine kmod ~dispatcher_core:0
+      ~worker_cores:[ 1; 2; 3; 4 ] ~quantum:(Time'.us 30) ~adaptive:false
       (fst (Skyloft_policies.Shinjuku_shenango.create ()))
   in
-  let lc = Skyloft.Centralized.create_app rt ~name:"lc" in
+  let lc = Skyloft.Hybrid.create_app rt ~name:"lc" in
   core_drive engine (fun () ->
       ignore
-        (Skyloft.Centralized.submit rt lc ~name:"r" ~record:false
+        (Skyloft.Hybrid.submit rt lc ~name:"r" ~record:false
            (core_request ())))
 
 let bench_core_hybrid () =
@@ -453,15 +453,15 @@ let bench_core_centralized_traced =
   core_traced (fun trace ->
       let engine, machine, kmod = core_small_machine () in
       let rt =
-        Skyloft.Centralized.create machine kmod ~dispatcher_core:0
-          ~worker_cores:[ 1; 2; 3; 4 ] ~quantum:(Time'.us 30)
+        Skyloft.Hybrid.create machine kmod ~dispatcher_core:0
+          ~worker_cores:[ 1; 2; 3; 4 ] ~quantum:(Time'.us 30) ~adaptive:false
           (fst (Skyloft_policies.Shinjuku_shenango.create ()))
       in
-      Skyloft.Centralized.set_trace rt trace;
-      let lc = Skyloft.Centralized.create_app rt ~name:"lc" in
+      Skyloft.Hybrid.set_trace rt trace;
+      let lc = Skyloft.Hybrid.create_app rt ~name:"lc" in
       core_drive engine (fun () ->
           ignore
-            (Skyloft.Centralized.submit rt lc ~name:"r" ~record:false
+            (Skyloft.Hybrid.submit rt lc ~name:"r" ~record:false
                (core_request ()))))
 
 let bench_core_hybrid_traced =

@@ -21,7 +21,6 @@ module Coro = Skyloft_sim.Coro
 module Topology = Skyloft_hw.Topology
 module Machine = Skyloft_hw.Machine
 module Kmod = Skyloft_kernel.Kmod
-module Centralized = Skyloft.Centralized
 module Hybrid = Skyloft.Hybrid
 module App = Skyloft.App
 module Summary = Skyloft_stats.Summary
@@ -52,23 +51,23 @@ let alloc_cfg () =
 
 let make_centralized machine kmod =
   let rt =
-    Centralized.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2; 3; 4 ]
-      ~quantum:(Time.us 30) ~alloc:(alloc_cfg ())
+    Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2; 3; 4 ]
+      ~quantum:(Time.us 30) ~adaptive:false ~alloc:(alloc_cfg ())
       (Skyloft_policies.Shinjuku.create ())
   in
-  let lc = Centralized.create_app rt ~name:"lc-service" in
-  let batch = Centralized.create_app rt ~name:"batch" in
-  Centralized.attach_be_app rt batch ~chunk:(Time.us 50) ~workers:4;
+  let lc = Hybrid.create_app rt ~name:"lc-service" in
+  let batch = Hybrid.create_app rt ~name:"batch" in
+  Hybrid.attach_be_app rt batch ~chunk:(Time.us 50) ~workers:4;
   {
     lc;
     batch;
     submit =
       (fun ~name ~service ->
         ignore
-          (Centralized.submit rt lc ~name ~service
+          (Hybrid.submit rt lc ~name ~service
              (Coro.compute_then_exit service)));
-    be_preemptions = (fun () -> Centralized.be_preemptions rt);
-    allocator = (fun () -> Centralized.allocator rt);
+    be_preemptions = (fun () -> Hybrid.be_preemptions rt);
+    allocator = (fun () -> Hybrid.allocator rt);
     extra = (fun () -> "");
   }
 

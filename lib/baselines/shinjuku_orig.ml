@@ -1,22 +1,23 @@
 module Time = Skyloft_sim.Time
 module Machine = Skyloft_hw.Machine
 module Kmod = Skyloft_kernel.Kmod
-module Centralized = Skyloft.Centralized
+module Hybrid = Skyloft.Hybrid
 
 (** Original Shinjuku model (§5.2 comparator).
 
     Shinjuku runs inside Dune and preempts workers with virtualization
     posted interrupts; its dispatcher spins on a dedicated core over a
     single global queue.  Preemption costs are a small multiple of user
-    IPIs ({!Skyloft.Centralized.shinjuku_mechanism}), which is why the
+    IPIs ({!Skyloft.Hybrid.shinjuku_mechanism}), which is why the
     paper finds Skyloft and Shinjuku nearly indistinguishable on the
     single-workload experiment (Figure 7a).
 
     The structural difference is multi-application support: Shinjuku
     dedicates its cores to one application, so in the co-location
     experiment its batch CPU share is identically zero (Figure 7c) — here,
-    simply never attach a BE application. *)
+    simply never attach a BE application.  The dispatcher is the pinned
+    serial dispatcher of {!Skyloft.Hybrid}. *)
 
 let make machine kmod ~dispatcher_core ~worker_cores ~quantum policy =
-  Centralized.create machine kmod ~dispatcher_core ~worker_cores ~quantum
-    ~mechanism:Centralized.shinjuku_mechanism ~immediate:true policy
+  Hybrid.create machine kmod ~dispatcher_core ~worker_cores ~quantum
+    ~adaptive:false ~mechanism:Hybrid.shinjuku_mechanism policy

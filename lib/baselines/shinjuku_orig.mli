@@ -13,4 +13,4 @@ val make :
   worker_cores:int list ->
   quantum:Time.t ->
   Skyloft.Sched_ops.ctor ->
-  Skyloft.Centralized.t
+  Skyloft.Hybrid.t

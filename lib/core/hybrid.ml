@@ -14,9 +14,54 @@ module Rc = Runtime_core
 (* The hybrid runtime is Runtime_core plus a DISPATCH substrate that
    changes shape at runtime: the centralized serial dispatcher while the
    shared queue is shallow, per-core preemption timers once it is deep.
-   It deliberately uses nothing of Percpu or Centralized beyond the same
-   substrate they instantiate — this module existing at all is the test
-   that the [Rc.dispatch] seam carries a whole runtime. *)
+   Created with [~adaptive:false] it never leaves the serial dispatcher:
+   that pinned shape is the centralized runtime (Figure 2b), and with a
+   different {!mechanism} cost vector the ghOSt and Shinjuku
+   comparators. *)
+
+type mechanism = {
+  mech_name : string;
+  dispatch_cost : Time.t;
+  preempt_send : Time.t;
+  preempt_delivery : Time.t;
+  preempt_receive : Time.t;
+  worker_switch : Time.t;
+}
+
+let skyloft_mechanism =
+  {
+    mech_name = "Skyloft";
+    dispatch_cost = 100;
+    preempt_send = Costs.uipi_send_ns ~cross_numa:false;
+    preempt_delivery = Costs.uipi_delivery_ns ~cross_numa:false;
+    preempt_receive = Costs.uipi_receive_ns ~cross_numa:false + Costs.uthread_yield_ns;
+    worker_switch = Costs.uthread_yield_ns;
+  }
+
+(* Dune posted interrupts avoid kernel entries on the sender but trap into
+   the guest on delivery; measured overheads in the Shinjuku paper are a
+   small multiple of user IPIs. *)
+let shinjuku_mechanism =
+  {
+    mech_name = "Shinjuku";
+    dispatch_cost = 120;
+    preempt_send = 250;
+    preempt_delivery = 1_400;
+    preempt_receive = 650;
+    worker_switch = 60;
+  }
+
+(* ghOSt: every dispatch is an agent decision committed through a kernel
+   transaction; preemption rides kernel IPIs; workers are kernel threads. *)
+let ghost_mechanism =
+  {
+    mech_name = "ghOSt";
+    dispatch_cost = 1_200;
+    preempt_send = Costs.kipi_send_ns;
+    preempt_delivery = Costs.kipi_delivery_ns;
+    preempt_receive = Costs.kipi_receive_ns;
+    worker_switch = Costs.linux_ctx_switch_ns;
+  }
 
 type mode = Central | Percore
 
@@ -40,11 +85,9 @@ type t = {
   dispatcher_core : int;
   units : unit_state array;
   by_core : (int, unit_state) Hashtbl.t;
-  mech : Centralized.mechanism;
+  mech : mechanism;
   quantum : Time.t;
-  tick_period : Time.t;
-  hi_depth : int;
-  lo_depth : int;
+  tick_period : Time.t;  (* 0 when pinned central: no per-core timers *)
   alloc_cfg : Allocator.config;
   mutable mode : mode;
   mutable mode_switches : int;
@@ -91,8 +134,7 @@ let rec start_on t u (task : Task.t) =
   else begin
     t.dispatches <- t.dispatches + 1;
     let switch_cost =
-      if task.Task.app = u.ex.Rc.active_app then
-        t.mech.Centralized.worker_switch
+      if task.Task.app = u.ex.Rc.active_app then t.mech.worker_switch
       else Rc.app_switch t.rc u.ex task
     in
     task.Task.wake_time <- None;
@@ -111,7 +153,7 @@ let rec start_on t u (task : Task.t) =
 and assign t u (task : Task.t) =
   u.reserved <- true;
   u.incoming <- task.Task.app;
-  dispatcher_do t t.mech.Centralized.dispatch_cost (fun () -> start_on t u task)
+  dispatcher_do t t.mech.dispatch_cost (fun () -> start_on t u task)
 
 and try_next t u =
   if (not u.reserved) && u.ex.Rc.current = None && not (Rc.unit_capped t.rc u.ex)
@@ -179,7 +221,7 @@ and reschedule t u ~prev =
    the watchdog is the backstop). *)
 and do_preempt t u gen ~requeue =
   if u.gen = gen then
-    match Rc.depose t.rc u.ex ~overhead:t.mech.Centralized.preempt_receive with
+    match Rc.depose t.rc u.ex ~overhead:t.mech.preempt_receive with
     | Some task ->
         requeue task;
         reschedule t u ~prev:(Some task)
@@ -193,13 +235,12 @@ and deliver_preempt t u gen ~requeue =
   | Machine.Drop -> ()
   | Machine.Delay d ->
       ignore
-        (Engine.after t.rc.Rc.engine
-           (t.mech.Centralized.preempt_delivery + d)
-           (fun () -> do_preempt t u gen ~requeue))
+        (Engine.after t.rc.Rc.engine (t.mech.preempt_delivery + d) (fun () ->
+             do_preempt t u gen ~requeue))
   | Machine.Deliver ->
       ignore
-        (Engine.after t.rc.Rc.engine t.mech.Centralized.preempt_delivery
-           (fun () -> do_preempt t u gen ~requeue))
+        (Engine.after t.rc.Rc.engine t.mech.preempt_delivery (fun () ->
+             do_preempt t u gen ~requeue))
 
 and quantum_check t u (task : Task.t) gen =
   let still_running =
@@ -209,7 +250,7 @@ and quantum_check t u (task : Task.t) gen =
   in
   if still_running then begin
     t.rc.Rc.preempts <- t.rc.Rc.preempts + 1;
-    dispatcher_do t t.mech.Centralized.preempt_send (fun () ->
+    dispatcher_do t t.mech.preempt_send (fun () ->
         deliver_preempt t u gen ~requeue:(fun task ->
             t.rc.Rc.policy.task_enqueue ~cpu:t.dispatcher_core
               ~reason:Sched_ops.Enq_preempted task))
@@ -292,11 +333,16 @@ let flip t m =
       Array.iter (fun u -> kick t u) t.units
   | Central -> pump t
 
+(* The monitor samples the shared queue every [check_period] and flips to
+   percore past 2n queued tasks for n workers, back to central at n/2 or
+   below; the gap is the hysteresis band. *)
+let check_period = Time.us 25
+
 let check_mode t =
-  let depth = queue_length t in
+  let depth = queue_length t and n = Array.length t.units in
   match t.mode with
-  | Central when depth > t.hi_depth -> flip t Percore
-  | Percore when depth <= t.lo_depth -> flip t Central
+  | Central when depth > 2 * n -> flip t Percore
+  | Percore when depth <= n / 2 -> flip t Central
   | Central | Percore -> ()
 
 (* ---- percore timer ticks -------------------------------------------------- *)
@@ -336,7 +382,7 @@ let on_tick t u =
 
 let rescue_worker t u ~late =
   Rc.rescued t.rc u.ex ~late;
-  match Rc.depose t.rc u.ex ~overhead:t.mech.Centralized.preempt_receive with
+  match Rc.depose t.rc u.ex ~overhead:t.mech.preempt_receive with
   | Some task ->
       if Rc.is_be t.rc task then Runqueue.push_head t.rc.Rc.be_queue task
       else
@@ -357,7 +403,9 @@ let watchdog_scan t ~bound =
         match u.ex.Rc.current with
         | Some task when not (Eventq.is_null u.ex.Rc.completion) ->
             (* The expected preemption point depends on which mechanism
-               covers the run; grant the larger of the two. *)
+               covers the run; grant the larger of the two.  A pinned
+               runtime has no tick period, so the bound is
+               [bound + quantum]. *)
             let allowed =
               bound
               +
@@ -377,7 +425,7 @@ let preempt_be_central t u =
     when Rc.is_be t.rc task && not (Eventq.is_null u.ex.Rc.completion) ->
       let gen = u.gen in
       t.rc.Rc.be_preempts <- t.rc.Rc.be_preempts + 1;
-      dispatcher_do t t.mech.Centralized.preempt_send (fun () ->
+      dispatcher_do t t.mech.preempt_send (fun () ->
           deliver_preempt t u gen ~requeue:(fun task ->
               Runqueue.push_head t.rc.Rc.be_queue task));
       true
@@ -430,7 +478,7 @@ let preempt_capped_unit t u =
           if Rc.is_be t.rc task then
             t.rc.Rc.be_preempts <- t.rc.Rc.be_preempts + 1
           else t.rc.Rc.preempts <- t.rc.Rc.preempts + 1;
-          dispatcher_do t t.mech.Centralized.preempt_send (fun () ->
+          dispatcher_do t t.mech.preempt_send (fun () ->
               deliver_preempt t u gen ~requeue:(fun task ->
                   if Rc.is_be t.rc task then
                     Runqueue.push_head t.rc.Rc.be_queue task
@@ -469,8 +517,8 @@ let congestion t = Rc.congestion t.rc
 (* ---- construction --------------------------------------------------------- *)
 
 let create machine kmod ~dispatcher_core ~worker_cores ~quantum
-    ?(timer_hz = 100_000) ?hi_depth ?lo_depth ?check_period ?alloc ?watchdog
-    ctor =
+    ?(timer_hz = 100_000) ?(adaptive = true) ?(mechanism = skyloft_mechanism)
+    ?alloc ?watchdog ctor =
   if worker_cores = [] then invalid_arg "Hybrid.create: no worker cores";
   if List.mem dispatcher_core worker_cores then
     invalid_arg "Hybrid.create: dispatcher core cannot also be a worker";
@@ -479,16 +527,6 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
   | Some bound when bound <= 0 ->
       invalid_arg "Hybrid.create: watchdog bound must be positive"
   | Some _ | None -> ());
-  let n = List.length worker_cores in
-  let hi_depth = match hi_depth with Some h -> h | None -> 2 * n in
-  let lo_depth = match lo_depth with Some l -> l | None -> n / 2 in
-  if lo_depth > hi_depth then
-    invalid_arg "Hybrid.create: lo_depth must not exceed hi_depth";
-  let check_period =
-    match check_period with Some p -> p | None -> Time.us 25
-  in
-  if check_period <= 0 then
-    invalid_arg "Hybrid.create: check_period must be positive";
   let alloc =
     match alloc with Some a -> a | None -> Allocator.default_config ()
   in
@@ -510,15 +548,13 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
   in
   let t =
     {
-      rc = Rc.create machine kmod ~record_wakeups:false ~trace_app_switches:true;
+      rc = Rc.create machine kmod;
       dispatcher_core;
       units;
       by_core = Hashtbl.create 16;
-      mech = Centralized.skyloft_mechanism;
+      mech = mechanism;
       quantum;
-      tick_period = max 1 (1_000_000_000 / timer_hz);
-      hi_depth;
-      lo_depth;
+      tick_period = (if adaptive then max 1 (1_000_000_000 / timer_hz) else 0);
       alloc_cfg = alloc;
       mode = Central;
       mode_switches = 0;
@@ -557,19 +593,22 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
     units;
   Kmod.on_steal kmod ~core:dispatcher_core (fun ~duration ->
       t.disp_busy_until <- max t.disp_busy_until (now t + duration));
-  (* Per-core delegated timers; the handler is a no-op outside percore
-     mode, so central mode pays no tick overhead. *)
-  Array.iter
-    (fun u ->
-      ignore
-        (Engine.every t.rc.Rc.engine ~period:t.tick_period (fun () ->
-             on_tick t u;
-             true)))
-    units;
-  ignore
-    (Engine.every t.rc.Rc.engine ~period:check_period (fun () ->
-         check_mode t;
-         true));
+  (* Per-core delegated timers and the mode monitor; the tick handler is a
+     no-op outside percore mode, so central mode pays no tick overhead.  A
+     pinned runtime arms neither and never leaves central mode. *)
+  if adaptive then begin
+    Array.iter
+      (fun u ->
+        ignore
+          (Engine.every t.rc.Rc.engine ~period:t.tick_period (fun () ->
+               on_tick t u;
+               true)))
+      units;
+    ignore
+      (Engine.every t.rc.Rc.engine ~period:check_period (fun () ->
+           check_mode t;
+           true))
+  end;
   Rc.start_watchdog t.rc ~bound:watchdog (fun ~bound -> watchdog_scan t ~bound);
   t
 

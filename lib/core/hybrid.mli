@@ -16,12 +16,44 @@ module Kmod = Skyloft_kernel.Kmod
     cores from the serial dispatcher to per-core preemption timers and
     back.  Every mode transition is a [Mode_switch] trace instant.
 
-    The point of this module is architectural as much as experimental: it
-    is written only against the [Runtime_core.dispatch] substrate — the
-    same lifecycle, accounting, BE-occupancy, deadline, allocator and
-    metrics code the two parent runtimes instantiate — which is the
-    evidence that the substrate is a real seam and not a refactoring
-    artifact. *)
+    Created with [~adaptive:false] the runtime never leaves [Central]
+    mode: that pinned shape {e is} the centralized Skyloft runtime
+    (Figure 2b, Shinjuku-style processor sharing, §5.2), and with a
+    different {!mechanism} cost vector it hosts the ghOSt and original
+    Shinjuku comparators.
+
+    The dispatcher is modelled as a serial resource: every operation
+    (assignment, preemption send) occupies it for the mechanism's cost, so
+    a saturated dispatcher becomes the bottleneck — the scalability ceiling
+    the paper attributes to centralized designs.  A best-effort (BE)
+    application can be co-scheduled: workers fall back to BE work when the
+    LC queue is empty, and the core allocator reclaims BE cores when
+    congestion appears (Shenango's core-allocation policy, §5.2 "Multiple
+    workloads"). *)
+
+(** Cost vector of the dispatcher's preemption/dispatch mechanism. *)
+type mechanism = {
+  mech_name : string;
+  dispatch_cost : Time.t;  (** dispatcher work per assignment decision *)
+  preempt_send : Time.t;  (** dispatcher-side send cost *)
+  preempt_delivery : Time.t;  (** send-to-handler latency at the worker *)
+  preempt_receive : Time.t;  (** worker-side handling overhead *)
+  worker_switch : Time.t;  (** worker-side task switch cost *)
+}
+
+val skyloft_mechanism : mechanism
+(** User IPIs + user-level task switch (Table 6 / Table 7). *)
+
+val shinjuku_mechanism : mechanism
+(** Original Shinjuku: Dune posted interrupts, slightly costlier delivery
+    than user IPIs — hence near-parity with Skyloft in Figure 7a. *)
+
+val ghost_mechanism : mechanism
+(** ghOSt (§5.2 comparator): a user-space global agent whose decisions are
+    transactions committed into the kernel, so every dispatch pays ~1.5 µs
+    of agent/transaction work; preemption rides kernel IPIs and workers
+    are kernel threads.  Those costs produce its lower maximum throughput
+    (~0.8×) and ~3× higher low-load tail latency in Figure 7. *)
 
 type mode = Central | Percore
 
@@ -34,32 +66,47 @@ val create :
   worker_cores:int list ->
   quantum:Time.t ->
   ?timer_hz:int ->
-  ?hi_depth:int ->
-  ?lo_depth:int ->
-  ?check_period:Time.t ->
+  ?adaptive:bool ->
+  ?mechanism:mechanism ->
   ?alloc:Skyloft_alloc.Allocator.config ->
   ?watchdog:Time.t ->
   Sched_ops.ctor ->
   t
-(** In [Central] mode the [dispatcher_core] is the serial resource of the
-    centralized runtime (assignment + quantum preemption via user IPIs);
-    in [Percore] mode workers self-schedule from the shared queue and
-    per-core timers at [timer_hz] (default 100 kHz) drive preemption.  The
-    monitor samples the LC queue every [check_period] (default 25 µs) and
-    switches to [Percore] when the depth exceeds [hi_depth] (default twice
-    the worker count), back to [Central] when it falls to [lo_depth]
-    (default half the worker count) or below — the gap is the hysteresis
-    band.  [quantum <= 0] disables quantum preemption in [Central] mode.
+(** In [Central] mode the [dispatcher_core] is the serial resource
+    (assignment + quantum preemption over the [mechanism]'s IPIs, default
+    {!skyloft_mechanism}); in [Percore] mode workers self-schedule from
+    the shared queue and per-core timers at [timer_hz] (default 100 kHz)
+    drive preemption.  The monitor samples the LC queue every 25 µs and
+    switches to [Percore] when the depth exceeds twice the worker count,
+    back to [Central] when it falls to half the worker count or below —
+    the gap is the hysteresis band.  [quantum <= 0] disables quantum
+    preemption in [Central] mode (run-to-completion).
 
-    [alloc] and [watchdog] behave as in {!Centralized.create}: the core
-    allocator started by {!attach_be_app}, and the recovery watchdog
-    (dispatcher failover + stuck-worker rescue). *)
+    [adaptive] (default [true]) arms the monitor and the per-core timers;
+    [~adaptive:false] arms neither, so the runtime stays in [Central] mode
+    for its whole life.
+
+    [alloc] configures the core allocator started by {!attach_be_app}
+    (default {!Skyloft_alloc.Allocator.default_config}: Static policy at a
+    5 µs interval).
+
+    [watchdog] arms the recovery watchdog: a periodic scan (twice per
+    bound) that (a) fails the dispatcher over to a worker when the serial
+    dispatcher is wedged more than a bound into the future (host-kernel
+    steal — {!failovers}), and (b) rescues workers still running one task
+    a full bound past its expected preemption point — the quantum, or the
+    tick period in [Percore] mode if larger — meaning the preemption was
+    lost ({!watchdog_rescues}, {!rescue_detection}).  Cores inside a
+    {!Kmod.steal_core} outage are exempt until hand-back. *)
 
 val create_app : t -> name:string -> App.t
 
 val attach_be_app : t -> App.t -> chunk:Time.t -> workers:int -> unit
-(** As {!Centralized.attach_be_app}: seed the BE application's endless
-    chunked batch workers and start the core allocator. *)
+(** Give the BE application [workers] batch worker tasks, each an endless
+    sequence of [chunk]-sized compute segments, and start the core
+    allocator: from here on its policy decides how many cores BE may
+    occupy, charging the §5.4 inter-application switch cost for every core
+    moved. *)
 
 val allocator : t -> Skyloft_alloc.Allocator.t option
 
@@ -75,10 +122,20 @@ val submit :
   Task.t
 (** Enqueue a latency-critical request into the shared queue; the current
     mode decides whether the dispatcher assigns it or an idle worker picks
-    it up directly.  [deadline] arms a kill timer as in
-    {!Centralized.submit}. *)
+    it up directly.
+
+    [deadline] arms a kill timer [deadline] ns from now: a request that
+    has not exited by then is forcibly terminated ({!kill}), counted as a
+    deadline drop in the app's summary, and [on_drop] is called — every
+    submission is accounted for exactly once, including one killed while
+    its assignment is in flight to a worker. *)
 
 val kill : t -> ?on_drop:(Task.t -> unit) -> Task.t -> unit
+(** Forcibly terminate a task wherever it is: running (preempted off its
+    worker and discarded), runnable or in flight (flagged; discarded
+    before it runs), or blocked (never woken).  A no-op on exited or
+    already-killed tasks.  Counted in {!deadline_drops}. *)
+
 val wakeup : t -> Task.t -> unit
 val now : t -> Time.t
 

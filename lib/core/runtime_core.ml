@@ -86,9 +86,8 @@ type t = {
          single-tenant default — every gate below is then a no-op. *)
   mutable allocator : Allocator.t option;
   rescue_detect : Histogram.t;  (* how late each violation was caught *)
-  wakeups : Histogram.t option;  (* wakeup-to-dispatch, when recorded *)
+  wakeups : Histogram.t;  (* wakeup-to-dispatch latency *)
   queue_depth : Timeseries.t;  (* LC policy queue length over time *)
-  trace_app_switches : bool;  (* emit App_switch instants (per-CPU style) *)
   mutable switches : int;
   mutable app_switches : int;
   mutable preempts : int;
@@ -102,7 +101,7 @@ type t = {
                                   concurrent runs perturb each other *)
 }
 
-let create machine kmod ~record_wakeups ~trace_app_switches =
+let create machine kmod =
   let t =
     {
       machine;
@@ -120,9 +119,8 @@ let create machine kmod ~record_wakeups ~trace_app_switches =
       core_allowance = max_int;
       allocator = None;
       rescue_detect = Histogram.create ();
-      wakeups = (if record_wakeups then Some (Histogram.create ()) else None);
+      wakeups = Histogram.create ();
       queue_depth = Timeseries.create ();
-      trace_app_switches;
       switches = 0;
       app_switches = 0;
       preempts = 0;
@@ -260,8 +258,7 @@ let app_switch t ex (task : Task.t) =
   let cost = Kmod.switch_to t.kmod ~from:from_kt ~target:to_kt in
   ex.active_app <- task.Task.app;
   t.app_switches <- t.app_switches + 1;
-  if t.trace_app_switches then
-    trace_instant t ~core:ex.exec_core Trace.App_switch task.Task.name;
+  trace_instant t ~core:ex.exec_core Trace.App_switch task.Task.name;
   cost
 
 (* ---- the shared task lifecycle ------------------------------------------- *)
@@ -351,9 +348,7 @@ let begin_run t ex (task : Task.t) ~switch_cost =
   let start = now t + switch_cost in
   (match task.wake_time with
   | Some w ->
-      (match t.wakeups with
-      | Some h when task.track_wakeup -> Histogram.record h (start - w)
-      | Some _ | None -> ());
+      if task.track_wakeup then Histogram.record t.wakeups (start - w);
       task.wake_time <- None
   | None -> ());
   task.run_start <- start;

@@ -81,9 +81,8 @@ type t = {
           the single-tenant default — disables every gate. *)
   mutable allocator : Allocator.t option;
   rescue_detect : Histogram.t;
-  wakeups : Histogram.t option;
+  wakeups : Histogram.t;  (** wakeup-to-dispatch latency *)
   queue_depth : Timeseries.t;
-  trace_app_switches : bool;
   mutable switches : int;
   mutable app_switches : int;
   mutable preempts : int;
@@ -100,12 +99,10 @@ type t = {
   mutable next_task_id : int;  (** per-run task-id allocator (1, 2, ...) *)
 }
 
-val create :
-  Machine.t -> Kmod.t -> record_wakeups:bool -> trace_app_switches:bool -> t
+val create : Machine.t -> Kmod.t -> t
 (** A core with the null dispatch installed; {!install_dispatch} and
-    {!install_policy} complete construction.  [record_wakeups] keeps a
-    wakeup-to-dispatch histogram (per-CPU style); [trace_app_switches]
-    emits an [App_switch] instant per cross-application switch. *)
+    {!install_policy} complete construction.  Every cross-application
+    switch emits an [App_switch] trace instant. *)
 
 val now : t -> Time.t
 val make_exec : int -> exec

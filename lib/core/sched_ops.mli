@@ -4,7 +4,8 @@ module Time = Skyloft_sim.Time
 
     A scheduling policy is a value of type {!instance} — a record of the
     operations in Table 2 — produced by a constructor that receives a
-    {!view} of the runtime.  The per-CPU and centralized runtimes are each
+    {!view} of the runtime.  The per-CPU, work-stealing and hybrid
+    runtimes (the last also pinned to its centralized dispatcher) are each
     written once against this interface; implementing a new policy means
     implementing this record, which is why Skyloft policies are a few
     hundred lines where kernel schedulers are thousands (Table 4).
@@ -14,8 +15,9 @@ module Time = Skyloft_sim.Time
     - Per-task policy data lives in the [policy_*] fields of {!Task.t}.
     - [task.run_start] (maintained by the runtime) is when the task last
       started running; policies use it for slice accounting.
-    - Centralized policies ignore the [cpu] argument of queue operations
-      and treat their single queue as global. *)
+    - Single-queue policies for the serial dispatcher ({!Hybrid} pinned
+      with [~adaptive:false]) ignore the [cpu] argument of queue
+      operations and treat their queue as global. *)
 
 type view = {
   cores : int array;  (** worker core ids managed by this scheduler *)

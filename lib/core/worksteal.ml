@@ -420,7 +420,7 @@ let create machine kmod ~cores ?(timer_hz = 100_000) ?(preemption = true)
   in
   let t =
     {
-      rc = Rc.create machine kmod ~record_wakeups:true ~trace_app_switches:true;
+      rc = Rc.create machine kmod;
       cores = cores_arr;
       cpus;
       by_core = Hashtbl.create 64;
@@ -629,8 +629,7 @@ let preempt_core t ~src_core ~dst_core =
 
 let current t ~core = (cpu_of t core).ex.Rc.current
 
-let wakeup_hist t =
-  match t.rc.Rc.wakeups with Some h -> h | None -> assert false
+let wakeup_hist t = t.rc.Rc.wakeups
 
 let queue_depth_series t = t.rc.Rc.queue_depth
 let task_switches t = t.rc.Rc.switches

@@ -6,7 +6,6 @@ module Kmod = Skyloft_kernel.Kmod
 module Summary = Skyloft_stats.Summary
 module App = Skyloft.App
 module Percpu = Skyloft.Percpu
-module Centralized = Skyloft.Centralized
 module Hybrid = Skyloft.Hybrid
 module Worksteal = Skyloft.Worksteal
 module Coro = Skyloft_sim.Coro
@@ -116,17 +115,17 @@ let a2_percpu_vs_centralized (config : Config.t) =
     let kmod = Kmod.create machine in
     (* one of the cores becomes the dispatcher: 7 workers *)
     let rt =
-      Centralized.create machine kmod ~dispatcher_core:0
+      Hybrid.create machine kmod ~dispatcher_core:0
         ~worker_cores:(List.init (n_cores - 1) (fun i -> i + 1))
-        ~quantum:(Time.us 30)
+        ~quantum:(Time.us 30) ~adaptive:false
         (Skyloft_policies.Shinjuku.create ())
     in
-    let app = Centralized.create_app rt ~name:"lc" in
+    let app = Hybrid.create_app rt ~name:"lc" in
     let rng = Engine.split_rng engine in
     Loadgen.poisson engine ~rng ~rate_rps:rate ~service:Dist.dispersive
       ~duration:config.duration (fun pkt ->
         ignore
-          (Centralized.submit rt app ~name:"req" ~service:pkt.Skyloft_net.Packet.service
+          (Hybrid.submit rt app ~name:"req" ~service:pkt.Skyloft_net.Packet.service
              (Coro.compute_then_exit pkt.Skyloft_net.Packet.service)));
     Engine.run ~until:(config.duration + Time.ms 60) engine;
     (app.App.summary, n_cores - 1)
@@ -169,12 +168,12 @@ let a3_dispatcher_scalability (config : Config.t) =
     let machine = Machine.create engine Topology.paper_server in
     let kmod = Kmod.create machine in
     let rt =
-      Centralized.create machine kmod ~dispatcher_core:0
+      Hybrid.create machine kmod ~dispatcher_core:0
         ~worker_cores:(List.init workers (fun i -> i + 1))
-        ~quantum:0
+        ~quantum:0 ~adaptive:false
         (Skyloft_policies.Shinjuku.create ())
     in
-    let app = Centralized.create_app rt ~name:"lc" in
+    let app = Hybrid.create_app rt ~name:"lc" in
     let rng = Engine.split_rng engine in
     (* overload: 1.2x the worker capacity of 1us requests *)
     let rate = 1.2 *. float_of_int workers *. 1e6 in
@@ -185,7 +184,7 @@ let a3_dispatcher_scalability (config : Config.t) =
     Loadgen.poisson engine ~rng ~rate_rps:rate ~service:(Dist.Constant (Time.us 1))
       ~duration:config.duration (fun pkt ->
         ignore
-          (Centralized.submit rt app ~name:"req" ~service:pkt.Skyloft_net.Packet.service
+          (Hybrid.submit rt app ~name:"req" ~service:pkt.Skyloft_net.Packet.service
              (Coro.compute_then_exit pkt.Skyloft_net.Packet.service)));
     Engine.run ~until:(config.duration + Time.ms 20) engine;
     float_of_int !in_window /. Time.to_s_float config.duration /. 1.0e6
@@ -306,17 +305,17 @@ let a5_hybrid_vs_parents (config : Config.t) =
     let machine = Machine.create engine Topology.paper_server in
     let kmod = Kmod.create machine in
     let rt =
-      Centralized.create machine kmod ~dispatcher_core:0
+      Hybrid.create machine kmod ~dispatcher_core:0
         ~worker_cores:(List.init (n_cores - 1) (fun i -> i + 1))
-        ~quantum
+        ~quantum ~adaptive:false
         (Skyloft_policies.Shinjuku.create ())
     in
-    let app = Centralized.create_app rt ~name:"lc" in
+    let app = Hybrid.create_app rt ~name:"lc" in
     let rng = Engine.split_rng engine in
     Loadgen.poisson engine ~rng ~rate_rps:rate ~service:Dist.dispersive
       ~duration:config.duration (fun pkt ->
         ignore
-          (Centralized.submit rt app ~name:"req"
+          (Hybrid.submit rt app ~name:"req"
              ~service:pkt.Skyloft_net.Packet.service
              (Coro.compute_then_exit pkt.Skyloft_net.Packet.service)));
     Engine.run ~until:(config.duration + Time.ms 60) engine;
@@ -450,16 +449,16 @@ let a6_worksteal_regimes (config : Config.t) =
     let machine = Machine.create engine Topology.paper_server in
     let kmod = Kmod.create machine in
     let rt =
-      Centralized.create machine kmod ~dispatcher_core:0
+      Hybrid.create machine kmod ~dispatcher_core:0
         ~worker_cores:(List.init (n_cores - 1) (fun i -> i + 1))
-        ~quantum
+        ~quantum ~adaptive:false
         (Skyloft_policies.Shinjuku.create ())
     in
-    let app = Centralized.create_app rt ~name:"lc" in
+    let app = Hybrid.create_app rt ~name:"lc" in
     let rng = Engine.split_rng engine in
     drive engine rng (fun ~cpu:_ ~service ->
         ignore
-          (Centralized.submit rt app ~name:"req" ~service
+          (Hybrid.submit rt app ~name:"req" ~service
              (Coro.compute_then_exit service)));
     Engine.run ~until:horizon engine;
     ("centralized", app.App.summary, "-")

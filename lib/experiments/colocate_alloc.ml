@@ -6,7 +6,7 @@ module Kmod = Skyloft_kernel.Kmod
 module Summary = Skyloft_stats.Summary
 module Timeseries = Skyloft_stats.Timeseries
 module App = Skyloft.App
-module Centralized = Skyloft.Centralized
+module Hybrid = Skyloft.Hybrid
 module Synthetic = Skyloft_apps.Synthetic
 module Allocator = Skyloft_alloc.Allocator
 module Alloc_policy = Skyloft_alloc.Policy
@@ -58,13 +58,13 @@ let run_point (config : Config.t) ~policy:(policy_name, make_policy) ~load_frac 
     { (Allocator.default_config ()) with Allocator.policy = make_policy () }
   in
   let rt =
-    Centralized.create machine kmod ~dispatcher_core ~worker_cores
-      ~quantum:(Time.us 30) ~alloc:alloc_cfg
+    Hybrid.create machine kmod ~dispatcher_core ~worker_cores
+      ~quantum:(Time.us 30) ~adaptive:false ~alloc:alloc_cfg
       (fst (Skyloft_policies.Shinjuku_shenango.create ()))
   in
-  let lc = Centralized.create_app rt ~name:"lc" in
-  let be = Centralized.create_app rt ~name:"batch" in
-  Centralized.attach_be_app rt be ~chunk:(Time.us 50) ~workers:n_workers;
+  let lc = Hybrid.create_app rt ~name:"lc" in
+  let be = Hybrid.create_app rt ~name:"batch" in
+  Hybrid.attach_be_app rt be ~chunk:(Time.us 50) ~workers:n_workers;
   let rng = Engine.split_rng engine in
   Synthetic.drive rt lc engine ~rng ~rate_rps:(load_frac *. saturation)
     ~duration:config.duration;
@@ -78,7 +78,7 @@ let run_point (config : Config.t) ~policy:(policy_name, make_policy) ~load_frac 
   Engine.run ~until:(config.duration + Time.ms 60) engine;
   let total_ns = n_workers * config.duration in
   let alloc =
-    match Centralized.allocator rt with
+    match Hybrid.allocator rt with
     | Some a -> a
     | None -> failwith "colocate_alloc: allocator not started"
   in

@@ -8,7 +8,6 @@ module Kmod = Skyloft_kernel.Kmod
 module Summary = Skyloft_stats.Summary
 module Histogram = Skyloft_stats.Histogram
 module App = Skyloft.App
-module Centralized = Skyloft.Centralized
 module Percpu = Skyloft.Percpu
 module Hybrid = Skyloft.Hybrid
 module Worksteal = Skyloft.Worksteal
@@ -134,40 +133,6 @@ let alloc_cfg () =
     degrade_after = Some 40;
   }
 
-let make_centralized machine kmod =
-  let rt =
-    Centralized.create machine kmod ~dispatcher_core ~worker_cores ~quantum
-      ~alloc:(alloc_cfg ()) ~watchdog:watchdog_bound
-      (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-  in
-  let lc = Centralized.create_app rt ~name:"lc" in
-  let be = Centralized.create_app rt ~name:"batch" in
-  Centralized.attach_be_app rt be ~chunk:(Time.us 50) ~workers:n_workers;
-  {
-    submit =
-      (fun ~name ~service ~on_drop ~on_done ->
-        ignore
-          (Centralized.submit rt lc ~record:false ~deadline
-             ~on_drop:(fun _ -> on_drop ())
-             ~name
-             (Coro.Compute
-                ( service,
-                  fun () ->
-                    on_done ();
-                    Coro.Exit ))));
-    poison =
-      (fun ~core:_ ~service ->
-        ignore
-          (Centralized.submit rt lc ~record:false ~deadline:poison_deadline
-             ~name:"poison"
-             (Coro.Compute (service, fun () -> Coro.Exit))));
-    rescues = (fun () -> Centralized.watchdog_rescues rt);
-    failovers = (fun () -> Centralized.failovers rt);
-    deadline_drops = (fun () -> Centralized.deadline_drops rt);
-    detect = (fun () -> Centralized.rescue_detection rt);
-    allocator = (fun () -> Centralized.allocator rt);
-  }
-
 let make_percpu machine kmod =
   let rt =
     Percpu.create machine kmod ~cores:percpu_cores ~timer_hz:100_000
@@ -235,9 +200,11 @@ let make_worksteal machine kmod =
     allocator = (fun () -> Worksteal.allocator rt);
   }
 
-let make_hybrid machine kmod =
+(* [~adaptive:false] pins the hybrid to its serial dispatcher: the
+   centralized runtime. *)
+let make_hybrid ~adaptive machine kmod =
   let rt =
-    Hybrid.create machine kmod ~dispatcher_core ~worker_cores ~quantum
+    Hybrid.create machine kmod ~dispatcher_core ~worker_cores ~quantum ~adaptive
       ~alloc:(alloc_cfg ()) ~watchdog:watchdog_bound
       (fst (Skyloft_policies.Shinjuku_shenango.create ()))
   in
@@ -275,9 +242,9 @@ let run_point (config : Config.t) ~runtime:(rt_name, which) ~rate =
   let kmod = Kmod.create machine in
   let iface =
     match which with
-    | Central -> make_centralized machine kmod
+    | Central -> make_hybrid ~adaptive:false machine kmod
     | Percore -> make_percpu machine kmod
-    | Hybridized -> make_hybrid machine kmod
+    | Hybridized -> make_hybrid ~adaptive:true machine kmod
     | Stealing -> make_worksteal machine kmod
   in
   let nic = Nic.create engine ~queues:1 ~ring_capacity () in

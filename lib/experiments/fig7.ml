@@ -5,7 +5,7 @@ module Machine = Skyloft_hw.Machine
 module Kmod = Skyloft_kernel.Kmod
 module Summary = Skyloft_stats.Summary
 module App = Skyloft.App
-module Centralized = Skyloft.Centralized
+module Hybrid = Skyloft.Hybrid
 module Synthetic = Skyloft_apps.Synthetic
 module Linux_workload = Skyloft_baselines.Linux_workload
 module Dist = Skyloft_sim.Dist
@@ -44,7 +44,7 @@ type point = {
 
 (* A batch application soaking up whatever the LC load leaves idle. *)
 let attach_batch rt be =
-  Centralized.attach_be_app rt be ~chunk:(Time.us 50) ~workers:n_workers
+  Hybrid.attach_be_app rt be ~chunk:(Time.us 50) ~workers:n_workers
 
 let run_centralized (config : Config.t) ~mechanism ~quantum ~with_be ~rate_rps =
   let engine = Engine.create ~seed:config.seed () in
@@ -58,11 +58,11 @@ let run_centralized (config : Config.t) ~mechanism ~quantum ~with_be ~rate_rps =
     else Skyloft_policies.Shinjuku.create ()
   in
   let rt =
-    Centralized.create machine kmod ~dispatcher_core ~worker_cores ~quantum ~mechanism
-      policy
+    Hybrid.create machine kmod ~dispatcher_core ~worker_cores ~quantum
+      ~adaptive:false ~mechanism policy
   in
-  let lc = Centralized.create_app rt ~name:"lc" in
-  let be = Centralized.create_app rt ~name:"batch" in
+  let lc = Hybrid.create_app rt ~name:"lc" in
+  let be = Hybrid.create_app rt ~name:"batch" in
   if with_be then attach_batch rt be;
   let rng = Engine.split_rng engine in
   Synthetic.drive rt lc engine ~rng ~rate_rps ~duration:config.duration;
@@ -108,14 +108,14 @@ let run_linux (config : Config.t) ~with_be ~rate_rps =
 let run_point config system ~with_be ~rate_rps =
   match system with
   | Skyloft_c q ->
-      run_centralized config ~mechanism:Centralized.skyloft_mechanism ~quantum:q
+      run_centralized config ~mechanism:Hybrid.skyloft_mechanism ~quantum:q
         ~with_be ~rate_rps
   | Shinjuku_c ->
       (* Shinjuku cannot host a second application: BE never attached. *)
-      run_centralized config ~mechanism:Centralized.shinjuku_mechanism
+      run_centralized config ~mechanism:Hybrid.shinjuku_mechanism
         ~quantum:(Time.us 30) ~with_be:false ~rate_rps
   | Ghost_c ->
-      run_centralized config ~mechanism:Centralized.ghost_mechanism ~quantum:(Time.us 30)
+      run_centralized config ~mechanism:Hybrid.ghost_mechanism ~quantum:(Time.us 30)
         ~with_be ~rate_rps
   | Linux_c -> run_linux config ~with_be ~rate_rps
 

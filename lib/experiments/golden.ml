@@ -6,7 +6,6 @@ module Topology = Skyloft_hw.Topology
 module Machine = Skyloft_hw.Machine
 module Kmod = Skyloft_kernel.Kmod
 module Percpu = Skyloft.Percpu
-module Centralized = Skyloft.Centralized
 module Hybrid = Skyloft.Hybrid
 module Worksteal = Skyloft.Worksteal
 module Trace = Skyloft_stats.Trace
@@ -107,13 +106,13 @@ let traced_centralized ~seed =
   in
   let kmod = Kmod.create machine in
   let rt =
-    Centralized.create machine kmod ~dispatcher_core:0
-      ~worker_cores:[ 1; 2; 3; 4 ] ~quantum:(Time.us 30)
+    Hybrid.create machine kmod ~dispatcher_core:0
+      ~worker_cores:[ 1; 2; 3; 4 ] ~quantum:(Time.us 30) ~adaptive:false
       ~watchdog:(Time.us 200)
       (Skyloft_policies.Shinjuku.create ())
   in
   let trace = Trace.create () in
-  Centralized.set_trace rt trace;
+  Hybrid.set_trace rt trace;
   let rng = Rng.create ~seed in
   let inj = Injector.create ~engine ~rng ~trace () in
   Injector.arm inj
@@ -123,12 +122,12 @@ let traced_centralized ~seed =
       Plan.ipi_loss ~p_drop:0.3 ~p_delay:0.3 ~delay:(Time.us 20) ();
       Plan.core_steal ~period:(Time.us 200) ~duration:(Time.us 50) ();
     ];
-  let app = Centralized.create_app rt ~name:"a" in
+  let app = Hybrid.create_app rt ~name:"a" in
   for i = 0 to 39 do
     ignore
       (Engine.at engine (i * Time.us 25) (fun () ->
            ignore
-             (Centralized.submit rt app
+             (Hybrid.submit rt app
                 ~name:(Printf.sprintf "t%d" i)
                 (Coro.Compute (Time.us 10 + (i mod 7 * Time.us 4), fun () -> Coro.Exit)))))
   done;

@@ -9,7 +9,6 @@ module Histogram = Skyloft_stats.Histogram
 module Timeseries = Skyloft_stats.Timeseries
 module Trace = Skyloft_stats.Trace
 module App = Skyloft.App
-module Centralized = Skyloft.Centralized
 module Percpu = Skyloft.Percpu
 module Hybrid = Skyloft.Hybrid
 module Worksteal = Skyloft.Worksteal
@@ -96,51 +95,6 @@ type iface = {
    monitor path), and is woken by an external event; the runtime charges
    the blocked interval as fault stall, never as service. *)
 let split_service service = (service / 2, service - (service / 2))
-
-let make_centralized engine machine kmod =
-  let rt =
-    Centralized.create machine kmod ~dispatcher_core ~worker_cores ~quantum
-      ~alloc:(alloc_cfg ()) ~watchdog:watchdog_bound
-      (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-  in
-  let lc = Centralized.create_app rt ~name:"lc" in
-  let be = Centralized.create_app rt ~name:"batch" in
-  Centralized.attach_be_app rt be ~chunk:(Time.us 50) ~workers:n_workers;
-  ( rt,
-    {
-      submit =
-        (fun ~name ~service ~fault ->
-          if fault then begin
-            let s1, s2 = split_service service in
-            let body =
-              Coro.Compute
-                ( s1,
-                  fun () ->
-                    Coro.Block (fun () -> Coro.Compute (s2, fun () -> Coro.Exit))
-                )
-            in
-            let task = Centralized.submit rt lc ~service ~name body in
-            ignore
-              (Engine.after engine (s1 + fault_ns) (fun () ->
-                   Centralized.wakeup rt task))
-          end
-          else
-            ignore
-              (Centralized.submit rt lc ~service ~name
-                 (Coro.Compute (service, fun () -> Coro.Exit))));
-      register =
-        (fun reg ->
-          Centralized.register_metrics rt reg;
-          match Centralized.allocator rt with
-          | Some a -> Allocator.register_metrics a reg
-          | None -> ());
-      lc;
-      be;
-      queue_series = Centralized.queue_depth_series rt;
-      alloc = (fun () -> Centralized.allocator rt);
-      fault_tick = (fun () -> ());
-    },
-    (fun trace -> Centralized.set_trace rt trace) )
 
 let make_percpu engine machine kmod =
   let rt =
@@ -237,9 +191,11 @@ let make_worksteal engine machine kmod =
     },
     (fun trace -> Worksteal.set_trace rt trace) )
 
-let make_hybrid engine machine kmod =
+(* [~adaptive:false] pins the hybrid to its serial dispatcher: the
+   centralized runtime. *)
+let make_hybrid ~adaptive engine machine kmod =
   let rt =
-    Hybrid.create machine kmod ~dispatcher_core ~worker_cores ~quantum
+    Hybrid.create machine kmod ~dispatcher_core ~worker_cores ~quantum ~adaptive
       ~alloc:(alloc_cfg ()) ~watchdog:watchdog_bound
       (fst (Skyloft_policies.Shinjuku_shenango.create ()))
   in
@@ -324,13 +280,13 @@ let run_point (config : Config.t) ~runtime:(rt_name, which) ~instrumented =
   let iface, set_trace =
     match which with
     | Central ->
-        let _, iface, set = make_centralized engine machine kmod in
+        let _, iface, set = make_hybrid ~adaptive:false engine machine kmod in
         (iface, set)
     | Percore ->
         let _, iface, set = make_percpu engine machine kmod in
         (iface, set)
     | Hybridized ->
-        let _, iface, set = make_hybrid engine machine kmod in
+        let _, iface, set = make_hybrid ~adaptive:true engine machine kmod in
         (iface, set)
     | Stealing ->
         let _, iface, set = make_worksteal engine machine kmod in

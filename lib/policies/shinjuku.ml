@@ -9,8 +9,8 @@ module Runqueue = Skyloft.Runqueue
     dispatcher preempts them with a user IPI and returns them to the {e
     tail} of the queue — approximating processor sharing, which is what
     keeps short requests ahead of the occasional 10 ms monster.  The
-    quantum lives in the centralized runtime ({!Skyloft.Centralized});
-    this policy only has to describe the queue, which is why it is an
+    quantum lives in the serial-dispatcher runtime ({!Skyloft.Hybrid}
+    created with [~adaptive:false]); this policy only has to describe the queue, which is why it is an
     order of magnitude smaller than the original Shinjuku system
     (Table 4). *)
 

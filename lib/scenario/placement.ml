@@ -143,41 +143,12 @@ let make_iface ~machine ~config ~(spec : tenant) ~cores =
               ~labels:[ ("tenant", spec.name) ]
               reg);
       }
-  | Scenario.Centralized ->
-      let dispatcher_core = List.hd cores and worker_cores = List.tl cores in
-      let rt =
-        Skyloft.Centralized.create machine kmod ~dispatcher_core ~worker_cores
-          ~quantum:config.quantum
-          (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-      in
-      let app = Skyloft.Centralized.create_app rt ~name:spec.name in
-      {
-        rt_submit =
-          (fun ~name ~service ~on_drop ~on_done ->
-            ignore
-              (Skyloft.Centralized.submit rt app ~record:false ~deadline
-                 ~on_drop:(fun _ -> on_drop ())
-                 ~name
-                 (Coro.Compute
-                    ( service,
-                      fun () ->
-                        on_done ();
-                        Coro.Exit ))));
-        rt_set_allowance = Skyloft.Centralized.set_core_allowance rt;
-        rt_congestion = (fun () -> Skyloft.Centralized.congestion rt);
-        rt_deadline_drops = (fun () -> Skyloft.Centralized.deadline_drops rt);
-        rt_set_trace = Skyloft.Centralized.set_trace rt;
-        rt_register =
-          (fun reg ->
-            Skyloft.Centralized.register_metrics rt
-              ~labels:[ ("tenant", spec.name) ]
-              reg);
-      }
-  | Scenario.Hybrid ->
+  | (Scenario.Centralized | Scenario.Hybrid) as runtime ->
       let dispatcher_core = List.hd cores and worker_cores = List.tl cores in
       let rt =
         Skyloft.Hybrid.create machine kmod ~dispatcher_core ~worker_cores
           ~quantum:config.quantum ~timer_hz:config.timer_hz
+          ~adaptive:(runtime = Scenario.Hybrid)
           (fst (Skyloft_policies.Shinjuku_shenango.create ()))
       in
       let app = Skyloft.Hybrid.create_app rt ~name:spec.name in

@@ -184,36 +184,12 @@ let make_iface ~machine ~kmod ~runtime ~cores ~timer_hz ~quantum ~be_bounds =
         be_preemptions = (fun () -> Skyloft.Percpu.be_preemptions rt);
         allocator = (fun () -> Skyloft.Percpu.allocator rt);
       }
-  | Centralized ->
-      let rt =
-        Skyloft.Centralized.create machine kmod ~dispatcher_core:0
-          ~worker_cores:(List.init cores (fun i -> i + 1))
-          ~quantum
-          ?alloc:(Option.map alloc_config be_bounds)
-          (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-      in
-      {
-        submit =
-          (fun app ~name ~service ~on_done ->
-            ignore
-              (Skyloft.Centralized.submit rt app ~record:false ~name
-                 (Coro.Compute
-                    ( service,
-                      fun () ->
-                        on_done ();
-                        Coro.Exit ))));
-        create_app = (fun ~name -> Skyloft.Centralized.create_app rt ~name);
-        attach_be =
-          (fun app ~chunk ~workers ->
-            Skyloft.Centralized.attach_be_app rt app ~chunk ~workers);
-        be_preemptions = (fun () -> Skyloft.Centralized.be_preemptions rt);
-        allocator = (fun () -> Skyloft.Centralized.allocator rt);
-      }
-  | Hybrid ->
+  | Centralized | Hybrid ->
+      (* the centralized runtime is the hybrid pinned to its dispatcher *)
       let rt =
         Skyloft.Hybrid.create machine kmod ~dispatcher_core:0
           ~worker_cores:(List.init cores (fun i -> i + 1))
-          ~quantum
+          ~quantum ~adaptive:(runtime = Hybrid)
           ?alloc:(Option.map alloc_config be_bounds)
           (fst (Skyloft_policies.Shinjuku_shenango.create ()))
       in

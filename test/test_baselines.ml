@@ -10,11 +10,10 @@ module Machine = Skyloft_hw.Machine
 module Kmod = Skyloft_kernel.Kmod
 module Summary = Skyloft_stats.Summary
 module App = Skyloft.App
-module Centralized = Skyloft.Centralized
+module Hybrid = Skyloft.Hybrid
 module Percpu = Skyloft.Percpu
 module Linux_workload = Skyloft_baselines.Linux_workload
 module Shenango = Skyloft_baselines.Shenango
-module Ghost = Skyloft_baselines.Ghost
 module Shinjuku_orig = Skyloft_baselines.Shinjuku_orig
 
 let check = Alcotest.check
@@ -92,21 +91,21 @@ let test_ghost_slower_than_skyloft () =
     let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:8) in
     let kmod = Kmod.create machine in
     let rt =
-      Centralized.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2 ]
-        ~quantum:(Time.us 30) ~mechanism
+      Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2 ]
+        ~quantum:(Time.us 30) ~adaptive:false ~mechanism
         (Skyloft_policies.Shinjuku.create ())
     in
-    let app = Centralized.create_app rt ~name:"lc" in
+    let app = Hybrid.create_app rt ~name:"lc" in
     for _ = 1 to 200 do
       ignore
-        (Centralized.submit rt app ~name:"r" ~service:(Time.us 10)
+        (Hybrid.submit rt app ~name:"r" ~service:(Time.us 10)
            (Coro.compute_then_exit (Time.us 10)))
     done;
     Engine.run ~until:(Time.ms 10) engine;
     Summary.latency_p app.App.summary 99.0
   in
-  let sky = run Centralized.skyloft_mechanism in
-  let ghost = run Centralized.ghost_mechanism in
+  let sky = run Hybrid.skyloft_mechanism in
+  let ghost = run Hybrid.ghost_mechanism in
   check Alcotest.bool "ghOSt p99 > Skyloft p99" true (ghost > sky)
 
 let test_shinjuku_orig_single_app () =
@@ -118,11 +117,11 @@ let test_shinjuku_orig_single_app () =
       ~quantum:(Time.us 30)
       (Skyloft_policies.Shinjuku.create ())
   in
-  let app = Centralized.create_app rt ~name:"lc" in
+  let app = Hybrid.create_app rt ~name:"lc" in
   let done_ = ref 0 in
   for _ = 1 to 10 do
     ignore
-      (Centralized.submit rt app ~name:"r" ~service:(Time.us 10)
+      (Hybrid.submit rt app ~name:"r" ~service:(Time.us 10)
          (Coro.Compute (Time.us 10, fun () -> incr done_; Coro.Exit)))
   done;
   Engine.run ~until:(Time.ms 1) engine;

@@ -16,7 +16,7 @@ module Runqueue = Skyloft.Runqueue
 module Sched_ops = Skyloft.Sched_ops
 module App = Skyloft.App
 module Percpu = Skyloft.Percpu
-module Centralized = Skyloft.Centralized
+module Hybrid = Skyloft.Hybrid
 
 let check = Alcotest.check
 
@@ -419,17 +419,17 @@ let test_percpu_be_guaranteed_cores () =
       check Alcotest.int "grant never below guarantee" 1
         (Skyloft_alloc.Allocator.granted alloc ~app:be.App.id)
 
-(* ---- Centralized runtime ---- *)
+(* ---- Centralized runtime: Hybrid pinned with ~adaptive:false ---- *)
 
 let make_centralized ?(workers = 4) ?(quantum = Time.us 30) ?mechanism ?alloc
-    ?immediate () =
+    () =
   let engine = Engine.create () in
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:8) in
   let kmod = Kmod.create machine in
   let rt =
-    Centralized.create machine kmod ~dispatcher_core:0
+    Hybrid.create machine kmod ~dispatcher_core:0
       ~worker_cores:(List.init workers (fun i -> i + 1))
-      ~quantum ?mechanism ?alloc ?immediate
+      ~quantum ~adaptive:false ?mechanism ?alloc
       (fun view ->
         ignore view;
         fifo_ctor view)
@@ -438,53 +438,53 @@ let make_centralized ?(workers = 4) ?(quantum = Time.us 30) ?mechanism ?alloc
 
 let test_centralized_basic () =
   let engine, _, rt = make_centralized () in
-  let app = Centralized.create_app rt ~name:"lc" in
+  let app = Hybrid.create_app rt ~name:"lc" in
   let done_ = ref 0 in
   for _ = 1 to 8 do
     ignore
-      (Centralized.submit rt app ~name:"req" ~service:(Time.us 10)
+      (Hybrid.submit rt app ~name:"req" ~service:(Time.us 10)
          (Coro.Compute (Time.us 10, fun () -> incr done_; Coro.Exit)))
   done;
   Engine.run ~until:(Time.ms 1) engine;
   check Alcotest.int "all requests served" 8 !done_;
-  check Alcotest.int "dispatches counted" 8 (Centralized.dispatches rt)
+  check Alcotest.int "dispatches counted" 8 (Hybrid.dispatches rt)
 
 let test_centralized_quantum_preemption () =
   (* 1 worker: a 1ms request then a 10us request.  With a 30us quantum the
      short request must NOT wait the full 1ms. *)
   let engine, _, rt = make_centralized ~workers:1 ~quantum:(Time.us 30) () in
-  let app = Centralized.create_app rt ~name:"lc" in
+  let app = Hybrid.create_app rt ~name:"lc" in
   let short_done = ref 0 in
   ignore
-    (Centralized.submit rt app ~name:"long" ~service:(Time.ms 1)
+    (Hybrid.submit rt app ~name:"long" ~service:(Time.ms 1)
        (Coro.compute_then_exit (Time.ms 1)));
   ignore
-    (Centralized.submit rt app ~name:"short" ~service:(Time.us 10)
+    (Hybrid.submit rt app ~name:"short" ~service:(Time.us 10)
        (Coro.Compute (Time.us 10, fun () -> short_done := Engine.now engine; Coro.Exit)));
   Engine.run ~until:(Time.ms 5) engine;
-  check Alcotest.bool "preempted" true (Centralized.preemptions rt >= 1);
+  check Alcotest.bool "preempted" true (Hybrid.preemptions rt >= 1);
   check Alcotest.bool "short finished way before 1ms" true
     (!short_done > 0 && !short_done < Time.us 200)
 
 let test_centralized_no_quantum_hol () =
   let engine, _, rt = make_centralized ~workers:1 ~quantum:0 () in
-  let app = Centralized.create_app rt ~name:"lc" in
+  let app = Hybrid.create_app rt ~name:"lc" in
   let short_done = ref 0 in
   ignore
-    (Centralized.submit rt app ~name:"long" ~service:(Time.ms 1)
+    (Hybrid.submit rt app ~name:"long" ~service:(Time.ms 1)
        (Coro.compute_then_exit (Time.ms 1)));
   ignore
-    (Centralized.submit rt app ~name:"short" ~service:(Time.us 10)
+    (Hybrid.submit rt app ~name:"short" ~service:(Time.us 10)
        (Coro.Compute (Time.us 10, fun () -> short_done := Engine.now engine; Coro.Exit)));
   Engine.run ~until:(Time.ms 5) engine;
-  check Alcotest.int "no preemption" 0 (Centralized.preemptions rt);
+  check Alcotest.int "no preemption" 0 (Hybrid.preemptions rt);
   check Alcotest.bool "short suffered HoL" true (!short_done >= Time.ms 1)
 
 let test_centralized_be_uses_idle_cores () =
   let engine, _, rt = make_centralized ~workers:2 () in
-  let _lc = Centralized.create_app rt ~name:"lc" in
-  let be = Centralized.create_app rt ~name:"batch" in
-  Centralized.attach_be_app rt be ~chunk:(Time.us 100) ~workers:2;
+  let _lc = Hybrid.create_app rt ~name:"lc" in
+  let be = Hybrid.create_app rt ~name:"batch" in
+  Hybrid.attach_be_app rt be ~chunk:(Time.us 100) ~workers:2;
   Engine.run ~until:(Time.ms 10) engine;
   (* With no LC load at all, BE gets ~100% of both workers. *)
   let share = App.cpu_share be ~total_ns:(2 * Time.ms 10) in
@@ -493,16 +493,16 @@ let test_centralized_be_uses_idle_cores () =
 let test_centralized_be_reclaimed_under_load () =
   (* default alloc config: Static policy at a 5us interval *)
   let engine, _, rt = make_centralized ~workers:2 () in
-  let lc = Centralized.create_app rt ~name:"lc" in
-  let be = Centralized.create_app rt ~name:"batch" in
-  Centralized.attach_be_app rt be ~chunk:(Time.us 100) ~workers:2;
+  let lc = Hybrid.create_app rt ~name:"lc" in
+  let be = Hybrid.create_app rt ~name:"batch" in
+  Hybrid.attach_be_app rt be ~chunk:(Time.us 100) ~workers:2;
   (* Heavy LC load: 15us of work every 10us = 75% of the 2 workers *)
   let rec gen i =
     if i < 2000 then
       ignore
         (Engine.at engine (i * Time.us 10) (fun () ->
              ignore
-               (Centralized.submit rt lc ~name:"req" ~service:(Time.us 15)
+               (Hybrid.submit rt lc ~name:"req" ~service:(Time.us 15)
                   (Coro.compute_then_exit (Time.us 15)));
              gen (i + 1)))
   in
@@ -511,14 +511,14 @@ let test_centralized_be_reclaimed_under_load () =
   Engine.run ~until:(Time.ms 25) engine;
   let lc_share = App.cpu_share lc ~total_ns:(2 * Time.ms 25) in
   let be_share = App.cpu_share be ~total_ns:(2 * Time.ms 25) in
-  check Alcotest.bool "BE cores reclaimed" true (Centralized.be_preemptions rt > 0);
+  check Alcotest.bool "BE cores reclaimed" true (Hybrid.be_preemptions rt > 0);
   (* LC demands 2000 x 15us over 50ms of core time = 0.6; it must get all
      of it, and BE must soak most of the leftover without starving LC. *)
   check Alcotest.bool "LC gets its full demand" true (lc_share >= 0.58);
   check Alcotest.bool "BE soaks idle capacity" true
     (be_share > 0.15 && lc_share > be_share);
   check Alcotest.int "all LC served" 2000 lc.App.completed;
-  match Centralized.allocator rt with
+  match Hybrid.allocator rt with
   | None -> Alcotest.fail "allocator not started by attach_be_app"
   | Some alloc ->
       check Alcotest.bool "allocator reclaimed cores" true
@@ -537,13 +537,13 @@ let test_centralized_dispatcher_serializes () =
   (* With an expensive dispatcher (ghOSt-like), throughput is capped by
      dispatch cost: 100 requests x 2us dispatch >= 200us of dispatcher
      time even though 4 workers could run the 1us requests faster. *)
-  let mech = { Centralized.ghost_mechanism with dispatch_cost = Time.us 2 } in
+  let mech = { Hybrid.ghost_mechanism with dispatch_cost = Time.us 2 } in
   let engine, _, rt = make_centralized ~workers:4 ~mechanism:mech () in
-  let app = Centralized.create_app rt ~name:"lc" in
+  let app = Hybrid.create_app rt ~name:"lc" in
   let last_done = ref 0 in
   for _ = 1 to 100 do
     ignore
-      (Centralized.submit rt app ~name:"req" ~service:1_000
+      (Hybrid.submit rt app ~name:"req" ~service:1_000
          (Coro.Compute (1_000, fun () -> last_done := Engine.now engine; Coro.Exit)))
   done;
   Engine.run ~until:(Time.ms 5) engine;
@@ -556,10 +556,50 @@ let test_centralized_invalid_config () =
   check Alcotest.bool "dispatcher in worker set rejected" true
     (try
        ignore
-         (Centralized.create machine kmod ~dispatcher_core:1 ~worker_cores:[ 1; 2 ]
-            ~quantum:0 fifo_ctor);
+         (Hybrid.create machine kmod ~dispatcher_core:1 ~worker_cores:[ 1; 2 ]
+            ~quantum:0 ~adaptive:false fifo_ctor);
        false
      with Invalid_argument _ -> true)
+
+(* A deadline that fires while the dispatcher is still committing the
+   assignment: with the ghOSt cost vector the 1.2 us dispatch outlasts the
+   500 ns deadline.  The request must end exactly once — as a drop — and
+   never run on the worker. *)
+let test_centralized_kill_in_flight () =
+  let engine, _, rt =
+    make_centralized ~workers:1 ~mechanism:Hybrid.ghost_mechanism ()
+  in
+  let app = Hybrid.create_app rt ~name:"lc" in
+  let dropped = ref 0 and completed = ref 0 in
+  ignore
+    (Hybrid.submit rt app ~name:"req" ~service:(Time.us 10) ~deadline:500
+       ~on_drop:(fun _ -> incr dropped)
+       (Coro.Compute (Time.us 10, fun () -> incr completed; Coro.Exit)));
+  Engine.run ~until:(Time.ms 1) engine;
+  check Alcotest.int "exactly one outcome" 1 (!dropped + !completed);
+  check Alcotest.int "the outcome is the drop" 1 !dropped;
+  check Alcotest.int "deadline drops" 1 (Hybrid.deadline_drops rt);
+  check Alcotest.int "no task left alive" 0 app.App.tasks_alive
+
+(* [~adaptive:false] arms neither the mode monitor nor the per-core
+   timers: a burst far past the 2x-workers threshold stays on the serial
+   dispatcher. *)
+let test_centralized_pinned_mode () =
+  let engine, _, rt = make_centralized ~workers:2 () in
+  let app = Hybrid.create_app rt ~name:"lc" in
+  let done_ = ref 0 in
+  for _ = 1 to 20 do
+    ignore
+      (Hybrid.submit rt app ~name:"req" ~service:(Time.us 50)
+         (Coro.Compute (Time.us 50, fun () -> incr done_; Coro.Exit)))
+  done;
+  check Alcotest.bool "burst deeper than 2x the workers" true
+    (Hybrid.queue_length rt > 4);
+  Engine.run ~until:(Time.ms 2) engine;
+  check Alcotest.int "all requests served" 20 !done_;
+  check Alcotest.int "no mode switches" 0 (Hybrid.mode_switches rt);
+  check Alcotest.int "no timer ticks" 0 (Hybrid.timer_ticks rt);
+  check Alcotest.bool "still central" true (Hybrid.mode rt = Hybrid.Central)
 
 let suite =
   [
@@ -599,4 +639,8 @@ let suite =
     Alcotest.test_case "centralized: dispatcher serializes" `Quick
       test_centralized_dispatcher_serializes;
     Alcotest.test_case "centralized: invalid config" `Quick test_centralized_invalid_config;
+    Alcotest.test_case "centralized: kill during in-flight assignment" `Quick
+      test_centralized_kill_in_flight;
+    Alcotest.test_case "centralized: pinned mode never flips" `Quick
+      test_centralized_pinned_mode;
   ]

@@ -95,11 +95,21 @@ let test_obs_registry_transparent () =
    Every centralized and hybrid cell, trace-percpu (Fifo policy), and
    even fault-sweep-percpu / obs-report-percpu — whose queues rarely
    exceed depth 1, so head-vs-tail is indistinguishable — reproduce
-   their previous bytes exactly. *)
+   their previous bytes exactly.
+
+   Regenerated intentionally when the centralized runtime became the
+   hybrid pinned to its serial dispatcher ([Hybrid.create
+   ~adaptive:false]): trace-centralized, obs-report-centralized and
+   obs-machine gain [App_switch] instants, which the old module alone
+   suppressed.  With those instants filtered out each trace is
+   event-for-event identical to before.  obs-report-centralized now
+   equals obs-report-hybrid, whose monitor never leaves central mode on
+   that workload.  Every scale-*, oversub-* and fault-sweep-* cell
+   (fault-sweep-centralized included) is unchanged. *)
 let golden =
   [
     ("trace-percpu", "9c64a29436da6fcec0dc0f6163d2b289");
-    ("trace-centralized", "955699be07fb44fc55c69cde49b8a3c2");
+    ("trace-centralized", "7ae239f7c2907203de2248aee7d70bf1");
     ("trace-hybrid", "d0d03b164a30aa1e8594db8b407306cd");
     (* all tasks pinned to core 0: steal-half grabs, failed scans and the
        park/unpark path are all on the golden path *)
@@ -108,14 +118,14 @@ let golden =
     ("fault-sweep-percpu", "c75bbf972b642cb524545d99ab748a19");
     ("fault-sweep-hybrid", "5df7e275881371c38e2b6e33e3f41b60");
     ("fault-sweep-worksteal", "9bca178607b09f7fa55e4ee781be4b7d");
-    ("obs-report-centralized", "8661815e83e556500087e0615508cdea");
+    ("obs-report-centralized", "2b8295ae9d0b0b633242042411c74f0c");
     ("obs-report-percpu", "15d4959e4628708894c4151cdb1e7e1b");
     ("obs-report-hybrid", "2b8295ae9d0b0b633242042411c74f0c");
     ("obs-report-worksteal", "460d391d28a7b1fcb47f0bbc666b117c");
     (* machine-level obs point: brokered 4-tenant fleet (one tenant per
        runtime), shared flight recorder, all three tenant faults — trace
        JSON + placement digest *)
-    ("obs-machine", "dc0dc273410d80249923d53f00d417d8");
+    ("obs-machine", "16778479fd535f28816d48e49f90be9e");
     (* scenario-DSL cells: 30k requests through the scale compile path *)
     ("scale-steady-pareto-percpu", "66ec7116948f66804d148c3a56384aee");
     ("scale-steady-pareto-centralized", "0fe7a85605c82f6d8c68d13b820622e9");

@@ -18,7 +18,7 @@ module Nic = Skyloft_net.Nic
 module Loadgen = Skyloft_net.Loadgen
 module App = Skyloft.App
 module Percpu = Skyloft.Percpu
-module Centralized = Skyloft.Centralized
+module Hybrid = Skyloft.Hybrid
 module Summary = Skyloft_stats.Summary
 module Histogram = Skyloft_stats.Histogram
 module Allocator = Skyloft_alloc.Allocator
@@ -304,24 +304,24 @@ let test_centralized_watchdog_rescue () =
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4) in
   let kmod = Kmod.create machine in
   let rt =
-    Centralized.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1 ]
-      ~quantum:(Time.us 20) ~watchdog:(Time.us 100)
+    Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1 ]
+      ~quantum:(Time.us 20) ~adaptive:false ~watchdog:(Time.us 100)
       (Skyloft_policies.Fifo.create ())
   in
-  let app = Centralized.create_app rt ~name:"a" in
+  let app = Hybrid.create_app rt ~name:"a" in
   (* every preemption notification is lost: quantum expiry cannot preempt,
      so only the watchdog can free the worker for the second request *)
   Machine.set_fault_hook machine (fun ~core:_ vector ->
       if vector = Vectors.uintr_notification then Machine.Drop else Machine.Deliver);
   ignore
-    (Centralized.submit rt app ~name:"hog"
+    (Hybrid.submit rt app ~name:"hog"
        (Coro.Compute (Time.ms 3, fun () -> Coro.Exit)));
   let short_done = ref 0 in
   ignore
-    (Centralized.submit rt app ~name:"victim"
+    (Hybrid.submit rt app ~name:"victim"
        (Coro.Compute (Time.us 10, fun () -> short_done := Engine.now engine; Coro.Exit)));
   Engine.run ~until:(Time.ms 1) engine;
-  check bool "watchdog rescued the worker" true (Centralized.watchdog_rescues rt >= 1);
+  check bool "watchdog rescued the worker" true (Hybrid.watchdog_rescues rt >= 1);
   check bool "second request ran after the rescue" true
     (!short_done > 0 && !short_done < Time.ms 1)
 
@@ -332,11 +332,11 @@ let test_centralized_dispatcher_failover () =
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4) in
   let kmod = Kmod.create machine in
   let rt =
-    Centralized.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2 ]
-      ~quantum:(Time.us 20) ~watchdog:(Time.us 100)
+    Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2 ]
+      ~quantum:(Time.us 20) ~adaptive:false ~watchdog:(Time.us 100)
       (Skyloft_policies.Fifo.create ())
   in
-  let app = Centralized.create_app rt ~name:"a" in
+  let app = Hybrid.create_app rt ~name:"a" in
   let served_at = ref 0 in
   ignore
     (Engine.at engine (Time.us 10) (fun () ->
@@ -347,10 +347,10 @@ let test_centralized_dispatcher_failover () =
   ignore
     (Engine.at engine (Time.us 400) (fun () ->
          ignore
-           (Centralized.submit rt app ~name:"post-failover"
+           (Hybrid.submit rt app ~name:"post-failover"
               (Coro.Compute (Time.us 10, fun () -> served_at := Engine.now engine; Coro.Exit)))));
   Engine.run ~until:(Time.ms 1) engine;
-  check bool "watchdog failed the dispatcher over" true (Centralized.failovers rt >= 1);
+  check bool "watchdog failed the dispatcher over" true (Hybrid.failovers rt >= 1);
   check bool "request served long before the steal hand-back" true
     (!served_at > 0 && !served_at < Time.ms 1)
 
@@ -361,24 +361,24 @@ let test_centralized_deadline_kill () =
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4) in
   let kmod = Kmod.create machine in
   let rt =
-    Centralized.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1 ]
-      ~quantum:0
+    Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1 ]
+      ~quantum:0 ~adaptive:false
       (Skyloft_policies.Fifo.create ())
   in
-  let app = Centralized.create_app rt ~name:"a" in
+  let app = Hybrid.create_app rt ~name:"a" in
   let dropped = ref 0 and completed = ref 0 in
   ignore
-    (Centralized.submit rt app ~name:"slow" ~deadline:(Time.us 100)
+    (Hybrid.submit rt app ~name:"slow" ~deadline:(Time.us 100)
        ~on_drop:(fun _ -> incr dropped)
        (Coro.Compute (Time.ms 2, fun () -> incr completed; Coro.Exit)));
   ignore
-    (Centralized.submit rt app ~name:"queued" ~deadline:(Time.us 50)
+    (Hybrid.submit rt app ~name:"queued" ~deadline:(Time.us 50)
        ~on_drop:(fun _ -> incr dropped)
        (Coro.Compute (Time.us 10, fun () -> incr completed; Coro.Exit)));
   Engine.run ~until:(Time.ms 5) engine;
   check int "both requests dropped" 2 !dropped;
   check int "nothing completed" 0 !completed;
-  check int "runtime counter agrees" 2 (Centralized.deadline_drops rt);
+  check int "runtime counter agrees" 2 (Hybrid.deadline_drops rt);
   check int "summary drop accounting agrees" 2 (Summary.drops app.App.summary)
 
 (* ---- allocator: graceful degradation and recovery ---- *)

@@ -13,7 +13,7 @@ module Kmod = Skyloft_kernel.Kmod
 module Summary = Skyloft_stats.Summary
 module Histogram = Skyloft_stats.Histogram
 module Percpu = Skyloft.Percpu
-module Centralized = Skyloft.Centralized
+module Hybrid = Skyloft.Hybrid
 module App = Skyloft.App
 module Nic = Skyloft_net.Nic
 module Loadgen = Skyloft_net.Loadgen
@@ -103,16 +103,16 @@ let test_two_runtimes_one_machine () =
     Percpu.create machine kmod ~cores:[ 0; 1 ] (Skyloft_policies.Fifo.create ())
   in
   let rt2 =
-    Centralized.create machine kmod ~dispatcher_core:2 ~worker_cores:[ 3; 4 ]
-      ~quantum:(Time.us 30)
+    Hybrid.create machine kmod ~dispatcher_core:2 ~worker_cores:[ 3; 4 ]
+      ~quantum:(Time.us 30) ~adaptive:false
       (Skyloft_policies.Shinjuku.create ())
   in
   let a1 = Percpu.create_app rt1 ~name:"percpu-app" in
-  let a2 = Centralized.create_app rt2 ~name:"central-app" in
+  let a2 = Hybrid.create_app rt2 ~name:"central-app" in
   for _ = 1 to 10 do
     ignore (Percpu.spawn rt1 a1 ~name:"p" (Coro.compute_then_exit (Time.us 50)));
     ignore
-      (Centralized.submit rt2 a2 ~name:"c" ~service:(Time.us 50)
+      (Hybrid.submit rt2 a2 ~name:"c" ~service:(Time.us 50)
          (Coro.compute_then_exit (Time.us 50)))
   done;
   Engine.run ~until:(Time.ms 5) engine;

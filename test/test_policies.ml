@@ -10,7 +10,7 @@ module Kmod = Skyloft_kernel.Kmod
 module Task = Skyloft.Task
 module App = Skyloft.App
 module Percpu = Skyloft.Percpu
-module Centralized = Skyloft.Centralized
+module Hybrid = Skyloft.Hybrid
 module Fifo = Skyloft_policies.Fifo
 module Rr = Skyloft_policies.Rr
 module Cfs = Skyloft_policies.Cfs
@@ -306,21 +306,21 @@ let make_centralized ?(workers = 2) ~quantum ctor =
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:8) in
   let kmod = Kmod.create machine in
   let rt =
-    Centralized.create machine kmod ~dispatcher_core:0
+    Hybrid.create machine kmod ~dispatcher_core:0
       ~worker_cores:(List.init workers (fun i -> i + 1))
-      ~quantum ctor
+      ~quantum ~adaptive:false ctor
   in
-  let app = Centralized.create_app rt ~name:"lc" in
+  let app = Hybrid.create_app rt ~name:"lc" in
   (engine, rt, app)
 
 let test_shinjuku_processor_sharing () =
   let engine, rt, app = make_centralized ~workers:1 ~quantum:(Time.us 30) (Shinjuku.create ()) in
   let short = ref 0 in
   ignore
-    (Centralized.submit rt app ~name:"long" ~service:(Time.ms 10)
+    (Hybrid.submit rt app ~name:"long" ~service:(Time.ms 10)
        (Coro.compute_then_exit (Time.ms 10)));
   ignore
-    (Centralized.submit rt app ~name:"short" ~service:(Time.us 4)
+    (Hybrid.submit rt app ~name:"short" ~service:(Time.us 4)
        (Coro.Compute (Time.us 4, fun () -> short := Engine.now engine; Coro.Exit)));
   Engine.run ~until:(Time.ms 20) engine;
   check Alcotest.bool "short request escaped the 10ms request" true
@@ -332,7 +332,7 @@ let test_shinjuku_shenango_congestion_stats () =
   (* overload the single worker so the queue backs up *)
   for _ = 1 to 20 do
     ignore
-      (Centralized.submit rt app ~name:"req" ~service:(Time.us 100)
+      (Hybrid.submit rt app ~name:"req" ~service:(Time.us 100)
          (Coro.compute_then_exit (Time.us 100)))
   done;
   Engine.run ~until:(Time.ms 10) engine;

@@ -11,7 +11,7 @@ module Machine = Skyloft_hw.Machine
 module Kmod = Skyloft_kernel.Kmod
 module Summary = Skyloft_stats.Summary
 module Percpu = Skyloft.Percpu
-module Centralized = Skyloft.Centralized
+module Hybrid = Skyloft.Hybrid
 module App = Skyloft.App
 
 let qtest = QCheck_alcotest.to_alcotest
@@ -122,23 +122,23 @@ let run_centralized workload =
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:8) in
   let kmod = Kmod.create machine in
   let rt =
-    Centralized.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2; 3 ]
-      ~quantum:(Time.us 20)
+    Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2; 3 ]
+      ~quantum:(Time.us 20) ~adaptive:false
       (Skyloft_policies.Shinjuku.create ())
   in
-  let app = Centralized.create_app rt ~name:"lc" in
+  let app = Hybrid.create_app rt ~name:"lc" in
   List.iteri
     (fun i (at, service) ->
       ignore
         (Engine.at engine at (fun () ->
              ignore
-               (Centralized.submit rt app
+               (Hybrid.submit rt app
                   ~name:(Printf.sprintf "t%d" i)
                   ~service (Coro.compute_then_exit service)))))
     workload;
   let horizon = 500_000 + total_service workload + Time.ms 50 in
   Engine.run ~until:horizon engine;
-  (app.App.completed, Centralized.queue_length rt)
+  (app.App.completed, Hybrid.queue_length rt)
 
 let prop_centralized_all_complete =
   QCheck.Test.make ~name:"centralized: every request completes, queue drains"

@@ -59,7 +59,7 @@ let make ?(units = 1) () =
     Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4)
   in
   let kmod = Kmod.create machine in
-  let rc = Rc.create machine kmod ~record_wakeups:true ~trace_app_switches:false in
+  let rc = Rc.create machine kmod in
   let execs = Array.init units Rc.make_exec in
   let incoming = Array.make units (-1) in
   let st = { rc; execs; incoming; engine } in
@@ -142,10 +142,8 @@ let test_lifecycle_attribution () =
     (Attribution.mismatches app.App.attribution);
   check int "busy time is the compute total" (Time.us 70) app.App.busy_ns;
   check int "no tasks left alive" 0 app.App.tasks_alive;
-  (match st.rc.Rc.wakeups with
-  | Some h ->
-      check bool "wakeup-to-dispatch latency sampled" false (Histogram.is_empty h)
-  | None -> fail "stub asked for wakeup recording");
+  check bool "wakeup-to-dispatch latency sampled" false
+    (Histogram.is_empty st.rc.Rc.wakeups);
   (* stall must cover the blocked interval: response - service - queue > 150us *)
   check bool "blocked interval attributed as stall" true
     (Histogram.mean (Attribution.stall app.App.attribution) > 0.0)
