@@ -346,10 +346,11 @@ let print_obs_bench () =
    the shared Runtime_core substrate: a fixed batch of short requests is
    driven end to end through a small simulated machine, so the slope
    divided by the batch size is the per-request cost of admit, dequeue,
-   switch accounting, completion and re-dispatch.  All four runtimes —
+   switch accounting, completion and re-dispatch.  All four rows —
    percpu, centralized, hybrid and worksteal — run the identical lifecycle
-   substrate; the spread between them is the cost of each dispatch
-   mechanism on top. *)
+   substrate on one of two dispatch mechanisms (worksteal is percpu under
+   the steal-half policy, centralized is the pinned hybrid); the spread
+   between them is the cost of each mechanism and policy on top. *)
 module Machine = Skyloft_hw.Machine
 module Topology = Skyloft_hw.Topology
 module Kmod = Skyloft_kernel.Kmod
@@ -415,14 +416,15 @@ let bench_core_hybrid () =
 let bench_core_worksteal () =
   let engine, machine, kmod = core_small_machine () in
   let rt =
-    Skyloft.Worksteal.create machine kmod
+    Skyloft.Percpu.create machine kmod
       ~cores:[ 0; 1; 2; 3; 4 ]
-      ~quantum:(Time'.us 30) ()
+      ~park:Skyloft_policies.Work_stealing.park
+      (fst (Skyloft_policies.Work_stealing.steal_half ~quantum:(Time'.us 30) ()))
   in
-  let lc = Skyloft.Worksteal.create_app rt ~name:"lc" in
+  let lc = Skyloft.Percpu.create_app rt ~name:"lc" in
   core_drive engine (fun () ->
       ignore
-        (Skyloft.Worksteal.spawn rt lc ~name:"r" ~record:false (core_request ())))
+        (Skyloft.Percpu.spawn rt lc ~name:"r" ~record:false (core_request ())))
 
 (* The same three loops with the flight recorder attached: every span and
    scheduling instant is recorded into the flat binary ring, so the delta
@@ -483,15 +485,17 @@ let bench_core_worksteal_traced =
   core_traced (fun trace ->
       let engine, machine, kmod = core_small_machine () in
       let rt =
-        Skyloft.Worksteal.create machine kmod
+        Skyloft.Percpu.create machine kmod
           ~cores:[ 0; 1; 2; 3; 4 ]
-          ~quantum:(Time'.us 30) ()
+          ~park:Skyloft_policies.Work_stealing.park
+          (fst
+             (Skyloft_policies.Work_stealing.steal_half ~quantum:(Time'.us 30) ()))
       in
-      Skyloft.Worksteal.set_trace rt trace;
-      let lc = Skyloft.Worksteal.create_app rt ~name:"lc" in
+      Skyloft.Percpu.set_trace rt trace;
+      let lc = Skyloft.Percpu.create_app rt ~name:"lc" in
       core_drive engine (fun () ->
           ignore
-            (Skyloft.Worksteal.spawn rt lc ~name:"r" ~record:false
+            (Skyloft.Percpu.spawn rt lc ~name:"r" ~record:false
                (core_request ()))))
 
 let core_runtime_names = [ "percpu"; "centralized"; "hybrid"; "worksteal" ]
@@ -751,8 +755,8 @@ let print_core_bench () =
            Printf.sprintf "%+.0f%%" ((traced -. plain) /. plain *. 100.);
          ])
        core_runtime_names);
-  E.Report.note "all four runtimes share the Runtime_core lifecycle substrate;";
-  E.Report.note "the spread is each dispatch mechanism's cost on top of it";
+  E.Report.note "all four rows share the Runtime_core lifecycle substrate;";
+  E.Report.note "the spread is each mechanism and policy's cost on top of it";
   let push_results = run_bench trace_push_tests in
   let per_event name =
     estimate push_results (Printf.sprintf "trace-push/%s" name)

@@ -25,7 +25,7 @@ module Dist = Skyloft_sim.Dist
 module Loadgen = Skyloft_net.Loadgen
 module Packet = Skyloft_net.Packet
 
-(* ---- the custom policy: 35 lines -------------------------------------- *)
+(* ---- the custom policy: 37 lines -------------------------------------- *)
 
 let srsf ~quantum : Sched_ops.ctor =
  fun view ->
@@ -60,6 +60,8 @@ let srsf ~quantum : Sched_ops.ctor =
                        && view.now () - task.Task.run_start >= quantum
         | None -> false);
     sched_balance = Sched_ops.no_balance;
+    sched_migration_charge = Sched_ops.no_migration_charge;
+    sched_idle_park = Sched_ops.park_after_grace;
   }
 
 (* ---- head-to-head ------------------------------------------------------ *)
@@ -89,4 +91,4 @@ let () =
   print_endline "bimodal load (90% 10us / 10% 1ms) on 2 cores at ~80% utilisation:";
   run "fifo" (Skyloft_policies.Fifo.create ());
   run "srsf" (srsf ~quantum:(Time.us 10));
-  print_endline "=> the 35-line SRSF policy rescues the short requests' tail"
+  print_endline "=> the 37-line SRSF policy rescues the short requests' tail"

@@ -1,7 +1,3 @@
-module Time = Skyloft_sim.Time
-module Machine = Skyloft_hw.Machine
-module Costs = Skyloft_hw.Costs
-module Kmod = Skyloft_kernel.Kmod
 module Percpu = Skyloft.Percpu
 
 (** Shenango model (§5.3 comparator).
@@ -18,13 +14,10 @@ module Percpu = Skyloft.Percpu
       low-load tail-latency penalty visible in Figure 8a.
 
     Both are configuration, not new machinery: work stealing without a
-    quantum, plus the runtime's park option. *)
-
-let park_idle_after = Time.us 5
-(* Re-adding a core goes through the IOKernel and a kernel wakeup. *)
-let park_resume_cost = Costs.linux_wakeup_switch_ns + Time.us 1
+    quantum, plus the runtime's park option (re-adding a core goes through
+    the IOKernel and a kernel wakeup). *)
 
 let make machine kmod ~cores =
   Percpu.create machine kmod ~cores ~preemption:false
-    ~park:(park_idle_after, park_resume_cost)
+    ~park:Skyloft_policies.Work_stealing.park
     (Skyloft_policies.Work_stealing.create ())

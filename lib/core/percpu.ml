@@ -17,7 +17,9 @@ module Rc = Runtime_core
    synchronous per-core scheduling driven by delegated timer interrupts
    (Listing 1), kicks for idle cores, Shenango-style parking, and the
    per-core watchdog.  Everything else — lifecycle, accounting, BE
-   occupancy, deadlines, allocator, metrics — lives in the core. *)
+   occupancy, deadlines, allocator, metrics — lives in the core, and
+   how work moves between cores (including what a steal costs and when
+   an idle core parks early) is the policy's. *)
 
 type cpu = {
   ex : Rc.exec;
@@ -37,6 +39,8 @@ type t = {
   park : (Time.t * Time.t) option;  (* (idle_after, resume_cost) *)
   mutable ticks : int;
   mutable rr_spawn : int;  (* round-robin spawn placement cursor *)
+  mutable parks : int;
+  mutable unparks : int;
   uvec_handlers : (int, int -> unit) Hashtbl.t;
       (* user-delegated device interrupts: uvec -> handler (gets core id) *)
 }
@@ -52,6 +56,12 @@ let is_idle t ~core =
 let view t = Rc.view t.rc
 
 (* ---- dispatch & the main loop ------------------------------------------ *)
+
+let park t cpu =
+  if not cpu.parked then begin
+    cpu.parked <- true;
+    t.parks <- t.parks + 1
+  end
 
 let rec schedule t cpu ~prev =
   let rc = t.rc in
@@ -83,24 +93,29 @@ let rec schedule t cpu ~prev =
   | None ->
       cpu.ex.Rc.current <- None;
       cpu.idle_gen <- cpu.idle_gen + 1;
-      (* Shenango-style runtimes return idle cores to the kernel; waking a
+      (* Shenango-style runtimes return idle cores to the kernel — after a
+         grace period, or at once when the policy asks — and waking a
          parked core later costs a kernel wakeup. *)
       (match t.park with
+      | Some _ when rc.Rc.policy.sched_idle_park ~cpu:cpu.ex.Rc.exec_core ->
+          park t cpu
       | Some (idle_after, _) ->
           let gen = cpu.idle_gen in
           ignore
             (Engine.after rc.Rc.engine idle_after (fun () ->
                  if cpu.ex.Rc.current = None && cpu.idle_gen = gen then
-                   cpu.parked <- true))
+                   park t cpu))
       | None -> ())
   | Some task ->
       let unpark_cost =
         if cpu.parked then begin
           cpu.parked <- false;
+          t.unparks <- t.unparks + 1;
           match t.park with Some (_, resume_cost) -> resume_cost | None -> 0
         end
         else 0
       in
+      let charge = rc.Rc.policy.sched_migration_charge ~cpu:cpu.ex.Rc.exec_core in
       let same = match prev with Some p -> p == task | None -> false in
       let cost =
         if same then 0
@@ -110,7 +125,7 @@ let rec schedule t cpu ~prev =
         end
         else Rc.app_switch rc cpu.ex task
       in
-      dispatch t cpu task ~switch_cost:(cost + unpark_cost)
+      dispatch t cpu task ~switch_cost:(cost + unpark_cost + charge)
 
 and dispatch t cpu (task : Task.t) ~switch_cost =
   cpu.last_sched <- now t;
@@ -333,6 +348,8 @@ let create machine kmod ~cores ?(timer_hz = 100_000) ?(preemption = true) ?park
       park;
       ticks = 0;
       rr_spawn = 0;
+      parks = 0;
+      unparks = 0;
       uvec_handlers = Hashtbl.create 8;
     }
   in
@@ -519,9 +536,12 @@ let wakeup t ?(waker_cpu = -1) (task : Task.t) = wakeup_task t ~waker_cpu task
 
 (* A dedicated core emulating a timer by broadcasting user IPIs to every
    worker core (the "utimer" of §5.3/§5.4).  Needs [preemption:false] so
-   the receiver contexts keep the plain notification vector. *)
+   the receiver contexts keep the plain notification vector: a
+   timer-delegated context's UINV is the timer vector. *)
 let start_utimer t ~src_core ~hz =
   if hz <= 0 then invalid_arg "Percpu.start_utimer: hz must be positive";
+  if t.preemption then
+    invalid_arg "Percpu.start_utimer: requires ~preemption:false";
   let period = max 1 (1_000_000_000 / hz) in
   Engine.every t.rc.Rc.engine ~period (fun () ->
       Array.iter
@@ -560,6 +580,8 @@ let deadline_drops t = t.rc.Rc.deadline_drops
 let total_busy_ns t = Rc.total_busy_ns t.rc
 let apps t = t.rc.Rc.apps
 let set_trace t trace = t.rc.Rc.trace <- Some trace
+let parks t = t.parks
+let unparks t = t.unparks
 
 (* Pull-based registration: every closure reads existing state at snapshot
    time, so attaching a registry cannot perturb the simulation. *)
@@ -577,6 +599,10 @@ let register_metrics t ?(labels = []) reg =
     (fun () -> rc.Rc.be_preempts);
   c "skyloft_percpu_timer_ticks_total" "User-space timer interrupts handled"
     (fun () -> t.ticks);
+  c "skyloft_percpu_parks_total" "Idle cores parked to the kernel" (fun () ->
+      t.parks);
+  c "skyloft_percpu_unparks_total" "Parked cores woken for new work"
+    (fun () -> t.unparks);
   c "skyloft_percpu_watchdog_rescues_total" "Stuck cores rescued" (fun () ->
       rc.Rc.rescues);
   c "skyloft_percpu_deadline_drops_total" "Tasks killed at their deadline"

@@ -45,8 +45,13 @@ val create :
     reallocation: a core idle for [idle_after] is returned to the kernel,
     and handing it back to the runtime costs [resume_cost] extra on the
     next dispatch — the "frequent core adjustments, yielding and wake-ups"
-    the paper blames for Shenango's low-load tail (§5.3).  Skyloft itself
-    does not park (idle loops keep spinning).
+    the paper blames for Shenango's low-load tail (§5.3).  A policy may
+    park an idle core at once instead ([sched_idle_park], the steal-storm
+    brake of {!Skyloft_policies.Work_stealing.steal_half}).  Skyloft
+    itself does not park (idle loops keep spinning).
+
+    Each dispatch also adds the policy's [sched_migration_charge] for the
+    core (zero unless the policy charges for migrated work).
 
     [watchdog] arms the per-core watchdog: a periodic scan (twice per
     bound) that detects cores stuck on one task for longer than the bound
@@ -142,9 +147,13 @@ val register_uvec : t -> uvec:int -> (int -> unit) -> unit
 val start_utimer : t -> src_core:int -> hz:int -> unit
 (** Emulate per-CPU timers from a dedicated core ([src_core], outside the
     managed set) that broadcasts preemption user IPIs at [hz] to every
-    worker (the "utimer" of §5.3).  Requires [preemption:false].  Costs a
-    whole core and pays cross-core IPI latency per tick — the paper
-    measures a 13% performance loss versus LAPIC timer delegation. *)
+    worker (the "utimer" of §5.3).  Costs a whole core and pays cross-core
+    IPI latency per tick — the paper measures a 13% performance loss
+    versus LAPIC timer delegation.
+
+    @raise Invalid_argument unless the runtime was created with
+    [~preemption:false]: a timer-delegated context's notification vector
+    is the timer vector, so the broadcast IPIs would land there. *)
 
 val preempt_core : t -> src_core:int -> dst_core:int -> unit
 (** Send a preemption user IPI from [src_core] to [dst_core] (dispatcher
@@ -160,8 +169,9 @@ val queue_depth_series : t -> Timeseries.t
 (** LC policy queue length over time (one sample per change); feed it to
     the Perfetto counter-track export in [lib/obs]. *)
 
-(** [register_metrics t reg] registers this runtime's counters, histograms,
-    and queue-depth series (under [skyloft_percpu_*]) plus every
+(** [register_metrics t reg] registers this runtime's counters (parks and
+    unparks included), histograms, and queue-depth series (under
+    [skyloft_percpu_*]) plus every
     application's task counters, response-time histogram, and latency
     attribution (under [skyloft_app_*], labelled with the app name).  Call
     after the applications have been created.  Registration is pull-based
@@ -171,6 +181,12 @@ val task_switches : t -> int
 val app_switches : t -> int
 val preemptions : t -> int
 val timer_ticks : t -> int
+
+val parks : t -> int
+(** Idle cores parked back to the kernel (see {!create}'s [park]). *)
+
+val unparks : t -> int
+(** Parked cores woken for new work (each paid the resume cost). *)
 
 val watchdog_rescues : t -> int
 (** Stuck cores rescued by the watchdog (see {!create}'s [watchdog]). *)

@@ -12,8 +12,10 @@ module Registry = Skyloft_obs.Registry
 
 (** The shared runtime substrate (the framework claim of Table 2).
 
-    Every Skyloft runtime — per-CPU (Figure 2a), centralized (Figure 2b),
-    and the hybrid of both — is the same core: an app table, the task
+    Both Skyloft runtimes — per-CPU (Figure 2a), and the hybrid, which
+    runs the serial dispatcher of Figure 2b (pinned there, it is the
+    centralized runtime) and hands its cores to per-CPU dispatch under
+    load — are the same core: an app table, the task
     lifecycle with latency-attribution stamping, BE occupancy accounting,
     the kernel-module multi-application switch path (§5.4), one trace
     span/instant vocabulary, watchdog bookkeeping, deadline kill timers,
@@ -22,7 +24,8 @@ module Registry = Skyloft_obs.Registry
     preempts tasks.  A runtime instantiates the core by building its
     execution units, installing a [dispatch] record over them, and keeping
     for itself nothing but its dispatch mechanics (timer ticks and kicks,
-    or the serial dispatcher). *)
+    or the serial dispatcher).  Work stealing, steal-half included, is a
+    {!Sched_ops} policy on the per-CPU runtime, not a runtime. *)
 
 (** One execution unit: a worker core's scheduling state.  Runtimes wrap
     it with their own per-unit extras (kick flags, assignment

@@ -13,11 +13,15 @@ type instance = {
   task_wakeup : waker_cpu:int -> Task.t -> int;
   sched_timer_tick : cpu:int -> Task.t -> bool;
   sched_balance : cpu:int -> Task.t option;
+  sched_migration_charge : cpu:int -> Time.t;
+  sched_idle_park : cpu:int -> bool;
 }
 
 type ctor = view -> instance
 
 let no_balance ~cpu:_ = None
+let no_migration_charge ~cpu:_ = 0
+let park_after_grace ~cpu:_ = false
 
 (* Inert policy: used as an initialisation placeholder and in tests. *)
 let null_instance =
@@ -31,6 +35,8 @@ let null_instance =
     task_wakeup = (fun ~waker_cpu _ -> waker_cpu);
     sched_timer_tick = (fun ~cpu:_ _ -> false);
     sched_balance = no_balance;
+    sched_migration_charge = no_migration_charge;
+    sched_idle_park = park_after_grace;
   }
 
 type probe = { queued : unit -> int; oldest_wait : unit -> Time.t }

@@ -4,11 +4,14 @@ module Time = Skyloft_sim.Time
 
     A scheduling policy is a value of type {!instance} — a record of the
     operations in Table 2 — produced by a constructor that receives a
-    {!view} of the runtime.  The per-CPU, work-stealing and hybrid
-    runtimes (the last also pinned to its centralized dispatcher) are each
-    written once against this interface; implementing a new policy means
-    implementing this record, which is why Skyloft policies are a few
-    hundred lines where kernel schedulers are thousands (Table 4).
+    {!view} of the runtime.  The two runtimes — per-CPU ({!Percpu}) and
+    {!Hybrid}, whose serial dispatcher hands the cores to per-CPU dispatch
+    under load (pinned to the dispatcher, it is the centralized runtime) —
+    are each written once against this interface; work stealing,
+    steal-half included, is a policy on the per-CPU one.
+    Implementing a new policy means implementing this record, which is
+    why Skyloft policies are a few hundred lines where kernel schedulers
+    are thousands (Table 4).
 
     Conventions:
     - Runqueue state lives inside the instance's closures.
@@ -50,6 +53,15 @@ type instance = {
   sched_balance : cpu:int -> Task.t option;
       (** load balancing for an idle [cpu] (per-CPU policies): return a
           task stolen from another runqueue, if any *)
+  sched_migration_charge : cpu:int -> Time.t;
+      (** [cpu] is dispatching a task: return, and reset to zero, the
+          overhead the policy accrued for [cpu] since its last dispatch
+          (probing and migrating stolen work); it is added to the
+          dispatch's switch cost.  Called on every per-CPU dispatch. *)
+  sched_idle_park : cpu:int -> bool;
+      (** [cpu] found nothing to run on a parking runtime: [true] parks
+          it now instead of after the grace period (a steal-storm
+          brake).  Only consulted when the runtime parks idle cores. *)
 }
 
 type ctor = view -> instance
@@ -57,6 +69,14 @@ type ctor = view -> instance
 val no_balance : cpu:int -> Task.t option
 (** A [sched_balance] that never steals (centralized and single-queue
     policies). *)
+
+val no_migration_charge : cpu:int -> Time.t
+(** A [sched_migration_charge] that never charges (every policy that does
+    not move work between cores). *)
+
+val park_after_grace : cpu:int -> bool
+(** A [sched_idle_park] that always waits out the runtime's grace
+    period. *)
 
 val null_instance : instance
 (** An inert policy (empty queues, never preempts): initialisation

@@ -7,7 +7,6 @@ module Summary = Skyloft_stats.Summary
 module App = Skyloft.App
 module Percpu = Skyloft.Percpu
 module Hybrid = Skyloft.Hybrid
-module Worksteal = Skyloft.Worksteal
 module Coro = Skyloft_sim.Coro
 module Dist = Skyloft_sim.Dist
 module Nic = Skyloft_net.Nic
@@ -368,7 +367,8 @@ let a5_hybrid_vs_parents (config : Config.t) =
 
 (* ---- A6: the work-stealing runtime across arrival regimes ---------------- *)
 
-(* Same 8 cores, three arrival regimes, all four runtimes.  The regimes
+(* Same 8 cores, three arrival regimes, all four runtime configurations
+   (worksteal is the steal-half policy on the per-CPU runtime).  The regimes
    are chosen to pull the steal-half design in opposite directions:
 
    - skewed: every request carries RSS affinity to a 2-core hot set.  The
@@ -488,21 +488,23 @@ let a6_worksteal_regimes (config : Config.t) =
     let engine = Engine.create ~seed:config.seed () in
     let machine = Machine.create engine Topology.paper_server in
     let kmod = Kmod.create machine in
+    let policy, steals = Skyloft_policies.Work_stealing.steal_half ~quantum () in
     let rt =
-      Worksteal.create machine kmod ~cores:(List.init n_cores Fun.id)
-        ~timer_hz:100_000 ~quantum ()
+      Percpu.create machine kmod ~cores:(List.init n_cores Fun.id)
+        ~timer_hz:100_000 ~park:Skyloft_policies.Work_stealing.park policy
     in
-    let app = Worksteal.create_app rt ~name:"lc" in
+    let app = Percpu.create_app rt ~name:"lc" in
     let rng = Engine.split_rng engine in
     drive engine rng (fun ~cpu ~service ->
         ignore
-          (Worksteal.spawn rt app ~name:"req" ?cpu ~service
+          (Percpu.spawn rt app ~name:"req" ?cpu ~service
              (Coro.compute_then_exit service)));
     Engine.run ~until:horizon engine;
     ( "worksteal",
       app.App.summary,
-      Printf.sprintf "%d steals (%d tasks), %d parks" (Worksteal.steals rt)
-        (Worksteal.stolen_tasks rt) (Worksteal.parks rt) )
+      Printf.sprintf "%d steals (%d tasks), %d parks"
+        steals.Skyloft_policies.Work_stealing.steals steals.stolen_tasks
+        (Percpu.parks rt) )
   in
   let regimes =
     [

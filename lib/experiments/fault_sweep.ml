@@ -10,7 +10,6 @@ module Histogram = Skyloft_stats.Histogram
 module App = Skyloft.App
 module Percpu = Skyloft.Percpu
 module Hybrid = Skyloft.Hybrid
-module Worksteal = Skyloft.Worksteal
 module Allocator = Skyloft_alloc.Allocator
 module Alloc_policy = Skyloft_alloc.Policy
 module Nic = Skyloft_net.Nic
@@ -133,11 +132,18 @@ let alloc_cfg () =
     degrade_after = Some 40;
   }
 
-let make_percpu machine kmod =
+(* [~steal_half:true] is the work-stealing runtime: the steal-half
+   policy with Shenango-style parking. *)
+let make_percpu ~steal_half machine kmod =
+  let park, policy =
+    if steal_half then
+      ( Some Skyloft_policies.Work_stealing.park,
+        fst (Skyloft_policies.Work_stealing.steal_half ~quantum ()) )
+    else (None, Skyloft_policies.Work_stealing.create ~quantum ())
+  in
   let rt =
     Percpu.create machine kmod ~cores:percpu_cores ~timer_hz:100_000
-      ~watchdog:watchdog_bound
-      (Skyloft_policies.Work_stealing.create ~quantum ())
+      ~watchdog:watchdog_bound ?park policy
   in
   let lc = Percpu.create_app rt ~name:"lc" in
   let be = Percpu.create_app rt ~name:"batch" in
@@ -165,39 +171,6 @@ let make_percpu machine kmod =
     deadline_drops = (fun () -> Percpu.deadline_drops rt);
     detect = (fun () -> Percpu.rescue_detection rt);
     allocator = (fun () -> Percpu.allocator rt);
-  }
-
-let make_worksteal machine kmod =
-  let rt =
-    Worksteal.create machine kmod ~cores:percpu_cores ~timer_hz:100_000
-      ~quantum ~watchdog:watchdog_bound ()
-  in
-  let lc = Worksteal.create_app rt ~name:"lc" in
-  let be = Worksteal.create_app rt ~name:"batch" in
-  Worksteal.attach_be_app rt ~alloc:(alloc_cfg ()) be ~chunk:(Time.us 50)
-    ~workers:n_workers;
-  {
-    submit =
-      (fun ~name ~service ~on_drop ~on_done ->
-        ignore
-          (Worksteal.spawn rt lc ~name ~record:false ~deadline
-             ~on_drop:(fun _ -> on_drop ())
-             (Coro.Compute
-                ( service,
-                  fun () ->
-                    on_done ();
-                    Coro.Exit ))));
-    poison =
-      (fun ~core ~service ->
-        ignore
-          (Worksteal.spawn rt lc ~name:"poison" ~cpu:core ~record:false
-             ~deadline:poison_deadline
-             (Coro.Compute (service, fun () -> Coro.Exit))));
-    rescues = (fun () -> Worksteal.watchdog_rescues rt);
-    failovers = (fun () -> 0);
-    deadline_drops = (fun () -> Worksteal.deadline_drops rt);
-    detect = (fun () -> Worksteal.rescue_detection rt);
-    allocator = (fun () -> Worksteal.allocator rt);
   }
 
 (* [~adaptive:false] pins the hybrid to its serial dispatcher: the
@@ -243,9 +216,8 @@ let run_point (config : Config.t) ~runtime:(rt_name, which) ~rate =
   let iface =
     match which with
     | Central -> make_hybrid ~adaptive:false machine kmod
-    | Percore -> make_percpu machine kmod
+    | Percore | Stealing -> make_percpu ~steal_half:(which = Stealing) machine kmod
     | Hybridized -> make_hybrid ~adaptive:true machine kmod
-    | Stealing -> make_worksteal machine kmod
   in
   let nic = Nic.create engine ~queues:1 ~ring_capacity () in
   (* Split order is fixed so a zero-rate run draws the same generator

@@ -7,7 +7,6 @@ module Machine = Skyloft_hw.Machine
 module Kmod = Skyloft_kernel.Kmod
 module Percpu = Skyloft.Percpu
 module Hybrid = Skyloft.Hybrid
-module Worksteal = Skyloft.Worksteal
 module Trace = Skyloft_stats.Trace
 module Plan = Skyloft_fault.Plan
 module Injector = Skyloft_fault.Injector
@@ -61,7 +60,8 @@ let traced_percpu ~seed =
   Engine.run ~until:(Time.ms 3) engine;
   (Trace.to_chrome_json trace, Injector.injected inj)
 
-(* The work-stealing counterpart: every task lands on core 0 so the other
+(* The work-stealing counterpart (the steal-half policy on the per-CPU
+   runtime, parking on): every task lands on core 0 so the other
    deques run dry and the trace covers steal-half grabs, failed scans and
    the park/unpark path, under the same fault classes. *)
 let traced_worksteal ~seed =
@@ -70,12 +70,15 @@ let traced_worksteal ~seed =
     Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4)
   in
   let kmod = Kmod.create machine in
+  let policy, steals =
+    Skyloft_policies.Work_stealing.steal_half ~quantum:(Time.us 30) ()
+  in
   let rt =
-    Worksteal.create machine kmod ~cores:[ 0; 1; 2; 3 ] ~quantum:(Time.us 30)
-      ~watchdog:(Time.us 100) ()
+    Percpu.create machine kmod ~cores:[ 0; 1; 2; 3 ] ~watchdog:(Time.us 100)
+      ~park:Skyloft_policies.Work_stealing.park policy
   in
   let trace = Trace.create () in
-  Worksteal.set_trace rt trace;
+  Percpu.set_trace rt trace;
   let rng = Rng.create ~seed in
   let inj = Injector.create ~engine ~rng ~trace () in
   Injector.arm inj
@@ -85,17 +88,19 @@ let traced_worksteal ~seed =
       Plan.ipi_loss ~p_drop:0.3 ~p_delay:0.3 ~delay:(Time.us 20) ();
       Plan.core_steal ~period:(Time.us 200) ~duration:(Time.us 50) ();
     ];
-  let app = Worksteal.create_app rt ~name:"a" in
+  let app = Percpu.create_app rt ~name:"a" in
   for i = 0 to 39 do
     ignore
       (Engine.at engine (i * Time.us 25) (fun () ->
            ignore
-             (Worksteal.spawn rt app ~cpu:0
+             (Percpu.spawn rt app ~cpu:0
                 ~name:(Printf.sprintf "t%d" i)
                 (Coro.Compute (Time.us 10 + (i mod 7 * Time.us 4), fun () -> Coro.Exit)))))
   done;
   Engine.run ~until:(Time.ms 3) engine;
-  (Trace.to_chrome_json trace, Injector.injected inj, Worksteal.steals rt)
+  ( Trace.to_chrome_json trace,
+    Injector.injected inj,
+    steals.Skyloft_policies.Work_stealing.steals )
 
 (* The centralized counterpart: dispatcher + four workers under the same
    fault classes, quantum preemption and the watchdog armed. *)

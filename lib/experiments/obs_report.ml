@@ -11,7 +11,6 @@ module Trace = Skyloft_stats.Trace
 module App = Skyloft.App
 module Percpu = Skyloft.Percpu
 module Hybrid = Skyloft.Hybrid
-module Worksteal = Skyloft.Worksteal
 module Allocator = Skyloft_alloc.Allocator
 module Alloc_policy = Skyloft_alloc.Policy
 module Nic = Skyloft_net.Nic
@@ -96,11 +95,18 @@ type iface = {
    the blocked interval as fault stall, never as service. *)
 let split_service service = (service / 2, service - (service / 2))
 
-let make_percpu engine machine kmod =
+(* [~steal_half:true] is the work-stealing runtime: the steal-half
+   policy with Shenango-style parking. *)
+let make_percpu ~steal_half engine machine kmod =
+  let park, policy, steals =
+    if steal_half then
+      let policy, steals = Skyloft_policies.Work_stealing.steal_half ~quantum () in
+      (Some Skyloft_policies.Work_stealing.park, policy, Some steals)
+    else (None, Skyloft_policies.Work_stealing.create ~quantum (), None)
+  in
   let rt =
     Percpu.create machine kmod ~cores:percpu_cores ~timer_hz:100_000
-      ~watchdog:watchdog_bound
-      (Skyloft_policies.Work_stealing.create ~quantum ())
+      ~watchdog:watchdog_bound ?park policy
   in
   let lc = Percpu.create_app rt ~name:"lc" in
   let be = Percpu.create_app rt ~name:"batch" in
@@ -131,6 +137,9 @@ let make_percpu engine machine kmod =
       register =
         (fun reg ->
           Percpu.register_metrics rt reg;
+          Option.iter
+            (fun s -> Skyloft_policies.Work_stealing.register_metrics s reg)
+            steals;
           match Percpu.allocator rt with
           | Some a -> Allocator.register_metrics a reg
           | None -> ());
@@ -143,53 +152,6 @@ let make_percpu engine machine kmod =
           ignore (Percpu.fault_current rt ~core:0 ~duration:page_fault_ns));
     },
     (fun trace -> Percpu.set_trace rt trace) )
-
-let make_worksteal engine machine kmod =
-  let rt =
-    Worksteal.create machine kmod ~cores:percpu_cores ~timer_hz:100_000
-      ~quantum ~watchdog:watchdog_bound ()
-  in
-  let lc = Worksteal.create_app rt ~name:"lc" in
-  let be = Worksteal.create_app rt ~name:"batch" in
-  Worksteal.attach_be_app rt ~alloc:(alloc_cfg ()) be ~chunk:(Time.us 50)
-    ~workers:n_workers;
-  ( rt,
-    {
-      submit =
-        (fun ~name ~service ~fault ->
-          if fault then begin
-            let s1, s2 = split_service service in
-            let body =
-              Coro.Compute
-                ( s1,
-                  fun () ->
-                    Coro.Block (fun () -> Coro.Compute (s2, fun () -> Coro.Exit))
-                )
-            in
-            let task = Worksteal.spawn rt lc ~service ~name body in
-            ignore
-              (Engine.after engine (s1 + fault_ns) (fun () ->
-                   Worksteal.wakeup rt task))
-          end
-          else
-            ignore
-              (Worksteal.spawn rt lc ~service ~name
-                 (Coro.Compute (service, fun () -> Coro.Exit))));
-      register =
-        (fun reg ->
-          Worksteal.register_metrics rt reg;
-          match Worksteal.allocator rt with
-          | Some a -> Allocator.register_metrics a reg
-          | None -> ());
-      lc;
-      be;
-      queue_series = Worksteal.queue_depth_series rt;
-      alloc = (fun () -> Worksteal.allocator rt);
-      fault_tick =
-        (fun () ->
-          ignore (Worksteal.fault_current rt ~core:0 ~duration:page_fault_ns));
-    },
-    (fun trace -> Worksteal.set_trace rt trace) )
 
 (* [~adaptive:false] pins the hybrid to its serial dispatcher: the
    centralized runtime. *)
@@ -282,14 +244,13 @@ let run_point (config : Config.t) ~runtime:(rt_name, which) ~instrumented =
     | Central ->
         let _, iface, set = make_hybrid ~adaptive:false engine machine kmod in
         (iface, set)
-    | Percore ->
-        let _, iface, set = make_percpu engine machine kmod in
+    | Percore | Stealing ->
+        let _, iface, set =
+          make_percpu ~steal_half:(which = Stealing) engine machine kmod
+        in
         (iface, set)
     | Hybridized ->
         let _, iface, set = make_hybrid ~adaptive:true engine machine kmod in
-        (iface, set)
-    | Stealing ->
-        let _, iface, set = make_worksteal engine machine kmod in
         (iface, set)
   in
   let trace = Trace.create ~capacity:trace_capacity () in

@@ -122,4 +122,6 @@ let create ?(config = default_config) () : Sched_ops.ctor =
               | _ -> ())
           view.cores;
         !stolen);
+    sched_migration_charge = Sched_ops.no_migration_charge;
+    sched_idle_park = Sched_ops.park_after_grace;
   }

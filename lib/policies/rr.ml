@@ -55,4 +55,6 @@ let create ?slice () : Sched_ops.ctor =
             if !stolen = None && core <> cpu then stolen := Runqueue.pop_tail (q core))
           view.cores;
         !stolen);
+    sched_migration_charge = Sched_ops.no_migration_charge;
+    sched_idle_park = Sched_ops.park_after_grace;
   }

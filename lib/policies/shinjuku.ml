@@ -30,4 +30,6 @@ let create () : Sched_ops.ctor =
         Sched_ops.wakeup_to_idle_or view ~fallback:waker_cpu);
     sched_timer_tick = (fun ~cpu:_ _ -> false);
     sched_balance = Sched_ops.no_balance;
+    sched_migration_charge = Sched_ops.no_migration_charge;
+    sched_idle_park = Sched_ops.park_after_grace;
   }

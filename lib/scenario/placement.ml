@@ -89,10 +89,19 @@ let make_iface ~machine ~config ~(spec : tenant) ~cores =
   let deadline = config.deadline in
   let kmod = Kmod.create machine in
   match spec.runtime with
-  | Scenario.Percpu ->
+  | (Scenario.Percpu | Scenario.Worksteal) as runtime ->
+      let quantum = config.quantum in
+      let park, policy, steals =
+        if runtime = Scenario.Worksteal then
+          let policy, steals =
+            Skyloft_policies.Work_stealing.steal_half ~quantum ()
+          in
+          (Some Skyloft_policies.Work_stealing.park, policy, Some steals)
+        else (None, Skyloft_policies.Work_stealing.create ~quantum (), None)
+      in
       let rt =
         Skyloft.Percpu.create machine kmod ~cores ~timer_hz:config.timer_hz
-          (Skyloft_policies.Work_stealing.create ~quantum:config.quantum ())
+          ?park policy
       in
       let app = Skyloft.Percpu.create_app rt ~name:spec.name in
       {
@@ -112,36 +121,11 @@ let make_iface ~machine ~config ~(spec : tenant) ~cores =
         rt_set_trace = Skyloft.Percpu.set_trace rt;
         rt_register =
           (fun reg ->
-            Skyloft.Percpu.register_metrics rt
-              ~labels:[ ("tenant", spec.name) ]
-              reg);
-      }
-  | Scenario.Worksteal ->
-      let rt =
-        Skyloft.Worksteal.create machine kmod ~cores ~timer_hz:config.timer_hz
-          ~quantum:config.quantum ()
-      in
-      let app = Skyloft.Worksteal.create_app rt ~name:spec.name in
-      {
-        rt_submit =
-          (fun ~name ~service ~on_drop ~on_done ->
-            ignore
-              (Skyloft.Worksteal.spawn rt app ~name ~record:false ~deadline
-                 ~on_drop:(fun _ -> on_drop ())
-                 (Coro.Compute
-                    ( service,
-                      fun () ->
-                        on_done ();
-                        Coro.Exit ))));
-        rt_set_allowance = Skyloft.Worksteal.set_core_allowance rt;
-        rt_congestion = (fun () -> Skyloft.Worksteal.congestion rt);
-        rt_deadline_drops = (fun () -> Skyloft.Worksteal.deadline_drops rt);
-        rt_set_trace = Skyloft.Worksteal.set_trace rt;
-        rt_register =
-          (fun reg ->
-            Skyloft.Worksteal.register_metrics rt
-              ~labels:[ ("tenant", spec.name) ]
-              reg);
+            let labels = [ ("tenant", spec.name) ] in
+            Skyloft.Percpu.register_metrics rt ~labels reg;
+            Option.iter
+              (fun s -> Skyloft_policies.Work_stealing.register_metrics s ~labels reg)
+              steals);
       }
   | (Scenario.Centralized | Scenario.Hybrid) as runtime ->
       let dispatcher_core = List.hd cores and worker_cores = List.tl cores in

@@ -159,11 +159,18 @@ let alloc_config (bounds : bounds) =
 
 let make_iface ~machine ~kmod ~runtime ~cores ~timer_hz ~quantum ~be_bounds =
   match runtime with
-  | Percpu ->
+  | Percpu | Worksteal ->
+      (* the work-stealing runtime is per-CPU dispatch under the
+         steal-half policy with Shenango-style parking *)
+      let park, policy =
+        if runtime = Worksteal then
+          ( Some Skyloft_policies.Work_stealing.park,
+            fst (Skyloft_policies.Work_stealing.steal_half ~quantum ()) )
+        else (None, Skyloft_policies.Work_stealing.create ~quantum ())
+      in
       let rt =
         Skyloft.Percpu.create machine kmod ~cores:(List.init cores Fun.id)
-          ~timer_hz
-          (Skyloft_policies.Work_stealing.create ~quantum ())
+          ~timer_hz ?park policy
       in
       {
         submit =
@@ -209,30 +216,6 @@ let make_iface ~machine ~kmod ~runtime ~cores ~timer_hz ~quantum ~be_bounds =
             Skyloft.Hybrid.attach_be_app rt app ~chunk ~workers);
         be_preemptions = (fun () -> Skyloft.Hybrid.be_preemptions rt);
         allocator = (fun () -> Skyloft.Hybrid.allocator rt);
-      }
-  | Worksteal ->
-      let rt =
-        Skyloft.Worksteal.create machine kmod ~cores:(List.init cores Fun.id)
-          ~timer_hz ~quantum ()
-      in
-      {
-        submit =
-          (fun app ~name ~service ~on_done ->
-            ignore
-              (Skyloft.Worksteal.spawn rt app ~name ~record:false
-                 (Coro.Compute
-                    ( service,
-                      fun () ->
-                        on_done ();
-                        Coro.Exit ))));
-        create_app = (fun ~name -> Skyloft.Worksteal.create_app rt ~name);
-        attach_be =
-          (fun app ~chunk ~workers ->
-            let bounds = Option.get be_bounds in
-            Skyloft.Worksteal.attach_be_app rt ~alloc:(alloc_config bounds) app
-              ~chunk ~workers);
-        be_preemptions = (fun () -> Skyloft.Worksteal.be_preemptions rt);
-        allocator = (fun () -> Skyloft.Worksteal.allocator rt);
       }
 
 type lc_state = {

@@ -14,7 +14,7 @@ module Histogram = Skyloft_stats.Histogram
       tagged LC or BE, the BE tenant carrying guaranteed/burstable core
       bounds that feed the {!Skyloft_alloc} allocator.
 
-    {!run} compiles any scenario onto any of the four runtimes through
+    {!run} compiles any scenario onto any of the four {!runtime}s through
     {!Skyloft_net.Loadgen.stream} and returns only mergeable streaming
     digests — per-tenant log-linear histograms and counters, never
     per-request records — so a cell can run 10⁷+ requests in bounded
@@ -80,6 +80,10 @@ val offered_load : t -> float
 (** {1 Compilation} *)
 
 type runtime = Percpu | Centralized | Hybrid | Worksteal
+(** Four configurations of two mechanisms: [Centralized] is {!Skyloft.Hybrid}
+    pinned to its serial dispatcher, and [Worksteal] is {!Skyloft.Percpu}
+    under {!Skyloft_policies.Work_stealing.steal_half} with Shenango-style
+    parking, where [Percpu] runs the steal-one policy without parking. *)
 
 val runtime_name : runtime -> string
 val runtimes : runtime list

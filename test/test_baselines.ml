@@ -7,6 +7,7 @@ module Dist = Skyloft_sim.Dist
 module Coro = Skyloft_sim.Coro
 module Topology = Skyloft_hw.Topology
 module Machine = Skyloft_hw.Machine
+module Costs = Skyloft_hw.Costs
 module Kmod = Skyloft_kernel.Kmod
 module Summary = Skyloft_stats.Summary
 module App = Skyloft.App
@@ -83,6 +84,67 @@ let test_shenango_no_preemption () =
   Engine.run ~until:(Time.ms 2) engine;
   check Alcotest.int "no preemptions ever" 0 (Percpu.preemptions rt)
 
+(* Shenango is steal-one work stealing with parking.  An idle core parks
+   only once the grace period has passed, however many scans fail in a
+   row: there is no steal-storm brake.  A stolen task pays no migration
+   charge either.  Each doomed spawn below is killed before its kick
+   fires, so the kicked core's scan finds nothing; under the steal-half
+   policy the same sequence trips the brake and parks at once. *)
+let test_shenango_parks_after_grace () =
+  let failed_scans make =
+    let engine = Engine.create ~seed:1 () in
+    let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4) in
+    let kmod = Kmod.create machine in
+    let rt = make machine kmod in
+    let app = Percpu.create_app rt ~name:"a" in
+    for i = 0 to 2 do
+      ignore
+        (Engine.at engine (Time.us i) (fun () ->
+             Percpu.kill rt
+               (Percpu.spawn rt app ~name:"doomed" ~cpu:0
+                  (Coro.compute_then_exit (Time.us 1)))))
+    done;
+    Engine.run ~until:(Time.us 4) engine;
+    let early = Percpu.parks rt in
+    Engine.run ~until:(Time.us 20) engine;
+    (early, Percpu.parks rt)
+  in
+  let early, late = failed_scans (fun m k -> Shenango.make m k ~cores:[ 0 ]) in
+  check Alcotest.int "no park inside the grace period" 0 early;
+  check Alcotest.int "parked once the grace period passed" 1 late;
+  let early, _ =
+    failed_scans (fun m k ->
+        Percpu.create m k ~cores:[ 0 ] ~preemption:false
+          ~park:Skyloft_policies.Work_stealing.park
+          (fst (Skyloft_policies.Work_stealing.steal_half ())))
+  in
+  check Alcotest.int "steal-half parks at once" 1 early;
+  (* a task stolen onto an idle core starts as fast as a local one *)
+  let engine = Engine.create ~seed:1 () in
+  let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4) in
+  let kmod = Kmod.create machine in
+  let rt = Shenango.make machine kmod ~cores:[ 0; 1 ] in
+  let app = Percpu.create_app rt ~name:"a" in
+  let spawn ~at ~service finished =
+    ignore
+      (Engine.at engine at (fun () ->
+           ignore
+             (Percpu.spawn rt app ~name:"t" ~cpu:0
+                (Coro.Compute (service, fun () -> finished := Engine.now engine; Coro.Exit)))))
+  in
+  let local = ref 0 and stolen = ref 0 in
+  spawn ~at:0 ~service:(Time.us 100) local;
+  spawn ~at:(Time.us 1) ~service:(Time.us 10) stolen;
+  Engine.run ~until:(Time.ms 1) engine;
+  check Alcotest.bool "the second task was stolen" true (!stolen < !local);
+  (* each task's first dispatch on its core pays the app switch, nothing
+     more *)
+  check Alcotest.int "local dispatch pays the app switch" Costs.app_switch_ns
+    (!local - Time.us 100);
+  check Alcotest.int "no migration charge on the stolen dispatch"
+    Costs.app_switch_ns
+    (!stolen - Time.us 11)
+
 let test_ghost_slower_than_skyloft () =
   (* Same workload through both mechanisms: ghOSt's dispatcher and switch
      costs must show up as higher tail latency. *)
@@ -133,6 +195,8 @@ let suite =
     Alcotest.test_case "linux workload: batch share" `Quick test_linux_workload_batch_share;
     Alcotest.test_case "shenango: park/resume cost" `Quick test_shenango_parks_and_resumes;
     Alcotest.test_case "shenango: never preempts" `Quick test_shenango_no_preemption;
+    Alcotest.test_case "shenango: parks after grace, no storm brake" `Quick
+      test_shenango_parks_after_grace;
     Alcotest.test_case "ghost: costlier than skyloft" `Quick test_ghost_slower_than_skyloft;
     Alcotest.test_case "shinjuku orig: single app" `Quick test_shinjuku_orig_single_app;
   ]

@@ -181,6 +181,8 @@ let fifo_ctor : Sched_ops.ctor =
         Sched_ops.wakeup_to_idle_or view ~fallback:waker_cpu);
     sched_timer_tick = (fun ~cpu:_ _ -> false);
     sched_balance = Sched_ops.no_balance;
+    sched_migration_charge = Sched_ops.no_migration_charge;
+    sched_idle_park = Sched_ops.park_after_grace;
   }
 
 (* RR policy with a given slice, local queue per core *)
@@ -202,6 +204,8 @@ let rr_ctor slice : Sched_ops.ctor =
       (fun ~cpu:_ task ->
         (not (Runqueue.is_empty q)) && view.now () - task.Task.run_start >= slice);
     sched_balance = Sched_ops.no_balance;
+    sched_migration_charge = Sched_ops.no_migration_charge;
+    sched_idle_park = Sched_ops.park_after_grace;
   }
 
 let make_percpu ?(cores = 4) ?(timer_hz = 100_000) ?(preemption = true) ctor =

@@ -105,7 +105,12 @@ let test_obs_registry_transparent () =
    event-for-event identical to before.  obs-report-centralized now
    equals obs-report-hybrid, whose monitor never leaves central mode on
    that workload.  Every scale-*, oversub-* and fault-sweep-* cell
-   (fault-sweep-centralized included) is unchanged. *)
+   (fault-sweep-centralized included) is unchanged.
+
+   No regeneration when the work-stealing runtime became the per-CPU
+   runtime under the steal-half policy ([Work_stealing.steal_half] on
+   [Percpu.create ~park]): every *-worksteal cell and every mixed fleet
+   keeps its bytes. *)
 let golden =
   [
     ("trace-percpu", "9c64a29436da6fcec0dc0f6163d2b289");

@@ -282,6 +282,42 @@ let test_register_uvec_reserved () =
        false
      with Invalid_argument _ -> true)
 
+(* ---- start_utimer validation ---- *)
+
+(* The utimer broadcasts preemption user IPIs, but a timer-delegated
+   context's notification vector is the timer vector: the runtime must
+   refuse rather than post IPIs into it. *)
+let test_start_utimer_needs_no_preemption () =
+  let make ~preemption =
+    let engine = Engine.create () in
+    let machine =
+      Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:2)
+    in
+    let kmod = Kmod.create machine in
+    let rt =
+      Percpu.create machine kmod ~cores:[ 0 ] ~preemption
+        (Skyloft_policies.Work_stealing.create ~quantum:(Time.us 5) ())
+    in
+    (engine, rt)
+  in
+  let _, delegated = make ~preemption:true in
+  check Alcotest.bool "rejected on a timer-delegated runtime" true
+    (try
+       Percpu.start_utimer delegated ~src_core:1 ~hz:100_000;
+       false
+     with Invalid_argument _ -> true);
+  let engine, plain = make ~preemption:false in
+  let app = Percpu.create_app plain ~name:"a" in
+  for i = 1 to 2 do
+    ignore
+      (Percpu.spawn plain app ~name:(Printf.sprintf "t%d" i) ~cpu:0
+         (Coro.compute_then_exit (Time.us 100)))
+  done;
+  Percpu.start_utimer plain ~src_core:1 ~hz:100_000;
+  Engine.run ~until:(Time.us 150) engine;
+  check Alcotest.bool "utimer IPIs preempt on a plain runtime" true
+    (Percpu.preemptions plain > 0)
+
 let suite =
   [
     Alcotest.test_case "mpk: permissive default" `Quick test_mpk_default_permissive;
@@ -300,4 +336,6 @@ let suite =
     Alcotest.test_case "fault: BE task in a BE grant" `Quick
       test_fault_be_task_stays_out_of_lc_queues;
     Alcotest.test_case "uvec: reserved vectors" `Quick test_register_uvec_reserved;
+    Alcotest.test_case "utimer: requires preemption off" `Quick
+      test_start_utimer_needs_no_preemption;
   ]

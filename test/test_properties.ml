@@ -31,21 +31,36 @@ type outcome = {
   preemptions : int;
 }
 
+(* (name, park, policy): steal-half runs with Shenango-style parking, as
+   the work-stealing runtime does, so its storm brake and migration
+   charges are exercised too. *)
 let policies =
   [
-    ("fifo", fun () -> Skyloft_policies.Fifo.create ());
-    ("rr", fun () -> Skyloft_policies.Rr.create ~slice:(Time.us 20) ());
-    ("cfs", fun () -> Skyloft_policies.Cfs.create ());
-    ("eevdf", fun () -> Skyloft_policies.Eevdf.create ());
-    ("ws", fun () -> Skyloft_policies.Work_stealing.create ());
-    ("ws-preempt", fun () -> Skyloft_policies.Work_stealing.create ~quantum:(Time.us 10) ());
+    ("fifo", None, fun () -> Skyloft_policies.Fifo.create ());
+    ("rr", None, fun () -> Skyloft_policies.Rr.create ~slice:(Time.us 20) ());
+    ("cfs", None, fun () -> Skyloft_policies.Cfs.create ());
+    ("eevdf", None, fun () -> Skyloft_policies.Eevdf.create ());
+    ("ws", None, fun () -> Skyloft_policies.Work_stealing.create ());
+    ( "ws-preempt",
+      None,
+      fun () -> Skyloft_policies.Work_stealing.create ~quantum:(Time.us 10) () );
+    ( "steal-half",
+      Some Skyloft_policies.Work_stealing.park,
+      fun () -> fst (Skyloft_policies.Work_stealing.steal_half ()) );
+    ( "steal-half-preempt",
+      Some Skyloft_policies.Work_stealing.park,
+      fun () ->
+        fst (Skyloft_policies.Work_stealing.steal_half ~quantum:(Time.us 10) ())
+    );
   ]
 
-let run_percpu ctor workload =
+let run_percpu ?park ctor workload =
   let engine = Engine.create ~seed:1 () in
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4) in
   let kmod = Kmod.create machine in
-  let rt = Percpu.create machine kmod ~cores:[ 0; 1; 2 ] ~timer_hz:100_000 (ctor ()) in
+  let rt =
+    Percpu.create machine kmod ~cores:[ 0; 1; 2 ] ~timer_hz:100_000 ?park (ctor ())
+  in
   let app = Percpu.create_app rt ~name:"w" in
   List.iteri
     (fun i (at, service) ->
@@ -72,30 +87,30 @@ let run_percpu ctor workload =
 
 let total_service workload = List.fold_left (fun acc (_, s) -> acc + s) 0 workload
 
-let prop_all_complete (name, ctor) =
+let prop_all_complete (name, park, ctor) =
   QCheck.Test.make
     ~name:(Printf.sprintf "percpu/%s: every task completes" name)
     ~count:30 workload_gen
     (fun workload ->
-      let o = run_percpu ctor workload in
+      let o = run_percpu ?park ctor workload in
       o.completed = List.length workload)
 
-let prop_work_conserved (name, ctor) =
+let prop_work_conserved (name, park, ctor) =
   QCheck.Test.make
     ~name:(Printf.sprintf "percpu/%s: busy time covers the work" name)
     ~count:30 workload_gen
     (fun workload ->
-      let o = run_percpu ctor workload in
+      let o = run_percpu ?park ctor workload in
       (* busy time includes switch costs, so it is at least the pure work
          and at most cores x horizon *)
       o.busy_ns >= total_service workload && o.busy_ns <= 3 * o.end_time)
 
-let prop_latency_at_least_service (name, ctor) =
+let prop_latency_at_least_service (name, park, ctor) =
   QCheck.Test.make
     ~name:(Printf.sprintf "percpu/%s: latency >= service" name)
     ~count:30 workload_gen
     (fun workload ->
-      let o = run_percpu ctor workload in
+      let o = run_percpu ?park ctor workload in
       (* the fastest request still had to do its own work (histogram
          bucketing gives ~2% slack) *)
       List.length workload = 0
@@ -103,12 +118,13 @@ let prop_latency_at_least_service (name, ctor) =
          >= 0.95
             *. float_of_int (List.fold_left (fun acc (_, s) -> min acc s) max_int workload))
 
-let prop_deterministic (name, ctor) =
+let prop_deterministic (name, park, ctor) =
   QCheck.Test.make
     ~name:(Printf.sprintf "percpu/%s: deterministic" name)
     ~count:15 workload_gen
     (fun workload ->
-      let a = run_percpu ctor workload and b = run_percpu ctor workload in
+      let a = run_percpu ?park ctor workload
+      and b = run_percpu ?park ctor workload in
       a = b)
 
 let prop_fifo_never_preempts =
@@ -318,6 +334,7 @@ let suite =
   @ [
       qtest (prop_deterministic (List.nth policies 1));
       qtest (prop_deterministic (List.nth policies 5));
+      qtest (prop_deterministic (List.nth policies 7));
       qtest prop_fifo_never_preempts;
       qtest prop_centralized_all_complete;
       qtest prop_histogram_shard_merge;
