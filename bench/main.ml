@@ -340,490 +340,6 @@ let print_obs_bench () =
     ];
   E.Report.note "observation is pull-based: none of these costs exist inside a run"
 
-(* ---- Runtime_core dispatch loop ----------------------------------------- *)
-
-(* Real (host) cost of one trip through each runtime's dispatch loop over
-   the shared Runtime_core substrate: a fixed batch of short requests is
-   driven end to end through a small simulated machine, so the slope
-   divided by the batch size is the per-request cost of admit, dequeue,
-   switch accounting, completion and re-dispatch.  All four rows —
-   percpu, centralized, hybrid and worksteal — run the identical lifecycle
-   substrate on one of two dispatch mechanisms (worksteal is percpu under
-   the steal-half policy, centralized is the pinned hybrid); the spread
-   between them is the cost of each mechanism and policy on top. *)
-module Machine = Skyloft_hw.Machine
-module Topology = Skyloft_hw.Topology
-module Kmod = Skyloft_kernel.Kmod
-module Coro = Skyloft_sim.Coro
-
-let core_requests_per_run = 200
-
-let core_small_machine () =
-  let engine = Skyloft_sim.Engine.create () in
-  let machine =
-    Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:8)
-  in
-  let kmod = Kmod.create machine in
-  (engine, machine, kmod)
-
-let core_drive engine submit =
-  for i = 0 to core_requests_per_run - 1 do
-    ignore
-      (Skyloft_sim.Engine.at engine (i * Time'.us 2) (fun () -> submit ()))
-  done;
-  (* periodic timers (per-core ticks, the hybrid monitor) re-arm forever,
-     so the run is bounded; 1 ms covers the 400 us arrival window. *)
-  Skyloft_sim.Engine.run ~until:(Time'.ms 1) engine
-
-let core_request () = Coro.Compute (Time'.us 1, fun () -> Coro.Exit)
-
-let bench_core_percpu () =
-  let engine, machine, kmod = core_small_machine () in
-  let rt =
-    Skyloft.Percpu.create machine kmod
-      ~cores:[ 0; 1; 2; 3; 4 ]
-      (Skyloft_policies.Work_stealing.create ~quantum:(Time'.us 30) ())
-  in
-  let lc = Skyloft.Percpu.create_app rt ~name:"lc" in
-  core_drive engine (fun () ->
-      ignore (Skyloft.Percpu.spawn rt lc ~name:"r" ~record:false (core_request ())))
-
-let bench_core_centralized () =
-  let engine, machine, kmod = core_small_machine () in
-  let rt =
-    Skyloft.Hybrid.create machine kmod ~dispatcher_core:0
-      ~worker_cores:[ 1; 2; 3; 4 ] ~quantum:(Time'.us 30) ~adaptive:false
-      (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-  in
-  let lc = Skyloft.Hybrid.create_app rt ~name:"lc" in
-  core_drive engine (fun () ->
-      ignore
-        (Skyloft.Hybrid.submit rt lc ~name:"r" ~record:false
-           (core_request ())))
-
-let bench_core_hybrid () =
-  let engine, machine, kmod = core_small_machine () in
-  let rt =
-    Skyloft.Hybrid.create machine kmod ~dispatcher_core:0
-      ~worker_cores:[ 1; 2; 3; 4 ] ~quantum:(Time'.us 30)
-      (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-  in
-  let lc = Skyloft.Hybrid.create_app rt ~name:"lc" in
-  core_drive engine (fun () ->
-      ignore
-        (Skyloft.Hybrid.submit rt lc ~name:"r" ~record:false (core_request ())))
-
-let bench_core_worksteal () =
-  let engine, machine, kmod = core_small_machine () in
-  let rt =
-    Skyloft.Percpu.create machine kmod
-      ~cores:[ 0; 1; 2; 3; 4 ]
-      ~park:Skyloft_policies.Work_stealing.park
-      (fst (Skyloft_policies.Work_stealing.steal_half ~quantum:(Time'.us 30) ()))
-  in
-  let lc = Skyloft.Percpu.create_app rt ~name:"lc" in
-  core_drive engine (fun () ->
-      ignore
-        (Skyloft.Percpu.spawn rt lc ~name:"r" ~record:false (core_request ())))
-
-(* The same three loops with the flight recorder attached: every span and
-   scheduling instant is recorded into the flat binary ring, so the delta
-   against the untraced numbers is the full tracing tax.  The ring is
-   created once per bench and reused across iterations (the realistic
-   deployment: one long-lived recorder, wrapping), so the measured tax
-   is the push cost itself — a handful of unboxed word stores per
-   event — not ring setup. *)
-let core_traced bench_with_trace =
-  let trace = Trace.create ~capacity:100_000 () in
-  fun () -> bench_with_trace trace
-
-let bench_core_percpu_traced =
-  core_traced (fun trace ->
-      let engine, machine, kmod = core_small_machine () in
-      let rt =
-        Skyloft.Percpu.create machine kmod
-          ~cores:[ 0; 1; 2; 3; 4 ]
-          (Skyloft_policies.Work_stealing.create ~quantum:(Time'.us 30) ())
-      in
-      Skyloft.Percpu.set_trace rt trace;
-      let lc = Skyloft.Percpu.create_app rt ~name:"lc" in
-      core_drive engine (fun () ->
-          ignore
-            (Skyloft.Percpu.spawn rt lc ~name:"r" ~record:false (core_request ()))))
-
-let bench_core_centralized_traced =
-  core_traced (fun trace ->
-      let engine, machine, kmod = core_small_machine () in
-      let rt =
-        Skyloft.Hybrid.create machine kmod ~dispatcher_core:0
-          ~worker_cores:[ 1; 2; 3; 4 ] ~quantum:(Time'.us 30) ~adaptive:false
-          (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-      in
-      Skyloft.Hybrid.set_trace rt trace;
-      let lc = Skyloft.Hybrid.create_app rt ~name:"lc" in
-      core_drive engine (fun () ->
-          ignore
-            (Skyloft.Hybrid.submit rt lc ~name:"r" ~record:false
-               (core_request ()))))
-
-let bench_core_hybrid_traced =
-  core_traced (fun trace ->
-      let engine, machine, kmod = core_small_machine () in
-      let rt =
-        Skyloft.Hybrid.create machine kmod ~dispatcher_core:0
-          ~worker_cores:[ 1; 2; 3; 4 ] ~quantum:(Time'.us 30)
-          (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-      in
-      Skyloft.Hybrid.set_trace rt trace;
-      let lc = Skyloft.Hybrid.create_app rt ~name:"lc" in
-      core_drive engine (fun () ->
-          ignore
-            (Skyloft.Hybrid.submit rt lc ~name:"r" ~record:false
-               (core_request ()))))
-
-let bench_core_worksteal_traced =
-  core_traced (fun trace ->
-      let engine, machine, kmod = core_small_machine () in
-      let rt =
-        Skyloft.Percpu.create machine kmod
-          ~cores:[ 0; 1; 2; 3; 4 ]
-          ~park:Skyloft_policies.Work_stealing.park
-          (fst
-             (Skyloft_policies.Work_stealing.steal_half ~quantum:(Time'.us 30) ()))
-      in
-      Skyloft.Percpu.set_trace rt trace;
-      let lc = Skyloft.Percpu.create_app rt ~name:"lc" in
-      core_drive engine (fun () ->
-          ignore
-            (Skyloft.Percpu.spawn rt lc ~name:"r" ~record:false
-               (core_request ()))))
-
-let core_runtime_names = [ "percpu"; "centralized"; "hybrid"; "worksteal" ]
-
-let core_tests =
-  Test.make_grouped ~name:"runtime-core"
-    [
-      Test.make ~name:"percpu" (Staged.stage bench_core_percpu);
-      Test.make ~name:"centralized" (Staged.stage bench_core_centralized);
-      Test.make ~name:"hybrid" (Staged.stage bench_core_hybrid);
-      Test.make ~name:"worksteal" (Staged.stage bench_core_worksteal);
-      Test.make ~name:"percpu-traced" (Staged.stage bench_core_percpu_traced);
-      Test.make ~name:"centralized-traced"
-        (Staged.stage bench_core_centralized_traced);
-      Test.make ~name:"hybrid-traced" (Staged.stage bench_core_hybrid_traced);
-      Test.make ~name:"worksteal-traced"
-        (Staged.stage bench_core_worksteal_traced);
-    ]
-
-(* ---- trace push: flat ring vs the boxed representation ------------------- *)
-
-(* The re-backing's scoreboard at event granularity.  [Boxed_trace] is a
-   faithful reimplementation of the representation the flight recorder
-   replaced — one heap-allocated constructor per event stored into an
-   [event option array], paying allocation, the write barrier on every
-   ring store, and promotion of every retained event out of the minor
-   heap.  The flat ring pays eight unsafe byte stores into preallocated
-   [Bytes] and an interning memo hit.  Both push the identical event
-   stream over a wrapping ring. *)
-module Boxed_trace = struct
-  type event =
-    | Span of { core : int; app : int; name : string; start : int; stop : int }
-    | Instant of { core : int; at : int; kind : int; name : string }
-
-  type t = {
-    capacity : int;
-    ring : event option array;
-    mutable head : int;
-    mutable count : int;
-    mutable dropped : int;
-  }
-
-  let create ~capacity =
-    { capacity; ring = Array.make capacity None; head = 0; count = 0; dropped = 0 }
-
-  let push t ev =
-    t.ring.(t.head) <- Some ev;
-    t.head <- (t.head + 1) mod t.capacity;
-    if t.count = t.capacity then t.dropped <- t.dropped + 1
-    else t.count <- t.count + 1
-
-  let span t ~core ~app ~name ~start ~stop =
-    push t (Span { core; app; name; start; stop })
-
-  let instant t ~core ~at ~kind ~name = push t (Instant { core; at; kind; name })
-end
-
-let trace_events_per_run = 10_000
-let trace_ring_capacity = 4_096  (* smaller than the stream: wrap included *)
-
-let bench_trace_flat () =
-  let t = Skyloft_stats.Trace.create ~capacity:trace_ring_capacity () in
-  for i = 0 to trace_events_per_run - 1 do
-    if i land 3 = 3 then
-      Skyloft_stats.Trace.instant t ~core:(i land 7) ~at:(i * 50)
-        Skyloft_stats.Trace.Preempt ~name:"tick"
-    else
-      Skyloft_stats.Trace.span t ~core:(i land 7) ~app:1 ~name:"req"
-        ~start:(i * 50)
-        ~stop:((i * 50) + 40)
-  done
-
-let bench_trace_boxed () =
-  let t = Boxed_trace.create ~capacity:trace_ring_capacity in
-  for i = 0 to trace_events_per_run - 1 do
-    if i land 3 = 3 then
-      Boxed_trace.instant t ~core:(i land 7) ~at:(i * 50) ~kind:0 ~name:"tick"
-    else
-      Boxed_trace.span t ~core:(i land 7) ~app:1 ~name:"req" ~start:(i * 50)
-        ~stop:((i * 50) + 40)
-  done
-
-let trace_push_tests =
-  Test.make_grouped ~name:"trace-push"
-    [
-      Test.make ~name:"flat" (Staged.stage bench_trace_flat);
-      Test.make ~name:"boxed" (Staged.stage bench_trace_boxed);
-    ]
-
-(* The eventq re-backing's scoreboard at event granularity.  [Boxed_eventq]
-   mirrors the boxed binary heap the flat SoA heap replaced: a 4-field
-   entry record plus a 3-field handle record allocated per [schedule], and
-   an [int ref] shared with every handle.  The flat heap moves three
-   machine words per node in one preallocated int Bigarray and hands out
-   int handles, so the identical schedule+pop stream allocates nothing. *)
-module Boxed_eventq = struct
-  type handle = {
-    mutable cancelled : bool;
-    mutable in_heap : bool;
-    cancelled_in_heap : int ref;
-  }
-
-  type 'a entry = { time : int; seq : int; payload : 'a; handle : handle }
-
-  type 'a t = {
-    mutable heap : 'a entry array;
-    mutable len : int;
-    mutable next_seq : int;
-    cancelled_in_heap : int ref;
-  }
-
-  let create () = { heap = [||]; len = 0; next_seq = 0; cancelled_in_heap = ref 0 }
-  let entry_lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-  let grow t =
-    let cap = Array.length t.heap in
-    let fresh = Array.make (if cap = 0 then 16 else cap * 2) t.heap.(0) in
-    Array.blit t.heap 0 fresh 0 t.len;
-    t.heap <- fresh
-
-  let rec sift_up t i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if entry_lt t.heap.(i) t.heap.(parent) then begin
-        let tmp = t.heap.(i) in
-        t.heap.(i) <- t.heap.(parent);
-        t.heap.(parent) <- tmp;
-        sift_up t parent
-      end
-    end
-
-  let rec sift_down t i =
-    let left = (2 * i) + 1 and right = (2 * i) + 2 in
-    let smallest = ref i in
-    if left < t.len && entry_lt t.heap.(left) t.heap.(!smallest) then smallest := left;
-    if right < t.len && entry_lt t.heap.(right) t.heap.(!smallest) then
-      smallest := right;
-    if !smallest <> i then begin
-      let tmp = t.heap.(i) in
-      t.heap.(i) <- t.heap.(!smallest);
-      t.heap.(!smallest) <- tmp;
-      sift_down t !smallest
-    end
-
-  let schedule t ~at payload =
-    let handle =
-      { cancelled = false; in_heap = true; cancelled_in_heap = t.cancelled_in_heap }
-    in
-    let entry = { time = at; seq = t.next_seq; payload; handle } in
-    t.next_seq <- t.next_seq + 1;
-    if t.len = 0 && Array.length t.heap = 0 then t.heap <- Array.make 16 entry;
-    if t.len = Array.length t.heap then grow t;
-    t.heap.(t.len) <- entry;
-    t.len <- t.len + 1;
-    sift_up t (t.len - 1);
-    handle
-
-  let pop_raw t =
-    if t.len = 0 then None
-    else begin
-      let top = t.heap.(0) in
-      t.len <- t.len - 1;
-      if t.len > 0 then begin
-        t.heap.(0) <- t.heap.(t.len);
-        sift_down t 0
-      end;
-      top.handle.in_heap <- false;
-      if top.handle.cancelled then decr t.cancelled_in_heap;
-      Some top
-    end
-
-  let rec pop t =
-    match pop_raw t with
-    | None -> None
-    | Some e -> if e.handle.cancelled then pop t else Some (e.time, e.payload)
-end
-
-let eventq_ops_per_run = 1_000
-let eventq_standing = 256  (* heap depth the round trips sift through *)
-
-(* Steady state is the claim under test — the queues are built and warmed
-   once, so the measured region is purely schedule+pop round trips at a
-   standing heap depth (an engine mid-run), not queue construction or
-   capacity growth.  The standing events sit at [max_int], so every pop
-   returns the event just scheduled. *)
-let eventq_flat_q =
-  let module Eventq = Skyloft_sim.Eventq in
-  let q = Eventq.create () in
-  for _ = 1 to eventq_standing do
-    ignore (Eventq.schedule q ~at:max_int ())
-  done;
-  (* one round trip so the last capacity doubling happens here, not in the
-     first measured run *)
-  ignore (Eventq.schedule q ~at:0 ());
-  Eventq.pop_exn q;
-  q
-
-let eventq_flat_clock = ref 1
-
-let bench_eventq_flat () =
-  let module Eventq = Skyloft_sim.Eventq in
-  let q = eventq_flat_q in
-  let t = !eventq_flat_clock in
-  for i = 0 to eventq_ops_per_run - 1 do
-    ignore (Eventq.schedule q ~at:(t + i) ());
-    Eventq.pop_exn q
-  done;
-  eventq_flat_clock := t + eventq_ops_per_run
-
-let eventq_boxed_q =
-  let q = Boxed_eventq.create () in
-  for _ = 1 to eventq_standing do
-    ignore (Boxed_eventq.schedule q ~at:max_int ())
-  done;
-  ignore (Boxed_eventq.schedule q ~at:0 ());
-  ignore (Boxed_eventq.pop q);
-  q
-
-let eventq_boxed_clock = ref 1
-
-let bench_eventq_boxed () =
-  let q = eventq_boxed_q in
-  let t = !eventq_boxed_clock in
-  for i = 0 to eventq_ops_per_run - 1 do
-    ignore (Boxed_eventq.schedule q ~at:(t + i) ());
-    ignore (Boxed_eventq.pop q)
-  done;
-  eventq_boxed_clock := t + eventq_ops_per_run
-
-let eventq_op_tests =
-  Test.make_grouped ~name:"eventq-op"
-    [
-      Test.make ~name:"flat" (Staged.stage bench_eventq_flat);
-      Test.make ~name:"boxed" (Staged.stage bench_eventq_boxed);
-    ]
-
-let bench_core_json_path = "BENCH_core.json"
-
-let print_core_bench () =
-  E.Report.section
-    "Runtime_core dispatch loop (Bechamel; one short request end to end)";
-  let results = run_bench core_tests in
-  let per_req name =
-    estimate results (Printf.sprintf "runtime-core/%s" name)
-    /. float_of_int core_requests_per_run
-  in
-  E.Report.table
-    ~header:
-      [ "runtime"; "ns per request"; "ns per request (traced)"; "tracing tax" ]
-    (List.map
-       (fun name ->
-         let plain = per_req name and traced = per_req (name ^ "-traced") in
-         [
-           name;
-           Printf.sprintf "%.0f" plain;
-           Printf.sprintf "%.0f" traced;
-           Printf.sprintf "%+.0f%%" ((traced -. plain) /. plain *. 100.);
-         ])
-       core_runtime_names);
-  E.Report.note "all four rows share the Runtime_core lifecycle substrate;";
-  E.Report.note "the spread is each mechanism and policy's cost on top of it";
-  let push_results = run_bench trace_push_tests in
-  let per_event name =
-    estimate push_results (Printf.sprintf "trace-push/%s" name)
-    /. float_of_int trace_events_per_run
-  in
-  let flat = per_event "flat" and boxed = per_event "boxed" in
-  E.Report.table
-    ~header:[ "trace backend"; "ns per event (this host)" ]
-    [
-      [ "flat 64B binary ring"; Printf.sprintf "%.1f" flat ];
-      [ "boxed ring (replaced)"; Printf.sprintf "%.1f" boxed ];
-    ];
-  E.Report.note
-    "flat push stores 8 unboxed words into a preallocated Bigarray ring: \
-     zero allocation, no write barrier — %.1fx the boxed representation it \
-     replaced"
-    (boxed /. flat);
-  let eventq_results = run_bench eventq_op_tests in
-  let per_op name =
-    estimate eventq_results (Printf.sprintf "eventq-op/%s" name)
-    /. float_of_int eventq_ops_per_run
-  in
-  let eq_flat = per_op "flat" and eq_boxed = per_op "boxed" in
-  E.Report.table
-    ~header:[ "eventq backend"; "ns per schedule+pop (this host)" ]
-    [
-      [ "flat SoA heap"; Printf.sprintf "%.1f" eq_flat ];
-      [ "boxed heap (replaced)"; Printf.sprintf "%.1f" eq_boxed ];
-    ];
-  E.Report.note
-    "the flat heap sifts 3-word nodes inside one int Bigarray and returns \
-     int handles: schedule+pop allocates nothing — %.1fx the boxed heap it \
-     replaced"
-    (eq_boxed /. eq_flat);
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"requests_per_run\": %d,\n" core_requests_per_run);
-  let obj key names value_of =
-    Buffer.add_string buf (Printf.sprintf "  %S: {\n" key);
-    List.iteri
-      (fun i name ->
-        Buffer.add_string buf
-          (Printf.sprintf "    %S: %.1f%s\n" name (value_of name)
-             (if i = List.length names - 1 then "" else ",")))
-      names;
-    Buffer.add_string buf "  },\n"
-  in
-  obj "ns_per_request" core_runtime_names per_req;
-  obj "ns_per_request_traced" core_runtime_names (fun n ->
-      per_req (n ^ "-traced"));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"eventq_ns_per_op\": { \"flat\": %.1f, \"boxed_reference\": %.1f, \
-        \"speedup\": %.2f },\n"
-       eq_flat eq_boxed (eq_boxed /. eq_flat));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"trace_ns_per_event\": { \"flat\": %.1f, \"boxed_reference\": \
-        %.1f, \"speedup\": %.2f }\n"
-       flat boxed (boxed /. flat));
-  Buffer.add_string buf "}\n";
-  let oc = open_out bench_core_json_path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  E.Report.note "dispatch-loop overhead written to %s" bench_core_json_path
-
 (* The determinism artifact: per runtime, the attribution means and the
    fingerprints of the registry-on and registry-off runs — the two must be
    identical, proving observation never perturbs the simulation. *)
@@ -832,10 +348,10 @@ let bench_obs_json_path = "BENCH_obs.json"
 let write_bench_obs_json config =
   let runs =
     List.map
-      (fun ((name, _) as runtime) ->
+      (fun runtime ->
         let on_ = E.Obs_report.run_point config ~runtime ~instrumented:true in
         let off = E.Obs_report.run_point config ~runtime ~instrumented:false in
-        (name, on_, off))
+        (on_.E.Obs_report.runtime, on_, off))
       E.Obs_report.runtimes
   in
   let buf = Buffer.create 1024 in
@@ -1140,19 +656,11 @@ let () =
     (Format.asprintf "%a" Skyloft_sim.Time.pp config.E.Config.duration)
     config.E.Config.seed;
 
-  (* SKYLOFT_BENCH_ONLY=core: just the dispatch-loop + trace-push
-     microbenches and BENCH_core.json (the flight-recorder scoreboard). *)
-  if Sys.getenv_opt "SKYLOFT_BENCH_ONLY" = Some "core" then begin
-    print_core_bench ();
-    exit 0
-  end;
-
   (* Microbenchmarks (real code measured on this host). *)
   print_table7_measured ();
   print_sim_bench ();
   print_alloc_bench ();
   print_obs_bench ();
-  print_core_bench ();
 
   (* Tables. *)
   ignore (E.Tables.print_table4 ());

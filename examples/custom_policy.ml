@@ -24,6 +24,7 @@ module Summary = Skyloft_stats.Summary
 module Dist = Skyloft_sim.Dist
 module Loadgen = Skyloft_net.Loadgen
 module Packet = Skyloft_net.Packet
+module Rc = Skyloft.Runtime_core
 
 (* ---- the custom policy: 37 lines -------------------------------------- *)
 
@@ -72,13 +73,15 @@ let run name ctor =
   let engine = Engine.create ~seed:3 () in
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:2) in
   let kmod = Kmod.create machine in
-  let rt = Percpu.create machine kmod ~cores:[ 0; 1 ] ~timer_hz:100_000 ctor in
-  let app = Percpu.create_app rt ~name in
+  let rt =
+    Percpu.runtime (Percpu.create machine kmod ~cores:[ 0; 1 ] ~timer_hz:100_000 ctor)
+  in
+  let app = Rc.create_app rt ~name in
   let rng = Engine.split_rng engine in
   Loadgen.poisson engine ~rng ~rate_rps:15_000.0 ~service:bimodal ~duration:(Time.ms 200)
     (fun (pkt : Packet.t) ->
       ignore
-        (Percpu.spawn rt app ~name:"req" ~arrival:pkt.arrival ~service:pkt.service
+        (Rc.spawn rt app ~name:"req" ~arrival:pkt.arrival ~service:pkt.service
            (Coro.compute_then_exit pkt.service)));
   Engine.run ~until:(Time.ms 250) engine;
   Printf.printf "%-6s  requests=%d  p50=%-10s p99=%-10s p99.9=%s\n" name

@@ -18,6 +18,7 @@ module Nic = Skyloft_net.Nic
 module Loadgen = Skyloft_net.Loadgen
 module Udp_server = Skyloft_apps.Udp_server
 module Rocksdb = Skyloft_apps.Rocksdb
+module Rc = Skyloft.Runtime_core
 
 let serve ~preemptive =
   let engine = Engine.create ~seed:5 () in
@@ -25,20 +26,21 @@ let serve ~preemptive =
   let kmod = Kmod.create machine in
   let cores = [ 0; 1; 2; 3 ] in
   let quantum = if preemptive then Some (Time.us 5) else None in
-  let rt =
+  let percpu =
     Percpu.create machine kmod ~cores ~timer_hz:100_000 ~preemption:preemptive
       (Skyloft_policies.Work_stealing.create ?quantum ())
   in
-  let app = Percpu.create_app rt ~name:"rocksdb" in
+  let rt = Percpu.runtime percpu in
+  let app = Rc.create_app rt ~name:"rocksdb" in
   let nic = Nic.create engine ~queues:(List.length cores) () in
-  Udp_server.attach rt app nic ~cores;
+  Udp_server.attach percpu app nic ~cores;
   let rng = Engine.split_rng engine in
   (* ~60% load of the 4-core saturation for the bimodal mix *)
   let rate = 0.6 *. Rocksdb.saturation_rps ~cores:4 in
   Loadgen.poisson engine ~rng ~rate_rps:rate ~service:Rocksdb.service
     ~duration:(Time.ms 300) (fun pkt -> Nic.rx nic pkt);
   Engine.run ~until:(Time.ms 350) engine;
-  (app, Percpu.preemptions rt)
+  (app, Rc.preemptions rt)
 
 let describe label (app, preemptions) =
   Printf.printf "%-28s p99.9 slowdown=%6.1fx   p99.9 latency=%-10s preemptions=%d\n"

@@ -12,6 +12,8 @@ module Topology = Skyloft_hw.Topology
 module Machine = Skyloft_hw.Machine
 module Kmod = Skyloft_kernel.Kmod
 module Percpu = Skyloft.Percpu
+module Hybrid = Skyloft.Hybrid
+module Rc = Skyloft.Runtime_core
 module App = Skyloft.App
 module Histogram = Skyloft_stats.Histogram
 
@@ -23,18 +25,20 @@ let () =
 
   (* 2. The Skyloft runtime: per-CPU scheduling loops on all four cores,
      LAPIC timers delegated to user space at 100 kHz (the §3.2 trick),
-     Round-Robin with a 50 us slice. *)
+     Round-Robin with a 50 us slice.  [rt] is the runtime handle every
+     runtime shares: spawn, wakeup, kill, counters, metrics. *)
   let rt =
-    Percpu.create machine kmod ~cores:[ 0; 1; 2; 3 ] ~timer_hz:100_000
-      (Skyloft_policies.Rr.create ~slice:(Time.us 50) ())
+    Percpu.runtime
+      (Percpu.create machine kmod ~cores:[ 0; 1; 2; 3 ] ~timer_hz:100_000
+         (Skyloft_policies.Rr.create ~slice:(Time.us 50) ()))
   in
-  let app = Percpu.create_app rt ~name:"quickstart" in
+  let app = Rc.create_app rt ~name:"quickstart" in
 
   (* 3. A workload: one CPU hog per core plus a burst of short requests.
      Preemption keeps the shorts from waiting behind the hogs. *)
   for i = 1 to 4 do
     ignore
-      (Percpu.spawn rt app
+      (Rc.spawn rt app
          ~name:(Printf.sprintf "hog-%d" i)
          ~service:(Time.ms 2)
          (Coro.compute_then_exit (Time.ms 2)))
@@ -45,7 +49,7 @@ let () =
     ignore
       (Engine.at engine arrival (fun () ->
            ignore
-             (Percpu.spawn rt app
+             (Rc.spawn rt app
                 ~name:(Printf.sprintf "short-%d" i)
                 ~service:(Time.us 10) ~record:false
                 (Coro.Compute
@@ -61,9 +65,9 @@ let () =
   Printf.printf "ran %d tasks on 4 cores in %s of virtual time\n"
     app.App.completed
     (Format.asprintf "%a" Time.pp (Engine.now engine));
-  Printf.printf "timer ticks handled in user space: %d\n" (Percpu.timer_ticks rt);
-  Printf.printf "preemptions: %d   task switches: %d\n" (Percpu.preemptions rt)
-    (Percpu.task_switches rt);
+  Printf.printf "timer ticks handled in user space: %d\n" (Rc.timer_ticks rt);
+  Printf.printf "preemptions: %d   task switches: %d\n" (Rc.preemptions rt)
+    (Rc.task_switches rt);
   Printf.printf "short-request latency: p50=%s p99=%s (hogs are 2ms each!)\n"
     (Format.asprintf "%a" Time.pp (Histogram.percentile short_latencies 50.0))
     (Format.asprintf "%a" Time.pp (Histogram.percentile short_latencies 99.0));
@@ -79,17 +83,18 @@ let () =
   let engine = Engine.create ~seed:7 () in
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4) in
   let kmod = Kmod.create machine in
-  let rt =
-    Skyloft.Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2; 3 ]
+  let hybrid =
+    Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2; 3 ]
       ~quantum:(Time.us 30)
       (fst (Skyloft_policies.Shinjuku_shenango.create ()))
   in
-  let app = Skyloft.Hybrid.create_app rt ~name:"quickstart-hybrid" in
+  let rt = Hybrid.runtime hybrid in
+  let app = Rc.create_app rt ~name:"quickstart-hybrid" in
   for i = 1 to 30 do
     ignore
       (Engine.at engine (Time.us (100 * i)) (fun () ->
            ignore
-             (Skyloft.Hybrid.submit rt app
+             (Rc.spawn rt app
                 ~name:(Printf.sprintf "trickle-%d" i)
                 ~service:(Time.us 10)
                 (Coro.compute_then_exit (Time.us 10)))))
@@ -98,7 +103,7 @@ let () =
     (Engine.at engine (Time.ms 1) (fun () ->
          for i = 1 to 24 do
            ignore
-             (Skyloft.Hybrid.submit rt app
+             (Rc.spawn rt app
                 ~name:(Printf.sprintf "burst-%d" i)
                 ~service:(Time.us 40)
                 (Coro.compute_then_exit (Time.us 40)))
@@ -106,13 +111,12 @@ let () =
   Engine.run ~until:(Time.ms 5) engine;
   Printf.printf "\nhybrid runtime: %d requests, %d dispatcher assignments,\n"
     app.App.completed
-    (Skyloft.Hybrid.dispatches rt);
+    (Hybrid.dispatches hybrid);
   Printf.printf "%d timer ticks, %d mode switches (ends in %s mode)\n"
-    (Skyloft.Hybrid.timer_ticks rt)
-    (Skyloft.Hybrid.mode_switches rt)
-    (match Skyloft.Hybrid.mode rt with
-    | Skyloft.Hybrid.Central -> "central"
-    | Skyloft.Hybrid.Percore -> "percore");
+    (Rc.timer_ticks rt) (Hybrid.mode_switches hybrid)
+    (match Hybrid.mode hybrid with
+    | Hybrid.Central -> "central"
+    | Hybrid.Percore -> "percore");
   Printf.printf
     "=> the burst crossed the depth threshold: per-core timers took over,\n";
   Printf.printf "   then the dispatcher got the cores back as the queue drained\n"

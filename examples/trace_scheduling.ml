@@ -16,27 +16,29 @@ module Percpu = Skyloft.Percpu
 module App = Skyloft.App
 module Trace = Skyloft_stats.Trace
 module Batch = Skyloft_apps.Batch
+module Rc = Skyloft.Runtime_core
 
 let () =
   let engine = Engine.create ~seed:21 () in
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:2) in
   let kmod = Kmod.create machine in
   let rt =
-    Percpu.create machine kmod ~cores:[ 0; 1 ] ~timer_hz:100_000
-      (Skyloft_policies.Work_stealing.create ~quantum:(Time.us 20) ())
+    Percpu.runtime
+      (Percpu.create machine kmod ~cores:[ 0; 1 ] ~timer_hz:100_000
+         (Skyloft_policies.Work_stealing.create ~quantum:(Time.us 20) ()))
   in
   let trace = Trace.create () in
-  Percpu.set_trace rt trace;
+  Rc.set_trace rt trace;
 
   (* Two applications sharing the cores: an LC service and a batch app. *)
-  let lc = Percpu.create_app rt ~name:"service" in
-  let batch = Percpu.create_app rt ~name:"batch" in
+  let lc = Rc.create_app rt ~name:"service" in
+  let batch = Rc.create_app rt ~name:"batch" in
   Batch.spawn_workers rt batch ~workers:2 ~chunk:(Time.us 40);
   for i = 1 to 20 do
     ignore
       (Engine.at engine (Time.us (37 * i)) (fun () ->
            ignore
-             (Percpu.spawn rt lc
+             (Rc.spawn rt lc
                 ~name:(Printf.sprintf "req-%d" i)
                 ~service:(Time.us 15)
                 (Coro.compute_then_exit (Time.us 15)))))
@@ -49,7 +51,7 @@ let () =
     (Trace.events trace) (Trace.dropped trace)
     (Format.asprintf "%a" Time.pp (Engine.now engine));
   Printf.printf "requests served: %d   preemptions: %d   app switches: %d\n"
-    lc.App.completed (Percpu.preemptions rt) (Percpu.app_switches rt);
+    lc.App.completed (Rc.preemptions rt) (Rc.app_switches rt);
   Printf.printf "wrote %s — load it in chrome://tracing or ui.perfetto.dev\n" path;
   Printf.printf
     "=> rows are cores; spans show req-* slotting between batch chunks via\n";
@@ -61,19 +63,20 @@ let () =
   let engine = Engine.create ~seed:21 () in
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4) in
   let kmod = Kmod.create machine in
-  let rt =
+  let hybrid =
     Skyloft.Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2; 3 ]
       ~quantum:(Time.us 20)
       (fst (Skyloft_policies.Shinjuku_shenango.create ()))
   in
+  let rt = Skyloft.Hybrid.runtime hybrid in
   let trace = Trace.create () in
-  Skyloft.Hybrid.set_trace rt trace;
-  let lc = Skyloft.Hybrid.create_app rt ~name:"service" in
+  Rc.set_trace rt trace;
+  let lc = Rc.create_app rt ~name:"service" in
   for i = 1 to 20 do
     ignore
       (Engine.at engine (Time.us (37 * i)) (fun () ->
            ignore
-             (Skyloft.Hybrid.submit rt lc
+             (Rc.spawn rt lc
                 ~name:(Printf.sprintf "req-%d" i)
                 ~service:(Time.us 15)
                 (Coro.compute_then_exit (Time.us 15)))))
@@ -82,7 +85,7 @@ let () =
     (Engine.at engine (Time.us 300) (fun () ->
          for i = 1 to 16 do
            ignore
-             (Skyloft.Hybrid.submit rt lc
+             (Rc.spawn rt lc
                 ~name:(Printf.sprintf "burst-%d" i)
                 ~service:(Time.us 30)
                 (Coro.compute_then_exit (Time.us 30)))
@@ -100,7 +103,7 @@ let () =
   Trace.write_chrome_json trace ~path;
   Printf.printf "\nhybrid: %d requests, %d mode switches (%d instants in the trace)\n"
     lc.App.completed
-    (Skyloft.Hybrid.mode_switches rt)
+    (Skyloft.Hybrid.mode_switches hybrid)
     mode_instants;
   Printf.printf "wrote %s\n" path;
   Printf.printf

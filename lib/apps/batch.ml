@@ -1,6 +1,6 @@
 module Time = Skyloft_sim.Time
 module Coro = Skyloft_sim.Coro
-module Percpu = Skyloft.Percpu
+module Rc = Skyloft.Runtime_core
 module App = Skyloft.App
 
 (** Best-effort batch application: endless CPU-bound work in [chunk]-sized
@@ -13,7 +13,7 @@ let spawn_workers rt app ~workers ~chunk =
   for i = 1 to workers do
     let rec loop () = Coro.Compute (chunk, fun () -> Coro.Yield loop) in
     ignore
-      (Percpu.spawn rt app
+      (Rc.spawn rt app
          ~name:(Printf.sprintf "batch-%d" i)
          ~record:false (loop ()))
   done

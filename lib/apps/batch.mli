@@ -5,4 +5,4 @@ module Time = Skyloft_sim.Time
     the next scheduling point (Figure 7c's measured co-tenant). *)
 
 val spawn_workers :
-  Skyloft.Percpu.t -> Skyloft.App.t -> workers:int -> chunk:Time.t -> unit
+  Skyloft.Runtime_core.t -> Skyloft.App.t -> workers:int -> chunk:Time.t -> unit

@@ -3,7 +3,7 @@ module Histogram = Skyloft_stats.Histogram
 module Linux = Skyloft_kernel.Linux
 module Kthread = Skyloft_kernel.Kthread
 module Task = Skyloft.Task
-module Percpu = Skyloft.Percpu
+module Rc = Skyloft.Runtime_core
 
 type handle = Kt of Kthread.t | Tsk of Task.t
 
@@ -36,21 +36,21 @@ let of_linux linux =
     wakeup_hist = (fun () -> Linux.wakeup_hist linux);
   }
 
-let of_percpu rt app =
+let of_runtime rt app =
   {
-    spawn = (fun ~name body -> Tsk (Percpu.spawn rt app ~name ~record:false body));
+    spawn = (fun ~name body -> Tsk (Rc.spawn rt app ~name ~record:false body));
     spawn_deadline =
       (fun ~name ~deadline ~on_drop body ->
         Tsk
-          (Percpu.spawn rt app ~name ~record:false ~deadline
+          (Rc.spawn rt app ~name ~record:false ~deadline
              ~on_drop:(fun _ -> on_drop ())
              body));
     wakeup =
-      (function Tsk t -> Percpu.wakeup rt t | Kt _ -> invalid_arg "Runner: mixed");
+      (function Tsk t -> Rc.wakeup rt t | Kt _ -> invalid_arg "Runner: mixed");
     set_track_wakeup =
       (fun h v ->
         match h with
         | Tsk t -> t.Task.track_wakeup <- v
         | Kt _ -> invalid_arg "Runner: mixed");
-    wakeup_hist = (fun () -> Percpu.wakeup_hist rt);
+    wakeup_hist = (fun () -> Rc.wakeup_hist rt);
   }

@@ -19,7 +19,7 @@ type t = {
     handle;
       (** spawn with a kill deadline: if the thread has not exited
           [deadline] ns from now it is forcibly terminated and [on_drop]
-          runs (see {!Skyloft.Percpu.spawn}).  Raises on runtimes without
+          runs (see {!Skyloft.Runtime_core.spawn}).  Raises on runtimes without
           deadline support (the Linux baseline). *)
   wakeup : handle -> unit;
   set_track_wakeup : handle -> bool -> unit;
@@ -29,4 +29,4 @@ type t = {
 }
 
 val of_linux : Skyloft_kernel.Linux.t -> t
-val of_percpu : Skyloft.Percpu.t -> Skyloft.App.t -> t
+val of_runtime : Skyloft.Runtime_core.t -> Skyloft.App.t -> t

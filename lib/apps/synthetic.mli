@@ -14,7 +14,7 @@ val saturation_rps : cores:int -> float
 (** Offered load that saturates [cores] workers, before overheads. *)
 
 val drive :
-  Skyloft.Hybrid.t ->
+  Skyloft.Runtime_core.t ->
   Skyloft.App.t ->
   Engine.t ->
   rng:Rng.t ->

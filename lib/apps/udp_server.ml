@@ -9,8 +9,8 @@ module Vectors = Skyloft_hw.Vectors
 
 let spawn_request rt app ~core (pkt : Packet.t) =
   ignore
-    (Percpu.spawn rt app ~name:pkt.kind ~cpu:core ~arrival:pkt.arrival
-       ~service:pkt.service
+    (Skyloft.Runtime_core.spawn (Percpu.runtime rt) app ~name:pkt.kind ~cpu:core
+       ~arrival:pkt.arrival ~service:pkt.service
        (Coro.compute_then_exit pkt.service))
 
 (* §6 extension: interrupt-driven reception.  The NIC (created with
@@ -22,7 +22,7 @@ let attach_irq rt app nic ~cores =
   let cores_arr = Array.of_list cores in
   let queue_of_core = Hashtbl.create 8 in
   Array.iteri (fun queue core -> Hashtbl.replace queue_of_core core queue) cores_arr;
-  Skyloft.Percpu.register_uvec rt ~uvec:Vectors.uvec_nic (fun core ->
+  Percpu.register_uvec rt ~uvec:Vectors.uvec_nic (fun core ->
       match Hashtbl.find_opt queue_of_core core with
       | Some queue -> ignore (Nic.drain nic ~queue (spawn_request rt app ~core))
       | None -> ())

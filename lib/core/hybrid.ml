@@ -1,5 +1,4 @@
 module Time = Skyloft_sim.Time
-module Coro = Skyloft_sim.Coro
 module Engine = Skyloft_sim.Engine
 module Eventq = Skyloft_sim.Eventq
 module Machine = Skyloft_hw.Machine
@@ -88,17 +87,16 @@ type t = {
   mech : mechanism;
   quantum : Time.t;
   tick_period : Time.t;  (* 0 when pinned central: no per-core timers *)
-  alloc_cfg : Allocator.config;
   mutable mode : mode;
   mutable mode_switches : int;
   mutable disp_busy_until : Time.t;
   mutable dispatches : int;
-  mutable ticks : int;
-  mutable failovers : int;
 }
 
+let runtime t = t.rc
 let now t = Rc.now t.rc
 let unit_of t core = Hashtbl.find t.by_core core
+let unit_of_exec t (ex : Rc.exec) = t.units.(ex.Rc.exec_slot)
 let queue_length t = t.rc.Rc.probe.Sched_ops.queued ()
 
 (* The dispatcher is a serial resource (central mode only). *)
@@ -354,7 +352,7 @@ let check_mode t =
    backstop), so no run can outlive both. *)
 let on_tick t u =
   if t.mode = Percore && now t >= u.ex.Rc.stolen_until then begin
-    t.ticks <- t.ticks + 1;
+    t.rc.Rc.ticks <- t.rc.Rc.ticks + 1;
     steal_time t u (Costs.user_timer_receive_ns + Costs.senduipi_sn_ns);
     match u.ex.Rc.current with
     | Some _
@@ -393,7 +391,7 @@ let rescue_worker t u ~late =
 
 let watchdog_scan t ~bound =
   if t.disp_busy_until > now t + bound then begin
-    t.failovers <- t.failovers + 1;
+    t.rc.Rc.failovers <- t.rc.Rc.failovers + 1;
     Rc.trace_instant t.rc ~core:t.dispatcher_core Trace.Failover "dispatcher";
     t.disp_busy_until <- now t + Costs.app_switch_ns
   end;
@@ -445,6 +443,12 @@ let preempt_be_percore t u =
       true
   | _ -> false
 
+(* Wake a unit for new work by whichever path the current mode uses. *)
+let redrive t u =
+  match t.mode with
+  | Central -> try_next t u
+  | Percore -> if u.ex.Rc.current = None then kick t u
+
 let set_be_allowance t n =
   let old = t.rc.Rc.be_allowance in
   t.rc.Rc.be_allowance <- n;
@@ -458,13 +462,7 @@ let set_be_allowance t n =
     if !excess > 0 then
       Array.iter (fun u -> if !excess > 0 && preempt_be u then decr excess) t.units
   end
-  else if n > old then
-    Array.iter
-      (fun u ->
-        match t.mode with
-        | Central -> try_next t u
-        | Percore -> if u.ex.Rc.current = None then kick t u)
-      t.units
+  else if n > old then Array.iter (redrive t) t.units
 
 (* Preempt whatever runs on a broker-capped unit, by whichever mechanism
    the current mode provides: a dispatcher IPI (central) or a synchronous
@@ -490,35 +488,11 @@ let preempt_capped_unit t u =
           preempt_now t u)
   | _ -> ()
 
-(* The machine-level broker's reclaim/grant muscle ({!set_be_allowance}
-   one level up; allowed units are always the creation-order prefix).
-   Shrinking preempts the newly capped units; growing redrives dispatch
-   (central) or kicks the units handed back (percore). *)
-let set_core_allowance t n =
-  let old = t.rc.Rc.core_allowance in
-  Rc.set_core_allowance t.rc n;
-  let n = t.rc.Rc.core_allowance in
-  if n < old then
-    Array.iter
-      (fun u -> if Rc.unit_capped t.rc u.ex then preempt_capped_unit t u)
-      t.units
-  else if n > old then
-    Array.iter
-      (fun u ->
-        if not (Rc.unit_capped t.rc u.ex) then
-          match t.mode with
-          | Central -> try_next t u
-          | Percore -> if u.ex.Rc.current = None then kick t u)
-      t.units
-
-let core_allowance t = t.rc.Rc.core_allowance
-let congestion t = Rc.congestion t.rc
-
 (* ---- construction --------------------------------------------------------- *)
 
 let create machine kmod ~dispatcher_core ~worker_cores ~quantum
     ?(timer_hz = 100_000) ?(adaptive = true) ?(mechanism = skyloft_mechanism)
-    ?alloc ?watchdog ctor =
+    ?watchdog ctor =
   if worker_cores = [] then invalid_arg "Hybrid.create: no worker cores";
   if List.mem dispatcher_core worker_cores then
     invalid_arg "Hybrid.create: dispatcher core cannot also be a worker";
@@ -527,9 +501,6 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
   | Some bound when bound <= 0 ->
       invalid_arg "Hybrid.create: watchdog bound must be positive"
   | Some _ | None -> ());
-  let alloc =
-    match alloc with Some a -> a | None -> Allocator.default_config ()
-  in
   let engine = Machine.engine machine in
   let units =
     Array.of_list
@@ -555,13 +526,10 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
       mech = mechanism;
       quantum;
       tick_period = (if adaptive then max 1 (1_000_000_000 / timer_hz) else 0);
-      alloc_cfg = alloc;
       mode = Central;
       mode_switches = 0;
       disp_busy_until = 0;
       dispatches = 0;
-      ticks = 0;
-      failovers = 0;
     }
   in
   Array.iter (fun u -> Hashtbl.replace t.by_core u.ex.Rc.exec_core u) units;
@@ -570,22 +538,46 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
     {
       Rc.d_name = "hybrid";
       d_units = Array.map (fun u -> u.ex) units;
+      (* a serial dispatcher cannot pin *)
+      d_pinnable = false;
       d_enqueue_cpu = (fun _ -> t.dispatcher_core);
-      d_incoming_app =
-        (fun ex -> (Hashtbl.find t.by_core ex.Rc.exec_core).incoming);
+      d_incoming_app = (fun ex -> (unit_of_exec t ex).incoming);
       d_released =
         (fun ex ->
-          let u = Hashtbl.find t.by_core ex.Rc.exec_core in
+          let u = unit_of_exec t ex in
           u.gen <- u.gen + 1);
-      d_reschedule =
-        (fun ex ~prev -> reschedule t (Hashtbl.find t.by_core ex.Rc.exec_core) ~prev);
+      d_reschedule = (fun ex ~prev -> reschedule t (unit_of_exec t ex) ~prev);
+      d_place =
+        (fun task ~cpu:_ ->
+          t.rc.Rc.policy.task_init task;
+          t.rc.Rc.policy.task_enqueue ~cpu:t.dispatcher_core
+            ~reason:Sched_ops.Enq_new task;
+          poke t);
+      d_wake =
+        (fun task ~waker_cpu:_ ->
+          ignore (t.rc.Rc.policy.task_wakeup ~waker_cpu:t.dispatcher_core task);
+          poke t);
+      d_kthread = (fun _ _ -> ());
+      d_evict = (fun ex -> preempt_capped_unit t (unit_of_exec t ex));
+      d_redrive = (fun ex -> redrive t (unit_of_exec t ex));
+      d_set_be_allowance = set_be_allowance t;
+      d_alloc_event =
+        (fun ev ->
+          match ev.Allocator.action with
+          | Allocator.Degraded ->
+              Rc.trace_instant t.rc ~core:t.dispatcher_core Trace.Alloc_degrade
+                ev.Allocator.app_name
+          | Allocator.Recovered ->
+              Rc.trace_instant t.rc ~core:t.dispatcher_core Trace.Alloc_recover
+                ev.Allocator.app_name
+          | Allocator.Granted | Allocator.Reclaimed | Allocator.Yielded -> ());
+      d_be_attached =
+        (fun () ->
+          poke t;
+          Array.iter (fun u -> reschedule t u ~prev:None) t.units);
     };
   Rc.install_policy t.rc ctor;
-  Array.iter
-    (fun u ->
-      let kt = Rc.add_kthread t.rc ~app:0 ~core:u.ex.Rc.exec_core in
-      ignore (Kmod.activate kmod kt))
-    units;
+  Rc.activate_daemon t.rc;
   Array.iter
     (fun u ->
       Kmod.on_steal kmod ~core:u.ex.Rc.exec_core (fun ~duration ->
@@ -610,104 +602,20 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
            true))
   end;
   Rc.start_watchdog t.rc ~bound:watchdog (fun ~bound -> watchdog_scan t ~bound);
+  Rc.add_metrics t.rc (fun labels reg ->
+      let c name help read = Registry.counter reg ~help ~labels name read in
+      c "skyloft_hybrid_dispatches_total" "Central-mode dispatcher assignments"
+        (fun () -> t.dispatches);
+      c "skyloft_hybrid_mode_switches_total" "Dispatch-mode transitions"
+        (fun () -> t.mode_switches);
+      Registry.gauge reg ~labels "skyloft_hybrid_mode"
+        ~help:"Current dispatch mode (0 = central, 1 = percore)" (fun () ->
+          match t.mode with Central -> 0.0 | Percore -> 1.0);
+      Registry.gauge reg ~labels "skyloft_hybrid_queue_length"
+        ~help:"LC tasks waiting in the shared queue" (fun () ->
+          float_of_int (queue_length t)));
   t
-
-let create_app t ~name =
-  let app = Rc.new_app t.rc ~name in
-  Array.iter
-    (fun u ->
-      ignore (Rc.add_kthread t.rc ~app:app.App.id ~core:u.ex.Rc.exec_core))
-    t.units;
-  app
-
-let attach_be_app t app ~chunk ~workers =
-  Rc.spawn_be_workers t.rc app ~chunk ~workers ~who:"Hybrid.attach_be_app";
-  Rc.start_allocator t.rc ~cfg:t.alloc_cfg ~be:app
-    ~on_event:(fun ev ->
-      match ev.Allocator.action with
-      | Allocator.Degraded ->
-          Rc.trace_instant t.rc ~core:t.dispatcher_core Trace.Alloc_degrade
-            ev.Allocator.app_name
-      | Allocator.Recovered ->
-          Rc.trace_instant t.rc ~core:t.dispatcher_core Trace.Alloc_recover
-            ev.Allocator.app_name
-      | Allocator.Granted | Allocator.Reclaimed | Allocator.Yielded -> ())
-    ~set_allowance:(set_be_allowance t);
-  poke t;
-  Array.iter (fun u -> reschedule t u ~prev:None) t.units
-
-let allocator t = t.rc.Rc.allocator
-
-(* ---- submission, deadlines, wakeups --------------------------------------- *)
-
-let kill t ?on_drop task = Rc.kill t.rc ?on_drop task
-
-let submit t app ?(service = 0) ?(record = true) ?deadline ?on_drop ~name body =
-  let task = Rc.admit t.rc app ~name ~arrival:(now t) ~service ~record body in
-  t.rc.Rc.policy.task_init task;
-  t.rc.Rc.policy.task_enqueue ~cpu:t.dispatcher_core ~reason:Sched_ops.Enq_new
-    task;
-  poke t;
-  (match deadline with
-  | Some d ->
-      Rc.arm_deadline t.rc ?on_drop task ~deadline:d
-        ~err:"Hybrid.submit: deadline must be positive"
-  | None -> ());
-  task
-
-let wakeup t (task : Task.t) =
-  Rc.awaken t.rc task ~place:(fun task ->
-      ignore (t.rc.Rc.policy.task_wakeup ~waker_cpu:t.dispatcher_core task);
-      poke t)
-
-(* ---- accessors ------------------------------------------------------------ *)
 
 let mode t = t.mode
 let mode_switches t = t.mode_switches
 let dispatches t = t.dispatches
-let preemptions t = t.rc.Rc.preempts
-let be_preemptions t = t.rc.Rc.be_preempts
-let timer_ticks t = t.ticks
-let watchdog_rescues t = t.rc.Rc.rescues
-let failovers t = t.failovers
-let rescue_detection t = t.rc.Rc.rescue_detect
-let deadline_drops t = t.rc.Rc.deadline_drops
-let set_trace t trace = t.rc.Rc.trace <- Some trace
-let queue_depth_series t = t.rc.Rc.queue_depth
-let worker_busy_ns t = Rc.total_busy_ns t.rc
-
-(* Pull-based registration: every closure reads existing state at snapshot
-   time, so attaching a registry cannot perturb the simulation. *)
-let register_metrics t ?(labels = []) reg =
-  let rc = t.rc in
-  let c name help read = Registry.counter reg ~help ~labels name read in
-  c "skyloft_hybrid_dispatches_total" "Central-mode dispatcher assignments"
-    (fun () -> t.dispatches);
-  c "skyloft_hybrid_mode_switches_total" "Dispatch-mode transitions" (fun () ->
-      t.mode_switches);
-  c "skyloft_hybrid_preemptions_total" "LC preemptions (both mechanisms)"
-    (fun () -> rc.Rc.preempts);
-  c "skyloft_hybrid_be_preemptions_total" "Best-effort workers preempted"
-    (fun () -> rc.Rc.be_preempts);
-  c "skyloft_hybrid_timer_ticks_total" "Percore-mode timer interrupts handled"
-    (fun () -> t.ticks);
-  c "skyloft_hybrid_watchdog_rescues_total" "Stuck workers rescued" (fun () ->
-      rc.Rc.rescues);
-  c "skyloft_hybrid_failovers_total" "Dispatcher failovers" (fun () ->
-      t.failovers);
-  c "skyloft_hybrid_deadline_drops_total" "Tasks killed at their deadline"
-    (fun () -> rc.Rc.deadline_drops);
-  Registry.gauge reg ~labels "skyloft_hybrid_mode"
-    ~help:"Current dispatch mode (0 = central, 1 = percore)" (fun () ->
-      match t.mode with Central -> 0.0 | Percore -> 1.0);
-  Registry.gauge reg ~labels "skyloft_hybrid_be_allowance"
-    ~help:"Workers the best-effort application may occupy" (fun () ->
-      float_of_int rc.Rc.be_allowance);
-  Registry.gauge reg ~labels "skyloft_hybrid_queue_length"
-    ~help:"LC tasks waiting in the shared queue" (fun () ->
-      float_of_int (queue_length t));
-  Registry.histogram reg ~labels "skyloft_hybrid_rescue_detection_ns"
-    ~help:"Watchdog detection latency past the bound" rc.Rc.rescue_detect;
-  Registry.series reg ~labels "skyloft_hybrid_queue_depth"
-    ~help:"LC policy queue length" rc.Rc.queue_depth;
-  Rc.register_app_metrics rc ~labels reg

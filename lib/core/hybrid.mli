@@ -1,5 +1,4 @@
 module Time = Skyloft_sim.Time
-module Coro = Skyloft_sim.Coro
 module Machine = Skyloft_hw.Machine
 module Kmod = Skyloft_kernel.Kmod
 
@@ -68,7 +67,6 @@ val create :
   ?timer_hz:int ->
   ?adaptive:bool ->
   ?mechanism:mechanism ->
-  ?alloc:Skyloft_alloc.Allocator.config ->
   ?watchdog:Time.t ->
   Sched_ops.ctor ->
   t
@@ -86,95 +84,31 @@ val create :
     [~adaptive:false] arms neither, so the runtime stays in [Central] mode
     for its whole life.
 
-    [alloc] configures the core allocator started by {!attach_be_app}
-    (default {!Skyloft_alloc.Allocator.default_config}: Static policy at a
-    5 µs interval).
-
     [watchdog] arms the recovery watchdog: a periodic scan (twice per
     bound) that (a) fails the dispatcher over to a worker when the serial
     dispatcher is wedged more than a bound into the future (host-kernel
-    steal — {!failovers}), and (b) rescues workers still running one task
-    a full bound past its expected preemption point — the quantum, or the
-    tick period in [Percore] mode if larger — meaning the preemption was
-    lost ({!watchdog_rescues}, {!rescue_detection}).  Cores inside a
+    steal — {!Runtime_core.failovers}), and (b) rescues workers still
+    running one task a full bound past its expected preemption point —
+    the quantum, or the tick period in [Percore] mode if larger — meaning
+    the preemption was lost ({!Runtime_core.watchdog_rescues},
+    {!Runtime_core.rescue_detection}).  Cores inside a
     {!Kmod.steal_core} outage are exempt until hand-back. *)
 
-val create_app : t -> name:string -> App.t
-
-val attach_be_app : t -> App.t -> chunk:Time.t -> workers:int -> unit
-(** Give the BE application [workers] batch worker tasks, each an endless
-    sequence of [chunk]-sized compute segments, and start the core
-    allocator: from here on its policy decides how many cores BE may
-    occupy, charging the §5.4 inter-application switch cost for every core
-    moved. *)
-
-val allocator : t -> Skyloft_alloc.Allocator.t option
-
-val submit :
-  t ->
-  App.t ->
-  ?service:Time.t ->
-  ?record:bool ->
-  ?deadline:Time.t ->
-  ?on_drop:(Task.t -> unit) ->
-  name:string ->
-  Coro.t ->
-  Task.t
-(** Enqueue a latency-critical request into the shared queue; the current
-    mode decides whether the dispatcher assigns it or an idle worker picks
-    it up directly.
-
-    [deadline] arms a kill timer [deadline] ns from now: a request that
-    has not exited by then is forcibly terminated ({!kill}), counted as a
-    deadline drop in the app's summary, and [on_drop] is called — every
-    submission is accounted for exactly once, including one killed while
-    its assignment is in flight to a worker. *)
-
-val kill : t -> ?on_drop:(Task.t -> unit) -> Task.t -> unit
-(** Forcibly terminate a task wherever it is: running (preempted off its
-    worker and discarded), runnable or in flight (flagged; discarded
-    before it runs), or blocked (never woken).  A no-op on exited or
-    already-killed tasks.  Counted in {!deadline_drops}. *)
-
-val wakeup : t -> Task.t -> unit
-val now : t -> Time.t
+val runtime : t -> Runtime_core.t
+(** The runtime handle: spawn, kill, wakeup, applications, BE attachment,
+    the broker gate, tracing, counters and metrics all live there.  A
+    serial dispatcher cannot pin, so {!Runtime_core.spawn} rejects [~cpu];
+    every spawned task enters the shared queue and the current mode
+    decides whether the dispatcher assigns it or an idle worker picks it
+    up directly. *)
 
 val mode : t -> mode
+
 val mode_switches : t -> int
 (** Mode transitions performed by the monitor so far. *)
 
 val dispatches : t -> int
 (** Central-mode dispatcher assignments (zero while in [Percore]). *)
 
-val preemptions : t -> int
-val be_preemptions : t -> int
-val timer_ticks : t -> int
-(** Percore-mode timer interrupts handled. *)
-
-val set_core_allowance : t -> int -> unit
-(** How many workers this runtime may occupy at all: a machine-level core
-    broker's grant.  Allowed units are the creation-order prefix.
-    Shrinking preempts the newly capped units by whichever mechanism the
-    current mode provides (dispatcher IPI or synchronous local
-    preemption); growing redrives dispatch (central) or kicks the units
-    handed back (percore).  Default [max_int] disables the gate. *)
-
-val core_allowance : t -> int
-(** The broker's current grant ([max_int] when unbrokered). *)
-
-val congestion : t -> Skyloft_alloc.Allocator.raw
-(** The whole-runtime congestion sample a machine-level broker reads. *)
-
 val queue_length : t -> int
-val worker_busy_ns : t -> int
-val watchdog_rescues : t -> int
-val failovers : t -> int
-val rescue_detection : t -> Skyloft_stats.Histogram.t
-val deadline_drops : t -> int
-val set_trace : t -> Skyloft_stats.Trace.t -> unit
-val queue_depth_series : t -> Skyloft_stats.Timeseries.t
-
-val register_metrics :
-  t -> ?labels:Skyloft_obs.Registry.labels -> Skyloft_obs.Registry.t -> unit
-(** [skyloft_hybrid_*] counters (including the current mode as a gauge and
-    the transition count) plus the shared per-application family. *)
+(** LC tasks waiting in the shared queue. *)

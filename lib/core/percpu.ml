@@ -1,14 +1,11 @@
 module Time = Skyloft_sim.Time
-module Coro = Skyloft_sim.Coro
 module Engine = Skyloft_sim.Engine
 module Eventq = Skyloft_sim.Eventq
 module Machine = Skyloft_hw.Machine
 module Costs = Skyloft_hw.Costs
 module Vectors = Skyloft_hw.Vectors
 module Kmod = Skyloft_kernel.Kmod
-module Histogram = Skyloft_stats.Histogram
 module Trace = Skyloft_stats.Trace
-module Timeseries = Skyloft_stats.Timeseries
 module Allocator = Skyloft_alloc.Allocator
 module Registry = Skyloft_obs.Registry
 module Rc = Runtime_core
@@ -37,7 +34,6 @@ type t = {
   timer_hz : int;
   preemption : bool;
   park : (Time.t * Time.t) option;  (* (idle_after, resume_cost) *)
-  mutable ticks : int;
   mutable rr_spawn : int;  (* round-robin spawn placement cursor *)
   mutable parks : int;
   mutable unparks : int;
@@ -45,15 +41,15 @@ type t = {
       (* user-delegated device interrupts: uvec -> handler (gets core id) *)
 }
 
+let runtime t = t.rc
 let now t = Rc.now t.rc
 let cpu_of t core = Hashtbl.find t.by_core core
+let cpu_of_unit t (ex : Rc.exec) = t.cpus.(ex.Rc.exec_slot)
 
 let is_idle t ~core =
   match Hashtbl.find_opt t.by_core core with
   | Some cpu -> cpu.ex.Rc.current = None && not (Rc.unit_capped t.rc cpu.ex)
   | None -> false
-
-let view t = Rc.view t.rc
 
 (* ---- dispatch & the main loop ------------------------------------------ *)
 
@@ -175,9 +171,14 @@ let kick t cpu =
 
 let kick_core t core = kick t (cpu_of t core)
 
+let kick_idle t =
+  Array.iter (fun cpu -> if cpu.ex.Rc.current = None then kick t cpu) t.cpus
+
 (* After enqueueing work, make sure some idle core will notice it. *)
 let kick_some_idle t =
-  match Sched_ops.pick_idle (view t) with Some core -> kick_core t core | None -> ()
+  match Sched_ops.pick_idle (Rc.view t.rc) with
+  | Some core -> kick_core t core
+  | None -> ()
 
 (* Evict whatever runs on a broker-capped core: receive cost, depose, then
    requeue on an allowed core's queue — never the capped core's own, since
@@ -227,7 +228,7 @@ let tick_decision t cpu =
   | _ -> kick t cpu
 
 let on_tick t cpu =
-  t.ticks <- t.ticks + 1;
+  t.rc.Rc.ticks <- t.rc.Rc.ticks + 1;
   steal_time t cpu (Costs.user_timer_receive_ns + Costs.senduipi_sn_ns);
   tick_decision t cpu
 
@@ -300,11 +301,77 @@ let on_core_steal t cpu ~duration =
   steal_time ~stall:true t cpu duration;
   cpu.last_sched <- max cpu.last_sched cpu.ex.Rc.stolen_until
 
+(* ---- core allocation ----------------------------------------------------- *)
+
+(* Change how many cores BE may occupy.  Shrinking preempts the excess BE
+   cores as if the daemon sent them preemption user IPIs (receive cost
+   charged, then the next LC dispatch pays {!Kmod.switch_to}).  Growing
+   kicks idle cores so they pick BE work up. *)
+let set_be_allowance t n =
+  let old = t.rc.Rc.be_allowance in
+  t.rc.Rc.be_allowance <- n;
+  if n < old then begin
+    let excess = ref (Rc.be_occupancy t.rc - n) in
+    Array.iter
+      (fun cpu ->
+        if !excess > 0 then
+          match cpu.ex.Rc.current with
+          | Some task
+            when Rc.is_be t.rc task
+                 && not (Eventq.is_null cpu.ex.Rc.completion) ->
+              steal_time t cpu (Costs.uipi_receive_ns ~cross_numa:false);
+              preempt_current t cpu;
+              decr excess
+          | _ -> ())
+      t.cpus
+  end
+  else if n > old && not (Runqueue.is_empty t.rc.Rc.be_queue) then kick_idle t
+
+let alloc_event t (ev : Allocator.event) =
+  let kind =
+    match ev.Allocator.action with
+    | Allocator.Granted -> Trace.Core_grant
+    | Allocator.Reclaimed | Allocator.Yielded -> Trace.Core_reclaim
+    | Allocator.Degraded -> Trace.Alloc_degrade
+    | Allocator.Recovered -> Trace.Alloc_recover
+  in
+  Rc.trace_instant t.rc ~core:t.cores.(0) kind
+    (Printf.sprintf "%s=%d" ev.Allocator.app_name ev.Allocator.granted)
+
+(* ---- placement ----------------------------------------------------------- *)
+
+let pick_spawn_cpu t =
+  match Sched_ops.pick_idle (Rc.view t.rc) with
+  | Some core -> core
+  | None ->
+      let core = t.cores.(t.rr_spawn mod Array.length t.cores) in
+      t.rr_spawn <- t.rr_spawn + 1;
+      core
+
+let place t (task : Task.t) ~cpu =
+  let target = match cpu with Some c -> c | None -> pick_spawn_cpu t in
+  task.Task.last_core <- target;
+  t.rc.Rc.policy.task_init task;
+  t.rc.Rc.policy.task_enqueue ~cpu:target ~reason:Sched_ops.Enq_new task;
+  if is_idle t ~core:target then kick_core t target else kick_some_idle t
+
+let wake t (task : Task.t) ~waker_cpu =
+  if Rc.is_be t.rc task then begin
+    (* Back to the BE queue, never the LC policy's runqueues. *)
+    Runqueue.push_tail t.rc.Rc.be_queue task;
+    if is_idle t ~core:task.Task.last_core then kick_core t task.Task.last_core
+    else kick_some_idle t
+  end
+  else
+    let waker_cpu = if waker_cpu >= 0 then waker_cpu else task.Task.last_core in
+    let target = t.rc.Rc.policy.task_wakeup ~waker_cpu task in
+    if is_idle t ~core:target then kick_core t target else kick_some_idle t
+
 (* ---- construction -------------------------------------------------------- *)
 
-let register_kthread t app_id core =
-  let kt = Rc.add_kthread t.rc ~app:app_id ~core in
-  let cpu = cpu_of t core in
+(* Wire a kthread just parked on [cpu]'s core into the UINTR path. *)
+let setup_kthread t cpu kt =
+  let core = cpu.ex.Rc.exec_core in
   let ctx = Kmod.uintr_ctx kt in
   Machine.uintr_register_handler ctx ~uinv:Vectors.uintr_notification
     (uintr_handler t cpu ctx);
@@ -314,8 +381,7 @@ let register_kthread t app_id core =
        hardware timer interrupt is recognised in user space. *)
     Kmod.timer_enable t.rc.Rc.kmod kt;
     Machine.senduipi t.rc.Rc.machine ~src_core:core ctx ~uvec:Vectors.uvec_timer
-  end;
-  kt
+  end
 
 let create machine kmod ~cores ?(timer_hz = 100_000) ?(preemption = true) ?park
     ?watchdog ctor =
@@ -346,7 +412,6 @@ let create machine kmod ~cores ?(timer_hz = 100_000) ?(preemption = true) ?park
       timer_hz;
       preemption;
       park;
-      ticks = 0;
       rr_spawn = 0;
       parks = 0;
       unparks = 0;
@@ -358,19 +423,23 @@ let create machine kmod ~cores ?(timer_hz = 100_000) ?(preemption = true) ?park
     {
       Rc.d_name = "percpu";
       d_units = Array.map (fun cpu -> cpu.ex) cpus;
+      d_pinnable = true;
       d_enqueue_cpu = (fun ex -> ex.Rc.exec_core);
       d_incoming_app = (fun _ -> -1);
       d_released = (fun _ -> ());
-      d_reschedule =
-        (fun ex ~prev -> schedule t (cpu_of t ex.Rc.exec_core) ~prev);
+      d_reschedule = (fun ex ~prev -> schedule t (cpu_of_unit t ex) ~prev);
+      d_place = place t;
+      d_wake = wake t;
+      d_kthread = (fun ex kt -> setup_kthread t (cpu_of_unit t ex) kt);
+      d_evict = (fun ex -> evict_capped t (cpu_of_unit t ex));
+      d_redrive =
+        (fun ex -> if ex.Rc.current = None then kick t (cpu_of_unit t ex));
+      d_set_be_allowance = set_be_allowance t;
+      d_alloc_event = alloc_event t;
+      d_be_attached = (fun () -> kick_idle t);
     };
   Rc.install_policy t.rc ctor;
-  (* The daemon occupies every isolated core first (§4.1). *)
-  Array.iter
-    (fun core ->
-      let kt = register_kthread t 0 core in
-      ignore (Kmod.activate kmod kt))
-    cores_arr;
+  Rc.activate_daemon t.rc;
   if preemption then
     Array.iter
       (fun core -> ignore (Kmod.timer_set_hz kmod ~core ~hz:timer_hz))
@@ -382,157 +451,15 @@ let create machine kmod ~cores ?(timer_hz = 100_000) ?(preemption = true) ?park
           on_core_steal t cpu ~duration))
     t.cpus;
   Rc.start_watchdog t.rc ~bound:watchdog (fun ~bound -> watchdog_scan t ~bound);
+  Rc.add_metrics t.rc (fun labels reg ->
+      let c name help read = Registry.counter reg ~help ~labels name read in
+      c "skyloft_percpu_parks_total" "Idle cores parked to the kernel" (fun () ->
+          t.parks);
+      c "skyloft_percpu_unparks_total" "Parked cores woken for new work"
+        (fun () -> t.unparks));
   t
 
-let create_app t ~name =
-  let app = Rc.new_app t.rc ~name in
-  Array.iter (fun core -> ignore (register_kthread t app.App.id core)) t.cores;
-  app
-
-(* ---- core allocation ----------------------------------------------------- *)
-
-(* Change how many cores BE may occupy.  Shrinking preempts the excess BE
-   cores as if the daemon sent them preemption user IPIs (receive cost
-   charged, then the next LC dispatch pays {!Kmod.switch_to}).  Growing
-   kicks idle cores so they pick BE work up. *)
-let set_be_allowance t n =
-  let old = t.rc.Rc.be_allowance in
-  t.rc.Rc.be_allowance <- n;
-  if n < old then begin
-    let excess = ref (Rc.be_occupancy t.rc - n) in
-    Array.iter
-      (fun cpu ->
-        if !excess > 0 then
-          match cpu.ex.Rc.current with
-          | Some task
-            when Rc.is_be t.rc task
-                 && not (Eventq.is_null cpu.ex.Rc.completion) ->
-              steal_time t cpu (Costs.uipi_receive_ns ~cross_numa:false);
-              preempt_current t cpu;
-              decr excess
-          | _ -> ())
-      t.cpus
-  end
-  else if n > old && not (Runqueue.is_empty t.rc.Rc.be_queue) then
-    Array.iter (fun cpu -> if cpu.ex.Rc.current = None then kick t cpu) t.cpus
-
-(* Change how many cores this runtime may occupy at all — the machine-level
-   broker's reclaim/grant muscle, mirroring {!set_be_allowance} one level
-   up.  Shrinking evicts the newly capped units (receive cost charged,
-   refugees requeued on an allowed core); growing kicks the units the
-   broker just handed back. *)
-let set_core_allowance t n =
-  let n = max 0 n in
-  let old = t.rc.Rc.core_allowance in
-  Rc.set_core_allowance t.rc n;
-  if n < old then
-    Array.iter
-      (fun cpu -> if Rc.unit_capped t.rc cpu.ex then evict_capped t cpu)
-      t.cpus
-  else if n > old then
-    Array.iter
-      (fun cpu ->
-        if (not (Rc.unit_capped t.rc cpu.ex)) && cpu.ex.Rc.current = None then
-          kick t cpu)
-      t.cpus
-
-let core_allowance t = t.rc.Rc.core_allowance
-let congestion t = Rc.congestion t.rc
-
-let attach_be_app t ?alloc app ~chunk ~workers =
-  Rc.spawn_be_workers t.rc app ~chunk ~workers ~who:"Percpu.attach_be_app";
-  let cfg = match alloc with Some a -> a | None -> Allocator.default_config () in
-  let on_event (ev : Allocator.event) =
-    let kind =
-      match ev.Allocator.action with
-      | Allocator.Granted -> Trace.Core_grant
-      | Allocator.Reclaimed | Allocator.Yielded -> Trace.Core_reclaim
-      | Allocator.Degraded -> Trace.Alloc_degrade
-      | Allocator.Recovered -> Trace.Alloc_recover
-    in
-    Rc.trace_instant t.rc ~core:t.cores.(0) kind
-      (Printf.sprintf "%s=%d" ev.Allocator.app_name ev.Allocator.granted)
-  in
-  Rc.start_allocator t.rc ~cfg ~be:app ~on_event
-    ~set_allowance:(set_be_allowance t);
-  Array.iter (fun cpu -> if cpu.ex.Rc.current = None then kick t cpu) t.cpus
-
-let allocator t = t.rc.Rc.allocator
-let be_preemptions t = t.rc.Rc.be_preempts
-
-let pick_spawn_cpu t =
-  match Sched_ops.pick_idle (view t) with
-  | Some core -> core
-  | None ->
-      let core = t.cores.(t.rr_spawn mod Array.length t.cores) in
-      t.rr_spawn <- t.rr_spawn + 1;
-      core
-
-(* ---- deadlines ----------------------------------------------------------- *)
-
-let kill t ?on_drop task = Rc.kill t.rc ?on_drop task
-
-let spawn t app ~name ?cpu ?arrival ?service ?(record = true) ?deadline ?on_drop
-    body =
-  let arrival = match arrival with Some a -> a | None -> now t in
-  let service = match service with Some s -> s | None -> 0 in
-  let task = Rc.admit t.rc app ~name ~arrival ~service ~record body in
-  let target = match cpu with Some c -> c | None -> pick_spawn_cpu t in
-  task.Task.last_core <- target;
-  t.rc.Rc.policy.task_init task;
-  t.rc.Rc.policy.task_enqueue ~cpu:target ~reason:Sched_ops.Enq_new task;
-  if is_idle t ~core:target then kick_core t target else kick_some_idle t;
-  (match deadline with
-  | Some d ->
-      Rc.arm_deadline t.rc ?on_drop task ~deadline:d
-        ~err:"Percpu.spawn: deadline must be positive"
-  | None -> ());
-  task
-
-(* §6 "Blocking events": the running task hits a page fault (or a blocking
-   syscall).  The userfaultfd-style monitor blocks the task and lets the
-   scheduler run other work — possibly another application's — on the core
-   for the fault's duration, without violating the Single Binding Rule
-   (the kthread stays bound; only the user thread sleeps). *)
-let rec fault_current t ~core ~duration =
-  if duration <= 0 then invalid_arg "Percpu.fault_current: duration must be positive";
-  let cpu = cpu_of t core in
-  match cpu.ex.Rc.current with
-  | Some task when not (Eventq.is_null cpu.ex.Rc.completion) ->
-      Engine.cancel t.rc.Rc.engine cpu.ex.Rc.completion;
-      cpu.ex.Rc.completion <- Eventq.null;
-      let remaining = max 0 (task.Task.segment_end - now t) in
-      task.Task.body <- Coro.Compute (remaining, task.Task.cont);
-      task.Task.state <- Task.Blocked;
-      Rc.account t.rc cpu.ex;
-      cpu.ex.Rc.current <- None;
-      task.Task.obs_block_at <- now t;
-      (* BE tasks live outside the LC policy's runqueues; telling the
-         policy about one would leak it into LC dispatch at wakeup. *)
-      if not (Rc.is_be t.rc task) then t.rc.Rc.policy.task_block ~cpu:core task;
-      Rc.trace_instant t.rc ~core Trace.Fault task.Task.name;
-      ignore (Engine.after t.rc.Rc.engine duration (fun () -> wakeup_task t task));
-      schedule t cpu ~prev:(Some task);
-      true
-  | _ -> false
-
-and wakeup_task t ?waker_cpu task =
-  Rc.awaken t.rc task ~place:(fun (task : Task.t) ->
-      if Rc.is_be t.rc task then begin
-        (* Back to the BE queue, never the LC policy's runqueues. *)
-        Runqueue.push_tail t.rc.Rc.be_queue task;
-        if is_idle t ~core:task.Task.last_core then
-          kick_core t task.Task.last_core
-        else kick_some_idle t
-      end
-      else
-        let waker_cpu =
-          match waker_cpu with Some c when c >= 0 -> c | _ -> task.Task.last_core
-        in
-        let target = t.rc.Rc.policy.task_wakeup ~waker_cpu task in
-        if is_idle t ~core:target then kick_core t target else kick_some_idle t)
-
-let wakeup t ?(waker_cpu = -1) (task : Task.t) = wakeup_task t ~waker_cpu task
+(* ---- mechanism-specific operations -------------------------------------- *)
 
 (* A dedicated core emulating a timer by broadcasting user IPIs to every
    worker core (the "utimer" of §5.3/§5.4).  Needs [preemption:false] so
@@ -566,54 +493,5 @@ let preempt_core t ~src_core ~dst_core =
   | None -> ()
 
 let current t ~core = (cpu_of t core).ex.Rc.current
-
-let wakeup_hist t = t.rc.Rc.wakeups
-
-let queue_depth_series t = t.rc.Rc.queue_depth
-let task_switches t = t.rc.Rc.switches
-let app_switches t = t.rc.Rc.app_switches
-let preemptions t = t.rc.Rc.preempts
-let timer_ticks t = t.ticks
-let watchdog_rescues t = t.rc.Rc.rescues
-let rescue_detection t = t.rc.Rc.rescue_detect
-let deadline_drops t = t.rc.Rc.deadline_drops
-let total_busy_ns t = Rc.total_busy_ns t.rc
-let apps t = t.rc.Rc.apps
-let set_trace t trace = t.rc.Rc.trace <- Some trace
 let parks t = t.parks
 let unparks t = t.unparks
-
-(* Pull-based registration: every closure reads existing state at snapshot
-   time, so attaching a registry cannot perturb the simulation. *)
-let register_metrics t ?(labels = []) reg =
-  let rc = t.rc in
-  let c name help read = Registry.counter reg ~help ~labels name read in
-  c "skyloft_percpu_task_switches_total" "Intra-application task switches"
-    (fun () -> rc.Rc.switches);
-  c "skyloft_percpu_app_switches_total"
-    "Cross-application kthread switches through the kernel module" (fun () ->
-      rc.Rc.app_switches);
-  c "skyloft_percpu_preemptions_total" "Tasks preempted off their core"
-    (fun () -> rc.Rc.preempts);
-  c "skyloft_percpu_be_preemptions_total" "Best-effort tasks preempted"
-    (fun () -> rc.Rc.be_preempts);
-  c "skyloft_percpu_timer_ticks_total" "User-space timer interrupts handled"
-    (fun () -> t.ticks);
-  c "skyloft_percpu_parks_total" "Idle cores parked to the kernel" (fun () ->
-      t.parks);
-  c "skyloft_percpu_unparks_total" "Parked cores woken for new work"
-    (fun () -> t.unparks);
-  c "skyloft_percpu_watchdog_rescues_total" "Stuck cores rescued" (fun () ->
-      rc.Rc.rescues);
-  c "skyloft_percpu_deadline_drops_total" "Tasks killed at their deadline"
-    (fun () -> rc.Rc.deadline_drops);
-  Registry.gauge reg ~labels "skyloft_percpu_be_allowance"
-    ~help:"Cores the best-effort application may occupy" (fun () ->
-      float_of_int rc.Rc.be_allowance);
-  Registry.histogram reg ~labels "skyloft_percpu_wakeup_latency_ns"
-    ~help:"Wakeup-to-dispatch latency" (wakeup_hist t);
-  Registry.histogram reg ~labels "skyloft_percpu_rescue_detection_ns"
-    ~help:"Watchdog detection latency past the bound" rc.Rc.rescue_detect;
-  Registry.series reg ~labels "skyloft_percpu_queue_depth"
-    ~help:"LC policy queue length" rc.Rc.queue_depth;
-  Rc.register_app_metrics rc ~labels reg

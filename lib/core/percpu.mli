@@ -1,11 +1,6 @@
 module Time = Skyloft_sim.Time
-module Coro = Skyloft_sim.Coro
 module Machine = Skyloft_hw.Machine
 module Kmod = Skyloft_kernel.Kmod
-module Histogram = Skyloft_stats.Histogram
-module Trace = Skyloft_stats.Trace
-module Timeseries = Skyloft_stats.Timeseries
-module Registry = Skyloft_obs.Registry
 
 (** The per-CPU Skyloft runtime (Figure 2a).
 
@@ -59,83 +54,14 @@ val create :
     path, a poisoned task — and rescues them: re-arm the LAPIC timer,
     re-post the pending-tick user IPI if the receiver is masked for timer
     delegation, and force a preemption.  Rescues are counted and traced
-    ({!watchdog_rescues}, {!rescue_detection}).  Cores inside a host-kernel
-    steal ({!Kmod.steal_core}) are exempt until hand-back. *)
+    ({!Runtime_core.watchdog_rescues}, {!Runtime_core.rescue_detection}).
+    Cores inside a host-kernel steal ({!Kmod.steal_core}) are exempt
+    until hand-back. *)
 
-val create_app : t -> name:string -> App.t
-(** Launch an application: registers one parked kernel thread per isolated
-    core with the kernel module. *)
-
-val attach_be_app :
-  t ->
-  ?alloc:Skyloft_alloc.Allocator.config ->
-  App.t ->
-  chunk:Time.t ->
-  workers:int ->
-  unit
-(** Co-schedule [app] as the best-effort application: [workers] batch
-    tasks, each an endless sequence of [chunk]-sized compute segments,
-    kept outside the LC policy's runqueues.  Starts the core allocator
-    ([alloc], default {!Skyloft_alloc.Allocator.default_config}): its
-    policy decides each interval how many cores BE may occupy; every core
-    moved charges the §5.4 inter-application switch cost, and grants and
-    reclaims are emitted as trace instants when tracing is on.  Timer
-    ticks preempt BE tasks whenever LC work is queued. *)
-
-val allocator : t -> Skyloft_alloc.Allocator.t option
-(** The running core allocator, once {!attach_be_app} has started it. *)
-
-val be_preemptions : t -> int
-(** BE tasks preempted (timer ticks with LC work queued + allocator
-    reclaims). *)
-
-val set_core_allowance : t -> int -> unit
-(** How many cores this runtime may occupy at all: a machine-level core
-    broker's grant ({!set_be_allowance} one level up).  Allowed cores are
-    always the creation-order prefix.  Shrinking evicts tasks running on
-    newly capped cores (user-IPI receive cost charged, refugees requeued
-    on an allowed core); growing kicks the cores handed back.  The
-    default, [max_int], disables the gate entirely. *)
-
-val core_allowance : t -> int
-(** The broker's current grant ([max_int] when unbrokered). *)
-
-val congestion : t -> Skyloft_alloc.Allocator.raw
-(** The whole-runtime congestion sample a machine-level broker reads:
-    LC probe backlog + BE queue length, oldest LC wait, total busy ns. *)
-
-val spawn :
-  t -> App.t -> name:string -> ?cpu:int -> ?arrival:Time.t -> ?service:Time.t ->
-  ?record:bool -> ?deadline:Time.t -> ?on_drop:(Task.t -> unit) -> Coro.t ->
-  Task.t
-(** Create a task.  [cpu] pins initial placement (default: an idle core,
-    else round-robin).  When [record] (default true) the task's completion
-    is recorded into the application's {!App.t.summary}.
-
-    [deadline] arms a kill timer [deadline] ns from now: if the task has
-    not exited by then it is forcibly terminated ({!kill}), counted as a
-    deadline drop in the app's summary, and [on_drop] is called — the
-    task neither completes nor lingers, so every spawn is accounted for
-    exactly once. *)
-
-val kill : t -> ?on_drop:(Task.t -> unit) -> Task.t -> unit
-(** Forcibly terminate a task wherever it is: running (preempted off its
-    core and discarded), runnable (flagged; discarded at the next
-    dequeue), or blocked (never woken).  A no-op on exited or
-    already-killed tasks.  Counted in {!deadline_drops} and the app
-    summary's drop count. *)
-
-val wakeup : t -> ?waker_cpu:int -> Task.t -> unit
-(** [task_wakeup]: make a blocked task runnable again (placement is the
-    policy's choice).  Waking a non-blocked task sets its pending-wake
-    flag. *)
-
-val fault_current : t -> core:int -> duration:Time.t -> bool
-(** §6 "Blocking events": block the task currently running on [core] for
-    [duration] (a page fault or blocking syscall observed by the
-    userfaultfd monitor) and reschedule other work — possibly another
-    application's — on the core meanwhile.  [false] if the core was not
-    running a task. *)
+val runtime : t -> Runtime_core.t
+(** The runtime handle: spawn, kill, wakeup, applications, BE attachment,
+    the broker gate, tracing, counters and metrics all live there.  This
+    module keeps only what the per-CPU mechanism owns. *)
 
 val register_uvec : t -> uvec:int -> (int -> unit) -> unit
 (** Register a user-space driver handler for a delegated peripheral
@@ -160,53 +86,12 @@ val preempt_core : t -> src_core:int -> dst_core:int -> unit
     style, Figure 2b).  The receiving core's handler re-enqueues its
     current task and reschedules. *)
 
-val now : t -> Time.t
 val current : t -> core:int -> Task.t option
 val is_idle : t -> core:int -> bool
-val wakeup_hist : t -> Histogram.t
-
-val queue_depth_series : t -> Timeseries.t
-(** LC policy queue length over time (one sample per change); feed it to
-    the Perfetto counter-track export in [lib/obs]. *)
-
-(** [register_metrics t reg] registers this runtime's counters (parks and
-    unparks included), histograms, and queue-depth series (under
-    [skyloft_percpu_*]) plus every
-    application's task counters, response-time histogram, and latency
-    attribution (under [skyloft_app_*], labelled with the app name).  Call
-    after the applications have been created.  Registration is pull-based
-    and never perturbs the simulation. *)
-val register_metrics : t -> ?labels:Registry.labels -> Registry.t -> unit
-val task_switches : t -> int
-val app_switches : t -> int
-val preemptions : t -> int
-val timer_ticks : t -> int
 
 val parks : t -> int
-(** Idle cores parked back to the kernel (see {!create}'s [park]). *)
+(** Idle cores parked back to the kernel (see {!create}'s [park];
+    registered as [skyloft_percpu_parks_total]). *)
 
 val unparks : t -> int
 (** Parked cores woken for new work (each paid the resume cost). *)
-
-val watchdog_rescues : t -> int
-(** Stuck cores rescued by the watchdog (see {!create}'s [watchdog]). *)
-
-val rescue_detection : t -> Histogram.t
-(** Detection latency per rescue: time past the watchdog bound before the
-    scan noticed the stuck core. *)
-
-val deadline_drops : t -> int
-(** Tasks killed by their spawn deadline (see {!spawn}). *)
-
-val total_busy_ns : t -> int
-(** Sum of per-application busy time. *)
-
-val apps : t -> App.t list
-(** Applications created on this runtime (excluding the daemon). *)
-
-val set_trace : t -> Trace.t -> unit
-(** Record scheduling activity (run spans, preemptions, wakeups,
-    application switches, faults) into [trace]; export with
-    {!Skyloft_stats.Trace.to_chrome_json}. *)
-
-val view : t -> Sched_ops.view

@@ -39,10 +39,13 @@ type exec = {
 }
 
 (* The DISPATCH substrate signature, as a record of closures (installed
-   after construction, like the policy, to break the knot). *)
+   after construction, like the policy, to break the knot).  Every
+   operation on the runtime handle is implemented once below; these hooks
+   are the only places the two mechanisms differ. *)
 type dispatch = {
   d_name : string;
   d_units : exec array;  (* every execution unit, in core order *)
+  d_pinnable : bool;  (* whether [spawn ~cpu] may pin a task to a unit *)
   d_enqueue_cpu : exec -> int;
       (* queue a yielded task is re-enqueued on: the unit's own core
          (per-CPU) or the dispatcher's global queue (centralized) *)
@@ -55,16 +58,36 @@ type dispatch = {
   d_reschedule : exec -> prev:Task.t option -> unit;
       (* find the unit something to run: synchronous pick or dispatcher
          assignment *)
+  d_place : Task.t -> cpu:int option -> unit;
+      (* a new task's placement: policy init, enqueue, kick or pump *)
+  d_wake : Task.t -> waker_cpu:int -> unit;
+      (* an awakened task's placement ([waker_cpu] -1 when unknown) *)
+  d_kthread : exec -> Kmod.kthread -> unit;
+      (* per-unit setup of a freshly parked kthread (UINTR handlers) *)
+  d_evict : exec -> unit;  (* the broker capped this unit: preempt it *)
+  d_redrive : exec -> unit;  (* the broker handed this unit back *)
+  d_set_be_allowance : int -> unit;  (* the allocator's reclaim/grant muscle *)
+  d_alloc_event : Allocator.event -> unit;  (* trace an allocator decision *)
+  d_be_attached : unit -> unit;  (* BE work just arrived: wake the units *)
 }
 
 let null_dispatch =
   {
     d_name = "null";
     d_units = [||];
+    d_pinnable = false;
     d_enqueue_cpu = (fun ex -> ex.exec_core);
     d_incoming_app = (fun _ -> -1);
     d_released = (fun _ -> ());
     d_reschedule = (fun _ ~prev:_ -> ());
+    d_place = (fun _ ~cpu:_ -> ());
+    d_wake = (fun _ ~waker_cpu:_ -> ());
+    d_kthread = (fun _ _ -> ());
+    d_evict = ignore;
+    d_redrive = ignore;
+    d_set_be_allowance = ignore;
+    d_alloc_event = ignore;
+    d_be_attached = ignore;
   }
 
 type t = {
@@ -92,10 +115,15 @@ type t = {
   mutable app_switches : int;
   mutable preempts : int;
   mutable be_preempts : int;
+  mutable ticks : int;  (* timer interrupts handled *)
   mutable rescues : int;
+  mutable failovers : int;  (* dispatcher failovers (serial dispatch only) *)
   mutable deadline_drops : int;
   mutable trace : Trace.t option;
   mutable dispatch : dispatch;
+  mutable metric_extras : Registry.labels -> Registry.t -> unit;
+      (* mechanism- and policy-specific metrics, registered after the
+         shared [skyloft_runtime_] family *)
   mutable next_app_id : int;  (* per-run id allocators: ids used to come *)
   mutable next_task_id : int;  (* from process-wide counters, which made
                                   concurrent runs perturb each other *)
@@ -125,10 +153,13 @@ let create machine kmod =
       app_switches = 0;
       preempts = 0;
       be_preempts = 0;
+      ticks = 0;
       rescues = 0;
+      failovers = 0;
       deadline_drops = 0;
       trace = None;
       dispatch = null_dispatch;
+      metric_extras = (fun _ _ -> ());
       next_app_id = 1;  (* id 0 is the daemon *)
       next_task_id = 1;
     }
@@ -155,7 +186,23 @@ let make_exec core =
    units are the d_units prefix, which keeps the mapping deterministic:
    a grant of [n] cores is always units 0..n-1. *)
 let unit_capped t ex = ex.exec_slot >= t.core_allowance
-let set_core_allowance t n = t.core_allowance <- max 0 n
+
+(* The machine-level broker's reclaim/grant muscle: shrinking evicts the
+   newly capped units, growing redrives the units handed back — each by
+   whatever means the mechanism provides. *)
+let set_core_allowance t n =
+  let old = t.core_allowance in
+  t.core_allowance <- max 0 n;
+  if t.core_allowance < old then
+    Array.iter
+      (fun ex -> if unit_capped t ex then t.dispatch.d_evict ex)
+      t.dispatch.d_units
+  else if t.core_allowance > old then
+    Array.iter
+      (fun ex -> if not (unit_capped t ex) then t.dispatch.d_redrive ex)
+      t.dispatch.d_units
+
+let core_allowance t = t.core_allowance
 
 (* The runtime view handed to policy constructors: derived entirely from
    the DISPATCH units, so it is identical across runtimes. *)
@@ -204,6 +251,25 @@ let add_kthread t ~app ~core =
   kt
 
 let kthread t ~app ~core = Hashtbl.find t.kthreads (app, core)
+
+(* Launch an application: one parked kthread per unit, each set up by the
+   mechanism (per-CPU dispatch wires its UINTR handlers there). *)
+let create_app t ~name =
+  let app = new_app t ~name in
+  Array.iter
+    (fun ex ->
+      t.dispatch.d_kthread ex (add_kthread t ~app:app.App.id ~core:ex.exec_core))
+    t.dispatch.d_units;
+  app
+
+(* The daemon occupies every unit first (§4.1). *)
+let activate_daemon t =
+  Array.iter
+    (fun ex ->
+      let kt = add_kthread t ~app:0 ~core:ex.exec_core in
+      t.dispatch.d_kthread ex kt;
+      ignore (Kmod.activate t.kmod kt))
+    t.dispatch.d_units
 
 let is_be t (task : Task.t) =
   match t.be_app with Some app -> task.Task.app = app.App.id | None -> false
@@ -424,6 +490,39 @@ let awaken t (task : Task.t) ~place =
   | Task.Running | Task.Runnable -> task.Task.pending_wake <- true
   | Task.Exited -> ()
 
+let wakeup t ?(waker_cpu = -1) task =
+  awaken t task ~place:(fun task -> t.dispatch.d_wake task ~waker_cpu)
+
+(* §6 "Blocking events": the running task hits a page fault (or a blocking
+   syscall).  The userfaultfd-style monitor blocks the task and lets the
+   scheduler run other work — possibly another application's — on the core
+   for the fault's duration, without violating the Single Binding Rule
+   (the kthread stays bound; only the user thread sleeps). *)
+let fault_current t ~core ~duration =
+  if duration <= 0 then
+    invalid_arg "Runtime_core.fault_current: duration must be positive";
+  match Array.find_opt (fun ex -> ex.exec_core = core) t.dispatch.d_units with
+  | None -> invalid_arg "Runtime_core.fault_current: unmanaged core"
+  | Some ex -> (
+      match ex.current with
+      | Some task when not (Eventq.is_null ex.completion) ->
+          Engine.cancel t.engine ex.completion;
+          ex.completion <- Eventq.null;
+          let remaining = max 0 (task.Task.segment_end - now t) in
+          task.Task.body <- Coro.Compute (remaining, task.Task.cont);
+          task.Task.state <- Task.Blocked;
+          account t ex;
+          release t ex;
+          task.Task.obs_block_at <- now t;
+          (* BE tasks live outside the LC policy's runqueues; telling the
+             policy about one would leak it into LC dispatch at wakeup. *)
+          if not (is_be t task) then t.policy.task_block ~cpu:core task;
+          trace_instant t ~core Trace.Fault task.Task.name;
+          ignore (Engine.after t.engine duration (fun () -> wakeup t task));
+          t.dispatch.d_reschedule ex ~prev:(Some task);
+          true
+      | _ -> false)
+
 (* ---- deadlines ------------------------------------------------------------ *)
 
 let deadline_expired t (task : Task.t) ~on_drop =
@@ -468,10 +567,6 @@ let kill t ?on_drop (task : Task.t) =
         t.policy.task_terminate task;
         deadline_expired t task ~on_drop
 
-let arm_deadline t ?on_drop (task : Task.t) ~deadline ~err =
-  if deadline <= 0 then invalid_arg err;
-  ignore (Engine.after t.engine deadline (fun () -> kill t ?on_drop task))
-
 (* ---- task admission ------------------------------------------------------- *)
 
 (* Create a task with the attribution-recording exit hook: on completion
@@ -503,6 +598,31 @@ let admit t (app : App.t) ~name ~arrival ~service ~record body =
   task.Task.obs_enq_at <- now t;
   app.App.spawned <- app.App.spawned + 1;
   app.App.tasks_alive <- app.App.tasks_alive + 1;
+  task
+
+(* Validate, admit, place, then arm the kill timer.  Every check runs
+   before [admit], so a rejected spawn leaves no task behind; placement
+   precedes the deadline timer, which keeps same-instant event order. *)
+let spawn t app ~name ?cpu ?arrival ?(service = 0) ?(record = true) ?deadline
+    ?on_drop body =
+  (match deadline with
+  | Some d when d <= 0 -> invalid_arg "Runtime_core.spawn: deadline must be positive"
+  | Some _ | None -> ());
+  (match cpu with
+  | Some c
+    when not
+           (t.dispatch.d_pinnable
+           && Array.exists (fun ex -> ex.exec_core = c) t.dispatch.d_units) ->
+      invalid_arg
+        (Printf.sprintf "Runtime_core.spawn: %s cannot pin a task to cpu %d"
+           t.dispatch.d_name c)
+  | Some _ | None -> ());
+  let arrival = match arrival with Some a -> a | None -> now t in
+  let task = admit t app ~name ~arrival ~service ~record body in
+  t.dispatch.d_place task ~cpu;
+  (match deadline with
+  | Some d -> ignore (Engine.after t.engine d (fun () -> kill t ?on_drop task))
+  | None -> ());
   task
 
 (* ---- watchdog bookkeeping ------------------------------------------------- *)
@@ -580,10 +700,10 @@ let congestion t =
 
 (* ---- BE attachment and the core allocator -------------------------------- *)
 
-let spawn_be_workers t (app : App.t) ~chunk ~workers ~who =
-  if t.be_app <> None then invalid_arg (who ^ ": BE app already set");
+let spawn_be_workers t (app : App.t) ~chunk ~workers =
+  if t.be_app <> None then invalid_arg "Runtime_core.attach_be_app: BE app already set";
   if not (List.exists (fun a -> a == app) t.apps) then
-    invalid_arg (who ^ ": app not created by this runtime");
+    invalid_arg "Runtime_core.attach_be_app: app not created by this runtime";
   t.be_app <- Some app;
   for i = 1 to workers do
     (* A batch worker is an endless sequence of compute chunks, yielding
@@ -639,11 +759,39 @@ let start_allocator t ~cfg ~be:(app : App.t) ~on_event ~set_allowance =
   Allocator.start alloc;
   t.allocator <- Some alloc
 
+(* Co-schedule [app] as the best-effort application: seed its batch
+   workers, start the core allocator on the mechanism's BE-allowance
+   muscle, then let the mechanism wake units for the new work. *)
+let attach_be_app t ?alloc app ~chunk ~workers =
+  spawn_be_workers t app ~chunk ~workers;
+  let cfg = match alloc with Some a -> a | None -> Allocator.default_config () in
+  start_allocator t ~cfg ~be:app ~on_event:t.dispatch.d_alloc_event
+    ~set_allowance:t.dispatch.d_set_be_allowance;
+  t.dispatch.d_be_attached ()
+
+let allocator t = t.allocator
+let set_trace t trace = t.trace <- Some trace
+
+(* ---- counters ------------------------------------------------------------- *)
+
+let task_switches t = t.switches
+let app_switches t = t.app_switches
+let preemptions t = t.preempts
+let be_preemptions t = t.be_preempts
+let timer_ticks t = t.ticks
+let watchdog_rescues t = t.rescues
+let failovers t = t.failovers
+let rescue_detection t = t.rescue_detect
+let deadline_drops t = t.deadline_drops
+let wakeup_hist t = t.wakeups
+let queue_depth_series t = t.queue_depth
+let apps t = t.apps
+
 (* ---- metrics -------------------------------------------------------------- *)
 
 (* Per-application task counters, response-time histogram and latency
    attribution, identical across runtimes: the [skyloft_app_] family. *)
-let register_app_metrics t ?(labels = []) reg =
+let register_app_metrics t ~labels reg =
   List.iter
     (fun (app : App.t) ->
       let al = labels @ [ Registry.app app.App.name ] in
@@ -657,3 +805,45 @@ let register_app_metrics t ?(labels = []) reg =
         ~help:"Request response time" (Summary.latency app.App.summary);
       Attribution.register reg ~labels:al app.App.attribution)
     t.apps
+
+let add_metrics t f =
+  let prev = t.metric_extras in
+  t.metric_extras <-
+    (fun labels reg ->
+      prev labels reg;
+      f labels reg)
+
+(* One schema for every runtime: the shared counters as
+   [skyloft_runtime_*{runtime=...}], then the mechanism's and policy's
+   extras, then the per-application family.  Pull-based: every closure
+   reads existing state at snapshot time, so attaching a registry cannot
+   perturb the simulation. *)
+let register_metrics t ?(labels = []) reg =
+  let rl = ("runtime", t.dispatch.d_name) :: labels in
+  let c name help read =
+    Registry.counter reg ~help ~labels:rl ("skyloft_runtime_" ^ name) read
+  in
+  c "task_switches_total" "Intra-application task switches" (fun () -> t.switches);
+  c "app_switches_total"
+    "Cross-application kthread switches through the kernel module" (fun () ->
+      t.app_switches);
+  c "preemptions_total" "LC tasks preempted off their core" (fun () -> t.preempts);
+  c "be_preemptions_total" "Best-effort tasks preempted" (fun () -> t.be_preempts);
+  c "timer_ticks_total" "Timer interrupts handled" (fun () -> t.ticks);
+  c "watchdog_rescues_total" "Stuck cores rescued" (fun () -> t.rescues);
+  c "failovers_total" "Dispatcher failovers" (fun () -> t.failovers);
+  c "deadline_drops_total" "Tasks killed at their deadline" (fun () ->
+      t.deadline_drops);
+  c "busy_ns_total" "Worker CPU time over every application" (fun () ->
+      total_busy_ns t);
+  Registry.gauge reg ~labels:rl "skyloft_runtime_be_allowance"
+    ~help:"Cores the best-effort application may occupy" (fun () ->
+      float_of_int t.be_allowance);
+  Registry.histogram reg ~labels:rl "skyloft_runtime_wakeup_latency_ns"
+    ~help:"Wakeup-to-dispatch latency" t.wakeups;
+  Registry.histogram reg ~labels:rl "skyloft_runtime_rescue_detection_ns"
+    ~help:"Watchdog detection latency past the bound" t.rescue_detect;
+  Registry.series reg ~labels:rl "skyloft_runtime_queue_depth"
+    ~help:"LC policy queue length" t.queue_depth;
+  t.metric_extras labels reg;
+  register_app_metrics t ~labels reg

@@ -25,7 +25,13 @@ module Registry = Skyloft_obs.Registry
     execution units, installing a [dispatch] record over them, and keeping
     for itself nothing but its dispatch mechanics (timer ticks and kicks,
     or the serial dispatcher).  Work stealing, steal-half included, is a
-    {!Sched_ops} policy on the per-CPU runtime, not a runtime. *)
+    {!Sched_ops} policy on the per-CPU runtime, not a runtime.
+
+    A built [t] is the one runtime handle: {!spawn}, {!kill}, {!wakeup},
+    {!create_app}, {!attach_be_app}, the broker gate, tracing, the shared
+    counters and {!register_metrics} are implemented here once, and every
+    runtime-neutral consumer takes a [t] ([Percpu.runtime] and
+    [Hybrid.runtime] hand it out). *)
 
 (** One execution unit: a worker core's scheduling state.  Runtimes wrap
     it with their own per-unit extras (kick flags, assignment
@@ -46,10 +52,12 @@ type exec = {
 }
 
 (** The DISPATCH substrate: a record of closures (the {!Sched_ops} idiom),
-    installed after construction via {!install_dispatch}. *)
+    installed after construction via {!install_dispatch}.  Handle
+    operations call these hooks wherever the two mechanisms differ. *)
 type dispatch = {
-  d_name : string;
+  d_name : string;  (** the [runtime] metric label *)
   d_units : exec array;  (** every execution unit, in core order *)
+  d_pinnable : bool;  (** whether {!spawn}'s [cpu] may pin a task *)
   d_enqueue_cpu : exec -> int;
       (** which queue a yielded task re-enters: the unit's own core
           (per-CPU) or the dispatcher's global queue (centralized) *)
@@ -61,6 +69,19 @@ type dispatch = {
           invalidate stale timers *)
   d_reschedule : exec -> prev:Task.t option -> unit;
       (** find the unit something to run *)
+  d_place : Task.t -> cpu:int option -> unit;
+      (** a freshly admitted task's placement: policy init, enqueue, and a
+          kick (per-CPU) or a dispatcher pump *)
+  d_wake : Task.t -> waker_cpu:int -> unit;
+      (** an awakened task's placement; [waker_cpu] is [-1] when unknown *)
+  d_kthread : exec -> Kmod.kthread -> unit;
+      (** set up a kthread just parked on the unit's core *)
+  d_evict : exec -> unit;  (** the broker capped this unit: preempt it *)
+  d_redrive : exec -> unit;  (** the broker handed this unit back *)
+  d_set_be_allowance : int -> unit;
+      (** the allocator's grant: preempt excess BE units or wake idle ones *)
+  d_alloc_event : Allocator.event -> unit;  (** trace an allocator decision *)
+  d_be_attached : unit -> unit;  (** BE work just arrived: wake the units *)
 }
 
 val null_dispatch : dispatch
@@ -90,10 +111,13 @@ type t = {
   mutable app_switches : int;
   mutable preempts : int;
   mutable be_preempts : int;
+  mutable ticks : int;
   mutable rescues : int;
+  mutable failovers : int;
   mutable deadline_drops : int;
   mutable trace : Trace.t option;
   mutable dispatch : dispatch;
+  mutable metric_extras : Registry.labels -> Registry.t -> unit;
   mutable next_app_id : int;
       (** per-run app-id allocator (1, 2, ...; the daemon is 0).  Ids used
           to come from a process-wide counter, which made simulations in
@@ -121,8 +145,14 @@ val unit_capped : t -> exec -> bool
     to units [0..n-1]. *)
 
 val set_core_allowance : t -> int -> unit
-(** Record the broker's grant (clamped at 0).  Pure bookkeeping: evicting
-    tasks already running on newly capped units is the runtime's job. *)
+(** How many units this runtime may occupy at all: a machine-level core
+    broker's grant (clamped at 0).  Allowed units are always the
+    creation-order prefix.  Shrinking evicts tasks running on newly capped
+    units ([d_evict]); growing redrives the units handed back
+    ([d_redrive]).  The default, [max_int], disables the gate. *)
+
+val core_allowance : t -> int
+(** The broker's current grant ([max_int] when unbrokered). *)
 
 val view : t -> Sched_ops.view
 (** The runtime view handed to policy constructors, derived entirely from
@@ -138,6 +168,15 @@ val find_app : t -> int -> App.t
 (** O(1); raises [Not_found] on unknown ids (daemon is id 0). *)
 
 val new_app : t -> name:string -> App.t
+
+val create_app : t -> name:string -> App.t
+(** Launch an application: one parked kernel thread per unit, each handed
+    to [d_kthread]. *)
+
+val activate_daemon : t -> unit
+(** Park and activate the daemon's kthread on every unit (§4.1); the last
+    construction step, after {!install_policy}. *)
+
 val add_kthread : t -> app:int -> core:int -> Kmod.kthread
 val kthread : t -> app:int -> core:int -> Kmod.kthread
 val is_be : t -> Task.t -> bool
@@ -193,15 +232,24 @@ val awaken : t -> Task.t -> place:(Task.t -> unit) -> unit
     instant, then the runtime's [place].  Non-blocked tasks get their
     pending-wake flag set instead. *)
 
+val wakeup : t -> ?waker_cpu:int -> Task.t -> unit
+(** [task_wakeup]: make a blocked task runnable again; {!awaken} with the
+    mechanism's [d_wake] placement. *)
+
+val fault_current : t -> core:int -> duration:Time.t -> bool
+(** §6 "Blocking events": block the task currently running on [core] for
+    [duration] (a page fault or blocking syscall observed by the
+    userfaultfd monitor) and reschedule other work — possibly another
+    application's — on the unit meanwhile.  [false] if the unit was not
+    running a task; raises [Invalid_argument] on an unmanaged core. *)
+
 (** {1 Deadlines} *)
 
-val deadline_expired : t -> Task.t -> on_drop:(Task.t -> unit) option -> unit
 val kill : t -> ?on_drop:(Task.t -> unit) -> Task.t -> unit
-
-val arm_deadline :
-  t -> ?on_drop:(Task.t -> unit) -> Task.t -> deadline:Time.t -> err:string -> unit
-(** Arm a kill timer; raises [Invalid_argument err] unless the deadline is
-    positive. *)
+(** Forcibly terminate a task wherever it is: running (taken off its unit
+    and discarded), runnable or in flight (flagged; discarded before it
+    runs), or blocked (never woken).  A no-op on exited or already-killed
+    tasks.  Counted in {!deadline_drops} and the app summary's drops. *)
 
 (** {1 Task admission} *)
 
@@ -219,6 +267,24 @@ val admit :
     runtime's job.  Every recorded completion counts — including
     zero-service tasks — so submitted = completed + gave-up + drops
     reconciles for degenerate workloads. *)
+
+val spawn :
+  t -> App.t -> name:string -> ?cpu:int -> ?arrival:Time.t -> ?service:Time.t ->
+  ?record:bool -> ?deadline:Time.t -> ?on_drop:(Task.t -> unit) -> Coro.t ->
+  Task.t
+(** Create a task and hand it to the mechanism's placement.  [cpu] pins
+    the initial placement on a mechanism that can pin (per-CPU; default:
+    an idle core, else round-robin).  When [record] (default true) the
+    task's completion is recorded into the application's summary.
+
+    [deadline] arms a kill timer [deadline] ns from now: a task that has
+    not exited by then is forcibly terminated ({!kill}), counted as a
+    deadline drop, and [on_drop] is called — every spawn is accounted for
+    exactly once.
+
+    @raise Invalid_argument on a non-positive [deadline], or a [cpu] that
+    is not a managed unit or that the mechanism cannot pin (a serial
+    dispatcher); checked before anything is admitted. *)
 
 (** {1 Watchdog bookkeeping} *)
 
@@ -248,25 +314,64 @@ val congestion : t -> Allocator.raw
 
 (** {1 BE attachment and the core allocator} *)
 
-val spawn_be_workers :
-  t -> App.t -> chunk:Time.t -> workers:int -> who:string -> unit
-(** Validate and mark [app] as the BE application, then seed its endless
-    chunked batch workers into the BE queue. *)
+val attach_be_app :
+  t -> ?alloc:Allocator.config -> App.t -> chunk:Time.t -> workers:int -> unit
+(** Co-schedule [app] (created by this runtime) as the best-effort
+    application: [workers] batch tasks, each an endless sequence of
+    [chunk]-sized compute segments, kept outside the LC policy's
+    runqueues.  Starts the core allocator ([alloc], default
+    {!Allocator.default_config}): LC registered on the policy's
+    congestion probe, BE on its queue backlog, [d_set_be_allowance] as
+    the muscle; every core moved charges the §5.4 inter-application switch
+    cost on the BE side. *)
 
-val start_allocator :
-  t ->
-  cfg:Allocator.config ->
-  be:App.t ->
-  on_event:(Allocator.event -> unit) ->
-  set_allowance:(int -> unit) ->
-  unit
-(** Register LC (policy congestion probe) and BE (queue backlog) with a
-    new allocator and start it; [set_allowance] is the runtime's
-    reclaim/grant muscle.  Each core moved charges the §5.4 switch cost on
-    the BE side. *)
+val allocator : t -> Allocator.t option
+(** The running core allocator, once {!attach_be_app} has started it. *)
+
+val set_trace : t -> Trace.t -> unit
+(** Record scheduling activity (run spans, preemptions, wakeups,
+    application switches, faults, mode switches) into the trace. *)
+
+(** {1 Counters} *)
+
+val task_switches : t -> int
+val app_switches : t -> int
+
+val preemptions : t -> int
+(** LC tasks preempted off their unit (per-CPU dispatch also counts its
+    BE preemptions here). *)
+
+val be_preemptions : t -> int
+val timer_ticks : t -> int
+
+val watchdog_rescues : t -> int
+(** Stuck units rescued by the watchdog. *)
+
+val failovers : t -> int
+(** Dispatcher failovers (always 0 without a serial dispatcher). *)
+
+val rescue_detection : t -> Histogram.t
+(** Detection latency per rescue: time past the watchdog bound. *)
+
+val deadline_drops : t -> int
+val wakeup_hist : t -> Histogram.t
+
+val queue_depth_series : t -> Timeseries.t
+(** LC policy queue length over time (one sample per change). *)
+
+val apps : t -> App.t list
+(** Applications created on this runtime (excluding the daemon). *)
 
 (** {1 Metrics} *)
 
-val register_app_metrics : t -> ?labels:Registry.labels -> Registry.t -> unit
-(** Per-application counters, response-time histogram and latency
-    attribution ([skyloft_app_*]), identical across runtimes. *)
+val add_metrics : t -> (Registry.labels -> Registry.t -> unit) -> unit
+(** Append a mechanism- or policy-specific registration to
+    {!register_metrics}. *)
+
+val register_metrics : t -> ?labels:Registry.labels -> Registry.t -> unit
+(** The one schema: the shared counters, histograms and queue-depth
+    series as [skyloft_runtime_*] labelled [runtime=d_name], then the
+    {!add_metrics} extras, then every application's counters,
+    response-time histogram and latency attribution ([skyloft_app_*]).
+    Call after the applications have been created.  Registration is
+    pull-based and never perturbs the simulation. *)

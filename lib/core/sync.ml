@@ -12,7 +12,7 @@ let self_task self =
   | None -> invalid_arg "Sync: blocking operation before the task handle is set"
 
 module Sem = struct
-  type t = { rt : Percpu.t; mutable count : int; waiters : Task.t Queue.t }
+  type t = { rt : Runtime_core.t; mutable count : int; waiters : Task.t Queue.t }
 
   let create rt count =
     if count < 0 then invalid_arg "Sync.Sem.create: negative count";
@@ -31,7 +31,7 @@ module Sem = struct
 
   let post t =
     match Queue.take_opt t.waiters with
-    | Some task -> Percpu.wakeup t.rt task
+    | Some task -> Runtime_core.wakeup t.rt task
     | None -> t.count <- t.count + 1
 
   let count t = t.count
@@ -39,7 +39,7 @@ module Sem = struct
 end
 
 module Waitgroup = struct
-  type t = { rt : Percpu.t; mutable pending : int; waiters : Task.t Queue.t }
+  type t = { rt : Runtime_core.t; mutable pending : int; waiters : Task.t Queue.t }
 
   let create rt () = { rt; pending = 0; waiters = Queue.create () }
 
@@ -51,7 +51,7 @@ module Waitgroup = struct
     if t.pending <= 0 then invalid_arg "Sync.Waitgroup.finish: below zero";
     t.pending <- t.pending - 1;
     if t.pending = 0 then
-      Queue.iter (fun task -> Percpu.wakeup t.rt task) t.waiters
+      Queue.iter (fun task -> Runtime_core.wakeup t.rt task) t.waiters
 
   let wait t self k =
     if t.pending = 0 then k ()
@@ -65,7 +65,7 @@ end
 
 module Chan = struct
   type 'a t = {
-    rt : Percpu.t;
+    rt : Runtime_core.t;
     capacity : int;
     items : 'a Queue.t;
     senders : Task.t Queue.t;  (* blocked on full *)
@@ -86,7 +86,7 @@ module Chan = struct
     if Queue.length t.items < t.capacity then begin
       Queue.push value t.items;
       (match Queue.take_opt t.receivers with
-      | Some task -> Percpu.wakeup t.rt task
+      | Some task -> Runtime_core.wakeup t.rt task
       | None -> ());
       k ()
     end
@@ -99,7 +99,7 @@ module Chan = struct
     match Queue.take_opt t.items with
     | Some value ->
         (match Queue.take_opt t.senders with
-        | Some task -> Percpu.wakeup t.rt task
+        | Some task -> Runtime_core.wakeup t.rt task
         | None -> ());
         k value
     | None ->

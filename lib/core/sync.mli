@@ -20,7 +20,7 @@ module Coro = Skyloft_sim.Coro
       let body = Sync.deferred (fun () ->
           Sync.Sem.wait sem self (fun () -> (* ...acquired... *) Coro.Exit))
       in
-      self := Some (Percpu.spawn rt app ~name:"worker" body)
+      self := Some (Runtime_core.spawn rt app ~name:"worker" body)
     ]} *)
 
 val deferred : (unit -> Coro.t) -> Coro.t
@@ -30,7 +30,7 @@ val deferred : (unit -> Coro.t) -> Coro.t
 module Sem : sig
   type t
 
-  val create : Percpu.t -> int -> t
+  val create : Runtime_core.t -> int -> t
   (** Counting semaphore with the given initial count (>= 0). *)
 
   val wait : t -> Task.t option ref -> (unit -> Coro.t) -> Coro.t
@@ -47,7 +47,7 @@ end
 module Waitgroup : sig
   type t
 
-  val create : Percpu.t -> unit -> t
+  val create : Runtime_core.t -> unit -> t
   val add : t -> int -> unit
   val finish : t -> unit
   (** Mark one unit done; raises [Invalid_argument] below zero. *)
@@ -61,7 +61,7 @@ end
 module Chan : sig
   type 'a t
 
-  val create : Percpu.t -> capacity:int -> 'a t
+  val create : Runtime_core.t -> capacity:int -> 'a t
 
   val send : 'a t -> Task.t option ref -> 'a -> (unit -> Coro.t) -> Coro.t
   (** Enqueue the value, blocking while the channel is full. *)

@@ -13,6 +13,7 @@ module Nic = Skyloft_net.Nic
 module Loadgen = Skyloft_net.Loadgen
 module Udp_server = Skyloft_apps.Udp_server
 module Histogram = Skyloft_stats.Histogram
+module Rc = Skyloft.Runtime_core
 
 (** Ablations of the design choices DESIGN.md calls out:
 
@@ -41,16 +42,17 @@ let a1_tick_frequency (config : Config.t) =
     let machine = Machine.create engine Topology.paper_server in
     let kmod = Kmod.create machine in
     let rt =
-      Percpu.create machine kmod ~cores:[ 0 ] ~timer_hz:hz
-        ~preemption:(hz > 0)
-        (Skyloft_policies.Rr.create ~slice:(Time.us 50) ())
+      Percpu.runtime
+        (Percpu.create machine kmod ~cores:[ 0 ] ~timer_hz:hz
+           ~preemption:(hz > 0)
+           (Skyloft_policies.Rr.create ~slice:(Time.us 50) ()))
     in
-    let app = Percpu.create_app rt ~name:"hog" in
+    let app = Rc.create_app rt ~name:"hog" in
     (* one core fully loaded with 10us work items *)
     let done_ = ref 0 in
     let rec refill () =
       ignore
-        (Percpu.spawn rt app ~name:"chunk" ~record:false
+        (Rc.spawn rt app ~name:"chunk" ~record:false
            (Coro.Compute
               ( Time.us 10,
                 fun () ->
@@ -94,15 +96,16 @@ let a2_percpu_vs_centralized (config : Config.t) =
     let machine = Machine.create engine Topology.paper_server in
     let kmod = Kmod.create machine in
     let rt =
-      Percpu.create machine kmod ~cores:(List.init n_cores Fun.id) ~timer_hz:100_000
-        (Skyloft_policies.Work_stealing.create ~quantum:(Time.us 30) ())
+      Percpu.runtime
+        (Percpu.create machine kmod ~cores:(List.init n_cores Fun.id) ~timer_hz:100_000
+           (Skyloft_policies.Work_stealing.create ~quantum:(Time.us 30) ()))
     in
-    let app = Percpu.create_app rt ~name:"lc" in
+    let app = Rc.create_app rt ~name:"lc" in
     let rng = Engine.split_rng engine in
     Loadgen.poisson engine ~rng ~rate_rps:rate ~service:Dist.dispersive
       ~duration:config.duration (fun pkt ->
         ignore
-          (Percpu.spawn rt app ~name:"req" ~arrival:pkt.Skyloft_net.Packet.arrival
+          (Rc.spawn rt app ~name:"req" ~arrival:pkt.Skyloft_net.Packet.arrival
              ~service:pkt.Skyloft_net.Packet.service
              (Coro.compute_then_exit pkt.Skyloft_net.Packet.service)));
     Engine.run ~until:(config.duration + Time.ms 60) engine;
@@ -114,17 +117,18 @@ let a2_percpu_vs_centralized (config : Config.t) =
     let kmod = Kmod.create machine in
     (* one of the cores becomes the dispatcher: 7 workers *)
     let rt =
-      Hybrid.create machine kmod ~dispatcher_core:0
-        ~worker_cores:(List.init (n_cores - 1) (fun i -> i + 1))
-        ~quantum:(Time.us 30) ~adaptive:false
-        (Skyloft_policies.Shinjuku.create ())
+      Hybrid.runtime
+        (Hybrid.create machine kmod ~dispatcher_core:0
+           ~worker_cores:(List.init (n_cores - 1) (fun i -> i + 1))
+           ~quantum:(Time.us 30) ~adaptive:false
+           (Skyloft_policies.Shinjuku.create ()))
     in
-    let app = Hybrid.create_app rt ~name:"lc" in
+    let app = Rc.create_app rt ~name:"lc" in
     let rng = Engine.split_rng engine in
     Loadgen.poisson engine ~rng ~rate_rps:rate ~service:Dist.dispersive
       ~duration:config.duration (fun pkt ->
         ignore
-          (Hybrid.submit rt app ~name:"req" ~service:pkt.Skyloft_net.Packet.service
+          (Rc.spawn rt app ~name:"req" ~service:pkt.Skyloft_net.Packet.service
              (Coro.compute_then_exit pkt.Skyloft_net.Packet.service)));
     Engine.run ~until:(config.duration + Time.ms 60) engine;
     (app.App.summary, n_cores - 1)
@@ -167,12 +171,13 @@ let a3_dispatcher_scalability (config : Config.t) =
     let machine = Machine.create engine Topology.paper_server in
     let kmod = Kmod.create machine in
     let rt =
-      Hybrid.create machine kmod ~dispatcher_core:0
-        ~worker_cores:(List.init workers (fun i -> i + 1))
-        ~quantum:0 ~adaptive:false
-        (Skyloft_policies.Shinjuku.create ())
+      Hybrid.runtime
+        (Hybrid.create machine kmod ~dispatcher_core:0
+           ~worker_cores:(List.init workers (fun i -> i + 1))
+           ~quantum:0 ~adaptive:false
+           (Skyloft_policies.Shinjuku.create ()))
     in
-    let app = Hybrid.create_app rt ~name:"lc" in
+    let app = Rc.create_app rt ~name:"lc" in
     let rng = Engine.split_rng engine in
     (* overload: 1.2x the worker capacity of 1us requests *)
     let rate = 1.2 *. float_of_int workers *. 1e6 in
@@ -183,7 +188,7 @@ let a3_dispatcher_scalability (config : Config.t) =
     Loadgen.poisson engine ~rng ~rate_rps:rate ~service:(Dist.Constant (Time.us 1))
       ~duration:config.duration (fun pkt ->
         ignore
-          (Hybrid.submit rt app ~name:"req" ~service:pkt.Skyloft_net.Packet.service
+          (Rc.spawn rt app ~name:"req" ~service:pkt.Skyloft_net.Packet.service
              (Coro.compute_then_exit pkt.Skyloft_net.Packet.service)));
     Engine.run ~until:(config.duration + Time.ms 20) engine;
     float_of_int !in_window /. Time.to_s_float config.duration /. 1.0e6
@@ -214,7 +219,7 @@ let a4_nic_modes (config : Config.t) =
       Percpu.create machine kmod ~cores ~preemption:false
         (Skyloft_policies.Work_stealing.create ())
     in
-    let app = Percpu.create_app rt ~name:"srv" in
+    let app = Rc.create_app (Percpu.runtime rt) ~name:"srv" in
     let nic = make_nic engine machine in
     attach rt app nic;
     let rng = Engine.split_rng engine in
@@ -283,16 +288,17 @@ let a5_hybrid_vs_parents (config : Config.t) =
     let machine = Machine.create engine Topology.paper_server in
     let kmod = Kmod.create machine in
     let rt =
-      Percpu.create machine kmod ~cores:(List.init n_cores Fun.id)
-        ~timer_hz:100_000
-        (Skyloft_policies.Work_stealing.create ~quantum ())
+      Percpu.runtime
+        (Percpu.create machine kmod ~cores:(List.init n_cores Fun.id)
+           ~timer_hz:100_000
+           (Skyloft_policies.Work_stealing.create ~quantum ()))
     in
-    let app = Percpu.create_app rt ~name:"lc" in
+    let app = Rc.create_app rt ~name:"lc" in
     let rng = Engine.split_rng engine in
     Loadgen.poisson engine ~rng ~rate_rps:rate ~service:Dist.dispersive
       ~duration:config.duration (fun pkt ->
         ignore
-          (Percpu.spawn rt app ~name:"req"
+          (Rc.spawn rt app ~name:"req"
              ~arrival:pkt.Skyloft_net.Packet.arrival
              ~service:pkt.Skyloft_net.Packet.service
              (Coro.compute_then_exit pkt.Skyloft_net.Packet.service)));
@@ -304,17 +310,18 @@ let a5_hybrid_vs_parents (config : Config.t) =
     let machine = Machine.create engine Topology.paper_server in
     let kmod = Kmod.create machine in
     let rt =
-      Hybrid.create machine kmod ~dispatcher_core:0
-        ~worker_cores:(List.init (n_cores - 1) (fun i -> i + 1))
-        ~quantum ~adaptive:false
-        (Skyloft_policies.Shinjuku.create ())
+      Hybrid.runtime
+        (Hybrid.create machine kmod ~dispatcher_core:0
+           ~worker_cores:(List.init (n_cores - 1) (fun i -> i + 1))
+           ~quantum ~adaptive:false
+           (Skyloft_policies.Shinjuku.create ()))
     in
-    let app = Hybrid.create_app rt ~name:"lc" in
+    let app = Rc.create_app rt ~name:"lc" in
     let rng = Engine.split_rng engine in
     Loadgen.poisson engine ~rng ~rate_rps:rate ~service:Dist.dispersive
       ~duration:config.duration (fun pkt ->
         ignore
-          (Hybrid.submit rt app ~name:"req"
+          (Rc.spawn rt app ~name:"req"
              ~service:pkt.Skyloft_net.Packet.service
              (Coro.compute_then_exit pkt.Skyloft_net.Packet.service)));
     Engine.run ~until:(config.duration + Time.ms 60) engine;
@@ -324,25 +331,25 @@ let a5_hybrid_vs_parents (config : Config.t) =
     let engine = Engine.create ~seed:config.seed () in
     let machine = Machine.create engine Topology.paper_server in
     let kmod = Kmod.create machine in
-    let rt =
+    let hybrid =
       Hybrid.create machine kmod ~dispatcher_core:0
         ~worker_cores:(List.init (n_cores - 1) (fun i -> i + 1))
         ~quantum
         (fst (Skyloft_policies.Shinjuku_shenango.create ()))
     in
-    let app = Hybrid.create_app rt ~name:"lc" in
+    let rt = Hybrid.runtime hybrid in
+    let app = Rc.create_app rt ~name:"lc" in
     let rng = Engine.split_rng engine in
     Loadgen.poisson engine ~rng ~rate_rps:rate ~service:Dist.dispersive
       ~duration:config.duration (fun pkt ->
         ignore
-          (Hybrid.submit rt app ~name:"req"
-             ~service:pkt.Skyloft_net.Packet.service
+          (Rc.spawn rt app ~name:"req" ~service:pkt.Skyloft_net.Packet.service
              (Coro.compute_then_exit pkt.Skyloft_net.Packet.service)));
     Engine.run ~until:(config.duration + Time.ms 60) engine;
     measure "hybrid" app.App.summary
       (Printf.sprintf "%d switches, end %s"
-         (Hybrid.mode_switches rt)
-         (match Hybrid.mode rt with
+         (Hybrid.mode_switches hybrid)
+         (match Hybrid.mode hybrid with
          | Hybrid.Central -> "central"
          | Hybrid.Percore -> "percore"))
   in
@@ -426,85 +433,34 @@ let a6_worksteal_regimes (config : Config.t) =
       ~duration:config.duration (fun pkt ->
         submit ~cpu:None ~service:pkt.Skyloft_net.Packet.service)
   in
-  let run_percpu drive =
+  (* One driver over the runtime handle; each design passes its own
+     constructor and notes.  The serial dispatcher cannot pin, so its
+     designs take every request unpinned. *)
+  let percpu machine kmod ?park policy =
+    Percpu.create machine kmod ~cores:(List.init n_cores Fun.id)
+      ~timer_hz:100_000 ?park policy
+  in
+  let hybrid machine kmod ~adaptive policy =
+    Hybrid.create machine kmod ~dispatcher_core:0
+      ~worker_cores:(List.init (n_cores - 1) (fun i -> i + 1))
+      ~quantum ~adaptive policy
+  in
+  let design name build drive =
     let engine = Engine.create ~seed:config.seed () in
     let machine = Machine.create engine Topology.paper_server in
     let kmod = Kmod.create machine in
-    let rt =
-      Percpu.create machine kmod ~cores:(List.init n_cores Fun.id)
-        ~timer_hz:100_000
-        (Skyloft_policies.Work_stealing.create ~quantum ())
-    in
-    let app = Percpu.create_app rt ~name:"lc" in
+    let rt, notes = build machine kmod in
+    let app = Rc.create_app rt ~name:"lc" in
+    let pinnable = rt.Rc.dispatch.Rc.d_pinnable in
     let rng = Engine.split_rng engine in
     drive engine rng (fun ~cpu ~service ->
         ignore
-          (Percpu.spawn rt app ~name:"req" ?cpu ~service
+          (Rc.spawn rt app ~name:"req"
+             ?cpu:(if pinnable then cpu else None)
+             ~service
              (Coro.compute_then_exit service)));
     Engine.run ~until:horizon engine;
-    ("percpu", app.App.summary, "-")
-  in
-  let run_centralized drive =
-    let engine = Engine.create ~seed:config.seed () in
-    let machine = Machine.create engine Topology.paper_server in
-    let kmod = Kmod.create machine in
-    let rt =
-      Hybrid.create machine kmod ~dispatcher_core:0
-        ~worker_cores:(List.init (n_cores - 1) (fun i -> i + 1))
-        ~quantum ~adaptive:false
-        (Skyloft_policies.Shinjuku.create ())
-    in
-    let app = Hybrid.create_app rt ~name:"lc" in
-    let rng = Engine.split_rng engine in
-    drive engine rng (fun ~cpu:_ ~service ->
-        ignore
-          (Hybrid.submit rt app ~name:"req" ~service
-             (Coro.compute_then_exit service)));
-    Engine.run ~until:horizon engine;
-    ("centralized", app.App.summary, "-")
-  in
-  let run_hybrid drive =
-    let engine = Engine.create ~seed:config.seed () in
-    let machine = Machine.create engine Topology.paper_server in
-    let kmod = Kmod.create machine in
-    let rt =
-      Hybrid.create machine kmod ~dispatcher_core:0
-        ~worker_cores:(List.init (n_cores - 1) (fun i -> i + 1))
-        ~quantum
-        (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-    in
-    let app = Hybrid.create_app rt ~name:"lc" in
-    let rng = Engine.split_rng engine in
-    drive engine rng (fun ~cpu:_ ~service ->
-        ignore
-          (Hybrid.submit rt app ~name:"req" ~service
-             (Coro.compute_then_exit service)));
-    Engine.run ~until:horizon engine;
-    ( "hybrid",
-      app.App.summary,
-      Printf.sprintf "%d mode switches" (Hybrid.mode_switches rt) )
-  in
-  let run_worksteal drive =
-    let engine = Engine.create ~seed:config.seed () in
-    let machine = Machine.create engine Topology.paper_server in
-    let kmod = Kmod.create machine in
-    let policy, steals = Skyloft_policies.Work_stealing.steal_half ~quantum () in
-    let rt =
-      Percpu.create machine kmod ~cores:(List.init n_cores Fun.id)
-        ~timer_hz:100_000 ~park:Skyloft_policies.Work_stealing.park policy
-    in
-    let app = Percpu.create_app rt ~name:"lc" in
-    let rng = Engine.split_rng engine in
-    drive engine rng (fun ~cpu ~service ->
-        ignore
-          (Percpu.spawn rt app ~name:"req" ?cpu ~service
-             (Coro.compute_then_exit service)));
-    Engine.run ~until:horizon engine;
-    ( "worksteal",
-      app.App.summary,
-      Printf.sprintf "%d steals (%d tasks), %d parks"
-        steals.Skyloft_policies.Work_stealing.steals steals.stolen_tasks
-        (Percpu.parks rt) )
+    (name, app.App.summary, notes ())
   in
   let regimes =
     [
@@ -513,7 +469,35 @@ let a6_worksteal_regimes (config : Config.t) =
       ("overload", drive_overload);
     ]
   in
-  let runners = [ run_percpu; run_centralized; run_hybrid; run_worksteal ] in
+  let runners =
+    [
+      design "percpu" (fun machine kmod ->
+          ( Percpu.runtime
+              (percpu machine kmod (Skyloft_policies.Work_stealing.create ~quantum ())),
+            fun () -> "-" ));
+      design "centralized" (fun machine kmod ->
+          ( Hybrid.runtime
+              (hybrid machine kmod ~adaptive:false (Skyloft_policies.Shinjuku.create ())),
+            fun () -> "-" ));
+      design "hybrid" (fun machine kmod ->
+          let h =
+            hybrid machine kmod ~adaptive:true
+              (fst (Skyloft_policies.Shinjuku_shenango.create ()))
+          in
+          ( Hybrid.runtime h,
+            fun () -> Printf.sprintf "%d mode switches" (Hybrid.mode_switches h) ));
+      design "worksteal" (fun machine kmod ->
+          let policy, steals = Skyloft_policies.Work_stealing.steal_half ~quantum () in
+          let rt =
+            percpu machine kmod ~park:Skyloft_policies.Work_stealing.park policy
+          in
+          ( Percpu.runtime rt,
+            fun () ->
+              Printf.sprintf "%d steals (%d tasks), %d parks"
+                steals.Skyloft_policies.Work_stealing.steals steals.stolen_tasks
+                (Percpu.parks rt) ));
+    ]
+  in
   let cells =
     List.concat_map
       (fun (rname, drive) -> List.map (fun run -> (rname, drive, run)) runners)

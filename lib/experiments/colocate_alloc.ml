@@ -10,6 +10,7 @@ module Hybrid = Skyloft.Hybrid
 module Synthetic = Skyloft_apps.Synthetic
 module Allocator = Skyloft_alloc.Allocator
 module Alloc_policy = Skyloft_alloc.Policy
+module Rc = Skyloft.Runtime_core
 
 (** Core-allocation policy comparison (§5.2 "Multiple workloads", the
     lib/alloc subsystem): the Figure 7b/7c co-location setup — dispersive
@@ -58,13 +59,14 @@ let run_point (config : Config.t) ~policy:(policy_name, make_policy) ~load_frac 
     { (Allocator.default_config ()) with Allocator.policy = make_policy () }
   in
   let rt =
-    Hybrid.create machine kmod ~dispatcher_core ~worker_cores
-      ~quantum:(Time.us 30) ~adaptive:false ~alloc:alloc_cfg
-      (fst (Skyloft_policies.Shinjuku_shenango.create ()))
+    Hybrid.runtime
+      (Hybrid.create machine kmod ~dispatcher_core ~worker_cores
+         ~quantum:(Time.us 30) ~adaptive:false
+         (fst (Skyloft_policies.Shinjuku_shenango.create ())))
   in
-  let lc = Hybrid.create_app rt ~name:"lc" in
-  let be = Hybrid.create_app rt ~name:"batch" in
-  Hybrid.attach_be_app rt be ~chunk:(Time.us 50) ~workers:n_workers;
+  let lc = Rc.create_app rt ~name:"lc" in
+  let be = Rc.create_app rt ~name:"batch" in
+  Rc.attach_be_app rt ~alloc:alloc_cfg be ~chunk:(Time.us 50) ~workers:n_workers;
   let rng = Engine.split_rng engine in
   Synthetic.drive rt lc engine ~rng ~rate_rps:(load_frac *. saturation)
     ~duration:config.duration;
@@ -78,7 +80,7 @@ let run_point (config : Config.t) ~policy:(policy_name, make_policy) ~load_frac 
   Engine.run ~until:(config.duration + Time.ms 60) engine;
   let total_ns = n_workers * config.duration in
   let alloc =
-    match Hybrid.allocator rt with
+    match Rc.allocator rt with
     | Some a -> a
     | None -> failwith "colocate_alloc: allocator not started"
   in

@@ -7,9 +7,8 @@ module Machine = Skyloft_hw.Machine
 module Kmod = Skyloft_kernel.Kmod
 module Summary = Skyloft_stats.Summary
 module Histogram = Skyloft_stats.Histogram
-module App = Skyloft.App
-module Percpu = Skyloft.Percpu
-module Hybrid = Skyloft.Hybrid
+module Rc = Skyloft.Runtime_core
+module Scenario = Skyloft_scenario.Scenario
 module Allocator = Skyloft_alloc.Allocator
 module Alloc_policy = Skyloft_alloc.Policy
 module Nic = Skyloft_net.Nic
@@ -33,9 +32,6 @@ module Injector = Skyloft_fault.Injector
     [lost] column is that reconciliation residue and must be zero. *)
 
 let n_workers = 8
-let dispatcher_core = 0
-let worker_cores = List.init n_workers (fun i -> i + 1)
-let percpu_cores = List.init n_workers Fun.id
 let quantum = Time.us 30
 let watchdog_bound = Time.us 200
 let deadline = Time.ms 25
@@ -50,15 +46,7 @@ let poison_service = Time.ms 1
 let poison_deadline = Time.ms 2
 let fault_rates = [ 0.0; 0.01; 0.05 ]
 
-type runtime = Central | Percore | Hybridized | Stealing
-
-let runtimes =
-  [
-    ("centralized", Central);
-    ("percpu", Percore);
-    ("hybrid", Hybridized);
-    ("worksteal", Stealing);
-  ]
+let runtimes = Scenario.[ Centralized; Percpu; Hybrid; Worksteal ]
 
 (* Fault intensity [rate] scales every class: IPI drop/delay probability is
    [rate] per delivery, one 30 µs core steal every [30 µs / rate], one
@@ -105,22 +93,6 @@ type counters = {
   mutable attempts : int;
 }
 
-(* Runtime-neutral surface the request pipeline needs. *)
-type iface = {
-  submit :
-    name:string ->
-    service:Time.t ->
-    on_drop:(unit -> unit) ->
-    on_done:(unit -> unit) ->
-    unit;
-  poison : core:int -> service:Time.t -> unit;
-  rescues : unit -> int;
-  failovers : unit -> int;
-  deadline_drops : unit -> int;
-  detect : unit -> Histogram.t;
-  allocator : unit -> Allocator.t option;
-}
-
 (* The delay policy reclaims BE cores on LC queueing delay — a congestion
    signal that stays live even while LC is fully starved of cores (the
    utilization signal is not: an LC app with no cores has zero utilization
@@ -132,92 +104,26 @@ let alloc_cfg () =
     degrade_after = Some 40;
   }
 
-(* [~steal_half:true] is the work-stealing runtime: the steal-half
-   policy with Shenango-style parking. *)
-let make_percpu ~steal_half machine kmod =
-  let park, policy =
-    if steal_half then
-      ( Some Skyloft_policies.Work_stealing.park,
-        fst (Skyloft_policies.Work_stealing.steal_half ~quantum ()) )
-    else (None, Skyloft_policies.Work_stealing.create ~quantum ())
-  in
-  let rt =
-    Percpu.create machine kmod ~cores:percpu_cores ~timer_hz:100_000
-      ~watchdog:watchdog_bound ?park policy
-  in
-  let lc = Percpu.create_app rt ~name:"lc" in
-  let be = Percpu.create_app rt ~name:"batch" in
-  Percpu.attach_be_app rt ~alloc:(alloc_cfg ()) be ~chunk:(Time.us 50)
-    ~workers:n_workers;
-  {
-    submit =
-      (fun ~name ~service ~on_drop ~on_done ->
-        ignore
-          (Percpu.spawn rt lc ~name ~record:false ~deadline
-             ~on_drop:(fun _ -> on_drop ())
-             (Coro.Compute
-                ( service,
-                  fun () ->
-                    on_done ();
-                    Coro.Exit ))));
-    poison =
-      (fun ~core ~service ->
-        ignore
-          (Percpu.spawn rt lc ~name:"poison" ~cpu:core ~record:false
-             ~deadline:poison_deadline
-             (Coro.Compute (service, fun () -> Coro.Exit))));
-    rescues = (fun () -> Percpu.watchdog_rescues rt);
-    failovers = (fun () -> 0);
-    deadline_drops = (fun () -> Percpu.deadline_drops rt);
-    detect = (fun () -> Percpu.rescue_detection rt);
-    allocator = (fun () -> Percpu.allocator rt);
-  }
-
-(* [~adaptive:false] pins the hybrid to its serial dispatcher: the
-   centralized runtime. *)
-let make_hybrid ~adaptive machine kmod =
-  let rt =
-    Hybrid.create machine kmod ~dispatcher_core ~worker_cores ~quantum ~adaptive
-      ~alloc:(alloc_cfg ()) ~watchdog:watchdog_bound
-      (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-  in
-  let lc = Hybrid.create_app rt ~name:"lc" in
-  let be = Hybrid.create_app rt ~name:"batch" in
-  Hybrid.attach_be_app rt be ~chunk:(Time.us 50) ~workers:n_workers;
-  {
-    submit =
-      (fun ~name ~service ~on_drop ~on_done ->
-        ignore
-          (Hybrid.submit rt lc ~record:false ~deadline
-             ~on_drop:(fun _ -> on_drop ())
-             ~name
-             (Coro.Compute
-                ( service,
-                  fun () ->
-                    on_done ();
-                    Coro.Exit ))));
-    poison =
-      (fun ~core:_ ~service ->
-        ignore
-          (Hybrid.submit rt lc ~record:false ~deadline:poison_deadline
-             ~name:"poison"
-             (Coro.Compute (service, fun () -> Coro.Exit))));
-    rescues = (fun () -> Hybrid.watchdog_rescues rt);
-    failovers = (fun () -> Hybrid.failovers rt);
-    deadline_drops = (fun () -> Hybrid.deadline_drops rt);
-    detect = (fun () -> Hybrid.rescue_detection rt);
-    allocator = (fun () -> Hybrid.allocator rt);
-  }
-
-let run_point (config : Config.t) ~runtime:(rt_name, which) ~rate =
+let run_point (config : Config.t) ~runtime ~rate =
   let engine = Engine.create ~seed:config.seed () in
   let machine = Machine.create engine Topology.paper_server in
   let kmod = Kmod.create machine in
-  let iface =
-    match which with
-    | Central -> make_hybrid ~adaptive:false machine kmod
-    | Percore | Stealing -> make_percpu ~steal_half:(which = Stealing) machine kmod
-    | Hybridized -> make_hybrid ~adaptive:true machine kmod
+  let rt =
+    Scenario.build ~watchdog:watchdog_bound machine kmod ~first_core:0
+      ~cores:n_workers ~quantum ~timer_hz:100_000 runtime
+  in
+  let lc = Rc.create_app rt ~name:"lc" in
+  let be = Rc.create_app rt ~name:"batch" in
+  Rc.attach_be_app rt ~alloc:(alloc_cfg ()) be ~chunk:(Time.us 50)
+    ~workers:n_workers;
+  (* A poisoned task lands on the faulted core where the mechanism can
+     pin; a serial dispatcher queues it like any request. *)
+  let poison ~core ~service =
+    ignore
+      (Rc.spawn rt lc ~name:"poison"
+         ?cpu:(if rt.Rc.dispatch.Rc.d_pinnable then Some core else None)
+         ~record:false ~deadline:poison_deadline
+         (Coro.Compute (service, fun () -> Coro.Exit)))
   in
   let nic = Nic.create engine ~queues:1 ~ring_capacity () in
   (* Split order is fixed so a zero-rate run draws the same generator
@@ -226,9 +132,7 @@ let run_point (config : Config.t) ~runtime:(rt_name, which) ~rate =
   let gen_rng = Engine.split_rng engine in
   let injector = Injector.create ~engine ~rng:inj_rng () in
   let inject_cores =
-    match which with
-    | Central | Hybridized -> dispatcher_core :: worker_cores
-    | Percore | Stealing -> percpu_cores
+    List.init (n_workers + Scenario.dispatcher_cores runtime) Fun.id
   in
   (match plans rate with
   | [] -> ()
@@ -239,7 +143,7 @@ let run_point (config : Config.t) ~runtime:(rt_name, which) ~rate =
           kmod = Some kmod;
           nic = Some nic;
           cores = inject_cores;
-          poison = Some (fun ~core ~service -> iface.poison ~core ~service);
+          poison = Some poison;
         }
         ps);
   let cnt = { submitted = 0; completed = 0; gave_up = 0; attempts = 0 } in
@@ -248,13 +152,17 @@ let run_point (config : Config.t) ~runtime:(rt_name, which) ~rate =
       Loadgen.retrying engine ~budget:retry_budget ~backoff:retry_backoff
         ~attempt:(fun _k done_ ->
           cnt.attempts <- cnt.attempts + 1;
-          iface.submit ~name:pkt.Packet.kind ~service:pkt.Packet.service
-            ~on_drop:(fun () -> done_ false)
-            ~on_done:(fun () ->
-              cnt.completed <- cnt.completed + 1;
-              Summary.record_request summary ~arrival:pkt.Packet.arrival
-                ~completion:(Engine.now engine) ~service:pkt.Packet.service;
-              done_ true))
+          ignore
+            (Rc.spawn rt lc ~name:pkt.Packet.kind ~record:false ~deadline
+               ~on_drop:(fun _ -> done_ false)
+               (Coro.Compute
+                  ( pkt.Packet.service,
+                    fun () ->
+                      cnt.completed <- cnt.completed + 1;
+                      Summary.record_request summary ~arrival:pkt.Packet.arrival
+                        ~completion:(Engine.now engine) ~service:pkt.Packet.service;
+                      done_ true;
+                      Coro.Exit ))))
         (fun () -> cnt.gave_up <- cnt.gave_up + 1));
   Loadgen.poisson engine ~rng:gen_rng ~rate_rps ~service:Dist.dispersive
     ~duration:config.duration (fun pkt ->
@@ -262,13 +170,13 @@ let run_point (config : Config.t) ~runtime:(rt_name, which) ~rate =
       Nic.rx nic pkt);
   Engine.run ~until:(config.duration + drain) engine;
   let net_drops = Nic.drops nic + Nic.injected_drops nic in
-  let detect = iface.detect () in
+  let detect = Rc.rescue_detection rt in
   let detect_p p =
     if Histogram.is_empty detect then 0.0
     else Time.to_us_float (Histogram.percentile detect p)
   in
   {
-    runtime = rt_name;
+    runtime = Scenario.runtime_name runtime;
     rate;
     p99_us = Time.to_us_float (Summary.latency_p summary 99.0);
     submitted = cnt.submitted;
@@ -277,11 +185,11 @@ let run_point (config : Config.t) ~runtime:(rt_name, which) ~rate =
     net_drops;
     lost = cnt.submitted - cnt.completed - cnt.gave_up - net_drops;
     attempts = cnt.attempts;
-    deadline_drops = iface.deadline_drops ();
-    rescues = iface.rescues ();
-    failovers = iface.failovers ();
+    deadline_drops = Rc.deadline_drops rt;
+    rescues = Rc.watchdog_rescues rt;
+    failovers = Rc.failovers rt;
     degradations =
-      (match iface.allocator () with
+      (match Rc.allocator rt with
       | Some a -> Allocator.degradations a
       | None -> 0);
     detect_p50_us = detect_p 50.0;
@@ -308,7 +216,7 @@ let sweep_all (config : Config.t) =
       cells
   in
   List.map2
-    (fun (name, _) pts -> (name, pts))
+    (fun runtime pts -> (Scenario.runtime_name runtime, pts))
     runtimes
     (Parallel.group ~size:(List.length fault_rates) points)
 

@@ -8,6 +8,7 @@ module Histogram = Skyloft_stats.Histogram
 module Percpu = Skyloft.Percpu
 module Runner = Skyloft_apps.Runner
 module Schbench = Skyloft_apps.Schbench
+module Rc = Skyloft.Runtime_core
 
 (** Figure 5: schbench wakeup latency across schedulers, 24 cores, 1
     message thread, growing worker count.  Linux schedulers run with the
@@ -47,9 +48,10 @@ let run_one (config : Config.t) system ~workers =
     | Linux_sys (policy, _) -> Runner.of_linux (Linux.create machine policy ~cores)
     | Skyloft_sys (ctor, _) ->
         let kmod = Kmod.create machine in
-        let rt = Percpu.create machine kmod ~cores ~timer_hz:100_000 (ctor ()) in
-        let app = Percpu.create_app rt ~name:"schbench" in
-        Runner.of_percpu rt app
+        let rt =
+          Percpu.runtime (Percpu.create machine kmod ~cores ~timer_hz:100_000 (ctor ()))
+        in
+        Runner.of_runtime rt (Rc.create_app rt ~name:"schbench")
   in
   Schbench.run runner engine (Schbench.default_config ~workers) ~duration:config.duration
 

@@ -7,6 +7,7 @@ module Histogram = Skyloft_stats.Histogram
 module Percpu = Skyloft.Percpu
 module Runner = Skyloft_apps.Runner
 module Schbench = Skyloft_apps.Schbench
+module Rc = Skyloft.Runtime_core
 
 (** Figure 6: schbench wakeup latency under Skyloft RR as a function of the
     time slice.  The paper's observation: wakeup latency is roughly
@@ -26,11 +27,11 @@ let run_one (config : Config.t) ~slice ~workers =
   let machine = Machine.create engine Topology.paper_server in
   let kmod = Kmod.create machine in
   let rt =
-    Percpu.create machine kmod ~cores ~timer_hz:100_000
-      (Skyloft_policies.Rr.create ?slice ())
+    Percpu.runtime
+      (Percpu.create machine kmod ~cores ~timer_hz:100_000
+         (Skyloft_policies.Rr.create ?slice ()))
   in
-  let app = Percpu.create_app rt ~name:"schbench" in
-  let runner = Runner.of_percpu rt app in
+  let runner = Runner.of_runtime rt (Rc.create_app rt ~name:"schbench") in
   Schbench.run runner engine (Schbench.default_config ~workers) ~duration:config.duration
 
 let print (config : Config.t) =

@@ -9,6 +9,7 @@ module Hybrid = Skyloft.Hybrid
 module Synthetic = Skyloft_apps.Synthetic
 module Linux_workload = Skyloft_baselines.Linux_workload
 module Dist = Skyloft_sim.Dist
+module Rc = Skyloft.Runtime_core
 
 (** Figure 7: the §5.2 synthetic comparison on the dispersive workload
     (99.5% 4 µs / 0.5% 10 ms), 20 worker cores plus one dispatcher/load
@@ -44,7 +45,7 @@ type point = {
 
 (* A batch application soaking up whatever the LC load leaves idle. *)
 let attach_batch rt be =
-  Hybrid.attach_be_app rt be ~chunk:(Time.us 50) ~workers:n_workers
+  Rc.attach_be_app rt be ~chunk:(Time.us 50) ~workers:n_workers
 
 let run_centralized (config : Config.t) ~mechanism ~quantum ~with_be ~rate_rps =
   let engine = Engine.create ~seed:config.seed () in
@@ -58,11 +59,12 @@ let run_centralized (config : Config.t) ~mechanism ~quantum ~with_be ~rate_rps =
     else Skyloft_policies.Shinjuku.create ()
   in
   let rt =
-    Hybrid.create machine kmod ~dispatcher_core ~worker_cores ~quantum
-      ~adaptive:false ~mechanism policy
+    Hybrid.runtime
+      (Hybrid.create machine kmod ~dispatcher_core ~worker_cores ~quantum
+         ~adaptive:false ~mechanism policy)
   in
-  let lc = Hybrid.create_app rt ~name:"lc" in
-  let be = Hybrid.create_app rt ~name:"batch" in
+  let lc = Rc.create_app rt ~name:"lc" in
+  let be = Rc.create_app rt ~name:"batch" in
   if with_be then attach_batch rt be;
   let rng = Engine.split_rng engine in
   Synthetic.drive rt lc engine ~rng ~rate_rps ~duration:config.duration;

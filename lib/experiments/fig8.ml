@@ -13,6 +13,7 @@ module Udp_server = Skyloft_apps.Udp_server
 module Memcached = Skyloft_apps.Memcached
 module Rocksdb = Skyloft_apps.Rocksdb
 module Shenango = Skyloft_baselines.Shenango
+module Rc = Skyloft.Runtime_core
 
 (** Figure 8: real-world applications over the kernel-bypass network path
     (§5.3).
@@ -65,7 +66,7 @@ let run_server (config : Config.t) system ~workers ~service ~rate_rps =
         let cores = List.init workers Fun.id in
         (cores, Shenango.make machine kmod ~cores)
   in
-  let app = Percpu.create_app rt ~name:"server" in
+  let app = Rc.create_app (Percpu.runtime rt) ~name:"server" in
   let nic = Nic.create engine ~queues:(List.length cores) () in
   Udp_server.attach rt app nic ~cores;
   let rng = Engine.split_rng engine in

@@ -7,6 +7,8 @@ module Machine = Skyloft_hw.Machine
 module Kmod = Skyloft_kernel.Kmod
 module Percpu = Skyloft.Percpu
 module Hybrid = Skyloft.Hybrid
+module Rc = Skyloft.Runtime_core
+module Scenario = Skyloft_scenario.Scenario
 module Trace = Skyloft_stats.Trace
 module Plan = Skyloft_fault.Plan
 module Injector = Skyloft_fault.Injector
@@ -23,151 +25,80 @@ module Injector = Skyloft_fault.Injector
     [skyloft_run golden] after a behaviour-changing (not
     behaviour-preserving) change. *)
 
-(* A small per-CPU run with IPI loss, core steals and the watchdog armed,
-   fully traced; returns the rendered Chrome JSON. *)
-let traced_percpu ~seed =
+(* One small fully traced run per runtime configuration: 40 staggered
+   requests on four workers under IPI loss and core steals, watchdog
+   armed; returns the rendered Chrome JSON, the injected-fault count and
+   one mechanism-specific counter.  Each configuration passes its own
+   constructor, pinning and burst:
+   - percpu: FIFO on the per-CPU runtime;
+   - worksteal: steal-half with parking, every task pinned to core 0 so
+     the other deques run dry (steal-half grabs, failed scans and the
+     park/unpark path; the counter is the steal count);
+   - centralized: Shinjuku on the pinned hybrid;
+   - hybrid: Shinjuku-Shenango with a mid-run burst deep enough to cross
+     the hysteresis band, covering both dispatch modes and the
+     [Mode_switch] instants between them (the counter is the number of
+     mode switches). *)
+let traced ~seed runtime =
   (* app ids leak into the trace's pid fields; per-run allocation in
      Runtime_core labels the app identically in every run *)
   let engine = Engine.create () in
+  let dispatchers = Scenario.dispatcher_cores runtime in
+  let cores = List.init (4 + dispatchers) Fun.id in
+  let workers = List.filteri (fun i _ -> i >= dispatchers) cores in
   let machine =
-    Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4)
+    Machine.create engine
+      (Topology.create ~sockets:1 ~cores_per_socket:(List.length cores))
   in
   let kmod = Kmod.create machine in
-  let rt =
-    Percpu.create machine kmod ~cores:[ 0; 1; 2; 3 ] ~watchdog:(Time.us 100)
-      (Skyloft_policies.Fifo.create ())
+  let hybrid ~adaptive policy =
+    Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:workers
+      ~quantum:(Time.us 30) ~adaptive ~watchdog:(Time.us 200) policy
+  in
+  let rt, pin, burst, counter =
+    match runtime with
+    | Scenario.Percpu ->
+        ( Percpu.runtime
+            (Percpu.create machine kmod ~cores ~watchdog:(Time.us 100)
+               (Skyloft_policies.Fifo.create ())),
+          None,
+          false,
+          fun () -> 0 )
+    | Scenario.Worksteal ->
+        let policy, steals =
+          Skyloft_policies.Work_stealing.steal_half ~quantum:(Time.us 30) ()
+        in
+        ( Percpu.runtime
+            (Percpu.create machine kmod ~cores ~watchdog:(Time.us 100)
+               ~park:Skyloft_policies.Work_stealing.park policy),
+          Some 0,
+          false,
+          fun () -> steals.Skyloft_policies.Work_stealing.steals )
+    | Scenario.Centralized ->
+        ( Hybrid.runtime (hybrid ~adaptive:false (Skyloft_policies.Shinjuku.create ())),
+          None,
+          false,
+          fun () -> 0 )
+    | Scenario.Hybrid ->
+        let h =
+          hybrid ~adaptive:true (fst (Skyloft_policies.Shinjuku_shenango.create ()))
+        in
+        (Hybrid.runtime h, None, true, fun () -> Hybrid.mode_switches h)
   in
   let trace = Trace.create () in
-  Percpu.set_trace rt trace;
+  Rc.set_trace rt trace;
   let rng = Rng.create ~seed in
   let inj = Injector.create ~engine ~rng ~trace () in
   Injector.arm inj
-    { Injector.machine; kmod = Some kmod; nic = None; cores = [ 0; 1; 2; 3 ];
-      poison = None }
+    { Injector.machine; kmod = Some kmod; nic = None; cores; poison = None }
     [
       Plan.ipi_loss ~p_drop:0.3 ~p_delay:0.3 ~delay:(Time.us 20) ();
       Plan.core_steal ~period:(Time.us 200) ~duration:(Time.us 50) ();
     ];
-  let app = Percpu.create_app rt ~name:"a" in
-  for i = 0 to 39 do
-    ignore
-      (Engine.at engine (i * Time.us 25) (fun () ->
-           ignore
-             (Percpu.spawn rt app
-                ~name:(Printf.sprintf "t%d" i)
-                (Coro.Compute (Time.us 10 + (i mod 7 * Time.us 4), fun () -> Coro.Exit)))))
-  done;
-  Engine.run ~until:(Time.ms 3) engine;
-  (Trace.to_chrome_json trace, Injector.injected inj)
-
-(* The work-stealing counterpart (the steal-half policy on the per-CPU
-   runtime, parking on): every task lands on core 0 so the other
-   deques run dry and the trace covers steal-half grabs, failed scans and
-   the park/unpark path, under the same fault classes. *)
-let traced_worksteal ~seed =
-  let engine = Engine.create () in
-  let machine =
-    Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4)
-  in
-  let kmod = Kmod.create machine in
-  let policy, steals =
-    Skyloft_policies.Work_stealing.steal_half ~quantum:(Time.us 30) ()
-  in
-  let rt =
-    Percpu.create machine kmod ~cores:[ 0; 1; 2; 3 ] ~watchdog:(Time.us 100)
-      ~park:Skyloft_policies.Work_stealing.park policy
-  in
-  let trace = Trace.create () in
-  Percpu.set_trace rt trace;
-  let rng = Rng.create ~seed in
-  let inj = Injector.create ~engine ~rng ~trace () in
-  Injector.arm inj
-    { Injector.machine; kmod = Some kmod; nic = None; cores = [ 0; 1; 2; 3 ];
-      poison = None }
-    [
-      Plan.ipi_loss ~p_drop:0.3 ~p_delay:0.3 ~delay:(Time.us 20) ();
-      Plan.core_steal ~period:(Time.us 200) ~duration:(Time.us 50) ();
-    ];
-  let app = Percpu.create_app rt ~name:"a" in
-  for i = 0 to 39 do
-    ignore
-      (Engine.at engine (i * Time.us 25) (fun () ->
-           ignore
-             (Percpu.spawn rt app ~cpu:0
-                ~name:(Printf.sprintf "t%d" i)
-                (Coro.Compute (Time.us 10 + (i mod 7 * Time.us 4), fun () -> Coro.Exit)))))
-  done;
-  Engine.run ~until:(Time.ms 3) engine;
-  ( Trace.to_chrome_json trace,
-    Injector.injected inj,
-    steals.Skyloft_policies.Work_stealing.steals )
-
-(* The centralized counterpart: dispatcher + four workers under the same
-   fault classes, quantum preemption and the watchdog armed. *)
-let traced_centralized ~seed =
-  let engine = Engine.create () in
-  let machine =
-    Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:5)
-  in
-  let kmod = Kmod.create machine in
-  let rt =
-    Hybrid.create machine kmod ~dispatcher_core:0
-      ~worker_cores:[ 1; 2; 3; 4 ] ~quantum:(Time.us 30) ~adaptive:false
-      ~watchdog:(Time.us 200)
-      (Skyloft_policies.Shinjuku.create ())
-  in
-  let trace = Trace.create () in
-  Hybrid.set_trace rt trace;
-  let rng = Rng.create ~seed in
-  let inj = Injector.create ~engine ~rng ~trace () in
-  Injector.arm inj
-    { Injector.machine; kmod = Some kmod; nic = None;
-      cores = [ 0; 1; 2; 3; 4 ]; poison = None }
-    [
-      Plan.ipi_loss ~p_drop:0.3 ~p_delay:0.3 ~delay:(Time.us 20) ();
-      Plan.core_steal ~period:(Time.us 200) ~duration:(Time.us 50) ();
-    ];
-  let app = Hybrid.create_app rt ~name:"a" in
-  for i = 0 to 39 do
-    ignore
-      (Engine.at engine (i * Time.us 25) (fun () ->
-           ignore
-             (Hybrid.submit rt app
-                ~name:(Printf.sprintf "t%d" i)
-                (Coro.Compute (Time.us 10 + (i mod 7 * Time.us 4), fun () -> Coro.Exit)))))
-  done;
-  Engine.run ~until:(Time.ms 3) engine;
-  (Trace.to_chrome_json trace, Injector.injected inj)
-
-(* The hybrid under the same fault classes, with a mid-run burst deep
-   enough to cross the hysteresis band — the golden covers both dispatch
-   modes and the [Mode_switch] instants between them. *)
-let traced_hybrid ~seed =
-  let engine = Engine.create () in
-  let machine =
-    Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:5)
-  in
-  let kmod = Kmod.create machine in
-  let rt =
-    Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2; 3; 4 ]
-      ~quantum:(Time.us 30) ~watchdog:(Time.us 200)
-      (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-  in
-  let trace = Trace.create () in
-  Hybrid.set_trace rt trace;
-  let rng = Rng.create ~seed in
-  let inj = Injector.create ~engine ~rng ~trace () in
-  Injector.arm inj
-    { Injector.machine; kmod = Some kmod; nic = None;
-      cores = [ 0; 1; 2; 3; 4 ]; poison = None }
-    [
-      Plan.ipi_loss ~p_drop:0.3 ~p_delay:0.3 ~delay:(Time.us 20) ();
-      Plan.core_steal ~period:(Time.us 200) ~duration:(Time.us 50) ();
-    ];
-  let app = Hybrid.create_app rt ~name:"a" in
+  let app = Rc.create_app rt ~name:"a" in
   let submit i =
     ignore
-      (Hybrid.submit rt app
+      (Rc.spawn rt app ?cpu:pin
          ~name:(Printf.sprintf "t%d" i)
          (Coro.Compute (Time.us 10 + (i mod 7 * Time.us 4), fun () -> Coro.Exit)))
   in
@@ -176,13 +107,14 @@ let traced_hybrid ~seed =
   done;
   (* the burst: 20 requests land together, pushing the queue past the
      hi threshold (2x the workers) so the monitor flips to percore *)
-  ignore
-    (Engine.at engine (Time.ms 1 + Time.us 10) (fun () ->
-         for i = 100 to 119 do
-           submit i
-         done));
+  if burst then
+    ignore
+      (Engine.at engine (Time.ms 1 + Time.us 10) (fun () ->
+           for i = 100 to 119 do
+             submit i
+           done));
   Engine.run ~until:(Time.ms 3) engine;
-  (Trace.to_chrome_json trace, Injector.injected inj, Hybrid.mode_switches rt)
+  (Trace.to_chrome_json trace, Injector.injected inj, counter ())
 
 (* Every field of the point, pinned down to the last counter. *)
 let fault_point_string (p : Fault_sweep.point) =
@@ -226,22 +158,16 @@ let obs_machine_requests = 400
    transparent. *)
 let fingerprints ?(jobs = 1) () =
   let cells =
-    [
-      ("trace-percpu", fun () -> digest (fst (traced_percpu ~seed:trace_seed)));
-      ( "trace-centralized",
-        fun () -> digest (fst (traced_centralized ~seed:trace_seed)) );
-      ( "trace-hybrid",
-        fun () ->
-          let json, _, _ = traced_hybrid ~seed:trace_seed in
-          digest json );
-      ( "trace-worksteal",
-        fun () ->
-          let json, _, _ = traced_worksteal ~seed:trace_seed in
-          digest json );
-    ]
+    List.map
+      (fun runtime ->
+        ( "trace-" ^ Scenario.runtime_name runtime,
+          fun () ->
+            let json, _, _ = traced ~seed:trace_seed runtime in
+            digest json ))
+      Scenario.runtimes
     @ List.map
-        (fun ((name, _) as runtime) ->
-          ( "fault-sweep-" ^ name,
+        (fun runtime ->
+          ( "fault-sweep-" ^ Scenario.runtime_name runtime,
             fun () ->
               digest
                 (fault_point_string
@@ -249,8 +175,8 @@ let fingerprints ?(jobs = 1) () =
           ))
         Fault_sweep.runtimes
     @ List.map
-        (fun ((name, _) as runtime) ->
-          ( "obs-report-" ^ name,
+        (fun runtime ->
+          ( "obs-report-" ^ Scenario.runtime_name runtime,
             fun () ->
               (Obs_report.run_point obs_config ~runtime ~instrumented:false)
                 .Obs_report.fingerprint ))

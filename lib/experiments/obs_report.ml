@@ -9,8 +9,7 @@ module Histogram = Skyloft_stats.Histogram
 module Timeseries = Skyloft_stats.Timeseries
 module Trace = Skyloft_stats.Trace
 module App = Skyloft.App
-module Percpu = Skyloft.Percpu
-module Hybrid = Skyloft.Hybrid
+module Rc = Skyloft.Runtime_core
 module Allocator = Skyloft_alloc.Allocator
 module Alloc_policy = Skyloft_alloc.Policy
 module Nic = Skyloft_net.Nic
@@ -45,9 +44,6 @@ module Placement = Skyloft_scenario.Placement
     a nonzero exit — this is the CI smoke check for lib/obs. *)
 
 let n_workers = 4
-let dispatcher_core = 0
-let worker_cores = List.init n_workers (fun i -> i + 1)
-let percpu_cores = List.init n_workers Fun.id
 let quantum = Time.us 30
 let watchdog_bound = Time.us 200
 let load_frac = 0.35
@@ -58,18 +54,10 @@ let steal_duration = Time.us 25
 let steal_period = Time.us 900
 let fault_every = 7  (* every 7th request blocks mid-service... *)
 let fault_ns = Time.us 15  (* ...for this long *)
-let page_fault_period = Time.us 500  (* percpu: fault the task on core 0 *)
+let page_fault_period = Time.us 500  (* fault the task on worker core 0 *)
 let page_fault_ns = Time.us 20
 
-type runtime = Central | Percore | Hybridized | Stealing
-
-let runtimes =
-  [
-    ("centralized", Central);
-    ("percpu", Percore);
-    ("hybrid", Hybridized);
-    ("worksteal", Stealing);
-  ]
+let runtimes = Scenario.[ Centralized; Percpu; Hybrid; Worksteal ]
 
 let alloc_cfg () =
   {
@@ -77,128 +65,10 @@ let alloc_cfg () =
     Allocator.policy = Alloc_policy.delay ();
   }
 
-(* Runtime-neutral surface: submit a request (optionally one that blocks
-   mid-service), register every subsystem's metrics, and poke the
-   runtime-specific fault path. *)
-type iface = {
-  submit : name:string -> service:Time.t -> fault:bool -> unit;
-  register : Registry.t -> unit;
-  lc : App.t;
-  be : App.t;
-  queue_series : Timeseries.t;
-  alloc : unit -> Allocator.t option;
-  fault_tick : unit -> unit;
-}
-
 (* A faulting request computes half its service, blocks (the page-fault
    monitor path), and is woken by an external event; the runtime charges
    the blocked interval as fault stall, never as service. *)
 let split_service service = (service / 2, service - (service / 2))
-
-(* [~steal_half:true] is the work-stealing runtime: the steal-half
-   policy with Shenango-style parking. *)
-let make_percpu ~steal_half engine machine kmod =
-  let park, policy, steals =
-    if steal_half then
-      let policy, steals = Skyloft_policies.Work_stealing.steal_half ~quantum () in
-      (Some Skyloft_policies.Work_stealing.park, policy, Some steals)
-    else (None, Skyloft_policies.Work_stealing.create ~quantum (), None)
-  in
-  let rt =
-    Percpu.create machine kmod ~cores:percpu_cores ~timer_hz:100_000
-      ~watchdog:watchdog_bound ?park policy
-  in
-  let lc = Percpu.create_app rt ~name:"lc" in
-  let be = Percpu.create_app rt ~name:"batch" in
-  Percpu.attach_be_app rt ~alloc:(alloc_cfg ()) be ~chunk:(Time.us 50)
-    ~workers:n_workers;
-  ( rt,
-    {
-      submit =
-        (fun ~name ~service ~fault ->
-          if fault then begin
-            let s1, s2 = split_service service in
-            let body =
-              Coro.Compute
-                ( s1,
-                  fun () ->
-                    Coro.Block (fun () -> Coro.Compute (s2, fun () -> Coro.Exit))
-                )
-            in
-            let task = Percpu.spawn rt lc ~service ~name body in
-            ignore
-              (Engine.after engine (s1 + fault_ns) (fun () ->
-                   Percpu.wakeup rt task))
-          end
-          else
-            ignore
-              (Percpu.spawn rt lc ~service ~name
-                 (Coro.Compute (service, fun () -> Coro.Exit))));
-      register =
-        (fun reg ->
-          Percpu.register_metrics rt reg;
-          Option.iter
-            (fun s -> Skyloft_policies.Work_stealing.register_metrics s reg)
-            steals;
-          match Percpu.allocator rt with
-          | Some a -> Allocator.register_metrics a reg
-          | None -> ());
-      lc;
-      be;
-      queue_series = Percpu.queue_depth_series rt;
-      alloc = (fun () -> Percpu.allocator rt);
-      fault_tick =
-        (fun () ->
-          ignore (Percpu.fault_current rt ~core:0 ~duration:page_fault_ns));
-    },
-    (fun trace -> Percpu.set_trace rt trace) )
-
-(* [~adaptive:false] pins the hybrid to its serial dispatcher: the
-   centralized runtime. *)
-let make_hybrid ~adaptive engine machine kmod =
-  let rt =
-    Hybrid.create machine kmod ~dispatcher_core ~worker_cores ~quantum ~adaptive
-      ~alloc:(alloc_cfg ()) ~watchdog:watchdog_bound
-      (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-  in
-  let lc = Hybrid.create_app rt ~name:"lc" in
-  let be = Hybrid.create_app rt ~name:"batch" in
-  Hybrid.attach_be_app rt be ~chunk:(Time.us 50) ~workers:n_workers;
-  ( rt,
-    {
-      submit =
-        (fun ~name ~service ~fault ->
-          if fault then begin
-            let s1, s2 = split_service service in
-            let body =
-              Coro.Compute
-                ( s1,
-                  fun () ->
-                    Coro.Block (fun () -> Coro.Compute (s2, fun () -> Coro.Exit))
-                )
-            in
-            let task = Hybrid.submit rt lc ~service ~name body in
-            ignore
-              (Engine.after engine (s1 + fault_ns) (fun () ->
-                   Hybrid.wakeup rt task))
-          end
-          else
-            ignore
-              (Hybrid.submit rt lc ~service ~name
-                 (Coro.Compute (service, fun () -> Coro.Exit))));
-      register =
-        (fun reg ->
-          Hybrid.register_metrics rt reg;
-          match Hybrid.allocator rt with
-          | Some a -> Allocator.register_metrics a reg
-          | None -> ());
-      lc;
-      be;
-      queue_series = Hybrid.queue_depth_series rt;
-      alloc = (fun () -> Hybrid.allocator rt);
-      fault_tick = (fun () -> ());
-    },
-    (fun trace -> Hybrid.set_trace rt trace) )
 
 type point = {
   runtime : string;
@@ -233,37 +103,44 @@ let fingerprint_of ~trace_json ~rows ~queue_series =
        (match Timeseries.last queue_series with Some (_, v) -> v | None -> -1));
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let run_point (config : Config.t) ~runtime:(rt_name, which) ~instrumented =
+let run_point (config : Config.t) ~runtime ~instrumented =
   (* App ids leak into trace pids; per-run allocation in Runtime_core
      guarantees both arms assign the same ids without any global reset. *)
   let engine = Engine.create ~seed:config.seed () in
   let machine = Machine.create engine Topology.paper_server in
   let kmod = Kmod.create machine in
-  let iface, set_trace =
-    match which with
-    | Central ->
-        let _, iface, set = make_hybrid ~adaptive:false engine machine kmod in
-        (iface, set)
-    | Percore | Stealing ->
-        let _, iface, set =
-          make_percpu ~steal_half:(which = Stealing) engine machine kmod
-        in
-        (iface, set)
-    | Hybridized ->
-        let _, iface, set = make_hybrid ~adaptive:true engine machine kmod in
-        (iface, set)
+  let rt =
+    Scenario.build ~watchdog:watchdog_bound machine kmod ~first_core:0
+      ~cores:n_workers ~quantum ~timer_hz:100_000 runtime
+  in
+  let lc = Rc.create_app rt ~name:"lc" in
+  let be = Rc.create_app rt ~name:"batch" in
+  Rc.attach_be_app rt ~alloc:(alloc_cfg ()) be ~chunk:(Time.us 50)
+    ~workers:n_workers;
+  (* A faulting request blocks mid-service (the page-fault monitor path)
+     and is woken by an external event. *)
+  let submit ~name ~service ~fault =
+    if fault then begin
+      let s1, s2 = split_service service in
+      let body =
+        Coro.Compute
+          (s1, fun () -> Coro.Block (fun () -> Coro.Compute (s2, fun () -> Coro.Exit)))
+      in
+      let task = Rc.spawn rt lc ~service ~name body in
+      ignore (Engine.after engine (s1 + fault_ns) (fun () -> Rc.wakeup rt task))
+    end
+    else
+      ignore
+        (Rc.spawn rt lc ~service ~name (Coro.Compute (service, fun () -> Coro.Exit)))
   in
   let trace = Trace.create ~capacity:trace_capacity () in
-  set_trace trace;
+  Rc.set_trace rt trace;
   let nic = Nic.create engine ~queues:1 () in
   let inj_rng = Engine.split_rng engine in
   let gen_rng = Engine.split_rng engine in
   let injector = Injector.create ~engine ~rng:inj_rng () in
-  let inject_cores =
-    match which with
-    | Central | Hybridized -> dispatcher_core :: worker_cores
-    | Percore | Stealing -> percpu_cores
-  in
+  let dispatchers = Scenario.dispatcher_cores runtime in
+  let inject_cores = List.init (n_workers + dispatchers) Fun.id in
   Injector.arm injector
     {
       Injector.machine;
@@ -277,7 +154,8 @@ let run_point (config : Config.t) ~runtime:(rt_name, which) ~instrumented =
   let registry = if instrumented then Some (Registry.create ()) else None in
   (match registry with
   | Some reg ->
-      iface.register reg;
+      Rc.register_metrics rt reg;
+      Option.iter (fun a -> Allocator.register_metrics a reg) (Rc.allocator rt);
       Kmod.register_metrics kmod reg;
       Nic.register_metrics nic reg;
       Injector.register_metrics injector reg
@@ -285,21 +163,21 @@ let run_point (config : Config.t) ~runtime:(rt_name, which) ~instrumented =
   let n = ref 0 in
   Nic.on_packet nic ~queue:0 (fun (pkt : Packet.t) ->
       incr n;
-      iface.submit ~name:pkt.Packet.kind ~service:pkt.Packet.service
+      submit ~name:pkt.Packet.kind ~service:pkt.Packet.service
         ~fault:(!n mod fault_every = 0));
   Loadgen.poisson engine ~rng:gen_rng ~rate_rps ~service:Dist.dispersive
     ~duration:config.duration (fun pkt -> Nic.rx nic pkt);
-  (match which with
-  | Percore | Stealing ->
-      Engine.every engine ~period:page_fault_period (fun () ->
-          iface.fault_tick ();
-          true)
-  | Central | Hybridized -> ());
+  (* Core 0 is a worker only without a serial dispatcher; the dispatcher
+     configurations take no page faults. *)
+  if dispatchers = 0 then
+    Engine.every engine ~period:page_fault_period (fun () ->
+        ignore (Rc.fault_current rt ~core:0 ~duration:page_fault_ns);
+        true);
   let until = config.duration + drain in
   Engine.run ~until engine;
   let rows =
-    [ (iface.lc.App.name, iface.lc.App.attribution);
-      (iface.be.App.name, iface.be.App.attribution) ]
+    [ (lc.App.name, lc.App.attribution);
+      (be.App.name, be.App.attribution) ]
   in
   let util = Trace_analysis.utilization trace ~until in
   let violations = Trace_analysis.check trace in
@@ -317,36 +195,36 @@ let run_point (config : Config.t) ~runtime:(rt_name, which) ~instrumented =
                 (List.assoc_opt id r.Trace_analysis.per_app))
           0 util
       in
-      abs (span_busy_of iface.lc.App.id - iface.lc.App.busy_ns)
-      + abs (span_busy_of iface.be.App.id - iface.be.App.busy_ns)
+      abs (span_busy_of lc.App.id - lc.App.busy_ns)
+      + abs (span_busy_of be.App.id - be.App.busy_ns)
   in
   let counters =
-    ("queue depth", iface.queue_series)
+    ("queue depth", Rc.queue_depth_series rt)
     ::
-    (match iface.alloc () with
+    (match Rc.allocator rt with
     | Some a ->
         [
-          ( iface.be.App.name ^ " granted cores",
-            Allocator.series a ~app:iface.be.App.id );
+          ( be.App.name ^ " granted cores",
+            Allocator.series a ~app:be.App.id );
         ]
     | None -> [])
   in
   let trace_json = Trace_analysis.to_chrome_json ~counters trace in
   {
-    runtime = rt_name;
+    runtime = Scenario.runtime_name runtime;
     instrumented;
     until;
-    requests = Attribution.requests iface.lc.App.attribution;
+    requests = Attribution.requests lc.App.attribution;
     mismatches =
-      Attribution.mismatches iface.lc.App.attribution
-      + Attribution.mismatches iface.be.App.attribution;
+      Attribution.mismatches lc.App.attribution
+      + Attribution.mismatches be.App.attribution;
     violations;
     dropped = Trace.dropped trace;
     busy_delta;
     util;
     rows;
     fingerprint =
-      fingerprint_of ~trace_json ~rows ~queue_series:iface.queue_series;
+      fingerprint_of ~trace_json ~rows ~queue_series:(Rc.queue_depth_series rt);
     trace_json;
     samples =
       (match registry with

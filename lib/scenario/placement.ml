@@ -9,6 +9,7 @@ module Costs = Skyloft_hw.Costs
 module Kmod = Skyloft_kernel.Kmod
 module Histogram = Skyloft_stats.Histogram
 module App = Skyloft.App
+module Rc = Skyloft.Runtime_core
 module Allocator = Skyloft_alloc.Allocator
 module Alloc_policy = Skyloft_alloc.Policy
 module Broker = Skyloft_alloc.Broker
@@ -67,98 +68,6 @@ let default_config () =
     broker = Broker.default_config ();
   }
 
-(* Runtime-neutral surface, one per tenant: submit one deadline-armed
-   task, drive the broker's allowance, report congestion, and hook the
-   tenant into the machine-wide observability plane (shared flight
-   recorder + pull registry, tenant-labelled). *)
-type rt_iface = {
-  rt_submit :
-    name:string ->
-    service:Time.t ->
-    on_drop:(unit -> unit) ->
-    on_done:(unit -> unit) ->
-    unit;
-  rt_set_allowance : int -> unit;
-  rt_congestion : unit -> Allocator.raw;
-  rt_deadline_drops : unit -> int;
-  rt_set_trace : Skyloft_stats.Trace.t -> unit;
-  rt_register : Skyloft_obs.Registry.t -> unit;
-}
-
-let make_iface ~machine ~config ~(spec : tenant) ~cores =
-  let deadline = config.deadline in
-  let kmod = Kmod.create machine in
-  match spec.runtime with
-  | (Scenario.Percpu | Scenario.Worksteal) as runtime ->
-      let quantum = config.quantum in
-      let park, policy, steals =
-        if runtime = Scenario.Worksteal then
-          let policy, steals =
-            Skyloft_policies.Work_stealing.steal_half ~quantum ()
-          in
-          (Some Skyloft_policies.Work_stealing.park, policy, Some steals)
-        else (None, Skyloft_policies.Work_stealing.create ~quantum (), None)
-      in
-      let rt =
-        Skyloft.Percpu.create machine kmod ~cores ~timer_hz:config.timer_hz
-          ?park policy
-      in
-      let app = Skyloft.Percpu.create_app rt ~name:spec.name in
-      {
-        rt_submit =
-          (fun ~name ~service ~on_drop ~on_done ->
-            ignore
-              (Skyloft.Percpu.spawn rt app ~name ~record:false ~deadline
-                 ~on_drop:(fun _ -> on_drop ())
-                 (Coro.Compute
-                    ( service,
-                      fun () ->
-                        on_done ();
-                        Coro.Exit ))));
-        rt_set_allowance = Skyloft.Percpu.set_core_allowance rt;
-        rt_congestion = (fun () -> Skyloft.Percpu.congestion rt);
-        rt_deadline_drops = (fun () -> Skyloft.Percpu.deadline_drops rt);
-        rt_set_trace = Skyloft.Percpu.set_trace rt;
-        rt_register =
-          (fun reg ->
-            let labels = [ ("tenant", spec.name) ] in
-            Skyloft.Percpu.register_metrics rt ~labels reg;
-            Option.iter
-              (fun s -> Skyloft_policies.Work_stealing.register_metrics s ~labels reg)
-              steals);
-      }
-  | (Scenario.Centralized | Scenario.Hybrid) as runtime ->
-      let dispatcher_core = List.hd cores and worker_cores = List.tl cores in
-      let rt =
-        Skyloft.Hybrid.create machine kmod ~dispatcher_core ~worker_cores
-          ~quantum:config.quantum ~timer_hz:config.timer_hz
-          ~adaptive:(runtime = Scenario.Hybrid)
-          (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-      in
-      let app = Skyloft.Hybrid.create_app rt ~name:spec.name in
-      {
-        rt_submit =
-          (fun ~name ~service ~on_drop ~on_done ->
-            ignore
-              (Skyloft.Hybrid.submit rt app ~record:false ~deadline
-                 ~on_drop:(fun _ -> on_drop ())
-                 ~name
-                 (Coro.Compute
-                    ( service,
-                      fun () ->
-                        on_done ();
-                        Coro.Exit ))));
-        rt_set_allowance = Skyloft.Hybrid.set_core_allowance rt;
-        rt_congestion = (fun () -> Skyloft.Hybrid.congestion rt);
-        rt_deadline_drops = (fun () -> Skyloft.Hybrid.deadline_drops rt);
-        rt_set_trace = Skyloft.Hybrid.set_trace rt;
-        rt_register =
-          (fun reg ->
-            Skyloft.Hybrid.register_metrics rt
-              ~labels:[ ("tenant", spec.name) ]
-              reg);
-      }
-
 type tenant_result = {
   t_name : string;
   t_runtime : string;
@@ -197,7 +106,8 @@ type result = {
 
 type state = {
   spec : tenant;
-  iface : rt_iface;
+  rt : Rc.t;
+  app : App.t;
   rng : Rng.t;  (* service draws + mix picks *)
   hist : Histogram.t;
   mutable s_submitted : int;
@@ -240,21 +150,15 @@ let run ?(seed = 42) ?(faults = []) ?(config = default_config ()) ?trace
   (* Physical layout: disjoint contiguous ranges, ceilings fully backed;
      centralized flavours prepend a dedicated dispatcher core that is not
      part of the brokered pool. *)
-  let ranges = ref [] in
+  let bases = ref [] in
   let total_cores =
     List.fold_left
       (fun base t ->
-        let extra =
-          match t.runtime with
-          | Scenario.Percpu | Scenario.Worksteal -> 0
-          | Scenario.Centralized | Scenario.Hybrid -> 1
-        in
-        let width = t.burstable + extra in
-        ranges := List.init width (fun i -> base + i) :: !ranges;
-        base + width)
+        bases := base :: !bases;
+        base + t.burstable + Scenario.dispatcher_cores t.runtime)
       0 tenants
   in
-  let ranges = List.rev !ranges in
+  let bases = List.rev !bases in
   let machine =
     Machine.create engine
       (Topology.create ~sockets:1 ~cores_per_socket:total_cores)
@@ -267,19 +171,25 @@ let run ?(seed = 42) ?(faults = []) ?(config = default_config ()) ?trace
   in
   let states =
     List.map2
-      (fun spec cores ->
-        let iface = make_iface ~machine ~config ~spec ~cores in
-        iface.rt_set_allowance spec.guaranteed;
+      (fun spec base ->
+        let rt =
+          Scenario.build machine (Kmod.create machine) ~first_core:base
+            ~cores:spec.burstable ~quantum:config.quantum
+            ~timer_hz:config.timer_hz spec.runtime
+        in
+        let app = Rc.create_app rt ~name:spec.name in
+        Rc.set_core_allowance rt spec.guaranteed;
         {
           spec;
-          iface;
+          rt;
+          app;
           rng = Engine.split_rng engine;
           hist = Histogram.create ();
           s_submitted = 0;
           s_completed = 0;
           s_gave_up = 0;
         })
-      tenants ranges
+      tenants bases
   in
   let arrival_rngs = List.map (fun _ -> Engine.split_rng engine) states in
   List.iteri
@@ -297,9 +207,9 @@ let run ?(seed = 42) ?(faults = []) ?(config = default_config ()) ?trace
             burstable = st.spec.burstable;
           }
         ~initial:st.spec.guaranteed
-        ~sample:(fun () -> st.iface.rt_congestion ())
+        ~sample:(fun () -> Rc.congestion st.rt)
         ~apply:(fun ~granted ~delta ->
-          st.iface.rt_set_allowance granted;
+          Rc.set_core_allowance st.rt granted;
           Costs.app_switch_ns * abs delta))
     states;
   (* Machine-wide observability plane: one shared flight recorder across
@@ -308,15 +218,18 @@ let run ?(seed = 42) ?(faults = []) ?(config = default_config ()) ?trace
      with tenant-labelled runtime metrics.  Both are strictly passive —
      attaching them must not perturb the simulation (the obs-report
      experiment asserts fingerprint identity either way). *)
-  let bases = Array.of_list (List.map List.hd ranges) in
+  let bases = Array.of_list bases in
   (match trace with
   | Some tr ->
-      List.iter (fun st -> st.iface.rt_set_trace tr) states;
+      List.iter (fun st -> Rc.set_trace st.rt tr) states;
       Broker.set_trace broker ~core_of_tenant:(fun i -> bases.(i)) tr
   | None -> ());
   (match registry with
   | Some reg ->
-      List.iter (fun st -> st.iface.rt_register reg) states;
+      List.iter
+        (fun st ->
+          Rc.register_metrics st.rt ~labels:[ ("tenant", st.spec.name) ] reg)
+        states;
       Broker.register_metrics broker reg
   | None -> ());
   let injector = Injector.create ~engine ~rng:inj_rng () in
@@ -330,25 +243,33 @@ let run ?(seed = 42) ?(faults = []) ?(config = default_config ()) ?trace
      join never fires); the retry loop guarantees every request settles
      as exactly one of completed or gave-up — the reconciliation
      invariant [lost = 0] the experiment asserts. *)
+  let submit (st : state) ~service ~fail ~k =
+    ignore
+      (Rc.spawn st.rt st.app ~name:st.spec.name ~record:false
+         ~deadline:config.deadline
+         ~on_drop:(fun _ -> fail ())
+         (Coro.Compute
+            ( service,
+              fun () ->
+                k ();
+                Coro.Exit )))
+  in
   let issue (st : state) at =
     st.s_submitted <- st.s_submitted + 1;
     incr total_submitted;
     let rec exec shape ~fail ~k =
       match shape with
       | Shape.Single d | Shape.Chain [ d ] ->
-          st.iface.rt_submit ~name:st.spec.name
-            ~service:(Dist.sample d st.rng) ~on_drop:fail ~on_done:k
+          submit st ~service:(Dist.sample d st.rng) ~fail ~k
       | Shape.Chain [] -> assert false
       | Shape.Chain (d :: rest) ->
-          st.iface.rt_submit ~name:st.spec.name
-            ~service:(Dist.sample d st.rng) ~on_drop:fail
-            ~on_done:(fun () -> exec (Shape.Chain rest) ~fail ~k)
+          submit st ~service:(Dist.sample d st.rng) ~fail
+            ~k:(fun () -> exec (Shape.Chain rest) ~fail ~k)
       | Shape.Fanout { width; stage } ->
           let remaining = ref width in
           for _ = 1 to width do
-            st.iface.rt_submit ~name:st.spec.name
-              ~service:(Dist.sample stage st.rng) ~on_drop:fail
-              ~on_done:(fun () ->
+            submit st ~service:(Dist.sample stage st.rng) ~fail
+              ~k:(fun () ->
                 decr remaining;
                 if !remaining = 0 then k ())
           done
@@ -420,7 +341,7 @@ let run ?(seed = 42) ?(faults = []) ?(config = default_config ()) ?trace
             submitted = st.s_submitted;
             completed = st.s_completed;
             gave_up = st.s_gave_up;
-            deadline_drops = st.iface.rt_deadline_drops ();
+            deadline_drops = Rc.deadline_drops st.rt;
             final_granted = Broker.granted broker ~tenant:i;
             final_health = Broker.health_name (Broker.health broker ~tenant:i);
             core_ns = Broker.core_ns broker ~tenant:i;

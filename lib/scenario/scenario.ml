@@ -8,6 +8,8 @@ module Machine = Skyloft_hw.Machine
 module Kmod = Skyloft_kernel.Kmod
 module Histogram = Skyloft_stats.Histogram
 module App = Skyloft.App
+module Rc = Skyloft.Runtime_core
+module Work_stealing = Skyloft_policies.Work_stealing
 module Allocator = Skyloft_alloc.Allocator
 module Alloc_policy = Skyloft_alloc.Policy
 module Loadgen = Skyloft_net.Loadgen
@@ -136,15 +138,37 @@ let merged_latency d =
   List.iter (fun td -> Histogram.merge_into ~src:td.latency ~dst:all) d.tenants;
   all
 
-(* Runtime-neutral submission surface: what the compiled scenario needs
-   from a runtime, nothing more. *)
-type iface = {
-  submit : App.t -> name:string -> service:Time.t -> on_done:(unit -> unit) -> unit;
-  create_app : name:string -> App.t;
-  attach_be : App.t -> chunk:Time.t -> workers:int -> unit;
-  be_preemptions : unit -> int;
-  allocator : unit -> Allocator.t option;
-}
+(* The one configuration constructor: two dispatch mechanisms, four
+   configurations.  Work stealing is per-CPU dispatch under the
+   steal-half policy with Shenango-style parking (its steal counters join
+   the handle's metrics); the centralized runtime is the hybrid pinned to
+   its serial dispatcher, which takes [first_core] ahead of the
+   workers. *)
+let dispatcher_cores = function Percpu | Worksteal -> 0 | Centralized | Hybrid -> 1
+
+let build ?watchdog machine kmod ~first_core ~cores ~quantum ~timer_hz runtime =
+  let range first = List.init cores (fun i -> first + i) in
+  match runtime with
+  | Percpu ->
+      Skyloft.Percpu.runtime
+        (Skyloft.Percpu.create machine kmod ~cores:(range first_core) ~timer_hz
+           ?watchdog (Work_stealing.create ~quantum ()))
+  | Worksteal ->
+      let policy, steals = Work_stealing.steal_half ~quantum () in
+      let rt =
+        Skyloft.Percpu.runtime
+          (Skyloft.Percpu.create machine kmod ~cores:(range first_core) ~timer_hz
+             ?watchdog ~park:Work_stealing.park policy)
+      in
+      Rc.add_metrics rt (fun labels reg ->
+          Work_stealing.register_metrics steals ~labels reg);
+      rt
+  | Centralized | Hybrid ->
+      Skyloft.Hybrid.runtime
+        (Skyloft.Hybrid.create machine kmod ~dispatcher_core:first_core
+           ~worker_cores:(range (first_core + 1))
+           ~quantum ~timer_hz ~adaptive:(runtime = Hybrid) ?watchdog
+           (fst (Skyloft_policies.Shinjuku_shenango.create ())))
 
 (* The delay policy keeps reacting while LC is starved of cores (the
    utilization signal goes silent there); the BE tenant's declared bounds
@@ -156,67 +180,6 @@ let alloc_config (bounds : bounds) =
     be_guaranteed = bounds.guaranteed;
     be_burstable = bounds.burstable;
   }
-
-let make_iface ~machine ~kmod ~runtime ~cores ~timer_hz ~quantum ~be_bounds =
-  match runtime with
-  | Percpu | Worksteal ->
-      (* the work-stealing runtime is per-CPU dispatch under the
-         steal-half policy with Shenango-style parking *)
-      let park, policy =
-        if runtime = Worksteal then
-          ( Some Skyloft_policies.Work_stealing.park,
-            fst (Skyloft_policies.Work_stealing.steal_half ~quantum ()) )
-        else (None, Skyloft_policies.Work_stealing.create ~quantum ())
-      in
-      let rt =
-        Skyloft.Percpu.create machine kmod ~cores:(List.init cores Fun.id)
-          ~timer_hz ?park policy
-      in
-      {
-        submit =
-          (fun app ~name ~service ~on_done ->
-            ignore
-              (Skyloft.Percpu.spawn rt app ~name ~record:false
-                 (Coro.Compute
-                    ( service,
-                      fun () ->
-                        on_done ();
-                        Coro.Exit ))));
-        create_app = (fun ~name -> Skyloft.Percpu.create_app rt ~name);
-        attach_be =
-          (fun app ~chunk ~workers ->
-            let bounds = Option.get be_bounds in
-            Skyloft.Percpu.attach_be_app rt ~alloc:(alloc_config bounds) app
-              ~chunk ~workers);
-        be_preemptions = (fun () -> Skyloft.Percpu.be_preemptions rt);
-        allocator = (fun () -> Skyloft.Percpu.allocator rt);
-      }
-  | Centralized | Hybrid ->
-      (* the centralized runtime is the hybrid pinned to its dispatcher *)
-      let rt =
-        Skyloft.Hybrid.create machine kmod ~dispatcher_core:0
-          ~worker_cores:(List.init cores (fun i -> i + 1))
-          ~quantum ~adaptive:(runtime = Hybrid)
-          ?alloc:(Option.map alloc_config be_bounds)
-          (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-      in
-      {
-        submit =
-          (fun app ~name ~service ~on_done ->
-            ignore
-              (Skyloft.Hybrid.submit rt app ~record:false ~name
-                 (Coro.Compute
-                    ( service,
-                      fun () ->
-                        on_done ();
-                        Coro.Exit ))));
-        create_app = (fun ~name -> Skyloft.Hybrid.create_app rt ~name);
-        attach_be =
-          (fun app ~chunk ~workers ->
-            Skyloft.Hybrid.attach_be_app rt app ~chunk ~workers);
-        be_preemptions = (fun () -> Skyloft.Hybrid.be_preemptions rt);
-        allocator = (fun () -> Skyloft.Hybrid.allocator rt);
-      }
 
 type lc_state = {
   l_spec : lc_spec;
@@ -241,22 +204,27 @@ let run ?(seed = 42) ~requests ~runtime scenario =
   validate scenario;
   if requests < 1 then invalid_arg "Scenario.run: requests must be >= 1";
   let engine = Engine.create ~seed () in
-  let topo_cores =
-    match runtime with
-    | Percpu | Worksteal -> scenario.cores
-    | Centralized | Hybrid -> scenario.cores + 1
-  in
   let machine =
-    Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:topo_cores)
+    Machine.create engine
+      (Topology.create ~sockets:1
+         ~cores_per_socket:(scenario.cores + dispatcher_cores runtime))
   in
   let kmod = Kmod.create machine in
   let be_tenant =
     List.find_map (function Be b -> Some b | Lc _ -> None) scenario.tenants
   in
-  let iface =
-    make_iface ~machine ~kmod ~runtime ~cores:scenario.cores
-      ~timer_hz:scenario.timer_hz ~quantum:scenario.quantum
-      ~be_bounds:(Option.map (fun b -> b.bounds) be_tenant)
+  let rt =
+    build machine kmod ~first_core:0 ~cores:scenario.cores
+      ~quantum:scenario.quantum ~timer_hz:scenario.timer_hz runtime
+  in
+  let submit app ~name ~service ~on_done =
+    ignore
+      (Rc.spawn rt app ~name ~record:false
+         (Coro.Compute
+            ( service,
+              fun () ->
+                on_done ();
+                Coro.Exit )))
   in
   (* Apps are created and RNG streams split in scenario order, before
      anything runs: the draw order is part of the seed contract. *)
@@ -267,7 +235,7 @@ let run ?(seed = 42) ~requests ~runtime scenario =
             Some
               {
                 l_spec = spec;
-                l_app = iface.create_app ~name:spec.lc_name;
+                l_app = Rc.create_app rt ~name:spec.lc_name;
                 l_rng = Engine.split_rng engine;
                 l_hist = Histogram.create ();
                 l_submitted = 0;
@@ -278,12 +246,12 @@ let run ?(seed = 42) ~requests ~runtime scenario =
   in
   let arrival_rngs = List.map (fun _ -> Engine.split_rng engine) lcs in
   (match be_tenant with
-  | Some { be_name; chunk; workers; _ } ->
-      let app = iface.create_app ~name:be_name in
+  | Some { be_name; chunk; workers; bounds } ->
+      let app = Rc.create_app rt ~name:be_name in
       let workers =
         match workers with Some w -> w | None -> scenario.cores
       in
-      iface.attach_be app ~chunk ~workers
+      Rc.attach_be_app rt ~alloc:(alloc_config bounds) app ~chunk ~workers
   | None -> ());
   let submitted = ref 0 and completed = ref 0 in
   let last_completion = ref 0 in
@@ -304,17 +272,17 @@ let run ?(seed = 42) ~requests ~runtime scenario =
     let rec exec shape k =
       match shape with
       | Shape.Single d | Shape.Chain [ d ] ->
-          iface.submit l.l_app ~name:l.l_spec.lc_name
+          submit l.l_app ~name:l.l_spec.lc_name
             ~service:(Dist.sample d l.l_rng) ~on_done:k
       | Shape.Chain [] -> assert false (* validated non-empty *)
       | Shape.Chain (d :: rest) ->
-          iface.submit l.l_app ~name:l.l_spec.lc_name
+          submit l.l_app ~name:l.l_spec.lc_name
             ~service:(Dist.sample d l.l_rng)
             ~on_done:(fun () -> exec (Shape.Chain rest) k)
       | Shape.Fanout { width; stage } ->
           let remaining = ref width in
           for _ = 1 to width do
-            iface.submit l.l_app ~name:l.l_spec.lc_name
+            submit l.l_app ~name:l.l_spec.lc_name
               ~service:(Dist.sample stage l.l_rng)
               ~on_done:(fun () ->
                 decr remaining;
@@ -363,11 +331,11 @@ let run ?(seed = 42) ~requests ~runtime scenario =
             latency = l.l_hist;
           })
         lcs;
-    be_preemptions = iface.be_preemptions ();
+    be_preemptions = Rc.be_preemptions rt;
     alloc_grants =
-      (match iface.allocator () with Some a -> Allocator.grants a | None -> 0);
+      (match Rc.allocator rt with Some a -> Allocator.grants a | None -> 0);
     alloc_reclaims =
-      (match iface.allocator () with Some a -> Allocator.reclaims a | None -> 0);
+      (match Rc.allocator rt with Some a -> Allocator.reclaims a | None -> 0);
   }
 
 (* ---- digests -------------------------------------------------------------- *)

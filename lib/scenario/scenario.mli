@@ -88,6 +88,28 @@ type runtime = Percpu | Centralized | Hybrid | Worksteal
 val runtime_name : runtime -> string
 val runtimes : runtime list
 
+val dispatcher_cores : runtime -> int
+(** Cores a configuration takes beyond its workers: 1 for the serial
+    dispatcher of [Centralized] and [Hybrid], 0 otherwise. *)
+
+val build :
+  ?watchdog:Time.t ->
+  Skyloft_hw.Machine.t ->
+  Skyloft_kernel.Kmod.t ->
+  first_core:int ->
+  cores:int ->
+  quantum:Time.t ->
+  timer_hz:int ->
+  runtime ->
+  Skyloft.Runtime_core.t
+(** The one configuration constructor: build [runtime] with its policy —
+    the work-stealing policy ([Percpu]), steal-half with parking
+    ([Worksteal], steal counters added to the handle's metrics), or
+    Shinjuku-Shenango on the hybrid, adaptive ([Hybrid]) or pinned to its
+    dispatcher ([Centralized]) — on [cores] workers numbered from
+    [first_core] (after the dispatcher, which takes [first_core] itself).
+    [watchdog] arms the runtime's recovery watchdog. *)
+
 type tenant_digest = {
   tenant : string;
   submitted : int;

@@ -22,6 +22,7 @@ module Rocksdb = Skyloft_apps.Rocksdb
 module Batch = Skyloft_apps.Batch
 module Nic = Skyloft_net.Nic
 module Loadgen = Skyloft_net.Loadgen
+module Rc = Skyloft.Runtime_core
 
 let check = Alcotest.check
 
@@ -29,8 +30,8 @@ let make_percpu ?(cores = 4) ?(preemption = true) ctor =
   let engine = Engine.create () in
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:8) in
   let kmod = Kmod.create machine in
-  let rt = Percpu.create machine kmod ~cores:(List.init cores Fun.id) ~preemption ctor in
-  (engine, machine, rt)
+  let percpu = Percpu.create machine kmod ~cores:(List.init cores Fun.id) ~preemption ctor in
+  (engine, percpu, Percpu.runtime percpu)
 
 (* ---- Runner ---- *)
 
@@ -47,8 +48,8 @@ let test_runner_of_linux () =
 
 let test_runner_of_percpu () =
   let engine, _, rt = make_percpu (Skyloft_policies.Fifo.create ()) in
-  let app = Percpu.create_app rt ~name:"a" in
-  let runner = Runner.of_percpu rt app in
+  let app = Rc.create_app rt ~name:"a" in
+  let runner = Runner.of_runtime rt app in
   let woke = ref false in
   let h = runner.spawn ~name:"s" (Coro.Block (fun () -> woke := true; Coro.Exit)) in
   ignore (Engine.at engine (Time.us 10) (fun () -> runner.wakeup h));
@@ -60,8 +61,8 @@ let test_runner_of_percpu () =
 
 let test_schbench_on_percpu () =
   let engine, _, rt = make_percpu ~cores:2 (Skyloft_policies.Rr.create ~slice:(Time.us 50) ()) in
-  let app = Percpu.create_app rt ~name:"sb" in
-  let runner = Runner.of_percpu rt app in
+  let app = Rc.create_app rt ~name:"sb" in
+  let runner = Runner.of_runtime rt app in
   let config =
     { Schbench.message_threads = 1; workers = 4; request = Time.us 100;
       message_work = Time.us 1 }
@@ -90,8 +91,8 @@ let test_schbench_oversubscribed_latency_higher () =
     let engine, _, rt =
       make_percpu ~cores:2 (Skyloft_policies.Rr.create ~slice:(Time.us 50) ())
     in
-    let app = Percpu.create_app rt ~name:"sb" in
-    let runner = Runner.of_percpu rt app in
+    let app = Rc.create_app rt ~name:"sb" in
+    let runner = Runner.of_runtime rt app in
     let config =
       { Schbench.message_threads = 1; workers; request = Time.us 500;
         message_work = Time.us 1 }
@@ -104,8 +105,8 @@ let test_schbench_oversubscribed_latency_higher () =
 
 let test_schbench_invalid_config () =
   let engine, _, rt = make_percpu (Skyloft_policies.Fifo.create ()) in
-  let app = Percpu.create_app rt ~name:"sb" in
-  let runner = Runner.of_percpu rt app in
+  let app = Rc.create_app rt ~name:"sb" in
+  let runner = Runner.of_runtime rt app in
   check Alcotest.bool "zero workers rejected" true
     (try
        ignore
@@ -118,10 +119,10 @@ let test_schbench_invalid_config () =
 (* ---- UDP server over the NIC ---- *)
 
 let test_udp_server_end_to_end () =
-  let engine, _, rt = make_percpu ~cores:2 (Skyloft_policies.Work_stealing.create ()) in
-  let app = Percpu.create_app rt ~name:"kv" in
+  let engine, percpu, rt = make_percpu ~cores:2 (Skyloft_policies.Work_stealing.create ()) in
+  let app = Rc.create_app rt ~name:"kv" in
   let nic = Nic.create engine ~queues:2 () in
-  Udp_server.attach rt app nic ~cores:[ 0; 1 ];
+  Udp_server.attach percpu app nic ~cores:[ 0; 1 ];
   let rng = Rng.create ~seed:9 in
   Loadgen.poisson engine ~rng ~rate_rps:50_000.0 ~service:(Dist.Constant (Time.us 5))
     ~duration:(Time.ms 20) (fun pkt -> Nic.rx nic pkt);
@@ -133,13 +134,13 @@ let test_udp_server_end_to_end () =
     (Summary.latency_p app.App.summary 99.0 < Time.us 50)
 
 let test_udp_server_queue_mismatch () =
-  let _, _, rt = make_percpu ~cores:2 (Skyloft_policies.Work_stealing.create ()) in
-  let app = Percpu.create_app rt ~name:"kv" in
+  let _, percpu, rt = make_percpu ~cores:2 (Skyloft_policies.Work_stealing.create ()) in
+  let app = Rc.create_app rt ~name:"kv" in
   let engine = Engine.create () in
   let nic = Nic.create engine ~queues:3 () in
   check Alcotest.bool "queue/core mismatch rejected" true
     (try
-       Udp_server.attach rt app nic ~cores:[ 0; 1 ];
+       Udp_server.attach percpu app nic ~cores:[ 0; 1 ];
        false
      with Invalid_argument _ -> true)
 
@@ -170,7 +171,7 @@ let test_rocksdb_mix () =
 
 let test_batch_soaks_idle_cores () =
   let engine, _, rt = make_percpu ~cores:2 (Skyloft_policies.Fifo.create ()) in
-  let app = Percpu.create_app rt ~name:"batch" in
+  let app = Rc.create_app rt ~name:"batch" in
   Batch.spawn_workers rt app ~workers:2 ~chunk:(Time.us 100);
   Engine.run ~until:(Time.ms 10) engine;
   let share = App.cpu_share app ~total_ns:(2 * Time.ms 10) in

@@ -16,6 +16,7 @@ module Percpu = Skyloft.Percpu
 module Linux_workload = Skyloft_baselines.Linux_workload
 module Shenango = Skyloft_baselines.Shenango
 module Shinjuku_orig = Skyloft_baselines.Shinjuku_orig
+module Rc = Skyloft.Runtime_core
 
 let check = Alcotest.check
 
@@ -51,11 +52,11 @@ let test_shenango_parks_and_resumes () =
   let engine = Engine.create ~seed:1 () in
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4) in
   let kmod = Kmod.create machine in
-  let rt = Shenango.make machine kmod ~cores:[ 0; 1 ] in
-  let app = Percpu.create_app rt ~name:"a" in
+  let rt = Percpu.runtime (Shenango.make machine kmod ~cores:[ 0; 1 ]) in
+  let app = Rc.create_app rt ~name:"a" in
   let first_done = ref 0 in
   ignore
-    (Percpu.spawn rt app ~name:"t1"
+    (Rc.spawn rt app ~name:"t1"
        (Coro.Compute (Time.us 10, fun () -> first_done := Engine.now engine; Coro.Exit)));
   Engine.run ~until:(Time.ms 1) engine;
   (* after >5us idle the cores park; the next task pays the resume cost *)
@@ -63,7 +64,7 @@ let test_shenango_parks_and_resumes () =
   ignore
     (Engine.at engine (Time.ms 1) (fun () ->
          ignore
-           (Percpu.spawn rt app ~name:"t2"
+           (Rc.spawn rt app ~name:"t2"
               (Coro.Compute
                  (Time.us 10, fun () -> second_done := Engine.now engine; Coro.Exit)))));
   Engine.run ~until:(Time.ms 2) engine;
@@ -77,12 +78,12 @@ let test_shenango_no_preemption () =
   let engine = Engine.create ~seed:1 () in
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4) in
   let kmod = Kmod.create machine in
-  let rt = Shenango.make machine kmod ~cores:[ 0 ] in
-  let app = Percpu.create_app rt ~name:"a" in
-  ignore (Percpu.spawn rt app ~name:"scan" (Coro.compute_then_exit (Time.us 591)));
-  ignore (Percpu.spawn rt app ~name:"get" (Coro.compute_then_exit (Time.ns 950)));
+  let rt = Percpu.runtime (Shenango.make machine kmod ~cores:[ 0 ]) in
+  let app = Rc.create_app rt ~name:"a" in
+  ignore (Rc.spawn rt app ~name:"scan" (Coro.compute_then_exit (Time.us 591)));
+  ignore (Rc.spawn rt app ~name:"get" (Coro.compute_then_exit (Time.ns 950)));
   Engine.run ~until:(Time.ms 2) engine;
-  check Alcotest.int "no preemptions ever" 0 (Percpu.preemptions rt)
+  check Alcotest.int "no preemptions ever" 0 (Rc.preemptions rt)
 
 (* Shenango is steal-one work stealing with parking.  An idle core parks
    only once the grace period has passed, however many scans fail in a
@@ -96,12 +97,12 @@ let test_shenango_parks_after_grace () =
     let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4) in
     let kmod = Kmod.create machine in
     let rt = make machine kmod in
-    let app = Percpu.create_app rt ~name:"a" in
+    let app = Rc.create_app (Percpu.runtime rt) ~name:"a" in
     for i = 0 to 2 do
       ignore
         (Engine.at engine (Time.us i) (fun () ->
-             Percpu.kill rt
-               (Percpu.spawn rt app ~name:"doomed" ~cpu:0
+             Rc.kill (Percpu.runtime rt)
+               (Rc.spawn (Percpu.runtime rt) app ~name:"doomed" ~cpu:0
                   (Coro.compute_then_exit (Time.us 1)))))
     done;
     Engine.run ~until:(Time.us 4) engine;
@@ -124,12 +125,12 @@ let test_shenango_parks_after_grace () =
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4) in
   let kmod = Kmod.create machine in
   let rt = Shenango.make machine kmod ~cores:[ 0; 1 ] in
-  let app = Percpu.create_app rt ~name:"a" in
+  let app = Rc.create_app (Percpu.runtime rt) ~name:"a" in
   let spawn ~at ~service finished =
     ignore
       (Engine.at engine at (fun () ->
            ignore
-             (Percpu.spawn rt app ~name:"t" ~cpu:0
+             (Rc.spawn (Percpu.runtime rt) app ~name:"t" ~cpu:0
                 (Coro.Compute (service, fun () -> finished := Engine.now engine; Coro.Exit)))))
   in
   let local = ref 0 and stolen = ref 0 in
@@ -153,14 +154,15 @@ let test_ghost_slower_than_skyloft () =
     let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:8) in
     let kmod = Kmod.create machine in
     let rt =
-      Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2 ]
-        ~quantum:(Time.us 30) ~adaptive:false ~mechanism
-        (Skyloft_policies.Shinjuku.create ())
+      Hybrid.runtime
+        (Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2 ]
+           ~quantum:(Time.us 30) ~adaptive:false ~mechanism
+           (Skyloft_policies.Shinjuku.create ()))
     in
-    let app = Hybrid.create_app rt ~name:"lc" in
+    let app = Rc.create_app rt ~name:"lc" in
     for _ = 1 to 200 do
       ignore
-        (Hybrid.submit rt app ~name:"r" ~service:(Time.us 10)
+        (Rc.spawn rt app ~name:"r" ~service:(Time.us 10)
            (Coro.compute_then_exit (Time.us 10)))
     done;
     Engine.run ~until:(Time.ms 10) engine;
@@ -179,11 +181,11 @@ let test_shinjuku_orig_single_app () =
       ~quantum:(Time.us 30)
       (Skyloft_policies.Shinjuku.create ())
   in
-  let app = Hybrid.create_app rt ~name:"lc" in
+  let app = Rc.create_app (Hybrid.runtime rt) ~name:"lc" in
   let done_ = ref 0 in
   for _ = 1 to 10 do
     ignore
-      (Hybrid.submit rt app ~name:"r" ~service:(Time.us 10)
+      (Rc.spawn (Hybrid.runtime rt) app ~name:"r" ~service:(Time.us 10)
          (Coro.Compute (Time.us 10, fun () -> incr done_; Coro.Exit)))
   done;
   Engine.run ~until:(Time.ms 1) engine;

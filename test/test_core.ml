@@ -17,6 +17,7 @@ module Sched_ops = Skyloft.Sched_ops
 module App = Skyloft.App
 module Percpu = Skyloft.Percpu
 module Hybrid = Skyloft.Hybrid
+module Rc = Skyloft.Runtime_core
 
 let check = Alcotest.check
 
@@ -212,17 +213,19 @@ let make_percpu ?(cores = 4) ?(timer_hz = 100_000) ?(preemption = true) ctor =
   let engine = Engine.create () in
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:8) in
   let kmod = Kmod.create machine in
-  let rt = Percpu.create machine kmod ~cores:(List.init cores Fun.id) ~timer_hz ~preemption ctor in
-  (engine, machine, rt)
+  let percpu =
+    Percpu.create machine kmod ~cores:(List.init cores Fun.id) ~timer_hz ~preemption ctor
+  in
+  (engine, percpu, Percpu.runtime percpu)
 
 (* ---- Percpu runtime ---- *)
 
 let test_percpu_runs_task () =
   let engine, _, rt = make_percpu fifo_ctor in
-  let app = Percpu.create_app rt ~name:"app" in
+  let app = Rc.create_app rt ~name:"app" in
   let done_at = ref 0 in
   ignore
-    (Percpu.spawn rt app ~name:"t" ~service:(Time.us 100)
+    (Rc.spawn rt app ~name:"t" ~service:(Time.us 100)
        (Coro.Compute (Time.us 100, fun () -> done_at := Engine.now engine; Coro.Exit)));
   Engine.run ~until:(Time.ms 1) engine;
   check Alcotest.bool "ran" true (!done_at > 0);
@@ -231,11 +234,11 @@ let test_percpu_runs_task () =
 
 let test_percpu_parallelism () =
   let engine, _, rt = make_percpu ~cores:4 fifo_ctor in
-  let app = Percpu.create_app rt ~name:"app" in
+  let app = Rc.create_app rt ~name:"app" in
   let last = ref 0 in
   for _ = 1 to 4 do
     ignore
-      (Percpu.spawn rt app ~name:"t"
+      (Rc.spawn rt app ~name:"t"
          (Coro.Compute (Time.ms 1, fun () -> last := Engine.now engine; Coro.Exit)))
   done;
   Engine.run ~until:(Time.ms 10) engine;
@@ -244,61 +247,61 @@ let test_percpu_parallelism () =
 
 let test_percpu_timer_ticks_happen () =
   let engine, _, rt = make_percpu ~cores:1 ~timer_hz:10_000 fifo_ctor in
-  let app = Percpu.create_app rt ~name:"app" in
-  ignore (Percpu.spawn rt app ~name:"hog" (Coro.compute_then_exit (Time.ms 5)));
+  let app = Rc.create_app rt ~name:"app" in
+  ignore (Rc.spawn rt app ~name:"hog" (Coro.compute_then_exit (Time.ms 5)));
   Engine.run ~until:(Time.ms 5) engine;
   (* 10kHz for 5ms on a busy core: ~50 ticks *)
-  check Alcotest.bool "ticks counted" true (Percpu.timer_ticks rt >= 40)
+  check Alcotest.bool "ticks counted" true (Rc.timer_ticks rt >= 40)
 
 let test_percpu_no_preemption_mode () =
   let engine, _, rt = make_percpu ~cores:1 ~preemption:false fifo_ctor in
-  let app = Percpu.create_app rt ~name:"app" in
-  ignore (Percpu.spawn rt app ~name:"hog" (Coro.compute_then_exit (Time.ms 5)));
+  let app = Rc.create_app rt ~name:"app" in
+  ignore (Rc.spawn rt app ~name:"hog" (Coro.compute_then_exit (Time.ms 5)));
   Engine.run ~until:(Time.ms 6) engine;
-  check Alcotest.int "no ticks" 0 (Percpu.timer_ticks rt);
+  check Alcotest.int "no ticks" 0 (Rc.timer_ticks rt);
   check Alcotest.int "still completes" 1 app.App.completed
 
 let test_percpu_rr_preemption () =
   (* One core, RR 50us slices: a long task and a short task interleave; the
      short one finishes long before the long one. *)
   let engine, _, rt = make_percpu ~cores:1 (rr_ctor (Time.us 50)) in
-  let app = Percpu.create_app rt ~name:"app" in
+  let app = Rc.create_app rt ~name:"app" in
   let long_done = ref 0 and short_done = ref 0 in
   ignore
-    (Percpu.spawn rt app ~name:"long"
+    (Rc.spawn rt app ~name:"long"
        (Coro.Compute (Time.ms 2, fun () -> long_done := Engine.now engine; Coro.Exit)));
   ignore
-    (Percpu.spawn rt app ~name:"short"
+    (Rc.spawn rt app ~name:"short"
        (Coro.Compute (Time.us 100, fun () -> short_done := Engine.now engine; Coro.Exit)));
   Engine.run ~until:(Time.ms 5) engine;
   check Alcotest.bool "short escapes head-of-line blocking" true
     (!short_done > 0 && !short_done < Time.us 400);
   check Alcotest.bool "long still finishes" true (!long_done > Time.ms 2);
-  check Alcotest.bool "preemptions happened" true (Percpu.preemptions rt > 0)
+  check Alcotest.bool "preemptions happened" true (Rc.preemptions rt > 0)
 
 let test_percpu_fifo_hol_blocking () =
   (* Same workload without preemption: the short task waits for the long. *)
   let engine, _, rt = make_percpu ~cores:1 ~preemption:false fifo_ctor in
-  let app = Percpu.create_app rt ~name:"app" in
+  let app = Rc.create_app rt ~name:"app" in
   let short_done = ref 0 in
-  ignore (Percpu.spawn rt app ~name:"long" (Coro.compute_then_exit (Time.ms 2)));
+  ignore (Rc.spawn rt app ~name:"long" (Coro.compute_then_exit (Time.ms 2)));
   ignore
-    (Percpu.spawn rt app ~name:"short"
+    (Rc.spawn rt app ~name:"short"
        (Coro.Compute (Time.us 100, fun () -> short_done := Engine.now engine; Coro.Exit)));
   Engine.run ~until:(Time.ms 5) engine;
   check Alcotest.bool "short suffered HoL blocking" true (!short_done > Time.ms 2)
 
 let test_percpu_block_wakeup_latency () =
   let engine, _, rt = make_percpu ~cores:2 fifo_ctor in
-  let app = Percpu.create_app rt ~name:"app" in
+  let app = Rc.create_app rt ~name:"app" in
   let woke = ref false in
   let sleeper =
-    Percpu.spawn rt app ~name:"sleeper" (Coro.Block (fun () -> woke := true; Coro.Exit))
+    Rc.spawn rt app ~name:"sleeper" (Coro.Block (fun () -> woke := true; Coro.Exit))
   in
-  ignore (Engine.at engine (Time.us 100) (fun () -> Percpu.wakeup rt sleeper));
+  ignore (Engine.at engine (Time.us 100) (fun () -> Rc.wakeup rt sleeper));
   Engine.run ~until:(Time.ms 1) engine;
   check Alcotest.bool "woken" true !woke;
-  let h = Percpu.wakeup_hist rt in
+  let h = Rc.wakeup_hist rt in
   check Alcotest.int "one sample" 1 (Histogram.count h);
   (* user-space wakeup on an idle core: sub-microsecond *)
   check Alcotest.bool "sub-us wakeup" true (Histogram.max_value h < Time.us 1)
@@ -307,13 +310,13 @@ let test_percpu_multi_app_switching () =
   (* Two applications sharing one core: switching between their tasks must
      go through the kernel module and be counted. *)
   let engine, _, rt = make_percpu ~cores:1 (rr_ctor (Time.us 20)) in
-  let app1 = Percpu.create_app rt ~name:"lc" in
-  let app2 = Percpu.create_app rt ~name:"be" in
-  ignore (Percpu.spawn rt app1 ~name:"a" (Coro.compute_then_exit (Time.us 200)));
-  ignore (Percpu.spawn rt app2 ~name:"b" (Coro.compute_then_exit (Time.us 200)));
+  let app1 = Rc.create_app rt ~name:"lc" in
+  let app2 = Rc.create_app rt ~name:"be" in
+  ignore (Rc.spawn rt app1 ~name:"a" (Coro.compute_then_exit (Time.us 200)));
+  ignore (Rc.spawn rt app2 ~name:"b" (Coro.compute_then_exit (Time.us 200)));
   Engine.run ~until:(Time.ms 2) engine;
   check Alcotest.int "both done" 2 (app1.App.completed + app2.App.completed);
-  check Alcotest.bool "app switches happened" true (Percpu.app_switches rt >= 2);
+  check Alcotest.bool "app switches happened" true (Rc.app_switches rt >= 2);
   check Alcotest.bool "both apps got CPU" true
     (app1.App.busy_ns > 0 && app2.App.busy_ns > 0)
 
@@ -322,12 +325,12 @@ let test_percpu_app_switch_costs_more () =
      take longer in total (1905ns vs 37ns per switch). *)
   let run two_apps =
     let engine, _, rt = make_percpu ~cores:1 (rr_ctor (Time.us 10)) in
-    let app1 = Percpu.create_app rt ~name:"a1" in
-    let app2 = if two_apps then Percpu.create_app rt ~name:"a2" else app1 in
+    let app1 = Rc.create_app rt ~name:"a1" in
+    let app2 = if two_apps then Rc.create_app rt ~name:"a2" else app1 in
     let finished = ref 0 in
     let spawn app name =
       ignore
-        (Percpu.spawn rt app ~name
+        (Rc.spawn rt app ~name
            (Coro.Compute (Time.us 300, fun () -> finished := Engine.now engine; Coro.Exit)))
     in
     spawn app1 "x";
@@ -341,16 +344,16 @@ let test_percpu_app_switch_costs_more () =
 let test_percpu_uipi_preemption () =
   (* Dispatcher-style preemption: send a user IPI to a busy core; its
      handler asks the policy, which preempts at quantum expiry. *)
-  let engine, _, rt = make_percpu ~cores:2 ~preemption:false (rr_ctor (Time.us 10)) in
-  let app = Percpu.create_app rt ~name:"app" in
-  ignore (Percpu.spawn rt app ~name:"long" ~cpu:0 (Coro.compute_then_exit (Time.ms 1)));
-  ignore (Percpu.spawn rt app ~name:"waiting" ~cpu:0 (Coro.compute_then_exit (Time.us 10)));
+  let engine, percpu, rt = make_percpu ~cores:2 ~preemption:false (rr_ctor (Time.us 10)) in
+  let app = Rc.create_app rt ~name:"app" in
+  ignore (Rc.spawn rt app ~name:"long" ~cpu:0 (Coro.compute_then_exit (Time.ms 1)));
+  ignore (Rc.spawn rt app ~name:"waiting" ~cpu:0 (Coro.compute_then_exit (Time.us 10)));
   (* preemption disabled -> no timer; send an explicit user IPI at 100us *)
   ignore
     (Engine.at engine (Time.us 100) (fun () ->
-         Percpu.preempt_core rt ~src_core:1 ~dst_core:0));
+         Percpu.preempt_core percpu ~src_core:1 ~dst_core:0));
   Engine.run ~until:(Time.ms 3) engine;
-  check Alcotest.bool "IPI preempted the long task" true (Percpu.preemptions rt >= 1)
+  check Alcotest.bool "IPI preempted the long task" true (Rc.preemptions rt >= 1)
 
 let test_percpu_requires_cores () =
   let engine = Engine.create () in
@@ -365,9 +368,9 @@ let test_percpu_requires_cores () =
 let test_percpu_be_colocation () =
   (* BE soaks idle cores via the allocator; LC load evicts it. *)
   let engine, _, rt = make_percpu ~cores:2 fifo_ctor in
-  let lc = Percpu.create_app rt ~name:"lc" in
-  let be = Percpu.create_app rt ~name:"batch" in
-  Percpu.attach_be_app rt be ~chunk:(Time.us 20) ~workers:2;
+  let lc = Rc.create_app rt ~name:"lc" in
+  let be = Rc.create_app rt ~name:"batch" in
+  Rc.attach_be_app rt be ~chunk:(Time.us 20) ~workers:2;
   (* idle phase: BE owns both cores *)
   Engine.run ~until:(Time.ms 2) engine;
   let idle_be = be.App.busy_ns in
@@ -379,13 +382,13 @@ let test_percpu_be_colocation () =
     ignore
       (Engine.at engine (Time.ms 2 + (i * Time.us 10)) (fun () ->
            ignore
-             (Percpu.spawn rt lc ~name:"req" ~service:(Time.us 15)
+             (Rc.spawn rt lc ~name:"req" ~service:(Time.us 15)
                 (Coro.Compute (Time.us 15, fun () -> incr done_; Coro.Exit)))))
   done;
   Engine.run ~until:(Time.ms 16) engine;
   check Alcotest.int "all LC served despite BE" 1000 !done_;
-  check Alcotest.bool "BE preempted for LC" true (Percpu.be_preemptions rt > 0);
-  match Percpu.allocator rt with
+  check Alcotest.bool "BE preempted for LC" true (Rc.be_preemptions rt > 0);
+  match Rc.allocator rt with
   | None -> Alcotest.fail "allocator not started by attach_be_app"
   | Some alloc ->
       check Alcotest.bool "allocator moved cores" true
@@ -397,19 +400,19 @@ let test_percpu_be_colocation () =
 let test_percpu_be_guaranteed_cores () =
   (* A guaranteed BE core survives saturating LC load. *)
   let engine, _, rt = make_percpu ~cores:2 fifo_ctor in
-  let lc = Percpu.create_app rt ~name:"lc" in
-  let be = Percpu.create_app rt ~name:"batch" in
+  let lc = Rc.create_app rt ~name:"lc" in
+  let be = Rc.create_app rt ~name:"batch" in
   let alloc_cfg =
     { (Skyloft_alloc.Allocator.default_config ()) with
       Skyloft_alloc.Allocator.be_guaranteed = 1 }
   in
-  Percpu.attach_be_app rt ~alloc:alloc_cfg be ~chunk:(Time.us 20) ~workers:2;
+  Rc.attach_be_app rt ~alloc:alloc_cfg be ~chunk:(Time.us 20) ~workers:2;
   (* oversubscribe: 30us of LC work every 10us *)
   for i = 0 to 999 do
     ignore
       (Engine.at engine (i * Time.us 10) (fun () ->
            ignore
-             (Percpu.spawn rt lc ~name:"req" ~service:(Time.us 30)
+             (Rc.spawn rt lc ~name:"req" ~service:(Time.us 30)
                 (Coro.compute_then_exit (Time.us 30)))))
   done;
   Engine.run ~until:(Time.ms 10) engine;
@@ -417,7 +420,7 @@ let test_percpu_be_guaranteed_cores () =
   let be_share = App.cpu_share be ~total_ns:total in
   (* one of two cores guaranteed -> BE keeps ~half the machine *)
   check Alcotest.bool "guaranteed core kept under saturation" true (be_share > 0.4);
-  match Percpu.allocator rt with
+  match Rc.allocator rt with
   | None -> Alcotest.fail "allocator missing"
   | Some alloc ->
       check Alcotest.int "grant never below guarantee" 1
@@ -425,70 +428,69 @@ let test_percpu_be_guaranteed_cores () =
 
 (* ---- Centralized runtime: Hybrid pinned with ~adaptive:false ---- *)
 
-let make_centralized ?(workers = 4) ?(quantum = Time.us 30) ?mechanism ?alloc
-    () =
+let make_centralized ?(workers = 4) ?(quantum = Time.us 30) ?mechanism () =
   let engine = Engine.create () in
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:8) in
   let kmod = Kmod.create machine in
-  let rt =
+  let hybrid =
     Hybrid.create machine kmod ~dispatcher_core:0
       ~worker_cores:(List.init workers (fun i -> i + 1))
-      ~quantum ~adaptive:false ?mechanism ?alloc
+      ~quantum ~adaptive:false ?mechanism
       (fun view ->
         ignore view;
         fifo_ctor view)
   in
-  (engine, machine, rt)
+  (engine, hybrid, Hybrid.runtime hybrid)
 
 let test_centralized_basic () =
-  let engine, _, rt = make_centralized () in
-  let app = Hybrid.create_app rt ~name:"lc" in
+  let engine, hybrid, rt = make_centralized () in
+  let app = Rc.create_app rt ~name:"lc" in
   let done_ = ref 0 in
   for _ = 1 to 8 do
     ignore
-      (Hybrid.submit rt app ~name:"req" ~service:(Time.us 10)
+      (Rc.spawn rt app ~name:"req" ~service:(Time.us 10)
          (Coro.Compute (Time.us 10, fun () -> incr done_; Coro.Exit)))
   done;
   Engine.run ~until:(Time.ms 1) engine;
   check Alcotest.int "all requests served" 8 !done_;
-  check Alcotest.int "dispatches counted" 8 (Hybrid.dispatches rt)
+  check Alcotest.int "dispatches counted" 8 (Hybrid.dispatches hybrid)
 
 let test_centralized_quantum_preemption () =
   (* 1 worker: a 1ms request then a 10us request.  With a 30us quantum the
      short request must NOT wait the full 1ms. *)
   let engine, _, rt = make_centralized ~workers:1 ~quantum:(Time.us 30) () in
-  let app = Hybrid.create_app rt ~name:"lc" in
+  let app = Rc.create_app rt ~name:"lc" in
   let short_done = ref 0 in
   ignore
-    (Hybrid.submit rt app ~name:"long" ~service:(Time.ms 1)
+    (Rc.spawn rt app ~name:"long" ~service:(Time.ms 1)
        (Coro.compute_then_exit (Time.ms 1)));
   ignore
-    (Hybrid.submit rt app ~name:"short" ~service:(Time.us 10)
+    (Rc.spawn rt app ~name:"short" ~service:(Time.us 10)
        (Coro.Compute (Time.us 10, fun () -> short_done := Engine.now engine; Coro.Exit)));
   Engine.run ~until:(Time.ms 5) engine;
-  check Alcotest.bool "preempted" true (Hybrid.preemptions rt >= 1);
+  check Alcotest.bool "preempted" true (Rc.preemptions rt >= 1);
   check Alcotest.bool "short finished way before 1ms" true
     (!short_done > 0 && !short_done < Time.us 200)
 
 let test_centralized_no_quantum_hol () =
   let engine, _, rt = make_centralized ~workers:1 ~quantum:0 () in
-  let app = Hybrid.create_app rt ~name:"lc" in
+  let app = Rc.create_app rt ~name:"lc" in
   let short_done = ref 0 in
   ignore
-    (Hybrid.submit rt app ~name:"long" ~service:(Time.ms 1)
+    (Rc.spawn rt app ~name:"long" ~service:(Time.ms 1)
        (Coro.compute_then_exit (Time.ms 1)));
   ignore
-    (Hybrid.submit rt app ~name:"short" ~service:(Time.us 10)
+    (Rc.spawn rt app ~name:"short" ~service:(Time.us 10)
        (Coro.Compute (Time.us 10, fun () -> short_done := Engine.now engine; Coro.Exit)));
   Engine.run ~until:(Time.ms 5) engine;
-  check Alcotest.int "no preemption" 0 (Hybrid.preemptions rt);
+  check Alcotest.int "no preemption" 0 (Rc.preemptions rt);
   check Alcotest.bool "short suffered HoL" true (!short_done >= Time.ms 1)
 
 let test_centralized_be_uses_idle_cores () =
   let engine, _, rt = make_centralized ~workers:2 () in
-  let _lc = Hybrid.create_app rt ~name:"lc" in
-  let be = Hybrid.create_app rt ~name:"batch" in
-  Hybrid.attach_be_app rt be ~chunk:(Time.us 100) ~workers:2;
+  let _lc = Rc.create_app rt ~name:"lc" in
+  let be = Rc.create_app rt ~name:"batch" in
+  Rc.attach_be_app rt be ~chunk:(Time.us 100) ~workers:2;
   Engine.run ~until:(Time.ms 10) engine;
   (* With no LC load at all, BE gets ~100% of both workers. *)
   let share = App.cpu_share be ~total_ns:(2 * Time.ms 10) in
@@ -497,16 +499,16 @@ let test_centralized_be_uses_idle_cores () =
 let test_centralized_be_reclaimed_under_load () =
   (* default alloc config: Static policy at a 5us interval *)
   let engine, _, rt = make_centralized ~workers:2 () in
-  let lc = Hybrid.create_app rt ~name:"lc" in
-  let be = Hybrid.create_app rt ~name:"batch" in
-  Hybrid.attach_be_app rt be ~chunk:(Time.us 100) ~workers:2;
+  let lc = Rc.create_app rt ~name:"lc" in
+  let be = Rc.create_app rt ~name:"batch" in
+  Rc.attach_be_app rt be ~chunk:(Time.us 100) ~workers:2;
   (* Heavy LC load: 15us of work every 10us = 75% of the 2 workers *)
   let rec gen i =
     if i < 2000 then
       ignore
         (Engine.at engine (i * Time.us 10) (fun () ->
              ignore
-               (Hybrid.submit rt lc ~name:"req" ~service:(Time.us 15)
+               (Rc.spawn rt lc ~name:"req" ~service:(Time.us 15)
                   (Coro.compute_then_exit (Time.us 15)));
              gen (i + 1)))
   in
@@ -515,14 +517,14 @@ let test_centralized_be_reclaimed_under_load () =
   Engine.run ~until:(Time.ms 25) engine;
   let lc_share = App.cpu_share lc ~total_ns:(2 * Time.ms 25) in
   let be_share = App.cpu_share be ~total_ns:(2 * Time.ms 25) in
-  check Alcotest.bool "BE cores reclaimed" true (Hybrid.be_preemptions rt > 0);
+  check Alcotest.bool "BE cores reclaimed" true (Rc.be_preemptions rt > 0);
   (* LC demands 2000 x 15us over 50ms of core time = 0.6; it must get all
      of it, and BE must soak most of the leftover without starving LC. *)
   check Alcotest.bool "LC gets its full demand" true (lc_share >= 0.58);
   check Alcotest.bool "BE soaks idle capacity" true
     (be_share > 0.15 && lc_share > be_share);
   check Alcotest.int "all LC served" 2000 lc.App.completed;
-  match Hybrid.allocator rt with
+  match Rc.allocator rt with
   | None -> Alcotest.fail "allocator not started by attach_be_app"
   | Some alloc ->
       check Alcotest.bool "allocator reclaimed cores" true
@@ -543,11 +545,11 @@ let test_centralized_dispatcher_serializes () =
      time even though 4 workers could run the 1us requests faster. *)
   let mech = { Hybrid.ghost_mechanism with dispatch_cost = Time.us 2 } in
   let engine, _, rt = make_centralized ~workers:4 ~mechanism:mech () in
-  let app = Hybrid.create_app rt ~name:"lc" in
+  let app = Rc.create_app rt ~name:"lc" in
   let last_done = ref 0 in
   for _ = 1 to 100 do
     ignore
-      (Hybrid.submit rt app ~name:"req" ~service:1_000
+      (Rc.spawn rt app ~name:"req" ~service:1_000
          (Coro.Compute (1_000, fun () -> last_done := Engine.now engine; Coro.Exit)))
   done;
   Engine.run ~until:(Time.ms 5) engine;
@@ -573,37 +575,79 @@ let test_centralized_kill_in_flight () =
   let engine, _, rt =
     make_centralized ~workers:1 ~mechanism:Hybrid.ghost_mechanism ()
   in
-  let app = Hybrid.create_app rt ~name:"lc" in
+  let app = Rc.create_app rt ~name:"lc" in
   let dropped = ref 0 and completed = ref 0 in
   ignore
-    (Hybrid.submit rt app ~name:"req" ~service:(Time.us 10) ~deadline:500
+    (Rc.spawn rt app ~name:"req" ~service:(Time.us 10) ~deadline:500
        ~on_drop:(fun _ -> incr dropped)
        (Coro.Compute (Time.us 10, fun () -> incr completed; Coro.Exit)));
   Engine.run ~until:(Time.ms 1) engine;
   check Alcotest.int "exactly one outcome" 1 (!dropped + !completed);
   check Alcotest.int "the outcome is the drop" 1 !dropped;
-  check Alcotest.int "deadline drops" 1 (Hybrid.deadline_drops rt);
+  check Alcotest.int "deadline drops" 1 (Rc.deadline_drops rt);
   check Alcotest.int "no task left alive" 0 app.App.tasks_alive
 
 (* [~adaptive:false] arms neither the mode monitor nor the per-core
    timers: a burst far past the 2x-workers threshold stays on the serial
    dispatcher. *)
 let test_centralized_pinned_mode () =
-  let engine, _, rt = make_centralized ~workers:2 () in
-  let app = Hybrid.create_app rt ~name:"lc" in
+  let engine, hybrid, rt = make_centralized ~workers:2 () in
+  let app = Rc.create_app rt ~name:"lc" in
   let done_ = ref 0 in
   for _ = 1 to 20 do
     ignore
-      (Hybrid.submit rt app ~name:"req" ~service:(Time.us 50)
+      (Rc.spawn rt app ~name:"req" ~service:(Time.us 50)
          (Coro.Compute (Time.us 50, fun () -> incr done_; Coro.Exit)))
   done;
   check Alcotest.bool "burst deeper than 2x the workers" true
-    (Hybrid.queue_length rt > 4);
+    (Hybrid.queue_length hybrid > 4);
   Engine.run ~until:(Time.ms 2) engine;
   check Alcotest.int "all requests served" 20 !done_;
-  check Alcotest.int "no mode switches" 0 (Hybrid.mode_switches rt);
-  check Alcotest.int "no timer ticks" 0 (Hybrid.timer_ticks rt);
-  check Alcotest.bool "still central" true (Hybrid.mode rt = Hybrid.Central)
+  check Alcotest.int "no mode switches" 0 (Hybrid.mode_switches hybrid);
+  check Alcotest.int "no timer ticks" 0 (Rc.timer_ticks rt);
+  check Alcotest.bool "still central" true (Hybrid.mode hybrid = Hybrid.Central)
+
+(* ---- spawn validates before it admits ---- *)
+
+(* A rejected spawn must leave no trace: nothing admitted, nothing queued,
+   nothing run.  A check that ran after admission would leave the task
+   behind, running to completion or stranded on a queue no core drains. *)
+let check_rejected_spawns engine rt bad_spawns =
+  let app = Rc.create_app rt ~name:"lc" in
+  let ran = ref 0 in
+  List.iter
+    (fun spawn ->
+      check Alcotest.bool "spawn rejected" true
+        (try
+           ignore
+             (spawn app (Coro.Compute (Time.us 10, fun () -> incr ran; Coro.Exit)));
+           false
+         with Invalid_argument _ -> true))
+    bad_spawns;
+  Engine.run ~until:(Time.ms 1) engine;
+  check Alcotest.int "nothing admitted" 0 app.App.spawned;
+  check Alcotest.int "nothing alive" 0 app.App.tasks_alive;
+  check Alcotest.int "nothing completed" 0 app.App.completed;
+  check Alcotest.int "nothing recorded" 0 (Summary.requests app.App.summary);
+  check Alcotest.int "nothing dropped" 0 (Summary.drops app.App.summary);
+  check Alcotest.int "nothing ran" 0 !ran
+
+let test_percpu_spawn_validates_first () =
+  let engine, _, rt = make_percpu ~cores:2 fifo_ctor in
+  check_rejected_spawns engine rt
+    [
+      (fun app body -> Rc.spawn rt app ~name:"bad-deadline" ~deadline:0 body);
+      (fun app body -> Rc.spawn rt app ~name:"unmanaged" ~cpu:9 body);
+    ]
+
+let test_centralized_spawn_validates_first () =
+  let engine, _, rt = make_centralized ~workers:2 () in
+  check_rejected_spawns engine rt
+    [
+      (fun app body -> Rc.spawn rt app ~name:"bad-deadline" ~deadline:0 body);
+      (* a serial dispatcher cannot pin, not even to one of its workers *)
+      (fun app body -> Rc.spawn rt app ~name:"pinned" ~cpu:1 body);
+    ]
 
 let suite =
   [
@@ -647,4 +691,8 @@ let suite =
       test_centralized_kill_in_flight;
     Alcotest.test_case "centralized: pinned mode never flips" `Quick
       test_centralized_pinned_mode;
+    Alcotest.test_case "percpu: spawn validates before admitting" `Quick
+      test_percpu_spawn_validates_first;
+    Alcotest.test_case "centralized: spawn validates before admitting" `Quick
+      test_centralized_spawn_validates_first;
   ]

@@ -9,18 +9,19 @@
 open Alcotest
 module Time = Skyloft_sim.Time
 module E = Skyloft_experiments
+module Scenario = Skyloft_scenario.Scenario
 
 let test_trace_byte_identical () =
-  let json1, injected1 = E.Golden.traced_percpu ~seed:1234 in
-  let json2, injected2 = E.Golden.traced_percpu ~seed:1234 in
+  let json1, injected1, _ = E.Golden.traced ~seed:1234 Scenario.Percpu in
+  let json2, injected2, _ = E.Golden.traced ~seed:1234 Scenario.Percpu in
   check bool "faults were actually injected" true (injected1 > 0);
   check int "same injection count" injected1 injected2;
   check bool "traces byte-identical at the same seed" true
     (String.equal json1 json2)
 
 let test_hybrid_trace_byte_identical () =
-  let json1, injected1, switches1 = E.Golden.traced_hybrid ~seed:1234 in
-  let json2, injected2, switches2 = E.Golden.traced_hybrid ~seed:1234 in
+  let json1, injected1, switches1 = E.Golden.traced ~seed:1234 Scenario.Hybrid in
+  let json2, injected2, switches2 = E.Golden.traced ~seed:1234 Scenario.Hybrid in
   check bool "faults were actually injected" true (injected1 > 0);
   check bool "the burst crossed the hysteresis band (both modes covered)" true
     (switches1 >= 2);
@@ -30,8 +31,8 @@ let test_hybrid_trace_byte_identical () =
     (String.equal json1 json2)
 
 let test_worksteal_trace_byte_identical () =
-  let json1, injected1, steals1 = E.Golden.traced_worksteal ~seed:1234 in
-  let json2, injected2, steals2 = E.Golden.traced_worksteal ~seed:1234 in
+  let json1, injected1, steals1 = E.Golden.traced ~seed:1234 Scenario.Worksteal in
+  let json2, injected2, steals2 = E.Golden.traced ~seed:1234 Scenario.Worksteal in
   check bool "faults were actually injected" true (injected1 > 0);
   check bool "the pinned backlog was actually stolen" true (steals1 > 0);
   check int "same injection count" injected1 injected2;
@@ -55,8 +56,8 @@ let test_sweep_fault_free_reproducible () =
   (* rate 0 arms nothing: the fault machinery present but disabled must
      still be a pure function of the seed (no hidden RNG draws). *)
   let config = { E.Config.duration = Time.ms 5; seed = 3; jobs = 1; requests = None } in
-  let p1 = E.Fault_sweep.run_point config ~runtime:("percpu", E.Fault_sweep.Percore) ~rate:0.0 in
-  let p2 = E.Fault_sweep.run_point config ~runtime:("percpu", E.Fault_sweep.Percore) ~rate:0.0 in
+  let p1 = E.Fault_sweep.run_point config ~runtime:Scenario.Percpu ~rate:0.0 in
+  let p2 = E.Fault_sweep.run_point config ~runtime:Scenario.Percpu ~rate:0.0 in
   check bool "fault-free runs identical" true (p1 = p2);
   check int "nothing injected at rate 0" 0 p1.E.Fault_sweep.injected
 

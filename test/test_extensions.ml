@@ -19,6 +19,7 @@ module Nic = Skyloft_net.Nic
 module Packet = Skyloft_net.Packet
 module Loadgen = Skyloft_net.Loadgen
 module Udp_server = Skyloft_apps.Udp_server
+module Rc = Skyloft.Runtime_core
 
 let check = Alcotest.check
 
@@ -129,7 +130,7 @@ let make_msi_server () =
     Percpu.create machine kmod ~cores ~preemption:false
       (Skyloft_policies.Work_stealing.create ())
   in
-  let app = Percpu.create_app rt ~name:"srv" in
+  let app = Rc.create_app (Percpu.runtime rt) ~name:"srv" in
   let nic =
     Nic.create engine ~queues:2 ~mode:(Nic.Msi { machine; cores = [| 0; 1 |] }) ()
   in
@@ -164,22 +165,23 @@ let test_fault_current_blocks_and_resumes () =
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4) in
   let kmod = Kmod.create machine in
   let rt =
-    Percpu.create machine kmod ~cores:[ 0 ] ~preemption:false
-      (Skyloft_policies.Fifo.create ())
+    Percpu.runtime
+      (Percpu.create machine kmod ~cores:[ 0 ] ~preemption:false
+         (Skyloft_policies.Fifo.create ()))
   in
-  let app = Percpu.create_app rt ~name:"a" in
+  let app = Rc.create_app rt ~name:"a" in
   let faulted_done = ref 0 and other_done = ref 0 in
   ignore
-    (Percpu.spawn rt app ~name:"faulty"
+    (Rc.spawn rt app ~name:"faulty"
        (Coro.Compute (Time.us 100, fun () -> faulted_done := Engine.now engine; Coro.Exit)));
   ignore
-    (Percpu.spawn rt app ~name:"other"
+    (Rc.spawn rt app ~name:"other"
        (Coro.Compute (Time.us 50, fun () -> other_done := Engine.now engine; Coro.Exit)));
   (* fault the running task at t=10us for 200us *)
   ignore
     (Engine.at engine (Time.us 10) (fun () ->
          check Alcotest.bool "fault accepted" true
-           (Percpu.fault_current rt ~core:0 ~duration:(Time.us 200))));
+           (Rc.fault_current rt ~core:0 ~duration:(Time.us 200))));
   Engine.run ~until:(Time.ms 2) engine;
   (* the other task ran during the fault window *)
   check Alcotest.bool "other finished during the fault" true
@@ -193,12 +195,13 @@ let test_fault_on_idle_core () =
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:2) in
   let kmod = Kmod.create machine in
   let rt =
-    Percpu.create machine kmod ~cores:[ 0 ] ~preemption:false
-      (Skyloft_policies.Fifo.create ())
+    Percpu.runtime
+      (Percpu.create machine kmod ~cores:[ 0 ] ~preemption:false
+         (Skyloft_policies.Fifo.create ()))
   in
-  ignore (Percpu.create_app rt ~name:"a");
+  ignore (Rc.create_app rt ~name:"a");
   check Alcotest.bool "no task to fault" false
-    (Percpu.fault_current rt ~core:0 ~duration:(Time.us 10));
+    (Rc.fault_current rt ~core:0 ~duration:(Time.us 10));
   ignore engine
 
 let test_fault_last_runnable_task () =
@@ -212,16 +215,16 @@ let test_fault_last_runnable_task () =
     Percpu.create machine kmod ~cores:[ 0 ] ~preemption:false
       (Skyloft_policies.Fifo.create ())
   in
-  let app = Percpu.create_app rt ~name:"a" in
+  let app = Rc.create_app (Percpu.runtime rt) ~name:"a" in
   let done_at = ref 0 in
   ignore
-    (Percpu.spawn rt app ~name:"only"
+    (Rc.spawn (Percpu.runtime rt) app ~name:"only"
        (Coro.Compute (Time.us 100, fun () -> done_at := Engine.now engine; Coro.Exit)));
   let idle_during_fault = ref false in
   ignore
     (Engine.at engine (Time.us 10) (fun () ->
          check Alcotest.bool "fault accepted" true
-           (Percpu.fault_current rt ~core:0 ~duration:(Time.us 300))));
+           (Rc.fault_current (Percpu.runtime rt) ~core:0 ~duration:(Time.us 300))));
   ignore
     (Engine.at engine (Time.us 150) (fun () ->
          idle_during_fault := Percpu.is_idle rt ~core:0));
@@ -240,23 +243,24 @@ let test_fault_be_task_stays_out_of_lc_queues () =
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:2) in
   let kmod = Kmod.create machine in
   let rt =
-    Percpu.create machine kmod ~cores:[ 0 ] ~preemption:false
-      (Skyloft_policies.Fifo.create ())
+    Percpu.runtime
+      (Percpu.create machine kmod ~cores:[ 0 ] ~preemption:false
+         (Skyloft_policies.Fifo.create ()))
   in
-  let lc = Percpu.create_app rt ~name:"lc" in
-  let be = Percpu.create_app rt ~name:"batch" in
-  Percpu.attach_be_app rt be ~chunk:(Time.us 50) ~workers:1;
+  let lc = Rc.create_app rt ~name:"lc" in
+  let be = Rc.create_app rt ~name:"batch" in
+  Rc.attach_be_app rt be ~chunk:(Time.us 50) ~workers:1;
   Engine.run ~until:(Time.us 10) engine;
   (* the BE worker owns the core; fault it for 200us *)
   ignore
     (Engine.at engine (Time.us 10) (fun () ->
          check Alcotest.bool "BE task faulted" true
-           (Percpu.fault_current rt ~core:0 ~duration:(Time.us 200))));
+           (Rc.fault_current rt ~core:0 ~duration:(Time.us 200))));
   let lc_done = ref 0 in
   ignore
     (Engine.at engine (Time.us 20) (fun () ->
          ignore
-           (Percpu.spawn rt lc ~name:"req"
+           (Rc.spawn rt lc ~name:"req"
               (Coro.Compute
                  (Time.us 30, fun () -> lc_done := Engine.now engine; Coro.Exit)))));
   Engine.run ~until:(Time.ms 3) engine;
@@ -307,16 +311,16 @@ let test_start_utimer_needs_no_preemption () =
        false
      with Invalid_argument _ -> true);
   let engine, plain = make ~preemption:false in
-  let app = Percpu.create_app plain ~name:"a" in
+  let app = Rc.create_app (Percpu.runtime plain) ~name:"a" in
   for i = 1 to 2 do
     ignore
-      (Percpu.spawn plain app ~name:(Printf.sprintf "t%d" i) ~cpu:0
+      (Rc.spawn (Percpu.runtime plain) app ~name:(Printf.sprintf "t%d" i) ~cpu:0
          (Coro.compute_then_exit (Time.us 100)))
   done;
   Percpu.start_utimer plain ~src_core:1 ~hz:100_000;
   Engine.run ~until:(Time.us 150) engine;
   check Alcotest.bool "utimer IPIs preempt on a plain runtime" true
-    (Percpu.preemptions plain > 0)
+    (Rc.preemptions (Percpu.runtime plain) > 0)
 
 let suite =
   [

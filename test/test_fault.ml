@@ -26,6 +26,7 @@ module Alloc_policy = Skyloft_alloc.Policy
 module Plan = Skyloft_fault.Plan
 module Injector = Skyloft_fault.Injector
 module E = Skyloft_experiments
+module Rc = Skyloft.Runtime_core
 
 (* ---- machine-level interrupt fate hook ---- *)
 
@@ -246,24 +247,25 @@ let test_percpu_watchdog_rescue () =
   (* no timer at all: a poisoned (never-yielding) task can only be broken
      out by the watchdog *)
   let rt =
-    Percpu.create machine kmod ~cores:[ 0 ] ~preemption:false
-      ~watchdog:(Time.us 50)
-      (Skyloft_policies.Fifo.create ())
+    Percpu.runtime
+      (Percpu.create machine kmod ~cores:[ 0 ] ~preemption:false
+         ~watchdog:(Time.us 50)
+         (Skyloft_policies.Fifo.create ()))
   in
-  let app = Percpu.create_app rt ~name:"a" in
+  let app = Rc.create_app rt ~name:"a" in
   ignore
-    (Percpu.spawn rt app ~name:"poison"
+    (Rc.spawn rt app ~name:"poison"
        (Coro.Compute (Time.ms 5, fun () -> Coro.Exit)));
   let short_done = ref 0 in
   ignore
-    (Percpu.spawn rt app ~name:"victim"
+    (Rc.spawn rt app ~name:"victim"
        (Coro.Compute (Time.us 10, fun () -> short_done := Engine.now engine; Coro.Exit)));
   Engine.run ~until:(Time.ms 1) engine;
-  check bool "watchdog rescued the stuck core" true (Percpu.watchdog_rescues rt >= 1);
+  check bool "watchdog rescued the stuck core" true (Rc.watchdog_rescues rt >= 1);
   check bool "queued task ran after the rescue" true
     (!short_done > 0 && !short_done < Time.us 500);
   check bool "detection latency recorded" true
-    (Histogram.count (Percpu.rescue_detection rt) >= 1)
+    (Histogram.count (Rc.rescue_detection rt) >= 1)
 
 (* ---- percpu: deadline kill ---- *)
 
@@ -272,29 +274,30 @@ let test_percpu_deadline_kill () =
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:2) in
   let kmod = Kmod.create machine in
   let rt =
-    Percpu.create machine kmod ~cores:[ 0 ] ~preemption:false
-      (Skyloft_policies.Fifo.create ())
+    Percpu.runtime
+      (Percpu.create machine kmod ~cores:[ 0 ] ~preemption:false
+         (Skyloft_policies.Fifo.create ()))
   in
-  let app = Percpu.create_app rt ~name:"a" in
+  let app = Rc.create_app rt ~name:"a" in
   let dropped = ref 0 and completed = ref 0 in
   (* three fates: completes before the deadline, killed while running,
      killed while still queued behind the runner *)
   ignore
-    (Percpu.spawn rt app ~name:"fast" ~deadline:(Time.us 500)
+    (Rc.spawn rt app ~name:"fast" ~deadline:(Time.us 500)
        ~on_drop:(fun _ -> incr dropped)
        (Coro.Compute (Time.us 20, fun () -> incr completed; Coro.Exit)));
   ignore
-    (Percpu.spawn rt app ~name:"slow" ~deadline:(Time.us 100)
+    (Rc.spawn rt app ~name:"slow" ~deadline:(Time.us 100)
        ~on_drop:(fun _ -> incr dropped)
        (Coro.Compute (Time.ms 2, fun () -> incr completed; Coro.Exit)));
   ignore
-    (Percpu.spawn rt app ~name:"queued" ~deadline:(Time.us 50)
+    (Rc.spawn rt app ~name:"queued" ~deadline:(Time.us 50)
        ~on_drop:(fun _ -> incr dropped)
        (Coro.Compute (Time.us 20, fun () -> incr completed; Coro.Exit)));
   Engine.run ~until:(Time.ms 5) engine;
   check int "one task completed" 1 !completed;
   check int "two tasks dropped" 2 !dropped;
-  check int "runtime counter agrees" 2 (Percpu.deadline_drops rt);
+  check int "runtime counter agrees" 2 (Rc.deadline_drops rt);
   check int "summary drop accounting agrees" 2 (Summary.drops app.App.summary)
 
 (* ---- centralized: lost preemption IPI rescued by the watchdog ---- *)
@@ -304,24 +307,25 @@ let test_centralized_watchdog_rescue () =
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4) in
   let kmod = Kmod.create machine in
   let rt =
-    Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1 ]
-      ~quantum:(Time.us 20) ~adaptive:false ~watchdog:(Time.us 100)
-      (Skyloft_policies.Fifo.create ())
+    Hybrid.runtime
+      (Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1 ]
+         ~quantum:(Time.us 20) ~adaptive:false ~watchdog:(Time.us 100)
+         (Skyloft_policies.Fifo.create ()))
   in
-  let app = Hybrid.create_app rt ~name:"a" in
+  let app = Rc.create_app rt ~name:"a" in
   (* every preemption notification is lost: quantum expiry cannot preempt,
      so only the watchdog can free the worker for the second request *)
   Machine.set_fault_hook machine (fun ~core:_ vector ->
       if vector = Vectors.uintr_notification then Machine.Drop else Machine.Deliver);
   ignore
-    (Hybrid.submit rt app ~name:"hog"
+    (Rc.spawn rt app ~name:"hog"
        (Coro.Compute (Time.ms 3, fun () -> Coro.Exit)));
   let short_done = ref 0 in
   ignore
-    (Hybrid.submit rt app ~name:"victim"
+    (Rc.spawn rt app ~name:"victim"
        (Coro.Compute (Time.us 10, fun () -> short_done := Engine.now engine; Coro.Exit)));
   Engine.run ~until:(Time.ms 1) engine;
-  check bool "watchdog rescued the worker" true (Hybrid.watchdog_rescues rt >= 1);
+  check bool "watchdog rescued the worker" true (Rc.watchdog_rescues rt >= 1);
   check bool "second request ran after the rescue" true
     (!short_done > 0 && !short_done < Time.ms 1)
 
@@ -332,11 +336,12 @@ let test_centralized_dispatcher_failover () =
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4) in
   let kmod = Kmod.create machine in
   let rt =
-    Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2 ]
-      ~quantum:(Time.us 20) ~adaptive:false ~watchdog:(Time.us 100)
-      (Skyloft_policies.Fifo.create ())
+    Hybrid.runtime
+      (Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2 ]
+         ~quantum:(Time.us 20) ~adaptive:false ~watchdog:(Time.us 100)
+         (Skyloft_policies.Fifo.create ()))
   in
-  let app = Hybrid.create_app rt ~name:"a" in
+  let app = Rc.create_app rt ~name:"a" in
   let served_at = ref 0 in
   ignore
     (Engine.at engine (Time.us 10) (fun () ->
@@ -347,10 +352,10 @@ let test_centralized_dispatcher_failover () =
   ignore
     (Engine.at engine (Time.us 400) (fun () ->
          ignore
-           (Hybrid.submit rt app ~name:"post-failover"
+           (Rc.spawn rt app ~name:"post-failover"
               (Coro.Compute (Time.us 10, fun () -> served_at := Engine.now engine; Coro.Exit)))));
   Engine.run ~until:(Time.ms 1) engine;
-  check bool "watchdog failed the dispatcher over" true (Hybrid.failovers rt >= 1);
+  check bool "watchdog failed the dispatcher over" true (Rc.failovers rt >= 1);
   check bool "request served long before the steal hand-back" true
     (!served_at > 0 && !served_at < Time.ms 1)
 
@@ -361,24 +366,25 @@ let test_centralized_deadline_kill () =
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4) in
   let kmod = Kmod.create machine in
   let rt =
-    Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1 ]
-      ~quantum:0 ~adaptive:false
-      (Skyloft_policies.Fifo.create ())
+    Hybrid.runtime
+      (Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1 ]
+         ~quantum:0 ~adaptive:false
+         (Skyloft_policies.Fifo.create ()))
   in
-  let app = Hybrid.create_app rt ~name:"a" in
+  let app = Rc.create_app rt ~name:"a" in
   let dropped = ref 0 and completed = ref 0 in
   ignore
-    (Hybrid.submit rt app ~name:"slow" ~deadline:(Time.us 100)
+    (Rc.spawn rt app ~name:"slow" ~deadline:(Time.us 100)
        ~on_drop:(fun _ -> incr dropped)
        (Coro.Compute (Time.ms 2, fun () -> incr completed; Coro.Exit)));
   ignore
-    (Hybrid.submit rt app ~name:"queued" ~deadline:(Time.us 50)
+    (Rc.spawn rt app ~name:"queued" ~deadline:(Time.us 50)
        ~on_drop:(fun _ -> incr dropped)
        (Coro.Compute (Time.us 10, fun () -> incr completed; Coro.Exit)));
   Engine.run ~until:(Time.ms 5) engine;
   check int "both requests dropped" 2 !dropped;
   check int "nothing completed" 0 !completed;
-  check int "runtime counter agrees" 2 (Hybrid.deadline_drops rt);
+  check int "runtime counter agrees" 2 (Rc.deadline_drops rt);
   check int "summary drop accounting agrees" 2 (Summary.drops app.App.summary)
 
 (* ---- allocator: graceful degradation and recovery ---- *)
@@ -432,15 +438,16 @@ let test_zero_service_requests_reconcile () =
   in
   let kmod = Kmod.create machine in
   let rt =
-    Percpu.create machine kmod ~cores:[ 0; 1 ] (Skyloft_policies.Fifo.create ())
+    Percpu.runtime
+      (Percpu.create machine kmod ~cores:[ 0; 1 ] (Skyloft_policies.Fifo.create ()))
   in
-  let app = Percpu.create_app rt ~name:"degenerate" in
+  let app = Rc.create_app rt ~name:"degenerate" in
   let n = 12 in
   for i = 0 to n - 1 do
     ignore
       (Engine.at engine (i * Time.us 10) (fun () ->
            (* declared service 0, body exits immediately *)
-           ignore (Percpu.spawn rt app ~name:(Printf.sprintf "z%d" i) Coro.Exit)))
+           ignore (Rc.spawn rt app ~name:(Printf.sprintf "z%d" i) Coro.Exit)))
   done;
   Engine.run ~until:(Time.ms 2) engine;
   check int "all spawned" n app.App.spawned;

@@ -18,6 +18,7 @@ module App = Skyloft.App
 module Nic = Skyloft_net.Nic
 module Loadgen = Skyloft_net.Loadgen
 module Udp_server = Skyloft_apps.Udp_server
+module Rc = Skyloft.Runtime_core
 
 let check = Alcotest.check
 
@@ -33,7 +34,7 @@ let test_full_pipeline_accounting () =
     Percpu.create machine kmod ~cores ~timer_hz:100_000
       (Skyloft_policies.Work_stealing.create ~quantum:(Time.us 5) ())
   in
-  let app = Percpu.create_app rt ~name:"kv" in
+  let app = Rc.create_app (Percpu.runtime rt) ~name:"kv" in
   let nic = Nic.create engine ~queues:4 () in
   Udp_server.attach rt app nic ~cores;
   let rng = Engine.split_rng engine in
@@ -51,7 +52,7 @@ let test_full_pipeline_accounting () =
   check Alcotest.bool "busy time sane" true
     (app.App.busy_ns > 0 && app.App.busy_ns < 4 * Time.ms 120);
   (* preemption fired on the 591us scans *)
-  check Alcotest.bool "scans preempted" true (Percpu.preemptions rt > 0);
+  check Alcotest.bool "scans preempted" true (Rc.preemptions (Percpu.runtime rt) > 0);
   (* timer interrupts were delivered through the UINTR path on every core *)
   List.iter
     (fun c ->
@@ -67,17 +68,18 @@ let test_three_apps_share_cores () =
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4) in
   let kmod = Kmod.create machine in
   let rt =
-    Percpu.create machine kmod ~cores:[ 0; 1 ]
-      (Skyloft_policies.Rr.create ~slice:(Time.us 25) ())
+    Percpu.runtime
+      (Percpu.create machine kmod ~cores:[ 0; 1 ]
+         (Skyloft_policies.Rr.create ~slice:(Time.us 25) ()))
   in
-  let apps = List.init 3 (fun i -> Percpu.create_app rt ~name:(Printf.sprintf "app%d" i)) in
+  let apps = List.init 3 (fun i -> Rc.create_app rt ~name:(Printf.sprintf "app%d" i)) in
   List.iteri
     (fun i app ->
       for j = 1 to 5 do
         ignore
           (Engine.at engine (Time.us (10 * ((i * 5) + j))) (fun () ->
                ignore
-                 (Percpu.spawn rt app
+                 (Rc.spawn rt app
                     ~name:(Printf.sprintf "t%d-%d" i j)
                     (Coro.compute_then_exit (Time.us 200)))))
       done)
@@ -88,7 +90,7 @@ let test_three_apps_share_cores () =
       check Alcotest.int (app.App.name ^ " all done") 5 app.App.completed;
       check Alcotest.bool (app.App.name ^ " got cpu") true (app.App.busy_ns > 0))
     apps;
-  check Alcotest.bool "cross-app switches happened" true (Percpu.app_switches rt > 3);
+  check Alcotest.bool "cross-app switches happened" true (Rc.app_switches rt > 3);
   let total = List.fold_left (fun acc app -> acc + app.App.busy_ns) 0 apps in
   check Alcotest.bool "per-app busy sums below capacity" true
     (total <= 2 * Time.ms 20)
@@ -100,19 +102,21 @@ let test_two_runtimes_one_machine () =
   let machine = Machine.create engine Topology.paper_server in
   let kmod = Kmod.create machine in
   let rt1 =
-    Percpu.create machine kmod ~cores:[ 0; 1 ] (Skyloft_policies.Fifo.create ())
+    Percpu.runtime
+      (Percpu.create machine kmod ~cores:[ 0; 1 ] (Skyloft_policies.Fifo.create ()))
   in
   let rt2 =
-    Hybrid.create machine kmod ~dispatcher_core:2 ~worker_cores:[ 3; 4 ]
-      ~quantum:(Time.us 30) ~adaptive:false
-      (Skyloft_policies.Shinjuku.create ())
+    Hybrid.runtime
+      (Hybrid.create machine kmod ~dispatcher_core:2 ~worker_cores:[ 3; 4 ]
+         ~quantum:(Time.us 30) ~adaptive:false
+         (Skyloft_policies.Shinjuku.create ()))
   in
-  let a1 = Percpu.create_app rt1 ~name:"percpu-app" in
-  let a2 = Hybrid.create_app rt2 ~name:"central-app" in
+  let a1 = Rc.create_app rt1 ~name:"percpu-app" in
+  let a2 = Rc.create_app rt2 ~name:"central-app" in
   for _ = 1 to 10 do
-    ignore (Percpu.spawn rt1 a1 ~name:"p" (Coro.compute_then_exit (Time.us 50)));
+    ignore (Rc.spawn rt1 a1 ~name:"p" (Coro.compute_then_exit (Time.us 50)));
     ignore
-      (Hybrid.submit rt2 a2 ~name:"c" ~service:(Time.us 50)
+      (Rc.spawn rt2 a2 ~name:"c" ~service:(Time.us 50)
          (Coro.compute_then_exit (Time.us 50)))
   done;
   Engine.run ~until:(Time.ms 5) engine;
@@ -131,7 +135,7 @@ let test_stack_determinism () =
       Percpu.create machine kmod ~cores ~timer_hz:100_000
         (Skyloft_policies.Work_stealing.create ~quantum:(Time.us 10) ())
     in
-    let app = Percpu.create_app rt ~name:"kv" in
+    let app = Rc.create_app (Percpu.runtime rt) ~name:"kv" in
     let nic = Nic.create engine ~queues:2 () in
     Udp_server.attach rt app nic ~cores;
     let rng = Engine.split_rng engine in
@@ -142,7 +146,7 @@ let test_stack_determinism () =
     ( Summary.requests app.App.summary,
       Summary.latency_p app.App.summary 50.0,
       Summary.latency_p app.App.summary 99.9,
-      Percpu.preemptions rt,
+      Rc.preemptions (Percpu.runtime rt),
       Engine.events_fired engine )
   in
   check

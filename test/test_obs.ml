@@ -19,6 +19,7 @@ module Trace = Skyloft_stats.Trace
 module Registry = Skyloft_obs.Registry
 module Attribution = Skyloft_obs.Attribution
 module Trace_analysis = Skyloft_obs.Trace_analysis
+module Rc = Skyloft.Runtime_core
 
 let contains ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in
@@ -272,14 +273,15 @@ let test_end_to_end_percpu () =
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:2) in
   let kmod = Kmod.create machine in
   let rt =
-    Percpu.create machine kmod ~cores:[ 0; 1 ]
-      (Skyloft_policies.Work_stealing.create ~quantum:(Time.us 20) ())
+    Percpu.runtime
+      (Percpu.create machine kmod ~cores:[ 0; 1 ]
+         (Skyloft_policies.Work_stealing.create ~quantum:(Time.us 20) ()))
   in
   let trace = Trace.create () in
-  Percpu.set_trace rt trace;
-  let app = Percpu.create_app rt ~name:"lc" in
+  Rc.set_trace rt trace;
+  let app = Rc.create_app rt ~name:"lc" in
   let reg = Registry.create () in
-  Percpu.register_metrics rt reg;
+  Rc.register_metrics rt reg;
   for i = 0 to 19 do
     ignore
       (Engine.at engine (i * Time.us 10) (fun () ->
@@ -289,7 +291,7 @@ let test_end_to_end_percpu () =
              let s1 = service / 2 in
              let s2 = service - s1 in
              let task =
-               Percpu.spawn rt app ~service ~name:(Printf.sprintf "f%d" i)
+               Rc.spawn rt app ~service ~name:(Printf.sprintf "f%d" i)
                  (Coro.Compute
                     ( s1,
                       fun () ->
@@ -298,11 +300,11 @@ let test_end_to_end_percpu () =
              in
              ignore
                (Engine.after engine (s1 + Time.us 30) (fun () ->
-                    Percpu.wakeup rt task))
+                    Rc.wakeup rt task))
            end
            else
              ignore
-               (Percpu.spawn rt app ~service ~name:(Printf.sprintf "t%d" i)
+               (Rc.spawn rt app ~service ~name:(Printf.sprintf "t%d" i)
                   (Coro.Compute (service, fun () -> Coro.Exit)))))
   done;
   Engine.run ~until:(Time.ms 2) engine;
@@ -322,9 +324,52 @@ let test_end_to_end_percpu () =
    with
   | Some (Registry.Counter 20) -> ()
   | _ -> fail "registry sees the 20 attributed requests");
-  match Registry.find snap "skyloft_percpu_task_switches_total" with
+  match
+    Registry.find snap ~labels:[ ("runtime", "percpu") ]
+      "skyloft_runtime_task_switches_total"
+  with
   | Some (Registry.Counter n) -> check bool "switch counter live" true (n > 0)
   | _ -> fail "runtime counters registered"
+
+(* One schema: every configuration built by the one constructor
+   registers the identical set of [skyloft_runtime_*] names, so a single
+   Prometheus query compares all runtimes (the [runtime] label tells them
+   apart). *)
+let test_runtime_metric_schema () =
+  let module Scenario = Skyloft_scenario.Scenario in
+  let names runtime =
+    let engine = Engine.create () in
+    let machine =
+      Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:5)
+    in
+    let rt =
+      Scenario.build machine (Kmod.create machine) ~first_core:0 ~cores:4
+        ~quantum:(Time.us 30) ~timer_hz:100_000 runtime
+    in
+    let reg = Registry.create () in
+    Rc.register_metrics rt reg;
+    let mechanism =
+      if Scenario.dispatcher_cores runtime = 0 then "percpu" else "hybrid"
+    in
+    Registry.snapshot reg
+    |> List.filter_map (fun (s : Registry.sample) ->
+           if String.starts_with ~prefix:"skyloft_runtime_" s.name then begin
+             check (list (pair string string))
+               (s.name ^ " carries the runtime label")
+               [ ("runtime", mechanism) ] s.labels;
+             Some s.name
+           end
+           else None)
+    |> List.sort_uniq compare
+  in
+  let percpu = names Scenario.Percpu in
+  check bool "the shared family is registered" true (List.length percpu >= 10);
+  List.iter
+    (fun runtime ->
+      check (list string)
+        (Scenario.runtime_name runtime ^ " registers the percpu name set")
+        percpu (names runtime))
+    Scenario.[ Centralized; Hybrid; Worksteal ]
 
 let suite =
   [
@@ -342,5 +387,6 @@ let suite =
     test_case "orphan preempt detected" `Quick test_analysis_orphan_preempt_detected;
     test_case "non-monotone emission detected" `Quick test_analysis_nonmonotone_detected;
     test_case "perfetto counter tracks" `Quick test_analysis_counter_tracks;
+    test_case "one runtime metric schema" `Quick test_runtime_metric_schema;
     test_case "end-to-end percpu run" `Quick test_end_to_end_percpu;
   ]

@@ -18,6 +18,7 @@ module Eevdf = Skyloft_policies.Eevdf
 module Shinjuku = Skyloft_policies.Shinjuku
 module Shinjuku_shenango = Skyloft_policies.Shinjuku_shenango
 module Work_stealing = Skyloft_policies.Work_stealing
+module Rc = Skyloft.Runtime_core
 
 let check = Alcotest.check
 
@@ -26,15 +27,16 @@ let make_rt ?(cores = 4) ?(timer_hz = 100_000) ?(preemption = true) ctor =
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:8) in
   let kmod = Kmod.create machine in
   let rt =
-    Percpu.create machine kmod ~cores:(List.init cores Fun.id) ~timer_hz ~preemption ctor
+    Percpu.runtime
+      (Percpu.create machine kmod ~cores:(List.init cores Fun.id) ~timer_hz ~preemption ctor)
   in
-  let app = Percpu.create_app rt ~name:"app" in
+  let app = Rc.create_app rt ~name:"app" in
   (engine, rt, app)
 
 (* Spawn a compute task that records its completion time. *)
 let spawn_timed engine rt app ?cpu name work finished =
   ignore
-    (Percpu.spawn rt app ~name ?cpu
+    (Rc.spawn rt app ~name ?cpu
        (Coro.Compute (work, fun () -> finished := Engine.now engine; Coro.Exit)))
 
 (* ---- FIFO ---- *)
@@ -44,7 +46,7 @@ let test_fifo_order () =
   let order = ref [] in
   for i = 1 to 5 do
     ignore
-      (Percpu.spawn rt app ~name:(string_of_int i)
+      (Rc.spawn rt app ~name:(string_of_int i)
          (Coro.Compute (Time.us 10, fun () -> order := i :: !order; Coro.Exit)))
   done;
   Engine.run ~until:(Time.ms 1) engine;
@@ -53,10 +55,10 @@ let test_fifo_order () =
 
 let test_fifo_never_preempts () =
   let engine, rt, app = make_rt ~cores:1 (Fifo.create ()) in
-  ignore (Percpu.spawn rt app ~name:"hog" (Coro.compute_then_exit (Time.ms 3)));
-  ignore (Percpu.spawn rt app ~name:"short" (Coro.compute_then_exit (Time.us 1)));
+  ignore (Rc.spawn rt app ~name:"hog" (Coro.compute_then_exit (Time.ms 3)));
+  ignore (Rc.spawn rt app ~name:"short" (Coro.compute_then_exit (Time.us 1)));
   Engine.run ~until:(Time.ms 5) engine;
-  check Alcotest.int "zero preemptions despite 100kHz ticks" 0 (Percpu.preemptions rt)
+  check Alcotest.int "zero preemptions despite 100kHz ticks" 0 (Rc.preemptions rt)
 
 (* ---- RR ---- *)
 
@@ -68,7 +70,7 @@ let test_rr_slices () =
   Engine.run ~until:(Time.ms 5) engine;
   (* interleaved: both finish around 2ms, within a slice of each other *)
   check Alcotest.bool "interleaved" true (abs (!a - !b) < Time.us 200);
-  check Alcotest.bool "preempted many times" true (Percpu.preemptions rt > 10)
+  check Alcotest.bool "preempted many times" true (Rc.preemptions rt > 10)
 
 let test_rr_infinite_slice_is_fifo () =
   let engine, rt, app = make_rt ~cores:1 (Rr.create ()) in
@@ -76,18 +78,18 @@ let test_rr_infinite_slice_is_fifo () =
   spawn_timed engine rt app "a" (Time.ms 1) a;
   spawn_timed engine rt app "b" (Time.ms 1) b;
   Engine.run ~until:(Time.ms 5) engine;
-  check Alcotest.int "no preemption" 0 (Percpu.preemptions rt);
+  check Alcotest.int "no preemption" 0 (Rc.preemptions rt);
   check Alcotest.bool "a then b" true (!a < !b && !a < Time.ms 2)
 
 let test_rr_wakeup_to_idle_core () =
   let engine, rt, app = make_rt ~cores:2 (Rr.create ~slice:(Time.us 50) ()) in
-  ignore (Percpu.spawn rt app ~name:"hog" ~cpu:0 (Coro.compute_then_exit (Time.ms 2)));
+  ignore (Rc.spawn rt app ~name:"hog" ~cpu:0 (Coro.compute_then_exit (Time.ms 2)));
   let woke = ref 0 in
   let sleeper =
-    Percpu.spawn rt app ~name:"sleeper" ~cpu:0
+    Rc.spawn rt app ~name:"sleeper" ~cpu:0
       (Coro.Block (fun () -> woke := Engine.now engine; Coro.Exit))
   in
-  ignore (Engine.at engine (Time.us 500) (fun () -> Percpu.wakeup rt sleeper));
+  ignore (Engine.at engine (Time.us 500) (fun () -> Rc.wakeup rt sleeper));
   Engine.run ~until:(Time.ms 3) engine;
   (* core 1 is idle: the wakeup must land there immediately *)
   check Alcotest.bool "woken promptly on idle core" true
@@ -122,15 +124,15 @@ let test_cfs_sleeper_gets_priority () =
   (* A task that slept should preempt... in Skyloft CFS, run soon after
      wake even though a hog is running, bounded by the 10us tick. *)
   let engine, rt, app = make_rt ~cores:1 (Cfs.create ()) in
-  ignore (Percpu.spawn rt app ~name:"hog" (Coro.compute_then_exit (Time.ms 4)));
+  ignore (Rc.spawn rt app ~name:"hog" (Coro.compute_then_exit (Time.ms 4)));
   let woke_done = ref 0 in
   let sleeper =
-    Percpu.spawn rt app ~name:"sleeper"
+    Rc.spawn rt app ~name:"sleeper"
       (Coro.Block
          (fun () ->
            Coro.Compute (Time.us 20, fun () -> woke_done := Engine.now engine; Coro.Exit)))
   in
-  ignore (Engine.at engine (Time.ms 1) (fun () -> Percpu.wakeup rt sleeper));
+  ignore (Engine.at engine (Time.ms 1) (fun () -> Rc.wakeup rt sleeper));
   Engine.run ~until:(Time.ms 6) engine;
   (* woken at 1ms with sleeper credit: should finish within ~100us, far
      before the hog's 4ms completion *)
@@ -149,15 +151,15 @@ let test_eevdf_fair_split () =
 
 let test_eevdf_lag_preserved_on_wake () =
   let engine, rt, app = make_rt ~cores:1 (Eevdf.create ()) in
-  ignore (Percpu.spawn rt app ~name:"hog" (Coro.compute_then_exit (Time.ms 4)));
+  ignore (Rc.spawn rt app ~name:"hog" (Coro.compute_then_exit (Time.ms 4)));
   let woke_done = ref 0 in
   let sleeper =
-    Percpu.spawn rt app ~name:"sleeper"
+    Rc.spawn rt app ~name:"sleeper"
       (Coro.Block
          (fun () ->
            Coro.Compute (Time.us 20, fun () -> woke_done := Engine.now engine; Coro.Exit)))
   in
-  ignore (Engine.at engine (Time.ms 1) (fun () -> Percpu.wakeup rt sleeper));
+  ignore (Engine.at engine (Time.ms 1) (fun () -> Rc.wakeup rt sleeper));
   Engine.run ~until:(Time.ms 6) engine;
   check Alcotest.bool "woken task scheduled quickly (positive lag)" true
     (!woke_done > Time.ms 1 && !woke_done < Time.ms 1 + Time.us 150)
@@ -179,7 +181,7 @@ let test_ws_steals_to_idle_core () =
 let test_ws_nonpreemptive_hol () =
   let engine, rt, app = make_rt ~cores:1 (Work_stealing.create ()) in
   let short = ref 0 in
-  ignore (Percpu.spawn rt app ~name:"scan" ~cpu:0 (Coro.compute_then_exit (Time.us 591)));
+  ignore (Rc.spawn rt app ~name:"scan" ~cpu:0 (Coro.compute_then_exit (Time.us 591)));
   ignore
     (Engine.at engine (Time.us 1) (fun () ->
          spawn_timed engine rt app ~cpu:0 "get" (Time.ns 950) short));
@@ -191,7 +193,7 @@ let test_ws_preemptive_breaks_hol () =
     make_rt ~cores:1 (Work_stealing.create ~quantum:(Time.us 5) ())
   in
   let short = ref 0 in
-  ignore (Percpu.spawn rt app ~name:"scan" ~cpu:0 (Coro.compute_then_exit (Time.us 591)));
+  ignore (Rc.spawn rt app ~name:"scan" ~cpu:0 (Coro.compute_then_exit (Time.us 591)));
   ignore
     (Engine.at engine (Time.us 1) (fun () ->
          spawn_timed engine rt app ~cpu:0 "get" (Time.ns 950) short));
@@ -306,21 +308,22 @@ let make_centralized ?(workers = 2) ~quantum ctor =
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:8) in
   let kmod = Kmod.create machine in
   let rt =
-    Hybrid.create machine kmod ~dispatcher_core:0
-      ~worker_cores:(List.init workers (fun i -> i + 1))
-      ~quantum ~adaptive:false ctor
+    Hybrid.runtime
+      (Hybrid.create machine kmod ~dispatcher_core:0
+         ~worker_cores:(List.init workers (fun i -> i + 1))
+         ~quantum ~adaptive:false ctor)
   in
-  let app = Hybrid.create_app rt ~name:"lc" in
+  let app = Rc.create_app rt ~name:"lc" in
   (engine, rt, app)
 
 let test_shinjuku_processor_sharing () =
   let engine, rt, app = make_centralized ~workers:1 ~quantum:(Time.us 30) (Shinjuku.create ()) in
   let short = ref 0 in
   ignore
-    (Hybrid.submit rt app ~name:"long" ~service:(Time.ms 10)
+    (Rc.spawn rt app ~name:"long" ~service:(Time.ms 10)
        (Coro.compute_then_exit (Time.ms 10)));
   ignore
-    (Hybrid.submit rt app ~name:"short" ~service:(Time.us 4)
+    (Rc.spawn rt app ~name:"short" ~service:(Time.us 4)
        (Coro.Compute (Time.us 4, fun () -> short := Engine.now engine; Coro.Exit)));
   Engine.run ~until:(Time.ms 20) engine;
   check Alcotest.bool "short request escaped the 10ms request" true
@@ -332,7 +335,7 @@ let test_shinjuku_shenango_congestion_stats () =
   (* overload the single worker so the queue backs up *)
   for _ = 1 to 20 do
     ignore
-      (Hybrid.submit rt app ~name:"req" ~service:(Time.us 100)
+      (Rc.spawn rt app ~name:"req" ~service:(Time.us 100)
          (Coro.compute_then_exit (Time.us 100)))
   done;
   Engine.run ~until:(Time.ms 10) engine;

@@ -13,6 +13,7 @@ module Summary = Skyloft_stats.Summary
 module Percpu = Skyloft.Percpu
 module Hybrid = Skyloft.Hybrid
 module App = Skyloft.App
+module Rc = Skyloft.Runtime_core
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -59,15 +60,16 @@ let run_percpu ?park ctor workload =
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4) in
   let kmod = Kmod.create machine in
   let rt =
-    Percpu.create machine kmod ~cores:[ 0; 1; 2 ] ~timer_hz:100_000 ?park (ctor ())
+    Percpu.runtime
+      (Percpu.create machine kmod ~cores:[ 0; 1; 2 ] ~timer_hz:100_000 ?park (ctor ()))
   in
-  let app = Percpu.create_app rt ~name:"w" in
+  let app = Rc.create_app rt ~name:"w" in
   List.iteri
     (fun i (at, service) ->
       ignore
         (Engine.at engine at (fun () ->
              ignore
-               (Percpu.spawn rt app
+               (Rc.spawn rt app
                   ~name:(Printf.sprintf "t%d" i)
                   ~service (Coro.compute_then_exit service)))))
     workload;
@@ -82,7 +84,7 @@ let run_percpu ?park ctor workload =
     end_time = horizon;
     p50 = Summary.latency_p app.App.summary 50.0;
     p100 = Summary.latency_p app.App.summary 100.0;
-    preemptions = Percpu.preemptions rt;
+    preemptions = Rc.preemptions rt;
   }
 
 let total_service workload = List.fold_left (fun acc (_, s) -> acc + s) 0 workload
@@ -142,13 +144,13 @@ let run_centralized workload =
       ~quantum:(Time.us 20) ~adaptive:false
       (Skyloft_policies.Shinjuku.create ())
   in
-  let app = Hybrid.create_app rt ~name:"lc" in
+  let app = Rc.create_app (Hybrid.runtime rt) ~name:"lc" in
   List.iteri
     (fun i (at, service) ->
       ignore
         (Engine.at engine at (fun () ->
              ignore
-               (Hybrid.submit rt app
+               (Rc.spawn (Hybrid.runtime rt) app
                   ~name:(Printf.sprintf "t%d" i)
                   ~service (Coro.compute_then_exit service)))))
     workload;
@@ -162,6 +164,133 @@ let prop_centralized_all_complete =
     (fun workload ->
       let completed, queued = run_centralized workload in
       completed = List.length workload && queued = 0)
+
+(* ---- One conformance property over the runtime handle ------------------- *)
+
+module Scenario = Skyloft_scenario.Scenario
+module Task = Skyloft.Task
+
+(* Random operation sequences, driven through the same code against every
+   configuration {!Scenario.build} makes: spawn (pinned where the
+   mechanism can pin, some tasks blocking mid-service, some with a
+   deadline), kill, wakeup of blocked tasks, a page fault on a worker,
+   and broker allowance shrink and grow, with a random stretch of
+   simulated time after each step. *)
+type op =
+  | Spawn of { pin : int; service : int; block : bool; deadline : int option }
+  | Kill of int
+  | Wake of int
+  | Allow of int
+  | Fault of int
+  | Run of int
+
+let conformance_workers = 3
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 5,
+          map
+            (fun (pin, service, block, deadline) ->
+              Spawn { pin; service; block; deadline })
+            (quad (int_bound (conformance_workers - 1)) (int_range 1_000 60_000) bool
+               (opt (int_range 5_000 200_000))) );
+        (1, map (fun i -> Kill i) nat);
+        (2, map (fun i -> Wake i) nat);
+        (1, map (fun n -> Allow n) (int_bound conformance_workers));
+        (1, map (fun w -> Fault w) (int_bound (conformance_workers - 1)));
+        (2, map (fun d -> Run d) (int_range 0 50_000));
+      ])
+
+let ops_arb =
+  QCheck.make
+    ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops))
+    QCheck.Gen.(list_size (int_range 1 40) op_gen)
+
+(* No task is current on two units at once. *)
+let no_task_on_two_units (rt : Rc.t) =
+  let ids =
+    Array.to_list rt.Rc.dispatch.Rc.d_units
+    |> List.filter_map (fun (ex : Rc.exec) ->
+           Option.map (fun (t : Task.t) -> t.Task.id) ex.Rc.current)
+  in
+  List.length (List.sort_uniq compare ids) = List.length ids
+
+let conformance runtime ops =
+  let engine = Engine.create ~seed:1 () in
+  let machine =
+    Machine.create engine
+      (Topology.create ~sockets:1
+         ~cores_per_socket:(conformance_workers + Scenario.dispatcher_cores runtime))
+  in
+  let rt =
+    Scenario.build machine (Kmod.create machine) ~first_core:0
+      ~cores:conformance_workers ~quantum:(Time.us 20) ~timer_hz:100_000 runtime
+  in
+  let pinnable = rt.Rc.dispatch.Rc.d_pinnable in
+  let app = Rc.create_app rt ~name:"conformance" in
+  let tasks = ref [||] in
+  let nth i = if !tasks = [||] then None else Some !tasks.(i mod Array.length !tasks) in
+  let until = ref 0 in
+  let wake_blocked (task : Task.t) =
+    if task.Task.state = Task.Blocked then Rc.wakeup rt task
+  in
+  let step = function
+    | Spawn { pin; service; block; deadline } ->
+        let body =
+          if block then
+            Coro.Compute
+              ( service / 2,
+                fun () -> Coro.Block (fun () -> Coro.compute_then_exit (service / 2)) )
+          else Coro.compute_then_exit service
+        in
+        let cpu = if pinnable then Some pin else None in
+        let task = Rc.spawn rt app ~name:"t" ?cpu ~service ?deadline body in
+        tasks := Array.append !tasks [| task |]
+    | Kill i -> Option.iter (Rc.kill rt) (nth i)
+    | Wake i -> Option.iter wake_blocked (nth i)
+    | Allow n -> Rc.set_core_allowance rt n
+    | Fault w ->
+        let core = w + Scenario.dispatcher_cores runtime in
+        ignore (Rc.fault_current rt ~core ~duration:(Time.us 30))
+    | Run d ->
+        until := !until + d;
+        Engine.run ~until:!until engine
+  in
+  let holds = ref true in
+  List.iter
+    (fun op ->
+      step op;
+      if not (no_task_on_two_units rt) then holds := false)
+    ops;
+  let alive () =
+    Array.fold_left
+      (fun acc (task : Task.t) ->
+        if task.Task.state <> Task.Exited && not task.Task.killed then acc + 1 else acc)
+      0 !tasks
+  in
+  let conserved () =
+    Array.length !tasks = app.App.completed + Rc.deadline_drops rt + alive ()
+    && app.App.tasks_alive = alive ()
+  in
+  (* Mid-run conservation, then lift the gate, wake the sleepers and
+     drain: nothing may be lost or stuck. *)
+  let mid = conserved () in
+  Rc.set_core_allowance rt max_int;
+  (* each body blocks at most once, so two wake-and-drain rounds reach
+     every sleeper, including one still queued at the first round *)
+  List.iter
+    (fun round ->
+      Array.iter wake_blocked !tasks;
+      Engine.run ~until:(!until + (round * Time.ms 10)) engine)
+    [ 1; 2 ];
+  !holds && mid && no_task_on_two_units rt && conserved () && alive () = 0
+
+let prop_handle_conformance =
+  QCheck.Test.make ~name:"handle: one op sequence, every configuration conforms"
+    ~count:50 ops_arb
+    (fun ops -> List.for_all (fun runtime -> conformance runtime ops) Scenario.runtimes)
 
 (* ---- Histogram sharding ------------------------------------------------ *)
 
@@ -337,6 +466,7 @@ let suite =
       qtest (prop_deterministic (List.nth policies 7));
       qtest prop_fifo_never_preempts;
       qtest prop_centralized_all_complete;
+      qtest prop_handle_conformance;
       qtest prop_histogram_shard_merge;
       qtest prop_broker_conserves_cores;
     ]

@@ -65,33 +65,26 @@ let make ?(units = 1) () =
   let st = { rc; execs; incoming; engine } in
   Rc.install_dispatch rc
     {
+      Rc.null_dispatch with
       Rc.d_name = "stub";
       d_units = execs;
       d_enqueue_cpu = (fun _ -> 0);
       d_incoming_app = (fun ex -> incoming.(ex.Rc.exec_core));
-      d_released = (fun _ -> ());
       d_reschedule = (fun ex ~prev -> reschedule st ex ~prev);
+      d_place =
+        (fun task ~cpu:_ ->
+          rc.Rc.policy.task_init task;
+          rc.Rc.policy.task_enqueue ~cpu:0 ~reason:Sched_ops.Enq_new task;
+          kick_all st);
+      d_wake =
+        (fun task ~waker_cpu:_ ->
+          ignore (rc.Rc.policy.task_wakeup ~waker_cpu:0 task);
+          kick_all st);
     };
   Rc.install_policy rc (Skyloft_policies.Fifo.create ());
   st
 
-let spawn st app ~name ?(service = 0) ?deadline ?on_drop body =
-  let task =
-    Rc.admit st.rc app ~name ~arrival:(Rc.now st.rc) ~service ~record:true body
-  in
-  st.rc.Rc.policy.task_init task;
-  st.rc.Rc.policy.task_enqueue ~cpu:0 ~reason:Sched_ops.Enq_new task;
-  kick_all st;
-  (match deadline with
-  | Some d ->
-      Rc.arm_deadline st.rc ?on_drop task ~deadline:d ~err:"stub: bad deadline"
-  | None -> ());
-  task
-
-let wake st task =
-  Rc.awaken st.rc task ~place:(fun task ->
-      ignore (st.rc.Rc.policy.task_wakeup ~waker_cpu:0 task);
-      kick_all st)
+let spawn st = Rc.spawn st.rc
 
 (* ---- app table ----------------------------------------------------------- *)
 
@@ -134,7 +127,7 @@ let test_lifecycle_attribution () =
              Coro.Block (fun () -> Coro.Compute (Time.us 10, fun () -> Coro.Exit))
          ))
   in
-  ignore (Engine.after st.engine (Time.us 200) (fun () -> wake st blocker));
+  ignore (Engine.after st.engine (Time.us 200) (fun () -> Rc.wakeup st.rc blocker));
   Engine.run ~until:(Time.ms 2) st.engine;
   check int "both requests completed" 2 (Summary.requests app.App.summary);
   check int "attribution recorded both" 2 (Attribution.requests app.App.attribution);
@@ -181,7 +174,7 @@ let test_deadline_kills () =
     (List.sort compare !dropped);
   check int "no tasks left alive" 0 app.App.tasks_alive;
   check_raises "non-positive deadline rejected"
-    (Invalid_argument "stub: bad deadline") (fun () ->
+    (Invalid_argument "Runtime_core.spawn: deadline must be positive") (fun () ->
       ignore
         (spawn st app ~name:"bad" ~deadline:0 (Coro.Compute (1, fun () -> Coro.Exit))))
 
@@ -240,7 +233,7 @@ let test_watchdog_rescue () =
 let test_be_occupancy () =
   let st = make ~units:2 () in
   let be = Rc.new_app st.rc ~name:"batch" in
-  Rc.spawn_be_workers st.rc be ~chunk:(Time.us 10) ~workers:2 ~who:"stub";
+  Rc.attach_be_app st.rc be ~chunk:(Time.us 10) ~workers:2;
   check int "nothing running yet" 0 (Rc.be_occupancy st.rc);
   (* an assignment in flight counts as occupancy before it lands *)
   st.incoming.(0) <- be.App.id;
@@ -253,15 +246,14 @@ let test_be_occupancy () =
     | Some task -> Rc.is_be st.rc task
     | None -> false);
   check_raises "second BE app rejected"
-    (Invalid_argument "stub: BE app already set") (fun () ->
-      Rc.spawn_be_workers st.rc be ~chunk:(Time.us 10) ~workers:1 ~who:"stub");
+    (Invalid_argument "Runtime_core.attach_be_app: BE app already set")
+    (fun () -> Rc.attach_be_app st.rc be ~chunk:(Time.us 10) ~workers:1);
   (* an app from some other runtime's table is refused *)
   let foreign = App.create ~id:999 ~name:"foreign" in
   let st2 = make () in
   check_raises "foreign app rejected"
-    (Invalid_argument "stub: app not created by this runtime") (fun () ->
-      Rc.spawn_be_workers st2.rc foreign ~chunk:(Time.us 10) ~workers:1
-        ~who:"stub")
+    (Invalid_argument "Runtime_core.attach_be_app: app not created by this runtime")
+    (fun () -> Rc.attach_be_app st2.rc foreign ~chunk:(Time.us 10) ~workers:1)
 
 let suite =
   [

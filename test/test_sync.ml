@@ -11,6 +11,7 @@ module Percpu = Skyloft.Percpu
 module Sync = Skyloft.Sync
 module Task = Skyloft.Task
 module P = Skyloft_uthread.Pthread_compat
+module Rc = Skyloft.Runtime_core
 
 let check = Alcotest.check
 
@@ -19,10 +20,11 @@ let make_rt ?(cores = 2) () =
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4) in
   let kmod = Kmod.create machine in
   let rt =
-    Percpu.create machine kmod ~cores:(List.init cores Fun.id) ~preemption:false
-      (Skyloft_policies.Fifo.create ())
+    Percpu.runtime
+      (Percpu.create machine kmod ~cores:(List.init cores Fun.id) ~preemption:false
+         (Skyloft_policies.Fifo.create ()))
   in
-  let app = Percpu.create_app rt ~name:"sync" in
+  let app = Rc.create_app rt ~name:"sync" in
   (engine, rt, app)
 
 (* ---- Sem ---- *)
@@ -39,7 +41,7 @@ let test_sem_immediate_acquire () =
               incr acquired;
               Coro.Exit))
     in
-    self := Some (Percpu.spawn rt app ~name:"w" body)
+    self := Some (Rc.spawn rt app ~name:"w" body)
   done;
   Engine.run ~until:(Time.ms 1) engine;
   check Alcotest.int "both acquired immediately" 2 !acquired;
@@ -56,7 +58,7 @@ let test_sem_blocks_until_post () =
             acquired_at := Engine.now engine;
             Coro.Exit))
   in
-  self := Some (Percpu.spawn rt app ~name:"w" body);
+  self := Some (Rc.spawn rt app ~name:"w" body);
   ignore (Engine.at engine (Time.us 100) (fun () -> Sync.Sem.post sem));
   Engine.run ~until:(Time.ms 1) engine;
   check Alcotest.bool "acquired only after post" true (!acquired_at >= Time.us 100)
@@ -73,7 +75,7 @@ let test_sem_fifo_wakeups () =
               order := i :: !order;
               Coro.Exit))
     in
-    self := Some (Percpu.spawn rt app ~name:(string_of_int i) body)
+    self := Some (Rc.spawn rt app ~name:(string_of_int i) body)
   done;
   ignore
     (Engine.at engine (Time.us 10) (fun () ->
@@ -92,7 +94,7 @@ let test_waitgroup () =
   let done_at = ref 0 and finish_times = ref [] in
   for i = 1 to 3 do
     ignore
-      (Percpu.spawn rt app ~name:(string_of_int i)
+      (Rc.spawn rt app ~name:(string_of_int i)
          (Coro.Compute
             ( Time.us (i * 10),
               fun () ->
@@ -107,7 +109,7 @@ let test_waitgroup () =
             done_at := Engine.now engine;
             Coro.Exit))
   in
-  self := Some (Percpu.spawn rt app ~name:"waiter" body);
+  self := Some (Rc.spawn rt app ~name:"waiter" body);
   Engine.run ~until:(Time.ms 1) engine;
   check Alcotest.bool "waiter resumed after all finishes" true
     (!done_at >= Time.us 30);
@@ -122,7 +124,7 @@ let test_waitgroup_wait_when_zero () =
     Sync.deferred (fun () ->
         Sync.Waitgroup.wait wg self (fun () -> ran := true; Coro.Exit))
   in
-  self := Some (Percpu.spawn rt app ~name:"w" body);
+  self := Some (Rc.spawn rt app ~name:"w" body);
   Engine.run ~until:(Time.ms 1) engine;
   check Alcotest.bool "immediate when zero" true !ran
 
@@ -150,7 +152,7 @@ let test_chan_pipeline () =
         ( Time.us 5,
           fun () -> Sync.Chan.send chan pself i (produce (i + 1)) )
   in
-  pself := Some (Percpu.spawn rt app ~name:"producer" (Sync.deferred (produce 1)));
+  pself := Some (Rc.spawn rt app ~name:"producer" (Sync.deferred (produce 1)));
   (* consumer: receive 5 values, slower than the producer *)
   let cself = ref None in
   let rec consume n () =
@@ -160,7 +162,7 @@ let test_chan_pipeline () =
           received := v :: !received;
           Coro.Compute (Time.us 20, consume (n - 1)))
   in
-  cself := Some (Percpu.spawn rt app ~name:"consumer" (Sync.deferred (consume 5)));
+  cself := Some (Rc.spawn rt app ~name:"consumer" (Sync.deferred (consume 5)));
   Engine.run ~until:(Time.ms 2) engine;
   check (Alcotest.list Alcotest.int) "in order, none lost" [ 1; 2; 3; 4; 5 ]
     (List.rev !received);

@@ -8,6 +8,7 @@ module Machine = Skyloft_hw.Machine
 module Kmod = Skyloft_kernel.Kmod
 module Trace = Skyloft_stats.Trace
 module Percpu = Skyloft.Percpu
+module Rc = Skyloft.Runtime_core
 
 let check = Alcotest.check
 
@@ -59,14 +60,15 @@ let test_trace_runtime_integration () =
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4) in
   let kmod = Kmod.create machine in
   let rt =
-    Percpu.create machine kmod ~cores:[ 0 ]
-      (Skyloft_policies.Rr.create ~slice:(Time.us 20) ())
+    Percpu.runtime
+      (Percpu.create machine kmod ~cores:[ 0 ]
+         (Skyloft_policies.Rr.create ~slice:(Time.us 20) ()))
   in
   let trace = Trace.create () in
-  Percpu.set_trace rt trace;
-  let app = Percpu.create_app rt ~name:"a" in
-  ignore (Percpu.spawn rt app ~name:"long" (Coro.compute_then_exit (Time.us 200)));
-  ignore (Percpu.spawn rt app ~name:"other" (Coro.compute_then_exit (Time.us 200)));
+  Rc.set_trace rt trace;
+  let app = Rc.create_app rt ~name:"a" in
+  ignore (Rc.spawn rt app ~name:"long" (Coro.compute_then_exit (Time.us 200)));
+  ignore (Rc.spawn rt app ~name:"other" (Coro.compute_then_exit (Time.us 200)));
   Engine.run ~until:(Time.ms 2) engine;
   (* two interleaved tasks: several run spans and preempt instants *)
   check Alcotest.bool "events recorded" true (Trace.events trace > 5);

@@ -14,6 +14,7 @@ module App = Skyloft.App
 module Task = Skyloft.Task
 module Percpu = Skyloft.Percpu
 module Work_stealing = Skyloft_policies.Work_stealing
+module Rc = Skyloft.Runtime_core
 
 let check = Alcotest.check
 
@@ -29,12 +30,12 @@ let make_rt ?(cores = 4) ?(timer_hz = 100_000) ?(preemption = true) ?quantum
     Percpu.create machine kmod ~cores:(List.init cores Fun.id) ~timer_hz
       ~preemption ?park policy
   in
-  let app = Percpu.create_app rt ~name:"app" in
+  let app = Rc.create_app (Percpu.runtime rt) ~name:"app" in
   (engine, rt, steals, app)
 
 let spawn_timed engine rt app ?cpu name work finished =
   ignore
-    (Percpu.spawn rt app ~name ?cpu
+    (Rc.spawn (Percpu.runtime rt) app ~name ?cpu
        (Coro.Compute (work, fun () -> finished := Engine.now engine; Coro.Exit)))
 
 (* Both tasks pinned to core 0: core 1 must steal one and they overlap. *)
@@ -55,7 +56,7 @@ let test_steal_half_bulk () =
   let done_ = ref 0 in
   for i = 1 to 6 do
     ignore
-      (Percpu.spawn rt app ~name:(Printf.sprintf "t%d" i) ~cpu:0
+      (Rc.spawn (Percpu.runtime rt) app ~name:(Printf.sprintf "t%d" i) ~cpu:0
          (Coro.Compute (Time.us 100, fun () -> incr done_; Coro.Exit)))
   done;
   Engine.run ~until:(Time.ms 5) engine;
@@ -72,7 +73,7 @@ let test_quantum_breaks_hol () =
   let engine, rt, _, app = make_rt ~cores:1 ~quantum:(Time.us 5) () in
   let short = ref 0 in
   ignore
-    (Percpu.spawn rt app ~name:"scan" ~cpu:0
+    (Rc.spawn (Percpu.runtime rt) app ~name:"scan" ~cpu:0
        (Coro.compute_then_exit (Time.us 591)));
   ignore
     (Engine.at engine (Time.us 1) (fun () ->
@@ -136,9 +137,12 @@ let test_metrics_registered () =
   spawn_timed engine rt app ~cpu:0 "a" (Time.us 50) a;
   spawn_timed engine rt app ~cpu:0 "b" (Time.us 50) b;
   Engine.run ~until:(Time.ms 2) engine;
+  (* The policy's counters ride the handle's registration, beside the
+     shared family and the per-CPU mechanism's extras. *)
+  let h = Percpu.runtime rt in
+  Rc.add_metrics h (fun labels reg -> Work_stealing.register_metrics steals ~labels reg);
   let reg = Skyloft_obs.Registry.create () in
-  Percpu.register_metrics rt reg;
-  Work_stealing.register_metrics steals reg;
+  Rc.register_metrics h reg;
   let samples = Skyloft_obs.Registry.snapshot reg in
   List.iter
     (fun name ->
@@ -151,6 +155,11 @@ let test_metrics_registered () =
       "skyloft_percpu_parks_total";
       "skyloft_percpu_unparks_total";
     ];
+  check Alcotest.bool "shared family under the runtime label" true
+    (Skyloft_obs.Registry.find samples
+       ~labels:[ ("runtime", "percpu") ]
+       "skyloft_runtime_preemptions_total"
+    <> None);
   match Skyloft_obs.Registry.find samples "skyloft_percpu_steals_total" with
   | Some (Skyloft_obs.Registry.Counter n) ->
       check Alcotest.int "steals metric mirrors the counter"
