@@ -64,26 +64,27 @@ let ghost_mechanism =
 
 type mode = Central | Percore
 
-(* One worker core.  [gen]/[reserved]/[incoming] guard central-mode
-   assignments in flight; [kick_pending] coalesces percore-mode kicks.
-   [qtimer] is the unit's reusable central-mode quantum timer, re-armed
-   per dispatch; [qt_gen] records [gen] at the last arm so a firing knows
-   whether the dispatch it covered is still running. *)
+(* One worker core: its shared per-core state [pc] (whose [ex] is [ex])
+   for percore mode, plus what central mode needs.  [gen]/[incoming]
+   guard assignments in flight ([incoming] is the app id of the task the
+   dispatcher is committing, -1 when none).  [qtimer] is the unit's
+   reusable central-mode quantum timer, re-armed per dispatch; [qt_gen]
+   records [gen] at the last arm so a firing knows whether the dispatch
+   it covered is still running. *)
 type unit_state = {
   ex : Rc.exec;
+  pc : Percore.cpu;
   mutable gen : int;
-  mutable reserved : bool;
   mutable incoming : int;
-  mutable kick_pending : bool;
   qtimer : Engine.timer;
   mutable qt_gen : int;
 }
 
 type t = {
   rc : Rc.t;
+  pc : Percore.t;
   dispatcher_core : int;
   units : unit_state array;
-  by_core : (int, unit_state) Hashtbl.t;
   mech : mechanism;
   quantum : Time.t;
   tick_period : Time.t;  (* 0 when pinned central: no per-core timers *)
@@ -95,7 +96,6 @@ type t = {
 
 let runtime t = t.rc
 let now t = Rc.now t.rc
-let unit_of t core = Hashtbl.find t.by_core core
 let unit_of_exec t (ex : Rc.exec) = t.units.(ex.Rc.exec_slot)
 let queue_length t = t.rc.Rc.probe.Sched_ops.queued ()
 
@@ -105,21 +105,17 @@ let dispatcher_do t cost f =
   t.disp_busy_until <- start + cost;
   ignore (Engine.at t.rc.Rc.engine (start + cost) f)
 
-(* Interrupt handling steals CPU time from the running segment (percore
-   mode); the cost is charged to the victim as scheduling overhead. *)
-let steal_time t u cost =
-  match u.ex.Rc.current with
-  | Some task when not (Eventq.is_null u.ex.Rc.completion) ->
-      Engine.cancel t.rc.Rc.engine u.ex.Rc.completion;
-      task.Task.segment_end <- task.Task.segment_end + cost;
-      task.Task.obs_overhead_ns <- task.Task.obs_overhead_ns + cost;
-      Rc.arm_completion t.rc u.ex task
-  | _ -> ()
+let reserved u = u.incoming >= 0
 
-(* ---- task start (both modes funnel through here) ------------------------- *)
+let requeue t (task : Task.t) =
+  if Rc.is_be t.rc task then Runqueue.push_head t.rc.Rc.be_queue task
+  else
+    t.rc.Rc.policy.task_enqueue ~cpu:t.dispatcher_core
+      ~reason:Sched_ops.Enq_preempted task
+
+(* ---- central-mode task start ---------------------------------------------- *)
 
 let rec start_on t u (task : Task.t) =
-  u.reserved <- false;
   u.incoming <- -1;
   if task.Task.killed then begin
     (* Killed while the assignment was in flight (deadline fired between
@@ -135,11 +131,10 @@ let rec start_on t u (task : Task.t) =
       if task.Task.app = u.ex.Rc.active_app then t.mech.worker_switch
       else Rc.app_switch t.rc u.ex task
     in
-    task.Task.wake_time <- None;
     let start = Rc.begin_run t.rc u.ex task ~switch_cost in
     u.gen <- u.gen + 1;
     (* Quantum preemption covers central-mode assignments; percore-mode
-       runs are preempted by the per-core timer instead.  Re-arming the
+       runs are preempted at the per-core tick instead.  Re-arming the
        unit's timer supersedes any stale pending firing. *)
     if t.quantum > 0 && not (Rc.is_be t.rc task) then begin
       u.qt_gen <- u.gen;
@@ -149,12 +144,11 @@ let rec start_on t u (task : Task.t) =
   end
 
 and assign t u (task : Task.t) =
-  u.reserved <- true;
   u.incoming <- task.Task.app;
   dispatcher_do t t.mech.dispatch_cost (fun () -> start_on t u task)
 
 and try_next t u =
-  if (not u.reserved) && u.ex.Rc.current = None && not (Rc.unit_capped t.rc u.ex)
+  if (not (reserved u)) && u.ex.Rc.current = None && not (Rc.unit_capped t.rc u.ex)
   then begin
     match
       Rc.next_live t.rc (fun () ->
@@ -170,153 +164,78 @@ and try_next t u =
           | None -> ())
   end
 
-(* Percore-mode scheduling: the worker picks from the shared queue
-   synchronously, no dispatcher in the path. *)
-and schedule t u ~prev =
-  if (not u.reserved) && u.ex.Rc.current = None && not (Rc.unit_capped t.rc u.ex)
-  then begin
-    let rc = t.rc in
-    let pick () =
-      let be_next =
-        if Rc.be_occupancy rc < rc.Rc.be_allowance then
-          Runqueue.pop_head rc.Rc.be_queue
-        else None
-      in
-      match be_next with
-      | Some task -> Some task
-      | None -> (
-          match rc.Rc.policy.task_dequeue ~cpu:u.ex.Rc.exec_core with
-          | Some task -> Some task
-          | None -> rc.Rc.policy.sched_balance ~cpu:u.ex.Rc.exec_core)
-    in
-    match Rc.next_live rc pick with
-    | None -> ()
-    | Some task ->
-        let same = match prev with Some p -> p == task | None -> false in
-        let cost =
-          if same then 0
-          else if task.Task.app = u.ex.Rc.active_app then begin
-            rc.Rc.switches <- rc.Rc.switches + 1;
-            Costs.uthread_yield_ns
-          end
-          else Rc.app_switch rc u.ex task
-        in
-        task.Task.wake_time <- None;
-        ignore (Rc.begin_run rc u.ex task ~switch_cost:cost);
-        u.gen <- u.gen + 1;
-        Rc.run_after_switch rc u.ex task ~switch_cost:cost
-  end
-
 and reschedule t u ~prev =
   match t.mode with
   | Central -> try_next t u
-  | Percore -> schedule t u ~prev
+  | Percore -> Percore.schedule t.pc u.pc ~prev
 
 (* ---- preemption ----------------------------------------------------------- *)
 
 (* Central-mode arm: the notification rides the modeled IPI path, so
    injected IPI faults are consulted (a dropped one loses the preemption —
-   the watchdog is the backstop). *)
-and do_preempt t u gen ~requeue =
+   the watchdog is the backstop).  The deposed task goes back to the BE
+   queue's head or the shared queue; the sender counted it. *)
+and do_preempt t u gen =
   if u.gen = gen then
     match Rc.depose t.rc u.ex ~overhead:t.mech.preempt_receive with
     | Some task ->
-        requeue task;
+        requeue t task;
         reschedule t u ~prev:(Some task)
     | None -> ()
 
-and deliver_preempt t u gen ~requeue =
+and deliver_preempt t u gen =
+  let arrive_after extra =
+    ignore
+      (Engine.after t.rc.Rc.engine (t.mech.preempt_delivery + extra) (fun () ->
+           do_preempt t u gen))
+  in
   match
     Machine.fault_fate t.rc.Rc.machine ~core:u.ex.Rc.exec_core
       Vectors.uintr_notification
   with
   | Machine.Drop -> ()
-  | Machine.Delay d ->
-      ignore
-        (Engine.after t.rc.Rc.engine (t.mech.preempt_delivery + d) (fun () ->
-             do_preempt t u gen ~requeue))
-  | Machine.Deliver ->
-      ignore
-        (Engine.after t.rc.Rc.engine t.mech.preempt_delivery (fun () ->
-             do_preempt t u gen ~requeue))
+  | Machine.Delay d -> arrive_after d
+  | Machine.Deliver -> arrive_after 0
 
-and quantum_check t u (task : Task.t) gen =
-  let still_running =
-    match u.ex.Rc.current with
-    | Some cur -> cur == task && u.gen = gen
-    | None -> false
-  in
-  if still_running then begin
-    t.rc.Rc.preempts <- t.rc.Rc.preempts + 1;
-    dispatcher_do t t.mech.preempt_send (fun () ->
-        deliver_preempt t u gen ~requeue:(fun task ->
-            t.rc.Rc.policy.task_enqueue ~cpu:t.dispatcher_core
-              ~reason:Sched_ops.Enq_preempted task))
-  end
+(* Send the running [task] a preemption from the dispatcher, counted at
+   the send. *)
+and send_preempt t u (task : Task.t) =
+  let gen = u.gen in
+  if Rc.is_be t.rc task then t.rc.Rc.be_preempts <- t.rc.Rc.be_preempts + 1
+  else t.rc.Rc.preempts <- t.rc.Rc.preempts + 1;
+  dispatcher_do t t.mech.preempt_send (fun () -> deliver_preempt t u gen)
 
 (* The reusable quantum timer's stable callback: the arm that scheduled
-   this firing recorded [qt_gen]; [quantum_check] compares it against the
-   unit's live generation, so a dispatch that ended (or was superseded —
-   re-arming cancels the stale firing outright) is left alone. *)
+   this firing recorded [qt_gen]; comparing it against the unit's live
+   generation leaves a dispatch that ended (or was superseded — re-arming
+   cancels the stale firing outright) alone. *)
 let quantum_fire t u =
   match u.ex.Rc.current with
-  | Some task -> quantum_check t u task u.qt_gen
-  | None -> ()
+  | Some task when u.gen = u.qt_gen -> send_preempt t u task
+  | Some _ | None -> ()
 
-(* Percore-mode arm: synchronous, the timer handler already charged the
-   receive cost to the victim. *)
-let preempt_now t u =
-  match Rc.depose t.rc u.ex ~overhead:0 with
-  | Some task ->
-      if Rc.is_be t.rc task then begin
-        t.rc.Rc.be_preempts <- t.rc.Rc.be_preempts + 1;
-        Runqueue.push_head t.rc.Rc.be_queue task
-      end
-      else begin
-        t.rc.Rc.preempts <- t.rc.Rc.preempts + 1;
-        t.rc.Rc.policy.task_enqueue ~cpu:t.dispatcher_core
-          ~reason:Sched_ops.Enq_preempted task
-      end;
-      schedule t u ~prev:(Some task)
-  | None -> ()
+(* ---- the shared-queue poke ------------------------------------------------ *)
 
-(* ---- kicks and the shared-queue poke -------------------------------------- *)
-
-let kick t u =
-  if u.ex.Rc.current = None && (not u.kick_pending) && not u.reserved then begin
-    u.kick_pending <- true;
-    let delay = max 0 (u.ex.Rc.stolen_until - now t) in
-    ignore
-      (Engine.after t.rc.Rc.engine delay (fun () ->
-           u.kick_pending <- false;
-           if u.ex.Rc.current = None then reschedule t u ~prev:None))
-  end
-
-let pump t =
-  let made_progress = ref true in
-  while !made_progress do
-    made_progress := false;
-    if queue_length t > 0 then
-      match
-        Array.to_list t.units
-        |> List.find_opt (fun u ->
-               u.ex.Rc.current = None && (not u.reserved)
-               && not (Rc.unit_capped t.rc u.ex))
-      with
-      | Some u ->
-          try_next t u;
-          made_progress := true
-      | None -> ()
-  done
+(* Hand queued work to free units until either runs out. *)
+let rec pump t =
+  if queue_length t > 0 then
+    match
+      Array.find_opt
+        (fun u ->
+          u.ex.Rc.current = None && (not (reserved u))
+          && not (Rc.unit_capped t.rc u.ex))
+        t.units
+    with
+    | Some u ->
+        try_next t u;
+        pump t
+    | None -> ()
 
 (* New work arrived in the shared queue: the mode decides who notices. *)
 let poke t =
   match t.mode with
   | Central -> pump t
-  | Percore -> (
-      match Sched_ops.pick_idle (Rc.view t.rc) with
-      | Some core -> kick t (unit_of t core)
-      | None -> ())
+  | Percore -> Percore.kick_some_idle t.pc
 
 (* ---- the mode monitor ----------------------------------------------------- *)
 
@@ -328,7 +247,7 @@ let flip t m =
   match m with
   | Percore ->
       (* Idle workers now self-schedule; wake them up. *)
-      Array.iter (fun u -> kick t u) t.units
+      Percore.kick_idle t.pc
   | Central -> pump t
 
 (* The monitor samples the shared queue every [check_period] and flips to
@@ -351,43 +270,15 @@ let check_mode t =
    whichever mechanism the current mode provides (plus the watchdog as the
    backstop), so no run can outlive both. *)
 let on_tick t u =
-  if t.mode = Percore && now t >= u.ex.Rc.stolen_until then begin
-    t.rc.Rc.ticks <- t.rc.Rc.ticks + 1;
-    steal_time t u (Costs.user_timer_receive_ns + Costs.senduipi_sn_ns);
-    match u.ex.Rc.current with
-    | Some _
-      when (not (Eventq.is_null u.ex.Rc.completion))
-           && Rc.unit_capped t.rc u.ex ->
-        (* Broker-capped unit: the tick only enforces the cap (backstop
-           for a run that slipped in around a shrink). *)
-        preempt_now t u
-    | Some task when not (Eventq.is_null u.ex.Rc.completion) ->
-        if Rc.is_be t.rc task then begin
-          if Rc.be_occupancy t.rc > t.rc.Rc.be_allowance then preempt_now t u
-        end
-        else if
-          (* The policy gets first say; single-queue policies written for
-             the dispatcher leave ticks alone, so the quantum is enforced
-             here — percore mode timeshares exactly like central mode,
-             just from the local timer instead of a dispatcher IPI. *)
-          t.rc.Rc.policy.sched_timer_tick ~cpu:u.ex.Rc.exec_core task
-          || (t.quantum > 0 && now t - task.Task.run_start >= t.quantum)
-        then preempt_now t u
-    | _ -> if not (Rc.unit_capped t.rc u.ex) then kick t u
-  end
+  if t.mode = Percore && now t >= u.ex.Rc.stolen_until then
+    Percore.on_tick t.pc u.pc
 
 (* ---- watchdog: dispatcher failover + stuck-worker rescue ------------------ *)
 
+(* A rescue is a dispatcher preemption that cannot be lost. *)
 let rescue_worker t u ~late =
   Rc.rescued t.rc u.ex ~late;
-  match Rc.depose t.rc u.ex ~overhead:t.mech.preempt_receive with
-  | Some task ->
-      if Rc.is_be t.rc task then Runqueue.push_head t.rc.Rc.be_queue task
-      else
-        t.rc.Rc.policy.task_enqueue ~cpu:t.dispatcher_core
-          ~reason:Sched_ops.Enq_preempted task;
-      reschedule t u ~prev:(Some task)
-  | None -> ()
+  do_preempt t u u.gen
 
 let watchdog_scan t ~bound =
   if t.disp_busy_until > now t + bound then begin
@@ -417,75 +308,31 @@ let watchdog_scan t ~bound =
 
 (* ---- core allocation ------------------------------------------------------ *)
 
-let preempt_be_central t u =
-  match u.ex.Rc.current with
-  | Some task
+(* Preempt the unit's BE task, if it runs one, by the mode's means. *)
+let preempt_be t u =
+  match (t.mode, u.ex.Rc.current) with
+  | Percore, _ -> Percore.preempt_be t.pc u.pc
+  | Central, Some task
     when Rc.is_be t.rc task && not (Eventq.is_null u.ex.Rc.completion) ->
-      let gen = u.gen in
-      t.rc.Rc.be_preempts <- t.rc.Rc.be_preempts + 1;
-      dispatcher_do t t.mech.preempt_send (fun () ->
-          deliver_preempt t u gen ~requeue:(fun task ->
-              Runqueue.push_head t.rc.Rc.be_queue task));
+      send_preempt t u task;
       true
-  | _ -> false
-
-let preempt_be_percore t u =
-  match u.ex.Rc.current with
-  | Some task
-    when Rc.is_be t.rc task && not (Eventq.is_null u.ex.Rc.completion) ->
-      steal_time t u (Costs.uipi_receive_ns ~cross_numa:false);
-      (match Rc.depose t.rc u.ex ~overhead:0 with
-      | Some task ->
-          t.rc.Rc.be_preempts <- t.rc.Rc.be_preempts + 1;
-          Runqueue.push_head t.rc.Rc.be_queue task;
-          schedule t u ~prev:(Some task)
-      | None -> ());
-      true
-  | _ -> false
+  | Central, _ -> false
 
 (* Wake a unit for new work by whichever path the current mode uses. *)
 let redrive t u =
   match t.mode with
   | Central -> try_next t u
-  | Percore -> if u.ex.Rc.current = None then kick t u
-
-let set_be_allowance t n =
-  let old = t.rc.Rc.be_allowance in
-  t.rc.Rc.be_allowance <- n;
-  if n < old then begin
-    let excess = ref (Rc.be_occupancy t.rc - n) in
-    let preempt_be =
-      match t.mode with
-      | Central -> preempt_be_central t
-      | Percore -> preempt_be_percore t
-    in
-    if !excess > 0 then
-      Array.iter (fun u -> if !excess > 0 && preempt_be u then decr excess) t.units
-  end
-  else if n > old then Array.iter (redrive t) t.units
+  | Percore -> Percore.kick t.pc u.pc
 
 (* Preempt whatever runs on a broker-capped unit, by whichever mechanism
-   the current mode provides: a dispatcher IPI (central) or a synchronous
-   local preemption with the receive cost charged (percore). *)
+   the current mode provides: a dispatcher IPI (central) or the per-core
+   eviction (percore). *)
 let preempt_capped_unit t u =
   match u.ex.Rc.current with
   | Some task when not (Eventq.is_null u.ex.Rc.completion) -> (
       match t.mode with
-      | Central ->
-          let gen = u.gen in
-          if Rc.is_be t.rc task then
-            t.rc.Rc.be_preempts <- t.rc.Rc.be_preempts + 1
-          else t.rc.Rc.preempts <- t.rc.Rc.preempts + 1;
-          dispatcher_do t t.mech.preempt_send (fun () ->
-              deliver_preempt t u gen ~requeue:(fun task ->
-                  if Rc.is_be t.rc task then
-                    Runqueue.push_head t.rc.Rc.be_queue task
-                  else
-                    t.rc.Rc.policy.task_enqueue ~cpu:t.dispatcher_core
-                      ~reason:Sched_ops.Enq_preempted task))
-      | Percore ->
-          steal_time t u (Costs.uipi_receive_ns ~cross_numa:false);
-          preempt_now t u)
+      | Central -> send_preempt t u task
+      | Percore -> Percore.evict t.pc u.pc)
   | _ -> ()
 
 (* ---- construction --------------------------------------------------------- *)
@@ -502,27 +349,29 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
       invalid_arg "Hybrid.create: watchdog bound must be positive"
   | Some _ | None -> ());
   let engine = Machine.engine machine in
+  let rc = Rc.create machine kmod in
+  let pc =
+    Percore.create rc ~cores:(Array.of_list worker_cores) ~quantum ~park:None
+  in
   let units =
-    Array.of_list
-      (List.map
-         (fun core_id ->
-           {
-             ex = Rc.make_exec core_id;
-             gen = 0;
-             reserved = false;
-             incoming = -1;
-             kick_pending = false;
-             qtimer = Engine.timer engine ignore;
-             qt_gen = 0;
-           })
-         worker_cores)
+    Array.map
+      (fun (cpu : Percore.cpu) ->
+        {
+          ex = cpu.ex;
+          pc = cpu;
+          gen = 0;
+          incoming = -1;
+          qtimer = Engine.timer engine ignore;
+          qt_gen = 0;
+        })
+      pc.Percore.cpus
   in
   let t =
     {
-      rc = Rc.create machine kmod;
+      rc;
+      pc;
       dispatcher_core;
       units;
-      by_core = Hashtbl.create 16;
       mech = mechanism;
       quantum;
       tick_period = (if adaptive then max 1 (1_000_000_000 / timer_hz) else 0);
@@ -532,7 +381,6 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
       dispatches = 0;
     }
   in
-  Array.iter (fun u -> Hashtbl.replace t.by_core u.ex.Rc.exec_core u) units;
   Array.iter (fun u -> Engine.set_callback u.qtimer (fun () -> quantum_fire t u)) units;
   Rc.install_dispatch t.rc
     {
@@ -560,7 +408,8 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
       d_kthread = (fun _ _ -> ());
       d_evict = (fun ex -> preempt_capped_unit t (unit_of_exec t ex));
       d_redrive = (fun ex -> redrive t (unit_of_exec t ex));
-      d_set_be_allowance = set_be_allowance t;
+      d_preempt_be = (fun ex -> preempt_be t (unit_of_exec t ex));
+      d_be_grown = (fun () -> Array.iter (redrive t) t.units);
       d_alloc_event =
         (fun ev ->
           match ev.Allocator.action with

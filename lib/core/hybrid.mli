@@ -15,6 +15,11 @@ module Kmod = Skyloft_kernel.Kmod
     cores from the serial dispatcher to per-core preemption timers and
     back.  Every mode transition is a [Mode_switch] trace instant.
 
+    [Percore] mode is no third mechanism: it runs the per-CPU runtime's
+    path ({!Percore}), requeueing preempted LC tasks on the shared queue
+    and enforcing [quantum] at the tick.  This module keeps the serial
+    dispatcher, failover, the mode monitor and the tick source.
+
     Created with [~adaptive:false] the runtime never leaves [Central]
     mode: that pinned shape {e is} the centralized Skyloft runtime
     (Figure 2b, Shinjuku-style processor sharing, §5.2), and with a
@@ -78,7 +83,8 @@ val create :
     switches to [Percore] when the depth exceeds twice the worker count,
     back to [Central] when it falls to half the worker count or below —
     the gap is the hysteresis band.  [quantum <= 0] disables quantum
-    preemption in [Central] mode (run-to-completion).
+    preemption in both modes (run-to-completion, unless the policy
+    preempts at a [Percore] tick).
 
     [adaptive] (default [true]) arms the monitor and the per-core timers;
     [~adaptive:false] arms neither, so the runtime stays in [Central] mode

@@ -1,0 +1,228 @@
+module Time = Skyloft_sim.Time
+module Engine = Skyloft_sim.Engine
+module Eventq = Skyloft_sim.Eventq
+module Costs = Skyloft_hw.Costs
+module Rc = Runtime_core
+
+(* The per-core mechanism (Figure 2a), once for {!Percpu} and {!Hybrid}'s
+   percore mode; the two differ only by the values documented in the
+   interface, never by a branch on who is calling. *)
+
+type cpu = {
+  ex : Rc.exec;
+  mutable kick_pending : bool;
+  mutable parked : bool;
+  mutable idle_gen : int;
+  mutable last_sched : Time.t;
+}
+
+type t = {
+  rc : Rc.t;
+  cpus : cpu array;
+  by_core : (int, cpu) Hashtbl.t;
+  quantum : Time.t;
+  park : (Time.t * Time.t) option;
+  mutable parks : int;
+  mutable unparks : int;
+}
+
+let create rc ~cores ~quantum ~park =
+  let cpus =
+    Array.map
+      (fun core ->
+        {
+          ex = Rc.make_exec core;
+          kick_pending = false;
+          parked = false;
+          idle_gen = 0;
+          last_sched = 0;
+        })
+      cores
+  in
+  let by_core = Hashtbl.create 64 in
+  Array.iter (fun cpu -> Hashtbl.replace by_core cpu.ex.Rc.exec_core cpu) cpus;
+  { rc; cpus; by_core; quantum; park; parks = 0; unparks = 0 }
+
+let now t = Rc.now t.rc
+let cpu_of t core = Hashtbl.find t.by_core core
+let cpu_of_unit t (ex : Rc.exec) = t.cpus.(ex.Rc.exec_slot)
+let in_flight t cpu = t.rc.Rc.dispatch.Rc.d_incoming_app cpu.ex >= 0
+
+(* ---- the scheduling loop ------------------------------------------------- *)
+
+let park t cpu =
+  if not cpu.parked then begin
+    cpu.parked <- true;
+    t.parks <- t.parks + 1
+  end
+
+(* Nothing to run.  Shenango-style runtimes return idle cores to the
+   kernel — after a grace period, or at once when the policy asks — and
+   waking a parked core later costs a kernel wakeup. *)
+let idle t cpu =
+  cpu.idle_gen <- cpu.idle_gen + 1;
+  match t.park with
+  | Some _ when t.rc.Rc.policy.sched_idle_park ~cpu:cpu.ex.Rc.exec_core ->
+      park t cpu
+  | Some (idle_after, _) ->
+      let gen = cpu.idle_gen in
+      ignore
+        (Engine.after t.rc.Rc.engine idle_after (fun () ->
+             if cpu.ex.Rc.current = None && cpu.idle_gen = gen then park t cpu))
+  | None -> ()
+
+let unpark_cost t cpu =
+  match t.park with
+  | Some (_, resume_cost) when cpu.parked ->
+      cpu.parked <- false;
+      t.unparks <- t.unparks + 1;
+      resume_cost
+  | Some _ | None -> 0
+
+(* Cores inside the allocator's BE grant dispatch BE work ahead of LC so
+   a guaranteed core cannot be starved by LC backlog; LC congestion claws
+   cores back through the allocator shrinking the allowance.  A capped
+   core's queued work is recovered by allowed cores' steals and kicks. *)
+let schedule t cpu ~prev =
+  let rc = t.rc in
+  if Option.is_some cpu.ex.Rc.current || in_flight t cpu then ()
+  else if Rc.unit_capped rc cpu.ex then cpu.idle_gen <- cpu.idle_gen + 1
+  else
+    let core = cpu.ex.Rc.exec_core in
+    let pick () =
+      let be_next =
+        if Rc.be_occupancy rc < rc.Rc.be_allowance then
+          Runqueue.pop_head rc.Rc.be_queue
+        else None
+      in
+      match be_next with
+      | Some task -> Some task
+      | None -> (
+          match rc.Rc.policy.task_dequeue ~cpu:core with
+          | Some task -> Some task
+          | None -> rc.Rc.policy.sched_balance ~cpu:core)
+    in
+    match Rc.next_live rc pick with
+    | None -> idle t cpu
+    | Some task ->
+        let unpark_cost = unpark_cost t cpu in
+        let charge = rc.Rc.policy.sched_migration_charge ~cpu:core in
+        let same = match prev with Some p -> p == task | None -> false in
+        let cost =
+          if same then 0
+          else if task.Task.app = cpu.ex.Rc.active_app then begin
+            rc.Rc.switches <- rc.Rc.switches + 1;
+            Costs.uthread_yield_ns
+          end
+          else Rc.app_switch rc cpu.ex task
+        in
+        let switch_cost = cost + unpark_cost + charge in
+        cpu.last_sched <- now t;
+        ignore (Rc.begin_run rc cpu.ex task ~switch_cost);
+        Rc.run_after_switch rc cpu.ex task ~switch_cost
+
+let steal_time ?(stall = false) t cpu cost =
+  match cpu.ex.Rc.current with
+  | Some task when not (Eventq.is_null cpu.ex.Rc.completion) ->
+      Engine.cancel t.rc.Rc.engine cpu.ex.Rc.completion;
+      task.Task.segment_end <- task.Task.segment_end + cost;
+      if stall then task.Task.obs_stall_ns <- task.Task.obs_stall_ns + cost
+      else task.Task.obs_overhead_ns <- task.Task.obs_overhead_ns + cost;
+      Rc.arm_completion t.rc cpu.ex task
+  | _ -> ()
+
+(* ---- kicks --------------------------------------------------------------- *)
+
+(* Through [d_reschedule]: the hybrid may have flipped back to its
+   dispatcher by the time the kick lands. *)
+let kick t cpu =
+  if cpu.ex.Rc.current = None && (not cpu.kick_pending) && not (in_flight t cpu)
+  then begin
+    cpu.kick_pending <- true;
+    let delay = max 0 (cpu.ex.Rc.stolen_until - now t) in
+    ignore
+      (Engine.after t.rc.Rc.engine delay (fun () ->
+           cpu.kick_pending <- false;
+           if cpu.ex.Rc.current = None then
+             t.rc.Rc.dispatch.Rc.d_reschedule cpu.ex ~prev:None))
+  end
+
+let kick_idle t = Array.iter (kick t) t.cpus
+
+let kick_some_idle t =
+  match Sched_ops.pick_idle (Rc.view t.rc) with
+  | Some core -> kick t (cpu_of t core)
+  | None -> ()
+
+(* ---- preemption ---------------------------------------------------------- *)
+
+let requeue t (task : Task.t) ~cpu =
+  let rc = t.rc in
+  if Rc.is_be rc task then begin
+    rc.Rc.be_preempts <- rc.Rc.be_preempts + 1;
+    Runqueue.push_head rc.Rc.be_queue task
+  end
+  else begin
+    rc.Rc.preempts <- rc.Rc.preempts + 1;
+    rc.Rc.policy.task_enqueue ~cpu ~reason:Sched_ops.Enq_preempted task
+  end
+
+(* Synchronous: the handler already charged the receive cost. *)
+let preempt t cpu =
+  match Rc.depose t.rc cpu.ex ~overhead:0 with
+  | Some task ->
+      requeue t task ~cpu:(t.rc.Rc.dispatch.Rc.d_enqueue_cpu cpu.ex);
+      schedule t cpu ~prev:(Some task)
+  | None -> ()
+
+(* Never requeue on the capped core's own queue: with the core gone
+   nothing local would drain it. *)
+let evict t cpu =
+  match cpu.ex.Rc.current with
+  | Some _ when not (Eventq.is_null cpu.ex.Rc.completion) -> (
+      steal_time t cpu (Costs.uipi_receive_ns ~cross_numa:false);
+      match Rc.depose t.rc cpu.ex ~overhead:0 with
+      | Some task ->
+          requeue t task ~cpu:(t.rc.Rc.dispatch.Rc.d_enqueue_cpu t.cpus.(0).ex);
+          schedule t cpu ~prev:(Some task);
+          kick_some_idle t
+      | None -> ())
+  | _ -> ()
+
+let preempt_be t cpu =
+  match cpu.ex.Rc.current with
+  | Some task
+    when Rc.is_be t.rc task && not (Eventq.is_null cpu.ex.Rc.completion) ->
+      steal_time t cpu (Costs.uipi_receive_ns ~cross_numa:false);
+      preempt t cpu;
+      true
+  | _ -> false
+
+(* ---- the timer tick (Listing 1) ------------------------------------------ *)
+
+(* A capped core only enforces the cap (backstop for a task that slipped
+   in around a shrink).  LC congestion is not checked here: the allocator
+   shrinks the BE allowance in response, so the allowance is the single
+   arbiter of BE occupancy. *)
+let tick_decision t cpu =
+  cpu.last_sched <- now t;
+  if Rc.unit_capped t.rc cpu.ex then evict t cpu
+  else
+    match cpu.ex.Rc.current with
+    | Some task when not (Eventq.is_null cpu.ex.Rc.completion) ->
+        if Rc.is_be t.rc task then begin
+          if Rc.be_occupancy t.rc > t.rc.Rc.be_allowance then preempt t cpu
+        end
+        else if
+          (* The policy gets first say; single-queue policies written for
+             a dispatcher leave ticks alone, so [quantum] makes the tick
+             timeshare exactly like the dispatcher's quantum IPI. *)
+          t.rc.Rc.policy.sched_timer_tick ~cpu:cpu.ex.Rc.exec_core task
+          || (t.quantum > 0 && now t - task.Task.run_start >= t.quantum)
+        then preempt t cpu
+    | _ -> kick t cpu
+
+let on_tick t cpu =
+  t.rc.Rc.ticks <- t.rc.Rc.ticks + 1;
+  steal_time t cpu (Costs.user_timer_receive_ns + Costs.senduipi_sn_ns);
+  tick_decision t cpu

@@ -1,0 +1,95 @@
+module Time = Skyloft_sim.Time
+
+(** The per-core scheduling path (Figure 2a), shared by both mechanisms:
+    {!Percpu} runs it on every core all the time, {!Hybrid} in its
+    [Percore] mode.  Each core picks its next task synchronously (BE
+    first inside the allocator's grant, then the policy's dequeue, then
+    its balance), and a delegated timer tick or preemption user IPI
+    decides whether the running task keeps the core.
+
+    The two callers differ only by values: the queue a preempted LC task
+    returns to is the unit's [d_enqueue_cpu]; [quantum] is enforced at
+    the tick for policies that leave [sched_timer_tick] to the runtime;
+    a unit with an assignment in flight ([d_incoming_app] >= 0) is left
+    alone; and [park] enables Shenango-style core parking. *)
+
+(** One core's per-core state around its {!Runtime_core.exec}. *)
+type cpu = {
+  ex : Runtime_core.exec;
+  mutable kick_pending : bool;  (** a kick is scheduled; coalesces kicks *)
+  mutable parked : bool;  (** yielded to the kernel while idle *)
+  mutable idle_gen : int;  (** invalidates stale park timers *)
+  mutable last_sched : Time.t;  (** last scheduling point (watchdog) *)
+}
+
+type t = private {
+  rc : Runtime_core.t;
+  cpus : cpu array;  (** in core order: the runtime's [d_units] *)
+  by_core : (int, cpu) Hashtbl.t;
+  quantum : Time.t;  (** tick-enforced quantum; [0] leaves it to the policy *)
+  park : (Time.t * Time.t) option;  (** [(idle_after, resume_cost)] *)
+  mutable parks : int;  (** idle cores parked back to the kernel *)
+  mutable unparks : int;  (** parked cores woken (each paid [resume_cost]) *)
+}
+
+val create :
+  Runtime_core.t ->
+  cores:int array ->
+  quantum:Time.t ->
+  park:(Time.t * Time.t) option ->
+  t
+(** One [cpu] per core, in order; install [cpus]' execs as the dispatch
+    units.  With [park], a core idle for [idle_after] (or at once when the
+    policy's [sched_idle_park] says so) parks, and its next dispatch pays
+    [resume_cost]. *)
+
+val cpu_of : t -> int -> cpu
+(** By core id; raises [Not_found] for an unmanaged core. *)
+
+val cpu_of_unit : t -> Runtime_core.exec -> cpu
+
+val schedule : t -> cpu -> prev:Task.t option -> unit
+(** Pick and start the core's next task, charging the switch cost
+    ([0] when [prev] resumes, a user-level yield within an application,
+    the kernel module's switch across) plus any resume and migration
+    charge.  A busy, reserved or broker-capped core picks nothing. *)
+
+val steal_time : ?stall:bool -> t -> cpu -> Time.t -> unit
+(** Interrupt handling delays the running segment by the cost, charged to
+    the task as overhead — or as fault stall when [stall] (host-kernel
+    core steals). *)
+
+val kick : t -> cpu -> unit
+(** Have an idle core reschedule (through [d_reschedule]) once any
+    host-kernel steal of it ends; coalesced while one is pending. *)
+
+val kick_idle : t -> unit
+(** {!kick} every idle core. *)
+
+val kick_some_idle : t -> unit
+(** {!kick} one idle core, if any, so new work gets noticed. *)
+
+val preempt : t -> cpu -> unit
+(** Depose the running task, requeue it (BE to the BE queue's head, LC to
+    the policy on the unit's [d_enqueue_cpu]) and reschedule.  Only LC
+    preemptions count in {!Runtime_core.preemptions}; BE ones count in
+    {!Runtime_core.be_preemptions}. *)
+
+val evict : t -> cpu -> unit
+(** Evict the task of a broker-capped core: receive cost, then requeue on
+    the first unit's queue (the last one a shrink caps) and kick an idle
+    core to pick it up. *)
+
+val preempt_be : t -> cpu -> bool
+(** Preempt the core's BE task, if it runs one (receive cost charged);
+    reports whether it did. *)
+
+val tick_decision : t -> cpu -> unit
+(** The decision at a tick or preemption IPI: a capped core {!evict}s; a
+    BE task is preempted while BE exceeds its allowance; an LC task when
+    the policy's [sched_timer_tick] says so or it has run [quantum]; an
+    idle core takes it as a {!kick}. *)
+
+val on_tick : t -> cpu -> unit
+(** A delegated timer tick: count it, charge the user-timer receive and
+    the SN re-post, then {!tick_decision}. *)

@@ -12,12 +12,19 @@ module Kmod = Skyloft_kernel.Kmod
     switch to a task of a different application goes through the kernel
     module ({!Kmod.switch_to}), charging the inter-application switch cost.
 
+    The loop, ticks, kicks, preemption and parking are {!Percore}'s, run
+    with a preempted LC task requeued on its own core and no runtime
+    quantum; this module adds the UINTR/LAPIC wiring, the watchdog rescue
+    and placement.
+
     Costs charged per event:
     - intra-application task switch: {!Skyloft_hw.Costs.uthread_yield_ns}
     - inter-application task switch: {!Skyloft_hw.Costs.app_switch_ns}
     - each timer tick: user-timer receive + the SN re-post SENDUIPI
     - preemption via user IPI (from [preempt_core]): UIPI delivery and
-      receive costs. *)
+      receive costs; a broker eviction or BE-allowance shrink: the
+      receive cost.  BE preemptions count only in
+      {!Runtime_core.be_preemptions}. *)
 
 type t
 

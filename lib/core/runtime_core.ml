@@ -66,7 +66,9 @@ type dispatch = {
       (* per-unit setup of a freshly parked kthread (UINTR handlers) *)
   d_evict : exec -> unit;  (* the broker capped this unit: preempt it *)
   d_redrive : exec -> unit;  (* the broker handed this unit back *)
-  d_set_be_allowance : int -> unit;  (* the allocator's reclaim/grant muscle *)
+  d_preempt_be : exec -> bool;
+      (* preempt the unit's running BE task, if any; whether it did *)
+  d_be_grown : unit -> unit;  (* the BE allowance grew: wake the units *)
   d_alloc_event : Allocator.event -> unit;  (* trace an allocator decision *)
   d_be_attached : unit -> unit;  (* BE work just arrived: wake the units *)
 }
@@ -85,7 +87,8 @@ let null_dispatch =
     d_kthread = (fun _ _ -> ());
     d_evict = ignore;
     d_redrive = ignore;
-    d_set_be_allowance = ignore;
+    d_preempt_be = (fun _ -> false);
+    d_be_grown = ignore;
     d_alloc_event = ignore;
     d_be_attached = ignore;
   }
@@ -291,6 +294,19 @@ let be_occupancy t =
           if running || t.dispatch.d_incoming_app ex = app.App.id then acc + 1
           else acc)
         0 t.dispatch.d_units
+
+(* The allocator's reclaim/grant muscle: shrinking preempts running BE
+   work unit by unit until BE fits the allowance. *)
+let set_be_allowance t n =
+  let old = t.be_allowance in
+  t.be_allowance <- n;
+  if n < old then begin
+    let excess = ref (be_occupancy t - n) in
+    Array.iter
+      (fun ex -> if !excess > 0 && t.dispatch.d_preempt_be ex then decr excess)
+      t.dispatch.d_units
+  end
+  else if n > old then t.dispatch.d_be_grown ()
 
 (* ---- accounting and trace vocabulary ------------------------------------- *)
 
@@ -766,7 +782,7 @@ let attach_be_app t ?alloc app ~chunk ~workers =
   spawn_be_workers t app ~chunk ~workers;
   let cfg = match alloc with Some a -> a | None -> Allocator.default_config () in
   start_allocator t ~cfg ~be:app ~on_event:t.dispatch.d_alloc_event
-    ~set_allowance:t.dispatch.d_set_be_allowance;
+    ~set_allowance:(set_be_allowance t);
   t.dispatch.d_be_attached ()
 
 let allocator t = t.allocator

@@ -78,8 +78,10 @@ type dispatch = {
       (** set up a kthread just parked on the unit's core *)
   d_evict : exec -> unit;  (** the broker capped this unit: preempt it *)
   d_redrive : exec -> unit;  (** the broker handed this unit back *)
-  d_set_be_allowance : int -> unit;
-      (** the allocator's grant: preempt excess BE units or wake idle ones *)
+  d_preempt_be : exec -> bool;
+      (** preempt the unit's running BE task, if any; reports whether it
+          did *)
+  d_be_grown : unit -> unit;  (** the BE allowance grew: wake the units *)
   d_alloc_event : Allocator.event -> unit;  (** trace an allocator decision *)
   d_be_attached : unit -> unit;  (** BE work just arrived: wake the units *)
 }
@@ -184,6 +186,11 @@ val is_be : t -> Task.t -> bool
 val be_occupancy : t -> int
 (** Units the BE application occupies right now, in-flight assignments
     included. *)
+
+val set_be_allowance : t -> int -> unit
+(** How many units BE may occupy (the allocator's reclaim/grant muscle).
+    Shrinking preempts running BE tasks ([d_preempt_be]) until BE fits;
+    growing calls [d_be_grown]. *)
 
 (** {1 Accounting and trace vocabulary} *)
 
@@ -321,7 +328,7 @@ val attach_be_app :
     [chunk]-sized compute segments, kept outside the LC policy's
     runqueues.  Starts the core allocator ([alloc], default
     {!Allocator.default_config}): LC registered on the policy's
-    congestion probe, BE on its queue backlog, [d_set_be_allowance] as
+    congestion probe, BE on its queue backlog, {!set_be_allowance} as
     the muscle; every core moved charges the §5.4 inter-application switch
     cost on the BE side. *)
 

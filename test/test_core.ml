@@ -291,21 +291,6 @@ let test_percpu_fifo_hol_blocking () =
   Engine.run ~until:(Time.ms 5) engine;
   check Alcotest.bool "short suffered HoL blocking" true (!short_done > Time.ms 2)
 
-let test_percpu_block_wakeup_latency () =
-  let engine, _, rt = make_percpu ~cores:2 fifo_ctor in
-  let app = Rc.create_app rt ~name:"app" in
-  let woke = ref false in
-  let sleeper =
-    Rc.spawn rt app ~name:"sleeper" (Coro.Block (fun () -> woke := true; Coro.Exit))
-  in
-  ignore (Engine.at engine (Time.us 100) (fun () -> Rc.wakeup rt sleeper));
-  Engine.run ~until:(Time.ms 1) engine;
-  check Alcotest.bool "woken" true !woke;
-  let h = Rc.wakeup_hist rt in
-  check Alcotest.int "one sample" 1 (Histogram.count h);
-  (* user-space wakeup on an idle core: sub-microsecond *)
-  check Alcotest.bool "sub-us wakeup" true (Histogram.max_value h < Time.us 1)
-
 let test_percpu_multi_app_switching () =
   (* Two applications sharing one core: switching between their tasks must
      go through the kernel module and be counted. *)
@@ -428,14 +413,15 @@ let test_percpu_be_guaranteed_cores () =
 
 (* ---- Centralized runtime: Hybrid pinned with ~adaptive:false ---- *)
 
-let make_centralized ?(workers = 4) ?(quantum = Time.us 30) ?mechanism () =
+let make_centralized ?(workers = 4) ?(quantum = Time.us 30) ?(adaptive = false)
+    ?mechanism () =
   let engine = Engine.create () in
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:8) in
   let kmod = Kmod.create machine in
   let hybrid =
     Hybrid.create machine kmod ~dispatcher_core:0
       ~worker_cores:(List.init workers (fun i -> i + 1))
-      ~quantum ~adaptive:false ?mechanism
+      ~quantum ~adaptive ?mechanism
       (fun view ->
         ignore view;
         fifo_ctor view)
@@ -607,6 +593,101 @@ let test_centralized_pinned_mode () =
   check Alcotest.int "no timer ticks" 0 (Rc.timer_ticks rt);
   check Alcotest.bool "still central" true (Hybrid.mode hybrid = Hybrid.Central)
 
+(* ---- behaviour shared by both mechanisms ---- *)
+
+(* Every mechanism under test, fresh per call: per-CPU, the hybrid pinned
+   to its serial dispatcher, and the adaptive hybrid. *)
+let every_runtime ~workers =
+  [
+    ("percpu", fun () ->
+      let engine, _, rt = make_percpu ~cores:workers fifo_ctor in
+      (engine, rt));
+    ("pinned hybrid", fun () ->
+      let engine, _, rt = make_centralized ~workers () in
+      (engine, rt));
+    ("adaptive hybrid", fun () ->
+      let engine, _, rt = make_centralized ~workers ~adaptive:true () in
+      (engine, rt));
+  ]
+
+(* A block-then-wakeup records exactly one wakeup-latency sample on every
+   mechanism; on an idle per-CPU core the user-space wakeup is
+   sub-microsecond. *)
+let test_block_wakeup_latency () =
+  List.iter
+    (fun (name, make) ->
+      let engine, rt = make () in
+      let app = Rc.create_app rt ~name:"app" in
+      let woke = ref false in
+      let sleeper =
+        Rc.spawn rt app ~name:"sleeper" (Coro.Block (fun () -> woke := true; Coro.Exit))
+      in
+      ignore (Engine.at engine (Time.us 100) (fun () -> Rc.wakeup rt sleeper));
+      Engine.run ~until:(Time.ms 1) engine;
+      check Alcotest.bool (name ^ ": woken") true !woke;
+      let h = Rc.wakeup_hist rt in
+      check Alcotest.int (name ^ ": one sample") 1 (Histogram.count h);
+      if name = "percpu" then
+        check Alcotest.bool "percpu: sub-us wakeup" true (Histogram.max_value h < Time.us 1))
+    (every_runtime ~workers:2)
+
+(* [preemptions] counts LC tasks preempted off their core, nothing else:
+   shrinking the BE allowance with no LC work at all preempts BE tasks,
+   which only [be_preemptions] may count. *)
+let test_be_preemptions_counted_apart () =
+  List.iter
+    (fun (name, make) ->
+      let engine, rt = make () in
+      let _lc = Rc.create_app rt ~name:"lc" in
+      let be = Rc.create_app rt ~name:"batch" in
+      Rc.attach_be_app rt be ~chunk:(Time.us 100) ~workers:2;
+      let shed = ref 0 in
+      ignore
+        (Engine.at engine (Time.ms 1 + Time.us 50) (fun () ->
+             let before = Rc.be_preemptions rt in
+             Rc.set_be_allowance rt 0;
+             shed := Rc.be_preemptions rt - before));
+      Engine.run ~until:(Time.ms 2) engine;
+      check Alcotest.int (name ^ ": both BE cores preempted") 2 !shed;
+      check Alcotest.int (name ^ ": no LC preemption counted") 0 (Rc.preemptions rt))
+    (every_runtime ~workers:2)
+
+(* The adaptive hybrid's percore mode end to end: a burst past 2x the
+   workers flips it to per-core ticks, which enforce the quantum on the
+   shared queue's FIFO policy; a broker shrink while there evicts the
+   capped worker's task, which still completes; the drained queue flips
+   the runtime back to its dispatcher. *)
+let test_hybrid_percore_mode () =
+  let engine, hybrid, rt = make_centralized ~workers:2 ~adaptive:true () in
+  let app = Rc.create_app rt ~name:"lc" in
+  for _ = 1 to 12 do
+    ignore
+      (Rc.spawn rt app ~name:"req" ~service:(Time.us 200)
+         (Coro.compute_then_exit (Time.us 200)))
+  done;
+  (* let the monitor flip and every central-mode quantum timer expire *)
+  Engine.run ~until:(Time.us 150) engine;
+  check Alcotest.bool "percore after the burst" true (Hybrid.mode hybrid = Hybrid.Percore);
+  check Alcotest.bool "mode switched" true (Hybrid.mode_switches hybrid >= 1);
+  check Alcotest.bool "per-core ticks" true (Rc.timer_ticks rt > 0);
+  let preempts = Rc.preemptions rt and dispatches = Hybrid.dispatches hybrid in
+  Engine.run ~until:(Time.us 300) engine;
+  check Alcotest.bool "still percore" true (Hybrid.mode hybrid = Hybrid.Percore);
+  check Alcotest.int "no dispatcher assignments in percore" dispatches
+    (Hybrid.dispatches hybrid);
+  check Alcotest.bool "the tick enforced the quantum" true
+    (Rc.preemptions rt > preempts);
+  let capped = rt.Rc.dispatch.Rc.d_units.(1) in
+  check Alcotest.bool "the capped worker is busy" true (capped.Rc.current <> None);
+  Rc.set_core_allowance rt 1;
+  (* the eviction, or the tick backstop if the task was mid-switch *)
+  Engine.run ~until:(Time.us 320) engine;
+  check Alcotest.bool "capped worker evicted" true (capped.Rc.current = None);
+  Engine.run ~until:(Time.ms 5) engine;
+  check Alcotest.int "every request completes" 12 app.App.completed;
+  check Alcotest.bool "back to central" true (Hybrid.mode hybrid = Hybrid.Central);
+  check Alcotest.bool "flipped back" true (Hybrid.mode_switches hybrid >= 2)
+
 (* ---- spawn validates before it admits ---- *)
 
 (* A rejected spawn must leave no trace: nothing admitted, nothing queued,
@@ -667,7 +748,6 @@ let suite =
     Alcotest.test_case "percpu: no-preemption mode" `Quick test_percpu_no_preemption_mode;
     Alcotest.test_case "percpu: RR preemption beats HoL" `Quick test_percpu_rr_preemption;
     Alcotest.test_case "percpu: FIFO suffers HoL" `Quick test_percpu_fifo_hol_blocking;
-    Alcotest.test_case "percpu: block/wakeup" `Quick test_percpu_block_wakeup_latency;
     Alcotest.test_case "percpu: multi-app switching" `Quick test_percpu_multi_app_switching;
     Alcotest.test_case "percpu: app switch cost" `Quick test_percpu_app_switch_costs_more;
     Alcotest.test_case "percpu: user-IPI preemption" `Quick test_percpu_uipi_preemption;
@@ -691,6 +771,10 @@ let suite =
       test_centralized_kill_in_flight;
     Alcotest.test_case "centralized: pinned mode never flips" `Quick
       test_centralized_pinned_mode;
+    Alcotest.test_case "hybrid: percore mode end to end" `Quick test_hybrid_percore_mode;
+    Alcotest.test_case "block/wakeup: sample per runtime" `Quick test_block_wakeup_latency;
+    Alcotest.test_case "BE preemptions counted apart" `Quick
+      test_be_preemptions_counted_apart;
     Alcotest.test_case "percpu: spawn validates before admitting" `Quick
       test_percpu_spawn_validates_first;
     Alcotest.test_case "centralized: spawn validates before admitting" `Quick

@@ -95,7 +95,12 @@ let test_table4_loc_counts () =
       | Some loc ->
           check Alcotest.bool (name ^ " under 200 LoC") true (loc > 5 && loc < 200)
       | None -> Alcotest.fail (path ^ " missing"))
-    E.Tables.policy_files
+    E.Tables.policy_files;
+  (* the framework block counts real files too *)
+  List.iter
+    (fun (_, path) ->
+      check Alcotest.bool (path ^ " counted") true (E.Tables.count_loc path <> None))
+    E.Tables.framework_files
 
 let suite =
   [
