@@ -473,93 +473,6 @@ let write_bench_parallel_json () =
   close_out oc;
   E.Report.note "driver scaling written to %s" bench_parallel_json_path
 
-(* ---- scenario DSL throughput (lib/scenario) ----------------------------- *)
-
-(* Host cost of the scale pipeline: wall clock and host-ns per simulated
-   request for each scale scenario on each runtime, at a fixed request
-   count small enough for a bench run but big enough to amortize setup.
-   Like the parallel bench this is a direct monotonic-clock measurement
-   (cells are 100 ms+ simulations, not Bechamel-OLS territory), and it
-   doubles as an identity proof: the digest of every cell at [-j 4] must
-   equal the [-j 1] digest byte for byte. *)
-let bench_scenario_json_path = "BENCH_scenario.json"
-let bench_scenario_requests = 100_000
-
-let write_bench_scenario_json () =
-  E.Report.section
-    "Scenario DSL: host cost per simulated request (scale cells)";
-  let clock = Toolkit.Monotonic_clock.make () in
-  let wall f =
-    let t0 = Toolkit.Monotonic_clock.get clock in
-    let r = f () in
-    let t1 = Toolkit.Monotonic_clock.get clock in
-    ((t1 -. t0) /. 1e9, r)
-  in
-  let module Sc = Skyloft_scenario.Scenario in
-  let cells =
-    List.concat_map
-      (fun sc -> List.map (fun rt -> (sc, rt)) E.Scale.runtimes)
-      E.Scale.scenarios
-  in
-  let run_all ~jobs =
-    E.Parallel.map ~jobs
-      (fun (scenario, runtime) ->
-        let secs, d =
-          wall (fun () ->
-              Sc.run ~seed:7 ~requests:bench_scenario_requests ~runtime scenario)
-        in
-        (secs, Sc.digest_string d))
-      cells
-  in
-  let j1 = run_all ~jobs:1 in
-  let j4 = run_all ~jobs:4 in
-  List.iteri
-    (fun i ((_, d1), (_, d4)) ->
-      if not (String.equal d1 d4) then
-        let sc, rt = List.nth cells i in
-        failwith
-          (Printf.sprintf "BENCH_scenario: %s/%s digest differs at -j 4"
-             sc.Sc.name (Sc.runtime_name rt)))
-    (List.combine j1 j4);
-  let rows =
-    List.map2
-      (fun (sc, rt) (secs, _) ->
-        ( sc.Sc.name,
-          Sc.runtime_name rt,
-          secs,
-          secs *. 1e9 /. float_of_int bench_scenario_requests ))
-      cells j1
-  in
-  E.Report.table
-    ~header:[ "scenario"; "runtime"; "wall (s)"; "host ns/request" ]
-    (List.map
-       (fun (sc, rt, secs, nspr) ->
-         [ sc; rt; Printf.sprintf "%.2f" secs; Printf.sprintf "%.0f" nspr ])
-       rows);
-  E.Report.note "%d requests per cell; digests at -j 4 == -j 1 (checked)"
-    bench_scenario_requests;
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"requests_per_cell\": %d,\n" bench_scenario_requests);
-  Buffer.add_string buf "  \"cells\": [\n";
-  List.iteri
-    (fun i (sc, rt, secs, nspr) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"scenario\": \"%s\", \"runtime\": \"%s\", \"wall_seconds\": \
-            %.3f, \"host_ns_per_request\": %.1f }%s\n"
-           sc rt secs nspr
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"digests_identical_j1_j4\": true\n";
-  Buffer.add_string buf "}\n";
-  let oc = open_out bench_scenario_json_path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  E.Report.note "scenario throughput written to %s" bench_scenario_json_path
-
 (* ---- oversubscription bench: broker cost per request -------------------- *)
 
 let bench_oversub_json_path = "BENCH_oversub.json"
@@ -692,10 +605,6 @@ let () =
   (* Domain-parallel sweep driver: -j scaling + cross-jobs identity proof
      + BENCH_parallel.json. *)
   write_bench_parallel_json ();
-
-  (* Scenario DSL (lib/scenario): host cost per simulated request over the
-     scale cells + -j identity proof + BENCH_scenario.json. *)
-  write_bench_scenario_json ();
 
   (* Core broker (lib/alloc + lib/scenario placement): oversubscribed
      multi-tenant cells + -j identity proof + BENCH_oversub.json. *)

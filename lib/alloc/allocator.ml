@@ -4,16 +4,314 @@ module Timeseries = Skyloft_stats.Timeseries
 
 type bounds = { guaranteed : int; burstable : int }
 type raw = { runq_len : int; oldest_delay : Time.t; busy_ns : int }
-type action = Granted | Reclaimed | Yielded | Degraded | Recovered
+type health = Healthy | Stale | Quarantined | Crashed
+
+type action =
+  | Grant
+  | Reclaim
+  | Yield
+  | Degrade
+  | Recover
+  | Quarantine
+  | Release
+  | Crash
 
 type event = {
   at : Time.t;
-  app : int;
-  app_name : string;
+  id : int;
+  name : string;
   action : action;
   delta : int;
   granted : int;
 }
+
+(* ---- the arbiter: one control loop for both levels ------------------------ *)
+
+type 'x binding = {
+  id : int;
+  name : string;
+  kind : Policy.kind;
+  bounds : bounds;
+  sample : unit -> raw;
+  apply : granted:int -> delta:int -> Time.t;
+  mutable granted : int;
+  mutable last_busy_ns : int;
+  mutable stale_ticks : int;  (* consecutive ticks with a frozen signal *)
+  mutable health : health;
+  series : Timeseries.t;
+  ext : 'x;  (* the level's own per-binding state *)
+}
+
+type ('r, 'x) arbiter = {
+  who : string;  (* "Allocator" / "Broker": names errors *)
+  member : string;  (* "app" / "tenant" *)
+  engine : Engine.t;
+  capacity : int;
+  interval : Time.t;
+  on_event : event -> unit;
+  rules : 'r;
+  decide : ('r, 'x) arbiter -> ('x binding * Policy.decision) list;
+  mutable bindings : 'x binding list;  (* registration order — the
+                                          iteration order everywhere *)
+  event_log : event Queue.t;
+  mutable grants : int;
+  mutable reclaims : int;
+  mutable yields : int;
+  mutable degradations : int;
+  mutable quarantines : int;
+  mutable releases : int;
+  mutable crashes : int;
+  mutable ticks : int;
+  mutable charged_ns : Time.t;
+  mutable running : bool;
+}
+
+let event_log_cap = 4096
+
+let arbiter ~who ~member ~engine ~capacity ~interval ~on_event ~rules ~decide =
+  if capacity <= 0 then invalid_arg (who ^ ".create: capacity must be positive");
+  if interval <= 0 then invalid_arg (who ^ ".create: interval must be positive");
+  {
+    who;
+    member;
+    engine;
+    capacity;
+    interval;
+    on_event;
+    rules;
+    decide;
+    bindings = [];
+    event_log = Queue.create ();
+    grants = 0;
+    reclaims = 0;
+    yields = 0;
+    degradations = 0;
+    quarantines = 0;
+    releases = 0;
+    crashes = 0;
+    ticks = 0;
+    charged_ns = 0;
+    running = false;
+  }
+
+let now t = Engine.now t.engine
+let rules t = t.rules
+let bindings t = t.bindings
+let sum_granted t = List.fold_left (fun acc b -> acc + b.granted) 0 t.bindings
+let free_cores t = t.capacity - sum_granted t
+
+let find t id =
+  match List.find_opt (fun b -> b.id = id) t.bindings with
+  | Some b -> b
+  | None -> invalid_arg (Printf.sprintf "%s: unregistered %s %d" t.who t.member id)
+
+let bind t ~id ~name ~kind ~bounds ~initial ~sample ~apply ext =
+  let fail msg = invalid_arg (t.who ^ ".register: " ^ msg) in
+  if List.exists (fun b -> b.id = id) t.bindings then
+    fail (t.member ^ " already registered");
+  if bounds.guaranteed < 0 || bounds.guaranteed > bounds.burstable then
+    fail "need 0 <= guaranteed <= burstable";
+  if bounds.burstable > t.capacity then fail "burstable exceeds the core pool";
+  if initial < bounds.guaranteed || initial > bounds.burstable then
+    fail "initial grant outside bounds";
+  if initial > free_cores t then fail "initial grants exceed the core pool";
+  let b =
+    {
+      id;
+      name;
+      kind;
+      bounds;
+      sample;
+      apply;
+      granted = initial;
+      last_busy_ns = (sample ()).busy_ns;
+      stale_ticks = 0;
+      health = Healthy;
+      series = Timeseries.create ();
+      ext;
+    }
+  in
+  Timeseries.record b.series ~at:(now t) initial;
+  t.bindings <- t.bindings @ [ b ]
+
+let set_health (b : _ binding) h = b.health <- h
+
+(* Every event goes through here: the counters are tallied off the event
+   stream, so each one moves exactly when its event is logged. *)
+let log t ev =
+  (match ev.action with
+  | Grant -> t.grants <- t.grants + 1
+  | Reclaim -> t.reclaims <- t.reclaims + 1
+  | Yield -> t.yields <- t.yields + 1
+  | Degrade -> t.degradations <- t.degradations + 1
+  | Quarantine -> t.quarantines <- t.quarantines + 1
+  | Release -> t.releases <- t.releases + 1
+  | Crash -> t.crashes <- t.crashes + 1
+  | Recover -> ());
+  if Queue.length t.event_log >= event_log_cap then ignore (Queue.pop t.event_log);
+  Queue.push ev t.event_log;
+  t.on_event ev
+
+(* A health or mode edge: moves no cores; [delta] records context (e.g.
+   the cores reclaimed by the companion transition). *)
+let emit t b ~action ~delta =
+  log t { at = now t; id = b.id; name = b.name; action; delta; granted = b.granted }
+
+(* Apply one accepted core movement: adjust the grant, inform the owner
+   through [apply], charge the switch cost it reports, record the series,
+   log the event. *)
+let transition t b ~action ~delta =
+  if delta <> 0 then begin
+    b.granted <- b.granted + delta;
+    t.charged_ns <- t.charged_ns + b.apply ~granted:b.granted ~delta;
+    Timeseries.record b.series ~at:(now t) b.granted;
+    emit t b ~action ~delta:(abs delta)
+  end
+
+let signal_of t b (r : raw) =
+  let busy = max 0 (r.busy_ns - b.last_busy_ns) in
+  b.last_busy_ns <- r.busy_ns;
+  (* Staleness: cores granted and work queued, yet zero progress — the
+     congestion signal is frozen (stuck tasks, stolen cores, lost ticks,
+     a tenant that stopped reporting) and adaptive policies would act on
+     fiction.  A binding already stale stays stale while frozen even at
+     zero cores, so a zero-guarantee tenant cannot oscillate. *)
+  let frozen = busy = 0 && r.runq_len > 0 in
+  if frozen && (b.granted > 0 || b.health = Stale) then
+    b.stale_ticks <- b.stale_ticks + 1
+  else b.stale_ticks <- 0;
+  {
+    Policy.kind = b.kind;
+    cores = b.granted;
+    runq_len = r.runq_len;
+    oldest_delay = r.oldest_delay;
+    utilization =
+      float_of_int busy /. float_of_int (t.interval * max 1 b.granted);
+  }
+
+exception Invariant_violation of string
+
+let violation fmt = Printf.ksprintf (fun s -> raise (Invariant_violation s)) fmt
+
+(* Runs after every tick: one direct walk that also sums the grants, so
+   the check allocates nothing. *)
+let rec check_bindings t sum = function
+  | [] -> sum
+  | b :: rest ->
+      if b.health <> Crashed && b.granted < b.bounds.guaranteed then
+        violation "%s: %s %s below its floor (%d < %d)" t.who t.member b.name
+          b.granted b.bounds.guaranteed;
+      if b.granted > b.bounds.burstable then
+        violation "%s: %s %s above burstable (%d > %d)" t.who t.member b.name
+          b.granted b.bounds.burstable;
+      check_bindings t (sum + b.granted) rest
+
+let check_invariants t =
+  let sum = check_bindings t 0 t.bindings in
+  if sum > t.capacity then
+    violation "%s: %d cores granted, pool has %d" t.who sum t.capacity
+
+(* The three arbitration phases over the round's decisions. *)
+let arbitrate t decisions =
+  let free = ref (free_cores t) in
+  (* 1. voluntary yields refill the pool (never below the guaranteed floor) *)
+  List.iter
+    (fun (b, d) ->
+      match d with
+      | Policy.Yield n ->
+          let n = min n (b.granted - b.bounds.guaranteed) in
+          if n > 0 then begin
+            transition t b ~action:Yield ~delta:(-n);
+            free := !free + n
+          end
+      | Policy.Grant _ | Policy.Hold -> ())
+    decisions;
+  (* 2. LC grants: free pool first, then steal from healthy BE bindings
+     above their guaranteed floor *)
+  List.iter
+    (fun (b, d) ->
+      match (b.kind, d) with
+      | Policy.Lc, Policy.Grant n ->
+          let want = ref (min n (b.bounds.burstable - b.granted)) in
+          let from_free = min !want !free in
+          if from_free > 0 then begin
+            free := !free - from_free;
+            want := !want - from_free;
+            transition t b ~action:Grant ~delta:from_free
+          end;
+          List.iter
+            (fun donor ->
+              if !want > 0 && donor.kind = Policy.Be && donor.health = Healthy
+              then begin
+                let steal = min !want (donor.granted - donor.bounds.guaranteed) in
+                if steal > 0 then begin
+                  transition t donor ~action:Reclaim ~delta:(-steal);
+                  transition t b ~action:Grant ~delta:steal;
+                  want := !want - steal
+                end
+              end)
+            t.bindings
+      | _ -> ())
+    decisions;
+  (* 3. BE grants: whatever the pool still holds *)
+  List.iter
+    (fun (b, d) ->
+      match (b.kind, d) with
+      | Policy.Be, Policy.Grant n ->
+          let take = min (min n (b.bounds.burstable - b.granted)) !free in
+          if take > 0 then begin
+            free := !free - take;
+            transition t b ~action:Grant ~delta:take
+          end
+      | _ -> ())
+    decisions
+
+let tick t =
+  t.ticks <- t.ticks + 1;
+  arbitrate t (t.decide t);
+  check_invariants t
+
+let start t =
+  if t.running then invalid_arg (t.who ^ ".start: already running");
+  t.running <- true;
+  Engine.every t.engine ~period:t.interval (fun () ->
+      if t.running then tick t;
+      t.running)
+
+let stop t = t.running <- false
+let granted t ~app = (find t app).granted
+let series t ~app = (find t app).series
+let capacity t = t.capacity
+let interval t = t.interval
+let grants t = t.grants
+let reclaims t = t.reclaims
+let yields t = t.yields
+let degradations t = t.degradations
+let quarantines t = t.quarantines
+let releases t = t.releases
+let crashes t = t.crashes
+let ticks t = t.ticks
+let charged_ns t = t.charged_ns
+let events t = List.of_seq (Queue.to_seq t.event_log)
+
+(* Pull-based registration: closures read arbiter state only at snapshot
+   time, so attaching a registry cannot perturb the control loop. *)
+let register_counters t ~prefix ~labels reg =
+  let module Registry = Skyloft_obs.Registry in
+  let c name help read = Registry.counter reg ~help ~labels (prefix ^ name) read in
+  c "_grants_total" "Core grants applied" (fun () -> t.grants);
+  c "_reclaims_total" "Forced core reclaims" (fun () -> t.reclaims);
+  c "_yields_total" "Voluntary core yields" (fun () -> t.yields);
+  c "_ticks_total" "Arbitration rounds" (fun () -> t.ticks);
+  c "_charged_ns_total" "Switch cost charged for core transitions" (fun () ->
+      t.charged_ns);
+  c "_degradations_total" "Degradations on stale congestion signals"
+    (fun () -> t.degradations);
+  Registry.gauge reg ~labels (prefix ^ "_free_cores")
+    ~help:"Cores currently in the free pool" (fun () ->
+      float_of_int (free_cores t))
+
+(* ---- the allocator: one runtime's apps under one shared policy ------------ *)
 
 type config = {
   policy : Policy.t;
@@ -32,294 +330,78 @@ let default_config () =
     degrade_after = None;
   }
 
-type binding = {
-  id : int;
-  app_name : string;
-  kind : Policy.kind;
-  bounds : bounds;
-  sample : unit -> raw;
-  apply : granted:int -> delta:int -> Time.t;
-  mutable granted : int;
-  mutable last_busy_ns : int;
-  mutable stale_ticks : int;  (* consecutive ticks with a frozen signal *)
-  series : Timeseries.t;
-}
-
-type t = {
-  engine : Engine.t;
-  policy : Policy.t;
-  interval : Time.t;
-  total_cores : int;
-  on_event : event -> unit;
-  degrade_after : int option;
+type rules = {
+  shared : Policy.t;
   fallback : Policy.t;  (* Static, used while degraded *)
+  stale_after : int option;
   mutable degraded : bool;
-  mutable degradations : int;
-  mutable apps : binding list;  (* registration order *)
-  event_log : event Queue.t;
-  mutable grants : int;
-  mutable reclaims : int;
-  mutable yields : int;
-  mutable ticks : int;
-  mutable charged_ns : Time.t;
-  mutable running : bool;
 }
 
-let event_log_cap = 4096
+type t = (rules, unit) arbiter
+
+(* Arbiter-wide degradation: while any app's congestion signal is stale,
+   decide with the predictable Static fallback instead of an adaptive
+   policy whose hysteresis state is being fed frozen inputs. *)
+let update_mode (t : t) =
+  match t.rules.stale_after with
+  | None -> ()
+  | Some n ->
+      let stale = List.exists (fun b -> b.stale_ticks >= n) t.bindings in
+      if stale <> t.rules.degraded then begin
+        t.rules.degraded <- stale;
+        log t
+          {
+            at = now t;
+            id = -1;
+            name = "allocator";
+            action = (if stale then Degrade else Recover);
+            delta = 0;
+            granted = sum_granted t;
+          }
+      end
+
+let deciding (t : t) = if t.rules.degraded then t.rules.fallback else t.rules.shared
+
+let decide (t : t) =
+  let sampled = List.map (fun b -> (b, signal_of t b (b.sample ()))) t.bindings in
+  update_mode t;
+  let policy = deciding t in
+  List.map (fun (b, s) -> (b, Policy.observe policy ~app:b.id s)) sampled
 
 let create ~engine ~policy ~interval ~total_cores ?(on_event = ignore)
-    ?degrade_after () =
-  if interval <= 0 then invalid_arg "Allocator.create: interval must be positive";
-  if total_cores <= 0 then invalid_arg "Allocator.create: total_cores must be positive";
+    ?degrade_after () : t =
   (match degrade_after with
   | Some n when n <= 0 -> invalid_arg "Allocator.create: degrade_after must be positive"
   | Some _ | None -> ());
-  {
-    engine;
-    policy;
-    interval;
-    total_cores;
-    on_event;
-    degrade_after;
-    fallback = Policy.static ();
-    degraded = false;
-    degradations = 0;
-    apps = [];
-    event_log = Queue.create ();
-    grants = 0;
-    reclaims = 0;
-    yields = 0;
-    ticks = 0;
-    charged_ns = 0;
-    running = false;
-  }
-
-let sum_granted t = List.fold_left (fun acc b -> acc + b.granted) 0 t.apps
-let free_cores t = t.total_cores - sum_granted t
-
-let find t app =
-  match List.find_opt (fun b -> b.id = app) t.apps with
-  | Some b -> b
-  | None -> invalid_arg (Printf.sprintf "Allocator: unregistered app %d" app)
-
-let register t ~app ~name ~kind ~bounds ~initial ~sample ~apply =
-  if List.exists (fun b -> b.id = app) t.apps then
-    invalid_arg "Allocator.register: app already registered";
-  if bounds.guaranteed < 0 || bounds.guaranteed > bounds.burstable then
-    invalid_arg "Allocator.register: need 0 <= guaranteed <= burstable";
-  if bounds.burstable > t.total_cores then
-    invalid_arg "Allocator.register: burstable exceeds the core pool";
-  if initial < bounds.guaranteed || initial > bounds.burstable then
-    invalid_arg "Allocator.register: initial grant outside bounds";
-  if initial > free_cores t then
-    invalid_arg "Allocator.register: initial grants exceed the core pool";
-  let b =
+  let rules =
     {
-      id = app;
-      app_name = name;
-      kind;
-      bounds;
-      sample;
-      apply;
-      granted = initial;
-      last_busy_ns = (sample ()).busy_ns;
-      stale_ticks = 0;
-      series = Timeseries.create ();
+      shared = policy;
+      fallback = Policy.static ();
+      stale_after = degrade_after;
+      degraded = false;
     }
   in
-  Timeseries.record b.series ~at:(Engine.now t.engine) initial;
-  t.apps <- t.apps @ [ b ]
+  arbiter ~who:"Allocator" ~member:"app" ~engine ~capacity:total_cores ~interval
+    ~on_event ~rules ~decide
 
-(* Apply one accepted transition: adjust the grant, inform the runtime,
-   charge its switch cost, and log the event. *)
-let transition t b ~action ~delta =
-  if delta = 0 then ()
-  else begin
-    b.granted <- b.granted + delta;
-    t.charged_ns <- t.charged_ns + b.apply ~granted:b.granted ~delta;
-    (match action with
-    | Granted -> t.grants <- t.grants + 1
-    | Reclaimed -> t.reclaims <- t.reclaims + 1
-    | Yielded -> t.yields <- t.yields + 1
-    | Degraded | Recovered -> ());
-    let ev =
-      {
-        at = Engine.now t.engine;
-        app = b.id;
-        app_name = b.app_name;
-        action;
-        delta = abs delta;
-        granted = b.granted;
-      }
-    in
-    Timeseries.record b.series ~at:ev.at b.granted;
-    if Queue.length t.event_log >= event_log_cap then ignore (Queue.pop t.event_log);
-    Queue.push ev t.event_log;
-    t.on_event ev
-  end
+let register (t : t) ~app ~name ~kind ~bounds ~initial ~sample ~apply =
+  bind t ~id:app ~name ~kind ~bounds ~initial ~sample ~apply ()
 
-let signal_of t b (r : raw) =
-  let busy = max 0 (r.busy_ns - b.last_busy_ns) in
-  b.last_busy_ns <- r.busy_ns;
-  (* Staleness: cores granted and work queued, yet zero progress — the
-     congestion signal is frozen (stuck tasks, stolen cores, lost ticks)
-     and adaptive policies would act on fiction. *)
-  if busy = 0 && r.runq_len > 0 && b.granted > 0 then
-    b.stale_ticks <- b.stale_ticks + 1
-  else b.stale_ticks <- 0;
-  {
-    Policy.kind = b.kind;
-    cores = b.granted;
-    runq_len = r.runq_len;
-    oldest_delay = r.oldest_delay;
-    utilization =
-      float_of_int busy /. float_of_int (t.interval * max 1 b.granted);
-  }
+let degraded (t : t) = t.rules.degraded
 
-(* Mode transitions bypass {!transition}: they move no cores. *)
-let emit_mode t action =
-  let ev =
-    {
-      at = Engine.now t.engine;
-      app = -1;
-      app_name = "allocator";
-      action;
-      delta = 0;
-      granted = sum_granted t;
-    }
-  in
-  if Queue.length t.event_log >= event_log_cap then ignore (Queue.pop t.event_log);
-  Queue.push ev t.event_log;
-  t.on_event ev
+let policy_name t = Policy.name (deciding t)
 
-let update_mode t =
-  match t.degrade_after with
-  | None -> ()
-  | Some n ->
-      let stale = List.exists (fun b -> b.stale_ticks >= n) t.apps in
-      if stale && not t.degraded then begin
-        t.degraded <- true;
-        t.degradations <- t.degradations + 1;
-        emit_mode t Degraded
-      end
-      else if (not stale) && t.degraded then begin
-        t.degraded <- false;
-        emit_mode t Recovered
-      end
-
-let tick t =
-  t.ticks <- t.ticks + 1;
-  let sampled = List.map (fun b -> (b, signal_of t b (b.sample ()))) t.apps in
-  update_mode t;
-  (* Graceful degradation: while congestion signals are stale, decide with
-     the predictable Static fallback instead of an adaptive policy whose
-     hysteresis state is being fed frozen inputs. *)
-  let policy = if t.degraded then t.fallback else t.policy in
-  let decisions =
-    List.map (fun (b, s) -> (b, Policy.observe policy ~app:b.id s)) sampled
-  in
-  let free = ref (free_cores t) in
-  (* 1. voluntary yields refill the pool (never below the guaranteed floor) *)
-  List.iter
-    (fun (b, d) ->
-      match d with
-      | Policy.Yield n ->
-          let n = min n (b.granted - b.bounds.guaranteed) in
-          if n > 0 then begin
-            transition t b ~action:Yielded ~delta:(-n);
-            free := !free + n
-          end
-      | Policy.Grant _ | Policy.Hold -> ())
-    decisions;
-  (* 2. LC grants: free pool first, then steal from BE above guaranteed *)
-  List.iter
-    (fun (b, d) ->
-      match (b.kind, d) with
-      | Policy.Lc, Policy.Grant n ->
-          let want = ref (min n (b.bounds.burstable - b.granted)) in
-          let from_free = min !want !free in
-          if from_free > 0 then begin
-            free := !free - from_free;
-            want := !want - from_free;
-            transition t b ~action:Granted ~delta:from_free
-          end;
-          List.iter
-            (fun donor ->
-              if !want > 0 && donor.kind = Policy.Be then begin
-                let steal = min !want (donor.granted - donor.bounds.guaranteed) in
-                if steal > 0 then begin
-                  transition t donor ~action:Reclaimed ~delta:(-steal);
-                  transition t b ~action:Granted ~delta:steal;
-                  want := !want - steal
-                end
-              end)
-            t.apps
-      | _ -> ())
-    decisions;
-  (* 3. BE grants: whatever the pool still holds *)
-  List.iter
-    (fun (b, d) ->
-      match (b.kind, d) with
-      | Policy.Be, Policy.Grant n ->
-          let take = min (min n (b.bounds.burstable - b.granted)) !free in
-          if take > 0 then begin
-            free := !free - take;
-            transition t b ~action:Granted ~delta:take
-          end
-      | _ -> ())
-    decisions
-
-let start t =
-  if t.running then invalid_arg "Allocator.start: already running";
-  t.running <- true;
-  Engine.every t.engine ~period:t.interval (fun () ->
-      if t.running then tick t;
-      t.running)
-
-let stop t = t.running <- false
-let granted t ~app = (find t app).granted
-let series t ~app = (find t app).series
-let grants t = t.grants
-let reclaims t = t.reclaims
-let yields t = t.yields
-let ticks t = t.ticks
-let charged_ns t = t.charged_ns
-let events t = List.of_seq (Queue.to_seq t.event_log)
-let degraded t = t.degraded
-let degradations t = t.degradations
-
-let policy_name t =
-  if t.degraded then Policy.name t.fallback else Policy.name t.policy
-
-let interval t = t.interval
-
-(* Pull-based registration: closures read allocator state only at snapshot
-   time, so attaching a registry cannot perturb the control loop. *)
-let register_metrics t ?(labels = []) reg =
+let register_metrics (t : t) ?(labels = []) reg =
   let module Registry = Skyloft_obs.Registry in
-  let c name help read = Registry.counter reg ~help ~labels name read in
-  c "skyloft_alloc_grants_total" "Core grants applied" (fun () -> t.grants);
-  c "skyloft_alloc_reclaims_total" "Forced core reclaims (LC steals)"
-    (fun () -> t.reclaims);
-  c "skyloft_alloc_yields_total" "Voluntary core yields" (fun () -> t.yields);
-  c "skyloft_alloc_ticks_total" "Controller sampling rounds" (fun () ->
-      t.ticks);
-  c "skyloft_alloc_charged_ns_total"
-    "Switch cost charged for allocator transitions" (fun () -> t.charged_ns);
-  c "skyloft_alloc_degradations_total"
-    "Falls back to the Static policy on stale signals" (fun () ->
-      t.degradations);
-  Registry.gauge reg ~labels "skyloft_alloc_free_cores"
-    ~help:"Cores currently in the free pool" (fun () ->
-      float_of_int (free_cores t));
+  register_counters t ~prefix:"skyloft_alloc" ~labels reg;
   Registry.gauge reg ~labels "skyloft_alloc_degraded"
     ~help:"1 while deciding with the Static fallback" (fun () ->
-      if t.degraded then 1.0 else 0.0);
+      if t.rules.degraded then 1.0 else 0.0);
   List.iter
     (fun b ->
-      let al = labels @ [ Registry.app b.app_name ] in
+      let al = labels @ [ Registry.app b.name ] in
       Registry.gauge reg ~labels:al "skyloft_alloc_granted_cores"
         ~help:"Cores currently granted" (fun () -> float_of_int b.granted);
       Registry.series reg ~labels:al "skyloft_alloc_granted_series"
         ~help:"Granted core count over time" b.series)
-    t.apps
+    t.bindings

@@ -2,34 +2,45 @@ module Time = Skyloft_sim.Time
 module Engine = Skyloft_sim.Engine
 module Timeseries = Skyloft_stats.Timeseries
 
-(** The core allocator: a periodic controller (Shenango/Caladan's
+(** The core arbiter and the core allocator built on it.
+
+    The arbiter is one periodic control loop (Shenango/Caladan's
     "iokernel" role, run in simulated time) that multiplexes a fixed pool
-    of isolated cores between latency-critical and best-effort
-    applications.
+    of cores between registered bindings.  Each tick it samples every
+    binding's congestion signals (runqueue length, oldest-pending-task
+    queueing delay, utilization), asks a {!Policy} for a per-binding
+    decision, and arbitrates:
 
-    Each tick it samples every registered application's congestion signals
-    (runqueue length, oldest-pending-task queueing delay, utilization),
-    asks the {!Policy} for a per-app decision, and arbitrates:
-
-    - yields return cores to the free pool (never below the app's
+    - yields return cores to the free pool (never below the binding's
       guaranteed floor);
     - LC grants are served from the free pool first, then by {e stealing}
-      from BE apps above their guaranteed floor;
+      from healthy BE bindings above their guaranteed floor;
     - BE grants are served from the free pool only.
 
-    The allocator itself never touches cores: every accepted transition
-    calls the owning runtime's [apply] callback, which enforces the new
-    grant through the kernel module (park / {!Skyloft_kernel.Kmod.activate}
-    / {!Skyloft_kernel.Kmod.switch_to}) and returns the virtual-time cost
-    it charged — the paper's §5.4 inter-application switch costs — which
-    the allocator accumulates for reporting.  Decisions are exported as a
-    per-app core-count {!Timeseries} and an event log. *)
+    After every tick it checks conservation: the sum of grants never
+    exceeds the pool, and every binding stays within its bounds.
+
+    The arbiter itself never touches cores: every accepted transition
+    calls the owner's [apply] callback, which enforces the new grant
+    (through the kernel module, or a runtime's core allowance) and
+    returns the virtual-time cost it charged — the paper's §5.4
+    inter-application switch costs — which the arbiter accumulates.
+    Decisions are exported as a per-binding core-count {!Timeseries} and
+    a bounded event log.
+
+    The arbiter sits at two levels, and the constructor picks the rules
+    that differ between them:
+    - {!create} makes the {e allocator}: the applications of one runtime
+      under one shared policy, with an arbiter-wide Static fallback while
+      any signal is stale;
+    - [Broker.create] makes the machine-level broker: whole runtimes under
+      per-tenant policies and tenant health defenses. *)
 
 type bounds = { guaranteed : int; burstable : int }
-(** Per-app core bounds: [guaranteed] is never reclaimed (not even by an
-    LC steal); [burstable] caps growth. *)
+(** Per-binding core bounds: [guaranteed] is never reclaimed (not even by
+    an LC steal); [burstable] caps growth. *)
 
-(** Raw congestion sample a runtime provides; the allocator derives the
+(** Raw congestion sample an owner provides; the arbiter derives the
     policy-facing {!Policy.signal} (utilization from the busy-time delta
     over the interval). *)
 type raw = {
@@ -38,21 +49,164 @@ type raw = {
   busy_ns : int;  (** cumulative, including the in-flight segment *)
 }
 
+type health =
+  | Healthy
+  | Stale  (** congestion signal frozen: clamped to its floor, ignored *)
+  | Quarantined  (** hoard cap tripped: clamped to its floor for a while *)
+  | Crashed  (** everything reclaimed; out of arbitration for good *)
+(** Allocator bindings are always [Healthy]; the broker's health machine
+    moves tenants between the states. *)
+
+(** {1 The arbiter} *)
+
+type ('r, 'x) arbiter
+(** One control loop: ['r] is the level's arbiter-wide rule state, ['x]
+    its per-binding state. *)
+
+type 'x binding = private {
+  id : int;
+  name : string;
+  kind : Policy.kind;
+  bounds : bounds;
+  sample : unit -> raw;
+  apply : granted:int -> delta:int -> Time.t;
+  mutable granted : int;
+  mutable last_busy_ns : int;
+  mutable stale_ticks : int;
+      (** consecutive ticks with a frozen signal: work queued, zero
+          progress, and cores granted (or already {!Stale}) *)
+  mutable health : health;
+  series : Timeseries.t;  (** core count, one sample per change *)
+  ext : 'x;
+}
+
 type action =
-  | Granted
-  | Reclaimed
-  | Yielded
-  | Degraded  (** signals went stale; fell back to the Static policy *)
-  | Recovered  (** signals move again; the configured policy resumed *)
+  | Grant
+  | Reclaim
+  | Yield
+  | Degrade
+      (** allocator: signals went stale, fell back to Static ([id] = -1);
+          broker: a tenant went stale ([delta] = cores reclaimed to its
+          floor) *)
+  | Recover  (** the stale signal moves again *)
+  | Quarantine  (** hoard cap tripped ([delta] = cores reclaimed to floor) *)
+  | Release  (** quarantine served out *)
+  | Crash  (** tenant crashed ([delta] = cores reclaimed, floor included) *)
 
 type event = {
   at : Time.t;
-  app : int;  (** [-1] for allocator-wide mode transitions *)
-  app_name : string;
+  id : int;  (** the binding; [-1] for allocator-wide mode transitions *)
+  name : string;
   action : action;
-  delta : int;  (** cores moved (positive); [0] for mode transitions *)
-  granted : int;  (** the app's grant after the transition *)
+  delta : int;  (** cores moved (positive); context for health edges *)
+  granted : int;  (** the binding's grant after the event *)
 }
+
+val arbiter :
+  who:string ->
+  member:string ->
+  engine:Engine.t ->
+  capacity:int ->
+  interval:Time.t ->
+  on_event:(event -> unit) ->
+  rules:'r ->
+  decide:(('r, 'x) arbiter -> ('x binding * Policy.decision) list) ->
+  ('r, 'x) arbiter
+(** A level's constructor: [decide] samples the bindings (through
+    {!signal_of}), applies the level's rules and returns one decision per
+    binding to arbitrate, in arbitration order.  [who] and [member] name
+    errors ("Broker", "tenant").  Raises [Invalid_argument] on a
+    non-positive capacity or interval. *)
+
+val bind :
+  ('r, 'x) arbiter ->
+  id:int ->
+  name:string ->
+  kind:Policy.kind ->
+  bounds:bounds ->
+  initial:int ->
+  sample:(unit -> raw) ->
+  apply:(granted:int -> delta:int -> Time.t) ->
+  'x ->
+  unit
+(** Register a binding.  [initial] cores are granted immediately
+    (bounds-checked; the sum of initial grants may not exceed the pool).
+    [sample] is called once now and once per tick; [apply] is called on
+    every accepted transition with the new grant and the signed core
+    delta, and returns the switch cost the owner charged.  Registration
+    order is the arbitration order.  Raises [Invalid_argument] on
+    duplicate ids, malformed bounds, or initial grants exceeding the
+    pool. *)
+
+val rules : ('r, 'x) arbiter -> 'r
+val bindings : ('r, 'x) arbiter -> 'x binding list
+val find : ('r, 'x) arbiter -> int -> 'x binding
+val now : ('r, 'x) arbiter -> Time.t
+val set_health : 'x binding -> health -> unit
+
+val signal_of : ('r, 'x) arbiter -> 'x binding -> raw -> Policy.signal
+(** Derive the policy signal from a raw sample and advance the binding's
+    stale-tick counter.  Call once per binding per tick. *)
+
+val transition : ('r, 'x) arbiter -> 'x binding -> action:action -> delta:int -> unit
+(** Move [delta] cores (signed; no-op at 0): adjust the grant, call
+    [apply], charge its cost, record the series, log the event. *)
+
+val emit : ('r, 'x) arbiter -> 'x binding -> action:action -> delta:int -> unit
+(** Log an edge that moves no cores. *)
+
+exception Invariant_violation of string
+
+val check_invariants : ('r, 'x) arbiter -> unit
+(** Raises {!Invariant_violation} unless [sum granted <= capacity] and
+    every binding holds at most its burstable ceiling and — unless
+    crashed — at least its guaranteed floor.  Called after every tick. *)
+
+val tick : ('r, 'x) arbiter -> unit
+(** One round immediately (tests, benchmarks): the level's [decide], then
+    the three arbitration phases, then {!check_invariants}. *)
+
+val start : ('r, 'x) arbiter -> unit
+(** Begin the periodic loop (first tick one interval from now). *)
+
+val stop : ('r, 'x) arbiter -> unit
+val granted : ('r, 'x) arbiter -> app:int -> int
+
+val series : ('r, 'x) arbiter -> app:int -> Timeseries.t
+(** Core-count timeseries, one sample per change. *)
+
+val capacity : ('r, 'x) arbiter -> int
+val interval : ('r, 'x) arbiter -> Time.t
+val free_cores : ('r, 'x) arbiter -> int
+
+val grants : ('r, 'x) arbiter -> int
+val reclaims : ('r, 'x) arbiter -> int
+(** Transitions applied so far; [reclaims] counts forced reclaims, voluntary
+    yields are separate. *)
+
+val yields : ('r, 'x) arbiter -> int
+val degradations : ('r, 'x) arbiter -> int
+val quarantines : ('r, 'x) arbiter -> int
+val releases : ('r, 'x) arbiter -> int
+val crashes : ('r, 'x) arbiter -> int
+val ticks : ('r, 'x) arbiter -> int
+
+val charged_ns : ('r, 'x) arbiter -> Time.t
+(** Total switch cost charged by the owners for arbiter transitions. *)
+
+val events : ('r, 'x) arbiter -> event list
+(** Chronological log of the most recent events (bounded at 4096). *)
+
+val register_counters :
+  ('r, 'x) arbiter ->
+  prefix:string ->
+  labels:Skyloft_obs.Registry.labels ->
+  Skyloft_obs.Registry.t ->
+  unit
+(** Pull-based [<prefix>_*] transition counters (grants, reclaims, yields,
+    ticks, charged switch cost, degradations) and the free-pool gauge. *)
+
+(** {1 The allocator} *)
 
 (** Runtime-facing configuration: which policy arbitrates BE core
     ownership, at what cadence, and the BE application's bounds.  Both
@@ -73,7 +227,10 @@ val default_config : unit -> config
 (** Static policy, 5 µs interval, bounds [0 .. all cores], no
     degradation. *)
 
-type t
+type rules
+
+type t = (rules, unit) arbiter
+(** The applications of one runtime under one shared policy. *)
 
 val create :
   engine:Engine.t ->
@@ -95,55 +252,19 @@ val register :
   sample:(unit -> raw) ->
   apply:(granted:int -> delta:int -> Time.t) ->
   unit
-(** Register an application.  [initial] cores are granted immediately
-    (bounds-checked; the sum of initial grants may not exceed the pool).
-    [sample] is called once per tick; [apply] is called on every accepted
-    transition with the new grant and the signed core delta, and returns
-    the switch cost the runtime charged. *)
-
-val start : t -> unit
-(** Begin the periodic sampling loop (first tick one interval from now). *)
-
-val stop : t -> unit
-
-val tick : t -> unit
-(** Run one sampling/arbitration round immediately (tests, benchmarks). *)
-
-val granted : t -> app:int -> int
-val series : t -> app:int -> Timeseries.t
-(** Core-count timeseries, one sample per change. *)
-
-val grants : t -> int
-val reclaims : t -> int
-(** Transitions applied so far; [reclaims] counts forced steals, voluntary
-    yields are separate. *)
-
-val yields : t -> int
-val ticks : t -> int
-
-val charged_ns : t -> Time.t
-(** Total switch cost charged by the runtime for allocator transitions. *)
-
-val events : t -> event list
-(** Chronological log of the most recent transitions (bounded). *)
+(** {!bind} for an application. *)
 
 val degraded : t -> bool
 (** Currently deciding with the Static fallback because some app's
     congestion signal is stale (see {!config.degrade_after}). *)
 
-val degradations : t -> int
-(** Times the allocator entered degraded mode. *)
-
 val policy_name : t -> string
 (** Name of the policy currently deciding (the fallback while degraded). *)
 
-val interval : t -> Time.t
-val free_cores : t -> int
-
-(** [register_metrics t reg] registers the allocator's transition counters,
-    free-pool and degradation gauges (under [skyloft_alloc_*]), and each
-    registered application's granted-core gauge and timeseries (labelled
-    with the app name).  Call after the applications have registered.
-    Pull-based; never perturbs the control loop. *)
+(** [register_metrics t reg] registers the allocator's counters (under
+    [skyloft_alloc_*]), its degradation gauge, and each registered
+    application's granted-core gauge and timeseries (labelled with the
+    app name).  Call after the applications have registered.  Pull-based;
+    never perturbs the control loop. *)
 val register_metrics :
   t -> ?labels:Skyloft_obs.Registry.labels -> Skyloft_obs.Registry.t -> unit

@@ -1,20 +1,17 @@
 module Time = Skyloft_sim.Time
 module Engine = Skyloft_sim.Engine
 module Timeseries = Skyloft_stats.Timeseries
+module A = Allocator
 
-(* The machine-level core broker: the {!Allocator} promoted one level up.
-   Where the allocator arbitrates cores between the applications of ONE
-   runtime, the broker arbitrates whole runtimes — tenants — sharing one
-   machine (the iokernel role in Caladan/Shenango, and the coordinator of
-   "Rethinking Thread Scheduling under Oversubscription").  Each tenant
-   registers a congestion sample (its runtime's whole-runtime probe), an
-   apply hook (the runtime's [set_core_allowance]) and guaranteed/burstable
-   bounds; every interval the broker samples, lets a per-tenant policy ask
-   for or yield cores, and arbitrates under conservation invariants: the
-   sum of grants never exceeds the machine's cores, and no live tenant is
-   ever pushed below its guaranteed floor.
-
-   Tenants are untrusted, so the broker carries layered defenses:
+(* The machine-level core broker: the arbiter of {!Allocator} one level
+   up.  Where the allocator arbitrates cores between the applications of
+   ONE runtime, the broker arbitrates whole runtimes — tenants — sharing
+   one machine (the iokernel role in Caladan/Shenango, and the coordinator
+   of "Rethinking Thread Scheduling under Oversubscription").  Sampling,
+   the three-phase arbitration, the conservation invariants, the event
+   log and the counters are the arbiter's; this module holds only the
+   rules that differ at the machine level: a policy per tenant, and
+   layered defenses against untrusted tenants —
    - per-tenant signal STALENESS (busy frozen while claiming queued work):
      after [degrade_after] ticks the tenant is degraded — clamped to its
      floor, decisions ignored — and recovers the moment the signal moves;
@@ -25,27 +22,6 @@ module Timeseries = Skyloft_stats.Timeseries
      [quarantine_ticks] intervals, then released on good behavior;
    - tenant CRASH: [crash] reclaims everything including the floor, and
      the tenant is excluded from arbitration and fairness from then on. *)
-
-type health = Healthy | Stale | Quarantined | Crashed
-
-type action =
-  | Grant
-  | Reclaim
-  | Yield
-  | Degrade
-  | Recover
-  | Quarantine
-  | Release
-  | Crash
-
-type event = {
-  at : Time.t;
-  tenant : int;
-  tenant_name : string;
-  action : action;
-  delta : int;
-  granted : int;
-}
 
 type config = {
   interval : Time.t;
@@ -64,56 +40,152 @@ let default_config () =
     quarantine_ticks = 400;
   }
 
-type binding = {
-  id : int;
-  tenant_name : string;
-  kind : Policy.kind;
+type tenant_state = {
   policy : Policy.t;
-  bounds : Allocator.bounds;
-  sample : unit -> Allocator.raw;
-  apply : granted:int -> delta:int -> Time.t;
-  mutable intercept : (granted:int -> Allocator.raw -> Allocator.raw) option;
+  mutable intercept : (granted:int -> A.raw -> A.raw) option;
       (* fault-injection seam: rewrites the raw sample in flight *)
-  mutable granted : int;
-  mutable last_busy_ns : int;
-  mutable stale_ticks : int;
-  mutable health : health;
   mutable hoard_score : int;
   mutable quarantine_left : int;
   mutable core_ns : int;  (* integral of granted cores over time *)
   mutable core_ns_at : Time.t;
-  series : Timeseries.t;
 }
 
-type t = {
-  engine : Engine.t;
-  capacity : int;  (* the machine's brokered core pool *)
+type tenant = tenant_state A.binding
+
+type rules = {
   cfg : config;
-  on_event : event -> unit;
   mutable trace : Skyloft_stats.Trace.t option;
   mutable core_of_tenant : int -> int;
-  mutable tenants : binding list;  (* registration order — the iteration
-                                      order everywhere, for determinism *)
-  event_log : event Queue.t;
-  mutable grants : int;
-  mutable reclaims : int;
-  mutable yields : int;
-  mutable ticks : int;
-  mutable charged_ns : Time.t;
-  mutable degradations : int;
-  mutable quarantines : int;
-  mutable releases : int;
-  mutable crashes : int;
-  mutable running : bool;
 }
 
-let event_log_cap = 4096
+type t = (rules, tenant_state) A.arbiter
 
-let create ~engine ~capacity ?(config = default_config ())
-    ?(on_event = ignore) () =
-  if capacity <= 0 then invalid_arg "Broker.create: capacity must be positive";
-  if config.interval <= 0 then
-    invalid_arg "Broker.create: interval must be positive";
+(* ---- events --------------------------------------------------------------- *)
+
+(* Broker actions on the shared machine timeline: arbitration instants
+   land on a representative core of the tenant's physical range (the
+   [core_of_tenant] mapping), named after the tenant, so a single
+   Perfetto view attributes cross-tenant interference. *)
+let trace_kind_of_action = function
+  | A.Grant -> Skyloft_stats.Trace.Broker_grant
+  | A.Reclaim -> Skyloft_stats.Trace.Broker_reclaim
+  | A.Yield -> Skyloft_stats.Trace.Broker_yield
+  | A.Degrade -> Skyloft_stats.Trace.Tenant_degrade
+  | A.Recover -> Skyloft_stats.Trace.Tenant_recover
+  | A.Quarantine -> Skyloft_stats.Trace.Quarantine
+  | A.Release -> Skyloft_stats.Trace.Release
+  | A.Crash -> Skyloft_stats.Trace.Tenant_crash
+
+let mirror rules on_event (ev : A.event) =
+  (match rules.trace with
+  | Some trace ->
+      Skyloft_stats.Trace.instant trace
+        ~core:(rules.core_of_tenant ev.id)
+        ~at:ev.at
+        (trace_kind_of_action ev.action)
+        ~name:ev.name
+  | None -> ());
+  on_event ev
+
+let set_trace (t : t) ?core_of_tenant trace =
+  let r = A.rules t in
+  r.trace <- Some trace;
+  match core_of_tenant with Some f -> r.core_of_tenant <- f | None -> ()
+
+(* Clamp a misbehaving tenant to its guaranteed floor, refilling the pool
+   with everything above it, and log the health edge with the cores it
+   cost.  The floor itself is never reclaimed — that is the graceful half
+   of the degradation. *)
+let clamp_to_floor t (b : tenant) ~action =
+  let held = b.granted in
+  A.transition t b ~action:A.Reclaim ~delta:(b.bounds.guaranteed - held);
+  A.emit t b ~action ~delta:(held - b.granted)
+
+(* Fold the elapsed holding interval into the per-tenant core-time
+   integral (the fairness currency). *)
+let settle_core_ns t (b : tenant) =
+  let at = A.now t in
+  b.ext.core_ns <- b.ext.core_ns + (b.granted * max 0 (at - b.ext.core_ns_at));
+  b.ext.core_ns_at <- at
+
+(* ---- the broker's rules ----------------------------------------------------- *)
+
+let decide (t : t) =
+  let cfg = (A.rules t).cfg in
+  (* 1. sample every live tenant (through the fault interceptor, if any)
+     and settle the fairness integrals *)
+  let sampled =
+    List.map
+      (fun (b : tenant) ->
+        settle_core_ns t b;
+        if b.health = A.Crashed then (b, None)
+        else
+          let r = b.sample () in
+          let r =
+            match b.ext.intercept with Some f -> f ~granted:b.granted r | None -> r
+          in
+          (b, Some (A.signal_of t b r)))
+      (A.bindings t)
+  in
+  (* 2. health transitions: staleness edges and quarantine countdown *)
+  List.iter
+    (fun ((b : tenant), _) ->
+      match b.health with
+      | A.Healthy when b.stale_ticks >= cfg.degrade_after ->
+          A.set_health b A.Stale;
+          clamp_to_floor t b ~action:A.Degrade
+      | A.Stale when b.stale_ticks = 0 ->
+          A.set_health b A.Healthy;
+          A.emit t b ~action:A.Recover ~delta:0
+      | A.Quarantined ->
+          b.ext.quarantine_left <- b.ext.quarantine_left - 1;
+          if b.ext.quarantine_left <= 0 then begin
+            A.set_health b A.Healthy;
+            b.ext.hoard_score <- 0;
+            A.emit t b ~action:A.Release ~delta:0
+          end
+      | A.Healthy | A.Stale | A.Crashed -> ())
+    sampled;
+  (* 3. policy decisions — only healthy tenants get a say *)
+  let decisions =
+    List.map
+      (fun ((b : tenant), s) ->
+        match (b.health, s) with
+        | A.Healthy, Some s -> (b, Policy.observe b.ext.policy ~app:b.id s)
+        | _ -> (b, Policy.Hold))
+      sampled
+  in
+  (* 4. hoard scoring: a tenant above its floor that keeps claiming
+     congestion while the pool is dry and another healthy tenant is asking
+     too is hoarding; behaving tenants decay their score. *)
+  let wants_more (_, d) = match d with Policy.Grant n -> n > 0 | _ -> false in
+  List.map
+    (fun ((b : tenant), d) ->
+      if b.health <> A.Healthy then (b, d)
+      else begin
+        let hoarding =
+          wants_more (b, d)
+          && b.granted > b.bounds.guaranteed
+          && A.free_cores t = 0
+          && List.exists
+               (fun ((b' : tenant), d') ->
+                 b' != b && b'.health = A.Healthy && wants_more (b', d'))
+               decisions
+        in
+        if hoarding then b.ext.hoard_score <- b.ext.hoard_score + 1
+        else b.ext.hoard_score <- max 0 (b.ext.hoard_score - cfg.hoard_decay);
+        if b.ext.hoard_score >= cfg.hoard_cap then begin
+          A.set_health b A.Quarantined;
+          b.ext.quarantine_left <- cfg.quarantine_ticks;
+          clamp_to_floor t b ~action:A.Quarantine;
+          (b, Policy.Hold)
+        end
+        else (b, d)
+      end)
+    decisions
+
+let create ~engine ~capacity ?(config = default_config ()) ?(on_event = ignore)
+    () : t =
   if config.degrade_after <= 0 then
     invalid_arg "Broker.create: degrade_after must be positive";
   if config.hoard_cap <= 0 then
@@ -122,340 +194,23 @@ let create ~engine ~capacity ?(config = default_config ())
     invalid_arg "Broker.create: hoard_decay must be non-negative";
   if config.quarantine_ticks <= 0 then
     invalid_arg "Broker.create: quarantine_ticks must be positive";
-  {
-    engine;
-    capacity;
-    cfg = config;
-    on_event;
-    trace = None;
-    core_of_tenant = (fun id -> id);
-    tenants = [];
-    event_log = Queue.create ();
-    grants = 0;
-    reclaims = 0;
-    yields = 0;
-    ticks = 0;
-    charged_ns = 0;
-    degradations = 0;
-    quarantines = 0;
-    releases = 0;
-    crashes = 0;
-    running = false;
-  }
+  let rules = { cfg = config; trace = None; core_of_tenant = Fun.id } in
+  A.arbiter ~who:"Broker" ~member:"tenant" ~engine ~capacity
+    ~interval:config.interval ~on_event:(mirror rules on_event) ~rules ~decide
 
-let sum_granted t = List.fold_left (fun acc b -> acc + b.granted) 0 t.tenants
-let free_cores t = t.capacity - sum_granted t
-
-let find t tenant =
-  match List.find_opt (fun b -> b.id = tenant) t.tenants with
-  | Some b -> b
-  | None -> invalid_arg (Printf.sprintf "Broker: unregistered tenant %d" tenant)
-
-let register t ~tenant ~name ~kind ~policy ~bounds ~initial ~sample ~apply =
-  if List.exists (fun b -> b.id = tenant) t.tenants then
-    invalid_arg "Broker.register: tenant already registered";
-  if bounds.Allocator.guaranteed < 0
-     || bounds.Allocator.guaranteed > bounds.Allocator.burstable
-  then invalid_arg "Broker.register: need 0 <= guaranteed <= burstable";
-  if bounds.Allocator.burstable > t.capacity then
-    invalid_arg "Broker.register: burstable exceeds the core pool";
-  if initial < bounds.Allocator.guaranteed || initial > bounds.Allocator.burstable
-  then invalid_arg "Broker.register: initial grant outside bounds";
-  if initial > free_cores t then
-    invalid_arg "Broker.register: initial grants exceed the core pool";
-  let b =
+let register (t : t) ~tenant ~name ~kind ~policy ~bounds ~initial ~sample ~apply
+    =
+  A.bind t ~id:tenant ~name ~kind ~bounds ~initial ~sample ~apply
     {
-      id = tenant;
-      tenant_name = name;
-      kind;
       policy;
-      bounds;
-      sample;
-      apply;
       intercept = None;
-      granted = initial;
-      last_busy_ns = (sample ()).Allocator.busy_ns;
-      stale_ticks = 0;
-      health = Healthy;
       hoard_score = 0;
       quarantine_left = 0;
       core_ns = 0;
-      core_ns_at = Engine.now t.engine;
-      series = Timeseries.create ();
-    }
-  in
-  Timeseries.record b.series ~at:(Engine.now t.engine) initial;
-  t.tenants <- t.tenants @ [ b ]
-
-let intercept_sample t ~tenant f = (find t tenant).intercept <- Some f
-let clear_intercept t ~tenant = (find t tenant).intercept <- None
-
-(* ---- events --------------------------------------------------------------- *)
-
-let set_trace t ?core_of_tenant trace =
-  t.trace <- Some trace;
-  match core_of_tenant with Some f -> t.core_of_tenant <- f | None -> ()
-
-(* Broker actions on the shared machine timeline: arbitration instants
-   land on a representative core of the tenant's physical range (the
-   [core_of_tenant] mapping), named after the tenant, so a single
-   Perfetto view attributes cross-tenant interference. *)
-let trace_kind_of_action = function
-  | Grant -> Skyloft_stats.Trace.Broker_grant
-  | Reclaim -> Skyloft_stats.Trace.Broker_reclaim
-  | Yield -> Skyloft_stats.Trace.Broker_yield
-  | Degrade -> Skyloft_stats.Trace.Tenant_degrade
-  | Recover -> Skyloft_stats.Trace.Tenant_recover
-  | Quarantine -> Skyloft_stats.Trace.Quarantine
-  | Release -> Skyloft_stats.Trace.Release
-  | Crash -> Skyloft_stats.Trace.Tenant_crash
-
-let log_event t ev =
-  if Queue.length t.event_log >= event_log_cap then ignore (Queue.pop t.event_log);
-  Queue.push ev t.event_log;
-  (match t.trace with
-  | Some trace ->
-      Skyloft_stats.Trace.instant trace
-        ~core:(t.core_of_tenant ev.tenant)
-        ~at:ev.at
-        (trace_kind_of_action ev.action)
-        ~name:ev.tenant_name
-  | None -> ());
-  t.on_event ev
-
-(* Health transitions move no cores; [delta] records context (e.g. the
-   cores reclaimed by the companion transition). *)
-let emit t b ~action ~delta =
-  log_event t
-    {
-      at = Engine.now t.engine;
-      tenant = b.id;
-      tenant_name = b.tenant_name;
-      action;
-      delta;
-      granted = b.granted;
+      core_ns_at = A.now t;
     }
 
-(* Apply one accepted core movement: adjust the grant, drive the runtime's
-   allowance through [apply], charge its switch cost, log the event. *)
-let transition t b ~action ~delta =
-  if delta = 0 then ()
-  else begin
-    b.granted <- b.granted + delta;
-    t.charged_ns <- t.charged_ns + b.apply ~granted:b.granted ~delta;
-    (match action with
-    | Grant -> t.grants <- t.grants + 1
-    | Reclaim -> t.reclaims <- t.reclaims + 1
-    | Yield -> t.yields <- t.yields + 1
-    | Degrade | Recover | Quarantine | Release | Crash -> ());
-    Timeseries.record b.series ~at:(Engine.now t.engine) b.granted;
-    emit t b ~action ~delta:(abs delta)
-  end
-
-(* Clamp a misbehaving tenant to its guaranteed floor, refilling the pool
-   with everything above it.  The floor itself is never reclaimed — that is
-   the graceful half of the degradation. *)
-let reclaim_to_floor t b =
-  let excess = b.granted - b.bounds.Allocator.guaranteed in
-  if excess > 0 then transition t b ~action:Reclaim ~delta:(-excess)
-
-(* ---- conservation invariants ---------------------------------------------- *)
-
-exception Invariant_violation of string
-
-let check_invariants t =
-  let sum = sum_granted t in
-  if sum > t.capacity then
-    raise
-      (Invariant_violation
-         (Printf.sprintf "Broker: %d cores granted, machine has %d" sum
-            t.capacity));
-  List.iter
-    (fun b ->
-      if b.health <> Crashed && b.granted < b.bounds.Allocator.guaranteed then
-        raise
-          (Invariant_violation
-             (Printf.sprintf "Broker: tenant %s below its floor (%d < %d)"
-                b.tenant_name b.granted b.bounds.Allocator.guaranteed));
-      if b.granted > b.bounds.Allocator.burstable then
-        raise
-          (Invariant_violation
-             (Printf.sprintf "Broker: tenant %s above burstable (%d > %d)"
-                b.tenant_name b.granted b.bounds.Allocator.burstable)))
-    t.tenants
-
-(* ---- the control loop ------------------------------------------------------ *)
-
-(* Fold the elapsed holding interval into the per-tenant core-time
-   integral (the fairness currency). *)
-let settle_core_ns t b =
-  let at = Engine.now t.engine in
-  b.core_ns <- b.core_ns + (b.granted * max 0 (at - b.core_ns_at));
-  b.core_ns_at <- at
-
-let signal_of t b (r : Allocator.raw) =
-  let busy = max 0 (r.Allocator.busy_ns - b.last_busy_ns) in
-  b.last_busy_ns <- r.Allocator.busy_ns;
-  (* Staleness: cores granted and work claimed queued, yet zero progress —
-     the tenant stopped reporting (or its runtime is wedged) and the
-     broker would be trading cores on fiction.  A tenant already stale
-     stays stale while frozen even at its floor, so a zero-guarantee
-     tenant cannot oscillate Degrade/Recover. *)
-  let frozen = busy = 0 && r.Allocator.runq_len > 0 in
-  (match b.health with
-  | Stale -> if frozen then b.stale_ticks <- b.stale_ticks + 1 else b.stale_ticks <- 0
-  | Healthy | Quarantined | Crashed ->
-      if frozen && b.granted > 0 then b.stale_ticks <- b.stale_ticks + 1
-      else b.stale_ticks <- 0);
-  {
-    Policy.kind = b.kind;
-    cores = b.granted;
-    runq_len = r.Allocator.runq_len;
-    oldest_delay = r.Allocator.oldest_delay;
-    utilization =
-      float_of_int busy /. float_of_int (t.cfg.interval * max 1 b.granted);
-  }
-
-let tick t =
-  t.ticks <- t.ticks + 1;
-  (* 1. sample every live tenant (through the fault interceptor, if any)
-     and settle the fairness integrals *)
-  let sampled =
-    List.map
-      (fun b ->
-        settle_core_ns t b;
-        if b.health = Crashed then (b, None)
-        else
-          let r = b.sample () in
-          let r =
-            match b.intercept with
-            | Some f -> f ~granted:b.granted r
-            | None -> r
-          in
-          (b, Some (signal_of t b r)))
-      t.tenants
-  in
-  (* 2. health transitions: staleness edges and quarantine countdown *)
-  List.iter
-    (fun (b, _) ->
-      match b.health with
-      | Healthy when b.stale_ticks >= t.cfg.degrade_after ->
-          b.health <- Stale;
-          t.degradations <- t.degradations + 1;
-          let held = b.granted in
-          reclaim_to_floor t b;
-          emit t b ~action:Degrade ~delta:(held - b.granted)
-      | Stale when b.stale_ticks = 0 ->
-          b.health <- Healthy;
-          emit t b ~action:Recover ~delta:0
-      | Quarantined ->
-          b.quarantine_left <- b.quarantine_left - 1;
-          if b.quarantine_left <= 0 then begin
-            b.health <- Healthy;
-            b.hoard_score <- 0;
-            t.releases <- t.releases + 1;
-            emit t b ~action:Release ~delta:0
-          end
-      | Healthy | Stale | Crashed -> ())
-    sampled;
-  (* 3. policy decisions — only healthy tenants get a say *)
-  let decisions =
-    List.map
-      (fun (b, s) ->
-        match (b.health, s) with
-        | Healthy, Some s -> (b, Policy.observe b.policy ~app:b.id s)
-        | _ -> (b, Policy.Hold))
-      sampled
-  in
-  (* 4. hoard scoring: a tenant above its floor that keeps claiming
-     congestion while the pool is dry and another healthy tenant is asking
-     too is hoarding; behaving tenants decay their score. *)
-  let wants_more (_, d) = match d with Policy.Grant n -> n > 0 | _ -> false in
-  let decisions =
-    List.map
-      (fun (b, d) ->
-        if b.health <> Healthy then (b, d)
-        else begin
-          let hoarding =
-            wants_more (b, d)
-            && b.granted > b.bounds.Allocator.guaranteed
-            && free_cores t = 0
-            && List.exists
-                 (fun (b', d') ->
-                   b' != b && b'.health = Healthy && wants_more (b', d'))
-                 decisions
-          in
-          if hoarding then b.hoard_score <- b.hoard_score + 1
-          else b.hoard_score <- max 0 (b.hoard_score - t.cfg.hoard_decay);
-          if b.hoard_score >= t.cfg.hoard_cap then begin
-            b.health <- Quarantined;
-            b.quarantine_left <- t.cfg.quarantine_ticks;
-            t.quarantines <- t.quarantines + 1;
-            let held = b.granted in
-            reclaim_to_floor t b;
-            emit t b ~action:Quarantine ~delta:(held - b.granted);
-            (b, Policy.Hold)
-          end
-          else (b, d)
-        end)
-      decisions
-  in
-  (* 5. arbitration, exactly the allocator's three phases *)
-  let free = ref (free_cores t) in
-  List.iter
-    (fun (b, d) ->
-      match d with
-      | Policy.Yield n ->
-          let n = min n (b.granted - b.bounds.Allocator.guaranteed) in
-          if n > 0 then begin
-            transition t b ~action:Yield ~delta:(-n);
-            free := !free + n
-          end
-      | Policy.Grant _ | Policy.Hold -> ())
-    decisions;
-  List.iter
-    (fun (b, d) ->
-      match (b.kind, d) with
-      | Policy.Lc, Policy.Grant n ->
-          let want = ref (min n (b.bounds.Allocator.burstable - b.granted)) in
-          let from_free = min !want !free in
-          if from_free > 0 then begin
-            free := !free - from_free;
-            want := !want - from_free;
-            transition t b ~action:Grant ~delta:from_free
-          end;
-          List.iter
-            (fun donor ->
-              if
-                !want > 0 && donor.kind = Policy.Be
-                && donor.health = Healthy
-              then begin
-                let steal =
-                  min !want (donor.granted - donor.bounds.Allocator.guaranteed)
-                in
-                if steal > 0 then begin
-                  transition t donor ~action:Reclaim ~delta:(-steal);
-                  transition t b ~action:Grant ~delta:steal;
-                  want := !want - steal
-                end
-              end)
-            t.tenants
-      | _ -> ())
-    decisions;
-  List.iter
-    (fun (b, d) ->
-      match (b.kind, d) with
-      | Policy.Be, Policy.Grant n ->
-          let take =
-            min (min n (b.bounds.Allocator.burstable - b.granted)) !free
-          in
-          if take > 0 then begin
-            free := !free - take;
-            transition t b ~action:Grant ~delta:take
-          end
-      | _ -> ())
-    decisions;
-  check_invariants t
+let intercept_sample t ~tenant f = (A.find t tenant).A.ext.intercept <- Some f
 
 (* ---- tenant crash ----------------------------------------------------------- *)
 
@@ -463,17 +218,12 @@ let tick t =
    floor included, which only a crash may take — and drop it from
    arbitration and fairness for good. *)
 let crash t ~tenant =
-  let b = find t tenant in
-  if b.health <> Crashed then begin
+  let b = A.find t tenant in
+  if b.health <> A.Crashed then begin
     settle_core_ns t b;
-    let held = b.granted in
-    b.granted <- 0;
-    if held > 0 then
-      t.charged_ns <- t.charged_ns + b.apply ~granted:0 ~delta:(-held);
-    b.health <- Crashed;
-    t.crashes <- t.crashes + 1;
-    Timeseries.record b.series ~at:(Engine.now t.engine) 0;
-    emit t b ~action:Crash ~delta:held
+    A.set_health b A.Crashed;
+    if b.granted > 0 then A.transition t b ~action:A.Crash ~delta:(-b.granted)
+    else A.emit t b ~action:A.Crash ~delta:0
   end
 
 (* ---- fairness --------------------------------------------------------------- *)
@@ -485,15 +235,15 @@ let crash t ~tenant =
 let fairness t =
   let xs =
     List.filter_map
-      (fun b ->
-        if b.health = Crashed then None
+      (fun (b : tenant) ->
+        if b.health = A.Crashed then None
         else begin
           settle_core_ns t b;
           Some
-            (float_of_int b.core_ns
-            /. float_of_int (max 1 b.bounds.Allocator.guaranteed))
+            (float_of_int b.ext.core_ns
+            /. float_of_int (max 1 b.bounds.guaranteed))
         end)
-      t.tenants
+      (A.bindings t)
   in
   let n = List.length xs in
   if n = 0 then 1.0
@@ -502,107 +252,79 @@ let fairness t =
     let s2 = List.fold_left (fun acc x -> acc +. (x *. x)) 0.0 xs in
     if s2 = 0.0 then 1.0 else s *. s /. (float_of_int n *. s2)
 
-(* ---- driving ---------------------------------------------------------------- *)
-
-let start t =
-  if t.running then invalid_arg "Broker.start: already running";
-  t.running <- true;
-  Engine.every t.engine ~period:t.cfg.interval (fun () ->
-      if t.running then tick t;
-      t.running)
-
-let stop t = t.running <- false
-
 (* ---- accessors -------------------------------------------------------------- *)
 
-let granted t ~tenant = (find t tenant).granted
-let health t ~tenant = (find t tenant).health
-let hoard_score t ~tenant = (find t tenant).hoard_score
-let series t ~tenant = (find t tenant).series
+let tick = A.tick
+let start = A.start
+let stop = A.stop
+let granted t ~tenant = A.granted t ~app:tenant
+let series t ~tenant = A.series t ~app:tenant
+let health t ~tenant = (A.find t tenant).A.health
+let hoard_score t ~tenant = (A.find t tenant).A.ext.hoard_score
 
 let core_ns t ~tenant =
-  let b = find t tenant in
+  let b = A.find t tenant in
   settle_core_ns t b;
-  b.core_ns
+  b.ext.core_ns
 
-let capacity t = t.capacity
-let interval t = t.cfg.interval
-let grants t = t.grants
-let reclaims t = t.reclaims
-let yields t = t.yields
-let ticks t = t.ticks
-let charged_ns t = t.charged_ns
-let degradations t = t.degradations
-let quarantines t = t.quarantines
-let releases t = t.releases
-let crashes t = t.crashes
-let events t = List.of_seq (Queue.to_seq t.event_log)
+let capacity = A.capacity
+let free_cores = A.free_cores
+let interval = A.interval
+let grants = A.grants
+let reclaims = A.reclaims
+let yields = A.yields
+let ticks = A.ticks
+let charged_ns = A.charged_ns
+let degradations = A.degradations
+let quarantines = A.quarantines
+let releases = A.releases
+let crashes = A.crashes
+let events = A.events
 
 let health_name = function
-  | Healthy -> "healthy"
-  | Stale -> "stale"
-  | Quarantined -> "quarantined"
-  | Crashed -> "crashed"
-
-let action_name = function
-  | Grant -> "grant"
-  | Reclaim -> "reclaim"
-  | Yield -> "yield"
-  | Degrade -> "degrade"
-  | Recover -> "recover"
-  | Quarantine -> "quarantine"
-  | Release -> "release"
-  | Crash -> "crash"
+  | A.Healthy -> "healthy"
+  | A.Stale -> "stale"
+  | A.Quarantined -> "quarantined"
+  | A.Crashed -> "crashed"
 
 (* Pull-based registration: closures read broker state only at snapshot
    time, so attaching a registry cannot perturb the control loop. *)
 let register_metrics t ?(labels = []) reg =
   let module Registry = Skyloft_obs.Registry in
+  A.register_counters t ~prefix:"skyloft_broker" ~labels reg;
   let c name help read = Registry.counter reg ~help ~labels name read in
-  c "skyloft_broker_grants_total" "Core grants applied" (fun () -> t.grants);
-  c "skyloft_broker_reclaims_total" "Forced core reclaims" (fun () ->
-      t.reclaims);
-  c "skyloft_broker_yields_total" "Voluntary core yields" (fun () -> t.yields);
-  c "skyloft_broker_ticks_total" "Broker sampling rounds" (fun () -> t.ticks);
-  c "skyloft_broker_charged_ns_total"
-    "Switch cost charged for broker transitions" (fun () -> t.charged_ns);
-  c "skyloft_broker_degradations_total" "Tenants degraded on stale signals"
-    (fun () -> t.degradations);
   c "skyloft_broker_quarantines_total" "Tenants quarantined for hoarding"
-    (fun () -> t.quarantines);
+    (fun () -> A.quarantines t);
   c "skyloft_broker_releases_total" "Tenants released from quarantine"
-    (fun () -> t.releases);
+    (fun () -> A.releases t);
   c "skyloft_broker_crashes_total" "Tenant crashes reclaimed" (fun () ->
-      t.crashes);
-  Registry.gauge reg ~labels "skyloft_broker_free_cores"
-    ~help:"Cores currently in the free pool" (fun () ->
-      float_of_int (free_cores t));
+      A.crashes t);
   Registry.gauge reg ~labels "skyloft_broker_capacity"
     ~help:"Brokered cores in the machine pool" (fun () ->
-      float_of_int t.capacity);
+      float_of_int (A.capacity t));
   Registry.gauge reg ~labels "skyloft_broker_fairness"
     ~help:"Jain index over normalized per-tenant core-time" (fun () ->
       fairness t);
   List.iter
-    (fun b ->
-      let al = labels @ [ Registry.app b.tenant_name ] in
+    (fun (b : tenant) ->
+      let al = labels @ [ Registry.app b.name ] in
       Registry.gauge reg ~labels:al "skyloft_broker_granted_cores"
         ~help:"Cores currently granted" (fun () -> float_of_int b.granted);
       Registry.gauge reg ~labels:al "skyloft_broker_health"
         ~help:"0 healthy, 1 stale, 2 quarantined, 3 crashed" (fun () ->
           match b.health with
-          | Healthy -> 0.0
-          | Stale -> 1.0
-          | Quarantined -> 2.0
-          | Crashed -> 3.0);
+          | A.Healthy -> 0.0
+          | A.Stale -> 1.0
+          | A.Quarantined -> 2.0
+          | A.Crashed -> 3.0);
       Registry.gauge reg ~labels:al "skyloft_broker_hoard_score"
         ~help:"Current hoard score (quarantine at hoard_cap)" (fun () ->
-          float_of_int b.hoard_score);
+          float_of_int b.ext.hoard_score);
       Registry.counter reg ~labels:al
         ~help:"Integral of granted cores over time"
         "skyloft_broker_tenant_core_ns_total" (fun () ->
           settle_core_ns t b;
-          b.core_ns);
+          b.ext.core_ns);
       Registry.series reg ~labels:al "skyloft_broker_granted_series"
         ~help:"Granted core count over time" b.series)
-    t.tenants
+    (A.bindings t)

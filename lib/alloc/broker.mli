@@ -2,51 +2,25 @@ module Time = Skyloft_sim.Time
 module Engine = Skyloft_sim.Engine
 module Timeseries = Skyloft_stats.Timeseries
 
-(** The machine-level core broker: the {!Allocator} promoted one level up.
+(** The machine-level core broker: the {!Allocator} arbiter one level up.
 
     Where the allocator arbitrates cores between the applications of one
     runtime, the broker arbitrates whole runtimes — tenants — sharing one
     simulated machine (the iokernel role in Caladan/Shenango).  Each
     tenant registers a whole-runtime congestion sample, an apply hook
     (typically the runtime's [set_core_allowance]) and guaranteed /
-    burstable bounds; every interval the broker samples, lets a fresh
+    burstable bounds; every interval the arbiter samples, lets a fresh
     per-tenant {!Policy} instance ask for or yield cores, and arbitrates
-    under conservation invariants checked on every tick: the sum of
-    grants never exceeds the machine's capacity, and no live tenant ever
-    drops below its guaranteed floor.
+    under the conservation invariants it checks on every tick.
 
-    Tenants are untrusted, so the broker layers defenses: per-tenant
-    signal staleness ({!Degrade}/{!Recover}, the allocator's
-    [Degraded]/[Recovered] path lifted to tenant granularity), hoard
-    scores with decay that quarantine a tenant claiming congestion
-    forever ({!Quarantine}/{!Release} — clamped to its floor, never
-    reclaimed past it), and broker-driven reclamation of everything —
-    floor included — when a tenant {!crash}es. *)
-
-type health =
-  | Healthy
-  | Stale  (** congestion signal frozen: clamped to its floor, ignored *)
-  | Quarantined  (** hoard cap tripped: clamped to its floor for a while *)
-  | Crashed  (** everything reclaimed; out of arbitration for good *)
-
-type action =
-  | Grant
-  | Reclaim
-  | Yield
-  | Degrade  (** tenant went stale (cores reclaimed to floor in [delta]) *)
-  | Recover  (** stale tenant's signal moved again *)
-  | Quarantine  (** hoard cap tripped (cores reclaimed to floor in [delta]) *)
-  | Release  (** quarantine served out *)
-  | Crash  (** tenant crashed ([delta] = cores reclaimed, floor included) *)
-
-type event = {
-  at : Time.t;
-  tenant : int;
-  tenant_name : string;
-  action : action;
-  delta : int;
-  granted : int;
-}
+    Tenants are untrusted, so the broker layers defenses on the arbiter:
+    per-tenant signal staleness ({!Allocator.Degrade}/{!Allocator.Recover},
+    the allocator's fallback lifted to tenant granularity), hoard scores
+    with decay that quarantine a tenant claiming congestion forever
+    ({!Allocator.Quarantine}/{!Allocator.Release} — clamped to its floor,
+    never reclaimed past it), and broker-driven reclamation of everything
+    — floor included — when a tenant {!crash}es.  Events, health states
+    and bounds are the {!Allocator}'s types. *)
 
 type config = {
   interval : Time.t;  (** sampling period (default 5 µs) *)
@@ -67,7 +41,7 @@ val create :
   engine:Engine.t ->
   capacity:int ->
   ?config:config ->
-  ?on_event:(event -> unit) ->
+  ?on_event:(Allocator.event -> unit) ->
   unit ->
   t
 (** A broker over a machine with [capacity] brokered cores.  Raises
@@ -96,8 +70,6 @@ val intercept_sample :
 (** Install a fault-injection interceptor rewriting the tenant's raw
     congestion sample in flight (see [Injector.arm_tenants]). *)
 
-val clear_intercept : t -> tenant:int -> unit
-
 val set_trace :
   t -> ?core_of_tenant:(int -> int) -> Skyloft_stats.Trace.t -> unit
 (** Mirror every broker event onto the flight recorder as a machine-level
@@ -109,18 +81,15 @@ val set_trace :
     [Placement]) so arbitration shows up on the right track; defaults to
     the identity. *)
 
-exception Invariant_violation of string
-
-val check_invariants : t -> unit
-(** Raises {!Invariant_violation} unless [sum granted <= capacity] and
-    every non-crashed tenant holds at least its guaranteed floor (and at
-    most its burstable ceiling).  Called internally after every tick. *)
-
 val tick : t -> unit
 (** One control round: sample (through interceptors), staleness edges and
     quarantine countdown, healthy-tenant policy decisions, hoard scoring,
-    three-phase arbitration (yields, LC grants with BE steals above
-    floors, BE grants), then {!check_invariants}. *)
+    then the arbiter's three-phase arbitration (yields, LC grants with
+    steals from healthy BE tenants above floors, BE grants) and
+    {!Allocator.check_invariants}, which raises
+    {!Allocator.Invariant_violation} if the sum of grants exceeds the
+    capacity or a tenant leaves its bounds (crashed tenants may sit below
+    their floor). *)
 
 val start : t -> unit
 (** Tick every [config.interval] until {!stop}. *)
@@ -140,7 +109,7 @@ val fairness : t -> float
 (** {1 Accessors} *)
 
 val granted : t -> tenant:int -> int
-val health : t -> tenant:int -> health
+val health : t -> tenant:int -> Allocator.health
 val hoard_score : t -> tenant:int -> int
 val core_ns : t -> tenant:int -> int
 (** Integral of granted cores over time, settled to now. *)
@@ -159,11 +128,10 @@ val quarantines : t -> int
 val releases : t -> int
 val crashes : t -> int
 
-val events : t -> event list
+val events : t -> Allocator.event list
 (** The bounded event log (most recent 4096), oldest first. *)
 
-val health_name : health -> string
-val action_name : action -> string
+val health_name : Allocator.health -> string
 
 val register_metrics :
   t -> ?labels:Skyloft_obs.Registry.labels -> Skyloft_obs.Registry.t -> unit

@@ -411,15 +411,17 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
       d_preempt_be = (fun ex -> preempt_be t (unit_of_exec t ex));
       d_be_grown = (fun () -> Array.iter (redrive t) t.units);
       d_alloc_event =
-        (fun ev ->
-          match ev.Allocator.action with
-          | Allocator.Degraded ->
+        (fun (ev : Allocator.event) ->
+          match ev.action with
+          | Allocator.Degrade ->
               Rc.trace_instant t.rc ~core:t.dispatcher_core Trace.Alloc_degrade
-                ev.Allocator.app_name
-          | Allocator.Recovered ->
+                ev.name
+          | Allocator.Recover ->
               Rc.trace_instant t.rc ~core:t.dispatcher_core Trace.Alloc_recover
-                ev.Allocator.app_name
-          | Allocator.Granted | Allocator.Reclaimed | Allocator.Yielded -> ());
+                ev.name
+          | Allocator.Grant | Allocator.Reclaim | Allocator.Yield
+          | Allocator.Quarantine | Allocator.Release | Allocator.Crash ->
+              ());
       d_be_attached =
         (fun () ->
           poke t;

@@ -111,16 +111,18 @@ let on_core_steal t (cpu : Percore.cpu) ~duration =
 
 (* ---- core allocation ----------------------------------------------------- *)
 
-let alloc_event t (ev : Allocator.event) =
-  let kind =
-    match ev.Allocator.action with
-    | Allocator.Granted -> Trace.Core_grant
-    | Allocator.Reclaimed | Allocator.Yielded -> Trace.Core_reclaim
-    | Allocator.Degraded -> Trace.Alloc_degrade
-    | Allocator.Recovered -> Trace.Alloc_recover
-  in
+let alloc_instant t (ev : Allocator.event) kind =
   Rc.trace_instant t.rc ~core:t.cores.(0) kind
-    (Printf.sprintf "%s=%d" ev.Allocator.app_name ev.Allocator.granted)
+    (Printf.sprintf "%s=%d" ev.name ev.granted)
+
+(* The broker's tenant actions never come from a runtime's allocator. *)
+let alloc_event t (ev : Allocator.event) =
+  match ev.action with
+  | Allocator.Grant -> alloc_instant t ev Trace.Core_grant
+  | Allocator.Reclaim | Allocator.Yield -> alloc_instant t ev Trace.Core_reclaim
+  | Allocator.Degrade -> alloc_instant t ev Trace.Alloc_degrade
+  | Allocator.Recover -> alloc_instant t ev Trace.Alloc_recover
+  | Allocator.Quarantine | Allocator.Release | Allocator.Crash -> ()
 
 (* ---- placement ----------------------------------------------------------- *)
 

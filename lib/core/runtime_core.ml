@@ -716,10 +716,8 @@ let congestion t =
 
 (* ---- BE attachment and the core allocator -------------------------------- *)
 
+(* Seed the BE app's batch workers, kept outside the LC policy. *)
 let spawn_be_workers t (app : App.t) ~chunk ~workers =
-  if t.be_app <> None then invalid_arg "Runtime_core.attach_be_app: BE app already set";
-  if not (List.exists (fun a -> a == app) t.apps) then
-    invalid_arg "Runtime_core.attach_be_app: app not created by this runtime";
   t.be_app <- Some app;
   for i = 1 to workers do
     (* A batch worker is an endless sequence of compute chunks, yielding
@@ -739,19 +737,13 @@ let spawn_be_workers t (app : App.t) ~chunk ~workers =
    the runtime's reclaim/grant muscle, and every core moved charges the
    §5.4 inter-application switch cost on the BE side only so each move is
    charged once. *)
-let start_allocator t ~cfg ~be:(app : App.t) ~on_event ~set_allowance =
-  let total = Array.length t.dispatch.d_units in
-  let burst = min (Option.value cfg.Allocator.be_burstable ~default:total) total in
-  let guar = min (max 0 cfg.Allocator.be_guaranteed) burst in
-  t.be_allowance <- burst;
-  let alloc =
-    Allocator.create ~engine:t.engine ~policy:cfg.Allocator.policy
-      ~interval:cfg.Allocator.interval ~total_cores:total ~on_event
-      ?degrade_after:cfg.Allocator.degrade_after ()
-  in
+let start_allocator t alloc ~be:(app : App.t) ~(bounds : Allocator.bounds)
+    ~set_allowance =
+  let total = Allocator.capacity alloc in
+  t.be_allowance <- bounds.burstable;
   Allocator.register alloc ~app:0 ~name:"lc" ~kind:Alloc_policy.Lc
     ~bounds:{ Allocator.guaranteed = 0; burstable = total }
-    ~initial:(total - burst)
+    ~initial:(total - bounds.burstable)
     ~sample:(fun () ->
       {
         Allocator.runq_len = t.probe.Sched_ops.queued ();
@@ -760,9 +752,7 @@ let start_allocator t ~cfg ~be:(app : App.t) ~on_event ~set_allowance =
       })
     ~apply:(fun ~granted:_ ~delta:_ -> 0);
   Allocator.register alloc ~app:app.App.id ~name:app.App.name
-    ~kind:Alloc_policy.Be
-    ~bounds:{ Allocator.guaranteed = guar; burstable = burst }
-    ~initial:burst
+    ~kind:Alloc_policy.Be ~bounds ~initial:bounds.burstable
     ~sample:(fun () ->
       {
         Allocator.runq_len = Runqueue.length t.be_queue;
@@ -775,14 +765,34 @@ let start_allocator t ~cfg ~be:(app : App.t) ~on_event ~set_allowance =
   Allocator.start alloc;
   t.allocator <- Some alloc
 
-(* Co-schedule [app] as the best-effort application: seed its batch
-   workers, start the core allocator on the mechanism's BE-allowance
-   muscle, then let the mechanism wake units for the new work. *)
-let attach_be_app t ?alloc app ~chunk ~workers =
+(* Co-schedule [app] as the best-effort application: validate everything
+   first — the BE bounds here, the interval and degradation threshold in
+   [Allocator.create] — so a rejected attach admits nothing; then seed its
+   batch workers, start the core allocator on the mechanism's BE-allowance
+   muscle, and let the mechanism wake units for the new work. *)
+let attach_be_app t ?(alloc = Allocator.default_config ()) app ~chunk ~workers =
+  let fail msg = invalid_arg ("Runtime_core.attach_be_app: " ^ msg) in
+  if t.be_app <> None then fail "BE app already set";
+  if not (List.exists (fun a -> a == app) t.apps) then
+    fail "app not created by this runtime";
+  let total = Array.length t.dispatch.d_units in
+  let bounds =
+    {
+      Allocator.guaranteed = alloc.Allocator.be_guaranteed;
+      burstable = Option.value alloc.Allocator.be_burstable ~default:total;
+    }
+  in
+  if bounds.guaranteed < 0 || bounds.guaranteed > bounds.burstable
+     || bounds.burstable > total
+  then fail "need 0 <= be_guaranteed <= be_burstable <= managed cores";
+  let allocator =
+    Allocator.create ~engine:t.engine ~policy:alloc.Allocator.policy
+      ~interval:alloc.Allocator.interval ~total_cores:total
+      ~on_event:t.dispatch.d_alloc_event
+      ?degrade_after:alloc.Allocator.degrade_after ()
+  in
   spawn_be_workers t app ~chunk ~workers;
-  let cfg = match alloc with Some a -> a | None -> Allocator.default_config () in
-  start_allocator t ~cfg ~be:app ~on_event:t.dispatch.d_alloc_event
-    ~set_allowance:(set_be_allowance t);
+  start_allocator t allocator ~be:app ~bounds ~set_allowance:(set_be_allowance t);
   t.dispatch.d_be_attached ()
 
 let allocator t = t.allocator

@@ -330,7 +330,10 @@ val attach_be_app :
     {!Allocator.default_config}): LC registered on the policy's
     congestion probe, BE on its queue backlog, {!set_be_allowance} as
     the muscle; every core moved charges the §5.4 inter-application switch
-    cost on the BE side. *)
+    cost on the BE side.  Raises [Invalid_argument] before admitting
+    anything if a BE app is already set, [app] is foreign, the bounds
+    break [0 <= be_guaranteed <= be_burstable <= managed cores], or the
+    interval or [degrade_after] is not positive. *)
 
 val allocator : t -> Allocator.t option
 (** The running core allocator, once {!attach_be_app} has started it. *)

@@ -24,13 +24,16 @@ let policy_files =
   ]
 
 (* The framework the policies run on: the shared substrate, the shared
-   per-core path, and the two dispatch mechanisms built from them. *)
+   per-core path, the two dispatch mechanisms built from them, and the
+   one core arbiter with the broker's machine-level rules on top. *)
 let framework_files =
   [
     ("Runtime_core (shared substrate)", "lib/core/runtime_core.ml");
     ("Percore (shared per-core path)", "lib/core/percore.ml");
     ("Percpu (per-CPU mechanism)", "lib/core/percpu.ml");
     ("Hybrid (dispatcher + mode switch)", "lib/core/hybrid.ml");
+    ("Allocator (core arbiter + allocator rules)", "lib/alloc/allocator.ml");
+    ("Broker (machine-level tenant rules)", "lib/alloc/broker.ml");
   ]
 
 let paper_loc =

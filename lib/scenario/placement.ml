@@ -115,16 +115,6 @@ type state = {
   mutable s_gave_up : int;
 }
 
-let pick_branch rng branches =
-  let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 branches in
-  let u = Rng.float rng total in
-  let rec go acc = function
-    | [ (_, shape) ] -> shape
-    | (w, shape) :: rest -> if u < acc +. w then shape else go (acc +. w) rest
-    | [] -> assert false
-  in
-  go 0.0 branches
-
 let run ?(seed = 42) ?(faults = []) ?(config = default_config ()) ?trace
     ?registry ~name ~capacity ~requests tenants =
   if tenants = [] then invalid_arg "Placement.run: no tenants";
@@ -273,7 +263,7 @@ let run ?(seed = 42) ?(faults = []) ?(config = default_config ()) ?trace
                 decr remaining;
                 if !remaining = 0 then k ())
           done
-      | Shape.Mix branches -> exec (pick_branch st.rng branches) ~fail ~k
+      | Shape.Mix branches -> exec (Shape.pick st.rng branches) ~fail ~k
     in
     Loadgen.retrying engine ~budget:config.retry_budget
       ~backoff:config.retry_backoff

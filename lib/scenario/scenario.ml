@@ -190,16 +190,6 @@ type lc_state = {
   mutable l_completed : int;
 }
 
-let pick_branch rng branches =
-  let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 branches in
-  let u = Rng.float rng total in
-  let rec go acc = function
-    | [ (_, shape) ] -> shape
-    | (w, shape) :: rest -> if u < acc +. w then shape else go (acc +. w) rest
-    | [] -> assert false
-  in
-  go 0.0 branches
-
 let run ?(seed = 42) ~requests ~runtime scenario =
   validate scenario;
   if requests < 1 then invalid_arg "Scenario.run: requests must be >= 1";
@@ -288,7 +278,7 @@ let run ?(seed = 42) ~requests ~runtime scenario =
                 decr remaining;
                 if !remaining = 0 then k ())
           done
-      | Shape.Mix branches -> exec (pick_branch l.l_rng branches) k
+      | Shape.Mix branches -> exec (Shape.pick l.l_rng branches) k
     in
     exec l.l_spec.shape finish
   in

@@ -39,6 +39,18 @@ let rec stages = function
   | Mix branches ->
       List.fold_left (fun acc (_, shape) -> max acc (stages shape)) 0 branches
 
+(* One uniform draw over the summed weights; the last branch absorbs any
+   rounding at the top of the range. *)
+let pick rng branches =
+  let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 branches in
+  let u = Skyloft_sim.Rng.float rng total in
+  let rec go acc = function
+    | [ (_, shape) ] -> shape
+    | (w, shape) :: rest -> if u < acc +. w then shape else go (acc +. w) rest
+    | [] -> invalid_arg "Shape.pick: empty mix"
+  in
+  go 0.0 branches
+
 let rec pp ppf = function
   | Single d -> Format.fprintf ppf "single(%a)" Dist.pp d
   | Chain ds ->

@@ -38,4 +38,9 @@ val stages : t -> int
 (** Maximum number of task submissions one request can cost (chain
     length / fan-out width; max across mix branches). *)
 
+val pick : Skyloft_sim.Rng.t -> (float * t) list -> t
+(** Pick one {!Mix} branch with probability proportional to its weight,
+    with exactly one [Rng.float] draw.
+    @raise Invalid_argument on an empty list. *)
+
 val pp : Format.formatter -> t -> unit

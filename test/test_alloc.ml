@@ -261,7 +261,7 @@ let test_event_log () =
   check Alcotest.bool "reclaim recorded against BE" true
     (List.exists
        (fun (e : Allocator.event) ->
-         e.Allocator.app = 2 && e.Allocator.action = Allocator.Reclaimed)
+         e.Allocator.id = 2 && e.Allocator.action = Allocator.Reclaim)
        !events)
 
 (* ---- degradation: mode-transition events alternate with honest times ---- *)
@@ -279,7 +279,7 @@ let test_degrade_recover_event_ordering () =
       ~policy:(Policy.delay ())
       ~interval ~total_cores:4 ~degrade_after:3
       ~on_event:(fun e ->
-        if e.Allocator.app = -1 then modes := e :: !modes)
+        if e.Allocator.id = -1 then modes := e :: !modes)
       ()
   in
   let frozen = ref true in
@@ -307,16 +307,100 @@ let test_degrade_recover_event_ordering () =
     (List.map (fun e -> e.Allocator.at) modes);
   check Alcotest.bool "strictly alternating Degraded/Recovered" true
     (List.map (fun e -> e.Allocator.action) modes
-    = [ Allocator.Degraded; Allocator.Recovered;
-        Allocator.Degraded; Allocator.Recovered ]);
+    = [ Allocator.Degrade; Allocator.Recover;
+        Allocator.Degrade; Allocator.Recover ]);
   List.iter
     (fun e ->
       check Alcotest.int "mode transitions move no cores" 0 e.Allocator.delta;
-      check Alcotest.string "allocator-wide event" "allocator" e.Allocator.app_name)
+      check Alcotest.string "allocator-wide event" "allocator" e.Allocator.name)
     modes;
   check Alcotest.int "one degradation counted per episode" 2
     (Allocator.degradations alloc);
   check Alcotest.bool "ends recovered" false (Allocator.degraded alloc)
+
+(* ---- one arbiter: the allocator is the broker with its defenses off ---- *)
+
+module Broker = Skyloft_alloc.Broker
+
+(* Three bindings (LC, BE, LC) on an 8-core pool; each scripted tick
+   gives every binding (queued tasks, oldest delay in µs, busy time as a
+   percentage of its granted cores). *)
+let differential_specs =
+  [
+    (Policy.Lc, { Allocator.guaranteed = 0; burstable = 5 }, 1);
+    (Policy.Be, { Allocator.guaranteed = 1; burstable = 8 }, 6);
+    (Policy.Lc, { Allocator.guaranteed = 0; burstable = 4 }, 1);
+  ]
+
+let differential_script_gen =
+  let step = QCheck.Gen.(triple (int_range 0 6) (int_range 0 40) (int_range 0 120)) in
+  QCheck.make
+    ~print:(fun ticks -> Printf.sprintf "<%d-tick script>" (List.length ticks))
+    QCheck.Gen.(list_repeat 200 (array_repeat 3 step))
+
+(* Replay [script] through one arbiter: [register] binds each spec with
+   its own busy accumulator, then [tick] runs one round per step. *)
+let replay script ~register ~tick =
+  let script = Array.of_list script in
+  let cursor = ref 0 in
+  List.iteri
+    (fun i (kind, bounds, initial) ->
+      let granted = ref initial and busy = ref 0 in
+      register ~id:i ~kind ~bounds ~initial
+        ~sample:(fun () ->
+          let runq, delay_us, pct = script.(!cursor).(i) in
+          busy := !busy + (pct * max 1 !granted * interval / 100);
+          { Allocator.runq_len = runq; oldest_delay = Time.us delay_us; busy_ns = !busy })
+        ~apply:(fun ~granted:g ~delta:_ ->
+          granted := g;
+          0))
+    differential_specs;
+  Array.iteri
+    (fun k _ ->
+      cursor := k;
+      tick ())
+    script
+
+let prop_alloc_equals_broker (policy_name, make_policy) =
+  QCheck.Test.make
+    ~name:("alloc: equals the broker with its defenses off, " ^ policy_name)
+    ~count:100 differential_script_gen
+    (fun script ->
+      let events_of log =
+        List.rev_map
+          (fun (e : Allocator.event) -> (e.id, e.action, e.delta, e.granted))
+          !log
+      in
+      let alloc_log = ref [] and broker_log = ref [] in
+      let engine = Engine.create () in
+      let alloc =
+        Allocator.create ~engine ~policy:(make_policy ()) ~interval
+          ~total_cores:8
+          ~on_event:(fun e -> alloc_log := e :: !alloc_log)
+          ()
+      in
+      replay script
+        ~register:(fun ~id ->
+          Allocator.register alloc ~app:id ~name:(Printf.sprintf "b%d" id))
+        ~tick:(fun () -> Allocator.tick alloc);
+      let broker =
+        Broker.create ~engine ~capacity:8
+          ~config:
+            {
+              (Broker.default_config ()) with
+              interval;
+              degrade_after = max_int;
+              hoard_cap = max_int;
+            }
+          ~on_event:(fun e -> broker_log := e :: !broker_log)
+          ()
+      in
+      let policy = make_policy () in
+      replay script
+        ~register:(fun ~id ->
+          Broker.register broker ~tenant:id ~name:(Printf.sprintf "b%d" id) ~policy)
+        ~tick:(fun () -> Broker.tick broker);
+      !alloc_log <> [] && events_of alloc_log = events_of broker_log)
 
 let suite =
   [
@@ -337,3 +421,10 @@ let suite =
     Alcotest.test_case "alloc: degrade/recover event ordering" `Quick
       test_degrade_recover_event_ordering;
   ]
+  @ List.map
+      (fun p -> QCheck_alcotest.to_alcotest (prop_alloc_equals_broker p))
+      [
+        ("static", Policy.static);
+        ("delay", fun () -> Policy.delay ());
+        ("utilization", fun () -> Policy.utilization ());
+      ]

@@ -151,7 +151,7 @@ let stale_degrade_and_recover () =
     (Broker.health_name (Broker.health broker ~tenant:0));
   check Alcotest.bool "recover event logged" true
     (List.exists
-       (fun (e : Broker.event) -> e.Broker.action = Broker.Recover)
+       (fun (e : Allocator.event) -> e.Allocator.action = Allocator.Recover)
        (Broker.events broker))
 
 let zero_floor_stays_stale () =

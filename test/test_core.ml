@@ -411,6 +411,40 @@ let test_percpu_be_guaranteed_cores () =
       check Alcotest.int "grant never below guarantee" 1
         (Skyloft_alloc.Allocator.granted alloc ~app:be.App.id)
 
+(* A rejected BE attach admits nothing: every bad allocator config and
+   every out-of-range BE bound raises before a worker exists, so no task
+   is left alive and a valid retry still attaches and starts the
+   allocator. *)
+let test_percpu_be_attach_validates_first () =
+  let engine, _, rt = make_percpu ~cores:2 fifo_ctor in
+  let be = Rc.create_app rt ~name:"batch" in
+  let default = Skyloft_alloc.Allocator.default_config () in
+  let attach alloc = Rc.attach_be_app rt ~alloc be ~chunk:(Time.us 20) ~workers:2 in
+  List.iter
+    (fun (what, alloc) ->
+      check Alcotest.bool (what ^ " rejected") true
+        (try
+           attach alloc;
+           false
+         with Invalid_argument _ -> true);
+      check Alcotest.int (what ^ ": nothing alive") 0 be.App.tasks_alive;
+      check Alcotest.bool (what ^ ": no allocator") true
+        (Option.is_none (Rc.allocator rt)))
+    [
+      ("zero interval", { default with interval = 0 });
+      ("zero degrade_after", { default with degrade_after = Some 0 });
+      ("negative guarantee", { default with be_guaranteed = -1 });
+      ("burstable above the cores", { default with be_burstable = Some 3 });
+      ("guarantee above burstable", { default with be_guaranteed = 2; be_burstable = Some 1 });
+    ];
+  attach default;
+  check Alcotest.int "valid retry admits the workers" 2 be.App.tasks_alive;
+  Engine.run ~until:(Time.ms 1) engine;
+  check Alcotest.bool "valid retry starts the allocator" true
+    (match Rc.allocator rt with
+    | Some alloc -> Skyloft_alloc.Allocator.ticks alloc > 0
+    | None -> false)
+
 (* ---- Centralized runtime: Hybrid pinned with ~adaptive:false ---- *)
 
 let make_centralized ?(workers = 4) ?(quantum = Time.us 30) ?(adaptive = false)
@@ -755,6 +789,8 @@ let suite =
     Alcotest.test_case "percpu: BE co-location" `Quick test_percpu_be_colocation;
     Alcotest.test_case "percpu: BE guaranteed cores" `Quick
       test_percpu_be_guaranteed_cores;
+    Alcotest.test_case "percpu: BE attach validates before admitting" `Quick
+      test_percpu_be_attach_validates_first;
     Alcotest.test_case "centralized: basic" `Quick test_centralized_basic;
     Alcotest.test_case "centralized: quantum preemption" `Quick
       test_centralized_quantum_preemption;

@@ -421,8 +421,8 @@ let test_allocator_degrades_and_recovers () =
   Allocator.tick alloc;
   check bool "recovered once progress resumed" false (Allocator.degraded alloc);
   let saw a = List.mem a !events in
-  check bool "Degraded event emitted" true (saw Allocator.Degraded);
-  check bool "Recovered event emitted" true (saw Allocator.Recovered)
+  check bool "Degraded event emitted" true (saw Allocator.Degrade);
+  check bool "Recovered event emitted" true (saw Allocator.Recover)
 
 (* ---- reconciliation with zero-service requests ---- *)
 

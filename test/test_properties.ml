@@ -334,9 +334,11 @@ module Broker = Skyloft_alloc.Broker
    idle, freeze the signal, thaw, crash).  After every tick the
    conservation invariants must hold from the outside — grants within the
    machine, every live tenant between its floor and ceiling, crashed
-   tenants at zero, fairness a valid Jain index — on top of the broker's
+   tenants at zero, fairness a valid Jain index — on top of the arbiter's
    own internal [check_invariants] (which raises out of the property if
-   it ever disagrees). *)
+   it ever disagrees).  The same script drives an [Allocator] over the
+   same bindings (one shared policy, degrading on stale signals), minus
+   the crashes it has no notion of. *)
 
 (* A fleet is (capacity, tenants, script): each tenant is (floor,
    headroom, lc?, policy#); each script step is (tenant#, behaviour#). *)
@@ -348,11 +350,32 @@ let broker_fleet_gen =
       (list_of_size (Gen.int_range 20 80)
          (pair (int_range 0 5) (int_range 0 4))))
 
-type tenant_state = {
-  mutable congested : bool;
-  mutable frozen : bool;
-  mutable busy : int;
-}
+type tenant_state = { mutable congested : bool; mutable frozen : bool }
+
+(* One arbiter's view of a scripted tenant: a sample that reads the
+   shared behaviour flags with its own busy counter, and an apply that
+   tracks its own grant ([sample] runs once during registration, before
+   the binding is queryable). *)
+let scripted st ~interval ~initial =
+  let busy = ref 0 and grant = ref initial in
+  let sample () =
+    if st.congested && not st.frozen then busy := !busy + (max 1 !grant * interval);
+    if st.frozen then
+      { Allocator.runq_len = 2; oldest_delay = Time.us 15; busy_ns = !busy }
+    else if st.congested then
+      { Allocator.runq_len = 4; oldest_delay = Time.us 20; busy_ns = !busy }
+    else { Allocator.runq_len = 0; oldest_delay = 0; busy_ns = !busy }
+  in
+  let apply ~granted ~delta:_ =
+    grant := granted;
+    0
+  in
+  (sample, apply)
+
+let policy_of = function
+  | 0 -> Policy.static ()
+  | 1 -> Policy.delay ()
+  | _ -> Policy.utilization ()
 
 let prop_broker_conserves_cores =
   QCheck.Test.make ~name:"broker: conservation under random fleets and faults"
@@ -372,6 +395,11 @@ let prop_broker_conserves_cores =
         }
       in
       let broker = Broker.create ~engine ~capacity ~config () in
+      let _, _, _, first_policy = List.hd tenant_specs in
+      let alloc =
+        Allocator.create ~engine ~policy:(policy_of first_policy) ~interval
+          ~total_cores:capacity ~degrade_after:3 ()
+      in
       (* clamp floors so the sum of initial grants fits the machine *)
       let remaining = ref capacity in
       let tenants =
@@ -382,59 +410,49 @@ let prop_broker_conserves_cores =
             let bounds =
               { Allocator.guaranteed = g; burstable = min capacity (g + extra) }
             in
-            let st = { congested = false; frozen = false; busy = 0 } in
-            let policy =
-              match p with
-              | 0 -> Policy.static ()
-              | 1 -> Policy.delay ()
-              | _ -> Policy.utilization ()
-            in
-            (* tracked via [apply]: [sample] runs once during registration,
-               before the tenant is queryable through the broker *)
-            let my_grant = ref g in
-            Broker.register broker ~tenant:i
-              ~name:(Printf.sprintf "t%d" i)
-              ~kind:(if lc then Policy.Lc else Policy.Be)
-              ~policy ~bounds ~initial:g
-              ~sample:(fun () ->
-                if st.congested && not st.frozen then
-                  st.busy <- st.busy + (max 1 !my_grant * interval);
-                if st.frozen then
-                  { Allocator.runq_len = 2; oldest_delay = Time.us 15;
-                    busy_ns = st.busy }
-                else if st.congested then
-                  { Allocator.runq_len = 4; oldest_delay = Time.us 20;
-                    busy_ns = st.busy }
-                else
-                  { Allocator.runq_len = 0; oldest_delay = 0; busy_ns = st.busy })
-              ~apply:(fun ~granted ~delta:_ ->
-                my_grant := granted;
-                0);
+            let st = { congested = false; frozen = false } in
+            let name = Printf.sprintf "t%d" i in
+            let kind = if lc then Policy.Lc else Policy.Be in
+            let sample, apply = scripted st ~interval ~initial:g in
+            Broker.register broker ~tenant:i ~name ~kind ~policy:(policy_of p)
+              ~bounds ~initial:g ~sample ~apply;
+            let sample, apply = scripted st ~interval ~initial:g in
+            Allocator.register alloc ~app:i ~name ~kind ~bounds ~initial:g
+              ~sample ~apply;
             (i, bounds, st))
           tenant_specs
       in
       let n = List.length tenants in
       let holds = ref true in
-      let check_outside () =
+      let within_machine ~granted ~free_cores =
         let total =
-          List.fold_left
-            (fun acc (i, _, _) -> acc + Broker.granted broker ~tenant:i)
-            0 tenants
+          List.fold_left (fun acc (i, _, _) -> acc + granted i) 0 tenants
         in
-        if total > capacity then holds := false;
-        if Broker.free_cores broker <> capacity - total then holds := false;
+        if total > capacity || free_cores <> capacity - total then holds := false
+      in
+      let within_bounds g bounds =
+        if g < bounds.Allocator.guaranteed || g > bounds.Allocator.burstable then
+          holds := false
+      in
+      let check_outside () =
+        within_machine
+          ~granted:(fun i -> Broker.granted broker ~tenant:i)
+          ~free_cores:(Broker.free_cores broker);
         List.iter
           (fun (i, bounds, _) ->
             let g = Broker.granted broker ~tenant:i in
             match Broker.health broker ~tenant:i with
-            | Broker.Crashed -> if g <> 0 then holds := false
-            | _ ->
-                if g < bounds.Allocator.guaranteed
-                   || g > bounds.Allocator.burstable
-                then holds := false)
+            | Allocator.Crashed -> if g <> 0 then holds := false
+            | _ -> within_bounds g bounds)
           tenants;
         let f = Broker.fairness broker in
-        if not (f > 0.0 && f <= 1.0 +. 1e-9) then holds := false
+        if not (f > 0.0 && f <= 1.0 +. 1e-9) then holds := false;
+        within_machine
+          ~granted:(fun i -> Allocator.granted alloc ~app:i)
+          ~free_cores:(Allocator.free_cores alloc);
+        List.iter
+          (fun (i, bounds, _) -> within_bounds (Allocator.granted alloc ~app:i) bounds)
+          tenants
       in
       List.iteri
         (fun k (who, behaviour) ->
@@ -447,6 +465,7 @@ let prop_broker_conserves_cores =
           | _ -> Broker.crash broker ~tenant:(who mod n));
           Engine.run ~until:((k + 1) * interval) engine;
           Broker.tick broker;
+          Allocator.tick alloc;
           check_outside ())
         script;
       !holds)
