@@ -113,8 +113,15 @@ let experiments : (string * string * (E.Config.t -> unit)) list =
       fun c -> E.Golden.print c );
   ]
 
+(* Entries whose whole output another entry already prints: fig7c
+   prints the fig7b table before its own, and ablations prints A5 and
+   A6.  [all] runs each sweep once. *)
+let printed_by_another = [ "fig7b"; "hybrid"; "worksteal" ]
+
 let all_cmd config =
-  List.iter (fun (_, _, run) -> run config) experiments
+  List.iter
+    (fun (name, _, run) -> if not (List.mem name printed_by_another) then run config)
+    experiments
 
 let cmd_of (name, doc, run) =
   Cmd.v (Cmd.info name ~doc) Term.(const run $ config_term)

@@ -84,80 +84,96 @@ let a1_tick_frequency (config : Config.t) =
   Report.note "at the paper's 100 kHz that is a ~4%% tax, at 1 MHz it is ~40%%";
   rows
 
+(* ---- one cell runner (A2, A3, A5, A6) ------------------------------------ *)
+
+(* Same 8 cores and 30 µs quantum for every design: per-CPU keeps all 8
+   as workers, the dispatcher flavours surrender core 0. *)
+let n_cores = 8
+let quantum = Time.us 30
+
+let percpu machine kmod ?park policy =
+  Percpu.create machine kmod ~cores:(List.init n_cores Fun.id)
+    ~timer_hz:100_000 ?park policy
+
+let hybrid ?(workers = n_cores - 1) machine kmod ~quantum ~adaptive policy =
+  Hybrid.create machine kmod ~dispatcher_core:0
+    ~worker_cores:(List.init workers (fun i -> i + 1))
+    ~quantum ~adaptive policy
+
+let no_notes () = "-"
+
+let percpu_design machine kmod =
+  ( Percpu.runtime
+      (percpu machine kmod (Skyloft_policies.Work_stealing.create ~quantum ())),
+    no_notes )
+
+let centralized_design machine kmod =
+  ( Hybrid.runtime
+      (hybrid machine kmod ~quantum ~adaptive:false
+         (Skyloft_policies.Shinjuku.create ())),
+    no_notes )
+
+let hybrid_design notes machine kmod =
+  let h =
+    hybrid machine kmod ~quantum ~adaptive:true
+      (fst (Skyloft_policies.Shinjuku_shenango.create ()))
+  in
+  (Hybrid.runtime h, fun () -> notes h)
+
+(* One cell: a fresh machine at the config's seed, the runtime [build]
+   returns with its notes, one "lc" app, and [drive engine rng app
+   submit] issuing requests until [horizon].  The serial dispatcher
+   cannot pin, so its designs take every request unpinned. *)
+let design (config : Config.t) ~horizon name build drive =
+  let engine = Engine.create ~seed:config.seed () in
+  let machine = Machine.create engine Topology.paper_server in
+  let kmod = Kmod.create machine in
+  let rt, notes = build machine kmod in
+  let app = Rc.create_app rt ~name:"lc" in
+  let pinnable = rt.Rc.dispatch.Rc.d_pinnable in
+  let rng = Engine.split_rng engine in
+  drive engine rng app (fun ~cpu ~service ->
+      ignore
+        (Rc.spawn rt app ~name:"req"
+           ?cpu:(if pinnable then cpu else None)
+           ~service
+           (Coro.compute_then_exit service)));
+  Engine.run ~until:horizon engine;
+  (name, app.App.summary, notes ())
+
+(* Open-loop Poisson arrivals over the config's duration, unpinned. *)
+let poisson (config : Config.t) ~rate ~service engine rng _app submit =
+  Loadgen.poisson engine ~rng ~rate_rps:rate ~service
+    ~duration:config.duration (fun pkt ->
+      submit ~cpu:None ~service:pkt.Skyloft_net.Packet.service)
+
 (* ---- A2: per-CPU timers vs centralized dispatcher ----------------------- *)
 
 let a2_percpu_vs_centralized (config : Config.t) =
   Report.section
     "Ablation A2: per-CPU timer preemption (Fig 2a) vs centralized dispatcher (Fig 2b)";
-  let n_cores = 8 in
   let rate = 0.75 *. (float_of_int n_cores *. 1e9 /. Dist.mean Dist.dispersive) in
-  let run_percpu () =
-    let engine = Engine.create ~seed:config.seed () in
-    let machine = Machine.create engine Topology.paper_server in
-    let kmod = Kmod.create machine in
-    let rt =
-      Percpu.runtime
-        (Percpu.create machine kmod ~cores:(List.init n_cores Fun.id) ~timer_hz:100_000
-           (Skyloft_policies.Work_stealing.create ~quantum:(Time.us 30) ()))
-    in
-    let app = Rc.create_app rt ~name:"lc" in
-    let rng = Engine.split_rng engine in
-    Loadgen.poisson engine ~rng ~rate_rps:rate ~service:Dist.dispersive
-      ~duration:config.duration (fun pkt ->
-        ignore
-          (Rc.spawn rt app ~name:"req" ~arrival:pkt.Skyloft_net.Packet.arrival
-             ~service:pkt.Skyloft_net.Packet.service
-             (Coro.compute_then_exit pkt.Skyloft_net.Packet.service)));
-    Engine.run ~until:(config.duration + Time.ms 60) engine;
-    (app.App.summary, n_cores)
+  let drive = poisson config ~rate ~service:Dist.dispersive in
+  let horizon = config.duration + Time.ms 60 in
+  let row (name, summary, _) workers =
+    [
+      name; string_of_int workers;
+      string_of_int (Summary.requests summary);
+      Report.us (Summary.latency_p summary 99.0);
+      Report.us (Summary.latency_p summary 99.9);
+    ]
   in
-  let run_centralized () =
-    let engine = Engine.create ~seed:config.seed () in
-    let machine = Machine.create engine Topology.paper_server in
-    let kmod = Kmod.create machine in
-    (* one of the cores becomes the dispatcher: 7 workers *)
-    let rt =
-      Hybrid.runtime
-        (Hybrid.create machine kmod ~dispatcher_core:0
-           ~worker_cores:(List.init (n_cores - 1) (fun i -> i + 1))
-           ~quantum:(Time.us 30) ~adaptive:false
-           (Skyloft_policies.Shinjuku.create ()))
-    in
-    let app = Rc.create_app rt ~name:"lc" in
-    let rng = Engine.split_rng engine in
-    Loadgen.poisson engine ~rng ~rate_rps:rate ~service:Dist.dispersive
-      ~duration:config.duration (fun pkt ->
-        ignore
-          (Rc.spawn rt app ~name:"req" ~service:pkt.Skyloft_net.Packet.service
-             (Coro.compute_then_exit pkt.Skyloft_net.Packet.service)));
-    Engine.run ~until:(config.duration + Time.ms 60) engine;
-    (app.App.summary, n_cores - 1)
-  in
-  let pc, pc_workers, ct, ct_workers =
-    match
-      Parallel.map ~jobs:config.jobs
-        (fun f -> f ())
-        [ run_percpu; run_centralized ]
-    with
-    | [ (pc, pcw); (ct, ctw) ] -> (pc, pcw, ct, ctw)
-    | _ -> assert false
+  let cells =
+    Parallel.map ~jobs:config.jobs
+      (fun (name, build) -> design config ~horizon name build drive)
+      [
+        ("per-CPU timers (2a)", percpu_design);
+        ("centralized dispatcher (2b)", centralized_design);
+      ]
   in
   Report.table
     ~header:[ "design"; "workers"; "served"; "p99 (us)"; "p99.9 (us)" ]
-    [
-      [
-        "per-CPU timers (2a)"; string_of_int pc_workers;
-        string_of_int (Summary.requests pc);
-        Report.us (Summary.latency_p pc 99.0);
-        Report.us (Summary.latency_p pc 99.9);
-      ];
-      [
-        "centralized dispatcher (2b)"; string_of_int ct_workers;
-        string_of_int (Summary.requests ct);
-        Report.us (Summary.latency_p ct 99.0);
-        Report.us (Summary.latency_p ct 99.9);
-      ];
-    ];
+    (List.map2 row cells [ n_cores; n_cores - 1 ]);
   Report.note "same 8 cores and load: the dispatcher core is lost to useful work";
   Report.note "(both p99.9 columns include the 0.5%% of requests that ARE 10ms long)"
 
@@ -167,30 +183,22 @@ let a3_dispatcher_scalability (config : Config.t) =
   Report.section
     "Ablation A3: centralized dispatcher scalability (1us requests, growing workers)";
   let run workers =
-    let engine = Engine.create ~seed:config.seed () in
-    let machine = Machine.create engine Topology.paper_server in
-    let kmod = Kmod.create machine in
-    let rt =
-      Hybrid.runtime
-        (Hybrid.create machine kmod ~dispatcher_core:0
-           ~worker_cores:(List.init workers (fun i -> i + 1))
-           ~quantum:0 ~adaptive:false
-           (Skyloft_policies.Shinjuku.create ()))
-    in
-    let app = Rc.create_app rt ~name:"lc" in
-    let rng = Engine.split_rng engine in
     (* overload: 1.2x the worker capacity of 1us requests *)
     let rate = 1.2 *. float_of_int workers *. 1e6 in
     let in_window = ref 0 in
     ignore
-      (Engine.at engine config.duration (fun () ->
-           in_window := Summary.requests app.App.summary));
-    Loadgen.poisson engine ~rng ~rate_rps:rate ~service:(Dist.Constant (Time.us 1))
-      ~duration:config.duration (fun pkt ->
-        ignore
-          (Rc.spawn rt app ~name:"req" ~service:pkt.Skyloft_net.Packet.service
-             (Coro.compute_then_exit pkt.Skyloft_net.Packet.service)));
-    Engine.run ~until:(config.duration + Time.ms 20) engine;
+      (design config ~horizon:(config.duration + Time.ms 20) "centralized"
+         (fun machine kmod ->
+           ( Hybrid.runtime
+               (hybrid ~workers machine kmod ~quantum:0 ~adaptive:false
+                  (Skyloft_policies.Shinjuku.create ())),
+             no_notes ))
+         (fun engine rng app submit ->
+           ignore
+             (Engine.at engine config.duration (fun () ->
+                  in_window := Summary.requests app.App.summary));
+           poisson config ~rate ~service:(Dist.Constant (Time.us 1)) engine rng
+             app submit));
     float_of_int !in_window /. Time.to_s_float config.duration /. 1.0e6
   in
   let rows =
@@ -262,106 +270,46 @@ let a4_nic_modes (config : Config.t) =
 
 (* ---- A5: the hybrid runtime vs both parents ------------------------------ *)
 
-(* Same 8 cores for everyone: per-CPU keeps all 8 as workers, centralized
-   and hybrid surrender one to the dispatcher.  The load axis is where the
-   trade-off lives — the dispatcher's single queue wins the low-load tail,
-   per-core timers win throughput once the queue deepens — and the hybrid
-   is supposed to track whichever parent is ahead, switching modes as the
-   queue depth crosses its hysteresis band. *)
+(* The load axis is where the trade-off lives — the dispatcher's single
+   queue wins the low-load tail, per-core timers win throughput once the
+   queue deepens — and the hybrid is supposed to track whichever parent
+   is ahead, switching modes as the queue depth crosses its hysteresis
+   band. *)
 let a5_hybrid_vs_parents (config : Config.t) =
   Report.section
     "Ablation A5: hybrid runtime (shared Runtime_core substrate) vs both parents";
-  let n_cores = 8 in
-  let quantum = Time.us 30 in
   let cap = float_of_int n_cores *. 1e9 /. Dist.mean Dist.dispersive in
-  let measure name summary extra =
+  let horizon = config.duration + Time.ms 60 in
+  let designs =
     [
-      name;
-      string_of_int (Summary.requests summary);
-      Report.us (Summary.latency_p summary 50.0);
-      Report.us (Summary.latency_p summary 99.0);
-      extra;
+      ("per-CPU (2a)", percpu_design);
+      ("centralized (2b)", centralized_design);
+      ( "hybrid",
+        hybrid_design (fun h ->
+            Printf.sprintf "%d switches, end %s" (Hybrid.mode_switches h)
+              (match Hybrid.mode h with
+              | Hybrid.Central -> "central"
+              | Hybrid.Percore -> "percore")) );
     ]
   in
-  let run_percpu rate =
-    let engine = Engine.create ~seed:config.seed () in
-    let machine = Machine.create engine Topology.paper_server in
-    let kmod = Kmod.create machine in
-    let rt =
-      Percpu.runtime
-        (Percpu.create machine kmod ~cores:(List.init n_cores Fun.id)
-           ~timer_hz:100_000
-           (Skyloft_policies.Work_stealing.create ~quantum ()))
-    in
-    let app = Rc.create_app rt ~name:"lc" in
-    let rng = Engine.split_rng engine in
-    Loadgen.poisson engine ~rng ~rate_rps:rate ~service:Dist.dispersive
-      ~duration:config.duration (fun pkt ->
-        ignore
-          (Rc.spawn rt app ~name:"req"
-             ~arrival:pkt.Skyloft_net.Packet.arrival
-             ~service:pkt.Skyloft_net.Packet.service
-             (Coro.compute_then_exit pkt.Skyloft_net.Packet.service)));
-    Engine.run ~until:(config.duration + Time.ms 60) engine;
-    measure "per-CPU (2a)" app.App.summary "-"
-  in
-  let run_centralized rate =
-    let engine = Engine.create ~seed:config.seed () in
-    let machine = Machine.create engine Topology.paper_server in
-    let kmod = Kmod.create machine in
-    let rt =
-      Hybrid.runtime
-        (Hybrid.create machine kmod ~dispatcher_core:0
-           ~worker_cores:(List.init (n_cores - 1) (fun i -> i + 1))
-           ~quantum ~adaptive:false
-           (Skyloft_policies.Shinjuku.create ()))
-    in
-    let app = Rc.create_app rt ~name:"lc" in
-    let rng = Engine.split_rng engine in
-    Loadgen.poisson engine ~rng ~rate_rps:rate ~service:Dist.dispersive
-      ~duration:config.duration (fun pkt ->
-        ignore
-          (Rc.spawn rt app ~name:"req"
-             ~service:pkt.Skyloft_net.Packet.service
-             (Coro.compute_then_exit pkt.Skyloft_net.Packet.service)));
-    Engine.run ~until:(config.duration + Time.ms 60) engine;
-    measure "centralized (2b)" app.App.summary "-"
-  in
-  let run_hybrid rate =
-    let engine = Engine.create ~seed:config.seed () in
-    let machine = Machine.create engine Topology.paper_server in
-    let kmod = Kmod.create machine in
-    let hybrid =
-      Hybrid.create machine kmod ~dispatcher_core:0
-        ~worker_cores:(List.init (n_cores - 1) (fun i -> i + 1))
-        ~quantum
-        (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-    in
-    let rt = Hybrid.runtime hybrid in
-    let app = Rc.create_app rt ~name:"lc" in
-    let rng = Engine.split_rng engine in
-    Loadgen.poisson engine ~rng ~rate_rps:rate ~service:Dist.dispersive
-      ~duration:config.duration (fun pkt ->
-        ignore
-          (Rc.spawn rt app ~name:"req" ~service:pkt.Skyloft_net.Packet.service
-             (Coro.compute_then_exit pkt.Skyloft_net.Packet.service)));
-    Engine.run ~until:(config.duration + Time.ms 60) engine;
-    measure "hybrid" app.App.summary
-      (Printf.sprintf "%d switches, end %s"
-         (Hybrid.mode_switches hybrid)
-         (match Hybrid.mode hybrid with
-         | Hybrid.Central -> "central"
-         | Hybrid.Percore -> "percore"))
-  in
   let cells =
-    List.concat_map
-      (fun load -> List.map (fun r -> (load, r)) [ run_percpu; run_centralized; run_hybrid ])
-      [ 0.2; 0.8 ]
+    List.concat_map (fun load -> List.map (fun d -> (load, d)) designs) [ 0.2; 0.8 ]
   in
   let rows =
     Parallel.map ~jobs:config.jobs
-      (fun (load, r) ->
-        Printf.sprintf "%.0f%%" (load *. 100.) :: r (load *. cap))
+      (fun (load, (name, build)) ->
+        let _, summary, extra =
+          design config ~horizon name build
+            (poisson config ~rate:(load *. cap) ~service:Dist.dispersive)
+        in
+        [
+          Printf.sprintf "%.0f%%" (load *. 100.);
+          name;
+          string_of_int (Summary.requests summary);
+          Report.us (Summary.latency_p summary 50.0);
+          Report.us (Summary.latency_p summary 99.0);
+          extra;
+        ])
       cells
   in
   Report.table
@@ -405,12 +353,9 @@ let a6_worksteal_regimes (config : Config.t) =
   Report.section
     "Ablation A6: work-stealing deques vs the other three runtimes across \
      arrival regimes";
-  let n_cores = 8 in
-  let quantum = Time.us 30 in
   let service = Dist.Exponential { mean = Time.us 5 } in
   let cap = float_of_int n_cores *. 1e9 /. Dist.mean service in
-  let horizon = config.duration + Time.ms 60 in
-  let drive_skewed engine rng submit =
+  let drive_skewed engine rng _app submit =
     let i = ref 0 in
     Loadgen.poisson engine ~rng ~rate_rps:(0.2 *. cap) ~service
       ~duration:config.duration (fun pkt ->
@@ -418,7 +363,7 @@ let a6_worksteal_regimes (config : Config.t) =
         incr i;
         submit ~cpu:(Some cpu) ~service:pkt.Skyloft_net.Packet.service)
   in
-  let drive_bursty engine rng submit =
+  let drive_bursty engine rng _app submit =
     let period = Time.us 200 and batch = 24 in
     for b = 0 to (config.duration / period) - 1 do
       ignore
@@ -428,75 +373,36 @@ let a6_worksteal_regimes (config : Config.t) =
              done))
     done
   in
-  let drive_overload engine rng submit =
-    Loadgen.poisson engine ~rng ~rate_rps:(0.9 *. cap) ~service
-      ~duration:config.duration (fun pkt ->
-        submit ~cpu:None ~service:pkt.Skyloft_net.Packet.service)
-  in
-  (* One driver over the runtime handle; each design passes its own
-     constructor and notes.  The serial dispatcher cannot pin, so its
-     designs take every request unpinned. *)
-  let percpu machine kmod ?park policy =
-    Percpu.create machine kmod ~cores:(List.init n_cores Fun.id)
-      ~timer_hz:100_000 ?park policy
-  in
-  let hybrid machine kmod ~adaptive policy =
-    Hybrid.create machine kmod ~dispatcher_core:0
-      ~worker_cores:(List.init (n_cores - 1) (fun i -> i + 1))
-      ~quantum ~adaptive policy
-  in
-  let design name build drive =
-    let engine = Engine.create ~seed:config.seed () in
-    let machine = Machine.create engine Topology.paper_server in
-    let kmod = Kmod.create machine in
-    let rt, notes = build machine kmod in
-    let app = Rc.create_app rt ~name:"lc" in
-    let pinnable = rt.Rc.dispatch.Rc.d_pinnable in
-    let rng = Engine.split_rng engine in
-    drive engine rng (fun ~cpu ~service ->
-        ignore
-          (Rc.spawn rt app ~name:"req"
-             ?cpu:(if pinnable then cpu else None)
-             ~service
-             (Coro.compute_then_exit service)));
-    Engine.run ~until:horizon engine;
-    (name, app.App.summary, notes ())
-  in
   let regimes =
     [
       ("skewed", drive_skewed);
       ("bursty", drive_bursty);
-      ("overload", drive_overload);
+      ("overload", poisson config ~rate:(0.9 *. cap) ~service);
     ]
   in
   let runners =
-    [
-      design "percpu" (fun machine kmod ->
-          ( Percpu.runtime
-              (percpu machine kmod (Skyloft_policies.Work_stealing.create ~quantum ())),
-            fun () -> "-" ));
-      design "centralized" (fun machine kmod ->
-          ( Hybrid.runtime
-              (hybrid machine kmod ~adaptive:false (Skyloft_policies.Shinjuku.create ())),
-            fun () -> "-" ));
-      design "hybrid" (fun machine kmod ->
-          let h =
-            hybrid machine kmod ~adaptive:true
-              (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-          in
-          ( Hybrid.runtime h,
-            fun () -> Printf.sprintf "%d mode switches" (Hybrid.mode_switches h) ));
-      design "worksteal" (fun machine kmod ->
-          let policy, steals = Skyloft_policies.Work_stealing.steal_half ~quantum () in
-          let rt =
-            percpu machine kmod ~park:Skyloft_policies.Work_stealing.park policy
-          in
-          ( Percpu.runtime rt,
-            fun () ->
-              Printf.sprintf "%d steals (%d tasks), %d parks"
-                steals.Skyloft_policies.Work_stealing.steals steals.stolen_tasks
-                (Percpu.parks rt) ));
-    ]
+    List.map
+      (fun (name, build) -> design config ~horizon:(config.duration + Time.ms 60) name build)
+      [
+        ("percpu", percpu_design);
+        ("centralized", centralized_design);
+        ( "hybrid",
+          hybrid_design (fun h ->
+              Printf.sprintf "%d mode switches" (Hybrid.mode_switches h)) );
+        ( "worksteal",
+          fun machine kmod ->
+            let policy, steals =
+              Skyloft_policies.Work_stealing.steal_half ~quantum ()
+            in
+            let rt =
+              percpu machine kmod ~park:Skyloft_policies.Work_stealing.park policy
+            in
+            ( Percpu.runtime rt,
+              fun () ->
+                Printf.sprintf "%d steals (%d tasks), %d parks"
+                  steals.Skyloft_policies.Work_stealing.steals
+                  steals.stolen_tasks (Percpu.parks rt) ) );
+      ]
   in
   let cells =
     List.concat_map
@@ -511,10 +417,10 @@ let a6_worksteal_regimes (config : Config.t) =
   Report.table
     ~header:[ "regime"; "design"; "served"; "p50 (us)"; "p99 (us)"; "notes" ]
     (List.map
-       (fun (rname, (design, summary, extra)) ->
+       (fun (rname, (name, summary, extra)) ->
          [
            rname;
-           design;
+           name;
            string_of_int (Summary.requests summary);
            Report.us (Summary.latency_p summary 50.0);
            Report.us (Summary.latency_p summary 99.0);

@@ -23,8 +23,6 @@ module Attribution = Skyloft_obs.Attribution
 module Trace_analysis = Skyloft_obs.Trace_analysis
 module Broker = Skyloft_alloc.Broker
 module Scenario = Skyloft_scenario.Scenario
-module Shape = Skyloft_scenario.Shape
-module Arrival = Skyloft_scenario.Arrival
 module Placement = Skyloft_scenario.Placement
 
 (** Observability report: the lib/obs layer exercised end to end on both
@@ -276,34 +274,19 @@ let check_point p =
 let machine_tenants = 4
 let machine_capacity = 8  (* ceilings sum to 16: oversubscribed *)
 let machine_trace_capacity = 500_000
-let machine_lc_rate = 260_000.0
-let machine_lc_shape = Shape.Single (Dist.Exponential { mean = Time.us 5 })
-let machine_be_rate = 50_000.0
-let machine_be_shape = Shape.Single (Dist.Exponential { mean = Time.us 20 })
 
-let machine_runtime i =
-  List.nth
-    [ Scenario.Percpu; Scenario.Centralized; Scenario.Hybrid; Scenario.Worksteal ]
-    (i mod 4)
-
-let machine_kind i = if i mod 4 = 3 then Alloc_policy.Be else Alloc_policy.Lc
-
+(* Oversub's mixed fleet (one tenant per runtime configuration, the
+   fourth a BE tenant), under the [t%d-…] names the obs-machine golden
+   pins. *)
 let machine_fleet () =
-  List.init machine_tenants (fun i ->
-      let kind = machine_kind i in
-      let shape, arrival =
-        match kind with
-        | Alloc_policy.Lc ->
-            (machine_lc_shape, Arrival.Poisson { rate_rps = machine_lc_rate })
-        | Alloc_policy.Be ->
-            (machine_be_shape, Arrival.Poisson { rate_rps = machine_be_rate })
-      in
-      Placement.tenant ~kind
-        ~name:
-          (Printf.sprintf "t%d-%s" i
-             (Scenario.runtime_name (machine_runtime i)))
-        ~runtime:(machine_runtime i) ~guaranteed:1 ~burstable:4 ~shape
-        ~arrival ())
+  List.mapi
+    (fun i (t : Placement.tenant) ->
+      {
+        t with
+        Placement.name =
+          Printf.sprintf "t%d-%s" i (Scenario.runtime_name t.Placement.runtime);
+      })
+    (Oversub.tenants ~mix:"mixed" ~n:machine_tenants ~capacity:machine_capacity)
 
 (* Aggressive health knobs so every edge fires inside a short run: the
    hoarder trips quarantine fast and serves a short sentence (several
@@ -353,7 +336,7 @@ let machine_kind_count p kind =
   match List.assoc_opt kind p.m_kind_counts with Some n -> n | None -> 0
 
 let run_machine_point ~seed ~requests ~instrumented =
-  let t_ns = int_of_float (float_of_int requests /. machine_lc_rate *. 1e9) in
+  let t_ns = int_of_float (float_of_int requests /. Oversub.lc_rate *. 1e9) in
   let trace = Trace.create ~capacity:machine_trace_capacity () in
   let registry = if instrumented then Some (Registry.create ()) else None in
   let r =

@@ -2,7 +2,6 @@ module Time = Skyloft_sim.Time
 module Engine = Skyloft_sim.Engine
 module Rng = Skyloft_sim.Rng
 module Coro = Skyloft_sim.Coro
-module Dist = Skyloft_sim.Dist
 module Topology = Skyloft_hw.Topology
 module Machine = Skyloft_hw.Machine
 module Costs = Skyloft_hw.Costs
@@ -136,6 +135,13 @@ let run ?(seed = 42) ?(faults = []) ?(config = default_config ()) ?trace
   let names = List.map (fun t -> t.name) tenants in
   if List.length (List.sort_uniq String.compare names) <> n then
     invalid_arg "Placement.run: duplicate tenant names";
+  if config.timer_hz < 1 then invalid_arg "Placement.run: timer_hz must be >= 1";
+  if config.quantum < 1 then invalid_arg "Placement.run: quantum must be >= 1";
+  if config.deadline <= 0 then invalid_arg "Placement.run: deadline must be > 0";
+  if config.retry_budget < 1 then
+    invalid_arg "Placement.run: retry_budget must be >= 1";
+  if config.retry_backoff < 0 then
+    invalid_arg "Placement.run: retry_backoff must be >= 0";
   let engine = Engine.create ~seed () in
   (* Physical layout: disjoint contiguous ranges, ceilings fully backed;
      centralized flavours prepend a dedicated dispatcher core that is not
@@ -222,8 +228,7 @@ let run ?(seed = 42) ?(faults = []) ?(config = default_config ()) ?trace
         states;
       Broker.register_metrics broker reg
   | None -> ());
-  let injector = Injector.create ~engine ~rng:inj_rng () in
-  if faults <> [] then Injector.arm_tenants injector ~broker faults;
+  Injector.arm_tenants (Injector.create ~engine ~rng:inj_rng ()) ~broker faults;
   Broker.start broker;
   let total_submitted = ref 0 and total_settled = ref 0 in
   let last_completion = ref 0 in
@@ -233,44 +238,24 @@ let run ?(seed = 42) ?(faults = []) ?(config = default_config ()) ?trace
      join never fires); the retry loop guarantees every request settles
      as exactly one of completed or gave-up — the reconciliation
      invariant [lost = 0] the experiment asserts. *)
-  let submit (st : state) ~service ~fail ~k =
-    ignore
-      (Rc.spawn st.rt st.app ~name:st.spec.name ~record:false
-         ~deadline:config.deadline
-         ~on_drop:(fun _ -> fail ())
-         (Coro.Compute
-            ( service,
-              fun () ->
-                k ();
-                Coro.Exit )))
-  in
   let issue (st : state) at =
     st.s_submitted <- st.s_submitted + 1;
     incr total_submitted;
-    let rec exec shape ~fail ~k =
-      match shape with
-      | Shape.Single d | Shape.Chain [ d ] ->
-          submit st ~service:(Dist.sample d st.rng) ~fail ~k
-      | Shape.Chain [] -> assert false
-      | Shape.Chain (d :: rest) ->
-          submit st ~service:(Dist.sample d st.rng) ~fail
-            ~k:(fun () -> exec (Shape.Chain rest) ~fail ~k)
-      | Shape.Fanout { width; stage } ->
-          let remaining = ref width in
-          for _ = 1 to width do
-            submit st ~service:(Dist.sample stage st.rng) ~fail
-              ~k:(fun () ->
-                decr remaining;
-                if !remaining = 0 then k ())
-          done
-      | Shape.Mix branches -> exec (Shape.pick st.rng branches) ~fail ~k
-    in
     Loadgen.retrying engine ~budget:config.retry_budget
       ~backoff:config.retry_backoff
       ~attempt:(fun _k done_ ->
-        exec st.spec.shape
-          ~fail:(fun () -> done_ false)
-          ~k:(fun () ->
+        let spawn service k =
+          ignore
+            (Rc.spawn st.rt st.app ~name:st.spec.name ~record:false
+               ~deadline:config.deadline
+               ~on_drop:(fun _ -> done_ false)
+               (Coro.Compute
+                  ( service,
+                    fun () ->
+                      k ();
+                      Coro.Exit )))
+        in
+        Shape.exec st.spec.shape st.rng ~spawn (fun () ->
             let now = Engine.now engine in
             last_completion := max !last_completion now;
             st.s_completed <- st.s_completed + 1;
@@ -283,36 +268,24 @@ let run ?(seed = 42) ?(faults = []) ?(config = default_config ()) ?trace
   in
   List.iter2
     (fun st arrival_rng ->
-      let next = Arrival.sampler st.spec.arrival arrival_rng in
-      Loadgen.stream engine
-        ~next:(fun ~now ->
-          if st.s_submitted >= requests then None else next ~now)
-        (fun at -> issue st at))
+      Scenario.stream engine st.spec.arrival arrival_rng
+        ~stop:(fun () -> st.s_submitted >= requests)
+        (issue st))
     states arrival_rngs;
-  (* Bounded chunked drain, as in Scenario.run: the broker tick and the
-     runtimes' timers refill the queue forever, so run until every
-     tenant's stream closed and every request settled, under a hard cap
-     generous enough for crash scenarios (retries of dead tenants settle
-     by deadline, not by service). *)
-  let slowest =
-    List.fold_left
-      (fun acc t ->
-        max acc (float_of_int requests /. Arrival.mean_rate t.arrival))
-      0.0 tenants
-  in
-  let expected_ns = int_of_float (slowest *. 1e9) in
-  let chunk = max (Time.ms 10) (expected_ns / 16) in
-  let hard_cap = (8 * expected_ns) + Time.s 1 in
-  let all_submitted () = List.for_all (fun st -> st.s_submitted >= requests) states in
-  let rec drain until =
-    Engine.run ~until engine;
-    if ((not (all_submitted ())) || !total_settled < !total_submitted)
-       && until < hard_cap
-    then drain (until + chunk)
-  in
-  drain chunk;
+  (* The broker tick and the runtimes' timers refill the queue forever;
+     the slowest tenant's stream sets the drain's cap, generous enough
+     for crash scenarios (retries of dead tenants settle by deadline,
+     not by service). *)
+  Scenario.drain engine
+    ~expected_s:
+      (List.fold_left
+         (fun acc t ->
+           max acc (float_of_int requests /. Arrival.mean_rate t.arrival))
+         0.0 tenants)
+    ~settled:(fun () ->
+      List.for_all (fun st -> st.s_submitted >= requests) states
+      && !total_settled >= !total_submitted);
   Broker.stop broker;
-  ignore (Injector.injected injector);
   {
     placement = name;
     capacity;
@@ -352,13 +325,6 @@ let run ?(seed = 42) ?(faults = []) ?(config = default_config ()) ?trace
 
 (* ---- digests ------------------------------------------------------------- *)
 
-let hist_line h =
-  Printf.sprintf "n=%d min=%d p50=%d p90=%d p99=%d p999=%d max=%d mean=%.3f"
-    (Histogram.count h) (Histogram.min_value h)
-    (Histogram.percentile h 50.0) (Histogram.percentile h 90.0)
-    (Histogram.percentile h 99.0) (Histogram.percentile h 99.9)
-    (Histogram.max_value h) (Histogram.mean h)
-
 let digest_string r =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
@@ -371,7 +337,7 @@ let digest_string r =
            "%s|%s|%s|g=%d|b=%d|submitted=%d|completed=%d|gave_up=%d|drops=%d|granted=%d|health=%s|core_ns=%d|%s\n"
            t.t_name t.t_runtime t.t_kind t.t_guaranteed t.t_burstable
            t.submitted t.completed t.gave_up t.deadline_drops t.final_granted
-           t.final_health t.core_ns (hist_line t.latency)))
+           t.final_health t.core_ns (Scenario.hist_line t.latency)))
     r.tenants;
   Buffer.add_string buf
     (Printf.sprintf

@@ -118,12 +118,15 @@ val run :
 (** Build the machine, one runtime + app per tenant, register everyone
     with a fresh broker (initial grant = floor), arm tenant-level fault
     plans ({!Plan.tenant_hoard} / [tenant_stale] / [tenant_crash]; any
-    machine-level plan raises), then drive every tenant's arrival stream
-    until [requests] requests each have been issued and all of them have
-    settled (bounded drain: a wedged placement returns [lost > 0] rather
-    than hanging).  Raises [Invalid_argument] when floors exceed
-    [capacity], on duplicate names, or an out-of-range fault tenant.
-    Deterministic in [seed] (default 42).
+    machine-level plan raises), then issue each tenant's requests
+    through {!Shape.exec} (every stage under [config.deadline], every
+    request retried) from its {!Scenario.stream} until [requests] each,
+    and {!Scenario.drain} until all settled (a wedged placement returns
+    [lost > 0]).  Raises [Invalid_argument] when floors exceed
+    [capacity], on duplicate names, an out-of-range fault tenant, or a
+    [config] value out of range ([timer_hz], [quantum], [retry_budget]
+    below 1; [deadline] not positive; [retry_backoff] negative) — before
+    anything runs.  Deterministic in [seed] (default 42).
 
     [trace] is a shared machine-wide flight recorder: every tenant's
     runtime records its spans/instants into it (physical core ids, so

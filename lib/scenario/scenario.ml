@@ -2,12 +2,10 @@ module Time = Skyloft_sim.Time
 module Engine = Skyloft_sim.Engine
 module Rng = Skyloft_sim.Rng
 module Coro = Skyloft_sim.Coro
-module Dist = Skyloft_sim.Dist
 module Topology = Skyloft_hw.Topology
 module Machine = Skyloft_hw.Machine
 module Kmod = Skyloft_kernel.Kmod
 module Histogram = Skyloft_stats.Histogram
-module App = Skyloft.App
 module Rc = Skyloft.Runtime_core
 module Work_stealing = Skyloft_policies.Work_stealing
 module Allocator = Skyloft_alloc.Allocator
@@ -181,9 +179,27 @@ let alloc_config (bounds : bounds) =
     be_burstable = bounds.burstable;
   }
 
+(* ---- arrival streams and the drain (shared with Placement.run) ---------- *)
+
+let stream engine arrival rng ~stop issue =
+  let next = Arrival.sampler arrival rng in
+  Loadgen.stream engine
+    ~next:(fun ~now -> if stop () then None else next ~now)
+    issue
+
+let drain engine ~expected_s ~settled =
+  let expected_ns = int_of_float (expected_s *. 1e9) in
+  let chunk = max (Time.ms 10) (expected_ns / 16) in
+  let hard_cap = (8 * expected_ns) + Time.s 1 in
+  let rec go until =
+    Engine.run ~until engine;
+    if (not (settled ())) && until < hard_cap then go (until + chunk)
+  in
+  go chunk
+
 type lc_state = {
   l_spec : lc_spec;
-  l_app : App.t;
+  l_spawn : Time.t -> (unit -> unit) -> unit;
   l_rng : Rng.t;  (* service draws + mix picks *)
   l_hist : Histogram.t;
   mutable l_submitted : int;
@@ -207,25 +223,27 @@ let run ?(seed = 42) ~requests ~runtime scenario =
     build machine kmod ~first_core:0 ~cores:scenario.cores
       ~quantum:scenario.quantum ~timer_hz:scenario.timer_hz runtime
   in
-  let submit app ~name ~service ~on_done =
-    ignore
-      (Rc.spawn rt app ~name ~record:false
-         (Coro.Compute
-            ( service,
-              fun () ->
-                on_done ();
-                Coro.Exit )))
-  in
   (* Apps are created and RNG streams split in scenario order, before
      anything runs: the draw order is part of the seed contract. *)
   let lcs =
     List.filter_map
       (function
         | Lc spec ->
+            let app = Rc.create_app rt ~name:spec.lc_name in
+            (* One stage of this tenant's requests. *)
+            let spawn service k =
+              ignore
+                (Rc.spawn rt app ~name:spec.lc_name ~record:false
+                   (Coro.Compute
+                      ( service,
+                        fun () ->
+                          k ();
+                          Coro.Exit )))
+            in
             Some
               {
                 l_spec = spec;
-                l_app = Rc.create_app rt ~name:spec.lc_name;
+                l_spawn = spawn;
                 l_rng = Engine.split_rng engine;
                 l_hist = Histogram.create ();
                 l_submitted = 0;
@@ -245,65 +263,29 @@ let run ?(seed = 42) ~requests ~runtime scenario =
   | None -> ());
   let submitted = ref 0 and completed = ref 0 in
   let last_completion = ref 0 in
-  (* One request: compile the shape to task submissions.  [finish] runs
-     at the completion of the last stage (chain) or the join (fan-out)
-     and records only into the tenant's bounded histogram — nothing
-     per-request survives the request. *)
+  (* One request: [Shape.exec] compiles it to task submissions; the
+     continuation runs at the completion of the last stage (chain) or
+     the join (fan-out) and records only into the tenant's bounded
+     histogram — nothing per-request survives the request. *)
   let issue (l : lc_state) at =
     l.l_submitted <- l.l_submitted + 1;
     incr submitted;
-    let finish () =
-      l.l_completed <- l.l_completed + 1;
-      incr completed;
-      let now = Engine.now engine in
-      last_completion := max !last_completion now;
-      Histogram.record l.l_hist (now - at)
-    in
-    let rec exec shape k =
-      match shape with
-      | Shape.Single d | Shape.Chain [ d ] ->
-          submit l.l_app ~name:l.l_spec.lc_name
-            ~service:(Dist.sample d l.l_rng) ~on_done:k
-      | Shape.Chain [] -> assert false (* validated non-empty *)
-      | Shape.Chain (d :: rest) ->
-          submit l.l_app ~name:l.l_spec.lc_name
-            ~service:(Dist.sample d l.l_rng)
-            ~on_done:(fun () -> exec (Shape.Chain rest) k)
-      | Shape.Fanout { width; stage } ->
-          let remaining = ref width in
-          for _ = 1 to width do
-            submit l.l_app ~name:l.l_spec.lc_name
-              ~service:(Dist.sample stage l.l_rng)
-              ~on_done:(fun () ->
-                decr remaining;
-                if !remaining = 0 then k ())
-          done
-      | Shape.Mix branches -> exec (Shape.pick l.l_rng branches) k
-    in
-    exec l.l_spec.shape finish
+    Shape.exec l.l_spec.shape l.l_rng ~spawn:l.l_spawn (fun () ->
+        l.l_completed <- l.l_completed + 1;
+        incr completed;
+        let now = Engine.now engine in
+        last_completion := max !last_completion now;
+        Histogram.record l.l_hist (now - at))
   in
   List.iter2
     (fun l arrival_rng ->
-      let next = Arrival.sampler l.l_spec.arrival arrival_rng in
-      Loadgen.stream engine
-        ~next:(fun ~now -> if !submitted >= requests then None else next ~now)
-        (fun at -> issue l at))
+      stream engine l.l_spec.arrival arrival_rng
+        ~stop:(fun () -> !submitted >= requests)
+        (issue l))
     lcs arrival_rngs;
-  (* Drain in bounded chunks: the periodic timers refill the event queue
-     forever, so the engine never runs dry on its own — run until every
-     submitted request completed, with a generous cap so a wedged cell
-     reports completed < submitted instead of hanging. *)
-  let expected_ns =
-    int_of_float (float_of_int requests /. mean_rate_rps scenario *. 1e9)
-  in
-  let chunk = max (Time.ms 10) (expected_ns / 16) in
-  let hard_cap = (8 * expected_ns) + Time.s 1 in
-  let rec drain until =
-    Engine.run ~until engine;
-    if (!submitted < requests || !completed < !submitted) && until < hard_cap
-    then drain (until + chunk)
-  in
-  drain chunk;
+  drain engine
+    ~expected_s:(float_of_int requests /. mean_rate_rps scenario)
+    ~settled:(fun () -> !submitted >= requests && !completed >= !submitted);
   {
     scenario = scenario.name;
     runtime = runtime_name runtime;

@@ -132,19 +132,39 @@ type digest = {
 }
 
 val run : ?seed:int -> requests:int -> runtime:runtime -> t -> digest
-(** Compile and run one cell: build the runtime (work-stealing per-CPU,
-    Shinjuku-Shenango centralized, the hybrid, or the steal-half deque
-    runtime), create one app per tenant, attach the BE tenant to the
-    allocator with its bounds, drive
-    every LC tenant's arrival process through
-    {!Skyloft_net.Loadgen.stream} until [requests] arrivals have been
-    issued in total, then drain until every submitted request completed
-    (bounded: a wedged cell returns [completed < submitted] rather than
-    hanging).  Live heap is O(tenants + in-flight), independent of
+(** Compile and run one cell: {!build} [runtime], create one app per
+    tenant, attach the BE tenant to the allocator with its bounds, issue
+    each LC tenant's requests through {!Shape.exec} from its {!stream}
+    until [requests] arrivals in total, then {!drain} until every
+    submitted request completed (a wedged cell returns [completed <
+    submitted]).  Live heap is O(tenants + in-flight), independent of
     [requests].  Deterministic in [seed] (default 42). *)
+
+(** {1 Arrival streams and the drain}
+
+    Shared by {!run} and {!Placement.run}; each brings its own issue
+    ({!Shape.exec} under its own [spawn]) and predicates. *)
+
+val stream :
+  Skyloft_sim.Engine.t -> Arrival.t -> Skyloft_sim.Rng.t ->
+  stop:(unit -> bool) -> (Time.t -> unit) -> unit
+(** [stream engine arrival rng ~stop issue]: [issue at] at every arrival
+    (draws from [rng]) until [stop ()] holds at the next scheduling. *)
+
+val drain :
+  Skyloft_sim.Engine.t -> expected_s:float -> settled:(unit -> bool) -> unit
+(** Run in chunks of [max 10 ms (expected / 16)] until [settled ()] (the
+    periodic timers never let the queue empty) or past [8 * expected +
+    1 s] ([expected_s]: nominal stream length), so a wedged run returns
+    unsettled rather than hanging. *)
+
+(** {1 Digests} *)
 
 val merged_latency : digest -> Histogram.t
 (** All LC tenants' latency histograms merged into one (fresh). *)
+
+val hist_line : Histogram.t -> string
+(** The latency summary line of every digest string. *)
 
 val digest_string : digest -> string
 (** Canonical deterministic rendering of everything request-visible in

@@ -51,6 +51,21 @@ let pick rng branches =
   in
   go 0.0 branches
 
+(* The draw order (see the .mli) is part of the seed contract. *)
+let rec exec shape rng ~spawn k =
+  match shape with
+  | Single d | Chain [ d ] -> spawn (Dist.sample d rng) k
+  | Chain [] -> invalid_arg "Shape.exec: empty chain"
+  | Chain (d :: rest) ->
+      spawn (Dist.sample d rng) (fun () -> exec (Chain rest) rng ~spawn k)
+  | Fanout { width; stage } ->
+      let remaining = ref width in
+      let join () = decr remaining; if !remaining = 0 then k () in
+      for _ = 1 to width do
+        spawn (Dist.sample stage rng) join
+      done
+  | Mix branches -> exec (pick rng branches) rng ~spawn k
+
 let rec pp ppf = function
   | Single d -> Format.fprintf ppf "single(%a)" Dist.pp d
   | Chain ds ->

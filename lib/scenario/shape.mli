@@ -7,7 +7,8 @@ module Dist = Skyloft_sim.Dist
     [benchmark_webserver] (one stage per request), [benchmark_chain]
     (sequential dependent stages), [benchmark_mixer] (a probabilistic mix
     of different request classes, including parallel fan-out) — and
-    compile onto runtime task submissions in {!Scenario}. *)
+    compile onto runtime task submissions through {!exec}, the one
+    request compiler {!Scenario} and {!Placement} share. *)
 
 type t =
   | Single of Dist.t  (** one compute stage per request *)
@@ -42,5 +43,16 @@ val pick : Skyloft_sim.Rng.t -> (float * t) list -> t
 (** Pick one {!Mix} branch with probability proportional to its weight,
     with exactly one [Rng.float] draw.
     @raise Invalid_argument on an empty list. *)
+
+val exec :
+  t -> Skyloft_sim.Rng.t ->
+  spawn:(Skyloft_sim.Time.t -> (unit -> unit) -> unit) -> (unit -> unit) -> unit
+(** [exec shape rng ~spawn k] issues one request: [spawn service k']
+    submits one stage calling [k'] on completion; [k] runs when the last
+    chain stage or the fan-out join completes.  Draws come from [rng]: a
+    chain stage at the previous stage's completion, fan-out stages
+    together in loop order, one {!pick} per mix.  Deadlines and drop
+    handling belong to the caller's [spawn].
+    @raise Invalid_argument on an empty chain ({!validate} rejects it). *)
 
 val pp : Format.formatter -> t -> unit

@@ -385,6 +385,76 @@ let placement_hoard_fault () =
     (fun t -> check Alcotest.int "lossless" 0 (Placement.lost t))
     r.Placement.tenants
 
+(* Every other placement runs single-stage requests; this fleet puts a
+   chain, a fan-out, a mix and a single stage on the four runtimes, so
+   the retry/deadline path runs multi-stage shapes.  The digests pin the
+   draw order: a chain stage drawn at the previous stage's completion,
+   fan-out stages drawn together, one pick per mixed request. *)
+let stage_tenants () =
+  let stage = Dist.Exponential { mean = Time.us 3 } in
+  let tenant ~name ~runtime shape =
+    Placement.tenant ~name ~runtime ~guaranteed:1 ~burstable:2 ~shape
+      ~arrival:(Arrival.Poisson { rate_rps = 60_000.0 })
+      ()
+  in
+  [
+    tenant ~name:"chain" ~runtime:Scenario.Percpu
+      (Shape.Chain [ stage; stage; stage ]);
+    tenant ~name:"fanout" ~runtime:Scenario.Centralized
+      (Shape.Fanout { width = 3; stage });
+    tenant ~name:"mix" ~runtime:Scenario.Hybrid
+      (Shape.Mix
+         [
+           (0.5, Shape.Single stage);
+           (0.3, Shape.Chain [ stage; stage ]);
+           (0.2, Shape.Fanout { width = 2; stage });
+         ]);
+    tenant ~name:"single" ~runtime:Scenario.Worksteal (Shape.Single stage);
+  ]
+
+let placement_multi_stage () =
+  let run faults =
+    let r =
+      Placement.run ~seed:19 ~faults ~name:"stages" ~capacity:6 ~requests:200
+        (stage_tenants ())
+    in
+    List.iter
+      (fun t ->
+        check Alcotest.int
+          (Printf.sprintf "%s lossless accounting" t.Placement.t_name)
+          0 (Placement.lost t))
+      r.Placement.tenants;
+    (r, Digest.to_hex (Digest.string (Placement.digest_string r)))
+  in
+  let _, healthy = run [] in
+  check Alcotest.string "healthy digest" "71383f07ec4be3d04821ced9928c2b97" healthy;
+  let r, crashed =
+    run
+      [ Plan.tenant_crash ~window:(Plan.window ~start:(Time.ms 1) ()) ~tenant:1 () ]
+  in
+  let victim = List.nth r.Placement.tenants 1 in
+  check Alcotest.bool "fan-out victim gave up on post-crash requests" true
+    (victim.Placement.gave_up > 0);
+  check Alcotest.string "crash digest" "09a5bed13a336be57990f03342e4b3d1" crashed
+
+(* A bad config is rejected before the engine exists, not at the first
+   arrival (or, for a negative quantum, silently accepted). *)
+let placement_config_validation () =
+  let bad msg f =
+    Alcotest.check_raises msg (Invalid_argument ("Placement.run: " ^ msg))
+      (fun () ->
+        ignore
+          (Placement.run
+             ~config:(f (Placement.default_config ()))
+             ~name:"bad" ~capacity:4 ~requests:10 (mixed_tenants ())))
+  in
+  bad "quantum must be >= 1" (fun c -> { c with Placement.quantum = -5 });
+  bad "timer_hz must be >= 1" (fun c -> { c with Placement.timer_hz = 0 });
+  bad "deadline must be > 0" (fun c -> { c with Placement.deadline = 0 });
+  bad "retry_budget must be >= 1" (fun c -> { c with Placement.retry_budget = 0 });
+  bad "retry_backoff must be >= 0" (fun c ->
+      { c with Placement.retry_backoff = -1 })
+
 let suite =
   [
     Alcotest.test_case "grant from pool" `Quick grant_from_pool;
@@ -406,4 +476,8 @@ let suite =
     Alcotest.test_case "placement crash fault" `Quick placement_crash_fault;
     Alcotest.test_case "placement stale fault" `Quick placement_stale_fault;
     Alcotest.test_case "placement hoard fault" `Quick placement_hoard_fault;
+    Alcotest.test_case "placement multi-stage shapes" `Quick
+      placement_multi_stage;
+    Alcotest.test_case "placement config validation" `Quick
+      placement_config_validation;
   ]
