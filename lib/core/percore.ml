@@ -19,7 +19,6 @@ type cpu = {
 type t = {
   rc : Rc.t;
   cpus : cpu array;
-  by_core : (int, cpu) Hashtbl.t;
   quantum : Time.t;
   park : (Time.t * Time.t) option;
   mutable parks : int;
@@ -39,12 +38,12 @@ let create rc ~cores ~quantum ~park =
         })
       cores
   in
-  let by_core = Hashtbl.create 64 in
-  Array.iter (fun cpu -> Hashtbl.replace by_core cpu.ex.Rc.exec_core cpu) cpus;
-  { rc; cpus; by_core; quantum; park; parks = 0; unparks = 0 }
+  { rc; cpus; quantum; park; parks = 0; unparks = 0 }
 
 let now t = Rc.now t.rc
-let cpu_of t core = Hashtbl.find t.by_core core
+(* [cpus] is the runtime's [d_units], so a unit's slot indexes both. *)
+let cpu_of t core =
+  match Rc.slot_of_core t.rc core with -1 -> raise Not_found | s -> t.cpus.(s)
 let cpu_of_unit t (ex : Rc.exec) = t.cpus.(ex.Rc.exec_slot)
 let in_flight t cpu = t.rc.Rc.dispatch.Rc.d_incoming_app cpu.ex >= 0
 
@@ -150,9 +149,7 @@ let kick t cpu =
 let kick_idle t = Array.iter (kick t) t.cpus
 
 let kick_some_idle t =
-  match Sched_ops.pick_idle (Rc.view t.rc) with
-  | Some core -> kick t (cpu_of t core)
-  | None -> ()
+  match Rc.first_idle_slot t.rc with -1 -> () | s -> kick t t.cpus.(s)
 
 (* ---- preemption ---------------------------------------------------------- *)
 

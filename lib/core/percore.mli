@@ -24,8 +24,8 @@ type cpu = {
 
 type t = private {
   rc : Runtime_core.t;
-  cpus : cpu array;  (** in core order: the runtime's [d_units] *)
-  by_core : (int, cpu) Hashtbl.t;
+  cpus : cpu array;
+      (** in core order: the runtime's [d_units], indexed by [exec_slot] *)
   quantum : Time.t;  (** tick-enforced quantum; [0] leaves it to the policy *)
   park : (Time.t * Time.t) option;  (** [(idle_after, resume_cost)] *)
   mutable parks : int;  (** idle cores parked back to the kernel *)

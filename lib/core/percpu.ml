@@ -33,12 +33,6 @@ let runtime t = t.rc
 let now t = Rc.now t.rc
 let cpu_of t core = Percore.cpu_of t.pc core
 
-let is_idle t ~core =
-  match Hashtbl.find_opt t.pc.Percore.by_core core with
-  | Some cpu ->
-      cpu.Percore.ex.Rc.current = None && not (Rc.unit_capped t.rc cpu.ex)
-  | None -> false
-
 (* ---- the global user-interrupt handler (Listing 1) ---------------------- *)
 
 let uintr_handler t (cpu : Percore.cpu) ctx ~uvec =
@@ -127,16 +121,16 @@ let alloc_event t (ev : Allocator.event) =
 (* ---- placement ----------------------------------------------------------- *)
 
 let pick_spawn_cpu t =
-  match Sched_ops.pick_idle (Rc.view t.rc) with
-  | Some core -> core
-  | None ->
+  match Rc.first_idle_slot t.rc with
+  | -1 ->
       let core = t.cores.(t.rr_spawn mod Array.length t.cores) in
       t.rr_spawn <- t.rr_spawn + 1;
       core
+  | s -> t.cores.(s)
 
 (* Kick [core] if it idles, else whichever core does. *)
 let kick_toward t core =
-  if is_idle t ~core then Percore.kick t.pc (cpu_of t core)
+  if Rc.is_idle t.rc core then Percore.kick t.pc (cpu_of t core)
   else Percore.kick_some_idle t.pc
 
 let place t (task : Task.t) ~cpu =
@@ -270,5 +264,6 @@ let preempt_core t ~src_core ~dst_core =
   | None -> ()
 
 let current t ~core = (cpu_of t core).Percore.ex.Rc.current
+let is_idle t ~core = Rc.is_idle t.rc core
 let parks t = t.pc.Percore.parks
 let unparks t = t.pc.Percore.unparks

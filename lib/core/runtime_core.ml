@@ -97,7 +97,8 @@ type t = {
   machine : Machine.t;
   engine : Engine.t;
   kmod : Kmod.t;
-  kthreads : (int * int, Kmod.kthread) Hashtbl.t;  (* (app, core) -> kthread *)
+  kthreads : (int, Kmod.kthread option array) Hashtbl.t;
+      (* app -> its kthread on each unit, indexed by exec_slot *)
   by_id : (int, App.t) Hashtbl.t;  (* O(1) app lookup, daemon included *)
   mutable apps : App.t list;  (* reverse creation order *)
   daemon : App.t;
@@ -124,6 +125,12 @@ type t = {
   mutable deadline_drops : int;
   mutable trace : Trace.t option;
   mutable dispatch : dispatch;
+  mutable slot_of : int array;  (* core id -> exec_slot, -1 if not a unit *)
+  mutable idle : int array;
+      (* bit [s mod idle_bits] of word [s / idle_bits] is set iff unit [s]
+         runs nothing; after install, only [begin_run] and [release]
+         write it, as they alone write [current] *)
+  mutable sched_view : Sched_ops.view option;  (* built by install_dispatch *)
   mutable metric_extras : Registry.labels -> Registry.t -> unit;
       (* mechanism- and policy-specific metrics, registered after the
          shared [skyloft_runtime_] family *)
@@ -162,6 +169,9 @@ let create machine kmod =
       deadline_drops = 0;
       trace = None;
       dispatch = null_dispatch;
+      slot_of = [||];
+      idle = [||];
+      sched_view = None;
       metric_extras = (fun _ _ -> ());
       next_app_id = 1;  (* id 0 is the daemon *)
       next_task_id = 1;
@@ -207,19 +217,58 @@ let set_core_allowance t n =
 
 let core_allowance t = t.core_allowance
 
-(* The runtime view handed to policy constructors: derived entirely from
-   the DISPATCH units, so it is identical across runtimes. *)
+(* ---- idle tracking --------------------------------------------------------- *)
+
+(* Which units run nothing is kept as a bitmask over exec slots, flipped
+   where [current] changes, so "is this core idle" and "first idle core"
+   never scan the units.  62 bits per word keeps every word and every
+   prefix mask non-negative. *)
+let idle_bits = 62
+
+let slot_of_core t core =
+  if core >= 0 && core < Array.length t.slot_of then t.slot_of.(core) else -1
+
+let idle_bit t slot = t.idle.(slot / idle_bits) land (1 lsl (slot mod idle_bits)) <> 0
+
+let set_idle_bit t slot on =
+  if slot >= 0 then begin
+    let w = slot / idle_bits and bit = 1 lsl (slot mod idle_bits) in
+    t.idle.(w) <- (if on then t.idle.(w) lor bit else t.idle.(w) land lnot bit)
+  end
+
+(* Index of the lowest set bit of a non-zero word. *)
+let lowest_bit x =
+  let x = ref (x land -x) and n = ref 0 in
+  if !x land 0xFFFF_FFFF = 0 then (n := 32; x := !x lsr 32);
+  if !x land 0xFFFF = 0 then (n := !n + 16; x := !x lsr 16);
+  if !x land 0xFF = 0 then (n := !n + 8; x := !x lsr 8);
+  if !x land 0xF = 0 then (n := !n + 4; x := !x lsr 4);
+  if !x land 0x3 = 0 then (n := !n + 2; x := !x lsr 2);
+  if !x land 0x1 = 0 then incr n;
+  !n
+
+let is_idle t core =
+  let s = slot_of_core t core in
+  s >= 0 && s < t.core_allowance && idle_bit t s
+
+(* The broker allowance is a slot prefix, so the allowed idle units of
+   word [w] are its bits below [core_allowance - w * idle_bits]. *)
+let rec first_idle_from t w =
+  let base = w * idle_bits in
+  if w >= Array.length t.idle || base >= t.core_allowance then -1
+  else
+    let room = t.core_allowance - base in
+    let m =
+      if room >= idle_bits then t.idle.(w) else t.idle.(w) land ((1 lsl room) - 1)
+    in
+    if m <> 0 then base + lowest_bit m else first_idle_from t (w + 1)
+
+let first_idle_slot t = first_idle_from t 0
+
 let view t =
-  {
-    Sched_ops.cores = Array.map (fun ex -> ex.exec_core) t.dispatch.d_units;
-    is_idle =
-      (fun core ->
-        Array.exists
-          (fun ex ->
-            ex.exec_core = core && ex.current = None && not (unit_capped t ex))
-          t.dispatch.d_units);
-    now = (fun () -> now t);
-  }
+  match t.sched_view with
+  | Some v -> v
+  | None -> invalid_arg "Runtime_core.view: no dispatch installed"
 
 let install_policy t ctor =
   let policy, probe =
@@ -249,11 +298,29 @@ let fresh_task_id t =
   id
 
 let add_kthread t ~app ~core =
+  let slot = slot_of_core t core in
+  if slot < 0 then invalid_arg "Runtime_core.add_kthread: unmanaged core";
+  let per_unit =
+    match Hashtbl.find_opt t.kthreads app with
+    | Some a -> a
+    | None ->
+        let a = Array.make (Array.length t.dispatch.d_units) None in
+        Hashtbl.replace t.kthreads app a;
+        a
+  in
   let kt = Kmod.park_on_cpu t.kmod ~app ~core in
-  Hashtbl.replace t.kthreads (app, core) kt;
+  per_unit.(slot) <- Some kt;
   kt
 
-let kthread t ~app ~core = Hashtbl.find t.kthreads (app, core)
+let unit_kthread t ~app slot =
+  match (Hashtbl.find t.kthreads app).(slot) with
+  | Some kt -> kt
+  | None -> raise Not_found
+
+let kthread t ~app ~core =
+  let slot = slot_of_core t core in
+  if slot < 0 then raise Not_found;
+  unit_kthread t ~app slot
 
 (* Launch an application: one parked kthread per unit, each set up by the
    mechanism (per-CPU dispatch wires its UINTR handlers there). *)
@@ -330,13 +397,14 @@ let trace_instant t ~core kind name =
 
 let release t ex =
   ex.current <- None;
+  set_idle_bit t ex.exec_slot true;
   t.dispatch.d_released ex
 
 (* Cross-application switch through the kernel module (§3.3/§5.4):
    returns the charged cost. *)
 let app_switch t ex (task : Task.t) =
-  let from_kt = Hashtbl.find t.kthreads (ex.active_app, ex.exec_core) in
-  let to_kt = Hashtbl.find t.kthreads (task.Task.app, ex.exec_core) in
+  let from_kt = unit_kthread t ~app:ex.active_app ex.exec_slot in
+  let to_kt = unit_kthread t ~app:task.Task.app ex.exec_slot in
   let cost = Kmod.switch_to t.kmod ~from:from_kt ~target:to_kt in
   ex.active_app <- task.Task.app;
   t.app_switches <- t.app_switches + 1;
@@ -394,15 +462,43 @@ and on_complete t ex (task : Task.t) =
   task.body <- task.cont ();
   process t ex task
 
-(* Install the dispatch record and wire each unit's stable completion
-   closure.  The closure reads [ex.current] when it fires: a completion is
-   only ever armed for the unit's current task, and every path that takes
-   the task off the unit (depose, kill, steal-freeze) cancels it first. *)
+(* Install the dispatch record, index the units by core, build the idle
+   mask and the scheduler view once, and wire each unit's stable
+   completion closure.  The closure reads [ex.current] when it fires: a
+   completion is only ever armed for the unit's current task, and every
+   path that takes the task off the unit (depose, kill, steal-freeze)
+   cancels it first. *)
 let install_dispatch t d =
+  let top = Array.fold_left (fun acc ex -> max acc ex.exec_core) (-1) d.d_units in
+  let slot_of = Array.make (top + 1) (-1) in
+  Array.iteri
+    (fun i ex ->
+      if ex.exec_core < 0 || slot_of.(ex.exec_core) >= 0 then
+        invalid_arg
+          (Printf.sprintf "Runtime_core.install_dispatch: core %d is not a distinct core id"
+             ex.exec_core);
+      slot_of.(ex.exec_core) <- i)
+    d.d_units;
+  let n = Array.length d.d_units in
   t.dispatch <- d;
+  t.slot_of <- slot_of;
+  t.idle <- Array.make ((n + idle_bits - 1) / idle_bits) 0;
+  let cores = Array.map (fun ex -> ex.exec_core) d.d_units in
+  t.sched_view <-
+    Some
+      {
+        Sched_ops.cores;
+        is_idle = is_idle t;
+        pick_idle =
+          (fun () ->
+            let s = first_idle_slot t in
+            if s < 0 then None else Some cores.(s));
+        now = (fun () -> now t);
+      };
   Array.iteri
     (fun i ex ->
       ex.exec_slot <- i;
+      set_idle_bit t i (ex.current = None);
       ex.completion_fire <-
         (fun () ->
           ex.completion <- Eventq.null;
@@ -424,6 +520,7 @@ let arm_completion t ex (task : Task.t) =
 let begin_run t ex (task : Task.t) ~switch_cost =
   task.state <- Task.Running;
   ex.current <- Some task;
+  set_idle_bit t ex.exec_slot false;
   ex.busy_from <- now t;
   task.obs_queued_ns <- task.obs_queued_ns + max 0 (now t - task.obs_enq_at);
   task.obs_overhead_ns <- task.obs_overhead_ns + switch_cost;
@@ -517,9 +614,10 @@ let wakeup t ?(waker_cpu = -1) task =
 let fault_current t ~core ~duration =
   if duration <= 0 then
     invalid_arg "Runtime_core.fault_current: duration must be positive";
-  match Array.find_opt (fun ex -> ex.exec_core = core) t.dispatch.d_units with
-  | None -> invalid_arg "Runtime_core.fault_current: unmanaged core"
-  | Some ex -> (
+  match slot_of_core t core with
+  | -1 -> invalid_arg "Runtime_core.fault_current: unmanaged core"
+  | slot -> (
+      let ex = t.dispatch.d_units.(slot) in
       match ex.current with
       | Some task when not (Eventq.is_null ex.completion) ->
           Engine.cancel t.engine ex.completion;
@@ -627,8 +725,7 @@ let spawn t app ~name ?cpu ?arrival ?(service = 0) ?(record = true) ?deadline
   (match cpu with
   | Some c
     when not
-           (t.dispatch.d_pinnable
-           && Array.exists (fun ex -> ex.exec_core = c) t.dispatch.d_units) ->
+           (t.dispatch.d_pinnable && slot_of_core t c >= 0) ->
       invalid_arg
         (Printf.sprintf "Runtime_core.spawn: %s cannot pin a task to cpu %d"
            t.dispatch.d_name c)

@@ -92,7 +92,8 @@ type t = {
   machine : Machine.t;
   engine : Engine.t;
   kmod : Kmod.t;
-  kthreads : (int * int, Kmod.kthread) Hashtbl.t;
+  kthreads : (int, Kmod.kthread option array) Hashtbl.t;
+      (** app id -> its kthread on each unit, indexed by [exec_slot] *)
   by_id : (int, App.t) Hashtbl.t;  (** O(1) app lookup, daemon included *)
   mutable apps : App.t list;  (** reverse creation order *)
   daemon : App.t;
@@ -119,6 +120,15 @@ type t = {
   mutable deadline_drops : int;
   mutable trace : Trace.t option;
   mutable dispatch : dispatch;
+  mutable slot_of : int array;
+      (** core id -> [exec_slot] of its unit, [-1] for a core that is not
+          a unit (built by {!install_dispatch}) *)
+  mutable idle : int array;
+      (** the idle mask: bit [s mod 62] of word [s / 62] is set iff unit
+          [s] runs nothing.  {!begin_run} and {!release} — the only
+          writers of [current] — keep it up to date. *)
+  mutable sched_view : Sched_ops.view option;
+      (** the scheduler view, built once by {!install_dispatch} *)
   mutable metric_extras : Registry.labels -> Registry.t -> unit;
   mutable next_app_id : int;
       (** per-run app-id allocator (1, 2, ...; the daemon is 0).  Ids used
@@ -137,8 +147,11 @@ val now : t -> Time.t
 val make_exec : int -> exec
 
 val install_dispatch : t -> dispatch -> unit
-(** Install the substrate; numbers the unit slots and resets the BE
-    allowance to the unit count. *)
+(** Install the substrate: number the unit slots, index them by core,
+    build the idle mask and the scheduler {!view}, and reset the BE
+    allowance to the unit count.
+    @raise Invalid_argument if two units share a core or a core id is
+    negative. *)
 
 val unit_capped : t -> exec -> bool
 (** Whether the broker gate forbids this unit from running anything: its
@@ -158,11 +171,29 @@ val core_allowance : t -> int
 
 val view : t -> Sched_ops.view
 (** The runtime view handed to policy constructors, derived entirely from
-    the DISPATCH units (requires {!install_dispatch} first). *)
+    the DISPATCH units and built once by {!install_dispatch}: its
+    [is_idle] and [pick_idle] read the idle mask, so neither allocates
+    nor scans the units.
+    @raise Invalid_argument before {!install_dispatch} (there are no
+    units to view yet). *)
+
+val slot_of_core : t -> int -> int
+(** The [exec_slot] of the unit on this core; [-1] for a core that is not
+    a unit. *)
+
+val is_idle : t -> int -> bool
+(** Whether the unit on this core runs nothing and is not broker-capped
+    ({!unit_capped}); [false] for a core that is not a unit.  O(1). *)
+
+val first_idle_slot : t -> int
+(** The lowest slot whose unit {!is_idle}, or [-1]: the mask's lowest set
+    bit below the core allowance.  Units are in core order, so this is
+    the first idle core in [d_units] order.  O(units / 62). *)
 
 val install_policy : t -> Sched_ops.ctor -> unit
 (** Instrument the policy with the congestion probe and the queue-depth
-    series, then install it. *)
+    series, then install it (after {!install_dispatch}: the constructor
+    gets the {!view}). *)
 
 (** {1 Applications and kthreads} *)
 
@@ -180,7 +211,13 @@ val activate_daemon : t -> unit
     construction step, after {!install_policy}. *)
 
 val add_kthread : t -> app:int -> core:int -> Kmod.kthread
+(** Park a kthread of [app] on a unit's core.
+    @raise Invalid_argument if [core] is not a unit. *)
+
 val kthread : t -> app:int -> core:int -> Kmod.kthread
+(** The kthread of [app] on a unit's core.
+    @raise Not_found if there is none. *)
+
 val is_be : t -> Task.t -> bool
 
 val be_occupancy : t -> int
@@ -200,6 +237,8 @@ val account : t -> exec -> unit
 
 val trace_instant : t -> core:int -> Trace.instant_kind -> string -> unit
 val release : t -> exec -> unit
+(** Take the unit's task off it ([current <- None], idle bit set), then
+    [d_released]. *)
 
 val app_switch : t -> exec -> Task.t -> Time.t
 (** Cross-application switch through the kernel module; returns the
@@ -216,8 +255,8 @@ val on_complete : t -> exec -> Task.t -> unit
 val arm_completion : t -> exec -> Task.t -> unit
 
 val begin_run : t -> exec -> Task.t -> switch_cost:Time.t -> Time.t
-(** Put the task on the unit: lifecycle state, attribution stamping, the
-    wakeup-latency sample.  Returns when execution begins (after the
+(** Put the task on the unit ([current], idle bit cleared): lifecycle
+    state, attribution stamping, the wakeup-latency sample.  Returns when execution begins (after the
     switch cost). *)
 
 val run_after_switch : t -> exec -> Task.t -> switch_cost:Time.t -> unit

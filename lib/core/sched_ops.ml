@@ -1,6 +1,11 @@
 module Time = Skyloft_sim.Time
 
-type view = { cores : int array; is_idle : int -> bool; now : unit -> Time.t }
+type view = {
+  cores : int array;
+  is_idle : int -> bool;
+  pick_idle : unit -> int option;
+  now : unit -> Time.t;
+}
 type reason = Enq_new | Enq_preempted | Enq_woken | Enq_yielded
 
 type instance = {
@@ -89,18 +94,7 @@ let instrument ~now ?on_change (p : instance) =
   in
   (wrapped, probe)
 
-let pick_idle view =
-  let found = ref None in
-  (try
-     Array.iter
-       (fun core ->
-         if view.is_idle core then begin
-           found := Some core;
-           raise Exit
-         end)
-       view.cores
-   with Exit -> ());
-  !found
+let pick_idle view = view.pick_idle ()
 
 let wakeup_to_idle_or view ~fallback =
   match pick_idle view with Some core -> core | None -> fallback

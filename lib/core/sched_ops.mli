@@ -24,7 +24,11 @@ module Time = Skyloft_sim.Time
 
 type view = {
   cores : int array;  (** worker core ids managed by this scheduler *)
-  is_idle : int -> bool;  (** is this core currently running nothing? *)
+  is_idle : int -> bool;
+      (** is this core currently running nothing (and not broker-capped)?
+          [false] for a core the scheduler does not manage *)
+  pick_idle : unit -> int option;
+      (** the first core of [cores], in order, for which [is_idle] holds *)
   now : unit -> Time.t;
 }
 
@@ -103,7 +107,7 @@ val instrument :
     it must not re-enter the policy. *)
 
 val pick_idle : view -> int option
-(** First idle managed core, if any. *)
+(** First idle managed core, if any: [view.pick_idle ()]. *)
 
 val wakeup_to_idle_or : view -> fallback:int -> int
 (** Default wakeup placement: an idle core when available, otherwise

@@ -37,32 +37,32 @@ let nth t i =
 
 let last t = if t.count = 0 then None else Some (nth t (t.count - 1))
 
+(* Reads the newest slot ([head - 1]) in place: [last] allocates, and this
+   runs on every queue-depth change. *)
 let record t ~at v =
-  (match last t with
-  | Some (prev_at, _) when at < prev_at ->
-      invalid_arg "Timeseries.record: time went backwards"
-  | _ -> ());
-  match last t with
-  | Some (_, prev_v) when prev_v = v -> ()
-  | _ ->
-      if t.count = t.capacity then begin
-        (* Evicting the oldest sample: fold the interval it covered — up
-           to the next retained sample (or the incoming one at capacity
-           1) — into the truncated-prefix accumulators before the slot is
-           overwritten. *)
-        let t0 = t.times.(t.head) and v0 = t.values.(t.head) in
-        let t1 = if t.capacity > 1 then t.times.((t.head + 1) mod t.capacity) else at in
-        if t1 > t0 then begin
-          t.trunc_span <- t.trunc_span + (t1 - t0);
-          t.trunc_weighted <-
-            t.trunc_weighted +. (float_of_int (t1 - t0) *. float_of_int v0)
-        end;
-        t.dropped <- t.dropped + 1
-      end
-      else t.count <- t.count + 1;
-      t.times.(t.head) <- at;
-      t.values.(t.head) <- v;
-      t.head <- (t.head + 1) mod t.capacity
+  let newest = (t.head + t.capacity - 1) mod t.capacity in
+  if t.count > 0 && at < t.times.(newest) then
+    invalid_arg "Timeseries.record: time went backwards";
+  if t.count = 0 || t.values.(newest) <> v then begin
+    if t.count = t.capacity then begin
+      (* Evicting the oldest sample: fold the interval it covered — up
+         to the next retained sample (or the incoming one at capacity
+         1) — into the truncated-prefix accumulators before the slot is
+         overwritten. *)
+      let t0 = t.times.(t.head) and v0 = t.values.(t.head) in
+      let t1 = if t.capacity > 1 then t.times.((t.head + 1) mod t.capacity) else at in
+      if t1 > t0 then begin
+        t.trunc_span <- t.trunc_span + (t1 - t0);
+        t.trunc_weighted <-
+          t.trunc_weighted +. (float_of_int (t1 - t0) *. float_of_int v0)
+      end;
+      t.dropped <- t.dropped + 1
+    end
+    else t.count <- t.count + 1;
+    t.times.(t.head) <- at;
+    t.values.(t.head) <- v;
+    t.head <- (t.head + 1) mod t.capacity
+  end
 
 let length t = t.count
 let dropped t = t.dropped

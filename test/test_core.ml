@@ -220,6 +220,83 @@ let make_percpu ?(cores = 4) ?(timer_hz = 100_000) ?(preemption = true) ctor =
 
 (* ---- Percpu runtime ---- *)
 
+(* 70 workers put the idle mask in two words (slots 0..61 and 62..69).
+   Placement, kills and broker caps must all see idle units beyond slot
+   62, and every answer must equal a full scan of the units. *)
+let test_percpu_idle_mask_two_words () =
+  let workers = 70 in
+  let engine = Engine.create () in
+  let machine =
+    Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:workers)
+  in
+  let kmod = Kmod.create machine in
+  let pc =
+    Percpu.create machine kmod ~cores:(List.init workers Fun.id) ~preemption:false
+      fifo_ctor
+  in
+  let rt = Percpu.runtime pc in
+  let app = Rc.create_app rt ~name:"wide" in
+  let spawn ?cpu () =
+    Rc.spawn rt app ~name:"w" ?cpu (Coro.compute_then_exit (Time.ms 10))
+  in
+  let until = ref 0 in
+  let run () =
+    until := !until + Time.us 50;
+    Engine.run ~until:!until engine
+  in
+  let scan () =
+    Array.find_opt
+      (fun (ex : Rc.exec) -> ex.Rc.current = None && not (Rc.unit_capped rt ex))
+      rt.Rc.dispatch.Rc.d_units
+    |> Option.map (fun (ex : Rc.exec) -> ex.Rc.exec_core)
+  in
+  let first_idle what expected =
+    let picked = (Rc.view rt).Sched_ops.pick_idle () in
+    check (Alcotest.option Alcotest.int) (what ^ ": scan") expected (scan ());
+    check (Alcotest.option Alcotest.int) (what ^ ": mask") expected picked
+  in
+  let on core =
+    match Percpu.current pc ~core with Some task -> task | None -> Alcotest.fail "idle"
+  in
+  first_idle "fresh runtime" (Some 0);
+  for core = 0 to workers - 2 do
+    ignore (spawn ~cpu:core ())
+  done;
+  run ();
+  first_idle "only the last core idle" (Some 69);
+  check Alcotest.bool "core 69 idle" true (Percpu.is_idle pc ~core:69);
+  check Alcotest.bool "core 62 busy" false (Percpu.is_idle pc ~core:62);
+  check Alcotest.bool "core 70 is not a unit" false (Percpu.is_idle pc ~core:70);
+  let last = spawn () in
+  run ();
+  check Alcotest.bool "unpinned spawn lands on slot 69" true (on 69 == last);
+  first_idle "all busy" None;
+  Rc.kill rt (on 62);
+  run ();
+  first_idle "first slot of the second word freed" (Some 62);
+  Rc.kill rt (on 61);
+  run ();
+  first_idle "last slot of the first word freed" (Some 61);
+  (* Capping at 61 evicts slots 61..69; their tasks queue, nothing idles. *)
+  Rc.set_core_allowance rt 61;
+  run ();
+  first_idle "capped below both free slots" None;
+  check Alcotest.bool "capped core 62 not idle" false (Percpu.is_idle pc ~core:62);
+  (* 63 hands slots 61 and 62 back; each takes a queued task. *)
+  Rc.set_core_allowance rt 63;
+  run ();
+  first_idle "handed-back slots took queued work" None;
+  (* The other five of the seven queued tasks fill 63..67. *)
+  Rc.set_core_allowance rt max_int;
+  run ();
+  first_idle "uncapped: two slots left over in the second word" (Some 68);
+  check Alcotest.bool "core 69 idle again" true (Percpu.is_idle pc ~core:69);
+  check Alcotest.bool "kthread indexed by slot beyond 62" true
+    (Rc.kthread rt ~app:app.App.id ~core:69 != Rc.kthread rt ~app:app.App.id ~core:62);
+  Alcotest.check_raises "no kthread on a core that is not a unit" Not_found (fun () ->
+      ignore (Rc.kthread rt ~app:app.App.id ~core:70))
+
+
 let test_percpu_runs_task () =
   let engine, _, rt = make_percpu fifo_ctor in
   let app = Rc.create_app rt ~name:"app" in
@@ -791,6 +868,8 @@ let suite =
       test_percpu_be_guaranteed_cores;
     Alcotest.test_case "percpu: BE attach validates before admitting" `Quick
       test_percpu_be_attach_validates_first;
+    Alcotest.test_case "percpu: idle mask over two words" `Quick
+      test_percpu_idle_mask_two_words;
     Alcotest.test_case "centralized: basic" `Quick test_centralized_basic;
     Alcotest.test_case "centralized: quantum preemption" `Quick
       test_centralized_quantum_preemption;

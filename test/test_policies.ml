@@ -207,7 +207,12 @@ let test_ws_preemptive_breaks_hol () =
 
 let ws_instance ?(cores = [| 0; 1 |]) ?(is_idle = fun _ -> false) () =
   let view =
-    { Skyloft.Sched_ops.cores; is_idle; now = (fun () -> 0) }
+    {
+      Skyloft.Sched_ops.cores;
+      is_idle;
+      pick_idle = (fun () -> Array.find_opt is_idle cores);
+      now = (fun () -> 0);
+    }
   in
   Work_stealing.create () view
 

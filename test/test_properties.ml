@@ -169,13 +169,15 @@ let prop_centralized_all_complete =
 
 module Scenario = Skyloft_scenario.Scenario
 module Task = Skyloft.Task
+module Sched_ops = Skyloft.Sched_ops
 
 (* Random operation sequences, driven through the same code against every
    configuration {!Scenario.build} makes: spawn (pinned where the
    mechanism can pin, some tasks blocking mid-service, some with a
    deadline), kill, wakeup of blocked tasks, a page fault on a worker,
    and broker allowance shrink and grow, with a random stretch of
-   simulated time after each step. *)
+   simulated time after each step.  After every step no task is on two
+   units and the idle mask agrees with a full scan of the units. *)
 type op =
   | Spawn of { pin : int; service : int; block : bool; deadline : int option }
   | Kill of int
@@ -217,12 +219,27 @@ let no_task_on_two_units (rt : Rc.t) =
   in
   List.length (List.sort_uniq compare ids) = List.length ids
 
+(* The idle mask agrees with a full scan of the units: a unit is idle
+   iff it runs nothing and the broker allows it, the first idle core is
+   the first such unit in [d_units] order, and a core that is not a unit
+   (the dispatcher's, one past the machine) is never idle. *)
+let idle_mask_agrees (rt : Rc.t) ~machine_cores =
+  let view = Rc.view rt in
+  let units = rt.Rc.dispatch.Rc.d_units in
+  let scan (ex : Rc.exec) = ex.Rc.current = None && not (Rc.unit_capped rt ex) in
+  let unit_core c = Array.exists (fun (ex : Rc.exec) -> ex.Rc.exec_core = c) units in
+  Array.for_all (fun (ex : Rc.exec) -> view.Sched_ops.is_idle ex.Rc.exec_core = scan ex) units
+  && view.Sched_ops.pick_idle ()
+     = Option.map (fun (ex : Rc.exec) -> ex.Rc.exec_core) (Array.find_opt scan units)
+  && List.for_all
+       (fun c -> unit_core c || not (view.Sched_ops.is_idle c))
+       (List.init (machine_cores + 2) (fun c -> c - 1))
+
 let conformance runtime ops =
   let engine = Engine.create ~seed:1 () in
+  let machine_cores = conformance_workers + Scenario.dispatcher_cores runtime in
   let machine =
-    Machine.create engine
-      (Topology.create ~sockets:1
-         ~cores_per_socket:(conformance_workers + Scenario.dispatcher_cores runtime))
+    Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:machine_cores)
   in
   let rt =
     Scenario.build machine (Kmod.create machine) ~first_core:0
@@ -258,11 +275,12 @@ let conformance runtime ops =
         until := !until + d;
         Engine.run ~until:!until engine
   in
-  let holds = ref true in
+  let consistent () = no_task_on_two_units rt && idle_mask_agrees rt ~machine_cores in
+  let holds = ref (consistent ()) in
   List.iter
     (fun op ->
       step op;
-      if not (no_task_on_two_units rt) then holds := false)
+      if not (consistent ()) then holds := false)
     ops;
   let alive () =
     Array.fold_left
@@ -285,7 +303,7 @@ let conformance runtime ops =
       Array.iter wake_blocked !tasks;
       Engine.run ~until:(!until + (round * Time.ms 10)) engine)
     [ 1; 2 ];
-  !holds && mid && no_task_on_two_units rt && conserved () && alive () = 0
+  !holds && mid && consistent () && conserved () && alive () = 0
 
 let prop_handle_conformance =
   QCheck.Test.make ~name:"handle: one op sequence, every configuration conforms"

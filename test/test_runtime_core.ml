@@ -255,6 +255,36 @@ let test_be_occupancy () =
     (Invalid_argument "Runtime_core.attach_be_app: app not created by this runtime")
     (fun () -> Rc.attach_be_app st2.rc foreign ~chunk:(Time.us 10) ~workers:1)
 
+(* ---- the scheduler view ---------------------------------------------------- *)
+
+(* The view is built once, by install_dispatch: asking for it earlier
+   used to hand out a view with an empty [cores] array that a policy
+   would then keep for good.  Units must sit on distinct cores, which
+   the core -> unit index relies on. *)
+let test_view_requires_dispatch () =
+  let engine = Engine.create () in
+  let machine =
+    Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4)
+  in
+  let rc = Rc.create machine (Kmod.create machine) in
+  let no_dispatch = Invalid_argument "Runtime_core.view: no dispatch installed" in
+  check_raises "view before install_dispatch" no_dispatch (fun () ->
+      ignore (Rc.view rc));
+  check_raises "policy before install_dispatch" no_dispatch (fun () ->
+      Rc.install_policy rc (Skyloft_policies.Fifo.create ()));
+  check_raises "two units on one core"
+    (Invalid_argument "Runtime_core.install_dispatch: core 1 is not a distinct core id")
+    (fun () ->
+      Rc.install_dispatch rc
+        { Rc.null_dispatch with d_units = Array.map Rc.make_exec [| 0; 1; 1 |] });
+  Rc.install_dispatch rc
+    { Rc.null_dispatch with d_units = Array.map Rc.make_exec [| 2; 0 |] };
+  let view = Rc.view rc in
+  check (array int) "cores in unit order" [| 2; 0 |] view.Sched_ops.cores;
+  check (option int) "first idle unit, not lowest core id" (Some 2)
+    (view.Sched_ops.pick_idle ());
+  check bool "same view every time" true (Rc.view rc == view)
+
 let suite =
   [
     test_case "find_app is exact over many apps" `Quick test_find_app_many;
@@ -263,4 +293,6 @@ let suite =
     test_case "deadline kills in every state" `Quick test_deadline_kills;
     test_case "watchdog bookkeeping" `Quick test_watchdog_rescue;
     test_case "BE occupancy counts in-flight work" `Quick test_be_occupancy;
+    test_case "view requires an installed dispatch" `Quick
+      test_view_requires_dispatch;
   ]

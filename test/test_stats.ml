@@ -237,10 +237,45 @@ let test_timeseries_capacity_one () =
     (50.0 +. 140.0 +. (9.0 *. 10.0))
     (Timeseries.integrate s ~until:40)
 
+(* [record] against a list model: a sample earlier than the newest one
+   raises and changes nothing, a repeated value is dropped, and the ring
+   keeps the newest [capacity] samples. *)
+let prop_timeseries_record_model =
+  let module Timeseries = Skyloft_stats.Timeseries in
+  QCheck.Test.make ~name:"timeseries: record matches a list model" ~count:200
+    QCheck.(
+      pair (int_range 1 5)
+        (list_of_size (Gen.int_range 0 60) (pair (int_range (-3) 5) (int_range 0 3))))
+    (fun (capacity, steps) ->
+      let s = Timeseries.create ~capacity () in
+      let model = ref [] (* newest first *) and at = ref 0 in
+      List.for_all
+        (fun (dt, v) ->
+          at := !at + dt;
+          let backwards = match !model with (t, _) :: _ -> !at < t | [] -> false in
+          let raised =
+            match Timeseries.record s ~at:!at v with
+            | () -> false
+            | exception Invalid_argument _ -> true
+          in
+          if backwards then at := !at - dt
+          else begin
+            match !model with
+            | (_, pv) :: _ when pv = v -> ()
+            | _ -> model := (!at, v) :: !model
+          end;
+          let kept = List.filteri (fun i _ -> i < capacity) !model in
+          raised = backwards
+          && Timeseries.to_list s = List.rev kept
+          && Timeseries.dropped s = List.length !model - List.length kept
+          && Timeseries.last s = List.nth_opt !model 0)
+        steps)
+
 let suite =
   [
     Alcotest.test_case "timeseries: empty mean" `Quick test_timeseries_empty_mean;
     Alcotest.test_case "timeseries: integrate" `Quick test_timeseries_integrate;
+    qtest prop_timeseries_record_model;
     Alcotest.test_case "hist: empty" `Quick test_hist_empty;
     Alcotest.test_case "hist: exact small" `Quick test_hist_exact_small_values;
     Alcotest.test_case "hist: min/max exact" `Quick test_hist_minmax_exact;
