@@ -123,8 +123,9 @@ let bench_eventq () =
   for i = 1 to 1000 do
     ignore (Eventq.schedule q ~at:i ())
   done;
-  let rec drain () = match Eventq.pop q with Some _ -> drain () | None -> () in
-  drain ()
+  while not (Eventq.is_empty q) do
+    Eventq.pop_exn q
+  done
 
 let bench_engine_events () =
   let module Engine = Skyloft_sim.Engine in

@@ -216,20 +216,24 @@ let quantum_fire t u =
 
 (* ---- the shared-queue poke ------------------------------------------------ *)
 
+(* The first unit, in order, that runs nothing, awaits no assignment and
+   is under the broker cap; -1 when there is none. *)
+let rec first_free t i =
+  if i = Array.length t.units then -1
+  else
+    let u = t.units.(i) in
+    if u.ex.Rc.current = None && (not (reserved u)) && not (Rc.unit_capped t.rc u.ex)
+    then i
+    else first_free t (i + 1)
+
 (* Hand queued work to free units until either runs out. *)
 let rec pump t =
   if queue_length t > 0 then
-    match
-      Array.find_opt
-        (fun u ->
-          u.ex.Rc.current = None && (not (reserved u))
-          && not (Rc.unit_capped t.rc u.ex))
-        t.units
-    with
-    | Some u ->
-        try_next t u;
-        pump t
-    | None -> ()
+    let i = first_free t 0 in
+    if i >= 0 then begin
+      try_next t t.units.(i);
+      pump t
+    end
 
 (* New work arrived in the shared queue: the mode decides who notices. *)
 let poke t =

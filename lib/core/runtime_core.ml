@@ -488,6 +488,7 @@ let install_dispatch t d =
     Some
       {
         Sched_ops.cores;
+        index_of = slot_of_core t;
         is_idle = is_idle t;
         pick_idle =
           (fun () ->

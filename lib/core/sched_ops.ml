@@ -2,6 +2,7 @@ module Time = Skyloft_sim.Time
 
 type view = {
   cores : int array;
+  index_of : int -> int;
   is_idle : int -> bool;
   pick_idle : unit -> int option;
   now : unit -> Time.t;

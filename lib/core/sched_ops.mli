@@ -24,6 +24,9 @@ module Time = Skyloft_sim.Time
 
 type view = {
   cores : int array;  (** worker core ids managed by this scheduler *)
+  index_of : int -> int;
+      (** a core id's position in [cores], or -1 for a core the scheduler
+          does not manage *)
   is_idle : int -> bool;
       (** is this core currently running nothing (and not broker-capped)?
           [false] for a core the scheduler does not manage *)

@@ -38,7 +38,6 @@ type stats = {
 type deques = {
   view : Sched_ops.view;
   n : int;
-  slot : int array;  (* core id -> position; -1 for an unmanaged id *)
   queues : Runqueue.t array;
   cursor : int array;
       (* per-thief steal cursor: the next scan resumes where the last
@@ -53,22 +52,20 @@ type deques = {
 
 let deques (view : Sched_ops.view) =
   let n = Array.length view.cores in
-  let slot = Array.make (Array.fold_left max (-1) view.cores + 1) (-1) in
-  Array.iteri (fun i core -> slot.(core) <- i) view.cores;
   {
     view;
     n;
-    slot;
     queues = Array.init n (fun _ -> Runqueue.create ());
     cursor = Array.make n (-1);
     probes = 0;
     wake_rr = 0;
   }
 
-let managed d cpu = cpu >= 0 && cpu < Array.length d.slot && d.slot.(cpu) >= 0
+let managed d cpu = d.view.index_of cpu >= 0
 
 let index d cpu =
-  if managed d cpu then d.slot.(cpu) else invalid_arg "work_stealing: unmanaged cpu"
+  let i = d.view.index_of cpu in
+  if i >= 0 then i else invalid_arg "work_stealing: unmanaged cpu"
 
 let q d cpu = d.queues.(index d cpu)
 

@@ -1,13 +1,16 @@
-(* Structure-of-arrays binary min-heap.  The heap proper is a preallocated
-   int Bigarray with three machine words per node — time, sequence number,
-   slot index — so sifting moves unboxed ints with no write barrier.
-   Payloads and per-event bookkeeping (generation, cancelled flag) live in a
-   parallel slab addressed by slot index and recycled through a free stack,
-   so [schedule]/[cancel]/[pop] allocate nothing in steady state.
+(* Structure-of-arrays indexed binary min-heap.  The heap proper is a
+   preallocated int Bigarray with three machine words per node — time,
+   sequence number, slot index — so sifting moves unboxed ints with no write
+   barrier.  Payloads and per-event bookkeeping (generation, heap position)
+   live in a parallel slab addressed by slot index and recycled through a
+   free stack, so [schedule]/[cancel]/[pop_exn] allocate nothing in steady
+   state.  The slot -> heap-position word makes removal eager: [cancel]
+   takes its node out of the heap at once, so the heap never holds a
+   cancelled entry.
 
    A handle is an int packing (generation lsl slot_bits) lor slot.  The
    slot's generation is bumped when the event leaves the heap, so a stale
-   handle — one whose event already fired or was collected — fails the
+   handle — one whose event already fired or was cancelled — fails the
    generation check and [cancel] is a no-op, preserving the old boxed
    handles' cancel-after-fire semantics without keeping them alive. *)
 
@@ -26,12 +29,11 @@ type ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type 'a t = {
   mutable heap : ba;  (* stride 3 per node: time, seq, slot *)
-  mutable len : int;  (* live heap nodes; each owns exactly one slot *)
+  mutable len : int;  (* heap nodes; each owns exactly one slot *)
   mutable next_seq : int;
-  mutable cancelled_in_heap : int;
   (* slot slab, all of capacity [cap]: *)
   mutable gens : ba;  (* slot -> current generation *)
-  mutable dead : ba;  (* slot -> 1 iff cancelled while still heaped *)
+  mutable pos : ba;  (* slot -> index of its node in [heap], while heaped *)
   mutable payloads : Obj.t array;
   mutable free : ba;  (* stack of free slot indices *)
   mutable free_top : int;
@@ -57,15 +59,12 @@ let create () =
   for i = 0 to cap - 1 do bset free i (cap - 1 - i) done;
   let gens = ba_create cap in
   Bigarray.Array1.fill gens 0;
-  let dead = ba_create cap in
-  Bigarray.Array1.fill dead 0;
   {
     heap = ba_create (3 * cap);
     len = 0;
     next_seq = 0;
-    cancelled_in_heap = 0;
     gens;
-    dead;
+    pos = ba_create cap;
     payloads = Array.make cap unit_obj;
     free;
     free_top = cap;
@@ -81,15 +80,12 @@ let grow t =
   let heap = ba_create (3 * new_cap) in
   for i = 0 to (3 * t.len) - 1 do bset heap i (bget t.heap i) done;
   let gens = ba_create new_cap in
-  let dead = ba_create new_cap in
+  let pos = ba_create new_cap in
   for i = 0 to cap - 1 do
     bset gens i (bget t.gens i);
-    bset dead i (bget t.dead i)
+    bset pos i (bget t.pos i)
   done;
-  for i = cap to new_cap - 1 do
-    bset gens i 0;
-    bset dead i 0
-  done;
+  for i = cap to new_cap - 1 do bset gens i 0 done;
   let payloads = Array.make new_cap unit_obj in
   Array.blit t.payloads 0 payloads 0 cap;
   (* grow only runs when every slot is live, so the free stack is empty:
@@ -98,7 +94,7 @@ let grow t =
   for i = 0 to new_cap - cap - 1 do bset free i (new_cap - 1 - i) done;
   t.heap <- heap;
   t.gens <- gens;
-  t.dead <- dead;
+  t.pos <- pos;
   t.payloads <- payloads;
   t.free <- free;
   t.free_top <- new_cap - cap;
@@ -111,51 +107,61 @@ let node_lt t i j =
   let ti = bget t.heap bi and tj = bget t.heap bj in
   ti < tj || (ti = tj && bget t.heap (bi + 1) < bget t.heap (bj + 1))
 
-let swap_nodes t i j =
-  let bi = 3 * i and bj = 3 * j in
-  let t0 = bget t.heap bi and t1 = bget t.heap (bi + 1) and t2 = bget t.heap (bi + 2) in
-  bset t.heap bi (bget t.heap bj);
-  bset t.heap (bi + 1) (bget t.heap (bj + 1));
-  bset t.heap (bi + 2) (bget t.heap (bj + 2));
-  bset t.heap bj t0;
-  bset t.heap (bj + 1) t1;
-  bset t.heap (bj + 2) t2
+(* Copy node [src] into index [dst] and point its slot's position there. *)
+let move_node t ~src ~dst =
+  let bs = 3 * src and bd = 3 * dst in
+  let slot = bget t.heap (bs + 2) in
+  bset t.heap bd (bget t.heap bs);
+  bset t.heap (bd + 1) (bget t.heap (bs + 1));
+  bset t.heap (bd + 2) slot;
+  bset t.pos slot dst
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if node_lt t i parent then begin
-      swap_nodes t i parent;
-      sift_up t parent
+(* Write key (at, seq) and [slot] at index [i]. *)
+let place t i ~at ~seq slot =
+  let b = 3 * i in
+  bset t.heap b at;
+  bset t.heap (b + 1) seq;
+  bset t.heap (b + 2) slot;
+  bset t.pos slot i
+
+(* key (at, seq) sorts before node [j] *)
+let key_lt t ~at ~seq j =
+  let tj = bget t.heap (3 * j) in
+  at < tj || (at = tj && seq < bget t.heap ((3 * j) + 1))
+
+(* Sift a hole at [i] towards the root, moving each later parent down one
+   level, then drop the key into the hole. *)
+let rec sift_up t i ~at ~seq slot =
+  let parent = (i - 1) / 2 in
+  if i > 0 && key_lt t ~at ~seq parent then begin
+    move_node t ~src:parent ~dst:i;
+    sift_up t parent ~at ~seq slot
+  end
+  else place t i ~at ~seq slot
+
+(* The same hole the other way: each earlier child moves up one level. *)
+let rec sift_down t i ~at ~seq slot =
+  let left = (2 * i) + 1 in
+  if left >= t.len then place t i ~at ~seq slot
+  else
+    let c = if left + 1 < t.len && node_lt t (left + 1) left then left + 1 else left in
+    if key_lt t ~at ~seq c then place t i ~at ~seq slot
+    else begin
+      move_node t ~src:c ~dst:i;
+      sift_down t c ~at ~seq slot
     end
-  end
-
-let rec sift_down t i =
-  let left = (2 * i) + 1 and right = (2 * i) + 2 in
-  let smallest = ref i in
-  if left < t.len && node_lt t left !smallest then smallest := left;
-  if right < t.len && node_lt t right !smallest then smallest := right;
-  if !smallest <> i then begin
-    swap_nodes t i !smallest;
-    sift_down t !smallest
-  end
 
 let schedule t ~at payload =
   if at < 0 then invalid_arg "Eventq.schedule: negative time";
   if t.free_top = 0 then grow t;
   t.free_top <- t.free_top - 1;
   let slot = bget t.free t.free_top in
-  bset t.dead slot 0;
   Array.unsafe_set t.payloads slot (Obj.repr payload);
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   let i = t.len in
   t.len <- i + 1;
-  let b = 3 * i in
-  bset t.heap b at;
-  bset t.heap (b + 1) seq;
-  bset t.heap (b + 2) slot;
-  sift_up t i;
+  sift_up t i ~at ~seq slot;
   (bget t.gens slot lsl slot_bits) lor slot
 
 (* A handle is valid while its slot's generation matches; anything else —
@@ -167,20 +173,7 @@ let live_slot t (h : handle) =
     let slot = h land slot_mask in
     if slot < t.cap && bget t.gens slot = h asr slot_bits then slot else -1
 
-let cancel t (h : handle) =
-  let slot = live_slot t h in
-  if slot >= 0 && bget t.dead slot = 0 then begin
-    bset t.dead slot 1;
-    t.cancelled_in_heap <- t.cancelled_in_heap + 1;
-    (* [size] must never go negative: every cancelled entry is still heaped *)
-    assert (t.cancelled_in_heap <= t.len)
-  end
-
-let is_cancelled t (h : handle) =
-  let slot = live_slot t h in
-  slot >= 0 && bget t.dead slot = 1
-
-(* Release the popped node's slot: bump the generation so outstanding
+(* Release a removed node's slot: bump the generation so outstanding
    handles go stale, drop the payload reference, recycle the index. *)
 let free_slot t slot =
   bset t.gens slot ((bget t.gens slot + 1) land gen_mask);
@@ -188,80 +181,47 @@ let free_slot t slot =
   bset t.free t.free_top slot;
   t.free_top <- t.free_top + 1
 
-(* Remove the heap root and free its slot; true iff it was cancelled. *)
-let drop_top t =
-  let slot = bget t.heap 2 in
+(* Remove node [i]: the last node takes its place and sifts whichever way
+   restores the order (up only when it beats its new parent), then the
+   removed node's slot is freed. *)
+let remove_at t i =
+  let slot = bget t.heap ((3 * i) + 2) in
   let last = t.len - 1 in
   t.len <- last;
-  if last > 0 then begin
+  if i < last then begin
     let b = 3 * last in
-    bset t.heap 0 (bget t.heap b);
-    bset t.heap 1 (bget t.heap (b + 1));
-    bset t.heap 2 (bget t.heap (b + 2));
-    sift_down t 0
+    let at = bget t.heap b and seq = bget t.heap (b + 1) and moved = bget t.heap (b + 2) in
+    if i > 0 && key_lt t ~at ~seq ((i - 1) / 2) then sift_up t i ~at ~seq moved
+    else sift_down t i ~at ~seq moved
   end;
-  let cancelled = bget t.dead slot = 1 in
-  if cancelled then begin
-    t.cancelled_in_heap <- t.cancelled_in_heap - 1;
-    assert (t.cancelled_in_heap >= 0)
-  end;
-  free_slot t slot;
-  cancelled
+  free_slot t slot
+
+let cancel t (h : handle) =
+  let slot = live_slot t h in
+  if slot >= 0 then remove_at t (bget t.pos slot)
 
 exception Empty
 
 (* Zero-allocation pop for the engine's hot loop: the payload comes back
    bare and the event's timestamp is left in [last_time]. *)
-let rec pop_exn : 'a. 'a t -> 'a =
- fun t ->
-  if t.len = 0 then raise Empty
-  else begin
-    let time = bget t.heap 0 in
-    let slot = bget t.heap 2 in
-    let payload = Array.unsafe_get t.payloads slot in
-    if drop_top t then pop_exn t
-    else begin
-      t.last_time <- time;
-      (Obj.obj payload : 'a)
-    end
-  end
+let pop_exn t =
+  if t.len = 0 then raise Empty;
+  let time = bget t.heap 0 in
+  let payload = Array.unsafe_get t.payloads (bget t.heap 2) in
+  remove_at t 0;
+  t.last_time <- time;
+  Obj.obj payload
 
 let last_time t = t.last_time
-
-let pop t =
-  if t.len = 0 then None
-  else
-    match pop_exn t with
-    | payload -> Some (t.last_time, payload)
-    | exception Empty -> None
-
-(* Earliest live event's time, or -1 when none; cancelled entries at the
-   root are collected on the way (lazy deletion). *)
-let rec next_time t =
-  if t.len = 0 then -1
-  else if bget t.dead (bget t.heap 2) = 1 then begin
-    ignore (drop_top t);
-    next_time t
-  end
-  else bget t.heap 0
-
-let peek_time t = match next_time t with -1 -> None | time -> Some time
-
-(* Lazy cancellation: live entries = stored entries minus the cancelled
-   ones still in the heap, both tracked incrementally.  O(1). *)
-let size t = t.len - t.cancelled_in_heap
-let is_empty t = size t = 0
+let next_time t = if t.len = 0 then -1 else bget t.heap 0
+let size t = t.len
+let is_empty t = t.len = 0
 
 let check_invariants t =
   if t.len < 0 || t.len > t.cap then failwith "Eventq: len out of range";
   if t.free_top <> t.cap - t.len then failwith "Eventq: slot/heap leak";
-  if t.cancelled_in_heap < 0 then failwith "Eventq: negative cancelled count";
-  if t.cancelled_in_heap > t.len then failwith "Eventq: cancelled > heaped";
-  if size t < 0 then failwith "Eventq: negative size";
-  let cancelled = ref 0 in
   for i = 0 to t.len - 1 do
-    if bget t.dead (bget t.heap ((3 * i) + 2)) = 1 then incr cancelled;
+    if bget t.pos (bget t.heap ((3 * i) + 2)) <> i then
+      failwith "Eventq: slot position drifted";
     if i > 0 && node_lt t i ((i - 1) / 2) then failwith "Eventq: heap order"
-  done;
-  if !cancelled <> t.cancelled_in_heap then
-    failwith "Eventq: cancelled count drifted"
+  done

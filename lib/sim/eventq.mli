@@ -1,21 +1,23 @@
 (** Timestamped event queue: the heart of the discrete-event engine.
 
-    A structure-of-arrays binary min-heap keyed by (time, sequence number):
-    time, sequence and slot index live as unboxed machine words in a
-    preallocated int [Bigarray], payloads and handle state in a parallel
-    generation-counted free-list slab.  [schedule], [cancel] and [pop]
-    allocate nothing in steady state.  The sequence number guarantees that
-    events scheduled for the same instant fire in insertion order, which
-    keeps simulations deterministic.  Events can be cancelled in O(1)
-    through the handle returned at insertion (lazy deletion). *)
+    A structure-of-arrays indexed binary min-heap keyed by (time, sequence
+    number): time, sequence and slot index live as unboxed machine words in
+    a preallocated int [Bigarray], payloads and handle state (generation,
+    heap position) in a parallel generation-counted free-list slab.
+    [schedule], [cancel] and [pop_exn] allocate nothing in steady state.
+    The sequence number guarantees that events scheduled for the same
+    instant fire in insertion order, which keeps simulations deterministic.
+    Events can be cancelled in O(log n) through the handle returned at
+    insertion; a cancelled event leaves the heap at once, so the heap never
+    holds a cancelled entry. *)
 
 type 'a t
 
 type handle = private int
 (** Token for a scheduled event; allows cancellation.  An int packing the
     event's slot index and the slot's generation: once the event fires or
-    its cancelled entry is collected, the generation moves on and the
-    handle goes stale — stale handles are ignored everywhere. *)
+    is cancelled, the generation moves on and the handle goes stale —
+    stale handles are ignored everywhere. *)
 
 val null : handle
 (** A handle that never refers to any event; [cancel] on it is a no-op.
@@ -29,48 +31,33 @@ val schedule : 'a t -> at:Time.t -> 'a -> handle
 (** Insert an event to fire at absolute time [at]. *)
 
 val cancel : 'a t -> handle -> unit
-(** Cancel a scheduled event.  Cancelling twice, cancelling [null], or
-    cancelling an event that already fired (stale generation), is a
-    no-op. *)
-
-val is_cancelled : 'a t -> handle -> bool
-(** True iff the handle's event is still pending and has been cancelled.
-    Once the cancelled entry is lazily collected the handle goes stale and
-    this returns [false]. *)
-
-val pop : 'a t -> (Time.t * 'a) option
-(** Remove and return the earliest live event, skipping cancelled ones.
-    [None] when the queue holds no live events.  Allocates the result;
-    the engine's hot loop uses [pop_exn]/[last_time] instead. *)
+(** Remove a scheduled event from the queue in O(log n).  Cancelling twice,
+    cancelling [null], or cancelling an event that already fired (stale
+    generation), is a no-op. *)
 
 exception Empty
 
 val pop_exn : 'a t -> 'a
-(** Allocation-free [pop]: returns the payload bare and records the
-    event's timestamp, readable via [last_time].  @raise Empty when the
-    queue holds no live events. *)
+(** Remove the earliest event and return its payload bare, recording the
+    event's timestamp, readable via [last_time].  Allocation-free.
+    @raise Empty when the queue is empty. *)
 
 val last_time : 'a t -> Time.t
 (** Timestamp of the event the last successful [pop_exn] returned
     (-1 before the first pop). *)
 
 val next_time : 'a t -> Time.t
-(** Time of the earliest live event, or -1 when there is none.
-    Allocation-free [peek_time]; collects cancelled entries at the root. *)
-
-val peek_time : 'a t -> Time.t option
-(** Time of the earliest live event without removing it. *)
+(** Time of the earliest event without removing it, or -1 when the queue
+    is empty.  O(1), allocation-free. *)
 
 val size : 'a t -> int
-(** Number of live (non-cancelled, not yet fired) events.  O(1): the
-    count of cancelled-but-still-heaped entries is tracked incrementally
-    rather than recomputed by scanning the heap. *)
+(** Number of scheduled events (not yet fired or cancelled).  O(1). *)
 
 val is_empty : 'a t -> bool
 (** O(1). *)
 
 val check_invariants : 'a t -> unit
 (** Test hook: verify the heap order, the slot/heap conservation law
-    (every heap node owns exactly one slab slot), and that the live
-    cancelled count matches a full recount — [size] can never go
-    negative.  Raises [Failure] on drift.  O(n). *)
+    (every heap node owns exactly one slab slot), and that every node's
+    slot records the node's heap position.  Raises [Failure] on drift.
+    O(n). *)

@@ -209,6 +209,14 @@ let ws_instance ?(cores = [| 0; 1 |]) ?(is_idle = fun _ -> false) () =
   let view =
     {
       Skyloft.Sched_ops.cores;
+      index_of =
+        (fun c ->
+          let rec find i =
+            if i = Array.length cores then -1
+            else if cores.(i) = c then i
+            else find (i + 1)
+          in
+          find 0);
       is_idle;
       pick_idle = (fun () -> Array.find_opt is_idle cores);
       now = (fun () -> 0);
