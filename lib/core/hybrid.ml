@@ -65,17 +65,19 @@ let ghost_mechanism =
 type mode = Central | Percore
 
 (* One worker core: its shared per-core state [pc] (whose [ex] is [ex])
-   for percore mode, plus what central mode needs.  [gen]/[incoming]
-   guard assignments in flight ([incoming] is the app id of the task the
-   dispatcher is committing, -1 when none).  [qtimer] is the unit's
-   reusable central-mode quantum timer, re-armed per dispatch; [qt_gen]
-   records [gen] at the last arm so a firing knows whether the dispatch
-   it covered is still running. *)
+   for percore mode, plus what central mode needs.  [gen] and the exec's
+   [incoming] (the app id of the task the dispatcher is committing, -1
+   when none) guard assignments in flight.  [atimer] lands the unit's one
+   in-flight assignment, [assigned] ([Task.nil] when none).  [qtimer] is
+   the unit's reusable central-mode quantum timer, re-armed per dispatch;
+   [qt_gen] records [gen] at the last arm so a firing knows whether the
+   dispatch it covered is still running. *)
 type unit_state = {
   ex : Rc.exec;
   pc : Percore.cpu;
   mutable gen : int;
-  mutable incoming : int;
+  atimer : Engine.timer;
+  mutable assigned : Task.t;
   qtimer : Engine.timer;
   mutable qt_gen : int;
 }
@@ -99,13 +101,16 @@ let now t = Rc.now t.rc
 let unit_of_exec t (ex : Rc.exec) = t.units.(ex.Rc.exec_slot)
 let queue_length t = t.rc.Rc.probe.Sched_ops.queued ()
 
-(* The dispatcher is a serial resource (central mode only). *)
-let dispatcher_do t cost f =
+(* The dispatcher is a serial resource (central mode only): when an
+   operation of [cost] issued now completes. *)
+let dispatcher_done t cost =
   let start = max (now t) t.disp_busy_until in
   t.disp_busy_until <- start + cost;
-  ignore (Engine.at t.rc.Rc.engine (start + cost) f)
+  start + cost
 
-let reserved u = u.incoming >= 0
+let dispatcher_do t cost f = ignore (Engine.at t.rc.Rc.engine (dispatcher_done t cost) f)
+
+let reserved u = u.ex.Rc.incoming >= 0
 
 let requeue t (task : Task.t) =
   if Rc.is_be t.rc task then Runqueue.push_head t.rc.Rc.be_queue task
@@ -115,16 +120,22 @@ let requeue t (task : Task.t) =
 
 (* ---- central-mode task start ---------------------------------------------- *)
 
+(* Next live task from the shared queue, or from the BE queue. *)
+let rec next_lc t ~core =
+  match t.rc.Rc.policy.task_dequeue ~cpu:core with
+  | Some task when Rc.discard_killed t.rc task -> next_lc t ~core
+  | next -> next
+
+let rec next_be t =
+  match Runqueue.pop_head t.rc.Rc.be_queue with
+  | Some task when Rc.discard_killed t.rc task -> next_be t
+  | next -> next
+
 let rec start_on t u (task : Task.t) =
-  u.incoming <- -1;
-  if task.Task.killed then begin
-    (* Killed while the assignment was in flight (deadline fired between
-       dequeue and arrival).  The drop was accounted at kill time; discard
-       exactly as [Rc.next_live] would have. *)
-    task.Task.state <- Task.Exited;
-    if not (Rc.is_be t.rc task) then t.rc.Rc.policy.task_terminate task;
-    reschedule t u ~prev:None
-  end
+  Rc.set_incoming t.rc u.ex (-1);
+  (* Killed while the assignment was in flight (deadline fired between
+     dequeue and arrival): discarded like a task killed while queued. *)
+  if Rc.discard_killed t.rc task then reschedule t u ~prev:None
   else begin
     t.dispatches <- t.dispatches + 1;
     let switch_cost =
@@ -140,28 +151,22 @@ let rec start_on t u (task : Task.t) =
       u.qt_gen <- u.gen;
       Engine.arm u.qtimer ~at:(start + t.quantum)
     end;
-    Rc.run_after_switch t.rc u.ex task ~switch_cost
+    Rc.run_after_switch t.rc u.ex ~switch_cost
   end
 
 and assign t u (task : Task.t) =
-  u.incoming <- task.Task.app;
-  dispatcher_do t t.mech.dispatch_cost (fun () -> start_on t u task)
+  Rc.set_incoming t.rc u.ex task.Task.app;
+  u.assigned <- task;
+  Engine.arm u.atimer ~at:(dispatcher_done t t.mech.dispatch_cost)
 
 and try_next t u =
   if (not (reserved u)) && u.ex.Rc.current = None && not (Rc.unit_capped t.rc u.ex)
   then begin
-    match
-      Rc.next_live t.rc (fun () ->
-          t.rc.Rc.policy.task_dequeue ~cpu:u.ex.Rc.exec_core)
-    with
+    match next_lc t ~core:u.ex.Rc.exec_core with
     | Some task -> assign t u task
     | None ->
-        if Rc.be_occupancy t.rc < t.rc.Rc.be_allowance then (
-          match
-            Rc.next_live t.rc (fun () -> Runqueue.pop_head t.rc.Rc.be_queue)
-          with
-          | Some be -> assign t u be
-          | None -> ())
+        if Rc.be_occupancy t.rc < t.rc.Rc.be_allowance then
+          match next_be t with Some be -> assign t u be | None -> ()
   end
 
 and reschedule t u ~prev =
@@ -204,6 +209,12 @@ and send_preempt t u (task : Task.t) =
   if Rc.is_be t.rc task then t.rc.Rc.be_preempts <- t.rc.Rc.be_preempts + 1
   else t.rc.Rc.preempts <- t.rc.Rc.preempts + 1;
   dispatcher_do t t.mech.preempt_send (fun () -> deliver_preempt t u gen)
+
+(* The assignment timer's stable callback. *)
+let assign_fire t u =
+  let task = u.assigned in
+  u.assigned <- Task.nil;
+  start_on t u task
 
 (* The reusable quantum timer's stable callback: the arm that scheduled
    this firing recorded [qt_gen]; comparing it against the unit's live
@@ -364,7 +375,8 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
           ex = cpu.ex;
           pc = cpu;
           gen = 0;
-          incoming = -1;
+          atimer = Engine.timer engine ignore;
+          assigned = Task.nil;
           qtimer = Engine.timer engine ignore;
           qt_gen = 0;
         })
@@ -385,7 +397,11 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
       dispatches = 0;
     }
   in
-  Array.iter (fun u -> Engine.set_callback u.qtimer (fun () -> quantum_fire t u)) units;
+  Array.iter
+    (fun u ->
+      Engine.set_callback u.atimer (fun () -> assign_fire t u);
+      Engine.set_callback u.qtimer (fun () -> quantum_fire t u))
+    units;
   Rc.install_dispatch t.rc
     {
       Rc.d_name = "hybrid";
@@ -393,7 +409,6 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
       (* a serial dispatcher cannot pin *)
       d_pinnable = false;
       d_enqueue_cpu = (fun _ -> t.dispatcher_core);
-      d_incoming_app = (fun ex -> (unit_of_exec t ex).incoming);
       d_released =
         (fun ex ->
           let u = unit_of_exec t ex in

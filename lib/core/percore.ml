@@ -10,9 +10,12 @@ module Rc = Runtime_core
 
 type cpu = {
   ex : Rc.exec;
+  kick_timer : Engine.timer;  (* its stable callback is [kick_fire] *)
+  park_timer : Engine.timer;  (* the grace period; callback [park_fire] *)
   mutable kick_pending : bool;
   mutable parked : bool;
   mutable idle_gen : int;
+  mutable park_gen : int;  (* [idle_gen] when the grace period began *)
   mutable last_sched : Time.t;
 }
 
@@ -25,29 +28,7 @@ type t = {
   mutable unparks : int;
 }
 
-let create rc ~cores ~quantum ~park =
-  let cpus =
-    Array.map
-      (fun core ->
-        {
-          ex = Rc.make_exec core;
-          kick_pending = false;
-          parked = false;
-          idle_gen = 0;
-          last_sched = 0;
-        })
-      cores
-  in
-  { rc; cpus; quantum; park; parks = 0; unparks = 0 }
-
 let now t = Rc.now t.rc
-(* [cpus] is the runtime's [d_units], so a unit's slot indexes both. *)
-let cpu_of t core =
-  match Rc.slot_of_core t.rc core with -1 -> raise Not_found | s -> t.cpus.(s)
-let cpu_of_unit t (ex : Rc.exec) = t.cpus.(ex.Rc.exec_slot)
-let in_flight t cpu = t.rc.Rc.dispatch.Rc.d_incoming_app cpu.ex >= 0
-
-(* ---- the scheduling loop ------------------------------------------------- *)
 
 let park t cpu =
   if not cpu.parked then begin
@@ -55,19 +36,60 @@ let park t cpu =
     t.parks <- t.parks + 1
   end
 
+(* Through [d_reschedule]: the hybrid may have flipped back to its
+   dispatcher by the time the kick lands. *)
+let kick_fire t cpu () =
+  cpu.kick_pending <- false;
+  if cpu.ex.Rc.current = None then t.rc.Rc.dispatch.Rc.d_reschedule cpu.ex ~prev:None
+
+(* The grace period ran out with the core still idle since it began. *)
+let park_fire t cpu () =
+  if cpu.ex.Rc.current = None && cpu.idle_gen = cpu.park_gen then park t cpu
+
+let create rc ~cores ~quantum ~park =
+  let cpus =
+    Array.map
+      (fun core ->
+        {
+          ex = Rc.make_exec core;
+          kick_timer = Engine.timer rc.Rc.engine ignore;
+          park_timer = Engine.timer rc.Rc.engine ignore;
+          kick_pending = false;
+          parked = false;
+          idle_gen = 0;
+          park_gen = 0;
+          last_sched = 0;
+        })
+      cores
+  in
+  let t = { rc; cpus; quantum; park; parks = 0; unparks = 0 } in
+  Array.iter
+    (fun cpu ->
+      Engine.set_callback cpu.kick_timer (kick_fire t cpu);
+      Engine.set_callback cpu.park_timer (park_fire t cpu))
+    cpus;
+  t
+
+(* [cpus] is the runtime's [d_units], so a unit's slot indexes both. *)
+let cpu_of t core =
+  match Rc.slot_of_core t.rc core with -1 -> raise Not_found | s -> t.cpus.(s)
+let cpu_of_unit t (ex : Rc.exec) = t.cpus.(ex.Rc.exec_slot)
+let in_flight cpu = cpu.ex.Rc.incoming >= 0
+
+(* ---- the scheduling loop ------------------------------------------------- *)
+
 (* Nothing to run.  Shenango-style runtimes return idle cores to the
    kernel — after a grace period, or at once when the policy asks — and
-   waking a parked core later costs a kernel wakeup. *)
+   waking a parked core later costs a kernel wakeup.  A new grace period
+   supersedes the pending one, which could no longer park the core. *)
 let idle t cpu =
   cpu.idle_gen <- cpu.idle_gen + 1;
   match t.park with
   | Some _ when t.rc.Rc.policy.sched_idle_park ~cpu:cpu.ex.Rc.exec_core ->
       park t cpu
   | Some (idle_after, _) ->
-      let gen = cpu.idle_gen in
-      ignore
-        (Engine.after t.rc.Rc.engine idle_after (fun () ->
-             if cpu.ex.Rc.current = None && cpu.idle_gen = gen then park t cpu))
+      cpu.park_gen <- cpu.idle_gen;
+      Engine.arm cpu.park_timer ~at:(now t + idle_after)
   | None -> ()
 
 let unpark_cost t cpu =
@@ -82,26 +104,29 @@ let unpark_cost t cpu =
    a guaranteed core cannot be starved by LC backlog; LC congestion claws
    cores back through the allocator shrinking the allowance.  A capped
    core's queued work is recovered by allowed cores' steals and kicks. *)
+let rec pick rc ~core =
+  let next =
+    match
+      if Rc.be_occupancy rc < rc.Rc.be_allowance then Runqueue.pop_head rc.Rc.be_queue
+      else None
+    with
+    | Some _ as be -> be
+    | None -> (
+        match rc.Rc.policy.task_dequeue ~cpu:core with
+        | Some _ as lc -> lc
+        | None -> rc.Rc.policy.sched_balance ~cpu:core)
+  in
+  match next with
+  | Some task when Rc.discard_killed rc task -> pick rc ~core
+  | next -> next
+
 let schedule t cpu ~prev =
   let rc = t.rc in
-  if Option.is_some cpu.ex.Rc.current || in_flight t cpu then ()
+  if Option.is_some cpu.ex.Rc.current || in_flight cpu then ()
   else if Rc.unit_capped rc cpu.ex then cpu.idle_gen <- cpu.idle_gen + 1
   else
     let core = cpu.ex.Rc.exec_core in
-    let pick () =
-      let be_next =
-        if Rc.be_occupancy rc < rc.Rc.be_allowance then
-          Runqueue.pop_head rc.Rc.be_queue
-        else None
-      in
-      match be_next with
-      | Some task -> Some task
-      | None -> (
-          match rc.Rc.policy.task_dequeue ~cpu:core with
-          | Some task -> Some task
-          | None -> rc.Rc.policy.sched_balance ~cpu:core)
-    in
-    match Rc.next_live rc pick with
+    match pick rc ~core with
     | None -> idle t cpu
     | Some task ->
         let unpark_cost = unpark_cost t cpu in
@@ -118,7 +143,7 @@ let schedule t cpu ~prev =
         let switch_cost = cost + unpark_cost + charge in
         cpu.last_sched <- now t;
         ignore (Rc.begin_run rc cpu.ex task ~switch_cost);
-        Rc.run_after_switch rc cpu.ex task ~switch_cost
+        Rc.run_after_switch rc cpu.ex ~switch_cost
 
 let steal_time ?(stall = false) t cpu cost =
   match cpu.ex.Rc.current with
@@ -132,18 +157,13 @@ let steal_time ?(stall = false) t cpu cost =
 
 (* ---- kicks --------------------------------------------------------------- *)
 
-(* Through [d_reschedule]: the hybrid may have flipped back to its
-   dispatcher by the time the kick lands. *)
+(* [kick_pending] coalesces kicks, so the cpu's timer is never re-armed
+   while a kick is pending. *)
 let kick t cpu =
-  if cpu.ex.Rc.current = None && (not cpu.kick_pending) && not (in_flight t cpu)
+  if cpu.ex.Rc.current = None && (not cpu.kick_pending) && not (in_flight cpu)
   then begin
     cpu.kick_pending <- true;
-    let delay = max 0 (cpu.ex.Rc.stolen_until - now t) in
-    ignore
-      (Engine.after t.rc.Rc.engine delay (fun () ->
-           cpu.kick_pending <- false;
-           if cpu.ex.Rc.current = None then
-             t.rc.Rc.dispatch.Rc.d_reschedule cpu.ex ~prev:None))
+    Engine.arm cpu.kick_timer ~at:(max (now t) cpu.ex.Rc.stolen_until)
   end
 
 let kick_idle t = Array.iter (kick t) t.cpus

@@ -10,15 +10,21 @@ module Time = Skyloft_sim.Time
     The two callers differ only by values: the queue a preempted LC task
     returns to is the unit's [d_enqueue_cpu]; [quantum] is enforced at
     the tick for policies that leave [sched_timer_tick] to the runtime;
-    a unit with an assignment in flight ([d_incoming_app] >= 0) is left
+    a unit with an assignment in flight ([incoming] >= 0) is left
     alone; and [park] enables Shenango-style core parking. *)
 
 (** One core's per-core state around its {!Runtime_core.exec}. *)
 type cpu = {
   ex : Runtime_core.exec;
+  kick_timer : Skyloft_sim.Engine.timer;
+      (** the cpu's one stable kick event, armed by {!kick} *)
+  park_timer : Skyloft_sim.Engine.timer;
+      (** the cpu's one stable park grace period, re-armed each time the
+          core goes idle *)
   mutable kick_pending : bool;  (** a kick is scheduled; coalesces kicks *)
   mutable parked : bool;  (** yielded to the kernel while idle *)
   mutable idle_gen : int;  (** invalidates stale park timers *)
+  mutable park_gen : int;  (** [idle_gen] when the grace period began *)
   mutable last_sched : Time.t;  (** last scheduling point (watchdog) *)
 }
 

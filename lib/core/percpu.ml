@@ -194,7 +194,6 @@ let create machine kmod ~cores ?(timer_hz = 100_000) ?(preemption = true) ?park
       d_units = Array.map (fun (cpu : Percore.cpu) -> cpu.ex) pc.Percore.cpus;
       d_pinnable = true;
       d_enqueue_cpu = (fun ex -> ex.Rc.exec_core);
-      d_incoming_app = (fun _ -> -1);
       d_released = ignore;
       d_reschedule =
         (fun ex ~prev -> Percore.schedule pc (Percore.cpu_of_unit pc ex) ~prev);

@@ -33,6 +33,13 @@ type exec = {
       (* the unit's one stable completion closure, installed with the
          dispatch record: every segment end re-arms it instead of building
          a fresh closure per segment *)
+  mutable switch_done : Engine.timer;
+      (* the unit's one stable switch-done timer, installed with the
+         dispatch record: every dispatch re-arms it (superseding any stale
+         firing) instead of building a closure per dispatch *)
+  mutable incoming : int;
+      (* app id of an assignment in flight toward the unit, -1 if none;
+         written only through [set_incoming], which keeps [be_incoming] *)
   mutable busy_from : Time.t;
   mutable active_app : int;
   mutable stolen_until : Time.t;  (* host kernel holds the core until then *)
@@ -49,9 +56,6 @@ type dispatch = {
   d_enqueue_cpu : exec -> int;
       (* queue a yielded task is re-enqueued on: the unit's own core
          (per-CPU) or the dispatcher's global queue (centralized) *)
-  d_incoming_app : exec -> int;
-      (* app id of an in-flight assignment racing toward the unit, -1 if
-         none; synchronous dispatch never has one *)
   d_released : exec -> unit;
       (* the unit gave its task up (completion, block, preempt, kill):
          bump assignment generations, invalidate stale timers *)
@@ -79,7 +83,6 @@ let null_dispatch =
     d_units = [||];
     d_pinnable = false;
     d_enqueue_cpu = (fun ex -> ex.exec_core);
-    d_incoming_app = (fun _ -> -1);
     d_released = (fun _ -> ());
     d_reschedule = (fun _ ~prev:_ -> ());
     d_place = (fun _ ~cpu:_ -> ());
@@ -106,6 +109,11 @@ type t = {
   mutable probe : Sched_ops.probe;
   mutable be_app : App.t option;
   be_queue : Runqueue.t;  (* BE work lives here, outside the LC policy *)
+  mutable be_running : int;
+      (* units whose current task is BE: written by [begin_run] and
+         [release], which alone write [current], recounted at attach *)
+  mutable be_incoming : int;  (* units whose [incoming] is the BE app *)
+  mutable busy_total : int;  (* sum of every app's busy_ns, daemon included *)
   mutable be_allowance : int;  (* units BE tasks may occupy right now *)
   mutable core_allowance : int;
       (* units (by slot, a prefix of d_units) this runtime may occupy at
@@ -153,6 +161,9 @@ let create machine kmod =
       probe = { Sched_ops.queued = (fun () -> 0); oldest_wait = (fun () -> 0) };
       be_app = None;
       be_queue = Runqueue.create ();
+      be_running = 0;
+      be_incoming = 0;
+      busy_total = 0;
       be_allowance = 0;
       core_allowance = max_int;
       allocator = None;
@@ -182,6 +193,10 @@ let create machine kmod =
 
 let now t = Engine.now t.engine
 
+(* The switch-done timer of a unit not yet installed: never armed, and
+   replaced by [install_dispatch] with one on the runtime's engine. *)
+let detached = Engine.create ()
+
 let make_exec core =
   {
     exec_core = core;
@@ -189,6 +204,8 @@ let make_exec core =
     current = None;
     completion = Eventq.null;
     completion_fire = ignore;
+    switch_done = Engine.timer detached ignore;
+    incoming = -1;
     busy_from = 0;
     active_app = 0;
     stolen_until = 0;
@@ -341,26 +358,18 @@ let activate_daemon t =
       ignore (Kmod.activate t.kmod kt))
     t.dispatch.d_units
 
-let is_be t (task : Task.t) =
-  match t.be_app with Some app -> task.Task.app = app.App.id | None -> false
+let is_be_app t id = match t.be_app with Some app -> id = app.App.id | None -> false
+let is_be t (task : Task.t) = is_be_app t task.Task.app
 
 (* Units the BE application occupies right now, counting in-flight
    assignments so an allowance cannot be oversubscribed while a dispatch
    is pending (synchronous runtimes never have one). *)
-let be_occupancy t =
-  match t.be_app with
-  | None -> 0
-  | Some app ->
-      Array.fold_left
-        (fun acc ex ->
-          let running =
-            match ex.current with
-            | Some task -> task.Task.app = app.App.id
-            | None -> false
-          in
-          if running || t.dispatch.d_incoming_app ex = app.App.id then acc + 1
-          else acc)
-        0 t.dispatch.d_units
+let be_occupancy t = t.be_running + t.be_incoming
+
+let set_incoming t ex app =
+  if is_be_app t ex.incoming then t.be_incoming <- t.be_incoming - 1;
+  ex.incoming <- app;
+  if is_be_app t app then t.be_incoming <- t.be_incoming + 1
 
 (* The allocator's reclaim/grant muscle: shrinking preempts running BE
    work unit by unit until BE fits the allowance. *)
@@ -381,7 +390,9 @@ let account t ex =
   (match ex.current with
   | Some task ->
       let app = find_app t task.Task.app in
-      app.App.busy_ns <- app.App.busy_ns + max 0 (now t - ex.busy_from);
+      let busy = max 0 (now t - ex.busy_from) in
+      app.App.busy_ns <- app.App.busy_ns + busy;
+      t.busy_total <- t.busy_total + busy;
       (match t.trace with
       | Some trace when now t > ex.busy_from ->
           Trace.span trace ~core:ex.exec_core ~app:task.Task.app
@@ -396,6 +407,9 @@ let trace_instant t ~core kind name =
   | None -> ()
 
 let release t ex =
+  (match ex.current with
+  | Some task when is_be t task -> t.be_running <- t.be_running - 1
+  | Some _ | None -> ());
   ex.current <- None;
   set_idle_bit t ex.exec_slot true;
   t.dispatch.d_released ex
@@ -462,12 +476,29 @@ and on_complete t ex (task : Task.t) =
   task.body <- task.cont ();
   process t ex task
 
+(* The second half of a dispatch, once the switch cost has elapsed: start
+   executing the unit's task.  The unit's switch-done timer is armed only
+   by [run_after_switch] for the task [begin_run] just put on it, and the
+   one path that frees a unit inside its switch window, [kill], disarms
+   it; so when it fires, [current] is the task that armed it. *)
+let switch_done t ex () =
+  match ex.current with
+  | Some task when task.Task.state = Task.Running ->
+      (match task.body with
+      | Coro.Yield k -> task.body <- k ()
+      | Coro.Block k when task.resuming ->
+          task.resuming <- false;
+          task.body <- k ()
+      | Coro.Block _ | Coro.Compute _ | Coro.Exit -> ());
+      process t ex task
+  | Some _ | None -> ()
+
 (* Install the dispatch record, index the units by core, build the idle
    mask and the scheduler view once, and wire each unit's stable
-   completion closure.  The closure reads [ex.current] when it fires: a
-   completion is only ever armed for the unit's current task, and every
-   path that takes the task off the unit (depose, kill, steal-freeze)
-   cancels it first. *)
+   completion closure and switch-done timer.  The closure reads
+   [ex.current] when it fires: a completion is only ever armed for the
+   unit's current task, and every path that takes the task off the unit
+   (depose, kill, steal-freeze) cancels it first. *)
 let install_dispatch t d =
   let top = Array.fold_left (fun acc ex -> max acc ex.exec_core) (-1) d.d_units in
   let slot_of = Array.make (top + 1) (-1) in
@@ -500,6 +531,7 @@ let install_dispatch t d =
     (fun i ex ->
       ex.exec_slot <- i;
       set_idle_bit t i (ex.current = None);
+      ex.switch_done <- Engine.timer t.engine (switch_done t ex);
       ex.completion_fire <-
         (fun () ->
           ex.completion <- Eventq.null;
@@ -520,6 +552,7 @@ let arm_completion t ex (task : Task.t) =
    switch cost). *)
 let begin_run t ex (task : Task.t) ~switch_cost =
   task.state <- Task.Running;
+  if is_be t task then t.be_running <- t.be_running + 1;
   ex.current <- Some task;
   set_idle_bit t ex.exec_slot false;
   ex.busy_from <- now t;
@@ -535,21 +568,10 @@ let begin_run t ex (task : Task.t) ~switch_cost =
   task.last_core <- ex.exec_core;
   start
 
-(* The second half of a dispatch: once the switch cost has elapsed, start
-   executing the task's body — unless the unit moved on meanwhile. *)
-let run_after_switch t ex (task : Task.t) ~switch_cost =
-  ignore
-    (Engine.after t.engine switch_cost (fun () ->
-         match ex.current with
-         | Some cur when cur == task && task.Task.state = Task.Running ->
-             (match task.body with
-             | Coro.Yield k -> task.body <- k ()
-             | Coro.Block k when task.resuming ->
-                 task.resuming <- false;
-                 task.body <- k ()
-             | Coro.Block _ | Coro.Compute _ | Coro.Exit -> ());
-             process t ex task
-         | _ -> ()))
+(* Arm the unit's switch-done timer for the task [begin_run] just put on
+   it; re-arming cancels any stale pending firing. *)
+let run_after_switch t ex ~switch_cost =
+  Engine.arm ex.switch_done ~at:(now t + switch_cost)
 
 (* Take the running task off its unit (preemption, rescue).  [overhead] is
    the receiver-side handling cost: it extends the remaining segment and is
@@ -576,13 +598,13 @@ let depose t ex ~overhead =
 (* Dequeue-side filter: tasks killed at their deadline while queued are
    discarded here instead of being hunted down inside the policy's
    runqueues (the drop was accounted at kill time). *)
-let rec next_live t pick =
-  match pick () with
-  | Some task when task.Task.killed ->
-      task.Task.state <- Task.Exited;
-      if not (is_be t task) then t.policy.task_terminate task;
-      next_live t pick
-  | next -> next
+let discard_killed t (task : Task.t) =
+  if task.Task.killed then begin
+    task.Task.state <- Task.Exited;
+    if not (is_be t task) then t.policy.task_terminate task;
+    true
+  end
+  else false
 
 (* ---- wakeups -------------------------------------------------------------- *)
 
@@ -654,26 +676,29 @@ let kill t ?on_drop (task : Task.t) =
     match task.Task.state with
     | Task.Exited -> ()
     | Task.Running -> (
-        match
-          Array.find_opt
-            (fun ex ->
-              match ex.current with Some cur -> cur == task | None -> false)
-            t.dispatch.d_units
-        with
-        | Some ex ->
-            Engine.cancel t.engine ex.completion;
-            ex.completion <- Eventq.null;
-            task.Task.killed <- true;
-            task.Task.state <- Task.Exited;
-            account t ex;
-            release t ex;
-            t.policy.task_terminate task;
-            deadline_expired t task ~on_drop;
-            t.dispatch.d_reschedule ex ~prev:(Some task)
-        | None -> ())
+        (* [begin_run] set [last_core] to the running task's unit. *)
+        let slot = slot_of_core t task.Task.last_core in
+        if slot >= 0 then
+          let ex = t.dispatch.d_units.(slot) in
+          match ex.current with
+          | Some cur when cur == task ->
+              (* Killed inside its switch window: drop the pending
+                 switch-done firing, so an armed timer always belongs to
+                 the unit's current task. *)
+              Engine.disarm ex.switch_done;
+              Engine.cancel t.engine ex.completion;
+              ex.completion <- Eventq.null;
+              task.Task.killed <- true;
+              task.Task.state <- Task.Exited;
+              account t ex;
+              release t ex;
+              t.policy.task_terminate task;
+              deadline_expired t task ~on_drop;
+              t.dispatch.d_reschedule ex ~prev:(Some task)
+          | Some _ | None -> ())
     | Task.Runnable ->
         (* Somewhere in a runqueue: account the drop now, discard lazily at
-           the next dequeue (see [next_live]). *)
+           the next dequeue (see [discard_killed]). *)
         task.Task.killed <- true;
         deadline_expired t task ~on_drop
     | Task.Blocked ->
@@ -777,29 +802,29 @@ let freeze_for_steal t ex ~duration =
 (* ---- busy accounting for the allocator ----------------------------------- *)
 
 (* Busy nanoseconds including the in-flight segment of running units, so
-   the allocator's utilization sample does not lag long-running tasks. *)
-let in_flight_busy t ~matches =
-  Array.fold_left
-    (fun acc ex ->
-      match ex.current with
-      | Some task when matches task.Task.app -> acc + max 0 (now t - ex.busy_from)
-      | _ -> acc)
-    0 t.dispatch.d_units
+   the allocator's utilization sample does not lag long-running tasks:
+   the units running a task of app [id] when [mine], of any other app
+   otherwise ([~id:(-1) ~mine:false] is every running unit). *)
+let in_flight_busy t ~id ~mine =
+  let units = t.dispatch.d_units and at = now t in
+  let acc = ref 0 in
+  for i = 0 to Array.length units - 1 do
+    let ex = units.(i) in
+    match ex.current with
+    | Some task when (task.Task.app = id) = mine -> acc := !acc + max 0 (at - ex.busy_from)
+    | Some _ | None -> ()
+  done;
+  !acc
+
+let total_busy_ns t = t.busy_total
 
 let lc_busy_ns t =
-  let be_id = match t.be_app with Some app -> app.App.id | None -> -1 in
-  let recorded =
-    List.fold_left
-      (fun acc (a : App.t) -> if a.App.id = be_id then acc else acc + a.App.busy_ns)
-      t.daemon.App.busy_ns t.apps
-  in
-  recorded + in_flight_busy t ~matches:(fun id -> id <> be_id)
+  match t.be_app with
+  | Some be -> t.busy_total - be.App.busy_ns + in_flight_busy t ~id:be.App.id ~mine:false
+  | None -> t.busy_total + in_flight_busy t ~id:(-1) ~mine:false
 
 let be_busy_ns t (app : App.t) =
-  app.App.busy_ns + in_flight_busy t ~matches:(fun id -> id = app.App.id)
-
-let total_busy_ns t =
-  List.fold_left (fun acc app -> acc + app.App.busy_ns) t.daemon.App.busy_ns t.apps
+  app.App.busy_ns + in_flight_busy t ~id:app.App.id ~mine:true
 
 (* The congestion sample a machine-level broker reads for this runtime as
    a whole: the LC policy probe plus the BE backlog, and total busy time
@@ -809,14 +834,23 @@ let congestion t =
   {
     Allocator.runq_len = t.probe.Sched_ops.queued () + Runqueue.length t.be_queue;
     oldest_delay = t.probe.Sched_ops.oldest_wait ();
-    busy_ns = total_busy_ns t + in_flight_busy t ~matches:(fun _ -> true);
+    busy_ns = t.busy_total + in_flight_busy t ~id:(-1) ~mine:false;
   }
 
 (* ---- BE attachment and the core allocator -------------------------------- *)
 
-(* Seed the BE app's batch workers, kept outside the LC policy. *)
+(* Seed the BE app's batch workers, kept outside the LC policy.  The app
+   may already run or have assignments in flight, so its occupancy counts
+   start from a scan of the units. *)
 let spawn_be_workers t (app : App.t) ~chunk ~workers =
   t.be_app <- Some app;
+  Array.iter
+    (fun ex ->
+      (match ex.current with
+      | Some task when is_be t task -> t.be_running <- t.be_running + 1
+      | Some _ | None -> ());
+      if is_be_app t ex.incoming then t.be_incoming <- t.be_incoming + 1)
+    t.dispatch.d_units;
   for i = 1 to workers do
     (* A batch worker is an endless sequence of compute chunks, yielding
        between chunks so reclaimed cores come back promptly. *)

@@ -46,6 +46,14 @@ type exec = {
       (** the unit's one stable completion closure (installed by
           {!install_dispatch}); re-armed per segment instead of allocating
           a closure each *)
+  mutable switch_done : Engine.timer;
+      (** the unit's one stable switch-done timer (installed by
+          {!install_dispatch}): {!run_after_switch} re-arms it per
+          dispatch, and {!kill} disarms it *)
+  mutable incoming : int;
+      (** app id of an assignment in flight toward the unit, [-1] if none;
+          synchronous dispatch never has one.  Write it only through
+          {!set_incoming}. *)
   mutable busy_from : Time.t;
   mutable active_app : int;
   mutable stolen_until : Time.t;
@@ -61,9 +69,6 @@ type dispatch = {
   d_enqueue_cpu : exec -> int;
       (** which queue a yielded task re-enters: the unit's own core
           (per-CPU) or the dispatcher's global queue (centralized) *)
-  d_incoming_app : exec -> int;
-      (** app id of an in-flight assignment racing toward the unit, [-1]
-          if none; synchronous dispatch never has one *)
   d_released : exec -> unit;
       (** the unit gave its task up: bump assignment generations,
           invalidate stale timers *)
@@ -101,6 +106,14 @@ type t = {
   mutable probe : Sched_ops.probe;
   mutable be_app : App.t option;
   be_queue : Runqueue.t;
+  mutable be_running : int;
+      (** units whose current task is BE; {!begin_run} and {!release}
+          keep it, {!attach_be_app} recounts it *)
+  mutable be_incoming : int;
+      (** units whose [incoming] is the BE app; {!set_incoming} keeps it *)
+  mutable busy_total : int;
+      (** every app's [busy_ns] summed, the daemon's included; {!account}
+          keeps it *)
   mutable be_allowance : int;
   mutable core_allowance : int;
       (** units (a prefix of [d_units], by slot) this runtime may occupy
@@ -222,7 +235,11 @@ val is_be : t -> Task.t -> bool
 
 val be_occupancy : t -> int
 (** Units the BE application occupies right now, in-flight assignments
-    included. *)
+    included: [be_running + be_incoming].  O(1). *)
+
+val set_incoming : t -> exec -> int -> unit
+(** Record the app id of an assignment now in flight toward the unit
+    ([-1]: none, it landed or was dropped), keeping [be_incoming]. *)
 
 val set_be_allowance : t -> int -> unit
 (** How many units BE may occupy (the allocator's reclaim/grant muscle).
@@ -237,8 +254,8 @@ val account : t -> exec -> unit
 
 val trace_instant : t -> core:int -> Trace.instant_kind -> string -> unit
 val release : t -> exec -> unit
-(** Take the unit's task off it ([current <- None], idle bit set), then
-    [d_released]. *)
+(** Take the unit's task off it ([current <- None], idle bit set,
+    [be_running] kept), then [d_released]. *)
 
 val app_switch : t -> exec -> Task.t -> Time.t
 (** Cross-application switch through the kernel module; returns the
@@ -255,12 +272,14 @@ val on_complete : t -> exec -> Task.t -> unit
 val arm_completion : t -> exec -> Task.t -> unit
 
 val begin_run : t -> exec -> Task.t -> switch_cost:Time.t -> Time.t
-(** Put the task on the unit ([current], idle bit cleared): lifecycle
-    state, attribution stamping, the wakeup-latency sample.  Returns when execution begins (after the
-    switch cost). *)
+(** Put the task on the unit ([current], idle bit cleared, [be_running]
+    kept): lifecycle state, attribution stamping, the wakeup-latency
+    sample.  Returns when execution begins (after the switch cost). *)
 
-val run_after_switch : t -> exec -> Task.t -> switch_cost:Time.t -> unit
-(** Arm the start-of-execution event for a task placed by {!begin_run}. *)
+val run_after_switch : t -> exec -> switch_cost:Time.t -> unit
+(** Arm the unit's switch-done timer for the task placed by {!begin_run}:
+    after [switch_cost] the task's body starts.  Re-arming supersedes a
+    stale pending firing; nothing is allocated. *)
 
 val depose : t -> exec -> overhead:Time.t -> Task.t option
 (** Take the running task off its unit (preemption, rescue), charging the
@@ -268,8 +287,11 @@ val depose : t -> exec -> overhead:Time.t -> Task.t option
     requeues it and reschedules the unit.  [None] if the unit is not
     mid-segment. *)
 
-val next_live : t -> (unit -> Task.t option) -> Task.t option
-(** Dequeue through [pick], lazily discarding tasks killed while queued. *)
+val discard_killed : t -> Task.t -> bool
+(** Whether a task just dequeued (or whose assignment just landed) was
+    killed while queued; if so it is discarded here, and the caller
+    dequeues again.  Kills of queued tasks are lazy: the drop is accounted
+    at kill time and nothing searches the runqueues. *)
 
 (** {1 Wakeups} *)
 
@@ -293,8 +315,9 @@ val fault_current : t -> core:int -> duration:Time.t -> bool
 
 val kill : t -> ?on_drop:(Task.t -> unit) -> Task.t -> unit
 (** Forcibly terminate a task wherever it is: running (taken off its unit
-    and discarded), runnable or in flight (flagged; discarded before it
-    runs), or blocked (never woken).  A no-op on exited or already-killed
+    — found in O(1) through its [last_core] — and discarded, its pending
+    completion or switch-done firing cancelled), runnable or in flight
+    (flagged; discarded before it runs), or blocked (never woken).  A no-op on exited or already-killed
     tasks.  Counted in {!deadline_drops} and the app summary's drops. *)
 
 (** {1 Task admission} *)
@@ -348,10 +371,16 @@ val freeze_for_steal : t -> exec -> duration:Time.t -> unit
 
 (** {1 Busy accounting} *)
 
-val in_flight_busy : t -> matches:(int -> bool) -> int
 val lc_busy_ns : t -> int
+(** Busy time of every app but the BE one, the daemon's and in-flight
+    segments included: [busy_total] less the BE app's, plus one loop over
+    the units. *)
+
 val be_busy_ns : t -> App.t -> int
+(** The app's busy time, its in-flight segments included. *)
+
 val total_busy_ns : t -> int
+(** [busy_total]: recorded busy time over every app.  O(1). *)
 
 val congestion : t -> Allocator.raw
 (** The whole-runtime congestion sample a machine-level broker reads: LC

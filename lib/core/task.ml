@@ -31,15 +31,21 @@ type t = {
   mutable obs_queued_ns : int;
   mutable obs_overhead_ns : int;
   mutable obs_stall_ns : int;
+  mutable rq_prev : t;
+  mutable rq_next : t;
+  mutable rq_in : queue;
 }
 
-let create ~id ~app ~name ?(arrival = 0) ?(service = 0) ?on_exit body =
+and queue = { mutable head : t; mutable tail : t; mutable len : int }
+
+(* The sentinel carries every field's default; [create] copies it. *)
+let rec nil =
   {
-    id;
-    app;
-    name;
-    state = Runnable;
-    body;
+    id = -1;
+    app = -1;
+    name = "nil";
+    state = Exited;
+    body = Coro.Exit;
     cont = (fun () -> Coro.Exit);
     segment_end = 0;
     last_core = -1;
@@ -52,9 +58,9 @@ let create ~id ~app ~name ?(arrival = 0) ?(service = 0) ?on_exit body =
     policy_f1 = 0.0;
     policy_f2 = 0.0;
     policy_i = 0;
-    arrival;
-    service;
-    on_exit;
+    arrival = 0;
+    service = 0;
+    on_exit = None;
     killed = false;
     obs_start = 0;
     obs_enq_at = 0;
@@ -62,7 +68,16 @@ let create ~id ~app ~name ?(arrival = 0) ?(service = 0) ?on_exit body =
     obs_queued_ns = 0;
     obs_overhead_ns = 0;
     obs_stall_ns = 0;
+    rq_prev = nil;
+    rq_next = nil;
+    rq_in = no_queue;
   }
+
+and no_queue = { head = nil; tail = nil; len = 0 }
+
+(* A fresh task is the sentinel's defaults under its own identity. *)
+let create ~id ~app ~name ?(arrival = 0) ?(service = 0) ?on_exit body =
+  { nil with id; app; name; state = Runnable; body; arrival; service; on_exit }
 
 let is_runnable t = match t.state with Runnable | Running -> true | Blocked | Exited -> false
 

@@ -59,7 +59,27 @@ type t = {
   mutable obs_stall_ns : int;
       (** accumulated fault stall: blocked time plus host-kernel core
           steals that froze the running segment *)
+  mutable rq_prev : t;
+  mutable rq_next : t;
+      (** the task's neighbours in its runqueue, {!nil} at either end and
+          while the task is in none *)
+  mutable rq_in : queue;
+      (** the runqueue holding the task, {!no_queue} while it is in none.
+          The three [rq_] links belong to {!Runqueue}: a task is in at
+          most one runqueue at a time, so it carries its own links and a
+          queue needs no nodes and no index. *)
 }
+
+(** A runqueue's ends and length: the representation of {!Runqueue.t},
+    written only by {!Runqueue}. *)
+and queue = { mutable head : t; mutable tail : t; mutable len : int }
+
+val nil : t
+(** The link sentinel: the [head]/[tail] of an empty queue and the
+    [rq_prev]/[rq_next] at either end.  Never queued, never run. *)
+
+val no_queue : queue
+(** The [rq_in] of a task in no runqueue.  Always empty. *)
 
 val create :
   id:int -> app:int -> name:string -> ?arrival:Time.t -> ?service:Time.t ->

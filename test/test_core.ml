@@ -164,6 +164,154 @@ let prop_runqueue_fifo_order =
          in
          drain [] = List.map (fun (_, t) -> t.Task.name) tasks))
 
+(* A task is in at most one runqueue: pushing one queued elsewhere
+   raises and leaves both queues as they were, and [remove] on a queue
+   that does not hold the task is [false] and touches neither. *)
+let test_runqueue_one_queue_per_task () =
+  let q = Runqueue.create () and r = Runqueue.create () in
+  let a = mk_task "a" and b = mk_task "b" and c = mk_task "c" in
+  List.iter (Runqueue.push_tail q) [ a; b ];
+  Runqueue.push_tail r c;
+  let raises f = try f (); false with Invalid_argument _ -> true in
+  check Alcotest.bool "push_tail of a task queued elsewhere raises" true
+    (raises (fun () -> Runqueue.push_tail r a));
+  check Alcotest.bool "push_head of a task queued elsewhere raises" true
+    (raises (fun () -> Runqueue.push_head r b));
+  check Alcotest.bool "remove of another queue's task is false" false
+    (Runqueue.remove r a);
+  check Alcotest.bool "remove of a never-queued task is false" false
+    (Runqueue.remove q (mk_task "d"));
+  check (Alcotest.list Alcotest.string) "first queue intact" [ "a"; "b" ] (rq_names q);
+  check (Alcotest.list Alcotest.string) "second queue intact" [ "c" ] (rq_names r);
+  check Alcotest.int "lengths intact" 3 (Runqueue.length q + Runqueue.length r);
+  check Alcotest.bool "moved after removal" true (Runqueue.remove q a);
+  Runqueue.push_head r a;
+  check (Alcotest.list Alcotest.string) "a now heads the second queue" [ "a"; "c" ]
+    (rq_names r)
+
+(* Random scripts over two queues against a pair of lists.  Pushing a task
+   that either list holds must raise and change nothing; [remove] must
+   answer whether the named queue's list holds the task; [steal_half]
+   moves the ceil(n/2) tail tasks, tail first, onto the other's tail. *)
+type rq_op =
+  | Push_head of int * int
+  | Push_tail of int * int
+  | Pop_head of int
+  | Pop_tail of int
+  | Remove of int * int
+  | Steal of int
+  | Iter of int
+
+let rq_pool = 6
+
+let rq_op_gen =
+  QCheck.Gen.(
+    let q = int_bound 1 and task = int_bound (rq_pool - 1) in
+    frequency
+      [
+        (3, map2 (fun q t -> Push_head (q, t)) q task);
+        (3, map2 (fun q t -> Push_tail (q, t)) q task);
+        (1, map (fun q -> Pop_head q) q);
+        (1, map (fun q -> Pop_tail q) q);
+        (2, map2 (fun q t -> Remove (q, t)) q task);
+        (1, map (fun q -> Steal q) q);
+        (1, map (fun q -> Iter q) q);
+      ])
+
+let prop_runqueue_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"runqueue: two queues match the list model" ~count:300
+       (QCheck.make
+          ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops))
+          QCheck.Gen.(list_size (int_range 1 60) rq_op_gen))
+       (fun ops ->
+         let tasks = Array.init rq_pool (fun i -> mk_task (string_of_int i)) in
+         let qs = [| Runqueue.create (); Runqueue.create () |] in
+         let model = [| []; [] |] in
+         let queued t = Array.exists (List.memq tasks.(t)) model in
+         let push q t ~head =
+           let raised =
+             try
+               (if head then Runqueue.push_head else Runqueue.push_tail) qs.(q) tasks.(t);
+               false
+             with Invalid_argument _ -> true
+           in
+           if queued t then raised
+           else begin
+             model.(q) <- (if head then tasks.(t) :: model.(q) else model.(q) @ [ tasks.(t) ]);
+             not raised
+           end
+         in
+         let pop q ~head =
+           let got = (if head then Runqueue.pop_head else Runqueue.pop_tail) qs.(q) in
+           match (if head then model.(q) else List.rev model.(q)) with
+           | [] -> got = None
+           | x :: rest ->
+               model.(q) <- (if head then rest else List.rev rest);
+               (match got with Some y -> y == x | None -> false)
+         in
+         let step = function
+           | Push_head (q, t) -> push q t ~head:true
+           | Push_tail (q, t) -> push q t ~head:false
+           | Pop_head q -> pop q ~head:true
+           | Pop_tail q -> pop q ~head:false
+           | Remove (q, t) ->
+               let member = List.memq tasks.(t) model.(q) in
+               model.(q) <- List.filter (fun x -> x != tasks.(t)) model.(q);
+               Runqueue.remove qs.(q) tasks.(t) = member
+           | Steal q ->
+               let n = List.length model.(q) in
+               let want = (n + 1) / 2 in
+               let stolen = List.rev (List.filteri (fun i _ -> i >= n - want) model.(q)) in
+               model.(q) <- List.filteri (fun i _ -> i < n - want) model.(q);
+               model.(1 - q) <- model.(1 - q) @ stolen;
+               Runqueue.steal_half ~from:qs.(q) ~into:qs.(1 - q) = want
+           | Iter q ->
+               let seen = ref [] in
+               Runqueue.iter (fun t -> seen := t :: !seen) qs.(q);
+               List.for_all2 ( == ) (List.rev !seen) model.(q)
+         in
+         let agrees q =
+           Runqueue.length qs.(q) = List.length model.(q)
+           && List.for_all2 ( == ) (Runqueue.to_list qs.(q)) model.(q)
+         in
+         List.for_all (fun op -> step op && agrees 0 && agrees 1) ops))
+
+(* Steady state allocates nothing but the [Some] box of each pop: two
+   words.  The slack covers the boxed float [Gc.minor_words] returns. *)
+let test_runqueue_zero_alloc () =
+  let q = Runqueue.create () and r = Runqueue.create () in
+  let tasks = Array.init 8 (fun i -> mk_task (string_of_int i)) in
+  let round () =
+    for i = 0 to 7 do
+      Runqueue.push_head q tasks.(i)
+    done;
+    ignore (Runqueue.remove q tasks.(3));
+    Runqueue.push_tail q tasks.(3);
+    ignore (Runqueue.steal_half ~from:q ~into:r);
+    ignore (Runqueue.steal_half ~from:r ~into:q);
+    (* 6 tasks are left in [q] and 2 in [r] *)
+    for _ = 1 to 3 do
+      ignore (Runqueue.pop_head q);
+      ignore (Runqueue.pop_tail q)
+    done;
+    ignore (Runqueue.pop_head r);
+    ignore (Runqueue.pop_tail r)
+  in
+  round ();
+  let rounds = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    round ()
+  done;
+  let words = Gc.minor_words () -. before in
+  let pops = float_of_int (8 * rounds) in
+  if words > (2.0 *. pops) +. 64.0 then
+    Alcotest.failf
+      "%d rounds of 9 pushes, a remove, 2 steals and 8 pops allocated %.0f minor \
+       words (%.0f for the pops' boxes)"
+      rounds words (2.0 *. pops)
+
 (* ---- a trivial FIFO policy for runtime tests ---- *)
 
 let fifo_ctor : Sched_ops.ctor =
@@ -841,6 +989,50 @@ let test_centralized_spawn_validates_first () =
       (fun app body -> Rc.spawn rt app ~name:"pinned" ~cpu:1 body);
     ]
 
+(* ---- Kill inside the switch window (both mechanisms) ---- *)
+
+(* The first dispatch on a core pays the 1,905 ns kernel-module app
+   switch, so a 500 ns deadline fires after [begin_run] and before the
+   task's body starts.  The kill must drop the task exactly once, cancel
+   its pending switch-done firing (an armed timer belongs to the unit's
+   current task), never start the killed body, and leave the unit to run
+   the task queued behind it exactly once. *)
+let check_kill_in_switch_window engine rt ~core =
+  let app = Rc.create_app rt ~name:"lc" in
+  let ex = rt.Rc.dispatch.Rc.d_units.(Rc.slot_of_core rt core) in
+  let drops = ref 0 and in_window = ref false and stale_pending = ref true in
+  let killed_ran = ref false and next_runs = ref 0 in
+  let on_drop (task : Task.t) =
+    incr drops;
+    in_window := Rc.now rt < task.Task.run_start;
+    stale_pending := Engine.armed ex.Rc.switch_done
+  in
+  let body flag = Coro.Yield (fun () -> flag (); Coro.compute_then_exit (Time.us 10)) in
+  ignore
+    (Rc.spawn rt app ~name:"killed" ~service:(Time.us 10) ~deadline:500 ~on_drop
+       (body (fun () -> killed_ran := true)));
+  ignore (Rc.spawn rt app ~name:"next" ~service:(Time.us 10) (body (fun () -> incr next_runs)));
+  Engine.run ~until:(Time.ms 1) engine;
+  check Alcotest.int "dropped once" 1 !drops;
+  check Alcotest.int "one deadline drop counted" 1 (Rc.deadline_drops rt);
+  check Alcotest.int "one drop in the summary" 1 (Summary.drops app.App.summary);
+  check Alcotest.bool "the deadline fired inside the switch window" true !in_window;
+  check Alcotest.bool "the kill cancelled the switch-done firing" false !stale_pending;
+  check Alcotest.bool "the killed task's body never started" false !killed_ran;
+  check Alcotest.int "the next task started once" 1 !next_runs;
+  check Alcotest.int "the next task completed once" 1 (Summary.requests app.App.summary);
+  check Alcotest.int "nothing left alive" 0 app.App.tasks_alive;
+  check Alcotest.int "attribution identity holds" 0
+    (Skyloft_obs.Attribution.mismatches app.App.attribution)
+
+let test_percpu_kill_in_switch_window () =
+  let engine, _, rt = make_percpu ~cores:1 ~preemption:false fifo_ctor in
+  check_kill_in_switch_window engine rt ~core:0
+
+let test_centralized_kill_in_switch_window () =
+  let engine, _, rt = make_centralized ~workers:1 () in
+  check_kill_in_switch_window engine rt ~core:1
+
 let suite =
   [
     Alcotest.test_case "runqueue: fifo + deque" `Quick test_runqueue_fifo;
@@ -853,6 +1045,11 @@ let suite =
     Alcotest.test_case "runqueue: steal-half" `Quick test_runqueue_steal_half;
     prop_runqueue_steal_half_model;
     prop_runqueue_fifo_order;
+    Alcotest.test_case "runqueue: one queue per task" `Quick
+      test_runqueue_one_queue_per_task;
+    prop_runqueue_model;
+    Alcotest.test_case "runqueue: zero-alloc steady state" `Quick
+      test_runqueue_zero_alloc;
     Alcotest.test_case "percpu: runs a task" `Quick test_percpu_runs_task;
     Alcotest.test_case "percpu: parallelism" `Quick test_percpu_parallelism;
     Alcotest.test_case "percpu: timer ticks" `Quick test_percpu_timer_ticks_happen;
@@ -870,7 +1067,11 @@ let suite =
       test_percpu_be_attach_validates_first;
     Alcotest.test_case "percpu: idle mask over two words" `Quick
       test_percpu_idle_mask_two_words;
+    Alcotest.test_case "percpu: kill in the switch window" `Quick
+      test_percpu_kill_in_switch_window;
     Alcotest.test_case "centralized: basic" `Quick test_centralized_basic;
+    Alcotest.test_case "centralized: kill in the switch window" `Quick
+      test_centralized_kill_in_switch_window;
     Alcotest.test_case "centralized: quantum preemption" `Quick
       test_centralized_quantum_preemption;
     Alcotest.test_case "centralized: HoL without quantum" `Quick

@@ -175,15 +175,18 @@ module Sched_ops = Skyloft.Sched_ops
    configuration {!Scenario.build} makes: spawn (pinned where the
    mechanism can pin, some tasks blocking mid-service, some with a
    deadline), kill, wakeup of blocked tasks, a page fault on a worker,
-   and broker allowance shrink and grow, with a random stretch of
-   simulated time after each step.  After every step no task is on two
-   units and the idle mask agrees with a full scan of the units. *)
+   and broker allowance shrink and grow, attaching a best-effort app
+   (once; later attaches are no-ops), with a random stretch of simulated
+   time after each step.  After every step no task is on two units, and
+   the idle mask and the maintained BE-occupancy and busy-time counters
+   agree with a full recount. *)
 type op =
   | Spawn of { pin : int; service : int; block : bool; deadline : int option }
   | Kill of int
   | Wake of int
   | Allow of int
   | Fault of int
+  | Attach_be
   | Run of int
 
 let conformance_workers = 3
@@ -202,6 +205,7 @@ let op_gen =
         (2, map (fun i -> Wake i) nat);
         (1, map (fun n -> Allow n) (int_bound conformance_workers));
         (1, map (fun w -> Fault w) (int_bound (conformance_workers - 1)));
+        (1, return Attach_be);
         (2, map (fun d -> Run d) (int_range 0 50_000));
       ])
 
@@ -235,6 +239,40 @@ let idle_mask_agrees (rt : Rc.t) ~machine_cores =
        (fun c -> unit_core c || not (view.Sched_ops.is_idle c))
        (List.init (machine_cores + 2) (fun c -> c - 1))
 
+(* The maintained counters agree with the folds they replaced: BE
+   occupancy with a scan of the units (running BE or a BE assignment in
+   flight), [total_busy_ns] with the sum over the apps, and [lc_busy_ns]
+   with that sum less the BE app plus the other apps' in-flight
+   segments. *)
+let counters_agree (rt : Rc.t) =
+  let units = rt.Rc.dispatch.Rc.d_units in
+  let be_id = match rt.Rc.be_app with Some app -> app.App.id | None -> -1 in
+  let runs_be (ex : Rc.exec) =
+    match ex.Rc.current with Some task -> task.Task.app = be_id | None -> false
+  in
+  let count p = Array.fold_left (fun acc ex -> if p ex then acc + 1 else acc) 0 units in
+  let running = count runs_be in
+  let incoming = count (fun ex -> be_id >= 0 && ex.Rc.incoming = be_id) in
+  let occupied = count (fun ex -> runs_be ex || (be_id >= 0 && ex.Rc.incoming = be_id)) in
+  let recorded =
+    List.fold_left (fun acc (a : App.t) -> acc + a.App.busy_ns) rt.Rc.daemon.App.busy_ns
+      (Rc.apps rt)
+  in
+  let be_recorded = match rt.Rc.be_app with Some app -> app.App.busy_ns | None -> 0 in
+  let lc_in_flight =
+    Array.fold_left
+      (fun acc (ex : Rc.exec) ->
+        match ex.Rc.current with
+        | Some task when task.Task.app <> be_id -> acc + max 0 (Rc.now rt - ex.Rc.busy_from)
+        | Some _ | None -> acc)
+      0 units
+  in
+  rt.Rc.be_running = running
+  && rt.Rc.be_incoming = incoming
+  && Rc.be_occupancy rt = occupied
+  && Rc.total_busy_ns rt = recorded
+  && Rc.lc_busy_ns rt = recorded - be_recorded + lc_in_flight
+
 let conformance runtime ops =
   let engine = Engine.create ~seed:1 () in
   let machine_cores = conformance_workers + Scenario.dispatcher_cores runtime in
@@ -247,6 +285,7 @@ let conformance runtime ops =
   in
   let pinnable = rt.Rc.dispatch.Rc.d_pinnable in
   let app = Rc.create_app rt ~name:"conformance" in
+  let be = Rc.create_app rt ~name:"batch" in
   let tasks = ref [||] in
   let nth i = if !tasks = [||] then None else Some !tasks.(i mod Array.length !tasks) in
   let until = ref 0 in
@@ -271,11 +310,22 @@ let conformance runtime ops =
     | Fault w ->
         let core = w + Scenario.dispatcher_cores runtime in
         ignore (Rc.fault_current rt ~core ~duration:(Time.us 30))
+    | Attach_be ->
+        if rt.Rc.be_app = None then
+          Rc.attach_be_app rt be ~chunk:(Time.us 20) ~workers:2
+            ~alloc:
+              {
+                (Skyloft_alloc.Allocator.default_config ()) with
+                Skyloft_alloc.Allocator.policy = Skyloft_alloc.Policy.delay ();
+                be_burstable = Some 2;
+              }
     | Run d ->
         until := !until + d;
         Engine.run ~until:!until engine
   in
-  let consistent () = no_task_on_two_units rt && idle_mask_agrees rt ~machine_cores in
+  let consistent () =
+    no_task_on_two_units rt && idle_mask_agrees rt ~machine_cores && counters_agree rt
+  in
   let holds = ref (consistent ()) in
   List.iter
     (fun op ->

@@ -26,26 +26,30 @@ module Rc = Skyloft.Runtime_core
 type stub = {
   rc : Rc.t;
   execs : Rc.exec array;
-  incoming : int array;  (* simulated in-flight assignment per unit *)
   engine : Engine.t;
 }
 
 let reschedule st ex ~prev:_ =
   if ex.Rc.current = None then begin
-    let pick () =
-      let be =
+    let rec pick () =
+      let next =
         if Rc.be_occupancy st.rc < st.rc.Rc.be_allowance then
           Runqueue.pop_head st.rc.Rc.be_queue
         else None
       in
-      match be with
-      | Some task -> Some task
-      | None -> st.rc.Rc.policy.task_dequeue ~cpu:ex.Rc.exec_core
+      let next =
+        match next with
+        | Some _ -> next
+        | None -> st.rc.Rc.policy.task_dequeue ~cpu:ex.Rc.exec_core
+      in
+      match next with
+      | Some task when Rc.discard_killed st.rc task -> pick ()
+      | next -> next
     in
-    match Rc.next_live st.rc pick with
+    match pick () with
     | Some task ->
         ignore (Rc.begin_run st.rc ex task ~switch_cost:0);
-        Rc.run_after_switch st.rc ex task ~switch_cost:0
+        Rc.run_after_switch st.rc ex ~switch_cost:0
     | None -> ()
   end
 
@@ -61,15 +65,13 @@ let make ?(units = 1) () =
   let kmod = Kmod.create machine in
   let rc = Rc.create machine kmod in
   let execs = Array.init units Rc.make_exec in
-  let incoming = Array.make units (-1) in
-  let st = { rc; execs; incoming; engine } in
+  let st = { rc; execs; engine } in
   Rc.install_dispatch rc
     {
       Rc.null_dispatch with
       Rc.d_name = "stub";
       d_units = execs;
       d_enqueue_cpu = (fun _ -> 0);
-      d_incoming_app = (fun ex -> incoming.(ex.Rc.exec_core));
       d_reschedule = (fun ex ~prev -> reschedule st ex ~prev);
       d_place =
         (fun task ~cpu:_ ->
@@ -236,9 +238,9 @@ let test_be_occupancy () =
   Rc.attach_be_app st.rc be ~chunk:(Time.us 10) ~workers:2;
   check int "nothing running yet" 0 (Rc.be_occupancy st.rc);
   (* an assignment in flight counts as occupancy before it lands *)
-  st.incoming.(0) <- be.App.id;
+  Rc.set_incoming st.rc st.execs.(0) be.App.id;
   check int "in-flight assignment counted" 1 (Rc.be_occupancy st.rc);
-  st.incoming.(0) <- -1;
+  Rc.set_incoming st.rc st.execs.(0) (-1);
   kick_all st;
   check int "both units running BE" 2 (Rc.be_occupancy st.rc);
   check bool "BE tasks recognised" true
