@@ -403,77 +403,6 @@ let write_bench_obs_json config =
     runs;
   E.Report.note "obs determinism artifact written to %s" bench_obs_json_path
 
-(* ---- domain-parallel experiment driver (lib/experiments) ---------------- *)
-
-(* Wall-clock scaling of the [-j] sweep driver over the nine golden cells
-   (three traced runs, three fault-sweep points, three obs reports — real
-   simulations, seconds each).  Bechamel's per-run OLS is the wrong tool
-   for a multi-second domain fan-out, so this measures wall time directly
-   with the monotonic clock.  The digests must be identical at every job
-   count — the same invariance the determinism gate checks — so the bench
-   doubles as an end-to-end proof on whatever host runs it. *)
-let bench_parallel_json_path = "BENCH_parallel.json"
-
-let write_bench_parallel_json () =
-  E.Report.section
-    "Domain-parallel sweep driver: wall clock over the golden cells";
-  (* Toolkit's MEASURE view of the monotonic clock: [get] is now-ns. *)
-  let clock = Toolkit.Monotonic_clock.make () in
-  let wall f =
-    let t0 = Toolkit.Monotonic_clock.get clock in
-    let r = f () in
-    let t1 = Toolkit.Monotonic_clock.get clock in
-    ((t1 -. t0) /. 1e9, r)
-  in
-  let host_cores = Domain.recommended_domain_count () in
-  let jobs_levels = [ 1; 2; 4; 8 ] in
-  let baseline = ref [] in
-  let rows =
-    List.map
-      (fun jobs ->
-        let secs, fps = wall (fun () -> E.Golden.fingerprints ~jobs ()) in
-        if jobs = 1 then baseline := fps
-        else if fps <> !baseline then
-          failwith
-            (Printf.sprintf
-               "BENCH_parallel: -j %d produced different results" jobs);
-        (jobs, secs))
-      jobs_levels
-  in
-  let j1 = List.assoc 1 rows in
-  E.Report.table
-    ~header:[ "-j"; "wall (s)"; "speedup vs -j 1" ]
-    (List.map
-       (fun (jobs, secs) ->
-         [
-           string_of_int jobs;
-           Printf.sprintf "%.2f" secs;
-           Printf.sprintf "%.2fx" (j1 /. secs);
-         ])
-       rows);
-  E.Report.note "results identical at every -j (checked against -j 1)";
-  E.Report.note "host has %d core(s); speedup saturates at the core count"
-    host_cores;
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"host_cores\": %d,\n" host_cores);
-  Buffer.add_string buf "  \"cells\": 9,\n";
-  Buffer.add_string buf "  \"wall_seconds\": {\n";
-  List.iteri
-    (fun i (jobs, secs) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    \"%d\": { \"seconds\": %.3f, \"speedup\": %.3f }%s\n"
-           jobs secs (j1 /. secs)
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  },\n";
-  Buffer.add_string buf "  \"results_identical_across_jobs\": true\n";
-  Buffer.add_string buf "}\n";
-  let oc = open_out bench_parallel_json_path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  E.Report.note "driver scaling written to %s" bench_parallel_json_path
-
 (* ---- oversubscription bench: broker cost per request -------------------- *)
 
 let bench_oversub_json_path = "BENCH_oversub.json"
@@ -602,10 +531,6 @@ let () =
   (* Observability layer (lib/obs): attribution identity, trace invariants,
      and the registry-on == registry-off determinism proof + BENCH_obs.json. *)
   write_bench_obs_json config;
-
-  (* Domain-parallel sweep driver: -j scaling + cross-jobs identity proof
-     + BENCH_parallel.json. *)
-  write_bench_parallel_json ();
 
   (* Core broker (lib/alloc + lib/scenario placement): oversubscribed
      multi-tenant cells + -j identity proof + BENCH_oversub.json. *)

@@ -135,7 +135,7 @@ let trace_dump_cmd =
       required
       & pos 0 (some string) None
       & info [] ~docv:"FILE"
-          ~doc:"Flight-recorder binary image (Trace.write_binary output).")
+          ~doc:"Flight-recorder binary image (Trace.to_binary output).")
   in
   let limit =
     Arg.(

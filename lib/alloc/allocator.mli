@@ -157,14 +157,12 @@ val emit : ('r, 'x) arbiter -> 'x binding -> action:action -> delta:int -> unit
 
 exception Invariant_violation of string
 
-val check_invariants : ('r, 'x) arbiter -> unit
-(** Raises {!Invariant_violation} unless [sum granted <= capacity] and
-    every binding holds at most its burstable ceiling and — unless
-    crashed — at least its guaranteed floor.  Called after every tick. *)
-
 val tick : ('r, 'x) arbiter -> unit
 (** One round immediately (tests, benchmarks): the level's [decide], then
-    the three arbitration phases, then {!check_invariants}. *)
+    the three arbitration phases, then the invariant check, which raises
+    {!Invariant_violation} unless [sum granted <= capacity] and every
+    binding holds at most its burstable ceiling and — unless crashed — at
+    least its guaranteed floor. *)
 
 val start : ('r, 'x) arbiter -> unit
 (** Begin the periodic loop (first tick one interval from now). *)

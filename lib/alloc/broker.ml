@@ -267,13 +267,11 @@ let core_ns t ~tenant =
   settle_core_ns t b;
   b.ext.core_ns
 
-let capacity = A.capacity
 let free_cores = A.free_cores
 let interval = A.interval
 let grants = A.grants
 let reclaims = A.reclaims
 let yields = A.yields
-let ticks = A.ticks
 let charged_ns = A.charged_ns
 let degradations = A.degradations
 let quarantines = A.quarantines

@@ -86,7 +86,7 @@ val tick : t -> unit
     quarantine countdown, healthy-tenant policy decisions, hoard scoring,
     then the arbiter's three-phase arbitration (yields, LC grants with
     steals from healthy BE tenants above floors, BE grants) and
-    {!Allocator.check_invariants}, which raises
+    the arbiter's invariant check, which raises
     {!Allocator.Invariant_violation} if the sum of grants exceeds the
     capacity or a tenant leaves its bounds (crashed tenants may sit below
     their floor). *)
@@ -115,13 +115,11 @@ val core_ns : t -> tenant:int -> int
 (** Integral of granted cores over time, settled to now. *)
 
 val series : t -> tenant:int -> Timeseries.t
-val capacity : t -> int
 val free_cores : t -> int
 val interval : t -> Time.t
 val grants : t -> int
 val reclaims : t -> int
 val yields : t -> int
-val ticks : t -> int
 val charged_ns : t -> Time.t
 val degradations : t -> int
 val quarantines : t -> int

@@ -12,6 +12,7 @@ type signal = {
 
 type decision = Grant of int | Yield of int | Hold
 
+(* The policy signature: [t] carries per-application hysteresis state. *)
 module type POLICY = sig
   type t
 

@@ -34,22 +34,10 @@ type decision =
   | Yield of int  (** return this many cores to the free pool *)
   | Hold
 
-(** The pluggable policy signature.  [observe] is called once per
-    application per allocator tick; [t] carries per-application hysteresis
-    state. *)
-module type POLICY = sig
-  type t
-
-  val name : string
-  val observe : t -> app:int -> signal -> decision
-end
-
 type t
-(** A packed policy instance.  Instances are stateful (hysteresis
-    counters): create a fresh one per runtime. *)
-
-val pack : (module POLICY with type t = 'a) -> 'a -> t
-(** Wrap a custom policy implementation. *)
+(** A policy instance.  Instances are stateful (hysteresis counters):
+    create a fresh one per runtime.  [observe] is called once per
+    application per allocator tick. *)
 
 val name : t -> string
 val observe : t -> app:int -> signal -> decision

@@ -12,8 +12,6 @@ module Dist = Skyloft_sim.Dist
     Skyloft's job is simply to match Shenango's work stealing. *)
 
 let get_fraction = 0.998
-let get_service = Dist.Uniform { lo = Time.ns 3_000; hi = Time.ns 5_000 }
-let set_service = Dist.Uniform { lo = Time.ns 5_000; hi = Time.ns 7_000 }
 
 let kind rng = if Rng.uniform rng < get_fraction then "get" else "set"
 

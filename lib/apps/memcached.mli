@@ -8,17 +8,11 @@ module Dist = Skyloft_sim.Dist
     nothing: this is the experiment where Skyloft only has to match
     Shenango's work stealing. *)
 
-val get_fraction : float
-val get_service : Dist.t
-val set_service : Dist.t
-
 val kind : Rng.t -> string
 (** Draw "get" or "set" with the USR mix. *)
 
 val service : Dist.t
 (** The USR mix as one distribution, for the load generator. *)
-
-val mean_service_ns : float
 
 val saturation_rps : cores:int -> float
 (** Offered load that saturates [cores] workers, before overheads. *)

@@ -8,9 +8,6 @@ module Dist = Skyloft_sim.Dist
     SCAN waits 600× its own service time, which is what the 99.9%
     slowdown metric exposes. *)
 
-val get_service : Time.t
-val scan_service : Time.t
-
 val kind : Rng.t -> string
 val service : Dist.t
 val mean_service_ns : float

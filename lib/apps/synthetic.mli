@@ -8,8 +8,6 @@ module Dist = Skyloft_sim.Dist
     centralized runtime, as the paper's dedicated load-generator core
     does. *)
 
-val dispersive : Dist.t
-
 val saturation_rps : cores:int -> float
 (** Offered load that saturates [cores] workers, before overheads. *)
 

@@ -30,8 +30,7 @@ type t = {
   mutable batch_busy_ns : int;
 }
 
-let run machine ~cores ~rng ~rate_rps ~service ~duration ?(pool_factor = 2)
-    ?(batch_threads = 0) () =
+let run machine ~cores ~rng ~rate_rps ~service ~duration ?(batch_threads = 0) () =
   let engine = Machine.engine machine in
   let linux = Linux.create machine Linux.cfs_default ~cores in
   let t =
@@ -60,7 +59,7 @@ let run machine ~cores ~rng ~rate_rps ~service ~duration ?(pool_factor = 2)
           Coro.Block (fun () -> worker_body self ())
         end
   in
-  let n_workers = pool_factor * List.length cores in
+  let n_workers = 2 * List.length cores in
   for i = 1 to n_workers do
     let self = ref None in
     (* The body is evaluated eagerly, before the kthread handle exists, so

@@ -4,7 +4,7 @@ module Dist = Skyloft_sim.Dist
 module Summary = Skyloft_stats.Summary
 
 (** The Linux-CFS baseline of Figure 7a: a request stream served by a
-    pool of kernel threads (2× cores by default) pulling from a shared
+    pool of kernel threads (2× cores) pulling from a shared
     FIFO under the simulated CFS.  Optionally co-locates nice-19 batch
     hog threads (Figure 7c's Linux line). *)
 
@@ -17,7 +17,6 @@ val run :
   rate_rps:float ->
   service:Dist.t ->
   duration:Time.t ->
-  ?pool_factor:int ->
   ?batch_threads:int ->
   unit ->
   t

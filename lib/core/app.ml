@@ -33,5 +33,3 @@ let daemon () = make 0 "daemon"
 
 let cpu_share t ~total_ns =
   if total_ns <= 0 then 0.0 else float_of_int t.busy_ns /. float_of_int total_ns
-
-let pp ppf t = Format.fprintf ppf "%s(app=%d)" t.name t.id

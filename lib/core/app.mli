@@ -35,5 +35,3 @@ val daemon : unit -> t
 
 val cpu_share : t -> total_ns:int -> float
 (** Fraction of [total_ns] this application spent running. *)
-
-val pp : Format.formatter -> t -> unit

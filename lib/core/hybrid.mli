@@ -98,7 +98,11 @@ val create :
     the quantum, or the tick period in [Percore] mode if larger — meaning
     the preemption was lost ({!Runtime_core.watchdog_rescues},
     {!Runtime_core.rescue_detection}).  Cores inside a
-    {!Kmod.steal_core} outage are exempt until hand-back. *)
+    {!Kmod.steal_core} outage are exempt until hand-back.
+
+    @raise Invalid_argument on no worker cores, a dispatcher core also
+    listed as a worker, a non-positive [timer_hz] or a non-positive
+    [watchdog] bound, before anything is built or parked on [kmod]. *)
 
 val runtime : t -> Runtime_core.t
 (** The runtime handle: spawn, kill, wakeup, applications, BE attachment,

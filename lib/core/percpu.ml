@@ -169,6 +169,7 @@ let setup_kthread t (cpu : Percore.cpu) kt =
 let create machine kmod ~cores ?(timer_hz = 100_000) ?(preemption = true) ?park
     ?watchdog ctor =
   if cores = [] then invalid_arg "Percpu.create: no cores";
+  if timer_hz <= 0 then invalid_arg "Percpu.create: timer_hz must be positive";
   (match watchdog with
   | Some bound when bound <= 0 ->
       invalid_arg "Percpu.create: watchdog bound must be positive"

@@ -63,7 +63,11 @@ val create :
     delegation, and force a preemption.  Rescues are counted and traced
     ({!Runtime_core.watchdog_rescues}, {!Runtime_core.rescue_detection}).
     Cores inside a host-kernel steal ({!Kmod.steal_core}) are exempt
-    until hand-back. *)
+    until hand-back.
+
+    @raise Invalid_argument on no cores, a non-positive [timer_hz] (even
+    without preemption) or a non-positive [watchdog] bound, before
+    anything is built or parked on [kmod]. *)
 
 val runtime : t -> Runtime_core.t
 (** The runtime handle: spawn, kill, wakeup, applications, BE attachment,

@@ -232,8 +232,6 @@ let set_core_allowance t n =
       (fun ex -> if not (unit_capped t ex) then t.dispatch.d_redrive ex)
       t.dispatch.d_units
 
-let core_allowance t = t.core_allowance
-
 (* ---- idle tracking --------------------------------------------------------- *)
 
 (* Which units run nothing is kept as a bitmask over exec slots, flipped
@@ -471,11 +469,6 @@ let rec process t ex (task : Task.t) =
       (match task.on_exit with Some f -> f task | None -> ());
       t.dispatch.d_reschedule ex ~prev:(Some task)
 
-and on_complete t ex (task : Task.t) =
-  ex.completion <- Eventq.null;
-  task.body <- task.cont ();
-  process t ex task
-
 (* The second half of a dispatch, once the switch cost has elapsed: start
    executing the unit's task.  The unit's switch-done timer is armed only
    by [run_after_switch] for the task [begin_run] just put on it, and the
@@ -608,10 +601,9 @@ let discard_killed t (task : Task.t) =
 
 (* ---- wakeups -------------------------------------------------------------- *)
 
-(* The shared wake path: state transition, stall attribution and the trace
-   instant; [place] is the runtime's placement (policy wakeup + kick, or
-   dispatcher pump). *)
-let awaken t (task : Task.t) ~place =
+(* State transition, stall attribution and the trace instant, then the
+   runtime's placement (policy wakeup + kick, or dispatcher pump). *)
+let wakeup t ?(waker_cpu = -1) (task : Task.t) =
   match task.Task.state with
   | Task.Blocked ->
       task.Task.state <- Task.Runnable;
@@ -622,12 +614,9 @@ let awaken t (task : Task.t) ~place =
       task.Task.obs_enq_at <- now t;
       trace_instant t ~core:(max 0 task.Task.last_core) Trace.Wakeup
         task.Task.name;
-      place task
+      t.dispatch.d_wake task ~waker_cpu
   | Task.Running | Task.Runnable -> task.Task.pending_wake <- true
   | Task.Exited -> ()
-
-let wakeup t ?(waker_cpu = -1) task =
-  awaken t task ~place:(fun task -> t.dispatch.d_wake task ~waker_cpu)
 
 (* §6 "Blocking events": the running task hits a page fault (or a blocking
    syscall).  The userfaultfd-style monitor blocks the task and lets the

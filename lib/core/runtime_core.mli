@@ -107,13 +107,13 @@ type t = {
   mutable be_app : App.t option;
   be_queue : Runqueue.t;
   mutable be_running : int;
-      (** units whose current task is BE; {!begin_run} and {!release}
-          keep it, {!attach_be_app} recounts it *)
+      (** units whose current task is BE; {!begin_run} and the unit's
+          release keep it, {!attach_be_app} recounts it *)
   mutable be_incoming : int;
       (** units whose [incoming] is the BE app; {!set_incoming} keeps it *)
   mutable busy_total : int;
-      (** every app's [busy_ns] summed, the daemon's included; {!account}
-          keeps it *)
+      (** every app's [busy_ns] summed, the daemon's included; charging a
+          unit's busy segment keeps it *)
   mutable be_allowance : int;
   mutable core_allowance : int;
       (** units (a prefix of [d_units], by slot) this runtime may occupy
@@ -138,8 +138,8 @@ type t = {
           a unit (built by {!install_dispatch}) *)
   mutable idle : int array;
       (** the idle mask: bit [s mod 62] of word [s / 62] is set iff unit
-          [s] runs nothing.  {!begin_run} and {!release} — the only
-          writers of [current] — keep it up to date. *)
+          [s] runs nothing.  {!begin_run} and the unit's release — the
+          only writers of [current] — keep it up to date. *)
   mutable sched_view : Sched_ops.view option;
       (** the scheduler view, built once by {!install_dispatch} *)
   mutable metric_extras : Registry.labels -> Registry.t -> unit;
@@ -178,9 +178,6 @@ val set_core_allowance : t -> int -> unit
     creation-order prefix.  Shrinking evicts tasks running on newly capped
     units ([d_evict]); growing redrives the units handed back
     ([d_redrive]).  The default, [max_int], disables the gate. *)
-
-val core_allowance : t -> int
-(** The broker's current grant ([max_int] when unbrokered). *)
 
 val view : t -> Sched_ops.view
 (** The runtime view handed to policy constructors, derived entirely from
@@ -223,10 +220,6 @@ val activate_daemon : t -> unit
 (** Park and activate the daemon's kthread on every unit (§4.1); the last
     construction step, after {!install_policy}. *)
 
-val add_kthread : t -> app:int -> core:int -> Kmod.kthread
-(** Park a kthread of [app] on a unit's core.
-    @raise Invalid_argument if [core] is not a unit. *)
-
 val kthread : t -> app:int -> core:int -> Kmod.kthread
 (** The kthread of [app] on a unit's core.
     @raise Not_found if there is none. *)
@@ -248,14 +241,7 @@ val set_be_allowance : t -> int -> unit
 
 (** {1 Accounting and trace vocabulary} *)
 
-val account : t -> exec -> unit
-(** Charge the unit's busy segment to the running task's application and
-    emit the run span; resets the busy clock. *)
-
 val trace_instant : t -> core:int -> Trace.instant_kind -> string -> unit
-val release : t -> exec -> unit
-(** Take the unit's task off it ([current <- None], idle bit set,
-    [be_running] kept), then [d_released]. *)
 
 val app_switch : t -> exec -> Task.t -> Time.t
 (** Cross-application switch through the kernel module; returns the
@@ -263,12 +249,6 @@ val app_switch : t -> exec -> Task.t -> Time.t
 
 (** {1 The task lifecycle} *)
 
-val process : t -> exec -> Task.t -> unit
-(** Run the task's next coroutine step on the unit: arm the completion
-    timer for compute segments; account, release and requeue on yield /
-    block / exit, then hand the unit to [d_reschedule]. *)
-
-val on_complete : t -> exec -> Task.t -> unit
 val arm_completion : t -> exec -> Task.t -> unit
 
 val begin_run : t -> exec -> Task.t -> switch_cost:Time.t -> Time.t
@@ -295,14 +275,11 @@ val discard_killed : t -> Task.t -> bool
 
 (** {1 Wakeups} *)
 
-val awaken : t -> Task.t -> place:(Task.t -> unit) -> unit
-(** The shared wake path: state transition, stall attribution, trace
-    instant, then the runtime's [place].  Non-blocked tasks get their
-    pending-wake flag set instead. *)
-
 val wakeup : t -> ?waker_cpu:int -> Task.t -> unit
-(** [task_wakeup]: make a blocked task runnable again; {!awaken} with the
-    mechanism's [d_wake] placement. *)
+(** [task_wakeup]: make a blocked task runnable again — state transition,
+    stall attribution, trace instant — and hand it to the mechanism's
+    [d_wake] placement.  Non-blocked tasks get their pending-wake flag set
+    instead. *)
 
 val fault_current : t -> core:int -> duration:Time.t -> bool
 (** §6 "Blocking events": block the task currently running on [core] for
@@ -321,21 +298,6 @@ val kill : t -> ?on_drop:(Task.t -> unit) -> Task.t -> unit
     tasks.  Counted in {!deadline_drops} and the app summary's drops. *)
 
 (** {1 Task admission} *)
-
-val admit :
-  t ->
-  App.t ->
-  name:string ->
-  arrival:Time.t ->
-  service:Time.t ->
-  record:bool ->
-  Coro.t ->
-  Task.t
-(** Create a task owned by [app] with the attribution-recording exit hook
-    (when [record]) and the spawn counters bumped; placement is the
-    runtime's job.  Every recorded completion counts — including
-    zero-service tasks — so submitted = completed + gave-up + drops
-    reconciles for degenerate workloads. *)
 
 val spawn :
   t -> App.t -> name:string -> ?cpu:int -> ?arrival:Time.t -> ?service:Time.t ->
@@ -375,9 +337,6 @@ val lc_busy_ns : t -> int
 (** Busy time of every app but the BE one, the daemon's and in-flight
     segments included: [busy_total] less the BE app's, plus one loop over
     the units. *)
-
-val be_busy_ns : t -> App.t -> int
-(** The app's busy time, its in-flight segments included. *)
 
 val total_busy_ns : t -> int
 (** [busy_total]: recorded busy time over every app.  O(1). *)

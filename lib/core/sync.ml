@@ -35,7 +35,6 @@ module Sem = struct
     | None -> t.count <- t.count + 1
 
   let count t = t.count
-  let waiting t = Queue.length t.waiters
 end
 
 module Waitgroup = struct

@@ -41,7 +41,6 @@ module Sem : sig
   (** Release: wake the longest-waiting task, or bank the count. *)
 
   val count : t -> int
-  val waiting : t -> int
 end
 
 module Waitgroup : sig

@@ -78,13 +78,3 @@ and no_queue = { head = nil; tail = nil; len = 0 }
 (* A fresh task is the sentinel's defaults under its own identity. *)
 let create ~id ~app ~name ?(arrival = 0) ?(service = 0) ?on_exit body =
   { nil with id; app; name; state = Runnable; body; arrival; service; on_exit }
-
-let is_runnable t = match t.state with Runnable | Running -> true | Blocked | Exited -> false
-
-let state_name = function
-  | Runnable -> "runnable"
-  | Running -> "running"
-  | Blocked -> "blocked"
-  | Exited -> "exited"
-
-let pp ppf t = Format.fprintf ppf "%s#%d(app=%d,%s)" t.name t.id t.app (state_name t.state)

@@ -87,6 +87,3 @@ val create :
 (** Fresh runnable task.  Ids are allocated per run by {!Runtime_core}
     (no process-wide counter), so concurrent simulations in different
     domains cannot perturb each other's task ids. *)
-
-val is_runnable : t -> bool
-val pp : Format.formatter -> t -> unit

@@ -43,7 +43,8 @@ let a1_tick_frequency (config : Config.t) =
     let kmod = Kmod.create machine in
     let rt =
       Percpu.runtime
-        (Percpu.create machine kmod ~cores:[ 0 ] ~timer_hz:hz
+        (Percpu.create machine kmod ~cores:[ 0 ]
+           ?timer_hz:(if hz > 0 then Some hz else None)
            ~preemption:(hz > 0)
            (Skyloft_policies.Rr.create ~slice:(Time.us 50) ()))
     in

@@ -2,7 +2,7 @@ module Trace = Skyloft_stats.Trace
 module Trace_analysis = Skyloft_obs.Trace_analysis
 
 (** [skyloft_run trace-dump FILE]: decoder for flight-recorder binary
-    images ({!Trace.write_binary} output — e.g. the
+    images ({!Trace.to_binary} output — e.g. the
     [obs_trace_machine.bin] the obs-report experiment writes).
 
     Prints the image header (retained/dropped/interned counts), a

@@ -80,13 +80,3 @@ let tenant_stale ?(window = always) ~tenant () =
 let tenant_crash ?(window = always) ~tenant () =
   check_tenant "tenant_crash" tenant;
   { window; spec = Tenant_crash { tenant } }
-
-let name t =
-  match t.spec with
-  | Ipi_loss _ -> "ipi-loss"
-  | Core_steal _ -> "core-steal"
-  | Poison _ -> "poison"
-  | Packet_loss _ -> "packet-loss"
-  | Tenant_hoard _ -> "tenant-hoard"
-  | Tenant_stale _ -> "tenant-stale"
-  | Tenant_crash _ -> "tenant-crash"

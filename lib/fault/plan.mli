@@ -14,7 +14,6 @@ type window = { start : Time.t; stop : Time.t option }
     "until the end of the run". *)
 
 val window : ?start:Time.t -> ?stop:Time.t -> unit -> window
-val always : window
 
 val active : window -> at:Time.t -> bool
 val expired : window -> at:Time.t -> bool
@@ -70,5 +69,3 @@ val packet_loss : ?window:window -> p_drop:float -> unit -> t
 val tenant_hoard : ?window:window -> tenant:int -> unit -> t
 val tenant_stale : ?window:window -> tenant:int -> unit -> t
 val tenant_crash : ?window:window -> tenant:int -> unit -> t
-
-val name : t -> string

@@ -13,71 +13,14 @@ module Time = Skyloft_sim.Time
     All values are in cycles unless the name says [_ns]; the machine runs at
     2.0 GHz so 1 cycle = 0.5 ns ({!Skyloft_sim.Time.of_cycles}). *)
 
-(** {1 Micro-costs (cycles)} *)
+(** {1 Micro-costs (cycles)}
 
-val syscall_entry : int
-val syscall_exit : int
-
-val apic_icr_write : int
-(** x2APIC ICR MSR write to trigger an IPI. *)
-
-val upid_post : int
-(** UITT lookup + locked OR of the vector bit into the target UPID.PIR. *)
-
-val remote_upid_touch : int
-(** Extra sender cost when the target UPID cacheline lives on another
-    socket. *)
+    The other micro-costs only compose the mechanisms below; they live in
+    costs.ml with their calibration notes. *)
 
 val remote_cacheline : int
 (** Receiver-side cross-socket cacheline transfer (reading a PIR written on
     the other socket). *)
-
-val ipi_wire_same_socket : int
-(** Core-to-core IPI propagation latency, same socket. *)
-
-val ipi_wire_cross_socket : int
-
-val uintr_recognition : int
-(** Hardware moving PIR bits into UIRR when the notification arrives and the
-    PIR was written remotely. *)
-
-val uintr_recognition_local : int
-(** Same, when the PIR was posted by the local core (user timer delegation:
-    the self-posted PIR line is already in L1 — this is why receiving a user
-    timer interrupt is slightly cheaper than receiving a user IPI). *)
-
-val uintr_ctx_save : int
-(** Hardware push of RIP/RSP/RFLAGS and jump to the UIHANDLER. *)
-
-val uintr_ctx_restore : int
-(** UIRET. *)
-
-val kernel_intr_entry : int
-(** CPL3 -> CPL0 transition plus vector dispatch. *)
-
-val kernel_intr_exit : int
-(** IRET back to user mode. *)
-
-val irq_ack : int
-(** EOI write plus generic kernel IRQ bookkeeping. *)
-
-val vector_dispatch : int
-(** IDT vectoring cost counted in delivery, before the handler body. *)
-
-val signal_post : int
-(** kill()/tgkill() kernel path: task lookup, sigpending update, locking. *)
-
-val signal_dequeue : int
-(** Return-to-user path that notices and dequeues a pending signal. *)
-
-val signal_frame_setup : int
-(** Building the user-space signal frame. *)
-
-val sigreturn : int
-(** The sigreturn syscall restoring the interrupted context. *)
-
-val timer_irq_path : int
-(** Kernel LAPIC-timer IRQ handler body (setitimer path). *)
 
 val senduipi_sn : int
 (** SENDUIPI with UPID.SN set: posts to PIR without generating an IPI.
@@ -113,9 +56,6 @@ val paper_table6 : (string * int option * int * int option) list
 (** {1 Thread and scheduler operation costs (§5.4, Table 7)} *)
 
 val uthread_yield_ns : Time.t
-val uthread_spawn_ns : Time.t
-val uthread_mutex_ns : Time.t
-val uthread_condvar_ns : Time.t
 
 val app_switch_ns : Time.t
 (** Skyloft inter-application switch through the kernel module (§5.4:
@@ -139,12 +79,8 @@ val uipi_delivery_ns : cross_numa:bool -> Time.t
 val uipi_receive_ns : cross_numa:bool -> Time.t
 val user_timer_receive_ns : Time.t
 val senduipi_sn_ns : Time.t
-val signal_send_ns : Time.t
-val signal_delivery_ns : Time.t
-val signal_receive_ns : Time.t
 val kipi_send_ns : Time.t
 val kipi_delivery_ns : Time.t
 val kipi_receive_ns : Time.t
-val setitimer_receive_ns : Time.t
 val kernel_tick_ns : Time.t
 (** Cost of one Linux scheduler tick in the kernel (irq + sched path). *)

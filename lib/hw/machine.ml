@@ -13,15 +13,12 @@ type uintr_ctx = {
 }
 
 type core = {
-  id : int;
-  socket_id : int;
   mutable uintr : uintr_ctx option;
   mutable kernel_handler : (vector -> unit) option;
   mutable masked : bool;
   mutable pending : vector list;  (* reversed arrival order *)
   mutable timer_gen : int;  (* invalidates stale periodic arms *)
   mutable hz : int;
-  mutable interrupts_received : int;
   mutable user_interrupts : int;
   mutable dropped : int;
   deliver : (unit -> unit) option array;
@@ -36,22 +33,17 @@ type t = {
   topo : Topology.t;
   cores : core array;
   mutable fault_hook : (core:int -> vector -> fate) option;
-  mutable injected_ipi_drops : int;
-  mutable injected_ipi_delays : int;
 }
 
 let create engine topo =
-  let make_core id =
+  let make_core _ =
     {
-      id;
-      socket_id = Topology.socket_of_core topo id;
       uintr = None;
       kernel_handler = None;
       masked = false;
       pending = [];
       timer_gen = 0;
       hz = 0;
-      interrupts_received = 0;
       user_interrupts = 0;
       dropped = 0;
       deliver = Array.make 256 None;
@@ -62,20 +54,15 @@ let create engine topo =
     topo;
     cores = Array.init (Topology.total_cores topo) make_core;
     fault_hook = None;
-    injected_ipi_drops = 0;
-    injected_ipi_delays = 0;
   }
 
 let engine t = t.engine
-let topology t = t.topo
 let n_cores t = Array.length t.cores
 
 let core t i =
   if i < 0 || i >= Array.length t.cores then invalid_arg "Machine.core: bad core id";
   t.cores.(i)
 
-let core_id c = c.id
-let socket c = c.socket_id
 let set_kernel_handler c f = c.kernel_handler <- Some f
 let interrupts_masked c = c.masked
 
@@ -100,7 +87,6 @@ let recognize c ctx =
   end
 
 let dispatch c v =
-  c.interrupts_received <- c.interrupts_received + 1;
   match c.uintr with
   | Some ctx when v = ctx.uinv -> recognize c ctx
   | Some _ | None -> ( match c.kernel_handler with Some f -> f v | None -> ())
@@ -139,18 +125,7 @@ let clear_fault_hook t = t.fault_hook <- None
 let fault_fate t ~core v =
   match t.fault_hook with
   | None -> Deliver
-  | Some f -> (
-      match f ~core v with
-      | Deliver -> Deliver
-      | Drop ->
-          t.injected_ipi_drops <- t.injected_ipi_drops + 1;
-          Drop
-      | Delay d ->
-          t.injected_ipi_delays <- t.injected_ipi_delays + 1;
-          Delay d)
-
-let injected_ipi_drops t = t.injected_ipi_drops
-let injected_ipi_delays t = t.injected_ipi_delays
+  | Some f -> f ~core v
 
 (* The delivery closure for vector [v] at [c], built once per (core,
    vector) pair and reused for every subsequent IPI — delivery itself then
@@ -259,6 +234,5 @@ let senduipi t ~src_core ctx ~uvec =
     | Some dst -> send_ipi t ~src:src_core ~dst ctx.uinv
     | None -> ()
 
-let interrupts_received c = c.interrupts_received
 let user_interrupts_delivered c = c.user_interrupts
 let dropped_notifications c = c.dropped

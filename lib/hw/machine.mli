@@ -38,11 +38,8 @@ type core
 
 val create : Engine.t -> Topology.t -> t
 val engine : t -> Engine.t
-val topology : t -> Topology.t
 val n_cores : t -> int
 val core : t -> int -> core
-val core_id : core -> int
-val socket : core -> int
 
 (** {1 Kernel-level interrupt plumbing} *)
 
@@ -78,13 +75,11 @@ val set_fault_hook : t -> (core:int -> vector -> fate) -> unit
 val clear_fault_hook : t -> unit
 
 val fault_fate : t -> core:int -> vector -> fate
-(** Consult the hook (counting drops/delays); [Deliver] when none is
-    installed.  Runtimes that model notification latency outside
-    {!send_ipi} (the centralized dispatcher) call this on their modelled
-    delivery path so injected IPI loss reaches them too. *)
-
-val injected_ipi_drops : t -> int
-val injected_ipi_delays : t -> int
+(** Consult the hook; [Deliver] when none is installed.  Runtimes that
+    model notification latency outside {!send_ipi} (the centralized
+    dispatcher) call this on their modelled delivery path so injected IPI
+    loss reaches them too.  {!Skyloft_fault.Injector} counts every drop and
+    delay it decides. *)
 
 (** {1 LAPIC timer} *)
 
@@ -135,7 +130,6 @@ val senduipi : t -> src_core:int -> uintr_ctx -> uvec:int -> unit
 
 (** {1 Statistics} *)
 
-val interrupts_received : core -> int
 val user_interrupts_delivered : core -> int
 val dropped_notifications : core -> int
 (** Notifications that arrived with an empty PIR (the §3.2 trap for the

@@ -72,5 +72,3 @@ let with_guardian t ~core key f =
       p.ad <- saved_ad;
       p.wd <- saved_wd)
     f
-
-let wrpkru_cycles = 20

@@ -49,7 +49,3 @@ val with_guardian : t -> core:int -> pkey -> (unit -> 'a) -> 'a
 (** The guardian pattern from §6: grant read/write for [pkey], run [f]
     (the scheduler entry), then revoke both — even on exceptions.  Nesting
     is safe; the previous permission is restored. *)
-
-val wrpkru_cycles : int
-(** Cost of one WRPKRU (~20 cycles measured on real hardware); charged by
-    callers that account guardian crossings. *)

@@ -15,7 +15,3 @@ let socket_of_core t core =
   core / t.cores_per_socket
 
 let cross_numa t a b = socket_of_core t a <> socket_of_core t b
-
-let pp ppf t =
-  Format.fprintf ppf "%d socket(s) x %d cores = %d cores" t.sockets t.cores_per_socket
-    (total_cores t)

@@ -18,6 +18,3 @@ val socket_of_core : t -> int -> int
 
 val cross_numa : t -> int -> int -> bool
 (** Whether two cores live on different sockets (different NUMA nodes). *)
-
-val valid_core : t -> int -> bool
-val pp : Format.formatter -> t -> unit

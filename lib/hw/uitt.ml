@@ -17,8 +17,6 @@ let clear t i =
   check t i;
   t.entries.(i) <- None
 
-let size t = Array.length t.entries
-
 let senduipi t ~src_core i =
   check t i;
   match t.entries.(i) with

@@ -14,7 +14,6 @@ val set : t -> int -> Machine.uintr_ctx -> uvec:int -> unit
 (** Fill entry [i] with the receiver context and the user-vector to post. *)
 
 val clear : t -> int -> unit
-val size : t -> int
 
 val senduipi : t -> src_core:int -> int -> unit
 (** Execute SENDUIPI with operand [i]: posts the entry's user vector into

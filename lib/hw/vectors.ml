@@ -16,9 +16,6 @@ let uintr_notification : t = 0xe5
 (* Kernel reschedule IPI (preemption via the kernel, ghOSt-style). *)
 let resched : t = 0xfd
 
-(* Signal-delivery IPI (Shenango-style preemption). *)
-let signal : t = 0xf8
-
 (* User-interrupt *request* numbers (the 0-63 index posted into the PIR) are
    a separate small space; by convention Skyloft uses: *)
 let uvec_preempt = 1
@@ -26,13 +23,3 @@ let uvec_timer = 0
 
 (* User-delegated NIC MSI (the §6 "peripheral interrupts" extension). *)
 let uvec_nic = 2
-
-let pp ppf (v : t) =
-  let name =
-    if v = timer then "timer"
-    else if v = uintr_notification then "uintr"
-    else if v = resched then "resched"
-    else if v = signal then "signal"
-    else "vec"
-  in
-  Format.fprintf ppf "%s(0x%x)" name v

@@ -13,9 +13,6 @@ val uintr_notification : t
 val resched : t
 (** Kernel reschedule IPI. *)
 
-val signal : t
-(** Signal-delivery IPI (Shenango-style preemption). *)
-
 val uvec_timer : int
 (** User-vector index for delegated timer interrupts. *)
 
@@ -24,5 +21,3 @@ val uvec_preempt : int
 
 val uvec_nic : int
 (** User-vector index for delegated NIC interrupts (§6 extension). *)
-
-val pp : Format.formatter -> t -> unit

@@ -97,8 +97,6 @@ let terminate t kt =
   | Parked -> ());
   kt.state <- Exited
 
-let app_of kt = kt.app
-let core_of kt = kt.core
 let is_active kt = kt.state = Active
 let uintr_ctx kt = kt.ctx
 

@@ -46,8 +46,6 @@ val terminate : t -> kthread -> unit
     (otherwise the parked ones could never be woken again, §3.3). *)
 
 val active_on : t -> core:int -> kthread option
-val app_of : kthread -> int
-val core_of : kthread -> int
 val is_active : kthread -> bool
 val uintr_ctx : kthread -> Machine.uintr_ctx
 val kthreads_on : t -> core:int -> kthread list

@@ -23,8 +23,6 @@ val length : t -> int
 val is_empty : t -> bool
 (** O(1). *)
 
-val mem : t -> Kthread.t -> bool
-
 val add : t -> key:float -> Kthread.t -> unit
 (** Enqueue with the given policy key, snapshotting the kthread's
     vruntime/deadline/affinity.  O(log n).

@@ -46,13 +46,3 @@ let create ~tid ~name ?affinity ?(weight = 1024) body =
     weight;
   }
 
-let is_runnable t = match t.state with Ready | Running -> true | _ -> false
-
-let state_name = function
-  | Ready -> "ready"
-  | Running -> "running"
-  | Blocked -> "blocked"
-  | Suspended -> "suspended"
-  | Exited -> "exited"
-
-let pp ppf t = Format.fprintf ppf "%s[%d] %s" t.name t.tid (state_name t.state)

@@ -47,5 +47,3 @@ val create : tid:int -> name:string -> ?affinity:int -> ?weight:int -> Coro.t ->
     is no process-wide counter, so concurrent simulations in different
     domains cannot perturb each other's tids. *)
 
-val is_runnable : t -> bool
-val pp : Format.formatter -> t -> unit

@@ -60,7 +60,6 @@ type t = {
   cpus : cpu array;
   by_core : (int, cpu) Hashtbl.t;
   wakeups : Histogram.t;
-  mutable switches : int;
   mutable alive : int;
   mutable next_tid : int;  (* per-instance tid allocator: no global state *)
 }
@@ -231,10 +230,7 @@ and dispatch t cpu (kt : Kthread.t) ~switch_cost =
     | _ -> ()
   in
   if switch_cost = 0 then continue ()
-  else begin
-    t.switches <- t.switches + 1;
-    ignore (Engine.after t.engine switch_cost continue)
-  end
+  else ignore (Engine.after t.engine switch_cost continue)
 
 and schedule t cpu ~prev =
   let next =
@@ -282,7 +278,6 @@ let create machine policy ~cores =
       cpus;
       by_core = Hashtbl.create 64;
       wakeups = Histogram.create ();
-      switches = 0;
       alive = 0;
       next_tid = 1;
     }
@@ -462,12 +457,5 @@ let spawn t ~name ?affinity ?weight body =
   else enqueue t cpu kt;
   kt
 
-let current t ~core =
-  match Hashtbl.find_opt t.by_core core with Some cpu -> cpu.curr | None -> None
-
-let nr_runnable t =
-  Array.fold_left (fun acc cpu -> acc + nr_on cpu) 0 t.cpus
-
 let wakeup_hist t = t.wakeups
-let context_switches t = t.switches
 let alive t = t.alive

@@ -58,13 +58,8 @@ val wakeup : t -> Kthread.t -> unit
     the policy's wakeup-preemption rule.  Waking a non-blocked thread sets
     its [pending_wake] flag (futex semantics). *)
 
-val current : t -> core:int -> Kthread.t option
-val nr_runnable : t -> int
-(** Ready + Running threads across all managed cores. *)
-
 val wakeup_hist : t -> Histogram.t
 (** Wakeup-to-first-instruction latency of every wakeup processed. *)
 
-val context_switches : t -> int
 val alive : t -> int
 (** Threads not yet exited. *)

@@ -12,7 +12,3 @@ type t = {
 }
 
 let create ~arrival ~service ~flow ~kind = { arrival; service; flow; kind }
-
-let pp ppf p =
-  Format.fprintf ppf "%s flow=%d arrival=%a service=%a" p.kind p.flow Time.pp p.arrival
-    Time.pp p.service

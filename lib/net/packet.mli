@@ -12,4 +12,3 @@ type t = {
 }
 
 val create : arrival:Time.t -> service:Time.t -> flow:int -> kind:string -> t
-val pp : Format.formatter -> t -> unit

@@ -14,7 +14,6 @@ let create ~capacity =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
   { capacity; buf = Array.make capacity None; head = 0; len = 0; dropped = 0 }
 
-let length t = t.len
 let is_empty t = t.len = 0
 let dropped t = t.dropped
 

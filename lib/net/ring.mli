@@ -4,7 +4,6 @@
 type t
 
 val create : capacity:int -> t
-val length : t -> int
 val is_empty : t -> bool
 
 val push : t -> Packet.t -> bool

@@ -2,9 +2,6 @@
     queue (§3.5).  A multiplicative hash stands in for Toeplitz: what
     matters is a deterministic, roughly uniform flow-to-queue mapping. *)
 
-val hash : int -> int
-(** Non-negative hash of a flow id. *)
-
 val queue_of_flow : queues:int -> int -> int
 (** Queue index in [\[0, queues)] for the flow.  [queues] must be
     positive. *)

@@ -76,10 +76,6 @@ val core_counter_slots :
     common per-core counter family in one call.  Raises
     [Invalid_argument] if [cores <= 0]. *)
 
-val alloc_slot : t -> slot
-(** A bare slot with no registered instrument (for intermediate tallies
-    that feed a {!gauge} or are read directly). *)
-
 val bump : t -> slot -> unit
 (** Add 1.  No allocation, no bounds check beyond the slab's. *)
 

@@ -256,9 +256,3 @@ let to_chrome_json ?(counters = []) trace =
        (Trace.dropped trace) (Trace.events trace));
   Buffer.add_string buf "]";
   Buffer.contents buf
-
-let write_chrome_json ?counters trace ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_chrome_json ?counters trace))

@@ -61,6 +61,3 @@ val to_chrome_json : ?counters:(string * Timeseries.t) list -> Trace.t -> string
 (** {!Trace.to_chrome_json} plus one Perfetto counter track (["C"] phase
     events, [pid] 0) per named series — queue depth, per-app core counts.
     The trailing [skyloft_dropped] metadata event is preserved. *)
-
-val write_chrome_json :
-  ?counters:(string * Timeseries.t) list -> Trace.t -> path:string -> unit

@@ -12,7 +12,6 @@ module Time = Skyloft_sim.Time
 
 type config = { min_granularity : Time.t; sched_latency : Time.t }
 
-val default_config : config
-(** Table 5: min_granularity 12.5 µs, sched_latency 50 µs. *)
-
 val create : ?config:config -> unit -> Skyloft.Sched_ops.ctor
+(** [config] defaults to Table 5: min_granularity 12.5 µs, sched_latency
+    50 µs. *)

@@ -11,7 +11,5 @@ module Time = Skyloft_sim.Time
 
 type config = { base_slice : Time.t }
 
-val default_config : config
-(** Table 5: base_slice 12.5 µs. *)
-
 val create : ?config:config -> unit -> Skyloft.Sched_ops.ctor
+(** [config] defaults to Table 5: base_slice 12.5 µs. *)

@@ -121,13 +121,3 @@ let rotate n = function
         | [] -> assert false
       in
       split 0 [] segments
-
-let pp ppf = function
-  | Poisson { rate_rps } -> Format.fprintf ppf "poisson(%.0f rps)" rate_rps
-  | Mmpp { rate_on; rate_off; mean_on; mean_off } ->
-      Format.fprintf ppf "mmpp(on=%.0f rps/%a, off=%.0f rps/%a)" rate_on Time.pp
-        mean_on rate_off Time.pp mean_off
-  | Diurnal { segments } ->
-      Format.fprintf ppf "diurnal(%d segments, mean=%.0f rps)"
-        (List.length segments)
-        (mean_rate (Diurnal { segments }))

@@ -50,5 +50,3 @@ val sampler : t -> Rng.t -> now:Time.t -> Time.t option
 val rotate : int -> (Time.t * float) list -> (Time.t * float) list
 (** [rotate n segments] starts the cycle [n] segments in — phase-shifts
     one diurnal curve across many tenants so their peaks don't align. *)
-
-val pp : Format.formatter -> t -> unit

@@ -345,7 +345,3 @@ let digest_string r =
        r.grants r.reclaims r.yields r.degradations r.quarantines r.releases
        r.crashes r.charged_ns r.fairness);
   Buffer.contents buf
-
-let pp_result ppf r =
-  Format.fprintf ppf "%s: %d tenants on %d cores, fairness %.4f" r.placement
-    (List.length r.tenants) r.capacity r.fairness

@@ -141,5 +141,3 @@ val digest_string : result -> string
 (** Canonical deterministic rendering (the oversub goldens are MD5 over
     this): per-tenant counts, health, core-time and latency summaries,
     then broker totals and fairness. *)
-
-val pp_result : Format.formatter -> result -> unit

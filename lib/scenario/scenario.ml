@@ -337,8 +337,3 @@ let digest_string d =
     d.tenants;
   Buffer.add_string buf (Printf.sprintf "all|%s\n" (hist_line (merged_latency d)));
   Buffer.contents buf
-
-let pp_digest ppf d =
-  Format.fprintf ppf "%s on %s: %d/%d completed, all %s" d.scenario d.runtime
-    d.completed d.submitted
-    (hist_line (merged_latency d))

@@ -171,5 +171,3 @@ val digest_string : digest -> string
     the digest: counts, per-tenant and merged histogram summaries,
     allocator totals.  The scale experiment's goldens are MD5 over
     this. *)
-
-val pp_digest : Format.formatter -> digest -> unit

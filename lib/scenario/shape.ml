@@ -65,21 +65,3 @@ let rec exec shape rng ~spawn k =
         spawn (Dist.sample stage rng) join
       done
   | Mix branches -> exec (pick rng branches) rng ~spawn k
-
-let rec pp ppf = function
-  | Single d -> Format.fprintf ppf "single(%a)" Dist.pp d
-  | Chain ds ->
-      Format.fprintf ppf "chain(%a)"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf " -> ")
-           Dist.pp)
-        ds
-  | Fanout { width; stage } -> Format.fprintf ppf "fanout(%d x %a)" width Dist.pp stage
-  | Mix branches ->
-      let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 branches in
-      Format.fprintf ppf "mix(%a)"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf " | ")
-           (fun ppf (w, shape) ->
-             Format.fprintf ppf "%.0f%% %a" (w /. total *. 100.) pp shape))
-        branches

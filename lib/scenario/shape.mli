@@ -39,11 +39,6 @@ val stages : t -> int
 (** Maximum number of task submissions one request can cost (chain
     length / fan-out width; max across mix branches). *)
 
-val pick : Skyloft_sim.Rng.t -> (float * t) list -> t
-(** Pick one {!Mix} branch with probability proportional to its weight,
-    with exactly one [Rng.float] draw.
-    @raise Invalid_argument on an empty list. *)
-
 val exec :
   t -> Skyloft_sim.Rng.t ->
   spawn:(Skyloft_sim.Time.t -> (unit -> unit) -> unit) -> (unit -> unit) -> unit
@@ -51,8 +46,7 @@ val exec :
     submits one stage calling [k'] on completion; [k] runs when the last
     chain stage or the fan-out join completes.  Draws come from [rng]: a
     chain stage at the previous stage's completion, fan-out stages
-    together in loop order, one {!pick} per mix.  Deadlines and drop
+    together in loop order, and one draw per mix, which picks a branch
+    with probability proportional to its weight.  Deadlines and drop
     handling belong to the caller's [spawn].
     @raise Invalid_argument on an empty chain ({!validate} rejects it). *)
-
-val pp : Format.formatter -> t -> unit

@@ -4,10 +4,6 @@ type t =
   | Yield of (unit -> t)
   | Exit
 
-let compute d k = Compute (d, k)
-let block k = Block k
-let yield k = Yield k
-let exit' = Exit
 let compute_then_exit d = Compute (d, fun () -> Exit)
 
 let forever_compute_block d =

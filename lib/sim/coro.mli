@@ -16,11 +16,6 @@ type t =
   | Yield of (unit -> t)  (** release the CPU voluntarily, stay runnable *)
   | Exit  (** terminate the thread *)
 
-val compute : Time.t -> (unit -> t) -> t
-val block : (unit -> t) -> t
-val yield : (unit -> t) -> t
-val exit' : t
-
 val compute_then_exit : Time.t -> t
 (** One burst of work, then exit. *)
 

@@ -53,20 +53,8 @@ let mean = function
         (alpha /. (alpha -. 1.0) *. s *. (1.0 -. ((s /. c) ** (alpha -. 1.0))))
         +. (c *. ((s /. c) ** alpha))
 
-let pp ppf = function
-  | Constant d -> Format.fprintf ppf "const(%a)" Time.pp d
-  | Exponential { mean } -> Format.fprintf ppf "exp(mean=%a)" Time.pp mean
-  | Uniform { lo; hi } -> Format.fprintf ppf "uniform(%a,%a)" Time.pp lo Time.pp hi
-  | Bimodal { p_short; short; long } ->
-      Format.fprintf ppf "bimodal(%.1f%% %a / %a)" (p_short *. 100.) Time.pp short Time.pp long
-  | Lognormal { mu; sigma } -> Format.fprintf ppf "lognormal(mu=%.2f,sigma=%.2f)" mu sigma
-  | Pareto { scale; alpha; cap } ->
-      Format.fprintf ppf "pareto(scale=%a,alpha=%.2f,cap=%a)" Time.pp scale alpha
-        Time.pp cap
-
 let dispersive = Bimodal { p_short = 0.995; short = Time.us 4; long = Time.ms 10 }
 let rocksdb_bimodal = Bimodal { p_short = 0.5; short = Time.ns 950; long = Time.us 591 }
-let memcached_usr = Exponential { mean = Time.us 2 }
 
 let pareto_heavy =
   Pareto { scale = Time.us 1; alpha = 1.3; cap = Time.ms 5 }

@@ -29,7 +29,6 @@ val mean : t -> float
 (** Expected value in nanoseconds (exact, not estimated; for [Pareto] the
     mean of the capped distribution [min (X, cap)], in closed form). *)
 
-val pp : Format.formatter -> t -> unit
 
 (** {1 Common workloads from the paper} *)
 
@@ -39,11 +38,6 @@ val dispersive : t
 
 val rocksdb_bimodal : t
 (** §5.3 RocksDB server workload: 50% GET at 0.95 µs, 50% SCAN at 591 µs. *)
-
-val memcached_usr : t
-(** §5.3 Memcached USR workload service time: GET-dominated and
-    light-tailed.  Modelled as exponential with a 2 µs mean around the
-    measured per-request cost. *)
 
 val pareto_heavy : t
 (** Heavy-tailed reference workload for the scenario experiments: Pareto

@@ -9,7 +9,6 @@ let create ?(seed = 42) () =
   { clock = Time.zero; queue = Eventq.create (); root_rng = Rng.create ~seed; fired = 0 }
 
 let now t = t.clock
-let rng t = t.root_rng
 let split_rng t = Rng.split t.root_rng
 
 let at t time f =

@@ -18,9 +18,6 @@ val create : ?seed:int -> unit -> t
 val now : t -> Time.t
 (** Current virtual time. *)
 
-val rng : t -> Rng.t
-(** The engine's root PRNG.  Prefer [split_rng] for components. *)
-
 val split_rng : t -> Rng.t
 (** A fresh independent stream for one simulation component. *)
 

@@ -51,8 +51,6 @@ let uniform t =
   Int64.to_float x *. (1.0 /. 9007199254740992.0)
 
 let float t bound = uniform t *. bound
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let exponential t ~mean =
   let u = uniform t in
   (* log of 0 would be -inf; uniform is in [0,1) so use 1-u in (0,1]. *)

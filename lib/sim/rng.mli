@@ -31,6 +31,5 @@ val float : t -> float -> float
 val uniform : t -> float
 (** [uniform t] is uniform in [\[0, 1)]. *)
 
-val bool : t -> bool
 val exponential : t -> mean:float -> float
 (** Draw from an exponential distribution with the given mean. *)

@@ -21,4 +21,3 @@ let pp ppf t =
   else if t < 1_000_000_000 then Format.fprintf ppf "%.2fms" (to_ms_float t)
   else Format.fprintf ppf "%.2fs" (to_s_float t)
 
-let compare = Int.compare

@@ -30,11 +30,7 @@ val of_us_float : float -> t
 val to_us_float : t -> float
 (** [to_us_float t] is [t] expressed in microseconds. *)
 
-val to_ms_float : t -> float
 val to_s_float : t -> float
-
-val cycles_per_ns : float
-(** Clock rate of the simulated machine: 2.0 GHz, as in the paper (§5). *)
 
 val of_cycles : int -> t
 (** Convert a cycle count to nanoseconds (rounding to nearest). *)
@@ -45,4 +41,3 @@ val to_cycles : t -> int
 val pp : Format.formatter -> t -> unit
 (** Human-readable rendering with an adaptive unit (ns/µs/ms/s). *)
 
-val compare : t -> t -> int

@@ -120,10 +120,3 @@ let reset t =
   t.n <- 0;
   t.min_v <- max_int;
   t.max_v <- 0
-
-let pp_summary ppf t =
-  if t.n = 0 then Format.fprintf ppf "(empty)"
-  else
-    Format.fprintf ppf "n=%d p50=%a p90=%a p99=%a p99.9=%a max=%a" t.n Time.pp
-      (percentile t 50.0) Time.pp (percentile t 90.0) Time.pp (percentile t 99.0) Time.pp
-      (percentile t 99.9) Time.pp (max_value t)

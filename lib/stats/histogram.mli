@@ -29,9 +29,6 @@ val max_value : t -> int
 val mean : t -> float
 (** Approximate mean from bucket midpoints.  0 when empty. *)
 
-val total : t -> float
-(** Sum of recorded values (bucket-midpoint approximation). *)
-
 val percentile : t -> float -> int
 (** [percentile t p] for [p] in [\[0, 100\]]: smallest bucket upper bound
     such that at least [p]% of recorded values are at or below it.
@@ -39,5 +36,3 @@ val percentile : t -> float -> int
 
 val merge_into : src:t -> dst:t -> unit
 val reset : t -> unit
-val pp_summary : Format.formatter -> t -> unit
-(** One-line p50/p90/p99/p99.9/max rendering in human units. *)

@@ -35,8 +35,6 @@ let record_drop t = t.drops <- t.drops + 1
 let requests t = t.requests
 let drops t = t.drops
 let latency t = t.latency
-let slowdown t = t.slowdown
-let wakeup t = t.wakeup
 let latency_p t p = Histogram.percentile t.latency p
 let slowdown_p t p = float_of_int (Histogram.percentile t.slowdown p) /. 1000.0
 let wakeup_p t p = Histogram.percentile t.wakeup p

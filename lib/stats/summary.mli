@@ -31,8 +31,6 @@ val record_drop : t -> unit
 val requests : t -> int
 val drops : t -> int
 val latency : t -> Histogram.t
-val slowdown : t -> Histogram.t
-val wakeup : t -> Histogram.t
 
 val latency_p : t -> float -> Time.t
 (** Latency percentile in ns. *)

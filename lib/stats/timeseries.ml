@@ -75,19 +75,6 @@ let to_list t =
   done;
   !acc
 
-let value_at t at =
-  let found = ref None in
-  (try
-     for i = t.count - 1 downto 0 do
-       let time, v = nth t i in
-       if time <= at then begin
-         found := Some v;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  !found
-
 (* Shared step-function integration: (sum of value * dt, covered span). *)
 let weighted_span t ~until =
   let weighted = ref 0.0 and span = ref 0.0 in

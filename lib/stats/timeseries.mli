@@ -10,7 +10,7 @@ module Time = Skyloft_sim.Time
     {b Window semantics.}  Storage is bounded: once [capacity] is
     exceeded the oldest sample is evicted per new sample recorded.  The
     retained ring is therefore a sliding {e window} over the most recent
-    history — [to_list], [value_at], [min_value] and [max_value] see only
+    history — [to_list], [min_value] and [max_value] see only
     that window.  Eviction is not silent: the time span and value*dt
     integral of every evicted sample's holding interval are folded into
     constant-size accumulators, so [integrate] and [mean] remain exact
@@ -43,10 +43,6 @@ val last : t -> (Time.t * int) option
 
 val to_list : t -> (Time.t * int) list
 (** Chronological (oldest first); the retained window only. *)
-
-val value_at : t -> Time.t -> int option
-(** Step-function lookup: the value of the last sample at or before the
-    given time; [None] before the first sample. *)
 
 val mean : t -> until:Time.t -> float
 (** Time-weighted mean of the step function from the {e first sample

@@ -484,12 +484,6 @@ let of_binary s =
    with Invalid_argument m -> fail "%s" m);
   t
 
-let write_binary t ~path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_binary t))
-
 let read_binary ~path =
   let ic = open_in_bin path in
   Fun.protect

@@ -51,13 +51,10 @@ type event =
   | Span of { core : int; app : int; name : string; start : Time.t; stop : Time.t }
   | Instant of { core : int; at : Time.t; kind : instant_kind; name : string }
 
-val record_bytes : int
-(** Fixed record width: 64 bytes (8 little-endian 8-byte words). *)
-
 val create : ?capacity:int -> unit -> t
 (** Keep at most [capacity] (default 100,000) most recent events.  The
-    ring is allocated once, up front ([capacity * record_bytes] bytes);
-    recording never allocates again. *)
+    ring of 64-byte records (8 little-endian 8-byte words) is allocated
+    once, up front; recording never allocates again. *)
 
 val span : t -> core:int -> app:int -> name:string -> start:Time.t -> stop:Time.t -> unit
 (** A task ran on [core] from [start] to [stop]. *)
@@ -120,5 +117,4 @@ val of_binary : string -> t
     [Invalid_argument] on a corrupt image (bad magic/version, truncation,
     out-of-range name ids or kind codes). *)
 
-val write_binary : t -> path:string -> unit
 val read_binary : path:string -> t

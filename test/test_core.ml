@@ -812,6 +812,68 @@ let test_centralized_invalid_config () =
        false
      with Invalid_argument _ -> true)
 
+(* Both constructors reject a bad configuration with their own message
+   before building anything: nothing is parked on the kmod's cores, so a
+   valid runtime still builds on the same kmod afterwards. *)
+let test_constructors_validate_first () =
+  let percpu ?timer_hz ?preemption ?watchdog cores machine kmod =
+    ignore (Percpu.create machine kmod ~cores ?timer_hz ?preemption ?watchdog fifo_ctor)
+  in
+  let hybrid ?timer_hz ?adaptive ?watchdog ?(dispatcher_core = 0) worker_cores machine
+      kmod =
+    ignore
+      (Hybrid.create machine kmod ~dispatcher_core ~worker_cores ~quantum:(Time.us 30)
+         ?timer_hz ?adaptive ?watchdog fifo_ctor)
+  in
+  let cases =
+    [
+      ("percpu: no cores", percpu [], "Percpu.create: no cores", percpu [ 0; 1 ]);
+      ( "percpu: watchdog",
+        percpu ~watchdog:0 [ 0; 1 ],
+        "Percpu.create: watchdog bound must be positive",
+        percpu [ 0; 1 ] );
+      ( "percpu: timer_hz 0",
+        percpu ~timer_hz:0 [ 0; 1 ],
+        "Percpu.create: timer_hz must be positive",
+        percpu [ 0; 1 ] );
+      ( "percpu: timer_hz 0, no preemption",
+        percpu ~timer_hz:0 ~preemption:false [ 0; 1 ],
+        "Percpu.create: timer_hz must be positive",
+        percpu [ 0; 1 ] );
+      ("hybrid: no cores", hybrid [], "Hybrid.create: no worker cores", hybrid [ 1; 2 ]);
+      ( "hybrid: watchdog",
+        hybrid ~watchdog:(-1) [ 1; 2 ],
+        "Hybrid.create: watchdog bound must be positive",
+        hybrid [ 1; 2 ] );
+      ( "hybrid: timer_hz 0",
+        hybrid ~timer_hz:0 [ 1; 2 ],
+        "Hybrid.create: timer_hz must be positive",
+        hybrid [ 1; 2 ] );
+      ( "hybrid: timer_hz 0, not adaptive",
+        hybrid ~timer_hz:0 ~adaptive:false [ 1; 2 ],
+        "Hybrid.create: timer_hz must be positive",
+        hybrid [ 1; 2 ] );
+      ( "hybrid: dispatcher is a worker",
+        hybrid ~dispatcher_core:1 [ 1; 2 ],
+        "Hybrid.create: dispatcher core cannot also be a worker",
+        hybrid [ 1; 2 ] );
+    ]
+  in
+  List.iter
+    (fun (label, bad, msg, good) ->
+      let engine = Engine.create () in
+      let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4) in
+      let kmod = Kmod.create machine in
+      Alcotest.check_raises label (Invalid_argument msg) (fun () -> bad machine kmod);
+      for core = 0 to 3 do
+        check Alcotest.int
+          (Printf.sprintf "%s: nothing parked on core %d" label core)
+          0
+          (List.length (Kmod.kthreads_on kmod ~core))
+      done;
+      good machine kmod)
+    cases
+
 (* A deadline that fires while the dispatcher is still committing the
    assignment: with the ghOSt cost vector the 1.2 us dispatch outlasts the
    500 ns deadline.  The request must end exactly once — as a drop — and
@@ -1091,6 +1153,8 @@ let suite =
     Alcotest.test_case "block/wakeup: sample per runtime" `Quick test_block_wakeup_latency;
     Alcotest.test_case "BE preemptions counted apart" `Quick
       test_be_preemptions_counted_apart;
+    Alcotest.test_case "constructors validate before building" `Quick
+      test_constructors_validate_first;
     Alcotest.test_case "percpu: spawn validates before admitting" `Quick
       test_percpu_spawn_validates_first;
     Alcotest.test_case "centralized: spawn validates before admitting" `Quick

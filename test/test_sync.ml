@@ -204,6 +204,46 @@ let test_pthread_trylock () =
       check Alcotest.bool "second fails" false (P.pthread_mutex_trylock m);
       P.pthread_mutex_unlock m)
 
+(* The rest of the facade: a broadcast wakes every waiter, and
+   [pthread_exit] hands the CPU to the other runnable threads before the
+   body unwinds. *)
+let test_pthread_broadcast_and_exit () =
+  let module U = Skyloft_uthread.Uthread in
+  let woken = ref [] and order = ref [] in
+  U.run (fun () ->
+      let m = P.pthread_mutex_init () in
+      let cv = P.pthread_cond_init () in
+      let ready = ref false in
+      let waiters =
+        List.init 3 (fun i ->
+            P.pthread_create (fun () ->
+                P.pthread_mutex_lock m;
+                while not !ready do
+                  P.pthread_cond_wait cv m
+                done;
+                woken := i :: !woken;
+                P.pthread_mutex_unlock m))
+      in
+      P.pthread_yield ();
+      P.pthread_mutex_lock m;
+      ready := true;
+      P.pthread_cond_broadcast cv;
+      P.pthread_mutex_unlock m;
+      List.iter P.pthread_join waiters;
+      let a =
+        P.pthread_create (fun () ->
+            order := "a" :: !order;
+            P.pthread_exit ();
+            order := "a unwinds" :: !order)
+      in
+      let b = P.pthread_create (fun () -> order := "b" :: !order) in
+      P.pthread_join a;
+      P.pthread_join b);
+  check (Alcotest.list Alcotest.int) "broadcast wakes all" [ 0; 1; 2 ]
+    (List.sort compare !woken);
+  check (Alcotest.list Alcotest.string) "exit yields first" [ "a"; "b"; "a unwinds" ]
+    (List.rev !order)
+
 let suite =
   [
     Alcotest.test_case "sem: immediate" `Quick test_sem_immediate_acquire;
@@ -215,4 +255,5 @@ let suite =
     Alcotest.test_case "chan: pipeline" `Quick test_chan_pipeline;
     Alcotest.test_case "pthread: facade" `Quick test_pthread_facade;
     Alcotest.test_case "pthread: trylock" `Quick test_pthread_trylock;
+    Alcotest.test_case "pthread: broadcast and exit" `Quick test_pthread_broadcast_and_exit;
   ]
