@@ -1,14 +1,21 @@
 module Time = Skyloft_sim.Time
 
+(* Bucket (g, s) is sub-bucket [s] of power-of-two group [g].  Group 0 is
+   the exact linear region [0, sub); group g >= 1 holds the values whose
+   most significant bit is [g + k - 1], split into [sub] linear slots.
+   Groups 1..62-k cover all positive OCaml ints.  A group's count array
+   is allocated the first time a value lands in it; until then its slot
+   holds the shared empty array [absent]. *)
 type t = {
   sub : int;  (* sub-buckets per power-of-two range; power of two *)
   k : int;  (* log2 sub *)
-  counts : int array;
+  groups : int array array;
   mutable n : int;
   mutable min_v : int;
   mutable max_v : int;
 }
 
+let absent : int array = [||]
 let is_power_of_two x = x > 0 && x land (x - 1) = 0
 
 let create ?(sub_buckets = 64) () =
@@ -18,52 +25,46 @@ let create ?(sub_buckets = 64) () =
     let rec go k = if 1 lsl k = sub_buckets then k else go (k + 1) in
     go 0
   in
-  (* Groups 1..(62-k+1) cover all positive OCaml ints; group 0 is the exact
-     linear region [0, sub). *)
-  let groups = 63 - k + 1 in
-  {
-    sub = sub_buckets;
-    k;
-    counts = Array.make ((groups + 1) * sub_buckets) 0;
-    n = 0;
-    min_v = max_int;
-    max_v = 0;
-  }
+  { sub = sub_buckets; k; groups = Array.make (63 - k) absent; n = 0; min_v = max_int; max_v = 0 }
 
+(* Index of the most significant set bit of [v > 0]. *)
 let msb v =
-  let rec go v acc = if v <= 1 then acc else go (v lsr 1) (acc + 1) in
-  go v 0
+  let v = ref v and m = ref 0 in
+  if !v lsr 32 <> 0 then begin v := !v lsr 32; m := 32 end;
+  if !v lsr 16 <> 0 then begin v := !v lsr 16; m := !m + 16 end;
+  if !v lsr 8 <> 0 then begin v := !v lsr 8; m := !m + 8 end;
+  if !v lsr 4 <> 0 then begin v := !v lsr 4; m := !m + 4 end;
+  if !v lsr 2 <> 0 then begin v := !v lsr 2; m := !m + 2 end;
+  if !v lsr 1 <> 0 then !m + 1 else !m
 
-let index t v =
-  if v < t.sub then v
+(* Inclusive upper bound of the values mapping to bucket (g, s). *)
+let bucket_upper t g s = if g = 0 then s else ((t.sub + s + 1) lsl (g - 1)) - 1
+
+let bucket_mid t g s =
+  if g = 0 then float_of_int s
   else begin
-    let m = msb v in
-    let group = m - t.k + 1 in
-    let s = (v lsr (group - 1)) - t.sub in
-    (group * t.sub) + s
+    let lower = (t.sub + s) lsl (g - 1) in
+    float_of_int (lower + bucket_upper t g s) /. 2.0
   end
 
-(* Inclusive upper bound of the values mapping to bucket [i]. *)
-let bucket_upper t i =
-  if i < t.sub then i
+(* Group [g]'s counts, allocated on first touch. *)
+let group t g =
+  let counts = t.groups.(g) in
+  if counts != absent then counts
   else begin
-    let group = i / t.sub and s = i mod t.sub in
-    ((t.sub + s + 1) lsl (group - 1)) - 1
-  end
-
-let bucket_mid t i =
-  if i < t.sub then float_of_int i
-  else begin
-    let group = i / t.sub and s = i mod t.sub in
-    let lower = (t.sub + s) lsl (group - 1) in
-    float_of_int (lower + bucket_upper t i) /. 2.0
+    let counts = Array.make t.sub 0 in
+    t.groups.(g) <- counts;
+    counts
   end
 
 let record_n t v ~n =
   if v < 0 then invalid_arg "Histogram.record: negative value";
   if n < 0 then invalid_arg "Histogram.record_n: negative count";
   if n > 0 then begin
-    t.counts.(index t v) <- t.counts.(index t v) + n;
+    let g = if v < t.sub then 0 else msb v - t.k + 1 in
+    let s = if g = 0 then v else (v lsr (g - 1)) - t.sub in
+    let counts = group t g in
+    counts.(s) <- counts.(s) + n;
     t.n <- t.n + n;
     if v < t.min_v then t.min_v <- v;
     if v > t.max_v then t.max_v <- v
@@ -77,8 +78,12 @@ let max_value t = t.max_v
 
 let total t =
   let acc = ref 0.0 in
-  Array.iteri (fun i c -> if c > 0 then acc := !acc +. (float_of_int c *. bucket_mid t i))
-    t.counts;
+  Array.iteri
+    (fun g counts ->
+      Array.iteri
+        (fun s c -> if c > 0 then acc := !acc +. (float_of_int c *. bucket_mid t g s))
+        counts)
+    t.groups;
   !acc
 
 let mean t = if t.n = 0 then 0.0 else total t /. float_of_int t.n
@@ -91,24 +96,29 @@ let percentile t p =
       let exact = p /. 100.0 *. float_of_int t.n in
       max 1 (int_of_float (ceil exact))
     in
-    let seen = ref 0 and result = ref t.max_v and found = ref false in
-    (try
-       Array.iteri
-         (fun i c ->
-           seen := !seen + c;
-           if (not !found) && !seen >= target then begin
-             result := min (bucket_upper t i) t.max_v;
-             found := true;
-             raise Exit
-           end)
-         t.counts
-     with Exit -> ());
-    !result
+    let rec scan g s seen =
+      if g = Array.length t.groups then t.max_v
+      else begin
+        let counts = t.groups.(g) in
+        if s = Array.length counts then scan (g + 1) 0 seen
+        else begin
+          let seen = seen + counts.(s) in
+          if seen >= target then min (bucket_upper t g s) t.max_v else scan g (s + 1) seen
+        end
+      end
+    in
+    scan 0 0 0
   end
 
 let merge_into ~src ~dst =
   if src.sub <> dst.sub then invalid_arg "Histogram.merge_into: mismatched sub_buckets";
-  Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) src.counts;
+  Array.iteri
+    (fun g counts ->
+      if counts != absent then begin
+        let into = group dst g in
+        Array.iteri (fun s c -> into.(s) <- into.(s) + c) counts
+      end)
+    src.groups;
   dst.n <- dst.n + src.n;
   if src.n > 0 then begin
     if src.min_v < dst.min_v then dst.min_v <- src.min_v;
@@ -116,7 +126,7 @@ let merge_into ~src ~dst =
   end
 
 let reset t =
-  Array.fill t.counts 0 (Array.length t.counts) 0;
+  Array.iter (fun counts -> Array.fill counts 0 (Array.length counts) 0) t.groups;
   t.n <- 0;
   t.min_v <- max_int;
   t.max_v <- 0

@@ -4,8 +4,10 @@
     Buckets are arranged as 64 power-of-two ranges split into
     [sub_buckets] linear sub-buckets each, giving a worst-case relative
     error of [1/sub_buckets] — ~1.6% at the default 64, far below the
-    run-to-run noise of any scheduling experiment.  Recording is O(1) and
-    allocation-free after creation. *)
+    run-to-run noise of any scheduling experiment.  Recording is O(1).
+    A histogram allocates only the power-of-two ranges it holds:
+    recording allocates one [sub_buckets]-word array the first time a
+    value lands in a range, and is allocation-free after that. *)
 
 type t
 

@@ -2,8 +2,10 @@ module Time = Skyloft_sim.Time
 
 type t = {
   capacity : int;
-  times : Time.t array;
-  values : int array;
+  (* The ring: [min capacity 64] slots at first, doubled by [grow] up to
+     [capacity]; samples are evicted only at [capacity]. *)
+  mutable times : Time.t array;
+  mutable values : int array;
   mutable head : int;  (* next write position *)
   mutable count : int;
   mutable dropped : int;
@@ -18,10 +20,11 @@ type t = {
 
 let create ?(capacity = 65_536) () =
   if capacity <= 0 then invalid_arg "Timeseries.create: capacity must be positive";
+  let len = min capacity 64 in
   {
     capacity;
-    times = Array.make capacity 0;
-    values = Array.make capacity 0;
+    times = Array.make len 0;
+    values = Array.make len 0;
     head = 0;
     count = 0;
     dropped = 0;
@@ -32,15 +35,27 @@ let create ?(capacity = 65_536) () =
 let nth t i =
   (* i-th retained sample, oldest first *)
   let start = if t.count = t.capacity then t.head else 0 in
-  let j = (start + i) mod t.capacity in
+  let j = (start + i) mod Array.length t.times in
   (t.times.(j), t.values.(j))
 
 let last t = if t.count = 0 then None else Some (nth t (t.count - 1))
 
+(* Called with the ring full below [capacity], so [head] has wrapped to 0
+   and the samples sit in slots [0, count). *)
+let grow t =
+  let len = min t.capacity (2 * t.count) in
+  let times = Array.make len 0 and values = Array.make len 0 in
+  Array.blit t.times 0 times 0 t.count;
+  Array.blit t.values 0 values 0 t.count;
+  t.times <- times;
+  t.values <- values;
+  t.head <- t.count
+
 (* Reads the newest slot ([head - 1]) in place: [last] allocates, and this
    runs on every queue-depth change. *)
 let record t ~at v =
-  let newest = (t.head + t.capacity - 1) mod t.capacity in
+  let len = Array.length t.times in
+  let newest = (t.head + len - 1) mod len in
   if t.count > 0 && at < t.times.(newest) then
     invalid_arg "Timeseries.record: time went backwards";
   if t.count = 0 || t.values.(newest) <> v then begin
@@ -58,10 +73,13 @@ let record t ~at v =
       end;
       t.dropped <- t.dropped + 1
     end
-    else t.count <- t.count + 1;
+    else begin
+      if t.count = len then grow t;
+      t.count <- t.count + 1
+    end;
     t.times.(t.head) <- at;
     t.values.(t.head) <- v;
-    t.head <- (t.head + 1) mod t.capacity
+    t.head <- (t.head + 1) mod Array.length t.times
   end
 
 let length t = t.count

@@ -22,7 +22,9 @@ module Time = Skyloft_sim.Time
 type t
 
 val create : ?capacity:int -> unit -> t
-(** Keep at most [capacity] (default 65,536) most recent samples. *)
+(** Keep at most [capacity] (default 65,536) most recent samples.  The
+    ring starts at [min capacity 64] slots and doubles on demand up to
+    [capacity], so an unused series costs a few hundred words. *)
 
 val record : t -> at:Time.t -> int -> unit
 (** Append a sample.  [at] must be >= the previous sample's time.

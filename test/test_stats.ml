@@ -104,6 +104,200 @@ let test_hist_bad_subbuckets () =
     (Invalid_argument "Histogram.create: sub_buckets must be a power of two") (fun () ->
       ignore (Histogram.create ~sub_buckets:33 ()))
 
+(* The dense layout every histogram had before groups were allocated on
+   first touch: one flat array of [(63 - k + 2) * sub] counts.  The
+   reference the sparse [Histogram] must agree with, query for query. *)
+module Dense_hist = struct
+  type t = {
+    sub : int;
+    k : int;
+    counts : int array;
+    mutable n : int;
+    mutable min_v : int;
+    mutable max_v : int;
+  }
+
+  let create sub =
+    let k =
+      let rec go k = if 1 lsl k = sub then k else go (k + 1) in
+      go 0
+    in
+    { sub; k; counts = Array.make ((63 - k + 2) * sub) 0; n = 0; min_v = max_int; max_v = 0 }
+
+  let msb v =
+    let rec go v acc = if v <= 1 then acc else go (v lsr 1) (acc + 1) in
+    go v 0
+
+  let index t v =
+    if v < t.sub then v
+    else begin
+      let group = msb v - t.k + 1 in
+      (group * t.sub) + (v lsr (group - 1)) - t.sub
+    end
+
+  let bucket_upper t i =
+    if i < t.sub then i
+    else begin
+      let group = i / t.sub and s = i mod t.sub in
+      ((t.sub + s + 1) lsl (group - 1)) - 1
+    end
+
+  let bucket_mid t i =
+    if i < t.sub then float_of_int i
+    else begin
+      let group = i / t.sub and s = i mod t.sub in
+      let lower = (t.sub + s) lsl (group - 1) in
+      float_of_int (lower + bucket_upper t i) /. 2.0
+    end
+
+  let record_n t v ~n =
+    if n > 0 then begin
+      t.counts.(index t v) <- t.counts.(index t v) + n;
+      t.n <- t.n + n;
+      if v < t.min_v then t.min_v <- v;
+      if v > t.max_v then t.max_v <- v
+    end
+
+  let min_value t = if t.n = 0 then 0 else t.min_v
+
+  let mean t =
+    if t.n = 0 then 0.0
+    else begin
+      let acc = ref 0.0 in
+      Array.iteri
+        (fun i c -> if c > 0 then acc := !acc +. (float_of_int c *. bucket_mid t i))
+        t.counts;
+      !acc /. float_of_int t.n
+    end
+
+  let percentile t p =
+    if t.n = 0 then 0
+    else begin
+      let target = max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int t.n))) in
+      let rec scan i seen =
+        if i = Array.length t.counts then t.max_v
+        else begin
+          let seen = seen + t.counts.(i) in
+          if seen >= target then min (bucket_upper t i) t.max_v else scan (i + 1) seen
+        end
+      in
+      scan 0 0
+    end
+
+  let merge_into ~src ~dst =
+    Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) src.counts;
+    dst.n <- dst.n + src.n;
+    if src.n > 0 then begin
+      if src.min_v < dst.min_v then dst.min_v <- src.min_v;
+      if src.max_v > dst.max_v then dst.max_v <- src.max_v
+    end
+
+  let reset t =
+    Array.fill t.counts 0 (Array.length t.counts) 0;
+    t.n <- 0;
+    t.min_v <- max_int;
+    t.max_v <- 0
+end
+
+type hist_op =
+  | Record of int * int  (* histogram, value *)
+  | Record_n of int * int * int  (* histogram, value, n *)
+  | Merge of int * int  (* src, dst *)
+  | Merge_fresh of int  (* replace a histogram by an empty one merged from it *)
+  | Reset of int
+
+let show_hist_op = function
+  | Record (h, v) -> Printf.sprintf "record %d %d" h v
+  | Record_n (h, v, n) -> Printf.sprintf "record_n %d %d ~n:%d" h v n
+  | Merge (s, d) -> Printf.sprintf "merge %d -> %d" s d
+  | Merge_fresh h -> Printf.sprintf "merge %d -> fresh" h
+  | Reset h -> Printf.sprintf "reset %d" h
+
+(* Values up to 2^50, drawn log-uniformly so small and huge magnitudes
+   both occur while most power-of-two groups stay absent. *)
+let gen_hist_op =
+  let open QCheck.Gen in
+  let value = int_range 0 50 >>= fun e -> int_range 0 ((1 lsl e) - 1) in
+  let h = int_range 0 2 in
+  frequency
+    [
+      (6, map2 (fun h v -> Record (h, v)) h value);
+      (2, map3 (fun h v n -> Record_n (h, v, n)) h value (int_range 0 1_000));
+      (2, map2 (fun s d -> Merge (s, d)) h h);
+      (1, map (fun h -> Merge_fresh h) h);
+      (1, map (fun h -> Reset h) h);
+    ]
+
+(* Three sparse histograms and their dense twins under one random op
+   sequence: after every op each pair answers every query identically,
+   [mean] to the bit. *)
+let prop_hist_dense_oracle =
+  QCheck.Test.make ~name:"histogram: matches the dense-array reference" ~count:300
+    QCheck.(
+      pair
+        (make ~print:string_of_int Gen.(oneofl [ 1; 2; 8; 64 ]))
+        (make
+           ~print:(fun ops -> String.concat "; " (List.map show_hist_op ops))
+           Gen.(list_size (int_range 1 80) gen_hist_op)))
+    (fun (sub, ops) ->
+      let sparse = Array.init 3 (fun _ -> Histogram.create ~sub_buckets:sub ()) in
+      let dense = Array.init 3 (fun _ -> Dense_hist.create sub) in
+      let agree i =
+        let h = sparse.(i) and d = dense.(i) in
+        Histogram.count h = d.n
+        && Histogram.min_value h = Dense_hist.min_value d
+        && Histogram.max_value h = d.max_v
+        && Histogram.mean h = Dense_hist.mean d
+        && List.for_all
+             (fun p -> Histogram.percentile h p = Dense_hist.percentile d p)
+             [ 0.0; 50.0; 90.0; 99.0; 99.9; 100.0 ]
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Record (i, v) ->
+              Histogram.record sparse.(i) v;
+              Dense_hist.record_n dense.(i) v ~n:1
+          | Record_n (i, v, n) ->
+              Histogram.record_n sparse.(i) v ~n;
+              Dense_hist.record_n dense.(i) v ~n
+          | Merge (s, d) ->
+              Histogram.merge_into ~src:sparse.(s) ~dst:sparse.(d);
+              Dense_hist.merge_into ~src:dense.(s) ~dst:dense.(d)
+          | Merge_fresh i ->
+              let h = Histogram.create ~sub_buckets:sub () and d = Dense_hist.create sub in
+              Histogram.merge_into ~src:sparse.(i) ~dst:h;
+              Dense_hist.merge_into ~src:dense.(i) ~dst:d;
+              sparse.(i) <- h;
+              dense.(i) <- d
+          | Reset i ->
+              Histogram.reset sparse.(i);
+              Dense_hist.reset dense.(i));
+          agree 0 && agree 1 && agree 2)
+        ops)
+
+(* Words [f] allocates, minor and major heap (arrays above 256 words go
+   straight to the major heap).  [Gc.counters]' major count includes the
+   words a minor collection promotes, which [Gc.minor_words] already saw. *)
+let words_allocated f =
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  ignore (Sys.opaque_identity r);
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+(* An empty container costs its header, not its capacity: a histogram
+   holds no count array until a value arrives, and a timeseries ring
+   starts small and grows. *)
+let test_empty_containers_are_small () =
+  let budget = 300.0 in
+  let hist = words_allocated (fun () -> Histogram.create ()) in
+  let series = words_allocated (fun () -> Skyloft_stats.Timeseries.create ()) in
+  check Alcotest.bool (Printf.sprintf "Histogram.create: %.0f words" hist) true (hist < budget);
+  check Alcotest.bool
+    (Printf.sprintf "Timeseries.create: %.0f words" series)
+    true (series < budget)
+
 (* ---- Summary ---- *)
 
 let test_summary_latency_and_slowdown () =
@@ -238,44 +432,77 @@ let test_timeseries_capacity_one () =
     (Timeseries.integrate s ~until:40)
 
 (* [record] against a list model: a sample earlier than the newest one
-   raises and changes nothing, a repeated value is dropped, and the ring
-   keeps the newest [capacity] samples. *)
-let prop_timeseries_record_model =
+   raises and changes nothing, a repeated value is dropped, the ring keeps
+   the newest [capacity] samples, and [integrate]/[mean] cover the whole
+   history, evicted samples included.  Times and values are small ints, so
+   every float sum is exact and compared with [=]. *)
+let timeseries_matches_model (capacity, steps) =
   let module Timeseries = Skyloft_stats.Timeseries in
+  let s = Timeseries.create ~capacity () in
+  let model = ref [] (* newest first *) and at = ref 0 in
+  (* The model's step integral up to its newest sample. *)
+  let closed = ref 0 in
+  List.for_all
+    (fun (dt, v) ->
+      at := !at + dt;
+      let backwards = match !model with (t, _) :: _ -> !at < t | [] -> false in
+      let raised =
+        match Timeseries.record s ~at:!at v with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
+      if backwards then at := !at - dt
+      else begin
+        match !model with
+        | (_, pv) :: _ when pv = v -> ()
+        | (pt, pv) :: _ ->
+            closed := !closed + (pv * (!at - pt));
+            model := (!at, v) :: !model
+        | [] -> model := (!at, v) :: !model
+      end;
+      let kept = List.filteri (fun i _ -> i < capacity) !model in
+      let until = !at + 3 in
+      let integral, mean =
+        match (!model, List.rev !model) with
+        | (t_last, v_last) :: _, (t_first, _) :: _ ->
+            let integral = !closed + (v_last * (until - t_last)) in
+            (float_of_int integral, float_of_int integral /. float_of_int (until - t_first))
+        | _ -> (0.0, 0.0)
+      in
+      raised = backwards
+      && Timeseries.to_list s = List.rev kept
+      && Timeseries.dropped s = List.length !model - List.length kept
+      && Timeseries.last s = List.nth_opt !model 0
+      && Timeseries.integrate s ~until = integral
+      && Timeseries.mean s ~until = mean)
+    steps
+
+let prop_timeseries_record_model =
   QCheck.Test.make ~name:"timeseries: record matches a list model" ~count:200
     QCheck.(
       pair (int_range 1 5)
         (list_of_size (Gen.int_range 0 60) (pair (int_range (-3) 5) (int_range 0 3))))
-    (fun (capacity, steps) ->
-      let s = Timeseries.create ~capacity () in
-      let model = ref [] (* newest first *) and at = ref 0 in
-      List.for_all
-        (fun (dt, v) ->
-          at := !at + dt;
-          let backwards = match !model with (t, _) :: _ -> !at < t | [] -> false in
-          let raised =
-            match Timeseries.record s ~at:!at v with
-            | () -> false
-            | exception Invalid_argument _ -> true
-          in
-          if backwards then at := !at - dt
-          else begin
-            match !model with
-            | (_, pv) :: _ when pv = v -> ()
-            | _ -> model := (!at, v) :: !model
-          end;
-          let kept = List.filteri (fun i _ -> i < capacity) !model in
-          raised = backwards
-          && Timeseries.to_list s = List.rev kept
-          && Timeseries.dropped s = List.length !model - List.length kept
-          && Timeseries.last s = List.nth_opt !model 0)
-        steps)
+    timeseries_matches_model
+
+(* Capacities on both sides of the initial 64-slot ring and long enough
+   runs to grow it, fill it and then wrap it. *)
+let prop_timeseries_growth_model =
+  QCheck.Test.make ~name:"timeseries: ring growth matches a list model" ~count:60
+    QCheck.(
+      pair
+        (make ~print:string_of_int Gen.(oneof [ oneofl [ 63; 64; 65 ]; int_range 100 300 ]))
+        (list_of_size (Gen.int_range 0 700) (pair (int_range (-1) 5) (int_range 0 3))))
+    timeseries_matches_model
 
 let suite =
   [
     Alcotest.test_case "timeseries: empty mean" `Quick test_timeseries_empty_mean;
     Alcotest.test_case "timeseries: integrate" `Quick test_timeseries_integrate;
+    Alcotest.test_case "timeseries: truncation exact" `Quick test_timeseries_truncation_exact;
+    Alcotest.test_case "timeseries: truncated span" `Quick test_timeseries_truncated_span;
+    Alcotest.test_case "timeseries: capacity one" `Quick test_timeseries_capacity_one;
     qtest prop_timeseries_record_model;
+    qtest prop_timeseries_growth_model;
     Alcotest.test_case "hist: empty" `Quick test_hist_empty;
     Alcotest.test_case "hist: exact small" `Quick test_hist_exact_small_values;
     Alcotest.test_case "hist: min/max exact" `Quick test_hist_minmax_exact;
@@ -288,6 +515,8 @@ let suite =
     Alcotest.test_case "hist: reset" `Quick test_hist_reset;
     Alcotest.test_case "hist: negative raises" `Quick test_hist_negative_raises;
     Alcotest.test_case "hist: bad subbuckets" `Quick test_hist_bad_subbuckets;
+    qtest prop_hist_dense_oracle;
+    Alcotest.test_case "empty containers are small" `Quick test_empty_containers_are_small;
     Alcotest.test_case "summary: latency+slowdown" `Quick test_summary_latency_and_slowdown;
     Alcotest.test_case "summary: slowdown floor" `Quick test_summary_slowdown_floor;
     Alcotest.test_case "summary: throughput" `Quick test_summary_throughput;
