@@ -99,7 +99,7 @@ type t = {
 let runtime t = t.rc
 let now t = Rc.now t.rc
 let unit_of_exec t (ex : Rc.exec) = t.units.(ex.Rc.exec_slot)
-let queue_length t = t.rc.Rc.probe.Sched_ops.queued ()
+let queue_length t = t.rc.Rc.lc_queued
 
 (* The dispatcher is a serial resource (central mode only): when an
    operation of [cost] issued now completes. *)
@@ -112,24 +112,7 @@ let dispatcher_do t cost f = ignore (Engine.at t.rc.Rc.engine (dispatcher_done t
 
 let reserved u = u.ex.Rc.incoming >= 0
 
-let requeue t (task : Task.t) =
-  if Rc.is_be t.rc task then Runqueue.push_head t.rc.Rc.be_queue task
-  else
-    t.rc.Rc.policy.task_enqueue ~cpu:t.dispatcher_core
-      ~reason:Sched_ops.Enq_preempted task
-
 (* ---- central-mode task start ---------------------------------------------- *)
-
-(* Next live task from the shared queue, or from the BE queue. *)
-let rec next_lc t ~core =
-  match t.rc.Rc.policy.task_dequeue ~cpu:core with
-  | Some task when Rc.discard_killed t.rc task -> next_lc t ~core
-  | next -> next
-
-let rec next_be t =
-  match Runqueue.pop_head t.rc.Rc.be_queue with
-  | Some task when Rc.discard_killed t.rc task -> next_be t
-  | next -> next
 
 let rec start_on t u (task : Task.t) =
   Rc.set_incoming t.rc u.ex (-1);
@@ -162,11 +145,11 @@ and assign t u (task : Task.t) =
 and try_next t u =
   if (not (reserved u)) && u.ex.Rc.current = None && not (Rc.unit_capped t.rc u.ex)
   then begin
-    match next_lc t ~core:u.ex.Rc.exec_core with
+    match Rc.next_lc t.rc ~cpu:u.ex.Rc.exec_core ~balance:false with
     | Some task -> assign t u task
     | None ->
         if Rc.be_occupancy t.rc < t.rc.Rc.be_allowance then
-          match next_be t with Some be -> assign t u be | None -> ()
+          match Rc.next_be t.rc with Some be -> assign t u be | None -> ()
   end
 
 and reschedule t u ~prev =
@@ -184,7 +167,7 @@ and do_preempt t u gen =
   if u.gen = gen then
     match Rc.depose t.rc u.ex ~overhead:t.mech.preempt_receive with
     | Some task ->
-        requeue t task;
+        Rc.enqueue t.rc ~cpu:t.dispatcher_core ~reason:Sched_ops.Enq_preempted task;
         reschedule t u ~prev:(Some task)
     | None -> ()
 
@@ -417,13 +400,14 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
       d_place =
         (fun task ~cpu:_ ->
           t.rc.Rc.policy.task_init task;
-          t.rc.Rc.policy.task_enqueue ~cpu:t.dispatcher_core
-            ~reason:Sched_ops.Enq_new task;
+          Rc.enqueue t.rc ~cpu:t.dispatcher_core ~reason:Sched_ops.Enq_new task;
           poke t);
+      (* A woken BE task rejoins the BE queue, which the units drain
+         themselves, as when the BE allowance grows. *)
       d_wake =
         (fun task ~waker_cpu:_ ->
-          ignore (t.rc.Rc.policy.task_wakeup ~waker_cpu:t.dispatcher_core task);
-          poke t);
+          ignore (Rc.place_woken t.rc ~waker_cpu:t.dispatcher_core task);
+          if Rc.is_be t.rc task then Array.iter (redrive t) t.units else poke t);
       d_kthread = (fun _ _ -> ());
       d_evict = (fun ex -> preempt_capped_unit t (unit_of_exec t ex));
       d_redrive = (fun ex -> redrive t (unit_of_exec t ex));

@@ -104,21 +104,10 @@ let unpark_cost t cpu =
    a guaranteed core cannot be starved by LC backlog; LC congestion claws
    cores back through the allocator shrinking the allowance.  A capped
    core's queued work is recovered by allowed cores' steals and kicks. *)
-let rec pick rc ~core =
-  let next =
-    match
-      if Rc.be_occupancy rc < rc.Rc.be_allowance then Runqueue.pop_head rc.Rc.be_queue
-      else None
-    with
-    | Some _ as be -> be
-    | None -> (
-        match rc.Rc.policy.task_dequeue ~cpu:core with
-        | Some _ as lc -> lc
-        | None -> rc.Rc.policy.sched_balance ~cpu:core)
-  in
-  match next with
-  | Some task when Rc.discard_killed rc task -> pick rc ~core
-  | next -> next
+let pick rc ~core =
+  match if Rc.be_occupancy rc < rc.Rc.be_allowance then Rc.next_be rc else None with
+  | Some _ as be -> be
+  | None -> Rc.next_lc rc ~cpu:core ~balance:true
 
 let schedule t cpu ~prev =
   let rc = t.rc in
@@ -174,15 +163,9 @@ let kick_some_idle t =
 (* ---- preemption ---------------------------------------------------------- *)
 
 let requeue t (task : Task.t) ~cpu =
-  let rc = t.rc in
-  if Rc.is_be rc task then begin
-    rc.Rc.be_preempts <- rc.Rc.be_preempts + 1;
-    Runqueue.push_head rc.Rc.be_queue task
-  end
-  else begin
-    rc.Rc.preempts <- rc.Rc.preempts + 1;
-    rc.Rc.policy.task_enqueue ~cpu ~reason:Sched_ops.Enq_preempted task
-  end
+  if Rc.is_be t.rc task then t.rc.Rc.be_preempts <- t.rc.Rc.be_preempts + 1
+  else t.rc.Rc.preempts <- t.rc.Rc.preempts + 1;
+  Rc.enqueue t.rc ~cpu ~reason:Sched_ops.Enq_preempted task
 
 (* Synchronous: the handler already charged the receive cost. *)
 let preempt t cpu =

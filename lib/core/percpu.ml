@@ -137,18 +137,12 @@ let place t (task : Task.t) ~cpu =
   let target = match cpu with Some c -> c | None -> pick_spawn_cpu t in
   task.Task.last_core <- target;
   t.rc.Rc.policy.task_init task;
-  t.rc.Rc.policy.task_enqueue ~cpu:target ~reason:Sched_ops.Enq_new task;
+  Rc.enqueue t.rc ~cpu:target ~reason:Sched_ops.Enq_new task;
   kick_toward t target
 
 let wake t (task : Task.t) ~waker_cpu =
-  if Rc.is_be t.rc task then begin
-    (* Back to the BE queue, never the LC policy's runqueues. *)
-    Runqueue.push_tail t.rc.Rc.be_queue task;
-    kick_toward t task.Task.last_core
-  end
-  else
-    let waker_cpu = if waker_cpu >= 0 then waker_cpu else task.Task.last_core in
-    kick_toward t (t.rc.Rc.policy.task_wakeup ~waker_cpu task)
+  let waker_cpu = if waker_cpu >= 0 then waker_cpu else task.Task.last_core in
+  kick_toward t (Rc.place_woken t.rc ~waker_cpu task)
 
 (* ---- construction -------------------------------------------------------- *)
 

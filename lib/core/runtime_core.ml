@@ -106,9 +106,11 @@ type t = {
   mutable apps : App.t list;  (* reverse creation order *)
   daemon : App.t;
   mutable policy : Sched_ops.instance;
-  mutable probe : Sched_ops.probe;
   mutable be_app : App.t option;
   be_queue : Runqueue.t;  (* BE work lives here, outside the LC policy *)
+  mutable lc_queued : int;  (* LC tasks in the policy's queues *)
+  mutable enq_stamps : Time.t array;  (* their enqueue times: a ring, grown by doubling *)
+  mutable enq_first : int;  (* the oldest stamp's slot *)
   mutable be_running : int;
       (* units whose current task is BE: written by [begin_run] and
          [release], which alone write [current], recounted at attach *)
@@ -158,9 +160,11 @@ let create machine kmod =
       apps = [];
       daemon = App.daemon ();
       policy = Sched_ops.null_instance;
-      probe = { Sched_ops.queued = (fun () -> 0); oldest_wait = (fun () -> 0) };
       be_app = None;
       be_queue = Runqueue.create ();
+      lc_queued = 0;
+      enq_stamps = Array.make 64 0;
+      enq_first = 0;
       be_running = 0;
       be_incoming = 0;
       busy_total = 0;
@@ -285,15 +289,7 @@ let view t =
   | Some v -> v
   | None -> invalid_arg "Runtime_core.view: no dispatch installed"
 
-let install_policy t ctor =
-  let policy, probe =
-    Sched_ops.instrument
-      ~now:(fun () -> now t)
-      ~on_change:(fun n -> Timeseries.record t.queue_depth ~at:(now t) n)
-      (ctor (view t))
-  in
-  t.policy <- policy;
-  t.probe <- probe
+let install_policy t ctor = t.policy <- ctor (view t)
 
 (* ---- applications and kthreads ------------------------------------------ *)
 
@@ -423,6 +419,79 @@ let app_switch t ex (task : Task.t) =
   trace_instant t ~core:ex.exec_core Trace.App_switch task.Task.name;
   cost
 
+(* ---- the runqueues -------------------------------------------------------- *)
+
+(* Every runqueue entry and exit passes through here: BE work to
+   [be_queue], LC work to the policy, counted on the way in and out (queue
+   length and oldest wait are not part of the Table 2 interface).  The
+   stamps give the oldest wait exactly for FIFO policies, conservatively
+   otherwise. *)
+let lc_entered t =
+  let n = t.lc_queued in
+  if n = Array.length t.enq_stamps then begin
+    let old = t.enq_stamps and first = t.enq_first in
+    t.enq_stamps <-
+      Array.init (2 * n) (fun i -> if i < n then old.((first + i) land (n - 1)) else 0);
+    t.enq_first <- 0
+  end;
+  t.enq_stamps.((t.enq_first + n) land (Array.length t.enq_stamps - 1)) <- now t;
+  t.lc_queued <- n + 1;
+  Timeseries.record t.queue_depth ~at:(now t) t.lc_queued
+
+let lc_left t =
+  t.enq_first <- (t.enq_first + 1) land (Array.length t.enq_stamps - 1);
+  t.lc_queued <- t.lc_queued - 1;
+  Timeseries.record t.queue_depth ~at:(now t) t.lc_queued
+
+let oldest_lc_wait t =
+  if t.lc_queued = 0 then 0 else max 0 (now t - t.enq_stamps.(t.enq_first))
+
+let enqueue t ~cpu ~reason (task : Task.t) =
+  if not (is_be t task) then begin
+    lc_entered t;
+    t.policy.task_enqueue ~cpu ~reason task
+  end
+  else if reason = Sched_ops.Enq_preempted then Runqueue.push_head t.be_queue task
+  else Runqueue.push_tail t.be_queue task
+
+let place_woken t ~waker_cpu (task : Task.t) =
+  if not (is_be t task) then begin
+    lc_entered t;
+    t.policy.task_wakeup ~waker_cpu task
+  end
+  else begin
+    Runqueue.push_tail t.be_queue task;
+    task.Task.last_core
+  end
+
+(* Dequeue-side filter: tasks killed at their deadline while queued are
+   discarded here instead of being hunted down inside the policy's
+   runqueues (the drop was accounted at kill time). *)
+let discard_killed t (task : Task.t) =
+  if task.Task.killed then begin
+    task.Task.state <- Task.Exited;
+    if not (is_be t task) then t.policy.task_terminate task;
+    true
+  end
+  else false
+
+let rec next_lc t ~cpu ~balance =
+  let next =
+    match t.policy.task_dequeue ~cpu with
+    | None when balance -> t.policy.sched_balance ~cpu
+    | next -> next
+  in
+  match next with
+  | Some task ->
+      lc_left t;
+      if discard_killed t task then next_lc t ~cpu ~balance else next
+  | None -> None
+
+let rec next_be t =
+  match Runqueue.pop_head t.be_queue with
+  | Some task when discard_killed t task -> next_be t
+  | next -> next
+
 (* ---- the shared task lifecycle ------------------------------------------- *)
 
 let rec process t ex (task : Task.t) =
@@ -437,11 +506,7 @@ let rec process t ex (task : Task.t) =
       account t ex;
       release t ex;
       task.obs_enq_at <- now t;
-      if is_be t task then Runqueue.push_tail t.be_queue task
-      else
-        t.policy.task_enqueue
-          ~cpu:(t.dispatch.d_enqueue_cpu ex)
-          ~reason:Sched_ops.Enq_yielded task;
+      enqueue t ~cpu:(t.dispatch.d_enqueue_cpu ex) ~reason:Sched_ops.Enq_yielded task;
       t.dispatch.d_reschedule ex ~prev:(Some task)
   | Coro.Block k ->
       if task.pending_wake then begin
@@ -588,17 +653,6 @@ let depose t ex ~overhead =
       Some task
   | _ -> None
 
-(* Dequeue-side filter: tasks killed at their deadline while queued are
-   discarded here instead of being hunted down inside the policy's
-   runqueues (the drop was accounted at kill time). *)
-let discard_killed t (task : Task.t) =
-  if task.Task.killed then begin
-    task.Task.state <- Task.Exited;
-    if not (is_be t task) then t.policy.task_terminate task;
-    true
-  end
-  else false
-
 (* ---- wakeups -------------------------------------------------------------- *)
 
 (* State transition, stall attribution and the trace instant, then the
@@ -640,8 +694,8 @@ let fault_current t ~core ~duration =
           account t ex;
           release t ex;
           task.Task.obs_block_at <- now t;
-          (* BE tasks live outside the LC policy's runqueues; telling the
-             policy about one would leak it into LC dispatch at wakeup. *)
+          (* BE tasks live outside the LC policy, which never saw this
+             one start and must not account its block. *)
           if not (is_be t task) then t.policy.task_block ~cpu:core task;
           trace_instant t ~core Trace.Fault task.Task.name;
           ignore (Engine.after t.engine duration (fun () -> wakeup t task));
@@ -816,13 +870,13 @@ let be_busy_ns t (app : App.t) =
   app.App.busy_ns + in_flight_busy t ~id:app.App.id ~mine:true
 
 (* The congestion sample a machine-level broker reads for this runtime as
-   a whole: the LC policy probe plus the BE backlog, and total busy time
+   a whole: the LC queue count plus the BE backlog, and total busy time
    including in-flight segments (the broker arbitrates whole runtimes,
    not apps). *)
 let congestion t =
   {
-    Allocator.runq_len = t.probe.Sched_ops.queued () + Runqueue.length t.be_queue;
-    oldest_delay = t.probe.Sched_ops.oldest_wait ();
+    Allocator.runq_len = t.lc_queued + Runqueue.length t.be_queue;
+    oldest_delay = oldest_lc_wait t;
     busy_ns = t.busy_total + in_flight_busy t ~id:(-1) ~mine:false;
   }
 
@@ -853,8 +907,8 @@ let spawn_be_workers t (app : App.t) ~chunk ~workers =
     Runqueue.push_tail t.be_queue task
   done
 
-(* Start the congestion-driven core allocator: LC registered on the policy
-   probe's congestion signals, BE on its queue backlog; [set_allowance] is
+(* Start the congestion-driven core allocator: LC registered on the LC
+   queue's congestion signals, BE on its queue backlog; [set_allowance] is
    the runtime's reclaim/grant muscle, and every core moved charges the
    §5.4 inter-application switch cost on the BE side only so each move is
    charged once. *)
@@ -867,8 +921,8 @@ let start_allocator t alloc ~be:(app : App.t) ~(bounds : Allocator.bounds)
     ~initial:(total - bounds.burstable)
     ~sample:(fun () ->
       {
-        Allocator.runq_len = t.probe.Sched_ops.queued ();
-        oldest_delay = t.probe.Sched_ops.oldest_wait ();
+        Allocator.runq_len = t.lc_queued;
+        oldest_delay = oldest_lc_wait t;
         busy_ns = lc_busy_ns t;
       })
     ~apply:(fun ~granted:_ ~delta:_ -> 0);

@@ -103,9 +103,15 @@ type t = {
   mutable apps : App.t list;  (** reverse creation order *)
   daemon : App.t;
   mutable policy : Sched_ops.instance;
-  mutable probe : Sched_ops.probe;
   mutable be_app : App.t option;
   be_queue : Runqueue.t;
+  mutable lc_queued : int;
+      (** LC tasks in the policy's queues (one killed there counts until
+          it is discarded); kept by the runqueue calls below *)
+  mutable enq_stamps : Time.t array;
+      (** their enqueue times, oldest at [enq_first]: a ring grown by
+          doubling *)
+  mutable enq_first : int;
   mutable be_running : int;
       (** units whose current task is BE; {!begin_run} and the unit's
           release keep it, {!attach_be_app} recounts it *)
@@ -201,9 +207,8 @@ val first_idle_slot : t -> int
     the first idle core in [d_units] order.  O(units / 62). *)
 
 val install_policy : t -> Sched_ops.ctor -> unit
-(** Instrument the policy with the congestion probe and the queue-depth
-    series, then install it (after {!install_dispatch}: the constructor
-    gets the {!view}). *)
+(** Build the LC policy and install it (after {!install_dispatch}: the
+    constructor gets the {!view}). *)
 
 (** {1 Applications and kthreads} *)
 
@@ -266,6 +271,33 @@ val depose : t -> exec -> overhead:Time.t -> Task.t option
     receiver-side [overhead] to it.  Returns the deposed task; the caller
     requeues it and reschedules the unit.  [None] if the unit is not
     mid-segment. *)
+
+(** {1 The runqueues}
+
+    Every task enters and leaves a runqueue through these four calls, the
+    only ones that choose between the BE queue and the LC policy.  LC
+    entries and exits keep [lc_queued] and the enqueue stamps (the
+    allocator's queue-length and oldest-wait signals) and record each new
+    count into {!queue_depth_series}: before the policy's enqueue or
+    wakeup, after each task it hands out.  Calling the policy's queue
+    operations directly bypasses that count. *)
+
+val enqueue : t -> cpu:int -> reason:Sched_ops.reason -> Task.t -> unit
+(** BE: to the BE queue's head when [reason] is [Enq_preempted], its tail
+    otherwise.  LC: counted, then the policy's [task_enqueue] on [cpu]. *)
+
+val place_woken : t -> waker_cpu:int -> Task.t -> int
+(** Queue a woken task and return the core to kick.  BE: to the BE
+    queue's tail, returning its [last_core].  LC: counted, then placed by
+    the policy's [task_wakeup]. *)
+
+val next_lc : t -> cpu:int -> balance:bool -> Task.t option
+(** The policy's [task_dequeue], then its [sched_balance] when [balance].
+    Each task taken is counted out; one killed while queued is discarded
+    ({!discard_killed}) and the search goes on. *)
+
+val next_be : t -> Task.t option
+(** The BE queue's head, skipping tasks killed while queued. *)
 
 val discard_killed : t -> Task.t -> bool
 (** Whether a task just dequeued (or whose assignment just landed) was
@@ -343,8 +375,8 @@ val total_busy_ns : t -> int
 
 val congestion : t -> Allocator.raw
 (** The whole-runtime congestion sample a machine-level broker reads: LC
-    probe backlog plus BE queue length, oldest LC wait, and total busy
-    nanoseconds including in-flight segments. *)
+    queue length ([lc_queued]) plus BE queue length, oldest LC wait, and
+    total busy nanoseconds including in-flight segments. *)
 
 (** {1 BE attachment and the core allocator} *)
 
@@ -354,8 +386,8 @@ val attach_be_app :
     application: [workers] batch tasks, each an endless sequence of
     [chunk]-sized compute segments, kept outside the LC policy's
     runqueues.  Starts the core allocator ([alloc], default
-    {!Allocator.default_config}): LC registered on the policy's
-    congestion probe, BE on its queue backlog, {!set_be_allowance} as
+    {!Allocator.default_config}): LC registered on the LC queue's length
+    and oldest wait, BE on its queue backlog, {!set_be_allowance} as
     the muscle; every core moved charges the §5.4 inter-application switch
     cost on the BE side.  Raises [Invalid_argument] before admitting
     anything if a BE app is already set, [app] is foreign, the bounds

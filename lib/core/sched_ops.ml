@@ -45,65 +45,5 @@ let null_instance =
     sched_idle_park = park_after_grace;
   }
 
-type probe = { queued : unit -> int; oldest_wait : unit -> Time.t }
-
-(* Queue length and oldest-pending-task age are not part of the Table 2
-   interface, so the runtimes measure them by wrapping the policy's queue
-   operations.  Enqueue-order timestamps approximate the oldest pending
-   task exactly for FIFO policies and conservatively otherwise.  They live
-   in a ring that only grows (doubling), so a steady-state enqueue
-   allocates nothing; the ring's length is the queue length. *)
-let instrument ~now ?on_change (p : instance) =
-  (* enqueue stamps, oldest at [first], in a power-of-two ring *)
-  let ring = ref (Array.make 64 0) and first = ref 0 and count = ref 0 in
-  let slot i = (!first + i) land (Array.length !ring - 1) in
-  let notify () = match on_change with Some f -> f !count | None -> () in
-  let entered () =
-    if !count = Array.length !ring then begin
-      let old = !ring and n = !count in
-      ring := Array.init (2 * n) (fun i -> if i < n then old.((!first + i) land (n - 1)) else 0);
-      first := 0
-    end;
-    !ring.(slot !count) <- now ();
-    incr count;
-    notify ()
-  in
-  let left = function
-    | None -> None
-    | some ->
-        if !count > 0 then begin
-          first := slot 1;
-          decr count
-        end;
-        notify ();
-        some
-  in
-  let wrapped =
-    {
-      p with
-      task_enqueue =
-        (fun ~cpu ~reason task ->
-          entered ();
-          p.task_enqueue ~cpu ~reason task);
-      task_dequeue = (fun ~cpu -> left (p.task_dequeue ~cpu));
-      task_wakeup =
-        (fun ~waker_cpu task ->
-          (* policies enqueue woken tasks internally, bypassing
-             [task_enqueue] *)
-          entered ();
-          p.task_wakeup ~waker_cpu task);
-      sched_balance = (fun ~cpu -> left (p.sched_balance ~cpu));
-    }
-  in
-  let probe =
-    {
-      queued = (fun () -> !count);
-      oldest_wait = (fun () -> if !count = 0 then 0 else max 0 (now () - !ring.(!first)));
-    }
-  in
-  (wrapped, probe)
-
-let pick_idle view = view.pick_idle ()
-
 let wakeup_to_idle_or view ~fallback =
-  match pick_idle view with Some core -> core | None -> fallback
+  match view.pick_idle () with Some core -> core | None -> fallback

@@ -89,29 +89,6 @@ val null_instance : instance
 (** An inert policy (empty queues, never preempts): initialisation
     placeholder and test double. *)
 
-(** Congestion measurement over a wrapped policy instance: the signals the
-    core allocator samples.  Queue length and oldest-task age are not part
-    of the Table 2 interface, so the runtimes count them around the
-    policy's own queue operations. *)
-type probe = {
-  queued : unit -> int;  (** tasks currently waiting (excludes running) *)
-  oldest_wait : unit -> Time.t;
-      (** age of the oldest pending enqueue; 0 when the queue is empty.
-          Exact for FIFO dequeue orders, an approximation otherwise. *)
-}
-
-val instrument :
-  now:(unit -> Time.t) -> ?on_change:(int -> unit) -> instance -> instance * probe
-(** Wrap [task_enqueue]/[task_wakeup] (entries) and
-    [task_dequeue]/[sched_balance] (exits) of an instance with counting.
-    The returned instance must replace the original.  [on_change] is
-    called with the new count after every entry and every successful exit
-    (the runtimes record it into a queue-depth {!Skyloft_stats.Timeseries});
-    it must not re-enter the policy. *)
-
-val pick_idle : view -> int option
-(** First idle managed core, if any: [view.pick_idle ()]. *)
-
 val wakeup_to_idle_or : view -> fallback:int -> int
 (** Default wakeup placement: an idle core when available, otherwise
     [fallback]. *)

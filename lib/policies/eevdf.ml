@@ -119,7 +119,7 @@ let create ?(config = default_config) () : Sched_ops.ctor =
     task_wakeup =
       (fun ~waker_cpu:_ task ->
         let target =
-          match Sched_ops.pick_idle view with
+          match view.Sched_ops.pick_idle () with
           | Some core -> core
           | None -> least_loaded ()
         in

@@ -35,7 +35,7 @@ let create ?slice () : Sched_ops.ctor =
     task_wakeup =
       (fun ~waker_cpu:_ task ->
         let target =
-          match Sched_ops.pick_idle view with
+          match view.Sched_ops.pick_idle () with
           | Some core -> core
           | None -> least_loaded ()
         in

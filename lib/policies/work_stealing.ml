@@ -152,7 +152,7 @@ let create ?quantum () : Sched_ops.ctor =
 
 (* Steal-half: the thief moves the victim's tail half into its own deque
    and runs one task; the rest stay queued on the thief, so the runtime's
-   instrumented queue count (one decrement per successful balance) stays
+   LC queue count (one decrement per successful balance) stays
    exact.  Stealing is not free: every probed victim deque costs a remote
    cacheline touch and every migrated task drags its state across cores,
    both charged on the thief's next dispatch.  A thief whose scans keep

@@ -13,6 +13,7 @@ module Mpk = Skyloft_hw.Mpk
 module Vectors = Skyloft_hw.Vectors
 module Kmod = Skyloft_kernel.Kmod
 module Percpu = Skyloft.Percpu
+module Hybrid = Skyloft.Hybrid
 module App = Skyloft.App
 module Summary = Skyloft_stats.Summary
 module Nic = Skyloft_net.Nic
@@ -234,44 +235,71 @@ let test_fault_last_runnable_task () =
   check Alcotest.bool "task resumed and completed" true
     (!done_at >= Time.us 400 && !done_at < Time.us 600)
 
+(* Edge case: the fault hits a core inside a BE grant, i.e. the current
+   task is a best-effort batch worker.  The blocked BE task must come back
+   through the BE queue, not the LC policy's runqueues — so with no LC
+   work the LC queue depth never moves — and LC work arriving during the
+   fault window runs first.  One row per mechanism: per-CPU dispatch and
+   the serial dispatcher (hybrid pinned). *)
+let be_fault_runtimes =
+  let fifo = Skyloft_policies.Fifo.create in
+  [
+    ( "percpu",
+      0,
+      fun machine kmod ->
+        Percpu.runtime
+          (Percpu.create machine kmod ~cores:[ 0 ] ~preemption:false (fifo ())) );
+    ( "pinned hybrid",
+      1,
+      fun machine kmod ->
+        Hybrid.runtime
+          (Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1 ]
+             ~quantum:0 ~adaptive:false (fifo ())) );
+  ]
+
 let test_fault_be_task_stays_out_of_lc_queues () =
-  (* Edge case: the fault hits a core inside a BE grant, i.e. the current
-     task is a best-effort batch worker.  The blocked BE task must come
-     back through the BE queue, not the LC policy's runqueues — and LC
-     work arriving during the fault window runs first. *)
-  let engine = Engine.create () in
-  let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:2) in
-  let kmod = Kmod.create machine in
-  let rt =
-    Percpu.runtime
-      (Percpu.create machine kmod ~cores:[ 0 ] ~preemption:false
-         (Skyloft_policies.Fifo.create ()))
-  in
-  let lc = Rc.create_app rt ~name:"lc" in
-  let be = Rc.create_app rt ~name:"batch" in
-  Rc.attach_be_app rt be ~chunk:(Time.us 50) ~workers:1;
-  Engine.run ~until:(Time.us 10) engine;
-  (* the BE worker owns the core; fault it for 200us *)
-  ignore
-    (Engine.at engine (Time.us 10) (fun () ->
-         check Alcotest.bool "BE task faulted" true
-           (Rc.fault_current rt ~core:0 ~duration:(Time.us 200))));
-  let lc_done = ref 0 in
-  ignore
-    (Engine.at engine (Time.us 20) (fun () ->
-         ignore
-           (Rc.spawn rt lc ~name:"req"
-              (Coro.Compute
-                 (Time.us 30, fun () -> lc_done := Engine.now engine; Coro.Exit)))));
-  Engine.run ~until:(Time.ms 3) engine;
-  (* LC work ran during the BE fault window *)
-  check Alcotest.bool "LC request completed during the fault" true
-    (!lc_done > 0 && !lc_done < Time.us 210);
-  (* the BE worker came back and kept accumulating busy time afterwards *)
-  let busy_at_wake = be.App.busy_ns in
-  Engine.run ~until:(Time.ms 4) engine;
-  check Alcotest.bool "BE task resumed after the fault" true
-    (be.App.busy_ns > busy_at_wake)
+  List.iter
+    (fun (name, core, build) ->
+      let check_row what = check Alcotest.bool (name ^ ": " ^ what) true in
+      (* The BE worker owns the worker core at 10us; fault it for 200us,
+         and spawn an LC request at 20us when [lc]. *)
+      let run ~lc =
+        let engine = Engine.create () in
+        let machine =
+          Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:2)
+        in
+        let rt = build machine (Kmod.create machine) in
+        let lc_app = Rc.create_app rt ~name:"lc" in
+        let be = Rc.create_app rt ~name:"batch" in
+        Rc.attach_be_app rt be ~chunk:(Time.us 50) ~workers:1;
+        ignore
+          (Engine.at engine (Time.us 10) (fun () ->
+               check_row "BE task faulted"
+                 (Rc.fault_current rt ~core ~duration:(Time.us 200))));
+        let lc_done = ref 0 in
+        if lc then
+          ignore
+            (Engine.at engine (Time.us 20) (fun () ->
+                 ignore
+                   (Rc.spawn rt lc_app ~name:"req"
+                      (Coro.Compute
+                         (Time.us 30, fun () -> lc_done := Engine.now engine; Coro.Exit)))));
+        Engine.run ~until:(Time.ms 3) engine;
+        (* the BE worker came back and kept accumulating busy time *)
+        let busy_at_wake = be.App.busy_ns in
+        Engine.run ~until:(Time.ms 4) engine;
+        check_row "BE task resumed after the fault" (be.App.busy_ns > busy_at_wake);
+        (rt, !lc_done)
+      in
+      let rt, _ = run ~lc:false in
+      check Alcotest.int
+        (name ^ ": no LC work, no LC queue-depth change")
+        0
+        (Skyloft_stats.Timeseries.length (Rc.queue_depth_series rt));
+      let _, lc_done = run ~lc:true in
+      check_row "LC request completed during the fault"
+        (lc_done > 0 && lc_done < Time.us 210))
+    be_fault_runtimes
 
 (* ---- register_uvec validation ---- *)
 

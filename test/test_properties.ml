@@ -178,8 +178,8 @@ module Sched_ops = Skyloft.Sched_ops
    and broker allowance shrink and grow, attaching a best-effort app
    (once; later attaches are no-ops), with a random stretch of simulated
    time after each step.  After every step no task is on two units, and
-   the idle mask and the maintained BE-occupancy and busy-time counters
-   agree with a full recount. *)
+   the idle mask and the maintained BE-occupancy, busy-time and LC
+   queue counters agree with a full recount. *)
 type op =
   | Spawn of { pin : int; service : int; block : bool; deadline : int option }
   | Kill of int
@@ -243,8 +243,10 @@ let idle_mask_agrees (rt : Rc.t) ~machine_cores =
    occupancy with a scan of the units (running BE or a BE assignment in
    flight), [total_busy_ns] with the sum over the apps, and [lc_busy_ns]
    with that sum less the BE app plus the other apps' in-flight
-   segments. *)
-let counters_agree (rt : Rc.t) =
+   segments.  The LC queue count agrees with the LC tasks: every runnable
+   one (killed while queued included, until discarded) is queued unless
+   it is an assignment in flight toward a unit. *)
+let counters_agree (rt : Rc.t) (lc_tasks : Task.t array) =
   let units = rt.Rc.dispatch.Rc.d_units in
   let be_id = match rt.Rc.be_app with Some app -> app.App.id | None -> -1 in
   let runs_be (ex : Rc.exec) =
@@ -267,11 +269,18 @@ let counters_agree (rt : Rc.t) =
         | Some _ | None -> acc)
       0 units
   in
+  let lc_runnable =
+    Array.fold_left
+      (fun acc (task : Task.t) -> if task.Task.state = Task.Runnable then acc + 1 else acc)
+      0 lc_tasks
+  in
+  let lc_incoming = count (fun ex -> ex.Rc.incoming >= 0 && ex.Rc.incoming <> be_id) in
   rt.Rc.be_running = running
   && rt.Rc.be_incoming = incoming
   && Rc.be_occupancy rt = occupied
   && Rc.total_busy_ns rt = recorded
   && Rc.lc_busy_ns rt = recorded - be_recorded + lc_in_flight
+  && rt.Rc.lc_queued = lc_runnable - lc_incoming
 
 let conformance runtime ops =
   let engine = Engine.create ~seed:1 () in
@@ -324,7 +333,7 @@ let conformance runtime ops =
         Engine.run ~until:!until engine
   in
   let consistent () =
-    no_task_on_two_units rt && idle_mask_agrees rt ~machine_cores && counters_agree rt
+    no_task_on_two_units rt && idle_mask_agrees rt ~machine_cores && counters_agree rt !tasks
   in
   let holds = ref (consistent ()) in
   List.iter

@@ -20,7 +20,6 @@ module Attribution = Skyloft_obs.Attribution
 module App = Skyloft.App
 module Task = Skyloft.Task
 module Sched_ops = Skyloft.Sched_ops
-module Runqueue = Skyloft.Runqueue
 module Rc = Skyloft.Runtime_core
 
 type stub = {
@@ -31,22 +30,15 @@ type stub = {
 
 let reschedule st ex ~prev:_ =
   if ex.Rc.current = None then begin
-    let rec pick () =
-      let next =
-        if Rc.be_occupancy st.rc < st.rc.Rc.be_allowance then
-          Runqueue.pop_head st.rc.Rc.be_queue
+    let next =
+      match
+        if Rc.be_occupancy st.rc < st.rc.Rc.be_allowance then Rc.next_be st.rc
         else None
-      in
-      let next =
-        match next with
-        | Some _ -> next
-        | None -> st.rc.Rc.policy.task_dequeue ~cpu:ex.Rc.exec_core
-      in
-      match next with
-      | Some task when Rc.discard_killed st.rc task -> pick ()
-      | next -> next
+      with
+      | Some _ as be -> be
+      | None -> Rc.next_lc st.rc ~cpu:ex.Rc.exec_core ~balance:false
     in
-    match pick () with
+    match next with
     | Some task ->
         ignore (Rc.begin_run st.rc ex task ~switch_cost:0);
         Rc.run_after_switch st.rc ex ~switch_cost:0
@@ -76,11 +68,11 @@ let make ?(units = 1) () =
       d_place =
         (fun task ~cpu:_ ->
           rc.Rc.policy.task_init task;
-          rc.Rc.policy.task_enqueue ~cpu:0 ~reason:Sched_ops.Enq_new task;
+          Rc.enqueue rc ~cpu:0 ~reason:Sched_ops.Enq_new task;
           kick_all st);
       d_wake =
         (fun task ~waker_cpu:_ ->
-          ignore (rc.Rc.policy.task_wakeup ~waker_cpu:0 task);
+          ignore (Rc.place_woken rc ~waker_cpu:0 task);
           kick_all st);
     };
   Rc.install_policy rc (Skyloft_policies.Fifo.create ());
@@ -200,8 +192,7 @@ let test_watchdog_rescue () =
               Rc.rescued st.rc ex ~late:overrun;
               match Rc.depose st.rc ex ~overhead:0 with
               | Some t ->
-                  st.rc.Rc.policy.task_enqueue ~cpu:0
-                    ~reason:Sched_ops.Enq_preempted t;
+                  Rc.enqueue st.rc ~cpu:0 ~reason:Sched_ops.Enq_preempted t;
                   reschedule st ex ~prev:(Some t)
               | None -> ()
             end
@@ -257,6 +248,55 @@ let test_be_occupancy () =
     (Invalid_argument "Runtime_core.attach_be_app: app not created by this runtime")
     (fun () -> Rc.attach_be_app st2.rc foreign ~chunk:(Time.us 10) ~workers:1)
 
+(* ---- the runqueues ---------------------------------------------------------- *)
+
+(* The four queue calls route by app and count only the LC side: BE work
+   never reaches the policy or the count, a preempted BE task goes back
+   to the head of the BE queue, a woken one kicks its last core, and an
+   LC task killed while queued counts until [next_lc] discards it.  The
+   count, the oldest wait and the depth series move together. *)
+let test_runqueue_calls () =
+  let st = make () in
+  let rc = st.rc in
+  let lc = Rc.new_app rc ~name:"lc" in
+  let be = Rc.new_app rc ~name:"batch" in
+  (* routing needs only the BE app's id *)
+  rc.Rc.be_app <- Some be;
+  let mk (app : App.t) name =
+    Task.create ~id:0 ~app:app.App.id ~name (Coro.compute_then_exit 1)
+  in
+  let name (task : Task.t) = task.Task.name in
+  let b1 = mk be "b1" and b2 = mk be "b2" and b3 = mk be "b3" in
+  Rc.enqueue rc ~cpu:0 ~reason:Sched_ops.Enq_yielded b1;
+  Rc.enqueue rc ~cpu:0 ~reason:Sched_ops.Enq_preempted b2;
+  b3.Task.last_core <- 3;
+  check int "a woken BE task kicks its last core" 3 (Rc.place_woken rc ~waker_cpu:0 b3);
+  check (list string) "preempted at the head, yielded and woken at the tail"
+    [ "b2"; "b1"; "b3" ]
+    (List.map name (Skyloft.Runqueue.to_list rc.Rc.be_queue));
+  check int "BE work is not counted" 0 rc.Rc.lc_queued;
+  check (option string) "no BE task reached the policy" None
+    (Option.map name (Rc.next_lc rc ~cpu:0 ~balance:false));
+  let l1 = mk lc "l1" and l2 = mk lc "l2" in
+  Rc.enqueue rc ~cpu:0 ~reason:Sched_ops.Enq_new l1;
+  Engine.run ~until:(Time.us 5) st.engine;
+  ignore (Rc.place_woken rc ~waker_cpu:0 l2);
+  let congestion = Rc.congestion rc in
+  check int "LC and BE backlog" (2 + 3) congestion.Rc.Allocator.runq_len;
+  check int "oldest wait from the first stamp" (Time.us 5)
+    congestion.Rc.Allocator.oldest_delay;
+  Rc.kill rc l1;
+  check int "a killed task counts until discarded" 2 rc.Rc.lc_queued;
+  check (option string) "next_lc discards the killed task" (Some "l2")
+    (Option.map name (Rc.next_lc rc ~cpu:0 ~balance:false));
+  check bool "killed task exited" true (l1.Task.state = Task.Exited);
+  check int "both exits counted" 0 rc.Rc.lc_queued;
+  check int "no wait left" 0 (Rc.congestion rc).Rc.Allocator.oldest_delay;
+  check (list int) "every change in the depth series" [ 1; 2; 1; 0 ]
+    (List.map snd (Skyloft_stats.Timeseries.to_list (Rc.queue_depth_series rc)));
+  check (option string) "next_be takes the head" (Some "b2")
+    (Option.map name (Rc.next_be rc))
+
 (* ---- the scheduler view ---------------------------------------------------- *)
 
 (* The view is built once, by install_dispatch: asking for it earlier
@@ -295,6 +335,7 @@ let suite =
     test_case "deadline kills in every state" `Quick test_deadline_kills;
     test_case "watchdog bookkeeping" `Quick test_watchdog_rescue;
     test_case "BE occupancy counts in-flight work" `Quick test_be_occupancy;
+    test_case "runqueue calls route and count" `Quick test_runqueue_calls;
     test_case "view requires an installed dispatch" `Quick
       test_view_requires_dispatch;
   ]
