@@ -439,9 +439,12 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
     units;
   Kmod.on_steal kmod ~core:dispatcher_core (fun ~duration ->
       t.disp_busy_until <- max t.disp_busy_until (now t + duration));
-  (* Per-core delegated timers and the mode monitor; the tick handler is a
-     no-op outside percore mode, so central mode pays no tick overhead.  A
-     pinned runtime arms neither and never leaves central mode. *)
+  (* Per-core delegated timers and the mode monitor.  The worker ticks are
+     same-phase [Engine.every]s, so each tick instant is one heap entry
+     for all of them; outside percore mode the handler is a no-op, so a
+     central-mode tick instant costs one pop plus one mode test per
+     worker, and no simulated time.  A pinned runtime arms neither and
+     never leaves central mode. *)
   if adaptive then begin
     Array.iter
       (fun u ->

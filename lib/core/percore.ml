@@ -137,7 +137,6 @@ let schedule t cpu ~prev =
 let steal_time ?(stall = false) t cpu cost =
   match cpu.ex.Rc.current with
   | Some task when not (Eventq.is_null cpu.ex.Rc.completion) ->
-      Engine.cancel t.rc.Rc.engine cpu.ex.Rc.completion;
       task.Task.segment_end <- task.Task.segment_end + cost;
       if stall then task.Task.obs_stall_ns <- task.Task.obs_stall_ns + cost
       else task.Task.obs_overhead_ns <- task.Task.obs_overhead_ns + cost;

@@ -601,9 +601,11 @@ let install_dispatch t d =
     d.d_units;
   t.be_allowance <- Array.length d.d_units
 
-(* Re-arm the completion timer after the segment end moved (time steals). *)
+(* Move the armed completion to the segment's new end (time steals), in
+   place. *)
 let arm_completion t ex (task : Task.t) =
-  ex.completion <- Engine.at t.engine task.Task.segment_end ex.completion_fire
+  ex.completion <-
+    Engine.reschedule t.engine ex.completion task.Task.segment_end ex.completion_fire
 
 (* Put [task] on [ex]: lifecycle state, attribution stamping, and the
    wakeup-latency sample.  Returns the moment execution begins (after the
@@ -835,7 +837,6 @@ let freeze_for_steal t ex ~duration =
   ex.stolen_until <- max ex.stolen_until (now t + duration);
   match ex.current with
   | Some task when not (Eventq.is_null ex.completion) ->
-      Engine.cancel t.engine ex.completion;
       task.Task.segment_end <- task.Task.segment_end + duration;
       task.Task.run_start <- task.Task.run_start + duration;
       task.Task.obs_stall_ns <- task.Task.obs_stall_ns + duration;

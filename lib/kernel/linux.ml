@@ -314,9 +314,9 @@ let preempt_curr t cpu =
 let steal_time t cpu cost =
   match cpu.curr with
   | Some kt when not (Eventq.is_null cpu.completion) ->
-      Engine.cancel t.engine cpu.completion;
       kt.segment_end <- kt.segment_end + cost;
-      cpu.completion <- Engine.at t.engine kt.segment_end cpu.completion_fire
+      cpu.completion <-
+        Engine.reschedule t.engine cpu.completion kt.segment_end cpu.completion_fire
   | _ -> ()
 
 let tick_period t = max 1 (1_000_000_000 / policy_hz t.policy)

@@ -2,19 +2,50 @@ type t = {
   mutable clock : Time.t;
   queue : (unit -> unit) Eventq.t;
   root_rng : Rng.t;
-  mutable fired : int;
+  mutable fired : int;  (* callbacks run, cohort members counted one each *)
+  mutable fire_limit : int;  (* set by [run]/[step]: stop at this [fired] *)
+  mutable cohorts : cohort list;  (* live [every] cohorts, pruned on [every] *)
+}
+
+(* The [every]s that share a period and a next instant [due], held as one
+   heap entry keyed (due, seq of the first member still to run).  Members
+   are kept in seq order: a member takes its next-round seq right after
+   its callback returns [true] — the moment its own timer would re-arm —
+   and a newcomer takes the largest seq yet and appends.  Members
+   [0, wr) have run this round (compacted, next-round seqs), [rd, n) have
+   not; [rd = 0] between rounds, the only time a newcomer may join. *)
+and cohort = {
+  eng : t;
+  period : Time.t;
+  mutable due : Time.t;
+  mutable cbs : (unit -> bool) array;
+  mutable seqs : int array;
+  mutable n : int;
+  mutable rd : int;
+  mutable wr : int;
+  fire : unit -> unit;  (* the cohort's one stable heap payload *)
 }
 
 let create ?(seed = 42) () =
-  { clock = Time.zero; queue = Eventq.create (); root_rng = Rng.create ~seed; fired = 0 }
+  {
+    clock = Time.zero;
+    queue = Eventq.create ();
+    root_rng = Rng.create ~seed;
+    fired = 0;
+    fire_limit = max_int;
+    cohorts = [];
+  }
 
 let now t = t.clock
 let split_rng t = Rng.split t.root_rng
 
-let at t time f =
+let check_not_past t time =
   if time < t.clock then
     invalid_arg
-      (Format.asprintf "Engine.at: time %a is before now %a" Time.pp time Time.pp t.clock);
+      (Format.asprintf "Engine.at: time %a is before now %a" Time.pp time Time.pp t.clock)
+
+let at t time f =
+  check_not_past t time;
   Eventq.schedule t.queue ~at:time f
 
 let after t delay f =
@@ -22,6 +53,10 @@ let after t delay f =
   at t (t.clock + delay) f
 
 let cancel t h = Eventq.cancel t.queue h
+
+let reschedule t h time f =
+  check_not_past t time;
+  Eventq.reschedule t.queue h ~at:time f
 
 (* A reusable timer event: one stable [fire] closure for the timer's whole
    lifetime, re-armed in place, instead of a fresh closure per tick.  The
@@ -47,9 +82,7 @@ let disarm tm =
   Eventq.cancel tm.te.queue tm.th;
   tm.th <- Eventq.null
 
-let arm tm ~at:time =
-  if armed tm then disarm tm;
-  tm.th <- at tm.te time tm.fire
+let arm tm ~at:time = tm.th <- reschedule tm.te tm.th time tm.fire
 
 let arm_after tm delay =
   if delay < 0 then invalid_arg "Engine.arm_after: negative delay";
@@ -63,7 +96,98 @@ let recurring t ~period ?start f =
   arm tm ~at:first;
   tm
 
-let every t ~period ?start f = ignore (recurring t ~period ?start f)
+let stopped () = false
+
+(* Put the cohort back in the heap at the key of member [rd], the next to
+   run. *)
+let requeue c =
+  ignore (Eventq.schedule_key c.eng.queue ~at:c.due ~seq:(Array.unsafe_get c.seqs c.rd) c.fire)
+
+(* One round of a cohort, from member [rd] on; the engine already counted
+   the member its pop runs ([~first]).  Before each later member the
+   cohort yields — re-inserts itself at that member's key and returns —
+   when an event sorts before it or the [run]/[step] budget is spent, so
+   callbacks and other events interleave exactly as separate timers
+   would. *)
+let rec run_round c ~first =
+  let i = c.rd in
+  if i = c.n then end_round c
+  else begin
+    let e = c.eng in
+    if
+      (not first)
+      && (e.fired >= e.fire_limit
+         || Eventq.precedes e.queue ~at:c.due ~seq:(Array.unsafe_get c.seqs i))
+    then requeue c
+    else begin
+      if not first then e.fired <- e.fired + 1;
+      let cb = Array.unsafe_get c.cbs i in
+      c.rd <- i + 1;
+      let keep =
+        try cb ()
+        with exn ->
+          (* as a separate timer would: the raiser is not re-armed, the
+             other members stay scheduled *)
+          let bt = Printexc.get_raw_backtrace () in
+          if c.rd < c.n then requeue c else end_round c;
+          Printexc.raise_with_backtrace exn bt
+      in
+      if keep then begin
+        let w = c.wr in
+        Array.unsafe_set c.cbs w cb;
+        Array.unsafe_set c.seqs w (Eventq.reserve_seq e.queue);
+        c.wr <- w + 1
+      end;
+      run_round c ~first:false
+    end
+  end
+
+(* Members that returned [false] are gone; the survivors' first seq keys
+   the next round. *)
+and end_round c =
+  let w = c.wr in
+  Array.fill c.cbs w (c.n - w) stopped;
+  c.n <- w;
+  c.rd <- 0;
+  c.wr <- 0;
+  c.due <- c.due + c.period;
+  if w > 0 then requeue c
+
+let join c f seq =
+  let n = c.n in
+  if n = Array.length c.cbs then begin
+    (* double; the copied tail is overwritten before it is read *)
+    c.cbs <- Array.append c.cbs c.cbs;
+    c.seqs <- Array.append c.seqs c.seqs
+  end;
+  c.cbs.(n) <- f;
+  c.seqs.(n) <- seq;
+  c.n <- n + 1
+
+let every t ~period ?start f =
+  if period <= 0 then invalid_arg "Engine.every: period must be positive";
+  let first = match start with Some s -> s | None -> t.clock + period in
+  check_not_past t first;
+  let seq = Eventq.reserve_seq t.queue in
+  t.cohorts <- List.filter (fun c -> c.n > 0) t.cohorts;
+  match List.find_opt (fun c -> c.rd = 0 && c.period = period && c.due = first) t.cohorts with
+  | Some c -> join c f seq
+  | None ->
+      let rec c =
+        {
+          eng = t;
+          period;
+          due = first;
+          cbs = [| f |];
+          seqs = [| seq |];
+          n = 1;
+          rd = 0;
+          wr = 0;
+          fire = (fun () -> run_round c ~first:true);
+        }
+      in
+      t.cohorts <- c :: t.cohorts;
+      requeue c
 
 let step t =
   let next = Eventq.next_time t.queue in
@@ -72,15 +196,19 @@ let step t =
     let f = Eventq.pop_exn t.queue in
     t.clock <- next;
     t.fired <- t.fired + 1;
+    t.fire_limit <- t.fired;
     f ();
     true
   end
 
 let run ?until ?max_events t =
   let limit = match until with Some l -> l | None -> max_int in
-  let budget = ref (match max_events with Some n -> n | None -> max_int) in
+  t.fire_limit <-
+    (match max_events with
+    | Some n when n < max_int - t.fired -> t.fired + n
+    | Some _ | None -> max_int);
   let continue = ref true in
-  while !continue && !budget > 0 do
+  while !continue && t.fired < t.fire_limit do
     let next = Eventq.next_time t.queue in
     if next < 0 then continue := false
     else if next > limit then begin
@@ -91,8 +219,7 @@ let run ?until ?max_events t =
       let f = Eventq.pop_exn t.queue in
       t.clock <- next;
       t.fired <- t.fired + 1;
-      f ();
-      decr budget
+      f ()
     end
   done;
   match until with

@@ -31,6 +31,11 @@ val after : t -> Time.t -> (unit -> unit) -> Eventq.handle
 val cancel : t -> Eventq.handle -> unit
 (** Cancel a scheduled event; stale or [Eventq.null] handles are no-ops. *)
 
+val reschedule : t -> Eventq.handle -> Time.t -> (unit -> unit) -> Eventq.handle
+(** [reschedule t h time f] is [cancel t h] then [at t time f] — the same
+    event order, the old handle stale — done in place with one sift when
+    [h] is live ({!Eventq.reschedule}). *)
+
 (** {2 Reusable timer events}
 
     A [timer] owns one stable closure for its whole lifetime and is
@@ -49,8 +54,8 @@ val set_callback : timer -> (unit -> unit) -> unit
 (** Replace the timer's callback (takes effect from the next firing). *)
 
 val arm : timer -> at:Time.t -> unit
-(** Schedule the timer's next firing at an absolute time, cancelling any
-    firing already pending. *)
+(** Schedule the timer's next firing at an absolute time, superseding any
+    firing already pending (moved in place, as by [reschedule]). *)
 
 val arm_after : timer -> Time.t -> unit
 (** [arm] at [now + delay]. *)
@@ -66,18 +71,27 @@ val recurring : t -> period:Time.t -> ?start:Time.t -> (unit -> bool) -> timer
     can be disarmed or re-armed to pause/resume the cycle. *)
 
 val every : t -> period:Time.t -> ?start:Time.t -> (unit -> bool) -> unit
-(** [recurring] for callers that never need the timer back. *)
+(** [recurring] for callers that never need the timer back, with the same
+    event order, callback for callback.  [every]s that share a period and
+    a next firing instant share one heap entry (a cohort), so a tick
+    instant of many per-core timers costs one pop, not one per core.  A
+    new [every] joins a cohort only between its rounds. *)
 
 val run : ?until:Time.t -> ?max_events:int -> t -> unit
 (** Drain the event queue.  Stops when the queue is empty, when the next
-    event would fire after [until], or after [max_events] events.  The clock
-    is left at the last fired event (or at [until] if given and reached). *)
+    event would fire after [until], or after [max_events] callbacks (each
+    cohort member counts as one).  The clock is left at the last fired
+    event (or at [until] if given and reached). *)
 
 val step : t -> bool
-(** Fire exactly the next event.  [false] when the queue is empty. *)
+(** Run exactly the next callback (one cohort member at most).  [false]
+    when the queue is empty. *)
 
 val pending : t -> int
-(** Number of live scheduled events. *)
+(** Number of live heap entries: every pending [at]/[after] event and
+    armed timer counts one, and a cohort of same-phase [every]s counts
+    one however many members it has. *)
 
 val events_fired : t -> int
-(** Total events fired since creation (useful to bound runaway models). *)
+(** Total callbacks run since creation, each cohort member counted once
+    (useful to bound runaway models). *)

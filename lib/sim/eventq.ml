@@ -151,18 +151,23 @@ let rec sift_down t i ~at ~seq slot =
       sift_down t c ~at ~seq slot
     end
 
-let schedule t ~at payload =
+let reserve_seq t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let schedule_key t ~at ~seq payload =
   if at < 0 then invalid_arg "Eventq.schedule: negative time";
   if t.free_top = 0 then grow t;
   t.free_top <- t.free_top - 1;
   let slot = bget t.free t.free_top in
   Array.unsafe_set t.payloads slot (Obj.repr payload);
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
   let i = t.len in
   t.len <- i + 1;
   sift_up t i ~at ~seq slot;
   (bget t.gens slot lsl slot_bits) lor slot
+
+let schedule t ~at payload = schedule_key t ~at ~seq:(reserve_seq t) payload
 
 (* A handle is valid while its slot's generation matches; anything else —
    negative, out of range, stale — refers to an event that already left the
@@ -200,6 +205,24 @@ let cancel t (h : handle) =
   let slot = live_slot t h in
   if slot >= 0 then remove_at t (bget t.pos slot)
 
+(* Cancel-then-schedule in one sift: the live node takes the key the
+   insert would have got, (at, next seq), keeps its slot, and its handle
+   moves to the slot's next generation as a cancel would make it. *)
+let reschedule t (h : handle) ~at payload =
+  let slot = live_slot t h in
+  if slot < 0 then schedule t ~at payload
+  else begin
+    if at < 0 then invalid_arg "Eventq.schedule: negative time";
+    Array.unsafe_set t.payloads slot (Obj.repr payload);
+    let gen = (bget t.gens slot + 1) land gen_mask in
+    bset t.gens slot gen;
+    let seq = reserve_seq t in
+    let i = bget t.pos slot in
+    if i > 0 && key_lt t ~at ~seq ((i - 1) / 2) then sift_up t i ~at ~seq slot
+    else sift_down t i ~at ~seq slot;
+    (gen lsl slot_bits) lor slot
+  end
+
 exception Empty
 
 (* Zero-allocation pop for the engine's hot loop: the payload comes back
@@ -214,6 +237,12 @@ let pop_exn t =
 
 let last_time t = t.last_time
 let next_time t = if t.len = 0 then -1 else bget t.heap 0
+
+let precedes t ~at ~seq =
+  t.len > 0
+  && (let t0 = bget t.heap 0 in
+      t0 < at || (t0 = at && bget t.heap 1 < seq))
+
 let size t = t.len
 let is_empty t = t.len = 0
 

@@ -30,6 +30,22 @@ val create : unit -> 'a t
 val schedule : 'a t -> at:Time.t -> 'a -> handle
 (** Insert an event to fire at absolute time [at]. *)
 
+val reserve_seq : 'a t -> int
+(** Take the next sequence number, as the next [schedule] would, without
+    inserting anything.  Lets a caller hold its FIFO place at an instant
+    and insert later with [schedule_key]. *)
+
+val schedule_key : 'a t -> at:Time.t -> seq:int -> 'a -> handle
+(** Insert an event at the explicit key [(at, seq)]; [seq] must come from
+    [reserve_seq] and be used by at most one event in the queue. *)
+
+val reschedule : 'a t -> handle -> at:Time.t -> 'a -> handle
+(** [cancel] then [schedule] in one sift: a live event moves to the key
+    [(at, next seq)] that the insert would have given it, with the new
+    payload, and comes back under a fresh handle (the old one goes stale,
+    as after a cancel).  A stale or [null] handle falls back to
+    [schedule].  Event order is exactly that of cancel-then-schedule. *)
+
 val cancel : 'a t -> handle -> unit
 (** Remove a scheduled event from the queue in O(log n).  Cancelling twice,
     cancelling [null], or cancelling an event that already fired (stale
@@ -49,6 +65,10 @@ val last_time : 'a t -> Time.t
 val next_time : 'a t -> Time.t
 (** Time of the earliest event without removing it, or -1 when the queue
     is empty.  O(1), allocation-free. *)
+
+val precedes : 'a t -> at:Time.t -> seq:int -> bool
+(** The earliest event sorts strictly before the key [(at, seq)]; [false]
+    on an empty queue.  O(1), allocation-free. *)
 
 val size : 'a t -> int
 (** Number of scheduled events (not yet fired or cancelled).  O(1). *)

@@ -368,6 +368,24 @@ let make_percpu ?(cores = 4) ?(timer_hz = 100_000) ?(preemption = true) ctor =
 
 (* ---- Percpu runtime ---- *)
 
+(* The per-core LAPIC ticks are same-phase [Engine.every]s, so they share
+   one heap entry: an idle 8-core runtime keeps exactly as many entries
+   pending as a 1-core one between tick rounds, while each of its cores
+   still runs every callback the single core runs. *)
+let test_percpu_ticks_share_one_entry () =
+  let e1, _, _ = make_percpu ~cores:1 fifo_ctor in
+  let e8, _, _ = make_percpu ~cores:8 fifo_ctor in
+  List.iter
+    (fun t ->
+      Engine.run ~until:t e1;
+      Engine.run ~until:t e8;
+      check Alcotest.int "one heap entry for all eight ticks" (Engine.pending e1)
+        (Engine.pending e8);
+      check Alcotest.int "eight cores' worth of callbacks"
+        (8 * Engine.events_fired e1)
+        (Engine.events_fired e8))
+    [ 1; Time.us 15; Time.us 55 ]
+
 (* 70 workers put the idle mask in two words (slots 0..61 and 62..69).
    Placement, kills and broker caps must all see idle units beyond slot
    62, and every answer must equal a full scan of the units. *)
@@ -1129,6 +1147,8 @@ let suite =
       test_percpu_be_attach_validates_first;
     Alcotest.test_case "percpu: idle mask over two words" `Quick
       test_percpu_idle_mask_two_words;
+    Alcotest.test_case "percpu: per-core ticks share one heap entry" `Quick
+      test_percpu_ticks_share_one_entry;
     Alcotest.test_case "percpu: kill in the switch window" `Quick
       test_percpu_kill_in_switch_window;
     Alcotest.test_case "centralized: basic" `Quick test_centralized_basic;

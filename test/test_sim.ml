@@ -431,8 +431,8 @@ let test_eventq_invariants_interleaved () =
   check Alcotest.int "drained" 0 (Eventq.size q);
   Eventq.check_invariants q
 
-(* Acceptance gate: steady-state schedule/pop on the flat heap allocates
-   nothing.  [pop_exn] returns the payload bare; the handle is an
+(* Acceptance gate: steady-state schedule/reschedule/cancel/pop on the
+   flat heap allocates nothing.  [pop_exn] returns the payload bare; the handle is an
    immediate int.  The small tolerance covers the boxed floats the two
    [Gc.minor_words] calls themselves return — 10k round trips at even one
    word each would blow far past it. *)
@@ -448,6 +448,7 @@ let test_eventq_zero_alloc () =
   let before = Gc.minor_words () in
   for i = 101 to 10_100 do
     Eventq.cancel q (Eventq.schedule q ~at:(i + 50) ());
+    Eventq.cancel q (Eventq.reschedule q (Eventq.schedule q ~at:(i + 50) ()) ~at:(i + 60) ());
     ignore (Eventq.schedule q ~at:i ());
     Eventq.pop_exn q
   done;
@@ -468,7 +469,9 @@ let model_remove id = List.filter (fun (_, _, id') -> id' <> id)
    schedule/cancel/pop/peek scripts.  Cancel deletes from the model;
    cancelling an id no longer present (double cancel, popped handle,
    reused slot) deletes nothing, which is exactly the idempotence +
-   stale-generation contract the heap must honour.  Besides cancels of
+   stale-generation contract the heap must honour.  A reschedule is a
+   cancel plus a schedule under a fresh id, whatever the handle's state:
+   the old handle then refers to nothing.  Besides cancels of
    random handles, scripts cancel the root (the model's head), the last
    heap node (an event scheduled after every other one, cancelled before
    anything moves it) and an interior node (the model's median), and the
@@ -479,7 +482,7 @@ let model_remove id = List.filter (fun (_, _, id') -> id' <> id)
 let prop_eventq_model =
   let op_gen =
     QCheck.(
-      list_of_size (Gen.int_range 0 400) (pair (int_range 0 9) (int_range 0 1000)))
+      list_of_size (Gen.int_range 0 400) (pair (int_range 0 10) (int_range 0 1000)))
   in
   QCheck.Test.make ~name:"Eventq matches the sorted-list reference model"
     ~count:200 op_gen
@@ -525,6 +528,19 @@ let prop_eventq_model =
           | 7 -> (
               match !model with (_, _, id) :: _ -> cancel_id id | [] -> ())
           | 8 -> cancel_id (schedule (97 + x))
+          | 10 ->
+              (* reschedule = cancel + schedule under a fresh id; a stale
+                 handle only schedules *)
+              if !n_handles > 0 then begin
+                let old, h = List.nth !handles (x mod !n_handles) in
+                let id = !next in
+                incr next;
+                let at = x mod 89 in
+                let h' = Eventq.reschedule q h ~at id in
+                model := model_insert (at, id, id) (model_remove old !model);
+                handles := (id, h') :: !handles;
+                incr n_handles
+              end
           | _ ->
               let n = List.length !model in
               if n >= 3 then
@@ -537,9 +553,10 @@ let prop_eventq_model =
 
 (* [Engine.timer] against the same reference model: one-shot events,
    cancels, and timers armed, re-armed while armed, and disarmed, fired
-   one [Engine.step] at a time.  A re-arm is cancel plus insert, so it
-   takes a fresh sequence number: at an equal instant the re-armed timer
-   fires after everything scheduled before the re-arm. *)
+   one [Engine.step] at a time.  A re-arm moves the live event in place
+   ([Eventq.reschedule]) to the key a cancel plus insert would give it,
+   so it takes a fresh sequence number: at an equal instant the re-armed
+   timer fires after everything scheduled before the re-arm. *)
 let prop_engine_timer_model =
   let n_timers = 4 in
   let op_gen =
@@ -605,6 +622,243 @@ let prop_engine_timer_model =
             timers)
         ops;
       !ok)
+
+(* [Engine.every] against the pre-cohort engine: a sorted-list reference
+   in which each [every] is its own self-re-arming event, taking a fresh
+   sequence number right after its callback returns [true].  One script
+   drives both engines: top-level [every]s (shared and distinct periods
+   and starts, members that stop after k firings), one-shots placed on
+   tick instants so their seqs fall between a cohort's members (the yield
+   path), bounded runs, [max_events] budgets and single steps.  Each
+   callback logs (clock, id), then performs the script's next nested
+   action: another [every] (default start, or a start at the current
+   instant — a cohort's due instant when a tick runs it), a one-shot, or
+   an exception, which ends the run and drops the raising [every].
+   Both sides must log the same callbacks in the same order, leave the
+   clock at the same instant after every run, and count the same number
+   of fired callbacks. *)
+type every_spec = { period : int; start : int option; life : int }
+
+type every_op =
+  | Top_every of every_spec
+  | Top_shot of int
+  | Run_until of int
+  | Run_max of int * int
+  | Step
+
+type every_act = Nop | Nested_every of every_spec | Nested_shot of int | Nested_raise
+
+(* What a script needs of an engine. *)
+type every_iface = {
+  now : unit -> int;
+  shot : int -> (unit -> unit) -> unit;
+  every : period:int -> start:int option -> (unit -> bool) -> unit;
+  run : until:int -> max_events:int -> unit;
+  step : unit -> bool;
+  fired : unit -> int;
+}
+
+(* The reference engine: [(time, seq, thunk)] kept by [model_insert]. *)
+let reference_iface () =
+  let clock = ref 0 and seq = ref 0 and fired = ref 0 and q = ref [] in
+  let shot at f =
+    q := model_insert (at, !seq, f) !q;
+    incr seq
+  in
+  let every ~period ~start f =
+    let rec arm at = shot at (fun () -> if f () then arm (!clock + period)) in
+    arm (match start with Some s -> s | None -> !clock + period)
+  in
+  let step () =
+    match !q with
+    | [] -> false
+    | (at, _, f) :: tl ->
+        q := tl;
+        clock := at;
+        incr fired;
+        f ();
+        true
+  in
+  let run ~until ~max_events =
+    let n = ref 0 in
+    let rec loop () =
+      if !n < max_events then
+        match !q with
+        | (at, _, _) :: _ when at <= until ->
+            ignore (step ());
+            incr n;
+            loop ()
+        | _ -> clock := max !clock until
+    in
+    loop ();
+    if !q = [] then clock := max !clock until
+  in
+  { now = (fun () -> !clock); shot; every; run; step; fired = (fun () -> !fired) }
+
+let engine_iface () =
+  let e = Engine.create () in
+  {
+    now = (fun () -> Engine.now e);
+    shot = (fun at f -> ignore (Engine.at e at f));
+    every = (fun ~period ~start f -> Engine.every e ~period ?start f);
+    run = (fun ~until ~max_events -> Engine.run ~until ~max_events e);
+    step = (fun () -> Engine.step e);
+    fired = (fun () -> Engine.events_fired e);
+  }
+
+(* Run [ops] on [eng]; returns everything observable, in order. *)
+let run_every_script eng ops acts =
+  let obs = ref [] in
+  let note x = obs := x :: !obs in
+  let ids = ref 0 and g = ref 0 and everys = ref 0 in
+  let rec add_every { period; start; life } =
+    (* nested spawns are capped so a script cannot grow without bound *)
+    if !everys < 40 then begin
+      incr everys;
+      let id = !ids in
+      incr ids;
+      let left = ref life in
+      let start = Option.map (fun d -> eng.now () + d) start in
+      eng.every ~period ~start (fun () ->
+          note (eng.now (), id);
+          act ();
+          decr left;
+          !left > 0)
+    end
+  and add_shot d =
+    let id = !ids in
+    incr ids;
+    eng.shot (eng.now () + d) (fun () ->
+        note (eng.now (), id);
+        act ())
+  and act () =
+    (* capped too: a same-instant shot that spawns another would loop *)
+    if !g < 500 then begin
+      let a = acts.(!g mod Array.length acts) in
+      incr g;
+      match a with
+      | Nop -> ()
+      | Nested_every s -> add_every s
+      | Nested_shot d -> add_shot d
+      | Nested_raise -> raise Exit
+    end
+  in
+  (* a raising callback is not re-armed; the run stops and is resumed *)
+  let raised f = try f () with Exit -> note (eng.now (), -6) in
+  List.iter
+    (fun op ->
+      match op with
+      | Top_every s -> add_every s
+      | Top_shot d -> add_shot d
+      | Run_until d ->
+          raised (fun () -> eng.run ~until:(eng.now () + d) ~max_events:max_int);
+          note (eng.now (), -1)
+      | Run_max (k, d) ->
+          raised (fun () -> eng.run ~until:(eng.now () + d) ~max_events:k);
+          note (eng.now (), -2)
+      | Step -> raised (fun () -> note (eng.now (), if eng.step () then -3 else -4)))
+    (ops @ [ Run_until 40 ]);
+  note (eng.fired (), -5);
+  List.rev !obs
+
+let every_spec_gen =
+  QCheck.Gen.(
+    map3
+      (fun period start life -> { period; start; life })
+      (oneofl [ 2; 3; 4; 6 ])
+      (frequency [ (2, return None); (3, map Option.some (int_range 0 6)) ])
+      (oneofl [ 1; 2; 3; 5; max_int ]))
+
+let show_spec { period; start; life } =
+  Printf.sprintf "{p=%d;s=%s;life=%s}" period
+    (match start with Some d -> "+" ^ string_of_int d | None -> "def")
+    (if life = max_int then "inf" else string_of_int life)
+
+let every_script =
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun s -> Top_every s) every_spec_gen);
+          (3, map (fun d -> Top_shot d) (int_range 0 12));
+          (2, map (fun d -> Run_until d) (int_range 0 15));
+          (1, map2 (fun k d -> Run_max (k, d)) (int_range 0 8) (int_range 0 15));
+          (1, return Step);
+        ])
+  in
+  let act_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, return Nop);
+          (1, map (fun s -> Nested_every s) every_spec_gen);
+          (2, map (fun d -> Nested_shot d) (int_range 0 8));
+          (1, return Nested_raise);
+        ])
+  in
+  let show_op = function
+    | Top_every s -> "every" ^ show_spec s
+    | Top_shot d -> Printf.sprintf "shot+%d" d
+    | Run_until d -> Printf.sprintf "until+%d" d
+    | Run_max (k, d) -> Printf.sprintf "max%d/until+%d" k d
+    | Step -> "step"
+  in
+  let show_act = function
+    | Nop -> "nop"
+    | Nested_every s -> "nested-every" ^ show_spec s
+    | Nested_shot d -> Printf.sprintf "nested-shot+%d" d
+    | Nested_raise -> "nested-raise"
+  in
+  QCheck.make
+    ~print:(fun (ops, acts) ->
+      String.concat " " (List.map show_op ops)
+      ^ " | "
+      ^ String.concat " " (List.map show_act (Array.to_list acts)))
+    QCheck.Gen.(
+      pair (list_size (int_range 0 60) op_gen) (array_size (int_range 1 20) act_gen))
+
+let prop_engine_every_model =
+  QCheck.Test.make ~name:"Engine.every cohorts match separate self-re-arming events"
+    ~count:300 ~long_factor:20 every_script (fun (ops, acts) ->
+      run_every_script (engine_iface ()) ops acts
+      = run_every_script (reference_iface ()) ops acts)
+
+(* Eight same-phase [every]s share one heap entry, yet [run ~max_events]
+   and [step] count callbacks: a budget of three runs exactly three
+   members, and the rest of the round follows on the next call. *)
+let test_engine_every_cohort_budget () =
+  let e = Engine.create () in
+  let ran = ref [] in
+  for k = 0 to 7 do
+    Engine.every e ~period:10 (fun () ->
+        ran := k :: !ran;
+        true)
+  done;
+  check Alcotest.int "one heap entry for eight ticks" 1 (Engine.pending e);
+  Engine.run ~max_events:3 e;
+  check (Alcotest.list Alcotest.int) "exactly three callbacks" [ 0; 1; 2 ] (List.rev !ran);
+  check Alcotest.int "events_fired counts callbacks" 3 (Engine.events_fired e);
+  check Alcotest.bool "step runs one member" true (Engine.step e);
+  check (Alcotest.list Alcotest.int) "the fourth member" [ 0; 1; 2; 3 ] (List.rev !ran);
+  Engine.run ~until:10 e;
+  check Alcotest.int "round finished" 8 (List.length !ran);
+  check Alcotest.int "events_fired after the round" 8 (Engine.events_fired e);
+  check Alcotest.int "still one heap entry" 1 (Engine.pending e)
+
+(* A cohort round allocates nothing: eight members ticking for 10k
+   rounds (80k callbacks) stay under a small minor-word tolerance. *)
+let test_engine_every_zero_alloc () =
+  let e = Engine.create () in
+  for _ = 1 to 8 do
+    Engine.every e ~period:10 (fun () -> true)
+  done;
+  Engine.run ~until:1_000 e;
+  let until = 101_000 in
+  let before = Gc.minor_words () in
+  Engine.run ~until e;
+  let words = Gc.minor_words () -. before in
+  if words >= 64.0 then
+    Alcotest.failf "10k cohort rounds allocated %.0f minor words" words
 
 (* ---- Engine ---- *)
 
@@ -845,6 +1099,7 @@ let suite =
     qtest prop_eventq_sorted;
     qtest prop_eventq_model;
     qtest prop_engine_timer_model;
+    qtest prop_engine_every_model;
     Alcotest.test_case "engine: ordering" `Quick test_engine_ordering;
     Alcotest.test_case "engine: until" `Quick test_engine_until;
     Alcotest.test_case "engine: until empty" `Quick test_engine_until_empty_queue;
@@ -856,6 +1111,10 @@ let suite =
     Alcotest.test_case "engine: past raises" `Quick test_engine_past_raises;
     Alcotest.test_case "engine: nested" `Quick test_engine_nested_schedule;
     Alcotest.test_case "engine: max events" `Quick test_engine_max_events;
+    Alcotest.test_case "engine: every cohort counts callbacks" `Quick
+      test_engine_every_cohort_budget;
+    Alcotest.test_case "engine: every cohort round allocates nothing" `Quick
+      test_engine_every_zero_alloc;
     Alcotest.test_case "engine: rng determinism" `Quick test_engine_split_rng_deterministic;
     qtest prop_cancel_idempotent;
     Alcotest.test_case "coro: repeat" `Quick test_coro_repeat;
