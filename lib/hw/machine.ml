@@ -1,13 +1,20 @@
 module Time = Skyloft_sim.Time
 module Engine = Skyloft_sim.Engine
+module Bits = Skyloft_sim.Bits
 
 type vector = int
 
+(* PIR and UIRR are 64-bit sets of user vectors, each kept as two 32-bit
+   halves in immediate ints: vectors 32..63 in [_hi], 0..31 in [_lo].  An
+   [int64] field would box on every write, and every delegated timer tick
+   writes both (recognition, then the handler's re-post). *)
 type uintr_ctx = {
-  mutable pir : int64;
+  mutable pir_hi : int;
+  mutable pir_lo : int;
   mutable sn : bool;
   mutable uinv : vector;
-  mutable uirr : int64;
+  mutable uirr_hi : int;
+  mutable uirr_lo : int;
   mutable handler : (uvec:int -> unit) option;
   mutable installed_on : int option;
 }
@@ -66,24 +73,45 @@ let core t i =
 let set_kernel_handler c f = c.kernel_handler <- Some f
 let interrupts_masked c = c.masked
 
-(* Recognition: move posted PIR bits into the UIRR and run the handler once
-   per set bit, highest vector first (x86 priority order). *)
+(* The highest set UIRR vector below [below] (0..64), or -1. *)
+let highest_uirr ctx ~below =
+  if below > 32 then
+    let hi = ctx.uirr_hi land ((1 lsl (below - 32)) - 1) in
+    if hi <> 0 then 32 + Bits.msb hi
+    else if ctx.uirr_lo <> 0 then Bits.msb ctx.uirr_lo
+    else -1
+  else
+    let lo = ctx.uirr_lo land ((1 lsl below) - 1) in
+    if lo <> 0 then Bits.msb lo else -1
+
+(* Run the handler once per set UIRR bit, highest vector first (x86
+   priority order), visiting only the set bits.  UIRR is reread after each
+   handler call, and only vectors below the one just handled are
+   considered: a handler that re-enters [recognize] (by re-installing the
+   context) sees exactly what a 63-downto-0 walk over the live UIRR would. *)
+let rec deliver_uirr c ctx handler ~below =
+  let uvec = highest_uirr ctx ~below in
+  if uvec >= 0 then begin
+    if uvec >= 32 then ctx.uirr_hi <- ctx.uirr_hi land lnot (1 lsl (uvec - 32))
+    else ctx.uirr_lo <- ctx.uirr_lo land lnot (1 lsl uvec);
+    c.user_interrupts <- c.user_interrupts + 1;
+    handler ~uvec;
+    deliver_uirr c ctx handler ~below:uvec
+  end
+
+let pir_empty ctx = ctx.pir_hi lor ctx.pir_lo = 0
+
+(* Recognition: move posted PIR bits into the UIRR and deliver them. *)
 let recognize c ctx =
-  if ctx.pir = 0L then c.dropped <- c.dropped + 1
+  if pir_empty ctx then c.dropped <- c.dropped + 1
   else begin
-    ctx.uirr <- Int64.logor ctx.uirr ctx.pir;
-    ctx.pir <- 0L;
+    ctx.uirr_hi <- ctx.uirr_hi lor ctx.pir_hi;
+    ctx.uirr_lo <- ctx.uirr_lo lor ctx.pir_lo;
+    ctx.pir_hi <- 0;
+    ctx.pir_lo <- 0;
     match ctx.handler with
     | None -> ()
-    | Some handler ->
-        for uvec = 63 downto 0 do
-          let bit = Int64.shift_left 1L uvec in
-          if Int64.logand ctx.uirr bit <> 0L then begin
-            ctx.uirr <- Int64.logand ctx.uirr (Int64.lognot bit);
-            c.user_interrupts <- c.user_interrupts + 1;
-            handler ~uvec
-          end
-        done
+    | Some handler -> deliver_uirr c ctx handler ~below:64
   end
 
 let dispatch c v =
@@ -198,8 +226,16 @@ let timer_one_shot t ~core:i ~after =
 let timer_hz c = c.hz
 
 let uintr_create_ctx () =
-  { pir = 0L; sn = false; uinv = Vectors.uintr_notification; uirr = 0L; handler = None;
-    installed_on = None }
+  {
+    pir_hi = 0;
+    pir_lo = 0;
+    sn = false;
+    uinv = Vectors.uintr_notification;
+    uirr_hi = 0;
+    uirr_lo = 0;
+    handler = None;
+    installed_on = None;
+  }
 
 let uintr_register_handler ctx ~uinv handler =
   ctx.uinv <- uinv;
@@ -208,7 +244,7 @@ let uintr_register_handler ctx ~uinv handler =
 let uintr_set_uinv ctx v = ctx.uinv <- v
 let uintr_set_sn ctx sn = ctx.sn <- sn
 let uintr_sn ctx = ctx.sn
-let uintr_pir_pending ctx = ctx.pir <> 0L
+let uintr_pir_pending ctx = not (pir_empty ctx)
 
 let uintr_install t ~core:i ctx =
   let c = core t i in
@@ -217,7 +253,7 @@ let uintr_install t ~core:i ctx =
   ctx.installed_on <- Some i;
   (* Hardware recognises already-posted interrupts when the thread resumes
      user mode. *)
-  if ctx.pir <> 0L && not c.masked then recognize c ctx
+  if (not (pir_empty ctx)) && not c.masked then recognize c ctx
 
 let uintr_uninstall t ~core:i =
   let c = core t i in
@@ -228,7 +264,8 @@ let uintr_installed t ~core:i = (core t i).uintr
 
 let senduipi t ~src_core ctx ~uvec =
   if uvec < 0 || uvec > 63 then invalid_arg "Machine.senduipi: uvec out of range";
-  ctx.pir <- Int64.logor ctx.pir (Int64.shift_left 1L uvec);
+  if uvec >= 32 then ctx.pir_hi <- ctx.pir_hi lor (1 lsl (uvec - 32))
+  else ctx.pir_lo <- ctx.pir_lo lor (1 lsl uvec);
   if not ctx.sn then
     match ctx.installed_on with
     | Some dst -> send_ipi t ~src:src_core ~dst ctx.uinv

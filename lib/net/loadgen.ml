@@ -20,13 +20,13 @@ let poisson engine ~rng ~rate_rps ~service ?start ~duration ?(kind = fun _ -> "r
           ~flow:(Rng.int rng 1_000_000) ~kind:(kind rng)
       in
       sink pkt;
-      let gap = max 1 (int_of_float (Rng.exponential rng ~mean:mean_gap_ns)) in
+      let gap = max 1 (Rng.exponential_ns rng ~mean:mean_gap_ns) in
       let next = arrival + gap in
       if next < stop then begin
         at := next;
         Engine.arm tm ~at:next
       end);
-  let first = start + max 1 (int_of_float (Rng.exponential rng ~mean:mean_gap_ns)) in
+  let first = start + max 1 (Rng.exponential_ns rng ~mean:mean_gap_ns) in
   if first < stop then begin
     at := first;
     Engine.arm tm ~at:first

@@ -45,70 +45,73 @@ let mean_rate = function
       in
       weighted /. span
 
-(* One exponential gap in ns at [rate_rps]; at least 1 ns so virtual time
-   always advances. *)
-let exp_gap rng ~rate_rps =
-  max 1 (int_of_float (Rng.exponential rng ~mean:(1e9 /. rate_rps)))
+(* One exponential gap in ns at mean gap [mean] (1e9 / rate); at least
+   1 ns so virtual time always advances.  Callers keep [mean] precomputed,
+   so a draw passes an already boxed float and allocates nothing. *)
+let exp_gap rng ~mean = max 1 (Rng.exponential_ns rng ~mean)
 
 (* Piecewise-constant-rate sampling, shared by MMPP and Diurnal: walk the
    phase timeline from [now]; in each phase draw an exponential gap at the
    phase's rate and accept it if it lands before the phase ends, otherwise
    advance to the phase boundary and redraw (memorylessness makes the
    redraw exact, not an approximation). *)
+type phase = {
+  mutable live : bool;  (* false: no phase entered yet, or the last one ended *)
+  mutable rate : float;
+  mutable mean_gap : float;  (* 1e9 /. rate, boxed once per phase *)
+  mutable phase_end : Time.t;  (* absolute *)
+}
+
+(* [advance p ~at] rolls the process's own phase state forward and sets
+   [p.rate] and [p.phase_end] for the phase starting at [at]. *)
 let piecewise_sampler ~rng ~advance =
-  (* [phase_end] is absolute; [rate] the current phase's rate.  [advance]
-     rolls the mutable phase state forward and returns (rate, phase_end)
-     for the phase starting at the given time. *)
-  let state = ref None in
-  fun ~now ->
-    let rec go t =
-      let rate, phase_end =
-        match !state with
-        | Some (rate, phase_end) when phase_end > t -> (rate, phase_end)
-        | _ ->
-            let next = advance ~at:t in
-            state := Some next;
-            next
-      in
-      if rate <= 0.0 then begin
-        state := None;
-        go phase_end
-      end
+  let p = { live = false; rate = 0.0; mean_gap = 0.0; phase_end = 0 } in
+  let rec go t =
+    if not (p.live && p.phase_end > t) then begin
+      advance p ~at:t;
+      p.live <- true;
+      p.mean_gap <- 1e9 /. p.rate
+    end;
+    if p.rate <= 0.0 then begin
+      p.live <- false;
+      go p.phase_end
+    end
+    else begin
+      let gap = exp_gap rng ~mean:p.mean_gap in
+      if t + gap <= p.phase_end then Some (t + gap)
       else begin
-        let gap = exp_gap rng ~rate_rps:rate in
-        if t + gap <= phase_end then Some (t + gap)
-        else begin
-          state := None;
-          go phase_end
-        end
+        p.live <- false;
+        go p.phase_end
       end
-    in
-    go now
+    end
+  in
+  fun ~now -> go now
 
 let sampler t rng =
   validate t;
   match t with
-  | Poisson { rate_rps } -> fun ~now -> Some (now + exp_gap rng ~rate_rps)
+  | Poisson { rate_rps } ->
+      let mean = 1e9 /. rate_rps in
+      fun ~now -> Some (now + exp_gap rng ~mean)
   | Mmpp { rate_on; rate_off; mean_on; mean_off } ->
       let on = ref true in
+      let mean_on = float_of_int mean_on and mean_off = float_of_int mean_off in
       (* The stream starts in the on phase; each [advance] call enters the
          phase in force at [at] and draws its sojourn. *)
       let first = ref true in
-      piecewise_sampler ~rng ~advance:(fun ~at ->
+      piecewise_sampler ~rng ~advance:(fun p ~at ->
           if !first then first := false else on := not !on;
-          let rate = if !on then rate_on else rate_off in
+          p.rate <- (if !on then rate_on else rate_off);
           let mean = if !on then mean_on else mean_off in
-          let sojourn =
-            max 1 (int_of_float (Rng.exponential rng ~mean:(float_of_int mean)))
-          in
-          (rate, at + sojourn))
+          p.phase_end <- at + max 1 (Rng.exponential_ns rng ~mean))
   | Diurnal { segments } ->
       let segs = Array.of_list segments in
       let idx = ref (-1) in
-      piecewise_sampler ~rng ~advance:(fun ~at ->
+      piecewise_sampler ~rng ~advance:(fun p ~at ->
           idx := (!idx + 1) mod Array.length segs;
           let dur, rate = segs.(!idx) in
-          (rate, at + dur))
+          p.rate <- rate;
+          p.phase_end <- at + dur)
 
 let rotate n = function
   | [] -> []

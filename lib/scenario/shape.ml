@@ -40,16 +40,40 @@ let rec stages = function
       List.fold_left (fun acc (_, shape) -> max acc (stages shape)) 0 branches
 
 (* One uniform draw over the summed weights; the last branch absorbs any
-   rounding at the top of the range. *)
+   rounding at the top of the range.  Both walks keep their float sums in
+   local refs, which the compiler holds unboxed, and the uniform draw is
+   built from [Rng.bits53] in place, so a pick allocates nothing. *)
 let pick rng branches =
-  let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 branches in
-  let u = Skyloft_sim.Rng.float rng total in
-  let rec go acc = function
-    | [ (_, shape) ] -> shape
-    | (w, shape) :: rest -> if u < acc +. w then shape else go (acc +. w) rest
+  let total = ref 0.0 in
+  let rest = ref branches in
+  while
+    match !rest with
+    | [] -> false
+    | (w, _) :: tl ->
+        total := !total +. w;
+        rest := tl;
+        true
+  do
+    ()
+  done;
+  let u = float_of_int (Skyloft_sim.Rng.bits53 rng) *. 0x1p-53 *. !total in
+  (* stop with the picked branch at the head of [rest] *)
+  let acc = ref 0.0 and rest = ref branches in
+  while
+    match !rest with
     | [] -> invalid_arg "Shape.pick: empty mix"
-  in
-  go 0.0 branches
+    | [ _ ] -> false
+    | (w, _) :: tl ->
+        if u < !acc +. w then false
+        else begin
+          acc := !acc +. w;
+          rest := tl;
+          true
+        end
+  do
+    ()
+  done;
+  snd (List.hd !rest)
 
 (* The draw order (see the .mli) is part of the seed contract. *)
 let rec exec shape rng ~spawn k =

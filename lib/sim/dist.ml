@@ -8,27 +8,33 @@ type t =
 
 let clamp x = if x < 1 then 1 else x
 
+(* [Rng.uniform] rebuilt here from [Rng.bits53], bit for bit: a float
+   returned across a module boundary is boxed, one built in place is not,
+   so [sample] allocates nothing. *)
+let[@inline] uniform rng = float_of_int (Rng.bits53 rng) *. 0x1p-53
+
 (* Box-Muller; one draw per call is fine at simulation scale. *)
-let normal rng =
-  let u1 = 1.0 -. Rng.uniform rng and u2 = Rng.uniform rng in
+let[@inline] normal rng =
+  let u1 = 1.0 -. uniform rng in
+  let u2 = uniform rng in
   sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
 
 let sample t rng =
   match t with
   | Constant d -> clamp d
   | Exponential { mean } ->
-      clamp (int_of_float (Rng.exponential rng ~mean:(float_of_int mean)))
+      clamp (int_of_float (-.float_of_int mean *. log (1.0 -. uniform rng)))
   | Uniform { lo; hi } ->
       if hi <= lo then clamp lo else clamp (lo + Rng.int rng (hi - lo))
   | Bimodal { p_short; short; long } ->
-      if Rng.uniform rng < p_short then clamp short else clamp long
+      if uniform rng < p_short then clamp short else clamp long
   | Lognormal { mu; sigma } ->
       clamp (int_of_float (exp (mu +. (sigma *. normal rng))))
   | Pareto { scale; alpha; cap } ->
       if scale < 1 || cap < scale || alpha <= 0.0 then
         invalid_arg "Dist.sample: Pareto needs 1 <= scale <= cap and alpha > 0";
       (* Inverse CDF on (0, 1]: 1 - uniform avoids u = 0 (infinite draw). *)
-      let u = 1.0 -. Rng.uniform rng in
+      let u = 1.0 -. uniform rng in
       let x = float_of_int scale /. (u ** (1.0 /. alpha)) in
       clamp (min cap (int_of_float x))
 

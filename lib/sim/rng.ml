@@ -1,4 +1,12 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The xoshiro256** state s0..s3 lives in one 32-byte [Bytes], read and
+   written with the unboxed 64-bit bytes primitives: a mutable [int64]
+   record field would box every state write, so each draw would allocate.
+   The step below is inlined into every draw in this module, so the draws
+   that return an [int] allocate nothing. *)
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* splitmix64, used to expand the seed into xoshiro state (reference
    initialization recommended by the xoshiro authors). *)
@@ -12,46 +20,50 @@ let splitmix64 state =
 
 let create ~seed =
   let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set t (8 * i) (splitmix64 state)
+  done;
+  t
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+(* One xoshiro256** step: the next output, with the state advanced. *)
+let[@inline] next t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get t 0 and s1 = get t 8 and s2 = get t 16 and s3 = get t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  set t 0 s0;
+  set t 8 s1;
+  set t 16 (logxor s2 tmp);
+  set t 24 (rotl s3 45);
   result
+
+let bits64 t = next t
 
 let split t =
   (* Derive a child seed from the parent stream; the child is then expanded
      through splitmix64, which decorrelates it from the parent. *)
-  let seed = Int64.to_int (bits64 t) in
-  create ~seed
+  create ~seed:(Int64.to_int (next t))
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  let mask = Int64.shift_right_logical (bits64 t) 1 in
+  let mask = Int64.shift_right_logical (next t) 1 in
   Int64.to_int (Int64.rem mask (Int64.of_int bound))
 
-let uniform t =
-  (* 53 random bits into [0, 1), the standard double construction. *)
-  let x = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float x *. (1.0 /. 9007199254740992.0)
+let bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
 
-let float t bound = uniform t *. bound
-let exponential t ~mean =
-  let u = uniform t in
-  (* log of 0 would be -inf; uniform is in [0,1) so use 1-u in (0,1]. *)
-  -.mean *. log (1.0 -. u)
+(* 53 random bits into [0, 1), the standard double construction. *)
+let[@inline] uniform t =
+  Int64.to_float (Int64.shift_right_logical (next t) 11) *. (1.0 /. 9007199254740992.0)
+
+(* log of 0 would be -inf; [uniform] is in [0,1) so use 1-u in (0,1]. *)
+let exponential_ns t ~mean = int_of_float (-.mean *. log (1.0 -. uniform t))

@@ -27,16 +27,6 @@ let create ?(sub_buckets = 64) () =
   in
   { sub = sub_buckets; k; groups = Array.make (63 - k) absent; n = 0; min_v = max_int; max_v = 0 }
 
-(* Index of the most significant set bit of [v > 0]. *)
-let msb v =
-  let v = ref v and m = ref 0 in
-  if !v lsr 32 <> 0 then begin v := !v lsr 32; m := 32 end;
-  if !v lsr 16 <> 0 then begin v := !v lsr 16; m := !m + 16 end;
-  if !v lsr 8 <> 0 then begin v := !v lsr 8; m := !m + 8 end;
-  if !v lsr 4 <> 0 then begin v := !v lsr 4; m := !m + 4 end;
-  if !v lsr 2 <> 0 then begin v := !v lsr 2; m := !m + 2 end;
-  if !v lsr 1 <> 0 then !m + 1 else !m
-
 (* Inclusive upper bound of the values mapping to bucket (g, s). *)
 let bucket_upper t g s = if g = 0 then s else ((t.sub + s + 1) lsl (g - 1)) - 1
 
@@ -61,7 +51,7 @@ let record_n t v ~n =
   if v < 0 then invalid_arg "Histogram.record: negative value";
   if n < 0 then invalid_arg "Histogram.record_n: negative count";
   if n > 0 then begin
-    let g = if v < t.sub then 0 else msb v - t.k + 1 in
+    let g = if v < t.sub then 0 else Skyloft_sim.Bits.msb v - t.k + 1 in
     let s = if g = 0 then v else (v lsr (g - 1)) - t.sub in
     let counts = group t g in
     counts.(s) <- counts.(s) + n;

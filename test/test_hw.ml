@@ -344,6 +344,192 @@ let test_uintr_bad_uvec () =
        false
      with Invalid_argument _ -> true)
 
+(* Recognition delivers the set UIRR vectors highest first (x86 priority
+   order), whatever order they were posted in. *)
+let test_uintr_highest_vector_first () =
+  let _, machine = make_machine () in
+  let ctx = Machine.uintr_create_ctx () in
+  let got = ref [] in
+  Machine.uintr_register_handler ctx ~uinv:Vectors.uintr_notification (fun ~uvec ->
+      got := uvec :: !got);
+  (* not installed: the posts only set PIR bits *)
+  List.iter (fun uvec -> Machine.senduipi machine ~src_core:0 ctx ~uvec) [ 1; 63; 0; 2 ];
+  Machine.uintr_install machine ~core:0 ctx;
+  check (Alcotest.list Alcotest.int) "63, 2, 1, 0" [ 63; 2; 1; 0 ] (List.rev !got);
+  check Alcotest.int "four user interrupts" 4
+    (Machine.user_interrupts_delivered (Machine.core machine 0))
+
+(* A delegated timer tick (Listing 1) allocates nothing in the machine:
+   recognition moves PIR into UIRR and runs the handler, whose re-post
+   sets the PIR again.  10k ticks stay under a small tolerance (the boxed
+   floats [Gc.minor_words] itself returns, and the engine's cohort). *)
+let test_uintr_tick_zero_alloc () =
+  let engine, machine = make_machine () in
+  let ctx = Machine.uintr_create_ctx () in
+  let fired = ref 0 in
+  Machine.uintr_register_handler ctx ~uinv:Vectors.timer (fun ~uvec ->
+      incr fired;
+      Machine.senduipi machine ~src_core:0 ctx ~uvec);
+  Machine.uintr_set_sn ctx true;
+  Machine.uintr_install machine ~core:0 ctx;
+  (* prime the PIR (SN set: no notification) *)
+  Machine.senduipi machine ~src_core:0 ctx ~uvec:Vectors.uvec_timer;
+  Machine.timer_set_periodic machine ~core:0 ~hz:1_000_000;
+  Engine.run ~until:(Time.us 100) engine;
+  let before = Gc.minor_words () in
+  Engine.run ~until:(Time.us 10_100) engine;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.int "every tick recognised" 10_100 !fired;
+  if words >= 64.0 then Alcotest.failf "10k delegated timer ticks allocated %.0f minor words" words
+
+(* ---- UINTR recognition against the 63-downto-0 reference walk ---- *)
+
+(* What a scripted handler (or the test itself) does to the receiver. *)
+type atom =
+  | Post of int  (* senduipi: a notification follows unless SN is set *)
+  | Reinstall  (* re-install the context: recognises a non-empty PIR at once *)
+  | Set_sn of bool
+  | Notify  (* a bare notification IPI, dropped if the PIR is empty *)
+
+type script = {
+  latched : int list;  (* posted and latched into UIRR before a handler exists *)
+  posted : int list;  (* posted with SN set once the handler is registered *)
+  sn : bool;  (* SN from then on *)
+  start : atom list;  (* run after the context is re-installed *)
+  calls : atom list array;  (* the k-th handler call runs [calls.(k)] *)
+}
+
+type receiver = {
+  post : int -> unit;
+  reinstall : unit -> unit;
+  set_sn : bool -> unit;
+  notify : unit -> unit;
+}
+
+let run_atom r = function
+  | Post uvec -> r.post uvec
+  | Reinstall -> r.reinstall ()
+  | Set_sn b -> r.set_sn b
+  | Notify -> r.notify ()
+
+(* The handler both sides run: log the vector, then the next scripted
+   actions.  The script is finite, so nesting and notifications end. *)
+let scripted_handler sc r log ncalls uvec =
+  log := uvec :: !log;
+  let k = !ncalls in
+  incr ncalls;
+  if k < Array.length sc.calls then List.iter (run_atom r) sc.calls.(k)
+
+(* The machine: every notification travels through the engine with the
+   same latency, so they arrive in the order they were sent. *)
+let run_machine sc =
+  let engine, machine = make_machine () in
+  let ctx = Machine.uintr_create_ctx () in
+  let log = ref [] and ncalls = ref 0 in
+  let r =
+    {
+      post = (fun uvec -> Machine.senduipi machine ~src_core:0 ctx ~uvec);
+      reinstall = (fun () -> Machine.uintr_install machine ~core:0 ctx);
+      set_sn = Machine.uintr_set_sn ctx;
+      notify = (fun () -> Machine.send_ipi machine ~src:0 ~dst:0 Vectors.uintr_notification);
+    }
+  in
+  Machine.uintr_set_sn ctx true;
+  List.iter r.post sc.latched;
+  r.reinstall ();
+  Machine.uintr_register_handler ctx ~uinv:Vectors.uintr_notification (fun ~uvec ->
+      scripted_handler sc r log ncalls uvec);
+  List.iter r.post sc.posted;
+  r.set_sn sc.sn;
+  r.reinstall ();
+  List.iter (run_atom r) sc.start;
+  Engine.run engine;
+  let c = Machine.core machine 0 in
+  (List.rev !log, Machine.user_interrupts_delivered c, Machine.dropped_notifications c)
+
+(* The reference: PIR and UIRR as [int64]s and recognition as the walk
+   over every vector from 63 down to 0, testing the live UIRR at each;
+   notifications wait in a FIFO. *)
+let run_reference sc =
+  let pir = ref 0L and uirr = ref 0L and sn = ref true and handler = ref None in
+  let delivered = ref 0 and dropped = ref 0 and pending = Queue.create () in
+  let rec recognize () =
+    if !pir = 0L then incr dropped
+    else begin
+      uirr := Int64.logor !uirr !pir;
+      pir := 0L;
+      match !handler with
+      | None -> ()
+      | Some h ->
+          for uvec = 63 downto 0 do
+            let bit = Int64.shift_left 1L uvec in
+            if Int64.logand !uirr bit <> 0L then begin
+              uirr := Int64.logand !uirr (Int64.lognot bit);
+              incr delivered;
+              h uvec
+            end
+          done
+    end
+  and r =
+    {
+      post =
+        (fun uvec ->
+          pir := Int64.logor !pir (Int64.shift_left 1L uvec);
+          if not !sn then Queue.push () pending);
+      reinstall = (fun () -> if !pir <> 0L then recognize ());
+      set_sn = (fun b -> sn := b);
+      notify = (fun () -> Queue.push () pending);
+    }
+  in
+  let log = ref [] and ncalls = ref 0 in
+  List.iter r.post sc.latched;
+  r.reinstall ();
+  handler := Some (scripted_handler sc r log ncalls);
+  List.iter r.post sc.posted;
+  r.set_sn sc.sn;
+  r.reinstall ();
+  List.iter (run_atom r) sc.start;
+  while not (Queue.is_empty pending) do
+    Queue.pop pending;
+    recognize ()
+  done;
+  (List.rev !log, !delivered, !dropped)
+
+let recognition_script =
+  let open QCheck.Gen in
+  let uvec = frequency [ (3, oneofl [ 0; 1; 2; 30; 31; 32; 33; 62; 63 ]); (2, int_range 0 63) ] in
+  let atom =
+    frequency
+      [
+        (4, map (fun u -> Post u) uvec);
+        (2, return Reinstall);
+        (1, map (fun b -> Set_sn b) bool);
+        (1, return Notify);
+      ]
+  in
+  let vecs = list_size (int_range 0 6) uvec and atoms = list_size (int_range 0 3) atom in
+  let gen =
+    map
+      (fun ((latched, posted, sn), (start, calls)) -> { latched; posted; sn; start; calls })
+      (pair (triple vecs vecs bool) (pair atoms (array_size (int_range 0 12) atoms)))
+  in
+  let show_atom = function
+    | Post u -> Printf.sprintf "post%d" u
+    | Reinstall -> "reinstall"
+    | Set_sn b -> Printf.sprintf "sn=%b" b
+    | Notify -> "notify"
+  in
+  let show_atoms xs = "[" ^ String.concat " " (List.map show_atom xs) ^ "]" in
+  let show_vecs xs = "{" ^ String.concat "," (List.map string_of_int xs) ^ "}" in
+  QCheck.make gen ~print:(fun sc ->
+      Printf.sprintf "latched %s posted %s sn=%b start %s calls %s" (show_vecs sc.latched)
+        (show_vecs sc.posted) sc.sn (show_atoms sc.start)
+        (String.concat " " (Array.to_list (Array.map show_atoms sc.calls))))
+
+let prop_recognition_matches_reference =
+  QCheck.Test.make ~name:"UINTR recognition matches the 63-downto-0 walk" ~count:300
+    ~long_factor:20 recognition_script (fun sc -> run_machine sc = run_reference sc)
+
 (* ---- UITT ---- *)
 
 let test_uitt_senduipi () =
@@ -414,6 +600,10 @@ let suite =
       test_uintr_timer_delegation_without_repost_stops;
     Alcotest.test_case "uintr: uninstall" `Quick test_uintr_uninstall;
     Alcotest.test_case "uintr: bad uvec" `Quick test_uintr_bad_uvec;
+    Alcotest.test_case "uintr: highest vector first" `Quick test_uintr_highest_vector_first;
+    Alcotest.test_case "uintr: a delegated tick allocates nothing" `Quick
+      test_uintr_tick_zero_alloc;
+    QCheck_alcotest.to_alcotest prop_recognition_matches_reference;
     Alcotest.test_case "uitt: senduipi" `Quick test_uitt_senduipi;
     Alcotest.test_case "uitt: empty entry" `Quick test_uitt_empty_entry_gp;
     Alcotest.test_case "uitt: clear" `Quick test_uitt_clear;

@@ -133,6 +133,97 @@ let test_arrival_sampler_deterministic () =
   check bool "same seed, same stream" true (times 7 = times 7);
   check bool "different seed, different stream" true (times 7 <> times 8)
 
+(* Known answers captured before the sampler's phase state moved from a
+   per-call option tuple to a mutable record: the first arrivals of each
+   process, and the last arrival and sum over 5000 (every phase path:
+   redraws at a boundary, zero-rate phases, MMPP sojourn draws). *)
+let test_arrival_known_answers () =
+  let poisson = Arrival.Poisson { rate_rps = 1e6 } in
+  let mmpp0 =
+    Arrival.Mmpp { rate_on = 2e6; rate_off = 0.0; mean_on = 2000; mean_off = 3000 }
+  in
+  let diurnal = Arrival.Diurnal { segments = [ (5000, 1e6); (3000, 0.0); (4000, 3e6) ] } in
+  let mmpp =
+    Arrival.Mmpp
+      { rate_on = 1.6e6; rate_off = 1e5; mean_on = Time.ms 2; mean_off = Time.ms 6 }
+  in
+  let arrivals ~seed ~n a =
+    let next = Arrival.sampler a (Rng.create ~seed) in
+    let now = ref 0 in
+    List.init n (fun _ ->
+        match next ~now:!now with
+        | Some t ->
+            now := t;
+            t
+        | None -> Alcotest.fail "the sampler returned None")
+  in
+  let ints = Alcotest.(list int) in
+  check ints "poisson" [ 340; 1261; 2309; 4032; 4759; 6293; 6993; 8646 ]
+    (arrivals ~seed:5 ~n:8 poisson);
+  check ints "mmpp with an idle off phase"
+    [ 460; 6617; 6967; 11152; 18384; 18711; 19347; 19550 ]
+    (arrivals ~seed:5 ~n:8 mmpp0);
+  check ints "diurnal" [ 340; 1261; 2309; 4032; 4759; 8233; 8784; 8934 ]
+    (arrivals ~seed:5 ~n:8 diurnal);
+  List.iter
+    (fun (name, a, last, sum) ->
+      let xs = arrivals ~seed:9 ~n:5000 a in
+      check (pair int int) (name ^ ": last and sum of 5000") (last, sum)
+        (List.nth xs 4999, List.fold_left ( + ) 0 xs))
+    [
+      ("poisson", poisson, 4933990, 12210896588);
+      ("mmpp", mmpp, 29270345, 99759413431);
+      ("mmpp with an idle off phase", mmpp0, 5962431, 14838135627);
+      ("diurnal", diurnal, 3490931, 8593024746);
+    ]
+
+(* A Poisson sample allocates only its [Some] (2 words).  MMPP and
+   Diurnal add a boxed mean gap per phase change, amortised over the
+   phase's arrivals.  A [Shape.Mix] pick allocates nothing. *)
+let test_arrival_sample_allocation () =
+  let words_per_sample a =
+    let next = Arrival.sampler a (Rng.create ~seed:3) in
+    let now = ref 0 in
+    let sample () =
+      match next ~now:!now with Some t -> now := t | None -> ()
+    in
+    sample ();
+    let n = 10_000 in
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      sample ()
+    done;
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  List.iter
+    (fun (name, a, max) ->
+      let w = words_per_sample a in
+      if w > max +. 0.01 then
+        Alcotest.failf "%s: %.2f minor words per sample (max %.1f)" name w max)
+    [
+      ("Poisson", Arrival.Poisson { rate_rps = 1e6 }, 2.0);
+      ( "MMPP",
+        Arrival.Mmpp
+          { rate_on = 1.6e6; rate_off = 1e5; mean_on = Time.ms 2; mean_off = Time.ms 6 },
+        2.1 );
+      ( "Diurnal",
+        Arrival.Diurnal { segments = [ (Time.us 50, 1e6); (Time.us 30, 0.0); (Time.us 40, 3e6) ] },
+        2.1 );
+    ];
+  (* a mix pick: the weight sums and the draw stay unboxed *)
+  let rng = Rng.create ~seed:3 in
+  let mix =
+    Shape.Mix [ (0.9, Shape.Single (Dist.Constant 2)); (0.1, Shape.Single (Dist.Constant 1)) ]
+  in
+  let pick () = Shape.exec mix rng ~spawn:(fun _ _ -> ()) ignore in
+  pick ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    pick ()
+  done;
+  let words = Gc.minor_words () -. before in
+  if words >= 64.0 then Alcotest.failf "10k mix picks allocated %.0f minor words" words
+
 let test_arrival_rotate () =
   let segs = [ (1, 10.0); (2, 20.0); (3, 30.0) ] in
   check bool "rotate 0 = id" true (Arrival.rotate 0 segs = segs);
@@ -365,6 +456,30 @@ let test_bounded_memory () =
        live_10m ratio)
     true (ratio < 1.1)
 
+(* Fixed-cell allocation ceiling for the four benchmark workloads (a
+   scale scenario on the runtime perfbench pairs it with): one 20k-request
+   cell at seed 8.  A fixed cell's [Gc.minor_words] count is exact and
+   repeatable, unlike a timed run's traced average, so each ceiling is the
+   measured words/request plus 5%; an allocation regression on the request
+   path fails here. *)
+let test_scale_cell_allocation_ceiling () =
+  let module Scale = Skyloft_experiments.Scale in
+  List.iter
+    (fun (name, scenario, runtime, ceiling) ->
+      let requests = 20_000 in
+      let before = Gc.minor_words () in
+      ignore (Scenario.run ~seed:8 ~requests ~runtime scenario);
+      let per_request = (Gc.minor_words () -. before) /. float_of_int requests in
+      if per_request > ceiling then
+        Alcotest.failf "%s: %.2f minor words/request, above the ceiling of %.1f" name
+          per_request ceiling)
+    [
+      ("pareto-percpu", Scale.steady_pareto, Scenario.Percpu, 104.2);
+      ("pareto-hybrid", Scale.steady_pareto, Scenario.Hybrid, 103.2);
+      ("mmpp-worksteal", Scale.bursty_mmpp, Scenario.Worksteal, 221.5);
+      ("mix-percpu", Scale.tenant_mix, Scenario.Percpu, 114.6);
+    ]
+
 let suite =
   [
     test_case "arrival: validation" `Quick test_arrival_validate;
@@ -373,6 +488,8 @@ let suite =
     test_case "arrival: sampler deterministic" `Quick
       test_arrival_sampler_deterministic;
     test_case "arrival: rotate" `Quick test_arrival_rotate;
+    test_case "arrival: known answers" `Quick test_arrival_known_answers;
+    test_case "arrival and mix pick: allocation per draw" `Quick test_arrival_sample_allocation;
     test_case "shape: validation" `Quick test_shape_validate;
     test_case "shape: exact mean service" `Quick test_shape_mean_service;
     test_case "shape: stages" `Quick test_shape_stages;
@@ -383,6 +500,8 @@ let suite =
     test_case "scenario: submitted ~ target" `Quick test_submitted_close_to_target;
     test_case "scenario: digest deterministic" `Slow test_digest_deterministic;
     test_case "scenario: BE tenant scheduled" `Quick test_be_tenant_scheduled;
+    test_case "scenario: scale cells stay under their allocation ceilings" `Quick
+      test_scale_cell_allocation_ceiling;
     test_case "scenario: bounded memory at 10M requests" `Slow
       test_bounded_memory;
   ]

@@ -89,17 +89,117 @@ let prop_uniform_in_unit =
 let test_rng_exponential_mean () =
   let rng = Rng.create ~seed:11 in
   let n = 100_000 in
-  let sum = ref 0.0 in
+  let sum = ref 0 in
   for _ = 1 to n do
-    sum := !sum +. Rng.exponential rng ~mean:100.0
+    sum := !sum + Rng.exponential_ns rng ~mean:100_000.0
   done;
-  let mean = !sum /. float_of_int n in
-  check Alcotest.bool "empirical mean within 2%" true (abs_float (mean -. 100.0) < 2.0)
+  let mean = float_of_int !sum /. float_of_int n in
+  check Alcotest.bool "empirical mean within 2%" true (abs_float (mean -. 100_000.0) < 2_000.0)
 
 let test_rng_int_bad_bound () =
   let rng = Rng.create ~seed:0 in
   Alcotest.check_raises "zero bound" (Invalid_argument "Rng.int: bound must be positive")
     (fun () -> ignore (Rng.int rng 0))
+
+(* Known answers: the first outputs of fixed seeds, and a few draws of
+   every derived function.  Every golden digest rests on this stream, so
+   a change to it fails here by name, not only as a digest mismatch. *)
+let test_rng_known_answers () =
+  let first8 seed =
+    let r = Rng.create ~seed in
+    List.init 8 (fun _ -> Rng.bits64 r)
+  in
+  let int64s = Alcotest.(list int64) in
+  check int64s "seed 0"
+    [ 0x99ec5f36cb75f2b4L; 0xbf6e1f784956452aL; 0x1a5f849d4933e6e0L; 0x6aa594f1262d2d2cL;
+      0xbba5ad4a1f842e59L; 0xffef8375d9ebcacaL; 0x6c160deed2f54c98L; 0x8920ad648fc30a3fL ]
+    (first8 0);
+  check int64s "seed 1"
+    [ 0xb3f2af6d0fc710c5L; 0x853b559647364ceaL; 0x92f89756082a4514L; 0x642e1c7bc266a3a7L;
+      0xb27a48e29a233673L; 0x24c123126ffda722L; 0x123004ef8df510e6L; 0x61954dcc47b1e89dL ]
+    (first8 1);
+  check int64s "seed 42"
+    [ 0x15780b2e0c2ec716L; 0x6104d9866d113a7eL; 0xae17533239e499a1L; 0xecb8ad4703b360a1L;
+      0xfde6dc7fe2ec5e64L; 0xc50da53101795238L; 0xb82154855a65ddb2L; 0xd99a2743ebe60087L ]
+    (first8 42);
+  let r = Rng.create ~seed:7 in
+  check Alcotest.(list int) "int"
+    [ 7; 337; 319819; 4; 507865858444; 3438232722690065957 ]
+    (List.map (Rng.int r) [ 10; 1000; 1_000_000; 7; 1 lsl 40; max_int ]);
+  let exact = Alcotest.float 0.0 in
+  let r = Rng.create ~seed:7 in
+  List.iter
+    (fun want -> check exact "uniform" want (Rng.uniform r))
+    [ 0x1.66b1f5ee9df2ep-1; 0x1.1d70f6593d20ap-2; 0x1.ade3a6932a58fp-1; 0x1.f65270e63d00ep-1 ];
+  let r = Rng.create ~seed:7 in
+  check Alcotest.(list int) "exponential_ns"
+    [ 1205896260247; 326771165804; 1830255806913; 3968472994580 ]
+    (List.init 4 (fun _ -> Rng.exponential_ns r ~mean:1e12));
+  let parent = Rng.create ~seed:42 in
+  let child = Rng.split parent in
+  let c1 = Rng.bits64 child in
+  let c2 = Rng.bits64 child in
+  check int64s "split: the child's stream" [ 0x8ee445d14631c453L; 0x106fa1a13296fe62L ] [ c1; c2 ];
+  check Alcotest.int64 "split: the parent advanced one draw" 0x6104d9866d113a7eL
+    (Rng.bits64 parent);
+  let orig = Rng.create ~seed:1 in
+  ignore (Rng.bits64 orig);
+  let dup = Rng.copy orig in
+  let d1 = Rng.bits64 dup in
+  let d2 = Rng.bits64 dup in
+  check int64s "copy: the original's future" [ 0x853b559647364ceaL; 0x92f89756082a4514L ]
+    [ d1; d2 ];
+  check Alcotest.int64 "copy: the original is untouched" 0x853b559647364ceaL
+    (Rng.bits64 orig);
+  let r = Rng.create ~seed:3 in
+  check Alcotest.(list int) "Dist.sample of every kind"
+    [ 5; 5; 5; 1173; 1023; 246; 11; 13; 13; 4; 4; 10000; 266; 58; 76; 1094; 1099; 1098 ]
+    (List.concat_map
+       (fun d -> List.init 3 (fun _ -> Dist.sample d r))
+       Dist.
+         [
+           Constant 5;
+           Exponential { mean = 1000 };
+           Uniform { lo = 10; hi = 20 };
+           Bimodal { p_short = 0.9; short = 4; long = 10000 };
+           Lognormal { mu = 5.0; sigma = 1.0 };
+           Pareto { scale = 1000; alpha = 1.3; cap = 5_000_000 };
+         ])
+
+(* Minor words per call of [f], over [calls] calls after a warm-up. *)
+let words_per_call ?(calls = 10_000) f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+(* The draw path allocates nothing: [Rng]'s state is unboxed and the
+   [int]-returning draws never box a 64-bit word.  [bits64] returns a
+   boxed [int64] (3 words) by its type.  The 0.01 tolerance covers the
+   boxed floats [Gc.minor_words] itself may return. *)
+let test_rng_draws_allocate_nothing () =
+  let r = Rng.create ~seed:5 in
+  let pin name ~max f =
+    let w = words_per_call f in
+    if w > max +. 0.01 then Alcotest.failf "%s: %.2f minor words per call (max %.0f)" name w max
+  in
+  pin "Rng.int" ~max:0.0 (fun () -> ignore (Rng.int r 1_000_000));
+  pin "Rng.bits53" ~max:0.0 (fun () -> ignore (Rng.bits53 r));
+  pin "Rng.exponential_ns" ~max:0.0 (fun () -> ignore (Rng.exponential_ns r ~mean:1000.0));
+  pin "Rng.bits64" ~max:3.0 (fun () -> ignore (Rng.bits64 r));
+  List.iter
+    (fun (name, d) -> pin ("Dist.sample " ^ name) ~max:0.0 (fun () -> ignore (Dist.sample d r)))
+    Dist.
+      [
+        ("Constant", Constant 5);
+        ("Exponential", Exponential { mean = 1000 });
+        ("Uniform", Uniform { lo = 10; hi = 20 });
+        ("Bimodal", Bimodal { p_short = 0.9; short = 4; long = 10000 });
+        ("Lognormal", Lognormal { mu = 5.0; sigma = 1.0 });
+        ("Pareto", pareto_heavy);
+      ]
 
 (* ---- Dist ---- *)
 
@@ -1068,6 +1168,8 @@ let suite =
     Alcotest.test_case "rng: split" `Quick test_rng_split_independent;
     Alcotest.test_case "rng: exponential mean" `Slow test_rng_exponential_mean;
     Alcotest.test_case "rng: bad bound" `Quick test_rng_int_bad_bound;
+    Alcotest.test_case "rng: known answers" `Quick test_rng_known_answers;
+    Alcotest.test_case "rng: draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
     qtest prop_int_in_range;
     qtest prop_uniform_in_unit;
     Alcotest.test_case "dist: constant" `Quick test_dist_constant;
