@@ -513,20 +513,19 @@ let () =
   E.Tables.print_appswitch ();
 
   (* Figures. *)
-  ignore (E.Fig5.print config);
-  ignore (E.Fig6.print config);
-  ignore (E.Fig7.print_a config);
-  let b = E.Fig7.print_b config in
-  ignore (E.Fig7.print_c config b);
-  ignore (E.Fig8.print_a config);
-  ignore (E.Fig8.print_b config);
+  E.Fig5.print config;
+  E.Fig6.print config;
+  E.Fig7.print_a config;
+  E.Fig7.print_c config;
+  E.Fig8.print_a config;
+  E.Fig8.print_b config;
 
   (* Core-allocation policy comparison (lib/alloc) + perf-trajectory JSON. *)
-  ignore (E.Colocate_alloc.print config);
+  E.Colocate_alloc.print config;
   write_bench_alloc_json config;
 
   (* Fault-rate sweep (lib/fault): recovery machinery + BENCH_fault.json. *)
-  ignore (E.Fault_sweep.print config);
+  E.Fault_sweep.print config;
 
   (* Observability layer (lib/obs): attribution identity, trace invariants,
      and the registry-on == registry-off determinism proof + BENCH_obs.json. *)

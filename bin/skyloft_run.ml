@@ -10,6 +10,16 @@ open Cmdliner
 module E = Skyloft_experiments
 module Time = Skyloft_sim.Time
 
+(* A count that must be at least 1: a zero or negative --duration-ms or
+   --requests is a usage error, not a run. *)
+let positive =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let config_term =
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Short runs (80 ms per data point).")
@@ -20,7 +30,7 @@ let config_term =
   let duration_ms =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "duration-ms" ] ~docv:"MS" ~doc:"Simulated milliseconds per data point.")
   in
   let seed =
@@ -40,7 +50,7 @@ let config_term =
   let requests =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "requests" ] ~docv:"N"
           ~doc:
             "Requests per cell for request-driven experiments (scale).  \
@@ -59,33 +69,24 @@ let config_term =
 
 let experiments : (string * string * (E.Config.t -> unit)) list =
   [
-    ("fig5", "schbench wakeup latency across schedulers",
-     fun c -> ignore (E.Fig5.print c));
-    ("fig6", "schbench wakeup latency vs RR time slice",
-     fun c -> ignore (E.Fig6.print c));
-    ("fig7a", "dispersive workload tail latency",
-     fun c -> ignore (E.Fig7.print_a c));
+    ("fig5", "schbench wakeup latency across schedulers", E.Fig5.print);
+    ("fig6", "schbench wakeup latency vs RR time slice", E.Fig6.print);
+    ("fig7a", "dispersive workload tail latency", E.Fig7.print_a);
     ( "fig7b",
       "dispersive workload co-located with a batch application",
       fun c -> ignore (E.Fig7.print_b c) );
-    ( "fig7c",
-      "CPU share of the batch application",
-      fun c ->
-        let b = E.Fig7.print_b c in
-        ignore (E.Fig7.print_c c b) );
+    ("fig7c", "CPU share of the batch application", E.Fig7.print_c);
     ( "colocate-alloc",
       "core-allocation policy comparison (Static/Utilization/Delay)",
-      fun c -> ignore (E.Colocate_alloc.print c) );
+      E.Colocate_alloc.print );
     ( "fault-sweep",
       "fault-rate sweep: p99 + recovery accounting under injected faults",
-      fun c -> ignore (E.Fault_sweep.print c) );
+      E.Fault_sweep.print );
     ( "obs-report",
       "unified observability report: latency attribution + trace analysis",
-      fun c -> ignore (E.Obs_report.print c) );
-    ("fig8a", "Memcached under the USR workload",
-     fun c -> ignore (E.Fig8.print_a c));
-    ("fig8b", "RocksDB under the bimodal workload",
-     fun c -> ignore (E.Fig8.print_b c));
+      E.Obs_report.print );
+    ("fig8a", "Memcached under the USR workload", E.Fig8.print_a);
+    ("fig8b", "RocksDB under the bimodal workload", E.Fig8.print_b);
     ("table4", "scheduler lines of code", fun _ -> ignore (E.Tables.print_table4 ()));
     ("table5", "scheduling-policy parameters", fun _ -> E.Tables.print_table5 ());
     ("table6", "preemption mechanism costs", fun _ -> ignore (E.Tables.print_table6 ()));
@@ -97,20 +98,20 @@ let experiments : (string * string * (E.Config.t -> unit)) list =
      E.Ablations.print);
     ( "hybrid",
       "hybrid runtime vs both parents (ablation A5 only)",
-      fun c -> ignore (E.Ablations.a5_hybrid_vs_parents c) );
+      E.Ablations.a5_hybrid_vs_parents );
     ( "worksteal",
       "work-stealing runtime vs the other three across arrival regimes \
        (ablation A6 only)",
-      fun c -> ignore (E.Ablations.a6_worksteal_regimes c) );
+      E.Ablations.a6_worksteal_regimes );
     ( "scale",
       "scenario DSL x runtime sweep at millions of requests per cell",
-      fun c -> ignore (E.Scale.print c) );
+      E.Scale.print );
     ( "oversub",
       "oversubscribed machine: multi-runtime tenant sweep under the core broker",
-      fun c -> ignore (E.Oversub.print c) );
+      E.Oversub.print );
     ( "golden",
       "print the determinism golden fingerprints (fixed seeds)",
-      fun c -> E.Golden.print c );
+      E.Golden.print );
   ]
 
 (* Entries whose whole output another entry already prints: fig7c
@@ -144,7 +145,7 @@ let trace_dump_cmd =
       & info [ "limit" ] ~docv:"N"
           ~doc:"Print at most $(docv) event lines (0 = all).")
   in
-  let run path limit = ignore (E.Trace_dump.dump ~path ~limit) in
+  let run path limit = E.Trace_dump.dump ~path ~limit in
   Cmd.v
     (Cmd.info "trace-dump"
        ~doc:"Decode and verify a flight-recorder binary trace image")

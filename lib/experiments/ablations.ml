@@ -1,8 +1,5 @@
 module Time = Skyloft_sim.Time
 module Engine = Skyloft_sim.Engine
-module Topology = Skyloft_hw.Topology
-module Machine = Skyloft_hw.Machine
-module Kmod = Skyloft_kernel.Kmod
 module Summary = Skyloft_stats.Summary
 module App = Skyloft.App
 module Percpu = Skyloft.Percpu
@@ -12,7 +9,6 @@ module Dist = Skyloft_sim.Dist
 module Nic = Skyloft_net.Nic
 module Loadgen = Skyloft_net.Loadgen
 module Udp_server = Skyloft_apps.Udp_server
-module Histogram = Skyloft_stats.Histogram
 module Rc = Skyloft.Runtime_core
 
 (** Ablations of the design choices DESIGN.md calls out:
@@ -38,9 +34,7 @@ module Rc = Skyloft.Runtime_core
 let a1_tick_frequency (config : Config.t) =
   Report.section "Ablation A1: user-timer tick frequency vs useful throughput";
   let run hz =
-    let engine = Engine.create ~seed:config.seed () in
-    let machine = Machine.create engine Topology.paper_server in
-    let kmod = Kmod.create machine in
+    let engine, machine, kmod = Harness.fresh config in
     let rt =
       Percpu.runtime
         (Percpu.create machine kmod ~cores:[ 0 ]
@@ -82,8 +76,7 @@ let a1_tick_frequency (config : Config.t) =
   in
   Report.table ~header:[ "tick rate"; "useful CPU"; "vs no timer" ] rows;
   Report.note "each tick costs the user-timer receive (~321ns) + SN re-post (~62ns);";
-  Report.note "at the paper's 100 kHz that is a ~4%% tax, at 1 MHz it is ~40%%";
-  rows
+  Report.note "at the paper's 100 kHz that is a ~4%% tax, at 1 MHz it is ~40%%"
 
 (* ---- one cell runner (A2, A3, A5, A6) ------------------------------------ *)
 
@@ -122,28 +115,29 @@ let hybrid_design notes machine kmod =
   (Hybrid.runtime h, fun () -> notes h)
 
 (* One cell: a fresh machine at the config's seed, the runtime [build]
-   returns with its notes, one "lc" app, and [drive engine rng app
-   submit] issuing requests until [horizon].  The serial dispatcher
-   cannot pin, so its designs take every request unpinned. *)
+   returns with its notes, one "lc" app, and [drive engine rng submit]
+   issuing requests until [horizon].  The serial dispatcher cannot pin,
+   so its designs take every request unpinned.  Returns the design's
+   name, the app's summary, the requests it served inside the measured
+   window and the notes. *)
 let design (config : Config.t) ~horizon name build drive =
-  let engine = Engine.create ~seed:config.seed () in
-  let machine = Machine.create engine Topology.paper_server in
-  let kmod = Kmod.create machine in
+  let engine, machine, kmod = Harness.fresh config in
   let rt, notes = build machine kmod in
   let app = Rc.create_app rt ~name:"lc" in
   let pinnable = rt.Rc.dispatch.Rc.d_pinnable in
   let rng = Engine.split_rng engine in
-  drive engine rng app (fun ~cpu ~service ->
+  drive engine rng (fun ~cpu ~service ->
       ignore
         (Rc.spawn rt app ~name:"req"
            ?cpu:(if pinnable then cpu else None)
            ~service
            (Coro.compute_then_exit service)));
+  let served = Harness.window engine config (fun () -> Summary.requests app.App.summary) in
   Engine.run ~until:horizon engine;
-  (name, app.App.summary, notes ())
+  (name, app.App.summary, served (), notes ())
 
 (* Open-loop Poisson arrivals over the config's duration, unpinned. *)
-let poisson (config : Config.t) ~rate ~service engine rng _app submit =
+let poisson (config : Config.t) ~rate ~service engine rng submit =
   Loadgen.poisson engine ~rng ~rate_rps:rate ~service
     ~duration:config.duration (fun pkt ->
       submit ~cpu:None ~service:pkt.Skyloft_net.Packet.service)
@@ -156,7 +150,7 @@ let a2_percpu_vs_centralized (config : Config.t) =
   let rate = 0.75 *. (float_of_int n_cores *. 1e9 /. Dist.mean Dist.dispersive) in
   let drive = poisson config ~rate ~service:Dist.dispersive in
   let horizon = config.duration + Time.ms 60 in
-  let row (name, summary, _) workers =
+  let row (name, summary, _, _) workers =
     [
       name; string_of_int workers;
       string_of_int (Summary.requests summary);
@@ -186,21 +180,16 @@ let a3_dispatcher_scalability (config : Config.t) =
   let run workers =
     (* overload: 1.2x the worker capacity of 1us requests *)
     let rate = 1.2 *. float_of_int workers *. 1e6 in
-    let in_window = ref 0 in
-    ignore
-      (design config ~horizon:(config.duration + Time.ms 20) "centralized"
-         (fun machine kmod ->
-           ( Hybrid.runtime
-               (hybrid ~workers machine kmod ~quantum:0 ~adaptive:false
-                  (Skyloft_policies.Shinjuku.create ())),
-             no_notes ))
-         (fun engine rng app submit ->
-           ignore
-             (Engine.at engine config.duration (fun () ->
-                  in_window := Summary.requests app.App.summary));
-           poisson config ~rate ~service:(Dist.Constant (Time.us 1)) engine rng
-             app submit));
-    float_of_int !in_window /. Time.to_s_float config.duration /. 1.0e6
+    let _, _, served, _ =
+      design config ~horizon:(config.duration + Time.ms 20) "centralized"
+        (fun machine kmod ->
+          ( Hybrid.runtime
+              (hybrid ~workers machine kmod ~quantum:0 ~adaptive:false
+                 (Skyloft_policies.Shinjuku.create ())),
+            no_notes ))
+        (poisson config ~rate ~service:(Dist.Constant (Time.us 1)))
+    in
+    Harness.per_s config served /. 1.0e6
   in
   let rows =
     Parallel.map ~jobs:config.jobs
@@ -210,18 +199,15 @@ let a3_dispatcher_scalability (config : Config.t) =
   in
   Report.table ~header:[ "workers"; "achieved" ] rows;
   Report.note "the global queue + dispatch cost cap throughput regardless of";
-  Report.note "worker count — the scalability wall of Figure 2b designs";
-  rows
+  Report.note "worker count — the scalability wall of Figure 2b designs"
 
 (* ---- A4: NIC reception modes --------------------------------------------- *)
 
 let a4_nic_modes (config : Config.t) =
   Report.section "Ablation A4: NIC reception — spin polling vs periodic vs user MSI (§6)";
   let cores = [ 0; 1 ] in
-  let run mode_name make_nic attach =
-    let engine = Engine.create ~seed:config.seed () in
-    let machine = Machine.create engine Topology.paper_server in
-    let kmod = Kmod.create machine in
+  let run (mode_name, mode) =
+    let engine, machine, kmod = Harness.fresh config in
     (* preemption off: with timer delegation the UPID.SN bit suppresses
        device notification IPIs and MSIs would coalesce onto timer ticks *)
     let rt =
@@ -229,8 +215,11 @@ let a4_nic_modes (config : Config.t) =
         (Skyloft_policies.Work_stealing.create ())
     in
     let app = Rc.create_app (Percpu.runtime rt) ~name:"srv" in
-    let nic = make_nic engine machine in
-    attach rt app nic;
+    let mode = mode machine in
+    let nic = Nic.create engine ~queues:2 ~mode () in
+    (match mode with
+    | Nic.Msi _ -> Udp_server.attach_irq rt app nic ~cores
+    | Nic.Spin | Nic.Periodic _ -> Udp_server.attach rt app nic ~cores);
     let rng = Engine.split_rng engine in
     (* light load so the latency is pure delivery path *)
     Loadgen.poisson engine ~rng ~rate_rps:50_000.0 ~service:(Dist.Constant (Time.us 2))
@@ -243,31 +232,17 @@ let a4_nic_modes (config : Config.t) =
     ]
   in
   let rows =
-    Parallel.map ~jobs:config.jobs
-      (fun f -> f ())
+    Parallel.map ~jobs:config.jobs run
       [
-        (fun () ->
-          run "spin polling (dedicated core)"
-            (fun engine _ -> Nic.create engine ~queues:2 ())
-            (fun rt app nic -> Udp_server.attach rt app nic ~cores));
-        (fun () ->
-          run "periodic polling (10us)"
-            (fun engine _ ->
-              Nic.create engine ~queues:2 ~mode:(Nic.Periodic (Time.us 10)) ())
-            (fun rt app nic -> Udp_server.attach rt app nic ~cores));
-        (fun () ->
-          run "user interrupt (MSI via UINTR)"
-            (fun engine machine ->
-              Nic.create engine ~queues:2
-                ~mode:(Nic.Msi { machine; cores = Array.of_list cores })
-                ())
-            (fun rt app nic -> Udp_server.attach_irq rt app nic ~cores));
+        ("spin polling (dedicated core)", fun _ -> Nic.Spin);
+        ("periodic polling (10us)", fun _ -> Nic.Periodic (Time.us 10));
+        ( "user interrupt (MSI via UINTR)",
+          fun machine -> Nic.Msi { machine; cores = Array.of_list cores } );
       ]
   in
   Report.table ~header:[ "rx mode"; "p50 (us)"; "p99 (us)" ] rows;
   Report.note "user-mode MSI delivery needs no polling core and no kernel, at";
-  Report.note "~0.6us interrupt latency; periodic polling trades latency for CPU";
-  rows
+  Report.note "~0.6us interrupt latency; periodic polling trades latency for CPU"
 
 (* ---- A5: the hybrid runtime vs both parents ------------------------------ *)
 
@@ -293,13 +268,9 @@ let a5_hybrid_vs_parents (config : Config.t) =
               | Hybrid.Percore -> "percore")) );
     ]
   in
-  let cells =
-    List.concat_map (fun load -> List.map (fun d -> (load, d)) designs) [ 0.2; 0.8 ]
-  in
   let rows =
-    Parallel.map ~jobs:config.jobs
-      (fun (load, (name, build)) ->
-        let _, summary, extra =
+    Parallel.grid ~jobs:config.jobs [ 0.2; 0.8 ] designs (fun load (name, build) ->
+        let _, summary, _, extra =
           design config ~horizon name build
             (poisson config ~rate:(load *. cap) ~service:Dist.dispersive)
         in
@@ -311,15 +282,13 @@ let a5_hybrid_vs_parents (config : Config.t) =
           Report.us (Summary.latency_p summary 99.0);
           extra;
         ])
-      cells
   in
   Report.table
     ~header:[ "load"; "design"; "served"; "p50 (us)"; "p99 (us)"; "mode" ]
-    rows;
+    (List.concat_map snd rows);
   Report.note "low load: the hybrid stays central (single queue, no stealing tail);";
   Report.note "high load: it hands the cores to per-core timers and scales past";
-  Report.note "the dispatcher — one Runtime_core substrate under all three";
-  rows
+  Report.note "the dispatcher — one Runtime_core substrate under all three"
 
 (* ---- A6: the work-stealing runtime across arrival regimes ---------------- *)
 
@@ -356,7 +325,7 @@ let a6_worksteal_regimes (config : Config.t) =
      arrival regimes";
   let service = Dist.Exponential { mean = Time.us 5 } in
   let cap = float_of_int n_cores *. 1e9 /. Dist.mean service in
-  let drive_skewed engine rng _app submit =
+  let drive_skewed engine rng submit =
     let i = ref 0 in
     Loadgen.poisson engine ~rng ~rate_rps:(0.2 *. cap) ~service
       ~duration:config.duration (fun pkt ->
@@ -364,7 +333,7 @@ let a6_worksteal_regimes (config : Config.t) =
         incr i;
         submit ~cpu:(Some cpu) ~service:pkt.Skyloft_net.Packet.service)
   in
-  let drive_bursty engine rng _app submit =
+  let drive_bursty engine rng submit =
     let period = Time.us 200 and batch = 24 in
     for b = 0 to (config.duration / period) - 1 do
       ignore
@@ -381,67 +350,59 @@ let a6_worksteal_regimes (config : Config.t) =
       ("overload", poisson config ~rate:(0.9 *. cap) ~service);
     ]
   in
-  let runners =
-    List.map
-      (fun (name, build) -> design config ~horizon:(config.duration + Time.ms 60) name build)
-      [
-        ("percpu", percpu_design);
-        ("centralized", centralized_design);
-        ( "hybrid",
-          hybrid_design (fun h ->
-              Printf.sprintf "%d mode switches" (Hybrid.mode_switches h)) );
-        ( "worksteal",
-          fun machine kmod ->
-            let policy, steals =
-              Skyloft_policies.Work_stealing.steal_half ~quantum ()
-            in
-            let rt =
-              percpu machine kmod ~park:Skyloft_policies.Work_stealing.park policy
-            in
-            ( Percpu.runtime rt,
-              fun () ->
-                Printf.sprintf "%d steals (%d tasks), %d parks"
-                  steals.Skyloft_policies.Work_stealing.steals
-                  steals.stolen_tasks (Percpu.parks rt) ) );
-      ]
-  in
-  let cells =
-    List.concat_map
-      (fun (rname, drive) -> List.map (fun run -> (rname, drive, run)) runners)
-      regimes
+  let designs =
+    [
+      ("percpu", percpu_design);
+      ("centralized", centralized_design);
+      ( "hybrid",
+        hybrid_design (fun h ->
+            Printf.sprintf "%d mode switches" (Hybrid.mode_switches h)) );
+      ( "worksteal",
+        fun machine kmod ->
+          let policy, steals =
+            Skyloft_policies.Work_stealing.steal_half ~quantum ()
+          in
+          let rt =
+            percpu machine kmod ~park:Skyloft_policies.Work_stealing.park policy
+          in
+          ( Percpu.runtime rt,
+            fun () ->
+              Printf.sprintf "%d steals (%d tasks), %d parks"
+                steals.Skyloft_policies.Work_stealing.steals
+                steals.stolen_tasks (Percpu.parks rt) ) );
+    ]
   in
   let results =
-    Parallel.map ~jobs:config.jobs
-      (fun (rname, drive, run) -> (rname, run drive))
-      cells
+    Parallel.grid ~jobs:config.jobs regimes designs (fun (_, drive) (name, build) ->
+        design config ~horizon:(config.duration + Time.ms 60) name build drive)
   in
   Report.table
     ~header:[ "regime"; "design"; "served"; "p50 (us)"; "p99 (us)"; "notes" ]
-    (List.map
-       (fun (rname, (name, summary, extra)) ->
-         [
-           rname;
-           name;
-           string_of_int (Summary.requests summary);
-           Report.us (Summary.latency_p summary 50.0);
-           Report.us (Summary.latency_p summary 99.0);
-           extra;
-         ])
+    (List.concat_map
+       (fun ((rname, _), cells) ->
+         List.map
+           (fun (name, summary, _, extra) ->
+             [
+               rname;
+               name;
+               string_of_int (Summary.requests summary);
+               Report.us (Summary.latency_p summary 50.0);
+               Report.us (Summary.latency_p summary 99.0);
+               extra;
+             ])
+           cells)
        results);
   (* The asserted claim: the trade-off is real in both directions. *)
-  let p99_of rname design =
-    match
-      List.find_opt
-        (fun (r, (d, _, _)) -> String.equal r rname && String.equal d design)
-        results
-    with
-    | Some (_, (_, summary, _)) -> Summary.latency_p summary 99.0
-    | None -> failwith "ablation A6: missing cell"
-  in
   let comparisons =
     List.map
-      (fun (rname, _) -> (rname, p99_of rname "worksteal", p99_of rname "hybrid"))
-      regimes
+      (fun ((rname, _), cells) ->
+        let p99_of design =
+          match List.find_opt (fun (d, _, _, _) -> String.equal d design) cells with
+          | Some (_, summary, _, _) -> Summary.latency_p summary 99.0
+          | None -> failwith "ablation A6: missing cell"
+        in
+        (rname, p99_of "worksteal", p99_of "hybrid"))
+      results
   in
   let wins = List.filter (fun (_, ws, hy) -> ws < hy) comparisons in
   let losses = List.filter (fun (_, ws, hy) -> ws > hy) comparisons in
@@ -462,13 +423,12 @@ let a6_worksteal_regimes (config : Config.t) =
   Report.note
     "skew and bursts reward the dispatcher's zero-latency placement; high";
   Report.note
-    "uniform load rewards keeping all 8 cores serving with no dispatcher";
-  results
+    "uniform load rewards keeping all 8 cores serving with no dispatcher"
 
 let print config =
-  ignore (a1_tick_frequency config);
+  a1_tick_frequency config;
   a2_percpu_vs_centralized config;
-  ignore (a3_dispatcher_scalability config);
-  ignore (a4_nic_modes config);
-  ignore (a5_hybrid_vs_parents config);
-  ignore (a6_worksteal_regimes config)
+  a3_dispatcher_scalability config;
+  a4_nic_modes config;
+  a5_hybrid_vs_parents config;
+  a6_worksteal_regimes config

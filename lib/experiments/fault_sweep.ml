@@ -2,11 +2,10 @@ module Time = Skyloft_sim.Time
 module Engine = Skyloft_sim.Engine
 module Coro = Skyloft_sim.Coro
 module Dist = Skyloft_sim.Dist
-module Topology = Skyloft_hw.Topology
-module Machine = Skyloft_hw.Machine
 module Kmod = Skyloft_kernel.Kmod
 module Summary = Skyloft_stats.Summary
 module Histogram = Skyloft_stats.Histogram
+module App = Skyloft.App
 module Rc = Skyloft.Runtime_core
 module Scenario = Skyloft_scenario.Scenario
 module Allocator = Skyloft_alloc.Allocator
@@ -93,29 +92,70 @@ type counters = {
   mutable attempts : int;
 }
 
-(* The delay policy reclaims BE cores on LC queueing delay — a congestion
-   signal that stays live even while LC is fully starved of cores (the
-   utilization signal is not: an LC app with no cores has zero utilization
-   and would never be granted any). *)
-let alloc_cfg () =
-  {
-    (Allocator.default_config ()) with
-    Allocator.policy = Alloc_policy.delay ();
-    degrade_after = Some 40;
-  }
+(* The served setup the two recovery experiments share (this sweep and
+   {!Obs_report}): [runtime] on [workers] cores with the watchdog armed,
+   an "lc" and a "batch" app under [alloc], one NIC queue, and an injector
+   whose target covers the dispatcher cores too ([poison] left unset).
+   Split order is fixed so a zero-rate run draws the same generator
+   stream as a faulty one (the injector draws only from its own split). *)
+type rig = {
+  engine : Engine.t;
+  kmod : Kmod.t;
+  rt : Rc.t;
+  lc : App.t;
+  be : App.t;
+  nic : Nic.t;
+  injector : Injector.t;
+  target : Injector.target;
+  gen_rng : Skyloft_sim.Rng.t;
+}
 
-let run_point (config : Config.t) ~runtime ~rate =
-  let engine = Engine.create ~seed:config.seed () in
-  let machine = Machine.create engine Topology.paper_server in
-  let kmod = Kmod.create machine in
+let rig (config : Config.t) ~runtime ~workers ~alloc ~ring_capacity =
+  let engine, machine, kmod = Harness.fresh config in
   let rt =
     Scenario.build ~watchdog:watchdog_bound machine kmod ~first_core:0
-      ~cores:n_workers ~quantum ~timer_hz:100_000 runtime
+      ~cores:workers ~quantum ~timer_hz:100_000 runtime
   in
   let lc = Rc.create_app rt ~name:"lc" in
   let be = Rc.create_app rt ~name:"batch" in
-  Rc.attach_be_app rt ~alloc:(alloc_cfg ()) be ~chunk:(Time.us 50)
-    ~workers:n_workers;
+  Rc.attach_be_app rt ~alloc be ~chunk:(Time.us 50) ~workers;
+  let nic = Nic.create engine ~queues:1 ?ring_capacity () in
+  let inj_rng = Engine.split_rng engine in
+  let gen_rng = Engine.split_rng engine in
+  {
+    engine;
+    kmod;
+    rt;
+    lc;
+    be;
+    nic;
+    injector = Injector.create ~engine ~rng:inj_rng ();
+    target =
+      {
+        Injector.machine;
+        kmod = Some kmod;
+        nic = Some nic;
+        cores = List.init (workers + Scenario.dispatcher_cores runtime) Fun.id;
+        poison = None;
+      };
+    gen_rng;
+  }
+
+let run_point (config : Config.t) ~runtime ~rate =
+  (* The delay policy reclaims BE cores on LC queueing delay — a
+     congestion signal that stays live even while LC is fully starved of
+     cores (the utilization signal is not: an LC app with no cores has
+     zero utilization and would never be granted any). *)
+  let alloc =
+    {
+      (Allocator.default_config ()) with
+      Allocator.policy = Alloc_policy.delay ();
+      degrade_after = Some 40;
+    }
+  in
+  let { engine; kmod; rt; lc; nic; injector; target; gen_rng; _ } =
+    rig config ~runtime ~workers:n_workers ~alloc ~ring_capacity:(Some ring_capacity)
+  in
   (* A poisoned task lands on the faulted core where the mechanism can
      pin; a serial dispatcher queues it like any request. *)
   let poison ~core ~service =
@@ -125,27 +165,9 @@ let run_point (config : Config.t) ~runtime ~rate =
          ~record:false ~deadline:poison_deadline
          (Coro.Compute (service, fun () -> Coro.Exit)))
   in
-  let nic = Nic.create engine ~queues:1 ~ring_capacity () in
-  (* Split order is fixed so a zero-rate run draws the same generator
-     stream as a faulty one (the injector draws only from its own split). *)
-  let inj_rng = Engine.split_rng engine in
-  let gen_rng = Engine.split_rng engine in
-  let injector = Injector.create ~engine ~rng:inj_rng () in
-  let inject_cores =
-    List.init (n_workers + Scenario.dispatcher_cores runtime) Fun.id
-  in
   (match plans rate with
   | [] -> ()
-  | ps ->
-      Injector.arm injector
-        {
-          Injector.machine;
-          kmod = Some kmod;
-          nic = Some nic;
-          cores = inject_cores;
-          poison = Some poison;
-        }
-        ps);
+  | ps -> Injector.arm injector { target with poison = Some poison } ps);
   let cnt = { submitted = 0; completed = 0; gave_up = 0; attempts = 0 } in
   let summary = Summary.create () in
   Nic.on_packet nic ~queue:0 (fun (pkt : Packet.t) ->
@@ -198,28 +220,6 @@ let run_point (config : Config.t) ~runtime ~rate =
     steals = Kmod.steals kmod;
   }
 
-let sweep (config : Config.t) ~runtime =
-  Parallel.map ~jobs:config.jobs
-    (fun rate -> run_point config ~runtime ~rate)
-    fault_rates
-
-(* One cell per (runtime, rate), fanned across domains. *)
-let sweep_all (config : Config.t) =
-  let cells =
-    List.concat_map
-      (fun runtime -> List.map (fun rate -> (runtime, rate)) fault_rates)
-      runtimes
-  in
-  let points =
-    Parallel.map ~jobs:config.jobs
-      (fun (runtime, rate) -> run_point config ~runtime ~rate)
-      cells
-  in
-  List.map2
-    (fun runtime pts -> (Scenario.runtime_name runtime, pts))
-    runtimes
-    (Parallel.group ~size:(List.length fault_rates) points)
-
 (* ---- reporting ----------------------------------------------------------- *)
 
 let json_path = "BENCH_fault.json"
@@ -251,9 +251,7 @@ let write_json results =
            (if i < List.length results - 1 then "," else "")))
     results;
   Buffer.add_string buf "  }\n}\n";
-  let oc = open_out json_path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
+  Out_channel.with_open_text json_path (fun oc -> Buffer.output_buffer oc buf)
 
 let print config =
   Report.section
@@ -261,7 +259,11 @@ let print config =
        "Fault-rate sweep: recovery under injected faults, %d workers at %.0f%% \
         load"
        n_workers (load_frac *. 100.));
-  let results = sweep_all config in
+  let results =
+    Parallel.grid ~jobs:config.Config.jobs runtimes fault_rates (fun runtime rate ->
+        run_point config ~runtime ~rate)
+    |> List.map (fun (runtime, pts) -> (Scenario.runtime_name runtime, pts))
+  in
   List.iter
     (fun (name, pts) ->
       Report.subsection (Printf.sprintf "%s runtime" name);
@@ -300,5 +302,4 @@ let print config =
   Report.note "lost = submitted - completed - gave-up - net-drops; it must be 0:";
   Report.note "every request completes, explicitly gives up, or is a counted drop";
   write_json results;
-  Printf.printf "\nwrote %s\n" json_path;
-  results
+  Printf.printf "\nwrote %s\n" json_path

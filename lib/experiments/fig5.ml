@@ -1,9 +1,5 @@
 module Time = Skyloft_sim.Time
-module Engine = Skyloft_sim.Engine
-module Topology = Skyloft_hw.Topology
-module Machine = Skyloft_hw.Machine
 module Linux = Skyloft_kernel.Linux
-module Kmod = Skyloft_kernel.Kmod
 module Histogram = Skyloft_stats.Histogram
 module Percpu = Skyloft.Percpu
 module Runner = Skyloft_apps.Runner
@@ -40,14 +36,14 @@ let name_of = function Linux_sys (_, n) -> n | Skyloft_sys (_, n) -> n
 
 let worker_counts = [ 8; 16; 24; 32; 48; 64 ]
 
+(* One cell: the wakeup-latency histogram of one schbench run.  Figure 6
+   runs the Skyloft cell with RR at other slices. *)
 let run_one (config : Config.t) system ~workers =
-  let engine = Engine.create ~seed:config.seed () in
-  let machine = Machine.create engine Topology.paper_server in
+  let engine, machine, kmod = Harness.fresh config in
   let runner =
     match system with
     | Linux_sys (policy, _) -> Runner.of_linux (Linux.create machine policy ~cores)
     | Skyloft_sys (ctor, _) ->
-        let kmod = Kmod.create machine in
         let rt =
           Percpu.runtime (Percpu.create machine kmod ~cores ~timer_hz:100_000 (ctor ()))
         in
@@ -55,58 +51,21 @@ let run_one (config : Config.t) system ~workers =
   in
   Schbench.run runner engine (Schbench.default_config ~workers) ~duration:config.duration
 
-type point = { workers : int; p50 : Time.t; p99 : Time.t; samples : int }
+let sweep (config : Config.t) systems workers =
+  List.map
+    (fun (s, hs) -> (name_of s, hs))
+    (Parallel.grid ~jobs:config.jobs systems workers (fun s w ->
+         run_one config s ~workers:w))
 
-let point config system ~workers =
-  let h = run_one config system ~workers in
-  {
-    workers;
-    p50 = Histogram.percentile h 50.0;
-    p99 = Histogram.percentile h 99.0;
-    samples = Histogram.count h;
-  }
-
-let sweep (config : Config.t) system =
-  Parallel.map ~jobs:config.jobs
-    (fun workers -> point config system ~workers)
-    worker_counts
+let latency q h = Report.us (Histogram.percentile h q)
 
 let print (config : Config.t) =
   Report.section
     "Figure 5: schbench p99 wakeup latency (us) vs worker threads, 24 cores";
-  (* One cell per (system, worker count): the whole grid fans across
-     domains instead of one row at a time. *)
-  let cells =
-    List.concat_map
-      (fun s -> List.map (fun w -> (s, w)) worker_counts)
-      systems
-  in
-  let points =
-    Parallel.map ~jobs:config.jobs
-      (fun (s, w) -> point config s ~workers:w)
-      cells
-  in
-  let results =
-    List.map2
-      (fun s pts -> (name_of s, pts))
-      systems
-      (Parallel.group ~size:(List.length worker_counts) points)
-  in
-  let header = "system" :: List.map string_of_int worker_counts in
-  let rows =
-    List.map
-      (fun (name, points) -> name :: List.map (fun p -> Report.us p.p99) points)
-      results
-  in
-  Report.table ~header rows;
+  let results = sweep config systems worker_counts in
+  let cols = List.map string_of_int worker_counts in
+  Report.series "system" cols (latency 99.0) results;
   Report.note
     "paper: Skyloft policies stay ~100us while Linux reaches ~10,000us once workers > cores";
-  (* Also print p50 for completeness *)
   Report.subsection "p50 wakeup latency (us)";
-  let rows50 =
-    List.map
-      (fun (name, points) -> name :: List.map (fun p -> Report.us p.p50) points)
-      results
-  in
-  Report.table ~header rows50;
-  results
+  Report.series "system" cols (latency 50.0) results

@@ -1,9 +1,5 @@
 module Time = Skyloft_sim.Time
 module Engine = Skyloft_sim.Engine
-module Rng = Skyloft_sim.Rng
-module Topology = Skyloft_hw.Topology
-module Machine = Skyloft_hw.Machine
-module Kmod = Skyloft_kernel.Kmod
 module Summary = Skyloft_stats.Summary
 module App = Skyloft.App
 module Percpu = Skyloft.Percpu
@@ -37,13 +33,10 @@ let system_name = function
   | Sky_utimer q -> Printf.sprintf "Skyloft-utimer (q=%.0fus)" (Time.to_us_float q)
   | Shenango_ws -> "Shenango"
 
-type point = { offered_rps : float; achieved_rps : float; p999_us : float;
-               p999_slowdown : float }
+type point = { achieved_rps : float; p999_us : float; p999_slowdown : float }
 
 let run_server (config : Config.t) system ~workers ~service ~rate_rps =
-  let engine = Engine.create ~seed:config.seed () in
-  let machine = Machine.create engine Topology.paper_server in
-  let kmod = Kmod.create machine in
+  let engine, machine, kmod = Harness.fresh config in
   let cores, rt =
     match system with
     | Sky_ws quantum ->
@@ -72,44 +65,27 @@ let run_server (config : Config.t) system ~workers ~service ~rate_rps =
   let rng = Engine.split_rng engine in
   Loadgen.poisson engine ~rng ~rate_rps ~service ~duration:config.duration
     (fun pkt -> Nic.rx nic pkt);
-  let in_window = ref 0 in
-  ignore
-    (Engine.at engine config.duration (fun () ->
-         in_window := Summary.requests app.App.summary));
+  let served = Harness.window engine config (fun () -> Summary.requests app.App.summary) in
   Engine.run ~until:(config.duration + Time.ms 60) engine;
   {
-    offered_rps = rate_rps;
-    achieved_rps = float_of_int !in_window /. Time.to_s_float config.duration;
+    achieved_rps = Harness.per_s config (served ());
     p999_us = Time.to_us_float (Summary.latency_p app.App.summary 99.9);
     p999_slowdown = Summary.slowdown_p app.App.summary 99.9;
   }
+
+(* One cell per (system, load fraction) of a server with [workers] cores
+   whose requests take [service]. *)
+let sweep (config : Config.t) systems ~fractions ~workers ~service ~saturation =
+  List.map
+    (fun (s, pts) -> (system_name s, pts))
+    (Parallel.grid ~jobs:config.jobs systems fractions (fun s frac ->
+         run_server config s ~workers ~service ~rate_rps:(frac *. saturation)))
 
 (* ---- (a) Memcached ---- *)
 
 let memcached_workers = 4
 let memcached_saturation = Memcached.saturation_rps ~cores:memcached_workers
 let memcached_fractions = [ 0.2; 0.4; 0.6; 0.7; 0.8; 0.9; 0.95 ]
-let memcached_systems = [ Sky_ws None; Shenango_ws ]
-
-(* One cell per (system, load fraction), fanned across domains. *)
-let sweep_grid (config : Config.t) systems ~fractions ~run =
-  let cells =
-    List.concat_map (fun s -> List.map (fun frac -> (s, frac)) fractions) systems
-  in
-  let points =
-    Parallel.map ~jobs:config.jobs (fun (s, frac) -> run s frac) cells
-  in
-  List.map2
-    (fun s pts -> (system_name s, pts))
-    systems
-    (Parallel.group ~size:(List.length fractions) points)
-
-let sweep_memcached (config : Config.t) system =
-  Parallel.map ~jobs:config.jobs
-    (fun frac ->
-      run_server config system ~workers:memcached_workers ~service:Memcached.service
-        ~rate_rps:(frac *. memcached_saturation))
-    memcached_fractions
 
 let print_a config =
   Report.section
@@ -118,33 +94,16 @@ let print_a config =
         (saturation ~%.0f krps)"
        (memcached_saturation /. 1000.));
   let results =
-    sweep_grid config memcached_systems ~fractions:memcached_fractions
-      ~run:(fun s frac ->
-        run_server config s ~workers:memcached_workers ~service:Memcached.service
-          ~rate_rps:(frac *. memcached_saturation))
+    sweep config [ Sky_ws None; Shenango_ws ] ~fractions:memcached_fractions
+      ~workers:memcached_workers ~service:Memcached.service
+      ~saturation:memcached_saturation
   in
-  let header =
-    "system"
-    :: List.map (fun f -> Printf.sprintf "%.0f%%" (f *. 100.)) memcached_fractions
-  in
-  let rows =
-    List.map
-      (fun (name, points) ->
-        name :: List.map (fun p -> Printf.sprintf "%.1f" p.p999_us) points)
-      results
-  in
-  Report.table ~header rows;
+  let cols = Report.loads memcached_fractions in
+  Report.series "system" cols (fun p -> Printf.sprintf "%.1f" p.p999_us) results;
   Report.subsection "achieved throughput (krps)";
-  let rows_t =
-    List.map
-      (fun (name, points) ->
-        name :: List.map (fun p -> Report.krps p.achieved_rps) points)
-      results
-  in
-  Report.table ~header:("system" :: List.tl header) rows_t;
+  Report.series "system" cols (fun p -> Report.krps p.achieved_rps) results;
   Report.note "paper: Skyloft within 2%% of Shenango's max throughput, slightly lower";
-  Report.note "       low-load tails (Shenango pays core re-allocations)";
-  results
+  Report.note "       low-load tails (Shenango pays core re-allocations)"
 
 (* ---- (b) RocksDB ---- *)
 
@@ -161,19 +120,6 @@ let rocksdb_systems =
     Shenango_ws;
   ]
 
-let sweep_rocksdb (config : Config.t) system =
-  Parallel.map ~jobs:config.jobs
-    (fun frac ->
-      run_server config system ~workers:rocksdb_workers ~service:Rocksdb.service
-        ~rate_rps:(frac *. rocksdb_saturation))
-    rocksdb_fractions
-
-(** Highest achieved load (krps) whose p99.9 slowdown stays under the SLO. *)
-let max_load_under_slo points ~slo =
-  List.fold_left
-    (fun acc p -> if p.p999_slowdown <= slo then max acc p.achieved_rps else acc)
-    0.0 points
-
 let print_b config =
   Report.section
     (Printf.sprintf
@@ -181,30 +127,17 @@ let print_b config =
         (saturation ~%.1f krps)"
        (rocksdb_saturation /. 1000.));
   let results =
-    sweep_grid config rocksdb_systems ~fractions:rocksdb_fractions
-      ~run:(fun s frac ->
-        run_server config s ~workers:rocksdb_workers ~service:Rocksdb.service
-          ~rate_rps:(frac *. rocksdb_saturation))
+    sweep config rocksdb_systems ~fractions:rocksdb_fractions
+      ~workers:rocksdb_workers ~service:Rocksdb.service
+      ~saturation:rocksdb_saturation
   in
-  let header =
-    "system"
-    :: List.map (fun f -> Printf.sprintf "%.0f%%" (f *. 100.)) rocksdb_fractions
-  in
-  let rows =
-    List.map
-      (fun (name, points) ->
-        name :: List.map (fun p -> Printf.sprintf "%.1fx" p.p999_slowdown) points)
-      results
-  in
-  Report.table ~header rows;
+  Report.series "system" (Report.loads rocksdb_fractions)
+    (fun p -> Printf.sprintf "%.1fx" p.p999_slowdown)
+    results;
   Report.subsection "max sustained load at 50x p99.9-slowdown SLO (krps)";
-  let slo_rows =
-    List.map
-      (fun (name, points) ->
-        [ name; Report.krps (max_load_under_slo points ~slo:50.0) ])
-      results
-  in
-  Report.table ~header:[ "system"; "max krps @ 50x" ] slo_rows;
+  Harness.print_knees "max krps @ 50x" ~slo:50.0
+    (fun p -> p.p999_slowdown)
+    (fun p -> p.achieved_rps)
+    results;
   Report.note "paper: Skyloft q=5us sustains ~1.9x Shenango's load at the 50x SLO;";
-  Report.note "       the utimer variant is ~13%% below the LAPIC-timer variant";
-  results
+  Report.note "       the utimer variant is ~13%% below the LAPIC-timer variant"

@@ -120,12 +120,9 @@ let traced ~seed runtime =
 let fault_point_string (p : Fault_sweep.point) =
   Printf.sprintf
     "%s|%.6f|%.6f|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%.6f|%.6f|%d|%d"
-    p.Fault_sweep.runtime p.Fault_sweep.rate p.Fault_sweep.p99_us
-    p.Fault_sweep.submitted p.Fault_sweep.completed p.Fault_sweep.gave_up
-    p.Fault_sweep.net_drops p.Fault_sweep.lost p.Fault_sweep.attempts
-    p.Fault_sweep.deadline_drops p.Fault_sweep.rescues p.Fault_sweep.failovers
-    p.Fault_sweep.degradations p.Fault_sweep.detect_p50_us
-    p.Fault_sweep.detect_p99_us p.Fault_sweep.injected p.Fault_sweep.steals
+    p.runtime p.rate p.p99_us p.submitted p.completed p.gave_up p.net_drops
+    p.lost p.attempts p.deadline_drops p.rescues p.failovers p.degradations
+    p.detect_p50_us p.detect_p99_us p.injected p.steals
 
 let digest s = Digest.to_hex (Digest.string s)
 
@@ -192,14 +189,14 @@ let fingerprints ?(jobs = 1) () =
         (fun scenario ->
           List.map
             (fun runtime ->
-              ( Printf.sprintf "scale-%s-%s" scenario.Scale.Scenario.name
-                  (Scale.Scenario.runtime_name runtime),
+              ( Printf.sprintf "scale-%s-%s" scenario.Scenario.name
+                  (Scenario.runtime_name runtime),
                 fun () ->
                   digest
-                    (Scale.Scenario.digest_string
-                       (Scale.Scenario.run ~seed:scale_seed
+                    (Scenario.digest_string
+                       (Scenario.run ~seed:scale_seed
                           ~requests:scale_requests ~runtime scenario)) ))
-            Scale.runtimes)
+            Scenario.runtimes)
         Scale.scenarios
     @ List.map
         (fun scenario ->

@@ -2,8 +2,6 @@ module Time = Skyloft_sim.Time
 module Engine = Skyloft_sim.Engine
 module Coro = Skyloft_sim.Coro
 module Dist = Skyloft_sim.Dist
-module Topology = Skyloft_hw.Topology
-module Machine = Skyloft_hw.Machine
 module Kmod = Skyloft_kernel.Kmod
 module Histogram = Skyloft_stats.Histogram
 module Timeseries = Skyloft_stats.Timeseries
@@ -42,8 +40,6 @@ module Placement = Skyloft_scenario.Placement
     a nonzero exit — this is the CI smoke check for lib/obs. *)
 
 let n_workers = 4
-let quantum = Time.us 30
-let watchdog_bound = Time.us 200
 let load_frac = 0.35
 let rate_rps = load_frac *. Synthetic.saturation_rps ~cores:n_workers
 let drain = Time.ms 20
@@ -57,12 +53,6 @@ let page_fault_ns = Time.us 20
 
 let runtimes = Scenario.[ Centralized; Percpu; Hybrid; Worksteal ]
 
-let alloc_cfg () =
-  {
-    (Allocator.default_config ()) with
-    Allocator.policy = Alloc_policy.delay ();
-  }
-
 (* A faulting request computes half its service, blocks (the page-fault
    monitor path), and is woken by an external event; the runtime charges
    the blocked interval as fault stall, never as service. *)
@@ -70,8 +60,6 @@ let split_service service = (service / 2, service - (service / 2))
 
 type point = {
   runtime : string;
-  instrumented : bool;
-  until : Time.t;
   requests : int;
   mismatches : int;
   violations : Trace_analysis.violation list;
@@ -104,17 +92,11 @@ let fingerprint_of ~trace_json ~rows ~queue_series =
 let run_point (config : Config.t) ~runtime ~instrumented =
   (* App ids leak into trace pids; per-run allocation in Runtime_core
      guarantees both arms assign the same ids without any global reset. *)
-  let engine = Engine.create ~seed:config.seed () in
-  let machine = Machine.create engine Topology.paper_server in
-  let kmod = Kmod.create machine in
-  let rt =
-    Scenario.build ~watchdog:watchdog_bound machine kmod ~first_core:0
-      ~cores:n_workers ~quantum ~timer_hz:100_000 runtime
+  let { Fault_sweep.engine; kmod; rt; lc; be; nic; injector; target; gen_rng } =
+    Fault_sweep.rig config ~runtime ~workers:n_workers
+      ~alloc:{ (Allocator.default_config ()) with Allocator.policy = Alloc_policy.delay () }
+      ~ring_capacity:None
   in
-  let lc = Rc.create_app rt ~name:"lc" in
-  let be = Rc.create_app rt ~name:"batch" in
-  Rc.attach_be_app rt ~alloc:(alloc_cfg ()) be ~chunk:(Time.us 50)
-    ~workers:n_workers;
   (* A faulting request blocks mid-service (the page-fault monitor path)
      and is woken by an external event. *)
   let submit ~name ~service ~fault =
@@ -133,20 +115,7 @@ let run_point (config : Config.t) ~runtime ~instrumented =
   in
   let trace = Trace.create ~capacity:trace_capacity () in
   Rc.set_trace rt trace;
-  let nic = Nic.create engine ~queues:1 () in
-  let inj_rng = Engine.split_rng engine in
-  let gen_rng = Engine.split_rng engine in
-  let injector = Injector.create ~engine ~rng:inj_rng () in
-  let dispatchers = Scenario.dispatcher_cores runtime in
-  let inject_cores = List.init (n_workers + dispatchers) Fun.id in
-  Injector.arm injector
-    {
-      Injector.machine;
-      kmod = Some kmod;
-      nic = Some nic;
-      cores = inject_cores;
-      poison = None;
-    }
+  Injector.arm injector target
     [ Plan.core_steal ~period:steal_period ~duration:steal_duration () ];
   (* The registry is the only difference between the two arms. *)
   let registry = if instrumented then Some (Registry.create ()) else None in
@@ -167,7 +136,7 @@ let run_point (config : Config.t) ~runtime ~instrumented =
     ~duration:config.duration (fun pkt -> Nic.rx nic pkt);
   (* Core 0 is a worker only without a serial dispatcher; the dispatcher
      configurations take no page faults. *)
-  if dispatchers = 0 then
+  if Scenario.dispatcher_cores runtime = 0 then
     Engine.every engine ~period:page_fault_period (fun () ->
         ignore (Rc.fault_current rt ~core:0 ~duration:page_fault_ns);
         true);
@@ -210,8 +179,6 @@ let run_point (config : Config.t) ~runtime ~instrumented =
   let trace_json = Trace_analysis.to_chrome_json ~counters trace in
   {
     runtime = Scenario.runtime_name runtime;
-    instrumented;
-    until;
     requests = Attribution.requests lc.App.attribution;
     mismatches =
       Attribution.mismatches lc.App.attribution
@@ -319,7 +286,6 @@ let machine_faults ~t_ns =
   ]
 
 type machine_point = {
-  m_instrumented : bool;
   m_result : Placement.result;
   m_fingerprint : string;
   m_trace_json : string;
@@ -364,7 +330,6 @@ let run_machine_point ~seed ~requests ~instrumented =
       []
   in
   {
-    m_instrumented = instrumented;
     m_result = r;
     m_fingerprint =
       Digest.to_hex (Digest.string (trace_json ^ Placement.digest_string r));
@@ -434,19 +399,11 @@ let check_machine_point p =
       (Trace.Tenant_crash, r.Placement.crashes, "crashes");
     ]
 
-let machine_requests_for (config : Config.t) =
-  match config.Config.requests with
-  | Some r -> r
-  | None ->
-      if config.Config.duration <= Config.quick.Config.duration then 400
-      else if config.Config.duration >= Config.full.Config.duration then 2_000
-      else 800
-
 let machine_json_path = "obs_trace_machine.json"
 let machine_bin_path = "obs_trace_machine.bin"
 
 let print_machine (config : Config.t) =
-  let requests = machine_requests_for config in
+  let requests = Harness.requests config ~quick:400 ~default:800 ~full:2_000 in
   Report.subsection
     (Printf.sprintf
        "machine level: %d brokered tenants on %d cores, %d requests each"
@@ -496,19 +453,16 @@ let print_machine (config : Config.t) =
      invariants hold\n"
     on_.m_events on_.m_dropped;
   Printf.printf "registry: %d samples\n" (List.length on_.m_samples);
-  let oc = open_out machine_json_path in
-  output_string oc on_.m_trace_json;
-  close_out oc;
+  Out_channel.with_open_text machine_json_path (fun oc ->
+      output_string oc on_.m_trace_json);
   Printf.printf "wrote %s (per-tenant allowance counter tracks)\n"
     machine_json_path;
-  let oc = open_out_bin machine_bin_path in
-  output_string oc on_.m_binary;
-  close_out oc;
+  Out_channel.with_open_bin machine_bin_path (fun oc ->
+      output_string oc on_.m_binary);
   Printf.printf "wrote %s (decode with: skyloft_run trace-dump %s)\n"
     machine_bin_path machine_bin_path;
   Report.note
-    "machine arms were byte-identical with and without the registry attached";
-  on_
+    "machine arms were byte-identical with and without the registry attached"
 
 let print config =
   Report.section
@@ -518,20 +472,10 @@ let print config =
        n_workers (load_frac *. 100.));
   (* One cell per (runtime, arm), fanned across domains; the on/off
      comparison happens after the merge. *)
-  let cells =
-    List.concat_map
-      (fun runtime -> [ (runtime, true); (runtime, false) ])
-      runtimes
-  in
-  let points =
-    Parallel.map ~jobs:config.Config.jobs
-      (fun (runtime, instrumented) -> run_point config ~runtime ~instrumented)
-      cells
-  in
   let results =
     List.map
       (function
-        | [ on_; off ] ->
+        | _, [ on_; off ] ->
             if on_.fingerprint <> off.fingerprint then
               fail
                 "obs-report[%s]: registry-on run differs from registry-off run \
@@ -540,7 +484,8 @@ let print config =
             check_point on_;
             on_
         | _ -> assert false)
-      (Parallel.group ~size:2 points)
+      (Parallel.grid ~jobs:config.Config.jobs runtimes [ true; false ]
+         (fun runtime instrumented -> run_point config ~runtime ~instrumented))
   in
   List.iter
     (fun p ->
@@ -586,13 +531,10 @@ let print config =
       |> List.filteri (fun i _ -> i < 8)
       |> List.iter (fun l -> if l <> "" then Printf.printf "  %s\n" l);
       let path = trace_path p.runtime in
-      let oc = open_out path in
-      output_string oc p.trace_json;
-      close_out oc;
+      Out_channel.with_open_text path (fun oc -> output_string oc p.trace_json);
       Printf.printf "wrote %s (Perfetto: spans + queue-depth counter track)\n"
         path)
     results;
   Report.note
     "registry-on and registry-off runs were byte-identical per runtime";
-  ignore (print_machine config);
-  results
+  print_machine config

@@ -116,21 +116,6 @@ let placement_config ~scenario =
     }
   else base
 
-(* Requests per tenant by tier: --quick 400 (CI smoke), default 1500,
-   --full 5000 — or exactly what --requests says. *)
-let requests_for (config : Config.t) =
-  match config.requests with
-  | Some r -> r
-  | None ->
-      if config.duration <= Config.quick.duration then 400
-      else if config.duration >= Config.full.duration then 5_000
-      else 1_500
-
-let counts_for (config : Config.t) =
-  if config.duration <= Config.quick.duration then [ 2; 8 ]
-  else if config.duration >= Config.full.duration then [ 2; 4; 8; 16; 32; 64 ]
-  else [ 2; 8; 64 ]
-
 let run_cell ~seed ~mix ~n ~scenario ~requests =
   let capacity = 2 * n in
   let t_ns = int_of_float (float_of_int requests /. lc_rate *. 1e9) in
@@ -208,41 +193,10 @@ let check_interference ~mix ~n points =
           quarantine is not earning its keep"
          mix n open_ armed)
 
-let sweep_all (config : Config.t) =
-  let requests = requests_for config in
-  let counts = counts_for config in
-  let cells =
-    List.concat_map
-      (fun mix ->
-        List.concat_map
-          (fun n -> List.map (fun scenario -> (mix, n, scenario)) scenarios)
-          counts)
-      mixes
-  in
-  let points =
-    Parallel.map ~jobs:config.jobs
-      (fun (mix, n, scenario) ->
-        (mix, n, scenario, run_cell ~seed:config.seed ~mix ~n ~scenario ~requests))
-      cells
-  in
-  (* Group back by (mix, n) and run the cross-scenario assertions. *)
-  List.iter
-    (fun mix ->
-      List.iter
-        (fun n ->
-          let group =
-            List.filter_map
-              (fun (m, n', s, r) ->
-                if String.equal m mix && n' = n then Some (s, r) else None)
-              points
-          in
-          check_interference ~mix ~n group)
-        counts)
-    mixes;
-  points
-
 let print (config : Config.t) =
-  let requests = requests_for config in
+  (* Requests per tenant by tier: --quick 400 (CI smoke), default 1500,
+     --full 5000 — or exactly what --requests says. *)
+  let requests = Harness.requests config ~quick:400 ~default:1_500 ~full:5_000 in
   Report.section
     (Printf.sprintf
        "Oversubscribed machine: tenant sweep under the core broker, %d \
@@ -254,7 +208,23 @@ let print (config : Config.t) =
   Report.note
     "tenant 0 misbehaves per scenario; healthy p99 is everyone else's merged \
      tail";
-  let points = sweep_all config in
+  (* One cell per (mix, fleet size, scenario): each (mix, n) row comes
+     back with its scenario points, and the cross-scenario assertions run
+     on it. *)
+  let rows =
+    List.concat_map
+      (fun mix ->
+        List.map
+          (fun n -> (mix, n))
+          (Harness.tier config ~quick:[ 2; 8 ] ~default:[ 2; 8; 64 ]
+             ~full:[ 2; 4; 8; 16; 32; 64 ]))
+      mixes
+  in
+  let results =
+    Parallel.grid ~jobs:config.jobs rows scenarios (fun (mix, n) scenario ->
+        (scenario, run_cell ~seed:config.seed ~mix ~n ~scenario ~requests))
+  in
+  List.iter (fun ((mix, n), points) -> check_interference ~mix ~n points) results;
   List.iter
     (fun mix ->
       Report.subsection (Printf.sprintf "fleet: %s" mix);
@@ -272,30 +242,32 @@ let print (config : Config.t) =
             "quar";
             "crash";
           ]
-        (List.filter_map
-           (fun (m, n, scenario, r) ->
-             if not (String.equal m mix) then None
+        (List.concat_map
+           (fun ((m, n), points) ->
+             if not (String.equal m mix) then []
              else
-               let completed, gave_up =
-                 List.fold_left
-                   (fun (c, g) t ->
-                     (c + t.Placement.completed, g + t.Placement.gave_up))
-                   (0, 0) r.Placement.tenants
-               in
-               Some
-                 [
-                   string_of_int n;
-                   scenario;
-                   Report.us (healthy_p99 r);
-                   Report.us (faulty_p99 r);
-                   string_of_int completed;
-                   string_of_int gave_up;
-                   Printf.sprintf "%.4f" r.Placement.fairness;
-                   string_of_int r.Placement.degradations;
-                   string_of_int r.Placement.quarantines;
-                   string_of_int r.Placement.crashes;
-                 ])
-           points))
+               List.map
+                 (fun (scenario, r) ->
+                   let completed, gave_up =
+                     List.fold_left
+                       (fun (c, g) t ->
+                         (c + t.Placement.completed, g + t.Placement.gave_up))
+                       (0, 0) r.Placement.tenants
+                   in
+                   [
+                     string_of_int n;
+                     scenario;
+                     Report.us (healthy_p99 r);
+                     Report.us (faulty_p99 r);
+                     string_of_int completed;
+                     string_of_int gave_up;
+                     Printf.sprintf "%.4f" r.Placement.fairness;
+                     string_of_int r.Placement.degradations;
+                     string_of_int r.Placement.quarantines;
+                     string_of_int r.Placement.crashes;
+                   ])
+                 points)
+           results))
     mixes;
   Report.note
     "asserted on every sweep: per-tenant lost = 0; armed-hoard healthy p99 <= \
@@ -303,8 +275,7 @@ let print (config : Config.t) =
     interference_bound;
   Report.note
     "same seed => byte-identical digests at any -j (goldens in skyloft_run \
-     golden)";
-  points
+     golden)"
 
 (* Golden cells: small mixed-fleet placements through the identical
    machinery, digested byte-for-byte (fixed seed, independent of the CLI

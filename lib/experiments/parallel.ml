@@ -81,17 +81,10 @@ let map ?order ~jobs f items =
         | Some (Error_cell _) | None -> assert false)
   end
 
-(* Split a flattened cell list back into per-group rows: the inverse of
-   [List.concat_map] over a rectangular grid. *)
-let group ~size items =
-  if size <= 0 then invalid_arg "Parallel.group: size must be positive";
-  let rec go acc chunk k = function
-    | [] ->
-        if chunk <> [] then invalid_arg "Parallel.group: ragged input";
-        List.rev acc
-    | x :: rest ->
-        let chunk = x :: chunk in
-        if k + 1 = size then go (List.rev chunk :: acc) [] 0 rest
-        else go acc chunk (k + 1) rest
-  in
-  go [] [] 0 items
+(* One cell per (row, column), rows outer: the whole grid fans across
+   domains at once, and each row gets its results back in column order. *)
+let grid ~jobs rows cols f =
+  let cells = List.concat_map (fun r -> List.map (fun c -> (r, c)) cols) rows in
+  let results = Array.of_list (map ~jobs (fun (r, c) -> f r c) cells) in
+  let n = List.length cols in
+  List.mapi (fun i r -> (r, List.init n (fun j -> results.((i * n) + j)))) rows

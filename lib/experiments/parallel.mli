@@ -22,7 +22,9 @@ val map : ?order:int array -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     into results.
     @raise Invalid_argument if [order] is not a permutation. *)
 
-val group : size:int -> 'a list -> 'a list list
-(** Split a flattened rectangular cell list back into rows of [size]:
-    the inverse of [List.concat_map] over a grid.
-    @raise Invalid_argument on ragged input or [size <= 0]. *)
+val grid :
+  jobs:int -> 'r list -> 'c list -> ('r -> 'c -> 'b) -> ('r * 'b list) list
+(** [grid ~jobs rows cols f] runs one cell [f r c] per row and column
+    through {!map}, so all of them fan across [jobs] domains at once, and
+    returns each row with its results in column order:
+    [List.map (fun r -> (r, List.map (f r) cols)) rows] at any [jobs]. *)

@@ -37,3 +37,11 @@ let f1 v = Printf.sprintf "%.1f" v
 let opt_cycles = function Some c -> cycles c | None -> "-"
 
 let note fmt = Printf.printf ("note: " ^^ fmt ^^ "\n")
+
+(* The load-fraction column header: 0.95 -> "95%". *)
+let loads fracs = List.map (fun f -> Printf.sprintf "%.0f%%" (f *. 100.)) fracs
+
+(* One row per series: its name, then one [cell] per point. *)
+let series label cols cell results =
+  table ~header:(label :: cols)
+    (List.map (fun (name, points) -> name :: List.map cell points) results)

@@ -89,42 +89,13 @@ let tenant_mix =
     @ [ Scenario.be ~name:"batch" ~guaranteed:1 () ])
 
 let scenarios = [ steady_pareto; bursty_mmpp; tenant_mix ]
-let runtimes = Scenario.runtimes
-
-(* Requests per cell by tier: --quick 150k (the CI smoke), default 1M,
-   --full 10M — or exactly what --requests says. *)
-let requests_for (config : Config.t) =
-  match config.requests with
-  | Some r -> r
-  | None ->
-      if config.duration <= Config.quick.duration then 150_000
-      else if config.duration >= Config.full.duration then 10_000_000
-      else 1_000_000
-
-let run_cell (config : Config.t) ~scenario ~runtime ~requests =
-  Scenario.run ~seed:config.seed ~requests ~runtime scenario
-
-(* One cell per (scenario, runtime), fanned across domains; merging is
-   by cell index, so results are byte-identical at any -j. *)
-let sweep_all (config : Config.t) =
-  let requests = requests_for config in
-  let cells =
-    List.concat_map
-      (fun sc -> List.map (fun rt -> (sc, rt)) runtimes)
-      scenarios
-  in
-  let points =
-    Parallel.map ~jobs:config.jobs
-      (fun (scenario, runtime) -> run_cell config ~scenario ~runtime ~requests)
-      cells
-  in
-  List.map2
-    (fun sc pts -> (sc.Scenario.name, pts))
-    scenarios
-    (Parallel.group ~size:(List.length runtimes) points)
 
 let print (config : Config.t) =
-  let requests = requests_for config in
+  (* Requests per cell: --quick 150k (the CI smoke), default 1M, --full
+     10M — or exactly what --requests says. *)
+  let requests =
+    Harness.requests config ~quick:150_000 ~default:1_000_000 ~full:10_000_000
+  in
   Report.section
     (Printf.sprintf
        "Scale: scenario x runtime sweep, %d requests per cell, %d cores"
@@ -137,10 +108,13 @@ let print (config : Config.t) =
         (Scenario.mean_rate_rps sc /. 1e3)
         (List.length sc.Scenario.tenants))
     scenarios;
-  let results = sweep_all config in
+  let results =
+    Parallel.grid ~jobs:config.jobs scenarios Scenario.runtimes (fun scenario runtime ->
+        Scenario.run ~seed:config.seed ~requests ~runtime scenario)
+  in
   List.iter
-    (fun (name, pts) ->
-      Report.subsection name;
+    (fun ((sc : Scenario.t), pts) ->
+      Report.subsection sc.name;
       Report.table
         ~header:
           [
@@ -176,5 +150,4 @@ let print (config : Config.t) =
   Report.note
     "digests are streaming histograms only: live heap is flat in the request count";
   Report.note
-    "same seed => byte-identical digests at any -j (goldens in skyloft_run golden)";
-  results
+    "same seed => byte-identical digests at any -j (goldens in skyloft_run golden)"

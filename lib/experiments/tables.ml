@@ -1,9 +1,7 @@
-module Time = Skyloft_sim.Time
 module Engine = Skyloft_sim.Engine
 module Topology = Skyloft_hw.Topology
 module Machine = Skyloft_hw.Machine
 module Costs = Skyloft_hw.Costs
-module Vectors = Skyloft_hw.Vectors
 module Kmod = Skyloft_kernel.Kmod
 
 (** The paper's tables: 4 (scheduler LoC), 5 (parameters), 6 (preemption

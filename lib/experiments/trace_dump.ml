@@ -88,5 +88,4 @@ let dump ~path ~limit =
   if structural <> [] || machine <> [] then
     fail "trace-dump: %d invariant violations in %s"
       (List.length structural + List.length machine)
-      path;
-  trace
+      path

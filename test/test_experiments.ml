@@ -26,7 +26,9 @@ let test_fig5_shape () =
 
 let test_fig6_proportionality () =
   let p99 slice =
-    Skyloft_stats.Histogram.percentile (E.Fig6.run_one tiny ~slice ~workers:48) 99.0
+    Skyloft_stats.Histogram.percentile
+      (E.Fig5.run_one tiny (E.Fig6.system slice) ~workers:48)
+      99.0
   in
   let small = p99 (Some (Time.us 10)) in
   let big = p99 (Some (Time.us 200)) in
@@ -102,6 +104,16 @@ let test_table4_loc_counts () =
       check Alcotest.bool (path ^ " counted") true (E.Tables.count_loc path <> None))
     E.Tables.framework_files
 
+(* The SLO knee over (metric, achieved) points. *)
+let test_knee () =
+  let knee = E.Harness.knee ~slo:100.0 fst snd in
+  check (Alcotest.float 0.0) "no point under the SLO gives 0" 0.0
+    (knee [ (150.0, 1.0); (101.0, 2.0) ]);
+  check (Alcotest.float 0.0) "a non-monotone tail takes the max achieved load" 9.0
+    (knee [ (10.0, 4.0); (90.0, 9.0); (300.0, 12.0); (50.0, 7.0) ]);
+  check (Alcotest.float 0.0) "a point exactly at the SLO counts" 5.0
+    (knee [ (20.0, 3.0); (100.0, 5.0); (100.5, 6.0) ])
+
 let suite =
   [
     Alcotest.test_case "fig5 shape" `Slow test_fig5_shape;
@@ -111,4 +123,5 @@ let suite =
     Alcotest.test_case "fig8b preemption wins" `Slow test_fig8b_preemption_wins;
     Alcotest.test_case "tables print" `Quick test_tables_print;
     Alcotest.test_case "table4 loc" `Quick test_table4_loc_counts;
+    Alcotest.test_case "knee: max load at or under SLO" `Quick test_knee;
   ]

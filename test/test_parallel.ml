@@ -1,8 +1,8 @@
 (* Tests for the domain-parallel sweep driver (lib/experiments/parallel):
    the merged result must be indistinguishable from [List.map] at any
    job count and any cell claim order, a raising cell must fail the run
-   cleanly with every domain joined, and [group] must invert the grid
-   flattening the experiment drivers use. *)
+   cleanly with every domain joined, and [grid] must hand every row its
+   results in column order, as the nested [List.map] would. *)
 
 open Alcotest
 module Parallel = Skyloft_experiments.Parallel
@@ -109,25 +109,36 @@ let test_nested_map_is_flat () =
     "nested map correct" expected
     (Parallel.map ~jobs:4 inner [ 10; 20; 30; 40 ])
 
-let test_group () =
-  check
-    (Alcotest.list int_list)
-    "rectangular" [ [ 1; 2 ]; [ 3; 4 ]; [ 5; 6 ] ]
-    (Parallel.group ~size:2 [ 1; 2; 3; 4; 5; 6 ]);
-  check (Alcotest.list int_list) "empty" [] (Parallel.group ~size:3 []);
-  check_raises "ragged input"
-    (Invalid_argument "Parallel.group: ragged input") (fun () ->
-      ignore (Parallel.group ~size:2 [ 1; 2; 3 ]));
-  check_raises "non-positive size"
-    (Invalid_argument "Parallel.group: size must be positive") (fun () ->
-      ignore (Parallel.group ~size:0 [ 1 ]))
+(* The reference [grid] must equal at every job count. *)
+let grid_reference rows cols f = List.map (fun r -> (r, List.map (f r) cols)) rows
 
-let prop_group_inverts_concat =
-  let gen = QCheck.(pair (int_range 1 6) (int_range 0 7)) in
-  QCheck.Test.make ~name:"parallel: group inverts concat_map" ~count:100 gen
-    (fun (size, rows) ->
-      let grid = List.init rows (fun r -> List.init size (fun c -> (r * size) + c)) in
-      Parallel.group ~size (List.concat grid) = grid)
+let test_grid () =
+  let rows_t = Alcotest.(list (pair int int_list)) in
+  let f r c = cell ((r * 100) + c) in
+  List.iter
+    (fun jobs ->
+      let case name rows cols =
+        check rows_t
+          (Printf.sprintf "%s, jobs=%d" name jobs)
+          (grid_reference rows cols f)
+          (Parallel.grid ~jobs rows cols f)
+      in
+      case "3x2 rectangle" [ 1; 2; 3 ] [ 4; 5 ];
+      case "no rows" [] [ 1; 2 ];
+      case "no columns" [ 1; 2; 3 ] [];
+      case "1xn" [ 7 ] (List.init 9 Fun.id))
+    [ 1; 4 ];
+  check rows_t "rows keep their order and results their columns"
+    [ (1, [ 10; 20 ]); (2, [ 20; 40 ]); (3, [ 30; 60 ]) ]
+    (Parallel.grid ~jobs:4 [ 1; 2; 3 ] [ 10; 20 ] (fun r c -> r * c))
+
+let prop_grid_is_nested_map =
+  let gen = QCheck.(triple (int_range 0 6) (int_range 0 7) (int_range 1 8)) in
+  QCheck.Test.make ~name:"parallel: grid = nested List.map" ~count:100 gen
+    (fun (n_rows, n_cols, jobs) ->
+      let rows = List.init n_rows Fun.id and cols = List.init n_cols Fun.id in
+      let f r c = cell ((r * n_cols) + c) in
+      Parallel.grid ~jobs rows cols f = grid_reference rows cols f)
 
 let suite =
   [
@@ -140,6 +151,6 @@ let suite =
       test_raising_cell_fails_cleanly;
     test_case "smallest failed index wins" `Quick test_first_failing_index_wins;
     test_case "nested map stays flat and correct" `Quick test_nested_map_is_flat;
-    test_case "group splits rectangles, rejects ragged" `Quick test_group;
-    qtest prop_group_inverts_concat;
+    test_case "grid matches List.map, jobs 1/4" `Quick test_grid;
+    qtest prop_grid_is_nested_map;
   ]
