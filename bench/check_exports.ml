@@ -13,8 +13,18 @@
    declaration it names, so two modules exporting the same name never
    mask each other.
 
+   A top-level module alias [module X = M] in a lib/ .ml or .mli must be
+   used too: by a path through [X] anywhere in its own unit, interface
+   included ([X.x], [X.t], [X.C], [open X], ...), or by one through [U.X]
+   from another unit, where [U] is the unit declaring the alias.  An .ml
+   alias its .mli also declares is checked once, as the .mli's.  Uses
+   are read from the paths and long identifiers in the typed trees and
+   matched by name, since an alias's uses name it before the type
+   checker resolves it away.
+
    Usage: check_exports.exe BUILD_DIR (after [dune build @check]).
-   Prints one line per unreferenced [val] and exits 1 if there is any. *)
+   Prints one line per unreferenced [val] or alias and exits 1 if there
+   is any. *)
 
 open Typedtree
 module Uid = Shape.Uid
@@ -79,6 +89,121 @@ let module_name (cmt : Cmt_format.cmt_infos) =
 let referenced = Uid.Tbl.create 4096
 let self_referenced = Uid.Tbl.create 4096
 
+(* ---- module aliases ------------------------------------------------------ *)
+
+(* (unit, alias) -> where the alias is bound *)
+let aliases : (string * string, export) Hashtbl.t = Hashtbl.create 64
+
+(* (unit, alias) pairs some path or long identifier goes through *)
+let alias_uses : (string * string, unit) Hashtbl.t = Hashtbl.create 1024
+
+let rec is_alias (me : module_expr) =
+  match me.mod_desc with
+  | Tmod_ident _ -> true
+  | Tmod_constraint (me, _, _, _) -> is_alias me
+  | _ -> false
+
+(* [declared]: the module names the unit's interface declares *)
+let collect_aliases ~declared unit str =
+  List.iter
+    (fun item ->
+      match item.str_desc with
+      | Tstr_module { mb_name = { txt = Some name; _ }; mb_expr; mb_loc; _ }
+        when is_alias mb_expr && not (List.mem name declared) ->
+          Hashtbl.replace aliases (unit, name) (export_of unit name mb_loc)
+      | _ -> ())
+    str.str_items
+
+let sig_modules sg =
+  List.filter_map
+    (fun item ->
+      match item.sig_desc with
+      | Tsig_module { md_name = { txt = Some name; _ }; md_type; md_loc; _ } ->
+          Some (name, md_type, md_loc)
+      | _ -> None)
+    sg.sig_items
+
+let collect_sig_aliases unit sg =
+  List.iter
+    (fun (name, md_type, loc) ->
+      match md_type.mty_desc with
+      | Tmty_alias _ -> Hashtbl.replace aliases (unit, name) (export_of unit name loc)
+      | _ -> ())
+    (sig_modules sg)
+
+(* "Skyloft_experiments__Fig8" -> "Fig8": dune's wrapped-library names *)
+let strip_wrapper name =
+  match String.rindex_opt name '_' with
+  | Some i when i > 0 && name.[i - 1] = '_' ->
+      String.sub name (i + 1) (String.length name - i - 1)
+  | _ -> name
+
+(* Record a use for the leading component (an alias of [unit] itself) and
+   for every [U.X] step along the components. *)
+let mark_components unit comps =
+  (match comps with
+  | first :: _ -> Hashtbl.replace alias_uses (unit, first) ()
+  | [] -> ());
+  let rec steps = function
+    | a :: (b :: _ as rest) ->
+        Hashtbl.replace alias_uses (strip_wrapper a, b) ();
+        steps rest
+    | _ -> ()
+  in
+  steps comps
+
+let rec path_components acc = function
+  | Path.Pident id -> Ident.name id :: acc
+  | Path.Pdot (p, s) -> path_components (s :: acc) p
+  | Path.Papply (f, a) -> path_components (path_components acc a) f
+  | Path.Pextra_ty (p, _) -> path_components acc p
+
+(* Marks every alias use in one unit's tree.  An alias's own binding
+   [module X = M] goes through [M], not [X], so it is no use of [X]. *)
+let alias_use_iterator unit =
+  let path p = mark_components unit (path_components [] p) in
+  let lid (l : Longident.t Location.loc) =
+    match l.txt with
+    | Longident.Lident _ -> ()
+    | txt -> mark_components unit (Longident.flatten txt)
+  in
+  let expr sub e =
+    (match e.exp_desc with
+    | Texp_ident (p, _, _) -> path p
+    | Texp_construct (l, _, _) -> lid l
+    | Texp_field (_, l, _) | Texp_setfield (_, l, _, _) -> lid l
+    | Texp_record { fields; _ } ->
+        Array.iter (function _, Overridden (l, _) -> lid l | _, Kept _ -> ()) fields
+    | _ -> ());
+    Tast_iterator.default_iterator.expr sub e
+  in
+  let pat : type k. Tast_iterator.iterator -> k general_pattern -> unit =
+   fun sub p ->
+    (match p.pat_desc with
+    | Tpat_construct (l, _, _, _) -> lid l
+    | Tpat_record (fields, _) -> List.iter (fun (l, _, _) -> lid l) fields
+    | _ -> ());
+    Tast_iterator.default_iterator.pat sub p
+  in
+  let typ sub t =
+    (match t.ctyp_desc with
+    | Ttyp_constr (p, _, _) -> path p
+    | Ttyp_package { pack_path; _ } -> path pack_path
+    | _ -> ());
+    Tast_iterator.default_iterator.typ sub t
+  in
+  let module_expr sub me =
+    (match me.mod_desc with Tmod_ident (p, _) -> path p | _ -> ());
+    Tast_iterator.default_iterator.module_expr sub me
+  in
+  let module_type sub mt =
+    (match mt.mty_desc with
+    | Tmty_ident (p, _) | Tmty_alias (p, _) -> path p
+    | _ -> ());
+    Tast_iterator.default_iterator.module_type sub mt
+  in
+  { Tast_iterator.default_iterator with expr; pat; typ; module_expr; module_type }
+
 let mark_references (cmt : Cmt_format.cmt_infos) str =
   let expr sub e =
     (match e.exp_desc with
@@ -104,21 +229,29 @@ let () =
         exit 2
   in
   let in_build d = Filename.concat build d in
+  (* unit -> the module names its interface declares *)
+  let declared = Hashtbl.create 128 in
   List.iter
     (fun path ->
       let cmt = Cmt_format.read_cmt path in
       match cmt.cmt_annots with
-      | Interface sg -> collect_sig (module_name cmt) sg.sig_items
+      | Interface sg ->
+          collect_sig (module_name cmt) sg.sig_items;
+          collect_sig_aliases (module_name cmt) sg;
+          Hashtbl.replace declared (module_name cmt)
+            (List.map (fun (name, _, _) -> name) (sig_modules sg))
       | _ -> ())
     (files_with_ext (in_build "lib") ".cmti" []);
   List.iter
     (fun path ->
       let cmt = Cmt_format.read_cmt path in
       match (cmt.cmt_annots, cmt.cmt_sourcefile) with
-      | Implementation str, Some src
-        when Filename.check_suffix src ".ml"
-             && not (Sys.file_exists (in_build (src ^ "i"))) ->
-          collect_implicit (module_name cmt) str
+      | Implementation str, Some src when Filename.check_suffix src ".ml" ->
+          collect_aliases
+            ~declared:(Option.value ~default:[] (Hashtbl.find_opt declared (module_name cmt)))
+            (module_name cmt) str;
+          if not (Sys.file_exists (in_build (src ^ "i"))) then
+            collect_implicit (module_name cmt) str
       | _ -> ())
     (files_with_ext (in_build "lib") ".cmt" []);
   List.iter
@@ -128,9 +261,21 @@ let () =
           (fun path ->
             let cmt = Cmt_format.read_cmt path in
             match cmt.cmt_annots with
-            | Implementation str -> mark_references cmt str
+            | Implementation str ->
+                mark_references cmt str;
+                let it = alias_use_iterator (module_name cmt) in
+                it.structure it str
             | _ -> ())
-          (files_with_ext (in_build d) ".cmt" []))
+          (files_with_ext (in_build d) ".cmt" []);
+        List.iter
+          (fun path ->
+            let cmt = Cmt_format.read_cmt path in
+            match cmt.cmt_annots with
+            | Interface sg ->
+                let it = alias_use_iterator (module_name cmt) in
+                it.signature it sg
+            | _ -> ())
+          (files_with_ext (in_build d) ".cmti" []))
     caller_dirs;
   let unreferenced ~self tbl acc =
     Uid.Tbl.fold
@@ -140,16 +285,21 @@ let () =
         else e :: acc)
       tbl acc
   in
+  let dead_aliases =
+    Hashtbl.fold
+      (fun key e acc -> if Hashtbl.mem alias_uses key then acc else e :: acc)
+      aliases []
+  in
   let dead =
-    unreferenced ~self:false exports []
+    unreferenced ~self:false exports dead_aliases
     |> unreferenced ~self:true implicit_exports
     |> List.sort (fun a b -> compare (a.file, a.line) (b.file, b.line))
   in
   List.iter (fun e -> Printf.printf "%s:%d: %s\n" e.file e.line e.qualified) dead;
   Printf.printf
     "%d of %d exported vals (%d from .mli, %d top-level in .mli-less modules) \
-     have no caller\n"
+     and top-level module aliases (%d) have no caller\n"
     (List.length dead)
-    (Uid.Tbl.length exports + Uid.Tbl.length implicit_exports)
-    (Uid.Tbl.length exports) (Uid.Tbl.length implicit_exports);
+    (Uid.Tbl.length exports + Uid.Tbl.length implicit_exports + Hashtbl.length aliases)
+    (Uid.Tbl.length exports) (Uid.Tbl.length implicit_exports) (Hashtbl.length aliases);
   if dead <> [] then exit 1

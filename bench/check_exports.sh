@@ -11,8 +11,9 @@
 # module that no compilation unit references.  Library modules, test/,
 # bench/, perfbench/, bin/ and examples/ all count as callers.  References
 # are resolved by the type checker, so `M.x`, module aliases, `M.Sub.x`,
-# local opens and `open M` are all seen.  Exits non-zero if the list is
-# not empty.
+# local opens and `open M` are all seen.  It also lists every top-level
+# `module X = M` alias in a lib/ .ml or .mli that no path goes through.
+# Exits non-zero if the list is not empty.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 dune build @check ./bench/check_exports.exe

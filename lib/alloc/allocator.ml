@@ -169,7 +169,7 @@ let transition t b ~action ~delta =
   end
 
 let signal_of t b (r : raw) =
-  let busy = max 0 (r.busy_ns - b.last_busy_ns) in
+  let busy = Int.max 0 (r.busy_ns - b.last_busy_ns) in
   b.last_busy_ns <- r.busy_ns;
   (* Staleness: cores granted and work queued, yet zero progress — the
      congestion signal is frozen (stuck tasks, stolen cores, lost ticks,
@@ -186,7 +186,7 @@ let signal_of t b (r : raw) =
     runq_len = r.runq_len;
     oldest_delay = r.oldest_delay;
     utilization =
-      float_of_int busy /. float_of_int (t.interval * max 1 b.granted);
+      float_of_int busy /. float_of_int (t.interval * Int.max 1 b.granted);
   }
 
 exception Invariant_violation of string
@@ -219,7 +219,7 @@ let arbitrate t decisions =
     (fun (b, d) ->
       match d with
       | Policy.Yield n ->
-          let n = min n (b.granted - b.bounds.guaranteed) in
+          let n = Int.min n (b.granted - b.bounds.guaranteed) in
           if n > 0 then begin
             transition t b ~action:Yield ~delta:(-n);
             free := !free + n
@@ -232,8 +232,8 @@ let arbitrate t decisions =
     (fun (b, d) ->
       match (b.kind, d) with
       | Policy.Lc, Policy.Grant n ->
-          let want = ref (min n (b.bounds.burstable - b.granted)) in
-          let from_free = min !want !free in
+          let want = ref (Int.min n (b.bounds.burstable - b.granted)) in
+          let from_free = Int.min !want !free in
           if from_free > 0 then begin
             free := !free - from_free;
             want := !want - from_free;
@@ -243,7 +243,7 @@ let arbitrate t decisions =
             (fun donor ->
               if !want > 0 && donor.kind = Policy.Be && donor.health = Healthy
               then begin
-                let steal = min !want (donor.granted - donor.bounds.guaranteed) in
+                let steal = Int.min !want (donor.granted - donor.bounds.guaranteed) in
                 if steal > 0 then begin
                   transition t donor ~action:Reclaim ~delta:(-steal);
                   transition t b ~action:Grant ~delta:steal;
@@ -258,7 +258,7 @@ let arbitrate t decisions =
     (fun (b, d) ->
       match (b.kind, d) with
       | Policy.Be, Policy.Grant n ->
-          let take = min (min n (b.bounds.burstable - b.granted)) !free in
+          let take = Int.min (Int.min n (b.bounds.burstable - b.granted)) !free in
           if take > 0 then begin
             free := !free - take;
             transition t b ~action:Grant ~delta:take

@@ -31,6 +31,44 @@ let observe (P ((module M), st)) ~app s = M.observe st ~app s
 let be_greedy (s : signal) =
   if s.cores < max_int then Grant max_int else Hold
 
+(* Per-app hysteresis state keyed by app id: parallel arrays scanned in
+   registration order.  An arbiter serves a handful of apps, and an int
+   compare per entry is cheaper than hashing the id polymorphically. *)
+module Per_app = struct
+  type 'a t = {
+    mutable ids : int array;
+    mutable states : 'a array;
+    mutable n : int;
+    fresh : unit -> 'a;
+  }
+
+  let create fresh = { ids = [||]; states = [||]; n = 0; fresh }
+
+  let add t id =
+    let st = t.fresh () in
+    if t.n = Array.length t.ids then begin
+      let len = Int.max 4 (2 * t.n) in
+      let ids = Array.make len 0 and states = Array.make len st in
+      Array.blit t.ids 0 ids 0 t.n;
+      Array.blit t.states 0 states 0 t.n;
+      t.ids <- ids;
+      t.states <- states
+    end;
+    t.ids.(t.n) <- id;
+    t.states.(t.n) <- st;
+    t.n <- t.n + 1;
+    st
+
+  (* Top-level, not a local [let rec]: that would allocate a closure per
+     lookup. *)
+  let rec find_from t id i =
+    if i = t.n then add t id
+    else if Array.unsafe_get t.ids i = id then Array.unsafe_get t.states i
+    else find_from t id (i + 1)
+
+  let find t id = find_from t id 0
+end
+
 (* ---- Static: the pre-allocator baseline split --------------------------- *)
 
 module Static_impl = struct
@@ -60,21 +98,13 @@ module Utilization_impl = struct
     hi : float;
     lo : float;
     hysteresis : int;
-    apps : (int, app_state) Hashtbl.t;
+    apps : app_state Per_app.t;
   }
 
   let name = "utilization"
 
-  let state t app =
-    match Hashtbl.find_opt t.apps app with
-    | Some st -> st
-    | None ->
-        let st = { above = 0; below = 0 } in
-        Hashtbl.replace t.apps app st;
-        st
-
   let observe t ~app s =
-    let st = state t app in
+    let st = Per_app.find t.apps app in
     if s.utilization >= t.hi then begin
       st.below <- 0;
       st.above <- st.above + 1;
@@ -82,9 +112,9 @@ module Utilization_impl = struct
         st.above <- 0;
         (* Enough cores to bring utilization back under the high watermark:
            busy core-equivalents / hi, rounded up. *)
-        let busy_cores = s.utilization *. float_of_int (max 1 s.cores) in
+        let busy_cores = s.utilization *. float_of_int (Int.max 1 s.cores) in
         let want = int_of_float (ceil (busy_cores /. t.hi)) in
-        Grant (max 1 (want - s.cores))
+        Grant (Int.max 1 (want - s.cores))
       end
       else Hold
     end
@@ -95,9 +125,9 @@ module Utilization_impl = struct
         st.below <- 0;
         (* Shed down to the high-watermark target in one step, so a calm
            app does not ratchet its grant upward over time. *)
-        let busy_cores = s.utilization *. float_of_int (max 1 s.cores) in
+        let busy_cores = s.utilization *. float_of_int (Int.max 1 s.cores) in
         let target = int_of_float (ceil (busy_cores /. t.hi)) in
-        Yield (max 1 (s.cores - target))
+        Yield (Int.max 1 (s.cores - target))
       end
       else Hold
     end
@@ -113,7 +143,12 @@ let utilization ?(hi = 0.9) ?(lo = 0.2) ?(hysteresis = 2) () =
   if hysteresis < 1 then invalid_arg "Policy.utilization: hysteresis >= 1";
   pack
     (module Utilization_impl)
-    { Utilization_impl.hi; lo; hysteresis; apps = Hashtbl.create 8 }
+    {
+      Utilization_impl.hi;
+      lo;
+      hysteresis;
+      apps = Per_app.create (fun () -> { Utilization_impl.above = 0; below = 0 });
+    }
 
 (* ---- Delay: Shenango's oldest-pending-task congestion signal ------------ *)
 
@@ -123,39 +158,31 @@ module Delay_impl = struct
   type t = {
     threshold : Time.t;
     idle_ticks : int;
-    apps : (int, app_state) Hashtbl.t;
+    apps : app_state Per_app.t;
   }
 
   let name = "delay"
-
-  let state t app =
-    match Hashtbl.find_opt t.apps app with
-    | Some st -> st
-    | None ->
-        let st = { calm = 0 } in
-        Hashtbl.replace t.apps app st;
-        st
 
   let observe t ~app s =
     match s.kind with
     | Be -> be_greedy s
     | Lc ->
-        let st = state t app in
+        let st = Per_app.find t.apps app in
         if s.oldest_delay > t.threshold then begin
           st.calm <- 0;
-          Grant (max 1 s.runq_len)
+          Grant (Int.max 1 s.runq_len)
         end
         else begin
           (* Spare capacity in core-equivalents this interval; keep one
              headroom core so a single arrival does not immediately queue
              past the threshold again. *)
-          let busy_cores = s.utilization *. float_of_int (max 1 s.cores) in
+          let busy_cores = s.utilization *. float_of_int (Int.max 1 s.cores) in
           let spare = float_of_int s.cores -. busy_cores in
           if s.runq_len = 0 && s.cores > 0 && spare > 1.5 then begin
             st.calm <- st.calm + 1;
             if st.calm >= t.idle_ticks then begin
               st.calm <- 0;
-              Yield (max 1 (int_of_float (spare -. 1.0)))
+              Yield (Int.max 1 (int_of_float (spare -. 1.0)))
             end
             else Hold
           end
@@ -169,4 +196,10 @@ end
 let delay ?(threshold = Time.us 10) ?(idle_ticks = 2) () =
   if threshold <= 0 then invalid_arg "Policy.delay: threshold must be positive";
   if idle_ticks < 1 then invalid_arg "Policy.delay: idle_ticks >= 1";
-  pack (module Delay_impl) { Delay_impl.threshold; idle_ticks; apps = Hashtbl.create 8 }
+  pack
+    (module Delay_impl)
+    {
+      Delay_impl.threshold;
+      idle_ticks;
+      apps = Per_app.create (fun () -> { Delay_impl.calm = 0 });
+    }

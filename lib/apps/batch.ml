@@ -1,7 +1,6 @@
 module Time = Skyloft_sim.Time
 module Coro = Skyloft_sim.Coro
 module Rc = Skyloft.Runtime_core
-module App = Skyloft.App
 
 (** Best-effort batch application: endless CPU-bound work in [chunk]-sized
     pieces, yielding between chunks so higher-priority work gets in at the

@@ -1,7 +1,5 @@
-module Time = Skyloft_sim.Time
 module Coro = Skyloft_sim.Coro
 module Percpu = Skyloft.Percpu
-module App = Skyloft.App
 module Nic = Skyloft_net.Nic
 module Packet = Skyloft_net.Packet
 

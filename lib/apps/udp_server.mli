@@ -1,4 +1,3 @@
-module Time = Skyloft_sim.Time
 
 (** Generic UDP request server over the Skyloft per-CPU runtime (§3.5):
     each NIC queue is bound to one isolated core; an arriving packet spawns

@@ -1,6 +1,4 @@
 module Time = Skyloft_sim.Time
-module Machine = Skyloft_hw.Machine
-module Kmod = Skyloft_kernel.Kmod
 module Hybrid = Skyloft.Hybrid
 
 (** Original Shinjuku model (§5.2 comparator).

@@ -1,4 +1,3 @@
-module Time = Skyloft_sim.Time
 module Summary = Skyloft_stats.Summary
 module Attribution = Skyloft_obs.Attribution
 

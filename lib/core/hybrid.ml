@@ -104,7 +104,7 @@ let queue_length t = t.rc.Rc.lc_queued
 (* The dispatcher is a serial resource (central mode only): when an
    operation of [cost] issued now completes. *)
 let dispatcher_done t cost =
-  let start = max (now t) t.disp_busy_until in
+  let start = Int.max (now t) t.disp_busy_until in
   t.disp_busy_until <- start + cost;
   start + cost
 
@@ -297,7 +297,7 @@ let watchdog_scan t ~bound =
               bound
               +
               if Rc.is_be t.rc task then 0
-              else max (max t.quantum 0) t.tick_period
+              else Int.max (Int.max t.quantum 0) t.tick_period
             in
             let overrun = now t - task.Task.run_start - allowed in
             if overrun > 0 then rescue_worker t u ~late:overrun
@@ -373,7 +373,7 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
       units;
       mech = mechanism;
       quantum;
-      tick_period = (if adaptive then max 1 (1_000_000_000 / timer_hz) else 0);
+      tick_period = (if adaptive then Int.max 1 (1_000_000_000 / timer_hz) else 0);
       mode = Central;
       mode_switches = 0;
       disp_busy_until = 0;
@@ -438,7 +438,7 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
           Rc.freeze_for_steal t.rc u.ex ~duration))
     units;
   Kmod.on_steal kmod ~core:dispatcher_core (fun ~duration ->
-      t.disp_busy_until <- max t.disp_busy_until (now t + duration));
+      t.disp_busy_until <- Int.max t.disp_busy_until (now t + duration));
   (* Per-core delegated timers and the mode monitor.  The worker ticks are
      same-phase [Engine.every]s, so each tick instant is one heap entry
      for all of them; outside percore mode the handler is a no-op, so a

@@ -151,7 +151,7 @@ let kick t cpu =
   if cpu.ex.Rc.current = None && (not cpu.kick_pending) && not (in_flight cpu)
   then begin
     cpu.kick_pending <- true;
-    Engine.arm cpu.kick_timer ~at:(max (now t) cpu.ex.Rc.stolen_until)
+    Engine.arm cpu.kick_timer ~at:(Int.max (now t) cpu.ex.Rc.stolen_until)
   end
 
 let kick_idle t = Array.iter (kick t) t.cpus

@@ -25,8 +25,9 @@ type t = {
   timer_hz : int;
   preemption : bool;
   mutable rr_spawn : int;  (* round-robin spawn placement cursor *)
-  uvec_handlers : (int, int -> unit) Hashtbl.t;
-      (* user-delegated device interrupts: uvec -> handler (gets core id) *)
+  uvec_handlers : (int -> unit) option array;
+      (* user-delegated device interrupts: uvec (0-63, the PIR's bit
+         index) -> handler (gets core id) *)
 }
 
 let runtime t = t.rc
@@ -51,7 +52,7 @@ let uintr_handler t (cpu : Percore.cpu) ctx ~uvec =
   else
     (* Delegated peripheral interrupt (§6): charge the receive overhead and
        run the registered driver handler in user space. *)
-    match Hashtbl.find_opt t.uvec_handlers uvec with
+    match t.uvec_handlers.(uvec) with
     | Some handler ->
         Percore.steal_time t.pc cpu (Costs.uipi_receive_ns ~cross_numa:false);
         handler cpu.ex.Rc.exec_core
@@ -66,7 +67,7 @@ let uintr_handler t (cpu : Percore.cpu) ctx ~uvec =
    the PIR re-primed so future ticks are recognised again, then a forced
    preemption so queued work gets the core. *)
 let rescue t (cpu : Percore.cpu) ~bound =
-  Rc.rescued t.rc cpu.ex ~late:(max 0 (now t - cpu.last_sched - bound));
+  Rc.rescued t.rc cpu.ex ~late:(Int.max 0 (now t - cpu.last_sched - bound));
   Percore.steal_time t.pc cpu (Costs.uipi_receive_ns ~cross_numa:false);
   if t.preemption then begin
     ignore
@@ -99,9 +100,9 @@ let watchdog_scan t ~bound =
    interrupt vectors replay at unmask (the {!Machine} mask model), so a
    queued tick re-preempts promptly once the core returns. *)
 let on_core_steal t (cpu : Percore.cpu) ~duration =
-  cpu.ex.Rc.stolen_until <- max cpu.ex.Rc.stolen_until (now t + duration);
+  cpu.ex.Rc.stolen_until <- Int.max cpu.ex.Rc.stolen_until (now t + duration);
   Percore.steal_time ~stall:true t.pc cpu duration;
-  cpu.last_sched <- max cpu.last_sched cpu.ex.Rc.stolen_until
+  cpu.last_sched <- Int.max cpu.last_sched cpu.ex.Rc.stolen_until
 
 (* ---- core allocation ----------------------------------------------------- *)
 
@@ -179,7 +180,7 @@ let create machine kmod ~cores ?(timer_hz = 100_000) ?(preemption = true) ?park
       timer_hz;
       preemption;
       rr_spawn = 0;
-      uvec_handlers = Hashtbl.create 8;
+      uvec_handlers = Array.make 64 None;
     }
   in
   let on_cpu f ex = f (Percore.cpu_of_unit pc ex) in
@@ -234,7 +235,7 @@ let start_utimer t ~src_core ~hz =
   if hz <= 0 then invalid_arg "Percpu.start_utimer: hz must be positive";
   if t.preemption then
     invalid_arg "Percpu.start_utimer: requires ~preemption:false";
-  let period = max 1 (1_000_000_000 / hz) in
+  let period = Int.max 1 (1_000_000_000 / hz) in
   Engine.every t.rc.Rc.engine ~period (fun () ->
       Array.iter
         (fun dst_core ->
@@ -249,7 +250,9 @@ let start_utimer t ~src_core ~hz =
 let register_uvec t ~uvec handler =
   if uvec = Vectors.uvec_timer || uvec = Vectors.uvec_preempt then
     invalid_arg "Percpu.register_uvec: reserved uvec";
-  Hashtbl.replace t.uvec_handlers uvec handler
+  if uvec < 0 || uvec >= Array.length t.uvec_handlers then
+    invalid_arg "Percpu.register_uvec: uvec out of 0-63";
+  t.uvec_handlers.(uvec) <- Some handler
 
 let preempt_core t ~src_core ~dst_core =
   match Machine.uintr_installed t.rc.Rc.machine ~core:dst_core with

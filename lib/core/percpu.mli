@@ -79,7 +79,7 @@ val register_uvec : t -> uvec:int -> (int -> unit) -> unit
     interrupt (§6): when user vector [uvec] is recognised on a managed
     core, the runtime charges the user-IPI receive cost and calls the
     handler with the core id.  Vectors 0 (timer) and 1 (preempt) are
-    reserved. *)
+    reserved; [uvec] must lie in 0-63. *)
 
 val start_utimer : t -> src_core:int -> hz:int -> unit
 (** Emulate per-CPU timers from a dedicated core ([src_core], outside the

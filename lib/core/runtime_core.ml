@@ -100,9 +100,13 @@ type t = {
   machine : Machine.t;
   engine : Engine.t;
   kmod : Kmod.t;
-  kthreads : (int, Kmod.kthread option array) Hashtbl.t;
-      (* app -> its kthread on each unit, indexed by exec_slot *)
-  by_id : (int, App.t) Hashtbl.t;  (* O(1) app lookup, daemon included *)
+  mutable kthreads : Kmod.kthread option array array;
+      (* app id -> its kthread on each unit, indexed by exec_slot;
+         [no_kthreads] for an app with none; grown by doubling *)
+  mutable by_id : App.t array;
+      (* app id -> app, daemon (id 0) included: ids are dense, handed out
+         in sequence by [new_app], so [next_app_id] bounds the known ones;
+         grown by doubling, slots past it hold the daemon *)
   mutable apps : App.t list;  (* reverse creation order *)
   daemon : App.t;
   mutable policy : Sched_ops.instance;
@@ -149,51 +153,51 @@ type t = {
                                   concurrent runs perturb each other *)
 }
 
+(* The shared empty row of [kthreads]: compared physically. *)
+let no_kthreads : Kmod.kthread option array = [||]
+
 let create machine kmod =
-  let t =
-    {
-      machine;
-      engine = Machine.engine machine;
-      kmod;
-      kthreads = Hashtbl.create 64;
-      by_id = Hashtbl.create 64;
-      apps = [];
-      daemon = App.daemon ();
-      policy = Sched_ops.null_instance;
-      be_app = None;
-      be_queue = Runqueue.create ();
-      lc_queued = 0;
-      enq_stamps = Array.make 64 0;
-      enq_first = 0;
-      be_running = 0;
-      be_incoming = 0;
-      busy_total = 0;
-      be_allowance = 0;
-      core_allowance = max_int;
-      allocator = None;
-      rescue_detect = Histogram.create ();
-      wakeups = Histogram.create ();
-      queue_depth = Timeseries.create ();
-      switches = 0;
-      app_switches = 0;
-      preempts = 0;
-      be_preempts = 0;
-      ticks = 0;
-      rescues = 0;
-      failovers = 0;
-      deadline_drops = 0;
-      trace = None;
-      dispatch = null_dispatch;
-      slot_of = [||];
-      idle = [||];
-      sched_view = None;
-      metric_extras = (fun _ _ -> ());
-      next_app_id = 1;  (* id 0 is the daemon *)
-      next_task_id = 1;
-    }
-  in
-  Hashtbl.replace t.by_id t.daemon.App.id t.daemon;
-  t
+  let daemon = App.daemon () in
+  {
+    machine;
+    engine = Machine.engine machine;
+    kmod;
+    kthreads = Array.make 64 no_kthreads;
+    by_id = Array.make 64 daemon;
+    apps = [];
+    daemon;
+    policy = Sched_ops.null_instance;
+    be_app = None;
+    be_queue = Runqueue.create ();
+    lc_queued = 0;
+    enq_stamps = Array.make 64 0;
+    enq_first = 0;
+    be_running = 0;
+    be_incoming = 0;
+    busy_total = 0;
+    be_allowance = 0;
+    core_allowance = max_int;
+    allocator = None;
+    rescue_detect = Histogram.create ();
+    wakeups = Histogram.create ();
+    queue_depth = Timeseries.create ();
+    switches = 0;
+    app_switches = 0;
+    preempts = 0;
+    be_preempts = 0;
+    ticks = 0;
+    rescues = 0;
+    failovers = 0;
+    deadline_drops = 0;
+    trace = None;
+    dispatch = null_dispatch;
+    slot_of = [||];
+    idle = [||];
+    sched_view = None;
+    metric_extras = (fun _ _ -> ());
+    next_app_id = 1;  (* id 0 is the daemon *)
+    next_task_id = 1;
+  }
 
 let now t = Engine.now t.engine
 
@@ -226,7 +230,7 @@ let unit_capped t ex = ex.exec_slot >= t.core_allowance
    whatever means the mechanism provides. *)
 let set_core_allowance t n =
   let old = t.core_allowance in
-  t.core_allowance <- max 0 n;
+  t.core_allowance <- Int.max 0 n;
   if t.core_allowance < old then
     Array.iter
       (fun ex -> if unit_capped t ex then t.dispatch.d_evict ex)
@@ -293,14 +297,27 @@ let install_policy t ctor = t.policy <- ctor (view t)
 
 (* ---- applications and kthreads ------------------------------------------ *)
 
-let find_app t id = Hashtbl.find t.by_id id
+let find_app t id =
+  if id < 0 || id >= t.next_app_id then raise Not_found;
+  Array.unsafe_get t.by_id id
+
+(* [a] long enough to index [i], doubled with [fill] in the new slots. *)
+let grown a i fill =
+  let n = Array.length a in
+  if i < n then a
+  else begin
+    let b = Array.make (Int.max (i + 1) (2 * n)) fill in
+    Array.blit a 0 b 0 n;
+    b
+  end
 
 let new_app t ~name =
   let id = t.next_app_id in
-  t.next_app_id <- id + 1;
   let app = App.create ~id ~name in
+  t.by_id <- grown t.by_id id t.daemon;
+  t.by_id.(id) <- app;
+  t.next_app_id <- id + 1;
   t.apps <- app :: t.apps;
-  Hashtbl.replace t.by_id app.App.id app;
   app
 
 let fresh_task_id t =
@@ -311,20 +328,26 @@ let fresh_task_id t =
 let add_kthread t ~app ~core =
   let slot = slot_of_core t core in
   if slot < 0 then invalid_arg "Runtime_core.add_kthread: unmanaged core";
+  if app < 0 then invalid_arg "Runtime_core.add_kthread: negative app id";
+  t.kthreads <- grown t.kthreads app no_kthreads;
   let per_unit =
-    match Hashtbl.find_opt t.kthreads app with
-    | Some a -> a
-    | None ->
-        let a = Array.make (Array.length t.dispatch.d_units) None in
-        Hashtbl.replace t.kthreads app a;
-        a
+    let a = t.kthreads.(app) in
+    if a != no_kthreads then a
+    else begin
+      let a = Array.make (Array.length t.dispatch.d_units) None in
+      t.kthreads.(app) <- a;
+      a
+    end
   in
   let kt = Kmod.park_on_cpu t.kmod ~app ~core in
   per_unit.(slot) <- Some kt;
   kt
 
 let unit_kthread t ~app slot =
-  match (Hashtbl.find t.kthreads app).(slot) with
+  if app < 0 || app >= Array.length t.kthreads then raise Not_found;
+  let a = Array.unsafe_get t.kthreads app in
+  if a == no_kthreads then raise Not_found;
+  match a.(slot) with
   | Some kt -> kt
   | None -> raise Not_found
 
@@ -384,7 +407,7 @@ let account t ex =
   (match ex.current with
   | Some task ->
       let app = find_app t task.Task.app in
-      let busy = max 0 (now t - ex.busy_from) in
+      let busy = Int.max 0 (now t - ex.busy_from) in
       app.App.busy_ns <- app.App.busy_ns + busy;
       t.busy_total <- t.busy_total + busy;
       (match t.trace with
@@ -444,7 +467,7 @@ let lc_left t =
   Timeseries.record t.queue_depth ~at:(now t) t.lc_queued
 
 let oldest_lc_wait t =
-  if t.lc_queued = 0 then 0 else max 0 (now t - t.enq_stamps.(t.enq_first))
+  if t.lc_queued = 0 then 0 else Int.max 0 (now t - t.enq_stamps.(t.enq_first))
 
 let enqueue t ~cpu ~reason (task : Task.t) =
   if not (is_be t task) then begin
@@ -558,7 +581,7 @@ let switch_done t ex () =
    unit's current task, and every path that takes the task off the unit
    (depose, kill, steal-freeze) cancels it first. *)
 let install_dispatch t d =
-  let top = Array.fold_left (fun acc ex -> max acc ex.exec_core) (-1) d.d_units in
+  let top = Array.fold_left (fun acc ex -> Int.max acc ex.exec_core) (-1) d.d_units in
   let slot_of = Array.make (top + 1) (-1) in
   Array.iteri
     (fun i ex ->
@@ -616,7 +639,7 @@ let begin_run t ex (task : Task.t) ~switch_cost =
   ex.current <- Some task;
   set_idle_bit t ex.exec_slot false;
   ex.busy_from <- now t;
-  task.obs_queued_ns <- task.obs_queued_ns + max 0 (now t - task.obs_enq_at);
+  task.obs_queued_ns <- task.obs_queued_ns + Int.max 0 (now t - task.obs_enq_at);
   task.obs_overhead_ns <- task.obs_overhead_ns + switch_cost;
   let start = now t + switch_cost in
   (match task.wake_time with
@@ -643,7 +666,7 @@ let depose t ex ~overhead =
   | Some task when not (Eventq.is_null ex.completion) ->
       Engine.cancel t.engine ex.completion;
       ex.completion <- Eventq.null;
-      let remaining = max 0 (task.Task.segment_end - now t) + overhead in
+      let remaining = Int.max 0 (task.Task.segment_end - now t) + overhead in
       task.Task.body <- Coro.Compute (remaining, task.Task.cont);
       task.Task.state <- Task.Runnable;
       if overhead > 0 then
@@ -666,9 +689,9 @@ let wakeup t ?(waker_cpu = -1) (task : Task.t) =
       task.Task.resuming <- true;
       task.Task.wake_time <- Some (now t);
       task.Task.obs_stall_ns <-
-        task.Task.obs_stall_ns + max 0 (now t - task.Task.obs_block_at);
+        task.Task.obs_stall_ns + Int.max 0 (now t - task.Task.obs_block_at);
       task.Task.obs_enq_at <- now t;
-      trace_instant t ~core:(max 0 task.Task.last_core) Trace.Wakeup
+      trace_instant t ~core:(Int.max 0 task.Task.last_core) Trace.Wakeup
         task.Task.name;
       t.dispatch.d_wake task ~waker_cpu
   | Task.Running | Task.Runnable -> task.Task.pending_wake <- true
@@ -690,7 +713,7 @@ let fault_current t ~core ~duration =
       | Some task when not (Eventq.is_null ex.completion) ->
           Engine.cancel t.engine ex.completion;
           ex.completion <- Eventq.null;
-          let remaining = max 0 (task.Task.segment_end - now t) in
+          let remaining = Int.max 0 (task.Task.segment_end - now t) in
           task.Task.body <- Coro.Compute (remaining, task.Task.cont);
           task.Task.state <- Task.Blocked;
           account t ex;
@@ -712,7 +735,7 @@ let deadline_expired t (task : Task.t) ~on_drop =
   app.App.tasks_alive <- app.App.tasks_alive - 1;
   Summary.record_drop app.App.summary;
   t.deadline_drops <- t.deadline_drops + 1;
-  trace_instant t ~core:(max 0 task.Task.last_core) Trace.Deadline_drop
+  trace_instant t ~core:(Int.max 0 task.Task.last_core) Trace.Deadline_drop
     task.Task.name;
   match on_drop with Some f -> f task | None -> ()
 
@@ -825,7 +848,7 @@ let start_watchdog t ~bound scan =
   match bound with
   | Some b ->
       (* Scan at half the bound so a violation is caught within ~1.5x. *)
-      Engine.every t.engine ~period:(max 1 (b / 2)) (fun () ->
+      Engine.every t.engine ~period:(Int.max 1 (b / 2)) (fun () ->
           scan ~bound:b;
           true)
   | None -> ()
@@ -834,7 +857,7 @@ let start_watchdog t ~bound scan =
    outage and resumes at hand-back; run_start moves with it so quantum and
    watchdog clocks do not count stolen time against the task. *)
 let freeze_for_steal t ex ~duration =
-  ex.stolen_until <- max ex.stolen_until (now t + duration);
+  ex.stolen_until <- Int.max ex.stolen_until (now t + duration);
   match ex.current with
   | Some task when not (Eventq.is_null ex.completion) ->
       task.Task.segment_end <- task.Task.segment_end + duration;
@@ -855,7 +878,7 @@ let in_flight_busy t ~id ~mine =
   for i = 0 to Array.length units - 1 do
     let ex = units.(i) in
     match ex.current with
-    | Some task when (task.Task.app = id) = mine -> acc := !acc + max 0 (at - ex.busy_from)
+    | Some task when (task.Task.app = id) = mine -> acc := !acc + Int.max 0 (at - ex.busy_from)
     | Some _ | None -> ()
   done;
   !acc

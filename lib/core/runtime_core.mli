@@ -97,9 +97,12 @@ type t = {
   machine : Machine.t;
   engine : Engine.t;
   kmod : Kmod.t;
-  kthreads : (int, Kmod.kthread option array) Hashtbl.t;
-      (** app id -> its kthread on each unit, indexed by [exec_slot] *)
-  by_id : (int, App.t) Hashtbl.t;  (** O(1) app lookup, daemon included *)
+  mutable kthreads : Kmod.kthread option array array;
+      (** app id -> its kthread on each unit, indexed by [exec_slot]; an
+          app with none holds the empty array *)
+  mutable by_id : App.t array;
+      (** app id -> app, daemon (id 0) included; ids are dense, so
+          [next_app_id] bounds the known ones *)
   mutable apps : App.t list;  (** reverse creation order *)
   daemon : App.t;
   mutable policy : Sched_ops.instance;

@@ -1,4 +1,3 @@
-module Time = Skyloft_sim.Time
 module Coro = Skyloft_sim.Coro
 
 (* Blocking operations need the caller's task handle, which only exists

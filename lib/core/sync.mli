@@ -1,4 +1,3 @@
-module Time = Skyloft_sim.Time
 module Coro = Skyloft_sim.Coro
 
 (** Synchronization primitives for simulated tasks.

@@ -83,13 +83,7 @@ let print config =
   Report.subsection "LC p99 latency (us)";
   Report.series "policy" cols (fun p -> Report.f1 p.p99_us) results;
   Report.subsection "batch CPU share (idle fraction is the headroom)";
-  (* a trailing empty column, as this table has always printed *)
-  Report.table
-    ~header:(("policy" :: cols) @ [ "" ])
-    (List.map
-       (fun (name, pts) ->
-         (name :: List.map (fun p -> Report.pct p.be_share) pts) @ [ "" ])
-       results);
+  Report.series "policy" cols (fun p -> Report.pct p.be_share) results;
   Report.subsection "mean cores granted to batch";
   Report.series "policy" cols (fun p -> Report.f1 p.mean_be_cores) results;
   Report.subsection "allocator activity at 80% load (grants/reclaims/yields, cost)";

@@ -191,7 +191,7 @@ let timer_set_periodic t ~core:i ~hz =
   c.timer_gen <- c.timer_gen + 1;
   c.hz <- hz;
   let gen = c.timer_gen in
-  let period = max 1 (1_000_000_000 / hz) in
+  let period = Int.max 1 (1_000_000_000 / hz) in
   Engine.every t.engine ~period (fun () ->
       if c.timer_gen = gen then begin
         (* LAPIC ticks are local, but the injector may still lose or delay

@@ -20,13 +20,13 @@ let poisson engine ~rng ~rate_rps ~service ?start ~duration ?(kind = fun _ -> "r
           ~flow:(Rng.int rng 1_000_000) ~kind:(kind rng)
       in
       sink pkt;
-      let gap = max 1 (Rng.exponential_ns rng ~mean:mean_gap_ns) in
+      let gap = Int.max 1 (Rng.exponential_ns rng ~mean:mean_gap_ns) in
       let next = arrival + gap in
       if next < stop then begin
         at := next;
         Engine.arm tm ~at:next
       end);
-  let first = start + max 1 (Rng.exponential_ns rng ~mean:mean_gap_ns) in
+  let first = start + Int.max 1 (Rng.exponential_ns rng ~mean:mean_gap_ns) in
   if first < stop then begin
     at := first;
     Engine.arm tm ~at:first
@@ -39,7 +39,7 @@ let stream engine ~next emit =
     match next ~now with
     | None -> ()
     | Some t ->
-        let t = max t now in
+        let t = Int.max t now in
         at := t;
         Engine.arm tm ~at:t
   in
@@ -66,7 +66,7 @@ let retrying engine ?(budget = 3) ?(backoff = Time.us 100)
             if k + 1 < budget then
               (* the shift saturates well before it could overflow: past
                  2^20 the ceiling has long since taken over *)
-              let wait = min max_backoff (backoff * (1 lsl min k 20)) in
+              let wait = Int.min max_backoff (backoff * (1 lsl Int.min k 20)) in
               ignore (Engine.after engine wait (fun () -> go (k + 1)))
             else give_up ()
         end)

@@ -1,4 +1,3 @@
-module Time = Skyloft_sim.Time
 module Sched_ops = Skyloft.Sched_ops
 module Runqueue = Skyloft.Runqueue
 

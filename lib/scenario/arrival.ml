@@ -48,7 +48,7 @@ let mean_rate = function
 (* One exponential gap in ns at mean gap [mean] (1e9 / rate); at least
    1 ns so virtual time always advances.  Callers keep [mean] precomputed,
    so a draw passes an already boxed float and allocates nothing. *)
-let exp_gap rng ~mean = max 1 (Rng.exponential_ns rng ~mean)
+let exp_gap rng ~mean = Int.max 1 (Rng.exponential_ns rng ~mean)
 
 (* Piecewise-constant-rate sampling, shared by MMPP and Diurnal: walk the
    phase timeline from [now]; in each phase draw an exponential gap at the
@@ -103,7 +103,7 @@ let sampler t rng =
           if !first then first := false else on := not !on;
           p.rate <- (if !on then rate_on else rate_off);
           let mean = if !on then mean_on else mean_off in
-          p.phase_end <- at + max 1 (Rng.exponential_ns rng ~mean))
+          p.phase_end <- at + Int.max 1 (Rng.exponential_ns rng ~mean))
   | Diurnal { segments } ->
       let segs = Array.of_list segments in
       let idx = ref (-1) in

@@ -189,7 +189,7 @@ let stream engine arrival rng ~stop issue =
 
 let drain engine ~expected_s ~settled =
   let expected_ns = int_of_float (expected_s *. 1e9) in
-  let chunk = max (Time.ms 10) (expected_ns / 16) in
+  let chunk = Int.max (Time.ms 10) (expected_ns / 16) in
   let hard_cap = (8 * expected_ns) + Time.s 1 in
   let rec go until =
     Engine.run ~until engine;
@@ -274,7 +274,7 @@ let run ?(seed = 42) ~requests ~runtime scenario =
         l.l_completed <- l.l_completed + 1;
         incr completed;
         let now = Engine.now engine in
-        last_completion := max !last_completion now;
+        last_completion := Int.max !last_completion now;
         Histogram.record l.l_hist (now - at))
   in
   List.iter2

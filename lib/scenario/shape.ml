@@ -37,7 +37,7 @@ let rec stages = function
   | Chain ds -> List.length ds
   | Fanout { width; _ } -> width
   | Mix branches ->
-      List.fold_left (fun acc (_, shape) -> max acc (stages shape)) 0 branches
+      List.fold_left (fun acc (_, shape) -> Int.max acc (stages shape)) 0 branches
 
 (* One uniform draw over the summed weights; the last branch absorbs any
    rounding at the top of the range.  Both walks keep their float sums in

@@ -212,7 +212,7 @@ let run ?until ?max_events t =
     let next = Eventq.next_time t.queue in
     if next < 0 then continue := false
     else if next > limit then begin
-      t.clock <- max t.clock limit;
+      t.clock <- Int.max t.clock limit;
       continue := false
     end
     else begin

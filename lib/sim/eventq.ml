@@ -1,12 +1,13 @@
 (* Structure-of-arrays indexed binary min-heap.  The heap proper is a
-   preallocated int Bigarray with three machine words per node — time,
+   preallocated [int array] with three machine words per node — time,
    sequence number, slot index — so sifting moves unboxed ints with no write
-   barrier.  Payloads and per-event bookkeeping (generation, heap position)
-   live in a parallel slab addressed by slot index and recycled through a
-   free stack, so [schedule]/[cancel]/[pop_exn] allocate nothing in steady
-   state.  The slot -> heap-position word makes removal eager: [cancel]
-   takes its node out of the heap at once, so the heap never holds a
-   cancelled entry.
+   barrier (a store into a statically typed [int array] has none, and each
+   access is one load, where a Bigarray needs two).  Payloads and per-event
+   bookkeeping (generation, heap position) live in a parallel slab addressed
+   by slot index and recycled through a free stack, so
+   [schedule]/[cancel]/[pop_exn] allocate nothing in steady state.  The
+   slot -> heap-position word makes removal eager: [cancel] takes its node
+   out of the heap at once, so the heap never holds a cancelled entry.
 
    A handle is an int packing (generation lsl slot_bits) lor slot.  The
    slot's generation is bumped when the event leaves the heap, so a stale
@@ -25,17 +26,15 @@ let slot_bits = 25
 let slot_mask = (1 lsl slot_bits) - 1
 let gen_mask = (1 lsl (Sys.int_size - 1 - slot_bits)) - 1
 
-type ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
 type 'a t = {
-  mutable heap : ba;  (* stride 3 per node: time, seq, slot *)
+  mutable heap : int array;  (* stride 3 per node: time, seq, slot *)
   mutable len : int;  (* heap nodes; each owns exactly one slot *)
   mutable next_seq : int;
   (* slot slab, all of capacity [cap]: *)
-  mutable gens : ba;  (* slot -> current generation *)
-  mutable pos : ba;  (* slot -> index of its node in [heap], while heaped *)
+  mutable gens : int array;  (* slot -> current generation *)
+  mutable pos : int array;  (* slot -> index of its node in [heap], while heaped *)
   mutable payloads : Obj.t array;
-  mutable free : ba;  (* stack of free slot indices *)
+  mutable free : int array;  (* stack of free slot indices *)
   mutable free_top : int;
   mutable cap : int;
   mutable last_time : Time.t;  (* time of the event [pop_exn] last returned *)
@@ -43,28 +42,24 @@ type 'a t = {
 
 let unit_obj = Obj.repr ()
 
-let ba_create n = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
-
-(* Eta-expanded at the concrete type so the access primitive is applied
-   directly (and the wrapper inlined): a bare alias of [unsafe_get] is a
-   closure over the generic kind-dispatching accessor, ~10x slower. *)
-let[@inline] bget (a : ba) i = Bigarray.Array1.unsafe_get a i
-let[@inline] bset (a : ba) i (v : int) = Bigarray.Array1.unsafe_set a i v
+(* Annotated at [int array] so the compiler emits a plain load and a
+   barrier-free store: at an unknown element type it would test for a
+   float array and call [caml_modify]. *)
+let[@inline] bget (a : int array) i = Array.unsafe_get a i
+let[@inline] bset (a : int array) i (v : int) = Array.unsafe_set a i v
 
 let create () =
   let cap = 16 in
-  let free = ba_create cap in
+  let free = Array.make cap 0 in
   (* Stack top is the highest index, so seed it descending: slots are then
      handed out in ascending order, which keeps dumps readable. *)
   for i = 0 to cap - 1 do bset free i (cap - 1 - i) done;
-  let gens = ba_create cap in
-  Bigarray.Array1.fill gens 0;
   {
-    heap = ba_create (3 * cap);
+    heap = Array.make (3 * cap) 0;
     len = 0;
     next_seq = 0;
-    gens;
-    pos = ba_create cap;
+    gens = Array.make cap 0;
+    pos = Array.make cap 0;
     payloads = Array.make cap unit_obj;
     free;
     free_top = cap;
@@ -77,20 +72,16 @@ let grow t =
   if cap > slot_mask lsr 1 then
     invalid_arg "Eventq.schedule: too many events in flight";
   let new_cap = cap * 2 in
-  let heap = ba_create (3 * new_cap) in
-  for i = 0 to (3 * t.len) - 1 do bset heap i (bget t.heap i) done;
-  let gens = ba_create new_cap in
-  let pos = ba_create new_cap in
-  for i = 0 to cap - 1 do
-    bset gens i (bget t.gens i);
-    bset pos i (bget t.pos i)
-  done;
-  for i = cap to new_cap - 1 do bset gens i 0 done;
+  let heap = Array.make (3 * new_cap) 0 in
+  Array.blit t.heap 0 heap 0 (3 * t.len);
+  let gens = Array.make new_cap 0 and pos = Array.make new_cap 0 in
+  Array.blit t.gens 0 gens 0 cap;
+  Array.blit t.pos 0 pos 0 cap;
   let payloads = Array.make new_cap unit_obj in
   Array.blit t.payloads 0 payloads 0 cap;
   (* grow only runs when every slot is live, so the free stack is empty:
      refill it with just the new slots, descending for ascending hand-out *)
-  let free = ba_create new_cap in
+  let free = Array.make new_cap 0 in
   for i = 0 to new_cap - cap - 1 do bset free i (new_cap - 1 - i) done;
   t.heap <- heap;
   t.gens <- gens;
@@ -102,13 +93,13 @@ let grow t =
 
 (* node [i] sorts before node [j]: earlier time, or same time and earlier
    sequence number — the FIFO-at-same-instant determinism contract *)
-let node_lt t i j =
+let[@inline] node_lt t i j =
   let bi = 3 * i and bj = 3 * j in
   let ti = bget t.heap bi and tj = bget t.heap bj in
   ti < tj || (ti = tj && bget t.heap (bi + 1) < bget t.heap (bj + 1))
 
 (* Copy node [src] into index [dst] and point its slot's position there. *)
-let move_node t ~src ~dst =
+let[@inline] move_node t ~src ~dst =
   let bs = 3 * src and bd = 3 * dst in
   let slot = bget t.heap (bs + 2) in
   bset t.heap bd (bget t.heap bs);
@@ -117,7 +108,7 @@ let move_node t ~src ~dst =
   bset t.pos slot dst
 
 (* Write key (at, seq) and [slot] at index [i]. *)
-let place t i ~at ~seq slot =
+let[@inline] place t i ~at ~seq slot =
   let b = 3 * i in
   bset t.heap b at;
   bset t.heap (b + 1) seq;
@@ -125,7 +116,7 @@ let place t i ~at ~seq slot =
   bset t.pos slot i
 
 (* key (at, seq) sorts before node [j] *)
-let key_lt t ~at ~seq j =
+let[@inline] key_lt t ~at ~seq j =
   let tj = bget t.heap (3 * j) in
   at < tj || (at = tj && seq < bget t.heap ((3 * j) + 1))
 
@@ -180,7 +171,7 @@ let live_slot t (h : handle) =
 
 (* Release a removed node's slot: bump the generation so outstanding
    handles go stale, drop the payload reference, recycle the index. *)
-let free_slot t slot =
+let[@inline] free_slot t slot =
   bset t.gens slot ((bget t.gens slot + 1) land gen_mask);
   Array.unsafe_set t.payloads slot unit_obj;
   bset t.free t.free_top slot;

@@ -2,7 +2,7 @@
 
     A structure-of-arrays indexed binary min-heap keyed by (time, sequence
     number): time, sequence and slot index live as unboxed machine words in
-    a preallocated int [Bigarray], payloads and handle state (generation,
+    a preallocated [int array], payloads and handle state (generation,
     heap position) in a parallel generation-counted free-list slab.
     [schedule], [cancel] and [pop_exn] allocate nothing in steady state.
     The sequence number guarantees that events scheduled for the same

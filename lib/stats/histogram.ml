@@ -1,4 +1,3 @@
-module Time = Skyloft_sim.Time
 
 (* Bucket (g, s) is sub-bucket [s] of power-of-two group [g].  Group 0 is
    the exact linear region [0, sub); group g >= 1 holds the values whose
@@ -84,7 +83,7 @@ let percentile t p =
   else begin
     let target =
       let exact = p /. 100.0 *. float_of_int t.n in
-      max 1 (int_of_float (ceil exact))
+      Int.max 1 (int_of_float (ceil exact))
     in
     let rec scan g s seen =
       if g = Array.length t.groups then t.max_v
@@ -93,7 +92,7 @@ let percentile t p =
         if s = Array.length counts then scan (g + 1) 0 seen
         else begin
           let seen = seen + counts.(s) in
-          if seen >= target then min (bucket_upper t g s) t.max_v else scan g (s + 1) seen
+          if seen >= target then Int.min (bucket_upper t g s) t.max_v else scan g (s + 1) seen
         end
       end
     in

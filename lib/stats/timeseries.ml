@@ -20,7 +20,7 @@ type t = {
 
 let create ?(capacity = 65_536) () =
   if capacity <= 0 then invalid_arg "Timeseries.create: capacity must be positive";
-  let len = min capacity 64 in
+  let len = Int.min capacity 64 in
   {
     capacity;
     times = Array.make len 0;
@@ -43,7 +43,7 @@ let last t = if t.count = 0 then None else Some (nth t (t.count - 1))
 (* Called with the ring full below [capacity], so [head] has wrapped to 0
    and the samples sit in slots [0, count). *)
 let grow t =
-  let len = min t.capacity (2 * t.count) in
+  let len = Int.min t.capacity (2 * t.count) in
   let times = Array.make len 0 and values = Array.make len 0 in
   Array.blit t.times 0 times 0 t.count;
   Array.blit t.values 0 values 0 t.count;
@@ -52,10 +52,11 @@ let grow t =
   t.head <- t.count
 
 (* Reads the newest slot ([head - 1]) in place: [last] allocates, and this
-   runs on every queue-depth change. *)
+   runs on every queue-depth change.  The ring indices wrap with a compare,
+   not [mod]: an integer division per sample is the cost of this path. *)
 let record t ~at v =
   let len = Array.length t.times in
-  let newest = (t.head + len - 1) mod len in
+  let newest = (if t.head = 0 then len else t.head) - 1 in
   if t.count > 0 && at < t.times.(newest) then
     invalid_arg "Timeseries.record: time went backwards";
   if t.count = 0 || t.values.(newest) <> v then begin
@@ -63,9 +64,14 @@ let record t ~at v =
       (* Evicting the oldest sample: fold the interval it covered — up
          to the next retained sample (or the incoming one at capacity
          1) — into the truncated-prefix accumulators before the slot is
-         overwritten. *)
+         overwritten.  At capacity the ring is [capacity] slots long. *)
       let t0 = t.times.(t.head) and v0 = t.values.(t.head) in
-      let t1 = if t.capacity > 1 then t.times.((t.head + 1) mod t.capacity) else at in
+      let t1 =
+        if t.capacity > 1 then
+          let next = t.head + 1 in
+          t.times.(if next = t.capacity then 0 else next)
+        else at
+      in
       if t1 > t0 then begin
         t.trunc_span <- t.trunc_span + (t1 - t0);
         t.trunc_weighted <-
@@ -79,7 +85,8 @@ let record t ~at v =
     end;
     t.times.(t.head) <- at;
     t.values.(t.head) <- v;
-    t.head <- (t.head + 1) mod Array.length t.times
+    let head = t.head + 1 in
+    t.head <- (if head = Array.length t.times then 0 else head)
   end
 
 let length t = t.count
@@ -98,8 +105,8 @@ let weighted_span t ~until =
   let weighted = ref 0.0 and span = ref 0.0 in
   for i = 0 to t.count - 1 do
     let start, v = nth t i in
-    let stop = if i = t.count - 1 then max until start else fst (nth t (i + 1)) in
-    let stop = min stop (max until start) in
+    let stop = if i = t.count - 1 then Int.max until start else fst (nth t (i + 1)) in
+    let stop = Int.min stop (Int.max until start) in
     if stop > start then begin
       let w = float_of_int (stop - start) in
       weighted := !weighted +. (w *. float_of_int v);
@@ -129,5 +136,5 @@ let fold_values f init t =
   done;
   !acc
 
-let min_value t = if t.count = 0 then 0 else fold_values min max_int t
-let max_value t = if t.count = 0 then 0 else fold_values max min_int t
+let min_value t = if t.count = 0 then 0 else fold_values Int.min max_int t
+let max_value t = if t.count = 0 then 0 else fold_values Int.max min_int t

@@ -402,8 +402,34 @@ let prop_alloc_equals_broker (policy_name, make_policy) =
         ~tick:(fun () -> Broker.tick broker);
       !alloc_log <> [] && events_of alloc_log = events_of broker_log)
 
+(* The reactive policies keep per-app hysteresis state keyed by app id.
+   Once an app is known, a [Hold] answer allocates nothing: the lookup
+   neither boxes an option nor builds a closure.  The signal holds under
+   both policies: its utilization lies between the watermarks, and its
+   queued task waits less than the delay threshold. *)
+let test_policy_lookup_allocates_nothing () =
+  let hold_lc =
+    { Policy.kind = Policy.Lc; cores = 2; runq_len = 1; oldest_delay = 0; utilization = 0.5 }
+  in
+  List.iter
+    (fun (name, policy) ->
+      for app = 0 to 7 do
+        ignore (Policy.observe policy ~app hold_lc)
+      done;
+      let before = Gc.minor_words () in
+      for i = 1 to 10_000 do
+        match Policy.observe policy ~app:(i land 7) hold_lc with
+        | Policy.Hold -> ()
+        | _ -> Alcotest.failf "%s: expected Hold" name
+      done;
+      let words = Gc.minor_words () -. before in
+      check (Alcotest.float 0.0) (name ^ ": words for 10k lookups") 0.0 words)
+    [ ("utilization", Policy.utilization ()); ("delay", Policy.delay ()) ]
+
 let suite =
   [
+    Alcotest.test_case "alloc: policy state lookup allocates nothing" `Quick
+      test_policy_lookup_allocates_nothing;
     Alcotest.test_case "alloc: registration bounds" `Quick test_register_validates;
     Alcotest.test_case "alloc: static reclaims for LC" `Quick
       test_static_reclaims_for_lc;

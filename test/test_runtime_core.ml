@@ -98,7 +98,50 @@ let test_find_app_many () =
   check string "daemon is id 0" st.rc.Rc.daemon.App.name
     (Rc.find_app st.rc 0).App.name;
   check_raises "unknown id raises Not_found" Not_found (fun () ->
-      ignore (Rc.find_app st.rc 99_999))
+      ignore (Rc.find_app st.rc 99_999));
+  check_raises "next id raises Not_found" Not_found (fun () ->
+      ignore (Rc.find_app st.rc (List.length apps + 1)));
+  check_raises "negative id raises Not_found" Not_found (fun () ->
+      ignore (Rc.find_app st.rc (-1)))
+
+(* The kthread table is indexed by app id like the app table: apps made
+   with [create_app] past its initial size each resolve to their own
+   kthread on every unit, and an app with none, an unknown id and a
+   negative id all raise [Not_found]. *)
+let test_kthread_many () =
+  let st = make ~units:2 () in
+  let bare = List.init 70 (fun i -> Rc.new_app st.rc ~name:(Printf.sprintf "bare%d" i)) in
+  let launched =
+    List.init 90 (fun i -> Rc.create_app st.rc ~name:(Printf.sprintf "app%d" i))
+  in
+  Array.iter
+    (fun (ex : Rc.exec) ->
+      let core = ex.Rc.exec_core in
+      let parked = Kmod.kthreads_on st.rc.Rc.kmod ~core in
+      let kts =
+        List.map (fun (app : App.t) -> Rc.kthread st.rc ~app:app.App.id ~core) launched
+      in
+      List.iter
+        (fun kt -> check bool "kthread is parked on its core" true (List.memq kt parked))
+        kts;
+      let distinct =
+        List.fold_left (fun acc kt -> if List.memq kt acc then acc else kt :: acc) [] kts
+      in
+      check int "one kthread per launched app" (List.length launched)
+        (List.length distinct);
+      List.iter
+        (fun (app : App.t) ->
+          check_raises "app without kthreads raises Not_found" Not_found (fun () ->
+              ignore (Rc.kthread st.rc ~app:app.App.id ~core)))
+        bare;
+      List.iter
+        (fun id ->
+          check_raises
+            (Printf.sprintf "app id %d raises Not_found" id)
+            Not_found
+            (fun () -> ignore (Rc.kthread st.rc ~app:id ~core)))
+        [ 99_999; List.length bare + List.length launched + 1; -1; min_int ])
+    st.execs
 
 (* ---- lifecycle + attribution --------------------------------------------- *)
 
@@ -330,6 +373,7 @@ let test_view_requires_dispatch () =
 let suite =
   [
     test_case "find_app is exact over many apps" `Quick test_find_app_many;
+    test_case "kthread is exact over many apps" `Quick test_kthread_many;
     test_case "lifecycle keeps the attribution identity" `Quick
       test_lifecycle_attribution;
     test_case "deadline kills in every state" `Quick test_deadline_kills;

@@ -494,6 +494,26 @@ let prop_timeseries_growth_model =
         (list_of_size (Gen.int_range 0 700) (pair (int_range (-1) 5) (int_range 0 3))))
     timeseries_matches_model
 
+(* The ring's index wrap at fixed capacities, powers of two and not (3
+   and 5), each run at least four times round the ring: every step
+   changes the value (an increment of 1-3 modulo 4), so every step
+   records a sample and the ring wraps once per [capacity] steps. *)
+let prop_timeseries_wrap_model =
+  QCheck.Test.make ~name:"timeseries: wrapped rings match a list model" ~count:120
+    QCheck.(
+      make
+        ~print:(fun (c, steps) -> Printf.sprintf "capacity %d, %d steps" c (List.length steps))
+        Gen.(
+          oneofl [ 1; 3; 5; 64 ] >>= fun capacity ->
+          list_size
+            (int_range ((4 * capacity) + 1) ((6 * capacity) + 10))
+            (pair (int_range 0 5) (int_range 1 3))
+          >|= fun steps -> (capacity, steps)))
+    (fun (capacity, steps) ->
+      let v = ref 0 in
+      let steps = List.map (fun (dt, inc) -> v := (!v + inc) mod 4; (dt, !v)) steps in
+      List.length steps > 4 * capacity && timeseries_matches_model (capacity, steps))
+
 let suite =
   [
     Alcotest.test_case "timeseries: empty mean" `Quick test_timeseries_empty_mean;
@@ -503,6 +523,7 @@ let suite =
     Alcotest.test_case "timeseries: capacity one" `Quick test_timeseries_capacity_one;
     qtest prop_timeseries_record_model;
     qtest prop_timeseries_growth_model;
+    qtest prop_timeseries_wrap_model;
     Alcotest.test_case "hist: empty" `Quick test_hist_empty;
     Alcotest.test_case "hist: exact small" `Quick test_hist_exact_small_values;
     Alcotest.test_case "hist: min/max exact" `Quick test_hist_minmax_exact;
