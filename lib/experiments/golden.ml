@@ -10,6 +10,7 @@ module Hybrid = Skyloft.Hybrid
 module Rc = Skyloft.Runtime_core
 module Scenario = Skyloft_scenario.Scenario
 module Trace = Skyloft_stats.Trace
+module Histogram = Skyloft_stats.Histogram
 module Plan = Skyloft_fault.Plan
 module Injector = Skyloft_fault.Injector
 
@@ -149,6 +150,51 @@ let scale_requests = 30_000
 let obs_machine_seed = 7
 let obs_machine_requests = 400
 
+(* The fair-class cells: schbench through each of fig5's systems and
+   fig6's Skyloft-FIFO (no preemption) at a fixed 80 ms, and fig7's
+   Linux-CFS cell with nice-19 batch hogs (the weight-15 path).  Every
+   Linux class, the Skyloft CFS/EEVDF ports and the per-core RR/FIFO
+   policy run on this path, which no other golden reaches. *)
+let fair_config =
+  { Config.duration = Time.ms 80; seed = 42; jobs = 1; requests = None }
+
+let fair_workers = [ 32; 64 ]
+let fig7_load = 0.9
+
+(* A wakeup histogram, pinned down to its 0.1% quantiles. *)
+let histogram_string h =
+  let b = Buffer.create 8192 in
+  Printf.bprintf b "%d|%h|%d|%d" (Histogram.count h) (Histogram.mean h)
+    (Histogram.min_value h) (Histogram.max_value h);
+  for i = 0 to 1000 do
+    Printf.bprintf b "|%d" (Histogram.percentile h (float_of_int i /. 10.0))
+  done;
+  Buffer.contents b
+
+let fair_cells =
+  let schbench name system ~workers =
+    ( Printf.sprintf "%s-%d" name workers,
+      fun () -> digest (histogram_string (Fig5.run_one fair_config system ~workers)) )
+  in
+  List.concat_map
+    (fun system ->
+      List.map
+        (fun workers -> schbench ("fig5-" ^ Fig5.name_of system) system ~workers)
+        fair_workers)
+    Fig5.systems
+  @ [
+      schbench "fig6-fifo" (Fig6.system None) ~workers:64;
+      ( "fig7-linux-be",
+        fun () ->
+          let p =
+            Fig7.run_linux fair_config ~with_be:true
+              ~rate_rps:(fig7_load *. Fig7.saturation)
+          in
+          digest
+            (Printf.sprintf "%h|%h|%h" p.Fig7.achieved_rps p.Fig7.p99_us
+               p.Fig7.be_share) );
+    ]
+
 (* Every golden is one independent cell; [jobs] fans them across domains.
    The values must be identical at any [jobs] — that invariance, checked
    against the committed digests, is the proof that parallelization is
@@ -203,6 +249,7 @@ let fingerprints ?(jobs = 1) () =
           ( "oversub-" ^ scenario,
             fun () -> digest (Oversub.golden_cell ~scenario) ))
         Oversub.golden_scenarios
+    @ fair_cells
   in
   Parallel.map ~jobs (fun (name, f) -> (name, f ())) cells
 

@@ -150,6 +150,28 @@ let golden =
     ("oversub-none", "4fb3504f19b2857ce769c63bc644109a");
     ("oversub-hoard", "cd6f734caa0563036d19da85e22e6c2a");
     ("oversub-crash", "e7f42711ea32e5c4ec65fd2e0c87a8f0");
+    (* fair-class cells: the schbench wakeup histogram (count, mean, min,
+       max, every 0.1% quantile) of each fig5 system at 32 and 64 workers
+       and of fig6's Skyloft-FIFO at 64, plus every field of fig7's
+       Linux-CFS point with nice-19 batch hogs *)
+    ("fig5-Linux-RR-32", "1f0bbb2bbf541ccdf3dd5fe8402922c5");
+    ("fig5-Linux-RR-64", "c7c61e0fc3ecf3b5c0b38956319514ff");
+    ("fig5-Linux-CFS-32", "0e2b84a9a5f1a204715374862a10a9cb");
+    ("fig5-Linux-CFS-64", "ef5cd12b4efb7adc748785a920032230");
+    ("fig5-Linux-CFS-tuned-32", "19e4983f89becc56fbfa8e661aa1508e");
+    ("fig5-Linux-CFS-tuned-64", "a67719062bd59e15fbd357163c4401c8");
+    ("fig5-Linux-EEVDF-32", "33e4cc49879fd4160fe59ce2b5d205da");
+    ("fig5-Linux-EEVDF-64", "79dba976876a322eb7dcb7c827ccf02c");
+    ("fig5-Linux-EEVDF-tuned-32", "344cdfb41fd925022d098a5356aa954d");
+    ("fig5-Linux-EEVDF-tuned-64", "4d81e6f2bc2c4e56a31e1fd0770f25b7");
+    ("fig5-Skyloft-RR-32", "3bfc1fc39eece4b500b1eb092f9aa762");
+    ("fig5-Skyloft-RR-64", "f3caf0b73d5a73777f434a4a75e74628");
+    ("fig5-Skyloft-CFS-32", "482b82e0642441484937985f60ac54f8");
+    ("fig5-Skyloft-CFS-64", "8577b56b2cc529956e43ced0ccdb4e5c");
+    ("fig5-Skyloft-EEVDF-32", "386a91095ca660933ad1fa7f34e7dc14");
+    ("fig5-Skyloft-EEVDF-64", "dd4c103f3135d7e194c1aa3c7409ea15");
+    ("fig6-fifo-64", "34c0de627fb0146f3992faeded540a57");
+    ("fig7-linux-be", "46bbb629602bef9cb5631b1d7bd4604a");
   ]
 
 let check_golden got =
