@@ -15,14 +15,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 files=(
-  lib/sim/eventq.ml lib/sim/engine.ml
+  lib/sim/eventq.ml lib/sim/engine.ml lib/sim/dist.ml
   lib/hw/machine.ml
+  lib/kernel/fair.ml lib/kernel/linux.ml
   lib/core/*.ml
   lib/alloc/allocator.ml lib/alloc/policy.ml
-  lib/policies/work_stealing.ml
+  lib/policies/work_stealing.ml lib/policies/fair_percpu.ml lib/policies/rr.ml
   lib/scenario/arrival.ml lib/scenario/shape.ml lib/scenario/scenario.ml
   lib/net/loadgen.ml
-  lib/stats/histogram.ml lib/stats/timeseries.ml
+  lib/stats/histogram.ml lib/stats/timeseries.ml lib/stats/summary.ml
+  lib/obs/attribution.ml
 )
 dune build ./bench/check_hot_path.exe
 exec ./_build/default/bench/check_hot_path.exe "${files[@]}"

@@ -28,8 +28,8 @@ let systems =
     Linux_sys (Linux.eevdf_tuned, "Linux-EEVDF-tuned");
     Skyloft_sys
       ((fun () -> Skyloft_policies.Rr.create ~slice:(Time.us 50) ()), "Skyloft-RR");
-    Skyloft_sys ((fun () -> Skyloft_policies.Cfs.create ()), "Skyloft-CFS");
-    Skyloft_sys ((fun () -> Skyloft_policies.Eevdf.create ()), "Skyloft-EEVDF");
+    Skyloft_sys (Skyloft_policies.Fair_percpu.cfs, "Skyloft-CFS");
+    Skyloft_sys (Skyloft_policies.Fair_percpu.eevdf, "Skyloft-EEVDF");
   ]
 
 let name_of = function Linux_sys (_, n) -> n | Skyloft_sys (_, n) -> n

@@ -13,8 +13,7 @@ module Kmod = Skyloft_kernel.Kmod
 let policy_files =
   [
     ("Skyloft Round-Robin", "lib/policies/rr.ml");
-    ("Skyloft CFS", "lib/policies/cfs.ml");
-    ("Skyloft EEVDF", "lib/policies/eevdf.ml");
+    ("Skyloft CFS + EEVDF", "lib/policies/fair_percpu.ml");
     ("Skyloft Shinjuku", "lib/policies/shinjuku.ml");
     ("Skyloft Shinjuku-Shenango", "lib/policies/shinjuku_shenango.ml");
     ("Skyloft Work-Stealing", "lib/policies/work_stealing.ml");
@@ -22,14 +21,16 @@ let policy_files =
   ]
 
 (* The framework the policies run on: the shared substrate, the shared
-   per-core path, the two dispatch mechanisms built from them, and the
-   one core arbiter with the broker's machine-level rules on top. *)
+   per-core path, the two dispatch mechanisms built from them, the fair
+   class the CFS/EEVDF port shares with the Linux models, and the one
+   core arbiter with the broker's machine-level rules on top. *)
 let framework_files =
   [
     ("Runtime_core (shared substrate)", "lib/core/runtime_core.ml");
     ("Percore (shared per-core path)", "lib/core/percore.ml");
     ("Percpu (per-CPU mechanism)", "lib/core/percpu.ml");
     ("Hybrid (dispatcher + mode switch)", "lib/core/hybrid.ml");
+    ("Fair (CFS/EEVDF rules, shared with Linux)", "lib/kernel/fair.ml");
     ("Allocator (core arbiter + allocator rules)", "lib/alloc/allocator.ml");
     ("Broker (machine-level tenant rules)", "lib/alloc/broker.ml");
   ]

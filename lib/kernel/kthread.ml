@@ -7,7 +7,6 @@ type t = {
   tid : int;
   name : string;
   mutable state : state;
-  mutable affinity : int option;
   mutable last_core : int;
   mutable body : Coro.t;
   mutable cont : unit -> Coro.t;
@@ -24,13 +23,12 @@ type t = {
   weight : int;
 }
 
-let create ~tid ~name ?affinity ?(weight = 1024) body =
+let create ~tid ~name ?(weight = 1024) body =
   {
     tid;
     name;
     state = Ready;
-    affinity;
-    last_core = (match affinity with Some c -> c | None -> 0);
+    last_core = 0;
     body;
     cont = (fun () -> Coro.Exit);
     segment_end = 0;

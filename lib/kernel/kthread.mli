@@ -21,7 +21,6 @@ type t = {
   tid : int;
   name : string;
   mutable state : state;
-  mutable affinity : int option;  (** pinned core, [None] = any managed core *)
   mutable last_core : int;  (** last core this thread ran on *)
   mutable body : Coro.t;  (** what the thread does when next dispatched *)
   mutable cont : unit -> Coro.t;  (** continuation of the in-flight compute *)
@@ -42,7 +41,7 @@ type t = {
   weight : int;  (** load weight; 1024 = nice 0 *)
 }
 
-val create : tid:int -> name:string -> ?affinity:int -> ?weight:int -> Coro.t -> t
+val create : tid:int -> name:string -> ?weight:int -> Coro.t -> t
 (** Tids are allocated per scheduler instance ({!Kmod}, {!Linux}) — there
     is no process-wide counter, so concurrent simulations in different
     domains cannot perturb each other's tids. *)

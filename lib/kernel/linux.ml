@@ -45,8 +45,7 @@ let eevdf_tuned = Eevdf { hz = 1000; base_slice = Time.of_us_float 12.5 }
 type cpu = {
   idx : int;  (* machine core id *)
   mutable curr : Kthread.t option;
-  rq : Krq.t;  (* Ready threads, indexed by the policy sort key *)
-  mutable min_vruntime : float;
+  rq : Kthread.t Fair.t;  (* ready threads, by the policy sort key *)
   mutable last_update : Time.t;
   mutable completion : Eventq.handle;  (* Eventq.null when no segment armed *)
   mutable completion_fire : unit -> unit;
@@ -58,7 +57,7 @@ type t = {
   engine : Engine.t;
   policy : policy;
   cpus : cpu array;
-  by_core : (int, cpu) Hashtbl.t;
+  slot : int array;  (* machine core id -> position in [cpus], or -1 *)
   wakeups : Histogram.t;
   mutable alive : int;
   mutable next_tid : int;  (* per-instance tid allocator: no global state *)
@@ -68,8 +67,8 @@ let now t = Engine.now t.engine
 
 let policy_hz = function Cfs { hz; _ } -> hz | Rr { hz; _ } -> hz | Eevdf { hz; _ } -> hz
 
-(* [create] lives after the dispatch group below: it wires each cpu's
-   stable completion closure, which needs [on_complete]. *)
+let slot_of t core =
+  if core >= 0 && core < Array.length t.slot then t.slot.(core) else -1
 
 (* ---- vruntime / deadline accounting ---------------------------------- *)
 
@@ -77,73 +76,51 @@ let update_curr t cpu =
   let n = now t in
   (match cpu.curr with
   | Some kt when kt.Kthread.state = Kthread.Running && n > cpu.last_update ->
-      let delta = float_of_int (n - cpu.last_update) in
-      kt.Kthread.vruntime <- kt.Kthread.vruntime +. (delta *. 1024.0 /. float_of_int kt.Kthread.weight)
+      kt.vruntime <- Fair.charge ~weight:kt.weight kt.vruntime (n - cpu.last_update)
   | _ -> ());
   cpu.last_update <- n;
-  let leftmost = Krq.min_vruntime cpu.rq in
-  let floor_v =
-    match cpu.curr with
-    | Some kt -> Float.min kt.Kthread.vruntime leftmost
-    | None -> leftmost
-  in
-  if floor_v < infinity then cpu.min_vruntime <- Float.max cpu.min_vruntime floor_v
+  Fair.update_min cpu.rq
+    ~curr:(match cpu.curr with Some kt -> kt.Kthread.vruntime | None -> infinity)
 
+(* Linux's EEVDF average counts the running thread. *)
 let avg_vruntime cpu =
-  let s0, n0 =
-    match cpu.curr with Some kt -> (kt.Kthread.vruntime, 1) | None -> (0.0, 0)
-  in
-  let sum = s0 +. Krq.sum_vruntime cpu.rq in
-  let n = n0 + Krq.length cpu.rq in
-  if n = 0 then cpu.min_vruntime else sum /. float_of_int n
+  Fair.avg_vruntime cpu.rq
+    ~curr:(match cpu.curr with Some kt -> Some kt.Kthread.vruntime | None -> None)
 
-let nr_on cpu = Krq.length cpu.rq + match cpu.curr with Some _ -> 1 | None -> 0
+let nr_on cpu = Fair.length cpu.rq + match cpu.curr with Some _ -> 1 | None -> 0
 
 (* ---- enqueue / pick --------------------------------------------------- *)
 
 let enqueue t cpu (kt : Kthread.t) =
   (* Migrating between runqueues renormalises the virtual time basis. *)
-  (match Hashtbl.find_opt t.by_core kt.last_core with
-  | Some src when src != cpu ->
-      kt.vruntime <- kt.vruntime -. src.min_vruntime +. cpu.min_vruntime;
-      kt.deadline <- kt.deadline -. src.min_vruntime +. cpu.min_vruntime
-  | _ -> ());
+  let s = slot_of t kt.last_core in
+  if s >= 0 && t.cpus.(s) != cpu then begin
+    let src = t.cpus.(s).rq in
+    kt.vruntime <- Fair.migrate ~src ~dst:cpu.rq kt.vruntime;
+    kt.deadline <- Fair.migrate ~src ~dst:cpu.rq kt.deadline
+  end;
   kt.last_core <- cpu.idx;
   (* RR keys everything at 0.0, so the (key, seq) order is plain FIFO. *)
   let key = match t.policy with Rr _ -> 0.0 | Cfs _ | Eevdf _ -> kt.vruntime in
-  Krq.add cpu.rq ~key kt
+  Fair.add cpu.rq ~key ~vruntime:kt.vruntime ~deadline:kt.deadline kt
 
-let take_from_rq cpu kt = Krq.remove cpu.rq kt
-
-let pick_next t cpu =
+let pop_next t cpu =
   match t.policy with
-  | Rr _ | Cfs _ -> Krq.min_key cpu.rq
-  | Eevdf _ ->
-      if Krq.is_empty cpu.rq then None
-      else (
-        let avg = avg_vruntime cpu in
-        match Krq.min_deadline_eligible cpu.rq ~bound:avg with
-        | Some kt -> Some kt
-        | None -> Krq.min_deadline cpu.rq)
+  | Rr _ | Cfs _ -> Fair.pop_min_key cpu.rq
+  | Eevdf _ -> Fair.pop_eevdf cpu.rq ~avg:(avg_vruntime cpu)
 
-(* Idle balance: pull one unpinned Ready thread from the busiest runqueue. *)
+(* Idle balance: pull the earliest-enqueued Ready thread from the busiest
+   runqueue. *)
 let steal t cpu =
   let best = ref None in
   Array.iter
     (fun other ->
-      if other != cpu && Krq.has_unpinned other.rq then
+      if other != cpu && not (Fair.is_empty other.rq) then
         match !best with
         | Some b when nr_on b >= nr_on other -> ()
         | _ -> best := Some other)
     t.cpus;
-  match !best with
-  | None -> None
-  | Some src -> (
-      match Krq.first_unpinned src.rq with
-      | None -> None
-      | Some kt ->
-          take_from_rq src kt;
-          Some kt)
+  match !best with None -> None | Some src -> Fair.pop_earliest src.rq
 
 (* ---- dispatch / run --------------------------------------------------- *)
 
@@ -189,9 +166,7 @@ and rr_requeue t (kt : Kthread.t) =
 and eevdf_dequeue t cpu (kt : Kthread.t) =
   match t.policy with
   | Eevdf { base_slice; _ } ->
-      let lag = avg_vruntime cpu -. kt.vruntime in
-      let cap = float_of_int base_slice in
-      kt.lag <- Float.max (-.cap) (Float.min cap lag)
+      kt.lag <- Fair.clamp_lag ~base_slice (avg_vruntime cpu -. kt.vruntime)
   | Cfs _ | Rr _ -> ()
 
 and on_complete t cpu (kt : Kthread.t) =
@@ -214,7 +189,7 @@ and dispatch t cpu (kt : Kthread.t) ~switch_cost =
   | Rr { slice; _ } -> if kt.slice_left <= 0 then kt.slice_left <- slice
   | Eevdf { base_slice; _ } ->
       if kt.deadline <= kt.vruntime then
-        kt.deadline <- kt.vruntime +. float_of_int base_slice
+        kt.deadline <- Fair.deadline ~base_slice kt.vruntime
   | Cfs _ -> ());
   cpu.last_update <- start;
   let continue () =
@@ -233,13 +208,7 @@ and dispatch t cpu (kt : Kthread.t) ~switch_cost =
   else ignore (Engine.after t.engine switch_cost continue)
 
 and schedule t cpu ~prev =
-  let next =
-    match pick_next t cpu with
-    | Some kt ->
-        take_from_rq cpu kt;
-        Some kt
-    | None -> steal t cpu
-  in
+  let next = match pop_next t cpu with Some _ as k -> k | None -> steal t cpu in
   match next with
   | None -> cpu.curr <- None
   | Some kt ->
@@ -251,49 +220,6 @@ and schedule t cpu ~prev =
       in
       dispatch t cpu kt ~switch_cost:cost
 
-(* ---- construction ------------------------------------------------------- *)
-
-let create machine policy ~cores =
-  if cores = [] then invalid_arg "Linux.create: no cores";
-  let cpus =
-    Array.of_list
-      (List.map
-         (fun idx ->
-           {
-             idx;
-             curr = None;
-             rq = Krq.create ();
-             min_vruntime = 0.0;
-             last_update = 0;
-             completion = Eventq.null;
-             completion_fire = ignore;
-           })
-         cores)
-  in
-  let t =
-    {
-      machine;
-      engine = Machine.engine machine;
-      policy;
-      cpus;
-      by_core = Hashtbl.create 64;
-      wakeups = Histogram.create ();
-      alive = 0;
-      next_tid = 1;
-    }
-  in
-  Array.iter (fun c -> Hashtbl.replace t.by_core c.idx c) cpus;
-  (* Each cpu's stable completion closure reads [curr] when it fires: a
-     completion is only armed for the running thread, and every path that
-     takes the thread off the cpu cancels it first. *)
-  Array.iter
-    (fun c ->
-      c.completion_fire <-
-        (fun () ->
-          match c.curr with Some kt -> on_complete t c kt | None -> ()))
-    cpus;
-  t
-
 (* ---- preemption -------------------------------------------------------- *)
 
 let preempt_curr t cpu =
@@ -302,7 +228,7 @@ let preempt_curr t cpu =
       update_curr t cpu;
       Engine.cancel t.engine cpu.completion;
       cpu.completion <- Eventq.null;
-      let remaining = max 0 (kt.segment_end - now t) in
+      let remaining = Int.max 0 (kt.segment_end - now t) in
       kt.body <- Coro.Compute (remaining, kt.cont);
       kt.state <- Kthread.Ready;
       cpu.curr <- None;
@@ -319,7 +245,7 @@ let steal_time t cpu cost =
         Engine.reschedule t.engine cpu.completion kt.segment_end cpu.completion_fire
   | _ -> ()
 
-let tick_period t = max 1 (1_000_000_000 / policy_hz t.policy)
+let tick_period t = Int.max 1 (1_000_000_000 / policy_hz t.policy)
 
 let on_tick t cpu =
   steal_time t cpu Costs.kernel_tick_ns;
@@ -327,12 +253,10 @@ let on_tick t cpu =
   match cpu.curr with
   | None -> ()
   | Some kt -> (
-      if not (Krq.is_empty cpu.rq) then
+      if not (Fair.is_empty cpu.rq) then
         match t.policy with
         | Cfs { min_granularity; sched_latency; _ } ->
-            let slice =
-              max min_granularity (sched_latency / max 1 (nr_on cpu))
-            in
+            let slice = Fair.cfs_slice ~min_granularity ~sched_latency ~nr:(nr_on cpu) in
             if now t - kt.slice_start >= slice then preempt_curr t cpu
         | Rr _ ->
             kt.slice_left <- kt.slice_left - tick_period t;
@@ -342,61 +266,88 @@ let on_tick t cpu =
             end
         | Eevdf { base_slice; _ } ->
             if now t - kt.slice_start >= base_slice then begin
-              kt.deadline <- kt.vruntime +. float_of_int base_slice;
+              kt.deadline <- Fair.deadline ~base_slice kt.vruntime;
               preempt_curr t cpu
             end)
 
-let install_timers t =
+(* ---- construction ------------------------------------------------------- *)
+
+let create machine policy ~cores =
+  if cores = [] then invalid_arg "Linux.create: no cores";
+  let cpus =
+    Array.of_list
+      (List.map
+         (fun idx ->
+           {
+             idx;
+             curr = None;
+             rq = Fair.create ();
+             last_update = 0;
+             completion = Eventq.null;
+             completion_fire = ignore;
+           })
+         cores)
+  in
+  let slot = Array.make (1 + List.fold_left Int.max 0 cores) (-1) in
+  Array.iteri (fun i c -> slot.(c.idx) <- i) cpus;
+  let t =
+    {
+      machine;
+      engine = Machine.engine machine;
+      policy;
+      cpus;
+      slot;
+      wakeups = Histogram.create ();
+      alive = 0;
+      next_tid = 1;
+    }
+  in
+  (* Each cpu's stable completion closure reads [curr] when it fires: a
+     completion is only armed for the running thread, and every path that
+     takes the thread off the cpu cancels it first. *)
+  Array.iter
+    (fun c ->
+      c.completion_fire <-
+        (fun () ->
+          match c.curr with Some kt -> on_complete t c kt | None -> ()))
+    cpus;
   Array.iter
     (fun cpu ->
-      let core = Machine.core t.machine cpu.idx in
+      let core = Machine.core machine cpu.idx in
       Machine.set_kernel_handler core (fun v ->
           if v = Vectors.timer then on_tick t cpu);
-      Machine.timer_set_periodic t.machine ~core:cpu.idx ~hz:(policy_hz t.policy))
-    t.cpus
-
-(* create + timers: expose a single constructor. *)
-let create machine policy ~cores =
-  let t = create machine policy ~cores in
-  install_timers t;
+      Machine.timer_set_periodic machine ~core:cpu.idx ~hz:(policy_hz policy))
+    cpus;
   t
 
 (* ---- wakeup / spawn ---------------------------------------------------- *)
 
-let select_cpu t (kt : Kthread.t) =
-  match kt.affinity with
-  | Some core -> (
-      match Hashtbl.find_opt t.by_core core with
-      | Some cpu -> cpu
-      | None -> invalid_arg "Linux: affinity outside managed cores")
-  | None -> (
-      let prev = Hashtbl.find_opt t.by_core kt.last_core in
-      match prev with
-      | Some cpu when cpu.curr = None -> cpu
-      | _ -> (
-          let idle = Array.to_list t.cpus |> List.find_opt (fun c -> c.curr = None) in
-          match idle with
-          | Some cpu -> cpu
-          | None ->
-              (* wake_affine: stay on the previous CPU unless it is clearly
-                 more loaded than the least-loaded one *)
-              let least =
-                Array.fold_left
-                  (fun best c -> if nr_on c < nr_on best then c else best)
-                  t.cpus.(0) t.cpus
-              in
-              (match prev with
-              | Some p when nr_on p <= nr_on least + 1 -> p
-              | _ -> least)))
+let idle cpu = Option.is_none cpu.curr
 
-let wakeup_place t cpu (kt : Kthread.t) =
-  match t.policy with
+let select_cpu t (kt : Kthread.t) =
+  let s = slot_of t kt.last_core in
+  let prev = if s >= 0 then Some t.cpus.(s) else None in
+  match prev with
+  | Some cpu when idle cpu -> cpu
+  | _ -> (
+      match Array.find_opt idle t.cpus with
+      | Some cpu -> cpu
+      | None -> (
+          (* wake_affine: stay on the previous CPU unless it is clearly
+             more loaded than the least-loaded one *)
+          let least =
+            Array.fold_left
+              (fun best c -> if nr_on c < nr_on best then c else best)
+              t.cpus.(0) t.cpus
+          in
+          match prev with Some p when nr_on p <= nr_on least + 1 -> p | _ -> least))
+
+let wakeup_place cpu (kt : Kthread.t) = function
   | Cfs { sched_latency; _ } ->
-      let credit = float_of_int sched_latency /. 2.0 in
-      kt.vruntime <- Float.max kt.vruntime (cpu.min_vruntime -. credit)
+      kt.vruntime <- Fair.place_sleeper cpu.rq ~sched_latency kt.vruntime
   | Eevdf { base_slice; _ } ->
       kt.vruntime <- avg_vruntime cpu -. kt.lag;
-      kt.deadline <- kt.vruntime +. float_of_int base_slice
+      kt.deadline <- Fair.deadline ~base_slice kt.vruntime
   | Rr _ -> ()
 
 let wakeup_preempt t cpu (kt : Kthread.t) =
@@ -420,40 +371,36 @@ let wakeup t (kt : Kthread.t) =
       kt.resuming <- true;
       kt.wake_time <- Some (now t);
       let cpu = select_cpu t kt in
-      wakeup_place t cpu kt;
-      if cpu.curr = None then begin
-        enqueue t cpu kt;
+      wakeup_place cpu kt t.policy;
+      enqueue t cpu kt;
+      if idle cpu then begin
         (* the woken thread is the only candidate unless a steal beats it;
            schedule picks by policy *)
-        match pick_next t cpu with
+        match pop_next t cpu with
         | Some next ->
-            take_from_rq cpu next;
             dispatch t cpu next
               ~switch_cost:
                 (if next.Kthread.wake_time <> None then Costs.linux_wakeup_switch_ns
                  else Costs.linux_ctx_switch_ns)
         | None -> ()
       end
-      else begin
-        enqueue t cpu kt;
-        wakeup_preempt t cpu kt
-      end
+      else wakeup_preempt t cpu kt
   | Kthread.Running | Kthread.Ready -> kt.pending_wake <- true
   | Kthread.Suspended | Kthread.Exited -> ()
 
-let spawn t ~name ?affinity ?weight body =
+let spawn t ~name ?weight body =
   let tid = t.next_tid in
   t.next_tid <- tid + 1;
-  let kt = Kthread.create ~tid ~name ?affinity ?weight body in
+  let kt = Kthread.create ~tid ~name ?weight body in
   t.alive <- t.alive + 1;
   let cpu = select_cpu t kt in
-  kt.vruntime <- cpu.min_vruntime;
+  kt.vruntime <- Fair.min_vruntime cpu.rq;
   (match t.policy with
-  | Eevdf { base_slice; _ } -> kt.deadline <- kt.vruntime +. float_of_int base_slice
+  | Eevdf { base_slice; _ } -> kt.deadline <- Fair.deadline ~base_slice kt.vruntime
   | Rr { slice; _ } -> kt.slice_left <- slice
   | Cfs _ -> ());
   kt.last_core <- cpu.idx;
-  if cpu.curr = None then dispatch t cpu kt ~switch_cost:Costs.linux_ctx_switch_ns
+  if idle cpu then dispatch t cpu kt ~switch_cost:Costs.linux_ctx_switch_ns
   else enqueue t cpu kt;
   kt
 

@@ -26,11 +26,11 @@ let record t ~queueing ~overhead ~stall ~response ~declared =
   if residue < 0 || (declared > 0 && residue <> declared) then
     t.mismatches <- t.mismatches + 1;
   t.requests <- t.requests + 1;
-  Histogram.record t.queueing (max 0 queueing);
-  Histogram.record t.overhead (max 0 overhead);
-  Histogram.record t.stall (max 0 stall);
-  Histogram.record t.service (max 0 residue);
-  Histogram.record t.response (max 0 response)
+  Histogram.record t.queueing (Int.max 0 queueing);
+  Histogram.record t.overhead (Int.max 0 overhead);
+  Histogram.record t.stall (Int.max 0 stall);
+  Histogram.record t.service (Int.max 0 residue);
+  Histogram.record t.response (Int.max 0 response)
 
 let requests t = t.requests
 let mismatches t = t.mismatches

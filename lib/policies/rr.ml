@@ -7,23 +7,13 @@ module Runqueue = Skyloft.Runqueue
     SCHED_RR (§5.1).  Each core owns a FIFO runqueue; the timer tick
     preempts the running task once its slice is used, sending it to the
     tail of its local queue.  [slice = None] gives Skyloft-FIFO from
-    Figure 6: an infinite slice, so the tick never preempts. *)
+    Figure 6: an infinite slice, so the tick never preempts.  The
+    per-core table and the wakeup placement are the fair policy's. *)
 
 let create ?slice () : Sched_ops.ctor =
  fun view ->
-  let queues = Hashtbl.create 32 in
-  Array.iter (fun core -> Hashtbl.replace queues core (Runqueue.create ())) view.cores;
-  let q cpu =
-    match Hashtbl.find_opt queues cpu with
-    | Some q -> q
-    | None -> invalid_arg "rr: unmanaged cpu"
-  in
-  let least_loaded () =
-    Array.fold_left
-      (fun best core ->
-        if Runqueue.length (q core) < Runqueue.length (q best) then core else best)
-      view.cores.(0) view.cores
-  in
+  let queues = Fair_percpu.table view Runqueue.create in
+  let q cpu = queues.(Fair_percpu.slot view cpu) in
   {
     Sched_ops.policy_name =
       (match slice with Some _ -> "rr" | None -> "fifo-percpu");
@@ -34,11 +24,7 @@ let create ?slice () : Sched_ops.ctor =
     task_block = (fun ~cpu:_ _ -> ());
     task_wakeup =
       (fun ~waker_cpu:_ task ->
-        let target =
-          match view.Sched_ops.pick_idle () with
-          | Some core -> core
-          | None -> least_loaded ()
-        in
+        let target = Fair_percpu.place view queues Runqueue.length in
         Runqueue.push_tail (q target) task;
         target);
     sched_timer_tick =
@@ -49,12 +35,16 @@ let create ?slice () : Sched_ops.ctor =
             (not (Runqueue.is_empty (q cpu))) && view.now () - task.Task.run_start >= slice);
     sched_balance =
       (fun ~cpu ->
-        let stolen = ref None in
-        Array.iter
-          (fun core ->
-            if !stolen = None && core <> cpu then stolen := Runqueue.pop_tail (q core))
-          view.cores;
-        !stolen);
+        (* the tail of the first other core, in order, with one *)
+        let rec scan i =
+          if i = Array.length queues then None
+          else if view.cores.(i) = cpu then scan (i + 1)
+          else
+            match Runqueue.pop_tail queues.(i) with
+            | Some _ as stolen -> stolen
+            | None -> scan (i + 1)
+        in
+        scan 0);
     sched_migration_charge = Sched_ops.no_migration_charge;
     sched_idle_park = Sched_ops.park_after_grace;
   }

@@ -36,7 +36,7 @@ let sample t rng =
       (* Inverse CDF on (0, 1]: 1 - uniform avoids u = 0 (infinite draw). *)
       let u = 1.0 -. uniform rng in
       let x = float_of_int scale /. (u ** (1.0 /. alpha)) in
-      clamp (min cap (int_of_float x))
+      clamp (Int.min cap (int_of_float x))
 
 let mean = function
   | Constant d -> float_of_int d

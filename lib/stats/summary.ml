@@ -27,7 +27,7 @@ let record_request t ~arrival ~completion ~service =
      towards [requests] so completion reconciliation holds. *)
   if service > 0 then begin
     let slowdown_x1000 = response * 1000 / service in
-    Histogram.record t.slowdown (max 1000 slowdown_x1000)
+    Histogram.record t.slowdown (Int.max 1000 slowdown_x1000)
   end
 
 let record_wakeup t v = Histogram.record t.wakeup v

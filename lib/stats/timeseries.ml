@@ -13,9 +13,11 @@ type t = {
      already evicted from the ring.  [trunc_span] is the virtual time the
      evicted samples covered, [trunc_weighted] their value*dt integral —
      enough for [integrate]/[mean] to stay exact over the full history
-     without retaining the samples themselves. *)
+     without retaining the samples themselves.  [trunc_weighted] is a
+     one-slot float array: a mutable float field of this mixed record
+     would box a fresh float on every eviction. *)
   mutable trunc_span : Time.t;
-  mutable trunc_weighted : float;
+  trunc_weighted : Float.Array.t;
 }
 
 let create ?(capacity = 65_536) () =
@@ -29,7 +31,7 @@ let create ?(capacity = 65_536) () =
     count = 0;
     dropped = 0;
     trunc_span = 0;
-    trunc_weighted = 0.0;
+    trunc_weighted = Float.Array.make 1 0.0;
   }
 
 let nth t i =
@@ -74,8 +76,9 @@ let record t ~at v =
       in
       if t1 > t0 then begin
         t.trunc_span <- t.trunc_span + (t1 - t0);
-        t.trunc_weighted <-
-          t.trunc_weighted +. (float_of_int (t1 - t0) *. float_of_int v0)
+        Float.Array.set t.trunc_weighted 0
+          (Float.Array.get t.trunc_weighted 0
+          +. (float_of_int (t1 - t0) *. float_of_int v0))
       end;
       t.dropped <- t.dropped + 1
     end
@@ -117,13 +120,13 @@ let weighted_span t ~until =
 
 let integrate t ~until =
   let weighted, _ = weighted_span t ~until in
-  t.trunc_weighted +. weighted
+  Float.Array.get t.trunc_weighted 0 +. weighted
 
 let mean t ~until =
   if t.count = 0 then 0.0
   else begin
     let weighted, span = weighted_span t ~until in
-    let weighted = t.trunc_weighted +. weighted
+    let weighted = Float.Array.get t.trunc_weighted 0 +. weighted
     and span = float_of_int t.trunc_span +. span in
     if span = 0.0 then float_of_int (snd (nth t (t.count - 1)))
     else weighted /. span

@@ -13,8 +13,7 @@ module Percpu = Skyloft.Percpu
 module Hybrid = Skyloft.Hybrid
 module Fifo = Skyloft_policies.Fifo
 module Rr = Skyloft_policies.Rr
-module Cfs = Skyloft_policies.Cfs
-module Eevdf = Skyloft_policies.Eevdf
+module Fair_percpu = Skyloft_policies.Fair_percpu
 module Shinjuku = Skyloft_policies.Shinjuku
 module Shinjuku_shenango = Skyloft_policies.Shinjuku_shenango
 module Work_stealing = Skyloft_policies.Work_stealing
@@ -98,7 +97,7 @@ let test_rr_wakeup_to_idle_core () =
 (* ---- CFS ---- *)
 
 let test_cfs_fair_split () =
-  let engine, rt, app = make_rt ~cores:1 (Cfs.create ()) in
+  let engine, rt, app = make_rt ~cores:1 (Fair_percpu.cfs ()) in
   (* two hogs that each want 5ms on one core *)
   let a = ref 0 and b = ref 0 in
   spawn_timed engine rt app "a" (Time.ms 5) a;
@@ -108,7 +107,7 @@ let test_cfs_fair_split () =
     (!a > 0 && !b > 0 && abs (!a - !b) < Time.ms 1)
 
 let test_cfs_three_way_fairness () =
-  let engine, rt, app = make_rt ~cores:1 (Cfs.create ()) in
+  let engine, rt, app = make_rt ~cores:1 (Fair_percpu.cfs ()) in
   let dones = Array.make 3 0 in
   for i = 0 to 2 do
     let r = ref 0 in
@@ -123,7 +122,7 @@ let test_cfs_three_way_fairness () =
 let test_cfs_sleeper_gets_priority () =
   (* A task that slept should preempt... in Skyloft CFS, run soon after
      wake even though a hog is running, bounded by the 10us tick. *)
-  let engine, rt, app = make_rt ~cores:1 (Cfs.create ()) in
+  let engine, rt, app = make_rt ~cores:1 (Fair_percpu.cfs ()) in
   ignore (Rc.spawn rt app ~name:"hog" (Coro.compute_then_exit (Time.ms 4)));
   let woke_done = ref 0 in
   let sleeper =
@@ -142,7 +141,7 @@ let test_cfs_sleeper_gets_priority () =
 (* ---- EEVDF ---- *)
 
 let test_eevdf_fair_split () =
-  let engine, rt, app = make_rt ~cores:1 (Eevdf.create ()) in
+  let engine, rt, app = make_rt ~cores:1 (Fair_percpu.eevdf ()) in
   let a = ref 0 and b = ref 0 in
   spawn_timed engine rt app "a" (Time.ms 5) a;
   spawn_timed engine rt app "b" (Time.ms 5) b;
@@ -150,7 +149,7 @@ let test_eevdf_fair_split () =
   check Alcotest.bool "fair" true (!a > 0 && !b > 0 && abs (!a - !b) < Time.ms 1)
 
 let test_eevdf_lag_preserved_on_wake () =
-  let engine, rt, app = make_rt ~cores:1 (Eevdf.create ()) in
+  let engine, rt, app = make_rt ~cores:1 (Fair_percpu.eevdf ()) in
   ignore (Rc.spawn rt app ~name:"hog" (Coro.compute_then_exit (Time.ms 4)));
   let woke_done = ref 0 in
   let sleeper =

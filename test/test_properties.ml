@@ -39,8 +39,8 @@ let policies =
   [
     ("fifo", None, fun () -> Skyloft_policies.Fifo.create ());
     ("rr", None, fun () -> Skyloft_policies.Rr.create ~slice:(Time.us 20) ());
-    ("cfs", None, fun () -> Skyloft_policies.Cfs.create ());
-    ("eevdf", None, fun () -> Skyloft_policies.Eevdf.create ());
+    ("cfs", None, Skyloft_policies.Fair_percpu.cfs);
+    ("eevdf", None, Skyloft_policies.Fair_percpu.eevdf);
     ("ws", None, fun () -> Skyloft_policies.Work_stealing.create ());
     ( "ws-preempt",
       None,

@@ -431,6 +431,22 @@ let test_timeseries_capacity_one () =
     (50.0 +. 140.0 +. (9.0 *. 10.0))
     (Timeseries.integrate s ~until:40)
 
+(* A full ring evicts on every recorded change; the eviction folds into
+   the truncation accumulators in place, so it allocates nothing. *)
+let test_timeseries_full_ring_no_alloc () =
+  let module Timeseries = Skyloft_stats.Timeseries in
+  let s = Timeseries.create ~capacity:8 () in
+  for i = 0 to 7 do
+    Timeseries.record s ~at:i i
+  done;
+  let before = Gc.minor_words () in
+  for i = 8 to 1_007 do
+    Timeseries.record s ~at:(i * 3) (i land 15)
+  done;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.int "samples evicted" 1_000 (Timeseries.dropped s);
+  check (Alcotest.float 0.0) "minor words of 1,000 evicting records" 0.0 words
+
 (* [record] against a list model: a sample earlier than the newest one
    raises and changes nothing, a repeated value is dropped, the ring keeps
    the newest [capacity] samples, and [integrate]/[mean] cover the whole
@@ -521,6 +537,8 @@ let suite =
     Alcotest.test_case "timeseries: truncation exact" `Quick test_timeseries_truncation_exact;
     Alcotest.test_case "timeseries: truncated span" `Quick test_timeseries_truncated_span;
     Alcotest.test_case "timeseries: capacity one" `Quick test_timeseries_capacity_one;
+    Alcotest.test_case "timeseries: full ring allocates nothing" `Quick
+      test_timeseries_full_ring_no_alloc;
     qtest prop_timeseries_record_model;
     qtest prop_timeseries_growth_model;
     qtest prop_timeseries_wrap_model;
