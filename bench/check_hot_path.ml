@@ -1,14 +1,16 @@
 (* Hot-path primitive lint over OCaml sources.
 
-   Under the dev profile every module is compiled [-opaque] and without
-   flambda, so on the per-event path a bare [max]/[min]/[compare] is an
-   out-of-line call to the polymorphic [Stdlib] primitive (through
-   [caml_greaterequal]/[compare_val] even on ints), and a [Hashtbl]
-   lookup hashes its key with [caml_hash].  Each file named on the
-   command line may use none of them: int comparisons write
-   [Int.max]/[Int.min]/[Int.compare], and a deliberate polymorphic or
-   float use writes [Stdlib.max] (or [Stdlib.min]/[Stdlib.compare]) in
-   full — [Float.max] would change the NaN and -0 semantics.
+   The compiler has no flambda, so on the per-event path a bare
+   [max]/[min]/[compare] is an out-of-line call to the polymorphic
+   [Stdlib] primitive (through [caml_greaterequal]/[compare_val] even on
+   ints) under either profile: the default build's [-inline] does not
+   inline [Stdlib.max] into its caller, and [--profile dev] compiles
+   every library [-opaque].  A [Hashtbl] lookup hashes its key with
+   [caml_hash].  Each file named on the command line may use none of
+   them: int comparisons write [Int.max]/[Int.min]/[Int.compare], and a
+   deliberate polymorphic or float use writes [Stdlib.max] (or
+   [Stdlib.min]/[Stdlib.compare]) in full — [Float.max] would change the
+   NaN and -0 semantics.
 
    The files are read with the compiler's own lexer, so comments, string
    literals and labels ([~max], [?min]) never match; a lowercase [max],

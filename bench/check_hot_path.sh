@@ -4,9 +4,10 @@
 #
 #   bench/check_hot_path.sh
 #
-# Under dune's dev profile (-opaque, no flambda) a bare max/min/compare is
-# an out-of-line call to the polymorphic Stdlib primitive even on ints, and
-# a Hashtbl lookup hashes its key polymorphically.  Ints use
+# Without flambda a bare max/min/compare is an out-of-line call to the
+# polymorphic Stdlib primitive even on ints, under the default build's
+# -inline as under --profile dev (-opaque), and a Hashtbl lookup hashes
+# its key polymorphically.  Ints use
 # Int.max/Int.min/Int.compare; a deliberate float or polymorphic use writes
 # Stdlib.max (etc.) in full.  Builds the scanner (bench/check_hot_path.ml,
 # which reads each file with the compiler's lexer, so comments and strings

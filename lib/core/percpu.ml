@@ -106,9 +106,11 @@ let on_core_steal t (cpu : Percore.cpu) ~duration =
 
 (* ---- core allocation ----------------------------------------------------- *)
 
+(* The instant's name is formatted only when a trace will keep it. *)
 let alloc_instant t (ev : Allocator.event) kind =
-  Rc.trace_instant t.rc ~core:t.cores.(0) kind
-    (Printf.sprintf "%s=%d" ev.name ev.granted)
+  if Option.is_some t.rc.Rc.trace then
+    Rc.trace_instant t.rc ~core:t.cores.(0) kind
+      (Printf.sprintf "%s=%d" ev.name ev.granted)
 
 (* The broker's tenant actions never come from a runtime's allocator. *)
 let alloc_event t (ev : Allocator.event) =

@@ -120,6 +120,10 @@ type t = {
          [release], which alone write [current], recounted at attach *)
   mutable be_incoming : int;  (* units whose [incoming] is the BE app *)
   mutable busy_total : int;  (* sum of every app's busy_ns, daemon included *)
+  mutable running_units : int array;  (* app id -> units running one of its tasks *)
+  mutable running_from : int array;  (* app id -> sum of those units' busy_from *)
+  mutable running_total : int;  (* units running anything *)
+  mutable running_from_total : int;  (* sum of their busy_from *)
   mutable be_allowance : int;  (* units BE tasks may occupy right now *)
   mutable core_allowance : int;
       (* units (by slot, a prefix of d_units) this runtime may occupy at
@@ -175,6 +179,10 @@ let create machine kmod =
     be_running = 0;
     be_incoming = 0;
     busy_total = 0;
+    running_units = Array.make 64 0;
+    running_from = Array.make 64 0;
+    running_total = 0;
+    running_from_total = 0;
     be_allowance = 0;
     core_allowance = max_int;
     allocator = None;
@@ -316,6 +324,8 @@ let new_app t ~name =
   let app = App.create ~id ~name in
   t.by_id <- grown t.by_id id t.daemon;
   t.by_id.(id) <- app;
+  t.running_units <- grown t.running_units id 0;
+  t.running_from <- grown t.running_from id 0;
   t.next_app_id <- id + 1;
   t.apps <- app :: t.apps;
   app
@@ -403,6 +413,15 @@ let set_be_allowance t n =
 
 (* ---- accounting and trace vocabulary ------------------------------------- *)
 
+(* The running units' counts and busy_from sums, per app and in total,
+   so [in_flight_busy] needs no scan: [begin_run], [release] and
+   [account] alone move a unit's [current] or [busy_from]. *)
+let track_running t ~app ~units ~from =
+  t.running_units.(app) <- t.running_units.(app) + units;
+  t.running_from.(app) <- t.running_from.(app) + from;
+  t.running_total <- t.running_total + units;
+  t.running_from_total <- t.running_from_total + from
+
 let account t ex =
   (match ex.current with
   | Some task ->
@@ -410,6 +429,7 @@ let account t ex =
       let busy = Int.max 0 (now t - ex.busy_from) in
       app.App.busy_ns <- app.App.busy_ns + busy;
       t.busy_total <- t.busy_total + busy;
+      track_running t ~app:task.Task.app ~units:0 ~from:(now t - ex.busy_from);
       (match t.trace with
       | Some trace when now t > ex.busy_from ->
           Trace.span trace ~core:ex.exec_core ~app:task.Task.app
@@ -425,8 +445,10 @@ let trace_instant t ~core kind name =
 
 let release t ex =
   (match ex.current with
-  | Some task when is_be t task -> t.be_running <- t.be_running - 1
-  | Some _ | None -> ());
+  | Some task ->
+      if is_be t task then t.be_running <- t.be_running - 1;
+      track_running t ~app:task.Task.app ~units:(-1) ~from:(-ex.busy_from)
+  | None -> ());
   ex.current <- None;
   set_idle_bit t ex.exec_slot true;
   t.dispatch.d_released ex
@@ -639,6 +661,7 @@ let begin_run t ex (task : Task.t) ~switch_cost =
   ex.current <- Some task;
   set_idle_bit t ex.exec_slot false;
   ex.busy_from <- now t;
+  track_running t ~app:task.Task.app ~units:1 ~from:(now t);
   task.obs_queued_ns <- task.obs_queued_ns + Int.max 0 (now t - task.obs_enq_at);
   task.obs_overhead_ns <- task.obs_overhead_ns + switch_cost;
   let start = now t + switch_cost in
@@ -871,17 +894,14 @@ let freeze_for_steal t ex ~duration =
 (* Busy nanoseconds including the in-flight segment of running units, so
    the allocator's utilization sample does not lag long-running tasks:
    the units running a task of app [id] when [mine], of any other app
-   otherwise ([~id:(-1) ~mine:false] is every running unit). *)
+   otherwise ([~id:(-1) ~mine:false] is every running unit).  Each such
+   unit has been busy since its [busy_from], so [n] of them sum to
+   [n * now - Σ busy_from]. *)
 let in_flight_busy t ~id ~mine =
-  let units = t.dispatch.d_units and at = now t in
-  let acc = ref 0 in
-  for i = 0 to Array.length units - 1 do
-    let ex = units.(i) in
-    match ex.current with
-    | Some task when (task.Task.app = id) = mine -> acc := !acc + Int.max 0 (at - ex.busy_from)
-    | Some _ | None -> ()
-  done;
-  !acc
+  let units = if id >= 0 then t.running_units.(id) else 0 in
+  let from = if id >= 0 then t.running_from.(id) else 0 in
+  if mine then (units * now t) - from
+  else ((t.running_total - units) * now t) - (t.running_from_total - from)
 
 let total_busy_ns t = t.busy_total
 

@@ -123,6 +123,14 @@ type t = {
   mutable busy_total : int;
       (** every app's [busy_ns] summed, the daemon's included; charging a
           unit's busy segment keeps it *)
+  mutable running_units : int array;
+      (** app id -> units whose current task is the app's, grown with
+          [by_id]; {!begin_run} and the unit's release keep it *)
+  mutable running_from : int array;
+      (** app id -> the [busy_from] of those units, summed; {!begin_run},
+          the unit's release and charging its busy segment keep it *)
+  mutable running_total : int;  (** [running_units] summed *)
+  mutable running_from_total : int;  (** [running_from] summed *)
   mutable be_allowance : int;
   mutable core_allowance : int;
       (** units (a prefix of [d_units], by slot) this runtime may occupy
@@ -370,8 +378,8 @@ val freeze_for_steal : t -> exec -> duration:Time.t -> unit
 
 val lc_busy_ns : t -> int
 (** Busy time of every app but the BE one, the daemon's and in-flight
-    segments included: [busy_total] less the BE app's, plus one loop over
-    the units. *)
+    segments included: [busy_total] less the BE app's, plus the other
+    apps' running units times now, less their summed [busy_from].  O(1). *)
 
 val total_busy_ns : t -> int
 (** [busy_total]: recorded busy time over every app.  O(1). *)

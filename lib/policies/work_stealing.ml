@@ -69,24 +69,29 @@ let index d cpu =
 
 let q d cpu = d.queues.(index d cpu)
 
+(* The position after [i] in the ring of [d.n] deques: a compare, not a
+   division. *)
+let[@inline] next d i = if i + 1 = d.n then 0 else i + 1
+
 (* Round-robin victim scan for the thief at position [self], resuming at
    its cursor (the first scan starts just after the thief) and stopping at
    the first non-empty deque: that deque's position, or -1.  The cursor
    moves past a hit. *)
 let victim d ~self =
-  let start = if d.cursor.(self) >= 0 then d.cursor.(self) else (self + 1) mod d.n in
+  let idx = ref (if d.cursor.(self) >= 0 then d.cursor.(self) else next d self) in
   let found = ref (-1) in
   let k = ref 0 in
   d.probes <- 0;
   while !found < 0 && !k < d.n do
-    let idx = (start + !k) mod d.n in
-    if idx <> self then begin
+    let i = !idx in
+    if i <> self then begin
       d.probes <- d.probes + 1;
-      if not (Runqueue.is_empty d.queues.(idx)) then begin
-        found := idx;
-        d.cursor.(self) <- (idx + 1) mod d.n
+      if not (Runqueue.is_empty d.queues.(i)) then begin
+        found := i;
+        d.cursor.(self) <- next d i
       end
     end;
+    idx := next d i;
     incr k
   done;
   !found

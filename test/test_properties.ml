@@ -178,8 +178,8 @@ module Sched_ops = Skyloft.Sched_ops
    and broker allowance shrink and grow, attaching a best-effort app
    (once; later attaches are no-ops), with a random stretch of simulated
    time after each step.  After every step no task is on two units, and
-   the idle mask and the maintained BE-occupancy, busy-time and LC
-   queue counters agree with a full recount. *)
+   the idle mask and the maintained BE-occupancy, busy-time, running-unit
+   and LC queue counters agree with a full recount. *)
 type op =
   | Spawn of { pin : int; service : int; block : bool; deadline : int option }
   | Kill of int
@@ -282,6 +282,34 @@ let counters_agree (rt : Rc.t) (lc_tasks : Task.t array) =
   && Rc.lc_busy_ns rt = recorded - be_recorded + lc_in_flight
   && rt.Rc.lc_queued = lc_runnable - lc_incoming
 
+(* The running units' counts and [busy_from] sums kept per app and in
+   total agree with the scan of the units they replaced, and so does the
+   in-flight busy time the broker's congestion sample adds to
+   [total_busy_ns] (every running unit, busy since its [busy_from]). *)
+let running_sums_agree (rt : Rc.t) =
+  let units = rt.Rc.dispatch.Rc.d_units in
+  let scan keep =
+    Array.fold_left
+      (fun (n, from) (ex : Rc.exec) ->
+        match ex.Rc.current with
+        | Some task when keep task.Task.app -> (n + 1, from + ex.Rc.busy_from)
+        | Some _ | None -> (n, from))
+      (0, 0) units
+  in
+  let kept id = (rt.Rc.running_units.(id), rt.Rc.running_from.(id)) in
+  let n, from = scan (fun _ -> true) in
+  let in_flight =
+    Array.fold_left
+      (fun acc (ex : Rc.exec) ->
+        match ex.Rc.current with
+        | Some _ -> acc + max 0 (Rc.now rt - ex.Rc.busy_from)
+        | None -> acc)
+      0 units
+  in
+  List.for_all (fun id -> scan (( = ) id) = kept id) (List.init rt.Rc.next_app_id Fun.id)
+  && (rt.Rc.running_total, rt.Rc.running_from_total) = (n, from)
+  && (Rc.congestion rt).Skyloft_alloc.Allocator.busy_ns = Rc.total_busy_ns rt + in_flight
+
 let conformance runtime ops =
   let engine = Engine.create ~seed:1 () in
   let machine_cores = conformance_workers + Scenario.dispatcher_cores runtime in
@@ -334,6 +362,7 @@ let conformance runtime ops =
   in
   let consistent () =
     no_task_on_two_units rt && idle_mask_agrees rt ~machine_cores && counters_agree rt !tasks
+    && running_sums_agree rt
   in
   let holds = ref (consistent ()) in
   List.iter

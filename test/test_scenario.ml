@@ -461,7 +461,10 @@ let test_bounded_memory () =
    cell at seed 8.  A fixed cell's [Gc.minor_words] count is exact and
    repeatable, unlike a timed run's traced average, so each ceiling is the
    measured words/request plus 5%; an allocation regression on the request
-   path fails here. *)
+   path fails here.  Measured under the default build (the release profile
+   dune-workspace selects): under [--profile dev] every library is
+   [-opaque], more values are boxed at call sites, and two cells exceed
+   these ceilings. *)
 let test_scale_cell_allocation_ceiling () =
   let module Scale = Skyloft_experiments.Scale in
   List.iter
@@ -474,10 +477,10 @@ let test_scale_cell_allocation_ceiling () =
         Alcotest.failf "%s: %.2f minor words/request, above the ceiling of %.1f" name
           per_request ceiling)
     [
-      ("pareto-percpu", Scale.steady_pareto, Scenario.Percpu, 104.2);
-      ("pareto-hybrid", Scale.steady_pareto, Scenario.Hybrid, 103.2);
-      ("mmpp-worksteal", Scale.bursty_mmpp, Scenario.Worksteal, 221.5);
-      ("mix-percpu", Scale.tenant_mix, Scenario.Percpu, 114.6);
+      ("pareto-percpu", Scale.steady_pareto, Scenario.Percpu, 95.0);
+      ("pareto-hybrid", Scale.steady_pareto, Scenario.Hybrid, 98.2);
+      ("mmpp-worksteal", Scale.bursty_mmpp, Scenario.Worksteal, 202.6);
+      ("mix-percpu", Scale.tenant_mix, Scenario.Percpu, 107.8);
     ]
 
 let suite =
