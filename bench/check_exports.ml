@@ -3,10 +3,15 @@
    Every [val] declared in a lib/**/*.mli (including those of submodules
    declared there, but not those inside a [module type], which state a
    requirement rather than an export) must be referenced by some other
-   compilation unit: another library module, a test, bench/, perfbench/,
-   bin/ or examples/.  A lib/ module with no .mli exports every top-level
-   value of its .ml; each of those must be referenced by some compilation
-   unit, its own included (a helper its own module calls is not dead).
+   compilation unit of the program: another library module, bench/,
+   perfbench/, bin/ or examples/.  A lib/ module with no .mli exports
+   every top-level value of its .ml; each of those must be referenced by
+   some program unit, its own included (a helper its own module calls is
+   not dead).  Tests do not count as callers.  A value only tests call
+   passes if the allowlist names it with a reason: an accessor that lets
+   a test observe state, a builder for a test's input, or a hook that
+   lets a test drive a program step by hand.  An allowlist entry no test
+   calls, or that now has a program caller, is stale and fails too.
    References are read from the .cmt files, where the type checker has
    already resolved [M.x], module aliases, [M.Sub.x], local opens
    [M.( ... )] and [open M]: each identifier carries the unique id of the
@@ -22,9 +27,11 @@
    matched by name, since an alias's uses name it before the type
    checker resolves it away.
 
-   Usage: check_exports.exe BUILD_DIR (after [dune build @check]).
-   Prints one line per unreferenced [val] or alias and exits 1 if there
-   is any. *)
+   Usage: check_exports.exe BUILD_DIR ALLOWLIST (after [dune build
+   @check]).  The allowlist has one [Module.value reason...] line per
+   test-only value; blank lines and [#] comments are skipped.  Prints one
+   line per unreferenced [val] or alias, and per bad allowlist entry, and
+   exits 1 if there is any. *)
 
 open Typedtree
 module Uid = Shape.Uid
@@ -38,8 +45,10 @@ let rec files_with_ext dir ext acc =
       else acc)
     acc (Sys.readdir dir)
 
-(* The directories whose compiled units count as callers. *)
-let caller_dirs = [ "lib"; "test"; "bench"; "perfbench"; "bin"; "examples" ]
+(* The directories whose compiled units count as callers, and the one
+   whose references only an allowlist entry can use. *)
+let caller_dirs = [ "lib"; "bench"; "perfbench"; "bin"; "examples" ]
+let test_dir = "test"
 
 type export = { qualified : string; file : string; line : int }
 
@@ -88,6 +97,7 @@ let module_name (cmt : Cmt_format.cmt_infos) =
    only for the [.mli]-less exports, whose ids they name exactly. *)
 let referenced = Uid.Tbl.create 4096
 let self_referenced = Uid.Tbl.create 4096
+let test_referenced = Uid.Tbl.create 4096
 
 (* ---- module aliases ------------------------------------------------------ *)
 
@@ -204,14 +214,16 @@ let alias_use_iterator unit =
   in
   { Tast_iterator.default_iterator with expr; pat; typ; module_expr; module_type }
 
-let mark_references (cmt : Cmt_format.cmt_infos) str =
+let mark_references ~test (cmt : Cmt_format.cmt_infos) str =
   let expr sub e =
     (match e.exp_desc with
     | Texp_ident (_, _, vd) -> (
         match vd.Types.val_uid with
         | Uid.Item { comp_unit; _ } ->
             Uid.Tbl.replace
-              (if comp_unit = cmt.cmt_modname then self_referenced else referenced)
+              (if test then test_referenced
+               else if comp_unit = cmt.cmt_modname then self_referenced
+               else referenced)
               vd.val_uid ()
         | _ -> ())
     | _ -> ());
@@ -220,14 +232,27 @@ let mark_references (cmt : Cmt_format.cmt_infos) str =
   let it = { Tast_iterator.default_iterator with expr } in
   it.structure it str
 
+(* (name, line number, has a reason) per "Module.value reason..." line. *)
+let read_allowlist path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.mapi (fun i line -> (String.trim line, i + 1))
+  |> List.filter_map (fun (line, lineno) ->
+         if line = "" || line.[0] = '#' then None
+         else
+           match String.index_opt line ' ' with
+           | None -> Some (line, lineno, false)
+           | Some i -> Some (String.sub line 0 i, lineno, true))
+
 let () =
-  let build =
+  let build, allowlist_path =
     match Sys.argv with
-    | [| _; dir |] -> dir
+    | [| _; dir; allowlist |] -> (dir, allowlist)
     | _ ->
-        prerr_endline "usage: check_exports.exe BUILD_DIR";
+        prerr_endline "usage: check_exports.exe BUILD_DIR ALLOWLIST";
         exit 2
   in
+  let allowlist = read_allowlist allowlist_path in
   let in_build d = Filename.concat build d in
   (* unit -> the module names its interface declares *)
   let declared = Hashtbl.create 128 in
@@ -262,7 +287,7 @@ let () =
             let cmt = Cmt_format.read_cmt path in
             match cmt.cmt_annots with
             | Implementation str ->
-                mark_references cmt str;
+                mark_references ~test:false cmt str;
                 let it = alias_use_iterator (module_name cmt) in
                 it.structure it str
             | _ -> ())
@@ -277,11 +302,27 @@ let () =
             | _ -> ())
           (files_with_ext (in_build d) ".cmti" []))
     caller_dirs;
+  if Sys.file_exists (in_build test_dir) then
+    List.iter
+      (fun path ->
+        let cmt = Cmt_format.read_cmt path in
+        match cmt.cmt_annots with
+        | Implementation str -> mark_references ~test:true cmt str
+        | _ -> ())
+      (files_with_ext (in_build test_dir) ".cmt" []);
+  (* Allowlisted names some test calls; only these may lack a program caller. *)
+  let test_only = Hashtbl.create 128 in
   let unreferenced ~self tbl acc =
     Uid.Tbl.fold
       (fun uid e acc ->
         if Uid.Tbl.mem referenced uid || (self && Uid.Tbl.mem self_referenced uid)
         then acc
+        else if
+          Uid.Tbl.mem test_referenced uid
+          && List.exists (fun (name, _, _) -> name = e.qualified) allowlist
+        then (
+          Hashtbl.replace test_only e.qualified ();
+          acc)
         else e :: acc)
       tbl acc
   in
@@ -296,10 +337,23 @@ let () =
     |> List.sort (fun a b -> compare (a.file, a.line) (b.file, b.line))
   in
   List.iter (fun e -> Printf.printf "%s:%d: %s\n" e.file e.line e.qualified) dead;
+  let bad_entries =
+    List.filter_map
+      (fun (name, lineno, has_reason) ->
+        let where = Printf.sprintf "%s:%d: %s" allowlist_path lineno name in
+        if not has_reason then Some (where ^ ": no reason given")
+        else if not (Hashtbl.mem test_only name) then
+          Some (where ^ ": stale (a program caller, no test caller, or no such val)")
+        else None)
+      allowlist
+  in
+  List.iter print_endline bad_entries;
   Printf.printf
     "%d of %d exported vals (%d from .mli, %d top-level in .mli-less modules) \
-     and top-level module aliases (%d) have no caller\n"
+     and top-level module aliases (%d) have no program caller; %d are \
+     allowlisted test-only vals, %d allowlist entries are bad\n"
     (List.length dead)
     (Uid.Tbl.length exports + Uid.Tbl.length implicit_exports + Hashtbl.length aliases)
-    (Uid.Tbl.length exports) (Uid.Tbl.length implicit_exports) (Hashtbl.length aliases);
-  if dead <> [] then exit 1
+    (Uid.Tbl.length exports) (Uid.Tbl.length implicit_exports) (Hashtbl.length aliases)
+    (Hashtbl.length test_only) (List.length bad_entries);
+  if dead <> [] || bad_entries <> [] then exit 1

@@ -1,20 +1,26 @@
 #!/usr/bin/env bash
 # Dead-export gate: every `val` in lib/**/*.mli must have a caller outside
 # its own module, and every top-level value of a lib/ module without an
-# .mli must have a caller anywhere, its own module included.
+# .mli must have a caller anywhere, its own module included.  Tests do
+# not count as callers.
 #
 #   bench/check_exports.sh
 #
 # Builds the typed trees (`dune build @check`) and the scanner
 # (bench/check_exports.ml), then lists every exported `val` that no other
-# compilation unit references, and every top-level value of an .mli-less
-# module that no compilation unit references.  Library modules, test/,
-# bench/, perfbench/, bin/ and examples/ all count as callers.  References
-# are resolved by the type checker, so `M.x`, module aliases, `M.Sub.x`,
-# local opens and `open M` are all seen.  It also lists every top-level
-# `module X = M` alias in a lib/ .ml or .mli that no path goes through.
-# Exits non-zero if the list is not empty.
+# compilation unit of the program references, and every top-level value
+# of an .mli-less module that no program unit references.  Library
+# modules, bench/, perfbench/, bin/ and examples/ count as callers;
+# test/ does not.  A value only tests call passes if
+# bench/test_only_exports.txt names it with a one-line reason (an accessor
+# that lets a test observe state, a builder for a test's input, or a hook
+# that lets a test drive a program step by hand); an entry with no
+# reason, no test caller or a program caller fails.
+# References are resolved by the type checker, so `M.x`, module aliases,
+# `M.Sub.x`, local opens and `open M` are all seen.  It also lists every
+# top-level `module X = M` alias in a lib/ .ml or .mli that no program
+# path goes through.  Exits non-zero if the list is not empty.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 dune build @check ./bench/check_exports.exe
-exec ./_build/default/bench/check_exports.exe _build/default
+exec ./_build/default/bench/check_exports.exe _build/default bench/test_only_exports.txt

@@ -91,7 +91,7 @@ let experiments : (string * string * (E.Config.t -> unit)) list =
     ("table5", "scheduling-policy parameters", fun _ -> E.Tables.print_table5 ());
     ("table6", "preemption mechanism costs", fun _ -> ignore (E.Tables.print_table6 ()));
     ( "table7",
-      "threading operation costs (model; see bench for measured)",
+      "threading operation costs (model; examples/uthreads_demo measures)",
       fun _ -> ignore (E.Tables.print_table7_model ()) );
     ("appswitch", "inter-application switch cost", fun _ -> E.Tables.print_appswitch ());
     ("ablations", "design-choice ablations (tick tax, 2a-vs-2b, dispatcher scaling, NIC modes, hybrid)",

@@ -1,5 +1,4 @@
 module Time = Skyloft_sim.Time
-module Rng = Skyloft_sim.Rng
 module Dist = Skyloft_sim.Dist
 
 (** Memcached model (§5.3, Figure 8a).
@@ -12,8 +11,6 @@ module Dist = Skyloft_sim.Dist
     Skyloft's job is simply to match Shenango's work stealing. *)
 
 let get_fraction = 0.998
-
-let kind rng = if Rng.uniform rng < get_fraction then "get" else "set"
 
 (* One distribution view of the USR mix, for the load generator. *)
 let service : Dist.t =

@@ -1,5 +1,4 @@
 module Time = Skyloft_sim.Time
-module Rng = Skyloft_sim.Rng
 module Dist = Skyloft_sim.Dist
 
 (** Memcached model (§5.3, Figure 8a): an in-memory key-value store under
@@ -7,9 +6,6 @@ module Dist = Skyloft_sim.Dist
     times.  Because the workload is light-tailed, preemption buys
     nothing: this is the experiment where Skyloft only has to match
     Shenango's work stealing. *)
-
-val kind : Rng.t -> string
-(** Draw "get" or "set" with the USR mix. *)
 
 val service : Dist.t
 (** The USR mix as one distribution, for the load generator. *)

@@ -1,5 +1,4 @@
 module Time = Skyloft_sim.Time
-module Rng = Skyloft_sim.Rng
 module Dist = Skyloft_sim.Dist
 
 (** RocksDB UDP server model (§5.3, Figure 8b).
@@ -12,8 +11,6 @@ module Dist = Skyloft_sim.Dist
 
 let get_service = Time.ns 950
 let scan_service = Time.us 591
-
-let kind rng = if Rng.uniform rng < 0.5 then "get" else "scan"
 
 let service : Dist.t =
   Dist.Bimodal { p_short = 0.5; short = get_service; long = scan_service }

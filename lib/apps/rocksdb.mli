@@ -1,5 +1,4 @@
 module Time = Skyloft_sim.Time
-module Rng = Skyloft_sim.Rng
 module Dist = Skyloft_sim.Dist
 
 (** RocksDB UDP server model (§5.3, Figure 8b): 50% GETs at 0.95 µs and
@@ -8,7 +7,5 @@ module Dist = Skyloft_sim.Dist
     SCAN waits 600× its own service time, which is what the 99.9%
     slowdown metric exposes. *)
 
-val kind : Rng.t -> string
 val service : Dist.t
-val mean_service_ns : float
 val saturation_rps : cores:int -> float

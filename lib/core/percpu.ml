@@ -256,12 +256,6 @@ let register_uvec t ~uvec handler =
     invalid_arg "Percpu.register_uvec: uvec out of 0-63";
   t.uvec_handlers.(uvec) <- Some handler
 
-let preempt_core t ~src_core ~dst_core =
-  match Machine.uintr_installed t.rc.Rc.machine ~core:dst_core with
-  | Some ctx ->
-      Machine.senduipi t.rc.Rc.machine ~src_core ctx ~uvec:Vectors.uvec_preempt
-  | None -> ()
-
 let current t ~core = (cpu_of t core).Percore.ex.Rc.current
 let is_idle t ~core = Rc.is_idle t.rc core
 let parks t = t.pc.Percore.parks

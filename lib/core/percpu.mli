@@ -21,9 +21,9 @@ module Kmod = Skyloft_kernel.Kmod
     - intra-application task switch: {!Skyloft_hw.Costs.uthread_yield_ns}
     - inter-application task switch: {!Skyloft_hw.Costs.app_switch_ns}
     - each timer tick: user-timer receive + the SN re-post SENDUIPI
-    - preemption via user IPI (from [preempt_core]): UIPI delivery and
-      receive costs; a broker eviction or BE-allowance shrink: the
-      receive cost.  BE preemptions count only in
+    - preemption via user IPI ({!Skyloft_hw.Vectors.uvec_preempt}): UIPI
+      delivery and receive costs; a broker eviction or BE-allowance
+      shrink: the receive cost.  BE preemptions count only in
       {!Runtime_core.be_preemptions}. *)
 
 type t
@@ -91,11 +91,6 @@ val start_utimer : t -> src_core:int -> hz:int -> unit
     @raise Invalid_argument unless the runtime was created with
     [~preemption:false]: a timer-delegated context's notification vector
     is the timer vector, so the broadcast IPIs would land there. *)
-
-val preempt_core : t -> src_core:int -> dst_core:int -> unit
-(** Send a preemption user IPI from [src_core] to [dst_core] (dispatcher
-    style, Figure 2b).  The receiving core's handler re-enqueues its
-    current task and reschedules. *)
 
 val current : t -> core:int -> Task.t option
 val is_idle : t -> core:int -> bool

@@ -1,6 +1,3 @@
-module Engine = Skyloft_sim.Engine
-module Topology = Skyloft_hw.Topology
-module Machine = Skyloft_hw.Machine
 module Costs = Skyloft_hw.Costs
 module Kmod = Skyloft_kernel.Kmod
 
@@ -155,9 +152,9 @@ let print_table6 () =
   rows
 
 (* ---- Table 7: threading operations (model columns) ----
-   The measured Skyloft column comes from the Bechamel benchmarks in
-   bench/main.ml; here we print the paper's numbers plus our cost-model
-   values used by the simulation. *)
+   The measured Skyloft column comes from timing this repository's real
+   uthreads in examples/uthreads_demo.ml; here we print the paper's
+   numbers plus our cost-model values used by the simulation. *)
 
 let print_table7_model () =
   Report.section "Table 7: threading operation comparison (ns) — paper / simulation model";
@@ -175,18 +172,16 @@ let print_table7_model () =
       ops
   in
   Report.table ~header:[ "operation"; "pthread"; "Go"; "Skyloft" ] rows;
-  Report.note "real measurements of this repo's effects-based uthreads are in the";
-  Report.note "bench output (Bechamel), reproducing the shape: user-level ops are";
-  Report.note "orders of magnitude cheaper than kernel threads";
+  Report.note "real measurements of this repo's effects-based uthreads come from";
+  Report.note "`dune exec examples/uthreads_demo.exe`, reproducing the shape: user-level";
+  Report.note "ops are orders of magnitude cheaper than kernel threads";
   rows
 
 (* ---- §5.4: thread switching across applications ---- *)
 
 let print_appswitch () =
   Report.section "§5.4 microbenchmark: inter-application switch cost";
-  let engine = Engine.create () in
-  let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4) in
-  let kmod = Kmod.create machine in
+  let _, _, kmod = Harness.fresh Config.quick in
   let a = Kmod.park_on_cpu kmod ~app:1 ~core:0 in
   let b = Kmod.park_on_cpu kmod ~app:2 ~core:0 in
   ignore (Kmod.activate kmod a);

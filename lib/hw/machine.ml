@@ -148,7 +148,6 @@ let unmask_interrupts c =
    with zero extra work, so fault-free runs are bit-identical to a build
    that never heard of injection. *)
 let set_fault_hook t f = t.fault_hook <- Some f
-let clear_fault_hook t = t.fault_hook <- None
 
 let fault_fate t ~core v =
   match t.fault_hook with
@@ -180,11 +179,6 @@ let send_ipi t ~src ~dst v =
   | Delay d -> ignore (Engine.after t.engine (latency + d) (delivery target v))
   | Deliver -> ignore (Engine.after t.engine latency (delivery target v))
 
-let timer_stop t ~core:i =
-  let c = core t i in
-  c.timer_gen <- c.timer_gen + 1;
-  c.hz <- 0
-
 let timer_set_periodic t ~core:i ~hz =
   if hz <= 0 then invalid_arg "Machine.timer_set_periodic: hz must be positive";
   let c = core t i in
@@ -200,7 +194,7 @@ let timer_set_periodic t ~core:i ~hz =
         | Drop -> ()
         | Delay d ->
             (* Recheck the generation at fire time: a tick delayed past
-               [timer_stop] (or past a re-arm) must not deliver. *)
+               a re-arm must not deliver. *)
             ignore
               (Engine.after t.engine d (fun () ->
                    if c.timer_gen = gen then raise_vector c Vectors.timer))
@@ -208,20 +202,6 @@ let timer_set_periodic t ~core:i ~hz =
         true
       end
       else false)
-
-let timer_one_shot t ~core:i ~after =
-  let c = core t i in
-  let gen = c.timer_gen in
-  ignore
-    (Engine.after t.engine after (fun () ->
-         if c.timer_gen = gen then
-           match fault_fate t ~core:i Vectors.timer with
-           | Drop -> ()
-           | Delay d ->
-               ignore
-                 (Engine.after t.engine d (fun () ->
-                      if c.timer_gen = gen then raise_vector c Vectors.timer))
-           | Deliver -> raise_vector c Vectors.timer))
 
 let timer_hz c = c.hz
 

@@ -72,8 +72,6 @@ type fate = Deliver | Drop | Delay of Time.t
 val set_fault_hook : t -> (core:int -> vector -> fate) -> unit
 (** Install the interrupt-fate hook.  [core] is the delivery target. *)
 
-val clear_fault_hook : t -> unit
-
 val fault_fate : t -> core:int -> vector -> fate
 (** Consult the hook; [Deliver] when none is installed.  Runtimes that
     model notification latency outside {!send_ipi} (the centralized
@@ -87,8 +85,6 @@ val timer_set_periodic : t -> core:int -> hz:int -> unit
 (** Program the core-local timer to fire {!Vectors.timer} at [hz] Hz.
     Re-programming replaces the previous period. *)
 
-val timer_one_shot : t -> core:int -> after:Time.t -> unit
-val timer_stop : t -> core:int -> unit
 val timer_hz : core -> int
 
 (** {1 UINTR receiver side} *)

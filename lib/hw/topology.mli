@@ -14,7 +14,6 @@ val paper_server : t
 (** 2 sockets x 24 cores, as in the evaluation. *)
 
 val total_cores : t -> int
-val socket_of_core : t -> int -> int
-
 val cross_numa : t -> int -> int -> bool
-(** Whether two cores live on different sockets (different NUMA nodes). *)
+(** Whether two cores live on different sockets (different NUMA nodes).
+    Raises [Invalid_argument] on a core id outside the machine. *)

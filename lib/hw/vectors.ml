@@ -13,9 +13,6 @@ let timer : t = 0xec
    configures when it only expects SENDUIPI-generated interrupts). *)
 let uintr_notification : t = 0xe5
 
-(* Kernel reschedule IPI (preemption via the kernel, ghOSt-style). *)
-let resched : t = 0xfd
-
 (* User-interrupt *request* numbers (the 0-63 index posted into the PIR) are
    a separate small space; by convention Skyloft uses: *)
 let uvec_preempt = 1

@@ -10,9 +10,6 @@ val timer : t
 val uintr_notification : t
 (** UINTR notification vector (default UINV for user IPIs). *)
 
-val resched : t
-(** Kernel reschedule IPI. *)
-
 val uvec_timer : int
 (** User-vector index for delegated timer interrupts. *)
 

@@ -72,14 +72,3 @@ let retrying engine ?(budget = 3) ?(backoff = Time.us 100)
         end)
   in
   go 0
-
-let uniform_closed engine ~rng ~interval ~count ~service sink =
-  if interval <= 0 then invalid_arg "Loadgen.uniform_closed: interval must be positive";
-  for i = 0 to count - 1 do
-    let at = Engine.now engine + (i * interval) in
-    ignore
-      (Engine.at engine at (fun () ->
-           sink
-             (Packet.create ~arrival:at ~service:(Dist.sample service rng)
-                ~flow:(Rng.int rng 1_000_000) ~kind:"req")))
-  done

@@ -59,14 +59,3 @@ val retrying :
     existing fixed-seed runs are unchanged.  Used with per-task
     deadlines to keep request accounting lossless under injected
     faults. *)
-
-val uniform_closed :
-  Engine.t ->
-  rng:Rng.t ->
-  interval:Time.t ->
-  count:int ->
-  service:Dist.t ->
-  (Packet.t -> unit) ->
-  unit
-(** Fixed-interval generator: [count] packets spaced [interval] apart
-    (handy for deterministic tests and microbenchmarks). *)

@@ -12,59 +12,17 @@ type source =
 
 type instrument = { name : string; help : string; labels : labels; source : source }
 
-type slab =
-  (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
 type t = {
   mutable instruments : instrument list;  (* newest first *)
   keys : (string * labels, unit) Hashtbl.t;  (* uniqueness: (name, sorted labels) *)
-  mutable slots : slab;  (* shared unboxed counter slab, grown by doubling *)
-  mutable slots_used : int;
 }
-
-type slot = int
 
 let core c = ("core", string_of_int c)
 let app name = ("app", name)
 
-let slab_create n =
-  let s = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
-  Bigarray.Array1.fill s 0;
-  s
-
-let create () =
-  {
-    instruments = [];
-    keys = Hashtbl.create 64;
-    slots = slab_create 16;
-    slots_used = 0;
-  }
+let create () = { instruments = []; keys = Hashtbl.create 64 }
 
 let size t = List.length t.instruments
-
-(* ---- unboxed counter slots ------------------------------------------------ *)
-
-(* Hot-path counters live as machine words in one shared [Bigarray] slab:
-   [bump] is a single unboxed load/add/store with no write barrier and no
-   closure or ref cell per counter.  Snapshots read the very same words, so
-   a slot-backed counter is indistinguishable from a closure-backed one in
-   every export. *)
-
-let alloc_slot t =
-  let cap = Bigarray.Array1.dim t.slots in
-  if t.slots_used = cap then begin
-    let bigger = slab_create (2 * cap) in
-    Bigarray.Array1.blit t.slots (Bigarray.Array1.sub bigger 0 cap);
-    t.slots <- bigger
-  end;
-  let s = t.slots_used in
-  t.slots_used <- s + 1;
-  s
-
-let bump t s = Bigarray.Array1.unsafe_set t.slots s (Bigarray.Array1.unsafe_get t.slots s + 1)
-let bump_by t s n = Bigarray.Array1.unsafe_set t.slots s (Bigarray.Array1.unsafe_get t.slots s + n)
-let slot_value t s = Bigarray.Array1.get t.slots s
-let set_slot t s v = Bigarray.Array1.set t.slots s v
 
 let valid_name name =
   String.length name > 0
@@ -100,15 +58,6 @@ let register t ~name ~help ~labels source =
 
 let counter t ?(help = "") ?(labels = []) name read =
   register t ~name ~help ~labels (Src_counter read)
-
-let counter_slot t ?help ?labels name =
-  let s = alloc_slot t in
-  counter t ?help ?labels name (fun () -> slot_value t s);
-  s
-
-let core_counter_slots t ?help ?(labels = []) ~cores name =
-  if cores <= 0 then invalid_arg "Registry.core_counter_slots: cores must be positive";
-  Array.init cores (fun c -> counter_slot t ?help ~labels:(labels @ [ core c ]) name)
 
 let gauge t ?(help = "") ?(labels = []) name read =
   register t ~name ~help ~labels (Src_gauge read)
@@ -257,42 +206,4 @@ let to_prometheus samples =
           Buffer.add_string buf
             (Printf.sprintf "%s_count%s %d\n" s.name (render_labels s.labels) count))
     samples;
-  Buffer.contents buf
-
-(* ---- JSON ----------------------------------------------------------------- *)
-
-let escape_json = Skyloft_stats.Trace.escape
-
-let json_labels labels =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, v) -> Printf.sprintf "%S:\"%s\"" k (escape_json v))
-         labels)
-  ^ "}"
-
-let to_json samples =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"metrics\":[";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      let body =
-        match s.value with
-        | Counter v -> Printf.sprintf "\"kind\":\"counter\",\"value\":%d" v
-        | Gauge v -> Printf.sprintf "\"kind\":\"gauge\",\"value\":%.6g" v
-        | Summary { count; mean; p50; p90; p99; p999; max } ->
-            Printf.sprintf
-              "\"kind\":\"summary\",\"count\":%d,\"mean\":%.6g,\"p50\":%d,\"p90\":%d,\"p99\":%d,\"p999\":%d,\"max\":%d"
-              count mean p50 p90 p99 p999 max
-        | Level { last; mean; min; max } ->
-            Printf.sprintf
-              "\"kind\":\"series\",\"last\":%d,\"mean\":%.6g,\"min\":%d,\"max\":%d"
-              last mean min max
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "{\"name\":\"%s\",\"labels\":%s,%s}" (escape_json s.name)
-           (json_labels s.labels) body))
-    samples;
-  Buffer.add_string buf "]}";
   Buffer.contents buf

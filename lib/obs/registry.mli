@@ -13,7 +13,8 @@ module Timeseries = Skyloft_stats.Timeseries
     snapshot is taken.  The registry therefore never advances the
     simulation, draws randomness, or schedules events — a run with the
     registry attached is byte-identical to one without it
-    ([test/test_determinism.ml] and [BENCH_obs.json] enforce this).
+    ([test/test_determinism.ml] and [skyloft_run obs-report]'s
+    registry-on ≡ registry-off check enforce this).
 
     Names must match Prometheus conventions
     ([\[a-zA-Z_:\]\[a-zA-Z0-9_:\]*]); the [(name, labels)] pair must be
@@ -53,41 +54,6 @@ val series : t -> ?help:string -> ?labels:labels -> string -> Timeseries.t -> un
 val size : t -> int
 (** Registered instruments. *)
 
-(** {1 Unboxed counter slots}
-
-    Hot-path counters (per-core tick/steal/interrupt tallies) can be kept
-    as machine words in one shared int [Bigarray] slab owned by the
-    registry instead of an [int ref] plus a reading closure per counter:
-    {!bump} is a single unboxed load/add/store — no allocation, no write
-    barrier — and snapshots read the same words, so the exported sample is
-    identical to a closure-backed {!counter}. *)
-
-type slot = private int
-(** Index of one counter word in the registry's shared slab. *)
-
-val counter_slot : t -> ?help:string -> ?labels:labels -> string -> slot
-(** Allocate a slab slot starting at 0 and register it under [name]; the
-    snapshot value is whatever the slot holds at snapshot time.  Same
-    validation and duplicate rules as {!counter}. *)
-
-val core_counter_slots :
-  t -> ?help:string -> ?labels:labels -> cores:int -> string -> slot array
-(** One slot per core, each registered with [labels @ [core c]] — the
-    common per-core counter family in one call.  Raises
-    [Invalid_argument] if [cores <= 0]. *)
-
-val bump : t -> slot -> unit
-(** Add 1.  No allocation, no bounds check beyond the slab's. *)
-
-val bump_by : t -> slot -> int -> unit
-(** Add [n] (may be negative; counters are conventionally monotonic). *)
-
-val slot_value : t -> slot -> int
-(** Current value of the slot. *)
-
-val set_slot : t -> slot -> int -> unit
-(** Overwrite the slot (e.g. to mirror an externally-maintained total). *)
-
 (** {1 Snapshots} *)
 
 (** Materialised value of one instrument at snapshot time. *)
@@ -122,6 +88,3 @@ val to_prometheus : sample list -> string
     quantile labels plus _sum/_count, series as gauges).  Label values
     are escaped per the spec (backslash, double quote, newline). *)
 
-val to_json : sample list -> string
-(** The same snapshot as one JSON object:
-    [{metrics: [{name; labels; kind; ...value fields}]}]. *)

@@ -64,12 +64,6 @@ val make :
 (** Assemble a scenario (100 kHz user timer and 30 µs quantum by
     default, the Table 5 parameters). *)
 
-val validate : t -> unit
-(** @raise Invalid_argument on: no LC tenant; more than one BE tenant
-    (the runtimes attach a single BE application to the allocator);
-    duplicate tenant names; out-of-range bounds; or any invalid shape or
-    arrival process (recursively). *)
-
 val mean_rate_rps : t -> float
 (** Aggregate long-run LC arrival rate. *)
 
@@ -132,7 +126,11 @@ type digest = {
 }
 
 val run : ?seed:int -> requests:int -> runtime:runtime -> t -> digest
-(** Compile and run one cell: {!build} [runtime], create one app per
+(** Validate the scenario, raising [Invalid_argument] before anything runs
+    on: no LC tenant; more than one BE tenant (the runtimes attach a
+    single BE application to the allocator); duplicate tenant names;
+    out-of-range bounds; or any invalid shape or arrival process
+    (recursively).  Then compile and run one cell: {!build} [runtime], create one app per
     tenant, attach the BE tenant to the allocator with its bounds, issue
     each LC tenant's requests through {!Shape.exec} from its {!stream}
     until [requests] arrivals in total, then {!drain} until every

@@ -32,13 +32,6 @@ let rec mean_service = function
       in
       weighted /. total
 
-let rec stages = function
-  | Single _ -> 1
-  | Chain ds -> List.length ds
-  | Fanout { width; _ } -> width
-  | Mix branches ->
-      List.fold_left (fun acc (_, shape) -> Int.max acc (stages shape)) 0 branches
-
 (* One uniform draw over the summed weights; the last branch absorbs any
    rounding at the top of the range.  Both walks keep their float sums in
    local refs, which the compiler holds unboxed, and the uniform draw is

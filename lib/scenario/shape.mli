@@ -35,10 +35,6 @@ val mean_service : t -> float
     Note this is CPU demand, not latency — fan-out stages overlap in
     time on a multi-core runtime. *)
 
-val stages : t -> int
-(** Maximum number of task submissions one request can cost (chain
-    length / fan-out width; max across mix branches). *)
-
 val exec :
   t -> Skyloft_sim.Rng.t ->
   spawn:(Skyloft_sim.Time.t -> (unit -> unit) -> unit) -> (unit -> unit) -> unit

@@ -18,11 +18,3 @@ type t =
 
 val compute_then_exit : Time.t -> t
 (** One burst of work, then exit. *)
-
-val forever_compute_block : Time.t -> t
-(** The schbench worker shape: compute for the duration, block, repeat when
-    woken.  The duration is re-used for every round. *)
-
-val repeat : int -> (int -> t -> t) -> t -> t
-(** [repeat n f tail] composes [f] [n] times around [tail]:
-    [f 0 (f 1 (... (f (n-1) tail)))].  Handy for bounded loops. *)

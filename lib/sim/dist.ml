@@ -60,7 +60,6 @@ let mean = function
         +. (c *. ((s /. c) ** alpha))
 
 let dispersive = Bimodal { p_short = 0.995; short = Time.us 4; long = Time.ms 10 }
-let rocksdb_bimodal = Bimodal { p_short = 0.5; short = Time.ns 950; long = Time.us 591 }
 
 let pareto_heavy =
   Pareto { scale = Time.us 1; alpha = 1.3; cap = Time.ms 5 }

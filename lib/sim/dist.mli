@@ -36,9 +36,6 @@ val dispersive : t
 (** §5.2 synthetic workload: 99.5% short requests of 4 µs, 0.5% long
     requests of 10 ms. *)
 
-val rocksdb_bimodal : t
-(** §5.3 RocksDB server workload: 50% GET at 0.95 µs, 50% SCAN at 591 µs. *)
-
 val pareto_heavy : t
 (** Heavy-tailed reference workload for the scenario experiments: Pareto
     with a 1 µs minimum, shape 1.3, capped at 5 ms (mean ~4.1 µs). *)

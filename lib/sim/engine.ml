@@ -84,18 +84,6 @@ let disarm tm =
 
 let arm tm ~at:time = tm.th <- reschedule tm.te tm.th time tm.fire
 
-let arm_after tm delay =
-  if delay < 0 then invalid_arg "Engine.arm_after: negative delay";
-  arm tm ~at:(tm.te.clock + delay)
-
-let recurring t ~period ?start f =
-  if period <= 0 then invalid_arg "Engine.every: period must be positive";
-  let first = match start with Some s -> s | None -> t.clock + period in
-  let tm = timer t ignore in
-  set_callback tm (fun () -> if f () then arm_after tm period);
-  arm tm ~at:first;
-  tm
-
 let stopped () = false
 
 (* Put the cohort back in the heap at the key of member [rd], the next to

@@ -57,25 +57,18 @@ val arm : timer -> at:Time.t -> unit
 (** Schedule the timer's next firing at an absolute time, superseding any
     firing already pending (moved in place, as by [reschedule]). *)
 
-val arm_after : timer -> Time.t -> unit
-(** [arm] at [now + delay]. *)
-
 val disarm : timer -> unit
 (** Cancel the pending firing, if any. *)
 
 val armed : timer -> bool
 
-val recurring : t -> period:Time.t -> ?start:Time.t -> (unit -> bool) -> timer
-(** [recurring t ~period f] runs [f] each [period] ns (first at [start],
-    default [now + period]) until [f] returns [false]; the returned timer
-    can be disarmed or re-armed to pause/resume the cycle. *)
-
 val every : t -> period:Time.t -> ?start:Time.t -> (unit -> bool) -> unit
-(** [recurring] for callers that never need the timer back, with the same
-    event order, callback for callback.  [every]s that share a period and
-    a next firing instant share one heap entry (a cohort), so a tick
-    instant of many per-core timers costs one pop, not one per core.  A
-    new [every] joins a cohort only between its rounds. *)
+(** [every t ~period f] runs [f] each [period] ns (first at [start],
+    default [now + period]) until [f] returns [false].  [every]s that
+    share a period and a next firing instant share one heap entry (a
+    cohort), so a tick instant of many per-core timers costs one pop,
+    not one per core.  A new [every] joins a cohort only between its
+    rounds. *)
 
 val run : ?until:Time.t -> ?max_events:int -> t -> unit
 (** Drain the event queue.  Stops when the queue is empty, when the next

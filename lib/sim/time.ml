@@ -13,7 +13,6 @@ let to_s_float t = float_of_int t /. 1_000_000_000.
 (* The paper's server: Intel Xeon Gold 5418Y at 2.0 GHz (§5, setup). *)
 let cycles_per_ns = 2.0
 let of_cycles c = int_of_float (Float.round (float_of_int c /. cycles_per_ns))
-let to_cycles t = int_of_float (Float.round (float_of_int t *. cycles_per_ns))
 
 let pp ppf t =
   if t < 1_000 then Format.fprintf ppf "%dns" t

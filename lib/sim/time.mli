@@ -2,9 +2,9 @@
 
     All simulated latencies in the repository are expressed as integer
     nanoseconds of virtual time.  The paper's testbed runs at 2.0 GHz, so one
-    cycle is exactly half a nanosecond; [of_cycles]/[to_cycles] use that
-    conversion everywhere a paper-reported cycle count (e.g. Table 6) has to
-    meet the nanosecond world of the scheduler. *)
+    cycle is exactly half a nanosecond; [of_cycles] uses that conversion
+    everywhere a paper-reported cycle count (e.g. Table 6) has to meet the
+    nanosecond world of the scheduler. *)
 
 type t = int
 (** Nanoseconds of virtual time since simulation start. *)
@@ -34,9 +34,6 @@ val to_s_float : t -> float
 
 val of_cycles : int -> t
 (** Convert a cycle count to nanoseconds (rounding to nearest). *)
-
-val to_cycles : t -> int
-(** Convert nanoseconds to cycles. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable rendering with an adaptive unit (ns/µs/ms/s). *)

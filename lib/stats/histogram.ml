@@ -114,8 +114,3 @@ let merge_into ~src ~dst =
     if src.max_v > dst.max_v then dst.max_v <- src.max_v
   end
 
-let reset t =
-  Array.iter (fun counts -> Array.fill counts 0 (Array.length counts) 0) t.groups;
-  t.n <- 0;
-  t.min_v <- max_int;
-  t.max_v <- 0

@@ -37,4 +37,3 @@ val percentile : t -> float -> int
     0 when empty. *)
 
 val merge_into : src:t -> dst:t -> unit
-val reset : t -> unit

@@ -1,9 +1,9 @@
 module Time = Skyloft_sim.Time
 
+
 type t = {
   latency : Histogram.t;
   slowdown : Histogram.t;
-  wakeup : Histogram.t;
   mutable requests : int;
   mutable drops : int;
 }
@@ -12,7 +12,6 @@ let create () =
   {
     latency = Histogram.create ();
     slowdown = Histogram.create ();
-    wakeup = Histogram.create ();
     requests = 0;
     drops = 0;
   }
@@ -30,22 +29,9 @@ let record_request t ~arrival ~completion ~service =
     Histogram.record t.slowdown (Int.max 1000 slowdown_x1000)
   end
 
-let record_wakeup t v = Histogram.record t.wakeup v
 let record_drop t = t.drops <- t.drops + 1
 let requests t = t.requests
 let drops t = t.drops
 let latency t = t.latency
 let latency_p t p = Histogram.percentile t.latency p
 let slowdown_p t p = float_of_int (Histogram.percentile t.slowdown p) /. 1000.0
-let wakeup_p t p = Histogram.percentile t.wakeup p
-
-let throughput_rps t ~duration =
-  if duration <= 0 then 0.0
-  else float_of_int t.requests /. Time.to_s_float duration
-
-let merge_into ~src ~dst =
-  Histogram.merge_into ~src:src.latency ~dst:dst.latency;
-  Histogram.merge_into ~src:src.slowdown ~dst:dst.slowdown;
-  Histogram.merge_into ~src:src.wakeup ~dst:dst.wakeup;
-  dst.requests <- dst.requests + src.requests;
-  dst.drops <- dst.drops + src.drops

@@ -1,6 +1,6 @@
 module Time = Skyloft_sim.Time
 
-(** Per-run result accounting: request latencies, slowdowns, throughput.
+(** Per-run result accounting: request latencies, slowdowns, drops.
 
     One [t] accumulates the outcome of one experiment run.  Latency is
     response time (completion - arrival); slowdown is response time divided
@@ -19,9 +19,6 @@ val record_request :
     [requests] (and the latency histogram) but record no slowdown
     sample, since slowdown is undefined at zero service. *)
 
-val record_wakeup : t -> Time.t -> unit
-(** Record a wakeup-latency sample (schbench-style). *)
-
 val record_drop : t -> unit
 (** Count one request that was killed instead of completing (deadline
     expiry).  Dropped requests contribute nothing to the latency
@@ -37,10 +34,3 @@ val latency_p : t -> float -> Time.t
 
 val slowdown_p : t -> float -> float
 (** Slowdown percentile as a ratio (descaled). *)
-
-val wakeup_p : t -> float -> Time.t
-
-val throughput_rps : t -> duration:Time.t -> float
-(** Completed requests per second of virtual time. *)
-
-val merge_into : src:t -> dst:t -> unit

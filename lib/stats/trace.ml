@@ -262,19 +262,6 @@ let events t = t.count
 let dropped t = t.dropped
 let interned t = t.n_names
 
-let clear t =
-  Bigarray.Array1.fill t.buf 0;
-  t.head <- 0;
-  t.count <- 0;
-  t.dropped <- 0;
-  Array.fill t.names 0 t.n_names "";
-  t.n_names <- 0;
-  Hashtbl.reset t.ids;
-  t.last_name <- memo_empty;
-  t.last_id <- -1;
-  t.prev_name <- memo_empty;
-  t.prev_id <- -1
-
 (* ---- decode view ---------------------------------------------------------- *)
 
 let decode t off =

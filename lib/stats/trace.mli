@@ -70,10 +70,6 @@ val dropped : t -> int
 val interned : t -> int
 (** Distinct names in the interning side table. *)
 
-val clear : t -> unit
-(** Forget every retained event, reset the drop counter and the interning
-    table (reuse one ring across runs without reallocating). *)
-
 val iter : t -> (event -> unit) -> unit
 (** Oldest-first iteration, decoding each record into the {!event} view. *)
 

@@ -108,13 +108,6 @@ module Mutex = struct
     if m.locked then perform (Suspend (fun resume -> Queue.push resume m.waiters))
     else m.locked <- true
 
-  let try_lock m =
-    if m.locked then false
-    else begin
-      m.locked <- true;
-      true
-    end
-
   let unlock m =
     if not m.locked then invalid_arg "Uthread.Mutex.unlock: not locked";
     match Queue.take_opt m.waiters with
@@ -123,10 +116,6 @@ module Mutex = struct
            check on resume), then let it run at its queue position. *)
         resume ()
     | None -> m.locked <- false
-
-  let with_lock m f =
-    lock m;
-    Fun.protect ~finally:(fun () -> unlock m) f
 end
 
 module Condvar = struct

@@ -3,9 +3,10 @@
     This is the live counterpart of the simulated LibOS: an M:1
     cooperative threading runtime whose spawn/yield/join cost no kernel
     involvement at all — the property Table 7 quantifies (37 ns yields vs
-    898 ns for pthreads on the paper's hardware).  The Table 7 benchmark
-    measures these operations with Bechamel; the examples use them to run
-    real closures under Skyloft-style scheduling.
+    898 ns for pthreads on the paper's hardware).
+    [examples/uthreads_demo.ml] times these operations for Table 7's
+    measured column and runs real closures under Skyloft-style
+    scheduling.
 
     Preemption is cooperative only: a GC'd runtime cannot take a user
     interrupt mid-increment, which is precisely why the simulation models
@@ -47,9 +48,6 @@ module Mutex : sig
   val lock : mutex -> unit
   val unlock : mutex -> unit
   (** Raises [Invalid_argument] if the lock is not held. *)
-
-  val try_lock : mutex -> bool
-  val with_lock : mutex -> (unit -> 'a) -> 'a
 end
 
 (** Condition variables (always used with a {!Mutex.mutex}). *)

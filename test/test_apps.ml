@@ -146,28 +146,30 @@ let test_udp_server_queue_mismatch () =
 
 (* ---- workload definitions ---- *)
 
+(* The share of draws at the short (GET) service time. *)
+let short_fraction (service : Dist.t) =
+  match service with
+  | Dist.Bimodal { short; _ } ->
+      let rng = Rng.create ~seed:4 in
+      let gets = ref 0 and n = 10_000 in
+      for _ = 1 to n do
+        if Dist.sample service rng = short then incr gets
+      done;
+      float_of_int !gets /. float_of_int n
+  | _ -> Alcotest.fail "expected a bimodal service mix"
+
 let test_memcached_mix () =
-  let rng = Rng.create ~seed:4 in
-  let gets = ref 0 and n = 10_000 in
-  for _ = 1 to n do
-    if Memcached.kind rng = "get" then incr gets
-  done;
-  let frac = float_of_int !gets /. float_of_int n in
+  let frac = short_fraction Memcached.service in
   check Alcotest.bool "USR: ~99.8% GETs" true (frac > 0.99);
   check Alcotest.bool "saturation sensible" true
     (Memcached.saturation_rps ~cores:4 > 500_000.)
 
 let test_rocksdb_mix () =
-  let rng = Rng.create ~seed:4 in
-  let gets = ref 0 and n = 10_000 in
-  for _ = 1 to n do
-    if Rocksdb.kind rng = "get" then incr gets
-  done;
-  let frac = float_of_int !gets /. float_of_int n in
+  let frac = short_fraction Rocksdb.service in
   check Alcotest.bool "bimodal: ~50% GETs" true (frac > 0.45 && frac < 0.55);
   (* paper's mean: (0.95us + 591us)/2 *)
   check Alcotest.bool "mean service ~296us" true
-    (abs_float (Rocksdb.mean_service_ns -. 295_975.) < 100.)
+    (abs_float (Dist.mean Rocksdb.service -. 295_975.) < 100.)
 
 let test_batch_soaks_idle_cores () =
   let engine, _, rt = make_percpu ~cores:2 (Skyloft_policies.Fifo.create ()) in

@@ -15,7 +15,6 @@ module Hybrid = Skyloft.Hybrid
 module Percpu = Skyloft.Percpu
 module Linux_workload = Skyloft_baselines.Linux_workload
 module Shenango = Skyloft_baselines.Shenango
-module Shinjuku_orig = Skyloft_baselines.Shinjuku_orig
 module Rc = Skyloft.Runtime_core
 
 let check = Alcotest.check
@@ -172,13 +171,15 @@ let test_ghost_slower_than_skyloft () =
   let ghost = run Hybrid.ghost_mechanism in
   check Alcotest.bool "ghOSt p99 > Skyloft p99" true (ghost > sky)
 
+(* Original Shinjuku as fig7 runs it: the pinned serial dispatcher with
+   Shinjuku's posted-interrupt preemption costs. *)
 let test_shinjuku_orig_single_app () =
   let engine = Engine.create ~seed:1 () in
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:8) in
   let kmod = Kmod.create machine in
   let rt =
-    Shinjuku_orig.make machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2 ]
-      ~quantum:(Time.us 30)
+    Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2 ]
+      ~quantum:(Time.us 30) ~adaptive:false ~mechanism:Hybrid.shinjuku_mechanism
       (Skyloft_policies.Shinjuku.create ())
   in
   let app = Rc.create_app (Hybrid.runtime rt) ~name:"lc" in

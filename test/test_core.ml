@@ -572,14 +572,18 @@ let test_percpu_app_switch_costs_more () =
 let test_percpu_uipi_preemption () =
   (* Dispatcher-style preemption: send a user IPI to a busy core; its
      handler asks the policy, which preempts at quantum expiry. *)
-  let engine, percpu, rt = make_percpu ~cores:2 ~preemption:false (rr_ctor (Time.us 10)) in
+  let engine, _, rt = make_percpu ~cores:2 ~preemption:false (rr_ctor (Time.us 10)) in
   let app = Rc.create_app rt ~name:"app" in
   ignore (Rc.spawn rt app ~name:"long" ~cpu:0 (Coro.compute_then_exit (Time.ms 1)));
   ignore (Rc.spawn rt app ~name:"waiting" ~cpu:0 (Coro.compute_then_exit (Time.us 10)));
   (* preemption disabled -> no timer; send an explicit user IPI at 100us *)
+  let machine = rt.Rc.machine in
   ignore
     (Engine.at engine (Time.us 100) (fun () ->
-         Percpu.preempt_core percpu ~src_core:1 ~dst_core:0));
+         match Machine.uintr_installed machine ~core:0 with
+         | Some ctx ->
+             Machine.senduipi machine ~src_core:1 ctx ~uvec:Skyloft_hw.Vectors.uvec_preempt
+         | None -> Alcotest.fail "no context on core 0"));
   Engine.run ~until:(Time.ms 3) engine;
   check Alcotest.bool "IPI preempted the long task" true (Rc.preemptions rt >= 1)
 

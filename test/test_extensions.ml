@@ -1,6 +1,6 @@
-(* Tests for the §6 extension features: MPK shared-memory protection,
-   user-delegated peripheral interrupts (MSI NIC), blocking-event handling,
-   and the periodic NIC polling mode. *)
+(* Tests for the §6 extension features: user-delegated peripheral
+   interrupts (MSI NIC), blocking-event handling, and the periodic NIC
+   polling mode. *)
 
 module Time = Skyloft_sim.Time
 module Engine = Skyloft_sim.Engine
@@ -9,7 +9,6 @@ module Dist = Skyloft_sim.Dist
 module Coro = Skyloft_sim.Coro
 module Topology = Skyloft_hw.Topology
 module Machine = Skyloft_hw.Machine
-module Mpk = Skyloft_hw.Mpk
 module Vectors = Skyloft_hw.Vectors
 module Kmod = Skyloft_kernel.Kmod
 module Percpu = Skyloft.Percpu
@@ -23,85 +22,6 @@ module Udp_server = Skyloft_apps.Udp_server
 module Rc = Skyloft.Runtime_core
 
 let check = Alcotest.check
-
-(* ---- MPK ---- *)
-
-let test_mpk_default_permissive () =
-  let mpk = Mpk.create ~cores:2 in
-  let key = Mpk.fresh_pkey mpk in
-  let region = Mpk.tag_region mpk ~name:"runqueue" key in
-  Mpk.read mpk ~core:0 region;
-  Mpk.write mpk ~core:0 region
-
-let test_mpk_denies_after_revoke () =
-  let mpk = Mpk.create ~cores:2 in
-  let key = Mpk.fresh_pkey mpk in
-  let region = Mpk.tag_region mpk ~name:"runqueue" key in
-  Mpk.wrpkru mpk ~core:0 key ~allow_read:false ~allow_write:false;
-  check Alcotest.bool "read faults" true
-    (try
-       Mpk.read mpk ~core:0 region;
-       false
-     with Mpk.Protection_fault _ -> true);
-  check Alcotest.bool "write faults" true
-    (try
-       Mpk.write mpk ~core:0 region;
-       false
-     with Mpk.Protection_fault _ -> true);
-  (* per-core: core 1 untouched *)
-  Mpk.read mpk ~core:1 region
-
-let test_mpk_write_disable_only () =
-  let mpk = Mpk.create ~cores:1 in
-  let key = Mpk.fresh_pkey mpk in
-  let region = Mpk.tag_region mpk ~name:"meta" key in
-  Mpk.wrpkru mpk ~core:0 key ~allow_read:true ~allow_write:false;
-  Mpk.read mpk ~core:0 region;
-  check Alcotest.bool "write still faults" true
-    (try
-       Mpk.write mpk ~core:0 region;
-       false
-     with Mpk.Protection_fault _ -> true)
-
-let test_mpk_guardian () =
-  let mpk = Mpk.create ~cores:1 in
-  let key = Mpk.fresh_pkey mpk in
-  let region = Mpk.tag_region mpk ~name:"shared-rq" key in
-  Mpk.wrpkru mpk ~core:0 key ~allow_read:false ~allow_write:false;
-  (* inside the guardian: the scheduler may touch the shared state *)
-  Mpk.with_guardian mpk ~core:0 key (fun () ->
-      Mpk.read mpk ~core:0 region;
-      Mpk.write mpk ~core:0 region);
-  (* outside again: application code faults *)
-  check Alcotest.bool "revoked after guardian" true
-    (try
-       Mpk.write mpk ~core:0 region;
-       false
-     with Mpk.Protection_fault _ -> true)
-
-let test_mpk_guardian_restores_on_exception () =
-  let mpk = Mpk.create ~cores:1 in
-  let key = Mpk.fresh_pkey mpk in
-  let region = Mpk.tag_region mpk ~name:"shared" key in
-  Mpk.wrpkru mpk ~core:0 key ~allow_read:false ~allow_write:false;
-  (try Mpk.with_guardian mpk ~core:0 key (fun () -> failwith "boom") with
-  | Failure _ -> ());
-  check Alcotest.bool "still revoked after exception" true
-    (try
-       Mpk.read mpk ~core:0 region;
-       false
-     with Mpk.Protection_fault _ -> true)
-
-let test_mpk_key_exhaustion () =
-  let mpk = Mpk.create ~cores:1 in
-  for _ = 1 to 15 do
-    ignore (Mpk.fresh_pkey mpk)
-  done;
-  check Alcotest.bool "16th allocation fails" true
-    (try
-       ignore (Mpk.fresh_pkey mpk);
-       false
-     with Invalid_argument _ -> true)
 
 (* ---- NIC modes ---- *)
 
@@ -352,13 +272,6 @@ let test_start_utimer_needs_no_preemption () =
 
 let suite =
   [
-    Alcotest.test_case "mpk: permissive default" `Quick test_mpk_default_permissive;
-    Alcotest.test_case "mpk: revoke denies" `Quick test_mpk_denies_after_revoke;
-    Alcotest.test_case "mpk: write-disable" `Quick test_mpk_write_disable_only;
-    Alcotest.test_case "mpk: guardian" `Quick test_mpk_guardian;
-    Alcotest.test_case "mpk: guardian exception-safe" `Quick
-      test_mpk_guardian_restores_on_exception;
-    Alcotest.test_case "mpk: key exhaustion" `Quick test_mpk_key_exhaustion;
     Alcotest.test_case "nic: periodic batches" `Quick test_nic_periodic_mode_batches;
     Alcotest.test_case "nic: MSI end-to-end" `Quick test_nic_msi_end_to_end;
     Alcotest.test_case "nic: MSI coalescing" `Quick test_nic_msi_coalesces;

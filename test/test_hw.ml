@@ -7,7 +7,6 @@ module Topology = Skyloft_hw.Topology
 module Costs = Skyloft_hw.Costs
 module Vectors = Skyloft_hw.Vectors
 module Machine = Skyloft_hw.Machine
-module Uitt = Skyloft_hw.Uitt
 
 let check = Alcotest.check
 
@@ -16,16 +15,14 @@ let check = Alcotest.check
 let test_topology_basics () =
   let t = Topology.paper_server in
   check Alcotest.int "48 cores" 48 (Topology.total_cores t);
-  check Alcotest.int "socket of 0" 0 (Topology.socket_of_core t 0);
-  check Alcotest.int "socket of 23" 0 (Topology.socket_of_core t 23);
-  check Alcotest.int "socket of 24" 1 (Topology.socket_of_core t 24);
   check Alcotest.bool "cross numa" true (Topology.cross_numa t 0 24);
-  check Alcotest.bool "same numa" false (Topology.cross_numa t 0 23)
+  check Alcotest.bool "same numa" false (Topology.cross_numa t 0 23);
+  check Alcotest.bool "last core on the second socket" false (Topology.cross_numa t 24 47)
 
 let test_topology_invalid () =
   check Alcotest.bool "bad core id" true
     (try
-       ignore (Topology.socket_of_core Topology.paper_server 48);
+       ignore (Topology.cross_numa Topology.paper_server 0 48);
        false
      with Invalid_argument _ -> true);
   check Alcotest.bool "bad create" true
@@ -98,11 +95,12 @@ let test_machine_kernel_ipi_delivery () =
   let got = ref [] in
   Machine.set_kernel_handler (Machine.core machine 1) (fun v ->
       got := (Engine.now engine, v) :: !got);
-  Machine.send_ipi machine ~src:0 ~dst:1 Vectors.resched;
+  let resched = 0xfd in
+  Machine.send_ipi machine ~src:0 ~dst:1 resched;
   Engine.run engine;
   match !got with
   | [ (at, v) ] ->
-      check Alcotest.int "vector" Vectors.resched v;
+      check Alcotest.int "vector" resched v;
       check Alcotest.int "arrives after kipi delivery" Costs.kipi_delivery_ns at
   | _ -> Alcotest.fail "expected exactly one interrupt"
 
@@ -162,16 +160,12 @@ let test_machine_timer_periodic () =
   Machine.set_kernel_handler core (fun v -> if v = Vectors.timer then incr ticks);
   Machine.timer_set_periodic machine ~core:0 ~hz:1000;
   Engine.run ~until:(Time.ms 10) engine;
-  check Alcotest.int "10 ticks in 10ms at 1kHz" 10 !ticks;
-  Machine.timer_stop machine ~core:0;
-  let before = !ticks in
-  Engine.run ~until:(Time.ms 20) engine;
-  check Alcotest.int "no ticks after stop" before !ticks
+  check Alcotest.int "10 ticks in 10ms at 1kHz" 10 !ticks
 
-(* Regression: a tick the injector delayed past [timer_stop] must not
-   deliver.  The tick at 1ms is held until 1.5ms; the timer stops at
-   1.2ms; the delayed continuation used to fire anyway. *)
-let test_machine_delayed_tick_dies_at_stop () =
+(* A tick the injector delayed past a re-arm must not deliver: it belongs
+   to the old train.  The tick at 1ms is held until 1.5ms; the timer is
+   reprogrammed to 1 Hz at 1.2ms, so its next tick is 1s away. *)
+let test_machine_delayed_tick_dies_at_reprogram () =
   let engine, machine = make_machine () in
   let core = Machine.core machine 0 in
   let ticks = ref 0 in
@@ -179,42 +173,15 @@ let test_machine_delayed_tick_dies_at_stop () =
   Machine.set_fault_hook machine (fun ~core:_ v ->
       if v = Vectors.timer then Machine.Delay (Time.us 500) else Machine.Deliver);
   Machine.timer_set_periodic machine ~core:0 ~hz:1000;
-  ignore (Engine.at engine (Time.us 1200) (fun () -> Machine.timer_stop machine ~core:0));
+  ignore
+    (Engine.at engine (Time.us 1200) (fun () ->
+         Machine.timer_set_periodic machine ~core:0 ~hz:1));
   Engine.run ~until:(Time.ms 3) engine;
-  check Alcotest.int "delayed tick suppressed after stop" 0 !ticks;
-  (* sanity: without the stop the same delayed train does deliver *)
+  check Alcotest.int "delayed tick suppressed after the re-arm" 0 !ticks;
+  (* sanity: the same delayed train does deliver while it is armed *)
   Machine.timer_set_periodic machine ~core:0 ~hz:1000;
   Engine.run ~until:(Time.ms 6) engine;
-  check Alcotest.bool "delayed ticks deliver while armed" true (!ticks > 0);
-  Machine.timer_stop machine ~core:0
-
-(* Regression: [timer_one_shot] ignored [timer_stop] entirely — both the
-   armed shot and its injector-delayed continuation must die with the
-   generation. *)
-let test_machine_one_shot_dies_at_stop () =
-  let engine, machine = make_machine () in
-  let core = Machine.core machine 1 in
-  let ticks = ref 0 in
-  Machine.set_kernel_handler core (fun v -> if v = Vectors.timer then incr ticks);
-  Machine.timer_one_shot machine ~core:1 ~after:(Time.ms 1);
-  ignore (Engine.at engine (Time.us 500) (fun () -> Machine.timer_stop machine ~core:1));
-  Engine.run ~until:(Time.ms 3) engine;
-  check Alcotest.int "stopped one-shot never fires" 0 !ticks;
-  (* a fresh shot after the stop is live *)
-  Machine.timer_one_shot machine ~core:1 ~after:(Time.ms 1);
-  Engine.run ~until:(Time.ms 5) engine;
-  check Alcotest.int "re-armed one-shot fires" 1 !ticks;
-  (* the delayed-continuation path: shot fires at 1ms, injector holds it
-     500us, the stop at 1.2ms lands inside the hold window *)
-  Machine.set_fault_hook machine (fun ~core:_ v ->
-      if v = Vectors.timer then Machine.Delay (Time.us 500) else Machine.Deliver);
-  Machine.timer_one_shot machine ~core:1 ~after:(Time.ms 1);
-  ignore
-    (Engine.at engine
-       (Engine.now engine + Time.us 1200)
-       (fun () -> Machine.timer_stop machine ~core:1));
-  Engine.run ~until:(Engine.now engine + Time.ms 3) engine;
-  check Alcotest.int "delayed one-shot suppressed by stop" 1 !ticks
+  check Alcotest.bool "delayed ticks deliver while armed" true (!ticks > 0)
 
 let test_machine_timer_reprogram () =
   let engine, machine = make_machine () in
@@ -530,46 +497,37 @@ let prop_recognition_matches_reference =
   QCheck.Test.make ~name:"UINTR recognition matches the 63-downto-0 walk" ~count:300
     ~long_factor:20 recognition_script (fun sc -> run_machine sc = run_reference sc)
 
-(* ---- UITT ---- *)
+(* ---- SENDUIPI ---- *)
 
-let test_uitt_senduipi () =
+(* The sender side the runtimes use directly (they hold the receiver's
+   context, so no UITT lookup sits on the preemption path): the PIR post,
+   notification suppression while SN is set, and the uvec range check. *)
+let test_senduipi_posts_suppresses_and_checks_range () =
   let engine, machine = make_machine () in
   let ctx = Machine.uintr_create_ctx () in
   let got = ref [] in
   Machine.uintr_register_handler ctx ~uinv:Vectors.uintr_notification (fun ~uvec ->
       got := uvec :: !got);
   Machine.uintr_install machine ~core:2 ctx;
-  let uitt = Uitt.create machine ~size:8 in
-  Uitt.set uitt 3 ctx ~uvec:9;
-  Uitt.senduipi uitt ~src_core:0 3;
+  Machine.uintr_set_sn ctx true;
+  Machine.senduipi machine ~src_core:0 ctx ~uvec:9;
   Engine.run engine;
-  check (Alcotest.list Alcotest.int) "delivered via UITT" [ 9 ] !got
-
-let test_uitt_empty_entry_gp () =
-  let _, machine = make_machine () in
-  let uitt = Uitt.create machine ~size:4 in
-  check Alcotest.bool "empty entry faults" true
-    (try
-       Uitt.senduipi uitt ~src_core:0 2;
-       false
-     with Invalid_argument _ -> true);
-  check Alcotest.bool "out of range faults" true
-    (try
-       Uitt.senduipi uitt ~src_core:0 99;
-       false
-     with Invalid_argument _ -> true)
-
-let test_uitt_clear () =
-  let _, machine = make_machine () in
-  let ctx = Machine.uintr_create_ctx () in
-  let uitt = Uitt.create machine ~size:4 in
-  Uitt.set uitt 0 ctx ~uvec:1;
-  Uitt.clear uitt 0;
-  check Alcotest.bool "cleared entry faults" true
-    (try
-       Uitt.senduipi uitt ~src_core:0 0;
-       false
-     with Invalid_argument _ -> true)
+  check Alcotest.bool "PIR posted" true (Machine.uintr_pir_pending ctx);
+  check (Alcotest.list Alcotest.int) "no notification while SN is set" [] !got;
+  Machine.uintr_set_sn ctx false;
+  Machine.senduipi machine ~src_core:0 ctx ~uvec:3;
+  Engine.run engine;
+  check (Alcotest.list Alcotest.int) "one notification recognises both" [ 3; 9 ]
+    (List.sort compare !got);
+  check Alcotest.bool "PIR drained" false (Machine.uintr_pir_pending ctx);
+  List.iter
+    (fun uvec ->
+      check Alcotest.bool (Printf.sprintf "uvec %d rejected" uvec) true
+        (try
+           Machine.senduipi machine ~src_core:0 ctx ~uvec;
+           false
+         with Invalid_argument _ -> true))
+    [ -1; 64 ]
 
 let suite =
   [
@@ -583,10 +541,8 @@ let suite =
     Alcotest.test_case "machine: re-mask during replay keeps arrival order"
       `Quick test_machine_unmask_remask_keeps_arrival_order;
     Alcotest.test_case "machine: periodic timer" `Quick test_machine_timer_periodic;
-    Alcotest.test_case "machine: delayed tick dies at timer_stop" `Quick
-      test_machine_delayed_tick_dies_at_stop;
-    Alcotest.test_case "machine: one-shot dies at timer_stop" `Quick
-      test_machine_one_shot_dies_at_stop;
+    Alcotest.test_case "machine: delayed tick dies at reprogram" `Quick
+      test_machine_delayed_tick_dies_at_reprogram;
     Alcotest.test_case "machine: timer reprogram" `Quick test_machine_timer_reprogram;
     Alcotest.test_case "uintr: senduipi delivers" `Quick test_uintr_senduipi_delivers;
     Alcotest.test_case "uintr: SN suppresses" `Quick test_uintr_sn_suppresses_ipi;
@@ -604,7 +560,6 @@ let suite =
     Alcotest.test_case "uintr: a delegated tick allocates nothing" `Quick
       test_uintr_tick_zero_alloc;
     QCheck_alcotest.to_alcotest prop_recognition_matches_reference;
-    Alcotest.test_case "uitt: senduipi" `Quick test_uitt_senduipi;
-    Alcotest.test_case "uitt: empty entry" `Quick test_uitt_empty_entry_gp;
-    Alcotest.test_case "uitt: clear" `Quick test_uitt_clear;
+    Alcotest.test_case "uintr: senduipi posts, suppresses, range-checks" `Quick
+      test_senduipi_posts_suppresses_and_checks_range;
   ]

@@ -19,7 +19,6 @@ let () =
       ("obs", Test_obs.suite);
       ("determinism", Test_determinism.suite);
       ("parallel", Test_parallel.suite);
-      ("sync", Test_sync.suite);
       ("properties", Test_properties.suite);
       ("trace", Test_trace.suite);
       ("flight_recorder", Test_flight_recorder.suite);

@@ -118,17 +118,6 @@ let test_loadgen_deterministic () =
   check (Alcotest.list Alcotest.int) "same seed, same arrivals" (arrivals 3) (arrivals 3);
   check Alcotest.bool "different seed differs" true (arrivals 3 <> arrivals 4)
 
-let test_loadgen_uniform () =
-  let engine = Engine.create () in
-  let rng = Rng.create ~seed:1 in
-  let at = ref [] in
-  Loadgen.uniform_closed engine ~rng ~interval:(Time.us 10) ~count:5
-    ~service:(Dist.Constant 3) (fun p -> at := p.Packet.arrival :: !at);
-  Engine.run engine;
-  check (Alcotest.list Alcotest.int) "fixed spacing"
-    [ 0; 10_000; 20_000; 30_000; 40_000 ]
-    (List.rev !at)
-
 let suite =
   [
     Alcotest.test_case "rss: deterministic" `Quick test_rss_deterministic;
@@ -141,5 +130,4 @@ let suite =
     Alcotest.test_case "loadgen: poisson rate" `Slow test_loadgen_poisson_rate;
     Alcotest.test_case "loadgen: stops at duration" `Quick test_loadgen_poisson_stops;
     Alcotest.test_case "loadgen: deterministic" `Quick test_loadgen_deterministic;
-    Alcotest.test_case "loadgen: uniform" `Quick test_loadgen_uniform;
   ]

@@ -50,53 +50,6 @@ let test_registry_duplicate_rejected () =
       Registry.counter reg ~labels:[ Registry.core 0 ] "dup_total" (fun () -> 3));
   check int "both registered" 2 (Registry.size reg)
 
-(* Slot-backed counters: a per-core family kept as unboxed words in the
-   registry's shared slab must be indistinguishable in every export from
-   the closure-backed counters it replaces, survive slab growth past the
-   initial capacity, and keep the usual duplicate rejection. *)
-let test_registry_counter_slots () =
-  let reg = Registry.create () in
-  let slots = Registry.core_counter_slots reg ~cores:4 "ticks_total" in
-  check int "one instrument per core" 4 (Registry.size reg);
-  Registry.bump reg slots.(1);
-  Registry.bump reg slots.(1);
-  Registry.bump_by reg slots.(3) 40;
-  let closure_value = ref 2 in
-  Registry.counter reg ~labels:[ ("kind", "closure") ] "ticks_total" (fun () ->
-      !closure_value);
-  let samples = Registry.snapshot reg in
-  check (option (of_pp Fmt.nop)) "slot counter reads its slab word"
-    (Some (Registry.Counter 2))
-    (Registry.find samples ~labels:[ Registry.core 1 ] "ticks_total");
-  check (option (of_pp Fmt.nop)) "bump_by lands"
-    (Some (Registry.Counter 40))
-    (Registry.find samples ~labels:[ Registry.core 3 ] "ticks_total");
-  check (option (of_pp Fmt.nop)) "untouched slot is zero"
-    (Some (Registry.Counter 0))
-    (Registry.find samples ~labels:[ Registry.core 0 ] "ticks_total");
-  (* identical rendering to a closure counter holding the same value *)
-  let prom = Registry.to_prometheus samples in
-  check bool "slot line matches closure format" true
-    (contains ~needle:{|ticks_total{core="1"} 2|} prom
-    && contains ~needle:{|ticks_total{kind="closure"} 2|} prom);
-  check int "slot_value agrees" 2 (Registry.slot_value reg slots.(1));
-  (* growth: past the initial 16-word slab, earlier slots keep their
-     values (the blit) and bumps through old slot indices still land *)
-  let more =
-    Array.init 40 (fun i ->
-        Registry.counter_slot reg ~labels:[ Registry.core i ] "grown_total")
-  in
-  Registry.bump reg more.(39);
-  Registry.bump reg slots.(1);
-  check int "old slot survives growth" 3 (Registry.slot_value reg slots.(1));
-  check int "new slot lands" 1 (Registry.slot_value reg more.(39));
-  Registry.set_slot reg more.(0) 7;
-  check int "set_slot" 7 (Registry.slot_value reg more.(0));
-  check_raises "duplicate slot metric rejected"
-    (Invalid_argument "Registry: duplicate metric grown_total{core=0}")
-    (fun () ->
-      ignore (Registry.counter_slot reg ~labels:[ Registry.core 0 ] "grown_total"))
-
 let test_registry_snapshot_isolation () =
   let reg = Registry.create () in
   let n = ref 1 in
@@ -139,23 +92,20 @@ let test_registry_prometheus_format () =
   check bool "count row" true (contains ~needle:"lat_ns_count 4" text);
   check bool "gauge row" true (contains ~needle:"share 0.5" text)
 
-let test_registry_series_and_json () =
+let test_registry_series_level () =
   let reg = Registry.create () in
   let s = Timeseries.create () in
   Timeseries.record s ~at:0 2;
   Timeseries.record s ~at:100 6;
   Registry.series reg "depth" s;
   let snap = Registry.snapshot ~until:200 reg in
-  (match Registry.find snap "depth" with
+  match Registry.find snap "depth" with
   | Some (Registry.Level l) ->
       check int "last" 6 l.last;
       check int "max" 6 l.max;
       (* 2 for 100 ns then 6 for 100 ns *)
       check (float 1e-6) "time-weighted mean" 4.0 l.mean
-  | _ -> fail "series materialises as a level");
-  let json = Registry.to_json snap in
-  check bool "json has metrics array" true (contains ~needle:{|"metrics":|} json);
-  check bool "json has the instrument" true (contains ~needle:{|"name":"depth"|} json)
+  | _ -> fail "series materialises as a level"
 
 (* ---- attribution ---- *)
 
@@ -376,9 +326,8 @@ let suite =
     test_case "registry name validation" `Quick test_registry_name_validation;
     test_case "registry duplicate rejected" `Quick test_registry_duplicate_rejected;
     test_case "snapshot isolation" `Quick test_registry_snapshot_isolation;
-    test_case "counter slots" `Quick test_registry_counter_slots;
     test_case "prometheus exposition" `Quick test_registry_prometheus_format;
-    test_case "series level + json export" `Quick test_registry_series_and_json;
+    test_case "series level" `Quick test_registry_series_level;
     test_case "attribution identity + mismatches" `Quick test_attribution_identity;
     test_case "attribution registers" `Quick test_attribution_registers;
     test_case "utilization from spans" `Quick test_analysis_utilization;

@@ -270,49 +270,36 @@ let test_shape_mean_service () =
             (1.0, Shape.Fanout { width = 4; stage = Dist.Constant 100 });
           ]))
 
-let test_shape_stages () =
-  check int "single" 1 (Shape.stages (Shape.Single (Dist.Constant 1)));
-  check int "chain" 3
-    (Shape.stages (Shape.Chain [ Dist.Constant 1; Dist.Constant 1; Dist.Constant 1 ]));
-  check int "fanout" 4
-    (Shape.stages (Shape.Fanout { width = 4; stage = Dist.Constant 1 }));
-  check int "mix takes the max" 4
-    (Shape.stages
-       (Shape.Mix
-          [
-            (1.0, Shape.Single (Dist.Constant 1));
-            (1.0, Shape.Fanout { width = 4; stage = Dist.Constant 1 });
-          ]))
-
-(* ---- Scenario validation ----------------------------------------------- *)
-
 let lc name = Scenario.lc ~name ~shape:(Shape.Single (Dist.Constant 1_000))
     ~arrival:(Arrival.Poisson { rate_rps = 1_000.0 })
+
+(* [Scenario.run] validates before it builds anything. *)
+let validate scenario = ignore (Scenario.run ~requests:1 ~runtime:Scenario.Percpu scenario)
 
 let test_scenario_validate () =
   check bool "no LC tenant" true
     (invalid (fun () ->
-         Scenario.validate
+         validate
            (Scenario.make ~name:"x" ~cores:2 [ Scenario.be ~name:"b" () ])));
   check bool "two BE tenants" true
     (invalid (fun () ->
-         Scenario.validate
+         validate
            (Scenario.make ~name:"x" ~cores:2
               [ lc "a"; Scenario.be ~name:"b" (); Scenario.be ~name:"c" () ])));
   check bool "duplicate names" true
     (invalid (fun () ->
-         Scenario.validate (Scenario.make ~name:"x" ~cores:2 [ lc "a"; lc "a" ])));
+         validate (Scenario.make ~name:"x" ~cores:2 [ lc "a"; lc "a" ])));
   check bool "guaranteed beyond cores" true
     (invalid (fun () ->
-         Scenario.validate
+         validate
            (Scenario.make ~name:"x" ~cores:2
               [ lc "a"; Scenario.be ~name:"b" ~guaranteed:3 () ])));
   check bool "burstable below guaranteed" true
     (invalid (fun () ->
-         Scenario.validate
+         validate
            (Scenario.make ~name:"x" ~cores:4
               [ lc "a"; Scenario.be ~name:"b" ~guaranteed:2 ~burstable:1 () ])));
-  Scenario.validate
+  validate
     (Scenario.make ~name:"ok" ~cores:4
        [ lc "a"; lc "b"; Scenario.be ~name:"c" ~guaranteed:1 ~burstable:3 () ])
 
@@ -495,7 +482,6 @@ let suite =
     test_case "arrival and mix pick: allocation per draw" `Quick test_arrival_sample_allocation;
     test_case "shape: validation" `Quick test_shape_validate;
     test_case "shape: exact mean service" `Quick test_shape_mean_service;
-    test_case "shape: stages" `Quick test_shape_stages;
     test_case "scenario: validation" `Quick test_scenario_validate;
     test_case "scenario: load accounting" `Quick test_scenario_load_accounting;
     test_case "scenario: chain latency floor" `Quick test_chain_latency_floor;

@@ -22,8 +22,7 @@ let test_time_units () =
 let test_time_cycles () =
   (* 2 GHz: 1000 cycles = 500 ns *)
   check Alcotest.int "of_cycles" 500 (Time.of_cycles 1000);
-  check Alcotest.int "to_cycles" 1000 (Time.to_cycles 500);
-  check Alcotest.int "roundtrip" 1234 (Time.to_cycles (Time.of_cycles 1234))
+  check Alcotest.int "odd counts round to nearest" 618 (Time.of_cycles 1235)
 
 let test_time_float () =
   check Alcotest.int "of_us_float" 12_500 (Time.of_us_float 12.5);
@@ -229,10 +228,7 @@ let test_dist_means () =
 let test_dist_paper_workloads () =
   (* dispersive: 99.5% x 4us + 0.5% x 10ms = 53.98 us *)
   let m = Dist.mean Dist.dispersive /. 1_000.0 in
-  check Alcotest.bool "dispersive mean ~54us" true (abs_float (m -. 53.98) < 0.1);
-  (* rocksdb: (0.95 + 591)/2 us *)
-  let m = Dist.mean Dist.rocksdb_bimodal /. 1_000.0 in
-  check Alcotest.bool "rocksdb mean ~296us" true (abs_float (m -. 295.975) < 0.1)
+  check Alcotest.bool "dispersive mean ~54us" true (abs_float (m -. 53.98) < 0.1)
 
 let prop_sample_positive =
   QCheck.Test.make ~name:"Dist.sample always >= 1" ~count:300
@@ -1040,20 +1036,10 @@ let test_engine_timer_rearm () =
   check (Alcotest.list Alcotest.int) "only the superseding arm fired" [ 20 ]
     (List.rev !fired);
   check Alcotest.bool "disarmed after firing" false (Engine.armed tm);
-  Engine.arm_after tm 5;
+  Engine.arm tm ~at:(Engine.now e + 5);
   Engine.disarm tm;
   Engine.run e;
-  check (Alcotest.list Alcotest.int) "disarm cancels" [ 20 ] (List.rev !fired);
-  (* recurring returns the live timer: disarming it stops the series *)
-  let n = ref 0 in
-  let rt =
-    Engine.recurring e ~period:7 (fun () ->
-        incr n;
-        true)
-  in
-  ignore (Engine.at e (Engine.now e + 22) (fun () -> Engine.disarm rt));
-  Engine.run e;
-  check Alcotest.int "three periods before the disarm" 3 !n
+  check (Alcotest.list Alcotest.int) "disarm cancels" [ 20 ] (List.rev !fired)
 
 let test_engine_cancel () =
   let e = Engine.create () in
@@ -1098,30 +1084,6 @@ let test_engine_split_rng_deterministic () =
     Rng.bits64 r
   in
   check Alcotest.int64 "same seed, same split" (mk ()) (mk ())
-
-(* ---- Coro ---- *)
-
-let test_coro_repeat () =
-  let built = Coro.repeat 3 (fun i tail -> Coro.Compute (i + 1, fun () -> tail)) Coro.Exit in
-  (* Walk the chain: should be Compute 1 -> Compute 2 -> Compute 3 -> Exit *)
-  let rec walk acc = function
-    | Coro.Compute (d, k) -> walk (d :: acc) (k ())
-    | Coro.Exit -> List.rev acc
-    | Coro.Block _ | Coro.Yield _ -> Alcotest.fail "unexpected"
-  in
-  check (Alcotest.list Alcotest.int) "chain" [ 1; 2; 3 ] (walk [] built)
-
-let test_coro_forever_compute_block () =
-  let rec walk n body =
-    if n = 0 then true
-    else
-      match body with
-      | Coro.Compute (d, k) -> d = 77 && walk n (k ())
-      | Coro.Block k -> walk (n - 1) (k ())
-      | Coro.Yield _ | Coro.Exit -> false
-  in
-  check Alcotest.bool "compute/block alternation" true
-    (walk 5 (Coro.forever_compute_block 77))
 
 (* Lazy cancellation contract: cancelling a handle that already fired, or
    one that was already cancelled (any number of times), changes nothing —
@@ -1219,6 +1181,4 @@ let suite =
       test_engine_every_zero_alloc;
     Alcotest.test_case "engine: rng determinism" `Quick test_engine_split_rng_deterministic;
     qtest prop_cancel_idempotent;
-    Alcotest.test_case "coro: repeat" `Quick test_coro_repeat;
-    Alcotest.test_case "coro: forever" `Quick test_coro_forever_compute_block;
   ]

@@ -84,19 +84,6 @@ let test_trace_runtime_integration () =
        true
      with Not_found -> false)
 
-let test_trace_clear () =
-  let trace = Trace.create ~capacity:4 () in
-  for i = 0 to 9 do
-    Trace.instant trace ~core:0 ~at:i Trace.Wakeup ~name:"x"
-  done;
-  check Alcotest.int "ring full" 4 (Trace.events trace);
-  check Alcotest.int "drops accumulated" 6 (Trace.dropped trace);
-  Trace.clear trace;
-  check Alcotest.int "no events after clear" 0 (Trace.events trace);
-  check Alcotest.int "drop counter reset" 0 (Trace.dropped trace);
-  Trace.instant trace ~core:0 ~at:100 Trace.Wakeup ~name:"y";
-  check Alcotest.int "reusable after clear" 1 (Trace.events trace)
-
 let test_trace_dropped_metadata () =
   let trace = Trace.create ~capacity:4 () in
   for i = 0 to 9 do
@@ -131,7 +118,6 @@ let suite =
     Alcotest.test_case "trace: invalid span" `Quick test_trace_invalid_span;
     Alcotest.test_case "trace: chrome json" `Quick test_trace_chrome_json_shape;
     Alcotest.test_case "trace: runtime integration" `Quick test_trace_runtime_integration;
-    Alcotest.test_case "trace: clear" `Quick test_trace_clear;
     Alcotest.test_case "trace: dropped metadata" `Quick test_trace_dropped_metadata;
     Alcotest.test_case "trace: write file" `Quick test_trace_write_file;
   ]

@@ -64,12 +64,13 @@ let test_mutex_mutual_exclusion () =
   let inside = ref 0 and max_inside = ref 0 in
   U.run (fun () ->
       let worker () =
-        U.Mutex.with_lock m (fun () ->
-            incr inside;
-            if !inside > !max_inside then max_inside := !inside;
-            U.yield ();
-            (* still exclusive across the yield *)
-            decr inside)
+        U.Mutex.lock m;
+        incr inside;
+        if !inside > !max_inside then max_inside := !inside;
+        U.yield ();
+        (* still exclusive across the yield *)
+        decr inside;
+        U.Mutex.unlock m
       in
       let ts = List.init 10 (fun _ -> U.spawn worker) in
       List.iter U.join ts);
@@ -92,15 +93,6 @@ let test_mutex_fifo_handoff () =
       U.Mutex.unlock m;
       List.iter U.join ts);
   check (Alcotest.list Alcotest.int) "FIFO" [ 0; 1; 2 ] (List.rev !order)
-
-let test_mutex_try_lock () =
-  U.run (fun () ->
-      let m = U.Mutex.create () in
-      check Alcotest.bool "first try succeeds" true (U.Mutex.try_lock m);
-      check Alcotest.bool "second try fails" false (U.Mutex.try_lock m);
-      U.Mutex.unlock m;
-      check Alcotest.bool "after unlock succeeds" true (U.Mutex.try_lock m);
-      U.Mutex.unlock m)
 
 let test_mutex_unlock_unlocked () =
   U.run (fun () ->
@@ -225,7 +217,6 @@ let suite =
     Alcotest.test_case "10k threads" `Quick test_many_threads;
     Alcotest.test_case "mutex exclusion" `Quick test_mutex_mutual_exclusion;
     Alcotest.test_case "mutex FIFO" `Quick test_mutex_fifo_handoff;
-    Alcotest.test_case "mutex try_lock" `Quick test_mutex_try_lock;
     Alcotest.test_case "mutex unlock unlocked" `Quick test_mutex_unlock_unlocked;
     Alcotest.test_case "condvar signal" `Quick test_condvar_signal;
     Alcotest.test_case "condvar broadcast" `Quick test_condvar_broadcast;
