@@ -27,11 +27,20 @@
    matched by name, since an alias's uses name it before the type
    checker resolves it away.
 
+   Every optional argument [?x] of an exported value must be passed by
+   some program call site: an application of the value, resolved to its
+   unique id as above, that carries [~x:v] or [?x:v].  The type checker
+   fills an omitted optional argument with a location-less [None], which
+   is not a pass.  A knob no program sets is a constant in disguise.  The
+   test-caller rule and the allowlist are the same as for values: a knob
+   only tests pass needs a [Module.value ?x reason...] line.
+
    Usage: check_exports.exe BUILD_DIR ALLOWLIST (after [dune build
    @check]).  The allowlist has one [Module.value reason...] line per
-   test-only value; blank lines and [#] comments are skipped.  Prints one
-   line per unreferenced [val] or alias, and per bad allowlist entry, and
-   exits 1 if there is any. *)
+   test-only value and one [Module.value ?x reason...] line per test-only
+   knob; blank lines and [#] comments are skipped.  Prints one line per
+   unreferenced [val], unset knob or alias, and per bad allowlist entry,
+   and exits 1 if there is any. *)
 
 open Typedtree
 module Uid = Shape.Uid
@@ -61,13 +70,39 @@ let export_of prefix name (loc : Location.t) =
   let pos = loc.loc_start in
   { qualified = prefix ^ "." ^ name; file = pos.pos_fname; line = pos.pos_lnum }
 
+(* (val uid, label) -> the knob, for the optional arguments of both kinds
+   of export *)
+let knobs : (Uid.t * string, export) Hashtbl.t = Hashtbl.create 256
+
+(* (val uid, label) pairs some program or test call site passes.  A
+   knob the module itself passes counts: its own calls name the
+   implementation's id, which [impl_to_intf] maps to the interface's (the
+   two number their ids apart, so only a unit's own calls are mapped). *)
+let passed = Hashtbl.create 256
+let test_passed = Hashtbl.create 256
+let impl_to_intf = Uid.Tbl.create 1024
+let intf_uid : (string, Uid.t) Hashtbl.t = Hashtbl.create 1024
+
+let rec optional_labels ty =
+  match Types.get_desc ty with
+  | Types.Tarrow (Optional l, _, ret, _) -> l :: optional_labels ret
+  | Types.Tarrow (_, _, ret, _) -> optional_labels ret
+  | _ -> []
+
+let collect_knobs (e : export) (vd : Types.value_description) =
+  List.iter
+    (fun l -> Hashtbl.replace knobs (vd.val_uid, l) { e with qualified = e.qualified ^ " ?" ^ l })
+    (optional_labels vd.val_type)
+
 let rec collect_sig prefix items =
   List.iter
     (fun item ->
       match item.sig_desc with
       | Tsig_value vd ->
-          Uid.Tbl.replace exports vd.val_val.Types.val_uid
-            (export_of prefix vd.val_name.txt vd.val_loc)
+          let e = export_of prefix vd.val_name.txt vd.val_loc in
+          Uid.Tbl.replace exports vd.val_val.Types.val_uid e;
+          Hashtbl.replace intf_uid e.qualified vd.val_val.Types.val_uid;
+          collect_knobs e vd.val_val
       | Tsig_module { md_name = { txt = Some name; _ }; md_type; _ } -> (
           match md_type.mty_desc with
           | Tmty_signature sg -> collect_sig (prefix ^ "." ^ name) sg.sig_items
@@ -80,9 +115,11 @@ let collect_implicit prefix str =
     (function
       | Types.Sig_value (id, vd, _) ->
           let name = Ident.name id in
-          if name.[0] <> '_' then
-            Uid.Tbl.replace implicit_exports vd.Types.val_uid
-              (export_of prefix name vd.val_loc)
+          if name.[0] <> '_' then begin
+            let e = export_of prefix name vd.val_loc in
+            Uid.Tbl.replace implicit_exports vd.Types.val_uid e;
+            collect_knobs e vd
+          end
       | _ -> ())
     str.str_type
 
@@ -214,6 +251,14 @@ let alias_use_iterator unit =
   in
   { Tast_iterator.default_iterator with expr; pat; typ; module_expr; module_type }
 
+(* An optional argument the call site left out: the type checker's
+   location-less [None]. *)
+let omitted (e : expression) =
+  e.exp_loc.loc_ghost
+  && match e.exp_desc with
+     | Texp_construct (_, { cstr_name = "None"; _ }, []) -> true
+     | _ -> false
+
 let mark_references ~test (cmt : Cmt_format.cmt_infos) str =
   let expr sub e =
     (match e.exp_desc with
@@ -227,12 +272,29 @@ let mark_references ~test (cmt : Cmt_format.cmt_infos) str =
               vd.val_uid ()
         | _ -> ())
     | _ -> ());
+    (match e.exp_desc with
+    | Texp_apply ({ exp_desc = Texp_ident (_, _, vd); _ }, args) ->
+        let uid =
+          match vd.Types.val_uid with
+          | Uid.Item { comp_unit; _ } when comp_unit = cmt.cmt_modname ->
+              Option.value ~default:vd.val_uid
+                (Uid.Tbl.find_opt impl_to_intf vd.val_uid)
+          | uid -> uid
+        in
+        List.iter
+          (function
+            | Asttypes.Optional l, Some a when not (omitted a) ->
+                Hashtbl.replace (if test then test_passed else passed) (uid, l) ()
+            | _ -> ())
+          args
+    | _ -> ());
     Tast_iterator.default_iterator.expr sub e
   in
   let it = { Tast_iterator.default_iterator with expr } in
   it.structure it str
 
-(* (name, line number, has a reason) per "Module.value reason..." line. *)
+(* (name, line number, has a reason) per "Module.value reason..." or
+   "Module.value ?x reason..." line; a knob's name keeps its "?x". *)
 let read_allowlist path =
   In_channel.with_open_text path In_channel.input_all
   |> String.split_on_char '\n'
@@ -240,9 +302,11 @@ let read_allowlist path =
   |> List.filter_map (fun (line, lineno) ->
          if line = "" || line.[0] = '#' then None
          else
-           match String.index_opt line ' ' with
-           | None -> Some (line, lineno, false)
-           | Some i -> Some (String.sub line 0 i, lineno, true))
+           match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+           | name :: knob :: rest when knob.[0] = '?' ->
+               Some (name ^ " " ^ knob, lineno, rest <> [])
+           | name :: rest -> Some (name, lineno, rest <> [])
+           | [] -> None)
 
 let () =
   let build, allowlist_path =
@@ -277,6 +341,16 @@ let () =
             (module_name cmt) str;
           if not (Sys.file_exists (in_build (src ^ "i"))) then
             collect_implicit (module_name cmt) str
+          else
+            List.iter
+              (function
+                | Types.Sig_value (id, vd, _) ->
+                    Option.iter
+                      (Uid.Tbl.replace impl_to_intf vd.Types.val_uid)
+                      (Hashtbl.find_opt intf_uid
+                         (module_name cmt ^ "." ^ Ident.name id))
+                | _ -> ())
+              str.str_type
       | _ -> ())
     (files_with_ext (in_build "lib") ".cmt" []);
   List.iter
@@ -312,19 +386,31 @@ let () =
       (files_with_ext (in_build test_dir) ".cmt" []);
   (* Allowlisted names some test calls; only these may lack a program caller. *)
   let test_only = Hashtbl.create 128 in
+  let allowed e = List.exists (fun (name, _, _) -> name = e.qualified) allowlist in
+  let dead_uids = Uid.Tbl.create 16 in
   let unreferenced ~self tbl acc =
     Uid.Tbl.fold
       (fun uid e acc ->
         if Uid.Tbl.mem referenced uid || (self && Uid.Tbl.mem self_referenced uid)
         then acc
-        else if
-          Uid.Tbl.mem test_referenced uid
-          && List.exists (fun (name, _, _) -> name = e.qualified) allowlist
-        then (
+        else if Uid.Tbl.mem test_referenced uid && allowed e then (
+          Hashtbl.replace test_only e.qualified ();
+          acc)
+        else (
+          Uid.Tbl.replace dead_uids uid ();
+          e :: acc))
+      tbl acc
+  in
+  (* A dead value's knobs are not listed again. *)
+  let unset acc =
+    Hashtbl.fold
+      (fun ((uid, _) as key) e acc ->
+        if Uid.Tbl.mem dead_uids uid || Hashtbl.mem passed key then acc
+        else if Hashtbl.mem test_passed key && allowed e then (
           Hashtbl.replace test_only e.qualified ();
           acc)
         else e :: acc)
-      tbl acc
+      knobs acc
   in
   let dead_aliases =
     Hashtbl.fold
@@ -334,6 +420,7 @@ let () =
   let dead =
     unreferenced ~self:false exports dead_aliases
     |> unreferenced ~self:true implicit_exports
+    |> unset
     |> List.sort (fun a b -> compare (a.file, a.line) (b.file, b.line))
   in
   List.iter (fun e -> Printf.printf "%s:%d: %s\n" e.file e.line e.qualified) dead;
@@ -343,17 +430,21 @@ let () =
         let where = Printf.sprintf "%s:%d: %s" allowlist_path lineno name in
         if not has_reason then Some (where ^ ": no reason given")
         else if not (Hashtbl.mem test_only name) then
-          Some (where ^ ": stale (a program caller, no test caller, or no such val)")
+          Some
+            (where
+           ^ ": stale (a program caller, no test caller, or no such val or knob)")
         else None)
       allowlist
   in
   List.iter print_endline bad_entries;
   Printf.printf
-    "%d of %d exported vals (%d from .mli, %d top-level in .mli-less modules) \
-     and top-level module aliases (%d) have no program caller; %d are \
-     allowlisted test-only vals, %d allowlist entries are bad\n"
+    "%d of %d exported vals (%d from .mli, %d top-level in .mli-less modules), \
+     their optional arguments (%d) and top-level module aliases (%d) have no \
+     program caller or setter; %d are allowlisted test-only vals and knobs, \
+     %d allowlist entries are bad\n"
     (List.length dead)
-    (Uid.Tbl.length exports + Uid.Tbl.length implicit_exports + Hashtbl.length aliases)
-    (Uid.Tbl.length exports) (Uid.Tbl.length implicit_exports) (Hashtbl.length aliases)
-    (Hashtbl.length test_only) (List.length bad_entries);
+    (Uid.Tbl.length exports + Uid.Tbl.length implicit_exports + Hashtbl.length knobs
+    + Hashtbl.length aliases)
+    (Uid.Tbl.length exports) (Uid.Tbl.length implicit_exports) (Hashtbl.length knobs)
+    (Hashtbl.length aliases) (Hashtbl.length test_only) (List.length bad_entries);
   if dead <> [] || bad_entries <> [] then exit 1

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Dead-export gate: every `val` in lib/**/*.mli must have a caller outside
-# its own module, and every top-level value of a lib/ module without an
-# .mli must have a caller anywhere, its own module included.  Tests do
-# not count as callers.
+# its own module, every top-level value of a lib/ module without an .mli
+# must have a caller anywhere, its own module included, and every
+# optional argument `?x` of either must be passed by some call site.
+# Tests do not count as callers or setters.
 #
 #   bench/check_exports.sh
 #
@@ -15,7 +16,10 @@
 # bench/test_only_exports.txt names it with a one-line reason (an accessor
 # that lets a test observe state, a builder for a test's input, or a hook
 # that lets a test drive a program step by hand); an entry with no
-# reason, no test caller or a program caller fails.
+# reason, no test caller or a program caller fails.  Knobs follow the
+# same rule: an optional argument no program call site passes (`~x:v` or
+# `?x:v`; the module's own calls count) is listed, unless the allowlist
+# names it as `Module.value ?x reason...` and some test passes it.
 # References are resolved by the type checker, so `M.x`, module aliases,
 # `M.Sub.x`, local opens and `open M` are all seen.  It also lists every
 # top-level `module X = M` alias in a lib/ .ml or .mli that no program

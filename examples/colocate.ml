@@ -36,7 +36,7 @@ let duration = Time.ms 100
 let alloc_cfg () =
   {
     (Allocator.default_config ()) with
-    Allocator.policy = Alloc_policy.delay ~threshold:(Time.us 10) ();
+    Allocator.policy = Alloc_policy.delay ();
   }
 
 (* Each run passes its own constructor: the runtime handle plus a note

@@ -47,7 +47,6 @@ type ('r, 'x) arbiter = {
   member : string;  (* "app" / "tenant" *)
   engine : Engine.t;
   capacity : int;
-  interval : Time.t;
   on_event : event -> unit;
   rules : 'r;
   decide : ('r, 'x) arbiter -> ('x binding * Policy.decision) list;
@@ -67,16 +66,15 @@ type ('r, 'x) arbiter = {
 }
 
 let event_log_cap = 4096
+let interval = Time.us 5
 
-let arbiter ~who ~member ~engine ~capacity ~interval ~on_event ~rules ~decide =
+let arbiter ~who ~member ~engine ~capacity ~on_event ~rules ~decide =
   if capacity <= 0 then invalid_arg (who ^ ".create: capacity must be positive");
-  if interval <= 0 then invalid_arg (who ^ ".create: interval must be positive");
   {
     who;
     member;
     engine;
     capacity;
-    interval;
     on_event;
     rules;
     decide;
@@ -168,7 +166,7 @@ let transition t b ~action ~delta =
     emit t b ~action ~delta:(abs delta)
   end
 
-let signal_of t b (r : raw) =
+let signal_of b (r : raw) =
   let busy = Int.max 0 (r.busy_ns - b.last_busy_ns) in
   b.last_busy_ns <- r.busy_ns;
   (* Staleness: cores granted and work queued, yet zero progress — the
@@ -186,7 +184,7 @@ let signal_of t b (r : raw) =
     runq_len = r.runq_len;
     oldest_delay = r.oldest_delay;
     utilization =
-      float_of_int busy /. float_of_int (t.interval * Int.max 1 b.granted);
+      float_of_int busy /. float_of_int (interval * Int.max 1 b.granted);
   }
 
 exception Invariant_violation of string
@@ -274,7 +272,7 @@ let tick t =
 let start t =
   if t.running then invalid_arg (t.who ^ ".start: already running");
   t.running <- true;
-  Engine.every t.engine ~period:t.interval (fun () ->
+  Engine.every t.engine ~period:interval (fun () ->
       if t.running then tick t;
       t.running)
 
@@ -282,7 +280,6 @@ let stop t = t.running <- false
 let granted t ~app = (find t app).granted
 let series t ~app = (find t app).series
 let capacity t = t.capacity
-let interval t = t.interval
 let grants t = t.grants
 let reclaims t = t.reclaims
 let yields t = t.yields
@@ -296,9 +293,9 @@ let events t = List.of_seq (Queue.to_seq t.event_log)
 
 (* Pull-based registration: closures read arbiter state only at snapshot
    time, so attaching a registry cannot perturb the control loop. *)
-let register_counters t ~prefix ~labels reg =
+let register_counters t ~prefix reg =
   let module Registry = Skyloft_obs.Registry in
-  let c name help read = Registry.counter reg ~help ~labels (prefix ^ name) read in
+  let c name help read = Registry.counter reg ~help (prefix ^ name) read in
   c "_grants_total" "Core grants applied" (fun () -> t.grants);
   c "_reclaims_total" "Forced core reclaims" (fun () -> t.reclaims);
   c "_yields_total" "Voluntary core yields" (fun () -> t.yields);
@@ -307,7 +304,7 @@ let register_counters t ~prefix ~labels reg =
       t.charged_ns);
   c "_degradations_total" "Degradations on stale congestion signals"
     (fun () -> t.degradations);
-  Registry.gauge reg ~labels (prefix ^ "_free_cores")
+  Registry.gauge reg (prefix ^ "_free_cores")
     ~help:"Cores currently in the free pool" (fun () ->
       float_of_int (free_cores t))
 
@@ -315,7 +312,6 @@ let register_counters t ~prefix ~labels reg =
 
 type config = {
   policy : Policy.t;
-  interval : Time.t;
   be_guaranteed : int;
   be_burstable : int option;
   degrade_after : int option;
@@ -324,7 +320,6 @@ type config = {
 let default_config () =
   {
     policy = Policy.static ();
-    interval = Time.us 5;
     be_guaranteed = 0;
     be_burstable = None;
     degrade_after = None;
@@ -363,13 +358,13 @@ let update_mode (t : t) =
 let deciding (t : t) = if t.rules.degraded then t.rules.fallback else t.rules.shared
 
 let decide (t : t) =
-  let sampled = List.map (fun b -> (b, signal_of t b (b.sample ()))) t.bindings in
+  let sampled = List.map (fun b -> (b, signal_of b (b.sample ()))) t.bindings in
   update_mode t;
   let policy = deciding t in
   List.map (fun (b, s) -> (b, Policy.observe policy ~app:b.id s)) sampled
 
-let create ~engine ~policy ~interval ~total_cores ?(on_event = ignore)
-    ?degrade_after () : t =
+let create ~engine ~policy ~total_cores ?(on_event = ignore) ?degrade_after
+    () : t =
   (match degrade_after with
   | Some n when n <= 0 -> invalid_arg "Allocator.create: degrade_after must be positive"
   | Some _ | None -> ());
@@ -381,8 +376,8 @@ let create ~engine ~policy ~interval ~total_cores ?(on_event = ignore)
       degraded = false;
     }
   in
-  arbiter ~who:"Allocator" ~member:"app" ~engine ~capacity:total_cores ~interval
-    ~on_event ~rules ~decide
+  arbiter ~who:"Allocator" ~member:"app" ~engine ~capacity:total_cores ~on_event
+    ~rules ~decide
 
 let register (t : t) ~app ~name ~kind ~bounds ~initial ~sample ~apply =
   bind t ~id:app ~name ~kind ~bounds ~initial ~sample ~apply ()
@@ -391,15 +386,15 @@ let degraded (t : t) = t.rules.degraded
 
 let policy_name t = Policy.name (deciding t)
 
-let register_metrics (t : t) ?(labels = []) reg =
+let register_metrics (t : t) reg =
   let module Registry = Skyloft_obs.Registry in
-  register_counters t ~prefix:"skyloft_alloc" ~labels reg;
-  Registry.gauge reg ~labels "skyloft_alloc_degraded"
+  register_counters t ~prefix:"skyloft_alloc" reg;
+  Registry.gauge reg "skyloft_alloc_degraded"
     ~help:"1 while deciding with the Static fallback" (fun () ->
       if t.rules.degraded then 1.0 else 0.0);
   List.iter
     (fun b ->
-      let al = labels @ [ Registry.app b.name ] in
+      let al = [ Registry.app b.name ] in
       Registry.gauge reg ~labels:al "skyloft_alloc_granted_cores"
         ~help:"Cores currently granted" (fun () -> float_of_int b.granted);
       Registry.series reg ~labels:al "skyloft_alloc_granted_series"

@@ -6,10 +6,10 @@ module Timeseries = Skyloft_stats.Timeseries
 
     The arbiter is one periodic control loop (Shenango/Caladan's
     "iokernel" role, run in simulated time) that multiplexes a fixed pool
-    of cores between registered bindings.  Each tick it samples every
-    binding's congestion signals (runqueue length, oldest-pending-task
-    queueing delay, utilization), asks a {!Policy} for a per-binding
-    decision, and arbitrates:
+    of cores between registered bindings.  Every {!interval} it samples
+    every binding's congestion signals (runqueue length,
+    oldest-pending-task queueing delay, utilization), asks a {!Policy}
+    for a per-binding decision, and arbitrates:
 
     - yields return cores to the free pool (never below the binding's
       guaranteed floor);
@@ -59,6 +59,10 @@ type health =
 
 (** {1 The arbiter} *)
 
+val interval : Time.t
+(** The control period at both levels: 5 µs, the paper's Shenango
+    IOKernel interval. *)
+
 type ('r, 'x) arbiter
 (** One control loop: ['r] is the level's arbiter-wide rule state, ['x]
     its per-binding state. *)
@@ -107,7 +111,6 @@ val arbiter :
   member:string ->
   engine:Engine.t ->
   capacity:int ->
-  interval:Time.t ->
   on_event:(event -> unit) ->
   rules:'r ->
   decide:(('r, 'x) arbiter -> ('x binding * Policy.decision) list) ->
@@ -116,7 +119,7 @@ val arbiter :
     {!signal_of}), applies the level's rules and returns one decision per
     binding to arbitrate, in arbitration order.  [who] and [member] name
     errors ("Broker", "tenant").  Raises [Invalid_argument] on a
-    non-positive capacity or interval. *)
+    non-positive capacity. *)
 
 val bind :
   ('r, 'x) arbiter ->
@@ -144,7 +147,7 @@ val find : ('r, 'x) arbiter -> int -> 'x binding
 val now : ('r, 'x) arbiter -> Time.t
 val set_health : 'x binding -> health -> unit
 
-val signal_of : ('r, 'x) arbiter -> 'x binding -> raw -> Policy.signal
+val signal_of : 'x binding -> raw -> Policy.signal
 (** Derive the policy signal from a raw sample and advance the binding's
     stale-tick counter.  Call once per binding per tick. *)
 
@@ -174,7 +177,6 @@ val series : ('r, 'x) arbiter -> app:int -> Timeseries.t
 (** Core-count timeseries, one sample per change. *)
 
 val capacity : ('r, 'x) arbiter -> int
-val interval : ('r, 'x) arbiter -> Time.t
 val free_cores : ('r, 'x) arbiter -> int
 
 val grants : ('r, 'x) arbiter -> int
@@ -195,23 +197,17 @@ val charged_ns : ('r, 'x) arbiter -> Time.t
 val events : ('r, 'x) arbiter -> event list
 (** Chronological log of the most recent events (bounded at 4096). *)
 
-val register_counters :
-  ('r, 'x) arbiter ->
-  prefix:string ->
-  labels:Skyloft_obs.Registry.labels ->
-  Skyloft_obs.Registry.t ->
-  unit
+val register_counters : ('r, 'x) arbiter -> prefix:string -> Skyloft_obs.Registry.t -> unit
 (** Pull-based [<prefix>_*] transition counters (grants, reclaims, yields,
     ticks, charged switch cost, degradations) and the free-pool gauge. *)
 
 (** {1 The allocator} *)
 
 (** Runtime-facing configuration: which policy arbitrates BE core
-    ownership, at what cadence, and the BE application's bounds.  Both
-    runtimes accept one of these and translate it into {!register} calls. *)
+    ownership and the BE application's bounds.  Both runtimes accept one
+    of these and translate it into {!register} calls. *)
 type config = {
   policy : Policy.t;  (** congestion policy driving grant/reclaim decisions *)
-  interval : Time.t;  (** controller period (the paper uses 5 µs) *)
   be_guaranteed : int;  (** cores the BE app never loses *)
   be_burstable : int option;
       (** cap on BE cores; [None] means every managed core *)
@@ -222,8 +218,7 @@ type config = {
 }
 
 val default_config : unit -> config
-(** Static policy, 5 µs interval, bounds [0 .. all cores], no
-    degradation. *)
+(** Static policy, bounds [0 .. all cores], no degradation. *)
 
 type rules
 
@@ -233,7 +228,6 @@ type t = (rules, unit) arbiter
 val create :
   engine:Engine.t ->
   policy:Policy.t ->
-  interval:Time.t ->
   total_cores:int ->
   ?on_event:(event -> unit) ->
   ?degrade_after:int ->
@@ -264,5 +258,4 @@ val policy_name : t -> string
     application's granted-core gauge and timeseries (labelled with the
     app name).  Call after the applications have registered.  Pull-based;
     never perturbs the control loop. *)
-val register_metrics :
-  t -> ?labels:Skyloft_obs.Registry.labels -> Skyloft_obs.Registry.t -> unit
+val register_metrics : t -> Skyloft_obs.Registry.t -> unit

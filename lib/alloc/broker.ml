@@ -23,22 +23,12 @@ module A = Allocator
    - tenant CRASH: [crash] reclaims everything including the floor, and
      the tenant is excluded from arbitration and fairness from then on. *)
 
-type config = {
-  interval : Time.t;
-  degrade_after : int;
-  hoard_cap : int;
-  hoard_decay : int;
-  quarantine_ticks : int;
-}
+type config = { degrade_after : int; hoard_cap : int; quarantine_ticks : int }
 
-let default_config () =
-  {
-    interval = Time.us 5;
-    degrade_after = 20;
-    hoard_cap = 40;
-    hoard_decay = 2;
-    quarantine_ticks = 400;
-  }
+let default_config () = { degrade_after = 20; hoard_cap = 40; quarantine_ticks = 400 }
+
+(* Hoard score shed per well-behaved tick. *)
+let hoard_decay = 2
 
 type tenant_state = {
   policy : Policy.t;
@@ -76,16 +66,15 @@ let trace_kind_of_action = function
   | A.Release -> Skyloft_stats.Trace.Release
   | A.Crash -> Skyloft_stats.Trace.Tenant_crash
 
-let mirror rules on_event (ev : A.event) =
-  (match rules.trace with
+let mirror rules (ev : A.event) =
+  match rules.trace with
   | Some trace ->
       Skyloft_stats.Trace.instant trace
         ~core:(rules.core_of_tenant ev.id)
         ~at:ev.at
         (trace_kind_of_action ev.action)
         ~name:ev.name
-  | None -> ());
-  on_event ev
+  | None -> ()
 
 let set_trace (t : t) ?core_of_tenant trace =
   let r = A.rules t in
@@ -124,7 +113,7 @@ let decide (t : t) =
           let r =
             match b.ext.intercept with Some f -> f ~granted:b.granted r | None -> r
           in
-          (b, Some (A.signal_of t b r)))
+          (b, Some (A.signal_of b r)))
       (A.bindings t)
   in
   (* 2. health transitions: staleness edges and quarantine countdown *)
@@ -173,7 +162,7 @@ let decide (t : t) =
                decisions
         in
         if hoarding then b.ext.hoard_score <- b.ext.hoard_score + 1
-        else b.ext.hoard_score <- max 0 (b.ext.hoard_score - cfg.hoard_decay);
+        else b.ext.hoard_score <- max 0 (b.ext.hoard_score - hoard_decay);
         if b.ext.hoard_score >= cfg.hoard_cap then begin
           A.set_health b A.Quarantined;
           b.ext.quarantine_left <- cfg.quarantine_ticks;
@@ -184,19 +173,16 @@ let decide (t : t) =
       end)
     decisions
 
-let create ~engine ~capacity ?(config = default_config ()) ?(on_event = ignore)
-    () : t =
+let create ~engine ~capacity ?(config = default_config ()) () : t =
   if config.degrade_after <= 0 then
     invalid_arg "Broker.create: degrade_after must be positive";
   if config.hoard_cap <= 0 then
     invalid_arg "Broker.create: hoard_cap must be positive";
-  if config.hoard_decay < 0 then
-    invalid_arg "Broker.create: hoard_decay must be non-negative";
   if config.quarantine_ticks <= 0 then
     invalid_arg "Broker.create: quarantine_ticks must be positive";
   let rules = { cfg = config; trace = None; core_of_tenant = Fun.id } in
   A.arbiter ~who:"Broker" ~member:"tenant" ~engine ~capacity
-    ~interval:config.interval ~on_event:(mirror rules on_event) ~rules ~decide
+    ~on_event:(mirror rules) ~rules ~decide
 
 let register (t : t) ~tenant ~name ~kind ~policy ~bounds ~initial ~sample ~apply
     =
@@ -268,7 +254,6 @@ let core_ns t ~tenant =
   b.ext.core_ns
 
 let free_cores = A.free_cores
-let interval = A.interval
 let grants = A.grants
 let reclaims = A.reclaims
 let yields = A.yields
@@ -287,25 +272,25 @@ let health_name = function
 
 (* Pull-based registration: closures read broker state only at snapshot
    time, so attaching a registry cannot perturb the control loop. *)
-let register_metrics t ?(labels = []) reg =
+let register_metrics t reg =
   let module Registry = Skyloft_obs.Registry in
-  A.register_counters t ~prefix:"skyloft_broker" ~labels reg;
-  let c name help read = Registry.counter reg ~help ~labels name read in
+  A.register_counters t ~prefix:"skyloft_broker" reg;
+  let c name help read = Registry.counter reg ~help name read in
   c "skyloft_broker_quarantines_total" "Tenants quarantined for hoarding"
     (fun () -> A.quarantines t);
   c "skyloft_broker_releases_total" "Tenants released from quarantine"
     (fun () -> A.releases t);
   c "skyloft_broker_crashes_total" "Tenant crashes reclaimed" (fun () ->
       A.crashes t);
-  Registry.gauge reg ~labels "skyloft_broker_capacity"
+  Registry.gauge reg "skyloft_broker_capacity"
     ~help:"Brokered cores in the machine pool" (fun () ->
       float_of_int (A.capacity t));
-  Registry.gauge reg ~labels "skyloft_broker_fairness"
+  Registry.gauge reg "skyloft_broker_fairness"
     ~help:"Jain index over normalized per-tenant core-time" (fun () ->
       fairness t);
   List.iter
     (fun (b : tenant) ->
-      let al = labels @ [ Registry.app b.name ] in
+      let al = [ Registry.app b.name ] in
       Registry.gauge reg ~labels:al "skyloft_broker_granted_cores"
         ~help:"Cores currently granted" (fun () -> float_of_int b.granted);
       Registry.gauge reg ~labels:al "skyloft_broker_health"

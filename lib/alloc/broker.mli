@@ -9,9 +9,10 @@ module Timeseries = Skyloft_stats.Timeseries
     simulated machine (the iokernel role in Caladan/Shenango).  Each
     tenant registers a whole-runtime congestion sample, an apply hook
     (typically the runtime's [set_core_allowance]) and guaranteed /
-    burstable bounds; every interval the arbiter samples, lets a fresh
-    per-tenant {!Policy} instance ask for or yield cores, and arbitrates
-    under the conservation invariants it checks on every tick.
+    burstable bounds; every {!Allocator.interval} the arbiter samples,
+    lets a fresh per-tenant {!Policy} instance ask for or yield cores,
+    and arbitrates under the conservation invariants it checks on every
+    tick.
 
     Tenants are untrusted, so the broker layers defenses on the arbiter:
     per-tenant signal staleness ({!Allocator.Degrade}/{!Allocator.Recover},
@@ -23,27 +24,19 @@ module Timeseries = Skyloft_stats.Timeseries
     and bounds are the {!Allocator}'s types. *)
 
 type config = {
-  interval : Time.t;  (** sampling period (default 5 µs) *)
   degrade_after : int;
       (** consecutive frozen ticks before a tenant is degraded *)
   hoard_cap : int;  (** hoard score that trips quarantine *)
-  hoard_decay : int;  (** score decay per well-behaved tick *)
   quarantine_ticks : int;  (** intervals a quarantined tenant sits out *)
 }
 
 val default_config : unit -> config
-(** 5 µs interval, degrade after 20 ticks, hoard cap 40 with decay 2,
-    quarantine 400 ticks (2 ms at the default interval). *)
+(** Degrade after 20 ticks, hoard cap 40, quarantine 400 ticks (2 ms).  A
+    well-behaved tick decays the hoard score by 2. *)
 
 type t
 
-val create :
-  engine:Engine.t ->
-  capacity:int ->
-  ?config:config ->
-  ?on_event:(Allocator.event -> unit) ->
-  unit ->
-  t
+val create : engine:Engine.t -> capacity:int -> ?config:config -> unit -> t
 (** A broker over a machine with [capacity] brokered cores.  Raises
     [Invalid_argument] on a non-positive capacity or malformed config. *)
 
@@ -92,7 +85,7 @@ val tick : t -> unit
     their floor). *)
 
 val start : t -> unit
-(** Tick every [config.interval] until {!stop}. *)
+(** Tick every {!Allocator.interval} until {!stop}. *)
 
 val stop : t -> unit
 
@@ -116,7 +109,6 @@ val core_ns : t -> tenant:int -> int
 
 val series : t -> tenant:int -> Timeseries.t
 val free_cores : t -> int
-val interval : t -> Time.t
 val grants : t -> int
 val reclaims : t -> int
 val yields : t -> int
@@ -131,8 +123,7 @@ val events : t -> Allocator.event list
 
 val health_name : Allocator.health -> string
 
-val register_metrics :
-  t -> ?labels:Skyloft_obs.Registry.labels -> Skyloft_obs.Registry.t -> unit
+val register_metrics : t -> Skyloft_obs.Registry.t -> unit
 (** Pull-based [skyloft_broker_*] metrics: machine-wide counters (grants,
     reclaims, yields, ticks, charged switch cost, degradations,
     quarantines, releases, crashes), pool gauges (free cores, capacity,

@@ -89,44 +89,43 @@ end
 
 let static () = pack (module Static_impl) ()
 
+(* Consecutive intervals a reactive policy waits before it acts. *)
+let hysteresis = 2
+
 (* ---- Utilization: watermarks + hysteresis ------------------------------- *)
 
 module Utilization_impl = struct
   type app_state = { mutable above : int; mutable below : int }
-
-  type t = {
-    hi : float;
-    lo : float;
-    hysteresis : int;
-    apps : app_state Per_app.t;
-  }
+  type t = app_state Per_app.t
 
   let name = "utilization"
+  let hi = 0.9
+  let lo = 0.2
 
-  let observe t ~app s =
-    let st = Per_app.find t.apps app in
-    if s.utilization >= t.hi then begin
+  let observe apps ~app s =
+    let st = Per_app.find apps app in
+    if s.utilization >= hi then begin
       st.below <- 0;
       st.above <- st.above + 1;
-      if st.above >= t.hysteresis then begin
+      if st.above >= hysteresis then begin
         st.above <- 0;
         (* Enough cores to bring utilization back under the high watermark:
            busy core-equivalents / hi, rounded up. *)
         let busy_cores = s.utilization *. float_of_int (Int.max 1 s.cores) in
-        let want = int_of_float (ceil (busy_cores /. t.hi)) in
+        let want = int_of_float (ceil (busy_cores /. hi)) in
         Grant (Int.max 1 (want - s.cores))
       end
       else Hold
     end
-    else if s.utilization <= t.lo then begin
+    else if s.utilization <= lo then begin
       st.above <- 0;
       st.below <- st.below + 1;
-      if st.below >= t.hysteresis && s.cores > 0 then begin
+      if st.below >= hysteresis && s.cores > 0 then begin
         st.below <- 0;
         (* Shed down to the high-watermark target in one step, so a calm
            app does not ratchet its grant upward over time. *)
         let busy_cores = s.utilization *. float_of_int (Int.max 1 s.cores) in
-        let target = int_of_float (ceil (busy_cores /. t.hi)) in
+        let target = int_of_float (ceil (busy_cores /. hi)) in
         Yield (Int.max 1 (s.cores - target))
       end
       else Hold
@@ -138,37 +137,26 @@ module Utilization_impl = struct
     end
 end
 
-let utilization ?(hi = 0.9) ?(lo = 0.2) ?(hysteresis = 2) () =
-  if not (lo < hi) then invalid_arg "Policy.utilization: need lo < hi";
-  if hysteresis < 1 then invalid_arg "Policy.utilization: hysteresis >= 1";
+let utilization () =
   pack
     (module Utilization_impl)
-    {
-      Utilization_impl.hi;
-      lo;
-      hysteresis;
-      apps = Per_app.create (fun () -> { Utilization_impl.above = 0; below = 0 });
-    }
+    (Per_app.create (fun () -> { Utilization_impl.above = 0; below = 0 }))
 
 (* ---- Delay: Shenango's oldest-pending-task congestion signal ------------ *)
 
 module Delay_impl = struct
   type app_state = { mutable calm : int }
-
-  type t = {
-    threshold : Time.t;
-    idle_ticks : int;
-    apps : app_state Per_app.t;
-  }
+  type t = app_state Per_app.t
 
   let name = "delay"
+  let threshold = Time.us 10
 
-  let observe t ~app s =
+  let observe apps ~app s =
     match s.kind with
     | Be -> be_greedy s
     | Lc ->
-        let st = Per_app.find t.apps app in
-        if s.oldest_delay > t.threshold then begin
+        let st = Per_app.find apps app in
+        if s.oldest_delay > threshold then begin
           st.calm <- 0;
           Grant (Int.max 1 s.runq_len)
         end
@@ -180,7 +168,7 @@ module Delay_impl = struct
           let spare = float_of_int s.cores -. busy_cores in
           if s.runq_len = 0 && s.cores > 0 && spare > 1.5 then begin
             st.calm <- st.calm + 1;
-            if st.calm >= t.idle_ticks then begin
+            if st.calm >= hysteresis then begin
               st.calm <- 0;
               Yield (Int.max 1 (int_of_float (spare -. 1.0)))
             end
@@ -193,13 +181,5 @@ module Delay_impl = struct
         end
 end
 
-let delay ?(threshold = Time.us 10) ?(idle_ticks = 2) () =
-  if threshold <= 0 then invalid_arg "Policy.delay: threshold must be positive";
-  if idle_ticks < 1 then invalid_arg "Policy.delay: idle_ticks >= 1";
-  pack
-    (module Delay_impl)
-    {
-      Delay_impl.threshold;
-      idle_ticks;
-      apps = Per_app.create (fun () -> { Delay_impl.calm = 0 });
-    }
+let delay () =
+  pack (module Delay_impl) (Per_app.create (fun () -> { Delay_impl.calm = 0 }))

@@ -48,16 +48,16 @@ val static : unit -> t
     when the queue is empty; a BE app greedily asks for whatever the free
     pool holds.  No hysteresis — all swings happen at the check interval. *)
 
-val utilization : ?hi:float -> ?lo:float -> ?hysteresis:int -> unit -> t
-(** Watermark controller: after [hysteresis] consecutive intervals (default
-    2) above [hi] (default 0.9) the app asks for enough cores to bring
-    utilization back under [hi]; after [hysteresis] intervals below [lo]
-    (default 0.2) it yields one.  The two counters reset each other, which
-    is what prevents grant/reclaim oscillation under a steady load. *)
+val utilization : unit -> t
+(** Watermark controller: after 2 consecutive intervals at or above 0.9
+    utilization the app asks for enough cores to bring utilization back
+    under 0.9; after 2 intervals at or below 0.2 it sheds down to that
+    target.  The two counters reset each other, which is what prevents
+    grant/reclaim oscillation under a steady load. *)
 
-val delay : ?threshold:Time.t -> ?idle_ticks:int -> unit -> t
+val delay : unit -> t
 (** Shenango's congestion signal: an LC app whose oldest pending task has
-    waited longer than [threshold] (default 10 µs) claims [runq_len] cores
-    immediately; after [idle_ticks] consecutive quiet intervals (default 2:
-    empty queue, utilization under 0.5) it yields one core back.  BE apps
+    waited longer than 10 µs claims [runq_len] cores immediately; after 2
+    consecutive quiet intervals (empty queue, more than 1.5 spare
+    core-equivalents) it yields all but one spare core back.  BE apps
     greedily soak the free pool, exactly as under {!static}. *)

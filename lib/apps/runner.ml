@@ -9,12 +9,6 @@ type handle = Kt of Kthread.t | Tsk of Task.t
 
 type t = {
   spawn : name:string -> Coro.t -> handle;
-  spawn_deadline :
-    name:string ->
-    deadline:Skyloft_sim.Time.t ->
-    on_drop:(unit -> unit) ->
-    Coro.t ->
-    handle;
   wakeup : handle -> unit;
   set_track_wakeup : handle -> bool -> unit;
   wakeup_hist : unit -> Histogram.t;
@@ -23,9 +17,6 @@ type t = {
 let of_linux linux =
   {
     spawn = (fun ~name body -> Kt (Linux.spawn linux ~name body));
-    spawn_deadline =
-      (fun ~name:_ ~deadline:_ ~on_drop:_ _ ->
-        invalid_arg "Runner: deadline unsupported on the Linux baseline");
     wakeup =
       (function Kt kt -> Linux.wakeup linux kt | Tsk _ -> invalid_arg "Runner: mixed");
     set_track_wakeup =
@@ -39,12 +30,6 @@ let of_linux linux =
 let of_runtime rt app =
   {
     spawn = (fun ~name body -> Tsk (Rc.spawn rt app ~name ~record:false body));
-    spawn_deadline =
-      (fun ~name ~deadline ~on_drop body ->
-        Tsk
-          (Rc.spawn rt app ~name ~record:false ~deadline
-             ~on_drop:(fun _ -> on_drop ())
-             body));
     wakeup =
       (function Tsk t -> Rc.wakeup rt t | Kt _ -> invalid_arg "Runner: mixed");
     set_track_wakeup =

@@ -11,16 +11,6 @@ type handle
 
 type t = {
   spawn : name:string -> Coro.t -> handle;
-  spawn_deadline :
-    name:string ->
-    deadline:Skyloft_sim.Time.t ->
-    on_drop:(unit -> unit) ->
-    Coro.t ->
-    handle;
-      (** spawn with a kill deadline: if the thread has not exited
-          [deadline] ns from now it is forcibly terminated and [on_drop]
-          runs (see {!Skyloft.Runtime_core.spawn}).  Raises on runtimes without
-          deadline support (the Linux baseline). *)
   wakeup : handle -> unit;
   set_track_wakeup : handle -> bool -> unit;
       (** exclude a thread (e.g. schbench's message thread) from the

@@ -335,13 +335,14 @@ let preempt_capped_unit t u =
 
 (* ---- construction --------------------------------------------------------- *)
 
+(* Per-core delegated timers tick at 100 kHz (Table 5). *)
+let tick_ns = Time.us 10
+
 let create machine kmod ~dispatcher_core ~worker_cores ~quantum
-    ?(timer_hz = 100_000) ?(adaptive = true) ?(mechanism = skyloft_mechanism)
-    ?watchdog ctor =
+    ?(adaptive = true) ?(mechanism = skyloft_mechanism) ?watchdog ctor =
   if worker_cores = [] then invalid_arg "Hybrid.create: no worker cores";
   if List.mem dispatcher_core worker_cores then
     invalid_arg "Hybrid.create: dispatcher core cannot also be a worker";
-  if timer_hz <= 0 then invalid_arg "Hybrid.create: timer_hz must be positive";
   (match watchdog with
   | Some bound when bound <= 0 ->
       invalid_arg "Hybrid.create: watchdog bound must be positive"
@@ -373,7 +374,7 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
       units;
       mech = mechanism;
       quantum;
-      tick_period = (if adaptive then Int.max 1 (1_000_000_000 / timer_hz) else 0);
+      tick_period = (if adaptive then tick_ns else 0);
       mode = Central;
       mode_switches = 0;
       disp_busy_until = 0;
@@ -405,7 +406,7 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
       (* A woken BE task rejoins the BE queue, which the units drain
          themselves, as when the BE allowance grows. *)
       d_wake =
-        (fun task ~waker_cpu:_ ->
+        (fun task ->
           ignore (Rc.place_woken t.rc ~waker_cpu:t.dispatcher_core task);
           if Rc.is_be t.rc task then Array.iter (redrive t) t.units else poke t);
       d_kthread = (fun _ _ -> ());

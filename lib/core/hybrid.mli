@@ -69,7 +69,6 @@ val create :
   dispatcher_core:int ->
   worker_cores:int list ->
   quantum:Time.t ->
-  ?timer_hz:int ->
   ?adaptive:bool ->
   ?mechanism:mechanism ->
   ?watchdog:Time.t ->
@@ -78,8 +77,8 @@ val create :
 (** In [Central] mode the [dispatcher_core] is the serial resource
     (assignment + quantum preemption over the [mechanism]'s IPIs, default
     {!skyloft_mechanism}); in [Percore] mode workers self-schedule from
-    the shared queue and per-core timers at [timer_hz] (default 100 kHz)
-    drive preemption.  The monitor samples the LC queue every 25 µs and
+    the shared queue and per-core timers at 100 kHz (Table 5) drive
+    preemption.  The monitor samples the LC queue every 25 µs and
     switches to [Percore] when the depth exceeds twice the worker count,
     back to [Central] when it falls to half the worker count or below —
     the gap is the hysteresis band.  [quantum <= 0] disables quantum
@@ -101,8 +100,8 @@ val create :
     {!Kmod.steal_core} outage are exempt until hand-back.
 
     @raise Invalid_argument on no worker cores, a dispatcher core also
-    listed as a worker, a non-positive [timer_hz] or a non-positive
-    [watchdog] bound, before anything is built or parked on [kmod]. *)
+    listed as a worker or a non-positive [watchdog] bound, before
+    anything is built or parked on [kmod]. *)
 
 val runtime : t -> Runtime_core.t
 (** The runtime handle: spawn, kill, wakeup, applications, BE attachment,

@@ -143,9 +143,9 @@ let place t (task : Task.t) ~cpu =
   Rc.enqueue t.rc ~cpu:target ~reason:Sched_ops.Enq_new task;
   kick_toward t target
 
-let wake t (task : Task.t) ~waker_cpu =
-  let waker_cpu = if waker_cpu >= 0 then waker_cpu else task.Task.last_core in
-  kick_toward t (Rc.place_woken t.rc ~waker_cpu task)
+(* The waker is unknown, so the task's last core stands in for it. *)
+let wake t (task : Task.t) =
+  kick_toward t (Rc.place_woken t.rc ~waker_cpu:task.Task.last_core task)
 
 (* ---- construction -------------------------------------------------------- *)
 

@@ -64,8 +64,7 @@ type dispatch = {
          assignment *)
   d_place : Task.t -> cpu:int option -> unit;
       (* a new task's placement: policy init, enqueue, kick or pump *)
-  d_wake : Task.t -> waker_cpu:int -> unit;
-      (* an awakened task's placement ([waker_cpu] -1 when unknown) *)
+  d_wake : Task.t -> unit;  (* an awakened task's placement *)
   d_kthread : exec -> Kmod.kthread -> unit;
       (* per-unit setup of a freshly parked kthread (UINTR handlers) *)
   d_evict : exec -> unit;  (* the broker capped this unit: preempt it *)
@@ -86,7 +85,7 @@ let null_dispatch =
     d_released = (fun _ -> ());
     d_reschedule = (fun _ ~prev:_ -> ());
     d_place = (fun _ ~cpu:_ -> ());
-    d_wake = (fun _ ~waker_cpu:_ -> ());
+    d_wake = ignore;
     d_kthread = (fun _ _ -> ());
     d_evict = ignore;
     d_redrive = ignore;
@@ -705,7 +704,7 @@ let depose t ex ~overhead =
 
 (* State transition, stall attribution and the trace instant, then the
    runtime's placement (policy wakeup + kick, or dispatcher pump). *)
-let wakeup t ?(waker_cpu = -1) (task : Task.t) =
+let wakeup t (task : Task.t) =
   match task.Task.state with
   | Task.Blocked ->
       task.Task.state <- Task.Runnable;
@@ -716,7 +715,7 @@ let wakeup t ?(waker_cpu = -1) (task : Task.t) =
       task.Task.obs_enq_at <- now t;
       trace_instant t ~core:(Int.max 0 task.Task.last_core) Trace.Wakeup
         task.Task.name;
-      t.dispatch.d_wake task ~waker_cpu
+      t.dispatch.d_wake task
   | Task.Running | Task.Runnable -> task.Task.pending_wake <- true
   | Task.Exited -> ()
 
@@ -1006,7 +1005,7 @@ let attach_be_app t ?(alloc = Allocator.default_config ()) app ~chunk ~workers =
   then fail "need 0 <= be_guaranteed <= be_burstable <= managed cores";
   let allocator =
     Allocator.create ~engine:t.engine ~policy:alloc.Allocator.policy
-      ~interval:alloc.Allocator.interval ~total_cores:total
+      ~total_cores:total
       ~on_event:t.dispatch.d_alloc_event
       ?degrade_after:alloc.Allocator.degrade_after ()
   in

@@ -77,8 +77,7 @@ type dispatch = {
   d_place : Task.t -> cpu:int option -> unit;
       (** a freshly admitted task's placement: policy init, enqueue, and a
           kick (per-CPU) or a dispatcher pump *)
-  d_wake : Task.t -> waker_cpu:int -> unit;
-      (** an awakened task's placement; [waker_cpu] is [-1] when unknown *)
+  d_wake : Task.t -> unit;  (** an awakened task's placement *)
   d_kthread : exec -> Kmod.kthread -> unit;
       (** set up a kthread just parked on the unit's core *)
   d_evict : exec -> unit;  (** the broker capped this unit: preempt it *)
@@ -318,7 +317,7 @@ val discard_killed : t -> Task.t -> bool
 
 (** {1 Wakeups} *)
 
-val wakeup : t -> ?waker_cpu:int -> Task.t -> unit
+val wakeup : t -> Task.t -> unit
 (** [task_wakeup]: make a blocked task runnable again — state transition,
     stall attribution, trace instant — and hand it to the mechanism's
     [d_wake] placement.  Non-blocked tasks get their pending-wake flag set

@@ -31,7 +31,6 @@ module Injector = Skyloft_fault.Injector
     [lost] column is that reconciliation residue and must be zero. *)
 
 let n_workers = 8
-let quantum = Time.us 30
 let watchdog_bound = Time.us 200
 let deadline = Time.ms 25
 let retry_budget = 2
@@ -114,7 +113,7 @@ let rig (config : Config.t) ~runtime ~workers ~alloc ~ring_capacity =
   let engine, machine, kmod = Harness.fresh config in
   let rt =
     Scenario.build ~watchdog:watchdog_bound machine kmod ~first_core:0
-      ~cores:workers ~quantum ~timer_hz:100_000 runtime
+      ~cores:workers runtime
   in
   let lc = Rc.create_app rt ~name:"lc" in
   let be = Rc.create_app rt ~name:"batch" in

@@ -259,17 +259,8 @@ let machine_fleet () =
    hoarder trips quarantine fast and serves a short sentence (several
    quarantine/release cycles), the stale tenant degrades within 50 µs of
    freezing and recovers when its window closes. *)
-let machine_placement_config () =
-  {
-    (Placement.default_config ()) with
-    Placement.broker =
-      {
-        (Broker.default_config ()) with
-        Broker.degrade_after = 10;
-        hoard_cap = 10;
-        quarantine_ticks = 100;
-      };
-  }
+let machine_broker_config =
+  { Broker.degrade_after = 10; hoard_cap = 10; quarantine_ticks = 100 }
 
 (* Tenant 0 hoards from 10% of the run on, tenant 1 goes stale over the
    15–50% window (so recovery is inside the measurement), tenant 2
@@ -308,7 +299,7 @@ let run_machine_point ~seed ~requests ~instrumented =
   let r =
     Placement.run ~seed
       ~faults:(machine_faults ~t_ns)
-      ~config:(machine_placement_config ())
+      ~broker:machine_broker_config
       ~trace ?registry ~name:"machine-obs" ~capacity:machine_capacity
       ~requests (machine_fleet ())
   in

@@ -106,15 +106,10 @@ let faults_of ~scenario ~t_ns =
 (* "hoard-open" is the ablation: identical hoarder, quarantine
    effectively disarmed (a cap no run can reach), so the interference it
    measures is what the defense is worth. *)
-let placement_config ~scenario =
-  let base = Placement.default_config () in
+let broker_config ~scenario =
   if String.equal scenario "hoard-open" then
-    {
-      base with
-      Placement.broker =
-        { (Broker.default_config ()) with Broker.hoard_cap = 1_000_000_000 };
-    }
-  else base
+    Some { (Broker.default_config ()) with Broker.hoard_cap = 1_000_000_000 }
+  else None
 
 let run_cell ~seed ~mix ~n ~scenario ~requests =
   let capacity = 2 * n in
@@ -122,7 +117,7 @@ let run_cell ~seed ~mix ~n ~scenario ~requests =
   let r =
     Placement.run ~seed
       ~faults:(faults_of ~scenario ~t_ns)
-      ~config:(placement_config ~scenario)
+      ?broker:(broker_config ~scenario)
       ~name:(Printf.sprintf "%s-n%02d-%s" mix n scenario)
       ~capacity ~requests
       (tenants ~mix ~n ~capacity)

@@ -52,16 +52,11 @@ let record t ~kind ~core =
       Trace.instant trace ~core:(max 0 core) ~at:(now t) Trace.Inject ~name:kind
   | None -> ()
 
-(* One periodic loop per scheduled plan: fire every [period] inside the
-   window, stop for good once it expires. *)
-let periodic t ~(window : Plan.window) ~period fire =
-  let start = max (window.Plan.start + period) (now t + period) in
-  Engine.every t.engine ~period ~start (fun () ->
-      if Plan.expired window ~at:(now t) then false
-      else begin
-        if Plan.active window ~at:(now t) then fire ();
-        true
-      end)
+(* One periodic loop per scheduled plan, for the whole run. *)
+let periodic t ~period fire =
+  Engine.every t.engine ~period (fun () ->
+      fire ();
+      true)
 
 let pick_core t cores =
   let arr = Array.of_list cores in
@@ -75,41 +70,37 @@ let arm t target plans =
     List.filter_map
       (fun (p : Plan.t) ->
         match p.Plan.spec with
-        | Plan.Ipi_loss l -> Some (p.Plan.window, l)
+        | Plan.Ipi_loss l -> Some l
         | _ -> None)
       plans
   in
-  (* All IPI-loss plans share one machine-level hook; the first plan whose
-     window is active decides the fate of each queried delivery.  The hook
-     only touches notification and delegated-timer vectors on target cores:
-     everything else delivers untouched. *)
-  if ipi_plans <> [] then
-    Machine.set_fault_hook target.machine (fun ~core vector ->
-        let applicable =
-          (vector = Vectors.uintr_notification || vector = Vectors.timer)
-          && List.mem core target.cores
-        in
-        if not applicable then Machine.Deliver
-        else
-          match
-            List.find_opt (fun (w, _) -> Plan.active w ~at:(now t)) ipi_plans
-          with
-          | None -> Machine.Deliver
-          | Some (_, { Plan.p_drop; p_delay; delay }) ->
-              if p_drop > 0.0 && Rng.uniform t.rng < p_drop then begin
-                record t ~kind:"ipi-drop" ~core;
-                Machine.Drop
-              end
-              else if p_delay > 0.0 && Rng.uniform t.rng < p_delay then begin
-                record t ~kind:"ipi-delay" ~core;
-                Machine.Delay delay
-              end
-              else Machine.Deliver);
+  (* All IPI-loss plans share one machine-level hook, and the first plan
+     decides the fate of each queried delivery.  The hook only touches
+     notification and delegated-timer vectors on target cores: everything
+     else delivers untouched. *)
+  (match ipi_plans with
+  | [] -> ()
+  | { Plan.p_drop; p_delay; delay } :: _ ->
+      Machine.set_fault_hook target.machine (fun ~core vector ->
+          let applicable =
+            (vector = Vectors.uintr_notification || vector = Vectors.timer)
+            && List.mem core target.cores
+          in
+          if not applicable then Machine.Deliver
+          else if p_drop > 0.0 && Rng.uniform t.rng < p_drop then begin
+            record t ~kind:"ipi-drop" ~core;
+            Machine.Drop
+          end
+          else if p_delay > 0.0 && Rng.uniform t.rng < p_delay then begin
+            record t ~kind:"ipi-delay" ~core;
+            Machine.Delay delay
+          end
+          else Machine.Deliver));
   let packet_plans =
     List.filter_map
       (fun (p : Plan.t) ->
         match p.Plan.spec with
-        | Plan.Packet_loss { p_drop } -> Some (p.Plan.window, p_drop)
+        | Plan.Packet_loss { p_drop } -> Some p_drop
         | _ -> None)
       plans
   in
@@ -123,9 +114,8 @@ let arm t target plans =
       (Some
          (fun _pkt ->
            List.exists
-             (fun (w, p_drop) ->
-               Plan.active w ~at:(now t)
-               && Rng.uniform t.rng < p_drop
+             (fun p_drop ->
+               Rng.uniform t.rng < p_drop
                &&
                (record t ~kind:"pkt-drop" ~core:(-1);
                 true))
@@ -143,7 +133,7 @@ let arm t target plans =
             | Some kmod -> kmod
             | None -> invalid_arg "Injector.arm: core-steal plan without a Kmod"
           in
-          periodic t ~window:p.Plan.window ~period (fun () ->
+          periodic t ~period (fun () ->
               let core = pick_core t target.cores in
               record t ~kind:"core-steal" ~core;
               Kmod.steal_core kmod ~core ~duration)
@@ -154,7 +144,7 @@ let arm t target plans =
             | None ->
                 invalid_arg "Injector.arm: poison plan without a spawn callback"
           in
-          periodic t ~window:p.Plan.window ~period (fun () ->
+          periodic t ~period (fun () ->
               let core = pick_core t target.cores in
               record t ~kind:"poison" ~core;
               poison ~core ~service))
@@ -186,7 +176,7 @@ let arm_tenants t ~broker plans =
                   busy := raw.Allocator.busy_ns;
                   record t ~kind:"tenant-hoard" ~core:(-1)
                 end;
-                busy := !busy + (granted * Broker.interval broker);
+                busy := !busy + (granted * Allocator.interval);
                 {
                   Allocator.runq_len = 64;
                   oldest_delay = Time.ms 5;
@@ -235,14 +225,14 @@ let injected t = Hashtbl.fold (fun _ n acc -> acc + n) t.counts 0
 let injected_of t ~kind =
   Option.value (Hashtbl.find_opt t.counts kind) ~default:0
 
-let register_metrics t ?(labels = []) reg =
+let register_metrics t reg =
   let module Registry = Skyloft_obs.Registry in
-  Registry.counter reg ~labels "skyloft_fault_injected_total"
+  Registry.counter reg "skyloft_fault_injected_total"
     ~help:"Faults injected" (fun () -> injected t);
   List.iter
     (fun kind ->
       Registry.counter reg
-        ~labels:(labels @ [ ("kind", kind) ])
+        ~labels:[ ("kind", kind) ]
         "skyloft_fault_injected_kind_total" ~help:"Faults injected by kind"
         (fun () -> injected_of t ~kind))
     [

@@ -64,5 +64,4 @@ val events : t -> event list
 (** [register_metrics t reg] registers the injected-fault counters, total
     and per kind (under [skyloft_fault_*]).  Pull-based; never perturbs
     the injection schedule. *)
-val register_metrics :
-  t -> ?labels:Skyloft_obs.Registry.labels -> Skyloft_obs.Registry.t -> unit
+val register_metrics : t -> Skyloft_obs.Registry.t -> unit

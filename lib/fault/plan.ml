@@ -14,8 +14,6 @@ let always = { start = 0; stop = None }
 let active w ~at =
   at >= w.start && match w.stop with Some s -> at < s | None -> true
 
-let expired w ~at = match w.stop with Some s -> at >= s | None -> false
-
 type ipi_loss = { p_drop : float; p_delay : float; delay : Time.t }
 
 type spec =
@@ -41,29 +39,28 @@ let check_prob what p =
   if p < 0.0 || p > 1.0 then
     invalid_arg (Printf.sprintf "Plan.%s: probability outside [0, 1]" what)
 
-let ipi_loss ?(window = always) ?(p_drop = 0.0) ?(p_delay = 0.0)
-    ?(delay = Time.us 50) () =
+let ipi_loss ?(p_drop = 0.0) ?(p_delay = 0.0) ?(delay = Time.us 50) () =
   check_prob "ipi_loss" p_drop;
   check_prob "ipi_loss" p_delay;
   if delay <= 0 then invalid_arg "Plan.ipi_loss: delay must be positive";
   if p_drop = 0.0 && p_delay = 0.0 then
     invalid_arg "Plan.ipi_loss: at least one probability must be non-zero";
-  { window; spec = Ipi_loss { p_drop; p_delay; delay } }
+  { window = always; spec = Ipi_loss { p_drop; p_delay; delay } }
 
-let core_steal ?(window = always) ~period ~duration () =
+let core_steal ~period ~duration () =
   if period <= 0 then invalid_arg "Plan.core_steal: period must be positive";
   if duration <= 0 then invalid_arg "Plan.core_steal: duration must be positive";
-  { window; spec = Core_steal { period; duration } }
+  { window = always; spec = Core_steal { period; duration } }
 
-let poison ?(window = always) ~period ~service () =
+let poison ~period ~service () =
   if period <= 0 then invalid_arg "Plan.poison: period must be positive";
   if service <= 0 then invalid_arg "Plan.poison: service must be positive";
-  { window; spec = Poison { period; service } }
+  { window = always; spec = Poison { period; service } }
 
-let packet_loss ?(window = always) ~p_drop () =
+let packet_loss ~p_drop () =
   check_prob "packet_loss" p_drop;
   if p_drop = 0.0 then invalid_arg "Plan.packet_loss: p_drop must be non-zero";
-  { window; spec = Packet_loss { p_drop } }
+  { window = always; spec = Packet_loss { p_drop } }
 
 let check_tenant who tenant =
   if tenant < 0 then

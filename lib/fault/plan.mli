@@ -4,7 +4,8 @@ module Time = Skyloft_sim.Time
 
     A plan is pure data — nothing happens until {!Injector.arm} schedules
     it against a target.  Plans compose: arm a list of them and each
-    contributes its fault class inside its activity {!window}.  All
+    contributes its fault class.  A machine-level plan is active for the
+    whole run; a tenant-level plan is active inside its {!window}.  All
     randomness is drawn from the injector's own split RNG, so a faulty run
     replays bit-for-bit from the same seed and a disabled injector makes
     zero draws (leaving every other stream untouched). *)
@@ -16,7 +17,6 @@ type window = { start : Time.t; stop : Time.t option }
 val window : ?start:Time.t -> ?stop:Time.t -> unit -> window
 
 val active : window -> at:Time.t -> bool
-val expired : window -> at:Time.t -> bool
 
 type ipi_loss = { p_drop : float; p_delay : float; delay : Time.t }
 
@@ -48,23 +48,17 @@ type spec =
       (** The tenant's runtime dies at window start; the broker reclaims
           every core it held, guaranteed floor included. *)
 
-type t = { window : window; spec : spec }
+type t = private { window : window; spec : spec }
 
 (** Constructors validate their parameters and raise [Invalid_argument]
     on nonsense (probabilities outside [0, 1], non-positive periods). *)
 
-val ipi_loss :
-  ?window:window ->
-  ?p_drop:float ->
-  ?p_delay:float ->
-  ?delay:Time.t ->
-  unit ->
-  t
+val ipi_loss : ?p_drop:float -> ?p_delay:float -> ?delay:Time.t -> unit -> t
 (** Default delay 50 µs; at least one probability must be non-zero. *)
 
-val core_steal : ?window:window -> period:Time.t -> duration:Time.t -> unit -> t
-val poison : ?window:window -> period:Time.t -> service:Time.t -> unit -> t
-val packet_loss : ?window:window -> p_drop:float -> unit -> t
+val core_steal : period:Time.t -> duration:Time.t -> unit -> t
+val poison : period:Time.t -> service:Time.t -> unit -> t
+val packet_loss : p_drop:float -> unit -> t
 
 val tenant_hoard : ?window:window -> tenant:int -> unit -> t
 val tenant_stale : ?window:window -> tenant:int -> unit -> t

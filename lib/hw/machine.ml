@@ -235,11 +235,6 @@ let uintr_install t ~core:i ctx =
      user mode. *)
   if (not (pir_empty ctx)) && not c.masked then recognize c ctx
 
-let uintr_uninstall t ~core:i =
-  let c = core t i in
-  (match c.uintr with Some ctx -> ctx.installed_on <- None | None -> ());
-  c.uintr <- None
-
 let uintr_installed t ~core:i = (core t i).uintr
 
 let senduipi t ~src_core ctx ~uvec =

@@ -111,9 +111,6 @@ val uintr_install : t -> core:int -> uintr_ctx -> unit
     switches in the owning thread).  If the PIR already has posted bits,
     recognition happens immediately — pending user interrupts fire. *)
 
-val uintr_uninstall : t -> core:int -> unit
-(** Remove the receiver context from the core (thread switched out). *)
-
 val uintr_installed : t -> core:int -> uintr_ctx option
 
 (** {1 UINTR sender side} *)

@@ -6,14 +6,12 @@ module Vectors = Skyloft_hw.Vectors
 
 exception Binding_rule_violation of string
 
-type state = Parked | Active | Exited
-
 type kthread = {
   tid : int;
   app : int;
   core : int;
   ctx : Machine.uintr_ctx;
-  mutable state : state;
+  mutable active : bool;  (* else parked *)
 }
 
 type t = {
@@ -37,11 +35,8 @@ let create machine =
 
 let violation fmt = Format.kasprintf (fun s -> raise (Binding_rule_violation s)) fmt
 
-let kthreads_on t ~core =
-  List.filter (fun kt -> kt.core = core && kt.state <> Exited) t.threads
-
-let active_on t ~core =
-  List.find_opt (fun kt -> kt.core = core && kt.state = Active) t.threads
+let kthreads_on t ~core = List.filter (fun kt -> kt.core = core) t.threads
+let active_on t ~core = List.find_opt (fun kt -> kt.core = core && kt.active) t.threads
 
 let park_on_cpu t ~app ~core =
   if core < 0 || core >= Machine.n_cores t.machine then
@@ -49,55 +44,35 @@ let park_on_cpu t ~app ~core =
   let tid = t.next_tid in
   t.next_tid <- tid + 1;
   let kt =
-    { tid; app; core; ctx = Machine.uintr_create_ctx (); state = Parked }
+    { tid; app; core; ctx = Machine.uintr_create_ctx (); active = false }
   in
   t.threads <- kt :: t.threads;
   kt
 
 let activate t kt =
-  (match kt.state with
-  | Exited -> violation "activate: kthread %d already exited" kt.tid
-  | Active -> violation "activate: kthread %d already active" kt.tid
-  | Parked -> ());
+  if kt.active then violation "activate: kthread %d already active" kt.tid;
   (match active_on t ~core:kt.core with
   | Some other ->
       violation "activate: core %d already has active kthread %d (app %d)" kt.core
         other.tid other.app
   | None -> ());
-  kt.state <- Active;
+  kt.active <- true;
   Machine.uintr_install t.machine ~core:kt.core kt.ctx;
   Costs.linux_wakeup_switch_ns
 
 let switch_to t ~from ~target =
   if from == target then violation "switch_to: from and target are the same kthread";
-  if from.state <> Active then violation "switch_to: kthread %d is not active" from.tid;
-  if target.state = Exited then violation "switch_to: target %d exited" target.tid;
+  if not from.active then violation "switch_to: kthread %d is not active" from.tid;
   if from.core <> target.core then
     violation "switch_to: cross-core switch (%d -> %d)" from.core target.core;
   (* Both transitions happen atomically in the kernel, upholding the
      binding rule throughout (§3.3). *)
-  from.state <- Parked;
-  target.state <- Active;
+  from.active <- false;
+  target.active <- true;
   Machine.uintr_install t.machine ~core:target.core target.ctx;
   Costs.app_switch_ns
 
-let terminate t kt =
-  (match kt.state with
-  | Exited -> ()
-  | Active ->
-      let others =
-        List.filter (fun o -> o != kt) (kthreads_on t ~core:kt.core)
-      in
-      if others <> [] then
-        violation
-          "terminate: active kthread %d exits while %d parked kthread(s) remain on core \
-           %d — wake one first"
-          kt.tid (List.length others) kt.core;
-      Machine.uintr_uninstall t.machine ~core:kt.core
-  | Parked -> ());
-  kt.state <- Exited
-
-let is_active kt = kt.state = Active
+let is_active kt = kt.active
 let uintr_ctx kt = kt.ctx
 
 let timer_enable _t kt =
@@ -141,6 +116,6 @@ let steal_core t ~core ~duration =
 
 let steals t = t.steals
 
-let register_metrics t ?(labels = []) reg =
-  Skyloft_obs.Registry.counter reg ~labels "skyloft_kmod_steals_total"
+let register_metrics t reg =
+  Skyloft_obs.Registry.counter reg "skyloft_kmod_steals_total"
     ~help:"Host-kernel core steals on isolated cores" (fun () -> t.steals)

@@ -40,11 +40,6 @@ val switch_to : t -> from:kthread -> target:kthread -> Time.t
     {!Binding_rule_violation} if [from] is not active, if the two kthreads
     are bound to different cores, or if [from == target]. *)
 
-val terminate : t -> kthread -> unit
-(** Mark a kthread exited and release its binding.  An active kthread may
-    only terminate if it is the last non-exited kthread on its core
-    (otherwise the parked ones could never be woken again, §3.3). *)
-
 val active_on : t -> core:int -> kthread option
 val is_active : kthread -> bool
 val uintr_ctx : kthread -> Machine.uintr_ctx
@@ -89,5 +84,4 @@ val steals : t -> int
 
 (** [register_metrics t reg] registers the kernel module's counters (under
     [skyloft_kmod_*]).  Pull-based; never perturbs the simulation. *)
-val register_metrics :
-  t -> ?labels:Skyloft_obs.Registry.labels -> Skyloft_obs.Registry.t -> unit
+val register_metrics : t -> Skyloft_obs.Registry.t -> unit

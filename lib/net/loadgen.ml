@@ -3,7 +3,7 @@ module Engine = Skyloft_sim.Engine
 module Rng = Skyloft_sim.Rng
 module Dist = Skyloft_sim.Dist
 
-let poisson engine ~rng ~rate_rps ~service ?start ~duration ?(kind = fun _ -> "req") sink =
+let poisson engine ~rng ~rate_rps ~service ?start ~duration sink =
   if rate_rps <= 0.0 then invalid_arg "Loadgen.poisson: rate must be positive";
   let start = match start with Some s -> s | None -> Engine.now engine in
   let mean_gap_ns = 1e9 /. rate_rps in
@@ -17,7 +17,7 @@ let poisson engine ~rng ~rate_rps ~service ?start ~duration ?(kind = fun _ -> "r
       let pkt =
         Packet.create ~arrival
           ~service:(Dist.sample service rng)
-          ~flow:(Rng.int rng 1_000_000) ~kind:(kind rng)
+          ~flow:(Rng.int rng 1_000_000) ~kind:"req"
       in
       sink pkt;
       let gap = Int.max 1 (Rng.exponential_ns rng ~mean:mean_gap_ns) in
@@ -49,12 +49,12 @@ let stream engine ~next emit =
       arm_next ~now:fired_at);
   arm_next ~now:(Engine.now engine)
 
-let retrying engine ?(budget = 3) ?(backoff = Time.us 100)
-    ?(max_backoff = Time.ms 10) ~attempt give_up =
+(* The retry ceiling. *)
+let max_backoff = Time.ms 10
+
+let retrying engine ?(budget = 3) ?(backoff = Time.us 100) ~attempt give_up =
   if budget < 1 then invalid_arg "Loadgen.retrying: budget must be >= 1";
   if backoff < 0 then invalid_arg "Loadgen.retrying: backoff must be >= 0";
-  if max_backoff < backoff then
-    invalid_arg "Loadgen.retrying: max_backoff must be >= backoff";
   let rec go k =
     (* One outcome per attempt: a late failure signal after a success (or
        a duplicate callback) must not trigger a spurious retry. *)

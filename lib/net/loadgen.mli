@@ -14,13 +14,12 @@ val poisson :
   service:Dist.t ->
   ?start:Time.t ->
   duration:Time.t ->
-  ?kind:(Rng.t -> string) ->
   (Packet.t -> unit) ->
   unit
 (** Schedule Poisson arrivals at [rate_rps] for [duration] starting at
     [start] (default now).  Each arrival gets a service demand drawn from
-    [service], a random flow id, and a kind from [kind] (default "req"),
-    then is passed to the sink at its arrival time. *)
+    [service], a random flow id and the kind ["req"], then is passed to
+    the sink at its arrival time. *)
 
 val stream :
   Engine.t ->
@@ -40,22 +39,19 @@ val retrying :
   Engine.t ->
   ?budget:int ->
   ?backoff:Time.t ->
-  ?max_backoff:Time.t ->
   attempt:(int -> (bool -> unit) -> unit) ->
   (unit -> unit) ->
   unit
 (** Client-side retry with capped exponential backoff: [attempt k done_]
     issues try number [k] (0-based) and must eventually call [done_ ok]
     exactly once (extra calls are ignored).  On failure the next try
-    fires after [min max_backoff (backoff * 2{^k})] (defaults: 100 µs
-    base, 10 ms ceiling), up to [budget] tries total (default 3); when
-    the budget is exhausted [give_up] runs instead — so every request
-    ends in exactly one of success or give-up, never silence.
+    fires after [min 10ms (backoff * 2{^k})] (default base 100 µs), up
+    to [budget] tries total (default 3); when the budget is exhausted
+    [give_up] runs instead — so every request ends in exactly one of
+    success or give-up, never silence.
 
-    The ceiling keeps large budgets sane: without it try 20 would wait
-    100 µs × 2{^20} ≈ 105 s of virtual time (and the shift itself would
-    overflow past try 62).  [max_backoff] must be at least [backoff];
-    the small default budgets never reach the default ceiling, so
-    existing fixed-seed runs are unchanged.  Used with per-task
-    deadlines to keep request accounting lossless under injected
-    faults. *)
+    The 10 ms ceiling keeps large budgets sane: without it try 20 would
+    wait 100 µs × 2{^20} ≈ 105 s of virtual time (and the shift itself
+    would overflow past try 62).  A base above the ceiling waits the
+    ceiling.  Used with per-task deadlines to keep request accounting
+    lossless under injected faults. *)

@@ -12,7 +12,6 @@ type t = {
   engine : Engine.t;
   rings : Ring.t array;
   consumers : (Packet.t -> unit) option array;
-  poll_cost : Time.t;
   mode : mode;
   mutable received : int;
   mutable loss : (Packet.t -> bool) option;  (* fault injection: wire loss *)
@@ -33,7 +32,10 @@ let drain t ~queue f =
   in
   go 0
 
-let create engine ~queues ?(ring_capacity = 1024) ?(poll_cost = 120) ?(mode = Spin) () =
+(* Spin mode's per-packet forwarding cost. *)
+let poll_cost = 120
+
+let create engine ~queues ?(ring_capacity = 1024) ?(mode = Spin) () =
   if queues <= 0 then invalid_arg "Nic.create: queues must be positive";
   (match mode with
   | Msi { cores; _ } when Array.length cores <> queues ->
@@ -44,7 +46,6 @@ let create engine ~queues ?(ring_capacity = 1024) ?(poll_cost = 120) ?(mode = Sp
       engine;
       rings = Array.init queues (fun _ -> Ring.create ~capacity:ring_capacity);
       consumers = Array.make queues None;
-      poll_cost;
       mode;
       received = 0;
       loss = None;
@@ -87,7 +88,7 @@ and rx_steer t pkt =
   if Ring.push ring pkt then
     match t.mode with
     | Spin ->
-        ignore (Engine.after t.engine t.poll_cost (Array.unsafe_get t.poll_fns queue))
+        ignore (Engine.after t.engine poll_cost (Array.unsafe_get t.poll_fns queue))
     | Periodic _ -> ()
     | Msi { machine; cores } ->
         (* Interrupt coalescing: only an empty->nonempty transition posts an
@@ -105,12 +106,12 @@ let drops t = Array.fold_left (fun acc ring -> acc + Ring.dropped ring) 0 t.ring
 let received t = t.received
 let injected_drops t = t.injected_drops
 
-let register_metrics t ?(labels = []) reg =
+let register_metrics t reg =
   let module Registry = Skyloft_obs.Registry in
-  Registry.counter reg ~labels "skyloft_nic_received_total"
+  Registry.counter reg "skyloft_nic_received_total"
     ~help:"Packets accepted into a receive ring" (fun () -> t.received);
-  Registry.counter reg ~labels "skyloft_nic_drops_total"
+  Registry.counter reg "skyloft_nic_drops_total"
     ~help:"Packets lost to full receive rings" (fun () -> drops t);
-  Registry.counter reg ~labels "skyloft_nic_injected_drops_total"
+  Registry.counter reg "skyloft_nic_injected_drops_total"
     ~help:"Packets dropped by the injected wire-loss predicate" (fun () ->
       t.injected_drops)

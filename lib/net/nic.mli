@@ -24,11 +24,9 @@ type mode =
 
 type t
 
-val create :
-  Engine.t -> queues:int -> ?ring_capacity:int -> ?poll_cost:Time.t ->
-  ?mode:mode -> unit -> t
-(** [poll_cost] (default 120 ns) is the per-packet forwarding cost in
-    [Spin] mode.  Default mode is [Spin]. *)
+val create : Engine.t -> queues:int -> ?ring_capacity:int -> ?mode:mode -> unit -> t
+(** Default mode is [Spin], which forwards each packet 120 ns after it
+    lands in its ring. *)
 
 val on_packet : t -> queue:int -> (Packet.t -> unit) -> unit
 (** Register the consumer for one queue (used by [Spin] and [Periodic];
@@ -61,5 +59,4 @@ val injected_drops : t -> int
 
 (** [register_metrics t reg] registers the NIC's packet counters (under
     [skyloft_nic_*]).  Pull-based; never perturbs the simulation. *)
-val register_metrics :
-  t -> ?labels:Skyloft_obs.Registry.labels -> Skyloft_obs.Registry.t -> unit
+val register_metrics : t -> Skyloft_obs.Registry.t -> unit

@@ -48,24 +48,11 @@ let tenant ?(kind = Alloc_policy.Lc) ~name ~runtime ~guaranteed ~burstable
   Arrival.validate arrival;
   { name; runtime; kind; guaranteed; burstable; shape; arrival }
 
-type config = {
-  timer_hz : int;
-  quantum : Time.t;
-  deadline : Time.t;  (* per-task kill timer; keeps crashed tenants lossless *)
-  retry_budget : int;
-  retry_backoff : Time.t;
-  broker : Broker.config;
-}
-
-let default_config () =
-  {
-    timer_hz = 100_000;
-    quantum = Time.us 30;
-    deadline = Time.ms 5;
-    retry_budget = 2;
-    retry_backoff = Time.us 100;
-    broker = Broker.default_config ();
-  }
+(* Per-task kill timer, which keeps crashed tenants lossless, and the
+   client's retry budget and base backoff. *)
+let deadline = Time.ms 5
+let retry_budget = 2
+let retry_backoff = Time.us 100
 
 type tenant_result = {
   t_name : string;
@@ -114,8 +101,8 @@ type state = {
   mutable s_gave_up : int;
 }
 
-let run ?(seed = 42) ?(faults = []) ?(config = default_config ()) ?trace
-    ?registry ~name ~capacity ~requests tenants =
+let run ?(seed = 42) ?(faults = []) ?broker:config ?trace ?registry ~name
+    ~capacity ~requests tenants =
   if tenants = [] then invalid_arg "Placement.run: no tenants";
   if requests < 1 then invalid_arg "Placement.run: requests must be >= 1";
   if capacity < 1 then invalid_arg "Placement.run: capacity must be >= 1";
@@ -135,13 +122,6 @@ let run ?(seed = 42) ?(faults = []) ?(config = default_config ()) ?trace
   let names = List.map (fun t -> t.name) tenants in
   if List.length (List.sort_uniq String.compare names) <> n then
     invalid_arg "Placement.run: duplicate tenant names";
-  if config.timer_hz < 1 then invalid_arg "Placement.run: timer_hz must be >= 1";
-  if config.quantum < 1 then invalid_arg "Placement.run: quantum must be >= 1";
-  if config.deadline <= 0 then invalid_arg "Placement.run: deadline must be > 0";
-  if config.retry_budget < 1 then
-    invalid_arg "Placement.run: retry_budget must be >= 1";
-  if config.retry_backoff < 0 then
-    invalid_arg "Placement.run: retry_backoff must be >= 0";
   let engine = Engine.create ~seed () in
   (* Physical layout: disjoint contiguous ranges, ceilings fully backed;
      centralized flavours prepend a dedicated dispatcher core that is not
@@ -162,16 +142,13 @@ let run ?(seed = 42) ?(faults = []) ?(config = default_config ()) ?trace
   (* Split order is the seed contract: injector first, then service
      streams, then arrival streams, each in tenant order. *)
   let inj_rng = Engine.split_rng engine in
-  let broker =
-    Broker.create ~engine ~capacity ~config:config.broker ()
-  in
+  let broker = Broker.create ~engine ~capacity ?config () in
   let states =
     List.map2
       (fun spec base ->
         let rt =
           Scenario.build machine (Kmod.create machine) ~first_core:base
-            ~cores:spec.burstable ~quantum:config.quantum
-            ~timer_hz:config.timer_hz spec.runtime
+            ~cores:spec.burstable spec.runtime
         in
         let app = Rc.create_app rt ~name:spec.name in
         Rc.set_core_allowance rt spec.guaranteed;
@@ -241,13 +218,12 @@ let run ?(seed = 42) ?(faults = []) ?(config = default_config ()) ?trace
   let issue (st : state) at =
     st.s_submitted <- st.s_submitted + 1;
     incr total_submitted;
-    Loadgen.retrying engine ~budget:config.retry_budget
-      ~backoff:config.retry_backoff
+    Loadgen.retrying engine ~budget:retry_budget ~backoff:retry_backoff
       ~attempt:(fun _k done_ ->
         let spawn service k =
           ignore
             (Rc.spawn st.rt st.app ~name:st.spec.name ~record:false
-               ~deadline:config.deadline
+               ~deadline
                ~on_drop:(fun _ -> done_ false)
                (Coro.Compute
                   ( service,

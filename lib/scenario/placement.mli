@@ -50,21 +50,6 @@ val tenant :
     [Invalid_argument] on negative floors, [burstable < max 1 guaranteed],
     or an invalid shape/arrival. *)
 
-type config = {
-  timer_hz : int;
-  quantum : Time.t;
-  deadline : Time.t;
-      (** per-task kill timer; what keeps a dead tenant's requests from
-          lingering forever *)
-  retry_budget : int;
-  retry_backoff : Time.t;
-  broker : Broker.config;
-}
-
-val default_config : unit -> config
-(** 100 kHz timers, 30 µs quantum, 5 ms deadline, 2 tries with 100 µs
-    base backoff, {!Broker.default_config}. *)
-
 type tenant_result = {
   t_name : string;
   t_runtime : string;
@@ -107,7 +92,7 @@ type result = {
 val run :
   ?seed:int ->
   ?faults:Plan.t list ->
-  ?config:config ->
+  ?broker:Broker.config ->
   ?trace:Skyloft_stats.Trace.t ->
   ?registry:Skyloft_obs.Registry.t ->
   name:string ->
@@ -115,18 +100,19 @@ val run :
   requests:int ->
   tenant list ->
   result
-(** Build the machine, one runtime + app per tenant, register everyone
-    with a fresh broker (initial grant = floor), arm tenant-level fault
-    plans ({!Plan.tenant_hoard} / [tenant_stale] / [tenant_crash]; any
-    machine-level plan raises), then issue each tenant's requests
-    through {!Shape.exec} (every stage under [config.deadline], every
-    request retried) from its {!Scenario.stream} until [requests] each,
-    and {!Scenario.drain} until all settled (a wedged placement returns
-    [lost > 0]).  Raises [Invalid_argument] when floors exceed
-    [capacity], on duplicate names, an out-of-range fault tenant, or a
-    [config] value out of range ([timer_hz], [quantum], [retry_budget]
-    below 1; [deadline] not positive; [retry_backoff] negative) — before
-    anything runs.  Deterministic in [seed] (default 42).
+(** Build the machine, one runtime + app per tenant ({!Scenario.build}),
+    register everyone with a fresh broker under [broker] (default
+    {!Broker.default_config}; initial grant = floor), arm tenant-level
+    fault plans ({!Plan.tenant_hoard} / [tenant_stale] / [tenant_crash];
+    any machine-level plan raises), then issue each tenant's requests
+    through {!Shape.exec} from its {!Scenario.stream} until [requests]
+    each, and {!Scenario.drain} until all settled (a wedged placement
+    returns [lost > 0]).  Every stage runs under a 5 ms kill deadline,
+    which keeps a dead tenant's requests from lingering forever, and
+    every request gets 2 tries, the second 100 µs after the first
+    fails.  Raises [Invalid_argument] when floors exceed [capacity], on
+    duplicate names or an out-of-range fault tenant — before anything
+    runs.  Deterministic in [seed] (default 42).
 
     [trace] is a shared machine-wide flight recorder: every tenant's
     runtime records its spans/instants into it (physical core ids, so

@@ -12,33 +12,14 @@ module Allocator = Skyloft_alloc.Allocator
 module Alloc_policy = Skyloft_alloc.Policy
 module Loadgen = Skyloft_net.Loadgen
 
-type bounds = { guaranteed : int; burstable : int option }
 type lc_spec = { lc_name : string; shape : Shape.t; arrival : Arrival.t }
-
-type be_spec = {
-  be_name : string;
-  chunk : Time.t;
-  workers : int option;  (* default: one per worker core *)
-  bounds : bounds;
-}
-
+type be_spec = { be_name : string; guaranteed : int }
 type tenant = Lc of lc_spec | Be of be_spec
-
-type t = {
-  name : string;
-  cores : int;
-  timer_hz : int;
-  quantum : Time.t;
-  tenants : tenant list;
-}
+type t = { name : string; cores : int; tenants : tenant list }
 
 let lc ~name ~shape ~arrival = Lc { lc_name = name; shape; arrival }
-
-let be ?(chunk = Time.us 50) ?workers ?(guaranteed = 0) ?burstable ~name () =
-  Be { be_name = name; chunk; workers; bounds = { guaranteed; burstable } }
-
-let make ?(timer_hz = 100_000) ?(quantum = Time.us 30) ~name ~cores tenants =
-  { name; cores; timer_hz; quantum; tenants }
+let be ?(guaranteed = 0) ~name () = Be { be_name = name; guaranteed }
+let make ~name ~cores tenants = { name; cores; tenants }
 
 let tenant_name = function
   | Lc { lc_name; _ } -> lc_name
@@ -46,8 +27,6 @@ let tenant_name = function
 
 let validate t =
   if t.cores < 1 then invalid_arg "Scenario: cores must be >= 1";
-  if t.timer_hz < 1 then invalid_arg "Scenario: timer_hz must be >= 1";
-  if t.quantum < 1 then invalid_arg "Scenario: quantum must be >= 1";
   let names = List.map tenant_name t.tenants in
   if List.length (List.sort_uniq String.compare names) <> List.length names then
     invalid_arg "Scenario: duplicate tenant names";
@@ -64,17 +43,9 @@ let validate t =
       | Lc { shape; arrival; _ } ->
           Shape.validate shape;
           Arrival.validate arrival
-      | Be { workers; chunk; bounds; _ } ->
-          (match workers with
-          | Some w when w < 1 -> invalid_arg "Scenario: BE workers must be >= 1"
-          | _ -> ());
-          if chunk < 1 then invalid_arg "Scenario: BE chunk must be >= 1";
-          if bounds.guaranteed < 0 || bounds.guaranteed > t.cores then
-            invalid_arg "Scenario: BE guaranteed cores out of range";
-          (match bounds.burstable with
-          | Some b when b < bounds.guaranteed || b > t.cores ->
-              invalid_arg "Scenario: BE burstable cores out of range"
-          | _ -> ()))
+      | Be { guaranteed; _ } ->
+          if guaranteed < 0 || guaranteed > t.cores then
+            invalid_arg "Scenario: BE guaranteed cores out of range")
     t.tenants
 
 let mean_rate_rps t =
@@ -144,7 +115,11 @@ let merged_latency d =
    workers. *)
 let dispatcher_cores = function Percpu | Worksteal -> 0 | Centralized | Hybrid -> 1
 
-let build ?watchdog machine kmod ~first_core ~cores ~quantum ~timer_hz runtime =
+(* Table 5's user timer and quantum. *)
+let timer_hz = 100_000
+let quantum = Time.us 30
+
+let build ?watchdog machine kmod ~first_core ~cores runtime =
   let range first = List.init cores (fun i -> first + i) in
   match runtime with
   | Percpu ->
@@ -165,18 +140,17 @@ let build ?watchdog machine kmod ~first_core ~cores ~quantum ~timer_hz runtime =
       Skyloft.Hybrid.runtime
         (Skyloft.Hybrid.create machine kmod ~dispatcher_core:first_core
            ~worker_cores:(range (first_core + 1))
-           ~quantum ~timer_hz ~adaptive:(runtime = Hybrid) ?watchdog
+           ~quantum ~adaptive:(runtime = Hybrid) ?watchdog
            (fst (Skyloft_policies.Shinjuku_shenango.create ())))
 
 (* The delay policy keeps reacting while LC is starved of cores (the
-   utilization signal goes silent there); the BE tenant's declared bounds
-   become the allocator's guaranteed/burstable band. *)
-let alloc_config (bounds : bounds) =
+   utilization signal goes silent there); the BE tenant's floor becomes
+   the allocator's guaranteed cores. *)
+let alloc_config guaranteed =
   {
     (Allocator.default_config ()) with
     Allocator.policy = Alloc_policy.delay ();
-    be_guaranteed = bounds.guaranteed;
-    be_burstable = bounds.burstable;
+    be_guaranteed = guaranteed;
   }
 
 (* ---- arrival streams and the drain (shared with Placement.run) ---------- *)
@@ -220,8 +194,7 @@ let run ?(seed = 42) ~requests ~runtime scenario =
     List.find_map (function Be b -> Some b | Lc _ -> None) scenario.tenants
   in
   let rt =
-    build machine kmod ~first_core:0 ~cores:scenario.cores
-      ~quantum:scenario.quantum ~timer_hz:scenario.timer_hz runtime
+    build machine kmod ~first_core:0 ~cores:scenario.cores runtime
   in
   (* Apps are created and RNG streams split in scenario order, before
      anything runs: the draw order is part of the seed contract. *)
@@ -254,12 +227,10 @@ let run ?(seed = 42) ~requests ~runtime scenario =
   in
   let arrival_rngs = List.map (fun _ -> Engine.split_rng engine) lcs in
   (match be_tenant with
-  | Some { be_name; chunk; workers; bounds } ->
+  | Some { be_name; guaranteed } ->
       let app = Rc.create_app rt ~name:be_name in
-      let workers =
-        match workers with Some w -> w | None -> scenario.cores
-      in
-      Rc.attach_be_app rt ~alloc:(alloc_config bounds) app ~chunk ~workers
+      Rc.attach_be_app rt ~alloc:(alloc_config guaranteed) app ~chunk:(Time.us 50)
+        ~workers:scenario.cores
   | None -> ());
   let submitted = ref 0 and completed = ref 0 in
   let last_completion = ref 0 in

@@ -11,8 +11,8 @@ module Histogram = Skyloft_stats.Histogram
       stage, a sequential chain, a parallel fan-out with join, or a
       weighted mix of those;
     - {e a tenant mix}: N co-located applications (hundreds scale fine)
-      tagged LC or BE, the BE tenant carrying guaranteed/burstable core
-      bounds that feed the {!Skyloft_alloc} allocator.
+      tagged LC or BE, the BE tenant carrying a guaranteed core floor
+      that feeds the {!Skyloft_alloc} allocator.
 
     {!run} compiles any scenario onto any of the four {!runtime}s through
     {!Skyloft_net.Loadgen.stream} and returns only mergeable streaming
@@ -21,17 +21,11 @@ module Histogram = Skyloft_stats.Histogram
     live heap.  Everything is a pure function of the seed: same seed ⇒
     byte-identical {!digest_string}, at any [-j]. *)
 
-type bounds = { guaranteed : int; burstable : int option }
-(** BE core band fed to the allocator: [guaranteed] cores are never
-    reclaimed, growth stops at [burstable] (default: every core). *)
-
 type lc_spec = { lc_name : string; shape : Shape.t; arrival : Arrival.t }
 
 type be_spec = {
   be_name : string;
-  chunk : Time.t;
-  workers : int option;
-  bounds : bounds;
+  guaranteed : int;  (** cores the allocator never reclaims *)
 }
 
 type tenant = Lc of lc_spec | Be of be_spec
@@ -39,30 +33,19 @@ type tenant = Lc of lc_spec | Be of be_spec
 type t = {
   name : string;
   cores : int;  (** worker cores (the centralized flavours add a dispatcher) *)
-  timer_hz : int;
-  quantum : Time.t;
   tenants : tenant list;
 }
 
 val lc : name:string -> shape:Shape.t -> arrival:Arrival.t -> tenant
 (** A latency-critical tenant: an open-loop request stream. *)
 
-val be :
-  ?chunk:Time.t ->
-  ?workers:int ->
-  ?guaranteed:int ->
-  ?burstable:int ->
-  name:string ->
-  unit ->
-  tenant
-(** The best-effort tenant: endless [chunk]-sized batch work (default
-    50 µs chunks, one worker per core), co-scheduled under the core
-    allocator within [guaranteed]..[burstable] cores (defaults 0..all). *)
+val be : ?guaranteed:int -> name:string -> unit -> tenant
+(** The best-effort tenant: endless 50 µs batch chunks, one worker per
+    core, co-scheduled under the core allocator with [guaranteed] cores
+    (default 0) it never loses and every core as its ceiling. *)
 
-val make :
-  ?timer_hz:int -> ?quantum:Time.t -> name:string -> cores:int -> tenant list -> t
-(** Assemble a scenario (100 kHz user timer and 30 µs quantum by
-    default, the Table 5 parameters). *)
+val make : name:string -> cores:int -> tenant list -> t
+(** Assemble a scenario. *)
 
 val mean_rate_rps : t -> float
 (** Aggregate long-run LC arrival rate. *)
@@ -92,8 +75,6 @@ val build :
   Skyloft_kernel.Kmod.t ->
   first_core:int ->
   cores:int ->
-  quantum:Time.t ->
-  timer_hz:int ->
   runtime ->
   Skyloft.Runtime_core.t
 (** The one configuration constructor: build [runtime] with its policy —
@@ -101,8 +82,9 @@ val build :
     ([Worksteal], steal counters added to the handle's metrics), or
     Shinjuku-Shenango on the hybrid, adaptive ([Hybrid]) or pinned to its
     dispatcher ([Centralized]) — on [cores] workers numbered from
-    [first_core] (after the dispatcher, which takes [first_core] itself).
-    [watchdog] arms the runtime's recovery watchdog. *)
+    [first_core] (after the dispatcher, which takes [first_core] itself),
+    with Table 5's 100 kHz user timer and 30 µs quantum.  [watchdog] arms
+    the runtime's recovery watchdog. *)
 
 type tenant_digest = {
   tenant : string;
@@ -128,10 +110,10 @@ type digest = {
 val run : ?seed:int -> requests:int -> runtime:runtime -> t -> digest
 (** Validate the scenario, raising [Invalid_argument] before anything runs
     on: no LC tenant; more than one BE tenant (the runtimes attach a
-    single BE application to the allocator); duplicate tenant names;
-    out-of-range bounds; or any invalid shape or arrival process
+    single BE application to the allocator); duplicate tenant names; a
+    guaranteed floor outside [0, cores]; or any invalid shape or arrival process
     (recursively).  Then compile and run one cell: {!build} [runtime], create one app per
-    tenant, attach the BE tenant to the allocator with its bounds, issue
+    tenant, attach the BE tenant to the allocator with its floor, issue
     each LC tenant's requests through {!Shape.exec} from its {!stream}
     until [requests] arrivals in total, then {!drain} until every
     submitted request completed (a wedged cell returns [completed <

@@ -152,10 +152,9 @@ let join c f seq =
   c.seqs.(n) <- seq;
   c.n <- n + 1
 
-let every t ~period ?start f =
+let every t ~period f =
   if period <= 0 then invalid_arg "Engine.every: period must be positive";
-  let first = match start with Some s -> s | None -> t.clock + period in
-  check_not_past t first;
+  let first = t.clock + period in
   let seq = Eventq.reserve_seq t.queue in
   t.cohorts <- List.filter (fun c -> c.n > 0) t.cohorts;
   match List.find_opt (fun c -> c.rd = 0 && c.period = period && c.due = first) t.cohorts with

@@ -62,9 +62,9 @@ val disarm : timer -> unit
 
 val armed : timer -> bool
 
-val every : t -> period:Time.t -> ?start:Time.t -> (unit -> bool) -> unit
-(** [every t ~period f] runs [f] each [period] ns (first at [start],
-    default [now + period]) until [f] returns [false].  [every]s that
+val every : t -> period:Time.t -> (unit -> bool) -> unit
+(** [every t ~period f] runs [f] each [period] ns (first at [now +
+    period]) until [f] returns [false].  [every]s that
     share a period and a next firing instant share one heap entry (a
     cohort), so a tick instant of many per-core timers costs one pop,
     not one per core.  A new [every] joins a cohort only between its

@@ -6,34 +6,28 @@
    is allocated the first time a value lands in it; until then its slot
    holds the shared empty array [absent]. *)
 type t = {
-  sub : int;  (* sub-buckets per power-of-two range; power of two *)
-  k : int;  (* log2 sub *)
   groups : int array array;
   mutable n : int;
   mutable min_v : int;
   mutable max_v : int;
 }
 
+(* Sub-buckets per power-of-two range, and its log2. *)
+let sub = 64
+let k = 6
 let absent : int array = [||]
-let is_power_of_two x = x > 0 && x land (x - 1) = 0
 
-let create ?(sub_buckets = 64) () =
-  if not (is_power_of_two sub_buckets) then
-    invalid_arg "Histogram.create: sub_buckets must be a power of two";
-  let k =
-    let rec go k = if 1 lsl k = sub_buckets then k else go (k + 1) in
-    go 0
-  in
-  { sub = sub_buckets; k; groups = Array.make (63 - k) absent; n = 0; min_v = max_int; max_v = 0 }
+let create () =
+  { groups = Array.make (63 - k) absent; n = 0; min_v = max_int; max_v = 0 }
 
 (* Inclusive upper bound of the values mapping to bucket (g, s). *)
-let bucket_upper t g s = if g = 0 then s else ((t.sub + s + 1) lsl (g - 1)) - 1
+let bucket_upper g s = if g = 0 then s else ((sub + s + 1) lsl (g - 1)) - 1
 
-let bucket_mid t g s =
+let bucket_mid g s =
   if g = 0 then float_of_int s
   else begin
-    let lower = (t.sub + s) lsl (g - 1) in
-    float_of_int (lower + bucket_upper t g s) /. 2.0
+    let lower = (sub + s) lsl (g - 1) in
+    float_of_int (lower + bucket_upper g s) /. 2.0
   end
 
 (* Group [g]'s counts, allocated on first touch. *)
@@ -41,7 +35,7 @@ let group t g =
   let counts = t.groups.(g) in
   if counts != absent then counts
   else begin
-    let counts = Array.make t.sub 0 in
+    let counts = Array.make sub 0 in
     t.groups.(g) <- counts;
     counts
   end
@@ -50,8 +44,8 @@ let record_n t v ~n =
   if v < 0 then invalid_arg "Histogram.record: negative value";
   if n < 0 then invalid_arg "Histogram.record_n: negative count";
   if n > 0 then begin
-    let g = if v < t.sub then 0 else Skyloft_sim.Bits.msb v - t.k + 1 in
-    let s = if g = 0 then v else (v lsr (g - 1)) - t.sub in
+    let g = if v < sub then 0 else Skyloft_sim.Bits.msb v - k + 1 in
+    let s = if g = 0 then v else (v lsr (g - 1)) - sub in
     let counts = group t g in
     counts.(s) <- counts.(s) + n;
     t.n <- t.n + n;
@@ -70,7 +64,7 @@ let total t =
   Array.iteri
     (fun g counts ->
       Array.iteri
-        (fun s c -> if c > 0 then acc := !acc +. (float_of_int c *. bucket_mid t g s))
+        (fun s c -> if c > 0 then acc := !acc +. (float_of_int c *. bucket_mid g s))
         counts)
     t.groups;
   !acc
@@ -92,7 +86,7 @@ let percentile t p =
         if s = Array.length counts then scan (g + 1) 0 seen
         else begin
           let seen = seen + counts.(s) in
-          if seen >= target then Int.min (bucket_upper t g s) t.max_v else scan g (s + 1) seen
+          if seen >= target then Int.min (bucket_upper g s) t.max_v else scan g (s + 1) seen
         end
       end
     in
@@ -100,7 +94,6 @@ let percentile t p =
   end
 
 let merge_into ~src ~dst =
-  if src.sub <> dst.sub then invalid_arg "Histogram.merge_into: mismatched sub_buckets";
   Array.iteri
     (fun g counts ->
       if counts != absent then begin

@@ -1,18 +1,16 @@
 (** Log-linear latency histogram (HdrHistogram-style).
 
     Values are non-negative integers (nanoseconds in this repository).
-    Buckets are arranged as 64 power-of-two ranges split into
-    [sub_buckets] linear sub-buckets each, giving a worst-case relative
-    error of [1/sub_buckets] — ~1.6% at the default 64, far below the
-    run-to-run noise of any scheduling experiment.  Recording is O(1).
-    A histogram allocates only the power-of-two ranges it holds:
-    recording allocates one [sub_buckets]-word array the first time a
-    value lands in a range, and is allocation-free after that. *)
+    Buckets are arranged as 64 power-of-two ranges split into 64 linear
+    sub-buckets each, giving a worst-case relative error of 1/64 (~1.6%),
+    far below the run-to-run noise of any scheduling experiment.
+    Recording is O(1).  A histogram allocates only the power-of-two
+    ranges it holds: recording allocates one 64-word array the first
+    time a value lands in a range, and is allocation-free after that. *)
 
 type t
 
-val create : ?sub_buckets:int -> unit -> t
-(** [sub_buckets] must be a power of two (default 64). *)
+val create : unit -> t
 
 val record : t -> int -> unit
 (** Record one value.  Negative values raise [Invalid_argument]. *)

@@ -22,7 +22,7 @@ type fake = {
 
 let fake () = { runq = 0; delay = 0; busy_rate = 0.0; busy_acc = 0.0; applied = [] }
 
-let interval = Time.us 5
+let interval = Allocator.interval
 
 let register alloc ~app ~kind ~bounds ~initial ?(charge = false) f =
   let granted = ref initial in
@@ -46,7 +46,7 @@ let register alloc ~app ~kind ~bounds ~initial ?(charge = false) f =
 
 let make ?(policy = Policy.static ()) ?(total_cores = 8) () =
   let engine = Engine.create () in
-  let alloc = Allocator.create ~engine ~policy ~interval ~total_cores () in
+  let alloc = Allocator.create ~engine ~policy ~total_cores () in
   (engine, alloc)
 
 (* ---- registration & bounds ---- *)
@@ -145,7 +145,7 @@ let test_hysteresis_prevents_oscillation () =
   (* Steady 60% utilization sits between the watermarks: a hysteresis-2
      utilization policy must make no transitions at all after warm-up. *)
   let _, alloc =
-    make ~policy:(Policy.utilization ~hi:0.9 ~lo:0.2 ~hysteresis:2 ()) ()
+    make ~policy:(Policy.utilization ()) ()
   in
   let lc = fake () in
   register alloc ~app:1 ~kind:Policy.Lc
@@ -163,7 +163,7 @@ let test_hysteresis_filters_single_tick_spike () =
   (* One tick above the high watermark must not trigger a grant with
      hysteresis 2; two consecutive ones must. *)
   let _, alloc =
-    make ~policy:(Policy.utilization ~hi:0.9 ~lo:0.2 ~hysteresis:2 ()) ()
+    make ~policy:(Policy.utilization ()) ()
   in
   let lc = fake () in
   register alloc ~app:1 ~kind:Policy.Lc
@@ -183,7 +183,7 @@ let test_hysteresis_filters_single_tick_spike () =
 
 let test_delay_policy_grants_on_queueing () =
   let _, alloc =
-    make ~policy:(Policy.delay ~threshold:(Time.us 10) ~idle_ticks:2 ()) ()
+    make ~policy:(Policy.delay ()) ()
   in
   let lc = fake () and be = fake () in
   register alloc ~app:1 ~kind:Policy.Lc
@@ -243,7 +243,7 @@ let test_event_log () =
   let lc = fake () and be = fake () in
   let engine = Engine.create () in
   let alloc =
-    Allocator.create ~engine ~policy:(Policy.static ()) ~interval ~total_cores:8
+    Allocator.create ~engine ~policy:(Policy.static ()) ~total_cores:8
       ~on_event:(fun ev -> events := ev :: !events)
       ()
   in
@@ -277,7 +277,7 @@ let test_degrade_recover_event_ordering () =
   let alloc =
     Allocator.create ~engine
       ~policy:(Policy.delay ())
-      ~interval ~total_cores:4 ~degrade_after:3
+      ~total_cores:4 ~degrade_after:3
       ~on_event:(fun e ->
         if e.Allocator.id = -1 then modes := e :: !modes)
       ()
@@ -366,19 +366,11 @@ let prop_alloc_equals_broker (policy_name, make_policy) =
     ~name:("alloc: equals the broker with its defenses off, " ^ policy_name)
     ~count:100 differential_script_gen
     (fun script ->
-      let events_of log =
-        List.rev_map
-          (fun (e : Allocator.event) -> (e.id, e.action, e.delta, e.granted))
-          !log
+      let events_of =
+        List.map (fun (e : Allocator.event) -> (e.id, e.action, e.delta, e.granted))
       in
-      let alloc_log = ref [] and broker_log = ref [] in
       let engine = Engine.create () in
-      let alloc =
-        Allocator.create ~engine ~policy:(make_policy ()) ~interval
-          ~total_cores:8
-          ~on_event:(fun e -> alloc_log := e :: !alloc_log)
-          ()
-      in
+      let alloc = Allocator.create ~engine ~policy:(make_policy ()) ~total_cores:8 () in
       replay script
         ~register:(fun ~id ->
           Allocator.register alloc ~app:id ~name:(Printf.sprintf "b%d" id))
@@ -388,11 +380,9 @@ let prop_alloc_equals_broker (policy_name, make_policy) =
           ~config:
             {
               (Broker.default_config ()) with
-              interval;
               degrade_after = max_int;
               hoard_cap = max_int;
             }
-          ~on_event:(fun e -> broker_log := e :: !broker_log)
           ()
       in
       let policy = make_policy () in
@@ -400,7 +390,8 @@ let prop_alloc_equals_broker (policy_name, make_policy) =
         ~register:(fun ~id ->
           Broker.register broker ~tenant:id ~name:(Printf.sprintf "b%d" id) ~policy)
         ~tick:(fun () -> Broker.tick broker);
-      !alloc_log <> [] && events_of alloc_log = events_of broker_log)
+      let alloc_log = Allocator.events alloc in
+      alloc_log <> [] && events_of alloc_log = events_of (Broker.events broker))
 
 (* The reactive policies keep per-app hysteresis state keyed by app id.
    Once an app is known, a [Hold] answer allocates nothing: the lookup

@@ -32,7 +32,7 @@ let fake () =
   { runq = 0; delay = 0; busy_rate = 0.0; busy_acc = 0.0; allowance = 0 }
 
 let add broker ~id ?(kind = Policy.Lc) ?policy ~g ~b ~initial f =
-  let interval = Broker.interval broker in
+  let interval = Allocator.interval in
   let policy =
     match policy with Some p -> p | None -> Policy.delay ()
   in
@@ -66,7 +66,7 @@ let make ?config ~capacity () =
    what [Broker.start]'s periodic loop does, under test control. *)
 let tick_n engine broker n =
   for _ = 1 to n do
-    Engine.run ~until:(Engine.now engine + Broker.interval broker) engine;
+    Engine.run ~until:(Engine.now engine + Allocator.interval) engine;
     Broker.tick broker
   done
 
@@ -123,14 +123,7 @@ let floor_never_reclaimed () =
   check Alcotest.bool "BE never below its guaranteed floor" true
     (Broker.granted broker ~tenant:0 >= 2)
 
-let quick_config =
-  {
-    (Broker.default_config ()) with
-    Broker.degrade_after = 3;
-    hoard_cap = 5;
-    hoard_decay = 1;
-    quarantine_ticks = 4;
-  }
+let quick_config = { Broker.degrade_after = 3; hoard_cap = 5; quarantine_ticks = 4 }
 
 let stale_degrade_and_recover () =
   let engine, broker = make ~config:quick_config ~capacity:8 () in
@@ -359,23 +352,14 @@ let placement_stale_fault () =
     r.Placement.tenants
 
 let placement_hoard_fault () =
-  let config =
-    {
-      (Placement.default_config ()) with
-      Placement.broker =
-        {
-          (Broker.default_config ()) with
-          Broker.hoard_cap = 10;
-          hoard_decay = 1;
-          quarantine_ticks = 100;
-        };
-    }
+  let broker =
+    { (Broker.default_config ()) with Broker.hoard_cap = 10; quarantine_ticks = 100 }
   in
   let faults =
     [ Plan.tenant_hoard ~window:(Plan.window ~start:(Time.us 200) ()) ~tenant:0 () ]
   in
   let r =
-    Placement.run ~seed:17 ~faults ~config ~name:"hoard" ~capacity:4
+    Placement.run ~seed:17 ~faults ~broker ~name:"hoard" ~capacity:4
       ~requests:300
       (mixed_tenants ~rate:150_000.0 ())
   in
@@ -437,24 +421,6 @@ let placement_multi_stage () =
     (victim.Placement.gave_up > 0);
   check Alcotest.string "crash digest" "09a5bed13a336be57990f03342e4b3d1" crashed
 
-(* A bad config is rejected before the engine exists, not at the first
-   arrival (or, for a negative quantum, silently accepted). *)
-let placement_config_validation () =
-  let bad msg f =
-    Alcotest.check_raises msg (Invalid_argument ("Placement.run: " ^ msg))
-      (fun () ->
-        ignore
-          (Placement.run
-             ~config:(f (Placement.default_config ()))
-             ~name:"bad" ~capacity:4 ~requests:10 (mixed_tenants ())))
-  in
-  bad "quantum must be >= 1" (fun c -> { c with Placement.quantum = -5 });
-  bad "timer_hz must be >= 1" (fun c -> { c with Placement.timer_hz = 0 });
-  bad "deadline must be > 0" (fun c -> { c with Placement.deadline = 0 });
-  bad "retry_budget must be >= 1" (fun c -> { c with Placement.retry_budget = 0 });
-  bad "retry_backoff must be >= 0" (fun c ->
-      { c with Placement.retry_backoff = -1 })
-
 let suite =
   [
     Alcotest.test_case "grant from pool" `Quick grant_from_pool;
@@ -478,6 +444,4 @@ let suite =
     Alcotest.test_case "placement hoard fault" `Quick placement_hoard_fault;
     Alcotest.test_case "placement multi-stage shapes" `Quick
       placement_multi_stage;
-    Alcotest.test_case "placement config validation" `Quick
-      placement_config_validation;
   ]

@@ -678,7 +678,6 @@ let test_percpu_be_attach_validates_first () =
       check Alcotest.bool (what ^ ": no allocator") true
         (Option.is_none (Rc.allocator rt)))
     [
-      ("zero interval", { default with interval = 0 });
       ("zero degrade_after", { default with degrade_after = Some 0 });
       ("negative guarantee", { default with be_guaranteed = -1 });
       ("burstable above the cores", { default with be_burstable = Some 3 });
@@ -841,11 +840,10 @@ let test_constructors_validate_first () =
   let percpu ?timer_hz ?preemption ?watchdog cores machine kmod =
     ignore (Percpu.create machine kmod ~cores ?timer_hz ?preemption ?watchdog fifo_ctor)
   in
-  let hybrid ?timer_hz ?adaptive ?watchdog ?(dispatcher_core = 0) worker_cores machine
-      kmod =
+  let hybrid ?watchdog ?(dispatcher_core = 0) worker_cores machine kmod =
     ignore
       (Hybrid.create machine kmod ~dispatcher_core ~worker_cores ~quantum:(Time.us 30)
-         ?timer_hz ?adaptive ?watchdog fifo_ctor)
+         ?watchdog fifo_ctor)
   in
   let cases =
     [
@@ -866,14 +864,6 @@ let test_constructors_validate_first () =
       ( "hybrid: watchdog",
         hybrid ~watchdog:(-1) [ 1; 2 ],
         "Hybrid.create: watchdog bound must be positive",
-        hybrid [ 1; 2 ] );
-      ( "hybrid: timer_hz 0",
-        hybrid ~timer_hz:0 [ 1; 2 ],
-        "Hybrid.create: timer_hz must be positive",
-        hybrid [ 1; 2 ] );
-      ( "hybrid: timer_hz 0, not adaptive",
-        hybrid ~timer_hz:0 ~adaptive:false [ 1; 2 ],
-        "Hybrid.create: timer_hz must be positive",
         hybrid [ 1; 2 ] );
       ( "hybrid: dispatcher is a worker",
         hybrid ~dispatcher_core:1 [ 1; 2 ],

@@ -258,50 +258,6 @@ let test_kmod_switch_from_inactive_rejected () =
        false
      with Kmod.Binding_rule_violation _ -> true)
 
-let test_kmod_terminate_last_rule () =
-  let _, _, kmod = make_kmod () in
-  let a = Kmod.park_on_cpu kmod ~app:1 ~core:0 in
-  let b = Kmod.park_on_cpu kmod ~app:2 ~core:0 in
-  ignore (Kmod.activate kmod a);
-  (* a is active while b is parked: terminating a would strand b *)
-  check Alcotest.bool "terminate active with parked peers rejected" true
-    (try
-       Kmod.terminate kmod a;
-       false
-     with Kmod.Binding_rule_violation _ -> true);
-  (* park-switch to b, then a (parked) can terminate *)
-  ignore (Kmod.switch_to kmod ~from:a ~target:b);
-  Kmod.terminate kmod a;
-  (* b is now the last one on the core: may terminate even while active *)
-  Kmod.terminate kmod b;
-  check (Alcotest.option Alcotest.unit) "core empty" None
-    (Option.map ignore (Kmod.active_on kmod ~core:0))
-
-let test_kmod_activate_after_terminate_rejected () =
-  let _, _, kmod = make_kmod () in
-  let a = Kmod.park_on_cpu kmod ~app:1 ~core:0 in
-  Kmod.terminate kmod a;
-  check Alcotest.bool "exited kthread cannot be reactivated" true
-    (try
-       ignore (Kmod.activate kmod a);
-       false
-     with Kmod.Binding_rule_violation _ -> true)
-
-let test_kmod_switch_to_exited_rejected () =
-  let _, _, kmod = make_kmod () in
-  let a = Kmod.park_on_cpu kmod ~app:1 ~core:0 in
-  let b = Kmod.park_on_cpu kmod ~app:2 ~core:0 in
-  ignore (Kmod.activate kmod b);
-  ignore (Kmod.switch_to kmod ~from:b ~target:a);
-  (* b parked and terminates; the core allocator must not be able to hand
-     the core back to it afterwards *)
-  Kmod.terminate kmod b;
-  check Alcotest.bool "switch to exited target rejected" true
-    (try
-       ignore (Kmod.switch_to kmod ~from:a ~target:b);
-       false
-     with Kmod.Binding_rule_violation _ -> true)
-
 let test_kmod_timer_enable_sets_sn () =
   let _, _, kmod = make_kmod () in
   let a = Kmod.park_on_cpu kmod ~app:1 ~core:0 in
@@ -817,11 +773,6 @@ let suite =
       test_kmod_switch_cross_core_rejected;
     Alcotest.test_case "kmod: switch from inactive rejected" `Quick
       test_kmod_switch_from_inactive_rejected;
-    Alcotest.test_case "kmod: terminate rules" `Quick test_kmod_terminate_last_rule;
-    Alcotest.test_case "kmod: activate after terminate rejected" `Quick
-      test_kmod_activate_after_terminate_rejected;
-    Alcotest.test_case "kmod: switch to exited target rejected" `Quick
-      test_kmod_switch_to_exited_rejected;
     Alcotest.test_case "kmod: timer enable" `Quick test_kmod_timer_enable_sets_sn;
     Alcotest.test_case "krq: FIFO under equal keys" `Quick
       test_krq_fifo_under_equal_keys;

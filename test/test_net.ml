@@ -53,7 +53,7 @@ let test_ring_wraparound () =
 
 let test_nic_delivery () =
   let engine = Engine.create () in
-  let nic = Nic.create engine ~queues:2 ~poll_cost:100 () in
+  let nic = Nic.create engine ~queues:2 () in
   let got = ref [] in
   for q = 0 to 1 do
     Nic.on_packet nic ~queue:q (fun p -> got := (q, p.Packet.flow, Engine.now engine) :: !got)
@@ -66,7 +66,7 @@ let test_nic_delivery () =
   | [ (q, flow, at) ] ->
       check Alcotest.int "steered by RSS" expect_q q;
       check Alcotest.int "flow" 7 flow;
-      check Alcotest.int "after poll cost" 100 at
+      check Alcotest.int "after poll cost" 120 at
   | _ -> Alcotest.fail "expected one packet"
 
 let test_nic_drops_without_consumer () =

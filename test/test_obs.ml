@@ -293,8 +293,7 @@ let test_runtime_metric_schema () =
       Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:5)
     in
     let rt =
-      Scenario.build machine (Kmod.create machine) ~first_core:0 ~cores:4
-        ~quantum:(Time.us 30) ~timer_hz:100_000 runtime
+      Scenario.build machine (Kmod.create machine) ~first_core:0 ~cores:4 runtime
     in
     let reg = Registry.create () in
     Rc.register_metrics rt reg;

@@ -318,7 +318,7 @@ let conformance runtime ops =
   in
   let rt =
     Scenario.build machine (Kmod.create machine) ~first_core:0
-      ~cores:conformance_workers ~quantum:(Time.us 20) ~timer_hz:100_000 runtime
+      ~cores:conformance_workers runtime
   in
   let pinnable = rt.Rc.dispatch.Rc.d_pinnable in
   let app = Rc.create_app rt ~name:"conformance" in
@@ -489,21 +489,15 @@ let prop_broker_conserves_cores =
     (fun (capacity, tenant_specs, script) ->
       QCheck.assume (tenant_specs <> []);
       let engine = Engine.create () in
-      let interval = Time.us 5 in
+      let interval = Allocator.interval in
       let config =
         (* tight knobs so short scripts can actually cross the edges *)
-        {
-          Broker.interval;
-          degrade_after = 3;
-          hoard_cap = 5;
-          hoard_decay = 1;
-          quarantine_ticks = 6;
-        }
+        { Broker.degrade_after = 3; hoard_cap = 5; quarantine_ticks = 6 }
       in
       let broker = Broker.create ~engine ~capacity ~config () in
       let _, _, _, first_policy = List.hd tenant_specs in
       let alloc =
-        Allocator.create ~engine ~policy:(policy_of first_policy) ~interval
+        Allocator.create ~engine ~policy:(policy_of first_policy)
           ~total_cores:capacity ~degrade_after:3 ()
       in
       (* clamp floors so the sum of initial grants fits the machine *)

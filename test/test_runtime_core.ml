@@ -71,7 +71,7 @@ let make ?(units = 1) () =
           Rc.enqueue rc ~cpu:0 ~reason:Sched_ops.Enq_new task;
           kick_all st);
       d_wake =
-        (fun task ~waker_cpu:_ ->
+        (fun task ->
           ignore (Rc.place_woken rc ~waker_cpu:0 task);
           kick_all st);
     };

@@ -294,14 +294,9 @@ let test_scenario_validate () =
          validate
            (Scenario.make ~name:"x" ~cores:2
               [ lc "a"; Scenario.be ~name:"b" ~guaranteed:3 () ])));
-  check bool "burstable below guaranteed" true
-    (invalid (fun () ->
-         validate
-           (Scenario.make ~name:"x" ~cores:4
-              [ lc "a"; Scenario.be ~name:"b" ~guaranteed:2 ~burstable:1 () ])));
   validate
     (Scenario.make ~name:"ok" ~cores:4
-       [ lc "a"; lc "b"; Scenario.be ~name:"c" ~guaranteed:1 ~burstable:3 () ])
+       [ lc "a"; lc "b"; Scenario.be ~name:"c" ~guaranteed:1 () ])
 
 let test_scenario_load_accounting () =
   let s =
@@ -406,7 +401,7 @@ let test_be_tenant_scheduled () =
       [
         Scenario.lc ~name:"lc" ~shape:(Shape.Single (Dist.Exponential { mean = Time.us 2 }))
           ~arrival:(Arrival.Poisson { rate_rps = 100_000.0 });
-        Scenario.be ~name:"be" ~guaranteed:1 ~burstable:3 ();
+        Scenario.be ~name:"be" ~guaranteed:1 ();
       ]
   in
   let d = Scenario.run ~seed:9 ~requests:2_000 ~runtime:Scenario.Percpu s in

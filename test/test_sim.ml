@@ -722,18 +722,20 @@ let prop_engine_timer_model =
 (* [Engine.every] against the pre-cohort engine: a sorted-list reference
    in which each [every] is its own self-re-arming event, taking a fresh
    sequence number right after its callback returns [true].  One script
-   drives both engines: top-level [every]s (shared and distinct periods
-   and starts, members that stop after k firings), one-shots placed on
+   drives both engines: top-level [every]s (shared and distinct periods,
+   added at different instants, members that stop after k firings),
+   one-shots placed on
    tick instants so their seqs fall between a cohort's members (the yield
    path), bounded runs, [max_events] budgets and single steps.  Each
    callback logs (clock, id), then performs the script's next nested
-   action: another [every] (default start, or a start at the current
-   instant — a cohort's due instant when a tick runs it), a one-shot, or
-   an exception, which ends the run and drops the raising [every].
+   action: another [every] (first due one period after the current
+   instant — a cohort's next due instant when a tick of the same period
+   runs it), a one-shot, or an exception, which ends the run and drops
+   the raising [every].
    Both sides must log the same callbacks in the same order, leave the
    clock at the same instant after every run, and count the same number
    of fired callbacks. *)
-type every_spec = { period : int; start : int option; life : int }
+type every_spec = { period : int; life : int }
 
 type every_op =
   | Top_every of every_spec
@@ -748,7 +750,7 @@ type every_act = Nop | Nested_every of every_spec | Nested_shot of int | Nested_
 type every_iface = {
   now : unit -> int;
   shot : int -> (unit -> unit) -> unit;
-  every : period:int -> start:int option -> (unit -> bool) -> unit;
+  every : period:int -> (unit -> bool) -> unit;
   run : until:int -> max_events:int -> unit;
   step : unit -> bool;
   fired : unit -> int;
@@ -761,9 +763,9 @@ let reference_iface () =
     q := model_insert (at, !seq, f) !q;
     incr seq
   in
-  let every ~period ~start f =
+  let every ~period f =
     let rec arm at = shot at (fun () -> if f () then arm (!clock + period)) in
-    arm (match start with Some s -> s | None -> !clock + period)
+    arm (!clock + period)
   in
   let step () =
     match !q with
@@ -796,7 +798,7 @@ let engine_iface () =
   {
     now = (fun () -> Engine.now e);
     shot = (fun at f -> ignore (Engine.at e at f));
-    every = (fun ~period ~start f -> Engine.every e ~period ?start f);
+    every = (fun ~period f -> Engine.every e ~period f);
     run = (fun ~until ~max_events -> Engine.run ~until ~max_events e);
     step = (fun () -> Engine.step e);
     fired = (fun () -> Engine.events_fired e);
@@ -807,15 +809,14 @@ let run_every_script eng ops acts =
   let obs = ref [] in
   let note x = obs := x :: !obs in
   let ids = ref 0 and g = ref 0 and everys = ref 0 in
-  let rec add_every { period; start; life } =
+  let rec add_every { period; life } =
     (* nested spawns are capped so a script cannot grow without bound *)
     if !everys < 40 then begin
       incr everys;
       let id = !ids in
       incr ids;
       let left = ref life in
-      let start = Option.map (fun d -> eng.now () + d) start in
-      eng.every ~period ~start (fun () ->
+      eng.every ~period (fun () ->
           note (eng.now (), id);
           act ();
           decr left;
@@ -859,15 +860,13 @@ let run_every_script eng ops acts =
 
 let every_spec_gen =
   QCheck.Gen.(
-    map3
-      (fun period start life -> { period; start; life })
+    map2
+      (fun period life -> { period; life })
       (oneofl [ 2; 3; 4; 6 ])
-      (frequency [ (2, return None); (3, map Option.some (int_range 0 6)) ])
       (oneofl [ 1; 2; 3; 5; max_int ]))
 
-let show_spec { period; start; life } =
-  Printf.sprintf "{p=%d;s=%s;life=%s}" period
-    (match start with Some d -> "+" ^ string_of_int d | None -> "def")
+let show_spec { period; life } =
+  Printf.sprintf "{p=%d;life=%s}" period
     (if life = max_int then "inf" else string_of_int life)
 
 let every_script =

@@ -15,7 +15,7 @@ let test_hist_empty () =
   check Alcotest.int "max" 0 (Histogram.max_value h)
 
 let test_hist_exact_small_values () =
-  (* values below sub_buckets are recorded exactly *)
+  (* values below 64 (the sub-bucket count) are recorded exactly *)
   let h = Histogram.create () in
   List.iter (Histogram.record h) [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ];
   check Alcotest.int "p50" 5 (Histogram.percentile h 50.0);
@@ -92,11 +92,6 @@ let test_hist_negative_raises () =
   let h = Histogram.create () in
   Alcotest.check_raises "negative" (Invalid_argument "Histogram.record: negative value")
     (fun () -> Histogram.record h (-1))
-
-let test_hist_bad_subbuckets () =
-  Alcotest.check_raises "not a power of two"
-    (Invalid_argument "Histogram.create: sub_buckets must be a power of two") (fun () ->
-      ignore (Histogram.create ~sub_buckets:33 ()))
 
 (* The dense layout every histogram had before groups were allocated on
    first touch: one flat array of [(63 - k + 2) * sub] counts.  The
@@ -219,14 +214,12 @@ let gen_hist_op =
 let prop_hist_dense_oracle =
   QCheck.Test.make ~name:"histogram: matches the dense-array reference" ~count:300
     QCheck.(
-      pair
-        (make ~print:string_of_int Gen.(oneofl [ 1; 2; 8; 64 ]))
-        (make
-           ~print:(fun ops -> String.concat "; " (List.map show_hist_op ops))
-           Gen.(list_size (int_range 1 80) gen_hist_op)))
-    (fun (sub, ops) ->
-      let sparse = Array.init 3 (fun _ -> Histogram.create ~sub_buckets:sub ()) in
-      let dense = Array.init 3 (fun _ -> Dense_hist.create sub) in
+      make
+        ~print:(fun ops -> String.concat "; " (List.map show_hist_op ops))
+        Gen.(list_size (int_range 1 80) gen_hist_op))
+    (fun ops ->
+      let sparse = Array.init 3 (fun _ -> Histogram.create ()) in
+      let dense = Array.init 3 (fun _ -> Dense_hist.create 64) in
       let agree i =
         let h = sparse.(i) and d = dense.(i) in
         Histogram.count h = d.n
@@ -250,7 +243,7 @@ let prop_hist_dense_oracle =
               Histogram.merge_into ~src:sparse.(s) ~dst:sparse.(d);
               Dense_hist.merge_into ~src:dense.(s) ~dst:dense.(d)
           | Merge_fresh i ->
-              let h = Histogram.create ~sub_buckets:sub () and d = Dense_hist.create sub in
+              let h = Histogram.create () and d = Dense_hist.create 64 in
               Histogram.merge_into ~src:sparse.(i) ~dst:h;
               Dense_hist.merge_into ~src:dense.(i) ~dst:d;
               sparse.(i) <- h;
@@ -517,7 +510,6 @@ let suite =
     Alcotest.test_case "hist: mean" `Quick test_hist_mean;
     Alcotest.test_case "hist: merge" `Quick test_hist_merge;
     Alcotest.test_case "hist: negative raises" `Quick test_hist_negative_raises;
-    Alcotest.test_case "hist: bad subbuckets" `Quick test_hist_bad_subbuckets;
     qtest prop_hist_dense_oracle;
     Alcotest.test_case "empty containers are small" `Quick test_empty_containers_are_small;
     Alcotest.test_case "summary: latency+slowdown" `Quick test_summary_latency_and_slowdown;
