@@ -46,17 +46,16 @@ let () =
   let short_latencies = Histogram.create () in
   for i = 1 to 40 do
     let arrival = Time.us (100 * i) in
-    ignore
-      (Engine.at engine arrival (fun () ->
-           ignore
-             (Rc.spawn rt app
-                ~name:(Printf.sprintf "short-%d" i)
-                ~service:(Time.us 10) ~record:false
-                (Coro.Compute
-                   ( Time.us 10,
-                     fun () ->
-                       Histogram.record short_latencies (Engine.now engine - arrival);
-                       Coro.Exit )))))
+    Engine.at engine arrival (fun () ->
+        ignore
+          (Rc.spawn rt app
+             ~name:(Printf.sprintf "short-%d" i)
+             ~service:(Time.us 10) ~record:false
+             (Coro.Compute
+                ( Time.us 10,
+                  fun () ->
+                    Histogram.record short_latencies (Engine.now engine - arrival);
+                    Coro.Exit ))))
   done;
 
   (* 4. Run the virtual clock. *)
@@ -91,23 +90,21 @@ let () =
   let rt = Hybrid.runtime hybrid in
   let app = Rc.create_app rt ~name:"quickstart-hybrid" in
   for i = 1 to 30 do
-    ignore
-      (Engine.at engine (Time.us (100 * i)) (fun () ->
-           ignore
-             (Rc.spawn rt app
-                ~name:(Printf.sprintf "trickle-%d" i)
-                ~service:(Time.us 10)
-                (Coro.compute_then_exit (Time.us 10)))))
+    Engine.at engine (Time.us (100 * i)) (fun () ->
+        ignore
+          (Rc.spawn rt app
+             ~name:(Printf.sprintf "trickle-%d" i)
+             ~service:(Time.us 10)
+             (Coro.compute_then_exit (Time.us 10))))
   done;
-  ignore
-    (Engine.at engine (Time.ms 1) (fun () ->
-         for i = 1 to 24 do
-           ignore
-             (Rc.spawn rt app
-                ~name:(Printf.sprintf "burst-%d" i)
-                ~service:(Time.us 40)
-                (Coro.compute_then_exit (Time.us 40)))
-         done));
+  Engine.at engine (Time.ms 1) (fun () ->
+      for i = 1 to 24 do
+        ignore
+          (Rc.spawn rt app
+             ~name:(Printf.sprintf "burst-%d" i)
+             ~service:(Time.us 40)
+             (Coro.compute_then_exit (Time.us 40)))
+      done);
   Engine.run ~until:(Time.ms 5) engine;
   Printf.printf "\nhybrid runtime: %d requests, %d dispatcher assignments,\n"
     app.App.completed

@@ -35,13 +35,12 @@ let () =
   let batch = Rc.create_app rt ~name:"batch" in
   Batch.spawn_workers rt batch ~workers:2 ~chunk:(Time.us 40);
   for i = 1 to 20 do
-    ignore
-      (Engine.at engine (Time.us (37 * i)) (fun () ->
-           ignore
-             (Rc.spawn rt lc
-                ~name:(Printf.sprintf "req-%d" i)
-                ~service:(Time.us 15)
-                (Coro.compute_then_exit (Time.us 15)))))
+    Engine.at engine (Time.us (37 * i)) (fun () ->
+        ignore
+          (Rc.spawn rt lc
+             ~name:(Printf.sprintf "req-%d" i)
+             ~service:(Time.us 15)
+             (Coro.compute_then_exit (Time.us 15))))
   done;
   Engine.run ~until:(Time.ms 1) engine;
 
@@ -73,23 +72,21 @@ let () =
   Rc.set_trace rt trace;
   let lc = Rc.create_app rt ~name:"service" in
   for i = 1 to 20 do
-    ignore
-      (Engine.at engine (Time.us (37 * i)) (fun () ->
-           ignore
-             (Rc.spawn rt lc
-                ~name:(Printf.sprintf "req-%d" i)
-                ~service:(Time.us 15)
-                (Coro.compute_then_exit (Time.us 15)))))
+    Engine.at engine (Time.us (37 * i)) (fun () ->
+        ignore
+          (Rc.spawn rt lc
+             ~name:(Printf.sprintf "req-%d" i)
+             ~service:(Time.us 15)
+             (Coro.compute_then_exit (Time.us 15))))
   done;
-  ignore
-    (Engine.at engine (Time.us 300) (fun () ->
-         for i = 1 to 16 do
-           ignore
-             (Rc.spawn rt lc
-                ~name:(Printf.sprintf "burst-%d" i)
-                ~service:(Time.us 30)
-                (Coro.compute_then_exit (Time.us 30)))
-         done));
+  Engine.at engine (Time.us 300) (fun () ->
+      for i = 1 to 16 do
+        ignore
+          (Rc.spawn rt lc
+             ~name:(Printf.sprintf "burst-%d" i)
+             ~service:(Time.us 30)
+             (Coro.compute_then_exit (Time.us 30)))
+      done);
   Engine.run ~until:(Time.ms 1) engine;
   let mode_instants =
     Trace.fold trace

@@ -1,6 +1,5 @@
 module Time = Skyloft_sim.Time
 module Engine = Skyloft_sim.Engine
-module Eventq = Skyloft_sim.Eventq
 module Machine = Skyloft_hw.Machine
 module Costs = Skyloft_hw.Costs
 module Vectors = Skyloft_hw.Vectors
@@ -108,7 +107,7 @@ let dispatcher_done t cost =
   t.disp_busy_until <- start + cost;
   start + cost
 
-let dispatcher_do t cost f = ignore (Engine.at t.rc.Rc.engine (dispatcher_done t cost) f)
+let dispatcher_do t cost f = Engine.at t.rc.Rc.engine (dispatcher_done t cost) f
 
 let reserved u = u.ex.Rc.incoming >= 0
 
@@ -173,9 +172,8 @@ and do_preempt t u gen =
 
 and deliver_preempt t u gen =
   let arrive_after extra =
-    ignore
-      (Engine.after t.rc.Rc.engine (t.mech.preempt_delivery + extra) (fun () ->
-           do_preempt t u gen))
+    Engine.after t.rc.Rc.engine (t.mech.preempt_delivery + extra) (fun () ->
+        do_preempt t u gen)
   in
   match
     Machine.fault_fate t.rc.Rc.machine ~core:u.ex.Rc.exec_core
@@ -288,7 +286,7 @@ let watchdog_scan t ~bound =
     (fun u ->
       if now t >= u.ex.Rc.stolen_until then
         match u.ex.Rc.current with
-        | Some task when not (Eventq.is_null u.ex.Rc.completion) ->
+        | Some task when Engine.armed u.ex.Rc.completion ->
             (* The expected preemption point depends on which mechanism
                covers the run; grant the larger of the two.  A pinned
                runtime has no tick period, so the bound is
@@ -311,7 +309,7 @@ let preempt_be t u =
   match (t.mode, u.ex.Rc.current) with
   | Percore, _ -> Percore.preempt_be t.pc u.pc
   | Central, Some task
-    when Rc.is_be t.rc task && not (Eventq.is_null u.ex.Rc.completion) ->
+    when Rc.is_be t.rc task && Engine.armed u.ex.Rc.completion ->
       send_preempt t u task;
       true
   | Central, _ -> false
@@ -327,7 +325,7 @@ let redrive t u =
    eviction (percore). *)
 let preempt_capped_unit t u =
   match u.ex.Rc.current with
-  | Some task when not (Eventq.is_null u.ex.Rc.completion) -> (
+  | Some task when Engine.armed u.ex.Rc.completion -> (
       match t.mode with
       | Central -> send_preempt t u task
       | Percore -> Percore.evict t.pc u.pc)

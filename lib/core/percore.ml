@@ -1,6 +1,5 @@
 module Time = Skyloft_sim.Time
 module Engine = Skyloft_sim.Engine
-module Eventq = Skyloft_sim.Eventq
 module Costs = Skyloft_hw.Costs
 module Rc = Runtime_core
 
@@ -134,13 +133,13 @@ let schedule t cpu ~prev =
         ignore (Rc.begin_run rc cpu.ex task ~switch_cost);
         Rc.run_after_switch rc cpu.ex ~switch_cost
 
-let steal_time ?(stall = false) t cpu cost =
+let steal_time ?(stall = false) cpu cost =
   match cpu.ex.Rc.current with
-  | Some task when not (Eventq.is_null cpu.ex.Rc.completion) ->
+  | Some task when Engine.armed cpu.ex.Rc.completion ->
       task.Task.segment_end <- task.Task.segment_end + cost;
       if stall then task.Task.obs_stall_ns <- task.Task.obs_stall_ns + cost
       else task.Task.obs_overhead_ns <- task.Task.obs_overhead_ns + cost;
-      Rc.arm_completion t.rc cpu.ex task
+      Engine.arm cpu.ex.Rc.completion ~at:task.Task.segment_end
   | _ -> ()
 
 (* ---- kicks --------------------------------------------------------------- *)
@@ -178,8 +177,8 @@ let preempt t cpu =
    nothing local would drain it. *)
 let evict t cpu =
   match cpu.ex.Rc.current with
-  | Some _ when not (Eventq.is_null cpu.ex.Rc.completion) -> (
-      steal_time t cpu (Costs.uipi_receive_ns ~cross_numa:false);
+  | Some _ when Engine.armed cpu.ex.Rc.completion -> (
+      steal_time cpu (Costs.uipi_receive_ns ~cross_numa:false);
       match Rc.depose t.rc cpu.ex ~overhead:0 with
       | Some task ->
           requeue t task ~cpu:(t.rc.Rc.dispatch.Rc.d_enqueue_cpu t.cpus.(0).ex);
@@ -191,8 +190,8 @@ let evict t cpu =
 let preempt_be t cpu =
   match cpu.ex.Rc.current with
   | Some task
-    when Rc.is_be t.rc task && not (Eventq.is_null cpu.ex.Rc.completion) ->
-      steal_time t cpu (Costs.uipi_receive_ns ~cross_numa:false);
+    when Rc.is_be t.rc task && Engine.armed cpu.ex.Rc.completion ->
+      steal_time cpu (Costs.uipi_receive_ns ~cross_numa:false);
       preempt t cpu;
       true
   | _ -> false
@@ -208,7 +207,7 @@ let tick_decision t cpu =
   if Rc.unit_capped t.rc cpu.ex then evict t cpu
   else
     match cpu.ex.Rc.current with
-    | Some task when not (Eventq.is_null cpu.ex.Rc.completion) ->
+    | Some task when Engine.armed cpu.ex.Rc.completion ->
         if Rc.is_be t.rc task then begin
           if Rc.be_occupancy t.rc > t.rc.Rc.be_allowance then preempt t cpu
         end
@@ -223,5 +222,5 @@ let tick_decision t cpu =
 
 let on_tick t cpu =
   t.rc.Rc.ticks <- t.rc.Rc.ticks + 1;
-  steal_time t cpu (Costs.user_timer_receive_ns + Costs.senduipi_sn_ns);
+  steal_time cpu (Costs.user_timer_receive_ns + Costs.senduipi_sn_ns);
   tick_decision t cpu

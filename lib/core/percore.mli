@@ -60,7 +60,7 @@ val schedule : t -> cpu -> prev:Task.t option -> unit
     the kernel module's switch across) plus any resume and migration
     charge.  A busy, reserved or broker-capped core picks nothing. *)
 
-val steal_time : ?stall:bool -> t -> cpu -> Time.t -> unit
+val steal_time : ?stall:bool -> cpu -> Time.t -> unit
 (** Interrupt handling delays the running segment by the cost, charged to
     the task as overhead — or as fault stall when [stall] (host-kernel
     core steals). *)

@@ -46,7 +46,7 @@ let uintr_handler t (cpu : Percore.cpu) ctx ~uvec =
     Percore.on_tick t.pc cpu
   end
   else if uvec = Vectors.uvec_preempt then begin
-    Percore.steal_time t.pc cpu (Costs.uipi_receive_ns ~cross_numa:false);
+    Percore.steal_time cpu (Costs.uipi_receive_ns ~cross_numa:false);
     Percore.tick_decision t.pc cpu
   end
   else
@@ -54,7 +54,7 @@ let uintr_handler t (cpu : Percore.cpu) ctx ~uvec =
        run the registered driver handler in user space. *)
     match t.uvec_handlers.(uvec) with
     | Some handler ->
-        Percore.steal_time t.pc cpu (Costs.uipi_receive_ns ~cross_numa:false);
+        Percore.steal_time cpu (Costs.uipi_receive_ns ~cross_numa:false);
         handler cpu.ex.Rc.exec_core
     | None -> ()
 
@@ -68,7 +68,7 @@ let uintr_handler t (cpu : Percore.cpu) ctx ~uvec =
    preemption so queued work gets the core. *)
 let rescue t (cpu : Percore.cpu) ~bound =
   Rc.rescued t.rc cpu.ex ~late:(Int.max 0 (now t - cpu.last_sched - bound));
-  Percore.steal_time t.pc cpu (Costs.uipi_receive_ns ~cross_numa:false);
+  Percore.steal_time cpu (Costs.uipi_receive_ns ~cross_numa:false);
   if t.preemption then begin
     ignore
       (Kmod.timer_set_hz t.rc.Rc.kmod ~core:cpu.ex.Rc.exec_core ~hz:t.timer_hz);
@@ -101,7 +101,7 @@ let watchdog_scan t ~bound =
    queued tick re-preempts promptly once the core returns. *)
 let on_core_steal t (cpu : Percore.cpu) ~duration =
   cpu.ex.Rc.stolen_until <- Int.max cpu.ex.Rc.stolen_until (now t + duration);
-  Percore.steal_time ~stall:true t.pc cpu duration;
+  Percore.steal_time ~stall:true cpu duration;
   cpu.last_sched <- Int.max cpu.last_sched cpu.ex.Rc.stolen_until
 
 (* ---- core allocation ----------------------------------------------------- *)

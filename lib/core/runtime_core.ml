@@ -1,7 +1,6 @@
 module Time = Skyloft_sim.Time
 module Coro = Skyloft_sim.Coro
 module Engine = Skyloft_sim.Engine
-module Eventq = Skyloft_sim.Eventq
 module Machine = Skyloft_hw.Machine
 module Costs = Skyloft_hw.Costs
 module Kmod = Skyloft_kernel.Kmod
@@ -28,11 +27,10 @@ type exec = {
   exec_core : int;
   mutable exec_slot : int;  (* index among d_units; -1 before install *)
   mutable current : Task.t option;
-  mutable completion : Eventq.handle;  (* Eventq.null when no segment armed *)
-  mutable completion_fire : unit -> unit;
-      (* the unit's one stable completion closure, installed with the
-         dispatch record: every segment end re-arms it instead of building
-         a fresh closure per segment *)
+  mutable completion : Engine.timer;
+      (* the unit's one stable segment-end timer, installed with the
+         dispatch record: armed per segment for [current], disarmed when
+         the task leaves the unit *)
   mutable switch_done : Engine.timer;
       (* the unit's one stable switch-done timer, installed with the
          dispatch record: every dispatch re-arms it (superseding any stale
@@ -208,8 +206,9 @@ let create machine kmod =
 
 let now t = Engine.now t.engine
 
-(* The switch-done timer of a unit not yet installed: never armed, and
-   replaced by [install_dispatch] with one on the runtime's engine. *)
+(* The engine of a unit's timers before install: never armed (a timer
+   touches no queue until then, so every domain may share it), and
+   replaced by [install_dispatch] with timers on the runtime's engine. *)
 let detached = Engine.create ()
 
 let make_exec core =
@@ -217,8 +216,7 @@ let make_exec core =
     exec_core = core;
     exec_slot = -1;
     current = None;
-    completion = Eventq.null;
-    completion_fire = ignore;
+    completion = Engine.timer detached ignore;
     switch_done = Engine.timer detached ignore;
     incoming = -1;
     busy_from = 0;
@@ -543,7 +541,7 @@ let rec process t ex (task : Task.t) =
   | Coro.Compute (d, k) ->
       task.cont <- k;
       task.segment_end <- now t + d;
-      ex.completion <- Engine.at t.engine task.segment_end ex.completion_fire
+      Engine.arm ex.completion ~at:task.segment_end
   | Coro.Yield _ ->
       (* continuation evaluated at the next dispatch (resume time) *)
       task.state <- Task.Runnable;
@@ -597,10 +595,10 @@ let switch_done t ex () =
 
 (* Install the dispatch record, index the units by core, build the idle
    mask and the scheduler view once, and wire each unit's stable
-   completion closure and switch-done timer.  The closure reads
-   [ex.current] when it fires: a completion is only ever armed for the
-   unit's current task, and every path that takes the task off the unit
-   (depose, kill, steal-freeze) cancels it first. *)
+   completion and switch-done timers.  The completion reads [ex.current]
+   when it fires: it is only ever armed for the unit's current task, and
+   every path that takes the task off the unit (depose, fault, kill)
+   disarms it first. *)
 let install_dispatch t d =
   let top = Array.fold_left (fun acc ex -> Int.max acc ex.exec_core) (-1) d.d_units in
   let slot_of = Array.make (top + 1) (-1) in
@@ -634,9 +632,8 @@ let install_dispatch t d =
       ex.exec_slot <- i;
       set_idle_bit t i (ex.current = None);
       ex.switch_done <- Engine.timer t.engine (switch_done t ex);
-      ex.completion_fire <-
-        (fun () ->
-          ex.completion <- Eventq.null;
+      ex.completion <-
+        Engine.timer t.engine (fun () ->
           match ex.current with
           | Some task ->
               task.Task.body <- task.Task.cont ();
@@ -644,12 +641,6 @@ let install_dispatch t d =
           | None -> ()))
     d.d_units;
   t.be_allowance <- Array.length d.d_units
-
-(* Move the armed completion to the segment's new end (time steals), in
-   place. *)
-let arm_completion t ex (task : Task.t) =
-  ex.completion <-
-    Engine.reschedule t.engine ex.completion task.Task.segment_end ex.completion_fire
 
 (* Put [task] on [ex]: lifecycle state, attribution stamping, and the
    wakeup-latency sample.  Returns the moment execution begins (after the
@@ -685,9 +676,8 @@ let run_after_switch t ex ~switch_cost =
    task; the caller requeues it and reschedules the unit. *)
 let depose t ex ~overhead =
   match ex.current with
-  | Some task when not (Eventq.is_null ex.completion) ->
-      Engine.cancel t.engine ex.completion;
-      ex.completion <- Eventq.null;
+  | Some task when Engine.armed ex.completion ->
+      Engine.disarm ex.completion;
       let remaining = Int.max 0 (task.Task.segment_end - now t) + overhead in
       task.Task.body <- Coro.Compute (remaining, task.Task.cont);
       task.Task.state <- Task.Runnable;
@@ -732,9 +722,8 @@ let fault_current t ~core ~duration =
   | slot -> (
       let ex = t.dispatch.d_units.(slot) in
       match ex.current with
-      | Some task when not (Eventq.is_null ex.completion) ->
-          Engine.cancel t.engine ex.completion;
-          ex.completion <- Eventq.null;
+      | Some task when Engine.armed ex.completion ->
+          Engine.disarm ex.completion;
           let remaining = Int.max 0 (task.Task.segment_end - now t) in
           task.Task.body <- Coro.Compute (remaining, task.Task.cont);
           task.Task.state <- Task.Blocked;
@@ -745,7 +734,7 @@ let fault_current t ~core ~duration =
              one start and must not account its block. *)
           if not (is_be t task) then t.policy.task_block ~cpu:core task;
           trace_instant t ~core Trace.Fault task.Task.name;
-          ignore (Engine.after t.engine duration (fun () -> wakeup t task));
+          Engine.after t.engine duration (fun () -> wakeup t task);
           t.dispatch.d_reschedule ex ~prev:(Some task);
           true
       | _ -> false)
@@ -776,8 +765,7 @@ let kill t ?on_drop (task : Task.t) =
                  switch-done firing, so an armed timer always belongs to
                  the unit's current task. *)
               Engine.disarm ex.switch_done;
-              Engine.cancel t.engine ex.completion;
-              ex.completion <- Eventq.null;
+              Engine.disarm ex.completion;
               task.Task.killed <- true;
               task.Task.state <- Task.Exited;
               account t ex;
@@ -850,7 +838,7 @@ let spawn t app ~name ?cpu ?arrival ?(service = 0) ?(record = true) ?deadline
   let task = admit t app ~name ~arrival ~service ~record body in
   t.dispatch.d_place task ~cpu;
   (match deadline with
-  | Some d -> ignore (Engine.after t.engine d (fun () -> kill t ?on_drop task))
+  | Some d -> Engine.after t.engine d (fun () -> kill t ?on_drop task)
   | None -> ());
   task
 
@@ -881,11 +869,11 @@ let start_watchdog t ~bound scan =
 let freeze_for_steal t ex ~duration =
   ex.stolen_until <- Int.max ex.stolen_until (now t + duration);
   match ex.current with
-  | Some task when not (Eventq.is_null ex.completion) ->
+  | Some task when Engine.armed ex.completion ->
       task.Task.segment_end <- task.Task.segment_end + duration;
       task.Task.run_start <- task.Task.run_start + duration;
       task.Task.obs_stall_ns <- task.Task.obs_stall_ns + duration;
-      arm_completion t ex task
+      Engine.arm ex.completion ~at:task.Task.segment_end
   | _ -> ()
 
 (* ---- busy accounting for the allocator ----------------------------------- *)

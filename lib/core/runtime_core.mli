@@ -1,7 +1,6 @@
 module Time = Skyloft_sim.Time
 module Coro = Skyloft_sim.Coro
 module Engine = Skyloft_sim.Engine
-module Eventq = Skyloft_sim.Eventq
 module Machine = Skyloft_hw.Machine
 module Kmod = Skyloft_kernel.Kmod
 module Histogram = Skyloft_stats.Histogram
@@ -40,12 +39,10 @@ type exec = {
   exec_core : int;
   mutable exec_slot : int;  (** index among [d_units]; [-1] before install *)
   mutable current : Task.t option;
-  mutable completion : Eventq.handle;
-      (** segment-end event for [current]; [Eventq.null] when none armed *)
-  mutable completion_fire : unit -> unit;
-      (** the unit's one stable completion closure (installed by
-          {!install_dispatch}); re-armed per segment instead of allocating
-          a closure each *)
+  mutable completion : Engine.timer;
+      (** the unit's one stable segment-end timer for [current] (installed
+          by {!install_dispatch}): armed per segment, moved by time
+          steals, disarmed when the task leaves the unit *)
   mutable switch_done : Engine.timer;
       (** the unit's one stable switch-done timer (installed by
           {!install_dispatch}): {!run_after_switch} re-arms it per
@@ -263,8 +260,6 @@ val app_switch : t -> exec -> Task.t -> Time.t
     charged cost. *)
 
 (** {1 The task lifecycle} *)
-
-val arm_completion : t -> exec -> Task.t -> unit
 
 val begin_run : t -> exec -> Task.t -> switch_cost:Time.t -> Time.t
 (** Put the task on the unit ([current], idle bit cleared, [be_running]

@@ -336,11 +336,10 @@ let a6_worksteal_regimes (config : Config.t) =
   let drive_bursty engine rng submit =
     let period = Time.us 200 and batch = 24 in
     for b = 0 to (config.duration / period) - 1 do
-      ignore
-        (Engine.at engine (b * period) (fun () ->
-             for _ = 1 to batch do
-               submit ~cpu:(Some (b mod n_cores)) ~service:(Dist.sample service rng)
-             done))
+      Engine.at engine (b * period) (fun () ->
+          for _ = 1 to batch do
+            submit ~cpu:(Some (b mod n_cores)) ~service:(Dist.sample service rng)
+          done)
     done
   in
   let regimes =

@@ -104,16 +104,15 @@ let traced ~seed runtime =
          (Coro.Compute (Time.us 10 + (i mod 7 * Time.us 4), fun () -> Coro.Exit)))
   in
   for i = 0 to 39 do
-    ignore (Engine.at engine (i * Time.us 25) (fun () -> submit i))
+    Engine.at engine (i * Time.us 25) (fun () -> submit i)
   done;
   (* the burst: 20 requests land together, pushing the queue past the
      hi threshold (2x the workers) so the monitor flips to percore *)
   if burst then
-    ignore
-      (Engine.at engine (Time.ms 1 + Time.us 10) (fun () ->
-           for i = 100 to 119 do
-             submit i
-           done));
+    Engine.at engine (Time.ms 1 + Time.us 10) (fun () ->
+        for i = 100 to 119 do
+          submit i
+        done);
   Engine.run ~until:(Time.ms 3) engine;
   (Trace.to_chrome_json trace, Injector.injected inj, counter ())
 

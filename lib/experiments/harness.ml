@@ -22,7 +22,7 @@ let fresh (config : Config.t) =
    Call the returned getter after the run has passed the window. *)
 let window engine (config : Config.t) read =
   let v = ref None in
-  ignore (Engine.at engine config.duration (fun () -> v := Some (read ())));
+  Engine.at engine config.duration (fun () -> v := Some (read ()));
   fun () -> Option.get !v
 
 (* The --quick / default / --full tier [config]'s duration falls in. *)

@@ -107,7 +107,7 @@ let run_point (config : Config.t) ~runtime ~instrumented =
           (s1, fun () -> Coro.Block (fun () -> Coro.Compute (s2, fun () -> Coro.Exit)))
       in
       let task = Rc.spawn rt lc ~service ~name body in
-      ignore (Engine.after engine (s1 + fault_ns) (fun () -> Rc.wakeup rt task))
+      Engine.after engine (s1 + fault_ns) (fun () -> Rc.wakeup rt task)
     end
     else
       ignore

@@ -64,7 +64,6 @@ let pick_core t cores =
 
 let arm t target plans =
   if t.armed then invalid_arg "Injector.arm: already armed";
-  t.armed <- true;
   if target.cores = [] then invalid_arg "Injector.arm: no target cores";
   let ipi_plans =
     List.filter_map
@@ -74,10 +73,13 @@ let arm t target plans =
         | _ -> None)
       plans
   in
-  (* All IPI-loss plans share one machine-level hook, and the first plan
-     decides the fate of each queried delivery.  The hook only touches
-     notification and delegated-timer vectors on target cores: everything
-     else delivers untouched. *)
+  (* The machine has one fault hook, so one IPI-loss plan decides the fate
+     of each queried delivery; a second would be silently ignored. *)
+  if List.length ipi_plans > 1 then
+    invalid_arg "Injector.arm: at most one IPI-loss plan";
+  t.armed <- true;
+  (* The hook only touches notification and delegated-timer vectors on
+     target cores: everything else delivers untouched. *)
   (match ipi_plans with
   | [] -> ()
   | { Plan.p_drop; p_delay; delay } :: _ ->
@@ -211,10 +213,9 @@ let arm_tenants t ~broker plans =
               end)
       | Plan.Tenant_crash { tenant } ->
           let at = max p.Plan.window.Plan.start (now t) in
-          ignore
-            (Engine.at t.engine at (fun () ->
-                 record t ~kind:"tenant-crash" ~core:(-1);
-                 Broker.crash broker ~tenant))
+          Engine.at t.engine at (fun () ->
+              record t ~kind:"tenant-crash" ~core:(-1);
+              Broker.crash broker ~tenant)
       | Plan.Ipi_loss _ | Plan.Core_steal _ | Plan.Poison _
       | Plan.Packet_loss _ ->
           invalid_arg "Injector.arm_tenants: not a tenant plan")

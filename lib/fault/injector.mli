@@ -38,9 +38,10 @@ val create : engine:Engine.t -> rng:Rng.t -> ?trace:Trace.t -> unit -> t
 
 val arm : t -> target -> Plan.t list -> unit
 (** Install hooks and periodic loops for every plan.  May be called once
-    per injector; raises [Invalid_argument] on a second call, or when a
-    plan needs a target component ([kmod], [nic], [poison]) that is
-    [None].  Fault kinds recorded: ["ipi-drop"], ["ipi-delay"],
+    per injector; raises [Invalid_argument] on a second call, on an empty
+    [cores] list or a second IPI-loss plan (the machine has one fault
+    hook), each before anything is installed, or when a plan needs a
+    target component ([kmod], [nic], [poison]) that is [None].  Fault kinds recorded: ["ipi-drop"], ["ipi-delay"],
     ["core-steal"], ["poison"], ["pkt-drop"]. *)
 
 val arm_tenants : t -> broker:Skyloft_alloc.Broker.t -> Plan.t list -> unit

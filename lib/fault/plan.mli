@@ -4,7 +4,8 @@ module Time = Skyloft_sim.Time
 
     A plan is pure data — nothing happens until {!Injector.arm} schedules
     it against a target.  Plans compose: arm a list of them and each
-    contributes its fault class.  A machine-level plan is active for the
+    contributes its fault class, except that a list holds at most one
+    {!ipi_loss} plan (one machine fault hook decides each delivery).  A machine-level plan is active for the
     whole run; a tenant-level plan is active inside its {!window}.  All
     randomness is drawn from the injector's own split RNG, so a faulty run
     replays bit-for-bit from the same seed and a disabled injector makes

@@ -176,8 +176,8 @@ let send_ipi t ~src ~dst v =
   let target = core t dst in
   match fault_fate t ~core:dst v with
   | Drop -> ()
-  | Delay d -> ignore (Engine.after t.engine (latency + d) (delivery target v))
-  | Deliver -> ignore (Engine.after t.engine latency (delivery target v))
+  | Delay d -> Engine.after t.engine (latency + d) (delivery target v)
+  | Deliver -> Engine.after t.engine latency (delivery target v)
 
 let timer_set_periodic t ~core:i ~hz =
   if hz <= 0 then invalid_arg "Machine.timer_set_periodic: hz must be positive";
@@ -195,9 +195,8 @@ let timer_set_periodic t ~core:i ~hz =
         | Delay d ->
             (* Recheck the generation at fire time: a tick delayed past
                a re-arm must not deliver. *)
-            ignore
-              (Engine.after t.engine d (fun () ->
-                   if c.timer_gen = gen then raise_vector c Vectors.timer))
+            Engine.after t.engine d (fun () ->
+                if c.timer_gen = gen then raise_vector c Vectors.timer)
         | Deliver -> raise_vector c Vectors.timer);
         true
       end

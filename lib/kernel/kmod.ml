@@ -106,13 +106,12 @@ let steal_core t ~core ~duration =
   (match Hashtbl.find_opt t.steal_handlers core with
   | Some f -> f ~duration
   | None -> ());
-  ignore
-    (Engine.at engine until (fun () ->
-         (* Only the latest steal's expiry hands the core back. *)
-         if Hashtbl.find_opt t.stolen core = Some until then begin
-           Hashtbl.remove t.stolen core;
-           Machine.unmask_interrupts c
-         end))
+  Engine.at engine until (fun () ->
+      (* Only the latest steal's expiry hands the core back. *)
+      if Hashtbl.find_opt t.stolen core = Some until then begin
+        Hashtbl.remove t.stolen core;
+        Machine.unmask_interrupts c
+      end)
 
 let steals t = t.steals
 

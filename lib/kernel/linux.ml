@@ -1,7 +1,6 @@
 module Time = Skyloft_sim.Time
 module Coro = Skyloft_sim.Coro
 module Engine = Skyloft_sim.Engine
-module Eventq = Skyloft_sim.Eventq
 module Machine = Skyloft_hw.Machine
 module Costs = Skyloft_hw.Costs
 module Vectors = Skyloft_hw.Vectors
@@ -47,9 +46,8 @@ type cpu = {
   mutable curr : Kthread.t option;
   rq : Kthread.t Fair.t;  (* ready threads, by the policy sort key *)
   mutable last_update : Time.t;
-  mutable completion : Eventq.handle;  (* Eventq.null when no segment armed *)
-  mutable completion_fire : unit -> unit;
-      (* the cpu's one stable segment-end closure, re-armed per segment *)
+  completion : Engine.timer;
+      (* the cpu's one stable segment-end timer, armed per segment *)
 }
 
 type t = {
@@ -129,7 +127,7 @@ let rec process t cpu (kt : Kthread.t) =
   | Coro.Compute (d, k) ->
       kt.cont <- k;
       kt.segment_end <- now t + d;
-      cpu.completion <- Engine.at t.engine kt.segment_end cpu.completion_fire
+      Engine.arm cpu.completion ~at:kt.segment_end
   | Coro.Yield _ ->
       (* The continuation is evaluated when the thread is dispatched again,
          so its side effects happen at resume time. *)
@@ -170,7 +168,6 @@ and eevdf_dequeue t cpu (kt : Kthread.t) =
   | Cfs _ | Rr _ -> ()
 
 and on_complete t cpu (kt : Kthread.t) =
-  cpu.completion <- Eventq.null;
   update_curr t cpu;
   kt.body <- kt.cont ();
   process t cpu kt
@@ -205,7 +202,7 @@ and dispatch t cpu (kt : Kthread.t) ~switch_cost =
     | _ -> ()
   in
   if switch_cost = 0 then continue ()
-  else ignore (Engine.after t.engine switch_cost continue)
+  else Engine.after t.engine switch_cost continue
 
 and schedule t cpu ~prev =
   let next = match pop_next t cpu with Some _ as k -> k | None -> steal t cpu in
@@ -224,10 +221,9 @@ and schedule t cpu ~prev =
 
 let preempt_curr t cpu =
   match cpu.curr with
-  | Some kt when not (Eventq.is_null cpu.completion) ->
+  | Some kt when Engine.armed cpu.completion ->
       update_curr t cpu;
-      Engine.cancel t.engine cpu.completion;
-      cpu.completion <- Eventq.null;
+      Engine.disarm cpu.completion;
       let remaining = Int.max 0 (kt.segment_end - now t) in
       kt.body <- Coro.Compute (remaining, kt.cont);
       kt.state <- Kthread.Ready;
@@ -237,18 +233,17 @@ let preempt_curr t cpu =
   | _ -> ()
 
 (* Interrupt overhead pushes the running segment's completion back. *)
-let steal_time t cpu cost =
+let steal_time cpu cost =
   match cpu.curr with
-  | Some kt when not (Eventq.is_null cpu.completion) ->
+  | Some kt when Engine.armed cpu.completion ->
       kt.segment_end <- kt.segment_end + cost;
-      cpu.completion <-
-        Engine.reschedule t.engine cpu.completion kt.segment_end cpu.completion_fire
+      Engine.arm cpu.completion ~at:kt.segment_end
   | _ -> ()
 
 let tick_period t = Int.max 1 (1_000_000_000 / policy_hz t.policy)
 
 let on_tick t cpu =
-  steal_time t cpu Costs.kernel_tick_ns;
+  steal_time cpu Costs.kernel_tick_ns;
   update_curr t cpu;
   match cpu.curr with
   | None -> ()
@@ -283,8 +278,7 @@ let create machine policy ~cores =
              curr = None;
              rq = Fair.create ();
              last_update = 0;
-             completion = Eventq.null;
-             completion_fire = ignore;
+             completion = Engine.timer (Machine.engine machine) ignore;
            })
          cores)
   in
@@ -302,13 +296,12 @@ let create machine policy ~cores =
       next_tid = 1;
     }
   in
-  (* Each cpu's stable completion closure reads [curr] when it fires: a
-     completion is only armed for the running thread, and every path that
-     takes the thread off the cpu cancels it first. *)
+  (* Each cpu's completion reads [curr] when it fires: it is only armed
+     for the running thread, and every path that takes the thread off the
+     cpu disarms it first. *)
   Array.iter
     (fun c ->
-      c.completion_fire <-
-        (fun () ->
+      Engine.set_callback c.completion (fun () ->
           match c.curr with Some kt -> on_complete t c kt | None -> ()))
     cpus;
   Array.iter

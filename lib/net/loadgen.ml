@@ -67,7 +67,7 @@ let retrying engine ?(budget = 3) ?(backoff = Time.us 100) ~attempt give_up =
               (* the shift saturates well before it could overflow: past
                  2^20 the ceiling has long since taken over *)
               let wait = Int.min max_backoff (backoff * (1 lsl Int.min k 20)) in
-              ignore (Engine.after engine wait (fun () -> go (k + 1)))
+              Engine.after engine wait (fun () -> go (k + 1))
             else give_up ()
         end)
   in

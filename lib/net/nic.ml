@@ -88,7 +88,7 @@ and rx_steer t pkt =
   if Ring.push ring pkt then
     match t.mode with
     | Spin ->
-        ignore (Engine.after t.engine poll_cost (Array.unsafe_get t.poll_fns queue))
+        Engine.after t.engine poll_cost (Array.unsafe_get t.poll_fns queue)
     | Periodic _ -> ()
     | Msi { machine; cores } ->
         (* Interrupt coalescing: only an empty->nonempty transition posts an

@@ -8,7 +8,7 @@ type t = {
 }
 
 (* The [every]s that share a period and a next instant [due], held as one
-   heap entry keyed (due, seq of the first member still to run).  Members
+   pinned heap slot keyed (due, seq of the first member still to run).  Members
    are kept in seq order: a member takes its next-round seq right after
    its callback returns [true] — the moment its own timer would re-arm —
    and a newcomer takes the largest seq yet and appends.  Members
@@ -23,7 +23,7 @@ and cohort = {
   mutable n : int;
   mutable rd : int;
   mutable wr : int;
-  fire : unit -> unit;  (* the cohort's one stable heap payload *)
+  mutable slot : int;  (* its pinned slot, given back when no member is left *)
 }
 
 let create ?(seed = 42) () =
@@ -52,44 +52,37 @@ let after t delay f =
   if delay < 0 then invalid_arg "Engine.after: negative delay";
   at t (t.clock + delay) f
 
-let cancel t h = Eventq.cancel t.queue h
-
-let reschedule t h time f =
-  check_not_past t time;
-  Eventq.reschedule t.queue h ~at:time f
-
-(* A reusable timer event: one stable [fire] closure for the timer's whole
-   lifetime, re-armed in place, instead of a fresh closure per tick.  The
-   handle field is cleared before the callback runs so the callback can
-   re-arm immediately. *)
+(* A reusable timer event: its callback is the payload of one pinned heap
+   slot, taken at the first [arm] and held for the timer's life, so a
+   re-arm moves ints and stores no pointer.  Creating a timer touches no
+   queue.  A pop leaves the slot unqueued before the callback runs, so the
+   callback can re-arm immediately. *)
 type timer = {
   te : t;
-  mutable th : Eventq.handle;
+  mutable slot : int;  (* its pinned slot; -1 before the first arm *)
   mutable cb : unit -> unit;
-  fire : unit -> unit;
 }
 
-let timer t cb =
-  let rec tm =
-    { te = t; th = Eventq.null; cb; fire = (fun () -> tm.th <- Eventq.null; tm.cb ()) }
-  in
-  tm
+let timer t cb = { te = t; slot = -1; cb }
 
-let set_callback tm cb = tm.cb <- cb
-let armed tm = not (Eventq.is_null tm.th)
+let set_callback tm cb =
+  tm.cb <- cb;
+  if tm.slot >= 0 then Eventq.set_payload tm.te.queue tm.slot cb
 
-let disarm tm =
-  Eventq.cancel tm.te.queue tm.th;
-  tm.th <- Eventq.null
+let armed tm = tm.slot >= 0 && Eventq.queued tm.te.queue tm.slot
+let disarm tm = if tm.slot >= 0 then Eventq.unqueue tm.te.queue tm.slot
 
-let arm tm ~at:time = tm.th <- reschedule tm.te tm.th time tm.fire
+let arm tm ~at:time =
+  let t = tm.te in
+  check_not_past t time;
+  if tm.slot < 0 then tm.slot <- Eventq.pin t.queue tm.cb;
+  Eventq.move t.queue tm.slot ~at:time ~seq:(Eventq.reserve_seq t.queue)
 
 let stopped () = false
 
 (* Put the cohort back in the heap at the key of member [rd], the next to
    run. *)
-let requeue c =
-  ignore (Eventq.schedule_key c.eng.queue ~at:c.due ~seq:(Array.unsafe_get c.seqs c.rd) c.fire)
+let requeue c = Eventq.move c.eng.queue c.slot ~at:c.due ~seq:(Array.unsafe_get c.seqs c.rd)
 
 (* One round of a cohort, from member [rd] on; the engine already counted
    the member its pop runs ([~first]).  Before each later member the
@@ -122,7 +115,8 @@ let rec run_round c ~first =
       in
       if keep then begin
         let w = c.wr in
-        Array.unsafe_set c.cbs w cb;
+        (* a survivor moves down only past a member that stopped *)
+        if w <> i then Array.unsafe_set c.cbs w cb;
         Array.unsafe_set c.seqs w (Eventq.reserve_seq e.queue);
         c.wr <- w + 1
       end;
@@ -131,7 +125,8 @@ let rec run_round c ~first =
   end
 
 (* Members that returned [false] are gone; the survivors' first seq keys
-   the next round. *)
+   the next round.  A cohort with none left gives its slot back: a
+   watchdog rescue's [Kmod.timer_set_hz] starts a new [every] each time. *)
 and end_round c =
   let w = c.wr in
   Array.fill c.cbs w (c.n - w) stopped;
@@ -139,7 +134,7 @@ and end_round c =
   c.rd <- 0;
   c.wr <- 0;
   c.due <- c.due + c.period;
-  if w > 0 then requeue c
+  if w > 0 then requeue c else Eventq.unpin c.eng.queue c.slot
 
 let join c f seq =
   let n = c.n in
@@ -160,7 +155,7 @@ let every t ~period f =
   match List.find_opt (fun c -> c.rd = 0 && c.period = period && c.due = first) t.cohorts with
   | Some c -> join c f seq
   | None ->
-      let rec c =
+      let c =
         {
           eng = t;
           period;
@@ -170,9 +165,10 @@ let every t ~period f =
           n = 1;
           rd = 0;
           wr = 0;
-          fire = (fun () -> run_round c ~first:true);
+          slot = -1;
         }
       in
+      c.slot <- Eventq.pin t.queue (fun () -> run_round c ~first:true);
       t.cohorts <- c :: t.cohorts;
       requeue c
 

@@ -21,54 +21,51 @@ val now : t -> Time.t
 val split_rng : t -> Rng.t
 (** A fresh independent stream for one simulation component. *)
 
-val at : t -> Time.t -> (unit -> unit) -> Eventq.handle
+val at : t -> Time.t -> (unit -> unit) -> unit
 (** [at t time f] schedules [f] to run at absolute virtual [time], which must
-    not be in the past. *)
+    not be in the past.  The event cannot be cancelled: an event that may
+    be called off is a {!timer}. *)
 
-val after : t -> Time.t -> (unit -> unit) -> Eventq.handle
+val after : t -> Time.t -> (unit -> unit) -> unit
 (** [after t delay f] schedules [f] to run [delay] ns from now. *)
-
-val cancel : t -> Eventq.handle -> unit
-(** Cancel a scheduled event; stale or [Eventq.null] handles are no-ops. *)
-
-val reschedule : t -> Eventq.handle -> Time.t -> (unit -> unit) -> Eventq.handle
-(** [reschedule t h time f] is [cancel t h] then [at t time f] — the same
-    event order, the old handle stale — done in place with one sift when
-    [h] is live ({!Eventq.reschedule}). *)
 
 (** {2 Reusable timer events}
 
-    A [timer] owns one stable closure for its whole lifetime and is
-    re-armed in place, so self-re-arming periodic work — timer ticks, NIC
-    polls, arrival streams, watchdogs — costs zero allocations per tick
-    instead of a closure plus handle each. *)
+    A [timer] owns one stable closure and, from its first [arm], one
+    pinned heap slot for its whole lifetime, and is re-armed in place, so
+    self-re-arming work — timer ticks, NIC polls, arrival streams, segment
+    completions — costs no allocation and no pointer store per firing.
+    Every event that may be cancelled or moved is a timer. *)
 
 type timer
 
 val timer : t -> (unit -> unit) -> timer
-(** A disarmed timer running the given callback when it fires.  The
-    timer's pending-event handle is cleared before the callback runs, so
-    the callback may [arm] it again immediately (self-re-arm). *)
+(** A disarmed timer running the given callback when it fires.  It touches
+    no queue until its first [arm].  The timer is disarmed before the
+    callback runs, so the callback may [arm] it again immediately
+    (self-re-arm). *)
 
 val set_callback : timer -> (unit -> unit) -> unit
 (** Replace the timer's callback (takes effect from the next firing). *)
 
 val arm : timer -> at:Time.t -> unit
-(** Schedule the timer's next firing at an absolute time, superseding any
-    firing already pending (moved in place, as by [reschedule]). *)
+(** Schedule the timer's next firing at an absolute time, which must not be
+    in the past, superseding any firing already pending: the timer takes
+    the key a disarm plus a fresh insert would give it, moved in place. *)
 
 val disarm : timer -> unit
-(** Cancel the pending firing, if any. *)
+(** Cancel the pending firing, if any; a no-op on a disarmed timer. *)
 
 val armed : timer -> bool
+(** A firing is pending: armed, and neither fired nor disarmed since. *)
 
 val every : t -> period:Time.t -> (unit -> bool) -> unit
 (** [every t ~period f] runs [f] each [period] ns (first at [now +
     period]) until [f] returns [false].  [every]s that
-    share a period and a next firing instant share one heap entry (a
-    cohort), so a tick instant of many per-core timers costs one pop,
+    share a period and a next firing instant share one pinned heap slot
+    (a cohort), so a tick instant of many per-core timers costs one pop,
     not one per core.  A new [every] joins a cohort only between its
-    rounds. *)
+    rounds; a cohort whose members have all stopped gives its slot back. *)
 
 val run : ?until:Time.t -> ?max_events:int -> t -> unit
 (** Drain the event queue.  Stops when the queue is empty, when the next

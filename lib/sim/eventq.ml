@@ -2,37 +2,33 @@
    preallocated [int array] with three machine words per node — time,
    sequence number, slot index — so sifting moves unboxed ints with no write
    barrier (a store into a statically typed [int array] has none, and each
-   access is one load, where a Bigarray needs two).  Payloads and per-event
-   bookkeeping (generation, heap position) live in a parallel slab addressed
-   by slot index and recycled through a free stack, so
-   [schedule]/[cancel]/[pop_exn] allocate nothing in steady state.  The
-   slot -> heap-position word makes removal eager: [cancel] takes its node
-   out of the heap at once, so the heap never holds a cancelled entry.
+   access is one load, where a Bigarray needs two).  Payloads and heap
+   positions live in a parallel slab addressed by slot index, recycled
+   through a free stack, so nothing here allocates in steady state.
 
-   A handle is an int packing (generation lsl slot_bits) lor slot.  The
-   slot's generation is bumped when the event leaves the heap, so a stale
-   handle — one whose event already fired or was cancelled — fails the
-   generation check and [cancel] is a no-op, preserving the old boxed
-   handles' cancel-after-fire semantics without keeping them alive. *)
+   A slot is one-shot or pinned.  A one-shot slot carries one [schedule]d
+   event: it leaves the free stack at the insert and returns at the pop.  A
+   pinned slot ([pin]) belongs to one owner, an engine timer or cohort, for
+   the owner's life: its payload is written once, [move]/[unqueue]
+   reposition it with int stores only, and a pop leaves it allocated and
+   unqueued (position -1).
 
-type handle = int
-
-let null : handle = -1
-let is_null (h : handle) = h < 0
-
-(* 2^25 events in flight before slot indices run out (schedule raises past
-   that); the remaining bits hold the generation, masked on wraparound. *)
-let slot_bits = 25
-let slot_mask = (1 lsl slot_bits) - 1
-let gen_mask = (1 lsl (Sys.int_size - 1 - slot_bits)) - 1
+   Deferred root removal: [pop_exn] leaves its node at the root as a hole
+   whose time word is -1.  The next insert takes the hole and sifts down
+   from the root, one short sift for a near-future key, where filling the
+   hole at the pop and inserting at the bottom would sift twice.  Every read
+   of the root first fills the hole with the last node ([settle]), as an
+   eager pop would have.  Work below the root needs no fill: times are
+   non-negative, so the hole's key sorts before every live key and a sift
+   up stops under it. *)
 
 type 'a t = {
   mutable heap : int array;  (* stride 3 per node: time, seq, slot *)
-  mutable len : int;  (* heap nodes; each owns exactly one slot *)
+  mutable len : int;  (* heap nodes, the hole included *)
   mutable next_seq : int;
   (* slot slab, all of capacity [cap]: *)
-  mutable gens : int array;  (* slot -> current generation *)
-  mutable pos : int array;  (* slot -> index of its node in [heap], while heaped *)
+  mutable pos : int array;  (* slot -> index of its node in [heap]; -1 unqueued *)
+  mutable pinned : int array;  (* slot -> 1 while an owner holds it, else 0 *)
   mutable payloads : Obj.t array;
   mutable free : int array;  (* stack of free slot indices *)
   mutable free_top : int;
@@ -41,6 +37,7 @@ type 'a t = {
 }
 
 let unit_obj = Obj.repr ()
+let hole_time = -1
 
 (* Annotated at [int array] so the compiler emits a plain load and a
    barrier-free store: at an unknown element type it would test for a
@@ -58,8 +55,8 @@ let create () =
     heap = Array.make (3 * cap) 0;
     len = 0;
     next_seq = 0;
-    gens = Array.make cap 0;
-    pos = Array.make cap 0;
+    pos = Array.make cap (-1);
+    pinned = Array.make cap 0;
     payloads = Array.make cap unit_obj;
     free;
     free_top = cap;
@@ -67,25 +64,25 @@ let create () =
     last_time = -1;
   }
 
+(* Only runs when every slot is taken, so the free stack is empty: refill it
+   with just the new slots, descending for ascending hand-out.  The heap
+   never holds more nodes than there are slots (a hole's slot was freed or
+   unqueued by its pop), so it grows with them. *)
 let grow t =
   let cap = t.cap in
-  if cap > slot_mask lsr 1 then
-    invalid_arg "Eventq.schedule: too many events in flight";
   let new_cap = cap * 2 in
   let heap = Array.make (3 * new_cap) 0 in
   Array.blit t.heap 0 heap 0 (3 * t.len);
-  let gens = Array.make new_cap 0 and pos = Array.make new_cap 0 in
-  Array.blit t.gens 0 gens 0 cap;
+  let pos = Array.make new_cap (-1) and pinned = Array.make new_cap 0 in
   Array.blit t.pos 0 pos 0 cap;
+  Array.blit t.pinned 0 pinned 0 cap;
   let payloads = Array.make new_cap unit_obj in
   Array.blit t.payloads 0 payloads 0 cap;
-  (* grow only runs when every slot is live, so the free stack is empty:
-     refill it with just the new slots, descending for ascending hand-out *)
   let free = Array.make new_cap 0 in
   for i = 0 to new_cap - cap - 1 do bset free i (new_cap - 1 - i) done;
   t.heap <- heap;
-  t.gens <- gens;
   t.pos <- pos;
+  t.pinned <- pinned;
   t.payloads <- payloads;
   t.free <- free;
   t.free_top <- new_cap - cap;
@@ -142,106 +139,141 @@ let rec sift_down t i ~at ~seq slot =
       sift_down t c ~at ~seq slot
     end
 
+let[@inline] has_hole t = t.len > 0 && bget t.heap 0 = hole_time
+
+(* Put key (at, seq) into index [i] and sift it whichever way restores the
+   order: up only when it beats its new parent. *)
+let[@inline] resift t i ~at ~seq slot =
+  if i > 0 && key_lt t ~at ~seq ((i - 1) / 2) then sift_up t i ~at ~seq slot
+  else sift_down t i ~at ~seq slot
+
+(* Remove node [i]: the last node takes its place. *)
+let remove_at t i =
+  let last = t.len - 1 in
+  t.len <- last;
+  if i < last then begin
+    let b = 3 * last in
+    resift t i ~at:(bget t.heap b) ~seq:(bget t.heap (b + 1)) (bget t.heap (b + 2))
+  end
+
+(* Fill a pending hole, as the pop that left it would have. *)
+let[@inline] settle t = if has_hole t then remove_at t 0
+
+(* Queue [slot] at (at, seq): into the hole if there is one, else at the
+   bottom. *)
+let insert t ~at ~seq slot =
+  if has_hole t then sift_down t 0 ~at ~seq slot
+  else begin
+    let i = t.len in
+    t.len <- i + 1;
+    sift_up t i ~at ~seq slot
+  end
+
 let reserve_seq t =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   seq
 
-let schedule_key t ~at ~seq payload =
-  if at < 0 then invalid_arg "Eventq.schedule: negative time";
+let take_slot t payload =
   if t.free_top = 0 then grow t;
   t.free_top <- t.free_top - 1;
   let slot = bget t.free t.free_top in
   Array.unsafe_set t.payloads slot (Obj.repr payload);
-  let i = t.len in
-  t.len <- i + 1;
-  sift_up t i ~at ~seq slot;
-  (bget t.gens slot lsl slot_bits) lor slot
+  slot
 
-let schedule t ~at payload = schedule_key t ~at ~seq:(reserve_seq t) payload
-
-(* A handle is valid while its slot's generation matches; anything else —
-   negative, out of range, stale — refers to an event that already left the
-   heap and must be ignored. *)
-let live_slot t (h : handle) =
-  if h < 0 then -1
-  else
-    let slot = h land slot_mask in
-    if slot < t.cap && bget t.gens slot = h asr slot_bits then slot else -1
-
-(* Release a removed node's slot: bump the generation so outstanding
-   handles go stale, drop the payload reference, recycle the index. *)
-let[@inline] free_slot t slot =
-  bset t.gens slot ((bget t.gens slot + 1) land gen_mask);
+(* Drop the payload reference, so a fired one-shot closure is not kept
+   alive (or promoted) through the slab, and recycle the index. *)
+let free_slot t slot =
   Array.unsafe_set t.payloads slot unit_obj;
   bset t.free t.free_top slot;
   t.free_top <- t.free_top + 1
 
-(* Remove node [i]: the last node takes its place and sifts whichever way
-   restores the order (up only when it beats its new parent), then the
-   removed node's slot is freed. *)
-let remove_at t i =
-  let slot = bget t.heap ((3 * i) + 2) in
-  let last = t.len - 1 in
-  t.len <- last;
-  if i < last then begin
-    let b = 3 * last in
-    let at = bget t.heap b and seq = bget t.heap (b + 1) and moved = bget t.heap (b + 2) in
-    if i > 0 && key_lt t ~at ~seq ((i - 1) / 2) then sift_up t i ~at ~seq moved
-    else sift_down t i ~at ~seq moved
-  end;
-  free_slot t slot
+let check_time at = if at < 0 then invalid_arg "Eventq.schedule: negative time"
 
-let cancel t (h : handle) =
-  let slot = live_slot t h in
-  if slot >= 0 then remove_at t (bget t.pos slot)
+let schedule t ~at payload =
+  check_time at;
+  insert t ~at ~seq:(reserve_seq t) (take_slot t payload)
 
-(* Cancel-then-schedule in one sift: the live node takes the key the
-   insert would have got, (at, next seq), keeps its slot, and its handle
-   moves to the slot's next generation as a cancel would make it. *)
-let reschedule t (h : handle) ~at payload =
-  let slot = live_slot t h in
-  if slot < 0 then schedule t ~at payload
-  else begin
-    if at < 0 then invalid_arg "Eventq.schedule: negative time";
-    Array.unsafe_set t.payloads slot (Obj.repr payload);
-    let gen = (bget t.gens slot + 1) land gen_mask in
-    bset t.gens slot gen;
-    let seq = reserve_seq t in
-    let i = bget t.pos slot in
-    if i > 0 && key_lt t ~at ~seq ((i - 1) / 2) then sift_up t i ~at ~seq slot
-    else sift_down t i ~at ~seq slot;
-    (gen lsl slot_bits) lor slot
+let pin t payload =
+  let slot = take_slot t payload in
+  bset t.pinned slot 1;
+  bset t.pos slot (-1);
+  slot
+
+let set_payload t slot payload = Array.unsafe_set t.payloads slot (Obj.repr payload)
+let queued t slot = bget t.pos slot >= 0
+
+let move t slot ~at ~seq =
+  check_time at;
+  let i = bget t.pos slot in
+  if i < 0 then insert t ~at ~seq slot else resift t i ~at ~seq slot
+
+let unqueue t slot =
+  let i = bget t.pos slot in
+  if i >= 0 then begin
+    bset t.pos slot (-1);
+    remove_at t i
   end
+
+let unpin t slot =
+  unqueue t slot;
+  bset t.pinned slot 0;
+  free_slot t slot
 
 exception Empty
 
 (* Zero-allocation pop for the engine's hot loop: the payload comes back
-   bare and the event's timestamp is left in [last_time]. *)
+   bare, the event's timestamp is left in [last_time], and the root stays
+   behind as the hole. *)
 let pop_exn t =
+  settle t;
   if t.len = 0 then raise Empty;
-  let time = bget t.heap 0 in
-  let payload = Array.unsafe_get t.payloads (bget t.heap 2) in
-  remove_at t 0;
-  t.last_time <- time;
+  let slot = bget t.heap 2 in
+  let payload = Array.unsafe_get t.payloads slot in
+  t.last_time <- bget t.heap 0;
+  bset t.heap 0 hole_time;
+  if bget t.pinned slot = 0 then free_slot t slot else bset t.pos slot (-1);
   Obj.obj payload
 
 let last_time t = t.last_time
-let next_time t = if t.len = 0 then -1 else bget t.heap 0
+
+let next_time t =
+  settle t;
+  if t.len = 0 then -1 else bget t.heap 0
 
 let precedes t ~at ~seq =
+  settle t;
   t.len > 0
   && (let t0 = bget t.heap 0 in
       t0 < at || (t0 = at && bget t.heap 1 < seq))
 
-let size t = t.len
-let is_empty t = t.len = 0
+let size t =
+  settle t;
+  t.len
 
+let is_empty t = size t = 0
+
+(* Every slot is exactly one of: free, queued (one heap node), or pinned
+   and unqueued. *)
 let check_invariants t =
+  settle t;
   if t.len < 0 || t.len > t.cap then failwith "Eventq: len out of range";
-  if t.free_top <> t.cap - t.len then failwith "Eventq: slot/heap leak";
+  let state = Array.make t.cap 0 in
   for i = 0 to t.len - 1 do
-    if bget t.pos (bget t.heap ((3 * i) + 2)) <> i then
-      failwith "Eventq: slot position drifted";
+    let slot = bget t.heap ((3 * i) + 2) in
+    if bget t.heap (3 * i) < 0 then failwith "Eventq: hole survived a root read";
+    if bget t.pos slot <> i then failwith "Eventq: slot position drifted";
+    if state.(slot) <> 0 then failwith "Eventq: slot queued twice";
+    state.(slot) <- 1;
     if i > 0 && node_lt t i ((i - 1) / 2) then failwith "Eventq: heap order"
+  done;
+  for k = 0 to t.free_top - 1 do
+    let slot = bget t.free k in
+    if state.(slot) <> 0 then failwith "Eventq: free slot in use";
+    if bget t.pinned slot <> 0 then failwith "Eventq: free slot still pinned";
+    state.(slot) <- 2
+  done;
+  for slot = 0 to t.cap - 1 do
+    if state.(slot) = 0 && (bget t.pinned slot = 0 || bget t.pos slot <> -1) then
+      failwith "Eventq: slot leaked"
   done

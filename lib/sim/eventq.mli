@@ -2,60 +2,61 @@
 
     A structure-of-arrays indexed binary min-heap keyed by (time, sequence
     number): time, sequence and slot index live as unboxed machine words in
-    a preallocated [int array], payloads and handle state (generation,
-    heap position) in a parallel generation-counted free-list slab.
-    [schedule], [cancel] and [pop_exn] allocate nothing in steady state.
-    The sequence number guarantees that events scheduled for the same
-    instant fire in insertion order, which keeps simulations deterministic.
-    Events can be cancelled in O(log n) through the handle returned at
-    insertion; a cancelled event leaves the heap at once, so the heap never
-    holds a cancelled entry. *)
+    a preallocated [int array], payloads and heap positions in a parallel
+    slab of slots.  Nothing allocates in steady state.  The sequence number
+    guarantees that events scheduled for the same instant fire in insertion
+    order, which keeps simulations deterministic.
+
+    Events are one-shot ([schedule]: fire once, never cancelled) or live in
+    a pinned slot ([pin]): a slot held for its owner's life with its payload
+    written once, queued, repositioned and unqueued in O(log n) by int
+    stores only.  A pop removes its event lazily: the root stays behind as
+    a hole that the next insert fills with one sift from the root, and any
+    read of the root fills it first.  No operation's result depends on
+    whether a hole is pending. *)
 
 type 'a t
 
-type handle = private int
-(** Token for a scheduled event; allows cancellation.  An int packing the
-    event's slot index and the slot's generation: once the event fires or
-    is cancelled, the generation moves on and the handle goes stale —
-    stale handles are ignored everywhere. *)
-
-val null : handle
-(** A handle that never refers to any event; [cancel] on it is a no-op.
-    Lets callers keep a bare [handle] field instead of [handle option]. *)
-
-val is_null : handle -> bool
-
 val create : unit -> 'a t
 
-val schedule : 'a t -> at:Time.t -> 'a -> handle
-(** Insert an event to fire at absolute time [at]. *)
+val schedule : 'a t -> at:Time.t -> 'a -> unit
+(** Insert a one-shot event to fire at absolute time [at].
+    @raise Invalid_argument when [at] is negative. *)
 
 val reserve_seq : 'a t -> int
-(** Take the next sequence number, as the next [schedule] would, without
-    inserting anything.  Lets a caller hold its FIFO place at an instant
-    and insert later with [schedule_key]. *)
+(** Take the next sequence number, as the next [schedule] would.  The key
+    [(at, seq)] of a [move] must take its [seq] from here. *)
 
-val schedule_key : 'a t -> at:Time.t -> seq:int -> 'a -> handle
-(** Insert an event at the explicit key [(at, seq)]; [seq] must come from
-    [reserve_seq] and be used by at most one event in the queue. *)
+val pin : 'a t -> 'a -> int
+(** Take a slot for good, holding [payload]: the slot starts unqueued and
+    stays allocated, across pops, until [unpin]. *)
 
-val reschedule : 'a t -> handle -> at:Time.t -> 'a -> handle
-(** [cancel] then [schedule] in one sift: a live event moves to the key
-    [(at, next seq)] that the insert would have given it, with the new
-    payload, and comes back under a fresh handle (the old one goes stale,
-    as after a cancel).  A stale or [null] handle falls back to
-    [schedule].  Event order is exactly that of cancel-then-schedule. *)
+val set_payload : 'a t -> int -> 'a -> unit
+(** Replace a pinned slot's payload (from its next firing). *)
 
-val cancel : 'a t -> handle -> unit
-(** Remove a scheduled event from the queue in O(log n).  Cancelling twice,
-    cancelling [null], or cancelling an event that already fired (stale
-    generation), is a no-op. *)
+val move : 'a t -> int -> at:Time.t -> seq:int -> unit
+(** Queue a pinned slot at the key [(at, seq)], or move it there if it is
+    queued already: its old firing is superseded, exactly as if it had
+    been removed and inserted.  [seq] must come from [reserve_seq] and be
+    used by at most one event in the queue.
+    @raise Invalid_argument when [at] is negative. *)
+
+val unqueue : 'a t -> int -> unit
+(** Take a pinned slot out of the heap; a no-op when it is not queued. *)
+
+val queued : 'a t -> int -> bool
+(** Whether a pinned slot is in the heap (moved and not yet popped or
+    unqueued). *)
+
+val unpin : 'a t -> int -> unit
+(** Unqueue a pinned slot and give it back to the free stack. *)
 
 exception Empty
 
 val pop_exn : 'a t -> 'a
 (** Remove the earliest event and return its payload bare, recording the
-    event's timestamp, readable via [last_time].  Allocation-free.
+    event's timestamp, readable via [last_time].  A one-shot event's slot
+    is freed; a pinned slot becomes unqueued.  Allocation-free.
     @raise Empty when the queue is empty. *)
 
 val last_time : 'a t -> Time.t
@@ -64,20 +65,21 @@ val last_time : 'a t -> Time.t
 
 val next_time : 'a t -> Time.t
 (** Time of the earliest event without removing it, or -1 when the queue
-    is empty.  O(1), allocation-free. *)
+    is empty.  Allocation-free. *)
 
 val precedes : 'a t -> at:Time.t -> seq:int -> bool
 (** The earliest event sorts strictly before the key [(at, seq)]; [false]
-    on an empty queue.  O(1), allocation-free. *)
+    on an empty queue.  Allocation-free. *)
 
 val size : 'a t -> int
-(** Number of scheduled events (not yet fired or cancelled).  O(1). *)
+(** Number of queued events (one-shots not yet fired, pinned slots
+    queued). *)
 
 val is_empty : 'a t -> bool
-(** O(1). *)
 
 val check_invariants : 'a t -> unit
-(** Test hook: verify the heap order, the slot/heap conservation law
-    (every heap node owns exactly one slab slot), and that every node's
-    slot records the node's heap position.  Raises [Failure] on drift.
-    O(n). *)
+(** Test hook: fill any pending hole (a root read), then verify the heap
+    order, that no hole key is left in the heap, that every node's slot
+    records the node's heap position, and the slot conservation law:
+    every slot is exactly one of free, queued (one node), or pinned and
+    unqueued.  Raises [Failure] on drift.  O(n). *)

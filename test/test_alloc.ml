@@ -222,8 +222,8 @@ let test_periodic_loop_and_series () =
     ~bounds:{ Allocator.guaranteed = 0; burstable = 8 }
     ~initial:8 be;
   Allocator.start alloc;
-  ignore (Engine.at engine (Time.us 12) (fun () -> lc.runq <- 4));
-  ignore (Engine.at engine (Time.us 32) (fun () -> lc.runq <- 0));
+  Engine.at engine (Time.us 12) (fun () -> lc.runq <- 4);
+  Engine.at engine (Time.us 32) (fun () -> lc.runq <- 0);
   Engine.run ~until:(Time.us 100) engine;
   check Alcotest.bool "ticked every interval" true (Allocator.ticks alloc >= 19);
   (* runq stays at 4 until 32us, so the static policy keeps stealing: the

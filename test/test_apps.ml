@@ -52,7 +52,7 @@ let test_runner_of_percpu () =
   let runner = Runner.of_runtime rt app in
   let woke = ref false in
   let h = runner.spawn ~name:"s" (Coro.Block (fun () -> woke := true; Coro.Exit)) in
-  ignore (Engine.at engine (Time.us 10) (fun () -> runner.wakeup h));
+  Engine.at engine (Time.us 10) (fun () -> runner.wakeup h);
   Engine.run ~until:(Time.ms 1) engine;
   check Alcotest.bool "percpu runner woke" true !woke;
   check Alcotest.int "wakeup recorded" 1 (Histogram.count (runner.wakeup_hist ()))

@@ -60,12 +60,11 @@ let test_shenango_parks_and_resumes () =
   Engine.run ~until:(Time.ms 1) engine;
   (* after >5us idle the cores park; the next task pays the resume cost *)
   let second_done = ref 0 in
-  ignore
-    (Engine.at engine (Time.ms 1) (fun () ->
-         ignore
-           (Rc.spawn rt app ~name:"t2"
-              (Coro.Compute
-                 (Time.us 10, fun () -> second_done := Engine.now engine; Coro.Exit)))));
+  Engine.at engine (Time.ms 1) (fun () ->
+      ignore
+        (Rc.spawn rt app ~name:"t2"
+           (Coro.Compute
+              (Time.us 10, fun () -> second_done := Engine.now engine; Coro.Exit))));
   Engine.run ~until:(Time.ms 2) engine;
   let first_latency = !first_done and second_latency = !second_done - Time.ms 1 in
   (* The first dispatch pays the one-off application switch (1,905 ns); the
@@ -98,11 +97,10 @@ let test_shenango_parks_after_grace () =
     let rt = make machine kmod in
     let app = Rc.create_app (Percpu.runtime rt) ~name:"a" in
     for i = 0 to 2 do
-      ignore
-        (Engine.at engine (Time.us i) (fun () ->
-             Rc.kill (Percpu.runtime rt)
-               (Rc.spawn (Percpu.runtime rt) app ~name:"doomed" ~cpu:0
-                  (Coro.compute_then_exit (Time.us 1)))))
+      Engine.at engine (Time.us i) (fun () ->
+          Rc.kill (Percpu.runtime rt)
+            (Rc.spawn (Percpu.runtime rt) app ~name:"doomed" ~cpu:0
+               (Coro.compute_then_exit (Time.us 1))))
     done;
     Engine.run ~until:(Time.us 4) engine;
     let early = Percpu.parks rt in
@@ -126,11 +124,10 @@ let test_shenango_parks_after_grace () =
   let rt = Shenango.make machine kmod ~cores:[ 0; 1 ] in
   let app = Rc.create_app (Percpu.runtime rt) ~name:"a" in
   let spawn ~at ~service finished =
-    ignore
-      (Engine.at engine at (fun () ->
-           ignore
-             (Rc.spawn (Percpu.runtime rt) app ~name:"t" ~cpu:0
-                (Coro.Compute (service, fun () -> finished := Engine.now engine; Coro.Exit)))))
+    Engine.at engine at (fun () ->
+        ignore
+          (Rc.spawn (Percpu.runtime rt) app ~name:"t" ~cpu:0
+             (Coro.Compute (service, fun () -> finished := Engine.now engine; Coro.Exit))))
   in
   let local = ref 0 and stolen = ref 0 in
   spawn ~at:0 ~service:(Time.us 100) local;

@@ -578,12 +578,11 @@ let test_percpu_uipi_preemption () =
   ignore (Rc.spawn rt app ~name:"waiting" ~cpu:0 (Coro.compute_then_exit (Time.us 10)));
   (* preemption disabled -> no timer; send an explicit user IPI at 100us *)
   let machine = rt.Rc.machine in
-  ignore
-    (Engine.at engine (Time.us 100) (fun () ->
-         match Machine.uintr_installed machine ~core:0 with
-         | Some ctx ->
-             Machine.senduipi machine ~src_core:1 ctx ~uvec:Skyloft_hw.Vectors.uvec_preempt
-         | None -> Alcotest.fail "no context on core 0"));
+  Engine.at engine (Time.us 100) (fun () ->
+      match Machine.uintr_installed machine ~core:0 with
+      | Some ctx ->
+          Machine.senduipi machine ~src_core:1 ctx ~uvec:Skyloft_hw.Vectors.uvec_preempt
+      | None -> Alcotest.fail "no context on core 0");
   Engine.run ~until:(Time.ms 3) engine;
   check Alcotest.bool "IPI preempted the long task" true (Rc.preemptions rt >= 1)
 
@@ -611,11 +610,10 @@ let test_percpu_be_colocation () =
   (* loaded phase: 15us of LC work every 10us (75% of 2 cores) *)
   let done_ = ref 0 in
   for i = 0 to 999 do
-    ignore
-      (Engine.at engine (Time.ms 2 + (i * Time.us 10)) (fun () ->
-           ignore
-             (Rc.spawn rt lc ~name:"req" ~service:(Time.us 15)
-                (Coro.Compute (Time.us 15, fun () -> incr done_; Coro.Exit)))))
+    Engine.at engine (Time.ms 2 + (i * Time.us 10)) (fun () ->
+        ignore
+          (Rc.spawn rt lc ~name:"req" ~service:(Time.us 15)
+             (Coro.Compute (Time.us 15, fun () -> incr done_; Coro.Exit))))
   done;
   Engine.run ~until:(Time.ms 16) engine;
   check Alcotest.int "all LC served despite BE" 1000 !done_;
@@ -641,11 +639,10 @@ let test_percpu_be_guaranteed_cores () =
   Rc.attach_be_app rt ~alloc:alloc_cfg be ~chunk:(Time.us 20) ~workers:2;
   (* oversubscribe: 30us of LC work every 10us *)
   for i = 0 to 999 do
-    ignore
-      (Engine.at engine (i * Time.us 10) (fun () ->
-           ignore
-             (Rc.spawn rt lc ~name:"req" ~service:(Time.us 30)
-                (Coro.compute_then_exit (Time.us 30)))))
+    Engine.at engine (i * Time.us 10) (fun () ->
+        ignore
+          (Rc.spawn rt lc ~name:"req" ~service:(Time.us 30)
+             (Coro.compute_then_exit (Time.us 30))))
   done;
   Engine.run ~until:(Time.ms 10) engine;
   let total = 2 * Time.ms 10 in
@@ -771,12 +768,11 @@ let test_centralized_be_reclaimed_under_load () =
   (* Heavy LC load: 15us of work every 10us = 75% of the 2 workers *)
   let rec gen i =
     if i < 2000 then
-      ignore
-        (Engine.at engine (i * Time.us 10) (fun () ->
-             ignore
-               (Rc.spawn rt lc ~name:"req" ~service:(Time.us 15)
-                  (Coro.compute_then_exit (Time.us 15)));
-             gen (i + 1)))
+      Engine.at engine (i * Time.us 10) (fun () ->
+          ignore
+            (Rc.spawn rt lc ~name:"req" ~service:(Time.us 15)
+               (Coro.compute_then_exit (Time.us 15)));
+          gen (i + 1))
   in
   gen 0;
   (* arrivals span 20ms; leave drain time before measuring *)
@@ -955,7 +951,7 @@ let test_block_wakeup_latency () =
       let sleeper =
         Rc.spawn rt app ~name:"sleeper" (Coro.Block (fun () -> woke := true; Coro.Exit))
       in
-      ignore (Engine.at engine (Time.us 100) (fun () -> Rc.wakeup rt sleeper));
+      Engine.at engine (Time.us 100) (fun () -> Rc.wakeup rt sleeper);
       Engine.run ~until:(Time.ms 1) engine;
       check Alcotest.bool (name ^ ": woken") true !woke;
       let h = Rc.wakeup_hist rt in
@@ -975,11 +971,10 @@ let test_be_preemptions_counted_apart () =
       let be = Rc.create_app rt ~name:"batch" in
       Rc.attach_be_app rt be ~chunk:(Time.us 100) ~workers:2;
       let shed = ref 0 in
-      ignore
-        (Engine.at engine (Time.ms 1 + Time.us 50) (fun () ->
-             let before = Rc.be_preemptions rt in
-             Rc.set_be_allowance rt 0;
-             shed := Rc.be_preemptions rt - before));
+      Engine.at engine (Time.ms 1 + Time.us 50) (fun () ->
+          let before = Rc.be_preemptions rt in
+          Rc.set_be_allowance rt 0;
+          shed := Rc.be_preemptions rt - before);
       Engine.run ~until:(Time.ms 2) engine;
       check Alcotest.int (name ^ ": both BE cores preempted") 2 !shed;
       check Alcotest.int (name ^ ": no LC preemption counted") 0 (Rc.preemptions rt))

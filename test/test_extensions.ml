@@ -99,10 +99,9 @@ let test_fault_current_blocks_and_resumes () =
     (Rc.spawn rt app ~name:"other"
        (Coro.Compute (Time.us 50, fun () -> other_done := Engine.now engine; Coro.Exit)));
   (* fault the running task at t=10us for 200us *)
-  ignore
-    (Engine.at engine (Time.us 10) (fun () ->
-         check Alcotest.bool "fault accepted" true
-           (Rc.fault_current rt ~core:0 ~duration:(Time.us 200))));
+  Engine.at engine (Time.us 10) (fun () ->
+      check Alcotest.bool "fault accepted" true
+        (Rc.fault_current rt ~core:0 ~duration:(Time.us 200)));
   Engine.run ~until:(Time.ms 2) engine;
   (* the other task ran during the fault window *)
   check Alcotest.bool "other finished during the fault" true
@@ -142,13 +141,11 @@ let test_fault_last_runnable_task () =
     (Rc.spawn (Percpu.runtime rt) app ~name:"only"
        (Coro.Compute (Time.us 100, fun () -> done_at := Engine.now engine; Coro.Exit)));
   let idle_during_fault = ref false in
-  ignore
-    (Engine.at engine (Time.us 10) (fun () ->
-         check Alcotest.bool "fault accepted" true
-           (Rc.fault_current (Percpu.runtime rt) ~core:0 ~duration:(Time.us 300))));
-  ignore
-    (Engine.at engine (Time.us 150) (fun () ->
-         idle_during_fault := Percpu.is_idle rt ~core:0));
+  Engine.at engine (Time.us 10) (fun () ->
+      check Alcotest.bool "fault accepted" true
+        (Rc.fault_current (Percpu.runtime rt) ~core:0 ~duration:(Time.us 300)));
+  Engine.at engine (Time.us 150) (fun () ->
+      idle_during_fault := Percpu.is_idle rt ~core:0);
   Engine.run ~until:(Time.ms 2) engine;
   check Alcotest.bool "core idled during the fault" true !idle_during_fault;
   (* 10us ran + 300us fault + remaining 90us *)
@@ -192,18 +189,16 @@ let test_fault_be_task_stays_out_of_lc_queues () =
         let lc_app = Rc.create_app rt ~name:"lc" in
         let be = Rc.create_app rt ~name:"batch" in
         Rc.attach_be_app rt be ~chunk:(Time.us 50) ~workers:1;
-        ignore
-          (Engine.at engine (Time.us 10) (fun () ->
-               check_row "BE task faulted"
-                 (Rc.fault_current rt ~core ~duration:(Time.us 200))));
+        Engine.at engine (Time.us 10) (fun () ->
+            check_row "BE task faulted"
+              (Rc.fault_current rt ~core ~duration:(Time.us 200)));
         let lc_done = ref 0 in
         if lc then
-          ignore
-            (Engine.at engine (Time.us 20) (fun () ->
-                 ignore
-                   (Rc.spawn rt lc_app ~name:"req"
-                      (Coro.Compute
-                         (Time.us 30, fun () -> lc_done := Engine.now engine; Coro.Exit)))));
+          Engine.at engine (Time.us 20) (fun () ->
+              ignore
+                (Rc.spawn rt lc_app ~name:"req"
+                   (Coro.Compute
+                      (Time.us 30, fun () -> lc_done := Engine.now engine; Coro.Exit))));
         Engine.run ~until:(Time.ms 3) engine;
         (* the BE worker came back and kept accumulating busy time *)
         let busy_at_wake = be.App.busy_ns in

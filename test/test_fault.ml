@@ -60,16 +60,13 @@ let test_kmod_steal () =
     (Kmod.stolen_until kmod ~core:0);
   check (list int) "runtime reaction fired with the duration" [ Time.us 100 ] !reacted;
   (* overlapping steal extends the outage *)
-  ignore
-    (Engine.at engine (Time.us 50) (fun () ->
-         Kmod.steal_core kmod ~core:0 ~duration:(Time.us 100)));
-  ignore
-    (Engine.at engine (Time.us 60) (fun () ->
-         check (option int) "overlap extends, not restarts" (Some (Time.us 150))
-           (Kmod.stolen_until kmod ~core:0)));
-  ignore
-    (Engine.at engine (Time.us 200) (fun () ->
-         check (option int) "steal over" None (Kmod.stolen_until kmod ~core:0)));
+  Engine.at engine (Time.us 50) (fun () ->
+      Kmod.steal_core kmod ~core:0 ~duration:(Time.us 100));
+  Engine.at engine (Time.us 60) (fun () ->
+      check (option int) "overlap extends, not restarts" (Some (Time.us 150))
+        (Kmod.stolen_until kmod ~core:0));
+  Engine.at engine (Time.us 200) (fun () ->
+      check (option int) "steal over" None (Kmod.stolen_until kmod ~core:0));
   Engine.run engine;
   check int "both steals counted" 2 (Kmod.steals kmod)
 
@@ -219,6 +216,27 @@ let test_injector_ipi_drop () =
   check_raises "double arm rejected" (Invalid_argument "Injector.arm: already armed")
     (fun () -> Injector.arm inj target [])
 
+(* The machine has one fault hook, so a second IPI-loss plan would be
+   ignored: it is rejected before anything is armed, and the injector can
+   still be armed afterwards. *)
+let test_injector_second_ipi_loss () =
+  let engine = Engine.create () in
+  let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:2) in
+  let inj = Injector.create ~engine ~rng:(Rng.create ~seed:11) () in
+  let target =
+    { Injector.machine; kmod = None; nic = None; cores = [ 0 ]; poison = None }
+  in
+  check_raises "second IPI-loss plan rejected"
+    (Invalid_argument "Injector.arm: at most one IPI-loss plan") (fun () ->
+      Injector.arm inj target
+        [ Plan.ipi_loss ~p_drop:1.0 (); Plan.ipi_loss ~p_delay:1.0 () ]);
+  check bool "no hook installed" true
+    (Machine.fault_fate machine ~core:0 Vectors.uintr_notification = Machine.Deliver);
+  check int "nothing scheduled" 0 (Engine.pending engine);
+  Injector.arm inj target [ Plan.ipi_loss ~p_drop:1.0 () ];
+  check bool "a later single plan arms" true
+    (Machine.fault_fate machine ~core:0 Vectors.uintr_notification = Machine.Drop)
+
 (* ---- NIC loss injection ---- *)
 
 let test_nic_loss () =
@@ -345,17 +363,15 @@ let test_centralized_dispatcher_failover () =
   in
   let app = Rc.create_app rt ~name:"a" in
   let served_at = ref 0 in
-  ignore
-    (Engine.at engine (Time.us 10) (fun () ->
-         (* the host kernel steals the dispatcher core for 2 ms *)
-         Kmod.steal_core kmod ~core:0 ~duration:(Time.ms 2)));
+  Engine.at engine (Time.us 10) (fun () ->
+      (* the host kernel steals the dispatcher core for 2 ms *)
+      Kmod.steal_core kmod ~core:0 ~duration:(Time.ms 2));
   (* submitted after the failover deadline (bound = 100 us): without the
      failover the dispatcher would sit wedged until the 2 ms hand-back *)
-  ignore
-    (Engine.at engine (Time.us 400) (fun () ->
-         ignore
-           (Rc.spawn rt app ~name:"post-failover"
-              (Coro.Compute (Time.us 10, fun () -> served_at := Engine.now engine; Coro.Exit)))));
+  Engine.at engine (Time.us 400) (fun () ->
+      ignore
+        (Rc.spawn rt app ~name:"post-failover"
+           (Coro.Compute (Time.us 10, fun () -> served_at := Engine.now engine; Coro.Exit))));
   Engine.run ~until:(Time.ms 1) engine;
   check bool "watchdog failed the dispatcher over" true (Rc.failovers rt >= 1);
   check bool "request served long before the steal hand-back" true
@@ -446,10 +462,9 @@ let test_zero_service_requests_reconcile () =
   let app = Rc.create_app rt ~name:"degenerate" in
   let n = 12 in
   for i = 0 to n - 1 do
-    ignore
-      (Engine.at engine (i * Time.us 10) (fun () ->
-           (* declared service 0, body exits immediately *)
-           ignore (Rc.spawn rt app ~name:(Printf.sprintf "z%d" i) Coro.Exit)))
+    Engine.at engine (i * Time.us 10) (fun () ->
+        (* declared service 0, body exits immediately *)
+        ignore (Rc.spawn rt app ~name:(Printf.sprintf "z%d" i) Coro.Exit))
   done;
   Engine.run ~until:(Time.ms 2) engine;
   check int "all spawned" n app.App.spawned;
@@ -493,6 +508,8 @@ let suite =
     test_case "plan: validation and windows" `Quick test_plan_validation;
     test_case "plan: degenerate windows rejected" `Quick test_window_validation;
     test_case "injector: IPI drop" `Quick test_injector_ipi_drop;
+    test_case "injector: second IPI-loss plan rejected" `Quick
+      test_injector_second_ipi_loss;
     test_case "nic: injected wire loss" `Quick test_nic_loss;
     test_case "percpu: watchdog rescue" `Quick test_percpu_watchdog_rescue;
     test_case "percpu: deadline kill" `Quick test_percpu_deadline_kill;

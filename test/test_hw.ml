@@ -173,9 +173,8 @@ let test_machine_delayed_tick_dies_at_reprogram () =
   Machine.set_fault_hook machine (fun ~core:_ v ->
       if v = Vectors.timer then Machine.Delay (Time.us 500) else Machine.Deliver);
   Machine.timer_set_periodic machine ~core:0 ~hz:1000;
-  ignore
-    (Engine.at engine (Time.us 1200) (fun () ->
-         Machine.timer_set_periodic machine ~core:0 ~hz:1));
+  Engine.at engine (Time.us 1200) (fun () ->
+      Machine.timer_set_periodic machine ~core:0 ~hz:1);
   Engine.run ~until:(Time.ms 3) engine;
   check Alcotest.int "delayed tick suppressed after the re-arm" 0 !ticks;
   (* sanity: the same delayed train does deliver while it is armed *)

@@ -76,12 +76,11 @@ let test_three_apps_share_cores () =
   List.iteri
     (fun i app ->
       for j = 1 to 5 do
-        ignore
-          (Engine.at engine (Time.us (10 * ((i * 5) + j))) (fun () ->
-               ignore
-                 (Rc.spawn rt app
-                    ~name:(Printf.sprintf "t%d-%d" i j)
-                    (Coro.compute_then_exit (Time.us 200)))))
+        Engine.at engine (Time.us (10 * ((i * 5) + j))) (fun () ->
+            ignore
+              (Rc.spawn rt app
+                 ~name:(Printf.sprintf "t%d-%d" i j)
+                 (Coro.compute_then_exit (Time.us 200))))
       done)
     apps;
   Engine.run ~until:(Time.ms 20) engine;

@@ -80,8 +80,7 @@ let test_linux_pending_wake_not_lost () =
   in
   sleeper := Some worker;
   (* Wake it while it is still computing: the wake must be buffered. *)
-  ignore
-    (Engine.at engine (Time.us 100) (fun () -> Linux.wakeup linux worker));
+  Engine.at engine (Time.us 100) (fun () -> Linux.wakeup linux worker);
   Engine.run ~until:(Time.ms 10) engine;
   check Alcotest.bool "pending wake consumed at block" true !finished
 
@@ -90,7 +89,7 @@ let test_linux_wakeup_latency_low_load () =
   let engine, _, linux = make ~cores:4 Linux.cfs_default in
   let worker = Linux.spawn linux ~name:"w" (Coro.Block (fun () -> Coro.Exit)) in
   (* let it block first *)
-  ignore (Engine.at engine (Time.us 50) (fun () -> Linux.wakeup linux worker));
+  Engine.at engine (Time.us 50) (fun () -> Linux.wakeup linux worker);
   Engine.run ~until:(Time.ms 10) engine;
   let h = Linux.wakeup_hist linux in
   check Alcotest.int "one wakeup sample" 1 (Histogram.count h);

@@ -233,29 +233,27 @@ let test_end_to_end_percpu () =
   let reg = Registry.create () in
   Rc.register_metrics rt reg;
   for i = 0 to 19 do
-    ignore
-      (Engine.at engine (i * Time.us 10) (fun () ->
-           let service = Time.us 5 + (i mod 4 * Time.us 25) in
-           if i mod 5 = 0 then begin
-             (* block mid-service; woken externally — a fault stall *)
-             let s1 = service / 2 in
-             let s2 = service - s1 in
-             let task =
-               Rc.spawn rt app ~service ~name:(Printf.sprintf "f%d" i)
-                 (Coro.Compute
-                    ( s1,
-                      fun () ->
-                        Coro.Block (fun () -> Coro.Compute (s2, fun () -> Coro.Exit))
-                    ))
-             in
-             ignore
-               (Engine.after engine (s1 + Time.us 30) (fun () ->
-                    Rc.wakeup rt task))
-           end
-           else
-             ignore
-               (Rc.spawn rt app ~service ~name:(Printf.sprintf "t%d" i)
-                  (Coro.Compute (service, fun () -> Coro.Exit)))))
+    Engine.at engine (i * Time.us 10) (fun () ->
+        let service = Time.us 5 + (i mod 4 * Time.us 25) in
+        if i mod 5 = 0 then begin
+          (* block mid-service; woken externally — a fault stall *)
+          let s1 = service / 2 in
+          let s2 = service - s1 in
+          let task =
+            Rc.spawn rt app ~service ~name:(Printf.sprintf "f%d" i)
+              (Coro.Compute
+                 ( s1,
+                   fun () ->
+                     Coro.Block (fun () -> Coro.Compute (s2, fun () -> Coro.Exit))
+                 ))
+          in
+          Engine.after engine (s1 + Time.us 30) (fun () ->
+              Rc.wakeup rt task)
+        end
+        else
+          ignore
+            (Rc.spawn rt app ~service ~name:(Printf.sprintf "t%d" i)
+               (Coro.Compute (service, fun () -> Coro.Exit))))
   done;
   Engine.run ~until:(Time.ms 2) engine;
   let a = app.App.attribution in

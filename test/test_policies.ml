@@ -88,7 +88,7 @@ let test_rr_wakeup_to_idle_core () =
     Rc.spawn rt app ~name:"sleeper" ~cpu:0
       (Coro.Block (fun () -> woke := Engine.now engine; Coro.Exit))
   in
-  ignore (Engine.at engine (Time.us 500) (fun () -> Rc.wakeup rt sleeper));
+  Engine.at engine (Time.us 500) (fun () -> Rc.wakeup rt sleeper);
   Engine.run ~until:(Time.ms 3) engine;
   (* core 1 is idle: the wakeup must land there immediately *)
   check Alcotest.bool "woken promptly on idle core" true
@@ -112,7 +112,7 @@ let test_cfs_three_way_fairness () =
   for i = 0 to 2 do
     let r = ref 0 in
     spawn_timed engine rt app (Printf.sprintf "t%d" i) (Time.ms 2) r;
-    ignore (Engine.at engine (Time.ms 14) (fun () -> dones.(i) <- !r))
+    Engine.at engine (Time.ms 14) (fun () -> dones.(i) <- !r)
   done;
   Engine.run ~until:(Time.ms 15) engine;
   let min_d = Array.fold_left min max_int dones and max_d = Array.fold_left max 0 dones in
@@ -131,7 +131,7 @@ let test_cfs_sleeper_gets_priority () =
          (fun () ->
            Coro.Compute (Time.us 20, fun () -> woke_done := Engine.now engine; Coro.Exit)))
   in
-  ignore (Engine.at engine (Time.ms 1) (fun () -> Rc.wakeup rt sleeper));
+  Engine.at engine (Time.ms 1) (fun () -> Rc.wakeup rt sleeper);
   Engine.run ~until:(Time.ms 6) engine;
   (* woken at 1ms with sleeper credit: should finish within ~100us, far
      before the hog's 4ms completion *)
@@ -158,7 +158,7 @@ let test_eevdf_lag_preserved_on_wake () =
          (fun () ->
            Coro.Compute (Time.us 20, fun () -> woke_done := Engine.now engine; Coro.Exit)))
   in
-  ignore (Engine.at engine (Time.ms 1) (fun () -> Rc.wakeup rt sleeper));
+  Engine.at engine (Time.ms 1) (fun () -> Rc.wakeup rt sleeper);
   Engine.run ~until:(Time.ms 6) engine;
   check Alcotest.bool "woken task scheduled quickly (positive lag)" true
     (!woke_done > Time.ms 1 && !woke_done < Time.ms 1 + Time.us 150)
@@ -181,9 +181,8 @@ let test_ws_nonpreemptive_hol () =
   let engine, rt, app = make_rt ~cores:1 (Work_stealing.create ()) in
   let short = ref 0 in
   ignore (Rc.spawn rt app ~name:"scan" ~cpu:0 (Coro.compute_then_exit (Time.us 591)));
-  ignore
-    (Engine.at engine (Time.us 1) (fun () ->
-         spawn_timed engine rt app ~cpu:0 "get" (Time.ns 950) short));
+  Engine.at engine (Time.us 1) (fun () ->
+      spawn_timed engine rt app ~cpu:0 "get" (Time.ns 950) short);
   Engine.run ~until:(Time.ms 2) engine;
   check Alcotest.bool "GET waited behind the SCAN" true (!short >= Time.us 591)
 
@@ -193,9 +192,8 @@ let test_ws_preemptive_breaks_hol () =
   in
   let short = ref 0 in
   ignore (Rc.spawn rt app ~name:"scan" ~cpu:0 (Coro.compute_then_exit (Time.us 591)));
-  ignore
-    (Engine.at engine (Time.us 1) (fun () ->
-         spawn_timed engine rt app ~cpu:0 "get" (Time.ns 950) short));
+  Engine.at engine (Time.us 1) (fun () ->
+      spawn_timed engine rt app ~cpu:0 "get" (Time.ns 950) short);
   Engine.run ~until:(Time.ms 2) engine;
   check Alcotest.bool "GET escaped within ~2 quanta" true
     (!short > 0 && !short < Time.us 25)

@@ -66,12 +66,11 @@ let run_percpu ?park ctor workload =
   let app = Rc.create_app rt ~name:"w" in
   List.iteri
     (fun i (at, service) ->
-      ignore
-        (Engine.at engine at (fun () ->
-             ignore
-               (Rc.spawn rt app
-                  ~name:(Printf.sprintf "t%d" i)
-                  ~service (Coro.compute_then_exit service)))))
+      Engine.at engine at (fun () ->
+          ignore
+            (Rc.spawn rt app
+               ~name:(Printf.sprintf "t%d" i)
+               ~service (Coro.compute_then_exit service))))
     workload;
   (* generous drain: total work serialized + spawn horizon *)
   let horizon =
@@ -147,12 +146,11 @@ let run_centralized workload =
   let app = Rc.create_app (Hybrid.runtime rt) ~name:"lc" in
   List.iteri
     (fun i (at, service) ->
-      ignore
-        (Engine.at engine at (fun () ->
-             ignore
-               (Rc.spawn (Hybrid.runtime rt) app
-                  ~name:(Printf.sprintf "t%d" i)
-                  ~service (Coro.compute_then_exit service)))))
+      Engine.at engine at (fun () ->
+          ignore
+            (Rc.spawn (Hybrid.runtime rt) app
+               ~name:(Printf.sprintf "t%d" i)
+               ~service (Coro.compute_then_exit service))))
     workload;
   let horizon = 500_000 + total_service workload + Time.ms 50 in
   Engine.run ~until:horizon engine;

@@ -164,7 +164,7 @@ let test_lifecycle_attribution () =
              Coro.Block (fun () -> Coro.Compute (Time.us 10, fun () -> Coro.Exit))
          ))
   in
-  ignore (Engine.after st.engine (Time.us 200) (fun () -> Rc.wakeup st.rc blocker));
+  Engine.after st.engine (Time.us 200) (fun () -> Rc.wakeup st.rc blocker);
   Engine.run ~until:(Time.ms 2) st.engine;
   check int "both requests completed" 2 (Summary.requests app.App.summary);
   check int "attribution recorded both" 2 (Attribution.requests app.App.attribution);
@@ -229,7 +229,7 @@ let test_watchdog_rescue () =
     Array.iter
       (fun ex ->
         match ex.Rc.current with
-        | Some task when not (Rc.Eventq.is_null ex.Rc.completion) ->
+        | Some task when Engine.armed ex.Rc.completion ->
             let overrun = Rc.now st.rc - task.Task.run_start - bound in
             if overrun > 0 then begin
               Rc.rescued st.rc ex ~late:overrun;

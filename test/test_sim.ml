@@ -329,11 +329,15 @@ let pop q =
 
 let popped = Alcotest.(option (pair int string))
 
+(* Queue a pinned slot at [at] with the next sequence number, as an engine
+   timer's arm does. *)
+let arm q slot ~at = Eventq.move q slot ~at ~seq:(Eventq.reserve_seq q)
+
 let test_eventq_ordering () =
   let q = Eventq.create () in
-  ignore (Eventq.schedule q ~at:30 "c");
-  ignore (Eventq.schedule q ~at:10 "a");
-  ignore (Eventq.schedule q ~at:20 "b");
+  Eventq.schedule q ~at:30 "c";
+  Eventq.schedule q ~at:10 "a";
+  Eventq.schedule q ~at:20 "b";
   check popped "a" (Some (10, "a")) (pop q);
   check popped "b" (Some (20, "b")) (pop q);
   check popped "c" (Some (30, "c")) (pop q);
@@ -342,65 +346,69 @@ let test_eventq_ordering () =
 
 let test_eventq_tie_fifo () =
   let q = Eventq.create () in
-  ignore (Eventq.schedule q ~at:5 "first");
-  ignore (Eventq.schedule q ~at:5 "second");
-  ignore (Eventq.schedule q ~at:5 "third");
+  Eventq.schedule q ~at:5 "first";
+  let s = Eventq.pin q "second" in
+  arm q s ~at:5;
+  Eventq.schedule q ~at:5 "third";
   let pop () = match pop q with Some (_, s) -> s | None -> "?" in
   check Alcotest.string "fifo 1" "first" (pop ());
   check Alcotest.string "fifo 2" "second" (pop ());
   check Alcotest.string "fifo 3" "third" (pop ())
 
-(* Cancel removes the event from the heap at once: [size] drops by one at
-   the cancel itself, the heap stays well-formed, a second cancel of the
-   now-stale handle changes nothing, and the next pop is the live event. *)
+(* Unqueueing a pinned slot removes its event from the heap at once:
+   [size] drops by one at the unqueue itself, the heap stays well-formed, a
+   second unqueue changes nothing, and the next pop is the live event. *)
 let test_eventq_cancel () =
   let q = Eventq.create () in
-  let h = Eventq.schedule q ~at:1 "dead" in
-  ignore (Eventq.schedule q ~at:2 "alive");
+  let s = Eventq.pin q "dead" in
+  arm q s ~at:1;
+  Eventq.schedule q ~at:2 "alive";
   check Alcotest.int "two scheduled" 2 (Eventq.size q);
-  Eventq.cancel q h;
-  check Alcotest.int "size drops at the cancel" 1 (Eventq.size q);
+  Eventq.unqueue q s;
+  check Alcotest.int "size drops at the unqueue" 1 (Eventq.size q);
   Eventq.check_invariants q;
-  Eventq.cancel q h;
-  check Alcotest.int "second cancel is a no-op" 1 (Eventq.size q);
+  Eventq.unqueue q s;
+  check Alcotest.int "second unqueue is a no-op" 1 (Eventq.size q);
   Eventq.check_invariants q;
   check popped "next pop is the live event" (Some (2, "alive")) (pop q)
 
 let test_eventq_peek () =
   let q = Eventq.create () in
   check Alcotest.int "empty peek" (-1) (Eventq.next_time q);
-  let h = Eventq.schedule q ~at:7 () in
-  ignore (Eventq.schedule q ~at:9 ());
+  let s = Eventq.pin q () in
+  arm q s ~at:7;
+  Eventq.schedule q ~at:9 ();
   check Alcotest.int "peek min" 7 (Eventq.next_time q);
   check Alcotest.int "peek removes nothing" 2 (Eventq.size q);
-  Eventq.cancel q h;
-  check Alcotest.int "cancelled root is gone" 9 (Eventq.next_time q);
-  check Alcotest.int "size drops at the cancel" 1 (Eventq.size q);
+  Eventq.unqueue q s;
+  check Alcotest.int "unqueued root is gone" 9 (Eventq.next_time q);
+  check Alcotest.int "size drops at the unqueue" 1 (Eventq.size q);
   Eventq.check_invariants q;
-  Eventq.cancel q h;
-  check Alcotest.int "second cancel is a no-op" 9 (Eventq.next_time q);
+  Eventq.unqueue q s;
+  check Alcotest.int "second unqueue is a no-op" 9 (Eventq.next_time q);
   check Alcotest.int "size unchanged" 1 (Eventq.size q);
   Eventq.pop_exn q;
   check Alcotest.int "popped the live event" 9 (Eventq.last_time q);
   check Alcotest.int "empty again" (-1) (Eventq.next_time q)
 
-(* Regression for the O(1) size counter: double-cancel, cancel after the
-   event fired, and cancel after pop must each leave the count exact. *)
+(* The size counter across a pop's hole: unqueueing twice, unqueueing a
+   slot that already fired, and reading the size straight after a pop must
+   each leave the count exact. *)
 let test_eventq_size_counter_exact () =
   let q = Eventq.create () in
-  let h1 = Eventq.schedule q ~at:1 "a" in
-  let h2 = Eventq.schedule q ~at:2 "b" in
-  ignore (Eventq.schedule q ~at:3 "c");
+  let s1 = Eventq.pin q "a" and s2 = Eventq.pin q "b" in
+  arm q s1 ~at:1;
+  arm q s2 ~at:2;
+  Eventq.schedule q ~at:3 "c";
   check Alcotest.int "three live" 3 (Eventq.size q);
-  Eventq.cancel q h1;
-  Eventq.cancel q h1;
-  check Alcotest.int "double cancel counts once" 2 (Eventq.size q);
+  Eventq.unqueue q s1;
+  Eventq.unqueue q s1;
+  check Alcotest.int "double unqueue counts once" 2 (Eventq.size q);
   ignore (pop q);
   check Alcotest.int "pop of live event" 1 (Eventq.size q);
-  (* h2 already left the heap via the pop above (h1 was removed at its
-     cancel); cancelling it now must not decrement anything *)
-  Eventq.cancel q h2;
-  check Alcotest.int "cancel after pop is a no-op" 1 (Eventq.size q);
+  check Alcotest.bool "a popped pinned slot is unqueued" false (Eventq.queued q s2);
+  Eventq.unqueue q s2;
+  check Alcotest.int "unqueue after pop is a no-op" 1 (Eventq.size q);
   check Alcotest.bool "not empty" false (Eventq.is_empty q);
   ignore (pop q);
   check Alcotest.int "drained" 0 (Eventq.size q);
@@ -408,42 +416,39 @@ let test_eventq_size_counter_exact () =
   check popped "pop on empty" None (pop q);
   check Alcotest.int "size stays 0" 0 (Eventq.size q)
 
-(* The counter vs the ground truth under random schedule/cancel/pop
+(* The counter vs the ground truth under random schedule/arm/unqueue/pop
    interleavings: replay the same operations against a reference count. *)
 let prop_eventq_size_matches_reference =
+  let n_pinned = 5 in
   let op_gen =
     QCheck.(
       list_of_size (Gen.int_range 0 300)
-        (pair (int_range 0 2) (int_range 0 10_000)))
+        (pair (int_range 0 3) (int_range 0 10_000)))
   in
   QCheck.Test.make ~name:"Eventq size is exact under random ops" ~count:100
     op_gen (fun ops ->
       let q = Eventq.create () in
-      (* independent reference: payload ids of events neither popped nor
-         cancelled — exactly the live set [size] claims to count *)
+      let pinned = Array.init n_pinned (fun k -> Eventq.pin q (-(k + 1))) in
+      (* independent reference: the ids of one-shots not yet popped and of
+         pinned slots queued — exactly the set [size] claims to count *)
       let live = Hashtbl.create 64 in
-      let handles = ref [] in
-      let n_handles = ref 0 in
       let fresh = ref 0 in
       let ok = ref true in
       List.iter
         (fun (op, x) ->
+          let k = x mod n_pinned in
           (match op with
           | 0 ->
               let id = !fresh in
               incr fresh;
-              let h = Eventq.schedule q ~at:x id in
-              handles := (h, id) :: !handles;
-              incr n_handles;
+              Eventq.schedule q ~at:x id;
               Hashtbl.replace live id ()
           | 1 ->
-              if !n_handles > 0 then begin
-                let h, id = List.nth !handles (x mod !n_handles) in
-                Eventq.cancel q h;
-                (* absent when already popped or already cancelled: in
-                   both cases the live set must not shrink again *)
-                Hashtbl.remove live id
-              end
+              arm q pinned.(k) ~at:x;
+              Hashtbl.replace live (-(k + 1)) ()
+          | 2 ->
+              Eventq.unqueue q pinned.(k);
+              Hashtbl.remove live (-(k + 1))
           | _ -> (
               match pop q with
               | Some (_, id) -> Hashtbl.remove live id
@@ -460,7 +465,7 @@ let prop_eventq_sorted =
     QCheck.(list_of_size (Gen.int_range 0 200) (int_range 0 100_000))
     (fun times ->
       let q = Eventq.create () in
-      List.iter (fun at -> ignore (Eventq.schedule q ~at ())) times;
+      List.iter (fun at -> Eventq.schedule q ~at ()) times;
       let rec drain last =
         match pop q with
         | None -> true
@@ -471,48 +476,74 @@ let prop_eventq_sorted =
 let test_eventq_negative_time () =
   let q = Eventq.create () in
   Alcotest.check_raises "negative" (Invalid_argument "Eventq.schedule: negative time")
-    (fun () -> ignore (Eventq.schedule q ~at:(-1) ()))
+    (fun () -> Eventq.schedule q ~at:(-1) ());
+  let s = Eventq.pin q () in
+  Alcotest.check_raises "negative move" (Invalid_argument "Eventq.schedule: negative time")
+    (fun () -> arm q s ~at:(-1))
 
-(* Stale-generation rejection: a handle whose event already popped must not
-   be able to cancel the event that later reuses its slot.  The free list
-   hands the just-freed slot straight back, so the second schedule reuses
-   the first one's slot with a bumped generation. *)
-let test_eventq_stale_generation () =
+(* Slot reuse while a pop's hole still names the slot: a popped one-shot
+   frees its slot at once, so the next [pin] takes that very slot (the free
+   stack is LIFO) while the stale root still refers to it; and an unpinned
+   slot goes to the next one-shot.  Neither reuse may disturb the other
+   live events or leak a slot. *)
+let test_eventq_slot_reuse () =
   let q = Eventq.create () in
-  let old = Eventq.schedule q ~at:1 "old" in
+  Eventq.schedule q ~at:1 "old";
+  Eventq.schedule q ~at:5 "later";
   check popped "old pops" (Some (1, "old")) (pop q);
-  let fresh = Eventq.schedule q ~at:2 "new" in
-  Eventq.cancel q old;
-  check Alcotest.int "still one live event" 1 (Eventq.size q);
-  check Alcotest.int "slot's new occupant untouched" 2 (Eventq.next_time q);
+  let s = Eventq.pin q "pinned" in
+  check Alcotest.bool "a new pinned slot starts unqueued" false (Eventq.queued q s);
+  Eventq.unqueue q s;
+  check Alcotest.int "unqueue of an unqueued slot" 1 (Eventq.size q);
+  arm q s ~at:3;
   Eventq.check_invariants q;
-  check popped "new event survives the stale cancel" (Some (2, "new")) (pop q);
-  Eventq.cancel q fresh;
-  check Alcotest.int "fired handle is stale too" 0 (Eventq.size q)
+  check popped "the reused slot fires in order" (Some (3, "pinned")) (pop q);
+  Eventq.unpin q s;
+  Eventq.schedule q ~at:4 "reused";
+  Eventq.check_invariants q;
+  check popped "one-shot in the unpinned slot" (Some (4, "reused")) (pop q);
+  check popped "untouched" (Some (5, "later")) (pop q);
+  check popped "drained" None (pop q);
+  Eventq.check_invariants q
 
-(* Interleaved peek/cancel/pop must keep the indexed heap exact — no slot
+(* Interleaved peek/unqueue/pop must keep the indexed heap exact — no slot
    leaked, every node's recorded position current, heap order intact —
    checked by the invariant walk after every operation. *)
 let test_eventq_invariants_interleaved () =
   let q = Eventq.create () in
   Eventq.check_invariants q;
-  (* enough events to force two heap growths past the initial capacity *)
-  let handles = Array.init 70 (fun i -> Eventq.schedule q ~at:(i / 3) i) in
+  (* enough events to force two heap growths past the initial capacity;
+     every third is a pinned slot, the rest one-shots *)
+  let pinned =
+    Array.init 70 (fun i ->
+        if i mod 3 = 0 then begin
+          let s = Eventq.pin q i in
+          arm q s ~at:(i / 3);
+          s
+        end
+        else begin
+          Eventq.schedule q ~at:(i / 3) i;
+          -1
+        end)
+    |> Array.to_list
+    |> List.filter (fun s -> s >= 0)
+    |> Array.of_list
+  in
   Eventq.check_invariants q;
-  Array.iteri (fun i h -> if i mod 3 = 0 then Eventq.cancel q h) handles;
+  Array.iteri (fun i s -> if i mod 2 = 0 then Eventq.unqueue q s) pinned;
   Eventq.check_invariants q;
-  check Alcotest.int "cancels leave the heap at once" 46 (Eventq.size q);
-  let next_cancel = ref 0 in
+  check Alcotest.int "unqueues leave the heap at once" 58 (Eventq.size q);
+  let next = ref 0 in
   let rec drain () =
     match Eventq.next_time q with
     | -1 -> ()
     | at ->
-        (* cancel mid-drain: live, already-cancelled, and already-popped
-           handles all come through here — each must be idempotent *)
-        if !next_cancel < Array.length handles then begin
-          Eventq.cancel q handles.(!next_cancel);
-          Eventq.cancel q handles.(!next_cancel);
-          incr next_cancel
+        (* unqueue mid-drain: queued, unqueued and already-popped slots all
+           come through here — each must be idempotent *)
+        if !next < Array.length pinned then begin
+          Eventq.unqueue q pinned.(!next);
+          Eventq.unqueue q pinned.(!next);
+          incr next
         end;
         Eventq.check_invariants q;
         (match pop q with
@@ -527,32 +558,39 @@ let test_eventq_invariants_interleaved () =
   check Alcotest.int "drained" 0 (Eventq.size q);
   Eventq.check_invariants q
 
-(* Acceptance gate: steady-state schedule/reschedule/cancel/pop on the
-   flat heap allocates nothing.  [pop_exn] returns the payload bare; the handle is an
-   immediate int.  The small tolerance covers the boxed floats the two
-   [Gc.minor_words] calls themselves return — 10k round trips at even one
-   word each would blow far past it. *)
+(* Acceptance gate: steady-state schedule/pop and the timer cycle — a
+   pinned slot armed, popped and re-armed, moved while queued and
+   unqueued — allocate nothing.  [pop_exn] returns the payload bare; a
+   slot is an immediate int.  The small tolerance covers the boxed floats
+   the two [Gc.minor_words] calls themselves return — 10k round trips at
+   even one word each would blow far past it. *)
 let test_eventq_zero_alloc () =
   let q = Eventq.create () in
+  let s = Eventq.pin q () and other = Eventq.pin q () in
   for i = 1 to 8 do
-    ignore (Eventq.schedule q ~at:i ())
+    Eventq.schedule q ~at:i ()
   done;
   for i = 9 to 100 do
-    ignore (Eventq.schedule q ~at:i ());
+    Eventq.schedule q ~at:i ();
     Eventq.pop_exn q
   done;
   let before = Gc.minor_words () in
   for i = 101 to 10_100 do
-    Eventq.cancel q (Eventq.schedule q ~at:(i + 50) ());
-    Eventq.cancel q (Eventq.reschedule q (Eventq.schedule q ~at:(i + 50) ()) ~at:(i + 60) ());
-    ignore (Eventq.schedule q ~at:i ());
-    Eventq.pop_exn q
+    arm q other ~at:(i + 50);
+    arm q other ~at:(i + 60);
+    Eventq.unqueue q other;
+    arm q s ~at:i;
+    Eventq.pop_exn q;
+    arm q s ~at:(i + 1);
+    Eventq.schedule q ~at:i ();
+    Eventq.pop_exn q;
+    Eventq.unqueue q s
   done;
   let words = Gc.minor_words () -. before in
   if words >= 64.0 then
-    Alcotest.failf "steady-state schedule/cancel/pop allocated %.0f minor words" words
+    Alcotest.failf "steady-state schedule/arm/pop allocated %.0f minor words" words
 
-(* The sorted-list reference model shared by the two model properties:
+(* The sorted-list reference model shared by the model properties:
    (time, seq, id) kept sorted by (time, seq) — FIFO at equal instants. *)
 let rec model_insert ((t, s, _) as x) = function
   | [] -> [ x ]
@@ -562,97 +600,107 @@ let rec model_insert ((t, s, _) as x) = function
 let model_remove id = List.filter (fun (_, _, id') -> id' <> id)
 
 (* The indexed SoA heap against the sorted-list reference through random
-   schedule/cancel/pop/peek scripts.  Cancel deletes from the model;
-   cancelling an id no longer present (double cancel, popped handle,
-   reused slot) deletes nothing, which is exactly the idempotence +
-   stale-generation contract the heap must honour.  A reschedule is a
-   cancel plus a schedule under a fresh id, whatever the handle's state:
-   the old handle then refers to nothing.  Besides cancels of
-   random handles, scripts cancel the root (the model's head), the last
-   heap node (an event scheduled after every other one, cancelled before
-   anything moves it) and an interior node (the model's median), and the
-   full invariant walk — heap order, slot conservation, every node's
-   recorded position — runs after every operation.  Schedules are four
-   ops in ten, so heaps grow deep enough for a removal whose replacement
-   must sift up. *)
+   scripts of one-shot events and pinned slots.  One-shots are ids >= 0;
+   pinned slot k is id -(k + 1).  An arm of a pinned slot removes it from
+   the model and inserts it at the new key, queued or not; an unqueue
+   removes it, and an unpin gives the slot back and pins a fresh one in
+   its place.  Each op can follow a pop straight away (a compound op), so
+   it meets the pop's hole: an insert (one-shot or an unqueued slot's arm)
+   fills it with one sift from the root, a reposition or unqueue works
+   below it, and a peek, [precedes], [size] or a second pop fills it first.
+   The full invariant walk — fill, heap order, no hole key left, slot
+   conservation, every node's recorded position — runs after every
+   top-level op.  Inserts are common enough that heaps grow deep enough
+   for a removal whose replacement must sift up. *)
 let prop_eventq_model =
+  let n_pinned = 4 in
   let op_gen =
     QCheck.(
-      list_of_size (Gen.int_range 0 400) (pair (int_range 0 10) (int_range 0 1000)))
+      list_of_size (Gen.int_range 0 400) (pair (int_range 0 11) (int_range 0 10_000)))
   in
   QCheck.Test.make ~name:"Eventq matches the sorted-list reference model"
-    ~count:200 op_gen
+    ~count:200 ~long_factor:10 op_gen
     (fun ops ->
       let q = Eventq.create () in
+      let pinned = Array.init n_pinned (fun k -> Eventq.pin q (-(k + 1))) in
       let model = ref [] in
-      let handles = ref [] in
-      let n_handles = ref 0 in
+      let seq = ref 0 in
       let next = ref 0 in
       let ok = ref true in
-      let handle_of id = List.assoc id !handles in
-      let cancel_id id =
-        Eventq.cancel q (handle_of id);
-        model := model_remove id !model
+      let expect b = if not b then ok := false in
+      let take_seq () =
+        let s = Eventq.reserve_seq q in
+        expect (s = !seq);
+        incr seq;
+        s
       in
-      let schedule at =
-        let id = !next in
-        incr next;
-        let h = Eventq.schedule q ~at id in
-        model := model_insert (at, id, id) !model;
-        handles := (id, h) :: !handles;
-        incr n_handles;
-        id
+      let rec run code x =
+        let k = x mod n_pinned in
+        let pid = -(k + 1) in
+        match code with
+        | 0 | 1 ->
+            let id = !next in
+            incr next;
+            let at = x mod 97 in
+            Eventq.schedule q ~at id;
+            model := model_insert (at, !seq, id) !model;
+            incr seq
+        | 2 | 3 ->
+            let at = x / n_pinned mod 89 in
+            let s = take_seq () in
+            Eventq.move q pinned.(k) ~at ~seq:s;
+            model := model_insert (at, s, pid) (model_remove pid !model)
+        | 4 ->
+            Eventq.unqueue q pinned.(k);
+            model := model_remove pid !model
+        | 5 -> (
+            match (pop q, !model) with
+            | Some (t, id), (t', _, id') :: tl when t = t' && id = id' -> model := tl
+            | None, [] -> ()
+            | _ -> ok := false)
+        | 6 -> (
+            match (Eventq.next_time q, !model) with
+            | t, (t', _, _) :: _ when t = t' -> ()
+            | -1, [] -> ()
+            | _ -> ok := false)
+        | 7 ->
+            let at = x mod 97 and s = x mod (!seq + 1) in
+            let want =
+              match !model with (t, s', _) :: _ -> (t, s') < (at, s) | [] -> false
+            in
+            expect (Eventq.precedes q ~at ~seq:s = want)
+        | 8 -> expect (Eventq.size q = List.length !model)
+        | 9 ->
+            Eventq.unpin q pinned.(k);
+            model := model_remove pid !model;
+            pinned.(k) <- Eventq.pin q pid
+        | _ ->
+            (* a pop, then up to two more ops straight after it *)
+            run 5 x;
+            run ((x / 12) mod 10) (x / 7);
+            if x mod 2 = 0 then run ((x / 120) mod 10) (x / 11)
       in
       List.iter
         (fun (op, x) ->
-          (match op with
-          | 0 | 1 | 2 | 3 -> ignore (schedule (x mod 97))
-          | 4 ->
-              if !n_handles > 0 then
-                cancel_id (fst (List.nth !handles (x mod !n_handles)))
-          | 5 -> (
-              match (pop q, !model) with
-              | Some (t, id), (t', _, id') :: tl when t = t' && id = id' ->
-                  model := tl
-              | None, [] -> ()
-              | _ -> ok := false)
-          | 6 -> (
-              match (Eventq.next_time q, !model) with
-              | t, (t', _, _) :: _ when t = t' -> ()
-              | -1, [] -> ()
-              | _ -> ok := false)
-          | 7 -> (
-              match !model with (_, _, id) :: _ -> cancel_id id | [] -> ())
-          | 8 -> cancel_id (schedule (97 + x))
-          | 10 ->
-              (* reschedule = cancel + schedule under a fresh id; a stale
-                 handle only schedules *)
-              if !n_handles > 0 then begin
-                let old, h = List.nth !handles (x mod !n_handles) in
-                let id = !next in
-                incr next;
-                let at = x mod 89 in
-                let h' = Eventq.reschedule q h ~at id in
-                model := model_insert (at, id, id) (model_remove old !model);
-                handles := (id, h') :: !handles;
-                incr n_handles
-              end
-          | _ ->
-              let n = List.length !model in
-              if n >= 3 then
-                let _, _, id = List.nth !model (n / 2) in
-                cancel_id id);
+          run op x;
           Eventq.check_invariants q;
-          if Eventq.size q <> List.length !model then ok := false)
+          expect (Eventq.size q = List.length !model);
+          Array.iteri
+            (fun k s ->
+              expect
+                (Eventq.queued q s
+                = List.exists (fun (_, _, id) -> id = -(k + 1)) !model))
+            pinned)
         ops;
       !ok)
 
 (* [Engine.timer] against the same reference model: one-shot events,
-   cancels, and timers armed, re-armed while armed, and disarmed, fired
-   one [Engine.step] at a time.  A re-arm moves the live event in place
-   ([Eventq.reschedule]) to the key a cancel plus insert would give it,
-   so it takes a fresh sequence number: at an equal instant the re-armed
-   timer fires after everything scheduled before the re-arm. *)
+   timers armed, re-armed while armed, and disarmed, and one-shots whose
+   callback arms a timer (the engine's common case: a pop followed by an
+   insert), fired one [Engine.step] at a time.  A re-arm moves the pinned
+   slot in place to the key a disarm plus insert would give it, so it
+   takes a fresh sequence number: at an equal instant the re-armed timer
+   fires after everything scheduled before the re-arm. *)
 let prop_engine_timer_model =
   let n_timers = 4 in
   let op_gen =
@@ -660,7 +708,7 @@ let prop_engine_timer_model =
       list_of_size (Gen.int_range 0 300) (pair (int_range 0 4) (int_range 0 1000)))
   in
   QCheck.Test.make ~name:"Engine timers match the sorted-list reference model"
-    ~count:200 op_gen
+    ~count:200 ~long_factor:10 op_gen
     (fun ops ->
       let e = Engine.create () in
       let fired = ref None in
@@ -675,20 +723,26 @@ let prop_engine_timer_model =
         Array.init n_timers (fun k ->
             Engine.timer e (fun () -> fired := Some (Engine.now e, -(k + 1))))
       in
-      let shots = ref [] in
+      (* one-shot id -> the timer its callback arms and the delay *)
+      let arms = Hashtbl.create 16 in
       let n_shots = ref 0 in
       let ok = ref true in
+      let shot at f =
+        let id = !n_shots in
+        incr n_shots;
+        Engine.at e at (fun () ->
+            fired := Some (Engine.now e, id);
+            f ());
+        insert at id;
+        id
+      in
       List.iter
         (fun (op, x) ->
-          let at = Engine.now e + (x / n_timers mod 13) in
+          let d = x / n_timers mod 13 in
+          let at = Engine.now e + d in
           let k = x mod n_timers in
           (match op with
-          | 0 ->
-              let id = !n_shots in
-              let h = Engine.at e at (fun () -> fired := Some (Engine.now e, id)) in
-              shots := (id, h) :: !shots;
-              incr n_shots;
-              insert at id
+          | 0 -> ignore (shot at ignore)
           | 1 ->
               Engine.arm timers.(k) ~at;
               model := model_remove (-(k + 1)) !model;
@@ -697,17 +751,20 @@ let prop_engine_timer_model =
               Engine.disarm timers.(k);
               model := model_remove (-(k + 1)) !model
           | 3 ->
-              if !n_shots > 0 then begin
-                let id, h = List.nth !shots (x mod !n_shots) in
-                Engine.cancel e h;
-                model := model_remove id !model
-              end
+              let delay = x mod 5 in
+              let id = shot at (fun () -> Engine.arm timers.(k) ~at:(Engine.now e + delay)) in
+              Hashtbl.replace arms id (k, delay)
           | _ -> (
               fired := None;
               let stepped = Engine.step e in
               match (stepped, !fired, !model) with
-              | true, Some (t, id), (t', _, id') :: tl when t = t' && id = id' ->
-                  model := tl
+              | true, Some (t, id), (t', _, id') :: tl when t = t' && id = id' -> (
+                  model := tl;
+                  match Hashtbl.find_opt arms id with
+                  | Some (k, delay) ->
+                      model := model_remove (-(k + 1)) !model;
+                      insert (t + delay) (-(k + 1))
+                  | None -> ())
               | false, None, [] -> ()
               | _ -> ok := false));
           if Engine.pending e <> List.length !model then ok := false;
@@ -797,7 +854,7 @@ let engine_iface () =
   let e = Engine.create () in
   {
     now = (fun () -> Engine.now e);
-    shot = (fun at f -> ignore (Engine.at e at f));
+    shot = (fun at f -> Engine.at e at f);
     every = (fun ~period f -> Engine.every e ~period f);
     run = (fun ~until ~max_events -> Engine.run ~until ~max_events e);
     step = (fun () -> Engine.step e);
@@ -960,9 +1017,9 @@ let test_engine_every_zero_alloc () =
 let test_engine_ordering () =
   let e = Engine.create () in
   let log = ref [] in
-  ignore (Engine.at e 30 (fun () -> log := (30, Engine.now e) :: !log));
-  ignore (Engine.at e 10 (fun () -> log := (10, Engine.now e) :: !log));
-  ignore (Engine.after e 20 (fun () -> log := (20, Engine.now e) :: !log));
+  Engine.at e 30 (fun () -> log := (30, Engine.now e) :: !log);
+  Engine.at e 10 (fun () -> log := (10, Engine.now e) :: !log);
+  Engine.after e 20 (fun () -> log := (20, Engine.now e) :: !log);
   Engine.run e;
   check
     (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
@@ -973,8 +1030,8 @@ let test_engine_ordering () =
 let test_engine_until () =
   let e = Engine.create () in
   let fired = ref 0 in
-  ignore (Engine.at e 100 (fun () -> incr fired));
-  ignore (Engine.at e 200 (fun () -> incr fired));
+  Engine.at e 100 (fun () -> incr fired);
+  Engine.at e 200 (fun () -> incr fired);
   Engine.run ~until:150 e;
   check Alcotest.int "only first fired" 1 !fired;
   check Alcotest.int "clock at limit" 150 (Engine.now e);
@@ -1009,9 +1066,9 @@ let test_engine_every_rearm_regression () =
       incr ticks;
       log := Printf.sprintf "tick@%d" (Engine.now e) :: !log;
       !ticks < 3);
-  ignore (Engine.at e 5 (fun () -> log := "a@5" :: !log));
-  ignore (Engine.at e 10 (fun () -> log := "b@10" :: !log));
-  ignore (Engine.at e 25 (fun () -> log := "c@25" :: !log));
+  Engine.at e 5 (fun () -> log := "a@5" :: !log);
+  Engine.at e 10 (fun () -> log := "b@10" :: !log);
+  Engine.at e 25 (fun () -> log := "c@25" :: !log);
   Engine.run e;
   check (Alcotest.list Alcotest.string) "ordering unchanged"
     [ "a@5"; "tick@10"; "b@10"; "tick@20"; "c@25"; "tick@30" ]
@@ -1040,38 +1097,43 @@ let test_engine_timer_rearm () =
   Engine.run e;
   check (Alcotest.list Alcotest.int) "disarm cancels" [ 20 ] (List.rev !fired)
 
+(* A disarmed timer never fires, and a timer touches no queue before its
+   first arm. *)
 let test_engine_cancel () =
   let e = Engine.create () in
   let fired = ref false in
-  let h = Engine.at e 10 (fun () -> fired := true) in
-  Engine.cancel e h;
+  let tm = Engine.timer e (fun () -> fired := true) in
+  check Alcotest.int "a fresh timer queues nothing" 0 (Engine.pending e);
+  Engine.disarm tm;
+  Engine.arm tm ~at:10;
+  Engine.disarm tm;
+  check Alcotest.int "disarm empties the queue" 0 (Engine.pending e);
   Engine.run e;
-  check Alcotest.bool "cancelled never fires" false !fired
+  check Alcotest.bool "disarmed never fires" false !fired
 
 let test_engine_past_raises () =
   let e = Engine.create () in
-  ignore (Engine.at e 100 (fun () -> ()));
+  Engine.at e 100 (fun () -> ());
   Engine.run e;
   check Alcotest.bool "raises on past schedule" true
     (try
-       ignore (Engine.at e 50 ignore);
+       Engine.at e 50 ignore;
        false
      with Invalid_argument _ -> true)
 
 let test_engine_nested_schedule () =
   let e = Engine.create () in
   let log = ref [] in
-  ignore
-    (Engine.at e 10 (fun () ->
-         ignore (Engine.after e 5 (fun () -> log := "inner" :: !log));
-         log := "outer" :: !log));
+  Engine.at e 10 (fun () ->
+      Engine.after e 5 (fun () -> log := "inner" :: !log);
+      log := "outer" :: !log);
   Engine.run e;
   check (Alcotest.list Alcotest.string) "nested" [ "outer"; "inner" ] (List.rev !log);
   check Alcotest.int "clock" 15 (Engine.now e)
 
 let test_engine_max_events () =
   let e = Engine.create () in
-  let rec chain () = ignore (Engine.after e 1 chain) in
+  let rec chain () = Engine.after e 1 chain in
   chain ();
   Engine.run ~max_events:100 e;
   check Alcotest.int "bounded" 100 (Engine.events_fired e)
@@ -1084,38 +1146,39 @@ let test_engine_split_rng_deterministic () =
   in
   check Alcotest.int64 "same seed, same split" (mk ()) (mk ())
 
-(* Lazy cancellation contract: cancelling a handle that already fired, or
-   one that was already cancelled (any number of times), changes nothing —
-   no callback is lost, replayed, or resurrected, and the engine keeps
-   working. *)
-let prop_cancel_idempotent =
-  QCheck.Test.make ~name:"Engine.cancel on fired/cancelled handles is a no-op"
+(* Disarm contract: disarming a timer that already fired, or one already
+   disarmed (any number of times), changes nothing — no callback is lost,
+   replayed, or resurrected, and the timers and the engine keep working. *)
+let prop_disarm_idempotent =
+  QCheck.Test.make ~name:"Engine.disarm is a no-op on fired/disarmed timers"
     ~count:100
     QCheck.(list_of_size (Gen.int_range 0 50) (pair (int_range 0 10_000) bool))
     (fun evs ->
       let engine = Engine.create () in
       let fired = ref 0 in
-      let handles =
+      let timers =
         List.map
-          (fun (at, cancel) ->
-            let h = Engine.at engine at (fun () -> incr fired) in
-            if cancel then Engine.cancel engine h;
-            h)
+          (fun (at, disarm) ->
+            let tm = Engine.timer engine (fun () -> incr fired) in
+            Engine.arm tm ~at;
+            if disarm then Engine.disarm tm;
+            tm)
           evs
       in
-      (* double-cancel before the run *)
-      List.iter2
-        (fun h (_, cancel) -> if cancel then Engine.cancel engine h)
-        handles evs;
+      (* double-disarm before the run *)
+      List.iter2 (fun tm (_, disarm) -> if disarm then Engine.disarm tm) timers evs;
       Engine.run engine;
-      let expected = List.length (List.filter (fun (_, c) -> not c) evs) in
+      let expected = List.length (List.filter (fun (_, d) -> not d) evs) in
       let fired_before = !fired in
-      (* cancel every handle — fired and cancelled alike — twice over *)
-      List.iter (Engine.cancel engine) handles;
-      List.iter (Engine.cancel engine) handles;
-      ignore (Engine.at engine 20_000 (fun () -> incr fired));
+      (* disarm every timer — fired and disarmed alike — twice over *)
+      List.iter Engine.disarm timers;
+      List.iter Engine.disarm timers;
+      (* every timer still re-arms and fires once more *)
+      List.iter (fun tm -> Engine.arm tm ~at:20_000) timers;
       Engine.run engine;
-      fired_before = expected && !fired = fired_before + 1)
+      fired_before = expected
+      && !fired = fired_before + List.length evs
+      && Engine.pending engine = 0)
 
 let suite =
   [
@@ -1152,8 +1215,8 @@ let suite =
     Alcotest.test_case "eventq: negative time" `Quick test_eventq_negative_time;
     Alcotest.test_case "eventq: size counter exact" `Quick
       test_eventq_size_counter_exact;
-    Alcotest.test_case "eventq: stale generation" `Quick
-      test_eventq_stale_generation;
+    Alcotest.test_case "eventq: slot reuse under a pop's hole" `Quick
+      test_eventq_slot_reuse;
     Alcotest.test_case "eventq: invariants interleaved" `Quick
       test_eventq_invariants_interleaved;
     Alcotest.test_case "eventq: zero-alloc steady state" `Quick
@@ -1179,5 +1242,5 @@ let suite =
     Alcotest.test_case "engine: every cohort round allocates nothing" `Quick
       test_engine_every_zero_alloc;
     Alcotest.test_case "engine: rng determinism" `Quick test_engine_split_rng_deterministic;
-    qtest prop_cancel_idempotent;
+    qtest prop_disarm_idempotent;
   ]

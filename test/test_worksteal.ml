@@ -75,9 +75,8 @@ let test_quantum_breaks_hol () =
   ignore
     (Rc.spawn (Percpu.runtime rt) app ~name:"scan" ~cpu:0
        (Coro.compute_then_exit (Time.us 591)));
-  ignore
-    (Engine.at engine (Time.us 1) (fun () ->
-         spawn_timed engine rt app ~cpu:0 "get" (Time.ns 950) short));
+  Engine.at engine (Time.us 1) (fun () ->
+      spawn_timed engine rt app ~cpu:0 "get" (Time.ns 950) short);
   Engine.run ~until:(Time.ms 2) engine;
   check Alcotest.bool "GET escaped within ~2 quanta" true
     (!short > 0 && !short < Time.us 25)
@@ -91,9 +90,8 @@ let test_parks_when_scans_fail () =
   let first = ref 0 and second = ref 0 in
   spawn_timed engine rt app ~cpu:0 "first" (Time.us 10) first;
   (* long gap: the core runs dry, fails its scans and parks *)
-  ignore
-    (Engine.at engine (Time.ms 1) (fun () ->
-         spawn_timed engine rt app ~cpu:0 "second" (Time.us 10) second));
+  Engine.at engine (Time.ms 1) (fun () ->
+      spawn_timed engine rt app ~cpu:0 "second" (Time.us 10) second);
   Engine.run ~until:(Time.ms 2) engine;
   check Alcotest.bool "both completed" true (!first > 0 && !second > 0);
   check Alcotest.bool "the idle core parked" true (Percpu.parks rt >= 1);
@@ -118,9 +116,8 @@ let test_steals_are_charged () =
   let engine, rt, steals, app = make_rt ~cores:2 ~preemption:false () in
   let local = ref 0 and stolen = ref 0 in
   spawn_timed engine rt app ~cpu:0 "local" (Time.us 100) local;
-  ignore
-    (Engine.at engine (Time.us 1) (fun () ->
-         spawn_timed engine rt app ~cpu:0 "stolen" (Time.us 10) stolen));
+  Engine.at engine (Time.us 1) (fun () ->
+      spawn_timed engine rt app ~cpu:0 "stolen" (Time.us 10) stolen);
   Engine.run ~until:(Time.ms 1) engine;
   check Alcotest.int "one steal" 1 steals.Work_stealing.steals;
   check Alcotest.int "local dispatch pays the app switch" Costs.app_switch_ns
