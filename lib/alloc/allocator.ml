@@ -49,9 +49,11 @@ type ('r, 'x) arbiter = {
   capacity : int;
   on_event : event -> unit;
   rules : 'r;
-  decide : ('r, 'x) arbiter -> ('x binding * Policy.decision) list;
-  mutable bindings : 'x binding list;  (* registration order — the
-                                          iteration order everywhere *)
+  decide : ('r, 'x) arbiter -> unit;  (* fills [decisions] *)
+  mutable bindings : 'x binding array;  (* registration order — the
+                                           iteration order everywhere *)
+  mutable signals : Policy.signal array;  (* per binding, refilled each round *)
+  mutable decisions : Policy.decision array;  (* per binding, this round's *)
   event_log : event Queue.t;
   mutable grants : int;
   mutable reclaims : int;
@@ -78,7 +80,9 @@ let arbiter ~who ~member ~engine ~capacity ~on_event ~rules ~decide =
     on_event;
     rules;
     decide;
-    bindings = [];
+    bindings = [||];
+    signals = [||];
+    decisions = [||];
     event_log = Queue.create ();
     grants = 0;
     reclaims = 0;
@@ -95,17 +99,26 @@ let arbiter ~who ~member ~engine ~capacity ~on_event ~rules ~decide =
 let now t = Engine.now t.engine
 let rules t = t.rules
 let bindings t = t.bindings
-let sum_granted t = List.fold_left (fun acc b -> acc + b.granted) 0 t.bindings
+let signals t = t.signals
+let decisions t = t.decisions
+
+let sum_granted t =
+  let sum = ref 0 in
+  for i = 0 to Array.length t.bindings - 1 do
+    sum := !sum + t.bindings.(i).granted
+  done;
+  !sum
+
 let free_cores t = t.capacity - sum_granted t
 
 let find t id =
-  match List.find_opt (fun b -> b.id = id) t.bindings with
+  match Array.find_opt (fun b -> b.id = id) t.bindings with
   | Some b -> b
   | None -> invalid_arg (Printf.sprintf "%s: unregistered %s %d" t.who t.member id)
 
 let bind t ~id ~name ~kind ~bounds ~initial ~sample ~apply ext =
   let fail msg = invalid_arg (t.who ^ ".register: " ^ msg) in
-  if List.exists (fun b -> b.id = id) t.bindings then
+  if Array.exists (fun b -> b.id = id) t.bindings then
     fail (t.member ^ " already registered");
   if bounds.guaranteed < 0 || bounds.guaranteed > bounds.burstable then
     fail "need 0 <= guaranteed <= burstable";
@@ -130,7 +143,12 @@ let bind t ~id ~name ~kind ~bounds ~initial ~sample ~apply ext =
     }
   in
   Timeseries.record b.series ~at:(now t) initial;
-  t.bindings <- t.bindings @ [ b ]
+  let signal =
+    { Policy.kind; cores = 0; runq_len = 0; oldest_delay = 0; utilization = 0.0 }
+  in
+  t.bindings <- Array.append t.bindings [| b |];
+  t.signals <- Array.append t.signals [| signal |];
+  t.decisions <- Array.append t.decisions [| Policy.Hold |]
 
 let set_health (b : _ binding) h = b.health <- h
 
@@ -166,7 +184,8 @@ let transition t b ~action ~delta =
     emit t b ~action ~delta:(abs delta)
   end
 
-let signal_of b (r : raw) =
+let signal_of t i (r : raw) =
+  let b = t.bindings.(i) in
   let busy = Int.max 0 (r.busy_ns - b.last_busy_ns) in
   b.last_busy_ns <- r.busy_ns;
   (* Staleness: cores granted and work queued, yet zero progress — the
@@ -178,95 +197,94 @@ let signal_of b (r : raw) =
   if frozen && (b.granted > 0 || b.health = Stale) then
     b.stale_ticks <- b.stale_ticks + 1
   else b.stale_ticks <- 0;
-  {
-    Policy.kind = b.kind;
-    cores = b.granted;
-    runq_len = r.runq_len;
-    oldest_delay = r.oldest_delay;
-    utilization =
-      float_of_int busy /. float_of_int (interval * Int.max 1 b.granted);
-  }
+  let s = t.signals.(i) in
+  s.cores <- b.granted;
+  s.runq_len <- r.runq_len;
+  s.oldest_delay <- r.oldest_delay;
+  s.utilization <- float_of_int busy /. float_of_int (interval * Int.max 1 b.granted);
+  s
 
 exception Invariant_violation of string
 
 let violation fmt = Printf.ksprintf (fun s -> raise (Invariant_violation s)) fmt
 
-(* Runs after every tick: one direct walk that also sums the grants, so
-   the check allocates nothing. *)
-let rec check_bindings t sum = function
-  | [] -> sum
-  | b :: rest ->
-      if b.health <> Crashed && b.granted < b.bounds.guaranteed then
-        violation "%s: %s %s below its floor (%d < %d)" t.who t.member b.name
-          b.granted b.bounds.guaranteed;
-      if b.granted > b.bounds.burstable then
-        violation "%s: %s %s above burstable (%d > %d)" t.who t.member b.name
-          b.granted b.bounds.burstable;
-      check_bindings t (sum + b.granted) rest
-
+(* Runs after every tick: one walk that also sums the grants, so the
+   check allocates nothing. *)
 let check_invariants t =
-  let sum = check_bindings t 0 t.bindings in
-  if sum > t.capacity then
-    violation "%s: %d cores granted, pool has %d" t.who sum t.capacity
+  let sum = ref 0 in
+  for i = 0 to Array.length t.bindings - 1 do
+    let b = t.bindings.(i) in
+    if b.health <> Crashed && b.granted < b.bounds.guaranteed then
+      violation "%s: %s %s below its floor (%d < %d)" t.who t.member b.name
+        b.granted b.bounds.guaranteed;
+    if b.granted > b.bounds.burstable then
+      violation "%s: %s %s above burstable (%d > %d)" t.who t.member b.name
+        b.granted b.bounds.burstable;
+    sum := !sum + b.granted
+  done;
+  if !sum > t.capacity then
+    violation "%s: %d cores granted, pool has %d" t.who !sum t.capacity
 
-(* The three arbitration phases over the round's decisions. *)
-let arbitrate t decisions =
+(* The three arbitration phases over the round's decisions, each one walk
+   in registration order. *)
+let arbitrate t =
+  let n = Array.length t.bindings in
   let free = ref (free_cores t) in
   (* 1. voluntary yields refill the pool (never below the guaranteed floor) *)
-  List.iter
-    (fun (b, d) ->
-      match d with
-      | Policy.Yield n ->
-          let n = Int.min n (b.granted - b.bounds.guaranteed) in
-          if n > 0 then begin
-            transition t b ~action:Yield ~delta:(-n);
-            free := !free + n
-          end
-      | Policy.Grant _ | Policy.Hold -> ())
-    decisions;
+  for i = 0 to n - 1 do
+    let b = t.bindings.(i) in
+    match t.decisions.(i) with
+    | Policy.Yield y ->
+        let y = Int.min y (b.granted - b.bounds.guaranteed) in
+        if y > 0 then begin
+          transition t b ~action:Yield ~delta:(-y);
+          free := !free + y
+        end
+    | Policy.Grant _ | Policy.Hold -> ()
+  done;
   (* 2. LC grants: free pool first, then steal from healthy BE bindings
      above their guaranteed floor *)
-  List.iter
-    (fun (b, d) ->
-      match (b.kind, d) with
-      | Policy.Lc, Policy.Grant n ->
-          let want = ref (Int.min n (b.bounds.burstable - b.granted)) in
-          let from_free = Int.min !want !free in
-          if from_free > 0 then begin
-            free := !free - from_free;
-            want := !want - from_free;
-            transition t b ~action:Grant ~delta:from_free
-          end;
-          List.iter
-            (fun donor ->
-              if !want > 0 && donor.kind = Policy.Be && donor.health = Healthy
-              then begin
-                let steal = Int.min !want (donor.granted - donor.bounds.guaranteed) in
-                if steal > 0 then begin
-                  transition t donor ~action:Reclaim ~delta:(-steal);
-                  transition t b ~action:Grant ~delta:steal;
-                  want := !want - steal
-                end
-              end)
-            t.bindings
-      | _ -> ())
-    decisions;
-  (* 3. BE grants: whatever the pool still holds *)
-  List.iter
-    (fun (b, d) ->
-      match (b.kind, d) with
-      | Policy.Be, Policy.Grant n ->
-          let take = Int.min (Int.min n (b.bounds.burstable - b.granted)) !free in
-          if take > 0 then begin
-            free := !free - take;
-            transition t b ~action:Grant ~delta:take
+  for i = 0 to n - 1 do
+    let b = t.bindings.(i) in
+    match (b.kind, t.decisions.(i)) with
+    | Policy.Lc, Policy.Grant g ->
+        let want = ref (Int.min g (b.bounds.burstable - b.granted)) in
+        let from_free = Int.min !want !free in
+        if from_free > 0 then begin
+          free := !free - from_free;
+          want := !want - from_free;
+          transition t b ~action:Grant ~delta:from_free
+        end;
+        for j = 0 to n - 1 do
+          let donor = t.bindings.(j) in
+          if !want > 0 && donor.kind = Policy.Be && donor.health = Healthy then begin
+            let steal = Int.min !want (donor.granted - donor.bounds.guaranteed) in
+            if steal > 0 then begin
+              transition t donor ~action:Reclaim ~delta:(-steal);
+              transition t b ~action:Grant ~delta:steal;
+              want := !want - steal
+            end
           end
-      | _ -> ())
-    decisions
+        done
+    | _ -> ()
+  done;
+  (* 3. BE grants: whatever the pool still holds *)
+  for i = 0 to n - 1 do
+    let b = t.bindings.(i) in
+    match (b.kind, t.decisions.(i)) with
+    | Policy.Be, Policy.Grant g ->
+        let take = Int.min (Int.min g (b.bounds.burstable - b.granted)) !free in
+        if take > 0 then begin
+          free := !free - take;
+          transition t b ~action:Grant ~delta:take
+        end
+    | _ -> ()
+  done
 
 let tick t =
   t.ticks <- t.ticks + 1;
-  arbitrate t (t.decide t);
+  t.decide t;
+  arbitrate t;
   check_invariants t
 
 let start t =
@@ -341,7 +359,7 @@ let update_mode (t : t) =
   match t.rules.stale_after with
   | None -> ()
   | Some n ->
-      let stale = List.exists (fun b -> b.stale_ticks >= n) t.bindings in
+      let stale = Array.exists (fun b -> b.stale_ticks >= n) t.bindings in
       if stale <> t.rules.degraded then begin
         t.rules.degraded <- stale;
         log t
@@ -358,10 +376,15 @@ let update_mode (t : t) =
 let deciding (t : t) = if t.rules.degraded then t.rules.fallback else t.rules.shared
 
 let decide (t : t) =
-  let sampled = List.map (fun b -> (b, signal_of b (b.sample ()))) t.bindings in
+  let n = Array.length t.bindings in
+  for i = 0 to n - 1 do
+    ignore (signal_of t i (t.bindings.(i).sample ()))
+  done;
   update_mode t;
   let policy = deciding t in
-  List.map (fun (b, s) -> (b, Policy.observe policy ~app:b.id s)) sampled
+  for i = 0 to n - 1 do
+    t.decisions.(i) <- Policy.observe policy ~app:t.bindings.(i).id t.signals.(i)
+  done
 
 let create ~engine ~policy ~total_cores ?(on_event = ignore) ?degrade_after
     () : t =
@@ -392,7 +415,7 @@ let register_metrics (t : t) reg =
   Registry.gauge reg "skyloft_alloc_degraded"
     ~help:"1 while deciding with the Static fallback" (fun () ->
       if t.rules.degraded then 1.0 else 0.0);
-  List.iter
+  Array.iter
     (fun b ->
       let al = [ Registry.app b.name ] in
       Registry.gauge reg ~labels:al "skyloft_alloc_granted_cores"

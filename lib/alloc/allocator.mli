@@ -113,11 +113,11 @@ val arbiter :
   capacity:int ->
   on_event:(event -> unit) ->
   rules:'r ->
-  decide:(('r, 'x) arbiter -> ('x binding * Policy.decision) list) ->
+  decide:(('r, 'x) arbiter -> unit) ->
   ('r, 'x) arbiter
 (** A level's constructor: [decide] samples the bindings (through
-    {!signal_of}), applies the level's rules and returns one decision per
-    binding to arbitrate, in arbitration order.  [who] and [member] name
+    {!signal_of}), applies the level's rules and writes one decision per
+    binding into {!decisions}, which the round then arbitrates.  [who] and [member] name
     errors ("Broker", "tenant").  Raises [Invalid_argument] on a
     non-positive capacity. *)
 
@@ -142,14 +142,26 @@ val bind :
     pool. *)
 
 val rules : ('r, 'x) arbiter -> 'r
-val bindings : ('r, 'x) arbiter -> 'x binding list
+
+val bindings : ('r, 'x) arbiter -> 'x binding array
+(** In registration order, the order of every walk.  Read-only. *)
+
+val signals : ('r, 'x) arbiter -> Policy.signal array
+(** Each binding's signal, by position in {!bindings}, as {!signal_of}
+    last filled it.  Read-only. *)
+
+val decisions : ('r, 'x) arbiter -> Policy.decision array
+(** Each binding's decision this round, by position in {!bindings}: the
+    level's [decide] writes it, the round arbitrates it. *)
+
 val find : ('r, 'x) arbiter -> int -> 'x binding
 val now : ('r, 'x) arbiter -> Time.t
 val set_health : 'x binding -> health -> unit
 
-val signal_of : 'x binding -> raw -> Policy.signal
-(** Derive the policy signal from a raw sample and advance the binding's
-    stale-tick counter.  Call once per binding per tick. *)
+val signal_of : ('r, 'x) arbiter -> int -> raw -> Policy.signal
+(** [signal_of t i raw] derives binding [i]'s policy signal from a raw
+    sample into its slot of {!signals}, returns it, and advances the
+    binding's stale-tick counter.  Call once per binding per tick. *)
 
 val transition : ('r, 'x) arbiter -> 'x binding -> action:action -> delta:int -> unit
 (** Move [delta] cores (signed; no-op at 0): adjust the grant, call

@@ -99,79 +99,83 @@ let settle_core_ns t (b : tenant) =
 
 (* ---- the broker's rules ----------------------------------------------------- *)
 
+let wants_more = function Policy.Grant n -> n > 0 | Policy.Yield _ | Policy.Hold -> false
+
+(* Another healthy tenant than [i] asks for more cores this round. *)
+let rec other_wants bs ds i j =
+  j < Array.length bs
+  && ((j <> i && (bs.(j) : tenant).health = A.Healthy && wants_more ds.(j))
+     || other_wants bs ds i (j + 1))
+
 let decide (t : t) =
   let cfg = (A.rules t).cfg in
+  let bs = A.bindings t and ds = A.decisions t in
+  let n = Array.length bs in
   (* 1. sample every live tenant (through the fault interceptor, if any)
      and settle the fairness integrals *)
-  let sampled =
-    List.map
-      (fun (b : tenant) ->
-        settle_core_ns t b;
-        if b.health = A.Crashed then (b, None)
-        else
-          let r = b.sample () in
-          let r =
-            match b.ext.intercept with Some f -> f ~granted:b.granted r | None -> r
-          in
-          (b, Some (A.signal_of b r)))
-      (A.bindings t)
-  in
+  for i = 0 to n - 1 do
+    let b = bs.(i) in
+    settle_core_ns t b;
+    if b.health <> A.Crashed then begin
+      let r = b.sample () in
+      let r =
+        match b.ext.intercept with Some f -> f ~granted:b.granted r | None -> r
+      in
+      ignore (A.signal_of t i r)
+    end
+  done;
   (* 2. health transitions: staleness edges and quarantine countdown *)
-  List.iter
-    (fun ((b : tenant), _) ->
-      match b.health with
-      | A.Healthy when b.stale_ticks >= cfg.degrade_after ->
-          A.set_health b A.Stale;
-          clamp_to_floor t b ~action:A.Degrade
-      | A.Stale when b.stale_ticks = 0 ->
+  for i = 0 to n - 1 do
+    let b = bs.(i) in
+    match b.health with
+    | A.Healthy when b.stale_ticks >= cfg.degrade_after ->
+        A.set_health b A.Stale;
+        clamp_to_floor t b ~action:A.Degrade
+    | A.Stale when b.stale_ticks = 0 ->
+        A.set_health b A.Healthy;
+        A.emit t b ~action:A.Recover ~delta:0
+    | A.Quarantined ->
+        b.ext.quarantine_left <- b.ext.quarantine_left - 1;
+        if b.ext.quarantine_left <= 0 then begin
           A.set_health b A.Healthy;
-          A.emit t b ~action:A.Recover ~delta:0
-      | A.Quarantined ->
-          b.ext.quarantine_left <- b.ext.quarantine_left - 1;
-          if b.ext.quarantine_left <= 0 then begin
-            A.set_health b A.Healthy;
-            b.ext.hoard_score <- 0;
-            A.emit t b ~action:A.Release ~delta:0
-          end
-      | A.Healthy | A.Stale | A.Crashed -> ())
-    sampled;
-  (* 3. policy decisions — only healthy tenants get a say *)
-  let decisions =
-    List.map
-      (fun ((b : tenant), s) ->
-        match (b.health, s) with
-        | A.Healthy, Some s -> (b, Policy.observe b.ext.policy ~app:b.id s)
-        | _ -> (b, Policy.Hold))
-      sampled
-  in
+          b.ext.hoard_score <- 0;
+          A.emit t b ~action:A.Release ~delta:0
+        end
+    | A.Healthy | A.Stale | A.Crashed -> ()
+  done;
+  (* 3. policy decisions — only healthy tenants get a say (a healthy one
+     was sampled in step 1: only a crashed one was not) *)
+  let signals = A.signals t in
+  for i = 0 to n - 1 do
+    let b = bs.(i) in
+    ds.(i) <-
+      (if b.health = A.Healthy then Policy.observe b.ext.policy ~app:b.id signals.(i)
+       else Policy.Hold)
+  done;
   (* 4. hoard scoring: a tenant above its floor that keeps claiming
      congestion while the pool is dry and another healthy tenant is asking
-     too is hoarding; behaving tenants decay their score. *)
-  let wants_more (_, d) = match d with Policy.Grant n -> n > 0 | _ -> false in
-  List.map
-    (fun ((b : tenant), d) ->
-      if b.health <> A.Healthy then (b, d)
-      else begin
-        let hoarding =
-          wants_more (b, d)
-          && b.granted > b.bounds.guaranteed
-          && A.free_cores t = 0
-          && List.exists
-               (fun ((b' : tenant), d') ->
-                 b' != b && b'.health = A.Healthy && wants_more (b', d'))
-               decisions
-        in
-        if hoarding then b.ext.hoard_score <- b.ext.hoard_score + 1
-        else b.ext.hoard_score <- max 0 (b.ext.hoard_score - hoard_decay);
-        if b.ext.hoard_score >= cfg.hoard_cap then begin
-          A.set_health b A.Quarantined;
-          b.ext.quarantine_left <- cfg.quarantine_ticks;
-          clamp_to_floor t b ~action:A.Quarantine;
-          (b, Policy.Hold)
-        end
-        else (b, d)
-      end)
-    decisions
+     too is hoarding; behaving tenants decay their score.  A tenant
+     quarantined here is no longer healthy, so its Hold cannot change a
+     later tenant's answer. *)
+  for i = 0 to n - 1 do
+    let b = bs.(i) in
+    if b.health = A.Healthy then begin
+      let hoarding =
+        wants_more ds.(i)
+        && b.granted > b.bounds.guaranteed
+        && A.free_cores t = 0
+        && other_wants bs ds i 0
+      in
+      if hoarding then b.ext.hoard_score <- b.ext.hoard_score + 1
+      else b.ext.hoard_score <- max 0 (b.ext.hoard_score - hoard_decay);
+      if b.ext.hoard_score >= cfg.hoard_cap then begin
+        A.set_health b A.Quarantined;
+        b.ext.quarantine_left <- cfg.quarantine_ticks;
+        clamp_to_floor t b ~action:A.Quarantine;
+        ds.(i) <- Policy.Hold
+      end
+    end
+  done
 
 let create ~engine ~capacity ?(config = default_config ()) () : t =
   if config.degrade_after <= 0 then
@@ -229,7 +233,7 @@ let fairness t =
             (float_of_int b.ext.core_ns
             /. float_of_int (max 1 b.bounds.guaranteed))
         end)
-      (A.bindings t)
+      (Array.to_list (A.bindings t))
   in
   let n = List.length xs in
   if n = 0 then 1.0
@@ -288,7 +292,7 @@ let register_metrics t reg =
   Registry.gauge reg "skyloft_broker_fairness"
     ~help:"Jain index over normalized per-tenant core-time" (fun () ->
       fairness t);
-  List.iter
+  Array.iter
     (fun (b : tenant) ->
       let al = [ Registry.app b.name ] in
       Registry.gauge reg ~labels:al "skyloft_broker_granted_cores"

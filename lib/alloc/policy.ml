@@ -4,10 +4,10 @@ type kind = Lc | Be
 
 type signal = {
   kind : kind;
-  cores : int;
-  runq_len : int;
-  oldest_delay : Time.t;
-  utilization : float;
+  mutable cores : int;
+  mutable runq_len : int;
+  mutable oldest_delay : Time.t;
+  mutable utilization : float;
 }
 
 type decision = Grant of int | Yield of int | Hold

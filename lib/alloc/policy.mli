@@ -16,15 +16,17 @@ type kind =
             guaranteed floor *)
   | Be  (** best-effort: granted only cores the LC side leaves free *)
 
-(** One application's congestion sample over the last interval. *)
+(** One application's congestion sample over the last interval.  The
+    arbiter keeps one per binding and refills it every round, so a policy
+    must not hold on to the record past its [observe] call. *)
 type signal = {
   kind : kind;
-  cores : int;  (** cores currently granted to the application *)
-  runq_len : int;  (** tasks waiting in its runqueue *)
-  oldest_delay : Time.t;
+  mutable cores : int;  (** cores currently granted to the application *)
+  mutable runq_len : int;  (** tasks waiting in its runqueue *)
+  mutable oldest_delay : Time.t;
       (** queueing delay of the oldest pending task (Shenango's congestion
           signal); 0 when the queue is empty *)
-  utilization : float;
+  mutable utilization : float;
       (** busy time over the interval divided by [interval * max 1 cores];
           may exceed 1.0 when the app ran on more cores than granted *)
 }

@@ -30,5 +30,8 @@ let create ~id ~name =
 
 let daemon () = make 0 "daemon"
 
+(* -1 marks "no app" in assignment slots, so the sentinel must not use it. *)
+let none = make (-2) "none"
+
 let cpu_share t ~total_ns =
   if total_ns <= 0 then 0.0 else float_of_int t.busy_ns /. float_of_int total_ns

@@ -32,5 +32,10 @@ val create : id:int -> name:string -> t
 val daemon : unit -> t
 (** The Skyloft daemon pseudo-application (id 0): owns the idle loops. *)
 
+val none : t
+(** The sentinel "no application" (id [-2], which no task and no pending
+    assignment carries: an empty assignment slot is [-1]).  Shared and
+    never written. *)
+
 val cpu_share : t -> total_ns:int -> float
 (** Fraction of [total_ns] this application spent running. *)

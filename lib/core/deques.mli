@@ -1,0 +1,43 @@
+(** Per-core deques for work-stealing policies: one {!Runqueue} per
+    managed core, addressed by the core's position, and the round-robin
+    victim scan over them.
+
+    Every mutation keeps a word of non-empty bits (one per deque, for up
+    to {!Bitmask.width} deques), so {!victim} finds the first non-empty
+    deque from the thief's cursor with a few bit operations yet reports
+    the same victim, cursor and [probes] as probing deque after deque —
+    which is what it does past {!Bitmask.width} deques.  Mutate the
+    queues only through this module, or the word goes stale. *)
+
+type t = private {
+  queues : Runqueue.t array;  (** by position in the cores given to {!create} *)
+  slot : int array;  (** core id -> position, [-1] for an unmanaged core *)
+  cursor : int array;
+      (** per-thief scan start: the position after its last hit, [-1]
+          before its first, when the scan starts just after the thief *)
+  mutable probes : int;  (** victim deques the last scan looked at *)
+  mutable nonempty : int;  (** bit [i] set iff deque [i] is non-empty *)
+  masked : bool;  (** whether [nonempty] is kept (at most 62 deques) *)
+}
+
+val create : int array -> t
+(** Empty deques for distinct, non-negative core ids, in order. *)
+
+val position : t -> int -> int
+(** A core's position, or [-1] for a core not given to {!create}. *)
+
+val is_empty : t -> int -> bool
+val push_head : t -> int -> Task.t -> unit
+val push_tail : t -> int -> Task.t -> unit
+val pop_head : t -> int -> Task.t option
+val pop_tail : t -> int -> Task.t option
+
+val steal_half : t -> from:int -> into:int -> int
+(** {!Runqueue.steal_half} between two positions. *)
+
+val victim : t -> self:int -> int
+(** The first non-empty deque other than [self], scanning round-robin
+    from [self]'s cursor; [-1] if there is none.  A hit moves the cursor
+    past it.  [probes] becomes the number of deques the scan looked at:
+    every one from the start up to the hit, or all the others on a miss,
+    never [self]. *)

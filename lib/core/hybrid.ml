@@ -117,7 +117,7 @@ let rec start_on t u (task : Task.t) =
   Rc.set_incoming t.rc u.ex (-1);
   (* Killed while the assignment was in flight (deadline fired between
      dequeue and arrival): discarded like a task killed while queued. *)
-  if Rc.discard_killed t.rc task then reschedule t u ~prev:None
+  if Rc.discard_killed t.rc task then reschedule t u ~prev:Task.nil
   else begin
     t.dispatches <- t.dispatches + 1;
     let switch_cost =
@@ -142,7 +142,7 @@ and assign t u (task : Task.t) =
   Engine.arm u.atimer ~at:(dispatcher_done t t.mech.dispatch_cost)
 
 and try_next t u =
-  if (not (reserved u)) && u.ex.Rc.current = None && not (Rc.unit_capped t.rc u.ex)
+  if (not (reserved u)) && u.ex.Rc.current == Task.nil && not (Rc.unit_capped t.rc u.ex)
   then begin
     match Rc.next_lc t.rc ~cpu:u.ex.Rc.exec_core ~balance:false with
     | Some task -> assign t u task
@@ -167,7 +167,7 @@ and do_preempt t u gen =
     match Rc.depose t.rc u.ex ~overhead:t.mech.preempt_receive with
     | Some task ->
         Rc.enqueue t.rc ~cpu:t.dispatcher_core ~reason:Sched_ops.Enq_preempted task;
-        reschedule t u ~prev:(Some task)
+        reschedule t u ~prev:task
     | None -> ()
 
 and deliver_preempt t u gen =
@@ -202,9 +202,8 @@ let assign_fire t u =
    generation leaves a dispatch that ended (or was superseded — re-arming
    cancels the stale firing outright) alone. *)
 let quantum_fire t u =
-  match u.ex.Rc.current with
-  | Some task when u.gen = u.qt_gen -> send_preempt t u task
-  | Some _ | None -> ()
+  if u.ex.Rc.current != Task.nil && u.gen = u.qt_gen then
+    send_preempt t u u.ex.Rc.current
 
 (* ---- the shared-queue poke ------------------------------------------------ *)
 
@@ -214,7 +213,7 @@ let rec first_free t i =
   if i = Array.length t.units then -1
   else
     let u = t.units.(i) in
-    if u.ex.Rc.current = None && (not (reserved u)) && not (Rc.unit_capped t.rc u.ex)
+    if u.ex.Rc.current == Task.nil && (not (reserved u)) && not (Rc.unit_capped t.rc u.ex)
     then i
     else first_free t (i + 1)
 
@@ -284,35 +283,37 @@ let watchdog_scan t ~bound =
   end;
   Array.iter
     (fun u ->
-      if now t >= u.ex.Rc.stolen_until then
-        match u.ex.Rc.current with
-        | Some task when Engine.armed u.ex.Rc.completion ->
-            (* The expected preemption point depends on which mechanism
-               covers the run; grant the larger of the two.  A pinned
-               runtime has no tick period, so the bound is
-               [bound + quantum]. *)
-            let allowed =
-              bound
-              +
-              if Rc.is_be t.rc task then 0
-              else Int.max (Int.max t.quantum 0) t.tick_period
-            in
-            let overrun = now t - task.Task.run_start - allowed in
-            if overrun > 0 then rescue_worker t u ~late:overrun
-        | _ -> ())
+      let task = u.ex.Rc.current in
+      if now t >= u.ex.Rc.stolen_until && task != Task.nil
+         && Engine.armed u.ex.Rc.completion
+      then begin
+        (* The expected preemption point depends on which mechanism
+           covers the run; grant the larger of the two.  A pinned runtime
+           has no tick period, so the bound is [bound + quantum]. *)
+        let allowed =
+          bound
+          +
+          if Rc.is_be t.rc task then 0
+          else Int.max (Int.max t.quantum 0) t.tick_period
+        in
+        let overrun = now t - task.Task.run_start - allowed in
+        if overrun > 0 then rescue_worker t u ~late:overrun
+      end)
     t.units
 
 (* ---- core allocation ------------------------------------------------------ *)
 
 (* Preempt the unit's BE task, if it runs one, by the mode's means. *)
-let preempt_be t u =
-  match (t.mode, u.ex.Rc.current) with
-  | Percore, _ -> Percore.preempt_be t.pc u.pc
-  | Central, Some task
-    when Rc.is_be t.rc task && Engine.armed u.ex.Rc.completion ->
-      send_preempt t u task;
-      true
-  | Central, _ -> false
+let preempt_be t (u : unit_state) =
+  match t.mode with
+  | Percore -> Percore.preempt_be t.pc u.pc
+  | Central ->
+      Rc.is_be t.rc u.ex.Rc.current
+      && Engine.armed u.ex.Rc.completion
+      && begin
+           send_preempt t u u.ex.Rc.current;
+           true
+         end
 
 (* Wake a unit for new work by whichever path the current mode uses. *)
 let redrive t u =
@@ -324,12 +325,10 @@ let redrive t u =
    the current mode provides: a dispatcher IPI (central) or the per-core
    eviction (percore). *)
 let preempt_capped_unit t u =
-  match u.ex.Rc.current with
-  | Some task when Engine.armed u.ex.Rc.completion -> (
-      match t.mode with
-      | Central -> send_preempt t u task
-      | Percore -> Percore.evict t.pc u.pc)
-  | _ -> ()
+  if u.ex.Rc.current != Task.nil && Engine.armed u.ex.Rc.completion then
+    match t.mode with
+    | Central -> send_preempt t u u.ex.Rc.current
+    | Percore -> Percore.evict t.pc u.pc
 
 (* ---- construction --------------------------------------------------------- *)
 
@@ -427,7 +426,7 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
       d_be_attached =
         (fun () ->
           poke t;
-          Array.iter (fun u -> reschedule t u ~prev:None) t.units);
+          Array.iter (fun u -> reschedule t u ~prev:Task.nil) t.units);
     };
   Rc.install_policy t.rc ctor;
   Rc.activate_daemon t.rc;

@@ -39,11 +39,12 @@ let park t cpu =
    dispatcher by the time the kick lands. *)
 let kick_fire t cpu () =
   cpu.kick_pending <- false;
-  if cpu.ex.Rc.current = None then t.rc.Rc.dispatch.Rc.d_reschedule cpu.ex ~prev:None
+  if cpu.ex.Rc.current == Task.nil then
+    t.rc.Rc.dispatch.Rc.d_reschedule cpu.ex ~prev:Task.nil
 
 (* The grace period ran out with the core still idle since it began. *)
 let park_fire t cpu () =
-  if cpu.ex.Rc.current = None && cpu.idle_gen = cpu.park_gen then park t cpu
+  if cpu.ex.Rc.current == Task.nil && cpu.idle_gen = cpu.park_gen then park t cpu
 
 let create rc ~cores ~quantum ~park =
   let cpus =
@@ -110,7 +111,7 @@ let pick rc ~core =
 
 let schedule t cpu ~prev =
   let rc = t.rc in
-  if Option.is_some cpu.ex.Rc.current || in_flight cpu then ()
+  if cpu.ex.Rc.current != Task.nil || in_flight cpu then ()
   else if Rc.unit_capped rc cpu.ex then cpu.idle_gen <- cpu.idle_gen + 1
   else
     let core = cpu.ex.Rc.exec_core in
@@ -119,9 +120,8 @@ let schedule t cpu ~prev =
     | Some task ->
         let unpark_cost = unpark_cost t cpu in
         let charge = rc.Rc.policy.sched_migration_charge ~cpu:core in
-        let same = match prev with Some p -> p == task | None -> false in
         let cost =
-          if same then 0
+          if prev == task then 0
           else if task.Task.app = cpu.ex.Rc.active_app then begin
             rc.Rc.switches <- rc.Rc.switches + 1;
             Costs.uthread_yield_ns
@@ -134,20 +134,20 @@ let schedule t cpu ~prev =
         Rc.run_after_switch rc cpu.ex ~switch_cost
 
 let steal_time ?(stall = false) cpu cost =
-  match cpu.ex.Rc.current with
-  | Some task when Engine.armed cpu.ex.Rc.completion ->
-      task.Task.segment_end <- task.Task.segment_end + cost;
-      if stall then task.Task.obs_stall_ns <- task.Task.obs_stall_ns + cost
-      else task.Task.obs_overhead_ns <- task.Task.obs_overhead_ns + cost;
-      Engine.arm cpu.ex.Rc.completion ~at:task.Task.segment_end
-  | _ -> ()
+  let task = cpu.ex.Rc.current in
+  if task != Task.nil && Engine.armed cpu.ex.Rc.completion then begin
+    task.Task.segment_end <- task.Task.segment_end + cost;
+    if stall then task.Task.obs_stall_ns <- task.Task.obs_stall_ns + cost
+    else task.Task.obs_overhead_ns <- task.Task.obs_overhead_ns + cost;
+    Engine.arm cpu.ex.Rc.completion ~at:task.Task.segment_end
+  end
 
 (* ---- kicks --------------------------------------------------------------- *)
 
 (* [kick_pending] coalesces kicks, so the cpu's timer is never re-armed
    while a kick is pending. *)
 let kick t cpu =
-  if cpu.ex.Rc.current = None && (not cpu.kick_pending) && not (in_flight cpu)
+  if cpu.ex.Rc.current == Task.nil && (not cpu.kick_pending) && not (in_flight cpu)
   then begin
     cpu.kick_pending <- true;
     Engine.arm cpu.kick_timer ~at:(Int.max (now t) cpu.ex.Rc.stolen_until)
@@ -170,31 +170,30 @@ let preempt t cpu =
   match Rc.depose t.rc cpu.ex ~overhead:0 with
   | Some task ->
       requeue t task ~cpu:(t.rc.Rc.dispatch.Rc.d_enqueue_cpu cpu.ex);
-      schedule t cpu ~prev:(Some task)
+      schedule t cpu ~prev:task
   | None -> ()
 
 (* Never requeue on the capped core's own queue: with the core gone
    nothing local would drain it. *)
 let evict t cpu =
-  match cpu.ex.Rc.current with
-  | Some _ when Engine.armed cpu.ex.Rc.completion -> (
-      steal_time cpu (Costs.uipi_receive_ns ~cross_numa:false);
-      match Rc.depose t.rc cpu.ex ~overhead:0 with
-      | Some task ->
-          requeue t task ~cpu:(t.rc.Rc.dispatch.Rc.d_enqueue_cpu t.cpus.(0).ex);
-          schedule t cpu ~prev:(Some task);
-          kick_some_idle t
-      | None -> ())
-  | _ -> ()
+  if cpu.ex.Rc.current != Task.nil && Engine.armed cpu.ex.Rc.completion then begin
+    steal_time cpu (Costs.uipi_receive_ns ~cross_numa:false);
+    match Rc.depose t.rc cpu.ex ~overhead:0 with
+    | Some task ->
+        requeue t task ~cpu:(t.rc.Rc.dispatch.Rc.d_enqueue_cpu t.cpus.(0).ex);
+        schedule t cpu ~prev:task;
+        kick_some_idle t
+    | None -> ()
+  end
 
 let preempt_be t cpu =
-  match cpu.ex.Rc.current with
-  | Some task
-    when Rc.is_be t.rc task && Engine.armed cpu.ex.Rc.completion ->
-      steal_time cpu (Costs.uipi_receive_ns ~cross_numa:false);
-      preempt t cpu;
-      true
-  | _ -> false
+  Rc.is_be t.rc cpu.ex.Rc.current
+  && Engine.armed cpu.ex.Rc.completion
+  && begin
+       steal_time cpu (Costs.uipi_receive_ns ~cross_numa:false);
+       preempt t cpu;
+       true
+     end
 
 (* ---- the timer tick (Listing 1) ------------------------------------------ *)
 
@@ -206,19 +205,18 @@ let tick_decision t cpu =
   cpu.last_sched <- now t;
   if Rc.unit_capped t.rc cpu.ex then evict t cpu
   else
-    match cpu.ex.Rc.current with
-    | Some task when Engine.armed cpu.ex.Rc.completion ->
-        if Rc.is_be t.rc task then begin
-          if Rc.be_occupancy t.rc > t.rc.Rc.be_allowance then preempt t cpu
-        end
-        else if
-          (* The policy gets first say; single-queue policies written for
-             a dispatcher leave ticks alone, so [quantum] makes the tick
-             timeshare exactly like the dispatcher's quantum IPI. *)
-          t.rc.Rc.policy.sched_timer_tick ~cpu:cpu.ex.Rc.exec_core task
-          || (t.quantum > 0 && now t - task.Task.run_start >= t.quantum)
-        then preempt t cpu
-    | _ -> kick t cpu
+    let task = cpu.ex.Rc.current in
+    if task == Task.nil || not (Engine.armed cpu.ex.Rc.completion) then kick t cpu
+    else if Rc.is_be t.rc task then begin
+      if Rc.be_occupancy t.rc > t.rc.Rc.be_allowance then preempt t cpu
+    end
+    else if
+      (* The policy gets first say; single-queue policies written for a
+         dispatcher leave ticks alone, so [quantum] makes the tick
+         timeshare exactly like the dispatcher's quantum IPI. *)
+      t.rc.Rc.policy.sched_timer_tick ~cpu:cpu.ex.Rc.exec_core task
+      || (t.quantum > 0 && now t - task.Task.run_start >= t.quantum)
+    then preempt t cpu
 
 let on_tick t cpu =
   t.rc.Rc.ticks <- t.rc.Rc.ticks + 1;

@@ -54,9 +54,10 @@ val cpu_of : t -> int -> cpu
 
 val cpu_of_unit : t -> Runtime_core.exec -> cpu
 
-val schedule : t -> cpu -> prev:Task.t option -> unit
+val schedule : t -> cpu -> prev:Task.t -> unit
 (** Pick and start the core's next task, charging the switch cost
-    ([0] when [prev] resumes, a user-level yield within an application,
+    ([0] when [prev], the task that just left the core or {!Task.nil},
+    resumes, a user-level yield within an application,
     the kernel module's switch across) plus any resume and migration
     charge.  A busy, reserved or broker-capped core picks nothing. *)
 

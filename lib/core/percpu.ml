@@ -84,15 +84,13 @@ let rescue t (cpu : Percore.cpu) ~bound =
 let watchdog_scan t ~bound =
   Array.iter
     (fun (cpu : Percore.cpu) ->
-      match cpu.ex.Rc.current with
-      | Some _
-        when now t >= cpu.ex.Rc.stolen_until
-             && (not
-                   (Machine.interrupts_masked
-                      (Machine.core t.rc.Rc.machine cpu.ex.Rc.exec_core)))
-             && now t - cpu.last_sched > bound ->
-          rescue t cpu ~bound
-      | _ -> ())
+      if cpu.ex.Rc.current != Task.nil
+         && now t >= cpu.ex.Rc.stolen_until
+         && (not
+               (Machine.interrupts_masked
+                  (Machine.core t.rc.Rc.machine cpu.ex.Rc.exec_core)))
+         && now t - cpu.last_sched > bound
+      then rescue t cpu ~bound)
     t.pc.Percore.cpus
 
 (* The host kernel stole this core: the running segment makes no progress
@@ -256,7 +254,9 @@ let register_uvec t ~uvec handler =
     invalid_arg "Percpu.register_uvec: uvec out of 0-63";
   t.uvec_handlers.(uvec) <- Some handler
 
-let current t ~core = (cpu_of t core).Percore.ex.Rc.current
+let current t ~core =
+  let task = (cpu_of t core).Percore.ex.Rc.current in
+  if task == Task.nil then None else Some task
 let is_idle t ~core = Rc.is_idle t.rc core
 let parks t = t.pc.Percore.parks
 let unparks t = t.pc.Percore.unparks

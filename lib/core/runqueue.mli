@@ -1,16 +1,17 @@
 (** FIFO deque of tasks, the building block for policy runqueues.
 
     Supports head/tail insertion (preempted tasks often go back to the head
-    or tail depending on the policy), O(1) push/pop at both ends, and O(1)
-    removal of a specific task, so work-stealing policies can steal from
-    the tail while the owner pops the head.
+    or tail depending on the policy) and O(1) push/pop at both ends, so
+    work-stealing policies can steal from the tail while the owner pops
+    the head.
 
-    The list is intrusive: a task carries its own links ({!Task.rq_prev},
-    {!Task.rq_next}) and the queue it is in ({!Task.rq_in}).  So {b a task
-    is in at most one runqueue at a time}: pushing a task that is already
-    queued anywhere raises, and moving it means removing (or popping) it
-    first.  In return no operation allocates, apart from the [Some] box
-    a [pop_*] or [peek_head] returns. *)
+    A queue is a ring of task pointers that grows by doubling: a push is
+    one array store, and a pop clears its slot, so a task that left the
+    queue is not kept alive by it.  {b A task is in at most one runqueue
+    at a time} ({!Task.queued}): pushing a task that is already queued
+    anywhere raises, and moving it means removing (or popping) it first.
+    No operation allocates once the ring is large enough, apart from the
+    [Some] box a [pop_*] or [peek_head] returns. *)
 
 type t
 
@@ -39,7 +40,8 @@ val peek_head : t -> Task.t option
 
 val remove : t -> Task.t -> bool
 (** [remove q task] takes [task] out of [q]; [false] if it was not in [q]
-    (it may be in another runqueue, which is left alone).  O(1). *)
+    (it may be in another runqueue, which is left alone).  O(n): the
+    tasks behind it move up one slot. *)
 
 val iter : (Task.t -> unit) -> t -> unit
 (** Head to tail.  [f] may remove the task it is given. *)

@@ -26,7 +26,7 @@ module Attribution = Skyloft_obs.Attribution
 type exec = {
   exec_core : int;
   mutable exec_slot : int;  (* index among d_units; -1 before install *)
-  mutable current : Task.t option;
+  mutable current : Task.t;  (* [Task.nil] while the unit runs nothing *)
   mutable completion : Engine.timer;
       (* the unit's one stable segment-end timer, installed with the
          dispatch record: armed per segment for [current], disarmed when
@@ -57,9 +57,9 @@ type dispatch = {
   d_released : exec -> unit;
       (* the unit gave its task up (completion, block, preempt, kill):
          bump assignment generations, invalidate stale timers *)
-  d_reschedule : exec -> prev:Task.t option -> unit;
+  d_reschedule : exec -> prev:Task.t -> unit;
       (* find the unit something to run: synchronous pick or dispatcher
-         assignment *)
+         assignment; [prev] is the task that just left it, or [Task.nil] *)
   d_place : Task.t -> cpu:int option -> unit;
       (* a new task's placement: policy init, enqueue, kick or pump *)
   d_wake : Task.t -> unit;  (* an awakened task's placement *)
@@ -107,7 +107,7 @@ type t = {
   mutable apps : App.t list;  (* reverse creation order *)
   daemon : App.t;
   mutable policy : Sched_ops.instance;
-  mutable be_app : App.t option;
+  mutable be_app : App.t;  (* [App.none] until a BE app attaches *)
   be_queue : Runqueue.t;  (* BE work lives here, outside the LC policy *)
   mutable lc_queued : int;  (* LC tasks in the policy's queues *)
   mutable enq_stamps : Time.t array;  (* their enqueue times: a ring, grown by doubling *)
@@ -168,7 +168,7 @@ let create machine kmod =
     apps = [];
     daemon;
     policy = Sched_ops.null_instance;
-    be_app = None;
+    be_app = App.none;
     be_queue = Runqueue.create ();
     lc_queued = 0;
     enq_stamps = Array.make 64 0;
@@ -215,7 +215,7 @@ let make_exec core =
   {
     exec_core = core;
     exec_slot = -1;
-    current = None;
+    current = Task.nil;
     completion = Engine.timer detached ignore;
     switch_done = Engine.timer detached ignore;
     incoming = -1;
@@ -249,9 +249,8 @@ let set_core_allowance t n =
 
 (* Which units run nothing is kept as a bitmask over exec slots, flipped
    where [current] changes, so "is this core idle" and "first idle core"
-   never scan the units.  62 bits per word keeps every word and every
-   prefix mask non-negative. *)
-let idle_bits = 62
+   never scan the units. *)
+let idle_bits = Bitmask.width
 
 let slot_of_core t core =
   if core >= 0 && core < Array.length t.slot_of then t.slot_of.(core) else -1
@@ -263,17 +262,6 @@ let set_idle_bit t slot on =
     let w = slot / idle_bits and bit = 1 lsl (slot mod idle_bits) in
     t.idle.(w) <- (if on then t.idle.(w) lor bit else t.idle.(w) land lnot bit)
   end
-
-(* Index of the lowest set bit of a non-zero word. *)
-let lowest_bit x =
-  let x = ref (x land -x) and n = ref 0 in
-  if !x land 0xFFFF_FFFF = 0 then (n := 32; x := !x lsr 32);
-  if !x land 0xFFFF = 0 then (n := !n + 16; x := !x lsr 16);
-  if !x land 0xFF = 0 then (n := !n + 8; x := !x lsr 8);
-  if !x land 0xF = 0 then (n := !n + 4; x := !x lsr 4);
-  if !x land 0x3 = 0 then (n := !n + 2; x := !x lsr 2);
-  if !x land 0x1 = 0 then incr n;
-  !n
 
 let is_idle t core =
   let s = slot_of_core t core in
@@ -289,7 +277,7 @@ let rec first_idle_from t w =
     let m =
       if room >= idle_bits then t.idle.(w) else t.idle.(w) land ((1 lsl room) - 1)
     in
-    if m <> 0 then base + lowest_bit m else first_idle_from t (w + 1)
+    if m <> 0 then base + Bitmask.lowest m else first_idle_from t (w + 1)
 
 let first_idle_slot t = first_idle_from t 0
 
@@ -382,7 +370,7 @@ let activate_daemon t =
       ignore (Kmod.activate t.kmod kt))
     t.dispatch.d_units
 
-let is_be_app t id = match t.be_app with Some app -> id = app.App.id | None -> false
+let is_be_app t id = id = t.be_app.App.id
 let is_be t (task : Task.t) = is_be_app t task.Task.app
 
 (* Units the BE application occupies right now, counting in-flight
@@ -420,19 +408,19 @@ let track_running t ~app ~units ~from =
   t.running_from_total <- t.running_from_total + from
 
 let account t ex =
-  (match ex.current with
-  | Some task ->
-      let app = find_app t task.Task.app in
-      let busy = Int.max 0 (now t - ex.busy_from) in
-      app.App.busy_ns <- app.App.busy_ns + busy;
-      t.busy_total <- t.busy_total + busy;
-      track_running t ~app:task.Task.app ~units:0 ~from:(now t - ex.busy_from);
-      (match t.trace with
-      | Some trace when now t > ex.busy_from ->
-          Trace.span trace ~core:ex.exec_core ~app:task.Task.app
-            ~name:task.Task.name ~start:ex.busy_from ~stop:(now t)
-      | _ -> ())
-  | None -> ());
+  let task = ex.current in
+  if task != Task.nil then begin
+    let app = find_app t task.Task.app in
+    let busy = Int.max 0 (now t - ex.busy_from) in
+    app.App.busy_ns <- app.App.busy_ns + busy;
+    t.busy_total <- t.busy_total + busy;
+    track_running t ~app:task.Task.app ~units:0 ~from:(now t - ex.busy_from);
+    match t.trace with
+    | Some trace when now t > ex.busy_from ->
+        Trace.span trace ~core:ex.exec_core ~app:task.Task.app
+          ~name:task.Task.name ~start:ex.busy_from ~stop:(now t)
+    | _ -> ()
+  end;
   ex.busy_from <- now t
 
 let trace_instant t ~core kind name =
@@ -441,12 +429,12 @@ let trace_instant t ~core kind name =
   | None -> ()
 
 let release t ex =
-  (match ex.current with
-  | Some task ->
-      if is_be t task then t.be_running <- t.be_running - 1;
-      track_running t ~app:task.Task.app ~units:(-1) ~from:(-ex.busy_from)
-  | None -> ());
-  ex.current <- None;
+  let task = ex.current in
+  if task != Task.nil then begin
+    if is_be t task then t.be_running <- t.be_running - 1;
+    track_running t ~app:task.Task.app ~units:(-1) ~from:(-ex.busy_from)
+  end;
+  ex.current <- Task.nil;
   set_idle_bit t ex.exec_slot true;
   t.dispatch.d_released ex
 
@@ -549,7 +537,7 @@ let rec process t ex (task : Task.t) =
       release t ex;
       task.obs_enq_at <- now t;
       enqueue t ~cpu:(t.dispatch.d_enqueue_cpu ex) ~reason:Sched_ops.Enq_yielded task;
-      t.dispatch.d_reschedule ex ~prev:(Some task)
+      t.dispatch.d_reschedule ex ~prev:task
   | Coro.Block k ->
       if task.pending_wake then begin
         task.pending_wake <- false;
@@ -563,7 +551,7 @@ let rec process t ex (task : Task.t) =
         release t ex;
         task.obs_block_at <- now t;
         t.policy.task_block ~cpu:ex.exec_core task;
-        t.dispatch.d_reschedule ex ~prev:(Some task)
+        t.dispatch.d_reschedule ex ~prev:task
       end
   | Coro.Exit ->
       task.state <- Task.Exited;
@@ -574,7 +562,7 @@ let rec process t ex (task : Task.t) =
       app.App.tasks_alive <- app.App.tasks_alive - 1;
       t.policy.task_terminate task;
       (match task.on_exit with Some f -> f task | None -> ());
-      t.dispatch.d_reschedule ex ~prev:(Some task)
+      t.dispatch.d_reschedule ex ~prev:task
 
 (* The second half of a dispatch, once the switch cost has elapsed: start
    executing the unit's task.  The unit's switch-done timer is armed only
@@ -582,16 +570,16 @@ let rec process t ex (task : Task.t) =
    one path that frees a unit inside its switch window, [kill], disarms
    it; so when it fires, [current] is the task that armed it. *)
 let switch_done t ex () =
-  match ex.current with
-  | Some task when task.Task.state = Task.Running ->
-      (match task.body with
-      | Coro.Yield k -> task.body <- k ()
-      | Coro.Block k when task.resuming ->
-          task.resuming <- false;
-          task.body <- k ()
-      | Coro.Block _ | Coro.Compute _ | Coro.Exit -> ());
-      process t ex task
-  | Some _ | None -> ()
+  let task = ex.current in
+  if task != Task.nil && task.Task.state = Task.Running then begin
+    (match task.body with
+    | Coro.Yield k -> task.body <- k ()
+    | Coro.Block k when task.resuming ->
+        task.resuming <- false;
+        task.body <- k ()
+    | Coro.Block _ | Coro.Compute _ | Coro.Exit -> ());
+    process t ex task
+  end
 
 (* Install the dispatch record, index the units by core, build the idle
    mask and the scheduler view once, and wire each unit's stable
@@ -630,15 +618,15 @@ let install_dispatch t d =
   Array.iteri
     (fun i ex ->
       ex.exec_slot <- i;
-      set_idle_bit t i (ex.current = None);
+      set_idle_bit t i (ex.current == Task.nil);
       ex.switch_done <- Engine.timer t.engine (switch_done t ex);
       ex.completion <-
         Engine.timer t.engine (fun () ->
-          match ex.current with
-          | Some task ->
-              task.Task.body <- task.Task.cont ();
-              process t ex task
-          | None -> ()))
+          let task = ex.current in
+          if task != Task.nil then begin
+            task.Task.body <- task.Task.cont ();
+            process t ex task
+          end))
     d.d_units;
   t.be_allowance <- Array.length d.d_units
 
@@ -648,18 +636,17 @@ let install_dispatch t d =
 let begin_run t ex (task : Task.t) ~switch_cost =
   task.state <- Task.Running;
   if is_be t task then t.be_running <- t.be_running + 1;
-  ex.current <- Some task;
+  ex.current <- task;
   set_idle_bit t ex.exec_slot false;
   ex.busy_from <- now t;
   track_running t ~app:task.Task.app ~units:1 ~from:(now t);
   task.obs_queued_ns <- task.obs_queued_ns + Int.max 0 (now t - task.obs_enq_at);
   task.obs_overhead_ns <- task.obs_overhead_ns + switch_cost;
   let start = now t + switch_cost in
-  (match task.wake_time with
-  | Some w ->
-      if task.track_wakeup then Histogram.record t.wakeups (start - w);
-      task.wake_time <- None
-  | None -> ());
+  if task.wake_time >= 0 then begin
+    if task.track_wakeup then Histogram.record t.wakeups (start - task.wake_time);
+    task.wake_time <- -1
+  end;
   task.run_start <- start;
   task.last_core <- ex.exec_core;
   start
@@ -675,20 +662,21 @@ let run_after_switch t ex ~switch_cost =
    because the response time counts it exactly once.  Returns the deposed
    task; the caller requeues it and reschedules the unit. *)
 let depose t ex ~overhead =
-  match ex.current with
-  | Some task when Engine.armed ex.completion ->
-      Engine.disarm ex.completion;
-      let remaining = Int.max 0 (task.Task.segment_end - now t) + overhead in
-      task.Task.body <- Coro.Compute (remaining, task.Task.cont);
-      task.Task.state <- Task.Runnable;
-      if overhead > 0 then
-        task.Task.obs_overhead_ns <- task.Task.obs_overhead_ns + overhead;
-      account t ex;
-      release t ex;
-      task.Task.obs_enq_at <- now t;
-      trace_instant t ~core:ex.exec_core Trace.Preempt task.Task.name;
-      Some task
-  | _ -> None
+  let task = ex.current in
+  if task == Task.nil || not (Engine.armed ex.completion) then None
+  else begin
+    Engine.disarm ex.completion;
+    let remaining = Int.max 0 (task.Task.segment_end - now t) + overhead in
+    task.Task.body <- Coro.Compute (remaining, task.Task.cont);
+    task.Task.state <- Task.Runnable;
+    if overhead > 0 then
+      task.Task.obs_overhead_ns <- task.Task.obs_overhead_ns + overhead;
+    account t ex;
+    release t ex;
+    task.Task.obs_enq_at <- now t;
+    trace_instant t ~core:ex.exec_core Trace.Preempt task.Task.name;
+    Some task
+  end
 
 (* ---- wakeups -------------------------------------------------------------- *)
 
@@ -699,7 +687,7 @@ let wakeup t (task : Task.t) =
   | Task.Blocked ->
       task.Task.state <- Task.Runnable;
       task.Task.resuming <- true;
-      task.Task.wake_time <- Some (now t);
+      task.Task.wake_time <- now t;
       task.Task.obs_stall_ns <-
         task.Task.obs_stall_ns + Int.max 0 (now t - task.Task.obs_block_at);
       task.Task.obs_enq_at <- now t;
@@ -721,23 +709,24 @@ let fault_current t ~core ~duration =
   | -1 -> invalid_arg "Runtime_core.fault_current: unmanaged core"
   | slot -> (
       let ex = t.dispatch.d_units.(slot) in
-      match ex.current with
-      | Some task when Engine.armed ex.completion ->
-          Engine.disarm ex.completion;
-          let remaining = Int.max 0 (task.Task.segment_end - now t) in
-          task.Task.body <- Coro.Compute (remaining, task.Task.cont);
-          task.Task.state <- Task.Blocked;
-          account t ex;
-          release t ex;
-          task.Task.obs_block_at <- now t;
-          (* BE tasks live outside the LC policy, which never saw this
-             one start and must not account its block. *)
-          if not (is_be t task) then t.policy.task_block ~cpu:core task;
-          trace_instant t ~core Trace.Fault task.Task.name;
-          Engine.after t.engine duration (fun () -> wakeup t task);
-          t.dispatch.d_reschedule ex ~prev:(Some task);
-          true
-      | _ -> false)
+      let task = ex.current in
+      if task == Task.nil || not (Engine.armed ex.completion) then false
+      else begin
+        Engine.disarm ex.completion;
+        let remaining = Int.max 0 (task.Task.segment_end - now t) in
+        task.Task.body <- Coro.Compute (remaining, task.Task.cont);
+        task.Task.state <- Task.Blocked;
+        account t ex;
+        release t ex;
+        task.Task.obs_block_at <- now t;
+        (* BE tasks live outside the LC policy, which never saw this
+           one start and must not account its block. *)
+        if not (is_be t task) then t.policy.task_block ~cpu:core task;
+        trace_instant t ~core Trace.Fault task.Task.name;
+        Engine.after t.engine duration (fun () -> wakeup t task);
+        t.dispatch.d_reschedule ex ~prev:task;
+        true
+      end)
 
 (* ---- deadlines ------------------------------------------------------------ *)
 
@@ -759,21 +748,20 @@ let kill t ?on_drop (task : Task.t) =
         let slot = slot_of_core t task.Task.last_core in
         if slot >= 0 then
           let ex = t.dispatch.d_units.(slot) in
-          match ex.current with
-          | Some cur when cur == task ->
-              (* Killed inside its switch window: drop the pending
-                 switch-done firing, so an armed timer always belongs to
-                 the unit's current task. *)
-              Engine.disarm ex.switch_done;
-              Engine.disarm ex.completion;
-              task.Task.killed <- true;
-              task.Task.state <- Task.Exited;
-              account t ex;
-              release t ex;
-              t.policy.task_terminate task;
-              deadline_expired t task ~on_drop;
-              t.dispatch.d_reschedule ex ~prev:(Some task)
-          | Some _ | None -> ())
+          if ex.current == task then begin
+            (* Killed inside its switch window: drop the pending
+               switch-done firing, so an armed timer always belongs to
+               the unit's current task. *)
+            Engine.disarm ex.switch_done;
+            Engine.disarm ex.completion;
+            task.Task.killed <- true;
+            task.Task.state <- Task.Exited;
+            account t ex;
+            release t ex;
+            t.policy.task_terminate task;
+            deadline_expired t task ~on_drop;
+            t.dispatch.d_reschedule ex ~prev:task
+          end)
     | Task.Runnable ->
         (* Somewhere in a runqueue: account the drop now, discard lazily at
            the next dequeue (see [discard_killed]). *)
@@ -849,10 +837,8 @@ let spawn t app ~name ?cpu ?arrival ?(service = 0) ?(record = true) ?deadline
 let rescued t ex ~late =
   t.rescues <- t.rescues + 1;
   Histogram.record t.rescue_detect late;
-  match ex.current with
-  | Some task ->
-      trace_instant t ~core:ex.exec_core Trace.Watchdog_rescue task.Task.name
-  | None -> ()
+  if ex.current != Task.nil then
+    trace_instant t ~core:ex.exec_core Trace.Watchdog_rescue ex.current.Task.name
 
 let start_watchdog t ~bound scan =
   match bound with
@@ -868,13 +854,13 @@ let start_watchdog t ~bound scan =
    watchdog clocks do not count stolen time against the task. *)
 let freeze_for_steal t ex ~duration =
   ex.stolen_until <- Int.max ex.stolen_until (now t + duration);
-  match ex.current with
-  | Some task when Engine.armed ex.completion ->
-      task.Task.segment_end <- task.Task.segment_end + duration;
-      task.Task.run_start <- task.Task.run_start + duration;
-      task.Task.obs_stall_ns <- task.Task.obs_stall_ns + duration;
-      Engine.arm ex.completion ~at:task.Task.segment_end
-  | _ -> ()
+  let task = ex.current in
+  if task != Task.nil && Engine.armed ex.completion then begin
+    task.Task.segment_end <- task.Task.segment_end + duration;
+    task.Task.run_start <- task.Task.run_start + duration;
+    task.Task.obs_stall_ns <- task.Task.obs_stall_ns + duration;
+    Engine.arm ex.completion ~at:task.Task.segment_end
+  end
 
 (* ---- busy accounting for the allocator ----------------------------------- *)
 
@@ -892,10 +878,10 @@ let in_flight_busy t ~id ~mine =
 
 let total_busy_ns t = t.busy_total
 
+(* [App.none] has no busy time and no running units. *)
 let lc_busy_ns t =
-  match t.be_app with
-  | Some be -> t.busy_total - be.App.busy_ns + in_flight_busy t ~id:be.App.id ~mine:false
-  | None -> t.busy_total + in_flight_busy t ~id:(-1) ~mine:false
+  let be = t.be_app in
+  t.busy_total - be.App.busy_ns + in_flight_busy t ~id:be.App.id ~mine:false
 
 let be_busy_ns t (app : App.t) =
   app.App.busy_ns + in_flight_busy t ~id:app.App.id ~mine:true
@@ -917,12 +903,10 @@ let congestion t =
    may already run or have assignments in flight, so its occupancy counts
    start from a scan of the units. *)
 let spawn_be_workers t (app : App.t) ~chunk ~workers =
-  t.be_app <- Some app;
+  t.be_app <- app;
   Array.iter
     (fun ex ->
-      (match ex.current with
-      | Some task when is_be t task -> t.be_running <- t.be_running + 1
-      | Some _ | None -> ());
+      if is_be t ex.current then t.be_running <- t.be_running + 1;
       if is_be_app t ex.incoming then t.be_incoming <- t.be_incoming + 1)
     t.dispatch.d_units;
   for i = 1 to workers do
@@ -978,7 +962,7 @@ let start_allocator t alloc ~be:(app : App.t) ~(bounds : Allocator.bounds)
    muscle, and let the mechanism wake units for the new work. *)
 let attach_be_app t ?(alloc = Allocator.default_config ()) app ~chunk ~workers =
   let fail msg = invalid_arg ("Runtime_core.attach_be_app: " ^ msg) in
-  if t.be_app <> None then fail "BE app already set";
+  if t.be_app != App.none then fail "BE app already set";
   if not (List.exists (fun a -> a == app) t.apps) then
     fail "app not created by this runtime";
   let total = Array.length t.dispatch.d_units in

@@ -38,7 +38,7 @@ module Registry = Skyloft_obs.Registry
 type exec = {
   exec_core : int;
   mutable exec_slot : int;  (** index among [d_units]; [-1] before install *)
-  mutable current : Task.t option;
+  mutable current : Task.t;  (** {!Task.nil} while the unit runs nothing *)
   mutable completion : Engine.timer;
       (** the unit's one stable segment-end timer for [current] (installed
           by {!install_dispatch}): armed per segment, moved by time
@@ -69,8 +69,9 @@ type dispatch = {
   d_released : exec -> unit;
       (** the unit gave its task up: bump assignment generations,
           invalidate stale timers *)
-  d_reschedule : exec -> prev:Task.t option -> unit;
-      (** find the unit something to run *)
+  d_reschedule : exec -> prev:Task.t -> unit;
+      (** find the unit something to run; [prev] is the task that just
+          left it, or {!Task.nil} *)
   d_place : Task.t -> cpu:int option -> unit;
       (** a freshly admitted task's placement: policy init, enqueue, and a
           kick (per-CPU) or a dispatcher pump *)
@@ -102,7 +103,7 @@ type t = {
   mutable apps : App.t list;  (** reverse creation order *)
   daemon : App.t;
   mutable policy : Sched_ops.instance;
-  mutable be_app : App.t option;
+  mutable be_app : App.t;  (** {!App.none} until {!attach_be_app} *)
   be_queue : Runqueue.t;
   mutable lc_queued : int;
       (** LC tasks in the policy's queues (one killed there counts until

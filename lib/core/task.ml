@@ -13,7 +13,7 @@ type t = {
   mutable segment_end : Time.t;
   mutable last_core : int;
   mutable run_start : Time.t;
-  mutable wake_time : Time.t option;
+  mutable wake_time : Time.t;
   mutable pending_wake : bool;
   mutable resuming : bool;
   mutable track_wakeup : bool;
@@ -31,15 +31,11 @@ type t = {
   mutable obs_queued_ns : int;
   mutable obs_overhead_ns : int;
   mutable obs_stall_ns : int;
-  mutable rq_prev : t;
-  mutable rq_next : t;
-  mutable rq_in : queue;
+  mutable queued : bool;
 }
 
-and queue = { mutable head : t; mutable tail : t; mutable len : int }
-
 (* The sentinel carries every field's default; [create] copies it. *)
-let rec nil =
+let nil =
   {
     id = -1;
     app = -1;
@@ -50,7 +46,7 @@ let rec nil =
     segment_end = 0;
     last_core = -1;
     run_start = 0;
-    wake_time = None;
+    wake_time = -1;
     pending_wake = false;
     resuming = false;
     track_wakeup = true;
@@ -68,12 +64,8 @@ let rec nil =
     obs_queued_ns = 0;
     obs_overhead_ns = 0;
     obs_stall_ns = 0;
-    rq_prev = nil;
-    rq_next = nil;
-    rq_in = no_queue;
+    queued = false;
   }
-
-and no_queue = { head = nil; tail = nil; len = 0 }
 
 (* A fresh task is the sentinel's defaults under its own identity. *)
 let create ~id ~app ~name ?(arrival = 0) ?(service = 0) ?on_exit body =

@@ -29,7 +29,9 @@ type t = {
   mutable segment_end : Time.t;
   mutable last_core : int;
   mutable run_start : Time.t;  (** when the task last started running *)
-  mutable wake_time : Time.t option;
+  mutable wake_time : Time.t;
+      (** when a wakeup made the task runnable, until its next dispatch
+          records the latency; [-1] when none is pending *)
   mutable pending_wake : bool;
   mutable resuming : bool;  (** woken from a block: next dispatch resumes the
                                 block continuation instead of re-blocking *)
@@ -59,27 +61,14 @@ type t = {
   mutable obs_stall_ns : int;
       (** accumulated fault stall: blocked time plus host-kernel core
           steals that froze the running segment *)
-  mutable rq_prev : t;
-  mutable rq_next : t;
-      (** the task's neighbours in its runqueue, {!nil} at either end and
-          while the task is in none *)
-  mutable rq_in : queue;
-      (** the runqueue holding the task, {!no_queue} while it is in none.
-          The three [rq_] links belong to {!Runqueue}: a task is in at
-          most one runqueue at a time, so it carries its own links and a
-          queue needs no nodes and no index. *)
+  mutable queued : bool;
+      (** in some runqueue right now; written only by {!Runqueue}, which
+          keeps a task in at most one queue at a time *)
 }
 
-(** A runqueue's ends and length: the representation of {!Runqueue.t},
-    written only by {!Runqueue}. *)
-and queue = { mutable head : t; mutable tail : t; mutable len : int }
-
 val nil : t
-(** The link sentinel: the [head]/[tail] of an empty queue and the
-    [rq_prev]/[rq_next] at either end.  Never queued, never run. *)
-
-val no_queue : queue
-(** The [rq_in] of a task in no runqueue.  Always empty. *)
+(** The sentinel "no task": an empty runqueue slot, and the [current] of
+    a unit that runs nothing.  Never queued, never run. *)
 
 val create :
   id:int -> app:int -> name:string -> ?arrival:Time.t -> ?service:Time.t ->

@@ -26,6 +26,7 @@ let framework_files =
     ("Runtime_core (shared substrate)", "lib/core/runtime_core.ml");
     ("Percore (shared per-core path)", "lib/core/percore.ml");
     ("Percpu (per-CPU mechanism)", "lib/core/percpu.ml");
+    ("Deques (per-core deques + victim scan)", "lib/core/deques.ml");
     ("Hybrid (dispatcher + mode switch)", "lib/core/hybrid.ml");
     ("Fair (CFS/EEVDF rules, shared with Linux)", "lib/kernel/fair.ml");
     ("Allocator (core arbiter + allocator rules)", "lib/alloc/allocator.ml");

@@ -62,9 +62,26 @@ let pick_core t cores =
   let arr = Array.of_list cores in
   arr.(Rng.int t.rng (Array.length arr))
 
+(* Every plan's requirement is checked before the first side effect, so
+   a rejected list leaves no hook, no loss filter and no timer behind,
+   and the injector can still be armed. *)
 let arm t target plans =
-  if t.armed then invalid_arg "Injector.arm: already armed";
-  if target.cores = [] then invalid_arg "Injector.arm: no target cores";
+  let fail msg = invalid_arg ("Injector.arm: " ^ msg) in
+  if t.armed then fail "already armed";
+  if target.cores = [] then fail "no target cores";
+  List.iter
+    (fun (p : Plan.t) ->
+      match p.Plan.spec with
+      | Plan.Ipi_loss _ -> ()
+      | Plan.Packet_loss _ ->
+          if target.nic = None then fail "packet-loss plan without a NIC"
+      | Plan.Core_steal _ ->
+          if target.kmod = None then fail "core-steal plan without a Kmod"
+      | Plan.Poison _ ->
+          if target.poison = None then fail "poison plan without a spawn callback"
+      | Plan.Tenant_hoard _ | Plan.Tenant_stale _ | Plan.Tenant_crash _ ->
+          fail "tenant plans are armed with arm_tenants")
+    plans;
   let ipi_plans =
     List.filter_map
       (fun (p : Plan.t) ->
@@ -75,8 +92,7 @@ let arm t target plans =
   in
   (* The machine has one fault hook, so one IPI-loss plan decides the fate
      of each queried delivery; a second would be silently ignored. *)
-  if List.length ipi_plans > 1 then
-    invalid_arg "Injector.arm: at most one IPI-loss plan";
+  if List.length ipi_plans > 1 then fail "at most one IPI-loss plan";
   t.armed <- true;
   (* The hook only touches notification and delegated-timer vectors on
      target cores: everything else delivers untouched. *)
@@ -106,13 +122,8 @@ let arm t target plans =
         | _ -> None)
       plans
   in
-  if packet_plans <> [] then begin
-    let nic =
-      match target.nic with
-      | Some nic -> nic
-      | None -> invalid_arg "Injector.arm: packet-loss plan without a NIC"
-    in
-    Nic.set_loss nic
+  if packet_plans <> [] then
+    Nic.set_loss (Option.get target.nic)
       (Some
          (fun _pkt ->
            List.exists
@@ -121,31 +132,21 @@ let arm t target plans =
                &&
                (record t ~kind:"pkt-drop" ~core:(-1);
                 true))
-             packet_plans))
-  end;
+             packet_plans));
   List.iter
     (fun (p : Plan.t) ->
       match p.Plan.spec with
-      | Plan.Ipi_loss _ | Plan.Packet_loss _ -> ()
-      | Plan.Tenant_hoard _ | Plan.Tenant_stale _ | Plan.Tenant_crash _ ->
-          invalid_arg "Injector.arm: tenant plans are armed with arm_tenants"
+      | Plan.Ipi_loss _ | Plan.Packet_loss _ | Plan.Tenant_hoard _
+      | Plan.Tenant_stale _ | Plan.Tenant_crash _ ->
+          ()
       | Plan.Core_steal { period; duration } ->
-          let kmod =
-            match target.kmod with
-            | Some kmod -> kmod
-            | None -> invalid_arg "Injector.arm: core-steal plan without a Kmod"
-          in
+          let kmod = Option.get target.kmod in
           periodic t ~period (fun () ->
               let core = pick_core t target.cores in
               record t ~kind:"core-steal" ~core;
               Kmod.steal_core kmod ~core ~duration)
       | Plan.Poison { period; service } ->
-          let poison =
-            match target.poison with
-            | Some f -> f
-            | None ->
-                invalid_arg "Injector.arm: poison plan without a spawn callback"
-          in
+          let poison = Option.get target.poison in
           periodic t ~period (fun () ->
               let core = pick_core t target.cores in
               record t ~kind:"poison" ~core;
@@ -158,8 +159,20 @@ let arm t target plans =
    a [Broker.t], and independently of it — a scenario may arm both.  The
    hoard and stale interceptors are pure functions of the window and the
    sample stream, and the crash is a single scheduled thunk, so no RNG is
-   drawn: tenant plans keep the fault-free-bit-identical contract. *)
+   drawn: tenant plans keep the fault-free-bit-identical contract.  The
+   whole list is checked first, so a rejected one installs nothing. *)
 let arm_tenants t ~broker plans =
+  List.iter
+    (fun (p : Plan.t) ->
+      match p.Plan.spec with
+      | Plan.Tenant_hoard { tenant } | Plan.Tenant_stale { tenant }
+      | Plan.Tenant_crash { tenant } ->
+          (* raises on a tenant the broker does not know *)
+          ignore (Broker.health broker ~tenant)
+      | Plan.Ipi_loss _ | Plan.Core_steal _ | Plan.Poison _
+      | Plan.Packet_loss _ ->
+          invalid_arg "Injector.arm_tenants: not a tenant plan")
+    plans;
   List.iter
     (fun (p : Plan.t) ->
       match p.Plan.spec with
@@ -218,7 +231,7 @@ let arm_tenants t ~broker plans =
               Broker.crash broker ~tenant)
       | Plan.Ipi_loss _ | Plan.Core_steal _ | Plan.Poison _
       | Plan.Packet_loss _ ->
-          invalid_arg "Injector.arm_tenants: not a tenant plan")
+          ())
     plans
 
 let injected t = Hashtbl.fold (fun _ n acc -> acc + n) t.counts 0

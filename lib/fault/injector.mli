@@ -38,10 +38,12 @@ val create : engine:Engine.t -> rng:Rng.t -> ?trace:Trace.t -> unit -> t
 
 val arm : t -> target -> Plan.t list -> unit
 (** Install hooks and periodic loops for every plan.  May be called once
-    per injector; raises [Invalid_argument] on a second call, on an empty
-    [cores] list or a second IPI-loss plan (the machine has one fault
-    hook), each before anything is installed, or when a plan needs a
-    target component ([kmod], [nic], [poison]) that is [None].  Fault kinds recorded: ["ipi-drop"], ["ipi-delay"],
+    per injector.  Raises [Invalid_argument] on a second call, on an empty
+    [cores] list, on a second IPI-loss plan (the machine has one fault
+    hook), on a tenant plan, or when a plan needs a target component
+    ([kmod], [nic], [poison]) that is [None]; every check runs before
+    anything is installed, so after a rejection the injector can still be
+    armed.  Fault kinds recorded: ["ipi-drop"], ["ipi-delay"],
     ["core-steal"], ["poison"], ["pkt-drop"]. *)
 
 val arm_tenants : t -> broker:Skyloft_alloc.Broker.t -> Plan.t list -> unit
@@ -54,7 +56,8 @@ val arm_tenants : t -> broker:Skyloft_alloc.Broker.t -> Plan.t list -> unit
     (["tenant-crash"]).  Independent of {!arm} — a scenario may use both.
     Tenant plans draw no randomness, preserving the fault-free
     determinism contract.  Raises [Invalid_argument] on a machine-level
-    plan. *)
+    plan or a tenant the broker does not know, before installing
+    anything. *)
 
 val injected : t -> int
 (** Total faults injected so far. *)

@@ -2,7 +2,7 @@ module Time = Skyloft_sim.Time
 module Costs = Skyloft_hw.Costs
 module Task = Skyloft.Task
 module Sched_ops = Skyloft.Sched_ops
-module Runqueue = Skyloft.Runqueue
+module Deques = Skyloft.Deques
 module Registry = Skyloft_obs.Registry
 
 (** Work stealing, Shenango-style (§5.3), in cooperative and preemptive
@@ -34,67 +34,23 @@ type stats = {
   mutable steal_fails : int;
 }
 
-(* Per-core state, indexed by the core's position in [view.cores]. *)
+(* The deques, indexed by the core's position in [view.cores]; the
+   cursors and the victim scan are {!Skyloft.Deques}'. *)
 type deques = {
   view : Sched_ops.view;
   n : int;
-  queues : Runqueue.t array;
-  cursor : int array;
-      (* per-thief steal cursor: the next scan resumes where the last
-         successful steal left off, so repeated steals spread across
-         victims round-robin instead of draining thief+1 first; -1 until
-         the first steal *)
-  mutable probes : int;  (* victim deques the last scan looked at *)
+  dq : Deques.t;
   mutable wake_rr : int;
       (* rotation point for wakeups from unmanaged cores when nobody is
          idle *)
 }
 
 let deques (view : Sched_ops.view) =
-  let n = Array.length view.cores in
-  {
-    view;
-    n;
-    queues = Array.init n (fun _ -> Runqueue.create ());
-    cursor = Array.make n (-1);
-    probes = 0;
-    wake_rr = 0;
-  }
-
-let managed d cpu = d.view.index_of cpu >= 0
+  { view; n = Array.length view.cores; dq = Deques.create view.cores; wake_rr = 0 }
 
 let index d cpu =
-  let i = d.view.index_of cpu in
+  let i = Deques.position d.dq cpu in
   if i >= 0 then i else invalid_arg "work_stealing: unmanaged cpu"
-
-let q d cpu = d.queues.(index d cpu)
-
-(* The position after [i] in the ring of [d.n] deques: a compare, not a
-   division. *)
-let[@inline] next d i = if i + 1 = d.n then 0 else i + 1
-
-(* Round-robin victim scan for the thief at position [self], resuming at
-   its cursor (the first scan starts just after the thief) and stopping at
-   the first non-empty deque: that deque's position, or -1.  The cursor
-   moves past a hit. *)
-let victim d ~self =
-  let idx = ref (if d.cursor.(self) >= 0 then d.cursor.(self) else next d self) in
-  let found = ref (-1) in
-  let k = ref 0 in
-  d.probes <- 0;
-  while !found < 0 && !k < d.n do
-    let i = !idx in
-    if i <> self then begin
-      d.probes <- d.probes + 1;
-      if not (Runqueue.is_empty d.queues.(i)) then begin
-        found := i;
-        d.cursor.(self) <- next d i
-      end
-    end;
-    idx := next d i;
-    incr k
-  done;
-  !found
 
 (* Everything but the balance is shared by both variants. *)
 let instance ~name ?quantum d ~sched_balance ~sched_migration_charge
@@ -111,16 +67,17 @@ let instance ~name ?quantum d ~sched_balance ~sched_migration_charge
         (* A preempted or yielded task goes to the tail so queued short
            work runs first... *)
         | Sched_ops.Enq_preempted | Sched_ops.Enq_yielded ->
-            Runqueue.push_tail (q d cpu) task
+            Deques.push_tail d.dq (index d cpu) task
         (* ...while the owner pushes fresh and woken tasks at the head
            (LIFO locality: the newest task's state is hottest in cache). *)
-        | Sched_ops.Enq_new | Sched_ops.Enq_woken -> Runqueue.push_head (q d cpu) task);
-    task_dequeue = (fun ~cpu -> Runqueue.pop_head (q d cpu));
+        | Sched_ops.Enq_new | Sched_ops.Enq_woken ->
+            Deques.push_head d.dq (index d cpu) task);
+    task_dequeue = (fun ~cpu -> Deques.pop_head d.dq (index d cpu));
     task_block = (fun ~cpu:_ _ -> ());
     task_wakeup =
       (fun ~waker_cpu task ->
         let target =
-          if managed d waker_cpu then waker_cpu
+          if Deques.position d.dq waker_cpu >= 0 then waker_cpu
           else begin
             (* Unmanaged waker: prefer an idle core, else rotate the
                fallback so repeated wakeups do not hot-spot core 0. *)
@@ -129,7 +86,7 @@ let instance ~name ?quantum d ~sched_balance ~sched_migration_charge
             Sched_ops.wakeup_to_idle_or view ~fallback
           end
         in
-        Runqueue.push_head (q d target) task;
+        Deques.push_head d.dq (index d target) task;
         target);
     sched_timer_tick =
       (fun ~cpu task ->
@@ -138,7 +95,7 @@ let instance ~name ?quantum d ~sched_balance ~sched_migration_charge
         | Some quantum ->
             (* Preempting with an empty local queue would only reschedule
                the same task; skip the churn. *)
-            (not (Runqueue.is_empty (q d cpu)))
+            (not (Deques.is_empty d.dq (index d cpu)))
             && view.now () - task.Task.run_start >= quantum);
     sched_balance;
     sched_migration_charge;
@@ -150,8 +107,8 @@ let create ?quantum () : Sched_ops.ctor =
   let d = deques view in
   instance ~name:"work-stealing" ?quantum d
     ~sched_balance:(fun ~cpu ->
-      let idx = victim d ~self:(index d cpu) in
-      if idx < 0 then None else Runqueue.pop_tail d.queues.(idx))
+      let idx = Deques.victim d.dq ~self:(index d cpu) in
+      if idx < 0 then None else Deques.pop_tail d.dq idx)
     ~sched_migration_charge:Sched_ops.no_migration_charge
     ~sched_idle_park:Sched_ops.park_after_grace
 
@@ -173,19 +130,19 @@ let steal_half ?quantum () : Sched_ops.ctor * stats =
     instance ~name:"steal-half" ?quantum d
       ~sched_balance:(fun ~cpu ->
         let self = index d cpu in
-        let idx = victim d ~self in
+        let idx = Deques.victim d.dq ~self in
         if idx < 0 then begin
           stats.steal_fails <- stats.steal_fails + 1;
           fail_streak.(self) <- fail_streak.(self) + 1;
           None
         end
         else begin
-          let moved = Runqueue.steal_half ~from:d.queues.(idx) ~into:d.queues.(self) in
+          let moved = Deques.steal_half d.dq ~from:idx ~into:self in
           stats.steals <- stats.steals + 1;
           stats.stolen_tasks <- stats.stolen_tasks + moved;
           charge.(self) <-
-            charge.(self) + (d.probes * steal_probe_ns) + (moved * steal_task_ns);
-          Runqueue.pop_head d.queues.(self)
+            charge.(self) + (d.dq.Deques.probes * steal_probe_ns) + (moved * steal_task_ns);
+          Deques.pop_head d.dq self
         end)
       ~sched_migration_charge:(fun ~cpu ->
         let self = index d cpu in

@@ -97,6 +97,7 @@ type digest = {
   be_preemptions : int;
   alloc_grants : int;
   alloc_reclaims : int;
+  events_fired : int;
 }
 
 (* Merged LC latency across tenants: per-tenant histogram snapshots are
@@ -279,6 +280,7 @@ let run ?(seed = 42) ~requests ~runtime scenario =
       (match Rc.allocator rt with Some a -> Allocator.grants a | None -> 0);
     alloc_reclaims =
       (match Rc.allocator rt with Some a -> Allocator.reclaims a | None -> 0);
+    events_fired = Engine.events_fired engine;
   }
 
 (* ---- digests -------------------------------------------------------------- *)

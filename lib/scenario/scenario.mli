@@ -105,6 +105,10 @@ type digest = {
   be_preemptions : int;
   alloc_grants : int;
   alloc_reclaims : int;
+  events_fired : int;
+      (** engine callbacks the cell ran ({!Skyloft_sim.Engine.events_fired}):
+          simulator work, not a simulated result, so {!digest_string}
+          leaves it out *)
 }
 
 val run : ?seed:int -> requests:int -> runtime:runtime -> t -> digest

@@ -43,12 +43,17 @@ let nth t i =
 let last t = if t.count = 0 then None else Some (nth t (t.count - 1))
 
 (* Called with the ring full below [capacity], so [head] has wrapped to 0
-   and the samples sit in slots [0, count). *)
+   and the samples sit in slots [0, count).  A loop over arrays typed
+   [int array] stores plain ints; [Array.blit] into a major-heap array
+   would call the write barrier once per element. *)
 let grow t =
   let len = Int.min t.capacity (2 * t.count) in
-  let times = Array.make len 0 and values = Array.make len 0 in
-  Array.blit t.times 0 times 0 t.count;
-  Array.blit t.values 0 values 0 t.count;
+  let times : int array = Array.make len 0 and values : int array = Array.make len 0 in
+  let old_times : int array = t.times and old_values : int array = t.values in
+  for i = 0 to t.count - 1 do
+    times.(i) <- old_times.(i);
+    values.(i) <- old_values.(i)
+  done;
   t.times <- times;
   t.values <- values;
   t.head <- t.count

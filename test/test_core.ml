@@ -192,7 +192,9 @@ let test_runqueue_one_queue_per_task () =
 (* Random scripts over two queues against a pair of lists.  Pushing a task
    that either list holds must raise and change nothing; [remove] must
    answer whether the named queue's list holds the task; [steal_half]
-   moves the ceil(n/2) tail tasks, tail first, onto the other's tail. *)
+   moves the ceil(n/2) tail tasks, tail first, onto the other's tail.
+   The pool is three times a ring's initial 8 slots, so scripts push at
+   both ends across index 0, grow wrapped rings and steal from them. *)
 type rq_op =
   | Push_head of int * int
   | Push_tail of int * int
@@ -202,7 +204,7 @@ type rq_op =
   | Steal of int
   | Iter of int
 
-let rq_pool = 6
+let rq_pool = 24
 
 let rq_op_gen =
   QCheck.Gen.(
@@ -223,7 +225,7 @@ let prop_runqueue_model =
     (QCheck.Test.make ~name:"runqueue: two queues match the list model" ~count:300
        (QCheck.make
           ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops))
-          QCheck.Gen.(list_size (int_range 1 60) rq_op_gen))
+          QCheck.Gen.(list_size (int_range 1 150) rq_op_gen))
        (fun ops ->
          let tasks = Array.init rq_pool (fun i -> mk_task (string_of_int i)) in
          let qs = [| Runqueue.create (); Runqueue.create () |] in
@@ -277,6 +279,39 @@ let prop_runqueue_model =
          in
          List.for_all (fun op -> step op && agrees 0 && agrees 1) ops))
 
+(* The ring's edges, step by step: head pushes wrap below index 0, a push
+   into a full wrapped ring doubles it, and a steal takes the tail half of
+   a wrapped ring tail first.  Each step is checked against the list. *)
+let test_runqueue_ring_wraps () =
+  let q = Runqueue.create () and r = Runqueue.create () in
+  let tasks = Array.init 20 (fun i -> mk_task (Printf.sprintf "w%d" i)) in
+  let names l = List.map (fun i -> tasks.(i).Task.name) l in
+  let expect what q l = check (Alcotest.list Alcotest.string) what (names l) (rq_names q) in
+  (* 3 at the tail, 5 at the head: the head wraps to the top of 8 slots *)
+  List.iter (fun i -> Runqueue.push_tail q tasks.(i)) [ 0; 1; 2 ];
+  List.iter (fun i -> Runqueue.push_head q tasks.(i)) [ 3; 4; 5; 6; 7 ];
+  expect "full and wrapped" q [ 7; 6; 5; 4; 3; 0; 1; 2 ];
+  (* the ninth push grows the wrapped ring, at either end *)
+  Runqueue.push_head q tasks.(8);
+  Runqueue.push_tail q tasks.(9);
+  expect "grown while wrapped" q [ 8; 7; 6; 5; 4; 3; 0; 1; 2; 9 ];
+  (* drain from the head past the old wrap point, refill at the tail *)
+  for _ = 1 to 6 do
+    ignore (Runqueue.pop_head q)
+  done;
+  List.iter (fun i -> Runqueue.push_tail q tasks.(i)) [ 10; 11; 12; 13; 14; 15; 16; 17; 18 ];
+  expect "wrapped after growth" q [ 0; 1; 2; 9; 10; 11; 12; 13; 14; 15; 16; 17; 18 ];
+  (* the thief takes the 7 oldest (tail) tasks, oldest-first *)
+  Runqueue.push_head r tasks.(19);
+  check Alcotest.int "ceil(13/2) moved" 7 (Runqueue.steal_half ~from:q ~into:r);
+  expect "victim keeps its head half" q [ 0; 1; 2; 9; 10; 11 ];
+  expect "thief appends the tail half, tail first" r [ 19; 18; 17; 16; 15; 14; 13; 12 ];
+  check Alcotest.bool "a removal inside the wrapped thief" true
+    (Runqueue.remove r tasks.(16));
+  expect "thief after removal" r [ 19; 18; 17; 15; 14; 13; 12 ];
+  check Alcotest.string "pop_tail after the steal" "w11"
+    (match Runqueue.pop_tail q with Some t -> t.Task.name | None -> "-")
+
 (* Steady state allocates nothing but the [Some] box of each pop: two
    words.  The slack covers the boxed float [Gc.minor_words] returns. *)
 let test_runqueue_zero_alloc () =
@@ -311,6 +346,102 @@ let test_runqueue_zero_alloc () =
       "%d rounds of 9 pushes, a remove, 2 steals and 8 pops allocated %.0f minor \
        words (%.0f for the pops' boxes)"
       rounds words (2.0 *. pops)
+
+(* ---- Deques: the non-empty mask against the probing scan ---- *)
+
+module Deques = Skyloft.Deques
+
+(* The victim scan as work stealing ran it before the mask: probe deque
+   after deque from the thief's cursor, over the deques' lengths. *)
+let scan_victim lens cursor ~self =
+  let n = Array.length lens in
+  let next i = if i + 1 = n then 0 else i + 1 in
+  let idx = ref (if cursor.(self) >= 0 then cursor.(self) else next self) in
+  let found = ref (-1) and probes = ref 0 in
+  for _ = 1 to n do
+    let i = !idx in
+    if !found < 0 && i <> self then begin
+      incr probes;
+      if lens.(i) > 0 then begin
+        found := i;
+        cursor.(self) <- next i
+      end
+    end;
+    idx := next i
+  done;
+  (!found, !probes)
+
+type dq_op =
+  | Dq_push of int * bool
+  | Dq_pop of int * bool
+  | Dq_steal of int * int
+  | Dq_victim of int
+
+let dq_script ~lo ~hi =
+  QCheck.make
+    ~print:(fun (n, ops) -> Printf.sprintf "%d deques, %d ops" n (List.length ops))
+    QCheck.Gen.(
+      int_range lo hi >>= fun n ->
+      let i = int_bound (n - 1) in
+      let op =
+        frequency
+          [
+            (4, map2 (fun i head -> Dq_push (i, head)) i bool);
+            (2, map2 (fun i head -> Dq_pop (i, head)) i bool);
+            (1, map2 (fun a b -> Dq_steal (a, b)) i i);
+            (4, map (fun i -> Dq_victim i) i);
+          ]
+      in
+      list_size (int_range 1 200) op >|= fun ops -> (n, ops))
+
+(* Lockstep: every mutation goes through [Deques] and a length model, and
+   every victim call must return the scan's victim, leave the scan's
+   cursor and report the scan's probes (charged as simulated time). *)
+let prop_deques_victim ~name ~lo ~hi =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name ~count:200 (dq_script ~lo ~hi) (fun (n, ops) ->
+         let cores = Array.init n (fun i -> (2 * i) + 1) in
+         let d = Deques.create cores in
+         let lens = Array.make n 0 and cursor = Array.make n (-1) in
+         let step = function
+           | Dq_push (i, head) ->
+               (if head then Deques.push_head else Deques.push_tail) d i (mk_task "d");
+               lens.(i) <- lens.(i) + 1;
+               true
+           | Dq_pop (i, head) ->
+               let got = (if head then Deques.pop_head else Deques.pop_tail) d i in
+               let had = lens.(i) > 0 in
+               if had then lens.(i) <- lens.(i) - 1;
+               Option.is_some got = had
+           | Dq_steal (a, b) when a = b -> true
+           | Dq_steal (a, b) ->
+               let want = (lens.(a) + 1) / 2 in
+               lens.(a) <- lens.(a) - want;
+               lens.(b) <- lens.(b) + want;
+               Deques.steal_half d ~from:a ~into:b = want
+           | Dq_victim self ->
+               let want, probes = scan_victim lens cursor ~self in
+               Deques.victim d ~self = want
+               && d.Deques.probes = probes
+               && d.Deques.cursor.(self) = cursor.(self)
+         in
+         Array.for_all (fun c -> cores.(Deques.position d c) = c) cores
+         && Deques.position d 0 = -1
+         && Deques.position d (2 * n) = -1
+         && List.for_all
+              (fun op ->
+                step op
+                && Array.for_all Fun.id
+                     (Array.init n (fun i -> Deques.is_empty d i = (lens.(i) = 0))))
+              ops))
+
+let prop_deques_victim_masked =
+  prop_deques_victim ~name:"deques: mask victim matches the scan (1-62 deques)" ~lo:1
+    ~hi:62
+
+let prop_deques_victim_fallback =
+  prop_deques_victim ~name:"deques: victim matches the scan past the mask (63-80)"
+    ~lo:63 ~hi:80
 
 (* ---- a trivial FIFO policy for runtime tests ---- *)
 
@@ -412,7 +543,7 @@ let test_percpu_idle_mask_two_words () =
   in
   let scan () =
     Array.find_opt
-      (fun (ex : Rc.exec) -> ex.Rc.current = None && not (Rc.unit_capped rt ex))
+      (fun (ex : Rc.exec) -> ex.Rc.current == Task.nil && not (Rc.unit_capped rt ex))
       rt.Rc.dispatch.Rc.d_units
     |> Option.map (fun (ex : Rc.exec) -> ex.Rc.exec_core)
   in
@@ -1006,11 +1137,11 @@ let test_hybrid_percore_mode () =
   check Alcotest.bool "the tick enforced the quantum" true
     (Rc.preemptions rt > preempts);
   let capped = rt.Rc.dispatch.Rc.d_units.(1) in
-  check Alcotest.bool "the capped worker is busy" true (capped.Rc.current <> None);
+  check Alcotest.bool "the capped worker is busy" true (capped.Rc.current != Task.nil);
   Rc.set_core_allowance rt 1;
   (* the eviction, or the tick backstop if the task was mid-switch *)
   Engine.run ~until:(Time.us 320) engine;
-  check Alcotest.bool "capped worker evicted" true (capped.Rc.current = None);
+  check Alcotest.bool "capped worker evicted" true (capped.Rc.current == Task.nil);
   Engine.run ~until:(Time.ms 5) engine;
   check Alcotest.int "every request completes" 12 app.App.completed;
   check Alcotest.bool "back to central" true (Hybrid.mode hybrid = Hybrid.Central);
@@ -1119,6 +1250,10 @@ let suite =
     prop_runqueue_model;
     Alcotest.test_case "runqueue: zero-alloc steady state" `Quick
       test_runqueue_zero_alloc;
+    Alcotest.test_case "runqueue: ring wraps, grows and steals across index 0" `Quick
+      test_runqueue_ring_wraps;
+    prop_deques_victim_masked;
+    prop_deques_victim_fallback;
     Alcotest.test_case "percpu: runs a task" `Quick test_percpu_runs_task;
     Alcotest.test_case "percpu: parallelism" `Quick test_percpu_parallelism;
     Alcotest.test_case "percpu: timer ticks" `Quick test_percpu_timer_ticks_happen;

@@ -237,6 +237,55 @@ let test_injector_second_ipi_loss () =
   check bool "a later single plan arms" true
     (Machine.fault_fate machine ~core:0 Vectors.uintr_notification = Machine.Drop)
 
+(* A plan whose target component is missing is rejected before the
+   plans ahead of it take effect: no fault hook, no loss filter and no
+   periodic timer survive the rejection, and the same injector then arms
+   a valid list. *)
+let test_injector_rejects_before_side_effects () =
+  let engine = Engine.create () in
+  let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:2) in
+  let kmod = Kmod.create machine in
+  let inj = Injector.create ~engine ~rng:(Rng.create ~seed:11) () in
+  let target ?kmod () =
+    { Injector.machine; kmod; nic = None; cores = [ 0 ]; poison = None }
+  in
+  let steal = Plan.core_steal ~period:(Time.us 50) ~duration:(Time.us 5) () in
+  let rejected what msg target plans =
+    check_raises what (Invalid_argument ("Injector.arm: " ^ msg)) (fun () ->
+        Injector.arm inj target (Plan.ipi_loss ~p_drop:1.0 () :: plans));
+    check bool (what ^ ": no hook installed") true
+      (Machine.fault_fate machine ~core:0 Vectors.uintr_notification = Machine.Deliver);
+    check int (what ^ ": nothing scheduled") 0 (Engine.pending engine)
+  in
+  rejected "core steal without a Kmod" "core-steal plan without a Kmod" (target ())
+    [ steal ];
+  rejected "poison without a spawn callback" "poison plan without a spawn callback"
+    (target ~kmod ())
+    [ steal; Plan.poison ~period:(Time.us 50) ~service:(Time.us 5) () ];
+  rejected "packet loss without a NIC" "packet-loss plan without a NIC"
+    (target ~kmod ())
+    [ steal; Plan.packet_loss ~p_drop:0.5 () ];
+  Injector.arm inj (target ~kmod ()) [ Plan.ipi_loss ~p_drop:1.0 (); steal ];
+  check bool "a valid list then arms its hook" true
+    (Machine.fault_fate machine ~core:0 Vectors.uintr_notification = Machine.Drop);
+  check int "and its steal loop" 1 (Engine.pending engine);
+  (* Tenant plans: an unknown tenant late in the list schedules nothing
+     for the known one ahead of it. *)
+  let broker = Skyloft_alloc.Broker.create ~engine ~capacity:2 () in
+  Skyloft_alloc.Broker.register broker ~tenant:1 ~name:"t1" ~kind:Alloc_policy.Lc
+    ~policy:(Alloc_policy.static ())
+    ~bounds:{ Allocator.guaranteed = 0; burstable = 2 }
+    ~initial:0
+    ~sample:(fun () -> { Allocator.runq_len = 0; oldest_delay = 0; busy_ns = 0 })
+    ~apply:(fun ~granted:_ ~delta:_ -> 0);
+  let crash tenant = Plan.tenant_crash ~tenant () in
+  check_raises "unknown tenant rejected"
+    (Invalid_argument "Broker: unregistered tenant 9") (fun () ->
+      Injector.arm_tenants inj ~broker [ crash 1; crash 9 ]);
+  check int "no crash scheduled" 1 (Engine.pending engine);
+  Injector.arm_tenants inj ~broker [ crash 1 ];
+  check int "a valid tenant list schedules its crash" 2 (Engine.pending engine)
+
 (* ---- NIC loss injection ---- *)
 
 let test_nic_loss () =
@@ -510,6 +559,8 @@ let suite =
     test_case "injector: IPI drop" `Quick test_injector_ipi_drop;
     test_case "injector: second IPI-loss plan rejected" `Quick
       test_injector_second_ipi_loss;
+    test_case "injector: a rejected list installs nothing" `Quick
+      test_injector_rejects_before_side_effects;
     test_case "nic: injected wire loss" `Quick test_nic_loss;
     test_case "percpu: watchdog rescue" `Quick test_percpu_watchdog_rescue;
     test_case "percpu: deadline kill" `Quick test_percpu_deadline_kill;

@@ -217,7 +217,7 @@ let no_task_on_two_units (rt : Rc.t) =
   let ids =
     Array.to_list rt.Rc.dispatch.Rc.d_units
     |> List.filter_map (fun (ex : Rc.exec) ->
-           Option.map (fun (t : Task.t) -> t.Task.id) ex.Rc.current)
+           if ex.Rc.current == Task.nil then None else Some ex.Rc.current.Task.id)
   in
   List.length (List.sort_uniq compare ids) = List.length ids
 
@@ -228,7 +228,7 @@ let no_task_on_two_units (rt : Rc.t) =
 let idle_mask_agrees (rt : Rc.t) ~machine_cores =
   let view = Rc.view rt in
   let units = rt.Rc.dispatch.Rc.d_units in
-  let scan (ex : Rc.exec) = ex.Rc.current = None && not (Rc.unit_capped rt ex) in
+  let scan (ex : Rc.exec) = ex.Rc.current == Task.nil && not (Rc.unit_capped rt ex) in
   let unit_core c = Array.exists (fun (ex : Rc.exec) -> ex.Rc.exec_core = c) units in
   Array.for_all (fun (ex : Rc.exec) -> view.Sched_ops.is_idle ex.Rc.exec_core = scan ex) units
   && view.Sched_ops.pick_idle ()
@@ -246,10 +246,8 @@ let idle_mask_agrees (rt : Rc.t) ~machine_cores =
    it is an assignment in flight toward a unit. *)
 let counters_agree (rt : Rc.t) (lc_tasks : Task.t array) =
   let units = rt.Rc.dispatch.Rc.d_units in
-  let be_id = match rt.Rc.be_app with Some app -> app.App.id | None -> -1 in
-  let runs_be (ex : Rc.exec) =
-    match ex.Rc.current with Some task -> task.Task.app = be_id | None -> false
-  in
+  let be_id = if rt.Rc.be_app == App.none then -1 else rt.Rc.be_app.App.id in
+  let runs_be (ex : Rc.exec) = ex.Rc.current != Task.nil && ex.Rc.current.Task.app = be_id in
   let count p = Array.fold_left (fun acc ex -> if p ex then acc + 1 else acc) 0 units in
   let running = count runs_be in
   let incoming = count (fun ex -> be_id >= 0 && ex.Rc.incoming = be_id) in
@@ -258,13 +256,14 @@ let counters_agree (rt : Rc.t) (lc_tasks : Task.t array) =
     List.fold_left (fun acc (a : App.t) -> acc + a.App.busy_ns) rt.Rc.daemon.App.busy_ns
       (Rc.apps rt)
   in
-  let be_recorded = match rt.Rc.be_app with Some app -> app.App.busy_ns | None -> 0 in
+  let be_recorded = if rt.Rc.be_app == App.none then 0 else rt.Rc.be_app.App.busy_ns in
   let lc_in_flight =
     Array.fold_left
       (fun acc (ex : Rc.exec) ->
-        match ex.Rc.current with
-        | Some task when task.Task.app <> be_id -> acc + max 0 (Rc.now rt - ex.Rc.busy_from)
-        | Some _ | None -> acc)
+        let task = ex.Rc.current in
+        if task != Task.nil && task.Task.app <> be_id then
+          acc + max 0 (Rc.now rt - ex.Rc.busy_from)
+        else acc)
       0 units
   in
   let lc_runnable =
@@ -289,9 +288,9 @@ let running_sums_agree (rt : Rc.t) =
   let scan keep =
     Array.fold_left
       (fun (n, from) (ex : Rc.exec) ->
-        match ex.Rc.current with
-        | Some task when keep task.Task.app -> (n + 1, from + ex.Rc.busy_from)
-        | Some _ | None -> (n, from))
+        let task = ex.Rc.current in
+        if task != Task.nil && keep task.Task.app then (n + 1, from + ex.Rc.busy_from)
+        else (n, from))
       (0, 0) units
   in
   let kept id = (rt.Rc.running_units.(id), rt.Rc.running_from.(id)) in
@@ -299,9 +298,8 @@ let running_sums_agree (rt : Rc.t) =
   let in_flight =
     Array.fold_left
       (fun acc (ex : Rc.exec) ->
-        match ex.Rc.current with
-        | Some _ -> acc + max 0 (Rc.now rt - ex.Rc.busy_from)
-        | None -> acc)
+        if ex.Rc.current != Task.nil then acc + max 0 (Rc.now rt - ex.Rc.busy_from)
+        else acc)
       0 units
   in
   List.for_all (fun id -> scan (( = ) id) = kept id) (List.init rt.Rc.next_app_id Fun.id)
@@ -346,7 +344,7 @@ let conformance runtime ops =
         let core = w + Scenario.dispatcher_cores runtime in
         ignore (Rc.fault_current rt ~core ~duration:(Time.us 30))
     | Attach_be ->
-        if rt.Rc.be_app = None then
+        if rt.Rc.be_app == App.none then
           Rc.attach_be_app rt be ~chunk:(Time.us 20) ~workers:2
             ~alloc:
               {

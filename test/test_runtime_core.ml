@@ -29,7 +29,7 @@ type stub = {
 }
 
 let reschedule st ex ~prev:_ =
-  if ex.Rc.current = None then begin
+  if ex.Rc.current == Task.nil then begin
     let next =
       match
         if Rc.be_occupancy st.rc < st.rc.Rc.be_allowance then Rc.next_be st.rc
@@ -228,18 +228,18 @@ let test_watchdog_rescue () =
   let scan ~bound =
     Array.iter
       (fun ex ->
-        match ex.Rc.current with
-        | Some task when Engine.armed ex.Rc.completion ->
-            let overrun = Rc.now st.rc - task.Task.run_start - bound in
-            if overrun > 0 then begin
-              Rc.rescued st.rc ex ~late:overrun;
-              match Rc.depose st.rc ex ~overhead:0 with
-              | Some t ->
-                  Rc.enqueue st.rc ~cpu:0 ~reason:Sched_ops.Enq_preempted t;
-                  reschedule st ex ~prev:(Some t)
-              | None -> ()
-            end
-        | _ -> ())
+        let task = ex.Rc.current in
+        if task != Task.nil && Engine.armed ex.Rc.completion then begin
+          let overrun = Rc.now st.rc - task.Task.run_start - bound in
+          if overrun > 0 then begin
+            Rc.rescued st.rc ex ~late:overrun;
+            match Rc.depose st.rc ex ~overhead:0 with
+            | Some t ->
+                Rc.enqueue st.rc ~cpu:0 ~reason:Sched_ops.Enq_preempted t;
+                reschedule st ex ~prev:t
+            | None -> ()
+          end
+        end)
       st.execs
   in
   Rc.start_watchdog st.rc ~bound:(Some bound) scan;
@@ -278,9 +278,7 @@ let test_be_occupancy () =
   kick_all st;
   check int "both units running BE" 2 (Rc.be_occupancy st.rc);
   check bool "BE tasks recognised" true
-    (match st.execs.(0).Rc.current with
-    | Some task -> Rc.is_be st.rc task
-    | None -> false);
+    (Rc.is_be st.rc st.execs.(0).Rc.current);
   check_raises "second BE app rejected"
     (Invalid_argument "Runtime_core.attach_be_app: BE app already set")
     (fun () -> Rc.attach_be_app st.rc be ~chunk:(Time.us 10) ~workers:1);
@@ -304,7 +302,7 @@ let test_runqueue_calls () =
   let lc = Rc.new_app rc ~name:"lc" in
   let be = Rc.new_app rc ~name:"batch" in
   (* routing needs only the BE app's id *)
-  rc.Rc.be_app <- Some be;
+  rc.Rc.be_app <- be;
   let mk (app : App.t) name =
     Task.create ~id:0 ~app:app.App.id ~name (Coro.compute_then_exit 1)
   in

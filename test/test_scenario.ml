@@ -438,32 +438,56 @@ let test_bounded_memory () =
        live_10m ratio)
     true (ratio < 1.1)
 
-(* Fixed-cell allocation ceiling for the four benchmark workloads (a
-   scale scenario on the runtime perfbench pairs it with): one 20k-request
-   cell at seed 8.  A fixed cell's [Gc.minor_words] count is exact and
-   repeatable, unlike a timed run's traced average, so each ceiling is the
-   measured words/request plus 5%; an allocation regression on the request
-   path fails here.  Measured under the default build (the release profile
-   dune-workspace selects): under [--profile dev] every library is
-   [-opaque], more values are boxed at call sites, and two cells exceed
-   these ceilings. *)
-let test_scale_cell_allocation_ceiling () =
+(* The four benchmark workloads as fixed cells (a scale scenario on the
+   runtime perfbench pairs it with, 20k requests at seed 8), each run
+   once for both gates below: its minor words per request and its engine
+   callbacks. *)
+let benchmark_cells =
   let module Scale = Skyloft_experiments.Scale in
-  List.iter
-    (fun (name, scenario, runtime, ceiling) ->
-      let requests = 20_000 in
-      let before = Gc.minor_words () in
-      ignore (Scenario.run ~seed:8 ~requests ~runtime scenario);
-      let per_request = (Gc.minor_words () -. before) /. float_of_int requests in
+  lazy
+    (List.map
+       (fun (name, scenario, runtime) ->
+         let requests = 20_000 in
+         let before = Gc.minor_words () in
+         let d = Scenario.run ~seed:8 ~requests ~runtime scenario in
+         let per_request = (Gc.minor_words () -. before) /. float_of_int requests in
+         (name, per_request, d.Scenario.events_fired))
+       [
+         ("pareto-percpu", Scale.steady_pareto, Scenario.Percpu);
+         ("pareto-hybrid", Scale.steady_pareto, Scenario.Hybrid);
+         ("mmpp-worksteal", Scale.bursty_mmpp, Scenario.Worksteal);
+         ("mix-percpu", Scale.tenant_mix, Scenario.Percpu);
+       ])
+
+(* Fixed-cell allocation ceilings.  A fixed cell's [Gc.minor_words] count
+   is exact and repeatable, unlike a timed run's traced average, so each
+   ceiling is the measured words/request plus 5%; an allocation
+   regression on the request path fails here.  The default (release)
+   build inlines across modules and unboxes at inlined call sites; the
+   [--profile dev] build compiles every library [-opaque] and allocates
+   5-8% more, past the release ceilings, so it has its own, measured the
+   same way. *)
+let test_scale_cell_allocation_ceiling () =
+  let ceilings =
+    if Build_profile.name = "dev" then [ 64.4; 67.6; 174.2; 89.7 ]
+    else [ 60.2; 63.4; 161.3; 84.1 ]
+  in
+  List.iter2
+    (fun (name, per_request, _) ceiling ->
       if per_request > ceiling then
         Alcotest.failf "%s: %.2f minor words/request, above the ceiling of %.1f" name
           per_request ceiling)
-    [
-      ("pareto-percpu", Scale.steady_pareto, Scenario.Percpu, 95.0);
-      ("pareto-hybrid", Scale.steady_pareto, Scenario.Hybrid, 98.2);
-      ("mmpp-worksteal", Scale.bursty_mmpp, Scenario.Worksteal, 202.6);
-      ("mix-percpu", Scale.tenant_mix, Scenario.Percpu, 107.8);
-    ]
+    (Lazy.force benchmark_cells) ceilings
+
+(* The engine callbacks each fixed cell runs, pinned exactly.  A change to
+   the simulator's host-side structures must fire the same events in the
+   same cell; an extra (or a lost) callback is work the goldens cannot see
+   when it moves no simulated result. *)
+let test_scale_cell_callback_count () =
+  List.iter2
+    (fun (name, _, events) expected ->
+      check int (name ^ ": engine callbacks") expected events)
+    (Lazy.force benchmark_cells) [ 124_273; 141_201; 189_934; 123_458 ]
 
 let suite =
   [
@@ -486,6 +510,8 @@ let suite =
     test_case "scenario: BE tenant scheduled" `Quick test_be_tenant_scheduled;
     test_case "scenario: scale cells stay under their allocation ceilings" `Quick
       test_scale_cell_allocation_ceiling;
+    test_case "scenario: scale cells fire their pinned callback counts" `Quick
+      test_scale_cell_callback_count;
     test_case "scenario: bounded memory at 10M requests" `Slow
       test_bounded_memory;
   ]
