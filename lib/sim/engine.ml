@@ -8,7 +8,7 @@ type t = {
 }
 
 (* The [every]s that share a period and a next instant [due], held as one
-   pinned heap slot keyed (due, seq of the first member still to run).  Members
+   pinned queue slot keyed (due, seq of the first member still to run).  Members
    are kept in seq order: a member takes its next-round seq right after
    its callback returns [true] — the moment its own timer would re-arm —
    and a newcomer takes the largest seq yet and appends.  Members
@@ -52,7 +52,7 @@ let after t delay f =
   if delay < 0 then invalid_arg "Engine.after: negative delay";
   at t (t.clock + delay) f
 
-(* A reusable timer event: its callback is the payload of one pinned heap
+(* A reusable timer event: its callback is the payload of one pinned queue
    slot, taken at the first [arm] and held for the timer's life, so a
    re-arm moves ints and stores no pointer.  Creating a timer touches no
    queue.  A pop leaves the slot unqueued before the callback runs, so the
@@ -80,7 +80,7 @@ let arm tm ~at:time =
 
 let stopped () = false
 
-(* Put the cohort back in the heap at the key of member [rd], the next to
+(* Put the cohort back in the queue at the key of member [rd], the next to
    run. *)
 let requeue c = Eventq.move c.eng.queue c.slot ~at:c.due ~seq:(Array.unsafe_get c.seqs c.rd)
 

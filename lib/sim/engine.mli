@@ -32,7 +32,7 @@ val after : t -> Time.t -> (unit -> unit) -> unit
 (** {2 Reusable timer events}
 
     A [timer] owns one stable closure and, from its first [arm], one
-    pinned heap slot for its whole lifetime, and is re-armed in place, so
+    pinned queue slot for its whole lifetime, and is re-armed in place, so
     self-re-arming work — timer ticks, NIC polls, arrival streams, segment
     completions — costs no allocation and no pointer store per firing.
     Every event that may be cancelled or moved is a timer. *)
@@ -62,7 +62,7 @@ val armed : timer -> bool
 val every : t -> period:Time.t -> (unit -> bool) -> unit
 (** [every t ~period f] runs [f] each [period] ns (first at [now +
     period]) until [f] returns [false].  [every]s that
-    share a period and a next firing instant share one pinned heap slot
+    share a period and a next firing instant share one pinned queue slot
     (a cohort), so a tick instant of many per-core timers costs one pop,
     not one per core.  A new [every] joins a cohort only between its
     rounds; a cohort whose members have all stopped gives its slot back. *)
@@ -78,7 +78,7 @@ val step : t -> bool
     when the queue is empty. *)
 
 val pending : t -> int
-(** Number of live heap entries: every pending [at]/[after] event and
+(** Number of queued events: every pending [at]/[after] event and
     armed timer counts one, and a cohort of same-phase [every]s counts
     one however many members it has. *)
 

@@ -1,19 +1,22 @@
 (** Timestamped event queue: the heart of the discrete-event engine.
 
-    A structure-of-arrays indexed binary min-heap keyed by (time, sequence
-    number): time, sequence and slot index live as unboxed machine words in
-    a preallocated [int array], payloads and heap positions in a parallel
-    slab of slots.  Nothing allocates in steady state.  The sequence number
-    guarantees that events scheduled for the same instant fire in insertion
-    order, which keeps simulations deterministic.
+    Events are keyed by (time, sequence number).  The queue has two tiers:
+    a sorted run that takes every insert landing within a constant number
+    of nodes of its earliest end, and a binary overflow heap for the rest.
+    A pop takes the earlier of the run's earliest node and the heap's root,
+    so it is O(1) from the run.  Time, sequence and slot index live as
+    unboxed machine words in preallocated [int array]s, payloads and node
+    positions in a parallel slab of slots; nothing allocates in steady
+    state.  The sequence number guarantees that events scheduled for the
+    same instant fire in insertion order, which keeps simulations
+    deterministic; keys are unique, so the pop order is the keys' order
+    whichever tier holds each one.
 
     Events are one-shot ([schedule]: fire once, never cancelled) or live in
     a pinned slot ([pin]): a slot held for its owner's life with its payload
-    written once, queued, repositioned and unqueued in O(log n) by int
-    stores only.  A pop removes its event lazily: the root stays behind as
-    a hole that the next insert fills with one sift from the root, and any
-    read of the root fills it first.  No operation's result depends on
-    whether a hole is pending. *)
+    written once, queued, repositioned within its tier and unqueued by int
+    stores only.  No read ([next_time], [precedes], [size]) changes the
+    queue. *)
 
 type 'a t
 
@@ -42,10 +45,10 @@ val move : 'a t -> int -> at:Time.t -> seq:int -> unit
     @raise Invalid_argument when [at] is negative. *)
 
 val unqueue : 'a t -> int -> unit
-(** Take a pinned slot out of the heap; a no-op when it is not queued. *)
+(** Take a pinned slot out of the queue; a no-op when it is not queued. *)
 
 val queued : 'a t -> int -> bool
-(** Whether a pinned slot is in the heap (moved and not yet popped or
+(** Whether a pinned slot is queued (moved and not yet popped or
     unqueued). *)
 
 val unpin : 'a t -> int -> unit
@@ -78,8 +81,9 @@ val size : 'a t -> int
 val is_empty : 'a t -> bool
 
 val check_invariants : 'a t -> unit
-(** Test hook: fill any pending hole (a root read), then verify the heap
-    order, that no hole key is left in the heap, that every node's slot
-    records the node's heap position, and the slot conservation law:
-    every slot is exactly one of free, queued (one node), or pinned and
-    unqueued.  Raises [Failure] on drift.  O(n). *)
+(** Test hook: verify the run's strict descending order, the heap order,
+    that every node's slot records the node's tier and index (a run index
+    [i] as [i], a heap index [i] as [-2 - i], [-1] when unqueued), and the
+    slot conservation law: every slot is exactly one of free, queued (one
+    node in one tier), or pinned and unqueued.  Raises [Failure] on drift.
+    O(n). *)

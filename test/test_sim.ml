@@ -355,8 +355,8 @@ let test_eventq_tie_fifo () =
   check Alcotest.string "fifo 2" "second" (pop ());
   check Alcotest.string "fifo 3" "third" (pop ())
 
-(* Unqueueing a pinned slot removes its event from the heap at once:
-   [size] drops by one at the unqueue itself, the heap stays well-formed, a
+(* Unqueueing a pinned slot removes its event from the queue at once:
+   [size] drops by one at the unqueue itself, the queue stays well-formed, a
    second unqueue changes nothing, and the next pop is the live event. *)
 let test_eventq_cancel () =
   let q = Eventq.create () in
@@ -391,9 +391,9 @@ let test_eventq_peek () =
   check Alcotest.int "popped the live event" 9 (Eventq.last_time q);
   check Alcotest.int "empty again" (-1) (Eventq.next_time q)
 
-(* The size counter across a pop's hole: unqueueing twice, unqueueing a
-   slot that already fired, and reading the size straight after a pop must
-   each leave the count exact. *)
+(* The size counter across pops: unqueueing twice, unqueueing a slot that
+   already fired, and reading the size straight after a pop must each
+   leave the count exact. *)
 let test_eventq_size_counter_exact () =
   let q = Eventq.create () in
   let s1 = Eventq.pin q "a" and s2 = Eventq.pin q "b" in
@@ -478,14 +478,14 @@ let test_eventq_negative_time () =
   Alcotest.check_raises "negative" (Invalid_argument "Eventq.schedule: negative time")
     (fun () -> Eventq.schedule q ~at:(-1) ());
   let s = Eventq.pin q () in
-  Alcotest.check_raises "negative move" (Invalid_argument "Eventq.schedule: negative time")
+  Alcotest.check_raises "negative move" (Invalid_argument "Eventq.move: negative time")
     (fun () -> arm q s ~at:(-1))
 
-(* Slot reuse while a pop's hole still names the slot: a popped one-shot
-   frees its slot at once, so the next [pin] takes that very slot (the free
-   stack is LIFO) while the stale root still refers to it; and an unpinned
-   slot goes to the next one-shot.  Neither reuse may disturb the other
-   live events or leak a slot. *)
+(* Slot reuse straight after a pop: a popped one-shot frees its slot at
+   once, so the next [pin] takes that very slot (the free stack is LIFO)
+   and must start unqueued whatever position the slot last held; and an
+   unpinned slot goes to the next one-shot.  Neither reuse may disturb the
+   other live events or leak a slot. *)
 let test_eventq_slot_reuse () =
   let q = Eventq.create () in
   Eventq.schedule q ~at:1 "old";
@@ -506,13 +506,13 @@ let test_eventq_slot_reuse () =
   check popped "drained" None (pop q);
   Eventq.check_invariants q
 
-(* Interleaved peek/unqueue/pop must keep the indexed heap exact — no slot
-   leaked, every node's recorded position current, heap order intact —
+(* Interleaved peek/unqueue/pop must keep the queue exact — no slot
+   leaked, every node's recorded position current, both tiers in order —
    checked by the invariant walk after every operation. *)
 let test_eventq_invariants_interleaved () =
   let q = Eventq.create () in
   Eventq.check_invariants q;
-  (* enough events to force two heap growths past the initial capacity;
+  (* enough events to force two slab growths past the initial capacity;
      every third is a pinned slot, the rest one-shots *)
   let pinned =
     Array.init 70 (fun i ->
@@ -532,7 +532,7 @@ let test_eventq_invariants_interleaved () =
   Eventq.check_invariants q;
   Array.iteri (fun i s -> if i mod 2 = 0 then Eventq.unqueue q s) pinned;
   Eventq.check_invariants q;
-  check Alcotest.int "unqueues leave the heap at once" 58 (Eventq.size q);
+  check Alcotest.int "unqueues leave the queue at once" 58 (Eventq.size q);
   let next = ref 0 in
   let rec drain () =
     match Eventq.next_time q with
@@ -557,6 +557,60 @@ let test_eventq_invariants_interleaved () =
   drain ();
   check Alcotest.int "drained" 0 (Eventq.size q);
   Eventq.check_invariants q
+
+(* The queue's shapes at 10k keys, each checked by [size], the invariant
+   walk and the full pop order:
+   - keys scheduled in increasing time, three per instant: the run keeps
+     the first 32 (its budget) and every later key overflows into the
+     heap, so ties at one instant straddle the tiers;
+   - keys scheduled in decreasing time: each lands at the run's earliest
+     end, so the run holds them all;
+   - a pinned slot moved from the run's earliest end past every node to
+     its latest end;
+   - an unqueue from the run's latest end, which shifts every other node,
+     then the same slot re-armed mid-queue, where it overflows into the
+     heap. *)
+let test_eventq_shapes () =
+  let n = 10_000 in
+  let drain q =
+    let rec go acc = match pop q with Some x -> go (x :: acc) | None -> List.rev acc in
+    go []
+  in
+  let pops = Alcotest.(list (pair int int)) in
+  let q = Eventq.create () in
+  for i = 0 to n - 1 do
+    Eventq.schedule q ~at:(i / 3) i
+  done;
+  Eventq.check_invariants q;
+  check Alcotest.int "increasing: size" n (Eventq.size q);
+  check pops "increasing: pop order"
+    (List.init n (fun i -> (i / 3, i)))
+    (drain q);
+  Eventq.check_invariants q;
+  check Alcotest.int "increasing: drained" 0 (Eventq.size q);
+  for i = n downto 1 do
+    Eventq.schedule q ~at:i i
+  done;
+  Eventq.check_invariants q;
+  let s = Eventq.pin q (-1) in
+  arm q s ~at:0;
+  check Alcotest.int "decreasing: the pinned slot leads" 0 (Eventq.next_time q);
+  arm q s ~at:(2 * n);
+  Eventq.check_invariants q;
+  check Alcotest.int "moved past every node" 1 (Eventq.next_time q);
+  check Alcotest.int "decreasing: size" (n + 1) (Eventq.size q);
+  Eventq.unqueue q s;
+  Eventq.check_invariants q;
+  check Alcotest.int "unqueued from the latest end" n (Eventq.size q);
+  check Alcotest.bool "unqueued" false (Eventq.queued q s);
+  arm q s ~at:(n / 2);
+  Eventq.check_invariants q;
+  check pops "decreasing: pop order"
+    (List.init n (fun i -> (i + 1, i + 1))
+    |> List.concat_map (fun ((at, _) as x) -> if at = n / 2 then [ x; (at, -1) ] else [ x ]))
+    (drain q);
+  Eventq.check_invariants q;
+  check Alcotest.int "decreasing: drained" 0 (Eventq.size q)
 
 (* Acceptance gate: steady-state schedule/pop and the timer cycle — a
    pinned slot armed, popped and re-armed, moved while queued and
@@ -599,28 +653,31 @@ let rec model_insert ((t, s, _) as x) = function
 
 let model_remove id = List.filter (fun (_, _, id') -> id' <> id)
 
-(* The indexed SoA heap against the sorted-list reference through random
+(* The two-tier queue against the sorted-list reference through random
    scripts of one-shot events and pinned slots.  One-shots are ids >= 0;
    pinned slot k is id -(k + 1).  An arm of a pinned slot removes it from
    the model and inserts it at the new key, queued or not; an unqueue
    removes it, and an unpin gives the slot back and pins a fresh one in
-   its place.  Each op can follow a pop straight away (a compound op), so
-   it meets the pop's hole: an insert (one-shot or an unqueued slot's arm)
-   fills it with one sift from the root, a reposition or unqueue works
-   below it, and a peek, [precedes], [size] or a second pop fills it first.
-   The full invariant walk — fill, heap order, no hole key left, slot
-   conservation, every node's recorded position — runs after every
-   top-level op.  Inserts are common enough that heaps grow deep enough
-   for a removal whose replacement must sift up. *)
+   its place.  Each script starts with a prefix of up to 96 one-shots in
+   nondecreasing time, so the queue often holds more than the run's budget
+   of 32 keys: the run keeps the earliest 32 and the rest overflow into the
+   heap.  Every time is one of 16 values, so equal-time keys sit in both
+   tiers and a pop or peek must break each cross-tier tie by seq.  A pinned
+   slot lands in whichever tier its key picks, and each later arm moves it
+   earlier or later inside that tier.  Each op can also follow a pop
+   straight away (a compound op).  The full invariant walk — both tiers'
+   order, slot conservation, every node's recorded tier and index — runs
+   after every top-level op. *)
 let prop_eventq_model =
-  let n_pinned = 4 in
-  let op_gen =
+  let n_pinned = 6 and n_times = 16 in
+  let gen =
     QCheck.(
-      list_of_size (Gen.int_range 0 400) (pair (int_range 0 11) (int_range 0 10_000)))
+      pair (int_range 0 96)
+        (list_of_size (Gen.int_range 0 400) (pair (int_range 0 11) (int_range 0 10_000))))
   in
   QCheck.Test.make ~name:"Eventq matches the sorted-list reference model"
-    ~count:200 ~long_factor:10 op_gen
-    (fun ops ->
+    ~count:200 ~long_factor:10 gen
+    (fun (prefix, ops) ->
       let q = Eventq.create () in
       let pinned = Array.init n_pinned (fun k -> Eventq.pin q (-(k + 1))) in
       let model = ref [] in
@@ -634,19 +691,23 @@ let prop_eventq_model =
         incr seq;
         s
       in
+      let schedule at =
+        let id = !next in
+        incr next;
+        Eventq.schedule q ~at id;
+        model := model_insert (at, !seq, id) !model;
+        incr seq
+      in
+      for i = 0 to prefix - 1 do
+        schedule (i * n_times / (prefix + 1))
+      done;
       let rec run code x =
         let k = x mod n_pinned in
         let pid = -(k + 1) in
         match code with
-        | 0 | 1 ->
-            let id = !next in
-            incr next;
-            let at = x mod 97 in
-            Eventq.schedule q ~at id;
-            model := model_insert (at, !seq, id) !model;
-            incr seq
+        | 0 | 1 -> schedule (x mod n_times)
         | 2 | 3 ->
-            let at = x / n_pinned mod 89 in
+            let at = x / n_pinned mod n_times in
             let s = take_seq () in
             Eventq.move q pinned.(k) ~at ~seq:s;
             model := model_insert (at, s, pid) (model_remove pid !model)
@@ -664,7 +725,7 @@ let prop_eventq_model =
             | -1, [] -> ()
             | _ -> ok := false)
         | 7 ->
-            let at = x mod 97 and s = x mod (!seq + 1) in
+            let at = x mod n_times and s = x mod (!seq + 1) in
             let want =
               match !model with (t, s', _) :: _ -> (t, s') < (at, s) | [] -> false
             in
@@ -1215,10 +1276,11 @@ let suite =
     Alcotest.test_case "eventq: negative time" `Quick test_eventq_negative_time;
     Alcotest.test_case "eventq: size counter exact" `Quick
       test_eventq_size_counter_exact;
-    Alcotest.test_case "eventq: slot reuse under a pop's hole" `Quick
+    Alcotest.test_case "eventq: slot reuse after a pop" `Quick
       test_eventq_slot_reuse;
     Alcotest.test_case "eventq: invariants interleaved" `Quick
       test_eventq_invariants_interleaved;
+    Alcotest.test_case "eventq: tier shapes at 10k keys" `Quick test_eventq_shapes;
     Alcotest.test_case "eventq: zero-alloc steady state" `Quick
       test_eventq_zero_alloc;
     qtest prop_eventq_size_matches_reference;
