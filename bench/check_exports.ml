@@ -35,12 +35,36 @@
    test-caller rule and the allowlist are the same as for values: a knob
    only tests pass needs a [Module.value ?x reason...] line.
 
+   Three rules cover the types a lib/ .mli declares (outside [module
+   type]s), each over the label and constructor ids the type checker
+   resolved, so two records sharing a field name never mask each other:
+   - fields: every field of a record exported with its fields, private
+     or not, must be read, written, built or matched by some program unit
+     outside its module;
+   - config fields: every field of a record the same interface exports a
+     [default_config] for must be set by some program build outside the
+     module ([{ r with x = v }] or a full record), the default's own
+     build not included: a config field no program sets is a constant;
+   - constructors: every constructor of an exported variant must be
+     built by some program unit, the module's own included (matching
+     takes a value apart; it builds none).
+   A unit's own ids collide with its interface's (both number from zero
+   under one unit name), so its own field uses and builds are mapped to
+   the interface's ids by qualified name.  A field or constructor only
+   tests use needs a [Module.type.field reason...] (or
+   [Module.type.Constructor reason...]) line.  So does a field only its
+   own module reads, when some other field of its record has a program
+   use outside the module: such a record cannot become abstract without
+   taking that use away (a frozen consumer like perfbench/, say).
+
    Usage: check_exports.exe BUILD_DIR ALLOWLIST (after [dune build
    @check]).  The allowlist has one [Module.value reason...] line per
-   test-only value and one [Module.value ?x reason...] line per test-only
-   knob; blank lines and [#] comments are skipped.  Prints one line per
-   unreferenced [val], unset knob or alias, and per bad allowlist entry,
-   and exits 1 if there is any. *)
+   test-only value, one [Module.value ?x reason...] line per test-only
+   knob and one [Module.type.member reason...] line per allowlisted field
+   or constructor; blank lines and [#] comments are skipped.  Prints one
+   line per unreferenced [val], unset knob, unused alias, field or
+   constructor, and per bad allowlist entry, then a summary counting each
+   kind, and exits 1 if there is any. *)
 
 open Typedtree
 module Uid = Shape.Uid
@@ -94,6 +118,98 @@ let collect_knobs (e : export) (vd : Types.value_description) =
     (fun l -> Hashtbl.replace knobs (vd.val_uid, l) { e with qualified = e.qualified ^ " ?" ^ l })
     (optional_labels vd.val_type)
 
+(* ---- record fields, config fields and constructors ------------------- *)
+
+(* Label and constructor ids of the interfaces' records and variants.  A
+   field is used by a read, a write, a build or a match; a constructor by
+   a build (a match takes a value apart, it makes none). *)
+let fields : export Uid.Tbl.t = Uid.Tbl.create 512
+let constructors : export Uid.Tbl.t = Uid.Tbl.create 256
+
+(* The fields of a record the interface exports a [default_config] for:
+   a program must override each in some build of its own. *)
+let config_fields : export Uid.Tbl.t = Uid.Tbl.create 32
+let field_used = Uid.Tbl.create 1024
+let test_field_used = Uid.Tbl.create 1024
+let field_set = Uid.Tbl.create 256
+let test_field_set = Uid.Tbl.create 256
+let built = Uid.Tbl.create 512
+let test_built = Uid.Tbl.create 512
+
+(* A module's own builds and field uses name its implementation's ids;
+   a build counts, and a field its own module reads may be kept (see
+   [kept] below), so each id is mapped to the interface's by qualified
+   name. *)
+let member_impl_to_intf = Uid.Tbl.create 512
+let intf_member : (string, Uid.t) Hashtbl.t = Hashtbl.create 512
+let field_self_used = Uid.Tbl.create 512
+
+(* (unit-qualified record type name) -> its fields, and back *)
+let record_fields : (string, (Uid.t * export) list) Hashtbl.t = Hashtbl.create 128
+let record_of_field : string Uid.Tbl.t = Uid.Tbl.create 512
+
+let collect_type prefix (td : type_declaration) =
+  let tprefix = prefix ^ "." ^ td.typ_name.txt in
+  match td.typ_type.Types.type_kind with
+  | Types.Type_record (lds, _) ->
+      let fs =
+        List.map
+          (fun (ld : Types.label_declaration) ->
+            let e = export_of tprefix (Ident.name ld.ld_id) ld.ld_loc in
+            Uid.Tbl.replace fields ld.ld_uid e;
+            Uid.Tbl.replace record_of_field ld.ld_uid tprefix;
+            Hashtbl.replace intf_member e.qualified ld.ld_uid;
+            (ld.ld_uid, e))
+          lds
+      in
+      Hashtbl.replace record_fields tprefix fs
+  | Types.Type_variant (cds, _) ->
+      List.iter
+        (fun (cd : Types.constructor_declaration) ->
+          let e = export_of tprefix (Ident.name cd.cd_id) cd.cd_loc in
+          Uid.Tbl.replace constructors cd.cd_uid e;
+          Hashtbl.replace intf_member e.qualified cd.cd_uid)
+        cds
+  | Types.Type_abstract | Types.Type_open -> ()
+
+let rec result_type ty =
+  match Types.get_desc ty with Types.Tarrow (_, _, ret, _) -> result_type ret | _ -> ty
+
+(* [val default_config : ... -> r] marks the fields of [r], a record of
+   the same interface, as config fields. *)
+let collect_default prefix (vd : Types.value_description) =
+  match Types.get_desc (result_type vd.val_type) with
+  | Types.Tconstr (Path.Pident id, _, _) ->
+      Option.iter
+        (List.iter (fun (uid, e) -> Uid.Tbl.replace config_fields uid e))
+        (Hashtbl.find_opt record_fields (prefix ^ "." ^ Ident.name id))
+  | _ -> ()
+
+(* The implementation's field and constructor ids, mapped to the
+   interface's. *)
+let rec map_impl_members prefix items =
+  let map tprefix uid name =
+    Option.iter
+      (Uid.Tbl.replace member_impl_to_intf uid)
+      (Hashtbl.find_opt intf_member (tprefix ^ "." ^ name))
+  in
+  List.iter
+    (function
+      | Types.Sig_type (id, { type_kind = Types.Type_variant (cds, _); _ }, _, _) ->
+          List.iter
+            (fun (cd : Types.constructor_declaration) ->
+              map (prefix ^ "." ^ Ident.name id) cd.cd_uid (Ident.name cd.cd_id))
+            cds
+      | Types.Sig_type (id, { type_kind = Types.Type_record (lds, _); _ }, _, _) ->
+          List.iter
+            (fun (ld : Types.label_declaration) ->
+              map (prefix ^ "." ^ Ident.name id) ld.ld_uid (Ident.name ld.ld_id))
+            lds
+      | Types.Sig_module (id, _, { md_type = Types.Mty_signature sg; _ }, _, _) ->
+          map_impl_members (prefix ^ "." ^ Ident.name id) sg
+      | _ -> ())
+    items
+
 let rec collect_sig prefix items =
   List.iter
     (fun item ->
@@ -102,7 +218,9 @@ let rec collect_sig prefix items =
           let e = export_of prefix vd.val_name.txt vd.val_loc in
           Uid.Tbl.replace exports vd.val_val.Types.val_uid e;
           Hashtbl.replace intf_uid e.qualified vd.val_val.Types.val_uid;
-          collect_knobs e vd.val_val
+          collect_knobs e vd.val_val;
+          if vd.val_name.txt = "default_config" then collect_default prefix vd.val_val
+      | Tsig_type (_, tds) -> List.iter (collect_type prefix) tds
       | Tsig_module { md_name = { txt = Some name; _ }; md_type; _ } -> (
           match md_type.mty_desc with
           | Tmty_signature sg -> collect_sig (prefix ^ "." ^ name) sg.sig_items
@@ -260,6 +378,21 @@ let omitted (e : expression) =
      | _ -> false
 
 let mark_references ~test (cmt : Cmt_format.cmt_infos) str =
+  (* A unit's own ids collide with its interface's, so its own field uses
+     and constructor builds count only through [member_impl_to_intf]: a
+     field use as the module's own, a build as any program's. *)
+  let own = function
+    | Uid.Item { comp_unit; _ } -> comp_unit = cmt.cmt_modname
+    | _ -> false
+  in
+  let use_field (lbl : Types.label_description) =
+    if not (own lbl.lbl_uid) then
+      Uid.Tbl.replace (if test then test_field_used else field_used) lbl.lbl_uid ()
+    else
+      Option.iter
+        (fun uid -> Uid.Tbl.replace field_self_used uid ())
+        (Uid.Tbl.find_opt member_impl_to_intf lbl.lbl_uid)
+  in
   let expr sub e =
     (match e.exp_desc with
     | Texp_ident (_, _, vd) -> (
@@ -288,9 +421,38 @@ let mark_references ~test (cmt : Cmt_format.cmt_infos) str =
             | _ -> ())
           args
     | _ -> ());
+    (match e.exp_desc with
+    | Texp_field (_, _, lbl) | Texp_setfield (_, _, lbl, _) -> use_field lbl
+    | Texp_record { fields = fs; _ } ->
+        Array.iter
+          (function
+            | (lbl : Types.label_description), Overridden _ ->
+                use_field lbl;
+                if not (own lbl.lbl_uid) then
+                  Uid.Tbl.replace
+                    (if test then test_field_set else field_set)
+                    lbl.lbl_uid ()
+            | _, Kept _ -> ())
+          fs
+    | Texp_construct (_, cstr, _) ->
+        let uid =
+          if own cstr.cstr_uid then Uid.Tbl.find_opt member_impl_to_intf cstr.cstr_uid
+          else Some cstr.cstr_uid
+        in
+        Option.iter
+          (fun uid -> Uid.Tbl.replace (if test then test_built else built) uid ())
+          uid
+    | _ -> ());
     Tast_iterator.default_iterator.expr sub e
   in
-  let it = { Tast_iterator.default_iterator with expr } in
+  let pat : type k. Tast_iterator.iterator -> k general_pattern -> unit =
+   fun sub p ->
+    (match p.pat_desc with
+    | Tpat_record (fs, _) -> List.iter (fun (_, lbl, _) -> use_field lbl) fs
+    | _ -> ());
+    Tast_iterator.default_iterator.pat sub p
+  in
+  let it = { Tast_iterator.default_iterator with expr; pat } in
   it.structure it str
 
 (* (name, line number, has a reason) per "Module.value reason..." or
@@ -339,6 +501,7 @@ let () =
           collect_aliases
             ~declared:(Option.value ~default:[] (Hashtbl.find_opt declared (module_name cmt)))
             (module_name cmt) str;
+          map_impl_members (module_name cmt) str.str_type;
           if not (Sys.file_exists (in_build (src ^ "i"))) then
             collect_implicit (module_name cmt) str
           else
@@ -412,13 +575,46 @@ let () =
         else e :: acc)
       knobs acc
   in
+  (* Fields no program outside their module names; then the config
+     fields (not listed twice) no program build overrides; then the
+     constructors no program builds.  A field only its own module reads
+     may be kept by an allowlist line when some other field of its record
+     has a program use outside the module: the record cannot become
+     abstract without taking that use away. *)
+  let kept uid =
+    Uid.Tbl.mem field_self_used uid
+    && List.exists
+         (fun (other, _) -> other <> uid && Uid.Tbl.mem field_used other)
+         (Hashtbl.find record_fields (Uid.Tbl.find record_of_field uid))
+  in
+  let unused ?(kept = fun _ -> false) ~used ~test_used ~skip tbl acc =
+    Uid.Tbl.fold
+      (fun uid e acc ->
+        if Uid.Tbl.mem used uid || Uid.Tbl.mem skip uid then acc
+        else if (Uid.Tbl.mem test_used uid || kept uid) && allowed e then (
+          Hashtbl.replace test_only e.qualified ();
+          acc)
+        else (
+          Uid.Tbl.replace dead_uids uid ();
+          e :: acc))
+      tbl acc
+  in
+  let no_skip = Uid.Tbl.create 1 in
+  let dead_fields =
+    unused ~kept ~used:field_used ~test_used:test_field_used ~skip:no_skip fields []
+  in
+  let dead_members =
+    unused ~used:field_set ~test_used:test_field_set ~skip:dead_uids config_fields
+      dead_fields
+    |> unused ~used:built ~test_used:test_built ~skip:no_skip constructors
+  in
   let dead_aliases =
     Hashtbl.fold
       (fun key e acc -> if Hashtbl.mem alias_uses key then acc else e :: acc)
       aliases []
   in
   let dead =
-    unreferenced ~self:false exports dead_aliases
+    unreferenced ~self:false exports (dead_aliases @ dead_members)
     |> unreferenced ~self:true implicit_exports
     |> unset
     |> List.sort (fun a b -> compare (a.file, a.line) (b.file, b.line))
@@ -432,19 +628,21 @@ let () =
         else if not (Hashtbl.mem test_only name) then
           Some
             (where
-           ^ ": stale (a program caller, no test caller, or no such val or knob)")
+           ^ ": stale (a program use, no test use, or no such val, knob, field \
+              or constructor)")
         else None)
       allowlist
   in
   List.iter print_endline bad_entries;
   Printf.printf
     "%d of %d exported vals (%d from .mli, %d top-level in .mli-less modules), \
-     their optional arguments (%d) and top-level module aliases (%d) have no \
-     program caller or setter; %d are allowlisted test-only vals and knobs, \
-     %d allowlist entries are bad\n"
+     their optional arguments (%d), top-level module aliases (%d), record \
+     fields (%d, %d of them config fields) and constructors (%d) have no \
+     program use; %d are allowlisted, %d allowlist entries are bad\n"
     (List.length dead)
     (Uid.Tbl.length exports + Uid.Tbl.length implicit_exports + Hashtbl.length knobs
-    + Hashtbl.length aliases)
+    + Hashtbl.length aliases + Uid.Tbl.length fields + Uid.Tbl.length constructors)
     (Uid.Tbl.length exports) (Uid.Tbl.length implicit_exports) (Hashtbl.length knobs)
-    (Hashtbl.length aliases) (Hashtbl.length test_only) (List.length bad_entries);
+    (Hashtbl.length aliases) (Uid.Tbl.length fields) (Uid.Tbl.length config_fields)
+    (Uid.Tbl.length constructors) (Hashtbl.length test_only) (List.length bad_entries);
   if dead <> [] || bad_entries <> [] then exit 1

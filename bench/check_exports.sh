@@ -3,7 +3,13 @@
 # its own module, every top-level value of a lib/ module without an .mli
 # must have a caller anywhere, its own module included, and every
 # optional argument `?x` of either must be passed by some call site.
-# Tests do not count as callers or setters.
+# Three rules cover the types of lib/**/*.mli: every field of a record
+# exported with its fields must be read, written, built or matched by a
+# program unit outside its module; every field of a record the module
+# exports a `default_config` for must be set by a program build outside
+# the module; every constructor of an exported variant must be built by a
+# program unit, its own module included.  Tests do not count as callers,
+# setters or builders.
 #
 #   bench/check_exports.sh
 #
@@ -19,7 +25,11 @@
 # reason, no test caller or a program caller fails.  Knobs follow the
 # same rule: an optional argument no program call site passes (`~x:v` or
 # `?x:v`; the module's own calls count) is listed, unless the allowlist
-# names it as `Module.value ?x reason...` and some test passes it.
+# names it as `Module.value ?x reason...` and some test passes it.  A
+# field or constructor only tests use passes with a `Module.type.field
+# reason...` (or `Module.type.Constructor reason...`) line; so does a field
+# only its own module reads while programs outside read its record's
+# other fields (the record cannot become abstract).
 # References are resolved by the type checker, so `M.x`, module aliases,
 # `M.Sub.x`, local opens and `open M` are all seen.  It also lists every
 # top-level `module X = M` alias in a lib/ .ml or .mli that no program

@@ -21,7 +21,6 @@ type event = {
   id : int;
   name : string;
   action : action;
-  delta : int;
   granted : int;
 }
 
@@ -41,6 +40,16 @@ type 'x binding = {
   series : Timeseries.t;
   ext : 'x;  (* the level's own per-binding state *)
 }
+
+let id b = b.id
+let name b = b.name
+let bounds b = b.bounds
+let sample b = b.sample ()
+let grant b = b.granted
+let stale_ticks b = b.stale_ticks
+let health b = b.health
+let grant_series b = b.series
+let ext b = b.ext
 
 type ('r, 'x) arbiter = {
   who : string;  (* "Allocator" / "Broker": names errors *)
@@ -168,10 +177,9 @@ let log t ev =
   Queue.push ev t.event_log;
   t.on_event ev
 
-(* A health or mode edge: moves no cores; [delta] records context (e.g.
-   the cores reclaimed by the companion transition). *)
-let emit t b ~action ~delta =
-  log t { at = now t; id = b.id; name = b.name; action; delta; granted = b.granted }
+(* A health or mode edge: moves no cores. *)
+let emit t b ~action =
+  log t { at = now t; id = b.id; name = b.name; action; granted = b.granted }
 
 (* Apply one accepted core movement: adjust the grant, inform the owner
    through [apply], charge the switch cost it reports, record the series,
@@ -181,7 +189,7 @@ let transition t b ~action ~delta =
     b.granted <- b.granted + delta;
     t.charged_ns <- t.charged_ns + b.apply ~granted:b.granted ~delta;
     Timeseries.record b.series ~at:(now t) b.granted;
-    emit t b ~action ~delta:(abs delta)
+    emit t b ~action
   end
 
 let signal_of t i (r : raw) =
@@ -331,7 +339,6 @@ let register_counters t ~prefix reg =
 type config = {
   policy : Policy.t;
   be_guaranteed : int;
-  be_burstable : int option;
   degrade_after : int option;
 }
 
@@ -339,7 +346,6 @@ let default_config () =
   {
     policy = Policy.static ();
     be_guaranteed = 0;
-    be_burstable = None;
     degrade_after = None;
   }
 
@@ -368,7 +374,6 @@ let update_mode (t : t) =
             id = -1;
             name = "allocator";
             action = (if stale then Degrade else Recover);
-            delta = 0;
             granted = sum_granted t;
           }
       end

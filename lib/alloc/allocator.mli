@@ -67,22 +67,30 @@ type ('r, 'x) arbiter
 (** One control loop: ['r] is the level's arbiter-wide rule state, ['x]
     its per-binding state. *)
 
-type 'x binding = private {
-  id : int;
-  name : string;
-  kind : Policy.kind;
-  bounds : bounds;
-  sample : unit -> raw;
-  apply : granted:int -> delta:int -> Time.t;
-  mutable granted : int;
-  mutable last_busy_ns : int;
-  mutable stale_ticks : int;
-      (** consecutive ticks with a frozen signal: work queued, zero
-          progress, and cores granted (or already {!Stale}) *)
-  mutable health : health;
-  series : Timeseries.t;  (** core count, one sample per change *)
-  ext : 'x;
-}
+type 'x binding
+(** One registered app or tenant: its id, name, kind, bounds, signal
+    sample and grant hook, granted cores, health and core-count series,
+    and the level's own state ['x].  Only this module writes it. *)
+
+val id : _ binding -> int
+val name : _ binding -> string
+val bounds : _ binding -> bounds
+val sample : _ binding -> raw
+(** Draw the binding's congestion signal now. *)
+
+val grant : _ binding -> int
+(** Cores granted now. *)
+
+val stale_ticks : _ binding -> int
+(** Consecutive ticks with a frozen signal: work queued, zero progress,
+    and cores granted (or already {!Stale}). *)
+
+val health : _ binding -> health
+
+val grant_series : _ binding -> Timeseries.t
+(** The grant over time, one sample per change. *)
+
+val ext : 'x binding -> 'x
 
 type action =
   | Grant
@@ -90,19 +98,17 @@ type action =
   | Yield
   | Degrade
       (** allocator: signals went stale, fell back to Static ([id] = -1);
-          broker: a tenant went stale ([delta] = cores reclaimed to its
-          floor) *)
+          broker: a tenant went stale and was clamped to its floor *)
   | Recover  (** the stale signal moves again *)
-  | Quarantine  (** hoard cap tripped ([delta] = cores reclaimed to floor) *)
+  | Quarantine  (** hoard cap tripped: clamped to the floor *)
   | Release  (** quarantine served out *)
-  | Crash  (** tenant crashed ([delta] = cores reclaimed, floor included) *)
+  | Crash  (** tenant crashed: every core reclaimed, floor included *)
 
 type event = {
   at : Time.t;
   id : int;  (** the binding; [-1] for allocator-wide mode transitions *)
   name : string;
   action : action;
-  delta : int;  (** cores moved (positive); context for health edges *)
   granted : int;  (** the binding's grant after the event *)
 }
 
@@ -167,7 +173,7 @@ val transition : ('r, 'x) arbiter -> 'x binding -> action:action -> delta:int ->
 (** Move [delta] cores (signed; no-op at 0): adjust the grant, call
     [apply], charge its cost, record the series, log the event. *)
 
-val emit : ('r, 'x) arbiter -> 'x binding -> action:action -> delta:int -> unit
+val emit : ('r, 'x) arbiter -> 'x binding -> action:action -> unit
 (** Log an edge that moves no cores. *)
 
 exception Invariant_violation of string
@@ -216,13 +222,12 @@ val register_counters : ('r, 'x) arbiter -> prefix:string -> Skyloft_obs.Registr
 (** {1 The allocator} *)
 
 (** Runtime-facing configuration: which policy arbitrates BE core
-    ownership and the BE application's bounds.  Both runtimes accept one
-    of these and translate it into {!register} calls. *)
+    ownership and the BE application's floor; the BE application may
+    burst to every managed core.  Both runtimes accept one of these and
+    translate it into {!register} calls. *)
 type config = {
   policy : Policy.t;  (** congestion policy driving grant/reclaim decisions *)
   be_guaranteed : int;  (** cores the BE app never loses *)
-  be_burstable : int option;
-      (** cap on BE cores; [None] means every managed core *)
   degrade_after : int option;
       (** fall back to the Static policy after this many consecutive ticks
           of a stale congestion signal (an app with cores granted, work

@@ -82,20 +82,19 @@ let set_trace (t : t) ?core_of_tenant trace =
   match core_of_tenant with Some f -> r.core_of_tenant <- f | None -> ()
 
 (* Clamp a misbehaving tenant to its guaranteed floor, refilling the pool
-   with everything above it, and log the health edge with the cores it
-   cost.  The floor itself is never reclaimed — that is the graceful half
+   with everything above it, and log the health edge.  The floor itself is never reclaimed — that is the graceful half
    of the degradation. *)
 let clamp_to_floor t (b : tenant) ~action =
-  let held = b.granted in
-  A.transition t b ~action:A.Reclaim ~delta:(b.bounds.guaranteed - held);
-  A.emit t b ~action ~delta:(held - b.granted)
+  let held = A.grant b in
+  A.transition t b ~action:A.Reclaim ~delta:((A.bounds b).guaranteed - held);
+  A.emit t b ~action
 
 (* Fold the elapsed holding interval into the per-tenant core-time
    integral (the fairness currency). *)
 let settle_core_ns t (b : tenant) =
-  let at = A.now t in
-  b.ext.core_ns <- b.ext.core_ns + (b.granted * max 0 (at - b.ext.core_ns_at));
-  b.ext.core_ns_at <- at
+  let at = A.now t and s = A.ext b in
+  s.core_ns <- s.core_ns + (A.grant b * max 0 (at - s.core_ns_at));
+  s.core_ns_at <- at
 
 (* ---- the broker's rules ----------------------------------------------------- *)
 
@@ -104,7 +103,7 @@ let wants_more = function Policy.Grant n -> n > 0 | Policy.Yield _ | Policy.Hold
 (* Another healthy tenant than [i] asks for more cores this round. *)
 let rec other_wants bs ds i j =
   j < Array.length bs
-  && ((j <> i && (bs.(j) : tenant).health = A.Healthy && wants_more ds.(j))
+  && ((j <> i && A.health bs.(j) = A.Healthy && wants_more ds.(j))
      || other_wants bs ds i (j + 1))
 
 let decide (t : t) =
@@ -116,30 +115,30 @@ let decide (t : t) =
   for i = 0 to n - 1 do
     let b = bs.(i) in
     settle_core_ns t b;
-    if b.health <> A.Crashed then begin
-      let r = b.sample () in
+    if A.health b <> A.Crashed then begin
+      let r = A.sample b in
       let r =
-        match b.ext.intercept with Some f -> f ~granted:b.granted r | None -> r
+        match (A.ext b).intercept with Some f -> f ~granted:(A.grant b) r | None -> r
       in
       ignore (A.signal_of t i r)
     end
   done;
   (* 2. health transitions: staleness edges and quarantine countdown *)
   for i = 0 to n - 1 do
-    let b = bs.(i) in
-    match b.health with
-    | A.Healthy when b.stale_ticks >= cfg.degrade_after ->
+    let b = bs.(i) and s = A.ext bs.(i) in
+    match A.health b with
+    | A.Healthy when A.stale_ticks b >= cfg.degrade_after ->
         A.set_health b A.Stale;
         clamp_to_floor t b ~action:A.Degrade
-    | A.Stale when b.stale_ticks = 0 ->
+    | A.Stale when A.stale_ticks b = 0 ->
         A.set_health b A.Healthy;
-        A.emit t b ~action:A.Recover ~delta:0
+        A.emit t b ~action:A.Recover
     | A.Quarantined ->
-        b.ext.quarantine_left <- b.ext.quarantine_left - 1;
-        if b.ext.quarantine_left <= 0 then begin
+        s.quarantine_left <- s.quarantine_left - 1;
+        if s.quarantine_left <= 0 then begin
           A.set_health b A.Healthy;
-          b.ext.hoard_score <- 0;
-          A.emit t b ~action:A.Release ~delta:0
+          s.hoard_score <- 0;
+          A.emit t b ~action:A.Release
         end
     | A.Healthy | A.Stale | A.Crashed -> ()
   done;
@@ -149,7 +148,8 @@ let decide (t : t) =
   for i = 0 to n - 1 do
     let b = bs.(i) in
     ds.(i) <-
-      (if b.health = A.Healthy then Policy.observe b.ext.policy ~app:b.id signals.(i)
+      (if A.health b = A.Healthy then
+         Policy.observe (A.ext b).policy ~app:(A.id b) signals.(i)
        else Policy.Hold)
   done;
   (* 4. hoard scoring: a tenant above its floor that keeps claiming
@@ -158,19 +158,19 @@ let decide (t : t) =
      quarantined here is no longer healthy, so its Hold cannot change a
      later tenant's answer. *)
   for i = 0 to n - 1 do
-    let b = bs.(i) in
-    if b.health = A.Healthy then begin
+    let b = bs.(i) and s = A.ext bs.(i) in
+    if A.health b = A.Healthy then begin
       let hoarding =
         wants_more ds.(i)
-        && b.granted > b.bounds.guaranteed
+        && A.grant b > (A.bounds b).guaranteed
         && A.free_cores t = 0
         && other_wants bs ds i 0
       in
-      if hoarding then b.ext.hoard_score <- b.ext.hoard_score + 1
-      else b.ext.hoard_score <- max 0 (b.ext.hoard_score - hoard_decay);
-      if b.ext.hoard_score >= cfg.hoard_cap then begin
+      if hoarding then s.hoard_score <- s.hoard_score + 1
+      else s.hoard_score <- max 0 (s.hoard_score - hoard_decay);
+      if s.hoard_score >= cfg.hoard_cap then begin
         A.set_health b A.Quarantined;
-        b.ext.quarantine_left <- cfg.quarantine_ticks;
+        s.quarantine_left <- cfg.quarantine_ticks;
         clamp_to_floor t b ~action:A.Quarantine;
         ds.(i) <- Policy.Hold
       end
@@ -200,7 +200,7 @@ let register (t : t) ~tenant ~name ~kind ~policy ~bounds ~initial ~sample ~apply
       core_ns_at = A.now t;
     }
 
-let intercept_sample t ~tenant f = (A.find t tenant).A.ext.intercept <- Some f
+let intercept_sample t ~tenant f = (A.ext (A.find t tenant)).intercept <- Some f
 
 (* ---- tenant crash ----------------------------------------------------------- *)
 
@@ -209,11 +209,11 @@ let intercept_sample t ~tenant f = (A.find t tenant).A.ext.intercept <- Some f
    arbitration and fairness for good. *)
 let crash t ~tenant =
   let b = A.find t tenant in
-  if b.health <> A.Crashed then begin
+  if A.health b <> A.Crashed then begin
     settle_core_ns t b;
     A.set_health b A.Crashed;
-    if b.granted > 0 then A.transition t b ~action:A.Crash ~delta:(-b.granted)
-    else A.emit t b ~action:A.Crash ~delta:0
+    if A.grant b > 0 then A.transition t b ~action:A.Crash ~delta:(-A.grant b)
+    else A.emit t b ~action:A.Crash
   end
 
 (* ---- fairness --------------------------------------------------------------- *)
@@ -226,12 +226,12 @@ let fairness t =
   let xs =
     List.filter_map
       (fun (b : tenant) ->
-        if b.health = A.Crashed then None
+        if A.health b = A.Crashed then None
         else begin
           settle_core_ns t b;
           Some
-            (float_of_int b.ext.core_ns
-            /. float_of_int (max 1 b.bounds.guaranteed))
+            (float_of_int (A.ext b).core_ns
+            /. float_of_int (max 1 (A.bounds b).guaranteed))
         end)
       (Array.to_list (A.bindings t))
   in
@@ -249,13 +249,13 @@ let start = A.start
 let stop = A.stop
 let granted t ~tenant = A.granted t ~app:tenant
 let series t ~tenant = A.series t ~app:tenant
-let health t ~tenant = (A.find t tenant).A.health
-let hoard_score t ~tenant = (A.find t tenant).A.ext.hoard_score
+let health t ~tenant = A.health (A.find t tenant)
+let hoard_score t ~tenant = (A.ext (A.find t tenant)).hoard_score
 
 let core_ns t ~tenant =
   let b = A.find t tenant in
   settle_core_ns t b;
-  b.ext.core_ns
+  (A.ext b).core_ns
 
 let free_cores = A.free_cores
 let grants = A.grants
@@ -294,24 +294,24 @@ let register_metrics t reg =
       fairness t);
   Array.iter
     (fun (b : tenant) ->
-      let al = [ Registry.app b.name ] in
+      let al = [ Registry.app (A.name b) ] in
       Registry.gauge reg ~labels:al "skyloft_broker_granted_cores"
-        ~help:"Cores currently granted" (fun () -> float_of_int b.granted);
+        ~help:"Cores currently granted" (fun () -> float_of_int (A.grant b));
       Registry.gauge reg ~labels:al "skyloft_broker_health"
         ~help:"0 healthy, 1 stale, 2 quarantined, 3 crashed" (fun () ->
-          match b.health with
+          match A.health b with
           | A.Healthy -> 0.0
           | A.Stale -> 1.0
           | A.Quarantined -> 2.0
           | A.Crashed -> 3.0);
       Registry.gauge reg ~labels:al "skyloft_broker_hoard_score"
         ~help:"Current hoard score (quarantine at hoard_cap)" (fun () ->
-          float_of_int b.ext.hoard_score);
+          float_of_int (A.ext b).hoard_score);
       Registry.counter reg ~labels:al
         ~help:"Integral of granted cores over time"
         "skyloft_broker_tenant_core_ns_total" (fun () ->
           settle_core_ns t b;
-          b.ext.core_ns);
+          (A.ext b).core_ns);
       Registry.series reg ~labels:al "skyloft_broker_granted_series"
-        ~help:"Granted core count over time" b.series)
+        ~help:"Granted core count over time" (A.grant_series b))
     (A.bindings t)

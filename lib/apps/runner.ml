@@ -16,7 +16,7 @@ type t = {
 
 let of_linux linux =
   {
-    spawn = (fun ~name body -> Kt (Linux.spawn linux ~name body));
+    spawn = (fun ~name:_ body -> Kt (Linux.spawn linux body));
     wakeup =
       (function Kt kt -> Linux.wakeup linux kt | Tsk _ -> invalid_arg "Runner: mixed");
     set_track_wakeup =

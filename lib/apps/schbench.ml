@@ -3,19 +3,14 @@ module Engine = Skyloft_sim.Engine
 module Coro = Skyloft_sim.Coro
 module Histogram = Skyloft_stats.Histogram
 
-type config = {
-  message_threads : int;
-  workers : int;
-  request : Time.t;
-  message_work : Time.t;
-}
+(* schbench's defaults: one message thread, ~2,300 µs per request (the
+   matrix multiplication), 1 µs of message-thread CPU per wake. *)
+let message_threads = 1
+let request = Time.us 2_300
+let message_work = Time.us 1
 
-let default_config ~workers =
-  { message_threads = 1; workers; request = Time.us 2_300; message_work = Time.us 1 }
-
-let run (runner : Runner.t) engine config ~duration =
-  if config.workers <= 0 || config.message_threads <= 0 then
-    invalid_arg "Schbench.run: workers and message_threads must be positive";
+let run (runner : Runner.t) engine ~workers ~duration =
+  if workers <= 0 then invalid_arg "Schbench.run: workers must be positive";
   let stop_at = Engine.now engine + duration in
   (* Workers that finished a request and are waiting to be woken again. *)
   let pending : Runner.handle Queue.t = Queue.create () in
@@ -28,7 +23,7 @@ let run (runner : Runner.t) engine config ~duration =
       Coro.Block
         (fun () ->
           Coro.Compute
-            ( config.request,
+            ( request,
               fun () ->
                 if Engine.now engine >= stop_at then Coro.Exit
                 else begin
@@ -41,7 +36,7 @@ let run (runner : Runner.t) engine config ~duration =
     self := Some h;
     Queue.push h pending
   in
-  for i = 1 to config.workers do
+  for i = 1 to workers do
     spawn_worker i
   done;
   (* Message thread: wake pending workers one by one, charging its own CPU
@@ -53,7 +48,7 @@ let run (runner : Runner.t) engine config ~duration =
         match Queue.take_opt pending with
         | Some worker ->
             Coro.Compute
-              ( config.message_work,
+              ( message_work,
                 fun () ->
                   runner.wakeup worker;
                   loop () )
@@ -63,7 +58,7 @@ let run (runner : Runner.t) engine config ~duration =
     runner.set_track_wakeup h false;
     messengers := h :: !messengers
   in
-  for i = 1 to config.message_threads do
+  for i = 1 to message_threads do
     spawn_messenger i
   done;
   Engine.run ~until:stop_at engine;

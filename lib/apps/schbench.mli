@@ -12,16 +12,9 @@ module Histogram = Skyloft_stats.Histogram
     queueing plus scheduling delay, the quantity Figure 5 plots against the
     worker count. *)
 
-type config = {
-  message_threads : int;
-  workers : int;
-  request : Time.t;  (** per-request work *)
-  message_work : Time.t;  (** message-thread CPU per wake *)
-}
-
-val default_config : workers:int -> config
-(** 1 message thread, 2,300 µs requests, 1 µs message work. *)
-
-val run : Runner.t -> Engine.t -> config -> duration:Time.t -> Histogram.t
-(** Start the benchmark now, simulate for [duration], and return the wakeup
-    latency histogram (message-thread wakeups excluded). *)
+val run : Runner.t -> Engine.t -> workers:int -> duration:Time.t -> Histogram.t
+(** Start the benchmark now with [workers] worker threads, one message
+    thread, 2,300 µs requests and 1 µs of message work per wake; simulate
+    for [duration], and return the wakeup latency histogram
+    (message-thread wakeups excluded).
+    @raise Invalid_argument if [workers <= 0]. *)

@@ -60,11 +60,11 @@ let run machine ~cores ~rng ~rate_rps ~service ~duration ?(batch_threads = 0) ()
         end
   in
   let n_workers = 2 * List.length cores in
-  for i = 1 to n_workers do
+  for _ = 1 to n_workers do
     let self = ref None in
     (* The body is evaluated eagerly, before the kthread handle exists, so
        register the initial idleness here rather than inside the body. *)
-    let kt = Linux.spawn linux ~name:(Printf.sprintf "pool-%d" i) (worker_body self ()) in
+    let kt = Linux.spawn linux (worker_body self ()) in
     self := Some kt;
     Queue.push kt idle_workers
   done;
@@ -72,7 +72,7 @@ let run machine ~cores ~rng ~rate_rps ~service ~duration ?(batch_threads = 0) ()
      burning CPU in small chunks; their completed chunk time is the batch
      application's share. *)
   let batch_chunk = Time.us 50 in
-  for i = 1 to batch_threads do
+  for _ = 1 to batch_threads do
     let rec hog () =
       Coro.Compute
         ( batch_chunk,
@@ -81,7 +81,7 @@ let run machine ~cores ~rng ~rate_rps ~service ~duration ?(batch_threads = 0) ()
             if Engine.now engine >= stop_at then Coro.Exit else hog () )
     in
     (* nice 19: the batch job must not displace the latency-critical pool *)
-    ignore (Linux.spawn linux ~name:(Printf.sprintf "batch-%d" i) ~weight:15 (hog ()))
+    ignore (Linux.spawn linux ~weight:15 (hog ()))
   done;
   Loadgen.poisson engine ~rng ~rate_rps ~service ~duration (fun pkt ->
       t.offered <- t.offered + 1;

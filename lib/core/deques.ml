@@ -5,13 +5,16 @@
    is not kept and the scan probes each deque in turn. *)
 
 type t = {
-  queues : Runqueue.t array;
-  slot : int array;
-  cursor : int array;
-  mutable probes : int;
-  mutable nonempty : int;
-  masked : bool;
+  queues : Runqueue.t array;  (* by position in the cores given to [create] *)
+  slot : int array;  (* core id -> position, -1 for an unmanaged core *)
+  cursor : int array;  (* per-thief scan start, -1 before its first hit *)
+  mutable probes : int;  (* victim deques the last scan looked at *)
+  mutable nonempty : int;  (* bit [i] set iff deque [i] is non-empty *)
+  masked : bool;  (* whether [nonempty] is kept (at most 62 deques) *)
 }
+
+let probes t = t.probes
+let cursor t i = t.cursor.(i)
 
 let create cores =
   let n = Array.length cores in

@@ -5,20 +5,18 @@
     Every mutation keeps a word of non-empty bits (one per deque, for up
     to {!Bitmask.width} deques), so {!victim} finds the first non-empty
     deque from the thief's cursor with a few bit operations yet reports
-    the same victim, cursor and [probes] as probing deque after deque —
-    which is what it does past {!Bitmask.width} deques.  Mutate the
-    queues only through this module, or the word goes stale. *)
+    the same victim, {!cursor} and {!probes} as probing deque after
+    deque — which is what it does past {!Bitmask.width} deques.  The type
+    is abstract, so no other module can mutate a queue behind the word. *)
 
-type t = private {
-  queues : Runqueue.t array;  (** by position in the cores given to {!create} *)
-  slot : int array;  (** core id -> position, [-1] for an unmanaged core *)
-  cursor : int array;
-      (** per-thief scan start: the position after its last hit, [-1]
-          before its first, when the scan starts just after the thief *)
-  mutable probes : int;  (** victim deques the last scan looked at *)
-  mutable nonempty : int;  (** bit [i] set iff deque [i] is non-empty *)
-  masked : bool;  (** whether [nonempty] is kept (at most 62 deques) *)
-}
+type t
+
+val probes : t -> int
+(** Victim deques the last {!victim} scan looked at. *)
+
+val cursor : t -> int -> int
+(** A thief's scan start: the position after its last hit, [-1] before
+    its first, when the scan starts just after the thief. *)
 
 val create : int array -> t
 (** Empty deques for distinct, non-negative core ids, in order. *)

@@ -18,17 +18,17 @@ module Rc = Runtime_core
    comparators. *)
 
 type mechanism = {
-  mech_name : string;
-  dispatch_cost : Time.t;
-  preempt_send : Time.t;
-  preempt_delivery : Time.t;
-  preempt_receive : Time.t;
-  worker_switch : Time.t;
+  dispatch_cost : Time.t;  (* dispatcher work per assignment decision *)
+  preempt_send : Time.t;  (* dispatcher-side send cost *)
+  preempt_delivery : Time.t;  (* send-to-handler latency at the worker *)
+  preempt_receive : Time.t;  (* worker-side handling overhead *)
+  worker_switch : Time.t;  (* worker-side task switch cost *)
 }
+
+let dispatch_cost m = m.dispatch_cost
 
 let skyloft_mechanism =
   {
-    mech_name = "Skyloft";
     dispatch_cost = 100;
     preempt_send = Costs.uipi_send_ns ~cross_numa:false;
     preempt_delivery = Costs.uipi_delivery_ns ~cross_numa:false;
@@ -41,7 +41,6 @@ let skyloft_mechanism =
    small multiple of user IPIs. *)
 let shinjuku_mechanism =
   {
-    mech_name = "Shinjuku";
     dispatch_cost = 120;
     preempt_send = 250;
     preempt_delivery = 1_400;
@@ -53,7 +52,6 @@ let shinjuku_mechanism =
    transaction; preemption rides kernel IPIs; workers are kernel threads. *)
 let ghost_mechanism =
   {
-    mech_name = "ghOSt";
     dispatch_cost = 1_200;
     preempt_send = Costs.kipi_send_ns;
     preempt_delivery = Costs.kipi_delivery_ns;
@@ -97,8 +95,8 @@ type t = {
 
 let runtime t = t.rc
 let now t = Rc.now t.rc
-let unit_of_exec t (ex : Rc.exec) = t.units.(ex.Rc.exec_slot)
-let queue_length t = t.rc.Rc.lc_queued
+let unit_of_exec t (ex : Rc.exec) = t.units.(Rc.exec_slot ex)
+let queue_length t = Rc.lc_queued t.rc
 
 (* The dispatcher is a serial resource (central mode only): when an
    operation of [cost] issued now completes. *)
@@ -107,9 +105,9 @@ let dispatcher_done t cost =
   t.disp_busy_until <- start + cost;
   start + cost
 
-let dispatcher_do t cost f = Engine.at t.rc.Rc.engine (dispatcher_done t cost) f
+let dispatcher_do t cost f = Engine.at (Rc.engine t.rc) (dispatcher_done t cost) f
 
-let reserved u = u.ex.Rc.incoming >= 0
+let reserved u = Rc.incoming u.ex >= 0
 
 (* ---- central-mode task start ---------------------------------------------- *)
 
@@ -121,7 +119,7 @@ let rec start_on t u (task : Task.t) =
   else begin
     t.dispatches <- t.dispatches + 1;
     let switch_cost =
-      if task.Task.app = u.ex.Rc.active_app then t.mech.worker_switch
+      if task.Task.app = Rc.active_app u.ex then t.mech.worker_switch
       else Rc.app_switch t.rc u.ex task
     in
     let start = Rc.begin_run t.rc u.ex task ~switch_cost in
@@ -142,12 +140,12 @@ and assign t u (task : Task.t) =
   Engine.arm u.atimer ~at:(dispatcher_done t t.mech.dispatch_cost)
 
 and try_next t u =
-  if (not (reserved u)) && u.ex.Rc.current == Task.nil && not (Rc.unit_capped t.rc u.ex)
+  if (not (reserved u)) && Rc.current u.ex == Task.nil && not (Rc.unit_capped t.rc u.ex)
   then begin
-    match Rc.next_lc t.rc ~cpu:u.ex.Rc.exec_core ~balance:false with
+    match Rc.next_lc t.rc ~cpu:(Rc.exec_core u.ex) ~balance:false with
     | Some task -> assign t u task
     | None ->
-        if Rc.be_occupancy t.rc < t.rc.Rc.be_allowance then
+        if Rc.be_occupancy t.rc < Rc.be_allowance t.rc then
           match Rc.next_be t.rc with Some be -> assign t u be | None -> ()
   end
 
@@ -172,11 +170,11 @@ and do_preempt t u gen =
 
 and deliver_preempt t u gen =
   let arrive_after extra =
-    Engine.after t.rc.Rc.engine (t.mech.preempt_delivery + extra) (fun () ->
+    Engine.after (Rc.engine t.rc) (t.mech.preempt_delivery + extra) (fun () ->
         do_preempt t u gen)
   in
   match
-    Machine.fault_fate t.rc.Rc.machine ~core:u.ex.Rc.exec_core
+    Machine.fault_fate (Rc.machine t.rc) ~core:(Rc.exec_core u.ex)
       Vectors.uintr_notification
   with
   | Machine.Drop -> ()
@@ -187,8 +185,7 @@ and deliver_preempt t u gen =
    the send. *)
 and send_preempt t u (task : Task.t) =
   let gen = u.gen in
-  if Rc.is_be t.rc task then t.rc.Rc.be_preempts <- t.rc.Rc.be_preempts + 1
-  else t.rc.Rc.preempts <- t.rc.Rc.preempts + 1;
+  Rc.count_preemption t.rc task;
   dispatcher_do t t.mech.preempt_send (fun () -> deliver_preempt t u gen)
 
 (* The assignment timer's stable callback. *)
@@ -202,8 +199,8 @@ let assign_fire t u =
    generation leaves a dispatch that ended (or was superseded — re-arming
    cancels the stale firing outright) alone. *)
 let quantum_fire t u =
-  if u.ex.Rc.current != Task.nil && u.gen = u.qt_gen then
-    send_preempt t u u.ex.Rc.current
+  if Rc.current u.ex != Task.nil && u.gen = u.qt_gen then
+    send_preempt t u (Rc.current u.ex)
 
 (* ---- the shared-queue poke ------------------------------------------------ *)
 
@@ -213,7 +210,7 @@ let rec first_free t i =
   if i = Array.length t.units then -1
   else
     let u = t.units.(i) in
-    if u.ex.Rc.current == Task.nil && (not (reserved u)) && not (Rc.unit_capped t.rc u.ex)
+    if Rc.current u.ex == Task.nil && (not (reserved u)) && not (Rc.unit_capped t.rc u.ex)
     then i
     else first_free t (i + 1)
 
@@ -265,7 +262,7 @@ let check_mode t =
    whichever mechanism the current mode provides (plus the watchdog as the
    backstop), so no run can outlive both. *)
 let on_tick t u =
-  if t.mode = Percore && now t >= u.ex.Rc.stolen_until then
+  if t.mode = Percore && now t >= Rc.stolen_until u.ex then
     Percore.on_tick t.pc u.pc
 
 (* ---- watchdog: dispatcher failover + stuck-worker rescue ------------------ *)
@@ -277,15 +274,14 @@ let rescue_worker t u ~late =
 
 let watchdog_scan t ~bound =
   if t.disp_busy_until > now t + bound then begin
-    t.rc.Rc.failovers <- t.rc.Rc.failovers + 1;
-    Rc.trace_instant t.rc ~core:t.dispatcher_core Trace.Failover "dispatcher";
+    Rc.failover t.rc ~core:t.dispatcher_core;
     t.disp_busy_until <- now t + Costs.app_switch_ns
   end;
   Array.iter
     (fun u ->
-      let task = u.ex.Rc.current in
-      if now t >= u.ex.Rc.stolen_until && task != Task.nil
-         && Engine.armed u.ex.Rc.completion
+      let task = Rc.current u.ex in
+      if now t >= Rc.stolen_until u.ex && task != Task.nil
+         && Engine.armed (Rc.completion u.ex)
       then begin
         (* The expected preemption point depends on which mechanism
            covers the run; grant the larger of the two.  A pinned runtime
@@ -308,10 +304,10 @@ let preempt_be t (u : unit_state) =
   match t.mode with
   | Percore -> Percore.preempt_be t.pc u.pc
   | Central ->
-      Rc.is_be t.rc u.ex.Rc.current
-      && Engine.armed u.ex.Rc.completion
+      Rc.is_be t.rc (Rc.current u.ex)
+      && Engine.armed (Rc.completion u.ex)
       && begin
-           send_preempt t u u.ex.Rc.current;
+           send_preempt t u (Rc.current u.ex);
            true
          end
 
@@ -325,9 +321,9 @@ let redrive t u =
    the current mode provides: a dispatcher IPI (central) or the per-core
    eviction (percore). *)
 let preempt_capped_unit t u =
-  if u.ex.Rc.current != Task.nil && Engine.armed u.ex.Rc.completion then
+  if Rc.current u.ex != Task.nil && Engine.armed (Rc.completion u.ex) then
     match t.mode with
-    | Central -> send_preempt t u u.ex.Rc.current
+    | Central -> send_preempt t u (Rc.current u.ex)
     | Percore -> Percore.evict t.pc u.pc
 
 (* ---- construction --------------------------------------------------------- *)
@@ -353,7 +349,7 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
     Array.map
       (fun (cpu : Percore.cpu) ->
         {
-          ex = cpu.ex;
+          ex = Percore.ex cpu;
           pc = cpu;
           gen = 0;
           atimer = Engine.timer engine ignore;
@@ -361,7 +357,7 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
           qtimer = Engine.timer engine ignore;
           qt_gen = 0;
         })
-      pc.Percore.cpus
+      (Percore.cpus pc)
   in
   let t =
     {
@@ -397,7 +393,7 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
       d_reschedule = (fun ex ~prev -> reschedule t (unit_of_exec t ex) ~prev);
       d_place =
         (fun task ~cpu:_ ->
-          t.rc.Rc.policy.task_init task;
+          (Rc.policy t.rc).task_init task;
           Rc.enqueue t.rc ~cpu:t.dispatcher_core ~reason:Sched_ops.Enq_new task;
           poke t);
       (* A woken BE task rejoins the BE queue, which the units drain
@@ -432,7 +428,7 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
   Rc.activate_daemon t.rc;
   Array.iter
     (fun u ->
-      Kmod.on_steal kmod ~core:u.ex.Rc.exec_core (fun ~duration ->
+      Kmod.on_steal kmod ~core:(Rc.exec_core u.ex) (fun ~duration ->
           Rc.freeze_for_steal t.rc u.ex ~duration))
     units;
   Kmod.on_steal kmod ~core:dispatcher_core (fun ~duration ->
@@ -447,12 +443,12 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
     Array.iter
       (fun u ->
         ignore
-          (Engine.every t.rc.Rc.engine ~period:t.tick_period (fun () ->
+          (Engine.every (Rc.engine t.rc) ~period:t.tick_period (fun () ->
                on_tick t u;
                true)))
       units;
     ignore
-      (Engine.every t.rc.Rc.engine ~period:check_period (fun () ->
+      (Engine.every (Rc.engine t.rc) ~period:check_period (fun () ->
            check_mode t;
            true))
   end;

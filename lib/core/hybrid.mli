@@ -35,15 +35,13 @@ module Kmod = Skyloft_kernel.Kmod
     congestion appears (Shenango's core-allocation policy, §5.2 "Multiple
     workloads"). *)
 
-(** Cost vector of the dispatcher's preemption/dispatch mechanism. *)
-type mechanism = {
-  mech_name : string;
-  dispatch_cost : Time.t;  (** dispatcher work per assignment decision *)
-  preempt_send : Time.t;  (** dispatcher-side send cost *)
-  preempt_delivery : Time.t;  (** send-to-handler latency at the worker *)
-  preempt_receive : Time.t;  (** worker-side handling overhead *)
-  worker_switch : Time.t;  (** worker-side task switch cost *)
-}
+(** Cost vector of the dispatcher's preemption/dispatch mechanism: the
+    dispatcher's work per assignment, the preemption's send, delivery and
+    worker-side receive costs, and the worker's task switch. *)
+type mechanism
+
+val dispatch_cost : mechanism -> Time.t
+(** Dispatcher work per assignment decision. *)
 
 val skyloft_mechanism : mechanism
 (** User IPIs + user-level task switch (Table 6 / Table 7). *)

@@ -28,6 +28,12 @@ type t = {
 }
 
 let now t = Rc.now t.rc
+let ex cpu = cpu.ex
+let last_sched cpu = cpu.last_sched
+let sched_point cpu ~at = cpu.last_sched <- Int.max cpu.last_sched at
+let cpus t = t.cpus
+let parks t = t.parks
+let unparks t = t.unparks
 
 let park t cpu =
   if not cpu.parked then begin
@@ -39,12 +45,12 @@ let park t cpu =
    dispatcher by the time the kick lands. *)
 let kick_fire t cpu () =
   cpu.kick_pending <- false;
-  if cpu.ex.Rc.current == Task.nil then
-    t.rc.Rc.dispatch.Rc.d_reschedule cpu.ex ~prev:Task.nil
+  if Rc.current cpu.ex == Task.nil then
+    (Rc.dispatch t.rc).Rc.d_reschedule cpu.ex ~prev:Task.nil
 
 (* The grace period ran out with the core still idle since it began. *)
 let park_fire t cpu () =
-  if cpu.ex.Rc.current == Task.nil && cpu.idle_gen = cpu.park_gen then park t cpu
+  if Rc.current cpu.ex == Task.nil && cpu.idle_gen = cpu.park_gen then park t cpu
 
 let create rc ~cores ~quantum ~park =
   let cpus =
@@ -52,8 +58,8 @@ let create rc ~cores ~quantum ~park =
       (fun core ->
         {
           ex = Rc.make_exec core;
-          kick_timer = Engine.timer rc.Rc.engine ignore;
-          park_timer = Engine.timer rc.Rc.engine ignore;
+          kick_timer = Engine.timer (Rc.engine rc) ignore;
+          park_timer = Engine.timer (Rc.engine rc) ignore;
           kick_pending = false;
           parked = false;
           idle_gen = 0;
@@ -73,8 +79,8 @@ let create rc ~cores ~quantum ~park =
 (* [cpus] is the runtime's [d_units], so a unit's slot indexes both. *)
 let cpu_of t core =
   match Rc.slot_of_core t.rc core with -1 -> raise Not_found | s -> t.cpus.(s)
-let cpu_of_unit t (ex : Rc.exec) = t.cpus.(ex.Rc.exec_slot)
-let in_flight cpu = cpu.ex.Rc.incoming >= 0
+let cpu_of_unit t (ex : Rc.exec) = t.cpus.(Rc.exec_slot ex)
+let in_flight cpu = Rc.incoming cpu.ex >= 0
 
 (* ---- the scheduling loop ------------------------------------------------- *)
 
@@ -85,7 +91,7 @@ let in_flight cpu = cpu.ex.Rc.incoming >= 0
 let idle t cpu =
   cpu.idle_gen <- cpu.idle_gen + 1;
   match t.park with
-  | Some _ when t.rc.Rc.policy.sched_idle_park ~cpu:cpu.ex.Rc.exec_core ->
+  | Some _ when (Rc.policy t.rc).sched_idle_park ~cpu:(Rc.exec_core cpu.ex) ->
       park t cpu
   | Some (idle_after, _) ->
       cpu.park_gen <- cpu.idle_gen;
@@ -105,25 +111,25 @@ let unpark_cost t cpu =
    cores back through the allocator shrinking the allowance.  A capped
    core's queued work is recovered by allowed cores' steals and kicks. *)
 let pick rc ~core =
-  match if Rc.be_occupancy rc < rc.Rc.be_allowance then Rc.next_be rc else None with
+  match if Rc.be_occupancy rc < Rc.be_allowance rc then Rc.next_be rc else None with
   | Some _ as be -> be
   | None -> Rc.next_lc rc ~cpu:core ~balance:true
 
 let schedule t cpu ~prev =
   let rc = t.rc in
-  if cpu.ex.Rc.current != Task.nil || in_flight cpu then ()
+  if Rc.current cpu.ex != Task.nil || in_flight cpu then ()
   else if Rc.unit_capped rc cpu.ex then cpu.idle_gen <- cpu.idle_gen + 1
   else
-    let core = cpu.ex.Rc.exec_core in
+    let core = Rc.exec_core cpu.ex in
     match pick rc ~core with
     | None -> idle t cpu
     | Some task ->
         let unpark_cost = unpark_cost t cpu in
-        let charge = rc.Rc.policy.sched_migration_charge ~cpu:core in
+        let charge = (Rc.policy rc).sched_migration_charge ~cpu:core in
         let cost =
           if prev == task then 0
-          else if task.Task.app = cpu.ex.Rc.active_app then begin
-            rc.Rc.switches <- rc.Rc.switches + 1;
+          else if task.Task.app = Rc.active_app cpu.ex then begin
+            Rc.count_task_switch rc;
             Costs.uthread_yield_ns
           end
           else Rc.app_switch rc cpu.ex task
@@ -134,12 +140,12 @@ let schedule t cpu ~prev =
         Rc.run_after_switch rc cpu.ex ~switch_cost
 
 let steal_time ?(stall = false) cpu cost =
-  let task = cpu.ex.Rc.current in
-  if task != Task.nil && Engine.armed cpu.ex.Rc.completion then begin
+  let task = Rc.current cpu.ex in
+  if task != Task.nil && Engine.armed (Rc.completion cpu.ex) then begin
     task.Task.segment_end <- task.Task.segment_end + cost;
     if stall then task.Task.obs_stall_ns <- task.Task.obs_stall_ns + cost
     else task.Task.obs_overhead_ns <- task.Task.obs_overhead_ns + cost;
-    Engine.arm cpu.ex.Rc.completion ~at:task.Task.segment_end
+    Engine.arm (Rc.completion cpu.ex) ~at:task.Task.segment_end
   end
 
 (* ---- kicks --------------------------------------------------------------- *)
@@ -147,10 +153,10 @@ let steal_time ?(stall = false) cpu cost =
 (* [kick_pending] coalesces kicks, so the cpu's timer is never re-armed
    while a kick is pending. *)
 let kick t cpu =
-  if cpu.ex.Rc.current == Task.nil && (not cpu.kick_pending) && not (in_flight cpu)
+  if Rc.current cpu.ex == Task.nil && (not cpu.kick_pending) && not (in_flight cpu)
   then begin
     cpu.kick_pending <- true;
-    Engine.arm cpu.kick_timer ~at:(Int.max (now t) cpu.ex.Rc.stolen_until)
+    Engine.arm cpu.kick_timer ~at:(Int.max (now t) (Rc.stolen_until cpu.ex))
   end
 
 let kick_idle t = Array.iter (kick t) t.cpus
@@ -161,34 +167,33 @@ let kick_some_idle t =
 (* ---- preemption ---------------------------------------------------------- *)
 
 let requeue t (task : Task.t) ~cpu =
-  if Rc.is_be t.rc task then t.rc.Rc.be_preempts <- t.rc.Rc.be_preempts + 1
-  else t.rc.Rc.preempts <- t.rc.Rc.preempts + 1;
+  Rc.count_preemption t.rc task;
   Rc.enqueue t.rc ~cpu ~reason:Sched_ops.Enq_preempted task
 
 (* Synchronous: the handler already charged the receive cost. *)
 let preempt t cpu =
   match Rc.depose t.rc cpu.ex ~overhead:0 with
   | Some task ->
-      requeue t task ~cpu:(t.rc.Rc.dispatch.Rc.d_enqueue_cpu cpu.ex);
+      requeue t task ~cpu:((Rc.dispatch t.rc).Rc.d_enqueue_cpu cpu.ex);
       schedule t cpu ~prev:task
   | None -> ()
 
 (* Never requeue on the capped core's own queue: with the core gone
    nothing local would drain it. *)
 let evict t cpu =
-  if cpu.ex.Rc.current != Task.nil && Engine.armed cpu.ex.Rc.completion then begin
+  if Rc.current cpu.ex != Task.nil && Engine.armed (Rc.completion cpu.ex) then begin
     steal_time cpu (Costs.uipi_receive_ns ~cross_numa:false);
     match Rc.depose t.rc cpu.ex ~overhead:0 with
     | Some task ->
-        requeue t task ~cpu:(t.rc.Rc.dispatch.Rc.d_enqueue_cpu t.cpus.(0).ex);
+        requeue t task ~cpu:((Rc.dispatch t.rc).Rc.d_enqueue_cpu t.cpus.(0).ex);
         schedule t cpu ~prev:task;
         kick_some_idle t
     | None -> ()
   end
 
 let preempt_be t cpu =
-  Rc.is_be t.rc cpu.ex.Rc.current
-  && Engine.armed cpu.ex.Rc.completion
+  Rc.is_be t.rc (Rc.current cpu.ex)
+  && Engine.armed (Rc.completion cpu.ex)
   && begin
        steal_time cpu (Costs.uipi_receive_ns ~cross_numa:false);
        preempt t cpu;
@@ -205,20 +210,20 @@ let tick_decision t cpu =
   cpu.last_sched <- now t;
   if Rc.unit_capped t.rc cpu.ex then evict t cpu
   else
-    let task = cpu.ex.Rc.current in
-    if task == Task.nil || not (Engine.armed cpu.ex.Rc.completion) then kick t cpu
+    let task = Rc.current cpu.ex in
+    if task == Task.nil || not (Engine.armed (Rc.completion cpu.ex)) then kick t cpu
     else if Rc.is_be t.rc task then begin
-      if Rc.be_occupancy t.rc > t.rc.Rc.be_allowance then preempt t cpu
+      if Rc.be_occupancy t.rc > Rc.be_allowance t.rc then preempt t cpu
     end
     else if
       (* The policy gets first say; single-queue policies written for a
          dispatcher leave ticks alone, so [quantum] makes the tick
          timeshare exactly like the dispatcher's quantum IPI. *)
-      t.rc.Rc.policy.sched_timer_tick ~cpu:cpu.ex.Rc.exec_core task
+      (Rc.policy t.rc).sched_timer_tick ~cpu:(Rc.exec_core cpu.ex) task
       || (t.quantum > 0 && now t - task.Task.run_start >= t.quantum)
     then preempt t cpu
 
 let on_tick t cpu =
-  t.rc.Rc.ticks <- t.rc.Rc.ticks + 1;
+  Rc.count_tick t.rc;
   steal_time cpu (Costs.user_timer_receive_ns + Costs.senduipi_sn_ns);
   tick_decision t cpu

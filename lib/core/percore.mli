@@ -13,30 +13,28 @@ module Time = Skyloft_sim.Time
     a unit with an assignment in flight ([incoming] >= 0) is left
     alone; and [park] enables Shenango-style core parking. *)
 
-(** One core's per-core state around its {!Runtime_core.exec}. *)
-type cpu = {
-  ex : Runtime_core.exec;
-  kick_timer : Skyloft_sim.Engine.timer;
-      (** the cpu's one stable kick event, armed by {!kick} *)
-  park_timer : Skyloft_sim.Engine.timer;
-      (** the cpu's one stable park grace period, re-armed each time the
-          core goes idle *)
-  mutable kick_pending : bool;  (** a kick is scheduled; coalesces kicks *)
-  mutable parked : bool;  (** yielded to the kernel while idle *)
-  mutable idle_gen : int;  (** invalidates stale park timers *)
-  mutable park_gen : int;  (** [idle_gen] when the grace period began *)
-  mutable last_sched : Time.t;  (** last scheduling point (watchdog) *)
-}
+(** One core's per-core state around its {!Runtime_core.exec}: its kick
+    and park timers, park state and last scheduling point. *)
+type cpu
 
-type t = private {
-  rc : Runtime_core.t;
-  cpus : cpu array;
-      (** in core order: the runtime's [d_units], indexed by [exec_slot] *)
-  quantum : Time.t;  (** tick-enforced quantum; [0] leaves it to the policy *)
-  park : (Time.t * Time.t) option;  (** [(idle_after, resume_cost)] *)
-  mutable parks : int;  (** idle cores parked back to the kernel *)
-  mutable unparks : int;  (** parked cores woken (each paid [resume_cost]) *)
-}
+val ex : cpu -> Runtime_core.exec
+
+val last_sched : cpu -> Time.t
+(** The core's last scheduling point, which the watchdog measures from. *)
+
+val sched_point : cpu -> at:Time.t -> unit
+(** Move {!last_sched} to [at], unless it already lies later. *)
+
+type t
+
+val cpus : t -> cpu array
+(** In core order: the runtime's [d_units], indexed by [exec_slot]. *)
+
+val parks : t -> int
+(** Idle cores parked back to the kernel. *)
+
+val unparks : t -> int
+(** Parked cores woken (each paid the resume cost). *)
 
 val create :
   Runtime_core.t ->

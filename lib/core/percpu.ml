@@ -33,6 +33,7 @@ type t = {
 let runtime t = t.rc
 let now t = Rc.now t.rc
 let cpu_of t core = Percore.cpu_of t.pc core
+let core_of cpu = Rc.exec_core (Percore.ex cpu)
 
 (* ---- the global user-interrupt handler (Listing 1) ---------------------- *)
 
@@ -41,7 +42,7 @@ let uintr_handler t (cpu : Percore.cpu) ctx ~uvec =
     (* Reset UPID.PIR so the next hardware timer interrupt is recognised
        (Listing 1 line 5) — only on a timer-delegated context (SN set). *)
     if Machine.uintr_sn ctx then
-      Machine.senduipi t.rc.Rc.machine ~src_core:cpu.ex.Rc.exec_core ctx
+      Machine.senduipi (Rc.machine t.rc) ~src_core:(core_of cpu) ctx
         ~uvec:Vectors.uvec_timer;
     Percore.on_tick t.pc cpu
   end
@@ -55,7 +56,7 @@ let uintr_handler t (cpu : Percore.cpu) ctx ~uvec =
     match t.uvec_handlers.(uvec) with
     | Some handler ->
         Percore.steal_time cpu (Costs.uipi_receive_ns ~cross_numa:false);
-        handler cpu.ex.Rc.exec_core
+        handler (core_of cpu)
     | None -> ()
 
 (* ---- watchdog recovery --------------------------------------------------- *)
@@ -67,46 +68,49 @@ let uintr_handler t (cpu : Percore.cpu) ctx ~uvec =
    the PIR re-primed so future ticks are recognised again, then a forced
    preemption so queued work gets the core. *)
 let rescue t (cpu : Percore.cpu) ~bound =
-  Rc.rescued t.rc cpu.ex ~late:(Int.max 0 (now t - cpu.last_sched - bound));
+  Rc.rescued t.rc (Percore.ex cpu)
+    ~late:(Int.max 0 (now t - Percore.last_sched cpu - bound));
   Percore.steal_time cpu (Costs.uipi_receive_ns ~cross_numa:false);
   if t.preemption then begin
-    ignore
-      (Kmod.timer_set_hz t.rc.Rc.kmod ~core:cpu.ex.Rc.exec_core ~hz:t.timer_hz);
-    match Machine.uintr_installed t.rc.Rc.machine ~core:cpu.ex.Rc.exec_core with
+    let core = core_of cpu in
+    ignore (Kmod.timer_set_hz (Rc.kmod t.rc) ~core ~hz:t.timer_hz);
+    match Machine.uintr_installed (Rc.machine t.rc) ~core with
     | Some ctx when Machine.uintr_sn ctx ->
-        Machine.senduipi t.rc.Rc.machine ~src_core:cpu.ex.Rc.exec_core ctx
+        Machine.senduipi (Rc.machine t.rc) ~src_core:core ctx
           ~uvec:Vectors.uvec_timer
     | Some _ | None -> ()
   end;
   Percore.preempt t.pc cpu;
-  cpu.last_sched <- now t
+  Percore.sched_point cpu ~at:(now t)
 
 let watchdog_scan t ~bound =
   Array.iter
     (fun (cpu : Percore.cpu) ->
-      if cpu.ex.Rc.current != Task.nil
-         && now t >= cpu.ex.Rc.stolen_until
+      let ex = Percore.ex cpu in
+      if Rc.current ex != Task.nil
+         && now t >= Rc.stolen_until ex
          && (not
                (Machine.interrupts_masked
-                  (Machine.core t.rc.Rc.machine cpu.ex.Rc.exec_core)))
-         && now t - cpu.last_sched > bound
+                  (Machine.core (Rc.machine t.rc) (Rc.exec_core ex))))
+         && now t - Percore.last_sched cpu > bound
       then rescue t cpu ~bound)
-    t.pc.Percore.cpus
+    (Percore.cpus t.pc)
 
 (* The host kernel stole this core: the running segment makes no progress
    for the outage, and wake-up kicks defer until hand-back.  Deferred
    interrupt vectors replay at unmask (the {!Machine} mask model), so a
    queued tick re-preempts promptly once the core returns. *)
 let on_core_steal t (cpu : Percore.cpu) ~duration =
-  cpu.ex.Rc.stolen_until <- Int.max cpu.ex.Rc.stolen_until (now t + duration);
+  let ex = Percore.ex cpu in
+  Rc.mark_stolen t.rc ex ~duration;
   Percore.steal_time ~stall:true cpu duration;
-  cpu.last_sched <- Int.max cpu.last_sched cpu.ex.Rc.stolen_until
+  Percore.sched_point cpu ~at:(Rc.stolen_until ex)
 
 (* ---- core allocation ----------------------------------------------------- *)
 
 (* The instant's name is formatted only when a trace will keep it. *)
 let alloc_instant t (ev : Allocator.event) kind =
-  if Option.is_some t.rc.Rc.trace then
+  if Option.is_some (Rc.trace t.rc) then
     Rc.trace_instant t.rc ~core:t.cores.(0) kind
       (Printf.sprintf "%s=%d" ev.name ev.granted)
 
@@ -137,7 +141,7 @@ let kick_toward t core =
 let place t (task : Task.t) ~cpu =
   let target = match cpu with Some c -> c | None -> pick_spawn_cpu t in
   task.Task.last_core <- target;
-  t.rc.Rc.policy.task_init task;
+  (Rc.policy t.rc).task_init task;
   Rc.enqueue t.rc ~cpu:target ~reason:Sched_ops.Enq_new task;
   kick_toward t target
 
@@ -149,7 +153,7 @@ let wake t (task : Task.t) =
 
 (* Wire a kthread just parked on [cpu]'s core into the UINTR path. *)
 let setup_kthread t (cpu : Percore.cpu) kt =
-  let core = cpu.ex.Rc.exec_core in
+  let core = core_of cpu in
   let ctx = Kmod.uintr_ctx kt in
   Machine.uintr_register_handler ctx ~uinv:Vectors.uintr_notification
     (uintr_handler t cpu ctx);
@@ -157,8 +161,8 @@ let setup_kthread t (cpu : Percore.cpu) kt =
     (* §3.2 timer delegation: UINV <- timer vector, SN <- 1 (kernel module),
        then prime the PIR with a suppressed self-SENDUIPI so the first
        hardware timer interrupt is recognised in user space. *)
-    Kmod.timer_enable t.rc.Rc.kmod kt;
-    Machine.senduipi t.rc.Rc.machine ~src_core:core ctx ~uvec:Vectors.uvec_timer
+    Kmod.timer_enable (Rc.kmod t.rc) kt;
+    Machine.senduipi (Rc.machine t.rc) ~src_core:core ctx ~uvec:Vectors.uvec_timer
   end
 
 let create machine kmod ~cores ?(timer_hz = 100_000) ?(preemption = true) ?park
@@ -187,9 +191,9 @@ let create machine kmod ~cores ?(timer_hz = 100_000) ?(preemption = true) ?park
   Rc.install_dispatch rc
     {
       Rc.d_name = "percpu";
-      d_units = Array.map (fun (cpu : Percore.cpu) -> cpu.ex) pc.Percore.cpus;
+      d_units = Array.map Percore.ex (Percore.cpus pc);
       d_pinnable = true;
-      d_enqueue_cpu = (fun ex -> ex.Rc.exec_core);
+      d_enqueue_cpu = (fun ex -> Rc.exec_core ex);
       d_released = ignore;
       d_reschedule =
         (fun ex ~prev -> Percore.schedule pc (Percore.cpu_of_unit pc ex) ~prev);
@@ -200,7 +204,7 @@ let create machine kmod ~cores ?(timer_hz = 100_000) ?(preemption = true) ?park
       d_redrive = on_cpu (Percore.kick pc);
       d_preempt_be = on_cpu (Percore.preempt_be pc);
       d_be_grown =
-        (fun () -> if not (Runqueue.is_empty rc.Rc.be_queue) then Percore.kick_idle pc);
+        (fun () -> if not (Runqueue.is_empty (Rc.be_queue rc)) then Percore.kick_idle pc);
       d_alloc_event = alloc_event t;
       d_be_attached = (fun () -> Percore.kick_idle pc);
     };
@@ -213,16 +217,16 @@ let create machine kmod ~cores ?(timer_hz = 100_000) ?(preemption = true) ?park
   (* React to host-kernel core steals (lib/fault's imperfect isolation). *)
   Array.iter
     (fun (cpu : Percore.cpu) ->
-      Kmod.on_steal kmod ~core:cpu.ex.Rc.exec_core (fun ~duration ->
+      Kmod.on_steal kmod ~core:(core_of cpu) (fun ~duration ->
           on_core_steal t cpu ~duration))
-    pc.Percore.cpus;
+    (Percore.cpus pc);
   Rc.start_watchdog t.rc ~bound:watchdog (fun ~bound -> watchdog_scan t ~bound);
   Rc.add_metrics t.rc (fun labels reg ->
       let c name help read = Registry.counter reg ~help ~labels name read in
       c "skyloft_percpu_parks_total" "Idle cores parked to the kernel" (fun () ->
-          pc.Percore.parks);
+          Percore.parks pc);
       c "skyloft_percpu_unparks_total" "Parked cores woken for new work"
-        (fun () -> pc.Percore.unparks));
+        (fun () -> Percore.unparks pc));
   t
 
 (* ---- mechanism-specific operations -------------------------------------- *)
@@ -236,12 +240,12 @@ let start_utimer t ~src_core ~hz =
   if t.preemption then
     invalid_arg "Percpu.start_utimer: requires ~preemption:false";
   let period = Int.max 1 (1_000_000_000 / hz) in
-  Engine.every t.rc.Rc.engine ~period (fun () ->
+  Engine.every (Rc.engine t.rc) ~period (fun () ->
       Array.iter
         (fun dst_core ->
-          match Machine.uintr_installed t.rc.Rc.machine ~core:dst_core with
+          match Machine.uintr_installed (Rc.machine t.rc) ~core:dst_core with
           | Some ctx ->
-              Machine.senduipi t.rc.Rc.machine ~src_core ctx
+              Machine.senduipi (Rc.machine t.rc) ~src_core ctx
                 ~uvec:Vectors.uvec_preempt
           | None -> ())
         t.cores;
@@ -255,8 +259,8 @@ let register_uvec t ~uvec handler =
   t.uvec_handlers.(uvec) <- Some handler
 
 let current t ~core =
-  let task = (cpu_of t core).Percore.ex.Rc.current in
+  let task = Rc.current (Percore.ex (cpu_of t core)) in
   if task == Task.nil then None else Some task
 let is_idle t ~core = Rc.is_idle t.rc core
-let parks t = t.pc.Percore.parks
-let unparks t = t.pc.Percore.unparks
+let parks t = Percore.parks t.pc
+let unparks t = Percore.unparks t.pc

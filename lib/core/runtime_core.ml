@@ -149,9 +149,9 @@ type t = {
   mutable metric_extras : Registry.labels -> Registry.t -> unit;
       (* mechanism- and policy-specific metrics, registered after the
          shared [skyloft_runtime_] family *)
-  mutable next_app_id : int;  (* per-run id allocators: ids used to come *)
-  mutable next_task_id : int;  (* from process-wide counters, which made
-                                  concurrent runs perturb each other *)
+  mutable next_app_id : int;
+      (* per-run app-id allocator: ids used to come from a process-wide
+         counter, which made concurrent runs perturb each other *)
 }
 
 (* The shared empty row of [kthreads]: compared physically. *)
@@ -201,10 +201,26 @@ let create machine kmod =
     sched_view = None;
     metric_extras = (fun _ _ -> ());
     next_app_id = 1;  (* id 0 is the daemon *)
-    next_task_id = 1;
   }
 
 let now t = Engine.now t.engine
+let machine t = t.machine
+let engine t = t.engine
+let kmod t = t.kmod
+let policy t = t.policy
+let dispatch t = t.dispatch
+let be_queue t = t.be_queue
+let lc_queued t = t.lc_queued
+let be_allowance t = t.be_allowance
+let trace t = t.trace
+let exec_core ex = ex.exec_core
+let exec_slot ex = ex.exec_slot
+let current ex = ex.current
+let completion ex = ex.completion
+let switch_pending ex = Engine.armed ex.switch_done
+let incoming ex = ex.incoming
+let active_app ex = ex.active_app
+let stolen_until ex = ex.stolen_until
 
 (* The engine of a unit's timers before install: never armed (a timer
    touches no queue until then, so every domain may share it), and
@@ -314,11 +330,6 @@ let new_app t ~name =
   t.next_app_id <- id + 1;
   t.apps <- app :: t.apps;
   app
-
-let fresh_task_id t =
-  let id = t.next_task_id in
-  t.next_task_id <- id + 1;
-  id
 
 let add_kthread t ~app ~core =
   let slot = slot_of_core t core in
@@ -797,7 +808,7 @@ let admit t (app : App.t) ~name ~arrival ~service ~record body =
     else None
   in
   let task =
-    Task.create ~id:(fresh_task_id t) ~app:app.App.id ~name ~arrival ~service
+    Task.create ~app:app.App.id ~name ~arrival ~service
       ?on_exit body
   in
   task.Task.obs_start <- now t;
@@ -849,11 +860,16 @@ let start_watchdog t ~bound scan =
           true)
   | None -> ()
 
+(* The host kernel holds the unit's core for [duration]: kicks and ticks
+   wait for [stolen_until]. *)
+let mark_stolen t ex ~duration =
+  ex.stolen_until <- Int.max ex.stolen_until (now t + duration)
+
 (* Host-kernel steal of a unit's core: the running segment freezes for the
    outage and resumes at hand-back; run_start moves with it so quantum and
    watchdog clocks do not count stolen time against the task. *)
 let freeze_for_steal t ex ~duration =
-  ex.stolen_until <- Int.max ex.stolen_until (now t + duration);
+  mark_stolen t ex ~duration;
   let task = ex.current in
   if task != Task.nil && Engine.armed ex.completion then begin
     task.Task.segment_end <- task.Task.segment_end + duration;
@@ -875,8 +891,6 @@ let in_flight_busy t ~id ~mine =
   let from = if id >= 0 then t.running_from.(id) else 0 in
   if mine then (units * now t) - from
   else ((t.running_total - units) * now t) - (t.running_from_total - from)
-
-let total_busy_ns t = t.busy_total
 
 (* [App.none] has no busy time and no running units. *)
 let lc_busy_ns t =
@@ -914,8 +928,7 @@ let spawn_be_workers t (app : App.t) ~chunk ~workers =
        between chunks so reclaimed cores come back promptly. *)
     let rec loop () = Coro.Compute (chunk, fun () -> Coro.Yield loop) in
     let task =
-      Task.create ~id:(fresh_task_id t) ~app:app.App.id
-        ~name:(Printf.sprintf "be-%d" i) (loop ())
+      Task.create ~app:app.App.id ~name:(Printf.sprintf "be-%d" i) (loop ())
     in
     app.App.spawned <- app.App.spawned + 1;
     app.App.tasks_alive <- app.App.tasks_alive + 1;
@@ -969,12 +982,11 @@ let attach_be_app t ?(alloc = Allocator.default_config ()) app ~chunk ~workers =
   let bounds =
     {
       Allocator.guaranteed = alloc.Allocator.be_guaranteed;
-      burstable = Option.value alloc.Allocator.be_burstable ~default:total;
+      burstable = total;
     }
   in
-  if bounds.guaranteed < 0 || bounds.guaranteed > bounds.burstable
-     || bounds.burstable > total
-  then fail "need 0 <= be_guaranteed <= be_burstable <= managed cores";
+  if bounds.guaranteed < 0 || bounds.guaranteed > total then
+    fail "need 0 <= be_guaranteed <= managed cores";
   let allocator =
     Allocator.create ~engine:t.engine ~policy:alloc.Allocator.policy
       ~total_cores:total
@@ -1001,7 +1013,17 @@ let rescue_detection t = t.rescue_detect
 let deadline_drops t = t.deadline_drops
 let wakeup_hist t = t.wakeups
 let queue_depth_series t = t.queue_depth
-let apps t = t.apps
+let count_task_switch t = t.switches <- t.switches + 1
+
+let count_preemption t task =
+  if is_be t task then t.be_preempts <- t.be_preempts + 1
+  else t.preempts <- t.preempts + 1
+
+let count_tick t = t.ticks <- t.ticks + 1
+
+let failover t ~core =
+  t.failovers <- t.failovers + 1;
+  trace_instant t ~core Trace.Failover "dispatcher"
 
 (* ---- metrics -------------------------------------------------------------- *)
 
@@ -1051,7 +1073,7 @@ let register_metrics t ?(labels = []) reg =
   c "deadline_drops_total" "Tasks killed at their deadline" (fun () ->
       t.deadline_drops);
   c "busy_ns_total" "Worker CPU time over every application" (fun () ->
-      total_busy_ns t);
+      t.busy_total);
   Registry.gauge reg ~labels:rl "skyloft_runtime_be_allowance"
     ~help:"Cores the best-effort application may occupy" (fun () ->
       float_of_int t.be_allowance);
@@ -1063,3 +1085,55 @@ let register_metrics t ?(labels = []) reg =
     ~help:"LC policy queue length" t.queue_depth;
   t.metric_extras labels reg;
   register_app_metrics t ~labels reg
+
+(* ---- ledger check --------------------------------------------------------- *)
+
+(* Every O(1) ledger against the scan or fold it replaced. *)
+let check_ledgers t =
+  let check ok what =
+    if not ok then failwith ("Runtime_core.check_ledgers: " ^ what)
+  in
+  let units = t.dispatch.d_units in
+  let count p = Array.fold_left (fun n ex -> if p ex then n + 1 else n) 0 units in
+  let runs_be ex = ex.current != Task.nil && is_be t ex.current in
+  let be_bound ex = is_be_app t ex.incoming in
+  let rec distinct = function
+    | [] -> true
+    | task :: rest ->
+        (task == Task.nil || List.for_all (fun other -> other != task) rest)
+        && distinct rest
+  in
+  check
+    (distinct (Array.to_list (Array.map (fun ex -> ex.current) units)))
+    "a task is current on two units";
+  check (t.be_running = count runs_be) "be_running";
+  check (t.be_incoming = count be_bound) "be_incoming";
+  check (be_occupancy t = count (fun ex -> runs_be ex || be_bound ex)) "be_occupancy";
+  let recorded = ref 0 in
+  for id = 0 to t.next_app_id - 1 do
+    recorded := !recorded + t.by_id.(id).App.busy_ns
+  done;
+  check (t.busy_total = !recorded) "busy_total";
+  (* the units running a task of an app [keep] accepts: how many, their
+     busy_from sum, and their in-flight busy time *)
+  let scan keep =
+    Array.fold_left
+      (fun (n, from, busy) ex ->
+        if ex.current != Task.nil && keep ex.current.Task.app then
+          (n + 1, from + ex.busy_from, busy + Int.max 0 (now t - ex.busy_from))
+        else (n, from, busy))
+      (0, 0, 0) units
+  in
+  for id = 0 to t.next_app_id - 1 do
+    let n, from, _ = scan (( = ) id) in
+    check
+      ((n, from) = (t.running_units.(id), t.running_from.(id)))
+      (Printf.sprintf "running_units/running_from of app %d" id)
+  done;
+  let n, from, busy = scan (fun _ -> true) in
+  check
+    ((n, from) = (t.running_total, t.running_from_total))
+    "running_total/running_from_total";
+  let _, _, lc_busy = scan (fun app -> not (is_be_app t app)) in
+  check (lc_busy_ns t = !recorded - t.be_app.App.busy_ns + lc_busy) "lc_busy_ns";
+  check ((congestion t).Allocator.busy_ns = !recorded + busy) "congestion busy_ns"

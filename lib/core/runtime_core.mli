@@ -34,27 +34,35 @@ module Registry = Skyloft_obs.Registry
 
 (** One execution unit: a worker core's scheduling state.  Runtimes wrap
     it with their own per-unit extras (kick flags, assignment
-    generations). *)
-type exec = {
-  exec_core : int;
-  mutable exec_slot : int;  (** index among [d_units]; [-1] before install *)
-  mutable current : Task.t;  (** {!Task.nil} while the unit runs nothing *)
-  mutable completion : Engine.timer;
-      (** the unit's one stable segment-end timer for [current] (installed
-          by {!install_dispatch}): armed per segment, moved by time
-          steals, disarmed when the task leaves the unit *)
-  mutable switch_done : Engine.timer;
-      (** the unit's one stable switch-done timer (installed by
-          {!install_dispatch}): {!run_after_switch} re-arms it per
-          dispatch, and {!kill} disarms it *)
-  mutable incoming : int;
-      (** app id of an assignment in flight toward the unit, [-1] if none;
-          synchronous dispatch never has one.  Write it only through
-          {!set_incoming}. *)
-  mutable busy_from : Time.t;
-  mutable active_app : int;
-  mutable stolen_until : Time.t;
-}
+    generations).  Only this module writes it; the accessors below read
+    it. *)
+type exec
+
+val exec_core : exec -> int
+
+val exec_slot : exec -> int
+(** The unit's index among [d_units]; [-1] before {!install_dispatch}. *)
+
+val current : exec -> Task.t
+(** The task on the unit: {!Task.nil} while it runs nothing. *)
+
+val completion : exec -> Engine.timer
+(** The unit's one stable segment-end timer for {!current} (installed by
+    {!install_dispatch}): armed per segment, moved by time steals,
+    disarmed when the task leaves the unit. *)
+
+val switch_pending : exec -> bool
+(** Whether the unit's switch-done timer ({!run_after_switch}) is armed. *)
+
+val incoming : exec -> int
+(** The app id of an assignment in flight toward the unit, [-1] if none;
+    synchronous dispatch never has one.  Written by {!set_incoming}. *)
+
+val active_app : exec -> int
+(** The app whose kthread is active on the unit's core. *)
+
+val stolen_until : exec -> Time.t
+(** When the host kernel hands the unit's core back ({!mark_stolen}). *)
 
 (** The DISPATCH substrate: a record of closures (the {!Sched_ops} idiom),
     installed after construction via {!install_dispatch}.  Handle
@@ -90,80 +98,11 @@ type dispatch = {
 
 val null_dispatch : dispatch
 
-type t = {
-  machine : Machine.t;
-  engine : Engine.t;
-  kmod : Kmod.t;
-  mutable kthreads : Kmod.kthread option array array;
-      (** app id -> its kthread on each unit, indexed by [exec_slot]; an
-          app with none holds the empty array *)
-  mutable by_id : App.t array;
-      (** app id -> app, daemon (id 0) included; ids are dense, so
-          [next_app_id] bounds the known ones *)
-  mutable apps : App.t list;  (** reverse creation order *)
-  daemon : App.t;
-  mutable policy : Sched_ops.instance;
-  mutable be_app : App.t;  (** {!App.none} until {!attach_be_app} *)
-  be_queue : Runqueue.t;
-  mutable lc_queued : int;
-      (** LC tasks in the policy's queues (one killed there counts until
-          it is discarded); kept by the runqueue calls below *)
-  mutable enq_stamps : Time.t array;
-      (** their enqueue times, oldest at [enq_first]: a ring grown by
-          doubling *)
-  mutable enq_first : int;
-  mutable be_running : int;
-      (** units whose current task is BE; {!begin_run} and the unit's
-          release keep it, {!attach_be_app} recounts it *)
-  mutable be_incoming : int;
-      (** units whose [incoming] is the BE app; {!set_incoming} keeps it *)
-  mutable busy_total : int;
-      (** every app's [busy_ns] summed, the daemon's included; charging a
-          unit's busy segment keeps it *)
-  mutable running_units : int array;
-      (** app id -> units whose current task is the app's, grown with
-          [by_id]; {!begin_run} and the unit's release keep it *)
-  mutable running_from : int array;
-      (** app id -> the [busy_from] of those units, summed; {!begin_run},
-          the unit's release and charging its busy segment keep it *)
-  mutable running_total : int;  (** [running_units] summed *)
-  mutable running_from_total : int;  (** [running_from] summed *)
-  mutable be_allowance : int;
-  mutable core_allowance : int;
-      (** units (a prefix of [d_units], by slot) this runtime may occupy
-          at all: a machine-level core broker's grant.  [max_int] —
-          the single-tenant default — disables every gate. *)
-  mutable allocator : Allocator.t option;
-  rescue_detect : Histogram.t;
-  wakeups : Histogram.t;  (** wakeup-to-dispatch latency *)
-  queue_depth : Timeseries.t;
-  mutable switches : int;
-  mutable app_switches : int;
-  mutable preempts : int;
-  mutable be_preempts : int;
-  mutable ticks : int;
-  mutable rescues : int;
-  mutable failovers : int;
-  mutable deadline_drops : int;
-  mutable trace : Trace.t option;
-  mutable dispatch : dispatch;
-  mutable slot_of : int array;
-      (** core id -> [exec_slot] of its unit, [-1] for a core that is not
-          a unit (built by {!install_dispatch}) *)
-  mutable idle : int array;
-      (** the idle mask: bit [s mod 62] of word [s / 62] is set iff unit
-          [s] runs nothing.  {!begin_run} and the unit's release — the
-          only writers of [current] — keep it up to date. *)
-  mutable sched_view : Sched_ops.view option;
-      (** the scheduler view, built once by {!install_dispatch} *)
-  mutable metric_extras : Registry.labels -> Registry.t -> unit;
-  mutable next_app_id : int;
-      (** per-run app-id allocator (1, 2, ...; the daemon is 0).  Ids used
-          to come from a process-wide counter, which made simulations in
-          different domains perturb each other; per-run state keeps every
-          run a pure function of its seed under any parallelism. *)
-  mutable next_task_id : int;  (** per-run task-id allocator (1, 2, ...) *)
-}
+(** The runtime handle.  Only this module writes it: other modules read
+    it through the accessors below and change it through the operations
+    of this interface, so the ledgers {!check_ledgers} verifies have one
+    owner. *)
+type t
 
 val create : Machine.t -> Kmod.t -> t
 (** A core with the null dispatch installed; {!install_dispatch} and
@@ -171,6 +110,29 @@ val create : Machine.t -> Kmod.t -> t
     switch emits an [App_switch] trace instant. *)
 
 val now : t -> Time.t
+val machine : t -> Machine.t
+val engine : t -> Engine.t
+val kmod : t -> Kmod.t
+
+val policy : t -> Sched_ops.instance
+(** The LC policy {!install_policy} built. *)
+
+val dispatch : t -> dispatch
+(** The installed substrate ({!null_dispatch} before {!install_dispatch}). *)
+
+val be_queue : t -> Runqueue.t
+(** The BE application's runqueue, outside the LC policy. *)
+
+val lc_queued : t -> int
+(** LC tasks in the policy's queues (one killed there counts until it is
+    discarded), kept by the runqueue calls below. *)
+
+val be_allowance : t -> int
+(** Units BE may occupy right now ({!set_be_allowance}). *)
+
+val trace : t -> Trace.t option
+(** The trace {!set_trace} installed, if any. *)
+
 val make_exec : int -> exec
 
 val install_dispatch : t -> dispatch -> unit
@@ -182,9 +144,9 @@ val install_dispatch : t -> dispatch -> unit
 
 val unit_capped : t -> exec -> bool
 (** Whether the broker gate forbids this unit from running anything: its
-    slot falls beyond {!field-t.core_allowance}.  Allowed units are always
-    the [d_units] prefix, so a grant of [n] cores maps deterministically
-    to units [0..n-1]. *)
+    slot falls beyond the core allowance ({!set_core_allowance}).
+    Allowed units are always the [d_units] prefix, so a grant of [n]
+    cores maps deterministically to units [0..n-1]. *)
 
 val set_core_allowance : t -> int -> unit
 (** How many units this runtime may occupy at all: a machine-level core
@@ -240,8 +202,8 @@ val kthread : t -> app:int -> core:int -> Kmod.kthread
 val is_be : t -> Task.t -> bool
 
 val be_occupancy : t -> int
-(** Units the BE application occupies right now, in-flight assignments
-    included: [be_running + be_incoming].  O(1). *)
+(** Units the BE application occupies right now: those running a BE
+    task plus those a BE assignment is in flight toward.  O(1). *)
 
 val set_incoming : t -> exec -> int -> unit
 (** Record the app id of an assignment now in flight toward the unit
@@ -263,7 +225,7 @@ val app_switch : t -> exec -> Task.t -> Time.t
 (** {1 The task lifecycle} *)
 
 val begin_run : t -> exec -> Task.t -> switch_cost:Time.t -> Time.t
-(** Put the task on the unit ([current], idle bit cleared, [be_running]
+(** Put the task on the unit ({!current}, idle bit cleared, BE occupancy
     kept): lifecycle state, attribution stamping, the wakeup-latency
     sample.  Returns when execution begins (after the switch cost). *)
 
@@ -365,19 +327,15 @@ val start_watchdog : t -> bound:Time.t option -> (bound:Time.t -> unit) -> unit
 (** Arm the periodic scan at half the bound (violations caught within
     ~1.5x); no-op when [bound] is [None]. *)
 
+val mark_stolen : t -> exec -> duration:Time.t -> unit
+(** The host kernel holds the unit's core for [duration] from now: move
+    {!stolen_until} there unless it already lies later. *)
+
 val freeze_for_steal : t -> exec -> duration:Time.t -> unit
 (** Host-kernel steal: freeze the running segment for the outage and move
     [run_start] with it so quantum/watchdog clocks exempt stolen time. *)
 
 (** {1 Busy accounting} *)
-
-val lc_busy_ns : t -> int
-(** Busy time of every app but the BE one, the daemon's and in-flight
-    segments included: [busy_total] less the BE app's, plus the other
-    apps' running units times now, less their summed [busy_from].  O(1). *)
-
-val total_busy_ns : t -> int
-(** [busy_total]: recorded busy time over every app.  O(1). *)
 
 val congestion : t -> Allocator.raw
 (** The whole-runtime congestion sample a machine-level broker reads: LC
@@ -396,9 +354,9 @@ val attach_be_app :
     and oldest wait, BE on its queue backlog, {!set_be_allowance} as
     the muscle; every core moved charges the §5.4 inter-application switch
     cost on the BE side.  Raises [Invalid_argument] before admitting
-    anything if a BE app is already set, [app] is foreign, the bounds
-    break [0 <= be_guaranteed <= be_burstable <= managed cores], or the
-    interval or [degrade_after] is not positive. *)
+    anything if a BE app is already set, [app] is foreign,
+    [be_guaranteed] lies outside [\[0, managed cores\]], or
+    [degrade_after] is not positive. *)
 
 val allocator : t -> Allocator.t option
 (** The running core allocator, once {!attach_be_app} has started it. *)
@@ -413,8 +371,7 @@ val task_switches : t -> int
 val app_switches : t -> int
 
 val preemptions : t -> int
-(** LC tasks preempted off their unit (per-CPU dispatch also counts its
-    BE preemptions here). *)
+(** LC tasks preempted off their unit. *)
 
 val be_preemptions : t -> int
 val timer_ticks : t -> int
@@ -434,8 +391,19 @@ val wakeup_hist : t -> Histogram.t
 val queue_depth_series : t -> Timeseries.t
 (** LC policy queue length over time (one sample per change). *)
 
-val apps : t -> App.t list
-(** Applications created on this runtime (excluding the daemon). *)
+
+val count_task_switch : t -> unit
+(** Count an intra-application task switch in {!task_switches}. *)
+
+val count_preemption : t -> Task.t -> unit
+(** Count a preemption of the task: in {!be_preemptions} for a BE task,
+    in {!preemptions} for an LC one. *)
+
+val count_tick : t -> unit
+(** Count a timer interrupt in {!timer_ticks}. *)
+
+val failover : t -> core:int -> unit
+(** Count a dispatcher failover in {!failovers} and trace it on [core]. *)
 
 (** {1 Metrics} *)
 
@@ -450,3 +418,16 @@ val register_metrics : t -> ?labels:Registry.labels -> Registry.t -> unit
     response-time histogram and latency attribution ([skyloft_app_*]).
     Call after the applications have been created.  Registration is
     pull-based and never perturbs the simulation. *)
+
+(** {1 Test hook} *)
+
+val check_ledgers : t -> unit
+(** Verify every ledger the runtime keeps in O(1) against the scan or
+    fold it replaces: no task current on two units; BE occupancy (units
+    running BE, BE assignments in flight, and their union) against the
+    units; recorded busy time against the apps' sum, the daemon's
+    included; the LC busy time the allocator samples against that sum less
+    the BE app's plus the other apps' in-flight segments; the running units' counts and
+    [busy_from] sums, per app and in total, against a scan; and the
+    in-flight busy time {!congestion} adds.  Raises [Failure] naming the
+    first ledger that drifted.  O(units × apps). *)

@@ -7,7 +7,7 @@ type view = {
   pick_idle : unit -> int option;
   now : unit -> Time.t;
 }
-type reason = Enq_new | Enq_preempted | Enq_woken | Enq_yielded
+type reason = Enq_new | Enq_preempted | Enq_yielded
 
 type instance = {
   policy_name : string;

@@ -36,8 +36,9 @@ type view = {
 }
 
 (** Why a task is entering the runqueue: policies commonly place preempted
-    tasks differently from fresh or woken ones. *)
-type reason = Enq_new | Enq_preempted | Enq_woken | Enq_yielded
+    tasks differently from fresh ones.  Woken tasks enter through
+    [task_wakeup] instead. *)
+type reason = Enq_new | Enq_preempted | Enq_yielded
 
 type instance = {
   policy_name : string;

@@ -4,7 +4,6 @@ module Coro = Skyloft_sim.Coro
 type state = Runnable | Running | Blocked | Exited
 
 type t = {
-  id : int;
   app : int;
   name : string;
   mutable state : state;
@@ -37,7 +36,6 @@ type t = {
 (* The sentinel carries every field's default; [create] copies it. *)
 let nil =
   {
-    id = -1;
     app = -1;
     name = "nil";
     state = Exited;
@@ -68,5 +66,5 @@ let nil =
   }
 
 (* A fresh task is the sentinel's defaults under its own identity. *)
-let create ~id ~app ~name ?(arrival = 0) ?(service = 0) ?on_exit body =
-  { nil with id; app; name; state = Runnable; body; arrival; service; on_exit }
+let create ~app ~name ?(arrival = 0) ?(service = 0) ?on_exit body =
+  { nil with app; name; state = Runnable; body; arrival; service; on_exit }

@@ -20,7 +20,6 @@ type state =
   | Exited
 
 type t = {
-  id : int;
   app : int;  (** owning application id *)
   name : string;
   mutable state : state;
@@ -71,8 +70,6 @@ val nil : t
     a unit that runs nothing.  Never queued, never run. *)
 
 val create :
-  id:int -> app:int -> name:string -> ?arrival:Time.t -> ?service:Time.t ->
+  app:int -> name:string -> ?arrival:Time.t -> ?service:Time.t ->
   ?on_exit:(t -> unit) -> Coro.t -> t
-(** Fresh runnable task.  Ids are allocated per run by {!Runtime_core}
-    (no process-wide counter), so concurrent simulations in different
-    domains cannot perturb each other's task ids. *)
+(** Fresh runnable task, physically distinct from every other. *)

@@ -124,7 +124,7 @@ let design (config : Config.t) ~horizon name build drive =
   let engine, machine, kmod = Harness.fresh config in
   let rt, notes = build machine kmod in
   let app = Rc.create_app rt ~name:"lc" in
-  let pinnable = rt.Rc.dispatch.Rc.d_pinnable in
+  let pinnable = (Rc.dispatch rt).Rc.d_pinnable in
   let rng = Engine.split_rng engine in
   drive engine rng (fun ~cpu ~service ->
       ignore

@@ -160,7 +160,7 @@ let run_point (config : Config.t) ~runtime ~rate =
   let poison ~core ~service =
     ignore
       (Rc.spawn rt lc ~name:"poison"
-         ?cpu:(if rt.Rc.dispatch.Rc.d_pinnable then Some core else None)
+         ?cpu:(if (Rc.dispatch rt).Rc.d_pinnable then Some core else None)
          ~record:false ~deadline:poison_deadline
          (Coro.Compute (service, fun () -> Coro.Exit)))
   in

@@ -49,7 +49,7 @@ let run_one (config : Config.t) system ~workers =
         in
         Runner.of_runtime rt (Rc.create_app rt ~name:"schbench")
   in
-  Schbench.run runner engine (Schbench.default_config ~workers) ~duration:config.duration
+  Schbench.run runner engine ~workers ~duration:config.duration
 
 let sweep (config : Config.t) systems workers =
   List.map

@@ -246,14 +246,9 @@ let machine_trace_capacity = 500_000
    fourth a BE tenant), under the [t%d-…] names the obs-machine golden
    pins. *)
 let machine_fleet () =
-  List.mapi
-    (fun i (t : Placement.tenant) ->
-      {
-        t with
-        Placement.name =
-          Printf.sprintf "t%d-%s" i (Scenario.runtime_name t.Placement.runtime);
-      })
-    (Oversub.tenants ~mix:"mixed" ~n:machine_tenants ~capacity:machine_capacity)
+  Oversub.tenants ~mix:"mixed" ~n:machine_tenants ~capacity:machine_capacity
+    ~name:(fun i runtime ->
+      Printf.sprintf "t%d-%s" i (Scenario.runtime_name runtime))
 
 (* Aggressive health knobs so every edge fires inside a short run: the
    hoarder trips quarantine fast and serves a short sentence (several

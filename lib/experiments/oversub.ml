@@ -59,19 +59,16 @@ let runtime_of ~mix i =
 let kind_of ~mix i =
   if String.equal mix "mixed" && i mod 4 = 3 then Policy.Be else Policy.Lc
 
-let tenants ~mix ~n ~capacity =
+(* [name i runtime] names tenant [i]. *)
+let tenants ~mix ~n ~capacity ~name =
   List.init n (fun i ->
-      let kind = kind_of ~mix i in
+      let kind = kind_of ~mix i and runtime = runtime_of ~mix i in
       let shape, arrival =
         match kind with
         | Policy.Lc -> (lc_shape, Arrival.Poisson { rate_rps = lc_rate })
         | Policy.Be -> (be_shape, Arrival.Poisson { rate_rps = be_rate })
       in
-      Placement.tenant ~kind
-        ~name:
-          (Printf.sprintf "t%02d-%s" i
-             (Scenario.runtime_name (runtime_of ~mix i)))
-        ~runtime:(runtime_of ~mix i) ~guaranteed:1
+      Placement.tenant ~kind ~name:(name i runtime) ~runtime ~guaranteed:1
         ~burstable:(min 4 capacity) ~shape ~arrival ())
 
 let scenarios = [ "none"; "hoard"; "hoard-open"; "stale"; "crash" ]
@@ -120,7 +117,8 @@ let run_cell ~seed ~mix ~n ~scenario ~requests =
       ?broker:(broker_config ~scenario)
       ~name:(Printf.sprintf "%s-n%02d-%s" mix n scenario)
       ~capacity ~requests
-      (tenants ~mix ~n ~capacity)
+      (tenants ~mix ~n ~capacity ~name:(fun i runtime ->
+           Printf.sprintf "t%02d-%s" i (Scenario.runtime_name runtime)))
   in
   (* Reconciliation, asserted on every cell: each tenant's requests all
      settled as completed or gave-up — even the crashed tenant's. *)

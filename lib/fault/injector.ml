@@ -17,25 +17,19 @@ type target = {
   poison : (core:int -> service:Time.t -> unit) option;
 }
 
-type event = { at : Time.t; kind : string; core : int }
-
 type t = {
   engine : Engine.t;
   rng : Rng.t;
   trace : Trace.t option;
-  log : event Queue.t;
   counts : (string, int) Hashtbl.t;
   mutable armed : bool;
 }
-
-let log_cap = 65536
 
 let create ~engine ~rng ?trace () =
   {
     engine;
     rng;
     trace;
-    log = Queue.create ();
     counts = Hashtbl.create 8;
     armed = false;
   }
@@ -45,8 +39,6 @@ let now t = Engine.now t.engine
 let record t ~kind ~core =
   Hashtbl.replace t.counts kind
     (1 + Option.value (Hashtbl.find_opt t.counts kind) ~default:0);
-  if Queue.length t.log >= log_cap then ignore (Queue.pop t.log);
-  Queue.push { at = now t; kind; core } t.log;
   match t.trace with
   | Some trace ->
       Trace.instant trace ~core:(max 0 core) ~at:(now t) Trace.Inject ~name:kind
@@ -225,7 +217,7 @@ let arm_tenants t ~broker plans =
                 raw
               end)
       | Plan.Tenant_crash { tenant } ->
-          let at = max p.Plan.window.Plan.start (now t) in
+          let at = max (Plan.start p.Plan.window) (now t) in
           Engine.at t.engine at (fun () ->
               record t ~kind:"tenant-crash" ~core:(-1);
               Broker.crash broker ~tenant)
@@ -259,5 +251,3 @@ let register_metrics t reg =
       "tenant-stale";
       "tenant-crash";
     ]
-
-let events t = List.of_seq (Queue.to_seq t.log)

@@ -13,9 +13,9 @@ module Trace = Skyloft_stats.Trace
     [Engine.split_rng]) and it draws from nothing else; when no plans are
     armed it draws nothing and schedules nothing, so a fault-free run is
     bit-identical to one built without an injector at all.  Every injected
-    fault is counted, appended to a bounded event log, and — when a trace
-    is attached — emitted as a {!Trace.Inject} instant, so recovery
-    latencies can be read straight off the timeline. *)
+    fault is counted per kind and — when a trace is attached — emitted
+    as a {!Trace.Inject} instant, so recovery latencies can be read
+    straight off the timeline. *)
 
 type target = {
   machine : Machine.t;
@@ -28,9 +28,6 @@ type target = {
           [Poison] plans): the runtime spawns a [service]-long compute
           with no scheduling point *)
 }
-
-type event = { at : Time.t; kind : string; core : int }
-(** [core] is [-1] for faults without a core (packet drops). *)
 
 type t
 
@@ -63,7 +60,6 @@ val injected : t -> int
 (** Total faults injected so far. *)
 
 val injected_of : t -> kind:string -> int
-val events : t -> event list
 
 (** [register_metrics t reg] registers the injected-fault counters, total
     and per kind (under [skyloft_fault_*]).  Pull-based; never perturbs

@@ -9,6 +9,8 @@ let window ?(start = 0) ?stop () =
   | Some _ | None -> ());
   { start; stop }
 
+let start w = w.start
+
 let always = { start = 0; stop = None }
 
 let active w ~at =

@@ -11,11 +11,12 @@ module Time = Skyloft_sim.Time
     replays bit-for-bit from the same seed and a disabled injector makes
     zero draws (leaving every other stream untouched). *)
 
-type window = { start : Time.t; stop : Time.t option }
-(** Half-open activity interval [\[start, stop)]; [stop = None] means
-    "until the end of the run". *)
+type window
+(** Half-open activity interval [\[start, stop)]; no [stop] means "until
+    the end of the run". *)
 
 val window : ?start:Time.t -> ?stop:Time.t -> unit -> window
+val start : window -> Time.t
 
 val active : window -> at:Time.t -> bool
 

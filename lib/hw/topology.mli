@@ -5,7 +5,7 @@
     [paper_server] reproduces it.  Core ids are dense in
     [\[0, total_cores)], assigned socket-major. *)
 
-type t = { sockets : int; cores_per_socket : int }
+type t
 
 val create : sockets:int -> cores_per_socket:int -> t
 (** Both arguments must be positive. *)

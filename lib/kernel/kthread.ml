@@ -1,11 +1,9 @@
 module Time = Skyloft_sim.Time
 module Coro = Skyloft_sim.Coro
 
-type state = Ready | Running | Blocked | Suspended | Exited
+type state = Ready | Running | Blocked | Exited
 
 type t = {
-  tid : int;
-  name : string;
   mutable state : state;
   mutable last_core : int;
   mutable body : Coro.t;
@@ -23,10 +21,8 @@ type t = {
   weight : int;
 }
 
-let create ~tid ~name ?(weight = 1024) body =
+let create ?(weight = 1024) body =
   {
-    tid;
-    name;
     state = Ready;
     last_core = 0;
     body;

@@ -1,25 +1,18 @@
 module Time = Skyloft_sim.Time
 module Coro = Skyloft_sim.Coro
 
-(** Kernel threads (Linux [task_struct] model).
-
-    Shared by the Linux scheduler models (where kthreads are the scheduling
-    unit) and by the Skyloft kernel module (where one kthread per
-    application per isolated core is parked/activated under the Single
-    Binding Rule).  The per-class scheduling fields (vruntime, EEVDF
-    deadline/lag, RR slice) live here so scheduler classes stay stateless. *)
+(** Kernel threads (Linux [task_struct] model): the scheduling unit of the
+    Linux scheduler models ({!Linux}).  The per-class scheduling fields
+    (vruntime, EEVDF deadline/lag, RR slice) live here so scheduler
+    classes stay stateless. *)
 
 type state =
   | Ready  (** runnable, waiting in some runqueue *)
   | Running  (** currently on a CPU *)
   | Blocked  (** waiting for a wakeup (futex, I/O, ...) *)
-  | Suspended  (** parked by the Skyloft kernel module: invisible to the
-                   kernel scheduler *)
   | Exited
 
 type t = {
-  tid : int;
-  name : string;
   mutable state : state;
   mutable last_core : int;  (** last core this thread ran on *)
   mutable body : Coro.t;  (** what the thread does when next dispatched *)
@@ -41,8 +34,5 @@ type t = {
   weight : int;  (** load weight; 1024 = nice 0 *)
 }
 
-val create : tid:int -> name:string -> ?weight:int -> Coro.t -> t
-(** Tids are allocated per scheduler instance ({!Kmod}, {!Linux}) — there
-    is no process-wide counter, so concurrent simulations in different
-    domains cannot perturb each other's tids. *)
+val create : ?weight:int -> Coro.t -> t
 

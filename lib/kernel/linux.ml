@@ -58,7 +58,6 @@ type t = {
   slot : int array;  (* machine core id -> position in [cpus], or -1 *)
   wakeups : Histogram.t;
   mutable alive : int;
-  mutable next_tid : int;  (* per-instance tid allocator: no global state *)
 }
 
 let now t = Engine.now t.engine
@@ -293,7 +292,6 @@ let create machine policy ~cores =
       slot;
       wakeups = Histogram.create ();
       alive = 0;
-      next_tid = 1;
     }
   in
   (* Each cpu's completion reads [curr] when it fires: it is only armed
@@ -379,12 +377,10 @@ let wakeup t (kt : Kthread.t) =
       end
       else wakeup_preempt t cpu kt
   | Kthread.Running | Kthread.Ready -> kt.pending_wake <- true
-  | Kthread.Suspended | Kthread.Exited -> ()
+  | Kthread.Exited -> ()
 
-let spawn t ~name ?weight body =
-  let tid = t.next_tid in
-  t.next_tid <- tid + 1;
-  let kt = Kthread.create ~tid ~name ?weight body in
+let spawn t ?weight body =
+  let kt = Kthread.create ?weight body in
   t.alive <- t.alive + 1;
   let cpu = select_cpu t kt in
   kt.vruntime <- Fair.min_vruntime cpu.rq;

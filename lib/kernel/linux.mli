@@ -48,7 +48,7 @@ val create : Machine.t -> policy -> cores:int list -> t
 (** Manage the given cores: install tick timers and interrupt handlers on
     them.  Threads spawned into this scheduler only run on these cores. *)
 
-val spawn : t -> name:string -> ?weight:int -> Coro.t -> Kthread.t
+val spawn : t -> ?weight:int -> Coro.t -> Kthread.t
 (** Create a runnable thread and enqueue it (dispatching immediately if an
     idle managed core is available).  [weight] is the CFS load weight
     (1024 = nice 0; 15 = nice 19 / SCHED_BATCH-ish). *)

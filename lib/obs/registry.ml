@@ -86,6 +86,9 @@ type value =
 
 type sample = { name : string; help : string; labels : labels; value : value }
 
+let sample_name (s : sample) = s.name
+let sample_labels (s : sample) = s.labels
+
 let materialise ~until (i : instrument) =
   let value =
     match i.source with

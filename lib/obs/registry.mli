@@ -71,7 +71,11 @@ type value =
     }
   | Level of { last : int; mean : float; min : int; max : int }
 
-type sample = { name : string; help : string; labels : labels; value : value }
+type sample
+(** One instrument's name, help text, labels and value at a snapshot. *)
+
+val sample_name : sample -> string
+val sample_labels : sample -> labels
 
 val snapshot : ?until:Time.t -> t -> sample list
 (** Materialise every instrument now, in registration order grouped by

@@ -74,7 +74,7 @@ let busy_share r =
 type violation = { core : int; at : Time.t; what : string }
 
 let pp_violation ppf v =
-  Format.fprintf ppf "core %d @ %d ns: %s" v.core v.at v.what
+  Format.fprintf ppf "core %d @@ %d ns: %s" v.core v.at v.what
 
 let emission_time = function
   | Trace.Span { stop; _ } -> stop

@@ -26,7 +26,9 @@ val utilization : Trace.t -> until:Time.t -> core_report list
 val busy_share : core_report -> float
 (** [busy_ns / (busy_ns + idle_ns)]; 0 when the window is empty. *)
 
-type violation = { core : int; at : Time.t; what : string }
+type violation
+(** A broken invariant: the core, the instant and what broke
+    ({!pp_violation} prints all three). *)
 
 val check : Trace.t -> violation list
 (** Structural invariants every well-formed runtime trace satisfies:

@@ -82,8 +82,7 @@ let create cls : Sched_ops.ctor =
               set_deadline task
         | Sched_ops.Enq_new ->
             task.Task.policy_f1 <- Float.max task.Task.policy_f1 (Fair.min_vruntime rq);
-            if cls = Eevdf then set_deadline task
-        | Sched_ops.Enq_woken -> ());
+            if cls = Eevdf then set_deadline task);
         push rq task);
     task_dequeue =
       (fun ~cpu ->

@@ -15,10 +15,10 @@ module Task = Skyloft.Task
     so the congestion signal matches Shenango's (oldest queued request,
     not just queue emptiness). *)
 
-type stats = { mutable max_queue_delay : Time.t; mutable congestion_events : int }
+type stats = { mutable max_queue_delay : Time.t }
 
 let create () : Sched_ops.ctor * stats =
-  let stats = { max_queue_delay = 0; congestion_events = 0 } in
+  let stats = { max_queue_delay = 0 } in
   let ctor : Sched_ops.ctor =
    fun view ->
     let q = Runqueue.create () in
@@ -26,8 +26,7 @@ let create () : Sched_ops.ctor * stats =
       match Runqueue.peek_head q with
       | Some task ->
           let delay = view.now () - task.Task.enqueue_time in
-          if delay > stats.max_queue_delay then stats.max_queue_delay <- delay;
-          if delay > 0 then stats.congestion_events <- stats.congestion_events + 1
+          if delay > stats.max_queue_delay then stats.max_queue_delay <- delay
       | None -> ()
     in
     {

@@ -7,6 +7,7 @@ module Time = Skyloft_sim.Time
     This policy additionally tracks queueing delay, Shenango's
     congestion signal. *)
 
-type stats = { mutable max_queue_delay : Time.t; mutable congestion_events : int }
+type stats = { mutable max_queue_delay : Time.t }
+(** The longest queueing delay a dequeue has seen. *)
 
 val create : unit -> Skyloft.Sched_ops.ctor * stats

@@ -68,9 +68,10 @@ let instance ~name ?quantum d ~sched_balance ~sched_migration_charge
            work runs first... *)
         | Sched_ops.Enq_preempted | Sched_ops.Enq_yielded ->
             Deques.push_tail d.dq (index d cpu) task
-        (* ...while the owner pushes fresh and woken tasks at the head
-           (LIFO locality: the newest task's state is hottest in cache). *)
-        | Sched_ops.Enq_new | Sched_ops.Enq_woken ->
+        (* ...while the owner pushes fresh tasks at the head, as
+           [task_wakeup] does woken ones (LIFO locality: the newest
+           task's state is hottest in cache). *)
+        | Sched_ops.Enq_new ->
             Deques.push_head d.dq (index d cpu) task);
     task_dequeue = (fun ~cpu -> Deques.pop_head d.dq (index d cpu));
     task_block = (fun ~cpu:_ _ -> ());
@@ -141,7 +142,7 @@ let steal_half ?quantum () : Sched_ops.ctor * stats =
           stats.steals <- stats.steals + 1;
           stats.stolen_tasks <- stats.stolen_tasks + moved;
           charge.(self) <-
-            charge.(self) + (d.dq.Deques.probes * steal_probe_ns) + (moved * steal_task_ns);
+            charge.(self) + (Deques.probes d.dq * steal_probe_ns) + (moved * steal_task_ns);
           Deques.pop_head d.dq self
         end)
       ~sched_migration_charge:(fun ~cpu ->

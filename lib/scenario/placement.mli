@@ -24,17 +24,13 @@ module Plan = Skyloft_fault.Plan
     asserts).  Everything is a pure function of the seed: same seed ⇒
     byte-identical {!digest_string} at any [-j]. *)
 
-type tenant = {
-  name : string;
-  runtime : Scenario.runtime;
-  kind : Alloc_policy.kind;
-      (** broker arbitration class: LC tenants may steal from BE tenants
-          above their floors; BE tenants grow from the free pool only *)
-  guaranteed : int;  (** floor, never reclaimed (except by crash) *)
-  burstable : int;  (** ceiling; also the tenant's physical core range *)
-  shape : Shape.t;
-  arrival : Arrival.t;
-}
+type tenant
+(** One runtime instance on the brokered machine: its name, runtime, the
+    broker arbitration class [kind] (LC tenants may steal from BE
+    tenants above their floors; BE tenants grow from the free pool
+    only), its [guaranteed] floor (never reclaimed, except by crash), its
+    [burstable] ceiling (also its physical core range), and the request
+    shape and arrival process it offers. *)
 
 val tenant :
   ?kind:Alloc_policy.kind ->

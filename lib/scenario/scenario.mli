@@ -23,10 +23,9 @@ module Histogram = Skyloft_stats.Histogram
 
 type lc_spec = { lc_name : string; shape : Shape.t; arrival : Arrival.t }
 
-type be_spec = {
-  be_name : string;
-  guaranteed : int;  (** cores the allocator never reclaims *)
-}
+type be_spec
+(** The best-effort tenant's name and the cores the allocator never
+    reclaims from it ({!be}). *)
 
 type tenant = Lc of lc_spec | Be of be_spec
 

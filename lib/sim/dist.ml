@@ -1,9 +1,7 @@
 type t =
   | Constant of Time.t
   | Exponential of { mean : Time.t }
-  | Uniform of { lo : Time.t; hi : Time.t }
   | Bimodal of { p_short : float; short : Time.t; long : Time.t }
-  | Lognormal of { mu : float; sigma : float }
   | Pareto of { scale : Time.t; alpha : float; cap : Time.t }
 
 let clamp x = if x < 1 then 1 else x
@@ -13,23 +11,13 @@ let clamp x = if x < 1 then 1 else x
    so [sample] allocates nothing. *)
 let[@inline] uniform rng = float_of_int (Rng.bits53 rng) *. 0x1p-53
 
-(* Box-Muller; one draw per call is fine at simulation scale. *)
-let[@inline] normal rng =
-  let u1 = 1.0 -. uniform rng in
-  let u2 = uniform rng in
-  sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
-
 let sample t rng =
   match t with
   | Constant d -> clamp d
   | Exponential { mean } ->
       clamp (int_of_float (-.float_of_int mean *. log (1.0 -. uniform rng)))
-  | Uniform { lo; hi } ->
-      if hi <= lo then clamp lo else clamp (lo + Rng.int rng (hi - lo))
   | Bimodal { p_short; short; long } ->
       if uniform rng < p_short then clamp short else clamp long
-  | Lognormal { mu; sigma } ->
-      clamp (int_of_float (exp (mu +. (sigma *. normal rng))))
   | Pareto { scale; alpha; cap } ->
       if scale < 1 || cap < scale || alpha <= 0.0 then
         invalid_arg "Dist.sample: Pareto needs 1 <= scale <= cap and alpha > 0";
@@ -41,10 +29,8 @@ let sample t rng =
 let mean = function
   | Constant d -> float_of_int d
   | Exponential { mean } -> float_of_int mean
-  | Uniform { lo; hi } -> float_of_int (lo + hi) /. 2.0
   | Bimodal { p_short; short; long } ->
       (p_short *. float_of_int short) +. ((1.0 -. p_short) *. float_of_int long)
-  | Lognormal { mu; sigma } -> exp (mu +. (sigma *. sigma /. 2.0))
   | Pareto { scale; alpha; cap } ->
       (* Exact mean of the capped distribution min(X, cap):
          E = int_{s}^{c} x f(x) dx + c * P(X > c)

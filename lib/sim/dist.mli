@@ -7,13 +7,10 @@
 type t =
   | Constant of Time.t  (** always the same duration *)
   | Exponential of { mean : Time.t }  (** light-tailed, memoryless *)
-  | Uniform of { lo : Time.t; hi : Time.t }
   | Bimodal of { p_short : float; short : Time.t; long : Time.t }
       (** with probability [p_short] the short mode, otherwise the long one;
           the paper's dispersive (99.5% 4 µs / 0.5% 10 ms) and RocksDB
           (50% 0.95 µs / 50% 591 µs) workloads are both of this form *)
-  | Lognormal of { mu : float; sigma : float }
-      (** parameters of the underlying normal; samples in ns *)
   | Pareto of { scale : Time.t; alpha : float; cap : Time.t }
       (** bounded heavy tail: a Pareto with minimum [scale] and shape
           [alpha], clamped at [cap].  Requires [1 <= scale <= cap] and

@@ -172,12 +172,15 @@ let every t ~period f =
       t.cohorts <- c :: t.cohorts;
       requeue c
 
+(* The sentinel [Eventq.pop_until] returns when no event is due; no
+   event ever carries it. *)
+let nothing () = ()
+
 let step t =
-  let next = Eventq.next_time t.queue in
-  if next < 0 then false
+  let f = Eventq.pop_until t.queue ~limit:max_int ~none:nothing in
+  if f == nothing then false
   else begin
-    let f = Eventq.pop_exn t.queue in
-    t.clock <- next;
+    t.clock <- Eventq.last_time t.queue;
     t.fired <- t.fired + 1;
     t.fire_limit <- t.fired;
     f ();
@@ -192,15 +195,14 @@ let run ?until ?max_events t =
     | Some _ | None -> max_int);
   let continue = ref true in
   while !continue && t.fired < t.fire_limit do
-    let next = Eventq.next_time t.queue in
-    if next < 0 then continue := false
-    else if next > limit then begin
-      t.clock <- Int.max t.clock limit;
+    let f = Eventq.pop_until t.queue ~limit ~none:nothing in
+    if f == nothing then begin
+      (* an event lies past [limit] (an empty queue is settled below) *)
+      if not (Eventq.is_empty t.queue) then t.clock <- Int.max t.clock limit;
       continue := false
     end
     else begin
-      let f = Eventq.pop_exn t.queue in
-      t.clock <- next;
+      t.clock <- Eventq.last_time t.queue;
       t.fired <- t.fired + 1;
       f ()
     end

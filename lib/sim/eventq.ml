@@ -42,7 +42,7 @@ type 'a t = {
   mutable free : int array;  (* stack of free slot indices *)
   mutable free_top : int;
   mutable cap : int;
-  mutable last_time : Time.t;  (* time of the event [pop_exn] last returned *)
+  mutable last_time : Time.t;  (* time of the event [pop_until] last removed *)
 }
 
 let unit_obj = Obj.repr ()
@@ -284,36 +284,37 @@ let unpin t slot =
   bset t.pinned slot 0;
   free_slot t slot
 
-exception Empty
-
-(* Zero-allocation pop for the engine's hot loop: the payload comes back
-   bare and the event's timestamp is left in [last_time]. *)
-let pop_exn t =
+(* Zero-allocation pop for the engine's hot loop, one comparison of the
+   tiers' fronts per event: the payload comes back bare (or [none] when
+   nothing is due) and the event's timestamp is left in [last_time]. *)
+let pop_until t ~limit ~none =
   let slot =
     if run_leads t then begin
       let r = t.rlen - 1 in
-      t.rlen <- r;
-      t.last_time <- bget t.run (3 * r);
-      bget t.run ((3 * r) + 2)
+      let at = bget t.run (3 * r) in
+      if at > limit then -1
+      else begin
+        t.rlen <- r;
+        t.last_time <- at;
+        bget t.run ((3 * r) + 2)
+      end
     end
-    else if t.hlen > 0 then begin
+    else if t.hlen > 0 && bget t.heap 0 <= limit then begin
       let slot = bget t.heap 2 in
       t.last_time <- bget t.heap 0;
       heap_remove t 0;
       slot
     end
-    else raise Empty
+    else -1
   in
-  let payload = Array.unsafe_get t.payloads slot in
-  if bget t.pinned slot = 0 then free_slot t slot else bset t.pos slot (-1);
-  Obj.obj payload
+  if slot < 0 then none
+  else begin
+    let payload = Array.unsafe_get t.payloads slot in
+    if bget t.pinned slot = 0 then free_slot t slot else bset t.pos slot (-1);
+    Obj.obj payload
+  end
 
 let last_time t = t.last_time
-
-let next_time t =
-  if run_leads t then bget t.run (3 * (t.rlen - 1))
-  else if t.hlen > 0 then bget t.heap 0
-  else -1
 
 let precedes t ~at ~seq =
   if run_leads t then node_before t.run (t.rlen - 1) ~at ~seq

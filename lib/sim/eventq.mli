@@ -15,8 +15,7 @@
     Events are one-shot ([schedule]: fire once, never cancelled) or live in
     a pinned slot ([pin]): a slot held for its owner's life with its payload
     written once, queued, repositioned within its tier and unqueued by int
-    stores only.  No read ([next_time], [precedes], [size]) changes the
-    queue. *)
+    stores only.  No read ([precedes], [size]) changes the queue. *)
 
 type 'a t
 
@@ -54,21 +53,17 @@ val queued : 'a t -> int -> bool
 val unpin : 'a t -> int -> unit
 (** Unqueue a pinned slot and give it back to the free stack. *)
 
-exception Empty
-
-val pop_exn : 'a t -> 'a
-(** Remove the earliest event and return its payload bare, recording the
-    event's timestamp, readable via [last_time].  A one-shot event's slot
-    is freed; a pinned slot becomes unqueued.  Allocation-free.
-    @raise Empty when the queue is empty. *)
+val pop_until : 'a t -> limit:Time.t -> none:'a -> 'a
+(** Remove the earliest event if its time is at or before [limit] and
+    return its payload bare, recording the event's timestamp, readable
+    via [last_time].  A one-shot event's slot is freed; a pinned slot
+    becomes unqueued.  When the queue is empty or its earliest event is
+    later than [limit], return the sentinel [none] and change nothing.
+    One comparison of the two tiers' fronts; allocation-free. *)
 
 val last_time : 'a t -> Time.t
-(** Timestamp of the event the last successful [pop_exn] returned
-    (-1 before the first pop). *)
-
-val next_time : 'a t -> Time.t
-(** Time of the earliest event without removing it, or -1 when the queue
-    is empty.  Allocation-free. *)
+(** Timestamp of the event the last [pop_until] that found one removed
+    (-1 before the first). *)
 
 val precedes : 'a t -> at:Time.t -> seq:int -> bool
 (** The earliest event sorts strictly before the key [(at, seq)]; [false]

@@ -311,7 +311,6 @@ let test_degrade_recover_event_ordering () =
         Allocator.Degrade; Allocator.Recover ]);
   List.iter
     (fun e ->
-      check Alcotest.int "mode transitions move no cores" 0 e.Allocator.delta;
       check Alcotest.string "allocator-wide event" "allocator" e.Allocator.name)
     modes;
   check Alcotest.int "one degradation counted per episode" 2
@@ -367,7 +366,7 @@ let prop_alloc_equals_broker (policy_name, make_policy) =
     ~count:100 differential_script_gen
     (fun script ->
       let events_of =
-        List.map (fun (e : Allocator.event) -> (e.id, e.action, e.delta, e.granted))
+        List.map (fun (e : Allocator.event) -> (e.id, e.action, e.granted))
       in
       let engine = Engine.create () in
       let alloc = Allocator.create ~engine ~policy:(make_policy ()) ~total_cores:8 () in

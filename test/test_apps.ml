@@ -63,12 +63,9 @@ let test_schbench_on_percpu () =
   let engine, _, rt = make_percpu ~cores:2 (Skyloft_policies.Rr.create ~slice:(Time.us 50) ()) in
   let app = Rc.create_app rt ~name:"sb" in
   let runner = Runner.of_runtime rt app in
-  let config =
-    { Schbench.message_threads = 1; workers = 4; request = Time.us 100;
-      message_work = Time.us 1 }
-  in
-  let h = Schbench.run runner engine config ~duration:(Time.ms 20) in
-  (* 2 cores, 100us requests, 20ms: ~400 requests, each preceded by a wake *)
+  let h = Schbench.run runner engine ~workers:4 ~duration:(Time.ms 150) in
+  (* 2 cores, 2,300us requests, 150ms: ~130 requests, each preceded by a
+     wake *)
   check Alcotest.bool "many wakeups recorded" true (Histogram.count h > 100);
   check Alcotest.bool "wakeups are small on this tiny setup" true
     (Histogram.percentile h 50.0 < Time.ms 1)
@@ -78,11 +75,7 @@ let test_schbench_on_linux () =
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:4) in
   let linux = Linux.create machine Linux.cfs_default ~cores:[ 0; 1 ] in
   let runner = Runner.of_linux linux in
-  let config =
-    { Schbench.message_threads = 1; workers = 4; request = Time.us 100;
-      message_work = Time.us 1 }
-  in
-  let h = Schbench.run runner engine config ~duration:(Time.ms 20) in
+  let h = Schbench.run runner engine ~workers:4 ~duration:(Time.ms 150) in
   check Alcotest.bool "linux wakeups recorded" true (Histogram.count h > 50)
 
 let test_schbench_oversubscribed_latency_higher () =
@@ -93,11 +86,7 @@ let test_schbench_oversubscribed_latency_higher () =
     in
     let app = Rc.create_app rt ~name:"sb" in
     let runner = Runner.of_runtime rt app in
-    let config =
-      { Schbench.message_threads = 1; workers; request = Time.us 500;
-        message_work = Time.us 1 }
-    in
-    let h = Schbench.run runner engine config ~duration:(Time.ms 40) in
+    let h = Schbench.run runner engine ~workers ~duration:(Time.ms 200) in
     Histogram.percentile h 99.0
   in
   let low = run 2 and high = run 8 in
@@ -110,9 +99,7 @@ let test_schbench_invalid_config () =
   check Alcotest.bool "zero workers rejected" true
     (try
        ignore
-         (Schbench.run runner engine
-            { Schbench.message_threads = 1; workers = 0; request = 1; message_work = 1 }
-            ~duration:(Time.ms 1));
+         (Schbench.run runner engine ~workers:0 ~duration:(Time.ms 1));
        false
      with Invalid_argument _ -> true)
 

@@ -23,12 +23,7 @@ let check = Alcotest.check
 
 (* ---- Runqueue ---- *)
 
-(* Task ids are allocated per run by Runtime_core; tests mint their own. *)
-let next_id = ref 0
-
-let mk_task name =
-  incr next_id;
-  Task.create ~id:!next_id ~app:1 ~name Coro.Exit
+let mk_task name = Task.create ~app:1 ~name Coro.Exit
 
 let test_runqueue_fifo () =
   let q = Runqueue.create () in
@@ -422,8 +417,8 @@ let prop_deques_victim ~name ~lo ~hi =
            | Dq_victim self ->
                let want, probes = scan_victim lens cursor ~self in
                Deques.victim d ~self = want
-               && d.Deques.probes = probes
-               && d.Deques.cursor.(self) = cursor.(self)
+               && Deques.probes d = probes
+               && Deques.cursor d self = cursor.(self)
          in
          Array.for_all (fun c -> cores.(Deques.position d c) = c) cores
          && Deques.position d 0 = -1
@@ -543,9 +538,9 @@ let test_percpu_idle_mask_two_words () =
   in
   let scan () =
     Array.find_opt
-      (fun (ex : Rc.exec) -> ex.Rc.current == Task.nil && not (Rc.unit_capped rt ex))
-      rt.Rc.dispatch.Rc.d_units
-    |> Option.map (fun (ex : Rc.exec) -> ex.Rc.exec_core)
+      (fun (ex : Rc.exec) -> Rc.current ex == Task.nil && not (Rc.unit_capped rt ex))
+      (Rc.dispatch rt).Rc.d_units
+    |> Option.map (fun (ex : Rc.exec) -> Rc.exec_core ex)
   in
   let first_idle what expected =
     let picked = (Rc.view rt).Sched_ops.pick_idle () in
@@ -708,7 +703,7 @@ let test_percpu_uipi_preemption () =
   ignore (Rc.spawn rt app ~name:"long" ~cpu:0 (Coro.compute_then_exit (Time.ms 1)));
   ignore (Rc.spawn rt app ~name:"waiting" ~cpu:0 (Coro.compute_then_exit (Time.us 10)));
   (* preemption disabled -> no timer; send an explicit user IPI at 100us *)
-  let machine = rt.Rc.machine in
+  let machine = Rc.machine rt in
   Engine.at engine (Time.us 100) (fun () ->
       match Machine.uintr_installed machine ~core:0 with
       | Some ctx ->
@@ -808,8 +803,7 @@ let test_percpu_be_attach_validates_first () =
     [
       ("zero degrade_after", { default with degrade_after = Some 0 });
       ("negative guarantee", { default with be_guaranteed = -1 });
-      ("burstable above the cores", { default with be_burstable = Some 3 });
-      ("guarantee above burstable", { default with be_guaranteed = 2; be_burstable = Some 1 });
+      ("guarantee above the cores", { default with be_guaranteed = 3 });
     ];
   attach default;
   check Alcotest.int "valid retry admits the workers" 2 be.App.tasks_alive;
@@ -933,10 +927,10 @@ let test_centralized_be_reclaimed_under_load () =
            >= Skyloft_hw.Costs.app_switch_ns)
 
 let test_centralized_dispatcher_serializes () =
-  (* With an expensive dispatcher (ghOSt-like), throughput is capped by
-     dispatch cost: 100 requests x 2us dispatch >= 200us of dispatcher
-     time even though 4 workers could run the 1us requests faster. *)
-  let mech = { Hybrid.ghost_mechanism with dispatch_cost = Time.us 2 } in
+  (* With ghOSt's expensive dispatcher, throughput is capped by dispatch
+     cost: 100 requests need 100 dispatches of the serial dispatcher even
+     though 4 workers could run the 1us requests faster. *)
+  let mech = Hybrid.ghost_mechanism in
   let engine, _, rt = make_centralized ~workers:4 ~mechanism:mech () in
   let app = Rc.create_app rt ~name:"lc" in
   let last_done = ref 0 in
@@ -946,7 +940,8 @@ let test_centralized_dispatcher_serializes () =
          (Coro.Compute (1_000, fun () -> last_done := Engine.now engine; Coro.Exit)))
   done;
   Engine.run ~until:(Time.ms 5) engine;
-  check Alcotest.bool "dispatcher-bound completion time" true (!last_done >= Time.us 200)
+  check Alcotest.bool "dispatcher-bound completion time" true
+    (!last_done >= 100 * Hybrid.dispatch_cost mech)
 
 let test_centralized_invalid_config () =
   let engine = Engine.create () in
@@ -1136,12 +1131,12 @@ let test_hybrid_percore_mode () =
     (Hybrid.dispatches hybrid);
   check Alcotest.bool "the tick enforced the quantum" true
     (Rc.preemptions rt > preempts);
-  let capped = rt.Rc.dispatch.Rc.d_units.(1) in
-  check Alcotest.bool "the capped worker is busy" true (capped.Rc.current != Task.nil);
+  let capped = (Rc.dispatch rt).Rc.d_units.(1) in
+  check Alcotest.bool "the capped worker is busy" true (Rc.current capped != Task.nil);
   Rc.set_core_allowance rt 1;
   (* the eviction, or the tick backstop if the task was mid-switch *)
   Engine.run ~until:(Time.us 320) engine;
-  check Alcotest.bool "capped worker evicted" true (capped.Rc.current == Task.nil);
+  check Alcotest.bool "capped worker evicted" true (Rc.current capped == Task.nil);
   Engine.run ~until:(Time.ms 5) engine;
   check Alcotest.int "every request completes" 12 app.App.completed;
   check Alcotest.bool "back to central" true (Hybrid.mode hybrid = Hybrid.Central);
@@ -1199,13 +1194,13 @@ let test_centralized_spawn_validates_first () =
    the task queued behind it exactly once. *)
 let check_kill_in_switch_window engine rt ~core =
   let app = Rc.create_app rt ~name:"lc" in
-  let ex = rt.Rc.dispatch.Rc.d_units.(Rc.slot_of_core rt core) in
+  let ex = (Rc.dispatch rt).Rc.d_units.(Rc.slot_of_core rt core) in
   let drops = ref 0 and in_window = ref false and stale_pending = ref true in
   let killed_ran = ref false and next_runs = ref 0 in
   let on_drop (task : Task.t) =
     incr drops;
     in_window := Rc.now rt < task.Task.run_start;
-    stale_pending := Engine.armed ex.Rc.switch_done
+    stale_pending := Rc.switch_pending ex
   in
   let body flag = Coro.Yield (fun () -> flag (); Coro.compute_then_exit (Time.us 10)) in
   ignore

@@ -211,8 +211,6 @@ let test_injector_ipi_drop () =
   check bool "unrelated vectors deliver" true
     (Machine.fault_fate machine ~core:0 0xfd (* a kernel reschedule IPI *) = Machine.Deliver);
   check int "every drop recorded" 1 (Injector.injected_of inj ~kind:"ipi-drop");
-  check bool "event log carries the drop" true
-    (List.exists (fun e -> e.Injector.kind = "ipi-drop") (Injector.events inj));
   check_raises "double arm rejected" (Invalid_argument "Injector.arm: already armed")
     (fun () -> Injector.arm inj target [])
 

@@ -26,7 +26,7 @@ let test_linux_runs_to_completion () =
   let engine, _, linux = make Linux.cfs_default in
   let done_ = ref false in
   ignore
-    (Linux.spawn linux ~name:"t"
+    (Linux.spawn linux
        (Coro.Compute (Time.us 100, fun () -> done_ := true; Coro.Exit)));
   Engine.run ~until:(Time.ms 10) engine;
   check Alcotest.bool "finished" true !done_;
@@ -36,9 +36,9 @@ let test_linux_parallel_threads () =
   let engine, _, linux = make ~cores:4 Linux.cfs_default in
   (* 4 threads x 1ms work on 4 cores should finish in ~1ms, not 4ms *)
   let last_done = ref 0 in
-  for i = 1 to 4 do
+  for _ = 1 to 4 do
     ignore
-      (Linux.spawn linux ~name:(Printf.sprintf "t%d" i)
+      (Linux.spawn linux
          (Coro.Compute (Time.ms 1, fun () -> last_done := Engine.now engine; Coro.Exit)))
   done;
   Engine.run ~until:(Time.ms 20) engine;
@@ -48,7 +48,7 @@ let test_linux_block_wakeup () =
   let engine, _, linux = make Linux.cfs_default in
   let stages = ref [] in
   let worker =
-    Linux.spawn linux ~name:"worker"
+    Linux.spawn linux 
       (Coro.Compute
          ( Time.us 10,
            fun () ->
@@ -59,7 +59,7 @@ let test_linux_block_wakeup () =
                  Coro.Exit) ))
   in
   ignore
-    (Linux.spawn linux ~name:"waker"
+    (Linux.spawn linux
        (Coro.Compute (Time.us 100, fun () ->
             Linux.wakeup linux worker;
             Coro.Exit)));
@@ -72,7 +72,7 @@ let test_linux_pending_wake_not_lost () =
   let finished = ref false in
   let sleeper = ref None in
   let worker =
-    Linux.spawn linux ~name:"w"
+    Linux.spawn linux 
       (Coro.Compute
          ( Time.ms 1,
            fun () ->
@@ -87,7 +87,7 @@ let test_linux_pending_wake_not_lost () =
 let test_linux_wakeup_latency_low_load () =
   (* With idle cores, a wakeup should start within a few microseconds. *)
   let engine, _, linux = make ~cores:4 Linux.cfs_default in
-  let worker = Linux.spawn linux ~name:"w" (Coro.Block (fun () -> Coro.Exit)) in
+  let worker = Linux.spawn linux (Coro.Block (fun () -> Coro.Exit)) in
   (* let it block first *)
   Engine.at engine (Time.us 50) (fun () -> Linux.wakeup linux worker);
   Engine.run ~until:(Time.ms 10) engine;
@@ -101,10 +101,10 @@ let test_linux_rr_slicing () =
   let engine, _, linux = make ~cores:1 (Linux.Rr { hz = 1000; slice = Time.ms 10 }) in
   let first_done = ref 0 and second_done = ref 0 in
   ignore
-    (Linux.spawn linux ~name:"a"
+    (Linux.spawn linux
        (Coro.Compute (Time.ms 30, fun () -> first_done := Engine.now engine; Coro.Exit)));
   ignore
-    (Linux.spawn linux ~name:"b"
+    (Linux.spawn linux
        (Coro.Compute (Time.ms 30, fun () -> second_done := Engine.now engine; Coro.Exit)));
   Engine.run ~until:(Time.ms 200) engine;
   (* With 10ms slices they interleave: both finish close together (~60ms),
@@ -118,10 +118,10 @@ let test_linux_fifo_like_without_preemption () =
   let engine, _, linux = make ~cores:1 (Linux.Rr { hz = 1000; slice = Time.s 100 }) in
   let first_done = ref 0 and second_done = ref 0 in
   ignore
-    (Linux.spawn linux ~name:"a"
+    (Linux.spawn linux
        (Coro.Compute (Time.ms 30, fun () -> first_done := Engine.now engine; Coro.Exit)));
   ignore
-    (Linux.spawn linux ~name:"b"
+    (Linux.spawn linux
        (Coro.Compute (Time.ms 30, fun () -> second_done := Engine.now engine; Coro.Exit)));
   Engine.run ~until:(Time.ms 200) engine;
   check Alcotest.bool "a first" true (!first_done < Time.ms 35);
@@ -141,8 +141,8 @@ let test_linux_cfs_fairness () =
     in
     go ()
   in
-  ignore (Linux.spawn linux ~name:"a" (hog a_ran));
-  ignore (Linux.spawn linux ~name:"b" (hog b_ran));
+  ignore (Linux.spawn linux (hog a_ran));
+  ignore (Linux.spawn linux (hog b_ran));
   Engine.run ~until:(Time.ms 500) engine;
   let total = !a_ran + !b_ran in
   let ratio = float_of_int !a_ran /. float_of_int total in
@@ -153,7 +153,7 @@ let test_linux_eevdf_runs () =
   let finished = ref 0 in
   for _ = 1 to 8 do
     ignore
-      (Linux.spawn linux ~name:"t"
+      (Linux.spawn linux
          (Coro.Compute (Time.us 500, fun () -> incr finished; Coro.Exit)))
   done;
   Engine.run ~until:(Time.ms 50) engine;
@@ -166,7 +166,7 @@ let test_linux_steal_balances () =
   let last_done = ref 0 in
   for _ = 1 to 8 do
     ignore
-      (Linux.spawn linux ~name:"t"
+      (Linux.spawn linux
          (Coro.Compute
             (Time.ms 1, fun () -> incr finished; last_done := Engine.now engine; Coro.Exit)))
   done;
@@ -179,7 +179,7 @@ let test_linux_yield_requeues () =
   let engine, _, linux = make ~cores:1 Linux.cfs_default in
   let order = ref [] in
   ignore
-    (Linux.spawn linux ~name:"a"
+    (Linux.spawn linux
        (Coro.Compute
           ( Time.us 10,
             fun () ->
@@ -189,7 +189,7 @@ let test_linux_yield_requeues () =
                   order := "a2" :: !order;
                   Coro.Exit) )));
   ignore
-    (Linux.spawn linux ~name:"b"
+    (Linux.spawn linux
        (Coro.Compute (Time.us 10, fun () -> order := "b" :: !order; Coro.Exit)));
   Engine.run ~until:(Time.ms 10) engine;
   check Alcotest.bool "b ran between a's yield" true (List.rev !order = [ "a1"; "b"; "a2" ])
@@ -566,8 +566,7 @@ let ref_policy ~eevdf : Sched_ops.ctor =
             if eevdf && task.Task.policy_f1 >= task.Task.policy_f2 then set_deadline task
         | Sched_ops.Enq_new ->
             task.Task.policy_f1 <- Float.max task.Task.policy_f1 (get_min cpu);
-            if eevdf then set_deadline task
-        | Sched_ops.Enq_woken -> ());
+            if eevdf then set_deadline task);
         push cpu task);
     task_dequeue =
       (fun ~cpu ->
@@ -657,19 +656,23 @@ let host ctor ~now =
   { inst = ctor view; running; blocked = []; tasks = [] }
 
 (* Apply one operation to a host; the result is what the policy decided
-   (a task id, a core, a preemption request), for comparison. *)
+   (a task's creation index, a core, a preemption request), for
+   comparison.  A task's name is its creation index. *)
+let task_id (t : Task.t) = int_of_string t.Task.name
+
 let step h ~now (op, c, arg) =
-  let id = function Some t -> t.Task.id | None -> -1 in
+  let id = function Some t -> task_id t | None -> -1 in
   match op with
   | 0 ->
       let t =
-        Task.create ~id:(List.length h.tasks) ~app:1 ~name:"t" (Coro.compute_then_exit 1)
+        Task.create ~app:1 ~name:(string_of_int (List.length h.tasks))
+          (Coro.compute_then_exit 1)
       in
       h.tasks <- t :: h.tasks;
       t.Task.last_core <- c;
       h.inst.task_init t;
       h.inst.task_enqueue ~cpu:c ~reason:Sched_ops.Enq_new t;
-      t.Task.id
+      task_id t
   | 1 -> (
       match h.running.(c) with
       | Some _ -> -2
@@ -693,7 +696,7 @@ let step h ~now (op, c, arg) =
           h.inst.task_enqueue ~cpu:c
             ~reason:(if arg land 1 = 0 then Sched_ops.Enq_preempted else Enq_yielded)
             t;
-          t.Task.id
+          task_id t
       | None -> -2)
   | 3 -> (
       match h.running.(c) with
@@ -701,7 +704,7 @@ let step h ~now (op, c, arg) =
           h.running.(c) <- None;
           h.inst.task_block ~cpu:c t;
           h.blocked <- h.blocked @ [ t ];
-          t.Task.id
+          task_id t
       | None -> -2)
   | 4 -> (
       match h.blocked with
@@ -717,7 +720,7 @@ let step h ~now (op, c, arg) =
 
 (* min_vruntime of [core], read through [task_init]. *)
 let min_vruntime_of h core =
-  let probe = Task.create ~id:(-1) ~app:1 ~name:"probe" (Coro.compute_then_exit 1) in
+  let probe = Task.create ~app:1 ~name:"probe" (Coro.compute_then_exit 1) in
   probe.Task.last_core <- core;
   h.inst.task_init probe;
   probe.Task.policy_f1

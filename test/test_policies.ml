@@ -221,7 +221,7 @@ let ws_instance ?(cores = [| 0; 1 |]) ?(is_idle = fun _ -> false) () =
   in
   Work_stealing.create () view
 
-let mk_task id name = Task.create ~id ~app:1 ~name (Coro.compute_then_exit 1)
+let mk_task name = Task.create ~app:1 ~name (Coro.compute_then_exit 1)
 
 let names = Alcotest.list Alcotest.string
 
@@ -231,8 +231,8 @@ let names = Alcotest.list Alcotest.string
 let test_ws_owner_head_lifo () =
   let p = ws_instance () in
   let enq reason t = p.Skyloft.Sched_ops.task_enqueue ~cpu:0 ~reason t in
-  List.iteri
-    (fun i name -> enq Skyloft.Sched_ops.Enq_new (mk_task i name))
+  List.iter
+    (fun name -> enq Skyloft.Sched_ops.Enq_new (mk_task name))
     [ "a"; "b"; "c" ];
   let deq () =
     match p.Skyloft.Sched_ops.task_dequeue ~cpu:0 with
@@ -240,7 +240,7 @@ let test_ws_owner_head_lifo () =
     | None -> "-"
   in
   check Alcotest.string "owner pops the newest first" "c" (deq ());
-  enq Skyloft.Sched_ops.Enq_preempted (mk_task 10 "preempted");
+  enq Skyloft.Sched_ops.Enq_preempted (mk_task "preempted");
   let d1 = deq () in
   let d2 = deq () in
   let d3 = deq () in
@@ -252,15 +252,13 @@ let test_ws_owner_head_lifo () =
    thief+1 first (the old loop always restarted at thief+1). *)
 let test_ws_steal_cursor_round_robin () =
   let p = ws_instance ~cores:[| 0; 1; 2; 3 |] () in
-  let id = ref 0 in
   (* two tasks per victim; pop_tail steals the first-enqueued one *)
   List.iter
     (fun cpu ->
       List.iter
         (fun tag ->
-          incr id;
           p.Skyloft.Sched_ops.task_enqueue ~cpu ~reason:Skyloft.Sched_ops.Enq_new
-            (mk_task !id (Printf.sprintf "v%d-%s" cpu tag)))
+            (mk_task (Printf.sprintf "v%d-%s" cpu tag)))
         [ "first"; "second" ])
     [ 1; 2; 3 ];
   let steal () =
@@ -301,7 +299,7 @@ let test_ws_wakeup_fallback_rotates () =
   let p = ws_instance ~cores:[| 0; 1; 2 |] () in
   let targets =
     List.map
-      (fun i -> p.Skyloft.Sched_ops.task_wakeup ~waker_cpu:99 (mk_task i "w"))
+      (fun _ -> p.Skyloft.Sched_ops.task_wakeup ~waker_cpu:99 (mk_task "w"))
       [ 1; 2; 3; 4 ]
   in
   check (Alcotest.list Alcotest.int) "fallback rotates across cores"
@@ -309,7 +307,7 @@ let test_ws_wakeup_fallback_rotates () =
   (* an idle core still wins over the rotation *)
   let p = ws_instance ~cores:[| 0; 1; 2 |] ~is_idle:(fun c -> c = 2) () in
   check Alcotest.int "idle core preferred over the fallback" 2
-    (p.Skyloft.Sched_ops.task_wakeup ~waker_cpu:99 (mk_task 9 "w"))
+    (p.Skyloft.Sched_ops.task_wakeup ~waker_cpu:99 (mk_task "w"))
 
 (* ---- Shinjuku / Shinjuku-Shenango (centralized) ---- *)
 

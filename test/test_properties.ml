@@ -212,99 +212,49 @@ let ops_arb =
     ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops))
     QCheck.Gen.(list_size (int_range 1 40) op_gen)
 
-(* No task is current on two units at once. *)
-let no_task_on_two_units (rt : Rc.t) =
-  let ids =
-    Array.to_list rt.Rc.dispatch.Rc.d_units
-    |> List.filter_map (fun (ex : Rc.exec) ->
-           if ex.Rc.current == Task.nil then None else Some ex.Rc.current.Task.id)
-  in
-  List.length (List.sort_uniq compare ids) = List.length ids
-
 (* The idle mask agrees with a full scan of the units: a unit is idle
    iff it runs nothing and the broker allows it, the first idle core is
    the first such unit in [d_units] order, and a core that is not a unit
    (the dispatcher's, one past the machine) is never idle. *)
 let idle_mask_agrees (rt : Rc.t) ~machine_cores =
   let view = Rc.view rt in
-  let units = rt.Rc.dispatch.Rc.d_units in
-  let scan (ex : Rc.exec) = ex.Rc.current == Task.nil && not (Rc.unit_capped rt ex) in
-  let unit_core c = Array.exists (fun (ex : Rc.exec) -> ex.Rc.exec_core = c) units in
-  Array.for_all (fun (ex : Rc.exec) -> view.Sched_ops.is_idle ex.Rc.exec_core = scan ex) units
+  let units = (Rc.dispatch rt).Rc.d_units in
+  let scan (ex : Rc.exec) = Rc.current ex == Task.nil && not (Rc.unit_capped rt ex) in
+  let unit_core c = Array.exists (fun (ex : Rc.exec) -> Rc.exec_core ex = c) units in
+  Array.for_all (fun (ex : Rc.exec) -> view.Sched_ops.is_idle (Rc.exec_core ex) = scan ex) units
   && view.Sched_ops.pick_idle ()
-     = Option.map (fun (ex : Rc.exec) -> ex.Rc.exec_core) (Array.find_opt scan units)
+     = Option.map (fun (ex : Rc.exec) -> Rc.exec_core ex) (Array.find_opt scan units)
   && List.for_all
        (fun c -> unit_core c || not (view.Sched_ops.is_idle c))
        (List.init (machine_cores + 2) (fun c -> c - 1))
 
-(* The maintained counters agree with the folds they replaced: BE
-   occupancy with a scan of the units (running BE or a BE assignment in
-   flight), [total_busy_ns] with the sum over the apps, and [lc_busy_ns]
-   with that sum less the BE app plus the other apps' in-flight
-   segments.  The LC queue count agrees with the LC tasks: every runnable
-   one (killed while queued included, until discarded) is queued unless
-   it is an assignment in flight toward a unit. *)
-let counters_agree (rt : Rc.t) (lc_tasks : Task.t array) =
-  let units = rt.Rc.dispatch.Rc.d_units in
-  let be_id = if rt.Rc.be_app == App.none then -1 else rt.Rc.be_app.App.id in
-  let runs_be (ex : Rc.exec) = ex.Rc.current != Task.nil && ex.Rc.current.Task.app = be_id in
-  let count p = Array.fold_left (fun acc ex -> if p ex then acc + 1 else acc) 0 units in
-  let running = count runs_be in
-  let incoming = count (fun ex -> be_id >= 0 && ex.Rc.incoming = be_id) in
-  let occupied = count (fun ex -> runs_be ex || (be_id >= 0 && ex.Rc.incoming = be_id)) in
-  let recorded =
-    List.fold_left (fun acc (a : App.t) -> acc + a.App.busy_ns) rt.Rc.daemon.App.busy_ns
-      (Rc.apps rt)
-  in
-  let be_recorded = if rt.Rc.be_app == App.none then 0 else rt.Rc.be_app.App.busy_ns in
-  let lc_in_flight =
-    Array.fold_left
-      (fun acc (ex : Rc.exec) ->
-        let task = ex.Rc.current in
-        if task != Task.nil && task.Task.app <> be_id then
-          acc + max 0 (Rc.now rt - ex.Rc.busy_from)
-        else acc)
-      0 units
-  in
+(* The LC queue count agrees with the LC tasks: every runnable one
+   (killed while queued included, until discarded) is queued unless it
+   is an assignment in flight toward a unit.  [be_id] is the BE app's id
+   once attached, [-1] before. *)
+let lc_queue_agrees (rt : Rc.t) (lc_tasks : Task.t array) ~be_id =
   let lc_runnable =
     Array.fold_left
       (fun acc (task : Task.t) -> if task.Task.state = Task.Runnable then acc + 1 else acc)
       0 lc_tasks
   in
-  let lc_incoming = count (fun ex -> ex.Rc.incoming >= 0 && ex.Rc.incoming <> be_id) in
-  rt.Rc.be_running = running
-  && rt.Rc.be_incoming = incoming
-  && Rc.be_occupancy rt = occupied
-  && Rc.total_busy_ns rt = recorded
-  && Rc.lc_busy_ns rt = recorded - be_recorded + lc_in_flight
-  && rt.Rc.lc_queued = lc_runnable - lc_incoming
+  let lc_incoming =
+    Array.fold_left
+      (fun acc ex ->
+        let app = Rc.incoming ex in
+        if app >= 0 && app <> be_id then acc + 1 else acc)
+      0 (Rc.dispatch rt).Rc.d_units
+  in
+  Rc.lc_queued rt = lc_runnable - lc_incoming
 
-(* The running units' counts and [busy_from] sums kept per app and in
-   total agree with the scan of the units they replaced, and so does the
-   in-flight busy time the broker's congestion sample adds to
-   [total_busy_ns] (every running unit, busy since its [busy_from]). *)
-let running_sums_agree (rt : Rc.t) =
-  let units = rt.Rc.dispatch.Rc.d_units in
-  let scan keep =
-    Array.fold_left
-      (fun (n, from) (ex : Rc.exec) ->
-        let task = ex.Rc.current in
-        if task != Task.nil && keep task.Task.app then (n + 1, from + ex.Rc.busy_from)
-        else (n, from))
-      (0, 0) units
-  in
-  let kept id = (rt.Rc.running_units.(id), rt.Rc.running_from.(id)) in
-  let n, from = scan (fun _ -> true) in
-  let in_flight =
-    Array.fold_left
-      (fun acc (ex : Rc.exec) ->
-        if ex.Rc.current != Task.nil then acc + max 0 (Rc.now rt - ex.Rc.busy_from)
-        else acc)
-      0 units
-  in
-  List.for_all (fun id -> scan (( = ) id) = kept id) (List.init rt.Rc.next_app_id Fun.id)
-  && (rt.Rc.running_total, rt.Rc.running_from_total) = (n, from)
-  && (Rc.congestion rt).Skyloft_alloc.Allocator.busy_ns = Rc.total_busy_ns rt + in_flight
+(* The runtime's own ledgers ({!Rc.check_ledgers}: BE occupancy, busy
+   time, running-unit counts, no task on two units). *)
+let ledgers_agree rt =
+  match Rc.check_ledgers rt with
+  | () -> true
+  | exception Failure msg ->
+      prerr_endline msg;
+      false
 
 let conformance runtime ops =
   let engine = Engine.create ~seed:1 () in
@@ -316,12 +266,12 @@ let conformance runtime ops =
     Scenario.build machine (Kmod.create machine) ~first_core:0
       ~cores:conformance_workers runtime
   in
-  let pinnable = rt.Rc.dispatch.Rc.d_pinnable in
+  let pinnable = (Rc.dispatch rt).Rc.d_pinnable in
   let app = Rc.create_app rt ~name:"conformance" in
   let be = Rc.create_app rt ~name:"batch" in
   let tasks = ref [||] in
   let nth i = if !tasks = [||] then None else Some !tasks.(i mod Array.length !tasks) in
-  let until = ref 0 in
+  let until = ref 0 and be_id = ref (-1) in
   let wake_blocked (task : Task.t) =
     if task.Task.state = Task.Blocked then Rc.wakeup rt task
   in
@@ -344,21 +294,22 @@ let conformance runtime ops =
         let core = w + Scenario.dispatcher_cores runtime in
         ignore (Rc.fault_current rt ~core ~duration:(Time.us 30))
     | Attach_be ->
-        if rt.Rc.be_app == App.none then
+        if !be_id < 0 then begin
+          be_id := be.App.id;
           Rc.attach_be_app rt be ~chunk:(Time.us 20) ~workers:2
             ~alloc:
               {
                 (Skyloft_alloc.Allocator.default_config ()) with
                 Skyloft_alloc.Allocator.policy = Skyloft_alloc.Policy.delay ();
-                be_burstable = Some 2;
               }
+        end
     | Run d ->
         until := !until + d;
         Engine.run ~until:!until engine
   in
   let consistent () =
-    no_task_on_two_units rt && idle_mask_agrees rt ~machine_cores && counters_agree rt !tasks
-    && running_sums_agree rt
+    ledgers_agree rt && idle_mask_agrees rt ~machine_cores
+    && lc_queue_agrees rt !tasks ~be_id:!be_id
   in
   let holds = ref (consistent ()) in
   List.iter

@@ -29,14 +29,14 @@ type stub = {
 }
 
 let reschedule st ex ~prev:_ =
-  if ex.Rc.current == Task.nil then begin
+  if Rc.current ex == Task.nil then begin
     let next =
       match
-        if Rc.be_occupancy st.rc < st.rc.Rc.be_allowance then Rc.next_be st.rc
+        if Rc.be_occupancy st.rc < Rc.be_allowance st.rc then Rc.next_be st.rc
         else None
       with
       | Some _ as be -> be
-      | None -> Rc.next_lc st.rc ~cpu:ex.Rc.exec_core ~balance:false
+      | None -> Rc.next_lc st.rc ~cpu:(Rc.exec_core ex) ~balance:false
     in
     match next with
     | Some task ->
@@ -67,7 +67,7 @@ let make ?(units = 1) () =
       d_reschedule = (fun ex ~prev -> reschedule st ex ~prev);
       d_place =
         (fun task ~cpu:_ ->
-          rc.Rc.policy.task_init task;
+          (Rc.policy rc).task_init task;
           Rc.enqueue rc ~cpu:0 ~reason:Sched_ops.Enq_new task;
           kick_all st);
       d_wake =
@@ -95,7 +95,7 @@ let test_find_app_many () =
         (Printf.sprintf "app %d resolves to itself" app.App.id)
         true (found == app))
     apps;
-  check string "daemon is id 0" st.rc.Rc.daemon.App.name
+  check string "daemon is id 0" (App.daemon ()).App.name
     (Rc.find_app st.rc 0).App.name;
   check_raises "unknown id raises Not_found" Not_found (fun () ->
       ignore (Rc.find_app st.rc 99_999));
@@ -116,8 +116,8 @@ let test_kthread_many () =
   in
   Array.iter
     (fun (ex : Rc.exec) ->
-      let core = ex.Rc.exec_core in
-      let parked = Kmod.kthreads_on st.rc.Rc.kmod ~core in
+      let core = Rc.exec_core ex in
+      let parked = Kmod.kthreads_on (Rc.kmod st.rc) ~core in
       let kts =
         List.map (fun (app : App.t) -> Rc.kthread st.rc ~app:app.App.id ~core) launched
       in
@@ -173,7 +173,7 @@ let test_lifecycle_attribution () =
   check int "busy time is the compute total" (Time.us 70) app.App.busy_ns;
   check int "no tasks left alive" 0 app.App.tasks_alive;
   check bool "wakeup-to-dispatch latency sampled" false
-    (Histogram.is_empty st.rc.Rc.wakeups);
+    (Histogram.is_empty (Rc.wakeup_hist st.rc));
   (* stall must cover the blocked interval: response - service - queue > 150us *)
   check bool "blocked interval attributed as stall" true
     (Histogram.mean (Attribution.stall app.App.attribution) > 0.0)
@@ -203,7 +203,7 @@ let test_deadline_kills () =
           ( Time.us 10,
             fun () -> Coro.Block (fun () -> Coro.Exit) )));
   Engine.run ~until:(Time.ms 3) st.engine;
-  check int "three deadline drops" 3 st.rc.Rc.deadline_drops;
+  check int "three deadline drops" 3 (Rc.deadline_drops st.rc);
   check int "only B completed" 1 (Summary.requests app.App.summary);
   check int "drops counted in the summary" 3 (Summary.drops app.App.summary);
   check (list string) "on_drop saw A, C and D"
@@ -221,15 +221,15 @@ let test_watchdog_rescue () =
   let st = make () in
   let app = Rc.new_app st.rc ~name:"lc" in
   let trace = Trace.create () in
-  st.rc.Rc.trace <- Some trace;
+  Rc.set_trace st.rc trace;
   let bound = Time.us 50 in
   (* The stub's scan: any task a full bound past its start is deposed and
      requeued — Runtime_core counts, samples and traces the rescue. *)
   let scan ~bound =
     Array.iter
       (fun ex ->
-        let task = ex.Rc.current in
-        if task != Task.nil && Engine.armed ex.Rc.completion then begin
+        let task = Rc.current ex in
+        if task != Task.nil && Engine.armed (Rc.completion ex) then begin
           let overrun = Rc.now st.rc - task.Task.run_start - bound in
           if overrun > 0 then begin
             Rc.rescued st.rc ex ~late:overrun;
@@ -247,9 +247,9 @@ let test_watchdog_rescue () =
     (spawn st app ~name:"hog" ~service:(Time.us 400)
        (Coro.Compute (Time.us 400, fun () -> Coro.Exit)));
   Engine.run ~until:(Time.ms 2) st.engine;
-  check bool "rescues counted" true (st.rc.Rc.rescues > 0);
+  check bool "rescues counted" true (Rc.watchdog_rescues st.rc > 0);
   check bool "detection latency sampled" false
-    (Histogram.is_empty st.rc.Rc.rescue_detect);
+    (Histogram.is_empty (Rc.rescue_detection st.rc));
   let rescue_instants =
     Trace.fold trace
       (fun acc ev ->
@@ -258,7 +258,7 @@ let test_watchdog_rescue () =
         | _ -> acc)
       0
   in
-  check int "one trace instant per rescue" st.rc.Rc.rescues rescue_instants;
+  check int "one trace instant per rescue" (Rc.watchdog_rescues st.rc) rescue_instants;
   (* the rescued task still finishes, and its attribution still adds up *)
   check int "hog completed despite rescues" 1 (Summary.requests app.App.summary);
   check int "identity survives depose/requeue" 0
@@ -278,7 +278,7 @@ let test_be_occupancy () =
   kick_all st;
   check int "both units running BE" 2 (Rc.be_occupancy st.rc);
   check bool "BE tasks recognised" true
-    (Rc.is_be st.rc st.execs.(0).Rc.current);
+    (Rc.is_be st.rc (Rc.current st.execs.(0)));
   check_raises "second BE app rejected"
     (Invalid_argument "Runtime_core.attach_be_app: BE app already set")
     (fun () -> Rc.attach_be_app st.rc be ~chunk:(Time.us 10) ~workers:1);
@@ -301,10 +301,10 @@ let test_runqueue_calls () =
   let rc = st.rc in
   let lc = Rc.new_app rc ~name:"lc" in
   let be = Rc.new_app rc ~name:"batch" in
-  (* routing needs only the BE app's id *)
-  rc.Rc.be_app <- be;
+  (* routing needs only the BE app: attach it with no workers *)
+  Rc.attach_be_app rc be ~chunk:(Time.us 10) ~workers:0;
   let mk (app : App.t) name =
-    Task.create ~id:0 ~app:app.App.id ~name (Coro.compute_then_exit 1)
+    Task.create ~app:app.App.id ~name (Coro.compute_then_exit 1)
   in
   let name (task : Task.t) = task.Task.name in
   let b1 = mk be "b1" and b2 = mk be "b2" and b3 = mk be "b3" in
@@ -314,8 +314,8 @@ let test_runqueue_calls () =
   check int "a woken BE task kicks its last core" 3 (Rc.place_woken rc ~waker_cpu:0 b3);
   check (list string) "preempted at the head, yielded and woken at the tail"
     [ "b2"; "b1"; "b3" ]
-    (List.map name (Skyloft.Runqueue.to_list rc.Rc.be_queue));
-  check int "BE work is not counted" 0 rc.Rc.lc_queued;
+    (List.map name (Skyloft.Runqueue.to_list (Rc.be_queue rc)));
+  check int "BE work is not counted" 0 (Rc.lc_queued rc);
   check (option string) "no BE task reached the policy" None
     (Option.map name (Rc.next_lc rc ~cpu:0 ~balance:false));
   let l1 = mk lc "l1" and l2 = mk lc "l2" in
@@ -327,11 +327,11 @@ let test_runqueue_calls () =
   check int "oldest wait from the first stamp" (Time.us 5)
     congestion.Rc.Allocator.oldest_delay;
   Rc.kill rc l1;
-  check int "a killed task counts until discarded" 2 rc.Rc.lc_queued;
+  check int "a killed task counts until discarded" 2 (Rc.lc_queued rc);
   check (option string) "next_lc discards the killed task" (Some "l2")
     (Option.map name (Rc.next_lc rc ~cpu:0 ~balance:false));
   check bool "killed task exited" true (l1.Task.state = Task.Exited);
-  check int "both exits counted" 0 rc.Rc.lc_queued;
+  check int "both exits counted" 0 (Rc.lc_queued rc);
   check int "no wait left" 0 (Rc.congestion rc).Rc.Allocator.oldest_delay;
   check (list int) "every change in the depth series" [ 1; 2; 1; 0 ]
     (List.map snd (Skyloft_stats.Timeseries.to_list (Rc.queue_depth_series rc)));

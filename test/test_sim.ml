@@ -152,16 +152,14 @@ let test_rng_known_answers () =
     (Rng.bits64 orig);
   let r = Rng.create ~seed:3 in
   check Alcotest.(list int) "Dist.sample of every kind"
-    [ 5; 5; 5; 1173; 1023; 246; 11; 13; 13; 4; 4; 10000; 266; 58; 76; 1094; 1099; 1098 ]
+    [ 5; 5; 5; 1173; 1023; 246; 4; 4; 4; 1199; 2630; 8971 ]
     (List.concat_map
        (fun d -> List.init 3 (fun _ -> Dist.sample d r))
        Dist.
          [
            Constant 5;
            Exponential { mean = 1000 };
-           Uniform { lo = 10; hi = 20 };
            Bimodal { p_short = 0.9; short = 4; long = 10000 };
-           Lognormal { mu = 5.0; sigma = 1.0 };
            Pareto { scale = 1000; alpha = 1.3; cap = 5_000_000 };
          ])
 
@@ -194,9 +192,7 @@ let test_rng_draws_allocate_nothing () =
       [
         ("Constant", Constant 5);
         ("Exponential", Exponential { mean = 1000 });
-        ("Uniform", Uniform { lo = 10; hi = 20 });
         ("Bimodal", Bimodal { p_short = 0.9; short = 4; long = 10000 });
-        ("Lognormal", Lognormal { mu = 5.0; sigma = 1.0 });
         ("Pareto", pareto_heavy);
       ]
 
@@ -221,9 +217,7 @@ let test_dist_bimodal_fractions () =
 let test_dist_means () =
   check (Alcotest.float 1e-6) "constant mean" 500.0 (Dist.mean (Dist.Constant 500));
   check (Alcotest.float 1e-6) "bimodal mean" 109.0
-    (Dist.mean (Dist.Bimodal { p_short = 0.9; short = 10; long = 1_000 }));
-  check (Alcotest.float 1e-6) "uniform mean" 150.0
-    (Dist.mean (Dist.Uniform { lo = 100; hi = 200 }))
+    (Dist.mean (Dist.Bimodal { p_short = 0.9; short = 10; long = 1_000 }))
 
 let test_dist_paper_workloads () =
   (* dispersive: 99.5% x 4us + 0.5% x 10ms = 53.98 us *)
@@ -320,12 +314,25 @@ let prop_pareto_empirical_mean =
 
 (* ---- Eventq ---- *)
 
-(* [pop_exn] plus [last_time] as one optional (time, payload) pair, so the
-   assertions below can compare whole results. *)
-let pop q =
-  match Eventq.pop_exn q with
-  | payload -> Some (Eventq.last_time q, payload)
-  | exception Eventq.Empty -> None
+(* [pop_until] (no limit unless given) plus [last_time] as one optional
+   (time, payload) pair, so the assertions below can compare whole
+   results.  [none] is the sentinel: a payload no test queues. *)
+let pop_or ~none ?(limit = max_int) q =
+  let payload = Eventq.pop_until q ~limit ~none in
+  if payload == none then None else Some (Eventq.last_time q, payload)
+
+let pop q = pop_or ~none:"" q
+let pop_id ?limit q = pop_or ~none:min_int ?limit q
+
+(* The earliest queued time, up to [upto], read through [precedes]
+   without changing the queue: the earliest key sorts before
+   [(t, max_int)] exactly when its time is at most [t].  -1 when no key
+   is that early. *)
+let earliest q ~upto =
+  let rec go t =
+    if t > upto then -1 else if Eventq.precedes q ~at:t ~seq:max_int then t else go (t + 1)
+  in
+  go 0
 
 let popped = Alcotest.(option (pair int string))
 
@@ -372,24 +379,30 @@ let test_eventq_cancel () =
   Eventq.check_invariants q;
   check popped "next pop is the live event" (Some (2, "alive")) (pop q)
 
+(* [pop_until] with a limit before the earliest event is a peek: it
+   returns the sentinel and changes nothing. *)
 let test_eventq_peek () =
   let q = Eventq.create () in
-  check Alcotest.int "empty peek" (-1) (Eventq.next_time q);
-  let s = Eventq.pin q () in
+  let popped_id = Alcotest.(option (pair int int)) in
+  check popped_id "empty: nothing due" None (pop_id q);
+  let s = Eventq.pin q 7 in
   arm q s ~at:7;
-  Eventq.schedule q ~at:9 ();
-  check Alcotest.int "peek min" 7 (Eventq.next_time q);
-  check Alcotest.int "peek removes nothing" 2 (Eventq.size q);
+  Eventq.schedule q ~at:9 9;
+  check Alcotest.int "peek min" 7 (earliest q ~upto:20);
+  check popped_id "nothing due before 7" None (pop_id ~limit:6 q);
+  check Alcotest.int "the limit removes nothing" 2 (Eventq.size q);
+  check Alcotest.bool "the pinned slot stays queued" true (Eventq.queued q s);
   Eventq.unqueue q s;
-  check Alcotest.int "unqueued root is gone" 9 (Eventq.next_time q);
+  check Alcotest.int "unqueued root is gone" 9 (earliest q ~upto:20);
   check Alcotest.int "size drops at the unqueue" 1 (Eventq.size q);
   Eventq.check_invariants q;
   Eventq.unqueue q s;
-  check Alcotest.int "second unqueue is a no-op" 9 (Eventq.next_time q);
+  check Alcotest.int "second unqueue is a no-op" 9 (earliest q ~upto:20);
   check Alcotest.int "size unchanged" 1 (Eventq.size q);
-  Eventq.pop_exn q;
+  check popped_id "nothing due before 9" None (pop_id ~limit:8 q);
+  check popped_id "due at its own time" (Some (9, 9)) (pop_id ~limit:9 q);
   check Alcotest.int "popped the live event" 9 (Eventq.last_time q);
-  check Alcotest.int "empty again" (-1) (Eventq.next_time q)
+  check Alcotest.int "empty again" (-1) (earliest q ~upto:20)
 
 (* The size counter across pops: unqueueing twice, unqueueing a slot that
    already fired, and reading the size straight after a pop must each
@@ -450,7 +463,7 @@ let prop_eventq_size_matches_reference =
               Eventq.unqueue q pinned.(k);
               Hashtbl.remove live (-(k + 1))
           | _ -> (
-              match pop q with
+              match pop_id q with
               | Some (_, id) -> Hashtbl.remove live id
               | None -> if Hashtbl.length live <> 0 then ok := false));
           if
@@ -465,11 +478,11 @@ let prop_eventq_sorted =
     QCheck.(list_of_size (Gen.int_range 0 200) (int_range 0 100_000))
     (fun times ->
       let q = Eventq.create () in
-      List.iter (fun at -> Eventq.schedule q ~at ()) times;
+      List.iter (fun at -> Eventq.schedule q ~at at) times;
       let rec drain last =
-        match pop q with
+        match pop_id q with
         | None -> true
-        | Some (t, ()) -> t >= last && drain t
+        | Some (t, at) -> t = at && t >= last && drain t
       in
       drain 0)
 
@@ -506,7 +519,7 @@ let test_eventq_slot_reuse () =
   check popped "drained" None (pop q);
   Eventq.check_invariants q
 
-(* Interleaved peek/unqueue/pop must keep the queue exact — no slot
+(* Interleaved unqueue/pop must keep the queue exact — no slot
    leaked, every node's recorded position current, both tiers in order —
    checked by the invariant walk after every operation. *)
 let test_eventq_invariants_interleaved () =
@@ -534,27 +547,29 @@ let test_eventq_invariants_interleaved () =
   Eventq.check_invariants q;
   check Alcotest.int "unqueues leave the queue at once" 58 (Eventq.size q);
   let next = ref 0 in
-  let rec drain () =
-    match Eventq.next_time q with
-    | -1 -> ()
-    | at ->
-        (* unqueue mid-drain: queued, unqueued and already-popped slots all
-           come through here — each must be idempotent *)
-        if !next < Array.length pinned then begin
-          Eventq.unqueue q pinned.(!next);
-          Eventq.unqueue q pinned.(!next);
-          incr next
-        end;
-        Eventq.check_invariants q;
-        (match pop q with
-        | Some (at', _) ->
-            if at' < at then Alcotest.fail "pop went backwards past peek"
-        | None -> ());
-        check Alcotest.bool "size never negative" true (Eventq.size q >= 0);
-        Eventq.check_invariants q;
-        drain ()
+  let rec drain last =
+    if not (Eventq.is_empty q) then begin
+      (* unqueue mid-drain: queued, unqueued and already-popped slots all
+         come through here — each must be idempotent *)
+      if !next < Array.length pinned then begin
+        Eventq.unqueue q pinned.(!next);
+        Eventq.unqueue q pinned.(!next);
+        incr next
+      end;
+      Eventq.check_invariants q;
+      let last =
+        match pop_id q with
+        | Some (at, _) ->
+            if at < last then Alcotest.fail "pop went backwards";
+            at
+        | None -> last
+      in
+      check Alcotest.bool "size never negative" true (Eventq.size q >= 0);
+      Eventq.check_invariants q;
+      drain last
+    end
   in
-  drain ();
+  drain 0;
   check Alcotest.int "drained" 0 (Eventq.size q);
   Eventq.check_invariants q
 
@@ -573,7 +588,7 @@ let test_eventq_invariants_interleaved () =
 let test_eventq_shapes () =
   let n = 10_000 in
   let drain q =
-    let rec go acc = match pop q with Some x -> go (x :: acc) | None -> List.rev acc in
+    let rec go acc = match pop_id q with Some x -> go (x :: acc) | None -> List.rev acc in
     go []
   in
   let pops = Alcotest.(list (pair int int)) in
@@ -594,10 +609,10 @@ let test_eventq_shapes () =
   Eventq.check_invariants q;
   let s = Eventq.pin q (-1) in
   arm q s ~at:0;
-  check Alcotest.int "decreasing: the pinned slot leads" 0 (Eventq.next_time q);
+  check Alcotest.int "decreasing: the pinned slot leads" 0 (earliest q ~upto:n);
   arm q s ~at:(2 * n);
   Eventq.check_invariants q;
-  check Alcotest.int "moved past every node" 1 (Eventq.next_time q);
+  check Alcotest.int "moved past every node" 1 (earliest q ~upto:n);
   check Alcotest.int "decreasing: size" (n + 1) (Eventq.size q);
   Eventq.unqueue q s;
   Eventq.check_invariants q;
@@ -614,19 +629,20 @@ let test_eventq_shapes () =
 
 (* Acceptance gate: steady-state schedule/pop and the timer cycle — a
    pinned slot armed, popped and re-armed, moved while queued and
-   unqueued — allocate nothing.  [pop_exn] returns the payload bare; a
+   unqueued — allocate nothing.  [pop_until] returns the payload bare; a
    slot is an immediate int.  The small tolerance covers the boxed floats
    the two [Gc.minor_words] calls themselves return — 10k round trips at
    even one word each would blow far past it. *)
 let test_eventq_zero_alloc () =
   let q = Eventq.create () in
-  let s = Eventq.pin q () and other = Eventq.pin q () in
+  let pop_next q = ignore (Eventq.pop_until q ~limit:max_int ~none:(-1)) in
+  let s = Eventq.pin q 0 and other = Eventq.pin q 0 in
   for i = 1 to 8 do
-    Eventq.schedule q ~at:i ()
+    Eventq.schedule q ~at:i i
   done;
   for i = 9 to 100 do
-    Eventq.schedule q ~at:i ();
-    Eventq.pop_exn q
+    Eventq.schedule q ~at:i i;
+    pop_next q
   done;
   let before = Gc.minor_words () in
   for i = 101 to 10_100 do
@@ -634,10 +650,10 @@ let test_eventq_zero_alloc () =
     arm q other ~at:(i + 60);
     Eventq.unqueue q other;
     arm q s ~at:i;
-    Eventq.pop_exn q;
+    pop_next q;
     arm q s ~at:(i + 1);
-    Eventq.schedule q ~at:i ();
-    Eventq.pop_exn q;
+    Eventq.schedule q ~at:i i;
+    pop_next q;
     Eventq.unqueue q s
   done;
   let words = Gc.minor_words () -. before in
@@ -714,15 +730,14 @@ let prop_eventq_model =
         | 4 ->
             Eventq.unqueue q pinned.(k);
             model := model_remove pid !model
-        | 5 -> (
-            match (pop q, !model) with
-            | Some (t, id), (t', _, id') :: tl when t = t' && id = id' -> model := tl
+        | 5 | 6 -> (
+            (* 5 pops whatever leads; 6 only an event due by a limit *)
+            let limit = if code = 5 then max_int else x mod n_times in
+            match (pop_id ~limit q, !model) with
+            | Some (t, id), (t', _, id') :: tl when t = t' && id = id' && t <= limit ->
+                model := tl
             | None, [] -> ()
-            | _ -> ok := false)
-        | 6 -> (
-            match (Eventq.next_time q, !model) with
-            | t, (t', _, _) :: _ when t = t' -> ()
-            | -1, [] -> ()
+            | None, (t', _, _) :: _ when t' > limit -> ()
             | _ -> ok := false)
         | 7 ->
             let at = x mod n_times and s = x mod (!seq + 1) in
