@@ -35,12 +35,16 @@
    test-caller rule and the allowlist are the same as for values: a knob
    only tests pass needs a [Module.value ?x reason...] line.
 
-   Three rules cover the types a lib/ .mli declares (outside [module
+   Four rules cover the types a lib/ .mli declares (outside [module
    type]s), each over the label and constructor ids the type checker
    resolved, so two records sharing a field name never mask each other:
    - fields: every field of a record exported with its fields, private
      or not, must be read, written, built or matched by some program unit
      outside its module;
+   - read fields: every such field must be read ([r.x]) or matched
+     ([{ x; _ }]) by some program unit, its own module included; building
+     or writing it reads nothing, so a field only ever written is dead
+     however many units build it;
    - config fields: every field of a record the same interface exports a
      [default_config] for must be set by some program build outside the
      module ([{ r with x = v }] or a full record), the default's own
@@ -51,11 +55,12 @@
    A unit's own ids collide with its interface's (both number from zero
    under one unit name), so its own field uses and builds are mapped to
    the interface's ids by qualified name.  A field or constructor only
-   tests use needs a [Module.type.field reason...] (or
-   [Module.type.Constructor reason...]) line.  So does a field only its
-   own module reads, when some other field of its record has a program
-   use outside the module: such a record cannot become abstract without
-   taking that use away (a frozen consumer like perfbench/, say).
+   tests use, or a field only tests read, needs a [Module.type.field
+   reason...] (or [Module.type.Constructor reason...]) line.  So does a
+   field only its own module reads, when some other field of its record
+   has a program use outside the module: such a record cannot become
+   abstract without taking that use away (a frozen consumer like
+   perfbench/, say).
 
    Usage: check_exports.exe BUILD_DIR ALLOWLIST (after [dune build
    @check]).  The allowlist has one [Module.value reason...] line per
@@ -143,6 +148,11 @@ let test_built = Uid.Tbl.create 512
 let member_impl_to_intf = Uid.Tbl.create 512
 let intf_member : (string, Uid.t) Hashtbl.t = Hashtbl.create 512
 let field_self_used = Uid.Tbl.create 512
+
+(* Fields some program unit, their own module's included, reads
+   ([r.x]) or matches ([{ x; _ }]); a build or a write reads nothing. *)
+let field_read = Uid.Tbl.create 1024
+let test_field_read = Uid.Tbl.create 1024
 
 (* (unit-qualified record type name) -> its fields, and back *)
 let record_fields : (string, (Uid.t * export) list) Hashtbl.t = Hashtbl.create 128
@@ -393,6 +403,16 @@ let mark_references ~test (cmt : Cmt_format.cmt_infos) str =
         (fun uid -> Uid.Tbl.replace field_self_used uid ())
         (Uid.Tbl.find_opt member_impl_to_intf lbl.lbl_uid)
   in
+  let read_field (lbl : Types.label_description) =
+    use_field lbl;
+    let uid =
+      if own lbl.lbl_uid then Uid.Tbl.find_opt member_impl_to_intf lbl.lbl_uid
+      else Some lbl.lbl_uid
+    in
+    Option.iter
+      (fun uid -> Uid.Tbl.replace (if test then test_field_read else field_read) uid ())
+      uid
+  in
   let expr sub e =
     (match e.exp_desc with
     | Texp_ident (_, _, vd) -> (
@@ -422,7 +442,8 @@ let mark_references ~test (cmt : Cmt_format.cmt_infos) str =
           args
     | _ -> ());
     (match e.exp_desc with
-    | Texp_field (_, _, lbl) | Texp_setfield (_, _, lbl, _) -> use_field lbl
+    | Texp_field (_, _, lbl) -> read_field lbl
+    | Texp_setfield (_, _, lbl, _) -> use_field lbl
     | Texp_record { fields = fs; _ } ->
         Array.iter
           (function
@@ -448,7 +469,7 @@ let mark_references ~test (cmt : Cmt_format.cmt_infos) str =
   let pat : type k. Tast_iterator.iterator -> k general_pattern -> unit =
    fun sub p ->
     (match p.pat_desc with
-    | Tpat_record (fs, _) -> List.iter (fun (_, lbl, _) -> use_field lbl) fs
+    | Tpat_record (fs, _) -> List.iter (fun (_, lbl, _) -> read_field lbl) fs
     | _ -> ());
     Tast_iterator.default_iterator.pat sub p
   in
@@ -577,6 +598,7 @@ let () =
   in
   (* Fields no program outside their module names; then the config
      fields (not listed twice) no program build overrides; then the
+     fields (not listed twice) no program unit reads or matches; then the
      constructors no program builds.  A field only its own module reads
      may be kept by an allowlist line when some other field of its record
      has a program use outside the module: the record cannot become
@@ -606,6 +628,7 @@ let () =
   let dead_members =
     unused ~used:field_set ~test_used:test_field_set ~skip:dead_uids config_fields
       dead_fields
+    |> unused ~used:field_read ~test_used:test_field_read ~skip:dead_uids fields
     |> unused ~used:built ~test_used:test_built ~skip:no_skip constructors
   in
   let dead_aliases =

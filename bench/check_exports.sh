@@ -3,13 +3,15 @@
 # its own module, every top-level value of a lib/ module without an .mli
 # must have a caller anywhere, its own module included, and every
 # optional argument `?x` of either must be passed by some call site.
-# Three rules cover the types of lib/**/*.mli: every field of a record
+# Four rules cover the types of lib/**/*.mli: every field of a record
 # exported with its fields must be read, written, built or matched by a
-# program unit outside its module; every field of a record the module
+# program unit outside its module; every such field must be read or
+# matched by some program unit, its own module included (building or
+# writing a field reads nothing); every field of a record the module
 # exports a `default_config` for must be set by a program build outside
 # the module; every constructor of an exported variant must be built by a
 # program unit, its own module included.  Tests do not count as callers,
-# setters or builders.
+# readers, setters or builders.
 #
 #   bench/check_exports.sh
 #
@@ -26,8 +28,9 @@
 # same rule: an optional argument no program call site passes (`~x:v` or
 # `?x:v`; the module's own calls count) is listed, unless the allowlist
 # names it as `Module.value ?x reason...` and some test passes it.  A
-# field or constructor only tests use passes with a `Module.type.field
-# reason...` (or `Module.type.Constructor reason...`) line; so does a field
+# field or constructor only tests use, or a field only tests read, passes
+# with a `Module.type.field reason...` (or `Module.type.Constructor
+# reason...`) line; so does a field
 # only its own module reads while programs outside read its record's
 # other fields (the record cannot become abstract).
 # References are resolved by the type checker, so `M.x`, module aliases,

@@ -45,14 +45,14 @@ let make_centralized machine kmod =
   ( Hybrid.runtime
       (Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2; 3; 4 ]
          ~quantum:(Time.us 30) ~adaptive:false
-         (Skyloft_policies.Shinjuku.create ())),
+         (Skyloft_policies.Fifo.create ())),
     fun () -> "" )
 
 let make_hybrid machine kmod =
   let hybrid =
     Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2; 3; 4 ]
       ~quantum:(Time.us 30)
-      (fst (Skyloft_policies.Shinjuku_shenango.create ()))
+      (Skyloft_policies.Fifo.create ())
   in
   ( Hybrid.runtime hybrid,
     fun () -> Printf.sprintf ", %d mode switches" (Hybrid.mode_switches hybrid) )

@@ -43,8 +43,7 @@ let srsf ~quantum : Sched_ops.ctor =
     List.iter (Runqueue.push_tail q) all
   in
   {
-    Sched_ops.policy_name = "srsf";
-    task_init = ignore;
+    Sched_ops.task_init = ignore;
     task_terminate = ignore;
     task_enqueue = (fun ~cpu:_ ~reason:_ task -> enqueue task);
     task_dequeue = (fun ~cpu:_ -> Runqueue.pop_head q);

@@ -85,7 +85,7 @@ let () =
   let hybrid =
     Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2; 3 ]
       ~quantum:(Time.us 30)
-      (fst (Skyloft_policies.Shinjuku_shenango.create ()))
+      (Skyloft_policies.Fifo.create ())
   in
   let rt = Hybrid.runtime hybrid in
   let app = Rc.create_app rt ~name:"quickstart-hybrid" in

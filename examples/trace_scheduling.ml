@@ -65,7 +65,7 @@ let () =
   let hybrid =
     Skyloft.Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2; 3 ]
       ~quantum:(Time.us 20)
-      (fst (Skyloft_policies.Shinjuku_shenango.create ()))
+      (Skyloft_policies.Fifo.create ())
   in
   let rt = Skyloft.Hybrid.runtime hybrid in
   let trace = Trace.create () in

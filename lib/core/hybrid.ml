@@ -261,8 +261,8 @@ let check_mode t =
    task that started under one mode and survived a flip is preempted by
    whichever mechanism the current mode provides (plus the watchdog as the
    backstop), so no run can outlive both. *)
-let on_tick t u =
-  if t.mode = Percore && now t >= Rc.stolen_until u.ex then
+let on_tick t (u : unit_state) =
+  if t.mode = Percore && now t >= Percore.stolen_until t.pc u.pc then
     Percore.on_tick t.pc u.pc
 
 (* ---- watchdog: dispatcher failover + stuck-worker rescue ------------------ *)
@@ -280,7 +280,7 @@ let watchdog_scan t ~bound =
   Array.iter
     (fun u ->
       let task = Rc.current u.ex in
-      if now t >= Rc.stolen_until u.ex && task != Task.nil
+      if now t >= Percore.stolen_until t.pc u.pc && task != Task.nil
          && Engine.armed (Rc.completion u.ex)
       then begin
         (* The expected preemption point depends on which mechanism
@@ -429,7 +429,7 @@ let create machine kmod ~dispatcher_core ~worker_cores ~quantum
   Array.iter
     (fun u ->
       Kmod.on_steal kmod ~core:(Rc.exec_core u.ex) (fun ~duration ->
-          Rc.freeze_for_steal t.rc u.ex ~duration))
+          Rc.freeze_for_steal u.ex ~duration))
     units;
   Kmod.on_steal kmod ~core:dispatcher_core (fun ~duration ->
       t.disp_busy_until <- Int.max t.disp_busy_until (now t + duration));

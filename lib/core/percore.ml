@@ -1,6 +1,7 @@
 module Time = Skyloft_sim.Time
 module Engine = Skyloft_sim.Engine
 module Costs = Skyloft_hw.Costs
+module Kmod = Skyloft_kernel.Kmod
 module Rc = Runtime_core
 
 (* The per-core mechanism (Figure 2a), once for {!Percpu} and {!Hybrid}'s
@@ -28,6 +29,7 @@ type t = {
 }
 
 let now t = Rc.now t.rc
+let stolen_until t cpu = Kmod.stolen_until (Rc.kmod t.rc) ~core:(Rc.exec_core cpu.ex)
 let ex cpu = cpu.ex
 let last_sched cpu = cpu.last_sched
 let sched_point cpu ~at = cpu.last_sched <- Int.max cpu.last_sched at
@@ -156,7 +158,7 @@ let kick t cpu =
   if Rc.current cpu.ex == Task.nil && (not cpu.kick_pending) && not (in_flight cpu)
   then begin
     cpu.kick_pending <- true;
-    Engine.arm cpu.kick_timer ~at:(Int.max (now t) (Rc.stolen_until cpu.ex))
+    Engine.arm cpu.kick_timer ~at:(Int.max (now t) (stolen_until t cpu))
   end
 
 let kick_idle t = Array.iter (kick t) t.cpus

@@ -64,6 +64,11 @@ val steal_time : ?stall:bool -> cpu -> Time.t -> unit
     the task as overhead — or as fault stall when [stall] (host-kernel
     core steals). *)
 
+val stolen_until : t -> cpu -> Time.t
+(** When the host kernel hands the core back from its latest steal
+    ({!Skyloft_kernel.Kmod.stolen_until}): at or before now, it holds
+    nothing. *)
+
 val kick : t -> cpu -> unit
 (** Have an idle core reschedule (through [d_reschedule]) once any
     host-kernel steal of it ends; coalesced while one is pending. *)

@@ -88,7 +88,7 @@ let watchdog_scan t ~bound =
     (fun (cpu : Percore.cpu) ->
       let ex = Percore.ex cpu in
       if Rc.current ex != Task.nil
-         && now t >= Rc.stolen_until ex
+         && now t >= Percore.stolen_until t.pc cpu
          && (not
                (Machine.interrupts_masked
                   (Machine.core (Rc.machine t.rc) (Rc.exec_core ex))))
@@ -101,10 +101,8 @@ let watchdog_scan t ~bound =
    interrupt vectors replay at unmask (the {!Machine} mask model), so a
    queued tick re-preempts promptly once the core returns. *)
 let on_core_steal t (cpu : Percore.cpu) ~duration =
-  let ex = Percore.ex cpu in
-  Rc.mark_stolen t.rc ex ~duration;
   Percore.steal_time ~stall:true cpu duration;
-  Percore.sched_point cpu ~at:(Rc.stolen_until ex)
+  Percore.sched_point cpu ~at:(Percore.stolen_until t.pc cpu)
 
 (* ---- core allocation ----------------------------------------------------- *)
 

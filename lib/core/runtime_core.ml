@@ -40,7 +40,6 @@ type exec = {
          written only through [set_incoming], which keeps [be_incoming] *)
   mutable busy_from : Time.t;
   mutable active_app : int;
-  mutable stolen_until : Time.t;  (* host kernel holds the core until then *)
 }
 
 (* The DISPATCH substrate signature, as a record of closures (installed
@@ -104,7 +103,6 @@ type t = {
       (* app id -> app, daemon (id 0) included: ids are dense, handed out
          in sequence by [new_app], so [next_app_id] bounds the known ones;
          grown by doubling, slots past it hold the daemon *)
-  mutable apps : App.t list;  (* reverse creation order *)
   daemon : App.t;
   mutable policy : Sched_ops.instance;
   mutable be_app : App.t;  (* [App.none] until a BE app attaches *)
@@ -115,10 +113,9 @@ type t = {
   mutable be_running : int;
       (* units whose current task is BE: written by [begin_run] and
          [release], which alone write [current], recounted at attach *)
+  mutable be_from : int;  (* sum of those units' busy_from, kept alike *)
   mutable be_incoming : int;  (* units whose [incoming] is the BE app *)
   mutable busy_total : int;  (* sum of every app's busy_ns, daemon included *)
-  mutable running_units : int array;  (* app id -> units running one of its tasks *)
-  mutable running_from : int array;  (* app id -> sum of those units' busy_from *)
   mutable running_total : int;  (* units running anything *)
   mutable running_from_total : int;  (* sum of their busy_from *)
   mutable be_allowance : int;  (* units BE tasks may occupy right now *)
@@ -135,7 +132,6 @@ type t = {
   mutable preempts : int;
   mutable be_preempts : int;
   mutable ticks : int;  (* timer interrupts handled *)
-  mutable rescues : int;
   mutable failovers : int;  (* dispatcher failovers (serial dispatch only) *)
   mutable deadline_drops : int;
   mutable trace : Trace.t option;
@@ -165,7 +161,6 @@ let create machine kmod =
     kmod;
     kthreads = Array.make 64 no_kthreads;
     by_id = Array.make 64 daemon;
-    apps = [];
     daemon;
     policy = Sched_ops.null_instance;
     be_app = App.none;
@@ -174,10 +169,9 @@ let create machine kmod =
     enq_stamps = Array.make 64 0;
     enq_first = 0;
     be_running = 0;
+    be_from = 0;
     be_incoming = 0;
     busy_total = 0;
-    running_units = Array.make 64 0;
-    running_from = Array.make 64 0;
     running_total = 0;
     running_from_total = 0;
     be_allowance = 0;
@@ -191,7 +185,6 @@ let create machine kmod =
     preempts = 0;
     be_preempts = 0;
     ticks = 0;
-    rescues = 0;
     failovers = 0;
     deadline_drops = 0;
     trace = None;
@@ -220,7 +213,6 @@ let completion ex = ex.completion
 let switch_pending ex = Engine.armed ex.switch_done
 let incoming ex = ex.incoming
 let active_app ex = ex.active_app
-let stolen_until ex = ex.stolen_until
 
 (* The engine of a unit's timers before install: never armed (a timer
    touches no queue until then, so every domain may share it), and
@@ -237,7 +229,6 @@ let make_exec core =
     incoming = -1;
     busy_from = 0;
     active_app = 0;
-    stolen_until = 0;
   }
 
 (* Broker gate: a unit whose slot falls beyond the core allowance may not
@@ -325,10 +316,7 @@ let new_app t ~name =
   let app = App.create ~id ~name in
   t.by_id <- grown t.by_id id t.daemon;
   t.by_id.(id) <- app;
-  t.running_units <- grown t.running_units id 0;
-  t.running_from <- grown t.running_from id 0;
   t.next_app_id <- id + 1;
-  t.apps <- app :: t.apps;
   app
 
 let add_kthread t ~app ~core =
@@ -409,12 +397,12 @@ let set_be_allowance t n =
 
 (* ---- accounting and trace vocabulary ------------------------------------- *)
 
-(* The running units' counts and busy_from sums, per app and in total,
-   so [in_flight_busy] needs no scan: [begin_run], [release] and
+(* The running units' busy_from sums, of the BE app's and in total, and
+   the count of all of them ([be_running] counts the BE app's), so the
+   in-flight busy time needs no scan: [begin_run], [release] and
    [account] alone move a unit's [current] or [busy_from]. *)
 let track_running t ~app ~units ~from =
-  t.running_units.(app) <- t.running_units.(app) + units;
-  t.running_from.(app) <- t.running_from.(app) + from;
+  if is_be_app t app then t.be_from <- t.be_from + from;
   t.running_total <- t.running_total + units;
   t.running_from_total <- t.running_from_total + from
 
@@ -619,7 +607,6 @@ let install_dispatch t d =
       {
         Sched_ops.cores;
         index_of = slot_of_core t;
-        is_idle = is_idle t;
         pick_idle =
           (fun () ->
             let s = first_idle_slot t in
@@ -846,7 +833,6 @@ let spawn t app ~name ?cpu ?arrival ?(service = 0) ?(record = true) ?deadline
 (* Count and trace a watchdog rescue; the runtime performs the actual
    recovery (preempt, timer re-arm, failover) itself. *)
 let rescued t ex ~late =
-  t.rescues <- t.rescues + 1;
   Histogram.record t.rescue_detect late;
   if ex.current != Task.nil then
     trace_instant t ~core:ex.exec_core Trace.Watchdog_rescue ex.current.Task.name
@@ -860,16 +846,10 @@ let start_watchdog t ~bound scan =
           true)
   | None -> ()
 
-(* The host kernel holds the unit's core for [duration]: kicks and ticks
-   wait for [stolen_until]. *)
-let mark_stolen t ex ~duration =
-  ex.stolen_until <- Int.max ex.stolen_until (now t + duration)
-
 (* Host-kernel steal of a unit's core: the running segment freezes for the
    outage and resumes at hand-back; run_start moves with it so quantum and
    watchdog clocks do not count stolen time against the task. *)
-let freeze_for_steal t ex ~duration =
-  mark_stolen t ex ~duration;
+let freeze_for_steal ex ~duration =
   let task = ex.current in
   if task != Task.nil && Engine.armed ex.completion then begin
     task.Task.segment_end <- task.Task.segment_end + duration;
@@ -881,24 +861,18 @@ let freeze_for_steal t ex ~duration =
 (* ---- busy accounting for the allocator ----------------------------------- *)
 
 (* Busy nanoseconds including the in-flight segment of running units, so
-   the allocator's utilization sample does not lag long-running tasks:
-   the units running a task of app [id] when [mine], of any other app
-   otherwise ([~id:(-1) ~mine:false] is every running unit).  Each such
-   unit has been busy since its [busy_from], so [n] of them sum to
-   [n * now - Σ busy_from]. *)
-let in_flight_busy t ~id ~mine =
-  let units = if id >= 0 then t.running_units.(id) else 0 in
-  let from = if id >= 0 then t.running_from.(id) else 0 in
-  if mine then (units * now t) - from
-  else ((t.running_total - units) * now t) - (t.running_from_total - from)
+   the allocator's utilization sample does not lag long-running tasks.
+   Each running unit has been busy since its [busy_from], so [n] of them
+   sum to [n * now - Σ busy_from]: over every running unit, and over those
+   running the BE app. *)
+let in_flight_busy t = (t.running_total * now t) - t.running_from_total
+let be_in_flight_busy t = (t.be_running * now t) - t.be_from
 
 (* [App.none] has no busy time and no running units. *)
 let lc_busy_ns t =
-  let be = t.be_app in
-  t.busy_total - be.App.busy_ns + in_flight_busy t ~id:be.App.id ~mine:false
+  t.busy_total - t.be_app.App.busy_ns + in_flight_busy t - be_in_flight_busy t
 
-let be_busy_ns t (app : App.t) =
-  app.App.busy_ns + in_flight_busy t ~id:app.App.id ~mine:true
+let be_busy_ns t = t.be_app.App.busy_ns + be_in_flight_busy t
 
 (* The congestion sample a machine-level broker reads for this runtime as
    a whole: the LC queue count plus the BE backlog, and total busy time
@@ -908,19 +882,22 @@ let congestion t =
   {
     Allocator.runq_len = t.lc_queued + Runqueue.length t.be_queue;
     oldest_delay = oldest_lc_wait t;
-    busy_ns = t.busy_total + in_flight_busy t ~id:(-1) ~mine:false;
+    busy_ns = t.busy_total + in_flight_busy t;
   }
 
 (* ---- BE attachment and the core allocator -------------------------------- *)
 
 (* Seed the BE app's batch workers, kept outside the LC policy.  The app
    may already run or have assignments in flight, so its occupancy counts
-   start from a scan of the units. *)
+   and in-flight ledger start from a scan of the units. *)
 let spawn_be_workers t (app : App.t) ~chunk ~workers =
   t.be_app <- app;
   Array.iter
     (fun ex ->
-      if is_be t ex.current then t.be_running <- t.be_running + 1;
+      if is_be t ex.current then begin
+        t.be_running <- t.be_running + 1;
+        t.be_from <- t.be_from + ex.busy_from
+      end;
       if is_be_app t ex.incoming then t.be_incoming <- t.be_incoming + 1)
     t.dispatch.d_units;
   for i = 1 to workers do
@@ -960,7 +937,7 @@ let start_allocator t alloc ~be:(app : App.t) ~(bounds : Allocator.bounds)
       {
         Allocator.runq_len = Runqueue.length t.be_queue;
         oldest_delay = 0;
-        busy_ns = be_busy_ns t app;
+        busy_ns = be_busy_ns t;
       })
     ~apply:(fun ~granted ~delta ->
       set_allowance granted;
@@ -976,7 +953,8 @@ let start_allocator t alloc ~be:(app : App.t) ~(bounds : Allocator.bounds)
 let attach_be_app t ?(alloc = Allocator.default_config ()) app ~chunk ~workers =
   let fail msg = invalid_arg ("Runtime_core.attach_be_app: " ^ msg) in
   if t.be_app != App.none then fail "BE app already set";
-  if not (List.exists (fun a -> a == app) t.apps) then
+  let id = app.App.id in
+  if id <= 0 || id >= t.next_app_id || t.by_id.(id) != app then
     fail "app not created by this runtime";
   let total = Array.length t.dispatch.d_units in
   let bounds =
@@ -1007,7 +985,7 @@ let app_switches t = t.app_switches
 let preemptions t = t.preempts
 let be_preemptions t = t.be_preempts
 let timer_ticks t = t.ticks
-let watchdog_rescues t = t.rescues
+let watchdog_rescues t = Histogram.count t.rescue_detect
 let failovers t = t.failovers
 let rescue_detection t = t.rescue_detect
 let deadline_drops t = t.deadline_drops
@@ -1030,19 +1008,20 @@ let failover t ~core =
 (* Per-application task counters, response-time histogram and latency
    attribution, identical across runtimes: the [skyloft_app_] family. *)
 let register_app_metrics t ~labels reg =
-  List.iter
-    (fun (app : App.t) ->
-      let al = labels @ [ Registry.app app.App.name ] in
-      Registry.counter reg ~labels:al "skyloft_app_spawned_total"
-        ~help:"Tasks spawned" (fun () -> app.App.spawned);
-      Registry.counter reg ~labels:al "skyloft_app_completed_total"
-        ~help:"Tasks completed" (fun () -> app.App.completed);
-      Registry.counter reg ~labels:al "skyloft_app_busy_ns_total"
-        ~help:"Accumulated worker CPU time" (fun () -> app.App.busy_ns);
-      Registry.histogram reg ~labels:al "skyloft_app_response_ns"
-        ~help:"Request response time" (Summary.latency app.App.summary);
-      Attribution.register reg ~labels:al app.App.attribution)
-    t.apps
+  (* newest app first *)
+  for id = t.next_app_id - 1 downto 1 do
+    let app = t.by_id.(id) in
+    let al = labels @ [ Registry.app app.App.name ] in
+    Registry.counter reg ~labels:al "skyloft_app_spawned_total"
+      ~help:"Tasks spawned" (fun () -> app.App.spawned);
+    Registry.counter reg ~labels:al "skyloft_app_completed_total"
+      ~help:"Tasks completed" (fun () -> app.App.completed);
+    Registry.counter reg ~labels:al "skyloft_app_busy_ns_total"
+      ~help:"Accumulated worker CPU time" (fun () -> app.App.busy_ns);
+    Registry.histogram reg ~labels:al "skyloft_app_response_ns"
+      ~help:"Request response time" (Summary.latency app.App.summary);
+    Attribution.register reg ~labels:al app.App.attribution
+  done
 
 let add_metrics t f =
   let prev = t.metric_extras in
@@ -1068,7 +1047,7 @@ let register_metrics t ?(labels = []) reg =
   c "preemptions_total" "LC tasks preempted off their core" (fun () -> t.preempts);
   c "be_preemptions_total" "Best-effort tasks preempted" (fun () -> t.be_preempts);
   c "timer_ticks_total" "Timer interrupts handled" (fun () -> t.ticks);
-  c "watchdog_rescues_total" "Stuck cores rescued" (fun () -> t.rescues);
+  c "watchdog_rescues_total" "Stuck cores rescued" (fun () -> watchdog_rescues t);
   c "failovers_total" "Dispatcher failovers" (fun () -> t.failovers);
   c "deadline_drops_total" "Tasks killed at their deadline" (fun () ->
       t.deadline_drops);
@@ -1106,14 +1085,6 @@ let check_ledgers t =
   check
     (distinct (Array.to_list (Array.map (fun ex -> ex.current) units)))
     "a task is current on two units";
-  check (t.be_running = count runs_be) "be_running";
-  check (t.be_incoming = count be_bound) "be_incoming";
-  check (be_occupancy t = count (fun ex -> runs_be ex || be_bound ex)) "be_occupancy";
-  let recorded = ref 0 in
-  for id = 0 to t.next_app_id - 1 do
-    recorded := !recorded + t.by_id.(id).App.busy_ns
-  done;
-  check (t.busy_total = !recorded) "busy_total";
   (* the units running a task of an app [keep] accepts: how many, their
      busy_from sum, and their in-flight busy time *)
   let scan keep =
@@ -1124,12 +1095,15 @@ let check_ledgers t =
         else (n, from, busy))
       (0, 0, 0) units
   in
+  let n, from, _ = scan (is_be_app t) in
+  check ((n, from) = (t.be_running, t.be_from)) "be_running/be_from";
+  check (t.be_incoming = count be_bound) "be_incoming";
+  check (be_occupancy t = count (fun ex -> runs_be ex || be_bound ex)) "be_occupancy";
+  let recorded = ref 0 in
   for id = 0 to t.next_app_id - 1 do
-    let n, from, _ = scan (( = ) id) in
-    check
-      ((n, from) = (t.running_units.(id), t.running_from.(id)))
-      (Printf.sprintf "running_units/running_from of app %d" id)
+    recorded := !recorded + t.by_id.(id).App.busy_ns
   done;
+  check (t.busy_total = !recorded) "busy_total";
   let n, from, busy = scan (fun _ -> true) in
   check
     ((n, from) = (t.running_total, t.running_from_total))

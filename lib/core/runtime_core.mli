@@ -61,9 +61,6 @@ val incoming : exec -> int
 val active_app : exec -> int
 (** The app whose kthread is active on the unit's core. *)
 
-val stolen_until : exec -> Time.t
-(** When the host kernel hands the unit's core back ({!mark_stolen}). *)
-
 (** The DISPATCH substrate: a record of closures (the {!Sched_ops} idiom),
     installed after construction via {!install_dispatch}.  Handle
     operations call these hooks wherever the two mechanisms differ. *)
@@ -158,8 +155,8 @@ val set_core_allowance : t -> int -> unit
 val view : t -> Sched_ops.view
 (** The runtime view handed to policy constructors, derived entirely from
     the DISPATCH units and built once by {!install_dispatch}: its
-    [is_idle] and [pick_idle] read the idle mask, so neither allocates
-    nor scans the units.
+    [pick_idle] reads the idle mask, so it neither allocates nor scans
+    the units.
     @raise Invalid_argument before {!install_dispatch} (there are no
     units to view yet). *)
 
@@ -327,13 +324,10 @@ val start_watchdog : t -> bound:Time.t option -> (bound:Time.t -> unit) -> unit
 (** Arm the periodic scan at half the bound (violations caught within
     ~1.5x); no-op when [bound] is [None]. *)
 
-val mark_stolen : t -> exec -> duration:Time.t -> unit
-(** The host kernel holds the unit's core for [duration] from now: move
-    {!stolen_until} there unless it already lies later. *)
-
-val freeze_for_steal : t -> exec -> duration:Time.t -> unit
+val freeze_for_steal : exec -> duration:Time.t -> unit
 (** Host-kernel steal: freeze the running segment for the outage and move
-    [run_start] with it so quantum/watchdog clocks exempt stolen time. *)
+    [run_start] with it so quantum/watchdog clocks exempt stolen time.
+    When the core comes back is {!Skyloft_kernel.Kmod.stolen_until}'s. *)
 
 (** {1 Busy accounting} *)
 
@@ -377,7 +371,8 @@ val be_preemptions : t -> int
 val timer_ticks : t -> int
 
 val watchdog_rescues : t -> int
-(** Stuck units rescued by the watchdog. *)
+(** Stuck units rescued by the watchdog: the count of
+    {!rescue_detection}. *)
 
 val failovers : t -> int
 (** Dispatcher failovers (always 0 without a serial dispatcher). *)
@@ -427,7 +422,8 @@ val check_ledgers : t -> unit
     running BE, BE assignments in flight, and their union) against the
     units; recorded busy time against the apps' sum, the daemon's
     included; the LC busy time the allocator samples against that sum less
-    the BE app's plus the other apps' in-flight segments; the running units' counts and
-    [busy_from] sums, per app and in total, against a scan; and the
-    in-flight busy time {!congestion} adds.  Raises [Failure] naming the
-    first ledger that drifted.  O(units × apps). *)
+    the BE app's plus the other apps' in-flight segments; the running
+    units' count and [busy_from] sum, of the BE app's and in total,
+    against a scan; and the in-flight busy time {!congestion} adds.
+    Raises [Failure] naming the first ledger that drifted.
+    O(units² + apps). *)

@@ -3,14 +3,12 @@ module Time = Skyloft_sim.Time
 type view = {
   cores : int array;
   index_of : int -> int;
-  is_idle : int -> bool;
   pick_idle : unit -> int option;
   now : unit -> Time.t;
 }
 type reason = Enq_new | Enq_preempted | Enq_yielded
 
 type instance = {
-  policy_name : string;
   task_init : Task.t -> unit;
   task_terminate : Task.t -> unit;
   task_enqueue : cpu:int -> reason:reason -> Task.t -> unit;
@@ -32,7 +30,6 @@ let park_after_grace ~cpu:_ = false
 (* Inert policy: used as an initialisation placeholder and in tests. *)
 let null_instance =
   {
-    policy_name = "null";
     task_init = ignore;
     task_terminate = ignore;
     task_enqueue = (fun ~cpu:_ ~reason:_ _ -> ());

@@ -27,11 +27,9 @@ type view = {
   index_of : int -> int;
       (** a core id's position in [cores], or -1 for a core the scheduler
           does not manage *)
-  is_idle : int -> bool;
-      (** is this core currently running nothing (and not broker-capped)?
-          [false] for a core the scheduler does not manage *)
   pick_idle : unit -> int option;
-      (** the first core of [cores], in order, for which [is_idle] holds *)
+      (** the first core of [cores], in order, that runs nothing and is
+          not broker-capped *)
   now : unit -> Time.t;
 }
 
@@ -41,7 +39,6 @@ type view = {
 type reason = Enq_new | Enq_preempted | Enq_yielded
 
 type instance = {
-  policy_name : string;
   task_init : Task.t -> unit;
       (** initialise the policy-defined fields of a new task *)
   task_terminate : Task.t -> unit;

@@ -16,7 +16,6 @@ type t = {
   mutable pending_wake : bool;
   mutable resuming : bool;
   mutable track_wakeup : bool;
-  mutable enqueue_time : Time.t;
   mutable policy_f1 : float;
   mutable policy_f2 : float;
   mutable policy_i : int;
@@ -48,7 +47,6 @@ let nil =
     pending_wake = false;
     resuming = false;
     track_wakeup = true;
-    enqueue_time = 0;
     policy_f1 = 0.0;
     policy_f2 = 0.0;
     policy_i = 0;

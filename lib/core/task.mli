@@ -36,7 +36,6 @@ type t = {
                                 block continuation instead of re-blocking *)
   mutable track_wakeup : bool;  (** record this task's wakeup latencies in
                                     the runtime histogram (default true) *)
-  mutable enqueue_time : Time.t;  (** when it last entered a runqueue *)
   mutable policy_f1 : float;
   mutable policy_f2 : float;
   mutable policy_i : int;
@@ -49,9 +48,7 @@ type t = {
   mutable obs_start : Time.t;
       (** when the runtime first accepted the task (latency-attribution
           epoch; distinct from [arrival], which workloads may backdate) *)
-  mutable obs_enq_at : Time.t;  (** last runqueue entry (attribution stamp;
-                                    distinct from the policy-owned
-                                    [enqueue_time]) *)
+  mutable obs_enq_at : Time.t;  (** last runqueue entry (attribution stamp) *)
   mutable obs_block_at : Time.t;  (** last transition to Blocked *)
   mutable obs_queued_ns : int;  (** accumulated runnable-but-not-running time *)
   mutable obs_overhead_ns : int;

@@ -104,13 +104,13 @@ let percpu_design machine kmod =
 let centralized_design machine kmod =
   ( Hybrid.runtime
       (hybrid machine kmod ~quantum ~adaptive:false
-         (Skyloft_policies.Shinjuku.create ())),
+         (Skyloft_policies.Fifo.create ())),
     no_notes )
 
 let hybrid_design notes machine kmod =
   let h =
     hybrid machine kmod ~quantum ~adaptive:true
-      (fst (Skyloft_policies.Shinjuku_shenango.create ()))
+      (Skyloft_policies.Fifo.create ())
   in
   (Hybrid.runtime h, fun () -> notes h)
 
@@ -185,7 +185,7 @@ let a3_dispatcher_scalability (config : Config.t) =
         (fun machine kmod ->
           ( Hybrid.runtime
               (hybrid ~workers machine kmod ~quantum:0 ~adaptive:false
-                 (Skyloft_policies.Shinjuku.create ())),
+                 (Skyloft_policies.Fifo.create ())),
             no_notes ))
         (poisson config ~rate ~service:(Dist.Constant (Time.us 1)))
     in

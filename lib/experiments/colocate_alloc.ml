@@ -43,7 +43,6 @@ let run_point (config : Config.t) ~policy:(_, make_policy) ~load_frac =
   let rt, lc, be, (_, be_busy) =
     Fig7.centralized config ~mechanism:Hybrid.skyloft_mechanism
       ~quantum:(Time.us 30)
-      ~policy:(fst (Skyloft_policies.Shinjuku_shenango.create ()))
       ~alloc:
         (Some { (Allocator.default_config ()) with Allocator.policy = make_policy () })
       ~with_be:true ~rate_rps:(load_frac *. Fig7.saturation)

@@ -38,18 +38,19 @@ type point = {
   be_share : float;  (** batch app share of worker CPU *)
 }
 
-(* The 20-worker centralized cell: [policy] behind the serial dispatcher
-   over [mechanism].  With [with_be] a batch application soaks up what the
-   LC load leaves idle, under [alloc] ([None]: the default allocator).
-   Returns the runtime, the LC and batch apps, and the LC requests served
-   and the batch busy time at the end of the measured window. *)
-let centralized (config : Config.t) ~mechanism ~quantum ~policy ~alloc ~with_be
-    ~rate_rps =
+(* The 20-worker centralized cell: the global FIFO queue behind the
+   serial dispatcher over [mechanism] (Skyloft-Shinjuku).  With [with_be]
+   a batch application soaks up what the LC load leaves idle, under
+   [alloc] ([None]: the default allocator), which makes it
+   Skyloft-Shinjuku-Shenango.  Returns the runtime, the LC and batch
+   apps, and the LC requests served and the batch busy time at the end of
+   the measured window. *)
+let centralized (config : Config.t) ~mechanism ~quantum ~alloc ~with_be ~rate_rps =
   let engine, machine, kmod = Harness.fresh config in
   let rt =
     Hybrid.runtime
       (Hybrid.create machine kmod ~dispatcher_core ~worker_cores ~quantum
-         ~adaptive:false ~mechanism policy)
+         ~adaptive:false ~mechanism (Skyloft_policies.Fifo.create ()))
   in
   let lc = Rc.create_app rt ~name:"lc" in
   let be = Rc.create_app rt ~name:"batch" in
@@ -65,15 +66,8 @@ let centralized (config : Config.t) ~mechanism ~quantum ~policy ~alloc ~with_be
   (rt, lc, be, window ())
 
 let run_centralized config ~mechanism ~quantum ~with_be ~rate_rps =
-  (* single-workload runs use the plain Shinjuku policy; co-location uses
-     the Shinjuku-Shenango variant (same queue, plus the congestion
-     signal), matching the paper's Table 4 naming *)
-  let policy =
-    if with_be then fst (Skyloft_policies.Shinjuku_shenango.create ())
-    else Skyloft_policies.Shinjuku.create ()
-  in
   let _, lc, be, (served, _) =
-    centralized config ~mechanism ~quantum ~policy ~alloc:None ~with_be ~rate_rps
+    centralized config ~mechanism ~quantum ~alloc:None ~with_be ~rate_rps
   in
   {
     achieved_rps = Harness.per_s config served;

@@ -35,11 +35,11 @@ module Injector = Skyloft_fault.Injector
    - worksteal: steal-half with parking, every task pinned to core 0 so
      the other deques run dry (steal-half grabs, failed scans and the
      park/unpark path; the counter is the steal count);
-   - centralized: Shinjuku on the pinned hybrid;
-   - hybrid: Shinjuku-Shenango with a mid-run burst deep enough to cross
-     the hysteresis band, covering both dispatch modes and the
-     [Mode_switch] instants between them (the counter is the number of
-     mode switches). *)
+   - centralized: FIFO on the pinned hybrid (Skyloft-Shinjuku);
+   - hybrid: FIFO on the adaptive hybrid, with a mid-run burst deep
+     enough to cross the hysteresis band, covering both dispatch modes
+     and the [Mode_switch] instants between them (the counter is the
+     number of mode switches). *)
 let traced ~seed runtime =
   (* app ids leak into the trace's pid fields; per-run allocation in
      Runtime_core labels the app identically in every run *)
@@ -76,14 +76,12 @@ let traced ~seed runtime =
           false,
           fun () -> steals.Skyloft_policies.Work_stealing.steals )
     | Scenario.Centralized ->
-        ( Hybrid.runtime (hybrid ~adaptive:false (Skyloft_policies.Shinjuku.create ())),
+        ( Hybrid.runtime (hybrid ~adaptive:false (Skyloft_policies.Fifo.create ())),
           None,
           false,
           fun () -> 0 )
     | Scenario.Hybrid ->
-        let h =
-          hybrid ~adaptive:true (fst (Skyloft_policies.Shinjuku_shenango.create ()))
-        in
+        let h = hybrid ~adaptive:true (Skyloft_policies.Fifo.create ()) in
         (Hybrid.runtime h, None, true, fun () -> Hybrid.mode_switches h)
   in
   let trace = Trace.create () in

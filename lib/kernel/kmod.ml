@@ -19,7 +19,8 @@ type t = {
   mutable threads : kthread list;
   mutable next_tid : int;  (* per-instance tid allocator: no global state *)
   steal_handlers : (int, duration:Time.t -> unit) Hashtbl.t;
-  stolen : (int, Time.t) Hashtbl.t;  (* core -> end of the current steal *)
+  stolen : Time.t array;
+      (* core -> end of its latest steal; at or before now: not stolen *)
   mutable steals : int;
 }
 
@@ -29,7 +30,7 @@ let create machine =
     threads = [];
     next_tid = 1;
     steal_handlers = Hashtbl.create 8;
-    stolen = Hashtbl.create 8;
+    stolen = Array.make (Machine.n_cores machine) 0;
     steals = 0;
   }
 
@@ -86,7 +87,7 @@ let timer_set_hz t ~core ~hz =
 (* ---- imperfect isolation: the host kernel steals a core ---------------- *)
 
 let on_steal t ~core f = Hashtbl.replace t.steal_handlers core f
-let stolen_until t ~core = Hashtbl.find_opt t.stolen core
+let stolen_until t ~core = t.stolen.(core)
 
 let steal_core t ~core ~duration =
   if duration <= 0 then invalid_arg "Kmod.steal_core: duration must be positive";
@@ -94,13 +95,9 @@ let steal_core t ~core ~duration =
     invalid_arg "Kmod.steal_core: bad core";
   t.steals <- t.steals + 1;
   let engine = Machine.engine t.machine in
-  let until =
-    let fresh = Engine.now engine + duration in
-    match Hashtbl.find_opt t.stolen core with
-    | Some existing -> max existing fresh  (* overlapping steals extend *)
-    | None -> fresh
-  in
-  Hashtbl.replace t.stolen core until;
+  (* overlapping steals extend *)
+  let until = Int.max t.stolen.(core) (Engine.now engine + duration) in
+  t.stolen.(core) <- until;
   let c = Machine.core t.machine core in
   Machine.mask_interrupts c;
   (match Hashtbl.find_opt t.steal_handlers core with
@@ -108,10 +105,7 @@ let steal_core t ~core ~duration =
   | None -> ());
   Engine.at engine until (fun () ->
       (* Only the latest steal's expiry hands the core back. *)
-      if Hashtbl.find_opt t.stolen core = Some until then begin
-        Hashtbl.remove t.stolen core;
-        Machine.unmask_interrupts c
-      end)
+      if t.stolen.(core) = until then Machine.unmask_interrupts c)
 
 let steals t = t.steals
 

@@ -76,8 +76,10 @@ val on_steal : t -> core:int -> (duration:Time.t -> unit) -> unit
     later registrations replace earlier ones).  Called synchronously at
     the start of each steal. *)
 
-val stolen_until : t -> core:int -> Time.t option
-(** End of the steal currently in progress on [core], if any. *)
+val stolen_until : t -> core:int -> Time.t
+(** End of the latest steal of [core] (0 if none): the core is stolen
+    while this lies after now.  It is already set when the {!on_steal}
+    handler runs.  [core] must be a core of the machine. *)
 
 val steals : t -> int
 (** Total {!steal_core} invocations so far. *)

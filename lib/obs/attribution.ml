@@ -6,7 +6,6 @@ type t = {
   overhead : Histogram.t;
   stall : Histogram.t;
   response : Histogram.t;
-  mutable requests : int;
   mutable mismatches : int;
 }
 
@@ -17,7 +16,6 @@ let create () =
     overhead = Histogram.create ();
     stall = Histogram.create ();
     response = Histogram.create ();
-    requests = 0;
     mismatches = 0;
   }
 
@@ -25,14 +23,13 @@ let record t ~queueing ~overhead ~stall ~response ~declared =
   let residue = response - queueing - overhead - stall in
   if residue < 0 || (declared > 0 && residue <> declared) then
     t.mismatches <- t.mismatches + 1;
-  t.requests <- t.requests + 1;
   Histogram.record t.queueing (Int.max 0 queueing);
   Histogram.record t.overhead (Int.max 0 overhead);
   Histogram.record t.stall (Int.max 0 stall);
   Histogram.record t.service (Int.max 0 residue);
   Histogram.record t.response (Int.max 0 response)
 
-let requests t = t.requests
+let requests t = Histogram.count t.response
 let mismatches t = t.mismatches
 let queueing t = t.queueing
 let service t = t.service
@@ -42,7 +39,7 @@ let response t = t.response
 
 let register reg ?(labels = []) t =
   Registry.counter reg ~labels "skyloft_latency_requests_total"
-    ~help:"Requests with full latency attribution" (fun () -> t.requests);
+    ~help:"Requests with full latency attribution" (fun () -> requests t);
   Registry.counter reg ~labels "skyloft_latency_mismatches_total"
     ~help:"Requests whose segments did not sum to the response time" (fun () ->
       t.mismatches);
@@ -59,6 +56,6 @@ let register reg ?(labels = []) t =
 
 let pp_row ppf (label, t) =
   Format.fprintf ppf "%-12s %8d %12.0f %12.0f %12.0f %12.0f %12.0f" label
-    t.requests (Histogram.mean t.queueing) (Histogram.mean t.service)
+    (requests t) (Histogram.mean t.queueing) (Histogram.mean t.service)
     (Histogram.mean t.overhead) (Histogram.mean t.stall)
     (Histogram.mean t.response)

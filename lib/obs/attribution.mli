@@ -34,6 +34,8 @@ val record :
     a positive [declared]. *)
 
 val requests : t -> int
+(** Recorded requests: the count of {!response}. *)
+
 val mismatches : t -> int
 
 val queueing : t -> Histogram.t

@@ -65,8 +65,7 @@ let create cls : Sched_ops.ctor =
     | Eevdf -> Fair.pop_eevdf rq ~avg:(Fair.avg_vruntime rq ~curr:None)
   in
   {
-    Sched_ops.policy_name = (match cls with Cfs -> "cfs" | Eevdf -> "eevdf");
-    task_init =
+    Sched_ops.task_init =
       (fun task ->
         task.Task.policy_f1 <- Fair.min_vruntime (q task.Task.last_core);
         if cls = Eevdf then set_deadline task);

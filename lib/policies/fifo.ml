@@ -11,8 +11,7 @@ let create () : Sched_ops.ctor =
   let q = Runqueue.create () in
   let enqueue task = Runqueue.push_tail q task in
   {
-    Sched_ops.policy_name = "fifo";
-    task_init = ignore;
+    Sched_ops.task_init = ignore;
     task_terminate = ignore;
     task_enqueue = (fun ~cpu:_ ~reason:_ task -> enqueue task);
     task_dequeue = (fun ~cpu:_ -> Runqueue.pop_head q);

@@ -15,9 +15,7 @@ let create ?slice () : Sched_ops.ctor =
   let queues = Fair_percpu.table view Runqueue.create in
   let q cpu = queues.(Fair_percpu.slot view cpu) in
   {
-    Sched_ops.policy_name =
-      (match slice with Some _ -> "rr" | None -> "fifo-percpu");
-    task_init = ignore;
+    Sched_ops.task_init = ignore;
     task_terminate = ignore;
     task_enqueue = (fun ~cpu ~reason:_ task -> Runqueue.push_tail (q cpu) task);
     task_dequeue = (fun ~cpu -> Runqueue.pop_head (q cpu));

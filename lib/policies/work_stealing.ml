@@ -53,13 +53,10 @@ let index d cpu =
   if i >= 0 then i else invalid_arg "work_stealing: unmanaged cpu"
 
 (* Everything but the balance is shared by both variants. *)
-let instance ~name ?quantum d ~sched_balance ~sched_migration_charge
-    ~sched_idle_park =
+let instance ?quantum d ~sched_balance ~sched_migration_charge ~sched_idle_park =
   let view = d.view in
   {
-    Sched_ops.policy_name =
-      (match quantum with Some _ -> name ^ "-preemptive" | None -> name);
-    task_init = ignore;
+    Sched_ops.task_init = ignore;
     task_terminate = ignore;
     task_enqueue =
       (fun ~cpu ~reason task ->
@@ -106,7 +103,7 @@ let instance ~name ?quantum d ~sched_balance ~sched_migration_charge
 let create ?quantum () : Sched_ops.ctor =
  fun view ->
   let d = deques view in
-  instance ~name:"work-stealing" ?quantum d
+  instance ?quantum d
     ~sched_balance:(fun ~cpu ->
       let idx = Deques.victim d.dq ~self:(index d cpu) in
       if idx < 0 then None else Deques.pop_tail d.dq idx)
@@ -128,7 +125,7 @@ let steal_half ?quantum () : Sched_ops.ctor * stats =
     let d = deques view in
     let fail_streak = Array.make d.n 0 in
     let charge = Array.make d.n 0 in
-    instance ~name:"steal-half" ?quantum d
+    instance ?quantum d
       ~sched_balance:(fun ~cpu ->
         let self = index d cpu in
         let idx = Deques.victim d.dq ~self in

@@ -142,7 +142,7 @@ let build ?watchdog machine kmod ~first_core ~cores runtime =
         (Skyloft.Hybrid.create machine kmod ~dispatcher_core:first_core
            ~worker_cores:(range (first_core + 1))
            ~quantum ~adaptive:(runtime = Hybrid) ?watchdog
-           (fst (Skyloft_policies.Shinjuku_shenango.create ())))
+           (Skyloft_policies.Fifo.create ()))
 
 (* The delay policy keeps reacting while LC is starved of cores (the
    utilization signal goes silent there); the BE tenant's floor becomes

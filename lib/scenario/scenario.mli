@@ -79,8 +79,8 @@ val build :
 (** The one configuration constructor: build [runtime] with its policy —
     the work-stealing policy ([Percpu]), steal-half with parking
     ([Worksteal], steal counters added to the handle's metrics), or
-    Shinjuku-Shenango on the hybrid, adaptive ([Hybrid]) or pinned to its
-    dispatcher ([Centralized]) — on [cores] workers numbered from
+    the global FIFO queue (Skyloft-Shinjuku-Shenango) on the hybrid,
+    adaptive ([Hybrid]) or pinned to its dispatcher ([Centralized]) — on [cores] workers numbered from
     [first_core] (after the dispatcher, which takes [first_core] itself),
     with Table 5's 100 kHz user timer and 30 µs quantum.  [watchdog] arms
     the runtime's recovery watchdog. *)

@@ -4,7 +4,6 @@ module Time = Skyloft_sim.Time
 type t = {
   latency : Histogram.t;
   slowdown : Histogram.t;
-  mutable requests : int;
   mutable drops : int;
 }
 
@@ -12,7 +11,6 @@ let create () =
   {
     latency = Histogram.create ();
     slowdown = Histogram.create ();
-    requests = 0;
     drops = 0;
   }
 
@@ -20,7 +18,6 @@ let record_request t ~arrival ~completion ~service =
   if completion < arrival then invalid_arg "Summary.record_request: completion < arrival";
   if service < 0 then invalid_arg "Summary.record_request: negative service";
   let response = completion - arrival in
-  t.requests <- t.requests + 1;
   Histogram.record t.latency response;
   (* Slowdown is undefined for zero-service requests; they still count
      towards [requests] so completion reconciliation holds. *)
@@ -30,7 +27,7 @@ let record_request t ~arrival ~completion ~service =
   end
 
 let record_drop t = t.drops <- t.drops + 1
-let requests t = t.requests
+let requests t = Histogram.count t.latency
 let drops t = t.drops
 let latency t = t.latency
 let latency_p t p = Histogram.percentile t.latency p

@@ -26,6 +26,8 @@ val record_drop : t -> unit
     visible. *)
 
 val requests : t -> int
+(** Recorded requests: the count of {!latency}. *)
+
 val drops : t -> int
 val latency : t -> Histogram.t
 

@@ -153,7 +153,7 @@ let test_ghost_slower_than_skyloft () =
       Hybrid.runtime
         (Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2 ]
            ~quantum:(Time.us 30) ~adaptive:false ~mechanism
-           (Skyloft_policies.Shinjuku.create ()))
+           (Skyloft_policies.Fifo.create ()))
     in
     let app = Rc.create_app rt ~name:"lc" in
     for _ = 1 to 200 do
@@ -177,7 +177,7 @@ let test_shinjuku_orig_single_app () =
   let rt =
     Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2 ]
       ~quantum:(Time.us 30) ~adaptive:false ~mechanism:Hybrid.shinjuku_mechanism
-      (Skyloft_policies.Shinjuku.create ())
+      (Skyloft_policies.Fifo.create ())
   in
   let app = Rc.create_app (Hybrid.runtime rt) ~name:"lc" in
   let done_ = ref 0 in

@@ -444,8 +444,7 @@ let fifo_ctor : Sched_ops.ctor =
  fun view ->
   let q = Runqueue.create () in
   {
-    Sched_ops.policy_name = "test-fifo";
-    task_init = ignore;
+    Sched_ops.task_init = ignore;
     task_terminate = ignore;
     task_enqueue = (fun ~cpu:_ ~reason:_ task -> Runqueue.push_tail q task);
     task_dequeue = (fun ~cpu:_ -> Runqueue.pop_head q);
@@ -465,8 +464,7 @@ let rr_ctor slice : Sched_ops.ctor =
  fun view ->
   let q = Runqueue.create () in
   {
-    Sched_ops.policy_name = "test-rr";
-    task_init = ignore;
+    Sched_ops.task_init = ignore;
     task_terminate = ignore;
     task_enqueue = (fun ~cpu:_ ~reason:_ task -> Runqueue.push_tail q task);
     task_dequeue = (fun ~cpu:_ -> Runqueue.pop_head q);

@@ -52,21 +52,25 @@ let test_kmod_steal () =
   let engine = Engine.create () in
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:2) in
   let kmod = Kmod.create machine in
-  check (option int) "no steal yet" None (Kmod.stolen_until kmod ~core:0);
+  check int "no steal yet" 0 (Kmod.stolen_until kmod ~core:0);
   let reacted = ref [] in
   Kmod.on_steal kmod ~core:0 (fun ~duration -> reacted := duration :: !reacted);
   Kmod.steal_core kmod ~core:0 ~duration:(Time.us 100);
-  check (option int) "stolen until steal end" (Some (Time.us 100))
-    (Kmod.stolen_until kmod ~core:0);
+  check int "stolen until steal end" (Time.us 100) (Kmod.stolen_until kmod ~core:0);
   check (list int) "runtime reaction fired with the duration" [ Time.us 100 ] !reacted;
   (* overlapping steal extends the outage *)
   Engine.at engine (Time.us 50) (fun () ->
       Kmod.steal_core kmod ~core:0 ~duration:(Time.us 100));
   Engine.at engine (Time.us 60) (fun () ->
-      check (option int) "overlap extends, not restarts" (Some (Time.us 150))
+      check int "overlap extends, not restarts" (Time.us 150)
         (Kmod.stolen_until kmod ~core:0));
+  Engine.at engine (Time.us 120) (fun () ->
+      check bool "first steal's expiry keeps the core masked" true
+        (Machine.interrupts_masked (Machine.core machine 0)));
   Engine.at engine (Time.us 200) (fun () ->
-      check (option int) "steal over" None (Kmod.stolen_until kmod ~core:0));
+      check bool "steal over" true (Kmod.stolen_until kmod ~core:0 <= Engine.now engine);
+      check bool "core handed back" false
+        (Machine.interrupts_masked (Machine.core machine 0)));
   Engine.run engine;
   check int "both steals counted" 2 (Kmod.steals kmod)
 

@@ -108,7 +108,7 @@ let test_two_runtimes_one_machine () =
     Hybrid.runtime
       (Hybrid.create machine kmod ~dispatcher_core:2 ~worker_cores:[ 3; 4 ]
          ~quantum:(Time.us 30) ~adaptive:false
-         (Skyloft_policies.Shinjuku.create ()))
+         (Skyloft_policies.Fifo.create ()))
   in
   let a1 = Rc.create_app rt1 ~name:"percpu-app" in
   let a2 = Rc.create_app rt2 ~name:"central-app" in

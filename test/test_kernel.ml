@@ -648,7 +648,6 @@ let host ctor ~now =
     {
       Sched_ops.cores;
       index_of = (fun c -> if c >= 0 && c < 3 then c else -1);
-      is_idle;
       pick_idle = (fun () -> Array.find_opt is_idle cores);
       now = (fun () -> !now);
     }

@@ -14,8 +14,6 @@ module Hybrid = Skyloft.Hybrid
 module Fifo = Skyloft_policies.Fifo
 module Rr = Skyloft_policies.Rr
 module Fair_percpu = Skyloft_policies.Fair_percpu
-module Shinjuku = Skyloft_policies.Shinjuku
-module Shinjuku_shenango = Skyloft_policies.Shinjuku_shenango
 module Work_stealing = Skyloft_policies.Work_stealing
 module Rc = Skyloft.Runtime_core
 
@@ -214,7 +212,6 @@ let ws_instance ?(cores = [| 0; 1 |]) ?(is_idle = fun _ -> false) () =
             else find (i + 1)
           in
           find 0);
-      is_idle;
       pick_idle = (fun () -> Array.find_opt is_idle cores);
       now = (fun () -> 0);
     }
@@ -309,7 +306,8 @@ let test_ws_wakeup_fallback_rotates () =
   check Alcotest.int "idle core preferred over the fallback" 2
     (p.Skyloft.Sched_ops.task_wakeup ~waker_cpu:99 (mk_task "w"))
 
-(* ---- Shinjuku / Shinjuku-Shenango (centralized) ---- *)
+(* ---- Skyloft-Shinjuku / Shinjuku-Shenango: FIFO behind the pinned
+   serial dispatcher ---- *)
 
 let make_centralized ?(workers = 2) ~quantum ctor =
   let engine = Engine.create () in
@@ -325,7 +323,7 @@ let make_centralized ?(workers = 2) ~quantum ctor =
   (engine, rt, app)
 
 let test_shinjuku_processor_sharing () =
-  let engine, rt, app = make_centralized ~workers:1 ~quantum:(Time.us 30) (Shinjuku.create ()) in
+  let engine, rt, app = make_centralized ~workers:1 ~quantum:(Time.us 30) (Fifo.create ()) in
   let short = ref 0 in
   ignore
     (Rc.spawn rt app ~name:"long" ~service:(Time.ms 10)
@@ -337,18 +335,21 @@ let test_shinjuku_processor_sharing () =
   check Alcotest.bool "short request escaped the 10ms request" true
     (!short > 0 && !short < Time.us 100)
 
+(* Shenango's congestion signal (the oldest queued request's wait) is the
+   runtime's, whatever the policy. *)
 let test_shinjuku_shenango_congestion_stats () =
-  let ctor, stats = Shinjuku_shenango.create () in
-  let engine, rt, app = make_centralized ~workers:1 ~quantum:(Time.us 30) ctor in
+  let engine, rt, app = make_centralized ~workers:1 ~quantum:(Time.us 30) (Fifo.create ()) in
   (* overload the single worker so the queue backs up *)
   for _ = 1 to 20 do
     ignore
       (Rc.spawn rt app ~name:"req" ~service:(Time.us 100)
          (Coro.compute_then_exit (Time.us 100)))
   done;
+  Engine.run ~until:(Time.ms 1) engine;
+  let c = Rc.congestion rt in
+  check Alcotest.bool "requests queued" true (c.Skyloft_alloc.Allocator.runq_len > 0);
+  check Alcotest.bool "queueing delay observed" true (c.Skyloft_alloc.Allocator.oldest_delay > 0);
   Engine.run ~until:(Time.ms 10) engine;
-  check Alcotest.bool "queueing delay observed" true
-    (stats.Shinjuku_shenango.max_queue_delay > 0);
   check Alcotest.int "all served eventually" 20 app.App.completed
 
 let suite =

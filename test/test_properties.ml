@@ -141,7 +141,7 @@ let run_centralized workload =
   let rt =
     Hybrid.create machine kmod ~dispatcher_core:0 ~worker_cores:[ 1; 2; 3 ]
       ~quantum:(Time.us 20) ~adaptive:false
-      (Skyloft_policies.Shinjuku.create ())
+      (Skyloft_policies.Fifo.create ())
   in
   let app = Rc.create_app (Hybrid.runtime rt) ~name:"lc" in
   List.iteri
@@ -221,11 +221,11 @@ let idle_mask_agrees (rt : Rc.t) ~machine_cores =
   let units = (Rc.dispatch rt).Rc.d_units in
   let scan (ex : Rc.exec) = Rc.current ex == Task.nil && not (Rc.unit_capped rt ex) in
   let unit_core c = Array.exists (fun (ex : Rc.exec) -> Rc.exec_core ex = c) units in
-  Array.for_all (fun (ex : Rc.exec) -> view.Sched_ops.is_idle (Rc.exec_core ex) = scan ex) units
+  Array.for_all (fun (ex : Rc.exec) -> Rc.is_idle rt (Rc.exec_core ex) = scan ex) units
   && view.Sched_ops.pick_idle ()
      = Option.map (fun (ex : Rc.exec) -> Rc.exec_core ex) (Array.find_opt scan units)
   && List.for_all
-       (fun c -> unit_core c || not (view.Sched_ops.is_idle c))
+       (fun c -> unit_core c || not (Rc.is_idle rt c))
        (List.init (machine_cores + 2) (fun c -> c - 1))
 
 (* The LC queue count agrees with the LC tasks: every runnable one
