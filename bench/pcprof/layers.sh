@@ -124,7 +124,9 @@ awk -v counts="$(cat "$tmp/counts")" -v rows_out="$tmp/rows" -v lines_out="$tmp/
 printf '%7s  %s\n' "share%" "layer"
 sort -t "$(printf '\t')" -k1,1nr "$tmp/rows" | while IFS="$(printf '\t')" read -r share row; do
   printf '%7s  %s\n' "$share" "$row"
+  # The cap reads every line: `head` would close the pipe early, and under
+  # pipefail sort's SIGPIPE would end the script after the first layers.
   awk -F '\t' -v r="$row" '$1 == r { print $3 "\t" $2 }' "$tmp/lines_by_layer" 2>/dev/null \
-    | sort -t "$(printf '\t')" -k1,1nr | head -n "$top" \
+    | sort -t "$(printf '\t')" -k1,1nr | awk -v n="$top" 'NR <= n' \
     | awk -F '\t' '{ printf "         %7s  %s\n", $1, $2 }'
 done

@@ -126,7 +126,9 @@ type t = {
   mutable allocator : Allocator.t option;
   rescue_detect : Histogram.t;  (* how late each violation was caught *)
   wakeups : Histogram.t;  (* wakeup-to-dispatch latency *)
-  queue_depth : Timeseries.t;  (* LC policy queue length over time *)
+  mutable queue_depth : Timeseries.t;
+      (* LC policy queue length over time, from the first
+         [watch_queue_depth]; [unwatched] until then *)
   mutable switches : int;
   mutable app_switches : int;
   mutable preempts : int;
@@ -152,6 +154,10 @@ type t = {
 
 (* The shared empty row of [kthreads]: compared physically. *)
 let no_kthreads : Kmod.kthread option array = [||]
+
+(* The [queue_depth] of every unwatched runtime: compared physically and
+   never recorded, so an unwatched queue change costs one compare. *)
+let unwatched = Timeseries.create ()
 
 let create machine kmod =
   let daemon = App.daemon () in
@@ -179,7 +185,7 @@ let create machine kmod =
     allocator = None;
     rescue_detect = Histogram.create ();
     wakeups = Histogram.create ();
-    queue_depth = Timeseries.create ();
+    queue_depth = unwatched;
     switches = 0;
     app_switches = 0;
     preempts = 0;
@@ -452,9 +458,9 @@ let app_switch t ex (task : Task.t) =
 
 (* Every runqueue entry and exit passes through here: BE work to
    [be_queue], LC work to the policy, counted on the way in and out (queue
-   length and oldest wait are not part of the Table 2 interface).  The
-   stamps give the oldest wait exactly for FIFO policies, conservatively
-   otherwise. *)
+   length and oldest wait are not part of the Table 2 interface), and
+   recorded into the depth series once it is watched.  The stamps give the
+   oldest wait exactly for FIFO policies, conservatively otherwise. *)
 let lc_entered t =
   let n = t.lc_queued in
   if n = Array.length t.enq_stamps then begin
@@ -465,12 +471,14 @@ let lc_entered t =
   end;
   t.enq_stamps.((t.enq_first + n) land (Array.length t.enq_stamps - 1)) <- now t;
   t.lc_queued <- n + 1;
-  Timeseries.record t.queue_depth ~at:(now t) t.lc_queued
+  if t.queue_depth != unwatched then
+    Timeseries.record t.queue_depth ~at:(now t) t.lc_queued
 
 let lc_left t =
   t.enq_first <- (t.enq_first + 1) land (Array.length t.enq_stamps - 1);
   t.lc_queued <- t.lc_queued - 1;
-  Timeseries.record t.queue_depth ~at:(now t) t.lc_queued
+  if t.queue_depth != unwatched then
+    Timeseries.record t.queue_depth ~at:(now t) t.lc_queued
 
 let oldest_lc_wait t =
   if t.lc_queued = 0 then 0 else Int.max 0 (now t - t.enq_stamps.(t.enq_first))
@@ -978,6 +986,16 @@ let attach_be_app t ?(alloc = Allocator.default_config ()) app ~chunk ~workers =
 let allocator t = t.allocator
 let set_trace t trace = t.trace <- Some trace
 
+(* The series starts at the current depth: the changes before the first
+   watch were never recorded. *)
+let watch_queue_depth t =
+  if t.queue_depth == unwatched then begin
+    let series = Timeseries.create () in
+    if t.lc_queued > 0 then Timeseries.record series ~at:(now t) t.lc_queued;
+    t.queue_depth <- series
+  end;
+  t.queue_depth
+
 (* ---- counters ------------------------------------------------------------- *)
 
 let task_switches t = t.switches
@@ -990,7 +1008,6 @@ let failovers t = t.failovers
 let rescue_detection t = t.rescue_detect
 let deadline_drops t = t.deadline_drops
 let wakeup_hist t = t.wakeups
-let queue_depth_series t = t.queue_depth
 let count_task_switch t = t.switches <- t.switches + 1
 
 let count_preemption t task =
@@ -1061,7 +1078,7 @@ let register_metrics t ?(labels = []) reg =
   Registry.histogram reg ~labels:rl "skyloft_runtime_rescue_detection_ns"
     ~help:"Watchdog detection latency past the bound" t.rescue_detect;
   Registry.series reg ~labels:rl "skyloft_runtime_queue_depth"
-    ~help:"LC policy queue length" t.queue_depth;
+    ~help:"LC policy queue length" (watch_queue_depth t);
   t.metric_extras labels reg;
   register_app_metrics t ~labels reg
 

@@ -242,10 +242,11 @@ val depose : t -> exec -> overhead:Time.t -> Task.t option
     Every task enters and leaves a runqueue through these four calls, the
     only ones that choose between the BE queue and the LC policy.  LC
     entries and exits keep [lc_queued] and the enqueue stamps (the
-    allocator's queue-length and oldest-wait signals) and record each new
-    count into {!queue_depth_series}: before the policy's enqueue or
-    wakeup, after each task it hands out.  Calling the policy's queue
-    operations directly bypasses that count. *)
+    allocator's queue-length and oldest-wait signals) and, once
+    {!watch_queue_depth} has been called, record each new count into its
+    series: before the policy's enqueue or wakeup, after each task it
+    hands out.  Calling the policy's queue operations directly bypasses
+    that count. *)
 
 val enqueue : t -> cpu:int -> reason:Sched_ops.reason -> Task.t -> unit
 (** BE: to the BE queue's head when [reason] is [Enq_preempted], its tail
@@ -359,6 +360,13 @@ val set_trace : t -> Trace.t -> unit
 (** Record scheduling activity (run spans, preemptions, wakeups,
     application switches, faults, mode switches) into the trace. *)
 
+val watch_queue_depth : t -> Timeseries.t
+(** The LC policy queue length over time, one sample per change, recorded
+    from the first call on: an unwatched runtime records nothing.  The
+    first call creates the series and, if LC work is queued, seeds it with
+    one sample of the current depth at the current time; later calls
+    return the same series.  {!register_metrics} watches. *)
+
 (** {1 Counters} *)
 
 val task_switches : t -> int
@@ -382,10 +390,6 @@ val rescue_detection : t -> Histogram.t
 
 val deadline_drops : t -> int
 val wakeup_hist : t -> Histogram.t
-
-val queue_depth_series : t -> Timeseries.t
-(** LC policy queue length over time (one sample per change). *)
-
 
 val count_task_switch : t -> unit
 (** Count an intra-application task switch in {!task_switches}. *)
@@ -411,8 +415,10 @@ val register_metrics : t -> ?labels:Registry.labels -> Registry.t -> unit
     series as [skyloft_runtime_*] labelled [runtime=d_name], then the
     {!add_metrics} extras, then every application's counters,
     response-time histogram and latency attribution ([skyloft_app_*]).
-    Call after the applications have been created.  Registration is
-    pull-based and never perturbs the simulation. *)
+    Call after the applications have been created.  The queue-depth
+    series is the one {!watch_queue_depth} returns, so it holds the
+    changes from registration on.  Registration is pull-based and never
+    perturbs the simulation. *)
 
 (** {1 Test hook} *)
 

@@ -115,6 +115,7 @@ let run_point (config : Config.t) ~runtime ~instrumented =
   in
   let trace = Trace.create ~capacity:trace_capacity () in
   Rc.set_trace rt trace;
+  let queue_depth = Rc.watch_queue_depth rt in
   Injector.arm injector target
     [ Plan.core_steal ~period:steal_period ~duration:steal_duration () ];
   (* The registry is the only difference between the two arms. *)
@@ -166,7 +167,7 @@ let run_point (config : Config.t) ~runtime ~instrumented =
       + abs (span_busy_of be.App.id - be.App.busy_ns)
   in
   let counters =
-    ("queue depth", Rc.queue_depth_series rt)
+    ("queue depth", queue_depth)
     ::
     (match Rc.allocator rt with
     | Some a ->
@@ -189,7 +190,7 @@ let run_point (config : Config.t) ~runtime ~instrumented =
     util;
     rows;
     fingerprint =
-      fingerprint_of ~trace_json ~rows ~queue_series:(Rc.queue_depth_series rt);
+      fingerprint_of ~trace_json ~rows ~queue_series:queue_depth;
     trace_json;
     samples =
       (match registry with

@@ -24,7 +24,10 @@ type t
 val create : ?capacity:int -> unit -> t
 (** Keep at most [capacity] (default 65,536) most recent samples.  The
     ring starts at [min capacity 64] slots and doubles on demand up to
-    [capacity], so an unused series costs a few hundred words. *)
+    [capacity], so a series that records nothing costs a few hundred
+    words; one that records a change per event pays for every sample,
+    its ring's doublings included, whether or not anyone reads it (the
+    runtime's queue-depth series exists only once watched). *)
 
 val record : t -> at:Time.t -> int -> unit
 (** Append a sample.  [at] must be >= the previous sample's time.

@@ -186,6 +186,8 @@ let test_fault_be_task_stays_out_of_lc_queues () =
           Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:2)
         in
         let rt = build machine (Kmod.create machine) in
+        (* watched before any work, so the series sees every change *)
+        let depth = Rc.watch_queue_depth rt in
         let lc_app = Rc.create_app rt ~name:"lc" in
         let be = Rc.create_app rt ~name:"batch" in
         Rc.attach_be_app rt be ~chunk:(Time.us 50) ~workers:1;
@@ -204,13 +206,13 @@ let test_fault_be_task_stays_out_of_lc_queues () =
         let busy_at_wake = be.App.busy_ns in
         Engine.run ~until:(Time.ms 4) engine;
         check_row "BE task resumed after the fault" (be.App.busy_ns > busy_at_wake);
-        (rt, !lc_done)
+        (depth, !lc_done)
       in
-      let rt, _ = run ~lc:false in
+      let depth, _ = run ~lc:false in
       check Alcotest.int
         (name ^ ": no LC work, no LC queue-depth change")
         0
-        (Skyloft_stats.Timeseries.length (Rc.queue_depth_series rt));
+        (Skyloft_stats.Timeseries.length depth);
       let _, lc_done = run ~lc:true in
       check_row "LC request completed during the fault"
         (lc_done > 0 && lc_done < Time.us 210))

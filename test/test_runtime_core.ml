@@ -299,6 +299,7 @@ let test_be_occupancy () =
 let test_runqueue_calls () =
   let st = make () in
   let rc = st.rc in
+  let depth = Rc.watch_queue_depth rc in
   let lc = Rc.new_app rc ~name:"lc" in
   let be = Rc.new_app rc ~name:"batch" in
   (* routing needs only the BE app: attach it with no workers *)
@@ -334,9 +335,43 @@ let test_runqueue_calls () =
   check int "both exits counted" 0 (Rc.lc_queued rc);
   check int "no wait left" 0 (Rc.congestion rc).Rc.Allocator.oldest_delay;
   check (list int) "every change in the depth series" [ 1; 2; 1; 0 ]
-    (List.map snd (Skyloft_stats.Timeseries.to_list (Rc.queue_depth_series rc)));
+    (List.map snd (Skyloft_stats.Timeseries.to_list depth));
   check (option string) "next_be takes the head" (Some "b2")
     (Option.map name (Rc.next_be rc))
+
+(* Recording starts at the first watch: the queue changes before it are
+   not kept, and the series opens with one sample of the depth at the
+   watch, or none when the queue is empty.  Later watches return the same
+   series, which records every change from then on. *)
+let test_unwatched_records_nothing () =
+  let traffic () =
+    let st = make () in
+    let lc = Rc.new_app st.rc ~name:"lc" in
+    List.iter
+      (fun name ->
+        Rc.enqueue st.rc ~cpu:0 ~reason:Sched_ops.Enq_new
+          (Task.create ~app:lc.App.id ~name (Coro.compute_then_exit 1)))
+      [ "a"; "b"; "c" ];
+    ignore (Rc.next_lc st.rc ~cpu:0 ~balance:false);
+    Engine.run ~until:(Time.us 7) st.engine;
+    st
+  in
+  let samples depth = Skyloft_stats.Timeseries.to_list depth in
+  let st = traffic () in
+  let depth = Rc.watch_queue_depth st.rc in
+  check (list (pair int int)) "one sample: the depth at the watch"
+    [ (Time.us 7, 2) ] (samples depth);
+  check bool "a second watch returns the same series" true
+    (Rc.watch_queue_depth st.rc == depth);
+  ignore (Rc.next_lc st.rc ~cpu:0 ~balance:false);
+  ignore (Rc.next_lc st.rc ~cpu:0 ~balance:false);
+  check (list int) "every change after the watch" [ 2; 1; 0 ]
+    (List.map snd (samples depth));
+  let st = traffic () in
+  ignore (Rc.next_lc st.rc ~cpu:0 ~balance:false);
+  ignore (Rc.next_lc st.rc ~cpu:0 ~balance:false);
+  check (list (pair int int)) "drained before the watch: no sample" []
+    (samples (Rc.watch_queue_depth st.rc))
 
 (* ---- the scheduler view ---------------------------------------------------- *)
 
@@ -378,6 +413,8 @@ let suite =
     test_case "watchdog bookkeeping" `Quick test_watchdog_rescue;
     test_case "BE occupancy counts in-flight work" `Quick test_be_occupancy;
     test_case "runqueue calls route and count" `Quick test_runqueue_calls;
+    test_case "an unwatched runtime records nothing" `Quick
+      test_unwatched_records_nothing;
     test_case "view requires an installed dispatch" `Quick
       test_view_requires_dispatch;
   ]
