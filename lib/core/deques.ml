@@ -1,12 +1,11 @@
-(* One Runqueue per managed core, found through an int array indexed by
-   core id, with a word whose bit [i] says deque [i] is non-empty.  Every
+(* One Runqueue per managed core, indexed by the core's position, with a
+   word whose bit [i] says deque [i] is non-empty.  Every
    mutation below keeps the word, so a victim scan is a few bit operations
    instead of a probe per deque.  Past [Bitmask.width] deques the word
    is not kept and the scan probes each deque in turn. *)
 
 type t = {
-  queues : Runqueue.t array;  (* by position in the cores given to [create] *)
-  slot : int array;  (* core id -> position, -1 for an unmanaged core *)
+  queues : Runqueue.t array;  (* by position *)
   cursor : int array;  (* per-thief scan start, -1 before its first hit *)
   mutable probes : int;  (* victim deques the last scan looked at *)
   mutable nonempty : int;  (* bit [i] set iff deque [i] is non-empty *)
@@ -16,20 +15,15 @@ type t = {
 let probes t = t.probes
 let cursor t i = t.cursor.(i)
 
-let create cores =
-  let n = Array.length cores in
-  let slot = Array.make (Array.fold_left Int.max (-1) cores + 1) (-1) in
-  Array.iteri (fun i core -> slot.(core) <- i) cores;
+let create n =
   {
     queues = Array.init n (fun _ -> Runqueue.create ());
-    slot;
     cursor = Array.make n (-1);
     probes = 0;
     nonempty = 0;
     masked = n <= Bitmask.width;
   }
 
-let position t core = if core >= 0 && core < Array.length t.slot then t.slot.(core) else -1
 let is_empty t i = Runqueue.is_empty t.queues.(i)
 
 let sync t i =

@@ -1,6 +1,7 @@
 (** Per-core deques for work-stealing policies: one {!Runqueue} per
-    managed core, addressed by the core's position, and the round-robin
-    victim scan over them.
+    managed core, addressed only by the core's position (a policy maps a
+    core id to it with the {!Sched_ops.view}'s [index_of]), and the
+    round-robin victim scan over them.
 
     Every mutation keeps a word of non-empty bits (one per deque, for up
     to {!Bitmask.width} deques), so {!victim} finds the first non-empty
@@ -18,11 +19,8 @@ val cursor : t -> int -> int
 (** A thief's scan start: the position after its last hit, [-1] before
     its first, when the scan starts just after the thief. *)
 
-val create : int array -> t
-(** Empty deques for distinct, non-negative core ids, in order. *)
-
-val position : t -> int -> int
-(** A core's position, or [-1] for a core not given to {!create}. *)
+val create : int -> t
+(** [create n]: [n] empty deques, at positions [0] to [n - 1]. *)
 
 val is_empty : t -> int -> bool
 val push_head : t -> int -> Task.t -> unit

@@ -96,7 +96,7 @@ type t = {
   machine : Machine.t;
   engine : Engine.t;
   kmod : Kmod.t;
-  mutable kthreads : Kmod.kthread option array array;
+  mutable kthreads : Kmod.kthread array array;
       (* app id -> its kthread on each unit, indexed by exec_slot;
          [no_kthreads] for an app with none; grown by doubling *)
   mutable by_id : App.t array;
@@ -153,7 +153,7 @@ type t = {
 }
 
 (* The shared empty row of [kthreads]: compared physically. *)
-let no_kthreads : Kmod.kthread option array = [||]
+let no_kthreads : Kmod.kthread array = [||]
 
 (* The [queue_depth] of every unwatched runtime: compared physically and
    never recorded, so an unwatched queue change costs one compare. *)
@@ -325,55 +325,38 @@ let new_app t ~name =
   t.next_app_id <- id + 1;
   app
 
-let add_kthread t ~app ~core =
-  let slot = slot_of_core t core in
-  if slot < 0 then invalid_arg "Runtime_core.add_kthread: unmanaged core";
-  if app < 0 then invalid_arg "Runtime_core.add_kthread: negative app id";
+(* The app's row: one kthread parked on every unit, in unit order, each
+   set up by the mechanism (per-CPU dispatch wires its UINTR handlers
+   there) and then handed to [f]. *)
+let launch t ~app f =
   t.kthreads <- grown t.kthreads app no_kthreads;
-  let per_unit =
-    let a = t.kthreads.(app) in
-    if a != no_kthreads then a
-    else begin
-      let a = Array.make (Array.length t.dispatch.d_units) None in
-      t.kthreads.(app) <- a;
-      a
-    end
-  in
-  let kt = Kmod.park_on_cpu t.kmod ~app ~core in
-  per_unit.(slot) <- Some kt;
-  kt
+  t.kthreads.(app) <-
+    Array.map
+      (fun ex ->
+        let kt = Kmod.park_on_cpu t.kmod ~app ~core:ex.exec_core in
+        t.dispatch.d_kthread ex kt;
+        f kt;
+        kt)
+      t.dispatch.d_units
 
 let unit_kthread t ~app slot =
   if app < 0 || app >= Array.length t.kthreads then raise Not_found;
   let a = Array.unsafe_get t.kthreads app in
   if a == no_kthreads then raise Not_found;
-  match a.(slot) with
-  | Some kt -> kt
-  | None -> raise Not_found
+  a.(slot)
 
 let kthread t ~app ~core =
   let slot = slot_of_core t core in
   if slot < 0 then raise Not_found;
   unit_kthread t ~app slot
 
-(* Launch an application: one parked kthread per unit, each set up by the
-   mechanism (per-CPU dispatch wires its UINTR handlers there). *)
 let create_app t ~name =
   let app = new_app t ~name in
-  Array.iter
-    (fun ex ->
-      t.dispatch.d_kthread ex (add_kthread t ~app:app.App.id ~core:ex.exec_core))
-    t.dispatch.d_units;
+  launch t ~app:app.App.id ignore;
   app
 
 (* The daemon occupies every unit first (§4.1). *)
-let activate_daemon t =
-  Array.iter
-    (fun ex ->
-      let kt = add_kthread t ~app:0 ~core:ex.exec_core in
-      t.dispatch.d_kthread ex kt;
-      ignore (Kmod.activate t.kmod kt))
-    t.dispatch.d_units
+let activate_daemon t = launch t ~app:0 (fun kt -> ignore (Kmod.activate t.kmod kt))
 
 let is_be_app t id = id = t.be_app.App.id
 let is_be t (task : Task.t) = is_be_app t task.Task.app

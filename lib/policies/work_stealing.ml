@@ -34,7 +34,7 @@ type stats = {
   mutable steal_fails : int;
 }
 
-(* The deques, indexed by the core's position in [view.cores]; the
+(* The deques, indexed by a core's position ([view.index_of]); the
    cursors and the victim scan are {!Skyloft.Deques}'. *)
 type deques = {
   view : Sched_ops.view;
@@ -46,10 +46,11 @@ type deques = {
 }
 
 let deques (view : Sched_ops.view) =
-  { view; n = Array.length view.cores; dq = Deques.create view.cores; wake_rr = 0 }
+  let n = Array.length view.cores in
+  { view; n; dq = Deques.create n; wake_rr = 0 }
 
 let index d cpu =
-  let i = Deques.position d.dq cpu in
+  let i = d.view.index_of cpu in
   if i >= 0 then i else invalid_arg "work_stealing: unmanaged cpu"
 
 (* Everything but the balance is shared by both variants. *)
@@ -75,7 +76,7 @@ let instance ?quantum d ~sched_balance ~sched_migration_charge ~sched_idle_park 
     task_wakeup =
       (fun ~waker_cpu task ->
         let target =
-          if Deques.position d.dq waker_cpu >= 0 then waker_cpu
+          if view.index_of waker_cpu >= 0 then waker_cpu
           else begin
             (* Unmanaged waker: prefer an idle core, else rotate the
                fallback so repeated wakeups do not hot-spot core 0. *)

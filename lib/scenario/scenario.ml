@@ -181,9 +181,26 @@ type lc_state = {
   mutable l_completed : int;
 }
 
-let run ?(seed = 42) ~requests ~runtime scenario =
+(* A cell from its setup on: everything the request path counts into and
+   [finish] drains and digests. *)
+type cell = {
+  scenario : t;
+  runtime : runtime;
+  requests : int;
+  engine : Engine.t;
+  rt : Rc.t;
+  lcs : lc_state list;
+  mutable submitted : int;
+  mutable completed : int;
+  mutable last_completion : Time.t;
+}
+
+let cell_runtime c = c.rt
+let cell_engine c = c.engine
+
+let prepare ?(seed = 42) ~requests ~runtime scenario =
   validate scenario;
-  if requests < 1 then invalid_arg "Scenario.run: requests must be >= 1";
+  if requests < 1 then invalid_arg "Scenario.prepare: requests must be >= 1";
   let engine = Engine.create ~seed () in
   let machine =
     Machine.create engine
@@ -233,38 +250,53 @@ let run ?(seed = 42) ~requests ~runtime scenario =
       Rc.attach_be_app rt ~alloc:(alloc_config guaranteed) app ~chunk:(Time.us 50)
         ~workers:scenario.cores
   | None -> ());
-  let submitted = ref 0 and completed = ref 0 in
-  let last_completion = ref 0 in
+  let c =
+    {
+      scenario;
+      runtime;
+      requests;
+      engine;
+      rt;
+      lcs;
+      submitted = 0;
+      completed = 0;
+      last_completion = 0;
+    }
+  in
   (* One request: [Shape.exec] compiles it to task submissions; the
      continuation runs at the completion of the last stage (chain) or
      the join (fan-out) and records only into the tenant's bounded
      histogram — nothing per-request survives the request. *)
   let issue (l : lc_state) at =
     l.l_submitted <- l.l_submitted + 1;
-    incr submitted;
+    c.submitted <- c.submitted + 1;
     Shape.exec l.l_spec.shape l.l_rng ~spawn:l.l_spawn (fun () ->
         l.l_completed <- l.l_completed + 1;
-        incr completed;
+        c.completed <- c.completed + 1;
         let now = Engine.now engine in
-        last_completion := Int.max !last_completion now;
+        c.last_completion <- Int.max c.last_completion now;
         Histogram.record l.l_hist (now - at))
   in
   List.iter2
     (fun l arrival_rng ->
       stream engine l.l_spec.arrival arrival_rng
-        ~stop:(fun () -> !submitted >= requests)
+        ~stop:(fun () -> c.submitted >= requests)
         (issue l))
     lcs arrival_rngs;
-  drain engine
-    ~expected_s:(float_of_int requests /. mean_rate_rps scenario)
-    ~settled:(fun () -> !submitted >= requests && !completed >= !submitted);
+  c
+
+let finish c =
+  drain c.engine
+    ~expected_s:(float_of_int c.requests /. mean_rate_rps c.scenario)
+    ~settled:(fun () -> c.submitted >= c.requests && c.completed >= c.submitted);
+  let alloc f = match Rc.allocator c.rt with Some a -> f a | None -> 0 in
   {
-    scenario = scenario.name;
-    runtime = runtime_name runtime;
-    target = requests;
-    submitted = !submitted;
-    completed = !completed;
-    last_completion = !last_completion;
+    scenario = c.scenario.name;
+    runtime = runtime_name c.runtime;
+    target = c.requests;
+    submitted = c.submitted;
+    completed = c.completed;
+    last_completion = c.last_completion;
     tenants =
       List.map
         (fun l ->
@@ -274,14 +306,15 @@ let run ?(seed = 42) ~requests ~runtime scenario =
             completed = l.l_completed;
             latency = l.l_hist;
           })
-        lcs;
-    be_preemptions = Rc.be_preemptions rt;
-    alloc_grants =
-      (match Rc.allocator rt with Some a -> Allocator.grants a | None -> 0);
-    alloc_reclaims =
-      (match Rc.allocator rt with Some a -> Allocator.reclaims a | None -> 0);
-    events_fired = Engine.events_fired engine;
+        c.lcs;
+    be_preemptions = Rc.be_preemptions c.rt;
+    alloc_grants = alloc Allocator.grants;
+    alloc_reclaims = alloc Allocator.reclaims;
+    events_fired = Engine.events_fired c.engine;
   }
+
+let run ?seed ~requests ~runtime scenario =
+  finish (prepare ?seed ~requests ~runtime scenario)
 
 (* ---- digests -------------------------------------------------------------- *)
 
@@ -294,7 +327,7 @@ let hist_line h =
 
 (* Everything request-visible, rendered deterministically: the scale
    experiment's golden digests are MD5 over this string. *)
-let digest_string d =
+let digest_string (d : digest) =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
     (Printf.sprintf "%s|%s|target=%d|submitted=%d|completed=%d|last=%d\n"

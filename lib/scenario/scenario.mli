@@ -110,18 +110,38 @@ type digest = {
           leaves it out *)
 }
 
+type cell
+(** One compiled cell between its setup and its drain. *)
+
+val prepare : ?seed:int -> requests:int -> runtime:runtime -> t -> cell
+(** Validate the scenario, raising [Invalid_argument] before anything is
+    built on: no LC tenant; more than one BE tenant (the runtimes attach
+    a single BE application to the allocator); duplicate tenant names; a
+    guaranteed floor outside [0, cores]; [requests < 1]; or any invalid
+    shape or arrival process (recursively).  Then compile one cell:
+    {!build} [runtime], create one app per tenant and split the RNG
+    streams in scenario order, attach the BE tenant to the allocator with
+    its floor, and arm each LC tenant's {!stream}, which issues requests
+    through {!Shape.exec} until [requests] arrivals in total.  Nothing
+    runs: the engine fires no event until someone runs it.  This is the
+    one place the setup order lives, so it fixes the draw order of the
+    seed contract (default seed 42). *)
+
+val finish : cell -> digest
+(** {!drain} the cell until every submitted request completed (a wedged
+    cell returns [completed < submitted]) and digest it.  Live heap is
+    O(tenants + in-flight), independent of [requests].  Call it once. *)
+
+val cell_runtime : cell -> Skyloft.Runtime_core.t
+(** The cell's runtime, to observe it between {!prepare} and {!finish}. *)
+
+val cell_engine : cell -> Skyloft_sim.Engine.t
+(** The cell's engine, to run it in slices before {!finish}. *)
+
 val run : ?seed:int -> requests:int -> runtime:runtime -> t -> digest
-(** Validate the scenario, raising [Invalid_argument] before anything runs
-    on: no LC tenant; more than one BE tenant (the runtimes attach a
-    single BE application to the allocator); duplicate tenant names; a
-    guaranteed floor outside [0, cores]; or any invalid shape or arrival process
-    (recursively).  Then compile and run one cell: {!build} [runtime], create one app per
-    tenant, attach the BE tenant to the allocator with its floor, issue
-    each LC tenant's requests through {!Shape.exec} from its {!stream}
-    until [requests] arrivals in total, then {!drain} until every
-    submitted request completed (a wedged cell returns [completed <
-    submitted]).  Live heap is O(tenants + in-flight), independent of
-    [requests].  Deterministic in [seed] (default 42). *)
+(** [run = finish (prepare ...)]: one cell, built, run and digested.
+    Deterministic in [seed]: same seed, byte-identical
+    {!digest_string}. *)
 
 (** {1 Arrival streams and the drain}
 

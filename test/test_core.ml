@@ -395,8 +395,7 @@ let dq_script ~lo ~hi =
 let prop_deques_victim ~name ~lo ~hi =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name ~count:200 (dq_script ~lo ~hi) (fun (n, ops) ->
-         let cores = Array.init n (fun i -> (2 * i) + 1) in
-         let d = Deques.create cores in
+         let d = Deques.create n in
          let lens = Array.make n 0 and cursor = Array.make n (-1) in
          let step = function
            | Dq_push (i, head) ->
@@ -420,10 +419,7 @@ let prop_deques_victim ~name ~lo ~hi =
                && Deques.probes d = probes
                && Deques.cursor d self = cursor.(self)
          in
-         Array.for_all (fun c -> cores.(Deques.position d c) = c) cores
-         && Deques.position d 0 = -1
-         && Deques.position d (2 * n) = -1
-         && List.for_all
+         List.for_all
               (fun op ->
                 step op
                 && Array.for_all Fun.id
@@ -491,6 +487,28 @@ let make_percpu ?(cores = 4) ?(timer_hz = 100_000) ?(preemption = true) ctor =
   (engine, percpu, Percpu.runtime percpu)
 
 (* ---- Percpu runtime ---- *)
+
+(* The view maps a core id to its position, the index of every per-core
+   policy table (the work-stealing deques included).  The cores are odd
+   ids, so no position equals its core id, and 0 and 2n are unmanaged;
+   the counts span those of the deque properties above. *)
+let test_percpu_view_positions () =
+  List.iter
+    (fun n ->
+      let engine = Engine.create () in
+      let topology = Topology.create ~sockets:1 ~cores_per_socket:((2 * n) + 1) in
+      let machine = Machine.create engine topology in
+      let cores = Array.init n (fun i -> (2 * i) + 1) in
+      let pc =
+        Percpu.create machine (Kmod.create machine) ~cores:(Array.to_list cores)
+          ~preemption:false fifo_ctor
+      in
+      let view = Rc.view (Percpu.runtime pc) in
+      check (Alcotest.array Alcotest.int) "the managed cores, in order" cores view.cores;
+      let position c = check Alcotest.int (Printf.sprintf "core %d" c) in
+      Array.iteri (fun i c -> position c i (view.index_of c)) cores;
+      List.iter (fun c -> position c (-1) (view.index_of c)) [ 0; 2 * n; -1 ])
+    [ 1; 2; 62; 63; 80 ]
 
 (* The per-core LAPIC ticks are same-phase [Engine.every]s, so they share
    one heap entry: an idle 8-core runtime keeps exactly as many entries
@@ -1247,6 +1265,8 @@ let suite =
       test_runqueue_ring_wraps;
     prop_deques_victim_masked;
     prop_deques_victim_fallback;
+    Alcotest.test_case "percpu: the view maps core ids to positions" `Quick
+      test_percpu_view_positions;
     Alcotest.test_case "percpu: runs a task" `Quick test_percpu_runs_task;
     Alcotest.test_case "percpu: parallelism" `Quick test_percpu_parallelism;
     Alcotest.test_case "percpu: timer ticks" `Quick test_percpu_timer_ticks_happen;

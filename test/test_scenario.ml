@@ -459,103 +459,54 @@ let benchmark_cells =
          ("mix-percpu", Scale.tenant_mix, Scenario.Percpu);
        ])
 
+let outcome (d : Scenario.digest) = (Scenario.digest_string d, d.Scenario.events_fired)
+
 (* Watching the queue depth records into a series and never feeds back
-   into the simulation.  [Scenario.run] keeps its runtime to itself, so
-   the fixed pareto-percpu cell is rebuilt here from the same public
-   pieces in the same order, with [observe] reaching the runtime once its
-   apps exist: unobserved, the rebuild must reproduce [Scenario.run]
-   exactly, and watched or registered it must still match. *)
+   into the simulation: the fixed pareto-percpu cell, watched or
+   registered between [prepare] and [finish], must equal [Scenario.run]. *)
 let test_watching_changes_no_result () =
-  let module Engine = Skyloft_sim.Engine in
-  let module Machine = Skyloft_hw.Machine in
-  let module Topology = Skyloft_hw.Topology in
-  let module Kmod = Skyloft_kernel.Kmod in
   let module Rc = Skyloft.Runtime_core in
-  let module Allocator = Skyloft_alloc.Allocator in
-  let module Scale = Skyloft_experiments.Scale in
   let seed = 8 and requests = 5_000 and runtime = Scenario.Percpu in
-  let scenario = Scale.steady_pareto in
-  let cores = scenario.Scenario.cores in
-  let spec =
-    match scenario.Scenario.tenants with
-    | [ Scenario.Lc spec; Scenario.Be _ ] -> spec
-    | _ -> Alcotest.fail "steady-pareto is one LC tenant and a BE tenant"
-  in
-  let rebuilt observe =
-    let engine = Engine.create ~seed () in
-    let machine =
-      Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:cores)
-    in
-    let rt = Scenario.build machine (Kmod.create machine) ~first_core:0 ~cores runtime in
-    let app = Rc.create_app rt ~name:spec.Scenario.lc_name in
-    let rng = Engine.split_rng engine in
-    let arrival_rng = Engine.split_rng engine in
-    let be = Rc.create_app rt ~name:"batch" in
-    Rc.attach_be_app rt be ~chunk:(Time.us 50) ~workers:cores
-      ~alloc:
-        {
-          (Allocator.default_config ()) with
-          Allocator.policy = Skyloft_alloc.Policy.delay ();
-          be_guaranteed = 1;
-        };
-    observe rt;
-    let hist = Histogram.create () in
-    let submitted = ref 0 and completed = ref 0 and last = ref 0 in
-    let spawn service k =
-      ignore
-        (Rc.spawn rt app ~name:spec.Scenario.lc_name ~record:false
-           (Skyloft_sim.Coro.Compute
-              ( service,
-                fun () ->
-                  k ();
-                  Skyloft_sim.Coro.Exit )))
-    in
-    Scenario.stream engine spec.Scenario.arrival arrival_rng
-      ~stop:(fun () -> !submitted >= requests)
-      (fun at ->
-        incr submitted;
-        Shape.exec spec.Scenario.shape rng ~spawn (fun () ->
-            incr completed;
-            let now = Engine.now engine in
-            last := Int.max !last now;
-            Histogram.record hist (now - at)));
-    Scenario.drain engine
-      ~expected_s:(float_of_int requests /. Scenario.mean_rate_rps scenario)
-      ~settled:(fun () -> !submitted >= requests && !completed >= !submitted);
-    let alloc f = match Rc.allocator rt with Some a -> f a | None -> 0 in
-    {
-      Scenario.scenario = scenario.Scenario.name;
-      runtime = Scenario.runtime_name runtime;
-      target = requests;
-      submitted = !submitted;
-      completed = !completed;
-      last_completion = !last;
-      tenants =
-        [
-          {
-            Scenario.tenant = spec.Scenario.lc_name;
-            submitted = !submitted;
-            completed = !completed;
-            latency = hist;
-          };
-        ];
-      be_preemptions = Rc.be_preemptions rt;
-      alloc_grants = alloc Allocator.grants;
-      alloc_reclaims = alloc Allocator.reclaims;
-      events_fired = Engine.events_fired engine;
-    }
-  in
-  let outcome (d : Scenario.digest) = (Scenario.digest_string d, d.Scenario.events_fired) in
+  let scenario = Skyloft_experiments.Scale.steady_pareto in
   let reference = outcome (Scenario.run ~seed ~requests ~runtime scenario) in
   List.iter
     (fun (what, observe) ->
-      check (pair string int) what reference (outcome (rebuilt observe)))
+      let cell = Scenario.prepare ~seed ~requests ~runtime scenario in
+      observe (Scenario.cell_runtime cell);
+      check (pair string int) what reference (outcome (Scenario.finish cell)))
     [
-      ("unwatched: the rebuild is Scenario.run", ignore);
       ("watched", fun rt -> ignore (Rc.watch_queue_depth rt));
       ( "registered",
         fun rt -> Rc.register_metrics rt (Skyloft_obs.Registry.create ()) );
     ]
+
+(* The runtime's ledgers hold on a real cell while it runs, on every
+   runtime: the steady-pareto cell is run in eight slices through the
+   first 80% of its nominal stream, checked after each, then finished.
+   The drain's first chunk (10 ms) lies past every slice, so slicing and
+   checking must leave [Scenario.run]'s result and callback count as
+   they are. *)
+let test_ledgers_hold_while_running () =
+  let module Engine = Skyloft_sim.Engine in
+  let module Rc = Skyloft.Runtime_core in
+  let seed = 8 and requests = 2_000 in
+  let scenario = Skyloft_experiments.Scale.steady_pareto in
+  let nominal = float_of_int requests /. Scenario.mean_rate_rps scenario *. 1e9 in
+  List.iter
+    (fun runtime ->
+      let name = Scenario.runtime_name runtime in
+      let cell = Scenario.prepare ~seed ~requests ~runtime scenario in
+      let engine = Scenario.cell_engine cell in
+      for i = 1 to 8 do
+        Engine.run ~until:(int_of_float (nominal *. float_of_int i /. 10.)) engine;
+        match Rc.check_ledgers (Scenario.cell_runtime cell) with
+        | () -> ()
+        | exception Failure msg -> Alcotest.failf "%s, slice %d: %s" name i msg
+      done;
+      check (pair string int) name
+        (outcome (Scenario.run ~seed ~requests ~runtime scenario))
+        (outcome (Scenario.finish cell)))
+    Scenario.runtimes
 
 (* Fixed-cell allocation ceilings.  A fixed cell's [Gc.minor_words] count
    is exact and repeatable, unlike a timed run's traced average, so each
@@ -608,6 +559,8 @@ let suite =
     test_case "scenario: BE tenant scheduled" `Quick test_be_tenant_scheduled;
     test_case "scenario: watching changes no simulated result" `Quick
       test_watching_changes_no_result;
+    test_case "scenario: ledgers hold while a cell runs in slices" `Quick
+      test_ledgers_hold_while_running;
     test_case "scenario: scale cells stay under their allocation ceilings" `Quick
       test_scale_cell_allocation_ceiling;
     test_case "scenario: scale cells fire their pinned callback counts" `Quick
