@@ -3,9 +3,11 @@
 #
 #   bench/pcprof/layers.sh PROFILE [TOP]   # TOP source lines per layer, default 3
 #
-# Only samples with Scenario.run on the stack count, so perfbench's
-# reference block and its setup stay out.  Each such sample is charged to
-# its leaf PC:
+# Only samples with Scenario.finish (or Scenario.run) on the stack count,
+# so perfbench's reference block and each cell's setup stay out:
+# Scenario.run is `finish (prepare ...)`, and its tail call leaves only
+# finish's frame on the stack while the cell drains.  Each such sample
+# is charged to its leaf PC:
 # - OCaml code in the executable goes to the source file `addr2line`
 #   gives for the PC.  OCaml's line table carries the location of inlined
 #   code, so a function inlined into another layer's caller is still
@@ -22,7 +24,7 @@
 # arrived, and in the inlined build it reads the policy layer as 0.
 set -euo pipefail
 if [ $# -lt 1 ]; then
-  sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,24p' "$0" | sed 's/^# \{0,1\}//' >&2
   exit 2
 fi
 prof=$1 top=${2:-3}
@@ -70,7 +72,7 @@ awk '
     total++
     under = 0
     for (f = NF; f >= 2 && !under; f--)
-      if (resolve($f) ~ /Scenario\.run(_inner)?_[0-9]+$/) under = 1
+      if (resolve($f) ~ /Scenario\.(run|finish)(_inner)?_[0-9]+$/) under = 1
     if (!under) next
     kept++
     s = resolve($1)
@@ -115,7 +117,7 @@ awk -v counts="$(cat "$tmp/counts")" -v rows_out="$tmp/rows" -v lines_out="$tmp/
   }
   END {
     split(counts, c, " ")
-    printf "%d samples, %d under Scenario.run\n", c[1], c[2]
+    printf "%d samples, %d under Scenario.finish\n", c[1], c[2]
     if (c[2] == 0) exit 1
     for (r in n) printf "%.2f\t%s\n", 100 * n[r] / c[2], r > rows_out
     for (k in line) printf "%s\t%.2f\n", k, 100 * line[k] / c[2] > lines_out

@@ -1,6 +1,6 @@
 (** Per-core deques for work-stealing policies: one {!Runqueue} per
     managed core, addressed only by the core's position (a policy maps a
-    core id to it with the {!Sched_ops.view}'s [index_of]), and the
+    core id to it with {!Sched_ops.index_of}), and the
     round-robin victim scan over them.
 
     Every mutation keeps a word of non-empty bits (one per deque, for up

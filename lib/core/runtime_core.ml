@@ -514,11 +514,26 @@ let rec next_be t =
 
 (* ---- the shared task lifecycle ------------------------------------------- *)
 
+(* Off its unit and counted out: the part of an exit that comes before
+   the completion callback. *)
+let retire t ex (task : Task.t) =
+  task.state <- Task.Exited;
+  account t ex;
+  release t ex;
+  let app = find_app t task.app in
+  app.App.completed <- app.App.completed + 1;
+  app.App.tasks_alive <- app.App.tasks_alive - 1;
+  t.policy.task_terminate task
+
 let rec process t ex (task : Task.t) =
   match task.body with
   | Coro.Compute (d, k) ->
-      task.cont <- k;
-      task.segment_end <- now t + d;
+      (* a submitted stage keeps the compute it has left in [service] *)
+      if task.body == Task.staged then task.segment_end <- now t + task.service
+      else begin
+        task.cont <- k;
+        task.segment_end <- now t + d
+      end;
       Engine.arm ex.completion ~at:task.segment_end
   | Coro.Yield _ ->
       (* continuation evaluated at the next dispatch (resume time) *)
@@ -544,15 +559,31 @@ let rec process t ex (task : Task.t) =
         t.dispatch.d_reschedule ex ~prev:task
       end
   | Coro.Exit ->
-      task.state <- Task.Exited;
-      account t ex;
-      release t ex;
-      let app = find_app t task.app in
-      app.App.completed <- app.App.completed + 1;
-      app.App.tasks_alive <- app.App.tasks_alive - 1;
-      t.policy.task_terminate task;
-      (match task.on_exit with Some f -> f task | None -> ());
+      retire t ex task;
+      task.on_exit task;
       t.dispatch.d_reschedule ex ~prev:task
+
+(* The end of a segment.  A submitted stage's hook runs where a spawned
+   task's continuation runs, before the unit is released, and the stage
+   exits. *)
+let segment_done t ex () =
+  let task = ex.current in
+  if task != Task.nil then
+    if task.Task.body == Task.staged then begin
+      task.Task.on_exit task;
+      retire t ex task;
+      t.dispatch.d_reschedule ex ~prev:task
+    end
+    else begin
+      task.Task.body <- task.Task.cont ();
+      process t ex task
+    end
+
+(* The running segment, cut short with [remaining] left: kept in the body
+   for a resume, or in [service] for a submitted stage. *)
+let suspend_segment (task : Task.t) remaining =
+  if task.Task.body == Task.staged then task.Task.service <- remaining
+  else task.Task.body <- Coro.Compute (remaining, task.Task.cont)
 
 (* The second half of a dispatch, once the switch cost has elapsed: start
    executing the unit's task.  The unit's switch-done timer is armed only
@@ -597,7 +628,7 @@ let install_dispatch t d =
     Some
       {
         Sched_ops.cores;
-        index_of = slot_of_core t;
+        slots = slot_of;
         pick_idle =
           (fun () ->
             let s = first_idle_slot t in
@@ -609,13 +640,7 @@ let install_dispatch t d =
       ex.exec_slot <- i;
       set_idle_bit t i (ex.current == Task.nil);
       ex.switch_done <- Engine.timer t.engine (switch_done t ex);
-      ex.completion <-
-        Engine.timer t.engine (fun () ->
-          let task = ex.current in
-          if task != Task.nil then begin
-            task.Task.body <- task.Task.cont ();
-            process t ex task
-          end))
+      ex.completion <- Engine.timer t.engine (segment_done t ex))
     d.d_units;
   t.be_allowance <- Array.length d.d_units
 
@@ -655,8 +680,7 @@ let depose t ex ~overhead =
   if task == Task.nil || not (Engine.armed ex.completion) then None
   else begin
     Engine.disarm ex.completion;
-    let remaining = Int.max 0 (task.Task.segment_end - now t) + overhead in
-    task.Task.body <- Coro.Compute (remaining, task.Task.cont);
+    suspend_segment task (Int.max 0 (task.Task.segment_end - now t) + overhead);
     task.Task.state <- Task.Runnable;
     if overhead > 0 then
       task.Task.obs_overhead_ns <- task.Task.obs_overhead_ns + overhead;
@@ -702,8 +726,7 @@ let fault_current t ~core ~duration =
       if task == Task.nil || not (Engine.armed ex.completion) then false
       else begin
         Engine.disarm ex.completion;
-        let remaining = Int.max 0 (task.Task.segment_end - now t) in
-        task.Task.body <- Coro.Compute (remaining, task.Task.cont);
+        suspend_segment task (Int.max 0 (task.Task.segment_end - now t));
         task.Task.state <- Task.Blocked;
         account t ex;
         release t ex;
@@ -764,36 +787,34 @@ let kill t ?on_drop (task : Task.t) =
 
 (* ---- task admission ------------------------------------------------------- *)
 
+(* A new task's attribution epoch and its app's counts. *)
+let admitted t (app : App.t) (task : Task.t) =
+  task.Task.obs_start <- now t;
+  task.Task.obs_enq_at <- now t;
+  app.App.spawned <- app.App.spawned + 1;
+  app.App.tasks_alive <- app.App.tasks_alive + 1;
+  task
+
 (* Create a task with the attribution-recording exit hook: on completion
    the request's summary entry and its latency-attribution row (queueing +
    service + overhead + stall = response, exact in integer ns) are written
    into the owning application. *)
 let admit t (app : App.t) ~name ~arrival ~service ~record body =
   let on_exit =
-    if record then
-      Some
-        (fun (task : Task.t) ->
-          (* Zero-service completions count too: omitting them broke the
-             submitted = completed + gave-up + drops reconciliation for
-             degenerate workloads. *)
-          Summary.record_request app.App.summary ~arrival:task.Task.arrival
-            ~completion:(now t) ~service:task.Task.service;
-          Attribution.record app.App.attribution
-            ~queueing:task.Task.obs_queued_ns
-            ~overhead:task.Task.obs_overhead_ns ~stall:task.Task.obs_stall_ns
-            ~response:(now t - task.Task.obs_start)
-            ~declared:task.Task.service)
-    else None
+    if record then (fun (task : Task.t) ->
+      (* Zero-service completions count too: omitting them broke the
+         submitted = completed + gave-up + drops reconciliation for
+         degenerate workloads. *)
+      Summary.record_request app.App.summary ~arrival:task.Task.arrival
+        ~completion:(now t) ~service:task.Task.service;
+      Attribution.record app.App.attribution
+        ~queueing:task.Task.obs_queued_ns
+        ~overhead:task.Task.obs_overhead_ns ~stall:task.Task.obs_stall_ns
+        ~response:(now t - task.Task.obs_start)
+        ~declared:task.Task.service)
+    else ignore
   in
-  let task =
-    Task.create ~app:app.App.id ~name ~arrival ~service
-      ?on_exit body
-  in
-  task.Task.obs_start <- now t;
-  task.Task.obs_enq_at <- now t;
-  app.App.spawned <- app.App.spawned + 1;
-  app.App.tasks_alive <- app.App.tasks_alive + 1;
-  task
+  admitted t app (Task.make ~app:app.App.id ~name ~arrival ~service ~on_exit body)
 
 (* Validate, admit, place, then arm the kill timer.  Every check runs
    before [admit], so a rejected spawn leaves no task behind; placement
@@ -818,6 +839,17 @@ let spawn t app ~name ?cpu ?arrival ?(service = 0) ?(record = true) ?deadline
   | Some d -> Engine.after t.engine d (fun () -> kill t ?on_drop task)
   | None -> ());
   task
+
+(* A stage is a task with the shared [Task.staged] body: its length is
+   its [service] and its hook its [on_exit], so placing one builds
+   nothing but the task. *)
+let submit t app ~name ~arrival ~service ~hook request =
+  let task =
+    admitted t app
+      (Task.make ~app:app.App.id ~name ~arrival ~service ~on_exit:hook Task.staged)
+  in
+  task.Task.request <- request;
+  t.dispatch.d_place task ~cpu:None
 
 (* ---- watchdog bookkeeping ------------------------------------------------- *)
 

@@ -26,7 +26,7 @@ module Registry = Skyloft_obs.Registry
     or the serial dispatcher).  Work stealing, steal-half included, is a
     {!Sched_ops} policy on the per-CPU runtime, not a runtime.
 
-    A built [t] is the one runtime handle: {!spawn}, {!kill}, {!wakeup},
+    A built [t] is the one runtime handle: {!spawn}, {!submit}, {!kill}, {!wakeup},
     {!create_app}, {!attach_be_app}, the broker gate, tracing, the shared
     counters and {!register_metrics} are implemented here once, and every
     runtime-neutral consumer takes a [t] ([Percpu.runtime] and
@@ -314,6 +314,23 @@ val spawn :
     @raise Invalid_argument on a non-positive [deadline], or a [cpu] that
     is not a managed unit or that the mechanism cannot pin (a serial
     dispatcher); checked before anything is admitted. *)
+
+val submit :
+  t -> App.t -> name:string -> arrival:Time.t -> service:Time.t ->
+  hook:(Task.t -> unit) -> int -> unit
+(** [submit t app ~name ~arrival ~service ~hook request] places one
+    request stage: a task with the shared {!Task.staged} body that
+    computes for [service] ns (preemption and faults slice it as any
+    compute), carrying [arrival] and the caller's [request] key.  When
+    the compute ends, [hook] runs with the task, at the instant and in
+    the order where a spawned task's continuation would ([fun () -> k ();
+    Coro.Exit]): before the unit's busy time is accounted and the unit
+    released, and before it reschedules.  So a hook that submits the
+    next stage places it exactly as that continuation would.  The stage
+    then exits.  Nothing is recorded into the app's summary, and no
+    handle is returned: nothing outside the runtime holds a submitted
+    task.  Build [hook] once (per app or per caller), not per stage:
+    then a stage allocates nothing but its task. *)
 
 (** {1 Watchdog bookkeeping} *)
 

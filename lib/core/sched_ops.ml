@@ -2,10 +2,15 @@ module Time = Skyloft_sim.Time
 
 type view = {
   cores : int array;
-  index_of : int -> int;
+  slots : int array;
   pick_idle : unit -> int option;
   now : unit -> Time.t;
 }
+
+let index_of view core =
+  if core >= 0 && core < Array.length view.slots then Array.unsafe_get view.slots core
+  else -1
+
 type reason = Enq_new | Enq_preempted | Enq_yielded
 
 type instance = {

@@ -24,14 +24,20 @@ module Time = Skyloft_sim.Time
 
 type view = {
   cores : int array;  (** worker core ids managed by this scheduler *)
-  index_of : int -> int;
-      (** a core id's position in [cores], or -1 for a core the scheduler
-          does not manage *)
+  slots : int array;
+      (** core id -> its position in [cores], or -1 for a core the
+          scheduler does not manage; ids past its end are unmanaged too.
+          Read it through {!index_of}. *)
   pick_idle : unit -> int option;
       (** the first core of [cores], in order, that runs nothing and is
           not broker-capped *)
   now : unit -> Time.t;
 }
+
+val index_of : view -> int -> int
+(** A core id's position in [view.cores], or -1 for a core the scheduler
+    does not manage: a bounds check and a load, which the compiler
+    inlines into the policy. *)
 
 (** Why a task is entering the runqueue: policies commonly place preempted
     tasks differently from fresh ones.  Woken tasks enter through

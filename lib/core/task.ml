@@ -21,7 +21,7 @@ type t = {
   mutable policy_i : int;
   mutable arrival : Time.t;
   mutable service : Time.t;
-  mutable on_exit : (t -> unit) option;
+  mutable on_exit : t -> unit;
   mutable killed : bool;
   mutable obs_start : Time.t;
   mutable obs_enq_at : Time.t;
@@ -30,7 +30,13 @@ type t = {
   mutable obs_overhead_ns : int;
   mutable obs_stall_ns : int;
   mutable queued : bool;
+  mutable request : int;
 }
+
+(* The body of every submitted stage: never interpreted, only compared
+   physically (the runtime runs such a task for its [service] and then
+   calls its [on_exit]). *)
+let staged = Coro.Compute (0, fun () -> invalid_arg "Task.staged: not a body to run")
 
 (* The sentinel carries every field's default; [create] copies it. *)
 let nil =
@@ -52,7 +58,7 @@ let nil =
     policy_i = 0;
     arrival = 0;
     service = 0;
-    on_exit = None;
+    on_exit = ignore;
     killed = false;
     obs_start = 0;
     obs_enq_at = 0;
@@ -61,8 +67,11 @@ let nil =
     obs_overhead_ns = 0;
     obs_stall_ns = 0;
     queued = false;
+    request = -1;
   }
 
 (* A fresh task is the sentinel's defaults under its own identity. *)
-let create ~app ~name ?(arrival = 0) ?(service = 0) ?on_exit body =
+let make ~app ~name ~arrival ~service ~on_exit body =
   { nil with app; name; state = Runnable; body; arrival; service; on_exit }
+
+let create ~app ~name body = make ~app ~name ~arrival:0 ~service:0 ~on_exit:ignore body

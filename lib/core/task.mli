@@ -40,8 +40,15 @@ type t = {
   mutable policy_f2 : float;
   mutable policy_i : int;
   mutable arrival : Time.t;  (** request arrival (workload metadata) *)
-  mutable service : Time.t;  (** total service demand (workload metadata) *)
-  mutable on_exit : (t -> unit) option;  (** completion callback *)
+  mutable service : Time.t;
+      (** total service demand (workload metadata); for a submitted stage
+          ({!staged}), the compute it has left, rewritten when it is
+          preempted or faults *)
+  mutable on_exit : t -> unit;
+      (** completion callback (default: none).  A spawned task's runs once
+          the task has left its unit; a submitted stage's is its stage
+          hook, which runs where a spawned task's continuation would: at
+          the end of its compute, before the unit is released *)
   mutable killed : bool;
       (** killed at its deadline while in a runqueue; the runtime discards
           it lazily at the next dequeue instead of searching every queue *)
@@ -60,13 +67,25 @@ type t = {
   mutable queued : bool;
       (** in some runqueue right now; written only by {!Runqueue}, which
           keeps a task in at most one queue at a time *)
+  mutable request : int;
+      (** a submitted stage's request key, which its stage hook reads
+          ({!Runtime_core.submit}); [-1] for a spawned task *)
 }
+
+val staged : Coro.t
+(** The body of every submitted stage, compared physically: the runtime
+    runs such a task for its [service] ns and then calls its [on_exit].
+    Never a body to interpret. *)
 
 val nil : t
 (** The sentinel "no task": an empty runqueue slot, and the [current] of
     a unit that runs nothing.  Never queued, never run. *)
 
-val create :
-  app:int -> name:string -> ?arrival:Time.t -> ?service:Time.t ->
-  ?on_exit:(t -> unit) -> Coro.t -> t
-(** Fresh runnable task, physically distinct from every other. *)
+val make :
+  app:int -> name:string -> arrival:Time.t -> service:Time.t ->
+  on_exit:(t -> unit) -> Coro.t -> t
+(** Fresh runnable task, physically distinct from every other.  Every
+    argument is required, so a call allocates nothing but the task. *)
+
+val create : app:int -> name:string -> Coro.t -> t
+(** {!make} with no arrival, service or completion callback. *)

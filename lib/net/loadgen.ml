@@ -32,16 +32,18 @@ let poisson engine ~rng ~rate_rps ~service ?start ~duration sink =
     Engine.arm tm ~at:first
   end
 
+let never = max_int
+
 let stream engine ~next emit =
   let tm = Engine.timer engine ignore in
   let at = ref 0 in
   let arm_next ~now =
-    match next ~now with
-    | None -> ()
-    | Some t ->
-        let t = Int.max t now in
-        at := t;
-        Engine.arm tm ~at:t
+    let t = next ~now in
+    if t <> never then begin
+      let t = Int.max t now in
+      at := t;
+      Engine.arm tm ~at:t
+    end
   in
   Engine.set_callback tm (fun () ->
       let fired_at = !at in

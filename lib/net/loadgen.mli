@@ -21,15 +21,19 @@ val poisson :
     [service], a random flow id and the kind ["req"], then is passed to
     the sink at its arrival time. *)
 
+val never : Time.t
+(** The time [stream]'s [next] returns to end the stream: no arrival
+    ever comes ([max_int]). *)
+
 val stream :
   Engine.t ->
-  next:(now:Time.t -> Time.t option) ->
+  next:(now:Time.t -> Time.t) ->
   (Time.t -> unit) ->
   unit
 (** Generalized open-loop driver: [next ~now] returns the absolute virtual
-    time of the next arrival ([None] ends the stream; times in the past
+    time of the next arrival ({!never} ends the stream; times in the past
     are clamped to [now]), and the sink runs at each arrival time with
-    that time.  [next] is consulted once per arrival, after the sink —
+    that time.  A plain time, so an arrival allocates nothing.  [next] is consulted once per arrival, after the sink —
     exactly one arrival is in flight at a time, so a stream holds O(1)
     event-queue space regardless of how many arrivals it will emit.
     {!Skyloft_scenario.Arrival} compiles its declarative arrival processes

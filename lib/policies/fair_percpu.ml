@@ -15,7 +15,7 @@ module Fair = Skyloft_kernel.Fair
 let table (view : Sched_ops.view) create = Array.map (fun _ -> create ()) view.cores
 
 let slot (view : Sched_ops.view) cpu =
-  let i = view.index_of cpu in
+  let i = Sched_ops.index_of view cpu in
   if i >= 0 then i else invalid_arg "per-core policy: unmanaged cpu"
 
 (* An idle core when there is one, else the one with the shortest queue
@@ -106,7 +106,7 @@ let create cls : Sched_ops.ctor =
         let rq = q target in
         (match cls with
         | Cfs ->
-            let last = view.index_of task.Task.last_core in
+            let last = Sched_ops.index_of view task.Task.last_core in
             if last >= 0 && task.Task.last_core <> target then
               task.Task.policy_f1 <-
                 Fair.migrate ~src:queues.(last) ~dst:rq task.Task.policy_f1;

@@ -23,10 +23,10 @@ val eevdf : unit -> Skyloft.Sched_ops.ctor
 (** {1 Shared with the other per-core policies} *)
 
 val table : Skyloft.Sched_ops.view -> (unit -> 'q) -> 'q array
-(** One queue per managed core, indexed by [view.index_of]. *)
+(** One queue per managed core, indexed by {!Skyloft.Sched_ops.index_of}. *)
 
 val slot : Skyloft.Sched_ops.view -> int -> int
-(** [view.index_of cpu].
+(** [Sched_ops.index_of view cpu].
     @raise Invalid_argument for a core the scheduler does not manage. *)
 
 val place : Skyloft.Sched_ops.view -> 'q array -> ('q -> int) -> int

@@ -34,7 +34,7 @@ type stats = {
   mutable steal_fails : int;
 }
 
-(* The deques, indexed by a core's position ([view.index_of]); the
+(* The deques, indexed by a core's position ([Sched_ops.index_of]); the
    cursors and the victim scan are {!Skyloft.Deques}'. *)
 type deques = {
   view : Sched_ops.view;
@@ -50,7 +50,7 @@ let deques (view : Sched_ops.view) =
   { view; n; dq = Deques.create n; wake_rr = 0 }
 
 let index d cpu =
-  let i = d.view.index_of cpu in
+  let i = Sched_ops.index_of d.view cpu in
   if i >= 0 then i else invalid_arg "work_stealing: unmanaged cpu"
 
 (* Everything but the balance is shared by both variants. *)
@@ -76,7 +76,7 @@ let instance ?quantum d ~sched_balance ~sched_migration_charge ~sched_idle_park 
     task_wakeup =
       (fun ~waker_cpu task ->
         let target =
-          if view.index_of waker_cpu >= 0 then waker_cpu
+          if Sched_ops.index_of view waker_cpu >= 0 then waker_cpu
           else begin
             (* Unmanaged waker: prefer an idle core, else rotate the
                fallback so repeated wakeups do not hot-spot core 0. *)

@@ -78,7 +78,7 @@ let piecewise_sampler ~rng ~advance =
     end
     else begin
       let gap = exp_gap rng ~mean:p.mean_gap in
-      if t + gap <= p.phase_end then Some (t + gap)
+      if t + gap <= p.phase_end then t + gap
       else begin
         p.live <- false;
         go p.phase_end
@@ -92,7 +92,7 @@ let sampler t rng =
   match t with
   | Poisson { rate_rps } ->
       let mean = 1e9 /. rate_rps in
-      fun ~now -> Some (now + exp_gap rng ~mean)
+      fun ~now -> now + exp_gap rng ~mean
   | Mmpp { rate_on; rate_off; mean_on; mean_off } ->
       let on = ref true in
       let mean_on = float_of_int mean_on and mean_off = float_of_int mean_off in

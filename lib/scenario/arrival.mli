@@ -38,13 +38,14 @@ val mean_rate : t -> float
 (** Long-run average arrival rate in rps (exact: phase- or
     segment-weighted). *)
 
-val sampler : t -> Rng.t -> now:Time.t -> Time.t option
+val sampler : t -> Rng.t -> now:Time.t -> Time.t
 (** [sampler t rng] compiles the process into a stateful next-arrival
     function: each call returns the absolute time of the next arrival at
     or after [now].  Phase changes between arrivals are simulated
     exactly (exponential gaps are redrawn at phase boundaries, which the
-    memoryless property makes exact).  Never returns [None]; the stream
-    is stopped by its consumer (e.g. a request-count target).
+    memoryless property makes exact).  Never returns
+    {!Skyloft_net.Loadgen.never}: the stream is stopped by its consumer
+    (e.g. a request-count target).  A call allocates nothing.
     Runs [validate] first. *)
 
 val rotate : int -> (Time.t * float) list -> (Time.t * float) list

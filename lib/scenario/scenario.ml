@@ -1,23 +1,31 @@
 module Time = Skyloft_sim.Time
 module Engine = Skyloft_sim.Engine
 module Rng = Skyloft_sim.Rng
-module Coro = Skyloft_sim.Coro
 module Topology = Skyloft_hw.Topology
 module Machine = Skyloft_hw.Machine
 module Kmod = Skyloft_kernel.Kmod
 module Histogram = Skyloft_stats.Histogram
 module Rc = Skyloft.Runtime_core
+module Task = Skyloft.Task
 module Work_stealing = Skyloft_policies.Work_stealing
 module Allocator = Skyloft_alloc.Allocator
 module Alloc_policy = Skyloft_alloc.Policy
 module Loadgen = Skyloft_net.Loadgen
 
-type lc_spec = { lc_name : string; shape : Shape.t; arrival : Arrival.t }
+type lc_spec = {
+  lc_name : string;
+  shape : Shape.t;
+  arrival : Arrival.t;
+  program : Shape.program;
+}
 type be_spec = { be_name : string; guaranteed : int }
 type tenant = Lc of lc_spec | Be of be_spec
 type t = { name : string; cores : int; tenants : tenant list }
 
-let lc ~name ~shape ~arrival = Lc { lc_name = name; shape; arrival }
+(* The program is compiled here, once per declared tenant, so a cell's
+   setup builds none. *)
+let lc ~name ~shape ~arrival =
+  Lc { lc_name = name; shape; arrival; program = Shape.compile shape }
 let be ?(guaranteed = 0) ~name () = Be { be_name = name; guaranteed }
 let make ~name ~cores tenants = { name; cores; tenants }
 
@@ -159,7 +167,7 @@ let alloc_config guaranteed =
 let stream engine arrival rng ~stop issue =
   let next = Arrival.sampler arrival rng in
   Loadgen.stream engine
-    ~next:(fun ~now -> if stop () then None else next ~now)
+    ~next:(fun ~now -> if stop () then Loadgen.never else next ~now)
     issue
 
 let drain engine ~expected_s ~settled =
@@ -174,7 +182,7 @@ let drain engine ~expected_s ~settled =
 
 type lc_state = {
   l_spec : lc_spec;
-  l_spawn : Time.t -> (unit -> unit) -> unit;
+  l_submit : arrival:Time.t -> service:Time.t -> int -> unit;
   l_rng : Rng.t;  (* service draws + mix picks *)
   l_hist : Histogram.t;
   mutable l_submitted : int;
@@ -189,7 +197,8 @@ type cell = {
   requests : int;
   engine : Engine.t;
   rt : Rc.t;
-  lcs : lc_state list;
+  table : Shape.table;  (* every tenant's requests in flight *)
+  mutable lcs : lc_state list;  (* set once, right after the cell *)
   mutable submitted : int;
   mutable completed : int;
   mutable last_completion : Time.t;
@@ -214,42 +223,6 @@ let prepare ?(seed = 42) ~requests ~runtime scenario =
   let rt =
     build machine kmod ~first_core:0 ~cores:scenario.cores runtime
   in
-  (* Apps are created and RNG streams split in scenario order, before
-     anything runs: the draw order is part of the seed contract. *)
-  let lcs =
-    List.filter_map
-      (function
-        | Lc spec ->
-            let app = Rc.create_app rt ~name:spec.lc_name in
-            (* One stage of this tenant's requests. *)
-            let spawn service k =
-              ignore
-                (Rc.spawn rt app ~name:spec.lc_name ~record:false
-                   (Coro.Compute
-                      ( service,
-                        fun () ->
-                          k ();
-                          Coro.Exit )))
-            in
-            Some
-              {
-                l_spec = spec;
-                l_spawn = spawn;
-                l_rng = Engine.split_rng engine;
-                l_hist = Histogram.create ();
-                l_submitted = 0;
-                l_completed = 0;
-              }
-        | Be _ -> None)
-      scenario.tenants
-  in
-  let arrival_rngs = List.map (fun _ -> Engine.split_rng engine) lcs in
-  (match be_tenant with
-  | Some { be_name; guaranteed } ->
-      let app = Rc.create_app rt ~name:be_name in
-      Rc.attach_be_app rt ~alloc:(alloc_config guaranteed) app ~chunk:(Time.us 50)
-        ~workers:scenario.cores
-  | None -> ());
   let c =
     {
       scenario;
@@ -257,25 +230,66 @@ let prepare ?(seed = 42) ~requests ~runtime scenario =
       requests;
       engine;
       rt;
-      lcs;
+      table = Shape.table ();
+      lcs = [];
       submitted = 0;
       completed = 0;
       last_completion = 0;
     }
   in
-  (* One request: [Shape.exec] compiles it to task submissions; the
-     continuation runs at the completion of the last stage (chain) or
-     the join (fan-out) and records only into the tenant's bounded
-     histogram — nothing per-request survives the request. *)
+  (* A request's stages run its tenant's stage program: every stage
+     completion goes to the tenant's one hook, which issues the next
+     chain stage or counts the join down, and at the request's last
+     completion records only into the tenant's bounded histogram —
+     nothing per-request survives the request. *)
+  let complete (l : lc_state) (task : Task.t) =
+    let arrival = task.Task.arrival in
+    if
+      Shape.step l.l_spec.program c.table l.l_rng ~submit:l.l_submit ~arrival
+        task.Task.request
+    then begin
+      l.l_completed <- l.l_completed + 1;
+      c.completed <- c.completed + 1;
+      let now = Engine.now engine in
+      c.last_completion <- Int.max c.last_completion now;
+      Histogram.record l.l_hist (now - arrival)
+    end
+  in
+  let tenant spec =
+    let app = Rc.create_app rt ~name:spec.lc_name in
+    let rec l =
+      {
+        l_spec = spec;
+        l_submit =
+          (fun ~arrival ~service request ->
+            Rc.submit rt app ~name:spec.lc_name ~arrival ~service ~hook request);
+        l_rng = Engine.split_rng engine;
+        l_hist = Histogram.create ();
+        l_submitted = 0;
+        l_completed = 0;
+      }
+    and hook task = complete l task in
+    l
+  in
+  (* Apps are created and RNG streams split in scenario order, before
+     anything runs: the draw order is part of the seed contract. *)
+  let lcs =
+    List.filter_map
+      (function Lc spec -> Some (tenant spec) | Be _ -> None)
+      scenario.tenants
+  in
+  c.lcs <- lcs;
+  let arrival_rngs = List.map (fun _ -> Engine.split_rng engine) lcs in
+  (match be_tenant with
+  | Some { be_name; guaranteed } ->
+      let app = Rc.create_app rt ~name:be_name in
+      Rc.attach_be_app rt ~alloc:(alloc_config guaranteed) app ~chunk:(Time.us 50)
+        ~workers:scenario.cores
+  | None -> ());
   let issue (l : lc_state) at =
     l.l_submitted <- l.l_submitted + 1;
     c.submitted <- c.submitted + 1;
-    Shape.exec l.l_spec.shape l.l_rng ~spawn:l.l_spawn (fun () ->
-        l.l_completed <- l.l_completed + 1;
-        c.completed <- c.completed + 1;
-        let now = Engine.now engine in
-        c.last_completion <- Int.max c.last_completion now;
-        Histogram.record l.l_hist (now - at))
+    Shape.start l.l_spec.program c.table l.l_rng ~submit:l.l_submit at
   in
   List.iter2
     (fun l arrival_rng ->

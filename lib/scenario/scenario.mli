@@ -21,7 +21,14 @@ module Histogram = Skyloft_stats.Histogram
     live heap.  Everything is a pure function of the seed: same seed ⇒
     byte-identical {!digest_string}, at any [-j]. *)
 
-type lc_spec = { lc_name : string; shape : Shape.t; arrival : Arrival.t }
+type lc_spec = private {
+  lc_name : string;
+  shape : Shape.t;
+  arrival : Arrival.t;
+  program : Shape.program;
+      (** [shape]'s stage program ({!Shape.compile}), compiled once when
+          the tenant is declared ({!lc}) and shared by every cell *)
+}
 
 type be_spec
 (** The best-effort tenant's name and the cores the allocator never
@@ -122,7 +129,13 @@ val prepare : ?seed:int -> requests:int -> runtime:runtime -> t -> cell
     {!build} [runtime], create one app per tenant and split the RNG
     streams in scenario order, attach the BE tenant to the allocator with
     its floor, and arm each LC tenant's {!stream}, which issues requests
-    through {!Shape.exec} until [requests] arrivals in total.  Nothing
+    until [requests] arrivals in total.  A request runs its tenant's
+    stage program ([program], {!Shape.start}): each stage is a
+    {!Skyloft.Runtime_core.submit} whose completion goes to the tenant's
+    one hook, which draws and submits the next chain stage or counts the
+    join down ({!Shape.step}).  The program keeps {!Shape.exec}'s draw
+    order, so the stages and the seed contract are {!Shape.exec}'s; a
+    stage allocates nothing but its task.  Nothing
     runs: the engine fires no event until someone runs it.  This is the
     one place the setup order lives, so it fixes the draw order of the
     seed contract (default seed 42). *)
@@ -145,8 +158,9 @@ val run : ?seed:int -> requests:int -> runtime:runtime -> t -> digest
 
 (** {1 Arrival streams and the drain}
 
-    Shared by {!run} and {!Placement.run}; each brings its own issue
-    ({!Shape.exec} under its own [spawn]) and predicates. *)
+    Shared by {!run} and {!Placement.run}; each brings its own issue (a
+    stage program, or {!Shape.exec} under its own [spawn]) and
+    predicates. *)
 
 val stream :
   Skyloft_sim.Engine.t -> Arrival.t -> Skyloft_sim.Rng.t ->

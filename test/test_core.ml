@@ -506,8 +506,8 @@ let test_percpu_view_positions () =
       let view = Rc.view (Percpu.runtime pc) in
       check (Alcotest.array Alcotest.int) "the managed cores, in order" cores view.cores;
       let position c = check Alcotest.int (Printf.sprintf "core %d" c) in
-      Array.iteri (fun i c -> position c i (view.index_of c)) cores;
-      List.iter (fun c -> position c (-1) (view.index_of c)) [ 0; 2 * n; -1 ])
+      Array.iteri (fun i c -> position c i (Sched_ops.index_of view c)) cores;
+      List.iter (fun c -> position c (-1) (Sched_ops.index_of view c)) [ 0; 2 * n; -1 ])
     [ 1; 2; 62; 63; 80 ]
 
 (* The per-core LAPIC ticks are same-phase [Engine.every]s, so they share

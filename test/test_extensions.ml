@@ -110,6 +110,59 @@ let test_fault_current_blocks_and_resumes () =
   check Alcotest.bool "faulted task completed after resume" true
     (!faulted_done >= Time.us 210 && !faulted_done < Time.us 400)
 
+(* A submitted stage runs as the spawned compute it replaces: on two
+   cores under a 30 us quantum, stages (one faulted for 50 us at
+   t = 10 us, some preempted, each of the first three followed by a
+   second stage its hook places) reach their hooks at the instants and in
+   the order the spawned [Compute (service, fun () -> k (); Exit)] tasks
+   reach their continuations, and each hook sees its stage's arrival and
+   request key. *)
+let test_submit_is_spawned_compute () =
+  let run submitted =
+    let engine = Engine.create () in
+    let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:2) in
+    let rt =
+      Percpu.runtime
+        (Percpu.create machine (Kmod.create machine) ~cores:[ 0; 1 ]
+           (Skyloft_policies.Work_stealing.create ~quantum:(Time.us 30) ()))
+    in
+    let app = Rc.create_app rt ~name:"a" in
+    let log = ref [] in
+    let rec stage i service =
+      let follow () =
+        log := (i, 100 + i, Engine.now engine) :: !log;
+        if i < 3 then stage (i + 3) (Time.us 20)
+      in
+      if submitted then
+        Rc.submit rt app ~name:"s" ~arrival:(100 + i) ~service ~hook i
+      else
+        ignore
+          (Rc.spawn rt app ~name:"s" ~record:false
+             (Coro.Compute
+                ( service,
+                  fun () ->
+                    follow ();
+                    Coro.Exit )))
+    and hook (task : Skyloft.Task.t) =
+      let i = task.Skyloft.Task.request in
+      log := (i, task.Skyloft.Task.arrival, Engine.now engine) :: !log;
+      if i < 3 then stage (i + 3) (Time.us 20)
+    in
+    List.iteri (fun i service -> stage i (Time.us service)) [ 100; 60; 80; 90; 40 ];
+    Engine.at engine (Time.us 10) (fun () ->
+        check Alcotest.bool "fault accepted" true
+          (Rc.fault_current rt ~core:0 ~duration:(Time.us 50)));
+    Engine.run ~until:(Time.ms 2) engine;
+    (List.rev !log, Rc.preemptions rt, (Rc.find_app rt app.App.id).App.completed)
+  in
+  let spawned = run false and submitted = run true in
+  let _, preempts, completed = submitted in
+  check Alcotest.bool "stages were preempted" true (preempts > 0);
+  check Alcotest.int "every stage exited" 8 completed;
+  check
+    Alcotest.(triple (list (triple int int int)) int int)
+    "same hooks, instants and order" spawned submitted
+
 let test_fault_on_idle_core () =
   let engine = Engine.create () in
   let machine = Machine.create engine (Topology.create ~sockets:1 ~cores_per_socket:2) in
@@ -273,6 +326,8 @@ let suite =
     Alcotest.test_case "nic: MSI end-to-end" `Quick test_nic_msi_end_to_end;
     Alcotest.test_case "nic: MSI coalescing" `Quick test_nic_msi_coalesces;
     Alcotest.test_case "fault: block and resume" `Quick test_fault_current_blocks_and_resumes;
+    Alcotest.test_case "submit: a stage is the spawned compute it replaces" `Quick
+      test_submit_is_spawned_compute;
     Alcotest.test_case "fault: idle core" `Quick test_fault_on_idle_core;
     Alcotest.test_case "fault: last runnable task" `Quick test_fault_last_runnable_task;
     Alcotest.test_case "fault: BE task in a BE grant" `Quick

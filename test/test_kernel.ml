@@ -647,7 +647,7 @@ let host ctor ~now =
   let view =
     {
       Sched_ops.cores;
-      index_of = (fun c -> if c >= 0 && c < 3 then c else -1);
+      slots = [| 0; 1; 2 |];
       pick_idle = (fun () -> Array.find_opt is_idle cores);
       now = (fun () -> !now);
     }

@@ -204,14 +204,10 @@ let ws_instance ?(cores = [| 0; 1 |]) ?(is_idle = fun _ -> false) () =
   let view =
     {
       Skyloft.Sched_ops.cores;
-      index_of =
-        (fun c ->
-          let rec find i =
-            if i = Array.length cores then -1
-            else if cores.(i) = c then i
-            else find (i + 1)
-          in
-          find 0);
+      slots =
+        (let slots = Array.make (Array.fold_left Int.max (-1) cores + 1) (-1) in
+         Array.iteri (fun i c -> slots.(c) <- i) cores;
+         slots);
       pick_idle = (fun () -> Array.find_opt is_idle cores);
       now = (fun () -> 0);
     }

@@ -68,15 +68,13 @@ let test_arrival_mean_rate () =
 let drain_sampler next ~horizon =
   let count = ref 0 and now = ref 0 and go = ref true in
   while !go do
-    match next ~now:!now with
-    | None -> go := false
-    | Some at ->
-        check bool "arrivals nondecreasing" true (at >= !now);
-        if at >= horizon then go := false
-        else begin
-          incr count;
-          now := at
-        end
+    let at = next ~now:!now in
+    check bool "arrivals nondecreasing" true (at >= !now);
+    if at >= horizon then go := false
+    else begin
+      incr count;
+      now := at
+    end
   done;
   !count
 
@@ -122,11 +120,9 @@ let test_arrival_sampler_deterministic () =
     let next = Arrival.sampler arrival (Rng.create ~seed) in
     let acc = ref [] and now = ref 0 in
     for _ = 1 to 500 do
-      match next ~now:!now with
-      | Some at ->
-          acc := at :: !acc;
-          now := at
-      | None -> ()
+      let at = next ~now:!now in
+      acc := at :: !acc;
+      now := at
     done;
     !acc
   in
@@ -151,11 +147,10 @@ let test_arrival_known_answers () =
     let next = Arrival.sampler a (Rng.create ~seed) in
     let now = ref 0 in
     List.init n (fun _ ->
-        match next ~now:!now with
-        | Some t ->
-            now := t;
-            t
-        | None -> Alcotest.fail "the sampler returned None")
+        let t = next ~now:!now in
+        if t = Skyloft_net.Loadgen.never then Alcotest.fail "the sampler ended its stream";
+        now := t;
+        t)
   in
   let ints = Alcotest.(list int) in
   check ints "poisson" [ 340; 1261; 2309; 4032; 4759; 6293; 6993; 8646 ]
@@ -177,16 +172,14 @@ let test_arrival_known_answers () =
       ("diurnal", diurnal, 3490931, 8593024746);
     ]
 
-(* A Poisson sample allocates only its [Some] (2 words).  MMPP and
-   Diurnal add a boxed mean gap per phase change, amortised over the
-   phase's arrivals.  A [Shape.Mix] pick allocates nothing. *)
+(* A Poisson sample allocates nothing.  MMPP and Diurnal allocate only a
+   boxed mean gap per phase change, amortised over the phase's arrivals.
+   A [Shape.Mix] pick allocates nothing. *)
 let test_arrival_sample_allocation () =
   let words_per_sample a =
     let next = Arrival.sampler a (Rng.create ~seed:3) in
     let now = ref 0 in
-    let sample () =
-      match next ~now:!now with Some t -> now := t | None -> ()
-    in
+    let sample () = now := next ~now:!now in
     sample ();
     let n = 10_000 in
     let before = Gc.minor_words () in
@@ -201,14 +194,14 @@ let test_arrival_sample_allocation () =
       if w > max +. 0.01 then
         Alcotest.failf "%s: %.2f minor words per sample (max %.1f)" name w max)
     [
-      ("Poisson", Arrival.Poisson { rate_rps = 1e6 }, 2.0);
+      ("Poisson", Arrival.Poisson { rate_rps = 1e6 }, 0.0);
       ( "MMPP",
         Arrival.Mmpp
           { rate_on = 1.6e6; rate_off = 1e5; mean_on = Time.ms 2; mean_off = Time.ms 6 },
-        2.1 );
+        0.1 );
       ( "Diurnal",
         Arrival.Diurnal { segments = [ (Time.us 50, 1e6); (Time.us 30, 0.0); (Time.us 40, 3e6) ] },
-        2.1 );
+        0.1 );
     ];
   (* a mix pick: the weight sums and the draw stay unboxed *)
   let rng = Rng.create ~seed:3 in
@@ -275,6 +268,114 @@ let lc name = Scenario.lc ~name ~shape:(Shape.Single (Dist.Constant 1_000))
 
 (* [Scenario.run] validates before it builds anything. *)
 let validate scenario = ignore (Scenario.run ~requests:1 ~runtime:Scenario.Percpu scenario)
+
+(* The stage program is [Shape.exec]: over random shapes (nested mixes of
+   singles, chains of 1-4 stages and fan-outs of width 1-4), two tenants
+   sharing one request table issue requests and complete stages in the
+   same random order under both, and must log the same submissions (the
+   request and its service draw, in order) and the same request
+   completions.  Draws come from one RNG per tenant, so a draw taken at
+   the wrong moment shifts every later one.  Once everything has drained,
+   every slot is back on the free stack, each once. *)
+let shape_gen =
+  let open QCheck.Gen in
+  let dist = map (fun mean -> Dist.Exponential { mean }) (int_range 1 1_000) in
+  let leaf =
+    oneof
+      [
+        map (fun d -> Shape.Single d) dist;
+        map (fun ds -> Shape.Chain ds) (list_size (int_range 1 4) dist);
+        map2 (fun width stage -> Shape.Fanout { width; stage }) (int_range 1 4) dist;
+      ]
+  in
+  sized_size (int_range 0 2)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               ( 1,
+                 map
+                   (fun bs -> Shape.Mix bs)
+                   (list_size (int_range 1 3)
+                      (pair (float_range 0.1 5.0) (self (n - 1)))) );
+             ])
+
+type stage_event = Submit of int * int | Complete of int
+
+(* [issue tenant request] and [complete stage] drive one system; the
+   order RNG picks, at each step, the next request to issue or a pending
+   stage to complete, until every request is issued and drained. *)
+let stage_log ~order_seed ~requests ~issue ~complete pending =
+  let order = Rng.create ~seed:order_seed in
+  let issued = ref 0 in
+  while !issued < requests || !pending <> [] do
+    let n = List.length !pending in
+    if !issued < requests && (n = 0 || Rng.int order 3 = 0) then begin
+      issue (!issued mod 2) !issued;
+      incr issued
+    end
+    else begin
+      let i = Rng.int order n in
+      let stage = List.nth !pending i in
+      pending := List.filteri (fun j _ -> j <> i) !pending;
+      complete stage
+    end
+  done
+
+let prop_stage_program_is_exec =
+  QCheck.Test.make ~name:"shape: the stage program is Shape.exec" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (_, _, seed, order_seed, n) ->
+          Printf.sprintf "seed %d, order %d, %d requests" seed order_seed n)
+        Gen.(
+          tup5 shape_gen shape_gen (int_bound 10_000) (int_bound 10_000)
+            (int_range 1 40)))
+    (fun (s0, s1, seed, order_seed, requests) ->
+      let shapes = [| s0; s1 |] in
+      let rngs () = Array.init 2 (fun i -> Rng.create ~seed:(seed + i)) in
+      (* reference: [Shape.exec], a pending stage is (request, k) *)
+      let reference =
+        let log = ref [] and pending = ref [] and rngs = rngs () in
+        let current = ref (-1) in
+        let spawn service k =
+          log := Submit (!current, service) :: !log;
+          pending := !pending @ [ (!current, k) ]
+        in
+        stage_log ~order_seed ~requests pending
+          ~issue:(fun tenant r ->
+            current := r;
+            Shape.exec shapes.(tenant) rngs.(tenant) ~spawn (fun () ->
+                log := Complete r :: !log))
+          ~complete:(fun (r, k) ->
+            current := r;
+            k ());
+        List.rev !log
+      in
+      (* the compiled programs, one table: a pending stage is
+         (tenant, request as its arrival, key) *)
+      let table = Shape.table () in
+      let compiled =
+        let log = ref [] and pending = ref [] and rngs = rngs () in
+        let programs = Array.map Shape.compile shapes in
+        let submit tenant ~arrival ~service key =
+          log := Submit (arrival, service) :: !log;
+          pending := !pending @ [ (tenant, arrival, key) ]
+        in
+        stage_log ~order_seed ~requests pending
+          ~issue:(fun tenant r ->
+            Shape.start programs.(tenant) table rngs.(tenant)
+              ~submit:(submit tenant) r)
+          ~complete:(fun (tenant, arrival, key) ->
+            if
+              Shape.step programs.(tenant) table rngs.(tenant)
+                ~submit:(submit tenant) ~arrival key
+            then log := Complete arrival :: !log);
+        List.rev !log
+      in
+      compiled = reference && Shape.in_flight table = 0)
 
 let test_scenario_validate () =
   check bool "no LC tenant" true
@@ -513,13 +614,14 @@ let test_ledgers_hold_while_running () =
    ceiling is the measured words/request plus 5%; an allocation
    regression on the request path fails here.  The default (release)
    build inlines across modules and unboxes at inlined call sites; the
-   [--profile dev] build compiles every library [-opaque] and allocates
-   5-8% more, past the release ceilings, so it has its own, measured the
-   same way. *)
+   [--profile dev] build compiles every library [-opaque], which can
+   allocate more (5-8% before request stages stopped building closures,
+   about the same since), so it has its own list, measured the same
+   way. *)
 let test_scale_cell_allocation_ceiling () =
   let ceilings =
-    if Build_profile.name = "dev" then [ 64.4; 67.6; 174.2; 89.7 ]
-    else [ 60.2; 63.4; 161.3; 84.1 ]
+    if Build_profile.name = "dev" then [ 41.2; 42.2; 105.0; 62.4 ]
+    else [ 41.2; 42.2; 105.0; 62.3 ]
   in
   List.iter2
     (fun (name, per_request, _) ceiling ->
@@ -550,6 +652,7 @@ let suite =
     test_case "arrival and mix pick: allocation per draw" `Quick test_arrival_sample_allocation;
     test_case "shape: validation" `Quick test_shape_validate;
     test_case "shape: exact mean service" `Quick test_shape_mean_service;
+    QCheck_alcotest.to_alcotest prop_stage_program_is_exec;
     test_case "scenario: validation" `Quick test_scenario_validate;
     test_case "scenario: load accounting" `Quick test_scenario_load_accounting;
     test_case "scenario: chain latency floor" `Quick test_chain_latency_floor;
