@@ -3,11 +3,12 @@
 #
 #   bench/pcprof/layers.sh PROFILE [TOP]   # TOP source lines per layer, default 3
 #
-# Only samples with Scenario.finish (or Scenario.run) on the stack count,
-# so perfbench's reference block and each cell's setup stay out:
-# Scenario.run is `finish (prepare ...)`, and its tail call leaves only
-# finish's frame on the stack while the cell drains.  Each such sample
-# is charged to its leaf PC:
+# Only samples with Scenario.finish (or Scenario.run) on the stack and
+# Scenario.prepare off it count, so perfbench's reference block and each
+# cell's setup stay out: Scenario.run is `finish (prepare ...)`, and its
+# tail call leaves only finish's frame on the stack while the cell
+# drains.  The samples under Scenario.prepare (cell setup) are counted on
+# a line of their own.  Each kept sample is charged to its leaf PC:
 # - OCaml code in the executable goes to the source file `addr2line`
 #   gives for the PC.  OCaml's line table carries the location of inlined
 #   code, so a function inlined into another layer's caller is still
@@ -70,9 +71,13 @@ awk '
   }
   {
     total++
-    under = 0
-    for (f = NF; f >= 2 && !under; f--)
-      if (resolve($f) ~ /Scenario\.(run|finish)(_inner)?_[0-9]+$/) under = 1
+    under = 0; setup = 0
+    for (f = NF; f >= 2 && !setup; f--) {
+      s = resolve($f)
+      if (s ~ /Scenario\.prepare(_inner)?_[0-9]+$/) setup = 1
+      else if (s ~ /Scenario\.(run|finish)(_inner)?_[0-9]+$/) under = 1
+    }
+    if (setup) { prepared++; next }
     if (!under) next
     kept++
     s = resolve($1)
@@ -85,7 +90,7 @@ awk '
     else if (obase[obj] ~ /^lib(m|c)\.so/) print "row libm/libc"
     else print "row other:" obase[obj]
   }
-  END { printf "%d %d\n", total, kept > "/dev/stderr" }' "$tmp/syms" "$prof" \
+  END { printf "%d %d %d\n", total, kept, prepared > "/dev/stderr" }' "$tmp/syms" "$prof" \
   > "$tmp/leaves" 2> "$tmp/counts"
 
 awk '$1 == "pc" { print $2 }' "$tmp/leaves" | sort -u > "$tmp/addrs"
@@ -118,6 +123,7 @@ awk -v counts="$(cat "$tmp/counts")" -v rows_out="$tmp/rows" -v lines_out="$tmp/
   END {
     split(counts, c, " ")
     printf "%d samples, %d under Scenario.finish\n", c[1], c[2]
+    printf "%d under Scenario.prepare (cell setup, %.2f%% of all samples)\n", c[3], 100 * c[3] / c[1]
     if (c[2] == 0) exit 1
     for (r in n) printf "%.2f\t%s\n", 100 * n[r] / c[2], r > rows_out
     for (k in line) printf "%s\t%.2f\n", k, 100 * line[k] / c[2] > lines_out

@@ -37,7 +37,7 @@ type 'x binding = {
   mutable last_busy_ns : int;
   mutable stale_ticks : int;  (* consecutive ticks with a frozen signal *)
   mutable health : health;
-  series : Timeseries.t;
+  mutable series : Timeseries.t;  (* [unwatched] until {!series} *)
   ext : 'x;  (* the level's own per-binding state *)
 }
 
@@ -48,8 +48,11 @@ let sample b = b.sample ()
 let grant b = b.granted
 let stale_ticks b = b.stale_ticks
 let health b = b.health
-let grant_series b = b.series
 let ext b = b.ext
+
+(* The [series] of every unwatched binding: compared physically and never
+   recorded, so an unwatched transition costs one compare. *)
+let unwatched = Timeseries.create ()
 
 type ('r, 'x) arbiter = {
   who : string;  (* "Allocator" / "Broker": names errors *)
@@ -147,13 +150,12 @@ let bind t ~id ~name ~kind ~bounds ~initial ~sample ~apply ext =
       last_busy_ns = (sample ()).busy_ns;
       stale_ticks = 0;
       health = Healthy;
-      series = Timeseries.create ();
+      series = unwatched;
       ext;
     }
   in
-  Timeseries.record b.series ~at:(now t) initial;
   let signal =
-    { Policy.kind; cores = 0; runq_len = 0; oldest_delay = 0; utilization = 0.0 }
+    { Policy.kind; cores = 0; runq_len = 0; oldest_delay = 0; busy_ns = 0; window_ns = 1 }
   in
   t.bindings <- Array.append t.bindings [| b |];
   t.signals <- Array.append t.signals [| signal |];
@@ -182,13 +184,13 @@ let emit t b ~action =
   log t { at = now t; id = b.id; name = b.name; action; granted = b.granted }
 
 (* Apply one accepted core movement: adjust the grant, inform the owner
-   through [apply], charge the switch cost it reports, record the series,
-   log the event. *)
+   through [apply], charge the switch cost it reports, record the series
+   once it is watched, log the event. *)
 let transition t b ~action ~delta =
   if delta <> 0 then begin
     b.granted <- b.granted + delta;
     t.charged_ns <- t.charged_ns + b.apply ~granted:b.granted ~delta;
-    Timeseries.record b.series ~at:(now t) b.granted;
+    if b.series != unwatched then Timeseries.record b.series ~at:(now t) b.granted;
     emit t b ~action
   end
 
@@ -209,7 +211,8 @@ let signal_of t i (r : raw) =
   s.cores <- b.granted;
   s.runq_len <- r.runq_len;
   s.oldest_delay <- r.oldest_delay;
-  s.utilization <- float_of_int busy /. float_of_int (interval * Int.max 1 b.granted);
+  s.busy_ns <- busy;
+  s.window_ns <- interval * Int.max 1 b.granted;
   s
 
 exception Invariant_violation of string
@@ -304,7 +307,18 @@ let start t =
 
 let stop t = t.running <- false
 let granted t ~app = (find t app).granted
-let series t ~app = (find t app).series
+
+(* The series starts at the current grant: the changes before the first
+   watch were never recorded. *)
+let series t ~app =
+  let b = find t app in
+  if b.series == unwatched then begin
+    let series = Timeseries.create () in
+    Timeseries.record series ~at:(now t) b.granted;
+    b.series <- series
+  end;
+  b.series
+
 let capacity t = t.capacity
 let grants t = t.grants
 let reclaims t = t.reclaims
@@ -426,5 +440,5 @@ let register_metrics (t : t) reg =
       Registry.gauge reg ~labels:al "skyloft_alloc_granted_cores"
         ~help:"Cores currently granted" (fun () -> float_of_int b.granted);
       Registry.series reg ~labels:al "skyloft_alloc_granted_series"
-        ~help:"Granted core count over time" b.series)
+        ~help:"Granted core count over time" (series t ~app:b.id))
     t.bindings

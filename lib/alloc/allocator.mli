@@ -25,8 +25,8 @@ module Timeseries = Skyloft_stats.Timeseries
     (through the kernel module, or a runtime's core allowance) and
     returns the virtual-time cost it charged — the paper's §5.4
     inter-application switch costs — which the arbiter accumulates.
-    Decisions are exported as a per-binding core-count {!Timeseries} and
-    a bounded event log.
+    Decisions are exported as a bounded event log and, for each binding
+    whose {!series} has been asked for, a core-count {!Timeseries}.
 
     The arbiter sits at two levels, and the constructor picks the rules
     that differ between them:
@@ -69,8 +69,9 @@ type ('r, 'x) arbiter
 
 type 'x binding
 (** One registered app or tenant: its id, name, kind, bounds, signal
-    sample and grant hook, granted cores, health and core-count series,
-    and the level's own state ['x].  Only this module writes it. *)
+    sample and grant hook, granted cores, health and core-count series
+    (once watched), and the level's own state ['x].  Only this module
+    writes it. *)
 
 val id : _ binding -> int
 val name : _ binding -> string
@@ -86,9 +87,6 @@ val stale_ticks : _ binding -> int
     and cores granted (or already {!Stale}). *)
 
 val health : _ binding -> health
-
-val grant_series : _ binding -> Timeseries.t
-(** The grant over time, one sample per change. *)
 
 val ext : 'x binding -> 'x
 
@@ -171,7 +169,8 @@ val signal_of : ('r, 'x) arbiter -> int -> raw -> Policy.signal
 
 val transition : ('r, 'x) arbiter -> 'x binding -> action:action -> delta:int -> unit
 (** Move [delta] cores (signed; no-op at 0): adjust the grant, call
-    [apply], charge its cost, record the series, log the event. *)
+    [apply], charge its cost, record the series if it is watched, log the
+    event. *)
 
 val emit : ('r, 'x) arbiter -> 'x binding -> action:action -> unit
 (** Log an edge that moves no cores. *)
@@ -192,7 +191,10 @@ val stop : ('r, 'x) arbiter -> unit
 val granted : ('r, 'x) arbiter -> app:int -> int
 
 val series : ('r, 'x) arbiter -> app:int -> Timeseries.t
-(** Core-count timeseries, one sample per change. *)
+(** The binding's core-count timeseries, one sample per change, recorded
+    from the first call on: it starts with the grant at that time, and an
+    unwatched binding records nothing.  Call it before the run to see the
+    whole run. *)
 
 val capacity : ('r, 'x) arbiter -> int
 val free_cores : ('r, 'x) arbiter -> int

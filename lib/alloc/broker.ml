@@ -198,7 +198,10 @@ let register (t : t) ~tenant ~name ~kind ~policy ~bounds ~initial ~sample ~apply
       quarantine_left = 0;
       core_ns = 0;
       core_ns_at = A.now t;
-    }
+    };
+  (* A tenant's grant series is part of every placement report: watched
+     from registration on. *)
+  ignore (A.series t ~app:tenant)
 
 let intercept_sample t ~tenant f = (A.ext (A.find t tenant)).intercept <- Some f
 
@@ -313,5 +316,5 @@ let register_metrics t reg =
           settle_core_ns t b;
           (A.ext b).core_ns);
       Registry.series reg ~labels:al "skyloft_broker_granted_series"
-        ~help:"Granted core count over time" (A.grant_series b))
+        ~help:"Granted core count over time" (A.series t ~app:(A.id b)))
     (A.bindings t)

@@ -7,8 +7,13 @@ type signal = {
   mutable cores : int;
   mutable runq_len : int;
   mutable oldest_delay : Time.t;
-  mutable utilization : float;
+  mutable busy_ns : int;
+  mutable window_ns : int;
 }
+
+(* Busy time over the window, computed where it is read: a float field
+   would box on every refill. *)
+let utilization_of s = float_of_int s.busy_ns /. float_of_int s.window_ns
 
 type decision = Grant of int | Yield of int | Hold
 
@@ -104,27 +109,28 @@ module Utilization_impl = struct
 
   let observe apps ~app s =
     let st = Per_app.find apps app in
-    if s.utilization >= hi then begin
+    let utilization = utilization_of s in
+    if utilization >= hi then begin
       st.below <- 0;
       st.above <- st.above + 1;
       if st.above >= hysteresis then begin
         st.above <- 0;
         (* Enough cores to bring utilization back under the high watermark:
            busy core-equivalents / hi, rounded up. *)
-        let busy_cores = s.utilization *. float_of_int (Int.max 1 s.cores) in
+        let busy_cores = utilization *. float_of_int (Int.max 1 s.cores) in
         let want = int_of_float (ceil (busy_cores /. hi)) in
         Grant (Int.max 1 (want - s.cores))
       end
       else Hold
     end
-    else if s.utilization <= lo then begin
+    else if utilization <= lo then begin
       st.above <- 0;
       st.below <- st.below + 1;
       if st.below >= hysteresis && s.cores > 0 then begin
         st.below <- 0;
         (* Shed down to the high-watermark target in one step, so a calm
            app does not ratchet its grant upward over time. *)
-        let busy_cores = s.utilization *. float_of_int (Int.max 1 s.cores) in
+        let busy_cores = utilization *. float_of_int (Int.max 1 s.cores) in
         let target = int_of_float (ceil (busy_cores /. hi)) in
         Yield (Int.max 1 (s.cores - target))
       end
@@ -164,7 +170,7 @@ module Delay_impl = struct
           (* Spare capacity in core-equivalents this interval; keep one
              headroom core so a single arrival does not immediately queue
              past the threshold again. *)
-          let busy_cores = s.utilization *. float_of_int (Int.max 1 s.cores) in
+          let busy_cores = utilization_of s *. float_of_int (Int.max 1 s.cores) in
           let spare = float_of_int s.cores -. busy_cores in
           if s.runq_len = 0 && s.cores > 0 && spare > 1.5 then begin
             st.calm <- st.calm + 1;

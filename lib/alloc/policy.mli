@@ -26,9 +26,11 @@ type signal = {
   mutable oldest_delay : Time.t;
       (** queueing delay of the oldest pending task (Shenango's congestion
           signal); 0 when the queue is empty *)
-  mutable utilization : float;
-      (** busy time over the interval divided by [interval * max 1 cores];
-          may exceed 1.0 when the app ran on more cores than granted *)
+  mutable busy_ns : int;  (** busy time over the interval *)
+  mutable window_ns : int;
+      (** [interval * max 1 cores]: the utilization is [busy_ns / window_ns],
+          kept as two ints so a refill boxes no float; it may exceed 1.0
+          when the app ran on more cores than granted *)
 }
 
 type decision =

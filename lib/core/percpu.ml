@@ -149,12 +149,20 @@ let wake t (task : Task.t) =
 
 (* ---- construction -------------------------------------------------------- *)
 
-(* Wire a kthread just parked on [cpu]'s core into the UINTR path. *)
-let setup_kthread t (cpu : Percore.cpu) kt =
+(* One UINTR handler per core, shared by every app's kthread there.  It
+   is a closure of two arguments, so a delivery applies it in one call:
+   a nested [fun] would merge into [core_handler]'s own arity, and each
+   delivery would then build a partial application. *)
+let core_handler t cpu =
+  let handler ctx ~uvec = uintr_handler t cpu ctx ~uvec in
+  handler
+
+(* Wire a kthread just parked on [cpu]'s core into the UINTR path, with
+   the core's one [handler]. *)
+let setup_kthread t (cpu : Percore.cpu) handler kt =
   let core = core_of cpu in
   let ctx = Kmod.uintr_ctx kt in
-  Machine.uintr_register_handler ctx ~uinv:Vectors.uintr_notification
-    (uintr_handler t cpu ctx);
+  Machine.uintr_register_handler ctx ~uinv:Vectors.uintr_notification handler;
   if t.preemption then begin
     (* §3.2 timer delegation: UINV <- timer vector, SN <- 1 (kernel module),
        then prime the PIR with a suppressed self-SENDUIPI so the first
@@ -186,6 +194,7 @@ let create machine kmod ~cores ?(timer_hz = 100_000) ?(preemption = true) ?park
     }
   in
   let on_cpu f ex = f (Percore.cpu_of_unit pc ex) in
+  let handlers = Array.map (core_handler t) (Percore.cpus pc) in
   Rc.install_dispatch rc
     {
       Rc.d_name = "percpu";
@@ -197,7 +206,9 @@ let create machine kmod ~cores ?(timer_hz = 100_000) ?(preemption = true) ?park
         (fun ex ~prev -> Percore.schedule pc (Percore.cpu_of_unit pc ex) ~prev);
       d_place = place t;
       d_wake = wake t;
-      d_kthread = (fun ex kt -> on_cpu (fun cpu -> setup_kthread t cpu kt) ex);
+      d_kthread =
+        (fun ex kt ->
+          setup_kthread t (Percore.cpu_of_unit pc ex) handlers.(Rc.exec_slot ex) kt);
       d_evict = on_cpu (Percore.evict pc);
       d_redrive = on_cpu (Percore.kick pc);
       d_preempt_be = on_cpu (Percore.preempt_be pc);

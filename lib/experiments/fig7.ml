@@ -7,6 +7,7 @@ module Synthetic = Skyloft_apps.Synthetic
 module Linux_workload = Skyloft_baselines.Linux_workload
 module Dist = Skyloft_sim.Dist
 module Rc = Skyloft.Runtime_core
+module Allocator = Skyloft_alloc.Allocator
 
 (** Figure 7: the §5.2 synthetic comparison on the dispersive workload
     (99.5% 4 µs / 0.5% 10 ms), 20 worker cores plus one dispatcher/load
@@ -54,8 +55,11 @@ let centralized (config : Config.t) ~mechanism ~quantum ~alloc ~with_be ~rate_rp
   in
   let lc = Rc.create_app rt ~name:"lc" in
   let be = Rc.create_app rt ~name:"batch" in
-  if with_be then
+  if with_be then begin
     Rc.attach_be_app rt ?alloc be ~chunk:(Time.us 50) ~workers:n_workers;
+    (* colocate-alloc reads BE's grant series after the run *)
+    Option.iter (fun a -> ignore (Allocator.series a ~app:be.App.id)) (Rc.allocator rt)
+  end;
   let rng = Engine.split_rng engine in
   Synthetic.drive rt lc engine ~rng ~rate_rps ~duration:config.duration;
   let window =

@@ -116,6 +116,9 @@ let run_point (config : Config.t) ~runtime ~instrumented =
   let trace = Trace.create ~capacity:trace_capacity () in
   Rc.set_trace rt trace;
   let queue_depth = Rc.watch_queue_depth rt in
+  let be_grants =
+    Option.map (fun a -> Allocator.series a ~app:be.App.id) (Rc.allocator rt)
+  in
   Injector.arm injector target
     [ Plan.core_steal ~period:steal_period ~duration:steal_duration () ];
   (* The registry is the only difference between the two arms. *)
@@ -169,12 +172,8 @@ let run_point (config : Config.t) ~runtime ~instrumented =
   let counters =
     ("queue depth", queue_depth)
     ::
-    (match Rc.allocator rt with
-    | Some a ->
-        [
-          ( be.App.name ^ " granted cores",
-            Allocator.series a ~app:be.App.id );
-        ]
+    (match be_grants with
+    | Some s -> [ (be.App.name ^ " granted cores", s) ]
     | None -> [])
   in
   let trace_json = Trace_analysis.to_chrome_json ~counters trace in

@@ -15,12 +15,32 @@ type uintr_ctx = {
   mutable uinv : vector;
   mutable uirr_hi : int;
   mutable uirr_lo : int;
-  mutable handler : (uvec:int -> unit) option;
-  mutable installed_on : int option;
+  mutable handler : uintr_ctx -> uvec:int -> unit;  (* [no_handler]: none *)
+  mutable installed_on : int;  (* core id; -1 when not installed *)
 }
 
+(* The handler of a context that registered none, compared physically. *)
+let no_handler _ ~uvec:_ = ()
+
+let uintr_create_ctx () =
+  {
+    pir_hi = 0;
+    pir_lo = 0;
+    sn = false;
+    uinv = Vectors.uintr_notification;
+    uirr_hi = 0;
+    uirr_lo = 0;
+    handler = no_handler;
+    installed_on = -1;
+  }
+
+(* The [uintr] of a core with no receiver installed: compared physically
+   and never written, as cells run in parallel domains.  A core always
+   holds a context, so installing one allocates nothing. *)
+let no_ctx = uintr_create_ctx ()
+
 type core = {
-  mutable uintr : uintr_ctx option;
+  mutable uintr : uintr_ctx;  (* [no_ctx] when none is installed *)
   mutable kernel_handler : (vector -> unit) option;
   mutable masked : bool;
   mutable pending : vector list;  (* reversed arrival order *)
@@ -45,7 +65,7 @@ type t = {
 let create engine topo =
   let make_core _ =
     {
-      uintr = None;
+      uintr = no_ctx;
       kernel_handler = None;
       masked = false;
       pending = [];
@@ -95,7 +115,7 @@ let rec deliver_uirr c ctx handler ~below =
     if uvec >= 32 then ctx.uirr_hi <- ctx.uirr_hi land lnot (1 lsl (uvec - 32))
     else ctx.uirr_lo <- ctx.uirr_lo land lnot (1 lsl uvec);
     c.user_interrupts <- c.user_interrupts + 1;
-    handler ~uvec;
+    handler ctx ~uvec;
     deliver_uirr c ctx handler ~below:uvec
   end
 
@@ -109,15 +129,14 @@ let recognize c ctx =
     ctx.uirr_lo <- ctx.uirr_lo lor ctx.pir_lo;
     ctx.pir_hi <- 0;
     ctx.pir_lo <- 0;
-    match ctx.handler with
-    | None -> ()
-    | Some handler -> deliver_uirr c ctx handler ~below:64
+    let handler = ctx.handler in
+    if handler != no_handler then deliver_uirr c ctx handler ~below:64
   end
 
 let dispatch c v =
-  match c.uintr with
-  | Some ctx when v = ctx.uinv -> recognize c ctx
-  | Some _ | None -> ( match c.kernel_handler with Some f -> f v | None -> ())
+  let ctx = c.uintr in
+  if ctx != no_ctx && v = ctx.uinv then recognize c ctx
+  else match c.kernel_handler with Some f -> f v | None -> ()
 
 let raise_vector c v = if c.masked then c.pending <- v :: c.pending else dispatch c v
 
@@ -204,21 +223,9 @@ let timer_set_periodic t ~core:i ~hz =
 
 let timer_hz c = c.hz
 
-let uintr_create_ctx () =
-  {
-    pir_hi = 0;
-    pir_lo = 0;
-    sn = false;
-    uinv = Vectors.uintr_notification;
-    uirr_hi = 0;
-    uirr_lo = 0;
-    handler = None;
-    installed_on = None;
-  }
-
 let uintr_register_handler ctx ~uinv handler =
   ctx.uinv <- uinv;
-  ctx.handler <- Some handler
+  ctx.handler <- handler
 
 let uintr_set_uinv ctx v = ctx.uinv <- v
 let uintr_set_sn ctx sn = ctx.sn <- sn
@@ -227,23 +234,25 @@ let uintr_pir_pending ctx = not (pir_empty ctx)
 
 let uintr_install t ~core:i ctx =
   let c = core t i in
-  (match c.uintr with Some old -> old.installed_on <- None | None -> ());
-  c.uintr <- Some ctx;
-  ctx.installed_on <- Some i;
+  let old = c.uintr in
+  if old != no_ctx then old.installed_on <- -1;
+  c.uintr <- ctx;
+  ctx.installed_on <- i;
   (* Hardware recognises already-posted interrupts when the thread resumes
      user mode. *)
   if (not (pir_empty ctx)) && not c.masked then recognize c ctx
 
-let uintr_installed t ~core:i = (core t i).uintr
+let uintr_installed t ~core:i =
+  let ctx = (core t i).uintr in
+  if ctx == no_ctx then None else Some ctx
 
 let senduipi t ~src_core ctx ~uvec =
   if uvec < 0 || uvec > 63 then invalid_arg "Machine.senduipi: uvec out of range";
   if uvec >= 32 then ctx.pir_hi <- ctx.pir_hi lor (1 lsl (uvec - 32))
   else ctx.pir_lo <- ctx.pir_lo lor (1 lsl uvec);
   if not ctx.sn then
-    match ctx.installed_on with
-    | Some dst -> send_ipi t ~src:src_core ~dst ctx.uinv
-    | None -> ()
+    let dst = ctx.installed_on in
+    if dst >= 0 then send_ipi t ~src:src_core ~dst ctx.uinv
 
 let user_interrupts_delivered c = c.user_interrupts
 let dropped_notifications c = c.dropped

@@ -93,9 +93,10 @@ val uintr_create_ctx : unit -> uintr_ctx
 (** Fresh receiver state: empty PIR, SN clear, no handler. *)
 
 val uintr_register_handler :
-  uintr_ctx -> uinv:vector -> (uvec:int -> unit) -> unit
-(** Set UIHANDLER and UINV.  The handler receives the user-vector index
-    (0..63) recovered from the UIRR. *)
+  uintr_ctx -> uinv:vector -> (uintr_ctx -> uvec:int -> unit) -> unit
+(** Set UIHANDLER and UINV.  The handler receives the receiving context
+    and the user-vector index (0..63) recovered from the UIRR, so one
+    handler can serve every context on a core. *)
 
 val uintr_set_uinv : uintr_ctx -> vector -> unit
 (** Change the notification vector the receiver recognises.  Setting it to
@@ -109,9 +110,18 @@ val uintr_pir_pending : uintr_ctx -> bool
 val uintr_install : t -> core:int -> uintr_ctx -> unit
 (** Make [ctx] the running receiver on [core] (the kernel does this when it
     switches in the owning thread).  If the PIR already has posted bits,
-    recognition happens immediately — pending user interrupts fire. *)
+    recognition happens immediately — pending user interrupts fire.
+
+    A core holds its installed context as a plain value, a shared sentinel
+    context (never written) when none is installed, and a context records
+    the core it is installed on as an int ([-1] for none).  So an install
+    that recognises nothing allocates nothing, and stores no young value
+    into an older record: an app switch ([Kmod.switch_to]) costs no minor
+    allocation and no remembered-set entry. *)
 
 val uintr_installed : t -> core:int -> uintr_ctx option
+(** The receiver installed on [core], [None] before the first install.
+    Off the hot path: the option is built per call. *)
 
 (** {1 UINTR sender side} *)
 

@@ -4,9 +4,13 @@
    most significant bit is [g + k - 1], split into [sub] linear slots.
    Groups 1..62-k cover all positive OCaml ints.  A group's count array
    is allocated the first time a value lands in it; until then its slot
-   holds the shared empty array [absent]. *)
+   holds the shared empty array [absent].  An empty histogram shares the
+   read-only table [untouched], whose slots are all [absent], and copies
+   it the first time a group is allocated: most of a many-tenant cell's
+   histograms never record, and cells run in parallel domains, so
+   nothing ever writes [untouched]. *)
 type t = {
-  groups : int array array;
+  mutable groups : int array array;
   mutable n : int;
   mutable min_v : int;
   mutable max_v : int;
@@ -16,9 +20,8 @@ type t = {
 let sub = 64
 let k = 6
 let absent : int array = [||]
-
-let create () =
-  { groups = Array.make (63 - k) absent; n = 0; min_v = max_int; max_v = 0 }
+let untouched = Array.make (63 - k) absent
+let create () = { groups = untouched; n = 0; min_v = max_int; max_v = 0 }
 
 (* Inclusive upper bound of the values mapping to bucket (g, s). *)
 let bucket_upper g s = if g = 0 then s else ((sub + s + 1) lsl (g - 1)) - 1
@@ -30,11 +33,13 @@ let bucket_mid g s =
     float_of_int (lower + bucket_upper g s) /. 2.0
   end
 
-(* Group [g]'s counts, allocated on first touch. *)
+(* Group [g]'s counts, allocated on first touch (the table too, on the
+   first group). *)
 let group t g =
   let counts = t.groups.(g) in
   if counts != absent then counts
   else begin
+    if t.groups == untouched then t.groups <- Array.make (63 - k) absent;
     let counts = Array.make sub 0 in
     t.groups.(g) <- counts;
     counts

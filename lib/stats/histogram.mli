@@ -5,8 +5,10 @@
     sub-buckets each, giving a worst-case relative error of 1/64 (~1.6%),
     far below the run-to-run noise of any scheduling experiment.
     Recording is O(1).  A histogram allocates only the power-of-two
-    ranges it holds: recording allocates one 64-word array the first
-    time a value lands in a range, and is allocation-free after that. *)
+    ranges it holds: an empty histogram allocates only its record, the
+    first value recorded allocates the 57-slot range table, and each
+    range allocates one 64-word array the first time a value lands in
+    it.  Recording is allocation-free after that. *)
 
 type t
 

@@ -221,15 +221,15 @@ let test_periodic_loop_and_series () =
   register alloc ~app:2 ~kind:Policy.Be
     ~bounds:{ Allocator.guaranteed = 0; burstable = 8 }
     ~initial:8 be;
+  let s = Allocator.series alloc ~app:2 in
   Allocator.start alloc;
   Engine.at engine (Time.us 12) (fun () -> lc.runq <- 4);
   Engine.at engine (Time.us 32) (fun () -> lc.runq <- 0);
   Engine.run ~until:(Time.us 100) engine;
   check Alcotest.bool "ticked every interval" true (Allocator.ticks alloc >= 19);
   (* runq stays at 4 until 32us, so the static policy keeps stealing: the
-     series must record BE dipping (all the way to 0 after two ticks) and
-     recovering once the queue drains *)
-  let s = Allocator.series alloc ~app:2 in
+     series, watched before the run, must record BE dipping (all the way
+     to 0 after two ticks) and recovering once the queue drains *)
   check Alcotest.int "series recorded the dip" 0 (Timeseries.min_value s);
   check Alcotest.int "series back at burstable" 8
     (match Timeseries.last s with Some (_, v) -> v | None -> -1);
@@ -237,6 +237,43 @@ let test_periodic_loop_and_series () =
   let before = Allocator.ticks alloc in
   Engine.run ~until:(Time.us 200) engine;
   check Alcotest.int "stop halts the loop" before (Allocator.ticks alloc)
+
+(* A grant series records only once watched, and watching feeds nothing
+   back: the same scripted run, unwatched and watched from the start,
+   makes the same transitions.  The unwatched series starts at the first
+   call, with the grant at that time. *)
+let test_series_only_when_watched () =
+  let run ~watch =
+    let engine, alloc = make () in
+    let lc = fake () and be = fake () in
+    register alloc ~app:1 ~kind:Policy.Lc
+      ~bounds:{ Allocator.guaranteed = 0; burstable = 8 }
+      ~initial:0 lc;
+    register alloc ~app:2 ~kind:Policy.Be
+      ~bounds:{ Allocator.guaranteed = 0; burstable = 8 }
+      ~initial:8 be;
+    if watch then ignore (Allocator.series alloc ~app:2);
+    Allocator.start alloc;
+    Engine.at engine (Time.us 12) (fun () -> lc.runq <- 4);
+    Engine.at engine (Time.us 32) (fun () -> lc.runq <- 0);
+    Engine.run ~until:(Time.us 100) engine;
+    let outcome =
+      ( Allocator.grants alloc,
+        Allocator.reclaims alloc,
+        Allocator.yields alloc,
+        List.map (fun (e : Allocator.event) -> (e.at, e.id, e.granted)) (Allocator.events alloc) )
+    in
+    (outcome, Skyloft_stats.Timeseries.to_list (Allocator.series alloc ~app:2))
+  in
+  let unwatched, late = run ~watch:false in
+  let watched, full = run ~watch:true in
+  check Alcotest.bool "watching changes no transition" true (unwatched = watched);
+  check Alcotest.bool "the watched series saw the dip" true (List.length full > 2);
+  check
+    Alcotest.(list (pair int int))
+    "an unwatched binding recorded nothing"
+    [ (Time.us 100, 8) ]
+    late
 
 let test_event_log () =
   let events = ref [] in
@@ -399,7 +436,14 @@ let prop_alloc_equals_broker (policy_name, make_policy) =
    queued task waits less than the delay threshold. *)
 let test_policy_lookup_allocates_nothing () =
   let hold_lc =
-    { Policy.kind = Policy.Lc; cores = 2; runq_len = 1; oldest_delay = 0; utilization = 0.5 }
+    {
+      Policy.kind = Policy.Lc;
+      cores = 2;
+      runq_len = 1;
+      oldest_delay = 0;
+      busy_ns = 1;
+      window_ns = 2;
+    }
   in
   List.iter
     (fun (name, policy) ->
@@ -433,6 +477,8 @@ let suite =
     Alcotest.test_case "alloc: delay policy" `Quick test_delay_policy_grants_on_queueing;
     Alcotest.test_case "alloc: periodic loop + timeseries" `Quick
       test_periodic_loop_and_series;
+    Alcotest.test_case "alloc: a grant series records only once watched" `Quick
+      test_series_only_when_watched;
     Alcotest.test_case "alloc: event log" `Quick test_event_log;
     Alcotest.test_case "alloc: degrade/recover event ordering" `Quick
       test_degrade_recover_event_ordering;

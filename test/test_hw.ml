@@ -199,7 +199,7 @@ let test_uintr_senduipi_delivers () =
   let engine, machine = make_machine () in
   let ctx = Machine.uintr_create_ctx () in
   let got = ref [] in
-  Machine.uintr_register_handler ctx ~uinv:Vectors.uintr_notification (fun ~uvec ->
+  Machine.uintr_register_handler ctx ~uinv:Vectors.uintr_notification (fun _ ~uvec ->
       got := (Engine.now engine, uvec) :: !got);
   Machine.uintr_install machine ~core:3 ctx;
   Machine.senduipi machine ~src_core:0 ctx ~uvec:5;
@@ -214,7 +214,7 @@ let test_uintr_sn_suppresses_ipi () =
   let engine, machine = make_machine () in
   let ctx = Machine.uintr_create_ctx () in
   let got = ref 0 in
-  Machine.uintr_register_handler ctx ~uinv:Vectors.uintr_notification (fun ~uvec:_ ->
+  Machine.uintr_register_handler ctx ~uinv:Vectors.uintr_notification (fun _ ~uvec:_ ->
       incr got);
   Machine.uintr_install machine ~core:3 ctx;
   Machine.uintr_set_sn ctx true;
@@ -229,7 +229,7 @@ let test_uintr_pending_pir_fires_on_install () =
   let engine, machine = make_machine () in
   let ctx = Machine.uintr_create_ctx () in
   let got = ref [] in
-  Machine.uintr_register_handler ctx ~uinv:Vectors.uintr_notification (fun ~uvec ->
+  Machine.uintr_register_handler ctx ~uinv:Vectors.uintr_notification (fun _ ~uvec ->
       got := uvec :: !got);
   Machine.senduipi machine ~src_core:0 ctx ~uvec:7;
   Engine.run engine;
@@ -243,7 +243,7 @@ let test_uintr_timer_delegation_needs_pir () =
   let engine, machine = make_machine () in
   let ctx = Machine.uintr_create_ctx () in
   let fired = ref 0 in
-  Machine.uintr_register_handler ctx ~uinv:Vectors.timer (fun ~uvec:_ -> incr fired);
+  Machine.uintr_register_handler ctx ~uinv:Vectors.timer (fun _ ~uvec:_ -> incr fired);
   Machine.uintr_set_sn ctx true;
   Machine.uintr_install machine ~core:0 ctx;
   Machine.timer_set_periodic machine ~core:0 ~hz:1000;
@@ -257,7 +257,7 @@ let test_uintr_timer_delegation_with_self_post () =
   let engine, machine = make_machine () in
   let ctx = Machine.uintr_create_ctx () in
   let fired = ref 0 in
-  Machine.uintr_register_handler ctx ~uinv:Vectors.timer (fun ~uvec ->
+  Machine.uintr_register_handler ctx ~uinv:Vectors.timer (fun _ ~uvec ->
       if uvec = Vectors.uvec_timer then begin
         incr fired;
         (* Listing 1 line 5: reset UPID.PIR for the next timer *)
@@ -276,7 +276,7 @@ let test_uintr_timer_delegation_without_repost_stops () =
   let engine, machine = make_machine () in
   let ctx = Machine.uintr_create_ctx () in
   let fired = ref 0 in
-  Machine.uintr_register_handler ctx ~uinv:Vectors.timer (fun ~uvec:_ -> incr fired);
+  Machine.uintr_register_handler ctx ~uinv:Vectors.timer (fun _ ~uvec:_ -> incr fired);
   Machine.uintr_set_sn ctx true;
   Machine.uintr_install machine ~core:0 ctx;
   Machine.senduipi machine ~src_core:0 ctx ~uvec:Vectors.uvec_timer;
@@ -290,7 +290,7 @@ let test_uintr_uninstall () =
   let engine, machine = make_machine () in
   let ctx = Machine.uintr_create_ctx () and other = Machine.uintr_create_ctx () in
   let got = ref 0 in
-  Machine.uintr_register_handler ctx ~uinv:Vectors.uintr_notification (fun ~uvec:_ ->
+  Machine.uintr_register_handler ctx ~uinv:Vectors.uintr_notification (fun _ ~uvec:_ ->
       incr got);
   Machine.uintr_install machine ~core:1 ctx;
   Machine.uintr_install machine ~core:1 other;
@@ -320,7 +320,7 @@ let test_uintr_highest_vector_first () =
   let _, machine = make_machine () in
   let ctx = Machine.uintr_create_ctx () in
   let got = ref [] in
-  Machine.uintr_register_handler ctx ~uinv:Vectors.uintr_notification (fun ~uvec ->
+  Machine.uintr_register_handler ctx ~uinv:Vectors.uintr_notification (fun _ ~uvec ->
       got := uvec :: !got);
   (* not installed: the posts only set PIR bits *)
   List.iter (fun uvec -> Machine.senduipi machine ~src_core:0 ctx ~uvec) [ 1; 63; 0; 2 ];
@@ -337,7 +337,7 @@ let test_uintr_tick_zero_alloc () =
   let engine, machine = make_machine () in
   let ctx = Machine.uintr_create_ctx () in
   let fired = ref 0 in
-  Machine.uintr_register_handler ctx ~uinv:Vectors.timer (fun ~uvec ->
+  Machine.uintr_register_handler ctx ~uinv:Vectors.timer (fun _ ~uvec ->
       incr fired;
       Machine.senduipi machine ~src_core:0 ctx ~uvec);
   Machine.uintr_set_sn ctx true;
@@ -407,7 +407,7 @@ let run_machine sc =
   Machine.uintr_set_sn ctx true;
   List.iter r.post sc.latched;
   r.reinstall ();
-  Machine.uintr_register_handler ctx ~uinv:Vectors.uintr_notification (fun ~uvec ->
+  Machine.uintr_register_handler ctx ~uinv:Vectors.uintr_notification (fun _ ~uvec ->
       scripted_handler sc r log ncalls uvec);
   List.iter r.post sc.posted;
   r.set_sn sc.sn;
@@ -509,7 +509,7 @@ let test_senduipi_posts_suppresses_and_checks_range () =
   let engine, machine = make_machine () in
   let ctx = Machine.uintr_create_ctx () in
   let got = ref [] in
-  Machine.uintr_register_handler ctx ~uinv:Vectors.uintr_notification (fun ~uvec ->
+  Machine.uintr_register_handler ctx ~uinv:Vectors.uintr_notification (fun _ ~uvec ->
       got := uvec :: !got);
   Machine.uintr_install machine ~core:2 ctx;
   Machine.uintr_set_sn ctx true;

@@ -236,6 +236,22 @@ let test_kmod_switch_to () =
     | Some ctx -> ctx == Kmod.uintr_ctx b
     | None -> false)
 
+(* An app switch allocates nothing: the core holds its installed UINTR
+   context as a plain value and the context its core as an int, so
+   installing one boxes no option. *)
+let test_kmod_switch_allocates_nothing () =
+  let _, _, kmod = make_kmod () in
+  let a = Kmod.park_on_cpu kmod ~app:1 ~core:2 in
+  let b = Kmod.park_on_cpu kmod ~app:2 ~core:2 in
+  ignore (Kmod.activate kmod a);
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    ignore (Kmod.switch_to kmod ~from:a ~target:b);
+    ignore (Kmod.switch_to kmod ~from:b ~target:a)
+  done;
+  let words = Gc.minor_words () -. before in
+  check (Alcotest.float 0.0) "minor words for 1,000 round trips" 0.0 words
+
 let test_kmod_switch_cross_core_rejected () =
   let _, _, kmod = make_kmod () in
   let a = Kmod.park_on_cpu kmod ~app:1 ~core:0 in
@@ -770,6 +786,8 @@ let suite =
     Alcotest.test_case "kmod: binding rule on activate" `Quick
       test_kmod_binding_rule_on_activate;
     Alcotest.test_case "kmod: switch_to" `Quick test_kmod_switch_to;
+    Alcotest.test_case "kmod: an app switch allocates nothing" `Quick
+      test_kmod_switch_allocates_nothing;
     Alcotest.test_case "kmod: cross-core switch rejected" `Quick
       test_kmod_switch_cross_core_rejected;
     Alcotest.test_case "kmod: switch from inactive rejected" `Quick

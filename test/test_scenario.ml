@@ -543,8 +543,16 @@ let test_bounded_memory () =
    runtime perfbench pairs it with, 20k requests at seed 8), each run
    once for both gates below: its minor words per request and its engine
    callbacks. *)
-let benchmark_cells =
+let benchmark_workloads =
   let module Scale = Skyloft_experiments.Scale in
+  [
+    ("pareto-percpu", Scale.steady_pareto, Scenario.Percpu);
+    ("pareto-hybrid", Scale.steady_pareto, Scenario.Hybrid);
+    ("mmpp-worksteal", Scale.bursty_mmpp, Scenario.Worksteal);
+    ("mix-percpu", Scale.tenant_mix, Scenario.Percpu);
+  ]
+
+let benchmark_cells =
   lazy
     (List.map
        (fun (name, scenario, runtime) ->
@@ -553,12 +561,7 @@ let benchmark_cells =
          let d = Scenario.run ~seed:8 ~requests ~runtime scenario in
          let per_request = (Gc.minor_words () -. before) /. float_of_int requests in
          (name, per_request, d.Scenario.events_fired))
-       [
-         ("pareto-percpu", Scale.steady_pareto, Scenario.Percpu);
-         ("pareto-hybrid", Scale.steady_pareto, Scenario.Hybrid);
-         ("mmpp-worksteal", Scale.bursty_mmpp, Scenario.Worksteal);
-         ("mix-percpu", Scale.tenant_mix, Scenario.Percpu);
-       ])
+       benchmark_workloads)
 
 let outcome (d : Scenario.digest) = (Scenario.digest_string d, d.Scenario.events_fired)
 
@@ -620,8 +623,8 @@ let test_ledgers_hold_while_running () =
    way. *)
 let test_scale_cell_allocation_ceiling () =
   let ceilings =
-    if Build_profile.name = "dev" then [ 41.2; 42.2; 105.0; 62.4 ]
-    else [ 41.2; 42.2; 105.0; 62.3 ]
+    if Build_profile.name = "dev" then [ 38.9; 39.5; 102.1; 52.4 ]
+    else [ 38.9; 39.5; 102.1; 52.2 ]
   in
   List.iter2
     (fun (name, per_request, _) ceiling ->
@@ -629,6 +632,27 @@ let test_scale_cell_allocation_ceiling () =
         Alcotest.failf "%s: %.2f minor words/request, above the ceiling of %.1f" name
           per_request ceiling)
     (Lazy.force benchmark_cells) ceilings
+
+(* One-request cell setup ceilings: [Scenario.prepare]'s minor words for
+   each benchmark cell, measured plus 5%, one list per build profile as
+   above.  Setup pays per tenant, so an allocation a tenant makes whether
+   or not it is used (a histogram's group table, a UINTR handler per
+   kthread) shows here, on mix-percpu's 120 tenants above all. *)
+let test_scale_cell_setup_ceiling () =
+  let ceilings =
+    if Build_profile.name = "dev" then [ 6_113.; 6_370.; 6_591.; 62_607. ]
+    else [ 6_063.; 6_326.; 6_520.; 59_559. ]
+  in
+  List.iter2
+    (fun (name, scenario, runtime) ceiling ->
+      let before = Gc.minor_words () in
+      let cell = Scenario.prepare ~seed:8 ~requests:1 ~runtime scenario in
+      let words = Gc.minor_words () -. before in
+      ignore (Sys.opaque_identity cell);
+      if words > ceiling then
+        Alcotest.failf "%s: Scenario.prepare allocated %.0f minor words, above the ceiling of %.0f"
+          name words ceiling)
+    benchmark_workloads ceilings
 
 (* The engine callbacks each fixed cell runs, pinned exactly.  A change to
    the simulator's host-side structures must fire the same events in the
@@ -666,6 +690,8 @@ let suite =
       test_ledgers_hold_while_running;
     test_case "scenario: scale cells stay under their allocation ceilings" `Quick
       test_scale_cell_allocation_ceiling;
+    test_case "scenario: scale cell setup stays under its allocation ceiling" `Quick
+      test_scale_cell_setup_ceiling;
     test_case "scenario: scale cells fire their pinned callback counts" `Quick
       test_scale_cell_callback_count;
     test_case "scenario: bounded memory at 10M requests" `Slow

@@ -253,22 +253,27 @@ let prop_hist_dense_oracle =
 
 (* Words [f] allocates, minor and major heap (arrays above 256 words go
    straight to the major heap).  [Gc.counters]' major count includes the
-   words a minor collection promotes, which [Gc.minor_words] already saw. *)
+   words a minor collection promotes, which [Gc.minor_words] already saw.
+   [Gc.counters] boxes its result, so the minor-word reads sit inside the
+   two [Gc.counters] calls and the count is exact. *)
 let words_allocated f =
-  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
   let r = f () in
-  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
   ignore (Sys.opaque_identity r);
   minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
 
 (* An empty container costs its header, not its capacity: a histogram
-   holds no count array until a value arrives, and a timeseries ring
-   starts small and grows. *)
+   is its record alone (four fields and a header) until a value arrives,
+   as it shares one read-only group table until then, and a timeseries
+   ring starts small and grows. *)
 let test_empty_containers_are_small () =
   let budget = 300.0 in
   let hist = words_allocated (fun () -> Histogram.create ()) in
   let series = words_allocated (fun () -> Skyloft_stats.Timeseries.create ()) in
-  check Alcotest.bool (Printf.sprintf "Histogram.create: %.0f words" hist) true (hist < budget);
+  check Alcotest.bool (Printf.sprintf "Histogram.create: %.0f words" hist) true (hist <= 5.0);
   check Alcotest.bool
     (Printf.sprintf "Timeseries.create: %.0f words" series)
     true (series < budget)
